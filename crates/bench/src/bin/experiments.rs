@@ -6,7 +6,7 @@
 //! cargo run -p tsb-bench --bin experiments -- --scale small all  # quick smoke run
 //! ```
 
-use tsb_bench::experiments::{run_all, run_experiment, ALL_EXPERIMENTS};
+use tsb_bench::experiments::{is_experiment, run_all, run_experiment, ALL_EXPERIMENTS};
 use tsb_bench::Scale;
 
 fn main() {
@@ -33,28 +33,27 @@ fn main() {
         }
     }
 
+    // Reject a typo before spending minutes on the ids in front of it.
+    if let Some(id) = requested
+        .iter()
+        .find(|id| *id != "all" && !is_experiment(id))
+    {
+        eprintln!("unknown experiment '{id}'; known: {ALL_EXPERIMENTS:?} (or 'all')");
+        std::process::exit(2);
+    }
+
     println!("TSB-tree experiment harness (Lomet & Salzberg, SIGMOD 1989)");
     println!("scale: {scale:?}");
 
     let tables = if requested.is_empty() || requested.iter().any(|r| r == "all") {
         run_all(scale)
     } else {
-        let mut tables = Vec::new();
-        for id in &requested {
-            match run_experiment(id, scale) {
-                Some(mut t) => tables.append(&mut t),
-                None => {
-                    eprintln!("unknown experiment '{id}'; known: {ALL_EXPERIMENTS:?} (or 'all')");
-                    std::process::exit(2);
-                }
-            }
-        }
-        tables
+        let run = |id: &String| run_experiment(id, scale).expect("validated above");
+        requested.iter().flat_map(run).collect()
     };
     for table in tables {
         println!("{table}");
     }
-    println!("\nSee EXPERIMENTS.md for the paper-vs-measured interpretation of each table.");
 }
 
 fn print_usage() {

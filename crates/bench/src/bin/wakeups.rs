@@ -22,6 +22,7 @@
 //! cargo run -p tsb-bench --release --bin wakeups
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tsb_client::protocol::{Reply, Request};
@@ -131,7 +132,8 @@ fn main() {
                 .shards(shards)
                 .open()
                 .expect("durable engine");
-            let server = TsbServer::start(db, "127.0.0.1:0").expect("start server");
+            let server =
+                TsbServer::start_engine(Arc::new(db), "127.0.0.1:0").expect("start server");
             let addr = server.local_addr();
 
             // Warmup outside the window: prime connections, tree, WAL extent.

@@ -13,7 +13,7 @@
 //!
 //! The second table measures crash-consistent reopen: a tree is built and
 //! dropped *without* a checkpoint (everything since create lives only in
-//! the log), then [`TsbTree::open_durable`] must replay, purge, verify, and
+//! the log), then `TsbOptions::durable(dir)` must replay, purge, verify, and
 //! re-fence. Recovery time is reported against the number of ops since the
 //! last checkpoint — the knob an operator turns (checkpoint cadence) to
 //! bound restart time.
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice, TsbConfig};
 use tsb_core::{TsbOptions, TsbTree};
-use tsb_workload::{drive_durable, generate_ops, DurableDriveSpec, Op, WorkloadSpec};
+use tsb_workload::{drive_engine, generate_ops, DurableDriveSpec, Op, WorkloadSpec};
 
 use crate::measure::{experiment_config, Scale};
 use crate::report::Table;
@@ -244,7 +244,7 @@ fn group_commit_table(scale: Scale, floor: Duration) -> Table {
             let cfg = e12_config(Some(*policy));
             let db = TsbOptions::durable(&dir.0)
                 .config(cfg)
-                .open_concurrent()
+                .open()
                 .expect("durable engine");
             let spec = DurableDriveSpec {
                 threads,
@@ -261,8 +261,8 @@ fn group_commit_table(scale: Scale, floor: Duration) -> Table {
                 seed: spec.seed ^ 0xAAAA,
                 ..spec.clone()
             };
-            drive_durable(&db, &warmup).expect("warmup");
-            let report = drive_durable(&db, &spec).expect("drive");
+            drive_engine(&db, &warmup).expect("warmup");
+            let report = drive_engine(&db, &spec).expect("drive");
             let commits_per_fsync = report
                 .io
                 .commits_per_fsync()

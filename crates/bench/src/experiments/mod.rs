@@ -1,7 +1,7 @@
 //! The experiments (E1–E8). Each module builds its workloads, replays them
 //! into the structures under test, and returns printable [`Table`]s. The
-//! mapping from experiment id to paper artifact is in DESIGN.md §4; the
-//! measured results and their interpretation are recorded in EXPERIMENTS.md.
+//! mapping from experiment id to paper artifact is in the crate docs; the
+//! measured results are recorded per PR in `CHANGES.md` / `BENCH_PR*.json`.
 
 pub mod ablation;
 pub mod baseline;
@@ -25,34 +25,47 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
 ];
 
+type Runner = fn(Scale) -> Vec<Table>;
+
+/// The runner behind an experiment id (or alias), and which one of its
+/// tables the id selects (`None`: all of them). Resolving runs nothing.
+fn resolve(id: &str) -> Option<(Runner, Option<usize>)> {
+    Some(match id {
+        // E1–E3 share one set of runs; each id names one table of it.
+        "e1" => (policy_space::run, Some(0)),
+        "e2" => (policy_space::run, Some(1)),
+        "e3" => (policy_space::run, Some(2)),
+        "e1-3" | "policy-space" => (policy_space::run, None),
+        "e4" => (ratio_sweep::run, None),
+        "e5" => (cost_function::run, None),
+        "e6" => (query_cost::run, None),
+        "e7" => (worm_utilization::run, None),
+        "e8" => (baseline::run, None),
+        "e9" => (ablation::run, None),
+        "e10" | "concurrency" => (concurrency::run, None),
+        "e11" | "descent-fanout" => (descent_fanout::run, None),
+        "e12" | "durability" => (durability::run, None),
+        "e13" | "served" => (served::run, None),
+        "e14" | "sharded" => (sharded::run, None),
+        "e15" | "replication" => (replication::run, None),
+        _ => return None,
+    })
+}
+
+/// Whether `id` names an experiment — answered without running it, so a
+/// command line can be checked whole before any of it is executed.
+pub fn is_experiment(id: &str) -> bool {
+    resolve(id).is_some()
+}
+
 /// Runs one experiment by id, returning its tables.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    match id {
-        "e1" | "e2" | "e3" => {
-            // E1–E3 share one set of runs; return only the requested table.
-            let tables = policy_space::run(scale);
-            let index = match id {
-                "e1" => 0,
-                "e2" => 1,
-                _ => 2,
-            };
-            Some(vec![tables.into_iter().nth(index)?])
-        }
-        "e1-3" | "policy-space" => Some(policy_space::run(scale)),
-        "e4" => Some(ratio_sweep::run(scale)),
-        "e5" => Some(cost_function::run(scale)),
-        "e6" => Some(query_cost::run(scale)),
-        "e7" => Some(worm_utilization::run(scale)),
-        "e8" => Some(baseline::run(scale)),
-        "e9" => Some(ablation::run(scale)),
-        "e10" | "concurrency" => Some(concurrency::run(scale)),
-        "e11" | "descent-fanout" => Some(descent_fanout::run(scale)),
-        "e12" | "durability" => Some(durability::run(scale)),
-        "e13" | "served" => Some(served::run(scale)),
-        "e14" | "sharded" => Some(sharded::run(scale)),
-        "e15" | "replication" => Some(replication::run(scale)),
-        _ => None,
-    }
+    let (run, pick) = resolve(id)?;
+    let tables = run(scale);
+    Some(match pick {
+        Some(index) => vec![tables.into_iter().nth(index)?],
+        None => tables,
+    })
 }
 
 /// Runs every experiment, returning all tables in order.
@@ -89,5 +102,7 @@ mod tests {
             }
         }
         assert!(run_experiment("nope", Scale::Tiny).is_none());
+        assert!(ALL_EXPERIMENTS.iter().all(|id| is_experiment(id)));
+        assert!(!is_experiment("nope") && !is_experiment("all"));
     }
 }

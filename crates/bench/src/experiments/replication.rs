@@ -6,7 +6,7 @@
 //! disk, while the primary keeps taking writes. This experiment prices
 //! that claim on loopback. For each row a fresh durable primary is
 //! preloaded, wrapped in a [`TsbServer`], and joined by `R` replica
-//! servers (each a [`ReplicaEngine`] bootstrapped and streamed by a
+//! servers (each a `ReplicaEngine` bootstrapped and streamed by a
 //! [`ReplicaRunner`]). A fixed per-endpoint budget of closed-loop reader
 //! connections then issues point gets round-robin over every serving
 //! endpoint while a background writer keeps committing on the primary —
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use tsb_client::TsbClient;
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, SplitTimeChoice};
-use tsb_core::TsbOptions;
+use tsb_core::{EngineHandle, TsbOptions};
 use tsb_server::replica::ReplicaRunner;
 use tsb_server::TsbServer;
 
@@ -130,7 +130,7 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
     cfg.fsync_policy = FsyncPolicy::Always;
     let primary = TsbOptions::durable(&pdir.0)
         .config(cfg.clone())
-        .open_concurrent()
+        .open()
         .expect("primary engine");
 
     // Preload every key so point reads always hit.
@@ -140,7 +140,8 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
             .expect("preload");
     }
 
-    let primary_server = TsbServer::start(primary.clone(), "127.0.0.1:0").expect("primary server");
+    let primary_server =
+        TsbServer::start_engine(Arc::new(primary.clone()), "127.0.0.1:0").expect("primary server");
     let primary_addr = primary_server.local_addr().to_string();
 
     let mut rdirs = Vec::new();

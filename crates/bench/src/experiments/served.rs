@@ -18,6 +18,7 @@
 //! the blocking baseline with under one fsync per op.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice};
 use tsb_core::TsbOptions;
@@ -105,9 +106,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
             cfg.fsync_policy = *policy;
             let db = TsbOptions::durable(&dir.0)
                 .config(cfg)
-                .open_concurrent()
+                .open()
                 .expect("durable engine");
-            let server = TsbServer::start(db, "127.0.0.1:0").expect("start server");
+            let server =
+                TsbServer::start_engine(Arc::new(db), "127.0.0.1:0").expect("start server");
             let addr = server.local_addr();
 
             let spec = SocketDriveSpec {

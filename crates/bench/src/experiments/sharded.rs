@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice};
 use tsb_core::TsbOptions;
-use tsb_workload::{drive_sharded, DurableDriveSpec};
+use tsb_workload::{drive_engine, DurableDriveSpec};
 
 use super::durability::{fsync_floor, pct_of_fsync_ceiling};
 use crate::measure::{experiment_config, Scale};
@@ -127,8 +127,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     seed: spec.seed ^ 0xAAAA,
                     ..spec.clone()
                 };
-                drive_sharded(&db, &warmup).expect("warmup");
-                let report = drive_sharded(&db, &spec).expect("drive");
+                drive_engine(&db, &warmup).expect("warmup");
+                let report = drive_engine(&db, &spec).expect("drive");
 
                 let throughput = report.ops_per_sec();
                 let relative = match baseline {

@@ -6,8 +6,8 @@
 //! database, and amount of redundancy, under different splitting policies
 //! and with different rates of update versus insertion* — and the rest of
 //! the paper motivates query-cost and WORM-utilization comparisons against
-//! the Write-Once B-tree. Each experiment here (E1–E8, indexed in DESIGN.md
-//! and EXPERIMENTS.md) regenerates one of those tables:
+//! the Write-Once B-tree. Each experiment here (E1–E8) regenerates one of
+//! those tables:
 //!
 //! * **E1** total space by splitting policy,
 //! * **E2** current-database (magnetic) space by policy,

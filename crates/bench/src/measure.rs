@@ -8,8 +8,8 @@ use tsb_core::{TreeStats, TsbOptions, TsbTree};
 use tsb_wobt::{Wobt, WobtConfig, WobtStats};
 use tsb_workload::{generate_queries, Op, Oracle, Query, QueryMix, WorkloadSpec};
 
-/// Experiment scale: `Small` for CI / smoke runs, `Full` for the numbers
-/// reported in EXPERIMENTS.md.
+/// Experiment scale: `Small` for CI / smoke runs, `Full` for reported
+/// numbers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Minimal runs used by unit tests of the harness itself.

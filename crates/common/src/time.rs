@@ -1,6 +1,6 @@
 //! Timestamps, time bounds, time ranges, and the logical clock.
 //!
-//! The paper assumes a *rollback database* ([SnAh], [McKe]): every committed
+//! The paper assumes a *rollback database* (\[SnAh\], \[McKe\]): every committed
 //! version is stamped with the **commit time** of the transaction that wrote
 //! it, and values are *stepwise constant* between updates (Figure 1). The
 //! absolute scale of timestamps is irrelevant to the structure; what matters

@@ -64,7 +64,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbResult, TxnId, Version};
-use tsb_storage::{IoStats, Lsn, MagneticStore, SpaceSnapshot, Wal, WormStore};
+use tsb_storage::{IoStats, Lsn, SpaceSnapshot};
 
 use crate::tree::TsbTree;
 
@@ -120,54 +120,14 @@ impl std::fmt::Debug for ConcurrentTsb {
 impl ConcurrentTsb {
     // ----- construction ---------------------------------------------------
 
-    /// Wraps an existing tree. The tree's current state is taken as the
-    /// last fully installed write (the fence starts at `now - 1`).
-    pub fn from_tree(tree: TsbTree) -> Self {
-        let fence = tree.now().prev().value();
-        ConcurrentTsb {
-            inner: Arc::new(Shared {
-                tree,
-                writer: Mutex::new(()),
-                fence: AtomicU64::new(fence),
-            }),
-        }
-    }
-
-    /// Creates a fresh concurrent engine over in-memory stores.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::in_memory().config(cfg).open_concurrent()`"
-    )]
-    #[allow(deprecated)]
-    pub fn new_in_memory(cfg: TsbConfig) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::new_in_memory(cfg)?))
-    }
-
-    /// Creates a fresh concurrent engine over the provided stores (see
-    /// [`TsbTree::create`]).
-    pub fn create(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::create(magnetic, worm, cfg)?))
-    }
-
-    /// Reopens (or creates) an engine over the provided stores (see
-    /// [`TsbTree::open`]).
-    pub fn open(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::open(magnetic, worm, cfg)?))
-    }
-
-    /// Creates a fresh **durable** engine: mutations are redo-logged before
-    /// they may dirty a page (see [`TsbTree::create_durable`]).
+    /// Wraps an existing tree — the one way to put hand-built devices
+    /// behind a concurrent engine (`from_tree(TsbTree::create(..)?)`);
+    /// directories and configs open through [`crate::TsbOptions`]. The
+    /// tree's current state is taken as the last fully installed write
+    /// (the fence starts at `now - 1`).
     ///
-    /// Durability composes with the single-writer pipeline as **pipelined
-    /// group commit**: writers queue on the writer lock, each appends its
+    /// On a durable tree the writer pipeline becomes **pipelined group
+    /// commit**: writers queue on the writer lock, each appends its
     /// records to the WAL buffer while holding it, then releases the lock
     /// and parks on the WAL's durable-LSN watermark — the fsync itself runs
     /// on a dedicated group-commit thread, so one drain acknowledges every
@@ -178,27 +138,15 @@ impl ConcurrentTsb {
     /// group of `n`, `Os` never parks and leaves flushing to the operating
     /// system. The E12 experiment measures the resulting
     /// throughput/durability trade.
-    pub fn create_durable(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        wal: Wal,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::create_durable(
-            magnetic, worm, wal, cfg,
-        )?))
-    }
-
-    /// Opens (or creates) a durable engine rooted at directory `dir`,
-    /// running crash-consistent recovery when the directory holds a
-    /// previous session's state (see [`TsbTree::open_durable`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::durable(dir).config(cfg).open_concurrent()`"
-    )]
-    #[allow(deprecated)]
-    pub fn open_durable(dir: impl AsRef<std::path::Path>, cfg: TsbConfig) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::open_durable(dir, cfg)?))
+    pub fn from_tree(tree: TsbTree) -> Self {
+        let fence = tree.now().prev().value();
+        ConcurrentTsb {
+            inner: Arc::new(Shared {
+                tree,
+                writer: Mutex::new(()),
+                fence: AtomicU64::new(fence),
+            }),
+        }
     }
 
     /// Unwraps the engine back into the single-threaded tree, if this is
@@ -286,6 +234,13 @@ impl ConcurrentTsb {
     /// lock for the span of the protocol).
     pub(crate) fn lock_writer(&self) -> parking_lot::MutexGuard<'_, ()> {
         self.lock_writer_timed()
+    }
+
+    /// The newest durable position in this engine's log (0 when it has no
+    /// log): the limit replication ships up to.
+    pub(crate) fn durable_lsn(&self) -> Lsn {
+        let wal = self.inner.tree.wal_handle();
+        wal.map_or(0, |w| w.durable_lsn())
     }
 
     /// Advances the install fence to at least `ts`. Caller must hold the

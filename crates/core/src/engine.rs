@@ -1,23 +1,25 @@
-//! [`EngineHandle`] — the one object-safe surface every engine flavour
-//! serves through.
+//! [`EngineHandle`] — the one object-safe surface an engine serves
+//! through, and the *definition* of each engine verb.
 //!
-//! The crate grew three engines with near-identical surfaces but distinct
-//! concrete types: [`ConcurrentTsb`] (single writer, one log),
-//! [`ShardedTsb`] (N-way partitioned, per-shard logs under a global
-//! clock), and [`ReplicaEngine`] (read-only, fed by WAL shipping). The
-//! server dispatch loop, the workload drivers, and the oracle-equivalence
-//! tests all want to be written once against *an engine*, not three
-//! times — this trait is that seam.
+//! Exactly two types implement it: [`ShardedTsb`](crate::ShardedTsb), the
+//! writable engine (one shard is the unsharded case), and
+//! [`ReplicaEngine`](crate::ReplicaEngine), the read-only one fed by WAL
+//! shipping. Each verb's body lives in the trait impl next to its type
+//! (no inherent twin to forward to), so the server dispatch loop, the
+//! workload drivers, and the oracle-equivalence tests are written once
+//! against *an engine* and reach the real code in one hop.
 //!
 //! Design notes:
-//!
 //! * **Object-safe by construction**: keys are concrete [`Key`] values
 //!   (callers convert once at the edge), so `Arc<dyn EngineHandle>` works
 //!   as a server/driver field.
-//! * **Durability positions are [`ShardLsn`]s** — `(shard, lsn)` pairs.
-//!   Unsharded engines are the one-shard case: shard index 0. That makes
-//!   the deferred-ack plumbing (`insert_deferred` → `wait_durable`)
-//!   uniform without erasing which log a position lives in.
+//! * **Durability positions are [`ShardLsn`]s** — `(shard, lsn)` pairs,
+//!   shard 0 on a one-shard engine — so the deferred-ack plumbing
+//!   (`insert_deferred` → `wait_durable`) is uniform without erasing
+//!   which log a position lives in.
+//! * **Blocking writes are written once**: `insert`, `delete` and
+//!   `commit_txn` are provided methods — the deferred verb, then
+//!   `wait_durable` — so a replica's `ReadOnly` answer comes for free.
 //! * **Write verbs are fallible everywhere**, even those infallible on a
 //!   concrete engine (`begin_txn`), because a replica answers every one
 //!   of them with [`TsbError::ReadOnly`] — the single error code the
@@ -27,16 +29,13 @@
 //!   [`EngineHandle::replication_source`] let the server expose
 //!   role/status verbs and serve `subscribe` without downcasting.
 
-use std::sync::Arc;
-
 use tsb_common::{
     Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId, Version,
 };
 use tsb_storage::{IoSnapshot, Lsn};
 
-use crate::concurrent::ConcurrentTsb;
-use crate::replica::{ReplicaEngine, ReplicaStatus, ReplicationSource};
-use crate::sharded::{ShardLsn, ShardedTsb};
+use crate::replica::{ReplicaStatus, ReplicationSource};
+use crate::sharded::ShardLsn;
 
 /// What an engine is in a replication topology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +59,7 @@ impl EngineRole {
 
 /// The unified engine surface: reads, writes, transactions, durability,
 /// and replication introspection. See the module docs for the design
-/// rules; see each concrete engine for semantics.
+/// rules; see each implementor's `impl EngineHandle` for semantics.
 pub trait EngineHandle: Send + Sync {
     /// This engine's replication role.
     fn role(&self) -> EngineRole;
@@ -79,8 +78,20 @@ pub trait EngineHandle: Send + Sync {
     /// Logically deletes `key` (non-deletion: history is preserved).
     fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)>;
 
-    /// Blocks until `pos` is durable on its shard's log.
+    /// Blocks until `pos` is durable on its shard's log; a shard index
+    /// this engine does not have is a [`TsbError::config`] error.
     fn wait_durable(&self, pos: ShardLsn) -> TsbResult<()>;
+
+    /// [`Self::insert_deferred`], returning only once durable (per the
+    /// engine's fsync policy).
+    fn insert(&self, key: Key, value: Vec<u8>) -> TsbResult<Timestamp> {
+        acked(self, self.insert_deferred(key, value)?)
+    }
+
+    /// [`Self::delete_deferred`], returning only once durable.
+    fn delete(&self, key: Key) -> TsbResult<Timestamp> {
+        acked(self, self.delete_deferred(key)?)
+    }
 
     /// Starts a multi-key transaction.
     fn begin_txn(&self) -> TsbResult<TxnId>;
@@ -96,6 +107,11 @@ pub trait EngineHandle: Send + Sync {
 
     /// Commits `txn`, stamping every write with one commit timestamp.
     fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)>;
+
+    /// [`Self::commit_txn_deferred`], returning only once durable.
+    fn commit_txn(&self, txn: TxnId) -> TsbResult<Timestamp> {
+        acked(self, self.commit_txn_deferred(txn)?)
+    }
 
     /// Aborts `txn`, erasing its uncommitted versions.
     fn abort_txn(&self, txn: TxnId) -> TsbResult<()>;
@@ -170,434 +186,14 @@ pub trait EngineHandle: Send + Sync {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ConcurrentTsb: the one-shard case (shard index 0)
-// ---------------------------------------------------------------------------
-
-impl EngineHandle for ConcurrentTsb {
-    fn role(&self) -> EngineRole {
-        EngineRole::Primary
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn insert_deferred(
-        &self,
-        key: Key,
-        value: Vec<u8>,
-    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        let (ts, lsn) = ConcurrentTsb::insert_deferred(self, key, value)?;
-        Ok((ts, lsn.map(|l| (0, l))))
-    }
-
-    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        let (ts, lsn) = ConcurrentTsb::delete_deferred(self, key)?;
-        Ok((ts, lsn.map(|l| (0, l))))
-    }
-
-    fn wait_durable(&self, (_, lsn): ShardLsn) -> TsbResult<()> {
-        ConcurrentTsb::wait_durable(self, lsn)
-    }
-
-    fn begin_txn(&self) -> TsbResult<TxnId> {
-        Ok(ConcurrentTsb::begin_txn(self))
-    }
-
-    fn txn_insert(&self, txn: TxnId, key: Key, value: Vec<u8>) -> TsbResult<()> {
-        ConcurrentTsb::txn_insert(self, txn, key, value)
-    }
-
-    fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
-        ConcurrentTsb::txn_delete(self, txn, key)
-    }
-
-    fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        ConcurrentTsb::txn_get(self, txn, key)
-    }
-
-    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        let (ts, lsn) = ConcurrentTsb::commit_txn_deferred(self, txn)?;
-        Ok((ts, lsn.map(|l| (0, l))))
-    }
-
-    fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
-        ConcurrentTsb::abort_txn(self, txn)
-    }
-
-    fn checkpoint(&self) -> TsbResult<()> {
-        ConcurrentTsb::checkpoint(self)
-    }
-
-    fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        ConcurrentTsb::get_current(self, key)
-    }
-
-    fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        ConcurrentTsb::get_as_of(self, key, ts)
-    }
-
-    fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        ConcurrentTsb::scan_as_of(self, range, ts)
-    }
-
-    fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        ConcurrentTsb::scan_current(self, range)
-    }
-
-    fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        ConcurrentTsb::history_between(self, key, window)
-    }
-
-    fn last_installed(&self) -> Timestamp {
-        ConcurrentTsb::last_installed(self)
-    }
-
-    fn last_durable_commit(&self) -> Option<Timestamp> {
-        ConcurrentTsb::last_durable_commit(self)
-    }
-
-    fn durable_lsn(&self) -> Lsn {
-        self.tree()
-            .wal_handle()
-            .map(|w| w.durable_lsn())
-            .unwrap_or(0)
-    }
-
-    fn verify(&self) -> TsbResult<()> {
-        ConcurrentTsb::verify(self)
-    }
-
-    fn config(&self) -> &TsbConfig {
-        ConcurrentTsb::config(self)
-    }
-
-    fn io_snapshot(&self) -> IoSnapshot {
-        self.io_stats().snapshot()
-    }
-
-    fn replication_source(&self) -> TsbResult<ReplicationSource> {
-        ReplicationSource::new(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedTsb
-// ---------------------------------------------------------------------------
-
-impl EngineHandle for ShardedTsb {
-    fn role(&self) -> EngineRole {
-        EngineRole::Primary
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedTsb::shard_count(self)
-    }
-
-    fn insert_deferred(
-        &self,
-        key: Key,
-        value: Vec<u8>,
-    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        ShardedTsb::insert_deferred(self, key, value)
-    }
-
-    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        ShardedTsb::delete_deferred(self, key)
-    }
-
-    fn wait_durable(&self, pos: ShardLsn) -> TsbResult<()> {
-        ShardedTsb::wait_durable(self, pos)
-    }
-
-    fn begin_txn(&self) -> TsbResult<TxnId> {
-        Ok(ShardedTsb::begin_txn(self))
-    }
-
-    fn txn_insert(&self, txn: TxnId, key: Key, value: Vec<u8>) -> TsbResult<()> {
-        ShardedTsb::txn_insert(self, txn, key, value)
-    }
-
-    fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
-        ShardedTsb::txn_delete(self, txn, key)
-    }
-
-    fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        ShardedTsb::txn_get(self, txn, key)
-    }
-
-    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        ShardedTsb::commit_txn_deferred(self, txn)
-    }
-
-    fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
-        ShardedTsb::abort_txn(self, txn)
-    }
-
-    fn checkpoint(&self) -> TsbResult<()> {
-        ShardedTsb::checkpoint(self)
-    }
-
-    fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        ShardedTsb::get_current(self, key)
-    }
-
-    fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        ShardedTsb::get_as_of(self, key, ts)
-    }
-
-    fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        ShardedTsb::scan_as_of(self, range, ts)
-    }
-
-    fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        ShardedTsb::scan_current(self, range)
-    }
-
-    fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        ShardedTsb::history_between(self, key, window)
-    }
-
-    fn last_installed(&self) -> Timestamp {
-        ShardedTsb::last_installed(self)
-    }
-
-    fn last_durable_commit(&self) -> Option<Timestamp> {
-        ShardedTsb::last_durable_commit(self)
-    }
-
-    fn durable_lsn(&self) -> Lsn {
-        // Each shard numbers its own log, so a cross-shard maximum would
-        // compare unrelated axes. Promotion tooling only ever reads this
-        // off a single-shard primary (the only configuration that can
-        // feed a replica — see `replication_source`); report 0 otherwise.
-        if self.shard_count() == 1 {
-            self.shards()[0].durable_lsn()
-        } else {
-            0
-        }
-    }
-
-    fn verify(&self) -> TsbResult<()> {
-        ShardedTsb::verify(self)
-    }
-
-    fn config(&self) -> &TsbConfig {
-        ShardedTsb::config(self)
-    }
-
-    fn io_snapshot(&self) -> IoSnapshot {
-        ShardedTsb::io_snapshot(self)
-    }
-
-    fn replication_source(&self) -> TsbResult<ReplicationSource> {
-        // Replication streams one log; a multi-shard engine has N plus
-        // two-phase fences across them, which the replica apply protocol
-        // deliberately rejects.
-        if self.shard_count() != 1 {
-            return Err(TsbError::config(
-                "replication requires a single-shard primary (run with --shards 1)",
-            ));
-        }
-        ReplicationSource::new(&self.shards()[0])
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ReplicaEngine: reads delegate, writes refuse
-// ---------------------------------------------------------------------------
-
-/// Every write verb on a replica fails with this.
-fn read_only<T>() -> TsbResult<T> {
-    Err(TsbError::ReadOnly)
-}
-
-impl EngineHandle for ReplicaEngine {
-    fn role(&self) -> EngineRole {
-        EngineRole::Replica
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn insert_deferred(&self, _: Key, _: Vec<u8>) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        read_only()
-    }
-
-    fn delete_deferred(&self, _: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        read_only()
-    }
-
-    fn wait_durable(&self, _: ShardLsn) -> TsbResult<()> {
-        read_only()
-    }
-
-    fn begin_txn(&self) -> TsbResult<TxnId> {
-        read_only()
-    }
-
-    fn txn_insert(&self, _: TxnId, _: Key, _: Vec<u8>) -> TsbResult<()> {
-        read_only()
-    }
-
-    fn txn_delete(&self, _: TxnId, _: Key) -> TsbResult<()> {
-        read_only()
-    }
-
-    fn txn_get(&self, _: TxnId, _: &Key) -> TsbResult<Option<Vec<u8>>> {
-        read_only()
-    }
-
-    fn commit_txn_deferred(&self, _: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        read_only()
-    }
-
-    fn abort_txn(&self, _: TxnId) -> TsbResult<()> {
-        read_only()
-    }
-
-    fn checkpoint(&self) -> TsbResult<()> {
-        read_only()
-    }
-
-    fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        ReplicaEngine::get_current(self, key)
-    }
-
-    fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        ReplicaEngine::get_as_of(self, key, ts)
-    }
-
-    fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        ReplicaEngine::scan_as_of(self, range, ts)
-    }
-
-    fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        ReplicaEngine::scan_current(self, range)
-    }
-
-    fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        ReplicaEngine::history_between(self, key, window)
-    }
-
-    fn last_installed(&self) -> Timestamp {
-        ReplicaEngine::last_installed(self)
-    }
-
-    fn last_durable_commit(&self) -> Option<Timestamp> {
-        // The applied fence *is* the replica's durable prefix: nothing is
-        // installed before the local log is synced through it.
-        let ts = ReplicaEngine::last_installed(self);
-        (ts != Timestamp(0)).then_some(ts)
-    }
-
-    fn durable_lsn(&self) -> Lsn {
-        self.status().applied_lsn
-    }
-
-    fn verify(&self) -> TsbResult<()> {
-        ReplicaEngine::verify(self)
-    }
-
-    fn config(&self) -> &TsbConfig {
-        ReplicaEngine::config(self)
-    }
-
-    fn io_snapshot(&self) -> IoSnapshot {
-        ReplicaEngine::io_snapshot(self)
-    }
-
-    fn replica_status(&self) -> Option<ReplicaStatus> {
-        Some(self.status())
-    }
-
-    fn replication_source(&self) -> TsbResult<ReplicationSource> {
-        Err(TsbError::config(
-            "cascading replication is not supported: subscribe to the primary",
-        ))
-    }
-}
-
-impl<E: EngineHandle + ?Sized> EngineHandle for Arc<E> {
-    fn role(&self) -> EngineRole {
-        (**self).role()
-    }
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
-    fn insert_deferred(
-        &self,
-        key: Key,
-        value: Vec<u8>,
-    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        (**self).insert_deferred(key, value)
-    }
-    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        (**self).delete_deferred(key)
-    }
-    fn wait_durable(&self, pos: ShardLsn) -> TsbResult<()> {
-        (**self).wait_durable(pos)
-    }
-    fn begin_txn(&self) -> TsbResult<TxnId> {
-        (**self).begin_txn()
-    }
-    fn txn_insert(&self, txn: TxnId, key: Key, value: Vec<u8>) -> TsbResult<()> {
-        (**self).txn_insert(txn, key, value)
-    }
-    fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
-        (**self).txn_delete(txn, key)
-    }
-    fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        (**self).txn_get(txn, key)
-    }
-    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        (**self).commit_txn_deferred(txn)
-    }
-    fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
-        (**self).abort_txn(txn)
-    }
-    fn checkpoint(&self) -> TsbResult<()> {
-        (**self).checkpoint()
-    }
-    fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        (**self).get_current(key)
-    }
-    fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        (**self).get_as_of(key, ts)
-    }
-    fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        (**self).scan_as_of(range, ts)
-    }
-    fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        (**self).scan_current(range)
-    }
-    fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        (**self).history_between(key, window)
-    }
-    fn last_installed(&self) -> Timestamp {
-        (**self).last_installed()
-    }
-    fn last_durable_commit(&self) -> Option<Timestamp> {
-        (**self).last_durable_commit()
-    }
-    fn durable_lsn(&self) -> Lsn {
-        (**self).durable_lsn()
-    }
-    fn verify(&self) -> TsbResult<()> {
-        (**self).verify()
-    }
-    fn config(&self) -> &TsbConfig {
-        (**self).config()
-    }
-    fn io_snapshot(&self) -> IoSnapshot {
-        (**self).io_snapshot()
-    }
-    fn replica_status(&self) -> Option<ReplicaStatus> {
-        (**self).replica_status()
-    }
-    fn replication_source(&self) -> TsbResult<ReplicationSource> {
-        (**self).replication_source()
-    }
+/// The blocking half of a deferred write: parks on its durability position
+/// (if it has one), then yields the commit timestamp.
+fn acked<E: EngineHandle + ?Sized>(
+    db: &E,
+    (ts, pos): (Timestamp, Option<ShardLsn>),
+) -> TsbResult<Timestamp> {
+    if let Some(pos) = pos {
+        db.wait_durable(pos)?;
+    }
+    Ok(ts)
 }

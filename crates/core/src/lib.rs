@@ -22,18 +22,24 @@
 //! * [`SnapshotReader`] — lock-free read-only transactions pinned to a start
 //!   timestamp (§4.1), plus writer transactions whose uncommitted versions
 //!   carry no timestamp, are never migrated, and are erased on abort (§4).
-//! * [`ConcurrentTsb`] — a `Send + Sync` single-writer / many-reader engine:
-//!   serialized writes, lock-free concurrent reads against immutable
-//!   historical nodes with seqlock-validated descents, and owning
-//!   [`ConcurrentSnapshot`] readers pinned behind an install fence (see
-//!   [`concurrent`]).
-//! * [`ShardedTsb`] — an N-way hash-partitioned engine: independent
-//!   per-shard WALs, group-commit pipelines, and checkpoint cadences under
-//!   one global commit clock, with fence-pinned cross-shard snapshots and
-//!   two-phase-fence cross-shard transactions (see [`sharded`]).
+//! * [`TsbOptions`] — the one door: every engine that comes from a
+//!   configuration or a directory is opened through it (see [`options`]).
+//! * [`EngineHandle`] — the one object-safe surface an engine serves
+//!   through, implemented by exactly two types: [`ShardedTsb`] (writable;
+//!   an N-way hash-partitioned engine with independent per-shard WALs,
+//!   group-commit pipelines, and checkpoint cadences under one global
+//!   commit clock, fence-pinned cross-shard snapshots and two-phase-fence
+//!   cross-shard transactions — one shard is the unsharded case; see
+//!   [`sharded`]) and [`ReplicaEngine`] (read-only, fed by WAL shipping;
+//!   see [`replica`]).
+//! * [`ConcurrentTsb`] — what each shard is: a `Send + Sync`
+//!   single-writer / many-reader engine with serialized writes, lock-free
+//!   concurrent reads against immutable historical nodes with
+//!   seqlock-validated descents, and owning [`ConcurrentSnapshot`] readers
+//!   pinned behind an install fence (see [`concurrent`]).
 //! * [`SecondaryIndex`] — `<timestamp, secondary key, primary key>` indexes,
 //!   themselves TSB-trees (§3.6).
-//! * **Durability** — [`TsbTree::open_durable`] / [`TsbTree::recover`] /
+//! * **Durability** — [`TsbOptions::durable`] / [`TsbTree::recover`] /
 //!   [`TsbTree::checkpoint`]: a write-ahead redo log
 //!   ([`tsb_storage::Wal`]) makes the erasable current database
 //!   crash-consistent (the WORM side is durable by hardware). Every

@@ -1,10 +1,8 @@
 //! [`TsbOptions`] — the one front door for opening an engine.
 //!
-//! The crate accumulated a constructor per (engine flavour × backing ×
-//! knob) combination: `new_in_memory(cfg)`, `open_durable(dir, cfg)`,
-//! `open_durable(dir, shards, cfg)`, each threading the same
-//! [`TsbConfig`] flags by hand. This builder replaces that proliferation
-//! with a single chain that names each decision once:
+//! Every engine that is opened from a configuration or a directory is
+//! opened here; there is no per-flavour constructor to reach for instead.
+//! One chain names each decision once:
 //!
 //! ```no_run
 //! use tsb_common::{FsyncPolicy, WalMode};
@@ -21,20 +19,24 @@
 //!
 //! Terminal methods pick the engine flavour:
 //!
-//! * [`TsbOptions::open`] — a [`ShardedTsb`] (the most general primary;
-//!   one shard is the common case and costs nothing extra).
-//! * [`TsbOptions::open_concurrent`] — a [`ConcurrentTsb`] when a
-//!   concrete single-log engine is wanted (e.g. to serve replication).
+//! * [`TsbOptions::open`] — a [`ShardedTsb`], *the* writable engine
+//!   behind [`crate::EngineHandle`] (one shard is the common case, costs
+//!   nothing extra, and can feed replicas).
+//! * [`TsbOptions::open_replica`] — a [`ReplicaEngine`], the read-only
+//!   [`crate::EngineHandle`], awaiting (or recovering) a shipped log at
+//!   the directory.
+//! * [`TsbOptions::open_concurrent`] — a bare [`ConcurrentTsb`] (what
+//!   each shard is) for white-box tests and measurement harnesses.
 //! * [`TsbOptions::open_tree`] — a bare single-threaded [`TsbTree`].
-//! * [`TsbOptions::open_replica`] — a [`ReplicaEngine`] awaiting (or
-//!   recovering) a shipped log at the directory.
 //!
-//! The per-flavour constructors (`ConcurrentTsb::open_durable` and
-//! friends) remain as deprecated thin wrappers for one release.
+//! Hand-built devices are the one thing that does not come through here:
+//! [`TsbTree::create`] / [`TsbTree::open`] / [`TsbTree::create_durable`]
+//! take stores, and [`ConcurrentTsb::from_tree`] wraps the result.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use tsb_common::{FsyncPolicy, TsbConfig, TsbError, TsbResult, WalMode};
+use tsb_common::{FsyncPolicy, LogicalClock, TsbConfig, TsbError, TsbResult, WalMode};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::replica::ReplicaEngine;
@@ -100,7 +102,7 @@ impl TsbOptions {
     }
 
     /// Sets the shard count for [`Self::open`] (default 1). The
-    /// single-engine terminals refuse counts above 1.
+    /// single-log terminals refuse counts above 1.
     pub fn shards(mut self, shards: usize) -> TsbOptions {
         self.shards = shards;
         self
@@ -119,32 +121,49 @@ impl TsbOptions {
 
     /// Opens a [`ShardedTsb`] primary with these options (one shard
     /// unless [`Self::shards`] said otherwise).
+    ///
+    /// On disk, one shard lives directly in the directory
+    /// (`current.pages` / `history.worm` / `redo.wal`) and N > 1 shards in
+    /// `shard-NNN/` subdirectories beside a `shards.manifest`; reopening
+    /// with a contradicting shard count is a hard error, because the hash
+    /// partition is only stable while N is.
     pub fn open(self) -> TsbResult<ShardedTsb> {
-        #[allow(deprecated)] // the wrappers live on; this is their one caller
         match &self.dir {
             Some(dir) => ShardedTsb::open_durable(dir, self.shards, self.cfg),
-            None => ShardedTsb::new_in_memory(self.shards, self.cfg),
+            None => ShardedTsb::open_in_memory(self.shards, self.cfg),
         }
     }
 
-    /// Opens a [`ConcurrentTsb`] primary (single log; required for
-    /// serving replication).
+    /// Opens a bare [`ConcurrentTsb`]: [`Self::open_tree`] behind the
+    /// single-writer / many-reader handle.
     pub fn open_concurrent(self) -> TsbResult<ConcurrentTsb> {
-        self.require_single("ConcurrentTsb")?;
-        #[allow(deprecated)]
-        match &self.dir {
-            Some(dir) => ConcurrentTsb::open_durable(dir, self.cfg),
-            None => ConcurrentTsb::new_in_memory(self.cfg),
-        }
+        self.open_tree().map(ConcurrentTsb::from_tree)
     }
 
     /// Opens a bare single-threaded [`TsbTree`].
+    ///
+    /// Durable: the directory holds the magnetic store (`current.pages`),
+    /// the WORM store (`history.worm`), and the redo log (`redo.wal`).
+    ///
+    /// * A fresh directory creates a new tree, fenced from its first
+    ///   instant ([`TsbTree::create_durable`]).
+    /// * A directory with durable state runs crash-consistent recovery
+    ///   ([`TsbTree::recover`]) — the same code path whether the last
+    ///   session shut down cleanly (the log's tail is a checkpoint; replay
+    ///   is empty) or died mid-write.
+    /// * A directory where *nothing* was ever durably committed (a crash
+    ///   inside the very first create before its checkpoint fence) is
+    ///   recreated; no acknowledged state can be lost because none ever
+    ///   existed. A directory that holds *real store data* but no usable
+    ///   log — a pre-WAL database, or a lost/deleted `redo.wal` — is a hard
+    ///   error instead: recreating it would destroy data this method
+    ///   cannot prove disposable.
     pub fn open_tree(self) -> TsbResult<TsbTree> {
-        self.require_single("TsbTree")?;
-        #[allow(deprecated)]
+        self.require_single("a bare tree")?;
+        let clock = Arc::new(LogicalClock::new());
         match &self.dir {
-            Some(dir) => TsbTree::open_durable(dir, self.cfg),
-            None => TsbTree::new_in_memory(self.cfg),
+            Some(dir) => TsbTree::open_durable_staged(dir, self.cfg, clock)?.resolve_locally(),
+            None => TsbTree::new_in_memory_with_clock(self.cfg, clock),
         }
     }
 
@@ -152,7 +171,7 @@ impl TsbOptions {
     /// copy if one is usable, else starts empty awaiting a base image
     /// from a primary. Durable only (a replica *is* its local log copy).
     pub fn open_replica(self) -> TsbResult<ReplicaEngine> {
-        self.require_single("ReplicaEngine")?;
+        self.require_single("a replica")?;
         let Some(dir) = self.dir else {
             return Err(TsbError::config(
                 "a replica needs a directory: use TsbOptions::durable(dir)",
@@ -165,6 +184,7 @@ impl TsbOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineHandle;
     use tsb_common::Key;
 
     #[test]

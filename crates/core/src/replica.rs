@@ -22,7 +22,7 @@
 //!   recovery), stages page state in an in-memory overlay, and **installs
 //!   only at commit fences**, after the local log is fsynced through the
 //!   fence. Reads are served from an inner [`ConcurrentTsb`] whose install
-//!   fence is pinned at the newest applied commit — so snapshots and as-of
+//!   fence is pinned at the newest applied commit — so scans and as-of
 //!   reads on the replica obey exactly the primary's fence-pinned read
 //!   rule, at the replica's applied prefix.
 //!
@@ -70,14 +70,18 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, Version};
+use tsb_common::{
+    Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId, Version,
+};
 use tsb_storage::{
     FaultInjector, IoSnapshot, Lsn, MagneticStore, PageId, TailPoll, Wal, WalRecord, WalTailer,
     WormStore,
 };
 
-use crate::concurrent::{ConcurrentSnapshot, ConcurrentTsb};
+use crate::concurrent::ConcurrentTsb;
+use crate::engine::{EngineHandle, EngineRole};
 use crate::node::NodeAddr;
+use crate::sharded::ShardLsn;
 use crate::tree::{ReplayPage, TsbTree, MAGNETIC_FILE, WAL_FILE, WORM_FILE};
 
 /// Marker file present while a base image install is in progress. A
@@ -185,11 +189,7 @@ impl ReplicationSource {
 
     /// The primary's durable-LSN watermark (the shipping limit).
     pub fn durable_lsn(&self) -> Lsn {
-        self.db
-            .tree()
-            .wal_handle()
-            .map(|w| w.durable_lsn())
-            .unwrap_or(0)
+        self.db.durable_lsn()
     }
 
     /// Returns the records after `after_lsn` (up to the durable
@@ -311,11 +311,10 @@ struct ReplicaInner {
 /// A read-only replica engine fed by WAL shipping. Cloning is cheap
 /// (shared state); all clones are the same replica.
 ///
-/// Reads mirror [`ConcurrentTsb`]'s read surface and are fence-pinned at
-/// the newest **applied** fence: [`Self::begin_snapshot`] /
-/// [`Self::last_installed`] never expose state past the applied durable
-/// prefix. Writes are refused with [`TsbError::ReadOnly`] (see
-/// [`crate::EngineHandle`]).
+/// It serves through [`EngineHandle`] and nothing else: reads are
+/// fence-pinned at the newest **applied** fence
+/// ([`EngineHandle::last_installed`] never exposes state past the applied
+/// durable prefix) and writes are refused with [`TsbError::ReadOnly`].
 #[derive(Clone)]
 pub struct ReplicaEngine {
     inner: Arc<ReplicaInner>,
@@ -326,8 +325,9 @@ impl ReplicaEngine {
     /// if one is usable (crash-consistent, exactly like primary recovery
     /// but fence-faithful — see `TsbTree::open_durable_replica`), or
     /// starts empty awaiting a base image. A half-installed base (marker
-    /// file present) is wiped.
-    pub fn open(dir: impl AsRef<Path>, cfg: TsbConfig) -> TsbResult<ReplicaEngine> {
+    /// file present) is wiped. Reached through
+    /// [`crate::TsbOptions::open_replica`].
+    pub(crate) fn open(dir: impl AsRef<Path>, cfg: TsbConfig) -> TsbResult<ReplicaEngine> {
         cfg.validate()?;
         let engine = ReplicaEngine {
             inner: Arc::new(ReplicaInner {
@@ -348,11 +348,6 @@ impl ReplicaEngine {
     /// The replica's directory.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
-    }
-
-    /// The replica's configuration.
-    pub fn config(&self) -> &TsbConfig {
-        &self.inner.cfg
     }
 
     /// Whether a base is installed and reads are being served.
@@ -420,7 +415,7 @@ impl ReplicaEngine {
     /// the serving engine and the apply overlay (discarding staged
     /// post-fence state — exactly what primary recovery would discard
     /// anyway). After this the directory can be reopened as a primary with
-    /// [`crate::TsbOptions::open_concurrent`], whose recovery cuts at the
+    /// [`crate::TsbOptions::open`], whose recovery cuts at the
     /// newest durable commit fence. The replica stops serving; this handle
     /// is only good for [`Self::reopen`] afterwards.
     pub fn close(&self) {
@@ -759,112 +754,131 @@ impl ReplicaEngine {
             TsbError::config("replica is not serving yet (awaiting a base image from the primary)")
         })
     }
+}
 
-    // ----- read surface (fence-pinned at the applied prefix) --------------
+/// Every write verb on a replica fails with this — the blocking `insert`
+/// / `delete` / `commit_txn` inherit it through their deferred halves.
+fn read_only<T>() -> TsbResult<T> {
+    Err(TsbError::ReadOnly)
+}
 
-    /// The newest committed value for `key` at the applied fence.
-    pub fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
+/// The engine verbs on a replica: reads are served at the newest
+/// **applied** fence (and error while awaiting a base); writes refuse.
+impl EngineHandle for ReplicaEngine {
+    fn role(&self) -> EngineRole {
+        EngineRole::Replica
+    }
+
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    fn insert_deferred(&self, _: Key, _: Vec<u8>) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        read_only()
+    }
+
+    fn delete_deferred(&self, _: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        read_only()
+    }
+
+    fn wait_durable(&self, _: ShardLsn) -> TsbResult<()> {
+        read_only()
+    }
+
+    fn begin_txn(&self) -> TsbResult<TxnId> {
+        read_only()
+    }
+
+    fn txn_insert(&self, _: TxnId, _: Key, _: Vec<u8>) -> TsbResult<()> {
+        read_only()
+    }
+
+    fn txn_delete(&self, _: TxnId, _: Key) -> TsbResult<()> {
+        read_only()
+    }
+
+    fn txn_get(&self, _: TxnId, _: &Key) -> TsbResult<Option<Vec<u8>>> {
+        read_only()
+    }
+
+    fn commit_txn_deferred(&self, _: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        read_only()
+    }
+
+    fn abort_txn(&self, _: TxnId) -> TsbResult<()> {
+        read_only()
+    }
+
+    fn checkpoint(&self) -> TsbResult<()> {
+        read_only()
+    }
+
+    fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
         self.serving_db()?.get_current(key)
     }
 
-    /// The value for `key` as of `ts` (capped at the applied fence).
-    pub fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
+    /// `ts` is effectively capped at the applied fence.
+    fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
         self.serving_db()?.get_as_of(key, ts)
     }
 
-    /// The full version for `key` as of `ts`.
-    pub fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
-        self.serving_db()?.get_version_as_of(key, ts)
-    }
-
-    /// Whether `key` has a live (non-deleted) value at the applied fence.
-    pub fn contains_key(&self, key: &Key) -> TsbResult<bool> {
-        self.serving_db()?.contains_key(key)
-    }
-
-    /// Range scan as of `ts`.
-    pub fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+    fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
         self.serving_db()?.scan_as_of(range, ts)
     }
 
-    /// Range scan at the applied fence.
-    pub fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+    fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
         self.serving_db()?.scan_current(range)
     }
 
-    /// Whole-database snapshot as of `ts`.
-    pub fn snapshot_at(&self, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.serving_db()?.snapshot_at(ts)
-    }
-
-    /// Count of live keys in `range` as of `ts`.
-    pub fn count_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<usize> {
-        self.serving_db()?.count_as_of(range, ts)
-    }
-
-    /// Every version of `key`, oldest first.
-    pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
-        self.serving_db()?.versions(key)
-    }
-
-    /// Number of versions of `key`.
-    pub fn version_count(&self, key: &Key) -> TsbResult<usize> {
-        self.serving_db()?.version_count(key)
-    }
-
-    /// The versions of `key` committed inside `window`.
-    pub fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
+    fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
         self.serving_db()?.history_between(key, window)
     }
 
-    /// The versions of every key in `keys` committed inside `window`.
-    pub fn scan_versions(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Version>> {
-        self.serving_db()?.scan_versions(keys, window)
-    }
-
-    /// Keys in `keys` with at least one commit inside `window`.
-    pub fn changed_keys_between(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Key>> {
-        self.serving_db()?.changed_keys_between(keys, window)
-    }
-
-    /// The applied fence: the newest commit timestamp reads may observe.
-    /// [`Timestamp::ZERO`]-adjacent before the first install or while
-    /// awaiting a base.
-    pub fn last_installed(&self) -> Timestamp {
-        self.inner
-            .serving
-            .read()
+    /// The applied fence: [`Timestamp::ZERO`] before the first install or
+    /// while awaiting a base.
+    fn last_installed(&self) -> Timestamp {
+        let serving = self.inner.serving.read();
+        serving
             .as_ref()
-            .map(|db| db.last_installed())
-            .unwrap_or(Timestamp(0))
+            .map_or(Timestamp::ZERO, |db| db.last_installed())
     }
 
-    /// A snapshot pinned at the applied fence (the replica's equivalent of
-    /// the primary's fence-pinned snapshot rule). Errors while awaiting a
-    /// base.
-    pub fn begin_snapshot(&self) -> TsbResult<ConcurrentSnapshot> {
-        Ok(self.serving_db()?.begin_snapshot())
+    fn last_durable_commit(&self) -> Option<Timestamp> {
+        // The applied fence *is* the replica's durable prefix: nothing is
+        // installed before the local log is synced through it.
+        let ts = self.last_installed();
+        (ts != Timestamp::ZERO).then_some(ts)
     }
 
-    /// A snapshot pinned at `ts` (≤ the applied fence).
-    pub fn snapshot_as_of(&self, ts: Timestamp) -> TsbResult<ConcurrentSnapshot> {
-        Ok(self.serving_db()?.snapshot_as_of(ts))
+    fn durable_lsn(&self) -> Lsn {
+        self.status().applied_lsn
     }
 
-    /// Runs the structural verifier on the serving tree.
-    pub fn verify(&self) -> TsbResult<()> {
+    fn verify(&self) -> TsbResult<()> {
         self.serving_db()?.verify()
     }
 
-    /// Merged I/O counters of the serving stores (zeroes while awaiting a
-    /// base).
-    pub fn io_snapshot(&self) -> IoSnapshot {
-        self.inner
-            .serving
-            .read()
+    fn config(&self) -> &TsbConfig {
+        &self.inner.cfg
+    }
+
+    /// Counters of the serving stores (zeroes while awaiting a base).
+    fn io_snapshot(&self) -> IoSnapshot {
+        let serving = self.inner.serving.read();
+        serving
             .as_ref()
             .map(|db| db.io_stats().snapshot())
             .unwrap_or_default()
+    }
+
+    fn replica_status(&self) -> Option<ReplicaStatus> {
+        Some(self.status())
+    }
+
+    fn replication_source(&self) -> TsbResult<ReplicationSource> {
+        Err(TsbError::config(
+            "cascading replication is not supported: subscribe to the primary",
+        ))
     }
 }
 

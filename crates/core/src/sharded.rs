@@ -81,6 +81,8 @@ use tsb_common::{
 use tsb_storage::{CrashPoint, FaultInjector, IoSnapshot, Lsn};
 
 use crate::concurrent::ConcurrentTsb;
+use crate::engine::{EngineHandle, EngineRole};
+use crate::replica::ReplicationSource;
 use crate::tree::{StagedRecovery, TsbTree};
 
 /// Name of the shard-count manifest inside a sharded data directory.
@@ -92,7 +94,7 @@ const MANIFEST_MAGIC: &str = "tsb-sharded v1";
 const MAX_SHARDS: usize = 256;
 
 /// Identifies a deferred durability obligation on one shard: the shard
-/// index and the WAL LSN to pass to [`ShardedTsb::wait_durable`] before
+/// index and the WAL LSN to pass to [`EngineHandle::wait_durable`] before
 /// acknowledging the write.
 pub type ShardLsn = (usize, Lsn);
 
@@ -170,22 +172,10 @@ impl ShardedTsb {
         }
     }
 
-    /// Wraps a single existing engine as a one-shard sharded engine — the
-    /// `--shards 1` serving path, byte-identical on disk to the unsharded
-    /// layout.
-    pub fn single(db: ConcurrentTsb) -> Self {
-        let clock = Arc::clone(&db.tree().clock);
-        Self::from_shards(vec![db], clock)
-    }
-
-    /// Creates a fresh sharded engine over in-memory stores: `shards`
-    /// independent engines stamping from one clock. No durability — the
-    /// oracle-equivalence and routing tests use this.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::in_memory().config(cfg).shards(n).open()`"
-    )]
-    pub fn new_in_memory(shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
+    /// A fresh sharded engine over in-memory stores: `shards` independent
+    /// engines stamping from one clock. No durability. Reached through
+    /// [`crate::TsbOptions::open`].
+    pub(crate) fn open_in_memory(shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
         check_shard_count(shards)?;
         let clock = Arc::new(LogicalClock::new());
         let mut engines = Vec::with_capacity(shards);
@@ -197,11 +187,11 @@ impl ShardedTsb {
     }
 
     /// Opens (or creates) a durable sharded engine rooted at `dir`.
+    /// Reached through [`crate::TsbOptions::open`].
     ///
     /// * `shards == 1` with no manifest uses the flat single-engine layout
     ///   (`current.pages` / `history.worm` / `redo.wal` directly in `dir`),
-    ///   so existing single-shard data directories keep working and a
-    ///   1-shard engine is byte-identical to the unsharded one.
+    ///   so a 1-shard engine is byte-identical on disk to a bare tree.
     /// * `shards > 1` writes a `shards.manifest` and lays each shard out in
     ///   its own `shard-NNN/` subdirectory with a completely independent
     ///   WAL, committer thread, and checkpoint cadence.
@@ -209,58 +199,48 @@ impl ShardedTsb {
     ///   flat directory with `shards > 1`) is a hard error: the hash
     ///   partition is only stable while `N` is.
     ///
-    /// Reopen re-derives the global clock as the maximum across every
-    /// shard's recovered clock (each staged recovery only ever *advances*
-    /// the shared clock), and resolves in-doubt two-phase prepares against
-    /// the coordinator shard's decision record before any shard is
-    /// checkpointed — see the [module docs](self).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::durable(dir).config(cfg).shards(n).open()`"
-    )]
-    pub fn open_durable(dir: impl AsRef<Path>, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
+    /// Every shard count runs the same staged recovery: reopen re-derives
+    /// the global clock as the maximum across every shard's recovered
+    /// clock (each staged recovery only ever *advances* the shared clock),
+    /// and resolves in-doubt two-phase prepares against the coordinator
+    /// shard's decision record before any shard is checkpointed — see the
+    /// [module docs](self).
+    pub(crate) fn open_durable(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
         check_shard_count(shards)?;
-        let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let manifest = dir.join(MANIFEST_FILE);
         let persisted = match read_manifest(&manifest)? {
-            Some(n) => {
-                if n != shards {
-                    return Err(TsbError::config(format!(
-                        "directory {} was created with {n} shards; reopening with \
-                         {shards} would re-partition every key onto the wrong shard",
-                        dir.display()
-                    )));
-                }
-                true
+            Some(n) if n != shards => {
+                return Err(TsbError::config(format!(
+                    "directory {} was created with {n} shards; reopening with \
+                     {shards} would re-partition every key onto the wrong shard",
+                    dir.display()
+                )));
             }
+            Some(_) => true,
             None => false,
         };
-        if !persisted {
-            let flat = dir.join("redo.wal").exists();
-            if flat && shards != 1 {
+        if !persisted && shards != 1 {
+            if dir.join(crate::tree::WAL_FILE).exists() {
                 return Err(TsbError::config(format!(
                     "directory {} holds a flat single-shard database; reopening \
                      with {shards} shards would re-partition it",
                     dir.display()
                 )));
             }
-            if !flat && shards == 1 {
-                // Fresh directory, one shard: keep the flat layout.
-            } else if !flat {
-                write_manifest(&manifest, shards)?;
-            }
+            write_manifest(&manifest, shards)?;
         }
-        if shards == 1 && !persisted {
-            #[allow(deprecated)]
-            let db = ConcurrentTsb::open_durable(dir, cfg)?;
-            return Ok(Self::single(db));
-        }
+        // One shard without a manifest lives directly in `dir`.
+        let flat = shards == 1 && !persisted;
 
         let clock = Arc::new(LogicalClock::new());
         let mut staged: Vec<StagedRecovery> = Vec::with_capacity(shards);
         for i in 0..shards {
-            let shard_dir = dir.join(format!("shard-{i:03}"));
+            let shard_dir = if flat {
+                dir.to_path_buf()
+            } else {
+                dir.join(format!("shard-{i:03}"))
+            };
             staged.push(TsbTree::open_durable_staged(
                 shard_dir,
                 cfg.clone(),
@@ -270,51 +250,35 @@ impl ShardedTsb {
         // Resolve every shard's in-doubt prepares against the coordinator
         // shard's decision log *before* finishing (checkpointing) any
         // shard: a finish resets that shard's WAL, erasing the records the
-        // other shards' resolutions depend on.
-        let mut resolutions: Vec<(usize, TxnId, Timestamp, bool)> = Vec::new();
+        // other shards' resolutions depend on. Decision present → roll
+        // forward; absent → presumed abort, which `finish`'s purge carries
+        // out by erasing whatever was not rolled forward.
+        let mut decided: Vec<(usize, TxnId, Timestamp)> = Vec::new();
         for (i, shard) in staged.iter().enumerate() {
             for p in shard.in_doubt() {
-                let coordinator = p.coordinator as usize;
-                let commit = staged
-                    .get(coordinator)
-                    .map(|c| c.has_decision(p.ts))
-                    .unwrap_or(false);
-                resolutions.push((i, p.txn, p.ts, commit));
+                let coordinator = staged.get(p.coordinator as usize);
+                if coordinator.is_some_and(|c| c.has_decision(p.ts)) {
+                    decided.push((i, p.txn, p.ts));
+                }
             }
         }
-        for (i, txn, ts, commit) in resolutions {
-            if commit {
-                staged[i].commit_in_doubt(txn, ts)?;
-            } else {
-                staged[i].abort_in_doubt(txn)?;
-            }
+        for (i, txn, ts) in decided {
+            staged[i].commit_in_doubt(txn, ts)?;
         }
         // Finish in descending shard order so every coordinator (lowest
         // index among its participants) is checkpointed last: if the
         // reopen crashes part-way, any participant still holding an
         // unresolved prepare can still find the decision on its
         // coordinator at the next reopen.
-        let mut engines: Vec<Option<ConcurrentTsb>> = (0..shards).map(|_| None).collect();
-        for i in (0..shards).rev() {
-            let tree = staged
-                .pop()
-                .expect("one staged recovery per shard")
-                .finish()?;
-            engines[i] = Some(ConcurrentTsb::from_tree(tree));
+        let mut engines = Vec::with_capacity(shards);
+        while let Some(shard) = staged.pop() {
+            engines.push(ConcurrentTsb::from_tree(shard.finish()?));
         }
-        let engines = engines
-            .into_iter()
-            .map(|e| e.expect("every shard finished"))
-            .collect();
+        engines.reverse();
         Ok(Self::from_shards(engines, clock))
     }
 
     // ----- routing --------------------------------------------------------
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
 
     /// The shard `key` routes to: `fnv1a64(key_bytes) % N`. A pure
     /// function of the key bytes and the shard count — every key maps to
@@ -335,161 +299,30 @@ impl ShardedTsb {
         &self.inner.shards[self.shard_of(key)]
     }
 
-    // ----- single-key writes (zero cross-shard coordination) --------------
-
-    /// Inserts a new version of `key` on its home shard, returning the
-    /// commit timestamp (ticked from the global clock).
-    pub fn insert(&self, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<Timestamp> {
-        let key = key.into();
-        self.shard_for(&key).insert(key, value)
-    }
-
-    /// [`Self::insert`] without the durability wait: returns the commit
-    /// timestamp and the `(shard, LSN)` to pass to [`Self::wait_durable`]
-    /// before acknowledging. A pipelined caller batches writes, tracks the
-    /// maximum LSN *per shard*, and parks once per shard.
-    pub fn insert_deferred(
-        &self,
-        key: impl Into<Key>,
-        value: Vec<u8>,
-    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        let key = key.into();
-        let shard = self.shard_of(&key);
-        let (ts, lsn) = self.inner.shards[shard].insert_deferred(key, value)?;
-        Ok((ts, lsn.map(|l| (shard, l))))
-    }
-
-    /// Logically deletes `key` on its home shard.
-    pub fn delete(&self, key: impl Into<Key>) -> TsbResult<Timestamp> {
-        let key = key.into();
-        self.shard_for(&key).delete(key)
-    }
-
-    /// [`Self::delete`] without the durability wait.
-    pub fn delete_deferred(&self, key: impl Into<Key>) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        let key = key.into();
-        let shard = self.shard_of(&key);
-        let (ts, lsn) = self.inner.shards[shard].delete_deferred(key)?;
-        Ok((ts, lsn.map(|l| (shard, l))))
-    }
-
-    /// Parks until `shard`'s durable-LSN watermark covers `lsn`. Completes
-    /// the contract of the `*_deferred` writes; watermarks are per-shard
-    /// and independent.
-    pub fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
-        self.inner.shards[shard].wait_durable(lsn)
-    }
-
-    // ----- transactions ---------------------------------------------------
-
-    /// Begins a transaction that may write keys on any shard. The returned
-    /// id lives in the sharded engine's own namespace; shard-local
-    /// transactions are begun lazily as writes route to shards.
-    pub fn begin_txn(&self) -> TxnId {
-        let mut t = self.inner.txns.lock();
-        t.next += 1;
-        let id = TxnId::new(t.next);
-        let slots = vec![None; self.inner.shards.len()];
-        t.active.insert(id, slots);
-        id
-    }
+    // ----- transaction plumbing -------------------------------------------
 
     /// The shard-local transaction on `shard`, begun on first use.
     fn local_txn(&self, txn: TxnId, shard: usize) -> TsbResult<TxnId> {
         let mut t = self.inner.txns.lock();
-        let slots = t
-            .active
-            .get_mut(&txn)
-            .ok_or_else(|| TsbError::config(format!("unknown transaction {txn:?}")))?;
+        let slots = t.active.get_mut(&txn).ok_or_else(|| unknown_txn(txn))?;
         if let Some(local) = slots[shard] {
             return Ok(local);
         }
         let local = self.inner.shards[shard].begin_txn();
-        t.active
-            .get_mut(&txn)
-            .expect("checked above; begin_txn does not touch this table")[shard] = Some(local);
+        slots[shard] = Some(local);
         Ok(local)
-    }
-
-    /// Writes `key = value` within transaction `txn` on the key's home
-    /// shard.
-    pub fn txn_insert(&self, txn: TxnId, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<()> {
-        let key = key.into();
-        let shard = self.shard_of(&key);
-        let local = self.local_txn(txn, shard)?;
-        self.inner.shards[shard].txn_insert(local, key, value)
-    }
-
-    /// Logically deletes `key` within transaction `txn`.
-    pub fn txn_delete(&self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
-        let key = key.into();
-        let shard = self.shard_of(&key);
-        let local = self.local_txn(txn, shard)?;
-        self.inner.shards[shard].txn_delete(local, key)
-    }
-
-    /// Reads `key` from inside `txn`: the transaction's own pending write
-    /// when it touched the key's shard, the committed current value
-    /// otherwise.
-    pub fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        let shard = self.shard_of(key);
-        let local = {
-            let t = self.inner.txns.lock();
-            let slots = t
-                .active
-                .get(&txn)
-                .ok_or_else(|| TsbError::config(format!("unknown transaction {txn:?}")))?;
-            slots[shard]
-        };
-        match local {
-            Some(local) => self.inner.shards[shard].txn_get(local, key),
-            None => self.inner.shards[shard].get_current(key),
-        }
     }
 
     /// Takes a transaction's participant list out of the table: the
     /// `(shard, local txn)` pairs in ascending shard order.
     fn take_participants(&self, txn: TxnId) -> TsbResult<Vec<(usize, TxnId)>> {
-        let mut t = self.inner.txns.lock();
-        let slots = t
-            .active
-            .remove(&txn)
-            .ok_or_else(|| TsbError::config(format!("unknown transaction {txn:?}")))?;
+        let slots = self.inner.txns.lock().active.remove(&txn);
         Ok(slots
+            .ok_or_else(|| unknown_txn(txn))?
             .into_iter()
             .enumerate()
             .filter_map(|(i, local)| local.map(|l| (i, l)))
             .collect())
-    }
-
-    /// Commits `txn`; all of its writes across all shards become visible
-    /// atomically at the returned timestamp. Single-shard transactions
-    /// commit with zero coordination; cross-shard ones run the two-phase
-    /// fence (see the [module docs](self)) and are fully durable on every
-    /// participant before this returns.
-    pub fn commit_txn(&self, txn: TxnId) -> TsbResult<Timestamp> {
-        let (ts, wait) = self.commit_txn_deferred(txn)?;
-        if let Some(lsn) = wait {
-            self.wait_durable(lsn)?;
-        }
-        Ok(ts)
-    }
-
-    /// [`Self::commit_txn`] without the single-shard durability wait.
-    /// Cross-shard commits force their records on every participant as
-    /// part of the fence protocol, so they always return `None`.
-    pub fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
-        let parts = self.take_participants(txn)?;
-        match parts.as_slice() {
-            // A transaction that never wrote: tick so the commit still has
-            // a unique place in the global order, with nothing to install.
-            [] => Ok((self.inner.clock.tick(), None)),
-            [(shard, local)] => {
-                let (ts, lsn) = self.inner.shards[*shard].commit_txn_deferred(*local)?;
-                Ok((ts, lsn.map(|l| (*shard, l))))
-            }
-            _ => self.commit_cross_shard(&parts).map(|ts| (ts, None)),
-        }
     }
 
     /// The two-phase fence. `parts` is ascending by shard index; locks are
@@ -540,61 +373,16 @@ impl ShardedTsb {
         Ok(ts)
     }
 
-    /// Aborts `txn`, erasing its pending writes on every shard it touched.
-    pub fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
-        let parts = self.take_participants(txn)?;
-        for (shard, local) in parts {
-            self.inner.shards[shard].abort_txn(local)?;
-        }
-        Ok(())
-    }
-
-    // ----- reads ----------------------------------------------------------
-
-    /// The newest committed value of `key`, from its home shard.
-    pub fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        self.shard_for(key).get_current(key)
-    }
-
-    /// The value of `key` as of `ts`, from its home shard.
-    pub fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        self.shard_for(key).get_as_of(key, ts)
-    }
+    // ----- reads beyond the engine verbs ----------------------------------
 
     /// The full version record governing `(key, ts)`.
     pub fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
         self.shard_for(key).get_version_as_of(key, ts)
     }
 
-    /// Whether `key` currently exists.
-    pub fn contains_key(&self, key: &Key) -> TsbResult<bool> {
-        self.shard_for(key).contains_key(key)
-    }
-
     /// Every committed version of `key`, oldest first.
     pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
         self.shard_for(key).versions(key)
-    }
-
-    /// Number of committed versions stored for `key`.
-    pub fn version_count(&self, key: &Key) -> TsbResult<usize> {
-        self.shard_for(key).version_count(key)
-    }
-
-    /// Every committed version of `key` in `window`, oldest first.
-    pub fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        self.shard_for(key).history_between(key, window)
-    }
-
-    /// Every `(key, value)` in `range` as of `ts`, merged across shards in
-    /// key order.
-    pub fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.merge_rows(|s| s.scan_as_of(range, ts))
-    }
-
-    /// Every key currently alive in `range`, merged in key order.
-    pub fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.merge_rows(|s| s.scan_current(range))
     }
 
     /// A full-database snapshot as of `ts`, merged in key order.
@@ -609,28 +397,6 @@ impl ShardedTsb {
             n += s.count_as_of(range, ts)?;
         }
         Ok(n)
-    }
-
-    /// Every committed version in the `keys` × `window` rectangle, merged
-    /// in (key, commit time) order.
-    pub fn scan_versions(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Version>> {
-        let mut out = Vec::new();
-        for s in &self.inner.shards {
-            out.extend(s.scan_versions(keys, window)?);
-        }
-        out.sort_by(|a, b| (&a.key, a.state.commit_time()).cmp(&(&b.key, b.state.commit_time())));
-        Ok(out)
-    }
-
-    /// The keys in `keys` that changed during `window`, merged in key
-    /// order.
-    pub fn changed_keys_between(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Key>> {
-        let mut out = Vec::new();
-        for s in &self.inner.shards {
-            out.extend(s.changed_keys_between(keys, window)?);
-        }
-        out.sort();
-        Ok(out)
     }
 
     /// Runs a per-shard row query and merges the results in key order (the
@@ -650,19 +416,6 @@ impl ShardedTsb {
 
     // ----- snapshots and the fence ----------------------------------------
 
-    /// The newest timestamp at which *every* shard is known fully
-    /// installed (the minimum of the per-shard install fences). Reads
-    /// pinned at or before it are stable on all shards without taking any
-    /// lock.
-    pub fn last_installed(&self) -> Timestamp {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.last_installed())
-            .min()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
     /// Begins a read-only transaction pinned at one global fence
     /// timestamp, consistent across every shard: the newest ticked commit
     /// timestamp `T`, with every shard's install fence raised to at least
@@ -677,77 +430,18 @@ impl ShardedTsb {
         }
     }
 
-    /// A read-only view pinned at an explicit past timestamp, fence-pinned
-    /// on every shard. Stability is only guaranteed for timestamps at or
-    /// below the newest ticked commit time (later ones may still be
-    /// assigned to in-flight writes).
-    pub fn snapshot_as_of(&self, ts: Timestamp) -> ShardedSnapshot {
-        self.pin_all(ts.min(self.inner.clock.now().prev()));
-        ShardedSnapshot {
-            db: self.clone(),
-            ts,
-        }
-    }
-
     fn pin_all(&self, ts: Timestamp) {
         for s in &self.inner.shards {
             s.pin_fence_at_least(ts);
         }
     }
 
-    // ----- maintenance and passthroughs -----------------------------------
-
-    /// Checkpoints every shard: each fences its own redo log
-    /// independently.
-    pub fn checkpoint(&self) -> TsbResult<()> {
-        for s in &self.inner.shards {
-            s.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Verifies the structural invariants of every shard.
-    pub fn verify(&self) -> TsbResult<()> {
-        for s in &self.inner.shards {
-            s.verify()?;
-        }
-        Ok(())
-    }
-
-    /// The newest durable commit timestamp across all shards (`None` if no
-    /// shard was produced by recovery).
-    pub fn last_durable_commit(&self) -> Option<Timestamp> {
-        self.inner
-            .shards
-            .iter()
-            .filter_map(|s| s.last_durable_commit())
-            .max()
-    }
-
-    /// Whether the shards redo-log their mutations.
-    pub fn is_durable(&self) -> bool {
-        self.inner.shards.iter().all(|s| s.is_durable())
-    }
+    // ----- passthroughs ---------------------------------------------------
 
     /// The current global logical time (next commit timestamp on any
     /// shard).
     pub fn now(&self) -> Timestamp {
         self.inner.clock.now()
-    }
-
-    /// The tree configuration (identical on every shard).
-    pub fn config(&self) -> &TsbConfig {
-        self.inner.shards[0].config()
-    }
-
-    /// One engine-wide view of the I/O counters: the sum of every shard's
-    /// [`tsb_storage::IoStats`] snapshot.
-    pub fn io_snapshot(&self) -> IoSnapshot {
-        let mut merged = self.inner.shards[0].io_stats().snapshot();
-        for s in &self.inner.shards[1..] {
-            merged = merged.merge(&s.io_stats().snapshot());
-        }
-        merged
     }
 
     /// Wires `injector` into every write site of every shard — all three
@@ -762,10 +456,209 @@ impl ShardedTsb {
     }
 }
 
-impl From<ConcurrentTsb> for ShardedTsb {
-    fn from(db: ConcurrentTsb) -> Self {
-        ShardedTsb::single(db)
+/// The engine verbs, defined here and nowhere else: a key's verbs run on
+/// its home shard, range verbs merge across shards, and the durability
+/// positions handed out name the shard whose log holds the commit.
+impl EngineHandle for ShardedTsb {
+    fn role(&self) -> EngineRole {
+        EngineRole::Primary
     }
+
+    fn shard_count(&self) -> usize {
+        self.inner.shards.len()
+    }
+
+    // ----- single-key writes (zero cross-shard coordination) --------------
+
+    /// Inserts a new version of `key` on its home shard, stamped from the
+    /// global clock. A pipelined caller batches writes, tracks the maximum
+    /// LSN *per shard*, and parks once per shard.
+    fn insert_deferred(
+        &self,
+        key: Key,
+        value: Vec<u8>,
+    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        let shard = self.shard_of(&key);
+        let (ts, lsn) = self.inner.shards[shard].insert_deferred(key, value)?;
+        Ok((ts, lsn.map(|l| (shard, l))))
+    }
+
+    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        let shard = self.shard_of(&key);
+        let (ts, lsn) = self.inner.shards[shard].delete_deferred(key)?;
+        Ok((ts, lsn.map(|l| (shard, l))))
+    }
+
+    /// Parks until `shard`'s durable-LSN watermark covers `lsn`;
+    /// watermarks are per-shard and independent. `ShardLsn` is a plain
+    /// tuple a caller may carry over from an engine with more shards, so
+    /// the index is checked.
+    fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
+        let shards = &self.inner.shards;
+        let db = shards.get(shard).ok_or_else(|| {
+            TsbError::config(format!(
+                "durability position names shard {shard}, but this engine has {}",
+                shards.len()
+            ))
+        })?;
+        db.wait_durable(lsn)
+    }
+
+    // ----- transactions ---------------------------------------------------
+
+    /// Begins a transaction that may write keys on any shard. The returned
+    /// id lives in the sharded engine's own namespace; shard-local
+    /// transactions are begun lazily as writes route to shards.
+    fn begin_txn(&self) -> TsbResult<TxnId> {
+        let mut t = self.inner.txns.lock();
+        t.next += 1;
+        let id = TxnId::new(t.next);
+        let slots = vec![None; self.inner.shards.len()];
+        t.active.insert(id, slots);
+        Ok(id)
+    }
+
+    fn txn_insert(&self, txn: TxnId, key: Key, value: Vec<u8>) -> TsbResult<()> {
+        let shard = self.shard_of(&key);
+        let local = self.local_txn(txn, shard)?;
+        self.inner.shards[shard].txn_insert(local, key, value)
+    }
+
+    fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
+        let shard = self.shard_of(&key);
+        let local = self.local_txn(txn, shard)?;
+        self.inner.shards[shard].txn_delete(local, key)
+    }
+
+    /// The transaction's own pending write when it touched the key's
+    /// shard, the committed current value otherwise.
+    fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
+        let shard = self.shard_of(key);
+        let local = {
+            let t = self.inner.txns.lock();
+            t.active.get(&txn).ok_or_else(|| unknown_txn(txn))?[shard]
+        };
+        match local {
+            Some(local) => self.inner.shards[shard].txn_get(local, key),
+            None => self.inner.shards[shard].get_current(key),
+        }
+    }
+
+    /// All of `txn`'s writes across all shards become visible atomically
+    /// at the returned timestamp. Single-shard transactions commit with
+    /// zero coordination; cross-shard ones run the two-phase fence (see
+    /// the [module docs](self)), which forces its records on every
+    /// participant, so they return no position to wait on.
+    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        let parts = self.take_participants(txn)?;
+        match parts.as_slice() {
+            // A transaction that never wrote: tick so the commit still has
+            // a unique place in the global order, with nothing to install.
+            [] => Ok((self.inner.clock.tick(), None)),
+            [(shard, local)] => {
+                let (ts, lsn) = self.inner.shards[*shard].commit_txn_deferred(*local)?;
+                Ok((ts, lsn.map(|l| (*shard, l))))
+            }
+            _ => self.commit_cross_shard(&parts).map(|ts| (ts, None)),
+        }
+    }
+
+    fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
+        for (shard, local) in self.take_participants(txn)? {
+            self.inner.shards[shard].abort_txn(local)?;
+        }
+        Ok(())
+    }
+
+    /// Each shard fences its own redo log independently.
+    fn checkpoint(&self) -> TsbResult<()> {
+        self.inner.shards.iter().try_for_each(|s| s.checkpoint())
+    }
+
+    // ----- reads ----------------------------------------------------------
+
+    fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
+        self.shard_for(key).get_current(key)
+    }
+
+    fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
+        self.shard_for(key).get_as_of(key, ts)
+    }
+
+    fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+        self.merge_rows(|s| s.scan_as_of(range, ts))
+    }
+
+    fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+        self.merge_rows(|s| s.scan_current(range))
+    }
+
+    fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
+        self.shard_for(key).history_between(key, window)
+    }
+
+    /// The newest timestamp at which *every* shard is known fully
+    /// installed (the minimum of the per-shard install fences). Reads
+    /// pinned at or before it are stable on all shards without taking any
+    /// lock.
+    fn last_installed(&self) -> Timestamp {
+        let fences = self.inner.shards.iter().map(|s| s.last_installed());
+        fences.min().unwrap_or(Timestamp::ZERO)
+    }
+
+    /// The newest durable commit across all shards (`None` if no shard was
+    /// produced by recovery).
+    fn last_durable_commit(&self) -> Option<Timestamp> {
+        let commits = self.inner.shards.iter().map(|s| s.last_durable_commit());
+        commits.flatten().max()
+    }
+
+    fn durable_lsn(&self) -> Lsn {
+        // Each shard numbers its own log, so a cross-shard maximum would
+        // compare unrelated axes. Promotion tooling only ever reads this
+        // off a single-shard primary (the only configuration that can
+        // feed a replica — see `replication_source`); report 0 otherwise.
+        match self.inner.shards.as_slice() {
+            [only] => only.durable_lsn(),
+            _ => 0,
+        }
+    }
+
+    // ----- introspection --------------------------------------------------
+
+    fn verify(&self) -> TsbResult<()> {
+        self.inner.shards.iter().try_for_each(|s| s.verify())
+    }
+
+    /// Identical on every shard.
+    fn config(&self) -> &TsbConfig {
+        self.inner.shards[0].config()
+    }
+
+    /// The sum of every shard's [`tsb_storage::IoStats`] snapshot.
+    fn io_snapshot(&self) -> IoSnapshot {
+        let mut merged = self.inner.shards[0].io_stats().snapshot();
+        for s in &self.inner.shards[1..] {
+            merged = merged.merge(&s.io_stats().snapshot());
+        }
+        merged
+    }
+
+    fn replication_source(&self) -> TsbResult<ReplicationSource> {
+        // Replication streams one log; a multi-shard engine has N plus
+        // two-phase fences across them, which the replica apply protocol
+        // deliberately rejects.
+        match self.inner.shards.as_slice() {
+            [only] => ReplicationSource::new(only),
+            _ => Err(TsbError::config(
+                "replication requires a single-shard primary (run with --shards 1)",
+            )),
+        }
+    }
+}
+
+fn unknown_txn(txn: TxnId) -> TsbError {
+    TsbError::config(format!("unknown transaction {txn:?}"))
 }
 
 /// The shard `key` routes to under an `n`-way partition — exposed for
@@ -913,7 +806,7 @@ mod tests {
         let db = engine(4);
         let mut last = Timestamp::ZERO;
         for i in 0..200u64 {
-            let ts = db.insert(i, format!("v{i}").into_bytes()).unwrap();
+            let ts = db.insert(i.into(), format!("v{i}").into_bytes()).unwrap();
             assert!(ts > last, "global commit order must be total");
             last = ts;
         }
@@ -924,7 +817,7 @@ mod tests {
     fn reads_route_and_merge() {
         let db = engine(4);
         for i in 0..100u64 {
-            db.insert(i, format!("v{i}").into_bytes()).unwrap();
+            db.insert(i.into(), format!("v{i}").into_bytes()).unwrap();
         }
         for i in 0..100u64 {
             assert_eq!(
@@ -940,9 +833,9 @@ mod tests {
     #[test]
     fn cross_shard_transactions_commit_atomically() {
         let db = engine(4);
-        let txn = db.begin_txn();
+        let txn = db.begin_txn().unwrap();
         for i in 0..16u64 {
-            db.txn_insert(txn, i, b"txn".to_vec()).unwrap();
+            db.txn_insert(txn, i.into(), b"txn".to_vec()).unwrap();
         }
         // Nothing visible before commit, own writes visible inside.
         assert!(db.get_current(&Key::from_u64(3)).unwrap().is_none());
@@ -961,9 +854,9 @@ mod tests {
     #[test]
     fn aborted_cross_shard_transactions_vanish_everywhere() {
         let db = engine(3);
-        let txn = db.begin_txn();
+        let txn = db.begin_txn().unwrap();
         for i in 0..12u64 {
-            db.txn_insert(txn, i, b"gone".to_vec()).unwrap();
+            db.txn_insert(txn, i.into(), b"gone".to_vec()).unwrap();
         }
         db.abort_txn(txn).unwrap();
         for i in 0..12u64 {
@@ -976,15 +869,15 @@ mod tests {
     fn snapshots_pin_one_fence_across_shards() {
         let db = engine(4);
         for i in 0..40u64 {
-            db.insert(i, b"before".to_vec()).unwrap();
+            db.insert(i.into(), b"before".to_vec()).unwrap();
         }
         let snap = db.begin_snapshot();
         // A snapshot taken after an acknowledged write includes it — on
         // every shard, not just the one that acknowledged last.
         assert_eq!(snap.count(&KeyRange::full()).unwrap(), 40);
-        let txn = db.begin_txn();
+        let txn = db.begin_txn().unwrap();
         for i in 0..40u64 {
-            db.txn_insert(txn, i, b"after".to_vec()).unwrap();
+            db.txn_insert(txn, i.into(), b"after".to_vec()).unwrap();
         }
         db.commit_txn(txn).unwrap();
         for (_, v) in snap.dump().unwrap() {
@@ -995,10 +888,13 @@ mod tests {
     #[test]
     fn empty_and_unknown_transactions() {
         let db = engine(2);
-        let txn = db.begin_txn();
+        let txn = db.begin_txn().unwrap();
         db.commit_txn(txn).unwrap();
         assert!(db.commit_txn(txn).is_err(), "already committed");
-        assert!(db.txn_insert(txn, 1u64, vec![]).is_err(), "txn is gone");
+        assert!(
+            db.txn_insert(txn, 1u64.into(), vec![]).is_err(),
+            "txn is gone"
+        );
         assert!(db.abort_txn(TxnId::new(999)).is_err());
     }
 

@@ -40,7 +40,7 @@ use crate::txn::TxnTable;
 
 const META_MAGIC: u64 = 0x5453_4254_5245_4531; // "TSBTREE1"
 
-/// File names used by [`TsbTree::open_durable`] inside its directory
+/// File names a durable tree uses inside its directory
 /// (`pub(crate)` so the replica engine can wipe a half-installed base).
 pub(crate) const MAGNETIC_FILE: &str = "current.pages";
 pub(crate) const WORM_FILE: &str = "history.worm";
@@ -49,7 +49,7 @@ pub(crate) const WAL_FILE: &str = "redo.wal";
 /// The durability state of a WAL-attached tree.
 ///
 /// Present on trees opened through [`TsbTree::create_durable`] /
-/// [`TsbTree::open_durable`] / [`TsbTree::recover`]; absent (and
+/// [`TsbTree::recover`] / a durable [`crate::TsbOptions`]; absent (and
 /// zero-cost) on plain in-memory or file-backed trees. See the
 /// [`tsb_storage::wal`] module docs for the log format and the fence /
 /// commit-cut protocol this drives.
@@ -208,18 +208,12 @@ impl StagedRecovery {
         Ok(())
     }
 
-    /// Rolls an in-doubt prepare back. The erasure itself is performed by
-    /// [`Self::finish`]'s purge pass (recovery's implicit abort erases all
-    /// remaining uncommitted versions); this records the decision only.
-    pub(crate) fn abort_in_doubt(&mut self, _txn: TxnId) -> TsbResult<()> {
-        Ok(())
-    }
-
     /// Runs the deferred recovery tail — purge of uncommitted versions,
     /// free-list reclamation, verification, and the fencing checkpoint —
-    /// and returns the serving-ready tree. Every in-doubt prepare must
-    /// have been decided first: the purge erases whatever was not rolled
-    /// forward.
+    /// and returns the serving-ready tree. Every in-doubt prepare that is
+    /// to commit must have been rolled forward first: the purge *is* the
+    /// abort of the rest (recovery's implicit abort erases all remaining
+    /// uncommitted versions).
     pub(crate) fn finish(self) -> TsbResult<TsbTree> {
         let tree = self.tree;
         if self.needs_finish {
@@ -242,8 +236,6 @@ impl StagedRecovery {
         for p in pending {
             if self.decisions.contains(&p.ts.value()) {
                 self.commit_in_doubt(p.txn, p.ts)?;
-            } else {
-                self.abort_in_doubt(p.txn)?;
             }
         }
         self.finish()
@@ -517,18 +509,10 @@ impl std::fmt::Debug for TsbTree {
 }
 
 impl TsbTree {
-    /// Creates a fresh tree over in-memory stores sized by `cfg`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::in_memory().config(cfg).open_tree()`"
-    )]
-    pub fn new_in_memory(cfg: TsbConfig) -> TsbResult<Self> {
-        Self::new_in_memory_with_clock(cfg, Arc::new(LogicalClock::new()))
-    }
-
-    /// [`Self::new_in_memory`] stamping commits from a caller-supplied
-    /// (possibly shared) clock — the in-memory counterpart of
-    /// [`Self::create_durable_with_clock`] for sharded-engine tests.
+    /// A fresh tree over in-memory stores sized by `cfg`, stamping commits
+    /// from a caller-supplied (possibly shared) clock — the in-memory
+    /// counterpart of [`Self::create_durable_with_clock`]. Reached through
+    /// [`crate::TsbOptions`].
     pub(crate) fn new_in_memory_with_clock(
         cfg: TsbConfig,
         clock: Arc<LogicalClock>,
@@ -556,8 +540,8 @@ impl TsbTree {
     /// Creates a fresh **durable** tree: every mutation is redo-logged to
     /// `wal` before it may dirty a page, and the initial state is fenced
     /// with a checkpoint, so the tree is crash-consistent from its first
-    /// instant. Use [`Self::open_durable`] for the directory-based
-    /// convenience API and [`Self::recover`] to reopen after a crash.
+    /// instant. Use [`crate::TsbOptions::open_tree`] for the directory-based
+    /// door and [`Self::recover`] to reopen after a crash.
     pub fn create_durable(
         magnetic: Arc<MagneticStore>,
         worm: Arc<WormStore>,
@@ -732,31 +716,9 @@ impl TsbTree {
         })
     }
 
-    /// Opens (or creates) a **durable** tree rooted at directory `dir`,
-    /// holding the magnetic store (`current.pages`), the WORM store
-    /// (`history.worm`), and the redo log (`redo.wal`).
-    ///
-    /// * A fresh directory creates a new tree ([`Self::create_durable`]).
-    /// * A directory with durable state runs crash-consistent recovery
-    ///   ([`Self::recover`]) — this is the same code path whether the last
-    ///   session shut down cleanly (the log's tail is a checkpoint; replay
-    ///   is empty) or died mid-write.
-    /// * A directory where *nothing* was ever durably committed (a fresh
-    ///   directory, or a crash inside the very first create before its
-    ///   checkpoint fence) is recreated; no acknowledged state can be lost
-    ///   because none ever existed. A directory that holds *real store
-    ///   data* but no usable log — a pre-WAL database, or a lost/deleted
-    ///   `redo.wal` — is a hard error instead: recreating it would destroy
-    ///   data this method cannot prove disposable.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::durable(dir).config(cfg).open_tree()`"
-    )]
-    pub fn open_durable(dir: impl AsRef<Path>, cfg: TsbConfig) -> TsbResult<Self> {
-        Self::open_durable_staged(dir, cfg, Arc::new(LogicalClock::new()))?.resolve_locally()
-    }
-
-    /// [`Self::open_durable`] split in two for the sharded engine: returns
+    /// Opens (or creates) the durable tree rooted at directory `dir` — the
+    /// contract is spelled out on [`crate::TsbOptions::open_tree`] — split
+    /// in two for the sharded engine: returns
     /// a [`StagedRecovery`] whose in-doubt two-phase-commit prepares are
     /// *not yet resolved* — the caller resolves each against the
     /// coordinator shard's decision (commit or presumed abort) and then

@@ -66,7 +66,10 @@ fn promotion_preserves_the_applied_prefix() {
         .open_concurrent()
         .unwrap();
     let source = ReplicationSource::new(&primary).unwrap();
-    let replica = ReplicaEngine::open(&rdir.0, cfg()).unwrap();
+    let replica = TsbOptions::durable(&rdir.0)
+        .config(cfg())
+        .open_replica()
+        .unwrap();
     // Bootstrap from an empty primary (the server flow: the replica comes
     // up before the first write), then stream everything.
     replica.install_base(&source.base().unwrap()).unwrap();

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use tsb_common::{FsyncPolicy, Key, KeyRange, Timestamp, WalMode};
-use tsb_core::{FaultInjector, ReplicaEngine, ReplicationSource, TsbOptions};
+use tsb_core::{EngineHandle, FaultInjector, ReplicaEngine, ReplicationSource, TsbOptions};
 
 struct TempDir(std::path::PathBuf);
 

@@ -34,6 +34,7 @@
 //! usage error.
 
 use std::io::Write;
+use std::sync::Arc;
 use std::time::Duration;
 
 use tsb_common::FsyncPolicy;
@@ -165,7 +166,7 @@ fn run(args: Args) -> tsb_common::TsbResult<()> {
         ..server_opts
     };
     let db = opts.shards(args.shards).open()?;
-    let server = TsbServer::start_with(db, args.addr.as_str(), server_opts)?;
+    let server = TsbServer::start_engine_with(Arc::new(db), args.addr.as_str(), server_opts)?;
     println!("tsb-server listening on {}", server.local_addr());
     std::io::stdout().flush()?;
     server.wait()?;

@@ -2,7 +2,7 @@
 //!
 //! The ROADMAP's north star is a server under heavy concurrent traffic;
 //! this crate is the network surface. It is deliberately boring plumbing —
-//! all engine smarts stay in [`ConcurrentTsb`] — built from `std::net`
+//! all engine smarts stay behind [`EngineHandle`] — built from `std::net`
 //! only (no async runtime, per the workspace's no-new-dependencies rule):
 //!
 //! * **One acceptor thread** blocks on [`TcpListener::accept`] and spawns
@@ -12,7 +12,7 @@
 //! * **Each worker drains its socket in batches.** A `read()` returns
 //!   however many pipelined frames the client has in flight; the worker
 //!   executes all of them, issues the writes through the engine's
-//!   *deferred-durability* API ([`ShardedTsb::insert_deferred`] &c.),
+//!   *deferred-durability* API ([`EngineHandle::insert_deferred`] &c.),
 //!   then parks **once per shard** on the highest LSN the batch produced
 //!   on that shard before flushing the batch's replies in a single
 //!   `write_all`. Each shard's durable watermark is monotonic, so when a
@@ -28,11 +28,15 @@
 //!   tests holds the server to that: after SIGKILL mid-load, every
 //!   acknowledged write must survive reopen.
 //!
-//! The served engine is any [`EngineHandle`]: a [`ShardedTsb`] primary
-//! (the keyspace may be partitioned across N shards, `tsb-server
-//! --shards N`, each with its own WAL and group-commit pipeline under one
-//! global commit clock) or a read-only [`tsb_core::ReplicaEngine`] fed by
-//! WAL shipping (`tsb-server --replica-of ADDR`, see [`replica`]).
+//! [`tsb_core::TsbOptions`] opens, [`EngineHandle`] serves, and two
+//! types implement it: a writable [`tsb_core::ShardedTsb`] (the keyspace
+//! may be partitioned across N shards, `tsb-server --shards N`, each with
+//! its own WAL and group-commit pipeline under one global commit clock;
+//! one shard is the unsharded case) or a read-only
+//! [`tsb_core::ReplicaEngine`] fed by WAL shipping (`tsb-server
+//! --replica-of ADDR`, see [`replica`]). A promoted replica reopens its
+//! directory through the same door, so it holds the same type a born
+//! primary does.
 //! Sharding and replication are entirely server-side — requests are
 //! routed (and range/history results merged) here, and the wire protocol
 //! is identical for every engine flavour; a replica simply answers write
@@ -64,9 +68,7 @@ use parking_lot::{Mutex, RwLock};
 
 use tsb_common::{TsbError, TsbResult, TxnId};
 use tsb_core::epoch::INITIAL_EPOCH;
-use tsb_core::{
-    EngineHandle, EngineRole, Lsn, ReplicaBase, ReplicaEngine, ReplicationSource, ShardedTsb,
-};
+use tsb_core::{EngineHandle, EngineRole, Lsn, ReplicaBase, ReplicaEngine, ReplicationSource};
 
 use protocol::{FrameDecoder, FrameError, Reply, Request, MAX_FRAME_BODY};
 
@@ -181,25 +183,10 @@ impl ServerShared {
 
 impl TsbServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `db`. The engine should be opened durable for acks to mean
-    /// anything, but any engine works. A plain [`tsb_core::ConcurrentTsb`]
-    /// converts into a one-shard engine via `Into`.
-    pub fn start(db: impl Into<ShardedTsb>, addr: impl ToSocketAddrs) -> TsbResult<TsbServer> {
-        Self::start_engine(Arc::new(db.into()), addr)
-    }
-
-    /// [`TsbServer::start`] with explicit [`ServerOptions`].
-    pub fn start_with(
-        db: impl Into<ShardedTsb>,
-        addr: impl ToSocketAddrs,
-        opts: ServerOptions,
-    ) -> TsbResult<TsbServer> {
-        Self::start_engine_with(Arc::new(db.into()), addr, opts)
-    }
-
-    /// [`TsbServer::start`] for any engine behind the [`EngineHandle`]
-    /// trait — in particular a [`tsb_core::ReplicaEngine`] (see
-    /// [`replica::ReplicaRunner`] for the feed side).
+    /// `db` — `Arc::new(TsbOptions::durable(dir).open()?)` for a primary.
+    /// The engine should be opened durable for acks to mean anything, but
+    /// any engine works; for a promotable replica see
+    /// [`TsbServer::start_replica`].
     pub fn start_engine(
         db: Arc<dyn EngineHandle>,
         addr: impl ToSocketAddrs,
@@ -826,7 +813,7 @@ fn promote(shared: &Arc<ServerShared>) -> TsbResult<u64> {
     let new_epoch = tsb_core::epoch::read_epoch(dir)?.saturating_add(1);
     let db = tsb_core::TsbOptions::durable(dir)
         .config(replica.config().clone())
-        .open_concurrent()?;
+        .open()?;
     tsb_core::epoch::persist_epoch(dir, new_epoch)?;
     *shared.engine.write() = Arc::new(db);
     shared.epoch.store(new_epoch, Ordering::SeqCst);

@@ -150,7 +150,7 @@ impl From<FrameError> for TsbError {
     }
 }
 
-/// One client request. Verbs mirror the `ConcurrentTsb` read/write surface.
+/// One client request. Verbs mirror the `EngineHandle` read/write surface.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Insert a new current version of `key`; acknowledged only once the

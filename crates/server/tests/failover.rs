@@ -254,6 +254,7 @@ fn promotion_under_load_loses_no_acked_writes() {
     let role = verify.role().expect("role");
     assert!(role.primary, "promoted node must serve as primary");
     assert_eq!(role.epoch, 2);
+    assert!(role.durable_lsn > 0, "a promoted node reports its own log");
     for (key, value) in &all_acked {
         assert_eq!(
             verify.get(Key::from_u64(*key)).expect("get on promoted"),
@@ -293,6 +294,7 @@ fn promotion_fences_stale_epochs_and_discards_divergent_tail() {
     let role = replica.role().expect("role");
     assert!(role.primary);
     assert_eq!(role.epoch, 2);
+    assert!(role.durable_lsn > 0, "a promoted node reports its own log");
 
     // The promoted node accepts writes now.
     let value = b"post-promotion".to_vec();

@@ -16,6 +16,7 @@ use std::process::{Child, Command, Stdio};
 use tsb_client::TsbClient;
 use tsb_common::{FsyncPolicy, Key, TsbConfig};
 use tsb_core::sharded::shard_of;
+use tsb_core::EngineHandle;
 
 struct TempDir(PathBuf);
 

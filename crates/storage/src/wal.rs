@@ -78,7 +78,7 @@
 //! the file with a single `write_all` when a fence record (`Commit` /
 //! `Checkpoint`) is appended, when the flushed-LSN barrier or an fsync
 //! needs the bytes in the file, or when it outgrows
-//! [`APPEND_BUFFER_FLUSH_BYTES`]. One mutation — its page images, its
+//! `APPEND_BUFFER_FLUSH_BYTES`. One mutation — its page images, its
 //! deltas, and its commit fence — therefore issues **one** write syscall
 //! instead of one per record. Buffered bytes are always un-fenced (every
 //! fence append flushes), so a process crash loses nothing acknowledged:
@@ -527,7 +527,7 @@ struct WalInner {
     injector: Option<Arc<FaultInjector>>,
 }
 
-/// See [`WalInner::pre_sync`] / [`Wal::set_pre_sync_hook`].
+/// See [`Wal::set_pre_sync_hook`].
 pub type PreSyncHook = Box<dyn Fn() -> TsbResult<()> + Send + Sync>;
 
 impl WalInner {
@@ -1121,7 +1121,7 @@ impl Wal {
     }
 
     /// Installs the hook that runs before every fsync of the log (see
-    /// [`WalInner::pre_sync`]); the sync is abandoned if the hook errors.
+    /// `WalInner::pre_sync`); the sync is abandoned if the hook errors.
     pub fn set_pre_sync_hook(&self, hook: PreSyncHook) {
         self.shared.inner.lock().pre_sync = Some(Arc::from(hook));
     }

@@ -1,7 +1,7 @@
 //! Deterministic concurrent-scenario driver.
 //!
 //! A concurrent stress run has two halves: one scripted **writer stream**
-//! (reusing [`WorkloadSpec`](crate::WorkloadSpec) / [`generate_ops`]) and N
+//! (reusing [`WorkloadSpec`] / [`generate_ops`]) and N
 //! scripted **reader plans**. Reproducibility across runs and across
 //! engines requires that *everything random is decided up front from
 //! seeds*; the only run-time degree of freedom is how far the writer has

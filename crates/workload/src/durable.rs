@@ -11,24 +11,25 @@
 //! an open loop would happily enqueue thousands of unacknowledged commits
 //! and make even a serial fsync path look concurrent.
 //!
-//! [`drive_durable`] runs one such loop against a [`ConcurrentTsb`] and
+//! [`drive_engine`] runs one such loop against any [`EngineHandle`] and
 //! reports committed throughput together with the WAL's sync counters, so a
 //! caller can derive fsyncs/op and commits/fsync for any
-//! `threads × fsync-policy` cell (the E12c experiment in `tsb-bench`).
+//! `threads × fsync-policy` cell (the E12c experiment in `tsb-bench`). The
+//! report's I/O delta is the merged sum over every shard, so fsyncs/op and
+//! writer-lock wait/op are directly comparable across shard counts (E14).
 //!
 //! Everything random is decided up front from the spec's seed: thread `i`
 //! writes the deterministic key/value stream `seed + i` produces, so two
 //! runs of the same spec commit identical data — only the interleaving
 //! (and therefore the group-commit batching) differs.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tsb_common::TsbResult;
-use tsb_core::{ConcurrentTsb, EngineHandle, ShardedTsb};
+use tsb_core::EngineHandle;
 use tsb_storage::IoSnapshot;
 
 /// Parameters of one closed-loop durable write run.
@@ -58,7 +59,7 @@ impl Default for DurableDriveSpec {
     }
 }
 
-/// What one [`drive_durable`] run measured.
+/// What one [`drive_engine`] run measured.
 #[derive(Clone, Debug)]
 pub struct DurableDriveReport {
     /// Total acknowledged (durably committed) operations.
@@ -132,20 +133,6 @@ pub fn drive_engine(
     })
 }
 
-/// [`drive_engine`] on a [`ConcurrentTsb`] (kept for callers that hold the
-/// concrete type).
-pub fn drive_durable(db: &ConcurrentTsb, spec: &DurableDriveSpec) -> TsbResult<DurableDriveReport> {
-    drive_engine(db, spec)
-}
-
-/// [`drive_engine`] on an `N`-shard engine. The report's I/O delta is the
-/// merged sum over every shard, so fsyncs/op and writer-lock wait/op are
-/// directly comparable across shard counts (the E14 experiment in
-/// `tsb-bench`).
-pub fn drive_sharded(db: &ShardedTsb, spec: &DurableDriveSpec) -> TsbResult<DurableDriveReport> {
-    drive_engine(db, spec)
-}
-
 /// One closed-loop writer: commits its deterministic stream one op at a
 /// time, each acknowledged (deferred commit + durable wait) before the
 /// next is issued.
@@ -172,26 +159,19 @@ fn next_op(rng: &mut StdRng, spec: &DurableDriveSpec) -> (tsb_common::Key, Vec<u
     (tsb_common::Key::from_u64(key), value)
 }
 
-/// Convenience: the Arc-wrapped stats handle the driver reads is shared
-/// with the engine, so callers holding their own baseline snapshots can
-/// account for concurrent background work (checkpoints) separately.
-pub fn io_stats_of(db: &ConcurrentTsb) -> Arc<tsb_storage::IoStats> {
-    db.io_stats().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tsb_common::{FsyncPolicy, TsbConfig};
 
-    fn durable_engine(dir: &std::path::Path, policy: FsyncPolicy) -> ConcurrentTsb {
+    fn durable_engine(dir: &std::path::Path, policy: FsyncPolicy) -> tsb_core::ShardedTsb {
         let cfg = TsbConfig {
             fsync_policy: policy,
             ..TsbConfig::small_pages()
         };
         tsb_core::TsbOptions::durable(dir)
             .config(cfg)
-            .open_concurrent()
+            .open()
             .unwrap()
     }
 
@@ -204,7 +184,7 @@ mod tests {
             ops_per_thread: 25,
             ..DurableDriveSpec::default()
         };
-        let report = drive_durable(&db, &spec).unwrap();
+        let report = drive_engine(&db, &spec).unwrap();
         assert_eq!(report.committed_ops, 100);
         assert!(report.io.wal_commits >= 100);
         assert!(report.io.wal_syncs > 0, "Always must sync");
@@ -219,7 +199,7 @@ mod tests {
     fn os_policy_never_parks() {
         let dir = tempdir();
         let db = durable_engine(dir.path(), FsyncPolicy::Os);
-        let report = drive_durable(&db, &DurableDriveSpec::default()).unwrap();
+        let report = drive_engine(&db, &DurableDriveSpec::default()).unwrap();
         assert_eq!(report.committed_ops, 1000);
         assert_eq!(
             report.io.group_commit_waits, 0,
@@ -235,8 +215,8 @@ mod tests {
         let dir_b = tempdir();
         let a = durable_engine(dir_a.path(), FsyncPolicy::Os);
         let b = durable_engine(dir_b.path(), FsyncPolicy::Os);
-        drive_durable(&a, &spec).unwrap();
-        drive_durable(&b, &spec).unwrap();
+        drive_engine(&a, &spec).unwrap();
+        drive_engine(&b, &spec).unwrap();
         let dump_a = a.snapshot_at(a.last_installed()).unwrap();
         let dump_b = b.snapshot_at(b.last_installed()).unwrap();
         // Interleavings differ, but the committed key set is seed-determined.

@@ -23,7 +23,7 @@
 //!   writer stream plus per-reader query plans whose read times are pinned
 //!   as fractions of the installed history, so multi-threaded runs stay
 //!   oracle-checkable (see [`concurrent`]),
-//! * [`DurableDriveSpec`] / [`drive_durable`] — a closed-loop
+//! * [`DurableDriveSpec`] / [`drive_engine`] — a closed-loop
 //!   multi-threaded durable write driver: N writer threads each commit
 //!   their next op only after the previous was acknowledged, measuring how
 //!   many commits share each fsync under the engine's group-commit
@@ -56,9 +56,7 @@ pub use chaos::{ChaosProxy, ChaosSpec, ChaosStats, Fault};
 pub use concurrent::{pin_fraction, ConcurrentSpec, ReaderQuery, ReaderQueryKind};
 pub use crash::{crash_matrix, CrashSpec, CrashTrigger};
 pub use distributions::KeyDistribution;
-pub use durable::{
-    drive_durable, drive_engine, drive_sharded, DurableDriveReport, DurableDriveSpec,
-};
+pub use durable::{drive_engine, DurableDriveReport, DurableDriveSpec};
 pub use equivalence::{assert_engine_matches_oracle, replay_engine};
 pub use generator::{generate_ops, Op, WorkloadSpec};
 pub use oracle::Oracle;

@@ -1,6 +1,6 @@
 //! Socket load harness: closed-loop and open-loop drivers for `tsb-server`.
 //!
-//! [`drive_durable`](crate::drive_durable) measures the group-commit
+//! [`drive_engine`](crate::drive_engine) measures the group-commit
 //! pipeline with in-process threads; this module measures it **over the
 //! wire**. Each connection runs on its own thread through a [`TsbClient`]:
 //!

@@ -1,14 +1,17 @@
 //! One oracle, every engine: the same scripted workload replayed through
-//! [`EngineHandle`] must produce identical answers from a single-tree
-//! engine, a sharded engine at several shard counts, and a replica that
-//! only ever saw the shipped log. The test is deliberately API-shaped —
-//! everything goes through the trait object, exactly as the server's
-//! dispatch does, so a divergence here is a divergence a client could see.
+//! [`EngineHandle`] must produce identical answers from the writable
+//! engine at several shard counts (one shard *is* the single-tree case)
+//! and from a replica that only ever saw the shipped log. The test is
+//! deliberately API-shaped — everything goes through the trait object,
+//! exactly as the server's dispatch does, so a divergence here is a
+//! divergence a client could see.
 
-use tsb_common::FsyncPolicy;
-use tsb_core::{EngineHandle, ReplicationSource, TsbOptions};
+use tsb_common::{FsyncPolicy, Key, Timestamp, TsbError, TsbResult};
+use tsb_core::{EngineHandle, ReplicaEngine, ReplicationSource, ShardedTsb, TsbOptions};
+use tsb_storage::{Lsn, WalRecord};
 use tsb_workload::{
-    assert_engine_matches_oracle, generate_ops, replay_engine, KeyDistribution, WorkloadSpec,
+    assert_engine_matches_oracle, generate_ops, replay_engine, KeyDistribution, Oracle,
+    WorkloadSpec,
 };
 
 struct TempDir(std::path::PathBuf);
@@ -48,21 +51,17 @@ fn spec() -> WorkloadSpec {
     }
 }
 
+/// A durable `shards`-shard engine in `dir` whose every ack means fsynced.
+fn open_always(dir: &TempDir, shards: usize) -> ShardedTsb {
+    let opts = TsbOptions::durable(&dir.0).small_pages();
+    let opts = opts.fsync(FsyncPolicy::Always).shards(shards);
+    opts.open().unwrap()
+}
+
 fn check(db: &dyn EngineHandle) {
     let ops = generate_ops(&spec());
     let oracle = replay_engine(db, &ops).unwrap();
     assert_engine_matches_oracle(db, &oracle, 7);
-}
-
-#[test]
-fn concurrent_engine_matches_oracle_through_the_trait() {
-    let dir = TempDir::new("conc");
-    let db = TsbOptions::durable(&dir.0)
-        .small_pages()
-        .fsync(FsyncPolicy::EveryN(8))
-        .open_concurrent()
-        .unwrap();
-    check(&db);
 }
 
 #[test]
@@ -79,24 +78,10 @@ fn sharded_engine_matches_oracle_through_the_trait() {
     }
 }
 
-#[test]
-fn synced_replica_matches_the_primary_oracle_through_the_trait() {
-    let pdir = TempDir::new("prim");
-    let rdir = TempDir::new("repl");
-    let primary = TsbOptions::durable(&pdir.0)
-        .small_pages()
-        .fsync(FsyncPolicy::Always)
-        .open_concurrent()
-        .unwrap();
-
-    // Build the oracle by replaying on the primary, then ship the whole
-    // log and demand the replica answers for it — reads only, through the
-    // same trait surface.
-    let ops = generate_ops(&spec());
-    let oracle = replay_engine(&primary, &ops).unwrap();
-
-    let source = ReplicationSource::new(&primary).unwrap();
-    let replica = TsbOptions::durable(&rdir.0)
+/// Ships `primary`'s whole log into a fresh replica at `dir`.
+fn synced_replica(primary: &dyn EngineHandle, dir: &TempDir) -> ReplicaEngine {
+    let source = primary.replication_source().unwrap();
+    let replica = TsbOptions::durable(&dir.0)
         .small_pages()
         .fsync(FsyncPolicy::Always)
         .open_replica()
@@ -119,9 +104,124 @@ fn synced_replica_matches_the_primary_oracle_through_the_trait() {
         let done = batch.records.is_empty();
         replica.apply_batch(&batch).unwrap();
         if done {
-            break;
+            return replica;
         }
     }
+}
 
+#[test]
+fn synced_replica_matches_the_primary_oracle_through_the_trait() {
+    let pdir = TempDir::new("prim");
+    let rdir = TempDir::new("repl");
+    let primary = open_always(&pdir, 1);
+
+    // Build the oracle by replaying on the primary, then ship the whole
+    // log and demand the replica answers for it — reads only, through the
+    // same trait surface.
+    let ops = generate_ops(&spec());
+    let oracle = replay_engine(&primary, &ops).unwrap();
+    let replica = synced_replica(&primary, &rdir);
     assert_engine_matches_oracle(&replica, &oracle, 7);
+}
+
+/// One log tailer per shard, each with the LSN its shard's log started the
+/// test at. Log shipping stops at the durable watermark, so what a tailer
+/// hands out *is* its shard's durable prefix.
+struct DurablePrefix(Vec<(ReplicationSource, Lsn)>);
+
+impl DurablePrefix {
+    fn of(db: &ShardedTsb) -> DurablePrefix {
+        let tail = |shard| {
+            let source = ReplicationSource::new(shard).unwrap();
+            let start = source.durable_lsn();
+            (source, start)
+        };
+        DurablePrefix(db.shards().iter().map(tail).collect())
+    }
+
+    /// Whether the commit stamped `ts` is durable on `shard` right now.
+    fn holds(&self, shard: usize, ts: Timestamp) -> bool {
+        let (source, start) = &self.0[shard];
+        let batch = source.poll(*start, u64::MAX, 1 << 30).unwrap();
+        assert!(!batch.needs_rebase, "nothing checkpoints mid-test");
+        batch.records.iter().any(|body| {
+            matches!(
+                WalRecord::decode_body(body).unwrap(),
+                (_, WalRecord::Commit { ts: fence, .. }) if fence == ts.value()
+            )
+        })
+    }
+}
+
+/// The blocking verbs are defined once, on the trait (`*_deferred` then
+/// `wait_durable`): under `Always` each must return only once its commit
+/// is durable, and the answers must be the oracle's. On a replica the
+/// same three verbs must refuse, like the deferred halves they are made of.
+#[test]
+fn provided_blocking_verbs_return_durable_and_match_the_oracle() {
+    for shards in [1usize, 4] {
+        let dir = TempDir::new("block");
+        let opened = open_always(&dir, shards);
+        let db: &dyn EngineHandle = &opened;
+        let durable = DurablePrefix::of(&opened);
+        let acked_durable = |key: &Key, ts| durable.holds(opened.shard_of(key), ts);
+        let mut oracle = Oracle::new();
+        for i in 0..24u64 {
+            let (key, value) = (Key::from_u64(i % 8), format!("v{i}").into_bytes());
+            let ts = db.insert(key.clone(), value.clone()).unwrap();
+            assert!(acked_durable(&key, ts), "insert {i} acked early");
+            oracle.apply_put(key, ts, Some(value));
+        }
+        for i in 0..4u64 {
+            let key = Key::from_u64(i);
+            let ts = db.delete(key.clone()).unwrap();
+            assert!(acked_durable(&key, ts), "delete {i} acked early");
+            oracle.apply_put(key, ts, None);
+        }
+        // One key: a single-shard commit, the kind that hands the provided
+        // verb a position to park on (cross-shard commits force their own).
+        let key = Key::from_u64(5);
+        let txn = db.begin_txn().unwrap();
+        db.txn_insert(txn, key.clone(), b"txn".to_vec()).unwrap();
+        let ts = db.commit_txn(txn).unwrap();
+        assert!(acked_durable(&key, ts), "commit_txn acked early");
+        oracle.apply_put(key.clone(), ts, Some(b"txn".to_vec()));
+        assert_engine_matches_oracle(db, &oracle, 1);
+
+        if shards == 1 {
+            let rdir = TempDir::new("block-replica");
+            let replica = synced_replica(db, &rdir);
+            let replica: &dyn EngineHandle = &replica;
+            let refused = |r: TsbResult<Timestamp>| matches!(r, Err(TsbError::ReadOnly));
+            assert!(refused(replica.insert(key.clone(), b"no".to_vec())));
+            assert!(refused(replica.delete(key.clone())));
+            assert!(refused(replica.commit_txn(txn)));
+            assert_eq!(replica.get_current(&key).unwrap(), Some(b"txn".to_vec()));
+        }
+    }
+}
+
+/// `ShardLsn` is a public `(usize, Lsn)` tuple: a position carried over
+/// from an engine with more shards must be refused, not indexed.
+#[test]
+fn wait_durable_rejects_a_position_on_a_shard_the_engine_lacks() {
+    for shards in [1usize, 4] {
+        let dir = TempDir::new("oob");
+        let opened = open_always(&dir, shards);
+        let db: &dyn EngineHandle = &opened;
+        let (_, pos) = db.insert_deferred(Key::from_u64(1), b"x".to_vec()).unwrap();
+        let (shard, lsn) = pos.expect("Always hands out a position");
+        assert!(shard < shards);
+        db.wait_durable((shard, lsn)).unwrap();
+        for bogus in [shards, shards + 3, usize::MAX] {
+            match db.wait_durable((bogus, lsn)) {
+                Err(TsbError::Config(msg)) => {
+                    assert!(msg.contains("shard"), "unhelpful message: {msg}")
+                }
+                other => {
+                    panic!("shard {bogus} of {shards}: expected a config error, got {other:?}")
+                }
+            }
+        }
+    }
 }

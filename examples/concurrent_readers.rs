@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ----- phase 1: concurrent traffic ------------------------------------
     let (magnetic, worm) = open_stores(Arc::new(IoStats::new()))?;
-    let db = ConcurrentTsb::create(magnetic, worm, cfg.clone())?;
+    let db = ConcurrentTsb::from_tree(TsbTree::create(magnetic, worm, cfg.clone())?);
     for account in 0..ACCOUNTS {
         db.insert(Key::from_u64(account), b"balance=0".to_vec())?;
     }

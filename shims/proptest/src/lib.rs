@@ -1,6 +1,6 @@
 //! Minimal API-compatible stand-in for the `proptest` crate.
 //!
-//! Implements the subset this workspace uses: the [`Strategy`] trait with
+//! Implements the subset this workspace uses: the `Strategy` trait with
 //! `prop_map`/`boxed`, `any::<T>()`, `Just`, ranges, tuples, weighted
 //! unions (`prop_oneof!`), `prop::collection::vec`, `prop::option::of`,
 //! the `proptest!` test macro, `ProptestConfig::with_cases`, and the

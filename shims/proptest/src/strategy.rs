@@ -195,7 +195,7 @@ impl<V> Strategy for Union<V> {
     }
 }
 
-/// The size argument accepted by [`vec`].
+/// The size argument accepted by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     lo: usize,
@@ -227,7 +227,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

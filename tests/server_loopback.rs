@@ -8,6 +8,7 @@
 //! reopens the data directory to prove acknowledged writes were durable.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use tsb_client::TsbClient;
 use tsb_common::{FsyncPolicy, Key, KeyBound, KeyRange, TimeRange, TsbConfig};
@@ -47,9 +48,9 @@ fn served_engine(dir: &std::path::Path, policy: FsyncPolicy) -> TsbServer {
     };
     let db = tsb_core::TsbOptions::durable(dir)
         .config(cfg)
-        .open_concurrent()
+        .open()
         .expect("open durable");
-    TsbServer::start(db, "127.0.0.1:0").expect("start server")
+    TsbServer::start_engine(Arc::new(db), "127.0.0.1:0").expect("start server")
 }
 
 /// A deterministic mixed schedule: puts, overwrites, and deletes over a

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
 use tsb_core::sharded::shard_of;
-use tsb_core::{CrashPoint, FaultInjector};
+use tsb_core::{CrashPoint, EngineHandle, FaultInjector};
 
 struct TempDir(PathBuf);
 
@@ -122,7 +122,7 @@ fn run_two_pc_crash(tag: &str, point: CrashPoint, skip: u64, expect: Expect) {
     let mut first_crashed: Option<u64> = None;
     for round in 0..24u64 {
         let keys = straddling_keys(round);
-        let txn = db.begin_txn();
+        let txn = db.begin_txn().unwrap();
         attempted.push((keys.clone(), round));
         let mut dead = false;
         for k in &keys {
@@ -383,7 +383,7 @@ fn committed_cross_shard_transactions_survive_reopen_whole() {
             .unwrap();
         for round in 0..6u64 {
             let keys = straddling_keys(round);
-            let txn = db.begin_txn();
+            let txn = db.begin_txn().unwrap();
             for k in &keys {
                 db.txn_insert(txn, Key::from_u64(*k), txn_value(round, *k))
                     .unwrap();

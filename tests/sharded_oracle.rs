@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use tsb_common::{Key, KeyBound, KeyRange, TimeRange, Timestamp, TsbConfig};
 use tsb_core::sharded::shard_of;
-use tsb_core::ShardedTsb;
+use tsb_core::{EngineHandle, ShardedTsb};
 use tsb_workload::Oracle;
 
 // ---------- generators -------------------------------------------------------
@@ -77,7 +77,7 @@ fn replay(
                 log.push((Key::from_u64(*key as u64), ts, None));
             }
             ShardOp::Txn { keys, commit } => {
-                let txn = db.begin_txn();
+                let txn = db.begin_txn().unwrap();
                 for key in keys {
                     let value = vec![*key, n as u8];
                     db.txn_insert(txn, Key::from_u64(*key as u64), value)
@@ -278,7 +278,7 @@ fn pinned_fence_is_atomic_with_respect_to_cross_shard_commits() {
         .shards(4)
         .open()
         .unwrap();
-    let before = db.begin_txn();
+    let before = db.begin_txn().unwrap();
     for i in 0..32u64 {
         db.txn_insert(before, Key::from_u64(i), b"before".to_vec())
             .unwrap();
@@ -287,7 +287,7 @@ fn pinned_fence_is_atomic_with_respect_to_cross_shard_commits() {
 
     let snap = db.begin_snapshot();
 
-    let after = db.begin_txn();
+    let after = db.begin_txn().unwrap();
     for i in 0..32u64 {
         db.txn_insert(after, Key::from_u64(i), b"after".to_vec())
             .unwrap();
