@@ -1,10 +1,14 @@
 //! B2: query latency on a prebuilt multiversion database — current lookups,
 //! as-of lookups, snapshot range scans, and version-history scans (the
-//! paper's §2.5/§3.7 query classes).
+//! paper's §2.5/§3.7 query classes) — plus historical as-of lookups that
+//! miss every cache and read a file-backed WORM store, from one thread and
+//! from two.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use tsb_common::{Key, KeyRange, SplitPolicyKind, SplitTimeChoice, Timestamp};
-use tsb_core::TsbTree;
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use tsb_common::{
+    FsyncPolicy, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig,
+};
+use tsb_core::{ConcurrentTsb, TsbTree};
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
 use tsb_bench::measure::experiment_config;
@@ -75,6 +79,23 @@ fn bench_queries(c: &mut Criterion) {
             tree.versions(&Key::from_u64(i)).unwrap()
         })
     });
+    // One key's history over a window centred on the middle of the time
+    // axis: node reads follow the window's share of it.
+    let axis = stamps.last().unwrap().value();
+    for pct in [1, 10, 100] {
+        let half = (axis * pct / 200).max(1);
+        let window = TimeRange::bounded(
+            Timestamp(mid_ts.value().saturating_sub(half)),
+            Timestamp(mid_ts.value() + half),
+        );
+        group.bench_function(format!("history_window_{pct}pct"), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i = (i + 7) % 800;
+                tree.history_between(&Key::from_u64(i), window).unwrap()
+            })
+        });
+    }
     group.bench_function("full_snapshot_mid_history", |b| {
         b.iter(|| tree.snapshot_at(mid_ts).unwrap())
     });
@@ -148,5 +169,68 @@ fn bench_descent_cache(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_queries, bench_descent_cache);
+/// Historical as-of lookups against a file-backed WORM store with a node
+/// cache far smaller than the history, so nearly every lookup decodes a
+/// historical node read from the device. One iteration is 2 000 lookups per
+/// thread; the pair shows what a second reader adds.
+fn bench_historical_readers(c: &mut Criterion) {
+    const KEYS: u64 = 2_000;
+    const GENERATIONS: u64 = 40;
+    const LOOKUPS: u64 = 2_000;
+
+    let dir = std::env::temp_dir().join(format!("tsb-bench-historical-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = TsbConfig::default().with_node_cache_entries(64);
+    let db: ConcurrentTsb = tsb_core::TsbOptions::durable(&dir)
+        .config(cfg)
+        .fsync(FsyncPolicy::Os)
+        .open_concurrent()
+        .unwrap();
+    let mut last = Timestamp::ZERO;
+    for gen in 0..GENERATIONS {
+        for key in 0..KEYS {
+            last = db.insert(key, vec![gen as u8; 100]).unwrap();
+        }
+    }
+    // Lookups land in the older half of history, which has all migrated.
+    let reader = |thread: u64| {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(thread + 1);
+        for _ in 0..LOOKUPS {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = Key::from_u64((rng >> 33) % KEYS);
+            let ts = Timestamp(KEYS + (rng >> 11) % (last.value() / 2));
+            criterion::black_box(db.get_as_of(&key, ts).unwrap());
+        }
+    };
+
+    let mut group = c.benchmark_group("B2_as_of_get_historical");
+    for threads in [1u64, 2] {
+        group.throughput(Throughput::Elements(threads * LOOKUPS));
+        group.bench_function(format!("{threads}_thread"), |b| {
+            b.iter(|| {
+                std::thread::scope(|scope| {
+                    for thread in 0..threads {
+                        scope.spawn(move || reader(thread));
+                    }
+                })
+            })
+        });
+    }
+    group.finish();
+    println!(
+        "cores available: {}",
+        std::thread::available_parallelism().map_or(0, usize::from)
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    bench_queries,
+    bench_descent_cache,
+    bench_historical_readers
+);
 criterion_main!(benches);

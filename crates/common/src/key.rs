@@ -383,6 +383,16 @@ impl KeyRange {
         }
     }
 
+    /// The range containing exactly `key`: `[key, key ++ 0x00)`. In
+    /// lexicographic byte order nothing sorts between a key and itself
+    /// extended by a zero byte.
+    pub fn point(key: &Key) -> Self {
+        KeyRange {
+            lo: key.clone(),
+            hi: KeyBound::Finite(Key::from_vec([key.as_bytes(), &[0]].concat())),
+        }
+    }
+
     /// Whether the range contains `key`.
     pub fn contains(&self, key: &Key) -> bool {
         *key >= self.lo && self.hi.is_above(key)
@@ -570,6 +580,24 @@ mod tests {
         assert!(!r.contains(&Key::from_u64(9)));
         assert!(KeyRange::full().contains(&Key::from_u64(9)));
         assert!(KeyRange::full().contains(&Key::MIN));
+    }
+
+    #[test]
+    fn point_range_holds_exactly_its_key() {
+        for key in [
+            Key::MIN,
+            Key::from_u64(7),
+            Key::from_bytes([9u8; KEY_INLINE_CAP]),
+        ] {
+            let r = KeyRange::point(&key);
+            assert!(!r.is_empty());
+            assert!(r.contains(&key));
+            let mut longer = key.as_bytes().to_vec();
+            longer.push(0);
+            assert!(!r.contains(&Key::from_vec(longer)), "successor excluded");
+        }
+        assert!(!KeyRange::point(&Key::from_u64(7)).contains(&Key::from_u64(6)));
+        assert!(!KeyRange::point(&Key::from_u64(7)).contains(&Key::from_u64(8)));
     }
 
     #[test]

@@ -327,15 +327,6 @@ impl IndexNode {
         self.entries.iter().find(|e| e.contains(key, ts))
     }
 
-    /// All entries whose key range contains `key` (any time), used by
-    /// version-history queries.
-    pub fn children_containing_key(&self, key: &Key) -> Vec<&IndexEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.key_range.contains(key))
-            .collect()
-    }
-
     /// The current-region entries whose key ranges overlap `range`, as a
     /// contiguous slice located by two binary searches.
     ///
@@ -359,17 +350,23 @@ impl IndexNode {
         &current[start.min(end)..end]
     }
 
-    /// All entries overlapping the query rectangle, used by range scans and
-    /// snapshots.
-    pub fn children_overlapping(
-        &self,
-        key_range: &KeyRange,
-        time_range: &TimeRange,
-    ) -> Vec<&IndexEntry> {
-        self.entries
+    /// The entries whose rectangle overlaps `keys × window` — the descent
+    /// step of every key × time query. The current region contributes its
+    /// binary-searched run; the historical region, sorted by
+    /// `(key lo, time lo)`, ends at the first entry whose key range starts
+    /// at or past `keys.hi`. No lower cut exists there: an old entry may
+    /// span the whole key space.
+    pub fn children_overlapping<'a>(
+        &'a self,
+        keys: &'a KeyRange,
+        window: &'a TimeRange,
+    ) -> impl Iterator<Item = &'a IndexEntry> + 'a {
+        let historical = self.historical_region();
+        let end = historical.partition_point(|e| keys.hi.is_above(&e.key_range.lo));
+        historical[..end]
             .iter()
-            .filter(|e| e.overlaps(key_range, time_range))
-            .collect()
+            .chain(self.current_children_overlapping(keys))
+            .filter(move |e| e.overlaps(keys, window))
     }
 
     /// Summarizes the node for split decisions.
@@ -645,18 +642,26 @@ mod tests {
     #[test]
     fn children_queries() {
         let n = figure_like_node();
-        let for_key = n.children_containing_key(&Key::from_u64(150));
-        assert_eq!(for_key.len(), 2); // historical + right current child
-        let overlap = n.children_overlapping(
-            &KeyRange::bounded(Key::from_u64(0), Key::from_u64(10)),
-            &TimeRange::from(Timestamp(0)),
+        let full = TimeRange::full();
+        let point = KeyRange::point(&Key::from_u64(150));
+        assert_eq!(n.children_overlapping(&point, &full).count(), 2); // historical + right current child
+        let low = KeyRange::bounded(Key::from_u64(0), Key::from_u64(10));
+        let since = TimeRange::from(Timestamp(0));
+        assert_eq!(n.children_overlapping(&low, &since).count(), 2); // historical + left current child
+        let first_tick = TimeRange::bounded(Timestamp(0), Timestamp(1));
+        assert_eq!(
+            n.children_overlapping(&KeyRange::full(), &first_tick)
+                .count(),
+            1
         );
-        assert_eq!(overlap.len(), 2); // historical + left current child
-        let slice = n.children_overlapping(
-            &KeyRange::full(),
-            &TimeRange::bounded(Timestamp(0), Timestamp(1)),
-        );
-        assert_eq!(slice.len(), 1);
+        // The window prunes: after the historical child closed at T=4 only
+        // the current child for the key remains.
+        let late = TimeRange::from(Timestamp(4));
+        let hit: Vec<_> = n.children_overlapping(&point, &late).collect();
+        assert_eq!(hit.len(), 1);
+        assert_eq!(hit[0].child, NodeAddr::Current(PageId(2)));
+        let empty = KeyRange::bounded(Key::from_u64(5), Key::from_u64(5));
+        assert_eq!(n.children_overlapping(&empty, &full).count(), 0);
     }
 
     #[test]

@@ -2036,29 +2036,6 @@ impl TsbTree {
         self.decode_node_at(addr)
     }
 
-    /// Reads a node expected to be a data node.
-    pub(crate) fn read_data(&self, addr: NodeAddr) -> TsbResult<DataRef> {
-        let node = self.read_node(addr)?;
-        match &*node {
-            Node::Data(_) => Ok(DataRef(node)),
-            Node::Index(_) => Err(TsbError::corruption(format!(
-                "expected a data node at {addr}, found an index node"
-            ))),
-        }
-    }
-
-    /// Reads a node expected to be an index node.
-    #[allow(dead_code)] // kept for symmetry with `read_data`; used by debugging tools
-    pub(crate) fn read_index(&self, addr: NodeAddr) -> TsbResult<IndexRef> {
-        let node = self.read_node(addr)?;
-        match &*node {
-            Node::Index(_) => Ok(IndexRef(node)),
-            Node::Data(_) => Err(TsbError::corruption(format!(
-                "expected an index node at {addr}, found a data node"
-            ))),
-        }
-    }
-
     /// Whether content-only rewrites on this tree should describe
     /// themselves as logical [`PageOp`] deltas for the redo log. Callers
     /// on the hot path use this to skip building the ops (and the version
@@ -2417,19 +2394,6 @@ impl Deref for DataRef {
         match &*self.0 {
             Node::Data(n) => n,
             Node::Index(_) => unreachable!("DataRef only wraps data nodes"),
-        }
-    }
-}
-
-/// A shared read handle to a cached index node.
-pub(crate) struct IndexRef(Arc<Node>);
-
-impl Deref for IndexRef {
-    type Target = IndexNode;
-    fn deref(&self) -> &IndexNode {
-        match &*self.0 {
-            Node::Index(n) => n,
-            Node::Data(_) => unreachable!("IndexRef only wraps index nodes"),
         }
     }
 }

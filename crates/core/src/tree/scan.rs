@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use tsb_common::{Key, KeyRange, Timestamp, TsbResult, Version};
+use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbResult, Version};
 
 use crate::node::{Node, NodeAddr};
 
@@ -121,45 +121,7 @@ impl TsbTree {
     /// the paper's "find all past versions of a given record". Redundant
     /// copies created by time splits are reported once.
     pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
-        let mut leaves: Vec<NodeAddr> = Vec::new();
-        let mut visited: HashSet<NodeAddr> = HashSet::new();
-        self.collect_leaves_for_key(self.current_root(), key, &mut visited, &mut leaves)?;
-
-        let mut seen: HashSet<Timestamp> = HashSet::new();
-        let mut versions: Vec<Version> = Vec::new();
-        for leaf in leaves {
-            let data = self.read_data(leaf)?;
-            for v in data.versions_of(key) {
-                if let Some(ts) = v.commit_time() {
-                    if seen.insert(ts) {
-                        versions.push(v.clone());
-                    }
-                }
-            }
-        }
-        versions.sort_by_key(|v| v.commit_time().unwrap_or(Timestamp::MAX));
-        Ok(versions)
-    }
-
-    fn collect_leaves_for_key(
-        &self,
-        addr: NodeAddr,
-        key: &Key,
-        visited: &mut HashSet<NodeAddr>,
-        leaves: &mut Vec<NodeAddr>,
-    ) -> TsbResult<()> {
-        if !visited.insert(addr) {
-            return Ok(());
-        }
-        match &*self.read_node(addr)? {
-            Node::Data(_) => leaves.push(addr),
-            Node::Index(index) => {
-                for entry in index.children_containing_key(key) {
-                    self.collect_leaves_for_key(entry.child, key, visited, leaves)?;
-                }
-            }
-        }
-        Ok(())
+        self.history_between(key, TimeRange::full())
     }
 
     /// The number of distinct keys ever written (alive or deleted), obtained

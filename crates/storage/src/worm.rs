@@ -27,7 +27,7 @@
 //! comparisons are apples-to-apples.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -55,13 +55,9 @@ impl SectorId {
     }
 }
 
-enum Backend {
-    Memory { data: Vec<u8> },
-    File { file: File },
-}
-
 struct Inner {
-    backend: Backend,
+    /// The device bytes of the in-memory backend (empty when file-backed).
+    memory: Vec<u8>,
     /// Optional crash-injection hook consulted by `append`.
     injector: Option<Arc<FaultInjector>>,
     /// Next sector that has never been allocated.
@@ -76,6 +72,12 @@ struct Inner {
 /// The append-only, sector-granular historical store.
 pub struct WormStore {
     sector_size: usize,
+    /// The device of the file backend; `None` for the in-memory backend.
+    /// Every access is positional (`read_exact_at` / `write_all_at`), so
+    /// there is no seek cursor to share and the handle sits outside `inner`:
+    /// writers serialize on `inner`, and a reader touches only sectors that
+    /// `inner.written` marked burned after their write completed.
+    file: Option<File>,
     inner: Mutex<Inner>,
     stats: Arc<IoStats>,
 }
@@ -95,8 +97,9 @@ impl WormStore {
     pub fn in_memory(sector_size: usize, stats: Arc<IoStats>) -> Self {
         WormStore {
             sector_size,
+            file: None,
             inner: Mutex::new(Inner {
-                backend: Backend::Memory { data: Vec::new() },
+                memory: Vec::new(),
                 injector: None,
                 next_free_sector: 0,
                 written: Vec::new(),
@@ -126,8 +129,9 @@ impl WormStore {
         let sectors = len.div_ceil(sector_size as u64);
         Ok(WormStore {
             sector_size,
+            file: Some(file),
             inner: Mutex::new(Inner {
-                backend: Backend::File { file },
+                memory: Vec::new(),
                 injector: None,
                 next_free_sector: sectors,
                 written: vec![true; sectors as usize],
@@ -152,47 +156,58 @@ impl WormStore {
         self.inner.lock().injector = Some(injector);
     }
 
-    fn write_at(inner: &mut Inner, offset: u64, bytes: &[u8]) -> TsbResult<()> {
-        match &mut inner.backend {
-            Backend::Memory { data } => {
+    /// Writes `bytes` at `offset`. The caller holds `inner`, which is what
+    /// serializes writers.
+    fn write_at(&self, inner: &mut Inner, offset: u64, bytes: &[u8]) -> TsbResult<()> {
+        match &self.file {
+            Some(file) => file.write_all_at(bytes, offset)?,
+            None => {
                 let end = (offset + bytes.len() as u64) as usize;
-                if data.len() < end {
-                    data.resize(end, 0);
+                if inner.memory.len() < end {
+                    inner.memory.resize(end, 0);
                 }
-                data[offset as usize..end].copy_from_slice(bytes);
-                Ok(())
-            }
-            Backend::File { file } => {
-                file.seek(SeekFrom::Start(offset))?;
-                file.write_all(bytes)?;
-                Ok(())
+                inner.memory[offset as usize..end].copy_from_slice(bytes);
             }
         }
+        Ok(())
     }
 
-    fn read_at(inner: &mut Inner, offset: u64, len: usize) -> TsbResult<Vec<u8>> {
-        match &mut inner.backend {
-            Backend::Memory { data } => {
-                let end = offset as usize + len;
-                if end > data.len() {
-                    return Err(TsbError::WormOutOfBounds {
-                        offset,
-                        len: len as u64,
-                    });
+    /// Reads `len` bytes at `offset` if `allowed` says the range is
+    /// readable. `inner` is held for that check (and for the in-memory
+    /// backend's copy) only: the file read happens after the lock is
+    /// released, so historical readers do not queue behind one another's
+    /// I/O. A read counts in `worm_reads` once it passes the check.
+    fn read_at(
+        &self,
+        offset: u64,
+        len: usize,
+        allowed: impl FnOnce(&Inner) -> bool,
+    ) -> TsbResult<Vec<u8>> {
+        let out_of_bounds = || TsbError::WormOutOfBounds {
+            offset,
+            len: len as u64,
+        };
+        let file = {
+            let inner = self.inner.lock();
+            if !allowed(&inner) {
+                return Err(out_of_bounds());
+            }
+            self.stats.record_worm_read();
+            match &self.file {
+                Some(file) => file,
+                None => {
+                    return inner
+                        .memory
+                        .get(offset as usize..offset as usize + len)
+                        .map(<[u8]>::to_vec)
+                        .ok_or_else(out_of_bounds)
                 }
-                Ok(data[offset as usize..end].to_vec())
             }
-            Backend::File { file } => {
-                let mut buf = vec![0u8; len];
-                file.seek(SeekFrom::Start(offset))?;
-                file.read_exact(&mut buf)
-                    .map_err(|_| TsbError::WormOutOfBounds {
-                        offset,
-                        len: len as u64,
-                    })?;
-                Ok(buf)
-            }
-        }
+        };
+        let mut buf = vec![0u8; len];
+        file.read_exact_at(&mut buf, offset)
+            .map_err(|_| out_of_bounds())?;
+        Ok(buf)
     }
 
     /// Appends a consolidated historical node to the end of the store.
@@ -221,7 +236,7 @@ impl WormStore {
 
         let mut padded = payload.to_vec();
         padded.resize((sectors_needed as usize) * self.sector_size, 0);
-        Self::write_at(&mut inner, offset, &padded)?;
+        self.write_at(&mut inner, offset, &padded)?;
 
         inner.next_free_sector += sectors_needed;
         let new_len = inner.next_free_sector as usize;
@@ -238,24 +253,18 @@ impl WormStore {
 
     /// Reads a historical node previously written by [`Self::append`].
     pub fn read(&self, addr: HistAddr) -> TsbResult<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        self.stats.record_worm_read();
-        let first_sector = addr.offset / self.sector_size as u64;
-        if !addr.offset.is_multiple_of(self.sector_size as u64) {
+        let sector_size = self.sector_size as u64;
+        if !addr.offset.is_multiple_of(sector_size) {
             return Err(TsbError::corruption(format!(
                 "historical address {addr} is not sector-aligned"
             )));
         }
-        let last_sector = (addr.offset + addr.len.max(1) as u64 - 1) / self.sector_size as u64;
-        for s in first_sector..=last_sector {
-            if !inner.written.get(s as usize).copied().unwrap_or(false) {
-                return Err(TsbError::WormOutOfBounds {
-                    offset: addr.offset,
-                    len: addr.len as u64,
-                });
-            }
-        }
-        Self::read_at(&mut inner, addr.offset, addr.len as usize)
+        let first_sector = addr.offset / sector_size;
+        let last_sector = (addr.offset + addr.len.max(1) as u64 - 1) / sector_size;
+        self.read_at(addr.offset, addr.len as usize, |inner| {
+            (first_sector..=last_sector)
+                .all(|s| inner.written.get(s as usize).copied().unwrap_or(false))
+        })
     }
 
     /// Allocates `n_sectors` consecutive sectors without writing them (the
@@ -296,7 +305,7 @@ impl WormStore {
         }
         let mut padded = payload.to_vec();
         padded.resize(self.sector_size, 0);
-        Self::write_at(&mut inner, sector.byte_offset(self.sector_size), &padded)?;
+        self.write_at(&mut inner, sector.byte_offset(self.sector_size), &padded)?;
         inner.written[idx] = true;
         inner.payload_bytes += payload.len() as u64;
         self.stats.record_worm_sector_write();
@@ -305,19 +314,16 @@ impl WormStore {
 
     /// Reads a single sector (the full sector, including padding).
     pub fn read_sector(&self, sector: SectorId) -> TsbResult<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        self.stats.record_worm_read();
-        let idx = sector.0 as usize;
-        if idx >= inner.written.len() || !inner.written[idx] {
-            return Err(TsbError::WormOutOfBounds {
-                offset: sector.byte_offset(self.sector_size),
-                len: self.sector_size as u64,
-            });
-        }
-        Self::read_at(
-            &mut inner,
+        self.read_at(
             sector.byte_offset(self.sector_size),
             self.sector_size,
+            |inner| {
+                inner
+                    .written
+                    .get(sector.0 as usize)
+                    .copied()
+                    .unwrap_or(false)
+            },
         )
     }
 
@@ -331,16 +337,9 @@ impl WormStore {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let mut inner = self.inner.lock();
-        let device = inner.next_free_sector * self.sector_size as u64;
-        if offset + len as u64 > device {
-            return Err(TsbError::WormOutOfBounds {
-                offset,
-                len: len as u64,
-            });
-        }
-        self.stats.record_worm_read();
-        Self::read_at(&mut inner, offset, len)
+        self.read_at(offset, len, |inner| {
+            offset + len as u64 <= inner.next_free_sector * self.sector_size as u64
+        })
     }
 
     /// Installs shipped device bytes at the current end of the store — the
@@ -367,7 +366,7 @@ impl WormStore {
                 bytes.len()
             )));
         }
-        Self::write_at(&mut inner, offset, bytes)?;
+        self.write_at(&mut inner, offset, bytes)?;
         let sectors = bytes.len() as u64 / self.sector_size as u64;
         let first = inner.next_free_sector;
         inner.next_free_sector += sectors;
@@ -430,8 +429,7 @@ impl WormStore {
 
     /// Flushes the file backend (no-op for the in-memory backend).
     pub fn sync(&self) -> TsbResult<()> {
-        let mut inner = self.inner.lock();
-        if let Backend::File { file } = &mut inner.backend {
+        if let Some(file) = &self.file {
             file.sync_all()?;
         }
         Ok(())
@@ -555,6 +553,117 @@ mod tests {
         assert_eq!(s.worm_appends, 1);
         assert_eq!(s.worm_sector_writes, 1);
         assert_eq!(s.worm_reads, 2);
+    }
+
+    #[test]
+    fn refused_reads_are_not_counted() {
+        let stats = Arc::new(IoStats::new());
+        let w = WormStore::in_memory(64, Arc::clone(&stats));
+        let a = w.append(&[5u8; 100]).unwrap(); // sectors 0-1
+        let ext = w.allocate_extent(1).unwrap(); // sector 2, never burned
+        w.read(a).unwrap();
+        assert_eq!(stats.snapshot().worm_reads, 1);
+
+        let misaligned = w.read(HistAddr::new(3, 4)).unwrap_err();
+        assert!(
+            matches!(misaligned, TsbError::Corruption(_)),
+            "{misaligned}"
+        );
+        let past_the_end = w.read(HistAddr::new(64, 200)).unwrap_err();
+        assert!(matches!(past_the_end, TsbError::WormOutOfBounds { .. }));
+        assert!(w.read(HistAddr::new(64 * 50, 10)).is_err());
+        assert!(w.read_sector(ext).is_err());
+        assert!(w.read_sector(SectorId(99)).is_err());
+        assert!(w.read_raw(0, 64 * 4).is_err());
+        assert_eq!(
+            stats.snapshot().worm_reads,
+            1,
+            "only the served read counts"
+        );
+    }
+
+    /// Readers re-read random already-appended nodes while one thread keeps
+    /// appending: every read returns exactly its node's payload and the
+    /// counters add up, on both backends.
+    fn concurrent_readers_see_exact_payloads(w: WormStore) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        const READERS: usize = 4;
+        const READS_EACH: usize = 2_000;
+        const WARM: usize = 8;
+        const MAX_APPENDS: usize = 20_000;
+
+        fn payload(i: usize) -> Vec<u8> {
+            (0..1 + (i * 37) % 300)
+                .map(|j| (i * 31 + j) as u8)
+                .collect()
+        }
+
+        let published: Mutex<Vec<HistAddr>> = Mutex::new(Vec::new());
+        for i in 0..WARM {
+            published.lock().push(w.append(&payload(i)).unwrap());
+        }
+        // Readers and the appender leave the barrier together; the appender
+        // then runs until the last reader is done, so every read races it.
+        let start = Barrier::new(READERS + 1);
+        let readers_left = AtomicUsize::new(READERS);
+        let appended = std::thread::scope(|scope| {
+            for r in 0..READERS {
+                let (w, published, start, readers_left) = (&w, &published, &start, &readers_left);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1);
+                    for _ in 0..READS_EACH {
+                        rng = rng
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let (i, addr) = {
+                            let published = published.lock();
+                            let i = (rng >> 33) as usize % published.len();
+                            (i, published[i])
+                        };
+                        assert_eq!(w.read(addr).unwrap(), payload(i), "node {i}");
+                    }
+                    readers_left.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            let mut i = WARM;
+            while readers_left.load(Ordering::SeqCst) > 0 {
+                if i < MAX_APPENDS {
+                    let addr = w.append(&payload(i)).unwrap();
+                    published.lock().push(addr);
+                    i += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            i
+        });
+        assert!(appended > WARM, "the appender ran beside the readers");
+        let s = w.stats().snapshot();
+        assert_eq!(s.worm_reads, (READERS * READS_EACH) as u64);
+        assert_eq!(s.worm_appends, appended as u64);
+        for (i, addr) in published.into_inner().into_iter().enumerate() {
+            assert_eq!(w.read(addr).unwrap(), payload(i));
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_beside_an_appender_in_memory() {
+        concurrent_readers_see_exact_payloads(store(64));
+    }
+
+    #[test]
+    fn concurrent_readers_beside_an_appender_on_a_file() {
+        let dir = std::env::temp_dir().join(format!("tsb-worm-readers-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hist.worm");
+        let _ = std::fs::remove_file(&path);
+        let w = WormStore::open_file(&path, 64, Arc::new(IoStats::new())).unwrap();
+        concurrent_readers_see_exact_payloads(w);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

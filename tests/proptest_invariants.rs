@@ -4,6 +4,9 @@
 //!   policy configurations, the TSB-tree answers every point/as-of/current
 //!   query exactly like the reference multiversion map, and the structural
 //!   verifier passes after every batch.
+//! * **Rectangle queries**: for arbitrary write streams (plain, explicit
+//!   timestamps, transactions) and arbitrary key × time rectangles, the
+//!   pruned temporal queries return exactly the oracle's filtered history.
 //! * **Time-split rule**: for arbitrary version multisets and split times,
 //!   the partition loses nothing, puts strictly-older versions in the
 //!   historical half, and always carries the version valid at the split time
@@ -16,7 +19,9 @@
 
 use proptest::prelude::*;
 
-use tsb_common::{Key, SplitPolicyKind, SplitTimeChoice, Timestamp, TsbConfig, Version};
+use tsb_common::{
+    Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig, Version,
+};
 use tsb_core::split::{partition_by_key, partition_by_time};
 use tsb_core::{composite_key, split_composite_key};
 use tsb_workload::Oracle;
@@ -53,6 +58,64 @@ fn policy_strategy() -> impl Strategy<Value = (SplitPolicyKind, SplitTimeChoice)
         Just(SplitTimeChoice::MedianVersion),
     ];
     (policy, choice)
+}
+
+/// A write stream for the rectangle-query property: plain writes, writes at
+/// an explicit (never older than issued) timestamp, and transactions.
+#[derive(Clone, Debug)]
+enum HistoryOp {
+    Put {
+        key: u8,
+        len: u8,
+    },
+    Delete {
+        key: u8,
+    },
+    PutAt {
+        key: u8,
+        len: u8,
+        skip: u8,
+    },
+    Txn {
+        writes: Vec<(u8, Option<u8>)>,
+        commit: bool,
+    },
+}
+
+fn history_op_strategy() -> impl Strategy<Value = HistoryOp> {
+    let key = || any::<u8>().prop_map(|k| k % 32);
+    prop_oneof![
+        5 => (key(), any::<u8>()).prop_map(|(key, len)| HistoryOp::Put { key, len }),
+        1 => key().prop_map(|key| HistoryOp::Delete { key }),
+        2 => (key(), any::<u8>(), 0u8..4)
+            .prop_map(|(key, len, skip)| HistoryOp::PutAt { key, len, skip }),
+        1 => (
+            prop::collection::vec((key(), prop::option::of(any::<u8>())), 1..5),
+            any::<bool>(),
+        )
+            .prop_map(|(writes, commit)| HistoryOp::Txn { writes, commit }),
+    ]
+}
+
+/// A window over a time axis of `0..=1000` thousandths of "now": full,
+/// open-ended, or bounded with the bounds in either order (so empty windows
+/// occur). Scaled to real timestamps once the history exists.
+fn window_strategy() -> impl Strategy<Value = (u64, Option<u64>)> {
+    prop_oneof![
+        1 => Just((0, None)),
+        2 => (0u64..1100).prop_map(|lo| (lo, None)),
+        6 => (0u64..1100, 0u64..1100).prop_map(|(lo, hi)| (lo, Some(hi))),
+    ]
+}
+
+/// A key range over the 32-key space: full, or bounded with the bounds in
+/// either order.
+fn key_range_strategy() -> impl Strategy<Value = KeyRange> {
+    prop_oneof![
+        1 => Just(KeyRange::full()),
+        5 => (0u64..34, 0u64..34)
+            .prop_map(|(lo, hi)| KeyRange::bounded(Key::from_u64(lo), Key::from_u64(hi))),
+    ]
 }
 
 fn version_strategy() -> impl Strategy<Value = Version> {
@@ -128,6 +191,112 @@ proptest! {
         if !times.is_empty() {
             let mid = times[times.len() / 2];
             prop_assert_eq!(tree.snapshot_at(mid).unwrap(), oracle.snapshot_at(mid));
+        }
+    }
+
+    /// Pruned equals unpruned, everywhere: `history_between`,
+    /// `scan_versions`, `changed_keys_between`, `versions` and
+    /// `version_count` answer arbitrary rectangles exactly like the oracle's
+    /// filtered history — under every policy, with rule-3 copies, explicit
+    /// timestamps, committed and aborted transactions, and a write still
+    /// uncommitted while the queries run.
+    #[test]
+    fn rectangle_queries_match_the_oracle(
+        ops in prop::collection::vec(history_op_strategy(), 1..220),
+        (policy, choice) in policy_strategy(),
+        rectangles in prop::collection::vec((key_range_strategy(), window_strategy()), 1..16),
+        probe_keys in prop::collection::vec(0u64..34, 1..6),
+    ) {
+        let cfg = TsbConfig::small_pages()
+            .with_split_policy(policy)
+            .with_split_time_choice(choice);
+        let mut tree = tsb_core::TsbOptions::in_memory().config(cfg).open_tree().unwrap();
+        let mut oracle = Oracle::new();
+        let value = |key: u8, len: u8| vec![key; (len % 24) as usize];
+        for op in &ops {
+            match op {
+                HistoryOp::Put { key, len } => {
+                    let ts = tree.insert(*key as u64, value(*key, *len)).unwrap();
+                    oracle.put(*key as u64, ts, value(*key, *len));
+                }
+                HistoryOp::Delete { key } => {
+                    let ts = tree.delete(*key as u64).unwrap();
+                    oracle.delete(*key as u64, ts);
+                }
+                HistoryOp::PutAt { key, len, skip } => {
+                    let ts = Timestamp(tree.now().value() + *skip as u64);
+                    tree.insert_at(*key as u64, value(*key, *len), ts).unwrap();
+                    oracle.put(*key as u64, ts, value(*key, *len));
+                }
+                HistoryOp::Txn { writes, commit } => {
+                    let txn = tree.begin_txn();
+                    let mut last: std::collections::BTreeMap<u8, Option<u8>> = Default::default();
+                    for (key, len) in writes {
+                        match len {
+                            Some(len) => tree.txn_insert(txn, *key as u64, value(*key, *len)).unwrap(),
+                            None => tree.txn_delete(txn, *key as u64).unwrap(),
+                        }
+                        last.insert(*key, *len);
+                    }
+                    if *commit {
+                        let ts = tree.commit_txn(txn).unwrap();
+                        for (key, len) in last {
+                            let value = len.map(|len| value(key, len));
+                            oracle.apply_put(Key::from_u64(key as u64), ts, value);
+                        }
+                    } else {
+                        tree.abort_txn(txn).unwrap();
+                    }
+                }
+            }
+        }
+        // An uncommitted write is in no history.
+        let pending = tree.begin_txn();
+        tree.txn_insert(pending, 3u64, b"pending".to_vec()).unwrap();
+        tree.verify().unwrap();
+
+        let expected_in = |keys: &KeyRange, window: &TimeRange| -> Vec<Version> {
+            oracle
+                .keys()
+                .filter(|key| keys.contains(key))
+                .flat_map(|key| {
+                    oracle
+                        .versions(key)
+                        .into_iter()
+                        .filter(|(ts, _)| window.contains(*ts))
+                        .map(|(ts, value)| Version {
+                            key: key.clone(),
+                            state: tsb_common::TsState::Committed(ts),
+                            value,
+                        })
+                })
+                .collect()
+        };
+        let now = tree.now().value();
+        for (keys, (lo, hi)) in &rectangles {
+            let scale = |thousandths: u64| Timestamp(thousandths * (now + 1) / 1000);
+            let window = match hi {
+                Some(hi) => TimeRange::bounded(scale(*lo), scale(*hi)),
+                None => TimeRange::from(scale(*lo)),
+            };
+            let expected = expected_in(keys, &window);
+            prop_assert_eq!(&tree.scan_versions(keys, window).unwrap(), &expected);
+            let mut changed: Vec<Key> = expected.into_iter().map(|v| v.key).collect();
+            changed.dedup();
+            prop_assert_eq!(tree.changed_keys_between(keys, window).unwrap(), changed);
+            for key in &probe_keys {
+                let key = Key::from_u64(*key);
+                prop_assert_eq!(
+                    tree.history_between(&key, window).unwrap(),
+                    expected_in(&KeyRange::point(&key), &window)
+                );
+            }
+        }
+        for key in &probe_keys {
+            let key = Key::from_u64(*key);
+            let all = expected_in(&KeyRange::point(&key), &TimeRange::full());
+            prop_assert_eq!(tree.version_count(&key).unwrap(), all.len());
+            prop_assert_eq!(tree.versions(&key).unwrap(), all);
         }
     }
 
@@ -420,6 +589,34 @@ proptest! {
                 Timestamp(u64::from(b % 1100))
             };
             compare(&key, ts)?;
+        }
+        // Rectangle routing: the pruned overlap query returns exactly what
+        // a filter over every entry returns, in the same (storage) order.
+        for pair in probes.chunks_exact(2) {
+            let ((a, b), (c, d)) = (pair[0], pair[1]);
+            let lo = Key::from_u64(u64::from(a % 1200));
+            let from = Timestamp(u64::from(b % 1100));
+            let rectangles = [
+                (
+                    KeyRange::bounded(lo.clone(), Key::from_u64(u64::from(c % 1200))),
+                    TimeRange::bounded(from, Timestamp(u64::from(d % 1100))),
+                ),
+                (KeyRange::point(&lo), TimeRange::from(from)),
+                (KeyRange::new(lo, KeyBound::PlusInfinity), TimeRange::full()),
+            ];
+            for (keys, window) in &rectangles {
+                let pruned: Vec<_> = node
+                    .children_overlapping(keys, window)
+                    .map(|e| e.child)
+                    .collect();
+                let linear: Vec<_> = node
+                    .entries()
+                    .iter()
+                    .filter(|e| e.overlaps(keys, window))
+                    .map(|e| e.child)
+                    .collect();
+                prop_assert_eq!(pruned, linear, "rectangle {} x {}", keys, window);
+            }
         }
     }
 }
