@@ -9,9 +9,12 @@
 //!   send one request and block for its reply — the closed-loop client.
 //! * **Pipelining primitives** ([`TsbClient::send`], [`TsbClient::recv_any`],
 //!   [`TsbClient::wait_for`]) let a caller queue a window of requests
-//!   before reaping replies. With several such connections (or one with a
-//!   deep window), the server batches their commits into shared fsyncs —
-//!   the over-the-wire face of the engine's pipelined group commit.
+//!   before reaping replies. `send` only queues: the whole burst reaches
+//!   the socket in **one** write when the caller next has to block for a
+//!   reply (or calls [`TsbClient::flush`]), so the server reads it as one
+//!   batch — one durability wait, one reply write — and with several such
+//!   connections (or one with a deep window) batches share fsyncs: the
+//!   over-the-wire face of the engine's pipelined group commit.
 //!
 //! Replies that arrive while waiting for a specific id are parked and
 //! handed out later; nothing is dropped. The wire format is re-exported
@@ -50,6 +53,10 @@ pub use failover::FailoverClient;
 pub use retry::{Deadline, RetryPolicy};
 
 use protocol::{FrameDecoder, Reply, Request};
+
+/// Queued request bytes at which [`TsbClient::send`] flushes on its own, so
+/// a caller that sends without ever receiving holds bounded memory.
+const SEND_BUFFER_CAP: usize = 64 * 1024;
 
 /// Connection and resilience knobs for [`TsbClient::connect_with`] and
 /// [`FailoverClient`].
@@ -169,6 +176,8 @@ pub struct TsbClient {
     parked: BTreeMap<u64, Reply>,
     next_id: u64,
     read_buf: Vec<u8>,
+    /// Encoded requests queued by [`Self::send`], not yet on the wire.
+    send_buf: Vec<u8>,
     opts: ClientOptions,
     /// The read timeout currently programmed on the socket, to avoid a
     /// setsockopt per read on the (common) deadline-free path.
@@ -217,6 +226,7 @@ impl TsbClient {
             parked: BTreeMap::new(),
             next_id: 1,
             read_buf: vec![0u8; 64 * 1024],
+            send_buf: Vec::new(),
             socket_read_timeout: opts.read_timeout,
             opts: opts.clone(),
             replica: None,
@@ -245,14 +255,41 @@ impl TsbClient {
 
     // ----- pipelining primitives -----------------------------------------
 
-    /// Sends `req` immediately and returns its request id without waiting
-    /// for the reply. Queue as many as you like; reap with
-    /// [`Self::recv_any`] or [`Self::wait_for`].
+    /// Queues `req` and returns its request id without waiting for the
+    /// reply. The request reaches the wire at the next [`Self::flush`], the
+    /// next receive that has to block ([`Self::recv_any`],
+    /// [`Self::wait_for`] and every closed-loop verb flush first), once
+    /// 64 KiB are queued, or when the client is dropped — so a burst of
+    /// sends costs one `write` and arrives at the server as one batch.
+    /// Queue as many as you like; reap with [`Self::recv_any`] or
+    /// [`Self::wait_for`]. A caller that sends and never receives must say
+    /// [`Self::flush`].
+    ///
+    /// A dead peer no longer surfaces here (nothing is written below the
+    /// 64 KiB cap): the [`TsbError::Io`] comes from the flush, i.e. from
+    /// `flush`, `recv_any` or `wait_for`.
     pub fn send(&mut self, req: &Request) -> TsbResult<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        self.stream.write_all(&protocol::encode_request(id, req))?;
+        self.send_buf
+            .extend_from_slice(&protocol::encode_request(id, req));
+        if self.send_buf.len() >= SEND_BUFFER_CAP {
+            self.flush()?;
+        }
         Ok(id)
+    }
+
+    /// Writes every queued request to the socket in one `write_all`; a
+    /// no-op when nothing is queued. On error the queue is discarded and
+    /// the connection is unusable (a partial write leaves the stream
+    /// mid-frame).
+    pub fn flush(&mut self) -> TsbResult<()> {
+        if self.send_buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.send_buf);
+        self.send_buf.clear();
+        Ok(written?)
     }
 
     /// Returns the next available reply (a parked one, else blocks on the
@@ -318,6 +355,9 @@ impl TsbClient {
                     return Ok((id, reply));
                 }
                 None => {
+                    // About to block for a reply: everything queued must
+                    // be on the wire first, or the wait is for nothing.
+                    self.flush()?;
                     self.arm_read_timeout(deadline.as_ref())?;
                     match self.stream.read(&mut self.read_buf) {
                         Ok(0) => {
@@ -583,6 +623,15 @@ impl TsbClient {
         let deadline = self.op_deadline();
         let id = self.send(&Request::Shutdown)?;
         unit(self.wait_for_by(id, deadline)?)
+    }
+}
+
+impl Drop for TsbClient {
+    /// Best effort: requests queued and never flushed still go out (a
+    /// fire-and-forget `Shutdown`, say). Errors have nowhere to go; call
+    /// [`TsbClient::flush`] to see them.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 

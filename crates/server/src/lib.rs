@@ -736,24 +736,9 @@ fn process_batch(
                 None => reply,
             },
         };
-        let frame = protocol::encode_reply(id, &reply);
-        if frame.len() - 4 > MAX_FRAME_BODY {
-            // A scan result too large for one frame: report instead of
-            // shipping an unframeable reply.
-            out.extend_from_slice(&protocol::encode_reply(
-                id,
-                &Reply::Error {
-                    code: protocol::CODE_OVERSIZED,
-                    message: format!(
-                        "reply of {} bytes exceeds the {MAX_FRAME_BODY}-byte frame limit; \
-                         narrow the range",
-                        frame.len() - 4
-                    ),
-                },
-            ));
-        } else {
-            out.extend_from_slice(&frame);
-        }
+        // A scan result too large for one frame goes out as an `oversized`
+        // error instead of an unframeable reply.
+        out.extend_from_slice(&protocol::encode_reply_within(id, &reply, MAX_FRAME_BODY));
     }
     stream.write_all(&out)?;
     Ok(stop_after)

@@ -535,6 +535,30 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 
 /// Encodes one reply as a complete frame (length prefix included).
 pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
+    frame(reply_body(id, reply))
+}
+
+/// [`encode_reply`] for the server's send path, where the reply's size is
+/// the data's doing, not the caller's: a reply whose body exceeds
+/// `max_body` ([`MAX_FRAME_BODY`] in production; a parameter so a test
+/// needs no 16 MiB scan) is answered with a [`CODE_OVERSIZED`] error on the
+/// same id instead of a frame no decoder would accept.
+pub(crate) fn encode_reply_within(id: u64, reply: &Reply, max_body: usize) -> Vec<u8> {
+    let body = reply_body(id, reply);
+    if body.len() <= max_body {
+        return frame(body);
+    }
+    let refusal = Reply::Error {
+        code: CODE_OVERSIZED,
+        message: format!(
+            "reply of {} bytes exceeds the {max_body}-byte frame limit; narrow the range",
+            body.len()
+        ),
+    };
+    frame(reply_body(id, &refusal))
+}
+
+fn reply_body(id: u64, reply: &Reply) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(32);
     w.put_u64(id);
     match reply {
@@ -665,7 +689,7 @@ pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
             w.put_u64(*epoch);
         }
     }
-    frame(w.into_vec())
+    w.into_vec()
 }
 
 fn frame(body: Vec<u8>) -> Vec<u8> {
@@ -1262,6 +1286,79 @@ mod tests {
                     },
                 }
             }
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Frames written by the commit before the CRC kernel changed (PR 13,
+    /// byte-at-a-time table), pinned as hex: they must still verify and
+    /// decode, and today's encoder must still produce exactly them — the
+    /// wire format did not move.
+    #[test]
+    fn golden_frames_from_the_parent_commit_decode_and_re_encode() {
+        let req = Request::Put {
+            key: Key::from_u64(0x0102_0304_0506_0708),
+            value: b"golden value, 23 bytes!".to_vec(),
+        };
+        let req_frame = unhex(
+            "30000000dd7b155a07000000000000000108000000010203040506070817000000\
+             676f6c64656e2076616c75652c20323320627974657321",
+        );
+        let reply = Reply::Rows {
+            rows: vec![
+                (Key::from_u64(1), b"alpha".to_vec()),
+                (Key::from("k2"), Vec::new()),
+                (Key::from_u64(u64::MAX), vec![0xEE; 19]),
+            ],
+        };
+        let reply_frame = unhex(
+            "4f000000fd9119b90900000000000000030300000008000000000000000000000105\
+             000000616c706861020000006b320000000008000000ffffffffffffffff13000000\
+             eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee",
+        );
+
+        let mut dec = FrameDecoder::new();
+        dec.feed(&req_frame);
+        dec.feed(&reply_frame);
+        let body = dec.next_frame().unwrap().unwrap();
+        assert_eq!(parse_request(&body).unwrap(), (7, req.clone()));
+        let body = dec.next_frame().unwrap().unwrap();
+        assert_eq!(parse_reply(&body).unwrap(), (9, reply.clone()));
+        assert_eq!(dec.buffered(), 0);
+
+        assert_eq!(encode_request(7, &req), req_frame);
+        assert_eq!(encode_reply(9, &reply), reply_frame);
+    }
+
+    /// The limit is on the *body* (the header is 8 bytes and not counted):
+    /// a body of exactly the limit is legal, one byte more is answered
+    /// with `oversized` on the same id — never a panic, never an
+    /// unframeable reply.
+    #[test]
+    fn a_reply_past_the_limit_becomes_an_oversized_error() {
+        let reply = Reply::Rows {
+            rows: (0..8u64).map(|i| (Key::from_u64(i), vec![7; 40])).collect(),
+        };
+        let whole = encode_reply(5, &reply);
+        let body_len = whole.len() - 8;
+        assert_eq!(encode_reply_within(5, &reply, body_len), whole);
+
+        let refused = encode_reply_within(5, &reply, body_len - 1);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&refused);
+        let body = dec.next_frame().unwrap().unwrap();
+        match parse_reply(&body).unwrap() {
+            (5, Reply::Error { code, message }) => {
+                assert_eq!(code, CODE_OVERSIZED);
+                assert!(message.contains(&body_len.to_string()), "{message}");
+            }
+            other => panic!("expected an oversized error on id 5, got {other:?}"),
         }
     }
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 use tsb_client::TsbClient;
-use tsb_common::{FsyncPolicy, Key, TsbConfig};
+use tsb_common::{FsyncPolicy, Key, TsbConfig, TxnId};
 use tsb_core::sharded::shard_of;
 use tsb_core::EngineHandle;
 
@@ -209,106 +209,141 @@ fn straddling_keys(round: u64) -> Vec<u64> {
     picked.into_iter().map(Option::unwrap).collect()
 }
 
+/// Begins a transaction and buffers one write per shard in it (value
+/// `txn-{round}-{key}`); the caller decides how to commit.
+fn write_straddling_txn(client: &mut TsbClient, round: u64) -> (TxnId, Vec<u64>) {
+    let keys = straddling_keys(round);
+    let txn = client.txn_begin().expect("txn_begin");
+    for k in &keys {
+        client
+            .txn_write(
+                txn,
+                Key::from_u64(*k),
+                Some(format!("txn-{round}-{k}").into_bytes()),
+            )
+            .expect("txn_write");
+    }
+    (txn, keys)
+}
+
 /// The sharded served path under SIGKILL: `--shards 4 --fsync always`,
 /// plain puts interleaved with cross-shard transactions, the process
 /// killed with a commit still in flight. Zero acknowledged writes lost and
 /// zero partially-committed cross-shard transactions.
+///
+/// The in-flight commit is probed over several kill/reopen rounds on the
+/// same directory: killed the instant the commit is on the wire until it
+/// is seen lost, then killed ever later until it is seen applied. Both
+/// outcomes must occur — a probe whose commit never left the client (the
+/// client queues sends; see the `flush()` below) would pass the
+/// all-or-nothing check vacuously with "nothing" every time.
 #[test]
 fn kill_nine_sharded_server_loses_no_acks_and_no_partial_commits() {
+    use std::time::Duration;
     use tsb_client::protocol::Request;
 
     let dir = TempDir::new("sharded");
     let mut acked_puts: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut acked_txns: Vec<(Vec<u64>, u64)> = Vec::new();
-    let inflight: (Vec<u64>, u64) = {
-        let (mut server, addr) = spawn_server_with(dir.path(), "always", &["--shards", "4"]);
-        let mut client = TsbClient::connect(addr).expect("connect");
+    let (mut seen_lost, mut seen_applied) = (false, false);
+    let mut kill_delay = Duration::ZERO;
 
-        for round in 0u64..10 {
-            for j in 0u64..6 {
-                let key = round * 6 + j;
-                let value = format!("put-{key}").into_bytes();
-                client.put(Key::from_u64(key), value.clone()).expect("put");
-                acked_puts.retain(|(k, _)| *k != key);
-                acked_puts.push((key, value));
-            }
-            let keys = straddling_keys(round);
-            let txn = client.txn_begin().expect("txn_begin");
-            for k in &keys {
-                client
-                    .txn_write(
-                        txn,
-                        Key::from_u64(*k),
-                        Some(format!("txn-{round}-{k}").into_bytes()),
-                    )
-                    .expect("txn_write");
-            }
-            client.txn_commit(txn).expect("txn_commit");
-            acked_txns.push((keys, round));
-        }
+    for probe in 0u64..16 {
+        let (keys, round) = {
+            let (mut server, addr) = spawn_server_with(dir.path(), "always", &["--shards", "4"]);
+            let mut client = TsbClient::connect(addr).expect("connect");
 
-        // One last cross-shard commit sent but never awaited: SIGKILL lands
-        // with the two-phase fence possibly mid-flight. Whatever happened,
-        // it must not be partial.
-        let round = 10u64;
-        let keys = straddling_keys(round);
-        let txn = client.txn_begin().expect("txn_begin");
-        for k in &keys {
+            if probe == 0 {
+                for round in 0u64..10 {
+                    for j in 0u64..6 {
+                        let key = round * 6 + j;
+                        let value = format!("put-{key}").into_bytes();
+                        client.put(Key::from_u64(key), value.clone()).expect("put");
+                        acked_puts.retain(|(k, _)| *k != key);
+                        acked_puts.push((key, value));
+                    }
+                    let (txn, keys) = write_straddling_txn(&mut client, round);
+                    client.txn_commit(txn).expect("txn_commit");
+                    acked_txns.push((keys, round));
+                }
+            }
+
+            // A cross-shard commit sent but never awaited: SIGKILL lands
+            // with the two-phase fence possibly mid-flight. Whatever
+            // happened, it must not be partial.
+            let round = 10 + probe;
+            let (txn, keys) = write_straddling_txn(&mut client, round);
             client
-                .txn_write(
-                    txn,
-                    Key::from_u64(*k),
-                    Some(format!("txn-{round}-{k}").into_bytes()),
-                )
-                .expect("txn_write");
-        }
-        client
-            .send(&Request::TxnCommit { txn })
-            .expect("send commit");
+                .send(&Request::TxnCommit { txn })
+                .expect("send commit");
+            // Nothing receives after this send, so nothing else would put
+            // it on the wire.
+            client.flush().expect("flush commit");
 
-        server.0.kill().expect("kill -9");
-        server.0.wait().expect("reap");
-        (keys, round)
-    };
+            std::thread::sleep(kill_delay);
+            server.0.kill().expect("kill -9");
+            server.0.wait().expect("reap");
+            (keys, round)
+        };
 
-    let cfg = TsbConfig {
-        fsync_policy: FsyncPolicy::Always,
-        ..TsbConfig::small_pages()
-    };
-    let reopened = tsb_core::TsbOptions::durable(dir.path())
-        .config(cfg)
-        .shards(4)
-        .open()
-        .expect("sharded reopen");
-    reopened.verify().expect("verify");
-    for (k, value) in &acked_puts {
-        assert_eq!(
-            reopened.get_current(&Key::from_u64(*k)).expect("get"),
-            Some(value.clone()),
-            "acknowledged put {k} lost after kill -9"
-        );
-    }
-    for (keys, round) in &acked_txns {
-        for k in keys {
+        let cfg = TsbConfig {
+            fsync_policy: FsyncPolicy::Always,
+            ..TsbConfig::small_pages()
+        };
+        let reopened = tsb_core::TsbOptions::durable(dir.path())
+            .config(cfg)
+            .shards(4)
+            .open()
+            .expect("sharded reopen");
+        reopened.verify().expect("verify");
+        for (k, value) in &acked_puts {
             assert_eq!(
                 reopened.get_current(&Key::from_u64(*k)).expect("get"),
-                Some(format!("txn-{round}-{k}").into_bytes()),
-                "acknowledged cross-shard txn {round} lost key {k}"
+                Some(value.clone()),
+                "acknowledged put {k} lost after kill -9"
             );
         }
+        for (keys, round) in &acked_txns {
+            for k in keys {
+                assert_eq!(
+                    reopened.get_current(&Key::from_u64(*k)).expect("get"),
+                    Some(format!("txn-{round}-{k}").into_bytes()),
+                    "acknowledged cross-shard txn {round} lost key {k}"
+                );
+            }
+        }
+        // The in-flight commit: all four shards or none of them.
+        let present = keys
+            .iter()
+            .filter(|k| {
+                reopened.get_current(&Key::from_u64(**k)).expect("get")
+                    == Some(format!("txn-{round}-{k}").into_bytes())
+            })
+            .count();
+        assert!(
+            present == 0 || present == keys.len(),
+            "in-flight cross-shard txn committed on {present}/{} shards after kill -9",
+            keys.len()
+        );
+        if present == 0 {
+            seen_lost = true;
+        } else {
+            // Survived without an ack: from here on it is as good as
+            // acknowledged, and later rounds must keep it.
+            seen_applied = true;
+            acked_txns.push((keys, round));
+        }
+        if seen_lost && seen_applied {
+            break;
+        }
+        if seen_lost {
+            kill_delay = (kill_delay * 4).max(Duration::from_millis(1));
+        }
     }
-    // The in-flight commit: all four shards or none of them.
-    let (keys, round) = inflight;
-    let present = keys
-        .iter()
-        .filter(|k| {
-            reopened.get_current(&Key::from_u64(**k)).expect("get")
-                == Some(format!("txn-{round}-{k}").into_bytes())
-        })
-        .count();
     assert!(
-        present == 0 || present == keys.len(),
-        "in-flight cross-shard txn committed on {present}/{} shards after kill -9",
-        keys.len()
+        seen_lost && seen_applied,
+        "the in-flight commit probe must see both outcomes over its rounds \
+         (lost: {seen_lost}, applied: {seen_applied}); 'never applied' means the commit \
+         is not reaching the server before the kill"
     );
 }

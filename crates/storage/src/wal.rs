@@ -1937,10 +1937,55 @@ mod tests {
         table.assert_covered(PageId(0));
     }
 
+    /// A log written by the commit before the CRC kernel changed (PR 13,
+    /// byte-at-a-time table), pinned as hex: an image, a delta, a commit
+    /// and a checkpoint, with bodies of 53, 56, 45 and 24 bytes. It must
+    /// replay whole, and today's appender must write exactly these bytes —
+    /// the record format did not move.
     #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn golden_log_from_the_parent_commit_replays_and_rewrites_identically() {
+        const GOLDEN: &str = "\
+            35000000b54ef1700100000000000000010700000000000000200000000101010101\
+            01010101010101010101010101010101010101010101010101010138000000b51a26\
+            bd020000000000000004070000000000000001080000000000000000000003002900\
+            000000000000010c0000007676767676767676767676762d00000080dee4ce030000\
+            0000000000022a00000000000000000000000000000010000000abababababababab\
+            abababababababab18000000a4539d36040000000000000003800000000000000003\
+            000000010203";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let written = [
+            page_image(7, 1),
+            delta(7, 3, 41),
+            commit(42),
+            WalRecord::Checkpoint {
+                worm_len: 128,
+                meta: vec![1, 2, 3],
+            },
+        ];
+
+        let path = temp_wal_path("golden");
+        std::fs::write(&path, &golden).unwrap();
+        let stats = Arc::new(IoStats::new());
+        let (wal, scan) = Wal::open(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
+        assert!(!scan.truncated_torn_tail);
+        assert_eq!(scan.records.len(), written.len());
+        for (i, (lsn, rec)) in scan.records.iter().enumerate() {
+            assert_eq!(*lsn, (i + 1) as Lsn);
+            assert_eq!(rec, &written[i]);
+        }
+        drop(wal);
+
+        let _ = std::fs::remove_file(&path);
+        {
+            let wal = Wal::create(&path, FsyncPolicy::Always, stats).unwrap();
+            for rec in &written {
+                wal.append(rec).unwrap();
+            }
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+        let _ = std::fs::remove_file(&path);
     }
 }
