@@ -8,22 +8,24 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use tsb_common::{
     FsyncPolicy, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig,
 };
-use tsb_core::{ConcurrentTsb, TsbTree};
+use tsb_core::{ConcurrentTsb, Node, NodeAddr, TsbTree};
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
 use tsb_bench::measure::experiment_config;
 
 fn build_db(ops_count: usize, keys: u64) -> (TsbTree, Vec<Timestamp>) {
+    let cfg = experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate);
+    build_db_with(cfg, ops_count, keys)
+}
+
+fn build_db_with(cfg: TsbConfig, ops_count: usize, keys: u64) -> (TsbTree, Vec<Timestamp>) {
     let spec = WorkloadSpec::default()
         .with_ops(ops_count)
         .with_keys(keys)
         .with_update_ratio(4.0)
         .with_value_size(100);
     let mut tree = tsb_core::TsbOptions::in_memory()
-        .config(experiment_config(
-            SplitPolicyKind::default(),
-            SplitTimeChoice::LastUpdate,
-        ))
+        .config(cfg)
         .open_tree()
         .unwrap();
     let mut stamps = Vec::new();
@@ -169,6 +171,66 @@ fn bench_descent_cache(c: &mut Criterion) {
     );
 }
 
+/// What a historical node costs when it misses the decoded-node cache, the
+/// device aside: decode the image, answer one point lookup, drop the node.
+/// `read_node_bypass` stands in for the miss — it neither consults nor fills
+/// the node cache, and the in-memory WORM makes the read a `memcpy` — over a
+/// ring of distinct nodes, so no image stays hot in L1. Engine-default 4 KiB
+/// pages: about 30 versions to a leaf, 50 children to an index node.
+fn bench_historical_miss(c: &mut Criterion) {
+    const RING: usize = 512;
+    const KEYS: u64 = 2_000;
+    let (tree, stamps) = build_db_with(TsbConfig::default(), 200_000, KEYS);
+    let mut leaves: Vec<(NodeAddr, Key, Timestamp)> = Vec::new();
+    let mut indexes = leaves.clone();
+    // Probe the older half of history, which has all migrated.
+    for i in 0..20_000usize {
+        let key = Key::from_u64((i as u64 * 7) % KEYS);
+        let ts = stamps[(i * 7919) % (stamps.len() / 2)];
+        let path = tree.lookup_path(&key, ts).unwrap();
+        for (depth, addr) in path.iter().enumerate() {
+            let ring = if depth + 1 == path.len() {
+                &mut leaves
+            } else {
+                &mut indexes
+            };
+            if addr.is_historical() && ring.len() < RING && ring.iter().all(|(a, ..)| a != addr) {
+                ring.push((*addr, key.clone(), ts));
+            }
+        }
+    }
+    let mut group = c.benchmark_group("B2_historical_miss");
+    group.sample_size(30);
+    for (kind, ring) in [("leaf", &leaves), ("index", &indexes)] {
+        if ring.is_empty() {
+            println!("B2_historical_miss/{kind}: no historical {kind} node in this build");
+            continue;
+        }
+        let mut entries = 0usize;
+        let mut i = 0usize;
+        group.bench_function(format!("{kind}_{}_nodes", ring.len()), |b| {
+            b.iter(|| {
+                i = (i + 1) % ring.len();
+                let (addr, key, ts) = &ring[i];
+                match tree.read_node_bypass(*addr).unwrap() {
+                    Node::Data(leaf) => {
+                        entries = leaf.len();
+                        leaf.find_as_of(key, *ts).map(|v| v.value.map(<[u8]>::len))
+                    }
+                    Node::Index(index) => {
+                        entries = index.len();
+                        index
+                            .find_child(key, *ts)
+                            .map(|e| Some(e.child.is_current() as usize))
+                    }
+                }
+            })
+        });
+        println!("    (last {kind} node decoded held {entries} entries)");
+    }
+    group.finish();
+}
+
 /// Historical as-of lookups against a file-backed WORM store with a node
 /// cache far smaller than the history, so nearly every lookup decodes a
 /// historical node read from the device. One iteration is 2 000 lookups per
@@ -231,6 +293,7 @@ criterion_group!(
     benches,
     bench_queries,
     bench_descent_cache,
+    bench_historical_miss,
     bench_historical_readers
 );
 criterion_main!(benches);

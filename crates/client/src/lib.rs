@@ -268,11 +268,27 @@ impl TsbClient {
     /// A dead peer no longer surfaces here (nothing is written below the
     /// 64 KiB cap): the [`TsbError::Io`] comes from the flush, i.e. from
     /// `flush`, `recv_any` or `wait_for`.
+    ///
+    /// A request whose body passes the frame limit (16 MiB) is refused
+    /// here with [`TsbError::EntryTooLarge`], before anything is queued:
+    /// the server's decoder would refuse the frame and close the
+    /// connection with every request behind it. The id is not consumed.
     pub fn send(&mut self, req: &Request) -> TsbResult<u64> {
+        self.send_within(req, protocol::MAX_FRAME_BODY)
+    }
+
+    /// [`Self::send`] with the frame limit as a parameter, so the refusal
+    /// is testable without a 16 MiB value.
+    fn send_within(&mut self, req: &Request, max_body: usize) -> TsbResult<u64> {
         let id = self.next_id;
+        let frame = protocol::encode_request_within(id, req, max_body).map_err(|body_len| {
+            TsbError::EntryTooLarge {
+                entry_size: body_len,
+                capacity: max_body,
+            }
+        })?;
         self.next_id += 1;
-        self.send_buf
-            .extend_from_slice(&protocol::encode_request(id, req));
+        self.send_buf.extend_from_slice(&frame);
         if self.send_buf.len() >= SEND_BUFFER_CAP {
             self.flush()?;
         }
@@ -713,4 +729,45 @@ fn unexpected<T>(wanted: &str, got: Reply) -> TsbResult<T> {
             "protocol: expected a {wanted} reply, got {other:?}"
         )),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// An oversized request is refused with a typed error before anything
+    /// is queued: the id is not consumed, nothing reaches the wire, and the
+    /// connection carries the next request as if nothing had happened.
+    #[test]
+    fn an_oversized_request_is_refused_before_it_is_queued() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TsbClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("peer timeout");
+
+        let big = Request::Put {
+            key: Key::from_u64(1),
+            value: vec![9; 200],
+        };
+        let body_len = protocol::encode_request(0, &big).len() - 8;
+        match client.send_within(&big, body_len - 1) {
+            Err(TsbError::EntryTooLarge {
+                entry_size,
+                capacity,
+            }) => assert_eq!((entry_size, capacity), (body_len, body_len - 1)),
+            other => panic!("expected EntryTooLarge, got {other:?}"),
+        }
+        assert!(client.send_buf.is_empty(), "nothing may be queued");
+
+        // At the limit it goes through, under the id the refusal left.
+        let id = client.send_within(&big, body_len).expect("fits");
+        client.flush().expect("flush");
+        let expected = protocol::encode_request(id, &big);
+        let mut wire = vec![0u8; expected.len()];
+        peer.read_exact(&mut wire).expect("the frame arrives");
+        assert_eq!(wire, expected);
+        assert_eq!(client.send(&Request::Ping).expect("ping"), id + 1);
+    }
 }

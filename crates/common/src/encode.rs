@@ -34,6 +34,11 @@ impl ByteWriter {
         }
     }
 
+    /// Creates a writer that appends to `buf`, keeping what it holds.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -215,6 +220,14 @@ pub mod size {
     }
 }
 
+/// The error for a bad discriminant byte, built out of line so decoders
+/// that match on a tag inline to a compare and a branch.
+#[cold]
+#[inline(never)]
+pub fn invalid_tag(what: &str, tag: u8) -> TsbError {
+    TsbError::corruption(format!("invalid {what} tag {tag}"))
+}
+
 /// Reads primitive values from a byte slice, failing with
 /// [`TsbError::Corruption`] instead of panicking.
 #[derive(Debug)]
@@ -225,56 +238,73 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Creates a reader over `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
     /// Current read offset.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Number of bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether the reader is exhausted.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> TsbResult<&'a [u8]> {
         if self.remaining() < n {
-            return Err(TsbError::corruption(format!(
-                "truncated input: need {n} bytes at offset {}, only {} remaining",
-                self.pos,
-                self.remaining()
-            )));
+            return Err(self.truncated(n));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
 
+    /// Error construction stays out of line so the accessors inline to a
+    /// bounds check and a load.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize) -> TsbError {
+        TsbError::corruption(format!(
+            "truncated input: need {n} bytes at offset {}, only {} remaining",
+            self.pos,
+            self.remaining()
+        ))
+    }
+
     /// Reads a single byte.
+    #[inline]
     pub fn get_u8(&mut self) -> TsbResult<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> TsbResult<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> TsbResult<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> TsbResult<u64> {
         let b = self.take(8)?;
         let mut a = [0u8; 8];
@@ -283,11 +313,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn get_raw(&mut self, n: usize) -> TsbResult<&'a [u8]> {
         self.take(n)
     }
 
     /// Reads a `u32`-length-prefixed byte string.
+    #[inline]
     pub fn get_bytes(&mut self) -> TsbResult<Vec<u8>> {
         let len = self.get_u32()? as usize;
         Ok(self.take(len)?.to_vec())
@@ -295,21 +327,24 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a key. Decodes straight from the input slice, so small keys
     /// are materialized inline without a heap allocation.
+    #[inline]
     pub fn get_key(&mut self) -> TsbResult<Key> {
         let len = self.get_u32()? as usize;
         Ok(Key::from_bytes(self.take(len)?))
     }
 
     /// Reads a key bound.
+    #[inline]
     pub fn get_key_bound(&mut self) -> TsbResult<KeyBound> {
         match self.get_u8()? {
             0 => Ok(KeyBound::Finite(self.get_key()?)),
             1 => Ok(KeyBound::PlusInfinity),
-            t => Err(TsbError::corruption(format!("invalid key-bound tag {t}"))),
+            t => Err(invalid_tag("key-bound", t)),
         }
     }
 
     /// Reads a key range.
+    #[inline]
     pub fn get_key_range(&mut self) -> TsbResult<KeyRange> {
         let lo = self.get_key()?;
         let hi = self.get_key_bound()?;
@@ -317,20 +352,23 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a timestamp.
+    #[inline]
     pub fn get_timestamp(&mut self) -> TsbResult<Timestamp> {
         Ok(Timestamp(self.get_u64()?))
     }
 
     /// Reads a time bound.
+    #[inline]
     pub fn get_time_bound(&mut self) -> TsbResult<TimeBound> {
         match self.get_u8()? {
             0 => Ok(TimeBound::Finite(self.get_timestamp()?)),
             1 => Ok(TimeBound::Infinity),
-            t => Err(TsbError::corruption(format!("invalid time-bound tag {t}"))),
+            t => Err(invalid_tag("time-bound", t)),
         }
     }
 
     /// Reads a time range.
+    #[inline]
     pub fn get_time_range(&mut self) -> TsbResult<TimeRange> {
         let lo = self.get_timestamp()?;
         let hi = self.get_time_bound()?;
@@ -338,24 +376,24 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a timestamp state.
+    #[inline]
     pub fn get_ts_state(&mut self) -> TsbResult<TsState> {
         match self.get_u8()? {
             0 => Ok(TsState::Committed(self.get_timestamp()?)),
             1 => Ok(TsState::Uncommitted(TxnId(self.get_u64()?))),
-            t => Err(TsbError::corruption(format!("invalid ts-state tag {t}"))),
+            t => Err(invalid_tag("ts-state", t)),
         }
     }
 
     /// Reads a version entry.
+    #[inline]
     pub fn get_version(&mut self) -> TsbResult<Version> {
         let key = self.get_key()?;
         let state = self.get_ts_state()?;
         let value = match self.get_u8()? {
             0 => None,
             1 => Some(self.get_bytes()?),
-            t => Err(TsbError::corruption(format!(
-                "invalid version value tag {t}"
-            )))?,
+            t => return Err(invalid_tag("version value", t)),
         };
         Ok(Version { key, state, value })
     }

@@ -8,6 +8,21 @@
 //! access what the model says it is: a hash lookup handing out a shared,
 //! already-decoded node.
 //!
+//! What sits in the cache is cheap to make and cheap to drop: a [`Node`] is
+//! its page image plus one `u32` offset per entry (see
+//! [`crate::node::data`]), so the three cache events cost
+//!
+//! * a **hit**: the hash lookup, the LRU touch and an `Arc` clone — the
+//!   shard latch is held for nothing else;
+//! * a **miss**: the device read (outside any latch), whose buffer becomes
+//!   the node, one walk of it to check lengths and tags and record the
+//!   offsets, and three allocations (the buffer, the offsets, the `Arc`)
+//!   whatever the entry count;
+//! * an **eviction**: two frees, made *after* the shard latch is released
+//!   ([`NodeCache::complete_fill`] collects its victims and drops them once
+//!   the guard is gone), so a second reader never waits on another thread's
+//!   frees.
+//!
 //! Design points:
 //!
 //! * **Both devices.** Current pages and immutable historical (WORM) nodes
@@ -240,7 +255,9 @@ impl NodeCache {
             },
         );
         shard.lru.touch(addr);
-        self.evict_clean_overflow(&mut shard);
+        let evicted = self.evict_clean_overflow(&mut shard);
+        drop(shard);
+        drop(evicted);
         node
     }
 
@@ -263,10 +280,12 @@ impl NodeCache {
         let addr = NodeAddr::Current(page);
         let mut shard = self.shard(&addr).lock();
         shard.stamp += 1;
-        shard.entries.insert(addr, CacheEntry { node, dirty: true });
+        let replaced = shard.entries.insert(addr, CacheEntry { node, dirty: true });
         shard.dirty_lru.touch(addr);
         shard.lru.touch(addr);
-        self.evict_clean_overflow(&mut shard);
+        let evicted = self.evict_clean_overflow(&mut shard);
+        drop(shard);
+        drop((replaced, evicted));
     }
 
     /// Writer-side dirty residency control. If `addr`'s shard holds more
@@ -320,7 +339,13 @@ impl NodeCache {
     /// always writer-serialized) marks them clean; the shard may
     /// temporarily exceed its capacity by the writer's dirty working set.
     /// This also keeps the read path free of page I/O entirely.
-    fn evict_clean_overflow(&self, shard: &mut Shard) {
+    ///
+    /// The victims are *returned*, not dropped: the caller lets them go
+    /// after releasing the shard latch, so the next reader of this shard
+    /// never waits on another thread's frees.
+    #[must_use = "drop the victims after releasing the shard latch"]
+    fn evict_clean_overflow(&self, shard: &mut Shard) -> Vec<Arc<Node>> {
+        let mut evicted = Vec::new();
         let mut pinned_dirty = Vec::new();
         while shard.entries.len().saturating_sub(shard.dirty_lru.len()) > self.shard_capacity {
             let Some(victim) = shard.lru.pop_lru() else {
@@ -328,8 +353,8 @@ impl NodeCache {
             };
             if shard.entries.get(&victim).is_some_and(|e| e.dirty) {
                 pinned_dirty.push(victim);
-            } else {
-                shard.entries.remove(&victim);
+            } else if let Some(entry) = shard.entries.remove(&victim) {
+                evicted.push(entry.node);
             }
         }
         // Pinned dirty entries rejoin the recency order as most recently
@@ -338,6 +363,7 @@ impl NodeCache {
         for addr in pinned_dirty {
             shard.lru.touch(addr);
         }
+        evicted
     }
 
     /// Invalidates one address (page freed, node superseded out of band).
@@ -346,9 +372,11 @@ impl NodeCache {
     pub(crate) fn discard(&self, addr: NodeAddr) {
         let mut shard = self.shard(&addr).lock();
         shard.stamp += 1;
-        shard.entries.remove(&addr);
+        let removed = shard.entries.remove(&addr);
         shard.lru.remove(&addr);
         shard.dirty_lru.remove(&addr);
+        drop(shard);
+        drop(removed);
     }
 
     /// Drops every cached node. The caller must have flushed dirty entries
@@ -361,9 +389,11 @@ impl NodeCache {
                 "clearing a node cache with dirty entries loses writes"
             );
             shard.stamp += 1;
-            shard.entries.clear();
+            let dropped = std::mem::take(&mut shard.entries);
             shard.lru.clear();
             shard.dirty_lru.clear();
+            drop(shard);
+            drop(dropped);
         }
     }
 
@@ -475,6 +505,37 @@ mod tests {
         cache.insert_clean(NodeAddr::Current(PageId(5)), node());
         cache.insert_clean(NodeAddr::Current(PageId(6)), node());
         assert_eq!(cache.len(), 2, "clean entries respect the capacity");
+    }
+
+    #[test]
+    fn eviction_hands_its_victims_out_of_the_latch() {
+        let cache = NodeCache::new(1);
+        let victim = node();
+        let watch = Arc::downgrade(&victim);
+        cache.insert_clean(NodeAddr::Current(PageId(1)), victim);
+        // A second fill, by hand, the way `complete_fill` does it.
+        let second = NodeAddr::Current(PageId(2));
+        let mut shard = cache.shards[0].lock();
+        shard.entries.insert(
+            second,
+            CacheEntry {
+                node: node(),
+                dirty: false,
+            },
+        );
+        shard.lru.touch(second);
+        let evicted = cache.evict_clean_overflow(&mut shard);
+        assert_eq!(evicted.len(), 1);
+        assert!(
+            watch.upgrade().is_some(),
+            "the victim must still be alive while the latch is held"
+        );
+        drop(shard);
+        drop(evicted);
+        assert!(
+            watch.upgrade().is_none(),
+            "and freed once the caller lets go"
+        );
     }
 
     #[test]

@@ -98,7 +98,8 @@ pub mod verify;
 pub use concurrent::{ConcurrentSnapshot, ConcurrentTsb};
 pub use engine::{EngineHandle, EngineRole};
 pub use node::{
-    DataComposition, DataNode, IndexComposition, IndexEntry, IndexNode, Node, NodeAddr,
+    DataComposition, DataNode, IndexComposition, IndexEntry, IndexEntryRef, IndexNode, Node,
+    NodeAddr, VersionRef,
 };
 pub use options::TsbOptions;
 pub use replica::{ReplicaBase, ReplicaEngine, ReplicaStatus, ReplicationSource, ShippedBatch};

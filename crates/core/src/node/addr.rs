@@ -9,8 +9,8 @@
 
 use std::fmt;
 
-use tsb_common::encode::{ByteReader, ByteWriter};
-use tsb_common::{TsbError, TsbResult};
+use tsb_common::encode::{invalid_tag, ByteReader, ByteWriter};
+use tsb_common::TsbResult;
 use tsb_storage::{HistAddr, PageId};
 
 /// The location of a TSB-tree node.
@@ -64,11 +64,20 @@ impl NodeAddr {
     }
 
     /// Decodes an address.
+    #[inline]
     pub fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
         match r.get_u8()? {
             0 => Ok(NodeAddr::Current(PageId(r.get_u64()?))),
             1 => Ok(NodeAddr::Historical(HistAddr::decode(r)?)),
-            t => Err(TsbError::corruption(format!("invalid node-addr tag {t}"))),
+            t => Err(invalid_tag("node-addr", t)),
+        }
+    }
+
+    /// Encoded size of this address in bytes.
+    pub const fn encoded_size(&self) -> usize {
+        match self {
+            NodeAddr::Current(_) => 1 + 8,
+            NodeAddr::Historical(_) => 1 + HistAddr::encoded_size(),
         }
     }
 
@@ -90,6 +99,7 @@ impl fmt::Display for NodeAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsb_common::TsbError;
 
     #[test]
     fn round_trip_both_variants() {
@@ -100,6 +110,7 @@ mod tests {
         for addr in cases {
             let mut w = ByteWriter::new();
             addr.encode(&mut w);
+            assert_eq!(w.len(), addr.encoded_size());
             assert!(w.len() <= NodeAddr::max_encoded_size());
             let mut r = ByteReader::new(w.as_slice());
             assert_eq!(NodeAddr::decode(&mut r).unwrap(), addr);

@@ -15,24 +15,166 @@
 //! node's entries may include a version whose commit time is *earlier* than
 //! the node's time-range start — the copy of the version that was valid at
 //! the split time. [`DataNode::validate`] checks exactly that shape.
+//!
+//! # In memory a leaf is its page image
+//!
+//! The paper puts history on a write-once device so that a historical node,
+//! once written, is only ever *read* (§2.2, §3.4). The in-memory leaf honours
+//! that: it is the encoded entries exactly as they sit on the device, plus a
+//! table of `u32` offsets, one per entry — not a `Vec` of owned versions.
+//!
+//! * **Decode** takes ownership of the buffer the device read returned and
+//!   walks it once, checking every length and tag and recording where each
+//!   entry starts. No key or value is copied; the cost is two allocations
+//!   (the image, which already exists, and the offsets) whatever the entry
+//!   count.
+//! * **Queries** binary-search the offsets, comparing the probe against key
+//!   bytes in place, and hand out a borrowed [`VersionRef`]. An owned
+//!   [`Version`] is built only at the API boundary, for the one entry asked
+//!   for.
+//! * **Mutations** splice the encoded entry into the image and shift the
+//!   offsets behind it. Copy-on-write of a leaf ([`Clone`]) is two `memcpy`s.
+//! * **Encode** is a header followed by one `memcpy` of the entries, and the
+//!   encoded size is known without looking at any entry.
+//! * **Drop** frees two allocations.
+//!
+//! This is the only leaf representation, for current and historical nodes
+//! alike; the on-device bytes are unchanged. Index nodes are built the same
+//! way; what the two share — the offset arithmetic, the splice, the bound on
+//! an entry count read from an image — is `node/image.rs`.
 
-use tsb_common::encode::{size, ByteReader, ByteWriter};
+use std::fmt;
+
+use tsb_common::encode::{invalid_tag, size, ByteReader};
 use tsb_common::{
-    Key, KeyRange, TimeRange, Timestamp, TsState, TsbError, TsbResult, TxnId, Version, VersionOrder,
+    Key, KeyBound, KeyRange, TimeRange, Timestamp, TsState, TsbError, TsbResult, TxnId, Version,
+    VersionOrder,
 };
+
+use super::image::{le32, le64, EntryImage};
 
 /// Node type tag burned into the first byte of every encoded node.
 pub const DATA_NODE_TAG: u8 = 1;
 
-/// A leaf node holding record versions.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DataNode {
-    /// The key range this node is responsible for.
-    pub key_range: KeyRange,
-    /// The time range this node is responsible for (`hi = +∞` ⇔ current).
-    pub time_range: TimeRange,
-    /// Versions sorted by `(key, version order)`.
-    entries: Vec<Version>,
+/// Encoded bytes of an entry with an empty key and no value: key length,
+/// state tag, timestamp or transaction id, value tag. No entry is smaller,
+/// which bounds the entry count an image of a given length can hold.
+const MIN_ENTRY_BYTES: usize = 4 + 1 + 8 + 1;
+
+/// A record version borrowed from a leaf's image: [`Version`] with the key
+/// and value as slices of the node's bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct VersionRef<'a> {
+    /// The record key's bytes.
+    pub key: &'a [u8],
+    /// Commit timestamp or writer transaction id.
+    pub state: TsState,
+    /// The record payload; `None` is a tombstone.
+    pub value: Option<&'a [u8]>,
+}
+
+impl VersionRef<'_> {
+    /// Whether the version is a tombstone.
+    pub fn is_tombstone(&self) -> bool {
+        self.value.is_none()
+    }
+
+    /// The commit timestamp, if committed.
+    pub fn commit_time(&self) -> Option<Timestamp> {
+        self.state.commit_time()
+    }
+
+    /// The key as an owned [`Key`] (inline, allocation-free, for short keys).
+    pub fn to_key(&self) -> Key {
+        Key::from_bytes(self.key)
+    }
+
+    /// Bytes this version occupies in an encoded node.
+    pub fn encoded_size(&self) -> usize {
+        MIN_ENTRY_BYTES + self.key.len() + self.value.map_or(0, |v| size::bytes(v.len()))
+    }
+
+    /// Copies the version out of the image.
+    pub fn to_version(&self) -> Version {
+        Version {
+            key: self.to_key(),
+            state: self.state,
+            value: self.value.map(<[u8]>::to_vec),
+        }
+    }
+}
+
+/// The `(key, state)` of the entry starting at the head of `entry`, and the
+/// offset of its value tag. The caller guarantees `entry` starts at an
+/// offset [`DataNode::decode`] or a mutation recorded.
+#[inline]
+fn entry_head(entry: &[u8]) -> (&[u8], TsState, usize) {
+    let state_at = 4 + le32(entry, 0);
+    let key = &entry[4..state_at];
+    let word = le64(entry, state_at + 1);
+    let state = match entry[state_at] {
+        0 => TsState::Committed(Timestamp(word)),
+        _ => TsState::Uncommitted(TxnId(word)),
+    };
+    (key, state, state_at + 9)
+}
+
+/// The entry at the head of `entry` and the bytes it occupies (same caller
+/// guarantee as [`entry_head`]).
+#[inline]
+fn parse_entry(entry: &[u8]) -> (VersionRef<'_>, usize) {
+    let (key, state, value_tag_at) = entry_head(entry);
+    let (value, len) = match entry[value_tag_at] {
+        0 => (None, value_tag_at + 1),
+        _ => {
+            let start = value_tag_at + 5;
+            let end = start + le32(entry, value_tag_at + 1);
+            (Some(&entry[start..end]), end)
+        }
+    };
+    (VersionRef { key, state, value }, len)
+}
+
+/// Iterator over a run of encoded entries, front to back. Entries describe
+/// their own length, so the walk never consults the offset table.
+pub struct Versions<'a> {
+    run: &'a [u8],
+}
+
+impl<'a> Iterator for Versions<'a> {
+    type Item = VersionRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<VersionRef<'a>> {
+        if self.run.is_empty() {
+            return None;
+        }
+        let (version, len) = parse_entry(self.run);
+        self.run = &self.run[len..];
+        Some(version)
+    }
+}
+
+/// Walks one encoded entry, checking every length and tag the way
+/// [`ByteReader::get_version`] does, without copying anything out.
+#[inline]
+fn skip_entry(r: &mut ByteReader<'_>) -> TsbResult<()> {
+    let key_len = r.get_u32()? as usize;
+    r.get_raw(key_len)?;
+    match r.get_u8()? {
+        0 | 1 => {}
+        t => return Err(invalid_tag("ts-state", t)),
+    }
+    r.get_u64()?;
+    match r.get_u8()? {
+        0 => {}
+        1 => {
+            let value_len = r.get_u32()? as usize;
+            r.get_raw(value_len)?;
+        }
+        t => return Err(invalid_tag("version value", t)),
+    }
+    Ok(())
 }
 
 /// Summary of what a full data node contains, used by the split policy
@@ -80,13 +222,45 @@ impl DataComposition {
     }
 }
 
+/// A leaf node holding record versions (see the module docs for the
+/// in-memory layout).
+#[derive(Clone)]
+pub struct DataNode {
+    /// The key range this node is responsible for.
+    pub key_range: KeyRange,
+    /// The time range this node is responsible for (`hi = +∞` ⇔ current).
+    pub time_range: TimeRange,
+    /// The encoded entries, sorted by `(key, version order)`.
+    image: EntryImage,
+}
+
+impl PartialEq for DataNode {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_range == other.key_range
+            && self.time_range == other.time_range
+            && self.image.entries() == other.image.entries()
+    }
+}
+
+impl Eq for DataNode {}
+
+impl fmt::Debug for DataNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DataNode")
+            .field("key_range", &self.key_range)
+            .field("time_range", &self.time_range)
+            .field("entries", &self.to_versions())
+            .finish()
+    }
+}
+
 impl DataNode {
     /// Creates an empty data node covering `key_range` × `time_range`.
     pub fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
         DataNode {
             key_range,
             time_range,
-            entries: Vec::new(),
+            image: EntryImage::default(),
         }
     }
 
@@ -95,8 +269,8 @@ impl DataNode {
         DataNode::new(KeyRange::full(), TimeRange::full())
     }
 
-    /// Creates a node from pre-sorted entries (used by splits). The entries
-    /// are re-sorted defensively.
+    /// Creates a node from entries (used by splits). The entries are sorted
+    /// defensively.
     pub fn from_entries(
         key_range: KeyRange,
         time_range: TimeRange,
@@ -106,23 +280,18 @@ impl DataNode {
         DataNode {
             key_range,
             time_range,
-            entries,
+            image: EntryImage::build(entries.iter(), size::version, |v, w| w.put_version(v)),
         }
-    }
-
-    /// The entries, sorted by `(key, version order)`.
-    pub fn entries(&self) -> &[Version] {
-        &self.entries
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.image.len()
     }
 
     /// Whether the node holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Whether the node is a current node (open-ended time range).
@@ -130,11 +299,66 @@ impl DataNode {
         self.time_range.is_current()
     }
 
-    /// Binary search for `(key, order)` with a fully borrowed comparator:
-    /// no probe ever clones the search key or an entry's key.
-    fn position_of(&self, key: &Key, order: VersionOrder) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by(|e| e.key.cmp(key).then_with(|| e.order().cmp(&order)))
+    /// Entry `i`, in `(key, version order)` order. Panics past the end.
+    pub fn get(&self, i: usize) -> VersionRef<'_> {
+        parse_entry(self.image.entry(i)).0
+    }
+
+    /// The entries, sorted by `(key, version order)`.
+    pub fn iter(&self) -> Versions<'_> {
+        self.run(0, self.len())
+    }
+
+    /// Entries `from..to`.
+    fn run(&self, from: usize, to: usize) -> Versions<'_> {
+        Versions {
+            run: self.image.run(from, to),
+        }
+    }
+
+    /// Every entry copied out as an owned [`Version`] — for the cold callers
+    /// (splits, WAL replay) that rearrange a whole node.
+    pub fn to_versions(&self) -> Vec<Version> {
+        self.iter().map(|v| v.to_version()).collect()
+    }
+
+    /// The key of the entry at `offset` — an entry's first field, so a
+    /// key-only probe reads nothing else.
+    #[inline]
+    fn key_at(&self, offset: u32) -> &[u8] {
+        let entry = self.image.at(offset);
+        &entry[4..4 + le32(entry, 0)]
+    }
+
+    #[inline]
+    fn sort_key_at(&self, offset: u32) -> (&[u8], VersionOrder) {
+        let (key, state, _) = entry_head(self.image.at(offset));
+        (key, state.into())
+    }
+
+    /// Index of the first entry at or after `(key, order)`. Probes compare
+    /// against the key bytes where they lie; nothing is cloned.
+    fn lower_bound(&self, key: &[u8], order: VersionOrder) -> usize {
+        self.image
+            .offsets()
+            .partition_point(|&o| self.sort_key_at(o) < (key, order))
+    }
+
+    /// Index of the first entry whose key is at or after `key`.
+    fn key_lower_bound(&self, key: &[u8]) -> usize {
+        self.image
+            .offsets()
+            .partition_point(|&o| self.key_at(o) < key)
+    }
+
+    /// Index one past the last entry of `i`'s key group.
+    fn group_end(&self, i: usize) -> usize {
+        let offsets = self.image.offsets();
+        let key = self.key_at(offsets[i]);
+        offsets[i + 1..]
+            .iter()
+            .position(|&o| self.key_at(o) != key)
+            .map_or(self.len(), |p| i + 1 + p)
     }
 
     /// Inserts (or replaces) a version. Replacement happens when an entry
@@ -143,66 +367,105 @@ impl DataNode {
     ///
     /// Returns an error if the key lies outside the node's key range (that
     /// would indicate a routing bug in the caller).
-    pub fn insert(&mut self, version: Version) -> TsbResult<()> {
+    pub fn insert(&mut self, version: &Version) -> TsbResult<()> {
         if !self.key_range.contains(&version.key) {
             return Err(TsbError::internal(format!(
                 "key {} routed to node with key range {}",
                 version.key, self.key_range
             )));
         }
-        match self.position_of(&version.key, version.order()) {
-            Ok(pos) => self.entries[pos] = version,
-            Err(pos) => self.entries.insert(pos, version),
+        let probe = (version.key.as_bytes(), version.order());
+        let pos = self.lower_bound(probe.0, probe.1);
+        if pos < self.len() && self.sort_key_at(self.image.offsets()[pos]) == probe {
+            self.image.remove(pos);
         }
+        self.image.insert(pos, |w| w.put_version(version));
         Ok(())
+    }
+
+    /// Copy-on-write [`Self::insert`]: a copy of this node with `version`
+    /// inserted, allocated once at its final size. This is the put path —
+    /// the cached leaf stays shared with concurrent readers.
+    pub fn with_inserted(&self, version: &Version) -> TsbResult<Self> {
+        let mut copy = DataNode {
+            key_range: self.key_range.clone(),
+            time_range: self.time_range,
+            image: self.image.clone_with_room(size::version(version)),
+        };
+        copy.insert(version)?;
+        Ok(copy)
     }
 
     /// Removes the uncommitted version of `key` written by `txn`, if any.
     pub fn remove_uncommitted(&mut self, key: &Key, txn: TxnId) -> Option<Version> {
-        match self.position_of(key, VersionOrder::Uncommitted(txn)) {
-            Ok(pos) => Some(self.entries.remove(pos)),
-            Err(_) => None,
+        let probe = (key.as_bytes(), VersionOrder::Uncommitted(txn));
+        let pos = self.lower_bound(probe.0, probe.1);
+        if pos == self.len() || self.sort_key_at(self.image.offsets()[pos]) != probe {
+            return None;
         }
+        let removed = self.get(pos).to_version();
+        self.image.remove(pos);
+        Some(removed)
     }
 
     /// The uncommitted version of `key`, if any (written by any transaction —
     /// there is at most one, because writers conflict on uncommitted keys).
-    pub fn find_uncommitted(&self, key: &Key) -> Option<&Version> {
-        self.versions_of(key).find(|e| e.state.is_uncommitted())
+    pub fn find_uncommitted(&self, key: &Key) -> Option<VersionRef<'_>> {
+        // Uncommitted versions sort after every committed one of their key.
+        let pos = self.lower_bound(key.as_bytes(), VersionOrder::Uncommitted(TxnId(0)));
+        (pos < self.len())
+            .then(|| self.get(pos))
+            .filter(|v| v.key == key.as_bytes())
     }
 
-    /// All versions of `key` in this node, in version order. The key's
-    /// contiguous group is located by two binary searches up front, so the
-    /// returned iterator borrows only the node — the probe key is neither
-    /// cloned nor captured.
-    pub fn versions_of(&self, key: &Key) -> impl Iterator<Item = &Version> + '_ {
-        let start = self.entries.partition_point(|e| e.key < *key);
-        let end = self.entries.partition_point(|e| e.key <= *key);
-        self.entries[start..end].iter()
+    /// All versions of `key` in this node, in version order.
+    pub fn versions_of(&self, key: &Key) -> Versions<'_> {
+        let start = self.key_lower_bound(key.as_bytes());
+        let end = self
+            .image
+            .offsets()
+            .partition_point(|&o| self.key_at(o) <= key.as_bytes());
+        self.run(start, end)
+    }
+
+    /// All versions of the keys in `keys`, in `(key, version order)` order:
+    /// two binary searches, then a walk of exactly the matching run.
+    pub fn versions_in(&self, keys: &KeyRange) -> Versions<'_> {
+        let end = match &keys.hi {
+            KeyBound::Finite(hi) => self.key_lower_bound(hi.as_bytes()),
+            KeyBound::PlusInfinity => self.len(),
+        };
+        let start = self.key_lower_bound(keys.lo.as_bytes()).min(end);
+        self.run(start, end)
     }
 
     /// The version of `key` governing time `ts`: the committed version with
     /// the largest commit time ≤ `ts`. Uncommitted versions are invisible.
-    pub fn find_as_of(&self, key: &Key, ts: Timestamp) -> Option<&Version> {
-        self.versions_of(key)
-            .filter(|v| v.commit_time().map(|t| t <= ts).unwrap_or(false))
-            .last()
+    pub fn find_as_of(&self, key: &Key, ts: Timestamp) -> Option<VersionRef<'_>> {
+        // Within a key, committed versions sort by commit time and before
+        // every uncommitted one, so the governing version is the last entry
+        // at or below `(key, Committed(ts))` — if that entry is of this key.
+        let probe = (key.as_bytes(), VersionOrder::Committed(ts));
+        let end = self
+            .image
+            .offsets()
+            .partition_point(|&o| self.sort_key_at(o) <= probe);
+        let candidate = self.get(end.checked_sub(1)?);
+        (candidate.key == key.as_bytes()).then_some(candidate)
     }
 
     /// The newest committed version of `key` (which may be a tombstone).
-    pub fn find_latest_committed(&self, key: &Key) -> Option<&Version> {
-        self.versions_of(key)
-            .filter(|v| v.state.is_committed())
-            .last()
+    pub fn find_latest_committed(&self, key: &Key) -> Option<VersionRef<'_>> {
+        self.find_as_of(key, Timestamp::MAX)
     }
 
     /// The distinct keys present, in order.
     pub fn distinct_keys(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = Vec::new();
-        for e in &self.entries {
-            if keys.last() != Some(&e.key) {
-                keys.push(e.key.clone());
-            }
+        let mut keys = Vec::new();
+        let mut i = 0;
+        while i < self.len() {
+            keys.push(self.get(i).to_key());
+            i = self.group_end(i);
         }
         keys
     }
@@ -218,28 +481,23 @@ impl DataNode {
         let mut commit_times: Vec<Timestamp> = Vec::new();
 
         let mut i = 0;
-        while i < self.entries.len() {
-            let key = &self.entries[i].key;
+        while i < self.len() {
             distinct_keys += 1;
-            let group_end = self.entries[i..]
-                .iter()
-                .position(|e| e.key != *key)
-                .map(|p| i + p)
-                .unwrap_or(self.entries.len());
-            let group = &self.entries[i..group_end];
-
+            let group_end = self.group_end(i);
             // Newest committed version in the group, if any.
-            let latest_committed_idx = group.iter().rposition(|e| e.state.is_committed());
+            let latest_committed = (i..group_end)
+                .rev()
+                .find(|&j| self.get(j).state.is_committed());
             let mut versions_seen = 0usize;
-            for (j, e) in group.iter().enumerate() {
+            for j in i..group_end {
+                let e = self.get(j);
                 match e.state {
                     TsState::Committed(t) => {
                         commit_times.push(t);
                         versions_seen += 1;
-                        let is_latest = Some(j) == latest_committed_idx;
-                        if is_latest && !e.is_tombstone() {
+                        if Some(j) == latest_committed && !e.is_tombstone() {
                             live += 1;
-                            live_bytes += size::version(e);
+                            live_bytes += e.encoded_size();
                         } else {
                             historical += 1;
                         }
@@ -250,7 +508,7 @@ impl DataNode {
                     }
                     TsState::Uncommitted(_) => {
                         uncommitted += 1;
-                        live_bytes += size::version(e);
+                        live_bytes += e.encoded_size();
                     }
                 }
             }
@@ -266,12 +524,12 @@ impl DataNode {
         };
 
         DataComposition {
-            total_entries: self.entries.len(),
+            total_entries: self.len(),
             distinct_keys,
             live_entries: live,
             historical_entries: historical,
             uncommitted_entries: uncommitted,
-            entry_bytes: self.entries.iter().map(size::version).sum(),
+            entry_bytes: self.image.entries().len(),
             live_entry_bytes: live_bytes,
             last_update_time: last_update,
             median_commit_time: median,
@@ -280,49 +538,32 @@ impl DataNode {
         }
     }
 
-    /// Encoded size of the node in bytes.
+    /// Encoded size of the node in bytes — no entry is looked at.
     pub fn encoded_size(&self) -> usize {
-        // tag + entry count + key range + time range + entries
-        1 + 4
-            + size::key_range(&self.key_range)
-            + size::time_range(&self.time_range)
-            + self.entries.iter().map(size::version).sum::<usize>()
+        self.image.encoded_size(&self.key_range, &self.time_range)
     }
 
-    /// Encodes the node.
+    /// Encodes the node: the header, then the entries copied as they are.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(self.encoded_size());
-        w.put_u8(DATA_NODE_TAG);
-        w.put_u32(self.entries.len() as u32);
-        w.put_key_range(&self.key_range);
-        w.put_time_range(&self.time_range);
-        for e in &self.entries {
-            w.put_version(e);
-        }
-        debug_assert_eq!(w.len(), self.encoded_size());
-        w.into_vec()
+        self.image
+            .encode(DATA_NODE_TAG, &self.key_range, &self.time_range)
     }
 
-    /// Decodes a node previously produced by [`Self::encode`].
-    pub fn decode(bytes: &[u8]) -> TsbResult<Self> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.get_u8()?;
-        if tag != DATA_NODE_TAG {
-            return Err(TsbError::corruption(format!(
-                "expected data node tag {DATA_NODE_TAG}, found {tag}"
-            )));
-        }
-        let count = r.get_u32()? as usize;
-        let key_range = r.get_key_range()?;
-        let time_range = r.get_time_range()?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(r.get_version()?);
-        }
+    /// Decodes a node previously produced by [`Self::encode`], keeping
+    /// `image` — the buffer the device read returned — as the node's body.
+    ///
+    /// Every entry is walked once to check its lengths and tags and to
+    /// record where it starts; nothing is copied out. Bytes after the last
+    /// entry are dropped.
+    pub fn decode(image: Vec<u8>) -> TsbResult<Self> {
+        let mut r = ByteReader::new(&image);
+        let (count, key_range, time_range) =
+            EntryImage::read_header(&mut r, DATA_NODE_TAG, "data")?;
+        let walked = EntryImage::walk(&mut r, count, MIN_ENTRY_BYTES, skip_entry)?;
         Ok(DataNode {
             key_range,
             time_range,
-            entries,
+            image: walked.into_image(image),
         })
     }
 
@@ -336,55 +577,46 @@ impl DataNode {
     ///   rule-3 duplicate of the version valid at the split time),
     /// * historical (closed time range) nodes contain no uncommitted entries.
     pub fn validate(&self) -> TsbResult<()> {
-        for w in self.entries.windows(2) {
-            if w[0].sort_key() >= w[1].sort_key() {
+        for (i, pair) in self.image.offsets().windows(2).enumerate() {
+            if self.sort_key_at(pair[0]) >= self.sort_key_at(pair[1]) {
                 return Err(TsbError::invariant(format!(
                     "data node entries out of order: {} then {}",
-                    w[0], w[1]
+                    self.get(i).to_version(),
+                    self.get(i + 1).to_version()
                 )));
             }
         }
-        let mut earlier_than_lo_per_key: Option<(&Key, usize)> = None;
-        for (idx, e) in self.entries.iter().enumerate() {
-            if !self.key_range.contains(&e.key) {
+        for (idx, e) in self.iter().enumerate() {
+            let key = e.to_key();
+            if !self.key_range.contains(&key) {
                 return Err(TsbError::invariant(format!(
                     "entry {} outside node key range {}",
-                    e, self.key_range
+                    e.to_version(),
+                    self.key_range
                 )));
             }
             if let Some(t) = e.commit_time() {
                 if !self.time_range.hi.is_above(t) {
                     return Err(TsbError::invariant(format!(
                         "entry {} at or beyond node time-range end {}",
-                        e, self.time_range
+                        e.to_version(),
+                        self.time_range
                     )));
                 }
-                if t < self.time_range.lo {
-                    // Must be the earliest version of its key in this node.
-                    let first_of_key = self
-                        .entries
-                        .iter()
-                        .position(|o| o.key == e.key)
-                        .unwrap_or(idx);
-                    if first_of_key != idx {
-                        return Err(TsbError::invariant(format!(
-                            "entry {} predates node time range {} but is not its key's earliest entry",
-                            e, self.time_range
-                        )));
-                    }
-                    if let Some((k, _)) = earlier_than_lo_per_key {
-                        if k == &e.key {
-                            return Err(TsbError::invariant(format!(
-                                "key {} has two entries before the node time range start",
-                                e.key
-                            )));
-                        }
-                    }
-                    earlier_than_lo_per_key = Some((&e.key, idx));
+                // Sorted and unique (checked above), so "its key's earliest
+                // entry" is "the first of its group" — which also rules out
+                // a second pre-range entry for the same key.
+                if t < self.time_range.lo && idx > 0 && self.get(idx - 1).key == e.key {
+                    return Err(TsbError::invariant(format!(
+                        "entry {} predates node time range {} but is not its key's earliest entry",
+                        e.to_version(),
+                        self.time_range
+                    )));
                 }
             } else if !self.is_current() {
                 return Err(TsbError::invariant(format!(
-                    "historical node contains uncommitted entry {e}"
+                    "historical node contains uncommitted entry {}",
+                    e.to_version()
                 )));
             }
         }
@@ -402,11 +634,11 @@ mod tests {
 
     fn sample_node() -> DataNode {
         let mut n = DataNode::initial_root();
-        n.insert(v(50, 1, "Joe")).unwrap();
-        n.insert(v(60, 2, "Pete")).unwrap();
-        n.insert(v(60, 4, "Pete v2")).unwrap();
-        n.insert(v(70, 3, "Mary")).unwrap();
-        n.insert(Version::uncommitted(80u64, TxnId(9), b"Sue".to_vec()))
+        n.insert(&v(50, 1, "Joe")).unwrap();
+        n.insert(&v(60, 2, "Pete")).unwrap();
+        n.insert(&v(60, 4, "Pete v2")).unwrap();
+        n.insert(&v(70, 3, "Mary")).unwrap();
+        n.insert(&Version::uncommitted(80u64, TxnId(9), b"Sue".to_vec()))
             .unwrap();
         n
     }
@@ -414,7 +646,7 @@ mod tests {
     #[test]
     fn entries_stay_sorted_and_replace_on_same_state() {
         let n = sample_node();
-        let keys: Vec<_> = n.entries().iter().map(|e| e.key.clone()).collect();
+        let keys: Vec<_> = n.iter().map(|e| e.to_key()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
@@ -422,13 +654,13 @@ mod tests {
 
         // Same (key, state) replaces.
         let mut n = sample_node();
-        n.insert(v(60, 4, "Pete rewritten")).unwrap();
+        n.insert(&v(60, 4, "Pete rewritten")).unwrap();
         assert_eq!(n.len(), 5);
         assert_eq!(
             n.find_as_of(&Key::from_u64(60), Timestamp(9))
                 .unwrap()
                 .value,
-            Some(b"Pete rewritten".to_vec())
+            Some(&b"Pete rewritten"[..])
         );
     }
 
@@ -438,8 +670,8 @@ mod tests {
             KeyRange::bounded(Key::from_u64(10), Key::from_u64(20)),
             TimeRange::full(),
         );
-        assert!(n.insert(v(25, 1, "x")).is_err());
-        assert!(n.insert(v(15, 1, "ok")).is_ok());
+        assert!(n.insert(&v(25, 1, "x")).is_err());
+        assert!(n.insert(&v(15, 1, "ok")).is_ok());
     }
 
     #[test]
@@ -451,16 +683,16 @@ mod tests {
         // Between versions: the earlier version governs (Figure 1).
         assert_eq!(
             n.find_as_of(&k, Timestamp(3)).unwrap().value,
-            Some(b"Pete".to_vec())
+            Some(&b"Pete"[..])
         );
         // At and after the update.
         assert_eq!(
             n.find_as_of(&k, Timestamp(4)).unwrap().value,
-            Some(b"Pete v2".to_vec())
+            Some(&b"Pete v2"[..])
         );
         assert_eq!(
             n.find_as_of(&k, Timestamp(100)).unwrap().value,
-            Some(b"Pete v2".to_vec())
+            Some(&b"Pete v2"[..])
         );
     }
 
@@ -503,8 +735,8 @@ mod tests {
 
         // A tombstone as the latest version means the key is not live.
         let mut n = DataNode::initial_root();
-        n.insert(v(1, 1, "a")).unwrap();
-        n.insert(Version::tombstone(1u64, Timestamp(2))).unwrap();
+        n.insert(&v(1, 1, "a")).unwrap();
+        n.insert(&Version::tombstone(1u64, Timestamp(2))).unwrap();
         let c = n.composition();
         assert_eq!(c.live_entries, 0);
         assert_eq!(c.historical_entries, 2);
@@ -526,15 +758,15 @@ mod tests {
         let n = sample_node();
         let bytes = n.encode();
         assert_eq!(bytes.len(), n.encoded_size());
-        let decoded = DataNode::decode(&bytes).unwrap();
+        let decoded = DataNode::decode(bytes.clone()).unwrap();
         assert_eq!(decoded, n);
 
         // Wrong tag is rejected.
         let mut bad = bytes.clone();
         bad[0] = 99;
-        assert!(DataNode::decode(&bad).is_err());
+        assert!(DataNode::decode(bad).is_err());
         // Truncation is rejected.
-        assert!(DataNode::decode(&bytes[..bytes.len() - 3]).is_err());
+        assert!(DataNode::decode(bytes[..bytes.len() - 3].to_vec()).is_err());
     }
 
     #[test]
@@ -579,7 +811,7 @@ mod tests {
         let n = sample_node();
         let versions: Vec<_> = n.versions_of(&Key::from_u64(60)).collect();
         assert_eq!(versions.len(), 2);
-        assert!(versions.iter().all(|e| e.key == Key::from_u64(60)));
+        assert!(versions.iter().all(|e| e.to_key() == Key::from_u64(60)));
         assert_eq!(n.versions_of(&Key::from_u64(99)).count(), 0);
         assert_eq!(n.distinct_keys().len(), 4);
     }

@@ -13,14 +13,34 @@
 //! entries whose key range strictly contains the split value into both new
 //! nodes, which is what makes the TSB-tree a DAG rather than a tree. Entries
 //! referencing **current** children always lie inside the node's rectangle.
+//!
+//! # In memory an index node is its page image
+//!
+//! Like a leaf ([`super::data`]), an index node in memory is the encoded
+//! entries exactly as they sit on the device plus a table of `u32` offsets,
+//! one per entry. Decoding walks the image once to check lengths, tags and
+//! the region layout; routing binary-searches the offsets, comparing the
+//! probe against key bytes in place, and hands out a borrowed
+//! [`IndexEntryRef`]. [`IndexEntry`] is the owned form, used to build nodes
+//! and by the cold callers (splits, WAL replay) that rearrange one.
 
-use tsb_common::encode::{size, ByteReader, ByteWriter};
-use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbError, TsbResult};
+use std::cmp::Ordering;
+use std::fmt;
+
+use tsb_common::encode::{invalid_tag, size, ByteReader, ByteWriter};
+use tsb_common::{Key, KeyBound, KeyRange, TimeBound, TimeRange, Timestamp, TsbError, TsbResult};
+use tsb_storage::{HistAddr, PageId};
 
 use super::addr::NodeAddr;
+use super::image::{le32, le64, EntryImage};
 
 /// Node type tag burned into the first byte of every encoded node.
 pub const INDEX_NODE_TAG: u8 = 2;
+
+/// Encoded bytes of the smallest entry — empty lower key, `+∞` upper key
+/// bound, open time range, current child — which bounds the entry count an
+/// image of a given length can hold.
+const MIN_ENTRY_BYTES: usize = (4 + 1) + (8 + 1) + (1 + 8);
 
 /// One child reference: the child's key × time rectangle plus its address.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -60,11 +80,9 @@ impl IndexEntry {
 
     /// Encoded size in bytes.
     pub fn encoded_size(&self) -> usize {
-        size::key_range(&self.key_range) + size::time_range(&self.time_range) + {
-            let mut w = ByteWriter::new();
-            self.child.encode(&mut w);
-            w.len()
-        }
+        size::key_range(&self.key_range)
+            + size::time_range(&self.time_range)
+            + self.child.encoded_size()
     }
 
     /// Encodes the entry.
@@ -75,6 +93,7 @@ impl IndexEntry {
     }
 
     /// Decodes an entry.
+    #[inline]
     pub fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
         let key_range = r.get_key_range()?;
         let time_range = r.get_time_range()?;
@@ -87,18 +106,195 @@ impl IndexEntry {
     }
 }
 
+/// A child reference borrowed from an index node's image: [`IndexEntry`]
+/// with the key range's bounds as slices of the node's bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct IndexEntryRef<'a> {
+    /// The key range's inclusive lower bound.
+    pub key_lo: &'a [u8],
+    /// The key range's exclusive upper bound; `None` is `+∞`.
+    pub key_hi: Option<&'a [u8]>,
+    /// Time range spanned by the child (`hi = +∞` ⇔ the child is current).
+    pub time_range: TimeRange,
+    /// Where the child lives.
+    pub child: NodeAddr,
+}
+
+/// `key < hi`, where a missing bound is `+∞`.
+#[inline]
+fn below(key: &[u8], hi: Option<&[u8]>) -> bool {
+    hi.is_none_or(|hi| key < hi)
+}
+
+impl IndexEntryRef<'_> {
+    /// Whether the entry's rectangle contains the point `(key, ts)`.
+    #[inline]
+    pub fn contains(&self, key: &Key, ts: Timestamp) -> bool {
+        let key = key.as_bytes();
+        key >= self.key_lo && below(key, self.key_hi) && self.time_range.contains(ts)
+    }
+
+    /// Whether the entry's key range shares a key with `keys`
+    /// ([`KeyRange::overlaps`], on the borrowed bounds).
+    pub fn key_overlaps(&self, keys: &KeyRange) -> bool {
+        let keys_hi = keys.hi.as_finite().map(Key::as_bytes);
+        below(self.key_lo, keys_hi)
+            && below(keys.lo.as_bytes(), self.key_hi)
+            && below(self.key_lo, self.key_hi)
+            && !keys.is_empty()
+    }
+
+    /// Whether the entry's rectangle overlaps `keys × window`.
+    pub fn overlaps(&self, keys: &KeyRange, window: &TimeRange) -> bool {
+        self.key_overlaps(keys) && self.time_range.overlaps(window)
+    }
+
+    /// Whether the entry references a current (erasable) child.
+    pub fn is_current(&self) -> bool {
+        self.child.is_current()
+    }
+
+    /// The key range as an owned [`KeyRange`].
+    pub fn key_range(&self) -> KeyRange {
+        KeyRange::new(
+            Key::from_bytes(self.key_lo),
+            self.key_hi.map_or(KeyBound::PlusInfinity, |hi| {
+                KeyBound::Finite(Key::from_bytes(hi))
+            }),
+        )
+    }
+
+    /// Copies the entry out of the image.
+    pub fn to_entry(&self) -> IndexEntry {
+        IndexEntry::new(self.key_range(), self.time_range, self.child)
+    }
+}
+
+/// The key range of the entry at the head of `entry` and the offset of its
+/// time range. The caller guarantees `entry` starts at an offset
+/// [`IndexNode::decode`] or a mutation recorded.
+#[inline]
+fn entry_keys(entry: &[u8]) -> (&[u8], Option<&[u8]>, usize) {
+    let hi_tag_at = 4 + le32(entry, 0);
+    let key_lo = &entry[4..hi_tag_at];
+    match entry[hi_tag_at] {
+        0 => {
+            let hi_at = hi_tag_at + 5;
+            let time_at = hi_at + le32(entry, hi_tag_at + 1);
+            (key_lo, Some(&entry[hi_at..time_at]), time_at)
+        }
+        _ => (key_lo, None, hi_tag_at + 1),
+    }
+}
+
+/// The region sort key `(key lo, time lo)` of the entry at the head of
+/// `entry`.
+#[inline]
+fn entry_sort_key(entry: &[u8]) -> (&[u8], Timestamp) {
+    let (key_lo, _, time_at) = entry_keys(entry);
+    (key_lo, Timestamp(le64(entry, time_at)))
+}
+
+/// The entry at the head of `entry` and the bytes it occupies (same caller
+/// guarantee as [`entry_keys`]).
+#[inline]
+fn parse_entry(entry: &[u8]) -> (IndexEntryRef<'_>, usize) {
+    let (key_lo, key_hi, time_at) = entry_keys(entry);
+    let lo = Timestamp(le64(entry, time_at));
+    let (hi, child_at) = match entry[time_at + 8] {
+        0 => (
+            TimeBound::Finite(Timestamp(le64(entry, time_at + 9))),
+            time_at + 17,
+        ),
+        _ => (TimeBound::Infinity, time_at + 9),
+    };
+    let (child, len) = match entry[child_at] {
+        0 => (
+            NodeAddr::Current(PageId(le64(entry, child_at + 1))),
+            child_at + 9,
+        ),
+        _ => {
+            let len = le32(entry, child_at + 9) as u32;
+            (
+                NodeAddr::Historical(HistAddr::new(le64(entry, child_at + 1), len)),
+                child_at + 13,
+            )
+        }
+    };
+    let entry = IndexEntryRef {
+        key_lo,
+        key_hi,
+        time_range: TimeRange { lo, hi },
+        child,
+    };
+    (entry, len)
+}
+
+/// Walks one encoded entry, checking every length and tag the way
+/// [`IndexEntry::decode`] does, without copying anything out. Returns the
+/// entry's region sort key `(key lo, time lo)` and whether its time range is
+/// open (a current-region entry) — what the layout check needs.
+#[inline]
+fn skip_entry<'a>(r: &mut ByteReader<'a>) -> TsbResult<((&'a [u8], Timestamp), bool)> {
+    let lo_len = r.get_u32()? as usize;
+    let key_lo = r.get_raw(lo_len)?;
+    match r.get_u8()? {
+        0 => {
+            let hi_len = r.get_u32()? as usize;
+            r.get_raw(hi_len)?;
+        }
+        1 => {}
+        t => return Err(invalid_tag("key-bound", t)),
+    }
+    let time_lo = r.get_timestamp()?;
+    let current = match r.get_u8()? {
+        0 => {
+            r.get_u64()?;
+            false
+        }
+        1 => true,
+        t => return Err(invalid_tag("time-bound", t)),
+    };
+    match r.get_u8()? {
+        0 => r.get_raw(8)?,
+        1 => r.get_raw(8 + 4)?,
+        t => return Err(invalid_tag("node-addr", t)),
+    };
+    Ok(((key_lo, time_lo), current))
+}
+
+/// Iterator over a run of encoded entries, front to back. Entries describe
+/// their own length, so the walk never consults the offset table.
+pub struct Entries<'a> {
+    run: &'a [u8],
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = IndexEntryRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<IndexEntryRef<'a>> {
+        if self.run.is_empty() {
+            return None;
+        }
+        let (entry, len) = parse_entry(self.run);
+        self.run = &self.run[len..];
+        Some(entry)
+    }
+}
+
 /// An index node: a rectangle of the key × time plane plus the child entries
 /// that tile it.
 ///
 /// # Partition invariant (routing layout)
 ///
-/// Entries are stored in two regions inside one vector, maintained
-/// incrementally by [`IndexNode::insert`] / [`IndexNode::replace_child`]
-/// rather than rebuilt per descent:
+/// Entries are stored in two regions, one after the other in the image,
+/// maintained incrementally by [`IndexNode::insert`] /
+/// [`IndexNode::replace_child`] rather than rebuilt per descent:
 ///
-/// * `entries[..current_start]` — the **historical region**: entries with a
+/// * entries `..current_start` — the **historical region**: entries with a
 ///   closed time range, sorted by `(key_range.lo, time_range.lo)`;
-/// * `entries[current_start..]` — the **current region**: entries with an
+/// * entries `current_start..` — the **current region**: entries with an
 ///   open-ended time range, sorted by `key_range.lo`.
 ///
 /// Current entries all extend to `+∞` in time, so any two of them overlap
@@ -114,14 +310,14 @@ impl IndexEntry {
 /// the probe. [`IndexNode::validate`] checks the region layout alongside
 /// the geometric invariants, and `find_child` cross-checks the partitioned
 /// answer against the linear reference scan under `debug_assertions`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone)]
 pub struct IndexNode {
     /// Key range this node is responsible for.
     pub key_range: KeyRange,
     /// Time range this node is responsible for.
     pub time_range: TimeRange,
-    /// Child entries, laid out per the partition invariant above.
-    entries: Vec<IndexEntry>,
+    /// The encoded entries, laid out per the partition invariant above.
+    image: EntryImage,
     /// Boundary between the historical and current regions.
     current_start: usize,
 }
@@ -145,11 +341,32 @@ pub struct IndexComposition {
 }
 
 /// Region sort order: `(key_range.lo, time_range.lo)`, fully borrowed.
-fn region_cmp(a: &IndexEntry, b: &IndexEntry) -> std::cmp::Ordering {
+fn region_cmp(a: &IndexEntry, b: &IndexEntry) -> Ordering {
     a.key_range
         .lo
         .cmp(&b.key_range.lo)
         .then_with(|| a.time_range.lo.cmp(&b.time_range.lo))
+}
+
+impl PartialEq for IndexNode {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_range == other.key_range
+            && self.time_range == other.time_range
+            && self.image.entries() == other.image.entries()
+    }
+}
+
+impl Eq for IndexNode {}
+
+impl fmt::Debug for IndexNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IndexNode")
+            .field("key_range", &self.key_range)
+            .field("time_range", &self.time_range)
+            .field("entries", &self.to_entries())
+            .field("current_start", &self.current_start)
+            .finish()
+    }
 }
 
 impl IndexNode {
@@ -158,7 +375,7 @@ impl IndexNode {
         IndexNode {
             key_range,
             time_range,
-            entries: Vec::new(),
+            image: EntryImage::default(),
             current_start: 0,
         }
     }
@@ -175,43 +392,70 @@ impl IndexNode {
             .partition(|e| !e.time_range.is_current());
         historical.sort_by(region_cmp);
         current.sort_by(region_cmp);
-        let current_start = historical.len();
-        historical.extend(current);
         IndexNode {
             key_range,
             time_range,
-            entries: historical,
-            current_start,
+            image: EntryImage::build(
+                historical.iter().chain(&current),
+                IndexEntry::encoded_size,
+                IndexEntry::encode,
+            ),
+            current_start: historical.len(),
+        }
+    }
+
+    #[inline]
+    fn entry_at(&self, offset: u32) -> IndexEntryRef<'_> {
+        parse_entry(self.image.at(offset)).0
+    }
+
+    /// The lower key bound of the entry at `offset` — an entry's first
+    /// field, so a routing probe reads nothing else.
+    #[inline]
+    fn key_lo_at(&self, offset: u32) -> &[u8] {
+        let entry = self.image.at(offset);
+        &entry[4..4 + le32(entry, 0)]
+    }
+
+    fn run(&self, from: usize, to: usize) -> Entries<'_> {
+        Entries {
+            run: self.image.run(from, to),
         }
     }
 
     /// The entries: the historical region (sorted by `(key lo, time lo)`)
     /// followed by the current region (sorted by `key lo`).
-    pub fn entries(&self) -> &[IndexEntry] {
-        &self.entries
+    pub fn iter(&self) -> Entries<'_> {
+        self.run(0, self.len())
+    }
+
+    /// Every entry copied out as an owned [`IndexEntry`] — for the cold
+    /// callers (splits, WAL replay, validation) that rearrange a whole node.
+    pub fn to_entries(&self) -> Vec<IndexEntry> {
+        self.iter().map(|e| e.to_entry()).collect()
     }
 
     /// The historical-region entries (closed time ranges), sorted by
     /// `(key_range.lo, time_range.lo)`.
-    pub fn historical_region(&self) -> &[IndexEntry] {
-        &self.entries[..self.current_start]
+    pub fn historical_region(&self) -> Entries<'_> {
+        self.run(0, self.current_start)
     }
 
     /// The current-region entries (open time ranges), sorted by
     /// `key_range.lo`; their key ranges are pairwise disjoint in any valid
     /// node.
-    pub fn current_region(&self) -> &[IndexEntry] {
-        &self.entries[self.current_start..]
+    pub fn current_region(&self) -> Entries<'_> {
+        self.run(self.current_start, self.len())
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.image.len()
     }
 
     /// Whether there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Whether this node is current (open-ended time range).
@@ -220,34 +464,40 @@ impl IndexNode {
     }
 
     /// Adds an entry, keeping the region partition and per-region sort
-    /// order (incremental maintenance — no rebuild, no key clones).
+    /// order (incremental maintenance — no rebuild, no key clones): the
+    /// encoded entry is spliced into the image at its place.
     pub fn insert(&mut self, entry: IndexEntry) {
-        let (region_lo, region_hi) = if entry.time_range.is_current() {
-            (self.current_start, self.entries.len())
+        let current = entry.time_range.is_current();
+        let (region_lo, region_hi) = if current {
+            (self.current_start, self.len())
         } else {
             (0, self.current_start)
         };
-        let offset = self.entries[region_lo..region_hi]
-            .partition_point(|e| region_cmp(e, &entry) != std::cmp::Ordering::Greater);
-        if !entry.time_range.is_current() {
+        let probe = (entry.key_range.lo.as_bytes(), entry.time_range.lo);
+        let pos = region_lo
+            + self.image.offsets()[region_lo..region_hi]
+                .partition_point(|&o| entry_sort_key(self.image.at(o)) <= probe);
+        self.image.insert(pos, |w| entry.encode(w));
+        if !current {
             self.current_start += 1;
         }
-        self.entries.insert(region_lo + offset, entry);
     }
 
     /// Removes the entry referencing `child` (there is at most one within a
     /// single index node), returning it.
     pub fn remove_child(&mut self, child: &NodeAddr) -> Option<IndexEntry> {
-        let pos = self.entries.iter().position(|e| e.child == *child)?;
+        let pos = self.iter().position(|e| e.child == *child)?;
+        let removed = parse_entry(self.image.entry(pos)).0.to_entry();
+        self.image.remove(pos);
         if pos < self.current_start {
             self.current_start -= 1;
         }
-        Some(self.entries.remove(pos))
+        Some(removed)
     }
 
     /// The entry referencing `child`, if present.
-    pub fn find_child_entry(&self, child: &NodeAddr) -> Option<&IndexEntry> {
-        self.entries.iter().find(|e| e.child == *child)
+    pub fn find_child_entry(&self, child: &NodeAddr) -> Option<IndexEntryRef<'_>> {
+        self.iter().find(|e| e.child == *child)
     }
 
     /// Replaces the entry referencing `old_child` with `replacements`
@@ -280,7 +530,7 @@ impl IndexNode {
     /// past timestamps — the historical region is entered at the
     /// `(key, ts)` partition point. Under `debug_assertions` the result is
     /// cross-checked against [`Self::find_child_linear`].
-    pub fn find_child(&self, key: &Key, ts: Timestamp) -> Option<&IndexEntry> {
+    pub fn find_child(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
         let found = self.find_child_partitioned(key, ts);
         debug_assert_eq!(
             found.map(|e| e.child),
@@ -293,14 +543,14 @@ impl IndexNode {
         found
     }
 
-    fn find_child_partitioned(&self, key: &Key, ts: Timestamp) -> Option<&IndexEntry> {
+    fn find_child_partitioned(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
+        let (historical, current) = self.image.offsets().split_at(self.current_start);
         // Current region: key ranges are pairwise disjoint and sorted by
         // lower bound, so the only candidate is the predecessor of the
         // first entry whose lower bound exceeds the probe key.
-        let current = self.current_region();
-        let p = current.partition_point(|e| e.key_range.lo <= *key);
+        let p = current.partition_point(|&o| self.key_lo_at(o) <= key.as_bytes());
         if p > 0 {
-            let e = &current[p - 1];
+            let e = self.entry_at(current[p - 1]);
             if e.contains(key, ts) {
                 return Some(e);
             }
@@ -315,20 +565,24 @@ impl IndexNode {
         // starts above the probe key or starts (in time) after the probe
         // instant — neither can contain the point. Seek there and scan
         // backwards; the first containing entry is unique by disjointness.
-        let historical = self.historical_region();
-        let p = historical.partition_point(|e| (&e.key_range.lo, e.time_range.lo) <= (key, ts));
-        historical[..p].iter().rev().find(|e| e.contains(key, ts))
+        let probe = (key.as_bytes(), ts);
+        let p = historical.partition_point(|&o| entry_sort_key(self.image.at(o)) <= probe);
+        historical[..p]
+            .iter()
+            .rev()
+            .map(|&o| self.entry_at(o))
+            .find(|e| e.contains(key, ts))
     }
 
     /// Reference implementation of [`Self::find_child`]: a linear scan over
     /// every entry. Kept for the property tests and benchmarks that check
     /// and measure the partitioned routing against it.
-    pub fn find_child_linear(&self, key: &Key, ts: Timestamp) -> Option<&IndexEntry> {
-        self.entries.iter().find(|e| e.contains(key, ts))
+    pub fn find_child_linear(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
+        self.iter().find(|e| e.contains(key, ts))
     }
 
     /// The current-region entries whose key ranges overlap `range`, as a
-    /// contiguous slice located by two binary searches.
+    /// contiguous run located by two binary searches.
     ///
     /// The current region is sorted by `key_range.lo` with pairwise
     /// disjoint key ranges, so the overlapping entries form one run: it
@@ -340,14 +594,19 @@ impl IndexNode {
     /// `ts == MAX` they skip the historical region entirely, so a
     /// current-time scan's per-node cost no longer grows with migrated
     /// history.
-    pub fn current_children_overlapping(&self, range: &KeyRange) -> &[IndexEntry] {
-        let current = self.current_region();
-        let end = current.partition_point(|e| range.hi.is_above(&e.key_range.lo));
-        let mut start = current[..end].partition_point(|e| e.key_range.lo <= range.lo);
-        if start > 0 && current[start - 1].key_range.overlaps(range) {
+    pub fn current_children_overlapping(&self, range: &KeyRange) -> Entries<'_> {
+        let current = &self.image.offsets()[self.current_start..];
+        let range_hi = range.hi.as_finite().map(Key::as_bytes);
+        let end = current.partition_point(|&o| below(self.key_lo_at(o), range_hi));
+        let mut start =
+            current[..end].partition_point(|&o| self.key_lo_at(o) <= range.lo.as_bytes());
+        if start > 0 && self.entry_at(current[start - 1]).key_overlaps(range) {
             start -= 1;
         }
-        &current[start.min(end)..end]
+        self.run(
+            self.current_start + start.min(end),
+            self.current_start + end,
+        )
     }
 
     /// The entries whose rectangle overlaps `keys × window` — the descent
@@ -360,86 +619,95 @@ impl IndexNode {
         &'a self,
         keys: &'a KeyRange,
         window: &'a TimeRange,
-    ) -> impl Iterator<Item = &'a IndexEntry> + 'a {
-        let historical = self.historical_region();
-        let end = historical.partition_point(|e| keys.hi.is_above(&e.key_range.lo));
-        historical[..end]
-            .iter()
+    ) -> impl Iterator<Item = IndexEntryRef<'a>> + 'a {
+        let keys_hi = keys.hi.as_finite().map(Key::as_bytes);
+        let end = self.image.offsets()[..self.current_start]
+            .partition_point(|&o| below(self.key_lo_at(o), keys_hi));
+        self.run(0, end)
             .chain(self.current_children_overlapping(keys))
             .filter(move |e| e.overlaps(keys, window))
     }
 
     /// Summarizes the node for split decisions.
     pub fn composition(&self) -> IndexComposition {
-        let current = self.entries.iter().filter(|e| e.is_current()).count();
+        let current = self.iter().filter(|e| e.is_current()).count();
         let min_current_start = self
-            .entries
             .iter()
             .filter(|e| e.is_current())
             .map(|e| e.time_range.lo)
             .min();
-        let mut candidates: Vec<&Key> = self
-            .entries
+        let mut candidates: Vec<&[u8]> = self
             .iter()
-            .map(|e| &e.key_range.lo)
-            .filter(|k| **k > self.key_range.lo)
+            .map(|e| e.key_lo)
+            .filter(|k| *k > self.key_range.lo.as_bytes())
             .collect();
         candidates.sort();
         candidates.dedup();
         IndexComposition {
-            total_entries: self.entries.len(),
+            total_entries: self.len(),
             current_entries: current,
-            historical_entries: self.entries.len() - current,
+            historical_entries: self.len() - current,
             min_current_start,
             key_split_candidates: candidates.len(),
         }
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes — no entry is looked at.
     pub fn encoded_size(&self) -> usize {
-        1 + 4
-            + size::key_range(&self.key_range)
-            + size::time_range(&self.time_range)
-            + self
-                .entries
-                .iter()
-                .map(IndexEntry::encoded_size)
-                .sum::<usize>()
+        self.image.encoded_size(&self.key_range, &self.time_range)
     }
 
-    /// Encodes the node.
+    /// Encodes the node: the header, then the entries copied as they are.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(self.encoded_size());
-        w.put_u8(INDEX_NODE_TAG);
-        w.put_u32(self.entries.len() as u32);
-        w.put_key_range(&self.key_range);
-        w.put_time_range(&self.time_range);
-        for e in &self.entries {
-            e.encode(&mut w);
-        }
-        debug_assert_eq!(w.len(), self.encoded_size());
-        w.into_vec()
+        self.image
+            .encode(INDEX_NODE_TAG, &self.key_range, &self.time_range)
     }
 
-    /// Decodes a node previously produced by [`Self::encode`].
-    pub fn decode(bytes: &[u8]) -> TsbResult<Self> {
-        let mut r = ByteReader::new(bytes);
-        let tag = r.get_u8()?;
-        if tag != INDEX_NODE_TAG {
-            return Err(TsbError::corruption(format!(
-                "expected index node tag {INDEX_NODE_TAG}, found {tag}"
-            )));
+    /// Decodes a node previously produced by [`Self::encode`], keeping
+    /// `image` — the buffer the device read returned — as the node's body.
+    ///
+    /// Every entry is walked once to check its lengths and tags and to
+    /// record where it starts; nothing is copied out. [`Self::encode`]
+    /// writes the entries as they lie, so the encoded order *is* the region
+    /// layout, and the same pass checks it. Only an image that breaks the
+    /// layout is re-partitioned through [`Self::from_entries`]. Bytes after
+    /// the last entry are dropped.
+    pub fn decode(image: Vec<u8>) -> TsbResult<Self> {
+        let mut r = ByteReader::new(&image);
+        let (count, key_range, time_range) =
+            EntryImage::read_header(&mut r, INDEX_NODE_TAG, "index")?;
+        let mut historical = 0;
+        let mut in_layout = true;
+        let mut previous = None;
+        let walked = EntryImage::walk(&mut r, count, MIN_ENTRY_BYTES, |r| {
+            let (sort_key, current) = skip_entry(r)?;
+            if let Some((prev_key, prev_current)) = previous {
+                in_layout &= match (prev_current, current) {
+                    (false, true) => true,
+                    (true, false) => false,
+                    _ => prev_key <= sort_key,
+                };
+            }
+            previous = Some((sort_key, current));
+            historical += usize::from(!current);
+            Ok(())
+        })?;
+        let node = IndexNode {
+            key_range,
+            time_range,
+            image: walked.into_image(image),
+            // In layout, every historical entry precedes every current one.
+            current_start: historical,
+        };
+        if in_layout {
+            Ok(node)
+        } else {
+            Ok(IndexNode::from_entries(
+                node.key_range.clone(),
+                node.time_range,
+                node.to_entries(),
+            ))
         }
-        let count = r.get_u32()? as usize;
-        let key_range = r.get_key_range()?;
-        let time_range = r.get_time_range()?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(IndexEntry::decode(&mut r)?);
-        }
-        // Re-partitioning is a stable identity on the encoded (already
-        // partitioned) order, so decode(encode(n)) == n.
-        Ok(IndexNode::from_entries(key_range, time_range, entries))
     }
 
     /// Checks the node's internal invariants:
@@ -455,14 +723,15 @@ impl IndexNode {
     ///   by the entries — sufficient because all rectangles are axis-aligned
     ///   half-open boxes).
     pub fn validate(&self) -> TsbResult<()> {
-        if self.current_start > self.entries.len() {
+        let entries = self.to_entries();
+        if self.current_start > entries.len() {
             return Err(TsbError::invariant(format!(
                 "index region boundary {} past entry count {}",
                 self.current_start,
-                self.entries.len()
+                entries.len()
             )));
         }
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in entries.iter().enumerate() {
             let in_current_region = i >= self.current_start;
             if e.time_range.is_current() != in_current_region {
                 return Err(TsbError::invariant(format!(
@@ -471,9 +740,10 @@ impl IndexNode {
                 )));
             }
         }
-        for region in [self.historical_region(), self.current_region()] {
+        let (historical, current) = entries.split_at(self.current_start);
+        for region in [historical, current] {
             for w in region.windows(2) {
-                if region_cmp(&w[0], &w[1]) == std::cmp::Ordering::Greater {
+                if region_cmp(&w[0], &w[1]) == Ordering::Greater {
                     return Err(TsbError::invariant(format!(
                         "index region out of order: {} x {} before {} x {}",
                         w[0].key_range, w[0].time_range, w[1].key_range, w[1].time_range
@@ -481,7 +751,7 @@ impl IndexNode {
                 }
             }
         }
-        for e in &self.entries {
+        for e in &entries {
             if e.key_range.is_empty() || e.time_range.is_empty() {
                 return Err(TsbError::invariant(format!(
                     "index entry with empty rectangle: {} x {}",
@@ -505,10 +775,8 @@ impl IndexNode {
             }
         }
         // Pairwise disjointness.
-        for i in 0..self.entries.len() {
-            for j in (i + 1)..self.entries.len() {
-                let a = &self.entries[i];
-                let b = &self.entries[j];
+        for (i, a) in entries.iter().enumerate() {
+            for b in &entries[i + 1..] {
                 if a.overlaps(&b.key_range, &b.time_range) {
                     return Err(TsbError::invariant(format!(
                         "index entries overlap: {} x {} ({}) and {} x {} ({})",
@@ -519,12 +787,12 @@ impl IndexNode {
         }
         // Coverage: every corner point of the induced grid that lies inside
         // the node rectangle must be inside some entry.
-        if self.entries.is_empty() {
+        if entries.is_empty() {
             return Ok(());
         }
         let mut key_points: Vec<Key> = vec![self.key_range.lo.clone()];
         let mut time_points: Vec<Timestamp> = vec![self.time_range.lo];
-        for e in &self.entries {
+        for e in &entries {
             if self.key_range.contains(&e.key_range.lo) {
                 key_points.push(e.key_range.lo.clone());
             }
@@ -756,12 +1024,12 @@ mod tests {
         let n = figure_like_node();
         let bytes = n.encode();
         assert_eq!(bytes.len(), n.encoded_size());
-        let decoded = IndexNode::decode(&bytes).unwrap();
+        let decoded = IndexNode::decode(bytes.clone()).unwrap();
         assert_eq!(decoded, n);
         let mut bad = bytes.clone();
         bad[0] = 77;
-        assert!(IndexNode::decode(&bad).is_err());
-        assert!(IndexNode::decode(&bytes[..10]).is_err());
+        assert!(IndexNode::decode(bad).is_err());
+        assert!(IndexNode::decode(bytes[..10].to_vec()).is_err());
     }
 
     #[test]
@@ -770,5 +1038,119 @@ mod tests {
         n.validate().unwrap();
         assert!(n.find_child(&Key::from_u64(1), Timestamp(1)).is_none());
         assert!(n.is_empty());
+    }
+
+    /// The entry vector the image replaced, maintained the way
+    /// `IndexNode::insert` / `remove_child` maintained it.
+    #[derive(Default)]
+    struct VecModel {
+        entries: Vec<IndexEntry>,
+        current_start: usize,
+    }
+
+    impl VecModel {
+        fn insert(&mut self, entry: IndexEntry) {
+            let (lo, hi) = if entry.time_range.is_current() {
+                (self.current_start, self.entries.len())
+            } else {
+                (0, self.current_start)
+            };
+            let offset = self.entries[lo..hi]
+                .partition_point(|e| region_cmp(e, &entry) != Ordering::Greater);
+            if !entry.time_range.is_current() {
+                self.current_start += 1;
+            }
+            self.entries.insert(lo + offset, entry);
+        }
+
+        fn remove_child(&mut self, child: &NodeAddr) -> Option<IndexEntry> {
+            let pos = self.entries.iter().position(|e| e.child == *child)?;
+            if pos < self.current_start {
+                self.current_start -= 1;
+            }
+            Some(self.entries.remove(pos))
+        }
+    }
+
+    proptest::proptest! {
+        /// Splicing entries into and out of the image keeps exactly the
+        /// entries, order, region boundary and bytes that the entry vector
+        /// did — also when the image came off a device with its header
+        /// still in front.
+        #[test]
+        fn spliced_image_equals_the_entry_vector(
+            steps in proptest::prop::collection::vec(
+                (0u8..4, 0u8..12, 0u8..12, 0u8..6, 0u8..24),
+                1..60,
+            ),
+        ) {
+            let key = |k: u8| {
+                if k < 10 {
+                    Key::from_u64(u64::from(k) * 10)
+                } else {
+                    Key::from(format!("a-bound-too-long-for-the-inline-form-{k}"))
+                }
+            };
+            let full = KeyRange::full();
+            let mut node = IndexNode::new(full.clone(), TimeRange::full());
+            let mut model = VecModel::default();
+            for (op, lo, hi, t, id) in steps {
+                let child = if id % 2 == 0 {
+                    NodeAddr::Current(PageId(u64::from(id)))
+                } else {
+                    NodeAddr::Historical(HistAddr::new(u64::from(id) * 64, 100))
+                };
+                match op {
+                    0 => {
+                        proptest::prop_assert_eq!(
+                            node.remove_child(&child),
+                            model.remove_child(&child)
+                        );
+                    }
+                    1 => node = IndexNode::decode(node.encode()).unwrap(),
+                    _ => {
+                        let key_range = if hi > lo {
+                            KeyRange::new(key(lo), tsb_common::KeyBound::Finite(key(hi)))
+                        } else {
+                            KeyRange::new(key(lo), tsb_common::KeyBound::PlusInfinity)
+                        };
+                        let time_range = if child.is_current() {
+                            TimeRange::from(Timestamp(u64::from(t)))
+                        } else {
+                            TimeRange::bounded(Timestamp(u64::from(t)), Timestamp(u64::from(t) + 3))
+                        };
+                        let entry = IndexEntry::new(key_range, time_range, child);
+                        node.insert(entry.clone());
+                        model.insert(entry);
+                    }
+                }
+                proptest::prop_assert_eq!(node.to_entries(), model.entries.clone());
+                proptest::prop_assert_eq!(node.len(), model.entries.len());
+                proptest::prop_assert_eq!(
+                    node.historical_region().count(),
+                    model.current_start
+                );
+                let rebuilt = IndexNode::from_entries(
+                    full.clone(),
+                    TimeRange::full(),
+                    model.entries.clone(),
+                );
+                proptest::prop_assert_eq!(&node, &rebuilt);
+                proptest::prop_assert_eq!(node.encode(), rebuilt.encode());
+                proptest::prop_assert_eq!(node.encoded_size(), node.encode().len());
+                proptest::prop_assert_eq!(
+                    node.find_child_entry(&child).map(|e| e.to_entry()),
+                    model.entries.iter().find(|e| e.child == child).cloned()
+                );
+                for (probe, e) in node.iter().zip(&model.entries) {
+                    for k in 0..12u8 {
+                        proptest::prop_assert_eq!(
+                            probe.contains(&key(k), Timestamp(u64::from(t))),
+                            e.contains(&key(k), Timestamp(u64::from(t)))
+                        );
+                    }
+                }
+            }
+        }
     }
 }

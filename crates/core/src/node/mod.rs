@@ -7,11 +7,16 @@
 
 pub mod addr;
 pub mod data;
+#[cfg(test)]
+mod data_model;
+#[cfg(test)]
+mod golden;
+mod image;
 pub mod index;
 
 pub use addr::NodeAddr;
-pub use data::{DataComposition, DataNode, DATA_NODE_TAG};
-pub use index::{IndexComposition, IndexEntry, IndexNode, INDEX_NODE_TAG};
+pub use data::{DataComposition, DataNode, VersionRef, Versions, DATA_NODE_TAG};
+pub use index::{Entries, IndexComposition, IndexEntry, IndexEntryRef, IndexNode, INDEX_NODE_TAG};
 
 use tsb_common::{TsbError, TsbResult};
 
@@ -25,11 +30,12 @@ pub enum Node {
 }
 
 impl Node {
-    /// Decodes a node, dispatching on the type tag in the first byte.
-    pub fn decode(bytes: &[u8]) -> TsbResult<Self> {
-        match bytes.first() {
-            Some(&DATA_NODE_TAG) => Ok(Node::Data(DataNode::decode(bytes)?)),
-            Some(&INDEX_NODE_TAG) => Ok(Node::Index(IndexNode::decode(bytes)?)),
+    /// Decodes a node, dispatching on the type tag in the first byte. The
+    /// node keeps `image` — the buffer a device read returned — as its body.
+    pub fn decode(image: Vec<u8>) -> TsbResult<Self> {
+        match image.first() {
+            Some(&DATA_NODE_TAG) => Ok(Node::Data(DataNode::decode(image)?)),
+            Some(&INDEX_NODE_TAG) => Ok(Node::Index(IndexNode::decode(image)?)),
             Some(&t) => Err(TsbError::corruption(format!("unknown node tag {t}"))),
             None => Err(TsbError::corruption("empty node image")),
         }
@@ -84,14 +90,14 @@ mod tests {
     #[test]
     fn dispatching_decode() {
         let mut data = DataNode::initial_root();
-        data.insert(Version::committed(1u64, Timestamp(1), b"x".to_vec()))
+        data.insert(&Version::committed(1u64, Timestamp(1), b"x".to_vec()))
             .unwrap();
         let index = IndexNode::new(KeyRange::full(), TimeRange::full());
 
         let d = Node::Data(data.clone());
         let i = Node::Index(index.clone());
-        assert_eq!(Node::decode(&d.encode()).unwrap(), d);
-        assert_eq!(Node::decode(&i.encode()).unwrap(), i);
+        assert_eq!(Node::decode(d.encode()).unwrap(), d);
+        assert_eq!(Node::decode(i.encode()).unwrap(), i);
         assert_eq!(d.encoded_size(), data.encoded_size());
         assert_eq!(i.encoded_size(), index.encoded_size());
         assert!(d.as_data().is_some() && d.as_index().is_none());
@@ -99,7 +105,7 @@ mod tests {
         d.validate().unwrap();
         i.validate().unwrap();
 
-        assert!(Node::decode(&[]).is_err());
-        assert!(Node::decode(&[9, 9, 9]).is_err());
+        assert!(Node::decode(Vec::new()).is_err());
+        assert!(Node::decode(vec![9, 9, 9]).is_err());
     }
 }

@@ -20,6 +20,8 @@
 
 use tsb_common::{Key, Timestamp, Version};
 
+use crate::node::DataNode;
+
 /// The two halves of a key split: `(stay, move_right)`.
 pub fn partition_by_key(entries: &[Version], split_key: &Key) -> (Vec<Version>, Vec<Version>) {
     let mut left = Vec::new();
@@ -107,55 +109,31 @@ pub fn partition_by_time(entries: &[Version], split_time: Timestamp) -> TimeSpli
 /// group boundary is at or past half of the node's entry bytes. Returns
 /// `None` when the node holds fewer than two distinct keys (a key split
 /// would be useless — §3.2's boundary condition).
-///
-/// `entries` must be sorted by `(key, version order)`, as they are inside a
-/// [`crate::node::DataNode`].
-pub fn choose_split_key(entries: &[Version]) -> Option<Key> {
-    use tsb_common::encode::size;
-    if entries.is_empty() {
-        return None;
-    }
-    let total_bytes: usize = entries.iter().map(size::version).sum();
+pub fn choose_split_key(node: &DataNode) -> Option<Key> {
+    let total_bytes: usize = node.iter().map(|e| e.encoded_size()).sum();
     let mut cumulative = 0usize;
-    let mut split: Option<Key> = None;
-    let mut i = 0;
-    while i < entries.len() {
-        let key = &entries[i].key;
-        if i > 0 && cumulative * 2 >= total_bytes {
-            split = Some(key.clone());
-            break;
-        }
-        let group_end = entries[i..]
-            .iter()
-            .position(|e| e.key != *key)
-            .map(|p| i + p)
-            .unwrap_or(entries.len());
-        cumulative += entries[i..group_end]
-            .iter()
-            .map(size::version)
-            .sum::<usize>();
-        i = group_end;
-    }
-    match split {
-        Some(k) => Some(k),
-        None => {
-            // Fewer than two groups reached the halfway mark; fall back to
-            // the last distinct key if there are at least two distinct keys.
-            let first = &entries[0].key;
-            let last = &entries[entries.len() - 1].key;
-            if first == last {
-                None
-            } else {
-                Some(last.clone())
+    let mut previous: Option<&[u8]> = None;
+    for e in node.iter() {
+        if previous != Some(e.key) {
+            // A group boundary past the first: split here once half the
+            // bytes lie below it.
+            if previous.is_some() && cumulative * 2 >= total_bytes {
+                return Some(e.to_key());
             }
+            previous = Some(e.key);
         }
+        cumulative += e.encoded_size();
     }
+    // No boundary reached the halfway mark; fall back to the last distinct
+    // key if there are at least two distinct keys.
+    let last = node.get(node.len().checked_sub(1)?);
+    (node.get(0).key != last.key).then(|| last.to_key())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsb_common::TxnId;
+    use tsb_common::{KeyRange, TimeRange, TxnId};
 
     fn v(key: u64, ts: u64) -> Version {
         Version::committed(key, Timestamp(ts), format!("val-{key}-{ts}").into_bytes())
@@ -164,6 +142,10 @@ mod tests {
     fn sorted(mut entries: Vec<Version>) -> Vec<Version> {
         entries.sort_by(Version::sort_cmp);
         entries
+    }
+
+    fn node(entries: Vec<Version>) -> DataNode {
+        DataNode::from_entries(KeyRange::full(), TimeRange::full(), entries)
     }
 
     #[test]
@@ -255,12 +237,12 @@ mod tests {
 
     #[test]
     fn split_key_choice_needs_two_distinct_keys() {
-        let single_key = sorted(vec![v(5, 1), v(5, 2), v(5, 3)]);
+        let single_key = node(vec![v(5, 1), v(5, 2), v(5, 3)]);
         assert_eq!(choose_split_key(&single_key), None);
-        assert_eq!(choose_split_key(&[]), None);
+        assert_eq!(choose_split_key(&node(Vec::new())), None);
 
-        let entries = sorted(vec![v(1, 1), v(2, 2), v(3, 3), v(4, 4)]);
-        let k = choose_split_key(&entries).unwrap();
+        let entries = vec![v(1, 1), v(2, 2), v(3, 3), v(4, 4)];
+        let k = choose_split_key(&node(entries.clone())).unwrap();
         assert!(k > Key::from_u64(1) && k <= Key::from_u64(4));
         // The chosen key must be an actual key (group boundary).
         assert!(entries.iter().any(|e| e.key == k));
@@ -272,8 +254,7 @@ mod tests {
         // rather than at the middle key by count.
         let mut entries: Vec<Version> = (1..=20).map(|t| v(1, t)).collect();
         entries.extend((2..=5).map(|k| v(k, 100 + k)));
-        let entries = sorted(entries);
-        let k = choose_split_key(&entries).unwrap();
+        let k = choose_split_key(&node(entries)).unwrap();
         assert_eq!(k, Key::from_u64(2));
     }
 

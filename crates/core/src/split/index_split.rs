@@ -67,18 +67,17 @@ pub fn partition_index_by_key(entries: &[IndexEntry], split_key: &Key) -> IndexK
 /// bound (rule 1: "the split value may be any key value actually used in an
 /// index entry in the node"). Returns `None` when no such value exists.
 pub fn choose_index_split_key(node: &IndexNode) -> Option<Key> {
-    let mut candidates: Vec<&Key> = node
-        .entries()
+    let mut candidates: Vec<&[u8]> = node
         .iter()
-        .map(|e| &e.key_range.lo)
-        .filter(|k| **k > node.key_range.lo)
+        .map(|e| e.key_lo)
+        .filter(|k| *k > node.key_range.lo.as_bytes())
         .collect();
     if candidates.is_empty() {
         return None;
     }
     candidates.sort();
     candidates.dedup();
-    Some(candidates[candidates.len() / 2].clone())
+    Some(Key::from_bytes(candidates[candidates.len() / 2]))
 }
 
 /// Finds the time `T` for a *local* index time split, if one exists:
@@ -91,7 +90,6 @@ pub fn choose_index_split_key(node: &IndexNode) -> Option<Key> {
 /// from before every candidate time.
 pub fn local_time_split_point(node: &IndexNode) -> Option<Timestamp> {
     let t = node
-        .entries()
         .iter()
         .filter(|e| e.is_current())
         .map(|e| e.time_range.lo)
@@ -102,7 +100,6 @@ pub fn local_time_split_point(node: &IndexNode) -> Option<Timestamp> {
     // At least one entry must lie entirely before T for the split to migrate
     // anything.
     let migrates = node
-        .entries()
         .iter()
         .any(|e| matches!(e.time_range.hi, tsb_common::TimeBound::Finite(h) if h <= t));
     if migrates {
@@ -215,7 +212,7 @@ mod tests {
     fn keyspace_split_duplicates_only_straddling_historical_entries() {
         let node = figure7_node();
         node.validate().unwrap();
-        let parts = partition_index_by_key(node.entries(), &Key::from_u64(100));
+        let parts = partition_index_by_key(&node.to_entries(), &Key::from_u64(100));
         assert_eq!(parts.duplicated, 1);
         // The duplicated entry is the historical [50, +inf) one.
         let dup: Vec<_> = parts
@@ -234,7 +231,7 @@ mod tests {
     fn split_key_must_be_an_entry_lower_bound() {
         let node = figure7_node();
         let k = choose_index_split_key(&node).unwrap();
-        assert!(node.entries().iter().any(|e| e.key_range.lo == k));
+        assert!(node.iter().any(|e| e.key_lo == k.as_bytes()));
         assert!(k > node.key_range.lo);
 
         // A node whose entries all share the node's own lower bound offers no
@@ -295,7 +292,7 @@ mod tests {
         // min current start = 7
         let t = local_time_split_point(&node).unwrap();
         assert_eq!(t, Timestamp(7));
-        let parts = partition_index_by_time(node.entries(), t);
+        let parts = partition_index_by_time(&node.to_entries(), t);
         assert!(parts.historical.iter().all(|e| e.child.is_historical()));
         // Every current reference stays in the current node.
         assert_eq!(
@@ -309,8 +306,8 @@ mod tests {
         // The historical entry [0, 8) spans T=7 and is duplicated.
         assert_eq!(parts.duplicated, 1);
         // Nothing is lost.
-        for e in node.entries() {
-            assert!(parts.historical.contains(e) || parts.current.contains(e));
+        for e in node.to_entries() {
+            assert!(parts.historical.contains(&e) || parts.current.contains(&e));
         }
     }
 

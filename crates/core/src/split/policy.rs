@@ -56,7 +56,7 @@ pub fn plan_data_split(
     page_capacity: usize,
 ) -> TsbResult<SplitPlan> {
     let comp = node.composition();
-    let key_candidate = choose_split_key(node.entries());
+    let key_candidate = choose_split_key(node);
     let time_choice = match cfg.split_policy {
         // The WOBT has no freedom: it always splits at the current time.
         SplitPolicyKind::WobtLike => SplitTimeChoice::CurrentTime,
@@ -122,12 +122,10 @@ fn cost_based_plan(
     split_key: Key,
     split_time: Timestamp,
 ) -> SplitPlan {
-    use tsb_common::encode::size;
     let hist_bytes: usize = node
-        .entries()
         .iter()
         .filter(|e| e.commit_time().map(|t| t < split_time).unwrap_or(false))
-        .map(size::version)
+        .map(|e| e.encoded_size())
         .sum();
     let hist_sectors = hist_bytes.div_ceil(cfg.worm_sector_size);
     let time_cost = cfg.cost.worm_cost_per_byte * (hist_sectors * cfg.worm_sector_size) as f64;

@@ -140,11 +140,11 @@ impl TsbTree {
                 } else {
                     stats.historical_data_nodes += 1;
                 }
-                for v in data.entries() {
+                for v in data.iter() {
                     match v.commit_time() {
                         Some(t) => {
                             stats.version_copies += 1;
-                            distinct.insert((v.key.as_bytes().to_vec(), t));
+                            distinct.insert((v.key.to_vec(), t));
                         }
                         None => stats.uncommitted_versions += 1,
                     }
@@ -156,7 +156,7 @@ impl TsbTree {
                 } else {
                     stats.historical_index_nodes += 1;
                 }
-                for e in index.entries() {
+                for e in index.iter() {
                     self.census(e.child, visited, distinct, stats)?;
                 }
             }
@@ -172,11 +172,7 @@ impl TsbTree {
             match &*self.read_node(addr)? {
                 Node::Data(_) => return Ok(depth),
                 Node::Index(ix) => {
-                    let next = ix
-                        .entries()
-                        .iter()
-                        .find(|e| e.is_current())
-                        .map(|e| e.child);
+                    let next = ix.iter().find(|e| e.is_current()).map(|e| e.child);
                     match next {
                         Some(n) => {
                             addr = n;

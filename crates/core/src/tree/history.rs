@@ -33,7 +33,7 @@ use std::collections::HashSet;
 
 use tsb_common::{Key, KeyRange, TimeRange, TsbResult, Version};
 
-use crate::node::{Node, NodeAddr};
+use crate::node::{Node, NodeAddr, VersionRef};
 
 use super::TsbTree;
 
@@ -48,7 +48,7 @@ impl TsbTree {
     /// in `window`, ordered by key and then commit time. Redundant copies
     /// created by time splits are reported once.
     pub fn scan_versions(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Version>> {
-        let mut out = self.collect_rectangle(keys, &window, Version::clone)?;
+        let mut out = self.collect_rectangle(keys, &window, |v| v.to_version())?;
         out.sort_by(Version::sort_cmp);
         out.dedup_by(|a, b| a.sort_key() == b.sort_key());
         Ok(out)
@@ -57,7 +57,7 @@ impl TsbTree {
     /// The distinct keys in `keys` that had at least one committed change
     /// (insert, update, or delete) during `window`, in key order.
     pub fn changed_keys_between(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Key>> {
-        let mut changed = self.collect_rectangle(keys, &window, |v| v.key.clone())?;
+        let mut changed = self.collect_rectangle(keys, &window, |v| v.to_key())?;
         changed.sort();
         changed.dedup();
         Ok(changed)
@@ -67,7 +67,7 @@ impl TsbTree {
     pub fn version_count(&self, key: &Key) -> TsbResult<usize> {
         let everything = TimeRange::full();
         let mut times =
-            self.collect_rectangle(&KeyRange::point(key), &everything, Version::commit_time)?;
+            self.collect_rectangle(&KeyRange::point(key), &everything, |v| v.commit_time())?;
         times.sort();
         times.dedup();
         Ok(times.len())
@@ -79,11 +79,11 @@ impl TsbTree {
         &self,
         keys: &KeyRange,
         window: &TimeRange,
-        pick: impl Fn(&Version) -> T,
+        pick: impl Fn(VersionRef<'_>) -> T,
     ) -> TsbResult<Vec<T>> {
         let mut out = Vec::new();
         let mut visited = HashSet::new();
-        let mut visit = |v: &Version| out.push(pick(v));
+        let mut visit = |v: VersionRef<'_>| out.push(pick(v));
         self.walk_rectangle(self.current_root(), keys, window, &mut visited, &mut visit)?;
         Ok(out)
     }
@@ -94,7 +94,7 @@ impl TsbTree {
         keys: &KeyRange,
         window: &TimeRange,
         visited: &mut HashSet<NodeAddr>,
-        visit: &mut dyn FnMut(&Version),
+        visit: &mut dyn FnMut(VersionRef<'_>),
     ) -> TsbResult<()> {
         // The tree is a DAG: a historical child can hang under two parents.
         if !visited.insert(addr) {
@@ -102,11 +102,7 @@ impl TsbTree {
         }
         match &*self.read_node(addr)? {
             Node::Data(data) => {
-                let entries = data.entries();
-                let start = entries.partition_point(|v| v.key < keys.lo);
-                entries[start..]
-                    .iter()
-                    .take_while(|v| keys.hi.is_above(&v.key))
+                data.versions_in(keys)
                     .filter(|v| v.commit_time().is_some_and(|t| window.contains(t)))
                     .for_each(visit);
             }
@@ -140,9 +136,9 @@ mod tests {
                 return;
             }
             match &*tree.read_node(addr).unwrap() {
-                Node::Data(data) => out.extend(data.entries().iter().cloned()),
+                Node::Data(data) => out.extend(data.to_versions()),
                 Node::Index(index) => {
-                    for entry in index.entries() {
+                    for entry in index.iter() {
                         walk(tree, entry.child, seen, out);
                     }
                 }

@@ -191,17 +191,17 @@ impl TsbTree {
         let node = self.read_node(addr)?;
         match &*node {
             Node::Data(data) => {
+                // Copy-on-write of the leaf is a copy of its image and its
+                // offset table, whatever the entry count.
+                let data = data.with_inserted(&version)?;
                 // The whole mutation is this one version landing in this
                 // one leaf — exactly what a logical redo delta can say in
-                // tens of bytes. Built only when the WAL will consume it
-                // (the clone prices one version, not the page).
+                // tens of bytes; the version moves into it.
                 let ops = if self.logs_deltas() {
-                    vec![PageOp::InsertVersion(version.clone())]
+                    vec![PageOp::InsertVersion(version)]
                 } else {
                     Vec::new()
                 };
-                let mut data = data.clone();
-                data.insert(version)?;
                 if data.encoded_size() <= self.split_threshold() {
                     self.write_current_delta(page, Node::Data(data), ops)?;
                     Ok(InsertOutcome::Fit)
@@ -324,7 +324,7 @@ impl TsbTree {
         }
         if forbid_time {
             if let SplitPlan::Time { .. } = plan {
-                if let Some(split_key) = choose_split_key(node.entries()) {
+                if let Some(split_key) = choose_split_key(&node) {
                     plan = SplitPlan::Key { split_key };
                 }
             }
@@ -352,7 +352,7 @@ impl TsbTree {
                 node.key_range
             )));
         }
-        let (left_entries, right_entries) = partition_by_key(node.entries(), &split_key);
+        let (left_entries, right_entries) = partition_by_key(&node.to_versions(), &split_key);
         let (left_range, right_range) = node
             .key_range
             .split_at(&split_key)
@@ -394,10 +394,10 @@ impl TsbTree {
         page: PageId,
         split_time: Timestamp,
     ) -> TsbResult<Vec<IndexEntry>> {
-        let parts = partition_by_time(node.entries(), split_time);
+        let parts = partition_by_time(&node.to_versions(), split_time);
         if parts.historical.is_empty() {
             // Nothing to migrate; fall back to a key split to make progress.
-            return match choose_split_key(node.entries()) {
+            return match choose_split_key(&node) {
                 Some(k) => self.execute_data_key_split(node, page, k),
                 None => Err(TsbError::internal(
                     "time split selected but nothing migrates and no key split is possible",
@@ -527,14 +527,13 @@ impl TsbTree {
     /// time split (Figure 9) so that they prefer a time split next time.
     fn mark_blocking_children(&self, node: &IndexNode) {
         let min_start = node
-            .entries()
             .iter()
             .filter(|e| e.is_current())
             .map(|e| e.time_range.lo)
             .min();
         if let Some(min_start) = min_start {
             let mut marked = self.marked_for_time_split.lock();
-            for e in node.entries() {
+            for e in node.iter() {
                 if e.is_current() && e.time_range.lo == min_start {
                     if let Some(p) = e.child.as_page() {
                         marked.insert(p);
@@ -559,7 +558,7 @@ impl TsbTree {
                 node.key_range
             )));
         }
-        let parts = partition_index_by_key(node.entries(), &split_key);
+        let parts = partition_index_by_key(&node.to_entries(), &split_key);
         let (left_range, right_range) = node
             .key_range
             .split_at(&split_key)
@@ -598,7 +597,7 @@ impl TsbTree {
         page: PageId,
         t: Timestamp,
     ) -> TsbResult<Vec<IndexEntry>> {
-        let parts = partition_index_by_time(node.entries(), t);
+        let parts = partition_index_by_time(&node.to_entries(), t);
         if parts.historical.is_empty() {
             return Err(TsbError::internal(
                 "index time split selected but nothing migrates",

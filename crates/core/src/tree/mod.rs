@@ -302,7 +302,7 @@ impl ReplayPage {
     /// identical outcome.
     pub(crate) fn apply(&mut self, op: &PageOp) -> TsbResult<()> {
         if let ReplayPage::Raw(bytes) = self {
-            *self = ReplayPage::Decoded(Node::decode(bytes)?);
+            *self = ReplayPage::Decoded(Node::decode(std::mem::take(bytes))?);
         }
         let ReplayPage::Decoded(node) = self else {
             unreachable!("Raw was just decoded");
@@ -320,14 +320,14 @@ impl ReplayPage {
             }
         }
         match op {
-            PageOp::InsertVersion(version) => data_op(node)?.insert(version.clone()),
+            PageOp::InsertVersion(version) => data_op(node)?.insert(version),
             PageOp::RemoveUncommitted { key, txn } => {
                 data_op(node)?.remove_uncommitted(key, *txn);
                 Ok(())
             }
             PageOp::DataTimeSplit { split_time } => {
                 let data = data_op(node)?;
-                let parts = crate::split::partition_by_time(data.entries(), *split_time);
+                let parts = crate::split::partition_by_time(&data.to_versions(), *split_time);
                 *data = DataNode::from_entries(
                     data.key_range.clone(),
                     tsb_common::TimeRange::new(*split_time, data.time_range.hi),
@@ -340,7 +340,7 @@ impl ReplayPage {
                 keep_low,
             } => {
                 let data = data_op(node)?;
-                let (left, right) = crate::split::partition_by_key(data.entries(), split_key);
+                let (left, right) = crate::split::partition_by_key(&data.to_versions(), split_key);
                 let (left_range, right_range) =
                     data.key_range.split_at(split_key).ok_or_else(|| {
                         TsbError::corruption("WAL key-split delta outside the node key range")
@@ -354,7 +354,7 @@ impl ReplayPage {
             }
             PageOp::IndexTimeSplit { split_time } => {
                 let index = index_op(node)?;
-                let parts = crate::split::partition_index_by_time(index.entries(), *split_time);
+                let parts = crate::split::partition_index_by_time(&index.to_entries(), *split_time);
                 *index = IndexNode::from_entries(
                     index.key_range.clone(),
                     tsb_common::TimeRange::new(*split_time, index.time_range.hi),
@@ -367,7 +367,7 @@ impl ReplayPage {
                 keep_low,
             } => {
                 let index = index_op(node)?;
-                let parts = crate::split::partition_index_by_key(index.entries(), split_key);
+                let parts = crate::split::partition_index_by_key(&index.to_entries(), split_key);
                 let (left_range, right_range) =
                     index.key_range.split_at(split_key).ok_or_else(|| {
                         TsbError::corruption("WAL index key-split delta outside the node key range")
@@ -1381,14 +1381,14 @@ impl TsbTree {
             let node = tree.read_node(addr)?;
             match &*node {
                 Node::Data(data) => {
-                    for v in data.entries() {
+                    for v in data.iter() {
                         if let Some(txn) = v.state.txn_id() {
                             out.insert(txn);
                         }
                     }
                 }
                 Node::Index(index) => {
-                    let children: Vec<NodeAddr> = index.entries().iter().map(|e| e.child).collect();
+                    let children: Vec<NodeAddr> = index.iter().map(|e| e.child).collect();
                     for child in children {
                         walk(tree, child, out)?;
                     }
@@ -1425,10 +1425,9 @@ impl TsbTree {
         match &*node {
             Node::Data(data) => {
                 let keys: Vec<Key> = data
-                    .entries()
                     .iter()
                     .filter(|v| v.state.txn_id() == Some(txn))
-                    .map(|v| v.key.clone())
+                    .map(|v| v.to_key())
                     .collect();
                 if keys.is_empty() {
                     return Ok(());
@@ -1440,7 +1439,7 @@ impl TsbTree {
                             "in-doubt transaction {txn} lost its uncommitted version of key {key}"
                         ))
                     })?;
-                    leaf.insert(Version {
+                    leaf.insert(&Version {
                         key: pending.key,
                         state: tsb_common::TsState::Committed(ts),
                         value: pending.value,
@@ -1449,7 +1448,7 @@ impl TsbTree {
                 self.write_current(page, Node::Data(leaf))
             }
             Node::Index(index) => {
-                let children: Vec<NodeAddr> = index.entries().iter().map(|e| e.child).collect();
+                let children: Vec<NodeAddr> = index.iter().map(|e| e.child).collect();
                 for child in children {
                     self.stamp_in_doubt_at(child, txn, ts)?;
                 }
@@ -1495,12 +1494,11 @@ impl TsbTree {
         let node = self.read_node(addr)?;
         match &*node {
             Node::Data(data) => {
-                if data.entries().iter().any(|v| v.state.is_uncommitted()) {
+                if data.iter().any(|v| v.state.is_uncommitted()) {
                     let committed: Vec<_> = data
-                        .entries()
                         .iter()
                         .filter(|v| !v.state.is_uncommitted())
-                        .cloned()
+                        .map(|v| v.to_version())
                         .collect();
                     let cleaned =
                         DataNode::from_entries(data.key_range.clone(), data.time_range, committed);
@@ -1509,7 +1507,7 @@ impl TsbTree {
                 Ok(())
             }
             Node::Index(index) => {
-                let children: Vec<NodeAddr> = index.entries().iter().map(|e| e.child).collect();
+                let children: Vec<NodeAddr> = index.iter().map(|e| e.child).collect();
                 for child in children {
                     self.purge_uncommitted_at(child)?;
                 }
@@ -1554,7 +1552,7 @@ impl TsbTree {
         }
         let node = self.read_node(addr)?;
         if let Node::Index(index) = &*node {
-            for entry in index.entries() {
+            for entry in index.iter() {
                 self.collect_current_pages(entry.child, out)?;
             }
         }
@@ -2014,16 +2012,17 @@ impl TsbTree {
     /// current pages, WORM store for historical nodes), bypassing the
     /// decoded-node cache.
     fn decode_node_at(&self, addr: NodeAddr) -> TsbResult<Node> {
+        Node::decode(self.read_image(addr)?)
+    }
+
+    /// The device image of the node at `addr`, as a buffer the decoded node
+    /// takes over as its body: the pool keeps its frame, so a current node
+    /// starts from a copy; a WORM read's buffer is ours already.
+    fn read_image(&self, addr: NodeAddr) -> TsbResult<Vec<u8>> {
         self.stats.record_node_decode();
         match addr {
-            NodeAddr::Current(page) => {
-                let bytes = self.pool.get(page)?;
-                Node::decode(&bytes)
-            }
-            NodeAddr::Historical(hist) => {
-                let bytes = self.worm.read(hist)?;
-                Node::decode(&bytes)
-            }
+            NodeAddr::Current(page) => Ok(self.pool.get(page)?.to_vec()),
+            NodeAddr::Historical(hist) => self.worm.read(hist),
         }
     }
 
@@ -2307,7 +2306,9 @@ impl TsbTree {
 
     /// Walks every node reachable from the root and checks that the cached
     /// copy equals what decoding the device image produces (pending dirty
-    /// nodes are flushed first). Returns the first divergence found.
+    /// nodes are flushed first), and that the decoded node re-encodes to
+    /// exactly that image — a node in memory *is* its device bytes. Returns
+    /// the first divergence found.
     pub fn verify_cache_coherence(&self) -> TsbResult<()> {
         self.flush_node_cache()?;
         let mut visited: HashSet<NodeAddr> = HashSet::new();
@@ -2319,14 +2320,20 @@ impl TsbTree {
             return Ok(());
         }
         let cached = self.read_node(addr)?;
-        let direct = self.decode_node_at(addr)?;
+        let image = self.read_image(addr)?;
+        let direct = Node::decode(image.clone())?;
         if *cached != direct {
             return Err(TsbError::invariant(format!(
                 "decoded-node cache diverges from the device image at {addr}"
             )));
         }
+        if direct.encode() != image {
+            return Err(TsbError::invariant(format!(
+                "node at {addr} does not re-encode to its device image"
+            )));
+        }
         if let Node::Index(index) = &*cached {
-            for entry in index.entries() {
+            for entry in index.iter() {
                 self.check_coherence(entry.child, visited)?;
             }
         }

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, HashSet};
 
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbResult, Version};
 
-use crate::node::{Node, NodeAddr};
+use crate::node::{Node, NodeAddr, VersionRef};
 
 use super::TsbTree;
 
@@ -42,35 +42,30 @@ impl TsbTree {
                 // can contribute a stale answer for a key it does not own.
                 //
                 // Entries are sorted by (key, version order): binary-search
-                // to the query's start, then walk each key's contiguous
-                // version group once — no per-leaf key-list allocation, no
-                // per-key re-search of the whole node.
-                let entries = data.entries();
-                let mut i = entries.partition_point(|e| e.key < range.lo);
-                while i < entries.len() {
-                    let key = &entries[i].key;
-                    if !range.hi.is_above(key) {
-                        break;
-                    }
-                    let mut end = i + 1;
-                    while end < entries.len() && entries[end].key == *key {
-                        end += 1;
-                    }
-                    if data.key_range.contains(key) {
-                        // The governing version: newest commit at or below
-                        // `ts` within this key's group.
-                        let governing = entries[i..end]
-                            .iter()
-                            .rfind(|v| v.commit_time().map(|t| t <= ts).unwrap_or(false));
-                        if let Some(v) = governing {
-                            if !v.is_tombstone() {
-                                if let Some(value) = &v.value {
-                                    out.insert(key.clone(), value.clone());
-                                }
-                            }
+                // that run in the image, then walk it once. Within a key the
+                // governing version — newest commit at or below `ts` — is
+                // the last one that qualifies, and only its value is copied
+                // out of the leaf.
+                let mut emit = |v: VersionRef<'_>| {
+                    if let Some(value) = v.value {
+                        let key = v.to_key();
+                        if data.key_range.contains(&key) {
+                            out.insert(key, value.to_vec());
                         }
                     }
-                    i = end;
+                };
+                let mut governing: Option<VersionRef<'_>> = None;
+                for v in data.versions_in(range) {
+                    if let Some(previous) = governing.filter(|g| g.key != v.key) {
+                        emit(previous);
+                        governing = None;
+                    }
+                    if v.commit_time().is_some_and(|t| t <= ts) {
+                        governing = Some(v);
+                    }
+                }
+                if let Some(last) = governing {
+                    emit(last);
                 }
             }
             Node::Index(index) => {
@@ -88,7 +83,7 @@ impl TsbTree {
                 // their closed time ranges never contain MAX.
                 if ts != Timestamp::MAX {
                     for entry in index.historical_region() {
-                        if entry.key_range.overlaps(range) && entry.time_range.contains(ts) {
+                        if entry.key_overlaps(range) && entry.time_range.contains(ts) {
                             self.scan_node(entry.child, range, ts, visited, out)?;
                         }
                     }
@@ -150,7 +145,7 @@ impl TsbTree {
                 }
             }
             Node::Index(index) => {
-                for entry in index.entries() {
+                for entry in index.iter() {
                     self.collect_all_keys(entry.child, visited, keys)?;
                 }
             }

@@ -77,8 +77,8 @@ impl TsbTree {
         let leaf = self.descend(key, Timestamp::MAX)?;
         Ok(leaf
             .find_latest_committed(key)
-            .filter(|v| !v.is_tombstone())
-            .and_then(|v| v.value.clone()))
+            .and_then(|v| v.value)
+            .map(<[u8]>::to_vec))
     }
 
     /// Returns the value of `key` as of time `ts` — the value written by the
@@ -86,17 +86,18 @@ impl TsbTree {
     /// semantics, Figure 1). `None` if the key did not exist at `ts` or was
     /// deleted by then.
     pub fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        Ok(self
-            .get_version_as_of(key, ts)?
-            .filter(|v| !v.is_tombstone())
-            .and_then(|v| v.value))
+        let leaf = self.descend(key, ts)?;
+        Ok(leaf
+            .find_as_of(key, ts)
+            .and_then(|v| v.value)
+            .map(<[u8]>::to_vec))
     }
 
     /// Returns the full version record governing `(key, ts)`, tombstones
     /// included. `None` if the key did not exist at `ts`.
     pub fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
         let leaf = self.descend(key, ts)?;
-        Ok(leaf.find_as_of(key, ts).cloned())
+        Ok(leaf.find_as_of(key, ts).map(|v| v.to_version()))
     }
 
     /// Whether the key currently exists (has a committed, non-tombstone
@@ -109,7 +110,7 @@ impl TsbTree {
     /// if any. Exposed for diagnostics and conflict inspection.
     pub fn pending_version(&self, key: &Key) -> TsbResult<Option<Version>> {
         let leaf = self.descend(key, Timestamp::MAX)?;
-        Ok(leaf.find_uncommitted(key).cloned())
+        Ok(leaf.find_uncommitted(key).map(|v| v.to_version()))
     }
 
     /// Routes like [`Self::get_as_of`] but counts the nodes visited, for the
@@ -127,8 +128,8 @@ impl TsbTree {
                 Node::Data(data) => {
                     let value = data
                         .find_as_of(key, ts)
-                        .filter(|v| !v.is_tombstone())
-                        .and_then(|v| v.value.clone());
+                        .and_then(|v| v.value)
+                        .map(<[u8]>::to_vec);
                     return Ok((value, visited));
                 }
                 Node::Index(index) => {

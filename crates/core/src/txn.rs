@@ -267,7 +267,7 @@ impl TsbTree {
                 } else {
                     Vec::new()
                 };
-                leaf.insert(committed)?;
+                leaf.insert(&committed)?;
                 self.write_current_delta(page, Node::Data(leaf), ops)?;
             }
             Ok(())

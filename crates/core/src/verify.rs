@@ -112,7 +112,7 @@ impl TsbTree {
                         index.time_range
                     )));
                 }
-                for entry in index.entries() {
+                for entry in index.iter() {
                     // Entry/child consistency.
                     if entry.is_current() != entry.time_range.is_current() {
                         return Err(TsbError::invariant(format!(
@@ -131,10 +131,11 @@ impl TsbTree {
                         Node::Data(d) => (&d.key_range, &d.time_range),
                         Node::Index(i) => (&i.key_range, &i.time_range),
                     };
-                    if *child_kr != entry.key_range || *child_tr != entry.time_range {
+                    let entry_kr = entry.key_range();
+                    if *child_kr != entry_kr || *child_tr != entry.time_range {
                         return Err(TsbError::invariant(format!(
                             "entry rectangle {} x {} does not match child {}'s own rectangle {} x {}",
-                            entry.key_range, entry.time_range, entry.child, child_kr, child_tr
+                            entry_kr, entry.time_range, entry.child, child_kr, child_tr
                         )));
                     }
                     if let Some(page) = entry.child.as_page() {

@@ -443,6 +443,24 @@ const REP_PROMOTED: u8 = 14;
 
 /// Encodes one request as a complete frame (length prefix included).
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
+    frame(request_body(id, req))
+}
+
+/// [`encode_request`] for a sender whose request's size is the caller's
+/// data's doing: a body above `max_body` ([`MAX_FRAME_BODY`] in production;
+/// a parameter so a test needs no 16 MiB value) is refused *before* it is
+/// framed, because the peer's decoder would refuse the frame and kill the
+/// connection with everything queued behind it. The error is the body's
+/// length.
+pub fn encode_request_within(id: u64, req: &Request, max_body: usize) -> Result<Vec<u8>, usize> {
+    let body = request_body(id, req);
+    if body.len() > max_body {
+        return Err(body.len());
+    }
+    Ok(frame(body))
+}
+
+fn request_body(id: u64, req: &Request) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(32);
     w.put_u64(id);
     match req {
@@ -530,7 +548,7 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
         Request::ReplicaStatus => w.put_u8(REQ_REPLICA_STATUS),
         Request::Promote => w.put_u8(REQ_PROMOTE),
     }
-    frame(w.into_vec())
+    w.into_vec()
 }
 
 /// Encodes one reply as a complete frame (length prefix included).
@@ -1334,6 +1352,20 @@ mod tests {
 
         assert_eq!(encode_request(7, &req), req_frame);
         assert_eq!(encode_reply(9, &reply), reply_frame);
+    }
+
+    /// A request body of exactly the limit frames as `encode_request`
+    /// frames it; one byte more is refused with its length, unframed.
+    #[test]
+    fn a_request_past_the_limit_is_refused_before_framing() {
+        let req = Request::Put {
+            key: Key::from_u64(3),
+            value: vec![7; 100],
+        };
+        let whole = encode_request(5, &req);
+        let body_len = whole.len() - 8;
+        assert_eq!(encode_request_within(5, &req, body_len), Ok(whole));
+        assert_eq!(encode_request_within(5, &req, body_len - 1), Err(body_len));
     }
 
     /// The limit is on the *body* (the header is 8 bytes and not counted):

@@ -54,6 +54,7 @@ impl HistAddr {
     }
 
     /// Decodes an address.
+    #[inline]
     pub fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
         let offset = r.get_u64()?;
         let len = r.get_u32()?;

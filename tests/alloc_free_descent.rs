@@ -143,3 +143,58 @@ fn warm_missing_key_lookup_allocates_nothing() {
         "missing-key lookups must not allocate"
     );
 }
+
+/// A historical leaf that misses the decoded-node cache is taken over as it
+/// came off the device: the read's buffer becomes the node's body, and the
+/// only other allocations are the offset table and the `Arc` the cache
+/// holds. With a `Vec<u8>` per value the same miss allocated once per entry
+/// (33 times for a 31-entry leaf).
+#[test]
+fn historical_leaf_miss_allocates_at_most_four_times() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Engine-default 4 KiB pages: about 30 versions to a leaf.
+    let cfg = TsbConfig::default().with_node_cache_entries(4096);
+    let mut tree = tsb_core::TsbOptions::in_memory()
+        .config(cfg)
+        .open_tree()
+        .unwrap();
+    let mut stamps = Vec::new();
+    for generation in 0..80u8 {
+        for k in 0..50u64 {
+            stamps.push(tree.insert(k, vec![generation; 100]).unwrap());
+        }
+    }
+    let key = Key::from_u64(17);
+    let ts = stamps[stamps.len() / 4];
+    let leaf = *tree.lookup_path(&key, ts).unwrap().last().unwrap();
+    assert!(
+        leaf.is_historical(),
+        "the probe must land in migrated history"
+    );
+    let entries = tree
+        .read_node_bypass(leaf)
+        .unwrap()
+        .as_data()
+        .expect("a lookup path ends at a leaf")
+        .len();
+    assert!(entries >= 20, "leaf holds only {entries} entries");
+
+    // Warm: the only allocation is the value handed to the caller.
+    assert!(tree.get_as_of(&key, ts).unwrap().is_some());
+    let (warm, _) = count_allocations(|| {
+        assert!(tree.get_as_of(&key, ts).unwrap().is_some());
+    });
+
+    tree.invalidate_cached_node(leaf).unwrap();
+    let before = tree.io_stats().snapshot();
+    let (miss, _) = count_allocations(|| {
+        assert!(tree.get_as_of(&key, ts).unwrap().is_some());
+    });
+    let delta = tree.io_stats().snapshot().delta_since(&before);
+    assert_eq!(delta.node_decodes, 1, "exactly the dropped leaf is decoded");
+    assert!(
+        miss - warm <= 4,
+        "a {entries}-entry historical leaf miss allocated {} times beyond the warm lookup's {warm}",
+        miss - warm
+    );
+}

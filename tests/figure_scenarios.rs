@@ -194,7 +194,7 @@ fn figure7_index_keyspace_split_duplicates_straddling_historical_entries() {
     node.validate().unwrap();
     let split_key = choose_index_split_key(&node).unwrap();
     assert_eq!(split_key, Key::from_u64(100));
-    let parts = partition_index_by_key(node.entries(), &split_key);
+    let parts = partition_index_by_key(&node.to_entries(), &split_key);
     assert_eq!(parts.duplicated, 1);
     let dup: Vec<_> = parts
         .left

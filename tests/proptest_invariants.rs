@@ -524,13 +524,12 @@ proptest! {
             // boundary, so a split never straddles a current child.
             let candidates: Vec<Key> = node
                 .current_region()
-                .iter()
-                .map(|e| e.key_range.lo.clone())
+                .map(|e| Key::from_bytes(e.key_lo))
                 .filter(|k| !k.is_min())
                 .collect();
             if !candidates.is_empty() {
                 let split = candidates[pick as usize % candidates.len()].clone();
-                let parts = partition_index_by_key(node.entries(), &split);
+                let parts = partition_index_by_key(&node.to_entries(), &split);
                 let (range, entries) = if side % 2 == 0 {
                     (
                         KeyRange::new(Key::MIN, KeyBound::Finite(split)),
@@ -560,11 +559,10 @@ proptest! {
         // Every entry's corner points, probed at the entry's own start
         // time, just before its end, and at the end of time.
         let corner_entries: Vec<(Key, Timestamp, Option<Timestamp>)> = node
-            .entries()
             .iter()
             .map(|e| {
                 (
-                    e.key_range.lo.clone(),
+                    Key::from_bytes(e.key_lo),
                     e.time_range.lo,
                     e.time_range.hi.as_finite(),
                 )
@@ -609,8 +607,10 @@ proptest! {
                     .children_overlapping(keys, window)
                     .map(|e| e.child)
                     .collect();
+                // The filter runs on owned entries: it also holds the
+                // borrowed-bounds overlap test to `KeyRange::overlaps`.
                 let linear: Vec<_> = node
-                    .entries()
+                    .to_entries()
                     .iter()
                     .filter(|e| e.overlaps(keys, window))
                     .map(|e| e.child)
