@@ -1,7 +1,8 @@
 //! The experiments (E1–E8). Each module builds its workloads, replays them
 //! into the structures under test, and returns printable [`Table`]s. The
 //! mapping from experiment id to paper artifact is in the crate docs; the
-//! measured results are recorded per PR in `CHANGES.md` / `BENCH_PR*.json`.
+//! measured results are recorded per PR in `CHANGES.md` (through PR 8 also in
+//! `docs/history/BENCH_PR*.json`).
 
 pub mod ablation;
 pub mod baseline;

@@ -84,19 +84,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
 
-    let policies: &[(&str, FsyncPolicy)] = &[
-        ("Always", FsyncPolicy::Always),
-        ("EveryN(8)", FsyncPolicy::EveryN(8)),
-        ("Os", FsyncPolicy::Os),
-    ];
+    let policies: &[(&str, FsyncPolicy)] =
+        &[("Always", FsyncPolicy::Always), ("Os", FsyncPolicy::Os)];
     for (label, policy) in policies {
         let mut baseline: Option<f64> = None;
         for conns in [1usize, 2, 4, 8] {
             let depth = if conns == 1 { 1 } else { 4 };
-            let dir = TempDir::new(&format!(
-                "{}-{conns}",
-                label.replace(['(', ')'], "").to_lowercase()
-            ));
+            let dir = TempDir::new(&format!("{}-{conns}", label.to_lowercase()));
             // Same engine shape as E12c (1 KiB pages, 128-page pool): a
             // tiny `small_pages` pool evicts constantly and the flushed-LSN
             // barrier turns every eviction into a WAL fsync, drowning the

@@ -9,7 +9,7 @@
 //! different shards append and fsync independently.
 //!
 //! The table runs the E12c closed loop across
-//! `{1, 2, 4} shards × {1, 4, 8} writers × {Always, EveryN(8), Os}` and
+//! `{1, 2, 4} shards × {1, 4, 8} writers × {Always, Os}` and
 //! reports, per cell: committed ops/s, the ratio to the same cell at one
 //! shard, fsyncs per op, commits per fsync, mean writer-lock wait per op
 //! (the "how serialized are the writers" number sharding exists to cut),
@@ -89,19 +89,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
 
-    let policies: &[(&str, FsyncPolicy)] = &[
-        ("Always", FsyncPolicy::Always),
-        ("EveryN(8)", FsyncPolicy::EveryN(8)),
-        ("Os", FsyncPolicy::Os),
-    ];
+    let policies: &[(&str, FsyncPolicy)] =
+        &[("Always", FsyncPolicy::Always), ("Os", FsyncPolicy::Os)];
     for (label, policy) in policies {
         for writers in [1usize, 4, 8] {
             let mut baseline: Option<f64> = None;
             for shards in [1usize, 2, 4] {
-                let dir = TempDir::new(&format!(
-                    "{}-{writers}w-{shards}s",
-                    label.replace(['(', ')'], "").to_lowercase()
-                ));
+                let dir = TempDir::new(&format!("{}-{writers}w-{shards}s", label.to_lowercase()));
                 // Same engine shape as E12c/E13 (1 KiB pages, 128-page
                 // pool per shard) so rows are comparable across tables.
                 let mut cfg =
@@ -174,8 +168,8 @@ mod tests {
     fn e14_produces_the_full_matrix() {
         let tables = run(Scale::Tiny);
         assert_eq!(tables.len(), 1);
-        // 3 policies x 3 writer counts x 3 shard counts.
-        assert_eq!(tables[0].rows.len(), 27);
+        // 2 policies x 3 writer counts x 3 shard counts.
+        assert_eq!(tables[0].rows.len(), 18);
         for row in &tables[0].rows {
             let tput: f64 = row[3].parse().unwrap();
             assert!(tput > 0.0, "every cell commits");

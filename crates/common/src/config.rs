@@ -74,69 +74,24 @@ pub enum SplitTimeChoice {
     MedianVersion,
 }
 
-/// When the write-ahead log forces its buffered records to stable storage
-/// (`fsync`). Every policy keeps the *append* synchronous — a commit's
-/// records are always written to the log file before the engine touches the
-/// page store — the policy only chooses how often the file is fsynced, which
-/// is where the durability-versus-throughput trade lives (measured by the
+/// Whether a commit waits for the write-ahead log's `fsync`. Either way
+/// the *append* is synchronous — a commit's records are written to the log
+/// file before the engine touches the page store — and checkpoints always
+/// sync; the policy chooses what an acknowledged commit survives, which is
+/// where the durability-versus-throughput trade lives (measured by the
 /// E12 experiment).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FsyncPolicy {
-    /// Fsync after every commit record. No acknowledged commit can be lost
-    /// to a power failure; the slowest policy.
+    /// A commit is acknowledged only once an fsync covers its record (one
+    /// fsync is shared by every commit waiting at that moment — group
+    /// commit). No acknowledged commit can be lost to a power failure.
     #[default]
     Always,
-    /// Group commit: fsync once every `N` commit records (and at every
-    /// checkpoint). A crash can lose up to the last `N - 1` acknowledged
-    /// commits; amortizes the fsync across a batch of writers.
-    EveryN(u32),
     /// Never fsync explicitly; leave flushing to the operating system.
     /// A process crash loses nothing (the records are in the OS page
     /// cache); a power failure can lose everything since the last
     /// checkpoint. The fastest policy.
     Os,
-}
-
-impl FsyncPolicy {
-    /// Returns the policy with the degenerate `EveryN(0)` clamped to
-    /// `EveryN(1)`.
-    ///
-    /// A zero group size can never reach a group boundary, so a WAL
-    /// configured with it would buffer commits forever and never
-    /// acknowledge them — silently worse than `Os`, which at least never
-    /// parks. [`TsbConfig::validate`] rejects `EveryN(0)` outright for
-    /// engine configs; components that accept a bare policy (the WAL
-    /// constructors) clamp through this instead, so a raw
-    /// `Wal::create(.., EveryN(0), ..)` behaves like `Always`.
-    pub fn normalized(self) -> FsyncPolicy {
-        match self {
-            FsyncPolicy::EveryN(0) => FsyncPolicy::EveryN(1),
-            other => other,
-        }
-    }
-}
-
-/// What the write-ahead log records for a content-only node rewrite.
-///
-/// Structural rewrites (splits, root growth, node initialization) always
-/// log the full page image — they replace a page's content wholesale, so
-/// there is nothing smaller to say. The mode only governs the hot path: a
-/// leaf absorbing one more version.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WalMode {
-    /// ARIES-style slim logging: the *first* dirtying of a page per
-    /// checkpoint interval logs its full image; every later content-only
-    /// rewrite logs only a compact logical `PageDelta` (insert-version /
-    /// remove-uncommitted). Recovery replays images, then re-applies the
-    /// deltas in LSN order. Steady-state log traffic drops from one page
-    /// image per mutation to tens of bytes.
-    #[default]
-    Hybrid,
-    /// Log a full page image on every rewrite (the PR 4 behaviour). Kept
-    /// as the off-switch: byte-for-byte the simplest replay, and the
-    /// reference the `delta_replay_equals_image_replay` property tests
-    /// hybrid mode against.
-    ImagesOnly,
 }
 
 /// Per-byte storage prices used by the cost function `CS` and by the
@@ -212,14 +167,10 @@ pub struct TsbConfig {
     /// time split at its next split opportunity. This is the optimization the
     /// paper sketches at the end of §3.5.
     pub mark_recalcitrant_children: bool,
-    /// How often the write-ahead log fsyncs its commit records (only
+    /// Whether a commit waits for the write-ahead log's fsync (only
     /// meaningful for trees opened with a WAL attached; in-memory trees
     /// ignore it). Default [`FsyncPolicy::Always`].
     pub fsync_policy: FsyncPolicy,
-    /// What the write-ahead log records for content-only rewrites (only
-    /// meaningful for trees opened with a WAL attached). Default
-    /// [`WalMode::Hybrid`].
-    pub wal_mode: WalMode,
 }
 
 impl Default for TsbConfig {
@@ -236,7 +187,6 @@ impl Default for TsbConfig {
             cost: CostParams::default(),
             mark_recalcitrant_children: true,
             fsync_policy: FsyncPolicy::default(),
-            wal_mode: WalMode::default(),
         }
     }
 }
@@ -316,13 +266,6 @@ impl TsbConfig {
                 "storage costs must be non-negative".to_string(),
             ));
         }
-        if let FsyncPolicy::EveryN(n) = self.fsync_policy {
-            if n == 0 {
-                return Err(TsbError::config(
-                    "FsyncPolicy::EveryN(0) never syncs; use FsyncPolicy::Os to say that",
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -367,12 +310,6 @@ impl TsbConfig {
         self.fsync_policy = policy;
         self
     }
-
-    /// Builder-style setter for the WAL record mode.
-    pub fn with_wal_mode(mut self, mode: WalMode) -> Self {
-        self.wal_mode = mode;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -383,19 +320,6 @@ mod tests {
     fn default_config_is_valid() {
         TsbConfig::default().validate().unwrap();
         TsbConfig::small_pages().validate().unwrap();
-    }
-
-    #[test]
-    fn normalized_clamps_only_the_degenerate_group_size() {
-        assert_eq!(FsyncPolicy::EveryN(0).normalized(), FsyncPolicy::EveryN(1));
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::EveryN(1),
-            FsyncPolicy::EveryN(64),
-            FsyncPolicy::Os,
-        ] {
-            assert_eq!(policy.normalized(), policy);
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod key;
 pub mod record;
 pub mod time;
 
-pub use config::{CostParams, FsyncPolicy, SplitPolicyKind, SplitTimeChoice, TsbConfig, WalMode};
+pub use config::{CostParams, FsyncPolicy, SplitPolicyKind, SplitTimeChoice, TsbConfig};
 pub use error::{TsbError, TsbResult};
 pub use key::{Key, KeyBound, KeyRange, KEY_INLINE_CAP};
 pub use record::{TsState, TxnId, Version, VersionOrder};

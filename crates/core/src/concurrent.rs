@@ -132,11 +132,10 @@ impl ConcurrentTsb {
     /// and parks on the WAL's durable-LSN watermark — the fsync itself runs
     /// on a dedicated group-commit thread, so one drain acknowledges every
     /// commit appended while the previous sync was in flight.
-    /// `cfg.fsync_policy` decides which commits wait:
+    /// `cfg.fsync_policy` decides whether commits wait:
     /// [`tsb_common::FsyncPolicy::Always`] parks every commit until its own
-    /// LSN is durable, `EveryN(n)` parks only the commit that closes each
-    /// group of `n`, `Os` never parks and leaves flushing to the operating
-    /// system. The E12 experiment measures the resulting
+    /// LSN is durable, `Os` never parks and leaves flushing to the
+    /// operating system. The E12 experiment measures the resulting
     /// throughput/durability trade.
     pub fn from_tree(tree: TsbTree) -> Self {
         let fence = tree.now().prev().value();

@@ -39,8 +39,8 @@
 //!   pinned behind an install fence (see [`concurrent`]).
 //! * [`SecondaryIndex`] — `<timestamp, secondary key, primary key>` indexes,
 //!   themselves TSB-trees (§3.6).
-//! * **Durability** — [`TsbOptions::durable`] / [`TsbTree::recover`] /
-//!   [`TsbTree::checkpoint`]: a write-ahead redo log
+//! * **Durability** — [`TsbOptions::durable`] / [`TsbTree::checkpoint`]:
+//!   a write-ahead redo log
 //!   ([`tsb_storage::Wal`]) makes the erasable current database
 //!   crash-consistent (the WORM side is durable by hardware). Every
 //!   mutation's page images are logged before they may dirty a page, a

@@ -338,6 +338,7 @@ impl DataNode {
 
     /// Index of the first entry at or after `(key, order)`. Probes compare
     /// against the key bytes where they lie; nothing is cloned.
+    #[inline]
     fn lower_bound(&self, key: &[u8], order: VersionOrder) -> usize {
         self.image
             .offsets()
@@ -345,6 +346,7 @@ impl DataNode {
     }
 
     /// Index of the first entry whose key is at or after `key`.
+    #[inline]
     fn key_lower_bound(&self, key: &[u8]) -> usize {
         self.image
             .offsets()
@@ -352,6 +354,7 @@ impl DataNode {
     }
 
     /// Index one past the last entry of `i`'s key group.
+    #[inline]
     fn group_end(&self, i: usize) -> usize {
         let offsets = self.image.offsets();
         let key = self.key_at(offsets[i]);

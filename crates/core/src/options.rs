@@ -5,13 +5,12 @@
 //! One chain names each decision once:
 //!
 //! ```no_run
-//! use tsb_common::{FsyncPolicy, WalMode};
+//! use tsb_common::FsyncPolicy;
 //! use tsb_core::TsbOptions;
 //!
 //! // A durable, 4-way sharded engine with per-commit fsync.
 //! let db = TsbOptions::durable("/var/lib/tsb")
 //!     .fsync(FsyncPolicy::Always)
-//!     .wal_mode(WalMode::Hybrid)
 //!     .shards(4)
 //!     .open()?;
 //! # let _ = db; Ok::<(), tsb_core::TsbError>(())
@@ -36,7 +35,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tsb_common::{FsyncPolicy, LogicalClock, TsbConfig, TsbError, TsbResult, WalMode};
+use tsb_common::{FsyncPolicy, LogicalClock, TsbConfig, TsbError, TsbResult};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::replica::ReplicaEngine;
@@ -49,6 +48,7 @@ pub struct TsbOptions {
     dir: Option<PathBuf>,
     cfg: TsbConfig,
     shards: usize,
+    reference_image_log: bool,
 }
 
 impl TsbOptions {
@@ -58,6 +58,7 @@ impl TsbOptions {
             dir: None,
             cfg: TsbConfig::default(),
             shards: 1,
+            reference_image_log: false,
         }
     }
 
@@ -68,6 +69,7 @@ impl TsbOptions {
             dir: Some(dir.into()),
             cfg: TsbConfig::default(),
             shards: 1,
+            reference_image_log: false,
         }
     }
 
@@ -85,19 +87,22 @@ impl TsbOptions {
         self
     }
 
-    /// Sets the redo-log mode (full images vs. first-touch images +
-    /// deltas).
-    pub fn wal_mode(mut self, mode: WalMode) -> TsbOptions {
-        self.cfg = self.cfg.with_wal_mode(mode);
+    /// Not a product option: makes the tree [`Self::open_tree`] /
+    /// [`Self::open_concurrent`] returns log a full page image for every
+    /// rewrite instead of first-touch images + deltas — the reference the
+    /// shipped log is tested against (`delta_replay_equals_image_replay`,
+    /// `replica_equals_primary_durable_prefix`). The other terminals
+    /// ignore it.
+    #[doc(hidden)]
+    pub fn reference_image_log(mut self) -> TsbOptions {
+        self.reference_image_log = true;
         self
     }
 
     /// Swaps in the small-page test configuration (tiny nodes so splits
-    /// happen early), preserving any fsync/WAL-mode choices already made.
+    /// happen early), preserving the fsync policy already chosen.
     pub fn small_pages(mut self) -> TsbOptions {
-        self.cfg = TsbConfig::small_pages()
-            .with_fsync_policy(self.cfg.fsync_policy)
-            .with_wal_mode(self.cfg.wal_mode);
+        self.cfg = TsbConfig::small_pages().with_fsync_policy(self.cfg.fsync_policy);
         self
     }
 
@@ -148,7 +153,7 @@ impl TsbOptions {
     /// * A fresh directory creates a new tree, fenced from its first
     ///   instant ([`TsbTree::create_durable`]).
     /// * A directory with durable state runs crash-consistent recovery
-    ///   ([`TsbTree::recover`]) — the same code path whether the last
+    ///   (`tree/recover.rs`) — the same code path whether the last
     ///   session shut down cleanly (the log's tail is a checkpoint; replay
     ///   is empty) or died mid-write.
     /// * A directory where *nothing* was ever durably committed (a crash
@@ -161,10 +166,15 @@ impl TsbOptions {
     pub fn open_tree(self) -> TsbResult<TsbTree> {
         self.require_single("a bare tree")?;
         let clock = Arc::new(LogicalClock::new());
-        match &self.dir {
+        let mut tree = match &self.dir {
             Some(dir) => TsbTree::open_durable_staged(dir, self.cfg, clock)?.resolve_locally(),
             None => TsbTree::new_in_memory_with_clock(self.cfg, clock),
-        }
+        }?;
+        // Every record an open path itself logs (recovery's repairs, a
+        // fresh tree's root) is already a full image, so choosing the
+        // reference mode after the open loses nothing.
+        tree.log_images_only = self.reference_image_log;
+        Ok(tree)
     }
 
     /// Opens a [`ReplicaEngine`] at the directory: recovers a local log
@@ -206,10 +216,10 @@ mod tests {
     fn small_pages_preserves_durability_knobs() {
         let opts = TsbOptions::in_memory()
             .fsync(FsyncPolicy::Os)
-            .wal_mode(WalMode::ImagesOnly)
+            .reference_image_log()
             .small_pages();
         assert_eq!(opts.cfg.fsync_policy, FsyncPolicy::Os);
-        assert_eq!(opts.cfg.wal_mode, WalMode::ImagesOnly);
+        assert!(opts.reference_image_log);
         assert_eq!(opts.cfg.page_size, TsbConfig::small_pages().page_size);
     }
 }

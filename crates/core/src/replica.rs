@@ -41,7 +41,13 @@
 //! 3. **A commit fence folds the staging area into the fenced overlay.**
 //!    Only fenced state may ever reach the device: records after the last
 //!    fence may yet be discarded by the primary (a failed mutation's
-//!    phantom deltas superseded by a checkpoint reset).
+//!    phantom deltas superseded by a checkpoint reset). Every fence first
+//!    passes the fence rule (`tree/recover.rs`, the one recovery uses): a
+//!    batch is input from outside the process, and a fence referencing
+//!    more history than step 1 left on the device is refused as
+//!    corruption *before* it reaches the local log — the replica keeps
+//!    serving its last installed fence, and a primary that ships the
+//!    history on the next poll heals it.
 //! 4. **At batch end: fsync the local log, then install.** Installing a
 //!    fence before the local log is durable through it could leave a
 //!    restart's device holding page content its log never mentions.
@@ -73,16 +79,17 @@ use parking_lot::{Mutex, RwLock};
 use tsb_common::{
     Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId, Version,
 };
-use tsb_storage::{
-    FaultInjector, IoSnapshot, Lsn, MagneticStore, PageId, TailPoll, Wal, WalRecord, WalTailer,
-    WormStore,
-};
+use tsb_storage::{FaultInjector, IoSnapshot, Lsn, PageId, TailPoll, WalRecord, WalTailer};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::engine::{EngineHandle, EngineRole};
-use crate::node::NodeAddr;
 use crate::sharded::ShardLsn;
-use crate::tree::{ReplayPage, TsbTree, MAGNETIC_FILE, WAL_FILE, WORM_FILE};
+use crate::tree::recover::{
+    fence_past_device, fence_rule, fence_worm_len, refuse_two_phase, DurableFiles, FenceReading,
+    FenceState,
+};
+use crate::tree::replay::{apply_page_record, ReplayPage};
+use crate::tree::TsbTree;
 
 /// Marker file present while a base image install is in progress. A
 /// restart that finds it wipes the half-installed state and waits for a
@@ -222,13 +229,7 @@ impl ReplicationSource {
                 let mut target = worm_have;
                 for body in &records {
                     let (_, record) = WalRecord::decode_body(body)?;
-                    let fence_worm = match record {
-                        WalRecord::Commit { worm_len, .. }
-                        | WalRecord::Checkpoint { worm_len, .. }
-                        | WalRecord::Prepare { worm_len, .. } => worm_len,
-                        _ => 0,
-                    };
-                    target = target.max(fence_worm);
+                    target = target.max(fence_worm_len(&record).unwrap_or(0));
                 }
                 let worm = if target > worm_have {
                     tree.worm
@@ -266,9 +267,7 @@ impl ReplicationSource {
 /// is staged but not yet installed.
 struct FenceInstall {
     lsn: Lsn,
-    root: NodeAddr,
-    clock_next: Timestamp,
-    next_txn: u64,
+    state: FenceState,
 }
 
 /// The apply-side state, serialized by the apply mutex (one applier —
@@ -280,9 +279,9 @@ struct ApplyState {
     staged: HashMap<PageId, ReplayPage>,
     /// Page states as of the newest seen fence, awaiting install.
     fenced: HashMap<PageId, ReplayPage>,
-    /// `(root, next txn id)` of the newest seen fence — what a shipped
-    /// commit with elided metadata inherits.
-    chain: (NodeAddr, u64),
+    /// The state of the newest seen fence — what a shipped commit with
+    /// elided metadata inherits from.
+    chain: FenceState,
     /// The newest seen, not-yet-installed commit fence (only the newest
     /// matters: installs fold).
     pending: Option<FenceInstall>,
@@ -438,6 +437,12 @@ impl ReplicaEngine {
     /// Drops the in-memory state and re-recovers from the local disk
     /// state — the in-process equivalent of killing and restarting the
     /// replica. Returns whether the replica is serving afterwards.
+    ///
+    /// A batch that failed part-way leaves records in the local log that
+    /// its batch-end fsync never covered, and replica recovery ends in no
+    /// checkpoint that would. No sync is needed here all the same:
+    /// [`tsb_storage::Wal::open`] forces the prefix it scanned before
+    /// recovery installs a page from it.
     pub fn reopen(&self) -> TsbResult<bool> {
         let mut apply = self.inner.apply.lock();
         *self.inner.serving.write() = None;
@@ -448,12 +453,7 @@ impl ReplicaEngine {
         if marker.exists() {
             // A base install died part-way: none of the files are
             // trustworthy. Wipe and wait for a fresh base.
-            for f in [MAGNETIC_FILE, WORM_FILE, WAL_FILE] {
-                let path = self.inner.dir.join(f);
-                if path.exists() {
-                    std::fs::remove_file(&path)?;
-                }
-            }
+            DurableFiles::wipe(&self.inner.dir)?;
             std::fs::remove_file(&marker)?;
             return Ok(false);
         }
@@ -465,41 +465,26 @@ impl ReplicaEngine {
             rec.tree.set_fault_injector(injector);
         }
         let db = ConcurrentTsb::from_tree(rec.tree);
-        let (root, _, next_txn) = rec.cut_state;
         let mut st = ApplyState {
             db: db.clone(),
             staged: HashMap::new(),
             fenced: HashMap::new(),
-            chain: (root, next_txn),
+            chain: rec.cut_state,
             pending: None,
             last_lsn: rec.last_lsn,
             applied_lsn: rec.applied_lsn,
         };
         // Re-seed the staging area with the un-fenced tail: shipped
         // records whose fence has not arrived yet. Their fence (or a
-        // checkpoint discarding them) comes through the stream.
+        // checkpoint discarding them) comes through the stream. The
+        // fenced overlay is empty right after recovery and the device
+        // equals the cut fence's state — a valid delta base.
+        let from_device = |page| db.tree().replica_read_page(page).map(Some);
         for record in rec.tail {
-            match record {
-                WalRecord::PageImage { page, bytes } => {
-                    st.staged.insert(page, ReplayPage::Raw(bytes));
-                }
-                WalRecord::PageDelta { page, op } => {
-                    if let std::collections::hash_map::Entry::Vacant(e) = st.staged.entry(page) {
-                        // Fenced overlay is empty right after recovery;
-                        // the device equals the cut fence state — a valid
-                        // delta base.
-                        e.insert(ReplayPage::Raw(st.db.tree().replica_read_page(page)?));
-                    }
-                    st.staged
-                        .get_mut(&page)
-                        .expect("entry just ensured")
-                        .apply(&op)?;
-                }
-                _ => {
-                    return Err(TsbError::corruption(
-                        "replica log tail holds a fence record past the recovery cut",
-                    ))
-                }
+            if !apply_page_record(&mut st.staged, record, from_device)? {
+                return Err(TsbError::corruption(
+                    "replica log tail holds a fence record past the recovery cut",
+                ));
             }
         }
         self.inner
@@ -540,37 +525,17 @@ impl ReplicaEngine {
                 let f = std::fs::File::create(&marker)?;
                 f.sync_all()?;
             }
-            for f in [MAGNETIC_FILE, WORM_FILE, WAL_FILE] {
-                let path = self.inner.dir.join(f);
-                if path.exists() {
-                    std::fs::remove_file(&path)?;
-                }
-            }
-            let stats = Arc::new(tsb_storage::IoStats::new());
-            let magnetic = MagneticStore::open_file(
-                self.inner.dir.join(MAGNETIC_FILE),
-                self.inner.cfg.page_size,
-                Arc::clone(&stats),
-            )?;
+            DurableFiles::wipe(&self.inner.dir)?;
+            let files = DurableFiles::create(&self.inner.dir, &self.inner.cfg)?;
             for (page, bytes) in &base.pages {
-                magnetic.restore(*page, bytes)?;
+                files.magnetic.restore(*page, bytes)?;
             }
-            magnetic.sync()?;
-            let worm = WormStore::open_file(
-                self.inner.dir.join(WORM_FILE),
-                self.inner.cfg.worm_sector_size,
-                Arc::clone(&stats),
-            )?;
-            worm.restore_tail(0, &base.worm)?;
-            worm.sync()?;
-            let wal = Wal::create(
-                self.inner.dir.join(WAL_FILE),
-                self.inner.cfg.fsync_policy,
-                stats,
-            )?;
-            wal.append_shipped(&base.checkpoint)?;
-            wal.sync()?;
-            drop(wal);
+            files.magnetic.sync()?;
+            files.worm.restore_tail(0, &base.worm)?;
+            files.worm.sync()?;
+            files.wal.append_shipped(&base.checkpoint)?;
+            files.wal.sync()?;
+            drop(files);
             std::fs::remove_file(&marker)?;
         }
         if !self.reopen()? {
@@ -628,56 +593,49 @@ impl ReplicaEngine {
             }
         }
 
-        // 2. Records in order: append locally, stage, fold at fences.
+        // 2. Records in order: append locally, stage, fold at fences. A
+        //    fence passes the fence rule *before* it reaches the local
+        //    log: a batch is input from outside the process, and a fence
+        //    over history this device does not hold must never be logged,
+        //    let alone installed.
+        let worm_on_device = tree.worm.device_bytes();
         for body in &batch.records {
             let (lsn, record) = WalRecord::decode_body(body)?;
             if lsn <= st.last_lsn {
                 // Reconnect overlap: already in the local log.
                 continue;
             }
-            match record {
-                WalRecord::PageImage { page, bytes } => {
+            refuse_two_phase(&record)?;
+            match fence_rule(&record, Some(st.chain), worm_on_device)? {
+                FenceReading::NotAFence => {
                     wal.append_shipped(body)?;
-                    st.staged.insert(page, ReplayPage::Raw(bytes));
+                    // A page the staging area lacks starts from the fenced
+                    // overlay, else from the device: its first touch
+                    // predates this replica's log, and the device equals
+                    // the last installed fence.
+                    let fenced = &st.fenced;
+                    apply_page_record(&mut st.staged, record, |page| match fenced.get(&page) {
+                        Some(state) => Ok(Some(state.clone())),
+                        None => tree.replica_read_page(page).map(Some),
+                    })?;
                 }
-                WalRecord::PageDelta { page, op } => {
+                FenceReading::PastDevice { worm_len } => {
+                    return Err(fence_past_device("shipped", lsn, worm_len, worm_on_device));
+                }
+                FenceReading::Describes {
+                    state,
+                    commit_ts: Some(_),
+                } => {
                     wal.append_shipped(body)?;
-                    if let std::collections::hash_map::Entry::Vacant(e) = st.staged.entry(page) {
-                        let base = match st.fenced.get(&page) {
-                            Some(ReplayPage::Raw(b)) => b.clone(),
-                            Some(ReplayPage::Decoded(n)) => n.encode(),
-                            // First touch predates this replica's log:
-                            // the device equals the last installed fence.
-                            None => tree.replica_read_page(page)?,
-                        };
-                        e.insert(ReplayPage::Raw(base));
-                    }
-                    st.staged
-                        .get_mut(&page)
-                        .expect("entry just ensured")
-                        .apply(&op)?;
+                    st.chain = state;
+                    st.fenced.extend(st.staged.drain());
+                    st.pending = Some(FenceInstall { lsn, state });
                 }
-                WalRecord::Commit { ts, meta, .. } => {
-                    wal.append_shipped(body)?;
-                    let ts = Timestamp(ts);
-                    let (root, clock_next, next_txn) = if meta.is_empty() {
-                        (st.chain.0, ts.next(), st.chain.1)
-                    } else {
-                        TsbTree::decode_meta(&meta)?
-                    };
-                    st.chain = (root, next_txn);
-                    let staged: Vec<(PageId, ReplayPage)> = st.staged.drain().collect();
-                    for (page, state) in staged {
-                        st.fenced.insert(page, state);
-                    }
-                    st.pending = Some(FenceInstall {
-                        lsn,
-                        root,
-                        clock_next,
-                        next_txn,
-                    });
-                }
-                WalRecord::Checkpoint { meta, .. } => {
+                // A checkpoint (two-phase fences were refused above).
+                FenceReading::Describes {
+                    state,
+                    commit_ts: None,
+                } => {
                     // Phantom discard: un-fenced records describe state
                     // the primary's log reset threw away.
                     st.staged.clear();
@@ -685,27 +643,12 @@ impl ReplicaEngine {
                     // in the local log, then the devices flushed + synced
                     // to exactly the checkpointed state, then the record.
                     wal.sync()?;
-                    let (root, clock_next, next_txn) = TsbTree::decode_meta(&meta)?;
-                    st.chain = (root, next_txn);
-                    Self::install(
-                        &db,
-                        st,
-                        FenceInstall {
-                            lsn,
-                            root,
-                            clock_next,
-                            next_txn,
-                        },
-                    )?;
+                    st.chain = state;
+                    Self::install(&db, st, FenceInstall { lsn, state })?;
                     tree.replica_sync_devices()?;
                     wal.append_shipped(body)?;
                     wal.sync()?;
                     st.pending = None;
-                }
-                WalRecord::Prepare { .. } | WalRecord::Decision { .. } => {
-                    return Err(TsbError::config(
-                        "replication of a sharded (two-phase-commit) primary is not supported",
-                    ));
                 }
             }
             st.last_lsn = lsn;
@@ -738,12 +681,13 @@ impl ReplicaEngine {
                 for (page, state) in fenced {
                     tree.replica_install_page(page, &state.into_bytes())?;
                 }
-                tree.replica_install_meta(fence.root, fence.clock_next, fence.next_txn)
+                tree.replica_install_meta(fence.state)
             })();
             tree.settle_structure();
             result?;
         }
-        db.advance_fence(fence.clock_next.prev());
+        let (_, clock_next, _) = fence.state;
+        db.advance_fence(clock_next.prev());
         st.applied_lsn = fence.lsn;
         Ok(())
     }
@@ -1057,6 +1001,82 @@ mod tests {
         assert!(batch.needs_rebase, "a reset past the cursor must rebase");
         sync_until_caught_up(&source, &replica).unwrap();
         assert_replica_matches(&primary, &replica);
+    }
+
+    /// A `Batch` reply is input from outside the process. One whose fences
+    /// reference history it does not carry must be refused before the
+    /// fence reaches the local log — not installed over a WORM device that
+    /// lacks the bytes (reads past the device, and a restart that refuses
+    /// its own log).
+    #[test]
+    fn a_fence_over_history_the_replica_lacks_is_refused_before_it_is_logged() {
+        let pdir = TempDir::new("src-f");
+        let rdir = TempDir::new("dst-f");
+        let primary = crate::TsbOptions::durable(&pdir.0)
+            .config(cfg())
+            .open_concurrent()
+            .unwrap();
+        let source = ReplicationSource::new(&primary).unwrap();
+        let replica = ReplicaEngine::open(&rdir.0, cfg()).unwrap();
+        let probe = Key::from_u64(0);
+        primary.insert(probe.clone(), b"base".to_vec()).unwrap();
+        sync_until_caught_up(&source, &replica).unwrap();
+        let applied = replica.status().applied_lsn;
+
+        // Updates until history migrates onto the primary's WORM, so the
+        // next batch's fences reference bytes the replica does not hold.
+        for i in 0..80u64 {
+            primary
+                .insert(Key::from_u64(i % 4), format!("v{i}").into_bytes())
+                .unwrap();
+        }
+        let poll = |replica: &ReplicaEngine| {
+            source
+                .poll(
+                    replica.resume_lsn().expect("serving"),
+                    replica.worm_have(),
+                    tsb_storage::DEFAULT_BATCH_BYTES,
+                )
+                .unwrap()
+        };
+        let mut short = poll(&replica);
+        assert!(!short.worm.is_empty(), "the batch must carry new history");
+        short.worm.clear();
+
+        let refused = replica.apply_batch(&short);
+        assert!(
+            matches!(&refused, Err(TsbError::Corruption(msg)) if msg.contains("shipped fence")),
+            "a fence past the local WORM device must be refused, got {refused:?}"
+        );
+        // The replica keeps serving its last installed fence…
+        assert_eq!(replica.status().applied_lsn, applied);
+        assert_eq!(replica.get_current(&probe).unwrap(), Some(b"base".to_vec()));
+        assert_eq!(
+            replica
+                .history_between(&probe, TimeRange::full())
+                .unwrap()
+                .len(),
+            1
+        );
+        // …and its local log never saw the refused fence: a restart opens
+        // (at the newest fence the batch held *before* it, whose history
+        // is on the device).
+        drop(replica);
+        let replica = ReplicaEngine::open(&rdir.0, cfg()).unwrap();
+        assert!(replica.is_serving());
+        assert!(replica.status().applied_lsn >= applied);
+        replica.verify().unwrap();
+
+        // A primary that ships the history on the next poll heals it.
+        let intact = poll(&replica);
+        assert!(!intact.worm.is_empty());
+        replica.apply_batch(&intact).unwrap();
+        sync_until_caught_up(&source, &replica).unwrap();
+        assert_replica_matches(&primary, &replica);
+        assert_eq!(
+            replica.history_between(&probe, TimeRange::full()).unwrap(),
+            primary.history_between(&probe, TimeRange::full()).unwrap()
+        );
     }
 
     #[test]

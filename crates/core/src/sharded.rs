@@ -83,7 +83,8 @@ use tsb_storage::{CrashPoint, FaultInjector, IoSnapshot, Lsn};
 use crate::concurrent::ConcurrentTsb;
 use crate::engine::{EngineHandle, EngineRole};
 use crate::replica::ReplicationSource;
-use crate::tree::{StagedRecovery, TsbTree};
+use crate::tree::recover::{DurableFiles, StagedRecovery};
+use crate::tree::TsbTree;
 
 /// Name of the shard-count manifest inside a sharded data directory.
 const MANIFEST_FILE: &str = "shards.manifest";
@@ -221,7 +222,7 @@ impl ShardedTsb {
             None => false,
         };
         if !persisted && shards != 1 {
-            if dir.join(crate::tree::WAL_FILE).exists() {
+            if DurableFiles::has_log(dir) {
                 return Err(TsbError::config(format!(
                     "directory {} holds a flat single-shard database; reopening \
                      with {shards} shards would re-partition it",

@@ -239,7 +239,7 @@ impl TsbTree {
                         // re-imaging the whole (typically fullest) node.
                         let ops = if self.logs_deltas() {
                             vec![PageOp::IndexReplaceChild {
-                                payload: super::encode_replace_child(&child, &replacements),
+                                payload: super::replay::encode_replace_child(&child, &replacements),
                             }]
                         } else {
                             Vec::new()

@@ -33,13 +33,6 @@ pub(crate) struct TxnTable {
 }
 
 impl TxnTable {
-    pub(crate) fn new() -> Self {
-        TxnTable {
-            next_id: 1,
-            active: HashMap::new(),
-        }
-    }
-
     pub(crate) fn starting_at(next_id: u64) -> Self {
         TxnTable {
             next_id: next_id.max(1),

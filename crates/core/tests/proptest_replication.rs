@@ -6,14 +6,15 @@
 //! fault injector at an arbitrary durable-write count and reopened from
 //! its own disk; the primary dropped without a checkpoint and recovered —
 //! must leave a final synced replica that answers every current and as-of
-//! read exactly as the primary does, under both WAL modes. A caught-up
+//! read exactly as the primary does — whether the primary's log carries
+//! deltas (as shipped) or a full image per rewrite (the reference). A caught-up
 //! replica's next poll must also be a fixed point (an empty batch).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use tsb_common::{FsyncPolicy, Key, KeyRange, Timestamp, WalMode};
+use tsb_common::{FsyncPolicy, Key, KeyRange, Timestamp};
 use tsb_core::{EngineHandle, FaultInjector, ReplicaEngine, ReplicationSource, TsbOptions};
 
 struct TempDir(std::path::PathBuf);
@@ -69,11 +70,17 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn opts(dir: &std::path::Path, mode: WalMode) -> TsbOptions {
-    TsbOptions::durable(dir)
+/// `images_only` selects the reference log (a full image per rewrite)
+/// through `TsbOptions`' hidden test switch.
+fn opts(dir: &std::path::Path, images_only: bool) -> TsbOptions {
+    let opts = TsbOptions::durable(dir)
         .small_pages()
-        .fsync(FsyncPolicy::Always)
-        .wal_mode(mode)
+        .fsync(FsyncPolicy::Always);
+    if images_only {
+        opts.reference_image_log()
+    } else {
+        opts
+    }
 }
 
 /// Ships one poll's worth; rebases first if the primary reset past the
@@ -104,12 +111,12 @@ fn ship_all(source: &ReplicationSource, replica: &ReplicaEngine) {
     while !ship_once(source, replica, 1 << 20).expect("ship") {}
 }
 
-fn run_case(mode: WalMode, steps: &[Step]) -> Result<(), TestCaseError> {
+fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
     let pdir = TempDir::new("p");
     let rdir = TempDir::new("r");
-    let mut primary = opts(&pdir.0, mode).open_concurrent().unwrap();
+    let mut primary = opts(&pdir.0, images_only).open_concurrent().unwrap();
     let mut source = Some(ReplicationSource::new(&primary).unwrap());
-    let mut replica = opts(&rdir.0, mode).open_replica().unwrap();
+    let mut replica = opts(&rdir.0, images_only).open_replica().unwrap();
 
     // Every acknowledged (commit-stamped) write, for the as-of oracle.
     let mut stamps: Vec<(u64, Timestamp)> = Vec::new();
@@ -159,14 +166,14 @@ fn run_case(mode: WalMode, steps: &[Step]) -> Result<(), TestCaseError> {
                 // Crash-equivalent restart: reopen from whatever the disk
                 // holds, with a disarmed process.
                 drop(replica);
-                replica = opts(&rdir.0, mode).open_replica().unwrap();
+                replica = opts(&rdir.0, images_only).open_replica().unwrap();
             }
             Step::KillPrimary => {
                 // No checkpoint, no graceful anything: drop every handle
                 // and recover from the directory.
                 drop(source.take());
                 drop(primary);
-                primary = opts(&pdir.0, mode).open_concurrent().unwrap();
+                primary = opts(&pdir.0, images_only).open_concurrent().unwrap();
                 source = Some(ReplicationSource::new(&primary).unwrap());
             }
         }
@@ -179,16 +186,21 @@ fn run_case(mode: WalMode, steps: &[Step]) -> Result<(), TestCaseError> {
     let range = KeyRange::full();
     let p = primary.scan_current(&range).unwrap();
     let r = replica.scan_current(&range).unwrap();
-    prop_assert_eq!(p, r, "replica current state diverged ({:?})", mode);
+    prop_assert_eq!(
+        p,
+        r,
+        "replica current state diverged (images_only: {})",
+        images_only
+    );
 
     for (key, ts) in &stamps {
         let key = Key::from_u64(*key);
         prop_assert_eq!(
             replica.get_as_of(&key, *ts).unwrap(),
             primary.get_as_of(&key, *ts).unwrap(),
-            "as-of read diverged at {:?} ({:?})",
+            "as-of read diverged at {:?} (images_only: {})",
             ts,
-            mode
+            images_only
         );
     }
 
@@ -212,7 +224,7 @@ proptest! {
     fn replica_equals_primary_durable_prefix(
         steps in prop::collection::vec(step(), 1..36),
     ) {
-        run_case(WalMode::Hybrid, &steps)?;
-        run_case(WalMode::ImagesOnly, &steps)?;
+        run_case(false, &steps)?;
+        run_case(true, &steps)?;
     }
 }

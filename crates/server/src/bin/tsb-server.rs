@@ -3,7 +3,7 @@
 //! verb.
 //!
 //! ```text
-//! tsb-server <data-dir> [--addr HOST:PORT] [--fsync always|os|every:N] \
+//! tsb-server <data-dir> [--addr HOST:PORT] [--fsync always|os] \
 //!            [--shards N] [--small-pages] [--replica-of HOST:PORT] \
 //!            [--max-conns N] [--idle-timeout SECS]
 //! ```
@@ -54,7 +54,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tsb-server <data-dir> [--addr HOST:PORT] [--fsync always|os|every:N] \
+        "usage: tsb-server <data-dir> [--addr HOST:PORT] [--fsync always|os] \
          [--shards N] [--small-pages] [--replica-of HOST:PORT] [--max-conns N] \
          [--idle-timeout SECS]"
     );
@@ -85,10 +85,7 @@ fn parse_args() -> Args {
                 fsync = match value.as_str() {
                     "always" => FsyncPolicy::Always,
                     "os" => FsyncPolicy::Os,
-                    other => match other.strip_prefix("every:").and_then(|n| n.parse().ok()) {
-                        Some(n) => FsyncPolicy::EveryN(n),
-                        None => usage(),
-                    },
+                    _ => usage(),
                 };
             }
             "--shards" => match args.next().and_then(|n| n.parse().ok()) {

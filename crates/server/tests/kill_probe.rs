@@ -133,10 +133,9 @@ fn kill_nine_loses_no_acknowledged_write() {
 fn kill_nine_mid_pipeline_keeps_every_acked_group_commit() {
     use tsb_client::protocol::{Reply, Request};
 
-    // `always` is the one policy whose ack is a per-LSN durability promise;
-    // EveryN acks promise only group-boundary durability, so a SIGKILL may
-    // legitimately drop the unsynced tail there. The pipelining still
-    // exercises batched acks riding a single watermark wait.
+    // `always` is the policy whose ack is a per-LSN durability promise.
+    // The pipelining exercises batched acks riding a single watermark
+    // wait.
     let dir = TempDir::new("pipelined");
     let acked: Vec<(u64, Vec<u8>)> = {
         let (mut server, addr) = spawn_server(dir.path(), "always");
@@ -346,4 +345,25 @@ fn kill_nine_sharded_server_loses_no_acks_and_no_partial_commits() {
          (lost: {seen_lost}, applied: {seen_applied}); 'never applied' means the commit \
          is not reaching the server before the kill"
     );
+}
+
+/// `--fsync` knows two policies. Any other spelling — the retired
+/// `every:N` included — is a usage error (exit 2, usage on stderr), not a
+/// silent fallback to a policy the operator did not ask for.
+#[test]
+fn an_unknown_fsync_policy_is_a_usage_error() {
+    for policy in ["every:8", "sometimes"] {
+        let dir = TempDir::new("usage");
+        let out = Command::new(env!("CARGO_BIN_EXE_tsb-server"))
+            .arg(dir.path())
+            .args(["--fsync", policy])
+            .output()
+            .expect("run tsb-server");
+        assert_eq!(out.status.code(), Some(2), "--fsync {policy}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage: tsb-server") && stderr.contains("--fsync always|os]"),
+            "--fsync {policy} printed: {stderr}"
+        );
+    }
 }

@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 
 use tsb_common::TsbResult;
 
-use crate::wal::{Lsn, Wal, WalRecord};
+use crate::wal::{frame_at, Lsn, WalRecord};
 
 /// Soft cap on the total body bytes one [`WalTailer::poll`] returns. The
 /// final record of a batch may push past it; a batch never splits a record.
@@ -65,7 +65,7 @@ pub struct WalTailer {
 
 impl WalTailer {
     /// Creates a tailer over the log at `path` (typically
-    /// [`Wal::path`]).
+    /// [`crate::Wal::path`]).
     pub fn new(path: impl AsRef<Path>) -> Self {
         WalTailer {
             path: path.as_ref().to_path_buf(),
@@ -119,7 +119,7 @@ impl WalTailer {
         let mut pos = 0usize;
         let mut first = true;
         loop {
-            let Some((frame_len, body)) = Wal::frame_at(&buf, pos) else {
+            let Some((frame_len, body)) = frame_at(&buf, pos) else {
                 // The log ends before `after_lsn + 1`: caught up (or the
                 // tail is still being written). Remember where the next
                 // frame will land only if the sequence ran out exactly at
@@ -182,7 +182,7 @@ impl WalTailer {
         file.seek(SeekFrom::Start(offset))?;
         let mut buf = Vec::with_capacity((file_len - offset) as usize);
         file.read_to_end(&mut buf)?;
-        let Some((_, body)) = Wal::frame_at(&buf, 0) else {
+        let Some((_, body)) = frame_at(&buf, 0) else {
             // Not a complete frame yet; could be a mid-append race or a
             // replaced file. If the file holds bytes past the offset that
             // do not parse, force the slow path to disambiguate.
@@ -216,7 +216,7 @@ impl WalTailer {
         // absolute offset from the cached cursor when present.
         let start_pos = pos;
         while total < max_bytes {
-            let Some((frame_len, body)) = Wal::frame_at(buf, pos) else {
+            let Some((frame_len, body)) = frame_at(buf, pos) else {
                 break;
             };
             let Ok((lsn, _)) = WalRecord::decode_body(body) else {
@@ -251,6 +251,7 @@ mod tests {
     use super::*;
     use crate::page::PageId;
     use crate::stats::IoStats;
+    use crate::wal::Wal;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

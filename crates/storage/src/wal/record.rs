@@ -1,0 +1,455 @@
+//! The log's bytes: the record kinds and their bodies, the `len|crc|body`
+//! frame around each body, and the scan that reads a file of frames back.
+//! The format itself is specified in the [module docs](super).
+
+use tsb_common::checksum::crc32;
+use tsb_common::encode::{ByteReader, ByteWriter};
+use tsb_common::{Key, Timestamp, TsbError, TsbResult, TxnId, Version};
+
+use crate::page::PageId;
+
+/// A log sequence number: the position of a record in the total order of
+/// the log. Starts at 1; 0 means "nothing logged".
+pub type Lsn = u64;
+
+/// Upper bound on a single record body. Anything larger in a length prefix
+/// is treated as a torn tail rather than an allocation request.
+const MAX_RECORD_BODY: u32 = 64 << 20;
+
+/// A compact logical redo operation against one data (leaf) node — the
+/// payload of a [`WalRecord::PageDelta`].
+///
+/// The content ops ([`InsertVersion`](Self::InsertVersion),
+/// [`RemoveUncommitted`](Self::RemoveUncommitted)) are *slot assignments*
+/// on the node's `(key, version-order)` entry map: applying one twice
+/// equals applying it once. The structural ops record the *outcome* of a
+/// split decision (the chosen split time or key); replay re-runs the same
+/// pure partition function the forward path ran, against the same node
+/// state the log rebuilt, so it reproduces the same result. Both families
+/// replay deterministically in LSN order against the page's last logged
+/// image — recovery never reads (or trusts) the device copy of a delta'd
+/// page.
+///
+/// Wholesale content that cannot be derived from the page's prior state —
+/// a freshly initialized node, a split piece landing on a new (or
+/// recycled) page, a recovery repair — is never expressed as an op; it
+/// logs a full [`WalRecord::PageImage`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum PageOp {
+    /// Insert a version into the leaf, replacing any existing entry with
+    /// the same `(key, version order)` — the redo image of an insert,
+    /// update, logical delete (tombstone), uncommitted transactional
+    /// write, or commit-time stamping.
+    InsertVersion(Version),
+    /// Remove the uncommitted version of `key` written by `txn`, if
+    /// present — the redo image of a transaction abort and of the removal
+    /// half of commit-time stamping.
+    RemoveUncommitted {
+        /// The key whose uncommitted version is erased.
+        key: Key,
+        /// The transaction that wrote it.
+        txn: TxnId,
+    },
+    /// Data-node time split at `split_time`: the page keeps the split's
+    /// *current* partition (versions at or after the split time, the
+    /// rule-3 duplicates valid at it, and uncommitted entries) and its
+    /// time range now starts at `split_time`. The migrated half lives on
+    /// the WORM, which needs no redo.
+    DataTimeSplit {
+        /// The chosen split time.
+        split_time: Timestamp,
+    },
+    /// Data-node key split at `split_key`: the page keeps the low half
+    /// (`keep_low`) or the high half, and its key range shrinks to the
+    /// matching side. The other half's page logs its own image (it is a
+    /// fresh or recycled page with no usable base).
+    DataKeySplit {
+        /// The chosen split key.
+        split_key: Key,
+        /// Whether this page keeps the `< split_key` half.
+        keep_low: bool,
+    },
+    /// Index-node local time split at `split_time` (§3.5): the page keeps
+    /// the entries whose rectangles reach `split_time` or later, and its
+    /// time range now starts there.
+    IndexTimeSplit {
+        /// The chosen split time.
+        split_time: Timestamp,
+    },
+    /// Index-node keyspace split at `split_key`: the page keeps the low or
+    /// high side (straddling historical entries are duplicated into both
+    /// by the partition rule, so each side is self-contained).
+    IndexKeySplit {
+        /// The chosen split key.
+        split_key: Key,
+        /// Whether this page keeps the low side.
+        keep_low: bool,
+    },
+    /// Index-node child replacement: the entry for one child is swapped
+    /// for the entries describing its split pieces. The payload is the
+    /// tree's own encoding of `(old child address, replacement entries)` —
+    /// opaque at this layer, exactly like the tree metadata carried by
+    /// [`WalRecord::Commit`].
+    IndexReplaceChild {
+        /// Core-encoded `(old child, replacements)` tuple.
+        payload: Vec<u8>,
+    },
+}
+
+impl PageOp {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            PageOp::InsertVersion(v) => {
+                w.put_u8(1);
+                w.put_version(v);
+            }
+            PageOp::RemoveUncommitted { key, txn } => {
+                w.put_u8(2);
+                w.put_key(key);
+                w.put_u64(txn.0);
+            }
+            PageOp::DataTimeSplit { split_time } => {
+                w.put_u8(3);
+                w.put_timestamp(*split_time);
+            }
+            PageOp::DataKeySplit {
+                split_key,
+                keep_low,
+            } => {
+                w.put_u8(4);
+                w.put_key(split_key);
+                w.put_u8(*keep_low as u8);
+            }
+            PageOp::IndexTimeSplit { split_time } => {
+                w.put_u8(5);
+                w.put_timestamp(*split_time);
+            }
+            PageOp::IndexKeySplit {
+                split_key,
+                keep_low,
+            } => {
+                w.put_u8(6);
+                w.put_key(split_key);
+                w.put_u8(*keep_low as u8);
+            }
+            PageOp::IndexReplaceChild { payload } => {
+                w.put_u8(7);
+                w.put_bytes(payload);
+            }
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
+        match r.get_u8()? {
+            1 => Ok(PageOp::InsertVersion(r.get_version()?)),
+            2 => Ok(PageOp::RemoveUncommitted {
+                key: r.get_key()?,
+                txn: TxnId(r.get_u64()?),
+            }),
+            3 => Ok(PageOp::DataTimeSplit {
+                split_time: r.get_timestamp()?,
+            }),
+            4 => Ok(PageOp::DataKeySplit {
+                split_key: r.get_key()?,
+                keep_low: r.get_u8()? != 0,
+            }),
+            5 => Ok(PageOp::IndexTimeSplit {
+                split_time: r.get_timestamp()?,
+            }),
+            6 => Ok(PageOp::IndexKeySplit {
+                split_key: r.get_key()?,
+                keep_low: r.get_u8()? != 0,
+            }),
+            7 => Ok(PageOp::IndexReplaceChild {
+                payload: r.get_bytes()?,
+            }),
+            t => Err(TsbError::corruption(format!("invalid WAL page op {t}"))),
+        }
+    }
+}
+
+/// One redo-log record.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum WalRecord {
+    /// The newest image of a magnetic page (an encoded node). Appended by
+    /// the tree *before* its node cache holds the node dirty.
+    PageImage {
+        /// The magnetic page this image belongs to.
+        page: PageId,
+        /// The full page payload (what `MagneticStore::write` would store).
+        bytes: Vec<u8>,
+    },
+    /// A mutation fully logged: every page image it produced precedes this
+    /// record. Carries the tree metadata describing the resulting state.
+    Commit {
+        /// The newest commit timestamp as of this mutation.
+        ts: u64,
+        /// WORM device length at commit time; recovery refuses to cut at a
+        /// commit whose history extends past the surviving WORM file.
+        worm_len: u64,
+        /// Opaque tree metadata (root pointer, clock, txn counter) in the
+        /// tree's own meta-page encoding.
+        meta: Vec<u8>,
+    },
+    /// A completed flush: the magnetic device equals the state in `meta`.
+    /// Replay starts after the newest checkpoint (the fence LSN).
+    Checkpoint {
+        /// WORM device length at checkpoint time.
+        worm_len: u64,
+        /// Opaque tree metadata, as in [`WalRecord::Commit`].
+        meta: Vec<u8>,
+    },
+    /// A logical redo delta against one page: the page's content after an
+    /// already-logged base ([`WalRecord::PageImage`], first-touch rule)
+    /// plus this op, instead of a fresh full image. Appended by the tree
+    /// for content-only leaf rewrites after the page's first dirtying in
+    /// the current checkpoint interval.
+    PageDelta {
+        /// The magnetic page the op applies to.
+        page: PageId,
+        /// The logical mutation.
+        op: PageOp,
+    },
+    /// A two-phase-commit **prepare** fence on one participant shard: every
+    /// page image/delta of the prepared (still-uncommitted) writes precedes
+    /// this record, and the record survives as a cut candidate so recovery
+    /// can see the in-doubt transaction and resolve it against the
+    /// coordinator's decision. Always carries full metadata (never elided)
+    /// and is force-synced by the engine before the protocol proceeds.
+    Prepare {
+        /// The global commit timestamp reserved for the transaction.
+        ts: u64,
+        /// WORM device length at prepare time (same cut rule as a commit).
+        worm_len: u64,
+        /// Opaque tree metadata, as in [`WalRecord::Commit`].
+        meta: Vec<u8>,
+        /// The participant-local transaction id whose writes are prepared.
+        txn: u64,
+        /// Shard index of the coordinator (where the decision is logged).
+        coordinator: u32,
+        /// Shard indices of every participant, coordinator included.
+        participants: Vec<u32>,
+    },
+    /// The coordinator's two-phase-commit **decision**: the transaction at
+    /// `ts` is committed on every participant. Logged (and force-synced)
+    /// only after every participant's prepare is durable; recovery commits
+    /// an in-doubt prepare iff a decision with its `ts` survives on the
+    /// coordinator, and aborts it otherwise (presumed abort).
+    Decision {
+        /// The global commit timestamp of the decided transaction.
+        ts: u64,
+        /// Shard indices of every participant, coordinator included.
+        participants: Vec<u32>,
+    },
+}
+
+impl WalRecord {
+    /// Whether this record ends a group of page records: a `Commit`,
+    /// `Checkpoint`, `Prepare` or `Decision`. Appending a fence drains the
+    /// append buffer to the file, so everything buffered is always
+    /// un-fenced.
+    pub(crate) fn is_fence(&self) -> bool {
+        !matches!(
+            self,
+            WalRecord::PageImage { .. } | WalRecord::PageDelta { .. }
+        )
+    }
+
+    fn kind(&self) -> u8 {
+        match self {
+            WalRecord::PageImage { .. } => 1,
+            WalRecord::Commit { .. } => 2,
+            WalRecord::Checkpoint { .. } => 3,
+            WalRecord::PageDelta { .. } => 4,
+            WalRecord::Prepare { .. } => 5,
+            WalRecord::Decision { .. } => 6,
+        }
+    }
+
+    /// Encodes the record body (`lsn | kind | payload`) exactly as it is
+    /// framed into the log. Public for WAL shipping: a replication source
+    /// re-frames record bodies onto the wire, and a replica appends the
+    /// same bytes to its local log via [`super::Wal::append_shipped`], so both
+    /// sides of the stream speak the log's own on-disk encoding.
+    pub fn encode_body(&self, lsn: Lsn) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(lsn);
+        w.put_u8(self.kind());
+        match self {
+            WalRecord::PageImage { page, bytes } => {
+                w.put_u64(page.0);
+                w.put_bytes(bytes);
+            }
+            WalRecord::Commit { ts, worm_len, meta } => {
+                w.put_u64(*ts);
+                w.put_u64(*worm_len);
+                w.put_bytes(meta);
+            }
+            WalRecord::Checkpoint { worm_len, meta } => {
+                w.put_u64(*worm_len);
+                w.put_bytes(meta);
+            }
+            WalRecord::PageDelta { page, op } => {
+                w.put_u64(page.0);
+                op.encode(&mut w);
+            }
+            WalRecord::Prepare {
+                ts,
+                worm_len,
+                meta,
+                txn,
+                coordinator,
+                participants,
+            } => {
+                w.put_u64(*ts);
+                w.put_u64(*worm_len);
+                w.put_bytes(meta);
+                w.put_u64(*txn);
+                w.put_u32(*coordinator);
+                w.put_u32(participants.len() as u32);
+                for p in participants {
+                    w.put_u32(*p);
+                }
+            }
+            WalRecord::Decision { ts, participants } => {
+                w.put_u64(*ts);
+                w.put_u32(participants.len() as u32);
+                for p in participants {
+                    w.put_u32(*p);
+                }
+            }
+        }
+        w.into_vec()
+    }
+
+    /// Decodes a record body produced by [`Self::encode_body`], returning
+    /// the embedded LSN and the record. The inverse used by a replica to
+    /// interpret shipped record bodies.
+    pub fn decode_body(body: &[u8]) -> TsbResult<(Lsn, WalRecord)> {
+        let mut r = ByteReader::new(body);
+        let lsn = r.get_u64()?;
+        let record = match r.get_u8()? {
+            1 => WalRecord::PageImage {
+                page: PageId(r.get_u64()?),
+                bytes: r.get_bytes()?,
+            },
+            2 => WalRecord::Commit {
+                ts: r.get_u64()?,
+                worm_len: r.get_u64()?,
+                meta: r.get_bytes()?,
+            },
+            3 => WalRecord::Checkpoint {
+                worm_len: r.get_u64()?,
+                meta: r.get_bytes()?,
+            },
+            4 => WalRecord::PageDelta {
+                page: PageId(r.get_u64()?),
+                op: PageOp::decode(&mut r)?,
+            },
+            5 => {
+                let ts = r.get_u64()?;
+                let worm_len = r.get_u64()?;
+                let meta = r.get_bytes()?;
+                let txn = r.get_u64()?;
+                let coordinator = r.get_u32()?;
+                let n = r.get_u32()? as usize;
+                let mut participants = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    participants.push(r.get_u32()?);
+                }
+                WalRecord::Prepare {
+                    ts,
+                    worm_len,
+                    meta,
+                    txn,
+                    coordinator,
+                    participants,
+                }
+            }
+            6 => {
+                let ts = r.get_u64()?;
+                let n = r.get_u32()? as usize;
+                let mut participants = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    participants.push(r.get_u32()?);
+                }
+                WalRecord::Decision { ts, participants }
+            }
+            t => return Err(TsbError::corruption(format!("invalid WAL record kind {t}"))),
+        };
+        Ok((lsn, record))
+    }
+}
+
+/// Bytes a frame adds around its body: `len: u32 | crc: u32`.
+const FRAME_HEADER_BYTES: usize = 8;
+
+/// Appends the frame `len | crc | body` to `out` and returns the frame's
+/// length — the one writer of the frame format [`frame_at`] reads.
+pub(super) fn write_frame(out: &mut Vec<u8>, body: &[u8]) -> usize {
+    let frame_len = FRAME_HEADER_BYTES + body.len();
+    out.reserve(frame_len);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.extend_from_slice(body);
+    frame_len
+}
+
+/// Frames the record starting at `pos`: returns `(total frame length,
+/// body slice)` if the frame is complete and its CRC matches.
+pub(crate) fn frame_at(buf: &[u8], pos: usize) -> Option<(usize, &[u8])> {
+    let header = buf.get(pos..pos + FRAME_HEADER_BYTES)?;
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if len == 0 || len > MAX_RECORD_BODY {
+        return None;
+    }
+    let start = pos + FRAME_HEADER_BYTES;
+    let body = buf.get(start..start + len as usize)?;
+    if crc32(body) != crc {
+        return None;
+    }
+    Some((FRAME_HEADER_BYTES + len as usize, body))
+}
+
+/// What [`Wal::open`](super::Wal::open) found on disk: the intact records
+/// (torn tail already truncated) and whether a tear was repaired.
+#[derive(Debug)]
+pub struct WalScan {
+    /// Every intact record, in LSN order.
+    pub records: Vec<(Lsn, WalRecord)>,
+    /// Whether a torn tail (partial or corrupt trailing record) was cut off.
+    pub truncated_torn_tail: bool,
+}
+
+/// Scans `buf` from the start: returns the intact records in LSN order,
+/// the byte position of the first bad frame (== `buf.len()` when the
+/// whole buffer is intact), and whether a torn tail was found. The
+/// first record may carry any LSN (checkpoint truncation keeps the
+/// sequence running across log generations); after that a
+/// discontinuity means the file was spliced or a tear was overwritten
+/// — nothing from there on is trustworthy.
+pub(super) fn scan_buf(buf: &[u8]) -> (Vec<(Lsn, WalRecord)>, usize, bool) {
+    let mut records: Vec<(Lsn, WalRecord)> = Vec::new();
+    let mut pos = 0usize;
+    let mut next_lsn: Lsn = 1;
+    let mut torn = false;
+    while pos < buf.len() {
+        let Some((record_len, body)) = frame_at(buf, pos) else {
+            torn = true;
+            break;
+        };
+        let Ok((lsn, record)) = WalRecord::decode_body(body) else {
+            torn = true;
+            break;
+        };
+        if !records.is_empty() && lsn != next_lsn {
+            torn = true;
+            break;
+        }
+        next_lsn = lsn + 1;
+        records.push((lsn, record));
+        pos += record_len;
+    }
+    (records, pos, torn)
+}

@@ -70,7 +70,7 @@ fn sharded_engine_matches_oracle_through_the_trait() {
         let dir = TempDir::new("shard");
         let db = TsbOptions::durable(&dir.0)
             .small_pages()
-            .fsync(FsyncPolicy::EveryN(8))
+            .fsync(FsyncPolicy::Os)
             .shards(shards)
             .open()
             .unwrap();

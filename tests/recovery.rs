@@ -12,9 +12,6 @@
 //!   (e.g. `WalAppend`); unset runs all of them.
 //! * `TSB_STRESS_SCALE` — multiplies workload size and crash depths
 //!   (the scheduled long-stress job passes a larger value).
-//! * `TSB_WAL_MODE` — `hybrid` (default) or `images`: the `WalMode` every
-//!   scenario in this file runs under, so the whole matrix can be replayed
-//!   against the images-only off-switch.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -56,13 +53,7 @@ impl Drop for TempDir {
 }
 
 fn crash_cfg() -> TsbConfig {
-    let mode = match std::env::var("TSB_WAL_MODE").as_deref() {
-        Ok("images") => tsb_common::WalMode::ImagesOnly,
-        _ => tsb_common::WalMode::Hybrid,
-    };
-    TsbConfig::small_pages()
-        .with_split_policy(SplitPolicyKind::TimePreferring)
-        .with_wal_mode(mode)
+    TsbConfig::small_pages().with_split_policy(SplitPolicyKind::TimePreferring)
 }
 
 /// Opens the three durable files with a shared fault injector wired into
@@ -465,7 +456,7 @@ fn committed_transactions_survive_whole_or_not_at_all() {
 #[test]
 fn fsync_policies_trade_syncs_for_throughput_observably() {
     let mut syncs = Vec::new();
-    for policy in [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::Os] {
+    for policy in [FsyncPolicy::Always, FsyncPolicy::Os] {
         let dir = TempDir::new(&format!("fsync-{policy:?}"));
         let cfg = crash_cfg().with_fsync_policy(policy);
         let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
@@ -478,9 +469,8 @@ fn fsync_policies_trade_syncs_for_throughput_observably() {
         // Whatever the policy, the records themselves are always appended.
         assert!(delta.wal_appends >= 64, "{policy:?}");
     }
-    let (always, every8, os) = (syncs[0], syncs[1], syncs[2]);
+    let (always, os) = (syncs[0], syncs[1]);
     assert_eq!(always, 64, "Always fsyncs each commit");
-    assert_eq!(every8, 8, "EveryN(8) amortizes 64 commits into 8 syncs");
     assert_eq!(os, 0, "Os never fsyncs outside checkpoints");
 }
 
@@ -845,12 +835,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The `WalMode` off-switch is only trustworthy if both modes are
-    /// *interchangeable*: an arbitrary op stream crashed at an arbitrary
-    /// depth (optionally checkpointed mid-stream, so deltas straddle a log
-    /// reset) must recover to the identical tree whether the log carried
-    /// logical deltas (`Hybrid`) or a full page image per rewrite
-    /// (`ImagesOnly`).
+    /// The log's deltas are only trustworthy if they are *interchangeable*
+    /// with the images they stand for: an arbitrary op stream crashed at an
+    /// arbitrary depth (optionally checkpointed mid-stream, so deltas
+    /// straddle a log reset) must recover to the identical tree whether
+    /// the log carried logical deltas (the log as shipped) or a full page
+    /// image per rewrite (the reference, reachable only through
+    /// `TsbOptions`' hidden test switch).
     #[test]
     fn delta_replay_equals_image_replay(
         ops in prop_ops(),
@@ -860,10 +851,13 @@ proptest! {
         let mut recovered: Vec<TsbTree> = Vec::new();
         let mut dirs = Vec::new(); // keep tempdirs alive until compared
         let mut attempted = 0usize;
-        for mode in [tsb_common::WalMode::Hybrid, tsb_common::WalMode::ImagesOnly] {
-            let cfg = crash_cfg().with_wal_mode(mode);
-            let dir = TempDir::new(&format!("mode-{mode:?}"));
-            let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
+        for images_only in [false, true] {
+            let dir = TempDir::new(&format!("images-only-{images_only}"));
+            let opts = || {
+                let opts = tsb_core::TsbOptions::durable(&dir.0).config(crash_cfg());
+                if images_only { opts.reference_image_log() } else { opts }
+            };
+            let mut tree = opts().open_tree().unwrap();
             attempted = 0;
             for (i, op) in ops.iter().take(crash_depth).enumerate() {
                 if Some(i) == checkpoint_at {
@@ -879,7 +873,7 @@ proptest! {
                 attempted = i + 1;
             }
             drop(tree); // crash: caches gone, only the WAL speaks
-            recovered.push(tsb_core::TsbOptions::durable(&dir.0).config(cfg).open_tree().unwrap());
+            recovered.push(opts().open_tree().unwrap());
             dirs.push(dir);
         }
         let (hybrid, images) = (&recovered[0], &recovered[1]);

@@ -73,7 +73,7 @@ fn schedule() -> Vec<(u64, Option<Vec<u8>>)> {
 #[test]
 fn loopback_answers_match_oracle_and_in_process_engine() {
     let dir = TempDir::new("oracle");
-    let server = served_engine(dir.path(), FsyncPolicy::EveryN(4));
+    let server = served_engine(dir.path(), FsyncPolicy::Os);
     let addr = server.local_addr();
     let mut client = TsbClient::connect(addr).expect("connect");
 
@@ -211,7 +211,7 @@ fn pipelined_replies_can_be_reaped_out_of_order() {
     use tsb_client::protocol::{Reply, Request};
 
     let dir = TempDir::new("pipeline");
-    let server = served_engine(dir.path(), FsyncPolicy::EveryN(8));
+    let server = served_engine(dir.path(), FsyncPolicy::Always);
     let mut client = TsbClient::connect(server.local_addr()).expect("connect");
 
     // Fire a burst of pipelined puts without reading a single reply.

@@ -15,8 +15,6 @@
 //!   transaction partially. Recovery resolves surviving prepares against
 //!   the coordinator's decision record: present on every shard or absent
 //!   from every shard, with one commit timestamp everywhere.
-//!
-//! Like `recovery.rs`, every scenario honors `TSB_WAL_MODE`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -47,13 +45,8 @@ impl Drop for TempDir {
 }
 
 fn crash_cfg() -> TsbConfig {
-    let mode = match std::env::var("TSB_WAL_MODE").as_deref() {
-        Ok("images") => tsb_common::WalMode::ImagesOnly,
-        _ => tsb_common::WalMode::Hybrid,
-    };
     TsbConfig::small_pages()
         .with_split_policy(SplitPolicyKind::TimePreferring)
-        .with_wal_mode(mode)
         .with_fsync_policy(FsyncPolicy::Always)
 }
 
