@@ -16,6 +16,14 @@
 //! and the E12 `% ceiling` normalization against the calibrated device
 //! fsync floor.
 //!
+//! **E14b** prices the one write that crosses shards: a transaction over
+//! `P ∈ {2, 3, 4}` participants under `Always`. The two-phase fence forces
+//! `2P + 1` times — `P` prepares, the decision, `P` commits — but as three
+//! rounds whose forces overlap on the shards' own committer threads, so
+//! the row to read is µs per `commit_txn` in fsync floors: three rounds'
+//! worth, growing with `P` only by what parallel forces of different
+//! files cost the device, where one force after another is `2P + 1`.
+//!
 //! On a single-core host the CPU, not the lock, is the ceiling: every
 //! writer and committer thread time-slices one core, so committed ops/s
 //! cannot scale with shard count. What sharding still must deliver here —
@@ -26,8 +34,10 @@
 
 use std::path::PathBuf;
 
-use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice};
-use tsb_core::TsbOptions;
+use std::time::{Duration, Instant};
+
+use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, SplitTimeChoice};
+use tsb_core::{EngineHandle, TsbOptions};
 use tsb_workload::{drive_engine, DurableDriveSpec};
 
 use super::durability::{fsync_floor, pct_of_fsync_ceiling};
@@ -157,7 +167,74 @@ pub fn run(scale: Scale) -> Vec<Table> {
             }
         }
     }
-    vec![table]
+    vec![table, cross_shard_rounds(scale, floor)]
+}
+
+/// E14b: what a cross-shard commit costs, by participant count.
+fn cross_shard_rounds(scale: Scale, floor: Duration) -> Table {
+    const SHARDS: usize = 4;
+    let commits = ops_per_thread(scale);
+    let mut table = Table::new(
+        "E14b: cross-shard commit — the two-phase fence's rounds vs participant count",
+        format!(
+            "one writer, {SHARDS} shards, fsync Always, {commits} transactions per row, each \
+             writing one 48B value on each of P shards; only `commit_txn` is timed; the \
+             fence forces 2P+1 times in three overlapped rounds (prepares | decision | \
+             commits); 'floors/commit' = us/commit over the calibrated fsync floor {:.0}us",
+            floor.as_secs_f64() * 1e6
+        ),
+        &[
+            "participants",
+            "us/commit",
+            "fsyncs/commit",
+            "floors/commit",
+        ],
+    );
+    for participants in [2usize, 3, 4] {
+        let dir = TempDir::new(&format!("rounds-{participants}p"));
+        let mut cfg =
+            experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
+        cfg.fsync_policy = FsyncPolicy::Always;
+        let db = TsbOptions::durable(&dir.0)
+            .config(cfg)
+            .shards(SHARDS)
+            .open()
+            .expect("sharded engine");
+        // One key per participating shard, rewritten by every transaction.
+        let keys: Vec<Key> = (0..participants)
+            .map(|shard| {
+                let key = (0u64..)
+                    .map(Key::from_u64)
+                    .find(|k| db.shard_of(k) == shard);
+                key.expect("every shard owns some key")
+            })
+            .collect();
+        let mut in_commit = Duration::ZERO;
+        let mut fsyncs = 0;
+        for _ in 0..commits {
+            let txn = db.begin_txn().expect("begin");
+            for key in &keys {
+                db.txn_insert(txn, key.clone(), vec![7u8; 48])
+                    .expect("txn insert");
+            }
+            let before = db.io_snapshot().wal_syncs;
+            let start = Instant::now();
+            db.commit_txn(txn).expect("cross-shard commit");
+            in_commit += start.elapsed();
+            fsyncs += db.io_snapshot().wal_syncs - before;
+        }
+        let us_per_commit = in_commit.as_secs_f64() * 1e6 / commits as f64;
+        table.push_row(vec![
+            participants.to_string(),
+            format!("{us_per_commit:.0}"),
+            format!("{:.2}", fsyncs as f64 / commits as f64),
+            format!(
+                "{:.1}",
+                us_per_commit / (floor.as_secs_f64() * 1e6).max(1e-3)
+            ),
+        ]);
+    }
+    table
 }
 
 #[cfg(test)]
@@ -167,7 +244,7 @@ mod tests {
     #[test]
     fn e14_produces_the_full_matrix() {
         let tables = run(Scale::Tiny);
-        assert_eq!(tables.len(), 1);
+        assert_eq!(tables.len(), 2);
         // 2 policies x 3 writer counts x 3 shard counts.
         assert_eq!(tables[0].rows.len(), 18);
         for row in &tables[0].rows {
@@ -183,6 +260,13 @@ mod tests {
         for group in tables[0].rows.chunks(3) {
             assert_eq!(group[0][1], "1");
             assert_eq!(group[0][4], "1.00x");
+        }
+        // E14b: one row per participant count, each forcing exactly 2P+1
+        // times per commit (one writer, so nothing else shares a sync).
+        assert_eq!(tables[1].rows.len(), 3);
+        for (row, participants) in tables[1].rows.iter().zip([2u32, 3, 4]) {
+            assert_eq!(row[0], participants.to_string());
+            assert_eq!(row[2], format!("{:.2}", f64::from(2 * participants + 1)));
         }
     }
 }

@@ -272,9 +272,10 @@ impl ConcurrentTsb {
     // run the mutation but return the pending durable-wait LSN instead of
     // parking on it. A caller draining a pipelined connection executes a
     // whole burst of writes back-to-back, then parks **once** on the
-    // maximum returned LSN — the durable watermark is monotonic, so when
-    // the max LSN is durable every earlier commit in the burst is too, and
-    // all of them may be acknowledged. `None` means the engine (or this
+    // maximum returned LSN — no sync was asked for until that wait, and
+    // the durable watermark is monotonic, so when the max LSN is durable
+    // every earlier commit in the burst is too, and all of them may be
+    // acknowledged. `None` means the engine (or this
     // particular op) has no durability obligation and may be acknowledged
     // immediately.
 
@@ -299,12 +300,15 @@ impl ConcurrentTsb {
         self.write_op_deferred(|t| t.commit_txn_shared(txn), |ts| Some(*ts))
     }
 
-    /// Parks until the durable-LSN watermark covers `lsn`; returns
-    /// immediately for LSNs already durable. Completes the contract of the
-    /// `*_deferred` writes. Only call with LSNs those methods returned:
-    /// they hand out `Some` exactly when the policy schedules a sync that
-    /// will advance the watermark past the LSN (never under `Os`, whose
-    /// watermark moves only at checkpoints).
+    /// Asks the log for `lsn`, then parks until the durable-LSN watermark
+    /// covers it; returns immediately for LSNs already durable. Completes
+    /// the contract of the `*_deferred` writes, which only append: the
+    /// sync a commit needs is requested here, by its waiter, so the
+    /// commits of one burst share the sync their last wait asks for. The
+    /// `*_deferred` methods hand out `Some` exactly when the policy wants
+    /// the commit durable before it is acknowledged (never under `Os`).
+    /// An LSN past the log's newest record was never handed out: that is
+    /// a config error, and the tree is not poisoned by it.
     pub fn wait_durable(&self, lsn: Lsn) -> TsbResult<()> {
         self.inner.tree.wait_durable_lsn(lsn)
     }

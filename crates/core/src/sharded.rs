@@ -43,25 +43,40 @@
 //! ```text
 //!  lock writers of every participant (ascending shard order)
 //!  T = clock.tick()
-//!  phase 1:  each participant logs Prepare{T, txn, coordinator,
-//!            participants} and force-syncs it
-//!  decision: the coordinator (lowest participant index) logs
-//!            Decision{T, participants} and force-syncs it
-//!  phase 2:  each participant stamps its writes committed at T, logs its
-//!            local Commit{T}, force-syncs it, advances its fence to T
+//!  round 1:  each participant logs Prepare{T, txn, coordinator,
+//!            participants}; all P are forced, side by side
+//!  round 2:  the coordinator (lowest participant index) logs
+//!            Decision{T, participants}; it is forced — a round of one
+//!  round 3:  each participant stamps its writes committed at T and logs
+//!            its local Commit{T}; all P are forced, side by side; then
+//!            every participant advances its fence to T
 //!  unlock
 //! ```
 //!
+//! A round appends its records, asks every log involved for its tail, and
+//! only then parks on each: the `2P + 1` forces are the same as if issued
+//! one after another, but a round's forces run on the shards' own
+//! committer threads at once, so the protocol costs three rounds of
+//! device latency, not `2P + 1`. Overlapping *inside* a round is safe
+//! because the protocol's order constraints are all *between* rounds — no
+//! decision before every prepare is durable, no participant commit before
+//! the decision is durable — and no round starts until the one before it
+//! has parked on every force. Within a round the records are unordered by
+//! design: any subset of prepares may survive a crash (presumed abort
+//! covers them), and any subset of commits may (the durable decision
+//! rolls the rest forward).
+//!
 //! Because every participant's writer lock is held for the whole protocol,
 //! no checkpoint can reset a participant's WAL mid-protocol and no
-//! concurrent snapshot can pin between phase 2 stamps (the pin would block
-//! on a participant's writer lock). Recovery resolves a surviving Prepare
-//! whose transaction is still unstamped against the *coordinator's* log:
-//! Decision present → roll forward (commit at `T`); absent → presumed
-//! abort. The decision record is forced *before* any participant commit,
-//! so a participant's commit can never be durable while the decision that
-//! justifies it is not — a crash at any instant either aborts the
-//! transaction on every shard or commits it on every shard, never a mix.
+//! concurrent snapshot can pin between round 3's stamps (the pin would
+//! block on a participant's writer lock). Recovery resolves a surviving
+//! Prepare whose transaction is still unstamped against the
+//! *coordinator's* log: Decision present → roll forward (commit at `T`);
+//! absent → presumed abort. The decision record is forced *before* any
+//! participant commit is appended, so a participant's commit can never be
+//! durable while the decision that justifies it is not — a crash at any
+//! instant either aborts the transaction on every shard or commits it on
+//! every shard, never a mix.
 //! During a sharded reopen, shards are finished (checkpointed) in
 //! **descending** index order: a coordinator has the lowest index among
 //! its participants, so its decision record outlives every participant's
@@ -78,7 +93,7 @@ use tsb_common::{
     Key, KeyRange, LogicalClock, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId,
     Version,
 };
-use tsb_storage::{CrashPoint, FaultInjector, IoSnapshot, Lsn};
+use tsb_storage::{sync_parent_dir, CrashPoint, FaultInjector, IoSnapshot, Lsn};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::engine::{EngineHandle, EngineRole};
@@ -339,37 +354,44 @@ impl ShardedTsb {
         let ts = self.inner.clock.tick();
         let participant_ids: Vec<u32> = parts.iter().map(|(i, _)| *i as u32).collect();
         let coordinator = participant_ids[0];
-        // Phase 1: a forced prepare on every participant. After this loop
-        // the transaction's writes are replayable everywhere, but commit
-        // is still revocable (presumed abort).
+        let participants = || parts.iter().map(|(i, _)| &shards[*i]);
+        // Round 1: a prepare on every participant, forced side by side.
+        // After this round the transaction's writes are replayable
+        // everywhere, but commit is still revocable (presumed abort).
         for (i, local) in parts {
             shards[*i]
                 .tree()
                 .wal_prepare(ts, *local, coordinator, &participant_ids)?;
         }
-        // The decision: one forced record on the coordinator. This is the
-        // commit point — from here, recovery rolls forward.
-        shards[parts[0].0]
+        force_tails(participants())?;
+        // Round 2, a round of one: the decision, forced on the
+        // coordinator. This is the commit point — from here, recovery
+        // rolls forward.
+        let coordinator_shard = &shards[parts[0].0];
+        coordinator_shard
             .tree()
             .wal_decision(ts, &participant_ids)?;
+        force_tails([coordinator_shard])?;
         // The in-doubt window: decision durable, no participant stamped.
         let injector = self.inner.fault.lock().clone();
         if let Some(inj) = &injector {
             inj.check(CrashPoint::TwoPcAck)?;
         }
-        // Phase 2: stamp and force each participant's local commit while
-        // still holding every lock. Forcing before release closes the
-        // window where a participant's checkpoint could erase its own
-        // prepare (and the coordinator's decision) while another
-        // participant's commit is still volatile.
+        // Round 3: stamp each participant and append its local commit,
+        // then force them side by side while still holding every lock.
+        // Forcing before release closes the window where a participant's
+        // checkpoint could erase its own prepare (and the coordinator's
+        // decision) while another participant's commit is still volatile.
         for (i, local) in parts {
             let tree = shards[*i].tree();
             tree.commit_txn_at_shared(*local, ts)?;
-            // The fence's policy wait is irrelevant: the force below
-            // settles durability for this commit unconditionally.
+            // The fence's policy wait is irrelevant: the round's force
+            // settles durability for this commit under every policy.
             let _ = tree.take_pending_durable_wait();
-            tree.wal_force_sync()?;
-            shards[*i].advance_fence(ts);
+        }
+        force_tails(participants())?;
+        for shard in participants() {
+            shard.advance_fence(ts);
         }
         Ok(ts)
     }
@@ -473,7 +495,8 @@ impl EngineHandle for ShardedTsb {
 
     /// Inserts a new version of `key` on its home shard, stamped from the
     /// global clock. A pipelined caller batches writes, tracks the maximum
-    /// LSN *per shard*, and parks once per shard.
+    /// LSN *per shard*, and waits once per shard; the first of those
+    /// waits asks every shard's log, so the batch's forces overlap.
     fn insert_deferred(
         &self,
         key: Key,
@@ -491,9 +514,14 @@ impl EngineHandle for ShardedTsb {
     }
 
     /// Parks until `shard`'s durable-LSN watermark covers `lsn`;
-    /// watermarks are per-shard and independent. `ShardLsn` is a plain
-    /// tuple a caller may carry over from an engine with more shards, so
-    /// the index is checked.
+    /// watermarks are per-shard and independent. Before parking it asks
+    /// *every* shard's log for its appended tail: the batch that ends
+    /// here placed commits on several logs and will wait on each in turn,
+    /// so the committer threads force them side by side instead of one
+    /// per wait. `ShardLsn` is a plain tuple a caller may carry over from
+    /// an engine with more shards (or another log), so both halves are
+    /// checked: a shard this engine lacks, or an LSN its log never handed
+    /// out, is a config error and leaves the engine usable.
     fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
         let shards = &self.inner.shards;
         let db = shards.get(shard).ok_or_else(|| {
@@ -502,6 +530,9 @@ impl EngineHandle for ShardedTsb {
                 shards.len()
             ))
         })?;
+        for s in shards {
+            s.tree().request_durable_tail();
+        }
         db.wait_durable(lsn)
     }
 
@@ -548,8 +579,8 @@ impl EngineHandle for ShardedTsb {
     /// All of `txn`'s writes across all shards become visible atomically
     /// at the returned timestamp. Single-shard transactions commit with
     /// zero coordination; cross-shard ones run the two-phase fence (see
-    /// the [module docs](self)), which forces its records on every
-    /// participant, so they return no position to wait on.
+    /// the [module docs](self)), whose last round forces the commit on
+    /// every participant, so they return no position to wait on.
     fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
         let parts = self.take_participants(txn)?;
         match parts.as_slice() {
@@ -658,6 +689,24 @@ impl EngineHandle for ShardedTsb {
     }
 }
 
+/// One round of the two-phase fence: asks every given shard's log for
+/// its appended tail, then parks on each — the forces overlap across the
+/// shards' committer threads instead of queueing on this one. Returns
+/// once all of them are durable; the caller holds the shards' writer
+/// locks, so each tail is exactly the record the round appended.
+fn force_tails<'a>(shards: impl IntoIterator<Item = &'a ConcurrentTsb>) -> TsbResult<()> {
+    let asked: Vec<_> = shards
+        .into_iter()
+        .map(|s| (s, s.tree().request_durable_tail()))
+        .collect();
+    for (shard, tail) in asked {
+        if let Some(lsn) = tail {
+            shard.tree().wait_durable_lsn(lsn)?;
+        }
+    }
+    Ok(())
+}
+
 fn unknown_txn(txn: TxnId) -> TsbError {
     TsbError::config(format!("unknown transaction {txn:?}"))
 }
@@ -716,23 +765,23 @@ fn read_manifest(path: &Path) -> TsbResult<Option<usize>> {
 
 /// Writes the manifest durably: temp file, fsync, rename, directory
 /// fsync — the count must never be lost or torn, or every key would route
-/// to the wrong shard.
+/// to the wrong shard. A failure at any step, the directory fsync
+/// included, is the caller's error, and the temp file does not outlive it.
 fn write_manifest(path: &Path, shards: usize) -> TsbResult<()> {
     let tmp = path.with_extension("tmp");
-    {
+    let written = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         writeln!(f, "{MANIFEST_MAGIC}")?;
         writeln!(f, "shards {shards}")?;
         writeln!(f, "hash fnv1a64")?;
         f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    written
 }
 
 /// An owning, thread-safe read-only view of the sharded database pinned
@@ -897,6 +946,143 @@ mod tests {
             "txn is gone"
         );
         assert!(db.abort_txn(TxnId::new(999)).is_err());
+    }
+
+    /// A scratch directory for the durable tests below, removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("tsb-sharded-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn durable_engine(dir: &TempDir, shards: usize) -> ShardedTsb {
+        crate::TsbOptions::durable(&dir.0)
+            .fsync(tsb_common::FsyncPolicy::Always)
+            .shards(shards)
+            .open()
+            .unwrap()
+    }
+
+    /// The forces of one batch overlap instead of queueing: deferred
+    /// inserts ask for nothing, and the waits that end the batch cost one
+    /// fsync per touched log — not one per insert. Counts, not timings.
+    #[test]
+    fn a_batch_costs_one_sync_per_touched_shard() {
+        let dir = TempDir::new("batch");
+        let db = durable_engine(&dir, 4);
+        let before = db.io_snapshot().wal_syncs;
+        let mut max_lsns = [None; 4];
+        for i in 0..32u64 {
+            let (_, pos) = db.insert_deferred(i.into(), b"v".to_vec()).unwrap();
+            let (shard, lsn) = pos.expect("`Always` hands out a position");
+            max_lsns[shard] = max_lsns[shard].max(Some(lsn));
+        }
+        assert!(
+            max_lsns.iter().all(Option::is_some),
+            "a shard went untouched"
+        );
+        assert_eq!(
+            db.io_snapshot().wal_syncs,
+            before,
+            "an insert nobody waited on yet asked for a sync"
+        );
+        for (shard, lsn) in max_lsns.iter().enumerate() {
+            db.wait_durable((shard, lsn.unwrap())).unwrap();
+        }
+        assert_eq!(db.io_snapshot().wal_syncs, before + 4);
+    }
+
+    /// A cross-shard commit over P participants forces 2P+1 times — P
+    /// prepares, the decision, P commits — however its rounds overlap,
+    /// and is durable on every participant when it returns.
+    #[test]
+    fn a_cross_shard_commit_forces_two_p_plus_one_times() {
+        for p in [2usize, 3, 4] {
+            let dir = TempDir::new(&format!("rounds-{p}"));
+            let db = durable_engine(&dir, 4);
+            let txn = db.begin_txn().unwrap();
+            let mut touched = [false; 4];
+            for key in 0u64.. {
+                let shard = db.shard_of(&Key::from_u64(key));
+                if shard < p && !touched[shard] {
+                    touched[shard] = true;
+                    db.txn_insert(txn, key.into(), b"t".to_vec()).unwrap();
+                }
+                if touched[..p].iter().all(|t| *t) {
+                    break;
+                }
+            }
+            let before = db.io_snapshot().wal_syncs;
+            let ts = db.commit_txn(txn).unwrap();
+            assert_eq!(
+                db.io_snapshot().wal_syncs - before,
+                2 * p as u64 + 1,
+                "{p} participants"
+            );
+            assert_eq!(db.last_durable_commit(), Some(ts), "{p} participants");
+            for shard in &db.shards()[..p] {
+                assert_eq!(shard.last_durable_commit(), Some(ts), "{p} participants");
+            }
+        }
+    }
+
+    /// A position the log never handed out — an LSN past its newest
+    /// record — is a typed error: not a wait that can never end, and not
+    /// a reason to poison a tree nothing is wrong with.
+    #[test]
+    fn waiting_past_the_tail_is_a_config_error_and_poisons_nothing() {
+        let dir = TempDir::new("past-tail");
+        let db = durable_engine(&dir, 2);
+        let (_, pos) = db.insert_deferred(1u64.into(), b"v".to_vec()).unwrap();
+        let (shard, lsn) = pos.unwrap();
+        db.wait_durable((shard, lsn)).unwrap();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = db.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(waiter.wait_durable((shard, lsn + 1)));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("a wait past the tail parked instead of failing");
+        assert!(
+            matches!(result, Err(TsbError::Config(_))),
+            "expected a config error, got {result:?}"
+        );
+
+        let (_, pos) = db.insert_deferred(1u64.into(), b"w".to_vec()).unwrap();
+        db.wait_durable(pos.unwrap()).unwrap();
+        assert_eq!(db.get_current(&Key::from_u64(1)).unwrap().unwrap(), b"w");
+    }
+
+    /// A manifest that cannot be put in place is the caller's error, and
+    /// its temp file does not outlive the attempt.
+    #[test]
+    fn a_manifest_that_cannot_be_written_is_an_error_and_leaves_no_temp() {
+        let dir = TempDir::new("manifest");
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join(MANIFEST_FILE);
+        write_manifest(&path, 4).unwrap();
+        assert_eq!(read_manifest(&path).unwrap(), Some(4));
+        assert!(!path.with_extension("tmp").exists());
+
+        // A non-empty directory squatting on the manifest's name makes the
+        // rename fail after the temp file was written and synced.
+        let squatted = dir.0.join("squatted").join(MANIFEST_FILE);
+        std::fs::create_dir_all(squatted.join("occupant")).unwrap();
+        assert!(write_manifest(&squatted, 4).is_err());
+        assert!(!squatted.with_extension("tmp").exists());
     }
 
     #[test]

@@ -247,11 +247,11 @@ impl TsbTree {
             worm_len,
             meta,
         };
-        // Pipelined commit: the fence is appended (and its sync requested
-        // at policy boundaries) but *never* fsynced on this thread. The
-        // deferred wait lands in `pending_wait` for the engine wrapper to
-        // consume once its locks are released; the fence/timestamp pair
-        // lands in `acks` so `last_durable_commit` can track the watermark.
+        // Pipelined commit: the fence is appended, nothing more — whoever
+        // waits on it asks for its sync. The deferred wait lands in
+        // `pending_wait` for the engine wrapper to consume once its locks
+        // are released; the fence/timestamp pair lands in `acks` so
+        // `last_durable_commit` can track the watermark.
         let (lsn, boundary) = d.wal.append_commit(&record).inspect_err(|_| {
             self.poisoned.store(true, Ordering::Release);
         })?;
@@ -340,12 +340,13 @@ impl TsbTree {
         Ok(())
     }
 
-    /// Appends (and force-syncs) a two-phase-commit **prepare** fence: the
-    /// transaction's writes are all in the log before it, its metadata is
-    /// always written in full (a prepare is a cut candidate recovery must
-    /// be able to stand on), and the record is on stable storage when this
-    /// returns — the participant's promise that it can commit. No-op on
-    /// non-durable trees.
+    /// Appends a two-phase-commit **prepare** fence: the transaction's
+    /// writes are all in the log before it, and its metadata is always
+    /// written in full (a prepare is a cut candidate recovery must be able
+    /// to stand on). It becomes the participant's promise that it can
+    /// commit only once durable — the caller forces it
+    /// ([`Self::request_durable_tail`] + [`Self::wait_durable_lsn`]) before
+    /// the decision is logged. No-op on non-durable trees.
     pub(crate) fn wal_prepare(
         &self,
         ts: Timestamp,
@@ -373,14 +374,15 @@ impl TsbTree {
             participants: participants.to_vec(),
         };
         self.wal_append(&record)?;
-        self.wal_force_sync()
+        Ok(())
     }
 
-    /// Appends (and force-syncs) the coordinator's two-phase-commit
-    /// **decision**: logged only once every participant's prepare is
-    /// durable, it is the single record that decides the transaction —
-    /// recovery commits an in-doubt prepare iff the coordinator's log
-    /// holds its decision. No-op on non-durable trees.
+    /// Appends the coordinator's two-phase-commit **decision**: logged
+    /// only once every participant's prepare is durable, it is the single
+    /// record that decides the transaction — recovery commits an in-doubt
+    /// prepare iff the coordinator's log holds its decision. The caller
+    /// forces it before any participant's commit is logged. No-op on
+    /// non-durable trees.
     pub(crate) fn wal_decision(&self, ts: Timestamp, participants: &[u32]) -> TsbResult<()> {
         if self.durability.is_none() {
             return Ok(());
@@ -390,22 +392,20 @@ impl TsbTree {
             participants: participants.to_vec(),
         };
         self.wal_append(&record)?;
-        self.wal_force_sync()
+        Ok(())
     }
 
-    /// Forces the WAL to stable storage on the calling thread, regardless
-    /// of the fsync policy (the 2PC fences must not ride the group-commit
-    /// pipeline: the protocol's next step may only start once the previous
-    /// fence is durable). No-op on non-durable trees.
-    pub(crate) fn wal_force_sync(&self) -> TsbResult<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        d.wal.sync().inspect_err(|_| {
-            self.poisoned.store(true, Ordering::Release);
-        })?;
-        d.acks.lock().settle(d.wal.durable_lsn());
-        Ok(())
+    /// Asks the log for everything appended so far, whatever the fsync
+    /// policy, without parking: the position to hand to
+    /// [`Self::wait_durable_lsn`], `None` on a non-durable tree. Asking
+    /// several trees before parking on any is what lets their logs' syncs
+    /// run side by side.
+    pub(crate) fn request_durable_tail(&self) -> Option<Lsn> {
+        let wal = &self.durability.as_ref()?.wal;
+        let tail = wal.last_lsn();
+        // The tail only grows, so it cannot have passed out of range.
+        wal.request_durable(tail).ok()?;
+        Some(tail)
     }
 
     /// Takes the durable-LSN wait deferred by the newest commit fence, if
@@ -416,14 +416,17 @@ impl TsbTree {
         self.durability.as_ref()?.pending_wait.lock().take()
     }
 
-    /// Parks until the WAL's durable watermark covers `lsn` — the
-    /// acknowledgement half of a pipelined commit. A failed wait **poisons
-    /// the tree**: the fence was appended but can never become durable, so
-    /// the in-memory state is permanently ahead of the log.
+    /// Asks the log for `lsn`, then parks until its durable watermark
+    /// covers it — the acknowledgement half of a pipelined commit. A
+    /// failed wait **poisons the tree**: the fence was appended but can
+    /// never become durable, so the in-memory state is permanently ahead
+    /// of the log. A position the log never handed out is refused before
+    /// that: nothing was appended there, so nothing is wrong with the tree.
     pub(crate) fn wait_durable_lsn(&self, lsn: Lsn) -> TsbResult<()> {
         let Some(d) = &self.durability else {
             return Ok(());
         };
+        d.wal.request_durable(lsn)?;
         d.wal.wait_durable(lsn).inspect_err(|_| {
             self.poisoned.store(true, Ordering::Release);
         })?;

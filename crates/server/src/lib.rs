@@ -13,12 +13,16 @@
 //!   however many pipelined frames the client has in flight; the worker
 //!   executes all of them, issues the writes through the engine's
 //!   *deferred-durability* API ([`EngineHandle::insert_deferred`] &c.),
-//!   then parks **once per shard** on the highest LSN the batch produced
+//!   then waits **once per shard** on the highest LSN the batch produced
 //!   on that shard before flushing the batch's replies in a single
-//!   `write_all`. Each shard's durable watermark is monotonic, so when a
-//!   shard's max LSN is durable every commit the batch placed there is —
-//!   a handful of fsync waits (often sharing fsyncs with other
-//!   connections' batches) acknowledges the whole burst.
+//!   `write_all`. The writes only appended; the first of those waits asks
+//!   *every* shard's log for its tail, so the batch's fsyncs — one per
+//!   log it touched — run side by side on the shards' committer threads
+//!   and the later waits mostly find their answer ready. Each shard's
+//!   durable watermark is monotonic, so when a shard's max LSN is durable
+//!   every commit the batch placed there is — one round of overlapped
+//!   fsyncs (often shared with other connections' batches) acknowledges
+//!   the whole burst.
 //! * **Acknowledgement means durable.** A `put`/`delete`/`txn_commit`
 //!   reply is written only after the commit's LSN is under the durable
 //!   watermark per the engine's [`FsyncPolicy`](tsb_common::FsyncPolicy).

@@ -160,24 +160,29 @@ impl FaultInjector {
         if self.tripped.load(Ordering::SeqCst) {
             return Err(Self::injected_error());
         }
+        // The countdowns are single atomic steps: forces of different
+        // logs overlap (one committer thread per log), and two checks
+        // sharing one decrement would trip a sync later than it was armed.
+        let count_down = |counter: &AtomicU64| {
+            counter
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+        };
         // Armed crash point?
         let armed = self.point.load(Ordering::SeqCst);
-        if armed != u64::MAX && ALL_CRASH_POINTS[armed as usize] == point {
-            let skips = self.point_skips.load(Ordering::SeqCst);
-            if skips == 0 {
-                self.tripped.store(true, Ordering::SeqCst);
-                return Err(Self::injected_error());
-            }
-            self.point_skips.store(skips - 1, Ordering::SeqCst);
+        if armed != u64::MAX
+            && ALL_CRASH_POINTS[armed as usize] == point
+            && !count_down(&self.point_skips)
+        {
+            self.tripped.store(true, Ordering::SeqCst);
+            return Err(Self::injected_error());
         }
         // Armed write budget?
-        let remaining = self.writes_remaining.load(Ordering::SeqCst);
-        if remaining != u64::MAX {
-            if remaining == 0 {
-                self.tripped.store(true, Ordering::SeqCst);
-                return Err(Self::injected_error());
-            }
-            self.writes_remaining.store(remaining - 1, Ordering::SeqCst);
+        if self.writes_remaining.load(Ordering::SeqCst) != u64::MAX
+            && !count_down(&self.writes_remaining)
+        {
+            self.tripped.store(true, Ordering::SeqCst);
+            return Err(Self::injected_error());
         }
         Ok(())
     }

@@ -106,8 +106,9 @@ impl WalShared {
     }
 
     /// Asks the group-commit thread to make everything through `lsn`
-    /// durable. Returns immediately; callers park via
-    /// [`Self::wait_durable`] when their policy requires it.
+    /// durable. Returns immediately. `lsn` must not pass the log's tail
+    /// (`Wal::request_durable`, the only caller, checks): a target no
+    /// drain can reach would keep the committer thread spinning.
     pub(super) fn request_sync(&self, lsn: Lsn) {
         let mut queue = lock_std(&self.group.queue);
         if lsn > queue.requested {

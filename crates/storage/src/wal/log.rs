@@ -29,7 +29,7 @@ const APPEND_BUFFER_FLUSH_BYTES: usize = 1 << 20;
 /// pointing at it, and on many filesystems a crash can otherwise resurrect
 /// the directory's previous contents (the pre-checkpoint log generation, or
 /// no log at all).
-fn sync_parent_dir(path: &Path) -> TsbResult<()> {
+pub fn sync_parent_dir(path: &Path) -> TsbResult<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
@@ -122,8 +122,8 @@ impl std::fmt::Debug for Wal {
 impl WalShared {
     /// Appends one record under the inner lock (see [`WalInner::push`]).
     /// Returns the record's LSN plus, for a commit the policy wants durable
-    /// before it is acknowledged, the fence LSN the caller must get made
-    /// durable (request + wait). Never syncs inline.
+    /// before it is acknowledged, the fence LSN the caller must wait on
+    /// ([`Wal::wait_durable`]). Never syncs, never asks for a sync.
     fn append_record(&self, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
         let mut inner = self.inner.lock();
         let point = match record {
@@ -142,10 +142,10 @@ impl WalShared {
             record.is_fence(),
             &self.stats,
         )?;
-        // Only a commit rides the group-commit pipeline, and only under
-        // `Always`: checkpoints sync on the caller's thread, 2PC fences
-        // (Prepare/Decision) are force-synced explicitly by the engine via
-        // `sync()`, page records never sync.
+        // Only a commit hands out a position to wait on, and only under
+        // `Always`: checkpoints sync on the caller's thread, the engine
+        // waits on its 2PC fences (Prepare/Decision) by their LSNs whatever
+        // the policy, page records never sync.
         let is_commit = matches!(record, WalRecord::Commit { .. });
         if is_commit {
             self.stats.record_wal_commit();
@@ -362,8 +362,8 @@ impl Wal {
     /// append buffer; fence records (`Commit` / `Checkpoint`) drain the
     /// buffer to the file in one coalesced `write_all` — the whole
     /// mutation group in one syscall. Under `Always` a commit is
-    /// additionally made durable before this returns (request + park on
-    /// the watermark); checkpoints always sync, on this thread. Callers
+    /// additionally made durable before this returns
+    /// ([`Self::wait_durable`]); checkpoints always sync, on this thread. Callers
     /// that can release locks between the append and the park use
     /// [`Self::append_commit`] + [`Self::wait_durable`] instead.
     pub fn append(&self, record: &WalRecord) -> TsbResult<Lsn> {
@@ -384,24 +384,41 @@ impl Wal {
         }
     }
 
-    /// Appends a commit fence and *requests* (never performs) its sync.
-    /// Returns `(lsn, boundary)`: `boundary` is `Some(fence_lsn)` exactly
-    /// when the policy wants this commit durable before it is
-    /// acknowledged — the caller should release its locks, then
-    /// [`Self::wait_durable`] on it. `None` means acknowledge immediately
-    /// (`Os`).
+    /// Appends a commit fence — and nothing else: no sync is performed or
+    /// asked for. Returns `(lsn, boundary)`: `boundary` is
+    /// `Some(fence_lsn)` exactly when the policy wants this commit durable
+    /// before it is acknowledged — the caller should release its locks,
+    /// then [`Self::wait_durable`] on it (a batch waits once, on its
+    /// newest boundary, and every commit before it shares that sync).
+    /// `None` means acknowledge immediately (`Os`).
     pub fn append_commit(&self, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
         debug_assert!(matches!(record, WalRecord::Commit { .. }));
-        let (lsn, boundary) = self.shared.append_record(record)?;
-        if let Some(fence) = boundary {
-            self.shared.request_sync(fence);
-        }
-        Ok((lsn, boundary))
+        self.shared.append_record(record)
     }
 
-    /// Parks until the durable watermark reaches `lsn`; errors if a sync
-    /// failure was published (the failure is sticky).
+    /// Asks the group-commit thread to make everything through `lsn`
+    /// durable, without parking — the one way a sync gets asked for. A
+    /// caller with waits on several logs asks all of them first, so their
+    /// syncs overlap, then parks on each ([`Self::wait_durable`]).
+    ///
+    /// An `lsn` past the newest appended record was never handed out by
+    /// this log; waiting on it could never end, so it is a typed error.
+    pub fn request_durable(&self, lsn: Lsn) -> TsbResult<()> {
+        let tail = self.last_lsn();
+        if lsn > tail {
+            return Err(TsbError::config(format!(
+                "durability position {lsn} is past the newest appended record ({tail})"
+            )));
+        }
+        self.shared.request_sync(lsn);
+        Ok(())
+    }
+
+    /// Asks for `lsn` ([`Self::request_durable`]), then parks until the
+    /// durable watermark reaches it; errors if a sync failure was
+    /// published (the failure is sticky).
     pub fn wait_durable(&self, lsn: Lsn) -> TsbResult<()> {
+        self.request_durable(lsn)?;
         self.shared.wait_durable(lsn)
     }
 
@@ -450,8 +467,8 @@ impl Wal {
     /// on the calling thread, possibly alongside a committer drain — both
     /// publish the watermark.
     ///
-    /// Besides the engine's explicit forces (2PC fences, a replica's
-    /// batch end) this is the **flushed-LSN rule** barrier: a dirty page
+    /// Besides a replica's batch end this is the **flushed-LSN rule**
+    /// barrier: a dirty page
     /// may reach the page device only when every log record that could be
     /// needed to reproduce (or supersede) its content is already stable,
     /// whatever the commit fsync policy says.

@@ -94,12 +94,18 @@
 //! ## Pipelined commit: the fsync runs off the append path
 //!
 //! The device sync itself is **pipelined**: no append ever issues an
-//! fsync inline. A commit under `Always` instead *requests*
-//! durability of its fence LSN ([`Wal::append_commit`]) and then — on the
-//! caller's schedule, typically after the engine has released its writer
-//! lock — parks on the **durable-LSN watermark**
-//! ([`Wal::wait_durable`]). A dedicated group-commit thread drains the
-//! request queue: each drain captures the log tail, runs the pre-sync
+//! fsync inline, and no append asks for one. A commit under `Always` *is
+//! appended* ([`Wal::append_commit`]) and hands its caller the fence LSN;
+//! durability is asked for by whoever waits — on the caller's schedule,
+//! typically after the engine has released its writer lock —
+//! [`Wal::wait_durable`] requests that LSN and parks on the **durable-LSN
+//! watermark**. So a batch of commits appended back to back and waited on
+//! once, at its newest fence, costs one fsync, not one started by its
+//! first append that the rest then miss. [`Wal::request_durable`] is the
+//! request without the park — the only way a sync gets asked for — so a
+//! caller with waits on several logs asks all of them before parking on
+//! any and their syncs overlap. A dedicated group-commit thread drains
+//! the request queue: each drain captures the log tail, runs the pre-sync
 //! hook, issues **one** `fsync` covering every commit appended up to the
 //! capture, and broadcasts the new watermark to every parked committer.
 //! While the device works, the next mutations keep appending (the inner
@@ -107,7 +113,15 @@
 //! of commits share one fsync. A sync failure is sticky: it is published
 //! to the watermark, every parked and future waiter errors, and the
 //! engine poisons the tree. The per-policy wait rule: `Always` waits for
-//! its own fence LSN, `Os` never waits.
+//! its own fence LSN, `Os` is handed nothing to wait on.
+//!
+//! What a commit appended under `Always` and *never waited on* may
+//! expect is therefore: nothing, until some later waiter, a write-back
+//! barrier or a checkpoint forces the log past it. It was not
+//! acknowledged as durable to anyone, and the watermark (and the engine's
+//! `last_durable_commit()`) lags it until then. A position past the
+//! newest appended record was never handed out; requesting or waiting on
+//! one is a typed error, not a wait that cannot end.
 //!
 //! ## Which file owns what
 //!
@@ -119,7 +133,8 @@
 //!   (torn-tail truncation, the checkpoint reset's write-new-then-rename),
 //!   local and shipped appends, the coalesced write at every fence.
 //! * `commit` — *when* bytes become durable: the sync request queue, the
-//!   durable-LSN watermark, the group-commit thread.
+//!   durable-LSN watermark, the group-commit thread. `log` reaches the
+//!   queue through one door, [`Wal::request_durable`].
 //! * `page_table` — [`WalPageTable`], the WAL-before-page barrier at every
 //!   device write-back.
 //!
@@ -131,7 +146,7 @@ mod log;
 mod page_table;
 mod record;
 
-pub use log::{PreSyncHook, Wal};
+pub use log::{sync_parent_dir, PreSyncHook, Wal};
 pub use page_table::WalPageTable;
 pub(crate) use record::frame_at;
 pub use record::{Lsn, PageOp, WalRecord, WalScan};

@@ -468,6 +468,80 @@ fn open_forces_what_it_scanned_before_calling_it_durable() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A sync is asked for by whoever waits, not whoever appends: commits
+/// appended and never waited on cost no fsync at all, and one wait on the
+/// newest of them is one fsync covering every one. Counts, not timings.
+#[test]
+fn appended_commits_share_the_sync_their_waiter_asks_for() {
+    let path = temp_wal_path("waiter-asks");
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let wal = Wal::create(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
+    let mut last = 0;
+    for ts in 1..=64u64 {
+        let (lsn, boundary) = wal.append_commit(&commit(ts)).unwrap();
+        assert_eq!(boundary, Some(lsn), "`Always` hands out a position");
+        last = lsn;
+    }
+    // Nothing can be pending on the committer thread: no request exists.
+    assert_eq!(stats.snapshot().wal_syncs, 0, "an append asked for a sync");
+    assert_eq!(wal.durable_lsn(), 0);
+    wal.wait_durable(last).unwrap();
+    let snap = stats.snapshot();
+    assert_eq!(snap.wal_syncs, 1, "one wait, one fsync");
+    assert_eq!(snap.wal_commits, 64, "covering every commit");
+    assert_eq!(wal.durable_lsn(), last);
+    drop(wal);
+
+    // `Os` hands out nothing to wait on, so nothing changes for it.
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let wal = Wal::create(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
+    for ts in 1..=64u64 {
+        let (_, boundary) = wal.append_commit(&commit(ts)).unwrap();
+        assert_eq!(boundary, None);
+    }
+    assert_eq!(stats.snapshot().wal_syncs, 0);
+    assert_eq!(wal.durable_lsn(), 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A position past the newest appended record was never handed out, and
+/// no sync could ever reach it: the wait must fail as a typed error —
+/// not park forever, not leave the committer thread spinning on a target
+/// beyond the tail — and the log must keep working.
+#[test]
+fn waiting_past_the_tail_is_an_error_not_a_hang() {
+    let path = temp_wal_path("past-tail");
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let wal = Arc::new(Wal::create(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap());
+    wal.append(&commit(1)).unwrap();
+    let bogus = wal.last_lsn() + 1;
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = Arc::clone(&wal);
+    std::thread::spawn(move || {
+        let _ = tx.send(waiter.wait_durable(bogus));
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(2))
+        .expect("a wait past the tail parked instead of failing");
+    assert!(
+        matches!(result, Err(tsb_common::TsbError::Config(_))),
+        "expected a config error, got {result:?}"
+    );
+    assert!(wal.request_durable(bogus).is_err());
+
+    // No target beyond the tail was recorded: the next commit is one
+    // append, one wait, one fsync.
+    let syncs = stats.snapshot().wal_syncs;
+    wal.append(&commit(2)).unwrap();
+    assert_eq!(wal.durable_lsn(), wal.last_lsn());
+    assert_eq!(stats.snapshot().wal_syncs, syncs + 1);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn fault_injector_kills_appends() {
     let path = temp_wal_path("fault");

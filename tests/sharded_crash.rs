@@ -22,6 +22,7 @@ use std::sync::Arc;
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
 use tsb_core::sharded::shard_of;
 use tsb_core::{CrashPoint, EngineHandle, FaultInjector};
+use tsb_storage::{IoStats, Wal, WalRecord};
 
 struct TempDir(PathBuf);
 
@@ -147,6 +148,7 @@ fn run_two_pc_crash(tag: &str, point: CrashPoint, skip: u64, expect: Expect) {
         );
     }
     drop(db); // power cut: caches and transaction tables are gone
+    assert_no_commit_without_its_decision(&dir.0, tag);
 
     for generation in 0..2 {
         let db = tsb_core::TsbOptions::durable(&dir.0)
@@ -229,6 +231,46 @@ fn run_two_pc_crash(tag: &str, point: CrashPoint, skip: u64, expect: Expect) {
     }
 }
 
+/// The protocol's order, read off the logs the crash left behind: a
+/// participant's `Commit` of a prepared transaction may be in its log only
+/// if the coordinator's log holds the `Decision` — the commits are appended
+/// after the decision is durable, never beside it. (No checkpoint runs in
+/// these scenarios, so every record ever appended is still in its log.)
+fn assert_no_commit_without_its_decision(dir: &std::path::Path, tag: &str) {
+    let logs: Vec<Vec<WalRecord>> = (0..SHARDS)
+        .map(|i| {
+            // Scan a copy: opening a log truncates and forces it.
+            let copy = dir.join(format!("scan-{i}.wal"));
+            std::fs::copy(dir.join(format!("shard-{i:03}/redo.wal")), &copy).unwrap();
+            let (wal, scan) = Wal::open(&copy, FsyncPolicy::Os, Arc::new(IoStats::new())).unwrap();
+            drop(wal);
+            std::fs::remove_file(&copy).unwrap();
+            scan.records.into_iter().map(|(_, r)| r).collect()
+        })
+        .collect();
+    for (shard, log) in logs.iter().enumerate() {
+        for record in log {
+            let WalRecord::Prepare {
+                ts, coordinator, ..
+            } = record
+            else {
+                continue;
+            };
+            let committed = log
+                .iter()
+                .any(|r| matches!(r, WalRecord::Commit { ts: c, .. } if c == ts));
+            let decided = logs[*coordinator as usize]
+                .iter()
+                .any(|r| matches!(r, WalRecord::Decision { ts: d, .. } if d == ts));
+            assert!(
+                !committed || decided,
+                "{tag}: shard {shard} logged the commit of ts {ts} but coordinator \
+                 {coordinator} never logged its decision"
+            );
+        }
+    }
+}
+
 /// Crash after `k` of `n` prepares: no decision can exist, so the
 /// transaction must vanish from every shard (presumed abort), including
 /// the shards whose prepare *did* reach their WALs.
@@ -301,6 +343,30 @@ fn arbitrary_wal_crashes_inside_the_fence_stay_atomic() {
                 Expect::Either,
             );
         }
+    }
+}
+
+/// A cross-shard commit over all four shards forces 2P+1 = 9 times, in
+/// three rounds whose forces overlap: the prepares (in any order), the
+/// decision, the commits (in any order). Under `Always` the four
+/// `txn_insert`s before it force once each, so counting from the armed
+/// injector the first transaction's forces are: inserts 1–4, prepares
+/// 5–8, the decision 9, commits 10–13. Failing the k-th of them, for
+/// every k, must leave that transaction atomic — and on the side of the
+/// decision its round says: a failed insert or prepare force means no
+/// decision was ever appended; a failed commit force means the decision
+/// was already durable. (A failed *decision* force leaves the record
+/// appended but unforced, which the simulated power cut keeps.)
+#[test]
+fn failing_any_one_force_of_a_cross_shard_commit_stays_atomic() {
+    const P: u64 = SHARDS as u64;
+    for k in 0..=3 * P {
+        let expect = match k {
+            k if k < 2 * P => Expect::Aborted,
+            k if k == 2 * P => Expect::Either,
+            _ => Expect::Committed,
+        };
+        run_two_pc_crash(&format!("force-{k}"), CrashPoint::WalSync, k, expect);
     }
 }
 
