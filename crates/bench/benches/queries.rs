@@ -105,9 +105,8 @@ fn bench_queries(c: &mut Criterion) {
 }
 
 /// Descent cost with and without the decoded-node cache: the warm path is a
-/// hash lookup per node, the cold path re-reads and re-decodes every page
-/// image on the root-to-leaf walk (the engine's behaviour before the cache
-/// existed).
+/// hash lookup per node, the cold path pays one device read and one decode
+/// per level of the root-to-leaf walk.
 fn bench_descent_cache(c: &mut Criterion) {
     let (tree, _) = build_db(8_000, 800);
     let mut group = c.benchmark_group("B2_descent_node_cache");
@@ -124,22 +123,10 @@ fn bench_descent_cache(c: &mut Criterion) {
             tree.get_current(&Key::from_u64(i)).unwrap()
         })
     });
-    group.bench_function("decode_per_access_descent", |b| {
-        let mut i = 0u64;
-        // The engine's behaviour before the node cache existed: buffer pool
-        // warm, but every node access pays a decode. Teardown is untimed.
-        b.iter_batched(
-            || tree.drop_node_cache().unwrap(),
-            |()| {
-                i = (i + 7) % 800;
-                tree.get_current(&Key::from_u64(i)).unwrap()
-            },
-            BatchSize::PerIteration,
-        )
-    });
     group.bench_function("fully_cold_descent", |b| {
         let mut i = 0u64;
-        // Page cache and node cache both empty: device re-reads + decodes.
+        // Node cache empty: a device read plus a decode per level. Teardown
+        // is untimed.
         b.iter_batched(
             || tree.drop_caches().unwrap(),
             |()| {

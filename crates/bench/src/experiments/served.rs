@@ -91,10 +91,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
         for conns in [1usize, 2, 4, 8] {
             let depth = if conns == 1 { 1 } else { 4 };
             let dir = TempDir::new(&format!("{}-{conns}", label.to_lowercase()));
-            // Same engine shape as E12c (1 KiB pages, 128-page pool): a
-            // tiny `small_pages` pool evicts constantly and the flushed-LSN
-            // barrier turns every eviction into a WAL fsync, drowning the
-            // group-commit signal this table is after.
+            // Same engine shape as E12c (1 KiB pages, 512-entry node
+            // cache): `small_pages`' 128-entry cache overflows constantly
+            // and the flushed-LSN barrier turns every dirty write-back into
+            // a WAL fsync, drowning the group-commit signal this table is
+            // after.
             let mut cfg =
                 experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
             cfg.fsync_policy = *policy;

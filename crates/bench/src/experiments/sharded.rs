@@ -106,8 +106,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let mut baseline: Option<f64> = None;
             for shards in [1usize, 2, 4] {
                 let dir = TempDir::new(&format!("{}-{writers}w-{shards}s", label.to_lowercase()));
-                // Same engine shape as E12c/E13 (1 KiB pages, 128-page
-                // pool per shard) so rows are comparable across tables.
+                // Same engine shape as E12c/E13 (1 KiB pages, 512-entry
+                // node cache per shard) so rows are comparable across
+                // tables.
                 let mut cfg =
                     experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
                 cfg.fsync_policy = *policy;

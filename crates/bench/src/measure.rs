@@ -59,7 +59,6 @@ pub fn experiment_config(policy: SplitPolicyKind, choice: SplitTimeChoice) -> Ts
         .with_split_policy(policy)
         .with_split_time_choice(choice);
     cfg.max_key_len = 64;
-    cfg.buffer_pool_pages = 128;
     cfg
 }
 

@@ -6,7 +6,7 @@
 //! `CS = SpaceM · CM + SpaceO · CO` that the policy may optimize (§3.2).
 //! [`SplitPolicyKind`], [`SplitTimeChoice`], and [`CostParams`] expose exactly
 //! those knobs; everything else is conventional storage-engine configuration
-//! (page size, WORM sector size, buffer-pool size).
+//! (page size, WORM sector size, node-cache size).
 
 use crate::error::{TsbError, TsbResult};
 
@@ -144,8 +144,6 @@ pub struct TsbConfig {
     /// Size of a WORM sector in bytes (the smallest writable unit on the
     /// historical device). The paper cites ~1 KB sectors. Default 1024.
     pub worm_sector_size: usize,
-    /// Number of pages the buffer pool caches. Default 256.
-    pub buffer_pool_pages: usize,
     /// Number of decoded nodes the node cache holds (current pages and
     /// immutable historical nodes). Descents served from this cache perform
     /// no decode at all. Default 512.
@@ -178,7 +176,6 @@ impl Default for TsbConfig {
         TsbConfig {
             page_size: 4096,
             worm_sector_size: 1024,
-            buffer_pool_pages: 256,
             node_cache_entries: 512,
             max_key_len: 512,
             split_fill_threshold: 1.0,
@@ -198,7 +195,6 @@ impl TsbConfig {
         TsbConfig {
             page_size: 256,
             worm_sector_size: 64,
-            buffer_pool_pages: 64,
             node_cache_entries: 128,
             max_key_len: 64,
             ..TsbConfig::default()
@@ -224,12 +220,6 @@ impl TsbConfig {
             return Err(TsbError::config(format!(
                 "worm_sector_size must be at least 32 bytes, got {}",
                 self.worm_sector_size
-            )));
-        }
-        if self.buffer_pool_pages < 8 {
-            return Err(TsbError::config(format!(
-                "buffer_pool_pages must be at least 8, got {}",
-                self.buffer_pool_pages
             )));
         }
         if self.node_cache_entries < 8 {
@@ -331,10 +321,6 @@ mod tests {
             },
             TsbConfig {
                 worm_sector_size: 4,
-                ..TsbConfig::default()
-            },
-            TsbConfig {
-                buffer_pool_pages: 1,
                 ..TsbConfig::default()
             },
             TsbConfig {

@@ -50,8 +50,6 @@ pub enum TsbError {
     },
     /// A page id does not refer to an allocated page.
     PageNotFound(u64),
-    /// The buffer pool has no evictable frame (everything is pinned).
-    BufferPoolExhausted,
     /// A write-write conflict: another in-flight transaction already has an
     /// uncommitted version of the key.
     WriteConflict {
@@ -129,7 +127,7 @@ impl TsbError {
             TsbError::WormRewrite { .. } => 5,
             TsbError::WormOutOfBounds { .. } => 6,
             TsbError::PageNotFound(_) => 7,
-            TsbError::BufferPoolExhausted => 8,
+            // 8 is retired and never reused.
             TsbError::WriteConflict { .. } => 9,
             TsbError::TxnNotActive(_) => 10,
             TsbError::InvariantViolation(_) => 11,
@@ -158,7 +156,6 @@ impl TsbError {
             5 => "worm-rewrite",
             6 => "worm-out-of-bounds",
             7 => "page-not-found",
-            8 => "buffer-pool-exhausted",
             9 => "write-conflict",
             10 => "txn-not-active",
             11 => "invariant-violation",
@@ -200,9 +197,6 @@ impl fmt::Display for TsbError {
                 "read of {len} bytes at offset {offset} is outside the written WORM region"
             ),
             TsbError::PageNotFound(id) => write!(f, "page {id} is not allocated"),
-            TsbError::BufferPoolExhausted => {
-                write!(f, "buffer pool exhausted: all frames are pinned")
-            }
             TsbError::WriteConflict { key, holder } => write!(
                 f,
                 "write-write conflict on key {key}: uncommitted version held by {holder}"
@@ -291,7 +285,6 @@ mod tests {
             TsbError::WormRewrite { sector: 0 },
             TsbError::WormOutOfBounds { offset: 0, len: 0 },
             TsbError::PageNotFound(0),
-            TsbError::BufferPoolExhausted,
             TsbError::WriteConflict {
                 key: Key::from_u64(1),
                 holder: TxnId(1),
@@ -313,6 +306,7 @@ mod tests {
             assert!(seen.insert(code), "duplicate wire code {code}");
             assert_ne!(TsbError::wire_code_name(code), "unknown");
         }
+        assert!(!seen.contains(&8), "code 8 is retired, never reused");
         assert_eq!(TsbError::wire_code_name(0), "ok");
         assert_eq!(TsbError::wire_code_name(255), "unknown");
     }

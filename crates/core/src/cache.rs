@@ -1,12 +1,11 @@
 //! The decoded-node cache: `NodeAddr -> Arc<Node>`.
 //!
-//! The buffer pool caches page *images*; before this layer existed every
-//! logical node access still paid a full `Node::decode` of that image — and
-//! every `write_current` a full `Node::encode` — even when the page was
-//! resident. The paper's access-cost argument (§2.2, §2.5) counts a search
-//! as one root-to-leaf path of node accesses; this cache makes a warm
-//! access what the model says it is: a hash lookup handing out a shared,
-//! already-decoded node.
+//! The only cache of the current database (and of historical nodes read
+//! back from the WORM): there is no page cache beneath it, so a miss reads
+//! the device and a write-back writes it. The paper's access-cost argument
+//! (§2.2, §2.5) counts a search as one root-to-leaf path of node accesses;
+//! this cache makes a warm access what the model says it is: a hash lookup
+//! handing out a shared, already-decoded node.
 //!
 //! What sits in the cache is cheap to make and cheap to drop: a [`Node`] is
 //! its page image plus one `u32` offset per entry (see
@@ -35,14 +34,14 @@
 //!   therefore encode once, not once per insert. Dirty entries are
 //!   **pinned**: eviction skips them, because a dirty entry is the sole
 //!   copy of its node's newest state, and removing it before its encode
-//!   reaches the buffer pool would let a concurrent reader decode a stale
-//!   page image (the shard may temporarily exceed its capacity by the
-//!   writer's dirty working set between flushes).
+//!   reaches the device would let a concurrent reader decode a stale page
+//!   image (the shard may temporarily exceed its capacity by the writer's
+//!   dirty working set between flushes).
 //! * **No I/O in this module.** The cache hands dirty nodes back through
 //!   [`dirty_entries`](NodeCache::dirty_entries) /
 //!   [`dirty_at`](NodeCache::dirty_at) to the caller
-//!   ([`TsbTree`](crate::TsbTree)), which owns the buffer pool, performs
-//!   the encode + page write, and confirms per entry with
+//!   ([`TsbTree`](crate::TsbTree)), which owns the devices, performs the
+//!   encode + page write, and confirms per entry with
 //!   [`mark_clean`](NodeCache::mark_clean). This keeps the storage
 //!   boundary clean: `tsb-storage` moves bytes, `tsb-core` decides what
 //!   they mean.
@@ -79,9 +78,9 @@ pub(crate) const SHARD_COUNT: usize = 16;
 struct CacheEntry {
     node: Arc<Node>,
     /// Dirty entries are current nodes whose newest image exists only here;
-    /// they are encoded into the buffer pool when the tree flushes (and
-    /// are pinned against eviction until then). Historical entries are
-    /// never dirty.
+    /// they are encoded and written back when the tree flushes or the
+    /// shard's dirty set overflows (and are pinned against eviction until
+    /// then). Historical entries are never dirty.
     dirty: bool,
 }
 
@@ -291,9 +290,9 @@ impl NodeCache {
     /// Writer-side dirty residency control. If `addr`'s shard holds more
     /// dirty entries than its capacity, returns the least recently written
     /// one for write-back. The entry **stays resident and stays dirty**
-    /// until the caller has installed its encode in the buffer pool and
-    /// calls [`Self::mark_clean`] — marking it clean (and therefore
-    /// evictable) any earlier would reopen the stale-decode window this
+    /// until the caller has written its encode to the device and calls
+    /// [`Self::mark_clean`] — marking it clean (and therefore evictable)
+    /// any earlier would reopen the stale-decode window this
     /// cache pins dirty entries to avoid. Single-writer only: the caller's
     /// serialization guarantees nobody re-dirties the entry in between.
     pub(crate) fn dirty_overflow_victim(&self, addr: NodeAddr) -> Option<(PageId, Arc<Node>)> {
@@ -318,8 +317,8 @@ impl NodeCache {
             .find_map(|shard| shard.lock().dirty_overflow_victim(self.shard_capacity))
     }
 
-    /// Marks `addr` clean after its newest encode reached the buffer pool
-    /// (the second half of [`Self::dirty_overflow_victim`]).
+    /// Marks `addr` clean after its newest encode reached the device (the
+    /// second half of [`Self::dirty_overflow_victim`]).
     pub(crate) fn mark_clean(&self, addr: NodeAddr) {
         let mut shard = self.shard(&addr).lock();
         if let Some(entry) = shard.entries.get_mut(&addr) {
@@ -331,14 +330,14 @@ impl NodeCache {
     /// Evicts clean entries until the shard's clean residency fits its
     /// capacity. Dirty entries are skipped: a dirty entry is the *sole*
     /// copy of its node's newest state, and removing it from the cache
-    /// before its encode reaches the buffer pool would open a window in
+    /// before its encode reaches the device would open a window in
     /// which a concurrent reader misses here and decodes a stale (or
     /// still-empty) page image — a torn read on a content-only path the
     /// structure epoch does not cover. Dirty entries stay pinned until an
     /// explicit flush ([`Self::dirty_entries`] + [`Self::mark_clean`],
     /// always writer-serialized) marks them clean; the shard may
     /// temporarily exceed its capacity by the writer's dirty working set.
-    /// This also keeps the read path free of page I/O entirely.
+    /// This also keeps every page write off the read path.
     ///
     /// The victims are *returned*, not dropped: the caller lets them go
     /// after releasing the shard latch, so the next reader of this shard
@@ -398,12 +397,12 @@ impl NodeCache {
     }
 
     /// Returns `addr`'s node if it is cached and dirty, *without* changing
-    /// any state. The caller writes the encode to the buffer pool and then
+    /// any state. The caller writes the encode to the device and then
     /// confirms with [`Self::mark_clean`] — the same peek/write/confirm
     /// protocol as [`Self::dirty_overflow_victim`], so the entry stays
-    /// pinned (dirty, unevictable) until its image is durably in the pool
-    /// and a concurrent reader can never evict-then-refill it from a stale
-    /// page image.
+    /// pinned (dirty, unevictable) until its image is on the device and a
+    /// concurrent reader can never evict-then-refill it from a stale page
+    /// image.
     pub(crate) fn dirty_at(&self, addr: NodeAddr) -> Option<(PageId, Arc<Node>)> {
         let shard = self.shard(&addr).lock();
         let entry = shard.entries.get(&addr)?;
@@ -417,7 +416,7 @@ impl NodeCache {
 
     /// Returns every dirty node in ascending `PageId` order (deterministic
     /// write traces) *without changing any state* — the flush protocol
-    /// writes each encode to the buffer pool and then confirms per entry
+    /// writes each encode to the device and then confirms per entry
     /// with [`Self::mark_clean`]. Flipping everything clean up front would
     /// unpin not-yet-written entries, and a concurrent reader could evict
     /// one and refill it from its stale pre-flush page image.
@@ -462,7 +461,7 @@ mod tests {
     }
 
     /// The flush protocol as the tree drives it: peek the dirty set, then
-    /// confirm each entry (here without the pool write in between).
+    /// confirm each entry (here without the device write in between).
     fn flush_all(cache: &NodeCache) -> Vec<PageId> {
         let dirty = cache.dirty_entries();
         let pages: Vec<PageId> = dirty.iter().map(|(p, _)| *p).collect();

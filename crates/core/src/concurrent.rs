@@ -15,9 +15,11 @@
 //!   *outside* the lock, so device syncs overlap the next mutation.
 //! * **Readers never take the writer lock.** They descend the tree through
 //!   the shared decoded-node cache: historical (WORM) nodes are immutable
-//!   and served lock-free forever; current pages are read under the short
-//!   internal latches of the node cache and buffer pool (a hash-map lookup
-//!   each), never held across I/O or across more than one node.
+//!   and served lock-free forever; current pages are read under the node
+//!   cache's short shard latch (a hash-map lookup), never held across I/O
+//!   or across more than one node. A miss reads its page from the device
+//!   outside that latch, and never writes a page or forces the log: only
+//!   the writer writes dirty nodes back.
 //! * **Structural changes are fenced by a seqlock epoch.** Content-only
 //!   leaf rewrites are invisible to a reader pinned at a past timestamp
 //!   (the new version has a later commit time, and leaf replacement is a

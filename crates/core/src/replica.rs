@@ -681,7 +681,8 @@ impl ReplicaEngine {
                 for (page, state) in fenced {
                     tree.replica_install_page(page, &state.into_bytes())?;
                 }
-                tree.replica_install_meta(fence.state)
+                tree.replica_install_meta(fence.state);
+                Ok(())
             })();
             tree.settle_structure();
             result?;

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use tsb_common::{Timestamp, TsbResult, TxnId};
-use tsb_storage::{BufferPool, Lsn, PageId, PageOp, Wal, WalPageTable, WalRecord, WormStore};
+use tsb_storage::{Lsn, PageId, PageOp, Wal, WalPageTable, WalRecord, WormStore};
 
 use super::TsbTree;
 use crate::node::NodeAddr;
@@ -27,10 +27,10 @@ pub(crate) struct Durability {
     /// The redo log. Appends happen *before* the node cache may hold the
     /// corresponding node dirty (WAL-before-page).
     pub(super) wal: Arc<Wal>,
-    /// Dirty-page table backing the WAL-before-page barrier at every
-    /// write-back site (shared with the buffer pool, which runs the
-    /// flushed-LSN rule through it before any device page write).
-    pub(super) pages: Arc<WalPageTable>,
+    /// Dirty-page table backing the WAL-before-page barrier: the one
+    /// write-back site (`write_back_dirty`) runs the flushed-LSN rule
+    /// through it before any device page write.
+    pub(super) pages: WalPageTable,
     /// WORM device length known to be on stable storage (shared with the
     /// WAL's pre-sync hook). No commit record may become *durable* while
     /// it references history past this mark, or the commit could outlive
@@ -111,23 +111,14 @@ impl CommitAcks {
 }
 
 impl TsbTree {
-    /// Builds the [`Durability`] state for a WAL-attached tree: exempts the
-    /// metadata page (its content is reconstructed from commit records, not
-    /// page images), installs the dirty-page table into the buffer pool so
-    /// its write-back sites can assert the WAL-before-page ordering, and
-    /// hooks the WORM settle-before-durability rule into the log's fsync
+    /// Builds the [`Durability`] state for a WAL-attached tree: the
+    /// dirty-page table the write-back barrier forces the log through, and
+    /// the WORM settle-before-durability rule hooked into the log's fsync
     /// path (see [`Durability::worm_synced`]).
-    pub(super) fn attach_wal(
-        wal: Wal,
-        pool: &BufferPool,
-        worm: &Arc<WormStore>,
-        meta_page: PageId,
-    ) -> Durability {
+    pub(super) fn attach_wal(wal: Wal, worm: &Arc<WormStore>) -> Durability {
         let wal = Arc::new(wal);
-        let pages = Arc::new(WalPageTable::new());
-        pages.exempt(meta_page);
+        let pages = WalPageTable::new();
         pages.attach_wal(Arc::clone(&wal));
-        pool.set_wal_table(Arc::clone(&pages));
         let worm_synced = Arc::new(AtomicU64::new(0));
         {
             let worm = Arc::clone(worm);

@@ -271,7 +271,8 @@ impl TsbTree {
         self.note_structural_write();
         let root = IndexNode::from_entries(KeyRange::full(), TimeRange::full(), entries);
         self.write_current(page, Node::Index(root))?;
-        self.set_root(NodeAddr::Current(page))
+        self.set_root(NodeAddr::Current(page));
+        Ok(())
     }
 
     // ----- data node splits ----------------------------------------------

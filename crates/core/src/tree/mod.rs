@@ -39,8 +39,7 @@ use parking_lot::{Mutex, RwLock};
 
 use tsb_common::{LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult};
 use tsb_storage::{
-    BufferPool, CostModel, FaultInjector, IoStats, MagneticStore, PageId, SpaceSnapshot, Wal,
-    WormStore,
+    CostModel, FaultInjector, IoStats, MagneticStore, PageId, SpaceSnapshot, Wal, WormStore,
 };
 
 use crate::cache::NodeCache;
@@ -77,7 +76,6 @@ use durability::Durability;
 pub struct TsbTree {
     pub(crate) cfg: TsbConfig,
     pub(crate) magnetic: Arc<MagneticStore>,
-    pub(crate) pool: BufferPool,
     pub(crate) cache: NodeCache,
     pub(crate) worm: Arc<WormStore>,
     pub(crate) stats: Arc<IoStats>,
@@ -276,15 +274,13 @@ impl TsbTree {
         recovered_to: Option<Timestamp>,
     ) -> TsbResult<TsbTree> {
         let meta_page = Self::meta_page_of(&magnetic)?;
-        let pool = BufferPool::new(Arc::clone(&magnetic), cfg.buffer_pool_pages);
-        let durability = wal.map(|wal| Self::attach_wal(wal, &pool, &worm, meta_page));
+        let durability = wal.map(|wal| Self::attach_wal(wal, &worm));
         Ok(TsbTree {
             stats: Arc::clone(magnetic.stats()),
             cache: NodeCache::sharded(cfg.node_cache_entries),
             cost: CostModel::new(cfg.cost),
             cfg,
             magnetic,
-            pool,
             worm,
             clock,
             root: RwLock::new(root),
@@ -302,31 +298,26 @@ impl TsbTree {
     // ----- replication (replica side) -------------------------------------
 
     /// Installs a shipped page image onto the replica's magnetic device and
-    /// invalidates every cached copy. Order matters against concurrent
-    /// readers: device first, then the buffer-pool frame, then the node
-    /// cache — a racing fill that decoded stale bytes began before the
-    /// cache discard bumped the shard stamp, so `complete_fill` refuses to
-    /// install it. Caller must hold the writer lock with the structure
-    /// epoch marked in flight.
+    /// invalidates its cached node. Order matters against concurrent
+    /// readers: device first, then the node cache — a racing fill that
+    /// decoded stale bytes began before the cache discard bumped the shard
+    /// stamp, so `complete_fill` refuses to install it. Caller must hold
+    /// the writer lock with the structure epoch marked in flight.
     pub(crate) fn replica_install_page(&self, page: PageId, bytes: &[u8]) -> TsbResult<()> {
         self.magnetic.restore(page, bytes)?;
-        self.pool.discard(page);
         self.cache.discard(NodeAddr::Current(page));
         Ok(())
     }
 
     /// Installs a shipped fence's metadata: the root pointer, the commit
-    /// clock, and the transaction counter, mirrored onto the metadata page.
+    /// clock, and the transaction counter. The metadata page is left alone:
+    /// a replica restarts from its log, whose fences carry the same state.
     /// Caller must hold the writer lock with the structure epoch marked in
     /// flight.
-    pub(crate) fn replica_install_meta(
-        &self,
-        (root, clock_next, next_txn): recover::FenceState,
-    ) -> TsbResult<()> {
+    pub(crate) fn replica_install_meta(&self, (root, clock_next, next_txn): recover::FenceState) {
         *self.root.write() = root;
         self.clock.advance_to(clock_next);
         *self.txns.lock() = TxnTable::starting_at(next_txn);
-        self.write_meta()
     }
 
     /// The device image of a current page — the base a shipped delta
@@ -338,11 +329,10 @@ impl TsbTree {
         self.magnetic.read(page).map(replay::ReplayPage::Raw)
     }
 
-    /// Flushes the replica's device stores so a primary checkpoint record
+    /// Syncs the replica's device stores so a primary checkpoint record
     /// can become a sound local recovery base: local restart replays from
     /// the newest checkpoint assuming the device equals that state.
     pub(crate) fn replica_sync_devices(&self) -> TsbResult<()> {
-        self.pool.flush()?;
         self.magnetic.sync()?;
         self.worm.sync()?;
         if let Some(d) = &self.durability {
@@ -519,10 +509,10 @@ impl TsbTree {
         self.cost.storage_cost(&self.space())
     }
 
-    /// Flushes dirty nodes, dirty pages, the metadata page, and both
-    /// devices. On a durable tree this is a full **checkpoint**: once the
-    /// devices are synced, a checkpoint record fences the redo log, so the
-    /// next recovery replays nothing that precedes this call.
+    /// Flushes dirty nodes, the metadata page, and both devices. On a
+    /// durable tree this is a full **checkpoint**: once the devices are
+    /// synced, a checkpoint record fences the redo log, so the next
+    /// recovery replays nothing that precedes this call.
     pub fn flush(&mut self) -> TsbResult<()> {
         self.flush_shared()
     }
@@ -537,7 +527,7 @@ impl TsbTree {
     ///
     /// Checkpoint ordering is what makes the fence sound: the checkpoint
     /// record is appended (and fsynced) only *after* every dirty node is
-    /// encoded, every dirty page written, and both devices synced. A crash
+    /// encoded and written, and both devices synced. A crash
     /// anywhere inside this sequence leaves the log without the new
     /// checkpoint, so recovery replays from the previous fence — and
     /// because every page image since that fence is in the log, replay
@@ -545,7 +535,6 @@ impl TsbTree {
     pub(crate) fn flush_shared(&self) -> TsbResult<()> {
         self.write_meta()?;
         self.flush_node_cache()?;
-        self.pool.flush()?;
         self.magnetic.sync()?;
         self.worm.sync()?;
         self.wal_checkpoint()

@@ -1,7 +1,8 @@
-//! Node I/O: how a node travels between the decoded-node cache, the
-//! buffer pool and the two devices — reads and cache fills, the
-//! write-install path (log first, then the cache), dirty write-back, page
-//! allocation — and the metadata page.
+//! Node I/O: how a node travels between the decoded-node cache and the
+//! two devices — reads and cache fills, the write-install path (log first,
+//! then the cache), dirty write-back, page allocation — and the metadata
+//! page. The node cache is the only cache: a miss reads the device, and a
+//! write-back writes it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -48,16 +49,16 @@ impl TsbTree {
         self.stats.record_node_cache_miss();
         let decoded = Arc::new(self.decode_node_at(addr)?);
         // Caching a clean node is pure in-memory bookkeeping (dirty entries
-        // are pinned against eviction), so the read path performs no page
-        // I/O beyond the decode above. The fill is stamp-validated: if the
-        // writer changed this cache shard's contents while we were
-        // decoding, our decode may be stale and is returned *uncached*
-        // (still a legal answer for a read that began before the write
-        // installed); a resident entry always wins.
+        // are pinned against eviction), so the read path never writes a
+        // page or forces the log: its only I/O is the read above. The fill
+        // is stamp-validated: if the writer changed this cache shard's
+        // contents while we were decoding, our decode may be stale and is
+        // returned *uncached* (still a legal answer for a read that began
+        // before the write installed); a resident entry always wins.
         Ok(self.cache.complete_fill(addr, decoded, fill_stamp))
     }
 
-    /// Decodes the node at `addr` from its device image (buffer pool for
+    /// Decodes the node at `addr` from its device image (magnetic store for
     /// current pages, WORM store for historical nodes), bypassing the
     /// decoded-node cache.
     fn decode_node_at(&self, addr: NodeAddr) -> TsbResult<Node> {
@@ -65,12 +66,12 @@ impl TsbTree {
     }
 
     /// The device image of the node at `addr`, as a buffer the decoded node
-    /// takes over as its body: the pool keeps its frame, so a current node
-    /// starts from a copy; a WORM read's buffer is ours already.
+    /// takes over as its body: either device's read hands back a buffer of
+    /// its own.
     fn read_image(&self, addr: NodeAddr) -> TsbResult<Vec<u8>> {
         self.stats.record_node_decode();
         match addr {
-            NodeAddr::Current(page) => Ok(self.pool.get(page)?.to_vec()),
+            NodeAddr::Current(page) => self.magnetic.read(page),
             NodeAddr::Historical(hist) => self.worm.read(hist),
         }
     }
@@ -187,7 +188,7 @@ impl TsbTree {
         // more deferred encodes than its capacity, write the least recently
         // written one back now (writer context, so this is race-free). The
         // victim stays resident and is marked clean only after its image is
-        // in the pool — a concurrent reader therefore never sees a gap.
+        // on the device — a concurrent reader therefore never sees a gap.
         //
         // Durable trees defer this to the end of the mutation
         // ([`Self::wal_commit`]): writing a victim back here could push an
@@ -204,29 +205,30 @@ impl TsbTree {
         Ok(())
     }
 
-    /// Encodes and writes one dirty cached node into its page image, then
-    /// confirms the write-back so the cache unpins the entry. The entry
-    /// stays dirty — pinned against eviction — until its image is in the
-    /// pool, so a concurrent reader can never evict-then-refill it from a
-    /// stale page image mid-flush.
+    /// The one device write-back site of a tree page: encodes a dirty
+    /// cached node, writes it to its page, then confirms the write-back so
+    /// the cache unpins the entry. The entry stays dirty — pinned against
+    /// eviction — until its image is on the device, so a concurrent reader
+    /// can never evict-then-refill it from a stale page image mid-flush;
+    /// the device's own lock orders a reader's page read against this
+    /// write.
     pub(super) fn write_back_dirty(&self, page: PageId, node: &Node) -> TsbResult<()> {
-        // WAL-before-page invariant: a dirty node may only start its way to
-        // the device if its image was logged when the node was installed
-        // (`write_current`). The buffer pool asserts the same contract at
-        // its own write-back sites via the shared WalPageTable.
+        // WAL-before-page: the page's image was logged when the node was
+        // installed (`write_current`); the log must be on stable storage
+        // through it before the page may change on the device.
         if let Some(d) = &self.durability {
-            d.pages.assert_covered(page);
+            d.pages.ensure_durable(page)?;
         }
         self.stats.record_node_encode();
-        self.pool.put(page, node.encode())?;
+        self.magnetic.write(page, &node.encode())?;
         self.cache.mark_clean(NodeAddr::Current(page));
         Ok(())
     }
 
-    /// Encodes every dirty cached node into its page image (ascending
-    /// `PageId` order). The entries stay cached, now clean. Public so
-    /// measurement harnesses can draw a line between build-phase and
-    /// query-phase encode/write traffic without a full device flush.
+    /// Writes every dirty cached node back to its page (ascending `PageId`
+    /// order). The entries stay cached, now clean. Public so measurement
+    /// harnesses can draw a line between build-phase and query-phase
+    /// encode/write traffic without a checkpoint.
     pub fn flush_node_cache(&self) -> TsbResult<()> {
         for (page, node) in self.cache.dirty_entries() {
             self.write_back_dirty(page, &node)?;
@@ -234,8 +236,8 @@ impl TsbTree {
         Ok(())
     }
 
-    /// Encodes one address's dirty cached node into its page image, if it
-    /// has one; every other deferred encode stays deferred.
+    /// Writes one address's dirty cached node back to its page, if it has
+    /// one; every other deferred encode stays deferred.
     fn flush_dirty_node_at(&self, addr: NodeAddr) -> TsbResult<()> {
         match self.cache.dirty_at(addr) {
             Some((page, node)) => self.write_back_dirty(page, &node),
@@ -256,20 +258,10 @@ impl TsbTree {
         Ok(addr)
     }
 
-    /// Drops every cached decoded node and page frame, writing dirty state
-    /// to the devices first. Subsequent reads re-read pages from the device
-    /// *and* re-decode them — the fully-cold baseline.
+    /// Drops every cached node, writing dirty ones back to the device
+    /// first. Each later node access pays one device read and one decode
+    /// until the cache is warm again — the fully-cold baseline.
     pub fn drop_caches(&self) -> TsbResult<()> {
-        self.drop_node_cache()?;
-        self.pool.flush_and_clear()
-    }
-
-    /// Drops only the decoded-node cache (after flushing its dirty state),
-    /// leaving the buffer pool warm. Subsequent reads pay one `Node::decode`
-    /// per access but no device I/O — exactly the engine's behaviour before
-    /// the decoded-node cache existed, which makes this the baseline for
-    /// measuring what the cache itself buys.
-    pub fn drop_node_cache(&self) -> TsbResult<()> {
         self.flush_node_cache()?;
         self.cache.clear();
         Ok(())
@@ -357,8 +349,13 @@ impl TsbTree {
         w.into_vec()
     }
 
+    /// Writes the metadata page to the device. Called where the whole tree
+    /// reaches the device — the flush, `create` and recovery's rebuild —
+    /// not on every root change: a non-durable tree reopens from the last
+    /// flush, and a durable one from its log's fences.
     pub(crate) fn write_meta(&self) -> TsbResult<()> {
-        self.pool.put(self.meta_page, self.encode_meta_bytes())
+        self.magnetic
+            .write(self.meta_page, &self.encode_meta_bytes())
     }
 
     pub(super) fn decode_meta(bytes: &[u8]) -> TsbResult<(NodeAddr, Timestamp, u64)> {
@@ -372,11 +369,10 @@ impl TsbTree {
         Ok((root, clock_next, next_txn))
     }
 
-    /// Updates the root pointer and persists the metadata page. A root
-    /// replacement is a structural change, so the caller (the insert path)
-    /// must have noted the structure epoch as in-flight.
-    pub(crate) fn set_root(&self, root: NodeAddr) -> TsbResult<()> {
+    /// Updates the root pointer; the metadata page follows at the next
+    /// flush. A root replacement is a structural change, so the caller
+    /// (the insert path) must have noted the structure epoch as in-flight.
+    pub(crate) fn set_root(&self, root: NodeAddr) {
         *self.root.write() = root;
-        self.write_meta()
     }
 }

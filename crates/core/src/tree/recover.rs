@@ -856,7 +856,6 @@ impl TsbTree {
         for page in self.magnetic.allocated_page_ids() {
             if !reachable.contains(&page) {
                 self.cache.discard(NodeAddr::Current(page));
-                self.pool.discard(page);
                 self.magnetic.free(page)?;
             }
         }

@@ -378,6 +378,38 @@ fn dirty_residency_is_bounded_without_explicit_flush() {
 }
 
 #[test]
+fn a_read_never_writes_a_page_or_forces_the_log() {
+    // A durable tree whose current database is many times the node cache:
+    // the read sweep misses constantly while the cache still holds dirty
+    // nodes. KeyOnly keeps the WORM out of it, `Os` keeps commits from
+    // forcing the log, so any write or sync in the sweep is a reader's.
+    let dir = TempDir::new("read-never-writes");
+    let cfg = TsbConfig::small_pages()
+        .with_node_cache_entries(16)
+        .with_split_policy(tsb_common::SplitPolicyKind::KeyOnly)
+        .with_fsync_policy(tsb_common::FsyncPolicy::Os);
+    let mut tree = crate::TsbOptions::durable(&dir.0)
+        .config(cfg)
+        .open_tree()
+        .unwrap();
+    for i in 0..3000u64 {
+        tree.insert(i, vec![b'v'; 24]).unwrap();
+    }
+    let before = tree.io_stats().snapshot();
+    for i in 0..3000u64 {
+        assert!(tree.get_current(&Key::from_u64(i)).unwrap().is_some());
+    }
+    let sweep = tree.io_stats().snapshot().delta_since(&before);
+    assert!(sweep.node_cache_misses > 0, "the sweep must miss the cache");
+    assert_eq!(sweep.magnetic_writes, 0, "a read wrote a page");
+    assert_eq!(sweep.wal_syncs, 0, "a read forced the log");
+    assert_eq!(
+        sweep.magnetic_reads, sweep.node_decodes,
+        "a current-node miss is exactly one device read"
+    );
+}
+
+#[test]
 fn bypass_reads_and_cache_invalidation_agree_with_the_cache() {
     let cfg = TsbConfig::small_pages();
     let mut tree = crate::TsbOptions::in_memory()

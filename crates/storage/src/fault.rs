@@ -25,8 +25,8 @@ use tsb_common::{TsbError, TsbResult};
 /// the recovery test matrix crashes at every one of them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CrashPoint {
-    /// A page write reaching the magnetic store (buffer-pool eviction or
-    /// flush write-back).
+    /// A page write reaching the magnetic store (a dirty node's write-back,
+    /// the metadata page, or a page restored by recovery).
     MagneticWrite,
     /// The magnetic store's superblock sync during a checkpoint.
     MagneticSync,

@@ -15,10 +15,9 @@
 //!   nodes of arbitrary length are appended and addressed by
 //!   `(offset, length)` exactly as §3.4 prescribes; the store tracks payload
 //!   bytes vs. sectors consumed so experiments can report sector utilization.
-//! * [`BufferPool`] — an LRU page cache over the magnetic store with pin
-//!   counts and write-back of dirty pages.
-//! * [`IoStats`] — cross-cutting I/O counters (reads, writes, appends, cache
-//!   hits/misses) used by the access-cost experiments.
+//! * [`IoStats`] — cross-cutting I/O counters (device reads, writes and
+//!   appends, node-cache hits/misses, log traffic) used by the access-cost
+//!   experiments.
 //! * [`CostModel`] — the paper's storage cost function
 //!   `CS = SpaceM · CM + SpaceO · CO` (§3.2) plus a simple device access-time
 //!   model (optical seeks ≈ 3× magnetic, optional robot mount time).
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod cost;
 pub mod fault;
 pub mod lru;
@@ -49,7 +47,6 @@ pub mod stats;
 pub mod wal;
 pub mod worm;
 
-pub use buffer::BufferPool;
 pub use cost::{AccessCost, CostModel, SpaceSnapshot};
 pub use fault::{CrashPoint, FaultInjector, ALL_CRASH_POINTS};
 pub use lru::LruList;

@@ -1,14 +1,13 @@
 //! An O(1) least-recently-used ordering over hashable keys.
 //!
-//! Both caches in the engine — the [`BufferPool`](crate::BufferPool)'s page
-//! frames and `tsb-core`'s decoded-node cache — need the same recency
+//! The engine's one cache, `tsb-core`'s decoded-node cache, needs recency
 //! bookkeeping: *touch* on every access, *insert* on fill, *remove* on
 //! discard, and *pop the coldest* on eviction, each in constant time. The
 //! classic intrusive doubly-linked list over a slab does exactly that
 //! without per-operation allocation; a `HashMap` maps keys to slab slots.
 //!
 //! This replaces the seed's "scan every frame for the minimum tick" victim
-//! search, which made eviction O(n) per fill once a pool was warm.
+//! search, which made eviction O(n) per fill once a cache was warm.
 
 use std::collections::HashMap;
 use std::hash::Hash;

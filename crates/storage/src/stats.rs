@@ -1,10 +1,10 @@
 //! Cross-cutting I/O statistics.
 //!
-//! Counters are updated by the stores and the buffer pool and read by the
-//! experiment harness to report node accesses per query and device traffic
-//! per workload. All counters are atomic so that read-only transactions can
-//! run concurrently with a writer without any shared locking (matching the
-//! lock-free read-only transactions of §4.1).
+//! Counters are updated by the stores, the redo log and the tree's node
+//! I/O, and read by the experiment harness to report node accesses per
+//! query and device traffic per workload. All counters are atomic so that
+//! read-only transactions can run concurrently with a writer without any
+//! shared locking (matching the lock-free read-only transactions of §4.1).
 //!
 //! Concurrency contract (audited for the shared-tree engine): every update
 //! is a single `fetch_add` — an atomic read-modify-write — never a
@@ -22,7 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Mutable, shareable I/O counters.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    /// Page reads that reached the magnetic store (buffer-pool misses).
+    /// Page reads that reached the magnetic store (current-node cache
+    /// misses, and recovery's and a replica's page reads).
     pub magnetic_reads: AtomicU64,
     /// Page writes that reached the magnetic store (write-back of dirty pages).
     pub magnetic_writes: AtomicU64,
@@ -36,10 +37,6 @@ pub struct IoStats {
     pub worm_sector_writes: AtomicU64,
     /// Reads from the WORM store.
     pub worm_reads: AtomicU64,
-    /// Buffer-pool hits (logical page reads served from memory).
-    pub cache_hits: AtomicU64,
-    /// Buffer-pool misses.
-    pub cache_misses: AtomicU64,
     /// Logical node accesses performed by tree operations (one per node
     /// visited on a search path, regardless of caching).
     pub node_accesses_current: AtomicU64,
@@ -125,16 +122,6 @@ impl IoStats {
         Self::bump(&self.worm_reads, 1);
     }
 
-    /// Records a buffer-pool hit.
-    pub fn record_cache_hit(&self) {
-        Self::bump(&self.cache_hits, 1);
-    }
-
-    /// Records a buffer-pool miss.
-    pub fn record_cache_miss(&self) {
-        Self::bump(&self.cache_misses, 1);
-    }
-
     /// Records a logical access to a current (magnetic) node.
     pub fn record_current_node_access(&self) {
         Self::bump(&self.node_accesses_current, 1);
@@ -212,8 +199,6 @@ impl IoStats {
             worm_appends: self.worm_appends.load(Ordering::Relaxed),
             worm_sector_writes: self.worm_sector_writes.load(Ordering::Relaxed),
             worm_reads: self.worm_reads.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             node_accesses_current: self.node_accesses_current.load(Ordering::Relaxed),
             node_accesses_historical: self.node_accesses_historical.load(Ordering::Relaxed),
             node_cache_hits: self.node_cache_hits.load(Ordering::Relaxed),
@@ -242,8 +227,6 @@ impl IoStats {
             &self.worm_appends,
             &self.worm_sector_writes,
             &self.worm_reads,
-            &self.cache_hits,
-            &self.cache_misses,
             &self.node_accesses_current,
             &self.node_accesses_historical,
             &self.node_cache_hits,
@@ -282,10 +265,6 @@ pub struct IoSnapshot {
     pub worm_sector_writes: u64,
     /// See [`IoStats::worm_reads`].
     pub worm_reads: u64,
-    /// See [`IoStats::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`IoStats::cache_misses`].
-    pub cache_misses: u64,
     /// See [`IoStats::node_accesses_current`].
     pub node_accesses_current: u64,
     /// See [`IoStats::node_accesses_historical`].
@@ -332,8 +311,6 @@ impl IoSnapshot {
                 .worm_sector_writes
                 .saturating_sub(earlier.worm_sector_writes),
             worm_reads: self.worm_reads.saturating_sub(earlier.worm_reads),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             node_accesses_current: self
                 .node_accesses_current
                 .saturating_sub(earlier.node_accesses_current),
@@ -381,8 +358,6 @@ impl IoSnapshot {
             worm_appends: self.worm_appends + other.worm_appends,
             worm_sector_writes: self.worm_sector_writes + other.worm_sector_writes,
             worm_reads: self.worm_reads + other.worm_reads,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
             node_accesses_current: self.node_accesses_current + other.node_accesses_current,
             node_accesses_historical: self.node_accesses_historical
                 + other.node_accesses_historical,
@@ -407,14 +382,11 @@ impl IoSnapshot {
         self.node_accesses_current + self.node_accesses_historical
     }
 
-    /// Buffer-pool hit rate in `[0, 1]`; `None` if no lookups happened.
+    /// Always `None`: there is no page cache under the decoded-node cache
+    /// (see [`Self::node_cache_hit_rate`]). Kept because the repo
+    /// benchmark's harness (`benchmark/`) calls it.
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.cache_hits as f64 / total as f64)
-        }
+        None
     }
 
     /// Decoded-node cache hit rate in `[0, 1]`; `None` if no node was read.
@@ -442,7 +414,7 @@ impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "magnetic r/w/alloc/free {}/{}/{}/{}  worm append/sector/read {}/{}/{}  cache hit/miss {}/{}  node accesses cur/hist {}/{}  node cache hit/miss {}/{}  decode/encode {}/{}  wal append/sync/bytes {}/{}/{}  commit fence/batch/wait/waitns {}/{}/{}/{}  wlock wait/waitns {}/{}",
+            "magnetic r/w/alloc/free {}/{}/{}/{}  worm append/sector/read {}/{}/{}  node accesses cur/hist {}/{}  node cache hit/miss {}/{}  decode/encode {}/{}  wal append/sync/bytes {}/{}/{}  commit fence/batch/wait/waitns {}/{}/{}/{}  wlock wait/waitns {}/{}",
             self.magnetic_reads,
             self.magnetic_writes,
             self.magnetic_allocs,
@@ -450,8 +422,6 @@ impl fmt::Display for IoSnapshot {
             self.worm_appends,
             self.worm_sector_writes,
             self.worm_reads,
-            self.cache_hits,
-            self.cache_misses,
             self.node_accesses_current,
             self.node_accesses_historical,
             self.node_cache_hits,
@@ -482,8 +452,6 @@ mod tests {
         s.record_magnetic_read();
         s.record_magnetic_write();
         s.record_worm_append();
-        s.record_cache_hit();
-        s.record_cache_miss();
         s.record_current_node_access();
         s.record_historical_node_access();
 
@@ -492,11 +460,10 @@ mod tests {
         assert_eq!(snap.magnetic_writes, 1);
         assert_eq!(snap.worm_appends, 1);
         assert_eq!(snap.total_node_accesses(), 2);
-        assert_eq!(snap.cache_hit_rate(), Some(0.5));
+        assert_eq!(snap.cache_hit_rate(), None, "there is no page cache");
 
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
-        assert_eq!(IoSnapshot::default().cache_hit_rate(), None);
     }
 
     /// Zero-fsync windows (the `Os` policy never syncs between checkpoints)
@@ -565,8 +532,8 @@ mod tests {
     #[test]
     fn display_is_compact() {
         let s = IoStats::new();
-        s.record_cache_hit();
+        s.record_node_cache_hit();
         let text = s.snapshot().to_string();
-        assert!(text.contains("cache hit/miss 1/0"));
+        assert!(text.contains("node cache hit/miss 1/0"));
     }
 }

@@ -3,10 +3,10 @@
 //! The paper's two-device design is only half durable by construction: the
 //! WORM side is write-once hardware, so migrated history can never be lost,
 //! but the magnetic current database is rewritten in place and buffered in
-//! two volatile caches (the decoded-node cache and the buffer pool). This
-//! module closes that gap with a **hybrid redo log**: the *first* dirtying
-//! of a page per checkpoint interval appends its full image here *before*
-//! the engine's caches may hold it dirty; every later content-only rewrite
+//! a volatile cache (the decoded-node cache). This module closes that gap
+//! with a **hybrid redo log**: the *first* dirtying of a page per
+//! checkpoint interval appends its full image here *before* the engine's
+//! cache may hold it dirty; every later content-only rewrite
 //! of the same page appends only a compact logical [`PageOp`] delta. A
 //! crash can always be repaired by replaying the images and re-applying
 //! the deltas, in LSN order, over the magnetic store ("repeating
@@ -135,8 +135,8 @@
 //! * `commit` — *when* bytes become durable: the sync request queue, the
 //!   durable-LSN watermark, the group-commit thread. `log` reaches the
 //!   queue through one door, [`Wal::request_durable`].
-//! * `page_table` — [`WalPageTable`], the WAL-before-page barrier at every
-//!   device write-back.
+//! * `page_table` — [`WalPageTable`], the WAL-before-page barrier at the
+//!   one device write-back site of a tree page.
 //!
 //! A change to what a record says touches `record`; a change to how
 //! commits share fsyncs touches `commit`; neither touches the other two.

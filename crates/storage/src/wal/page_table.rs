@@ -1,4 +1,4 @@
-//! The dirty-page table: which pages the log covers, and the barrier every
+//! The dirty-page table: which pages the log covers, and the barrier a
 //! device write-back passes through.
 
 use std::collections::{HashMap, HashSet};
@@ -13,19 +13,18 @@ use crate::page::PageId;
 
 /// The dirty-page table backing the **WAL-before-page** invariant.
 ///
-/// Before a dirty page may be written back to the magnetic store — by the
-/// tree's flush, by the decoded-node cache's overflow write-back, or by a
-/// buffer-pool eviction — the page's newest image must already be in the
-/// WAL. The tree records every `PageImage` append here
-/// ([`record`](Self::record)); every *device* write-back site runs the
-/// full barrier ([`ensure_durable`](Self::ensure_durable)): a coverage
-/// `debug_assert` plus the flushed-LSN rule — the log is forced to stable
-/// storage through its newest record before the page bytes may land on
-/// the device, so a power failure can never leave the device holding
-/// state the surviving log cannot reproduce or supersede. Pages that are
-/// legitimately outside the log (the tree's metadata page, whose content
-/// is reconstructed from commit records) are registered with
-/// [`exempt`](Self::exempt).
+/// Before a dirty page may be written back to the magnetic store, the
+/// page's newest image must already be in the WAL. The tree records every
+/// `PageImage` append here ([`record`](Self::record)); its one device
+/// write-back site — shared by the decoded-node cache's overflow drain
+/// and the tree's flush — runs the full barrier
+/// ([`ensure_durable`](Self::ensure_durable)): a coverage `debug_assert`
+/// plus the flushed-LSN rule — the log is forced to stable storage
+/// through its newest record before the page bytes may land on the
+/// device, so a power failure can never leave the device holding state
+/// the surviving log cannot reproduce or supersede. The tree's metadata
+/// page never passes through it: recovery rebuilds the metadata from
+/// fence records, never from the page.
 #[derive(Debug, Default)]
 pub struct WalPageTable {
     /// page -> LSN of the page's newest logged record (image or delta).
@@ -53,8 +52,8 @@ impl WalPageTable {
     }
 
     /// The write-back barrier: asserts WAL coverage of `page` and forces
-    /// the log to stable storage through its newest record. Called by
-    /// every site about to write a dirty page image to the device.
+    /// the log to stable storage through its newest record. Called before
+    /// a dirty page image is written to the device.
     pub fn ensure_durable(&self, page: PageId) -> TsbResult<()> {
         self.assert_covered(page);
         let wal = self.wal.lock().clone();
@@ -107,25 +106,18 @@ impl WalPageTable {
     /// Starts a fresh checkpoint interval after the log was reset: every
     /// page must log a full image again before its next delta (the new log
     /// generation holds no bases), and the write-back coverage map starts
-    /// over (the checkpoint's flush drained every dirty page). Exempt
-    /// pages stay exempt — their content is reconstructed from fence
-    /// records, never from page records.
+    /// over (the checkpoint's flush drained every dirty page).
     pub fn begin_interval(&self) {
         self.imaged.lock().clear();
-        self.pages.lock().retain(|_, lsn| *lsn == 0);
+        self.pages.lock().clear();
     }
 
-    /// Marks `page` as legitimately un-logged (metadata pages).
-    pub fn exempt(&self, page: PageId) {
-        self.pages.lock().insert(page.0, 0);
-    }
-
-    /// The LSN of `page`'s newest logged image (`Some(0)` for exempt pages).
+    /// The LSN of `page`'s newest logged record.
     pub fn lsn_of(&self, page: PageId) -> Option<Lsn> {
         self.pages.lock().get(&page.0).copied()
     }
 
-    /// Whether `page` may be written back (logged or exempt).
+    /// Whether `page` may be written back (its newest state is logged).
     pub fn is_covered(&self, page: PageId) -> bool {
         self.pages.lock().contains_key(&page.0)
     }

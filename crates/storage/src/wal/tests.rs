@@ -187,15 +187,10 @@ fn page_table_first_touch_and_interval_reset() {
     assert!(!table.first_touch(PageId(3)), "second touch logs deltas");
     assert!(table.is_imaged(PageId(3)));
     table.record(PageId(3), 9);
-    table.exempt(PageId(0));
-    // A checkpoint resets the interval: bases are gone, exemptions stay.
+    // A checkpoint resets the interval: bases and coverage are gone.
     table.begin_interval();
     assert!(!table.is_imaged(PageId(3)));
     assert!(!table.is_covered(PageId(3)));
-    assert!(
-        table.is_covered(PageId(0)),
-        "exempt pages survive the reset"
-    );
     // Reallocation forgets a page's base entirely.
     assert!(table.first_touch(PageId(3)));
     table.record(PageId(3), 12);
@@ -565,10 +560,7 @@ fn page_table_tracks_coverage() {
     table.record(PageId(5), 17);
     assert!(table.is_covered(PageId(5)));
     assert_eq!(table.lsn_of(PageId(5)), Some(17));
-    table.exempt(PageId(0));
-    assert!(table.is_covered(PageId(0)));
     table.assert_covered(PageId(5));
-    table.assert_covered(PageId(0));
 }
 
 /// A log written by the commit before the CRC kernel changed (PR 13,
