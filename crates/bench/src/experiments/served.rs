@@ -93,9 +93,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let dir = TempDir::new(&format!("{}-{conns}", label.to_lowercase()));
             // Same engine shape as E12c (1 KiB pages, 512-entry node
             // cache): `small_pages`' 128-entry cache overflows constantly
-            // and the flushed-LSN barrier turns every dirty write-back into
-            // a WAL fsync, drowning the group-commit signal this table is
-            // after.
+            // and the flushed-LSN barrier forces the WAL for every
+            // write-back no durable fence covers yet, drowning the
+            // group-commit signal this table is after.
             let mut cfg =
                 experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
             cfg.fsync_policy = *policy;

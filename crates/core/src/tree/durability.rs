@@ -29,7 +29,9 @@ pub(crate) struct Durability {
     pub(super) wal: Arc<Wal>,
     /// Dirty-page table backing the WAL-before-page barrier: the one
     /// write-back site (`write_back_dirty`) runs the flushed-LSN rule
-    /// through it before any device page write.
+    /// through it before any device page write — free when the log's
+    /// durable fence already covers the page's newest record, one force of
+    /// the log otherwise.
     pub(super) pages: WalPageTable,
     /// WORM device length known to be on stable storage (shared with the
     /// WAL's pre-sync hook). No commit record may become *durable* while
@@ -112,13 +114,12 @@ impl CommitAcks {
 
 impl TsbTree {
     /// Builds the [`Durability`] state for a WAL-attached tree: the
-    /// dirty-page table the write-back barrier forces the log through, and
-    /// the WORM settle-before-durability rule hooked into the log's fsync
-    /// path (see [`Durability::worm_synced`]).
+    /// dirty-page table the write-back barrier reads, and the WORM
+    /// settle-before-durability rule hooked into the log's fsync path (see
+    /// [`Durability::worm_synced`]) — which is also what lets every
+    /// recovery cut at or after the log's durable fence.
     pub(super) fn attach_wal(wal: Wal, worm: &Arc<WormStore>) -> Durability {
         let wal = Arc::new(wal);
-        let pages = WalPageTable::new();
-        pages.attach_wal(Arc::clone(&wal));
         let worm_synced = Arc::new(AtomicU64::new(0));
         {
             let worm = Arc::clone(worm);
@@ -134,7 +135,7 @@ impl TsbTree {
         }
         Durability {
             wal,
-            pages,
+            pages: WalPageTable::new(),
             worm_synced,
             last_fence: Mutex::new(None),
             pending_delta_pages: Mutex::new(HashSet::new()),
@@ -209,9 +210,10 @@ impl TsbTree {
         // acknowledgement contract: a power failure after the commit's
         // fsync but before the OS flushed the WORM tail would force
         // recovery to cut before this commit. For `Os` the reason is
-        // device consistency: the flushed-LSN barrier forces the *WAL*
-        // (not the WORM) before page write-backs, so the page device could
-        // otherwise hold images from a commit whose WORM history was lost.
+        // device consistency: the flushed-LSN barrier waits for a durable
+        // *WAL* fence (not the WORM) before page write-backs, so the page
+        // device could otherwise hold images from a commit whose WORM
+        // history was lost.
         // The WAL's pre-sync hook (installed by `attach_wal`) settles the
         // WORM immediately before *every* fsync of the log — the only
         // moments a commit record can become durable — so an `Os` commit

@@ -410,6 +410,38 @@ fn a_read_never_writes_a_page_or_forces_the_log() {
 }
 
 #[test]
+fn a_write_back_under_a_durable_fence_forces_nothing() {
+    // A durable tree many times its node cache, under `Os`: no commit
+    // forces the log, so every fsync in the run is a write-back barrier's.
+    // Overflow write-backs mostly pick pages last logged several commits
+    // ago, which the durable fence of the barrier's previous force already
+    // covers; only a page logged since then forces the log again.
+    let dir = TempDir::new("fenced-write-back");
+    let cfg = TsbConfig::small_pages()
+        .with_node_cache_entries(32)
+        .with_split_policy(tsb_common::SplitPolicyKind::KeyOnly)
+        .with_fsync_policy(tsb_common::FsyncPolicy::Os);
+    let mut tree = crate::TsbOptions::durable(&dir.0)
+        .config(cfg)
+        .open_tree()
+        .unwrap();
+    let before = tree.io_stats().snapshot();
+    for i in 0..3000u64 {
+        tree.insert(i * 7919 % 3000, vec![b'v'; 24]).unwrap();
+    }
+    let run = tree.io_stats().snapshot().delta_since(&before);
+    assert!(run.wal_syncs > 0, "no write-back ever forced the log");
+    assert!(
+        4 * run.wal_syncs <= run.magnetic_writes,
+        "{} forces for {} write-backs: a write-back forced a log its durable \
+         fence already covered",
+        run.wal_syncs,
+        run.magnetic_writes
+    );
+    tree.verify().unwrap();
+}
+
+#[test]
 fn bypass_reads_and_cache_invalidation_agree_with_the_cache() {
     let cfg = TsbConfig::small_pages();
     let mut tree = crate::TsbOptions::in_memory()

@@ -31,12 +31,23 @@ struct SyncQueue {
 }
 
 /// The durable-LSN watermark: every record at or below `lsn` is on stable
-/// storage. `failed` is the sticky sync error — once a drain fails, every
-/// parked and future waiter observes it.
+/// storage, and `fence` is the newest fence record at or below it — the
+/// durable fence the write-back barrier reads. `failed` is the sticky sync
+/// error — once a drain fails, every parked and future waiter observes it,
+/// and neither watermark moves again.
 #[derive(Default)]
 struct DurableMark {
     lsn: Lsn,
+    fence: Lsn,
     failed: Option<String>,
+}
+
+impl DurableMark {
+    /// The sticky sync failure as an error, if one was published.
+    fn failure(&self) -> Option<TsbError> {
+        let msg = self.failed.as_ref()?;
+        Some(TsbError::Io(std::io::Error::other(msg.clone())))
+    }
 }
 
 /// The pipelined group-commit state shared between committers (append
@@ -59,13 +70,19 @@ pub(super) struct GroupCommit {
 }
 
 impl GroupCommit {
-    /// A pipeline whose watermark starts at `durable_lsn` — the tail of
-    /// what the opener has already forced (see `Wal::open`), 0 for a
-    /// fresh log.
-    pub(super) fn starting_at(durable_lsn: Lsn) -> GroupCommit {
-        let group = GroupCommit::default();
-        lock_std(&group.durable).lsn = durable_lsn;
-        group
+    /// A pipeline whose watermark starts at `durable_lsn` and whose
+    /// durable fence starts at `fence` — the tail of what the opener has
+    /// already forced and the newest fence in it (see `Wal::open`), 0 for
+    /// a fresh log.
+    pub(super) fn starting_at(durable_lsn: Lsn, fence: Lsn) -> GroupCommit {
+        GroupCommit {
+            durable: StdMutex::new(DurableMark {
+                lsn: durable_lsn,
+                fence,
+                failed: None,
+            }),
+            ..GroupCommit::default()
+        }
     }
 
     /// Tells the committer thread to exit once its in-flight drain (if
@@ -82,16 +99,28 @@ impl WalShared {
         lock_std(&self.group.durable).lsn
     }
 
-    /// Advances the watermark to `lsn` (monotonic: a stale publish from a
-    /// drain that raced a checkpoint reset is a no-op) and wakes every
-    /// parked committer.
-    pub(super) fn publish_durable(&self, lsn: Lsn) {
+    /// The durable fence: the newest fence record at or below the
+    /// watermark (0 when none is durable yet).
+    pub(super) fn durable_fence(&self) -> Lsn {
+        lock_std(&self.group.durable).fence
+    }
+
+    /// Advances the watermark to `lsn` and the durable fence to `fence`,
+    /// the newest fence at or below `lsn` (each monotonic: a stale publish
+    /// from a drain that raced a checkpoint reset is a no-op), and wakes
+    /// every parked committer. Refused once a sync failure is published:
+    /// an fsync that succeeds after a failed one may be covering for bytes
+    /// the failure dropped.
+    pub(super) fn publish_durable(&self, lsn: Lsn, fence: Lsn) -> TsbResult<()> {
         let mut mark = lock_std(&self.group.durable);
-        if lsn > mark.lsn {
-            mark.lsn = lsn;
+        if let Some(err) = mark.failure() {
+            return Err(err);
         }
+        mark.lsn = mark.lsn.max(lsn);
+        mark.fence = mark.fence.max(fence);
         drop(mark);
         self.group.published.notify_all();
+        Ok(())
     }
 
     /// Publishes a sticky sync failure: every parked and future
@@ -135,8 +164,7 @@ impl WalShared {
             }
             // A commit already durable is durable no matter what happened
             // to a *later* drain, hence the watermark check first.
-            if let Some(msg) = &mark.failed {
-                let err = TsbError::Io(std::io::Error::other(msg.clone()));
+            if let Some(err) = mark.failure() {
                 drop(mark);
                 self.stats
                     .record_group_commit_wait(start.elapsed().as_nanos() as u64);
@@ -151,11 +179,12 @@ impl WalShared {
     }
 
     /// Forces everything appended so far to stable storage and publishes
-    /// the watermark. The capture (flush + tail LSN + file handle) runs
-    /// under the inner lock; the device sync runs *outside* it, so the
-    /// next mutation's appends proceed while the device works — the
-    /// pipelining that lets concurrent commits share one fsync. Any error
-    /// is published as the sticky failure before it returns. No-op when
+    /// the watermark. The capture (flush + tail LSN + newest fence + file
+    /// handle) runs under the inner lock; the device sync runs *outside*
+    /// it, so the next mutation's appends proceed while the device works —
+    /// the pipelining that lets concurrent commits share one fsync. Any error
+    /// is published as the sticky failure before it returns; once one is
+    /// published, every later call returns it without syncing. No-op when
     /// the tail is already durable.
     pub(super) fn sync_to_tail(&self, from_committer: bool) -> TsbResult<()> {
         let result = self.sync_to_tail_inner(from_committer);
@@ -166,13 +195,19 @@ impl WalShared {
     }
 
     fn sync_to_tail_inner(&self, from_committer: bool) -> TsbResult<()> {
-        let (target, file, hook, injector) = {
+        let (target, fence, file, hook, injector) = {
             let mut inner = self.inner.lock();
             let target = inner.next_lsn - 1;
-            if target <= self.durable_lsn() {
-                // Nothing undurable; the append buffer is necessarily
-                // empty (un-flushed appends hold LSNs above the mark).
-                return Ok(());
+            {
+                let mark = lock_std(&self.group.durable);
+                if let Some(err) = mark.failure() {
+                    return Err(err);
+                }
+                if target <= mark.lsn {
+                    // Nothing undurable; the append buffer is necessarily
+                    // empty (un-flushed appends hold LSNs above the mark).
+                    return Ok(());
+                }
             }
             if let Some(injector) = &inner.injector {
                 injector.check(CrashPoint::WalSync)?;
@@ -180,6 +215,7 @@ impl WalShared {
             inner.flush_pending()?;
             (
                 target,
+                inner.last_fence,
                 inner.file.try_clone()?,
                 inner.pre_sync.clone(),
                 inner.injector.clone(),
@@ -209,8 +245,7 @@ impl WalShared {
         if from_committer {
             self.stats.record_group_commit_batch();
         }
-        self.publish_durable(target);
-        Ok(())
+        self.publish_durable(target, fence)
     }
 
     /// The group-commit thread body: park until a fence LSN beyond the

@@ -41,6 +41,9 @@ pub fn sync_parent_dir(path: &Path) -> TsbResult<()> {
 pub(super) struct WalInner {
     pub(super) file: File,
     pub(super) next_lsn: Lsn,
+    /// The LSN of the newest fence record appended (0 if none): what a
+    /// drain captures with the tail and publishes as the durable fence.
+    pub(super) last_fence: Lsn,
     /// Bytes of intact log (the append position), buffered bytes included.
     len: u64,
     /// Appended frames not yet written to the file: the group-commit
@@ -69,6 +72,9 @@ impl WalInner {
     fn push(&mut self, lsn: Lsn, body: &[u8], is_fence: bool, stats: &IoStats) -> TsbResult<()> {
         let frame_len = write_frame(&mut self.pending, body) as u64;
         self.next_lsn = lsn + 1;
+        if is_fence {
+            self.last_fence = lsn;
+        }
         self.len += frame_len;
         stats.record_wal_append();
         stats.record_wal_bytes(frame_len);
@@ -185,17 +191,19 @@ impl Wal {
         // the now-unreachable inode.
         file.sync_all()?;
         sync_parent_dir(&path)?;
-        Ok(Self::assemble(file, 1, 0, policy, path, stats))
+        Ok(Self::assemble(file, 1, 0, 0, policy, path, stats))
     }
 
     /// Wraps an opened file positioned at byte `len`, where `next_lsn`
     /// will be appended, and spawns the group-commit thread. The watermark
-    /// starts at `next_lsn - 1`: the caller has forced whatever the file
-    /// already holds (`create`: nothing; `open`: the prefix it scanned).
+    /// starts at `next_lsn - 1` and the durable fence at `last_fence`: the
+    /// caller has forced whatever the file already holds (`create`:
+    /// nothing; `open`: the prefix it scanned).
     fn assemble(
         file: File,
         next_lsn: Lsn,
         len: u64,
+        last_fence: Lsn,
         policy: FsyncPolicy,
         path: PathBuf,
         stats: Arc<IoStats>,
@@ -204,6 +212,7 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 file,
                 next_lsn,
+                last_fence,
                 len,
                 pending: Vec::new(),
                 pre_sync: None,
@@ -211,7 +220,7 @@ impl Wal {
             }),
             policy,
             stats,
-            group: GroupCommit::starting_at(next_lsn - 1),
+            group: GroupCommit::starting_at(next_lsn - 1, last_fence),
         });
         let committer = shared.spawn_committer();
         Wal {
@@ -225,7 +234,8 @@ impl Wal {
     /// truncating a torn tail. The returned [`WalScan`] is the replay input;
     /// the `Wal` is positioned to append after the intact prefix, which is
     /// forced to stable storage (one fsync, none for an empty log) before
-    /// [`Self::durable_lsn`] is seeded at its tail.
+    /// [`Self::durable_lsn`] is seeded at its tail and
+    /// [`Self::durable_fence_lsn`] at its newest fence.
     pub fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
@@ -252,6 +262,11 @@ impl Wal {
 
         let (records, pos, torn) = scan_buf(&buf);
         let next_lsn = records.last().map(|(lsn, _)| lsn + 1).unwrap_or(1);
+        let last_fence = records
+            .iter()
+            .rev()
+            .find(|(_, record)| record.is_fence())
+            .map_or(0, |(lsn, _)| *lsn);
         if torn {
             file.set_len(pos as u64)?;
             file.sync_all()?;
@@ -267,7 +282,7 @@ impl Wal {
         }
         file.seek(SeekFrom::Start(pos as u64))?;
         Ok((
-            Self::assemble(file, next_lsn, pos as u64, policy, path, stats),
+            Self::assemble(file, next_lsn, pos as u64, last_fence, policy, path, stats),
             WalScan {
                 records,
                 truncated_torn_tail: torn,
@@ -340,6 +355,16 @@ impl Wal {
     /// stable storage.
     pub fn durable_lsn(&self) -> Lsn {
         self.shared.durable_lsn()
+    }
+
+    /// The durable fence: the newest fence record (`Commit`, `Checkpoint`,
+    /// `Prepare`, `Decision`) at or below [`Self::durable_lsn`], 0 when none
+    /// is durable yet. A recovery cuts at or after it — the engine's
+    /// pre-sync hook puts every durable fence's history on its device
+    /// first — so a page whose newest record is at or below it is rebuilt,
+    /// to that state or a newer one, by every recovery.
+    pub fn durable_fence_lsn(&self) -> Lsn {
+        self.shared.durable_fence()
     }
 
     /// Bytes of intact log on disk.
@@ -465,13 +490,15 @@ impl Wal {
     /// Forces everything appended so far to stable storage before
     /// returning; no-op (no fsync) when the tail is already durable. Runs
     /// on the calling thread, possibly alongside a committer drain — both
-    /// publish the watermark.
+    /// publish the watermark. Once a sync failure was published it returns
+    /// that failure and syncs nothing.
     ///
-    /// Besides a replica's batch end this is the **flushed-LSN rule**
-    /// barrier: a dirty page
-    /// may reach the page device only when every log record that could be
-    /// needed to reproduce (or supersede) its content is already stable,
-    /// whatever the commit fsync policy says.
+    /// Besides a replica's batch end, this is the force behind the
+    /// **flushed-LSN rule** ([`super::WalPageTable::ensure_durable`]) — run
+    /// only for a page whose newest record [`Self::durable_fence_lsn`]
+    /// does not cover yet. A page may reach the page device only when
+    /// every log record needed to reproduce (or supersede) its content is
+    /// stable and fenced, whatever the commit fsync policy says.
     pub fn sync(&self) -> TsbResult<()> {
         self.shared.sync_to_tail(false)
     }
@@ -516,19 +543,20 @@ impl Wal {
         self.shared.stats.record_wal_sync();
         inner.file = file;
         inner.next_lsn = lsn + 1;
+        inner.last_fence = lsn;
         inner.len = frame.len() as u64;
         // Anything the old generation still buffered precedes the new
         // fence and is unreplayable by construction.
         inner.pending.clear();
         drop(inner);
         // The fence is the newest LSN and it is durable, so this jumps the
-        // watermark over everything the old generation ever held: the
-        // checkpoint quiesces the pipeline (parked committers wake
-        // satisfied, a racing drain's stale publish is a monotonic no-op)
-        // and the committer thread sees its requests already covered. A
-        // drain that raced the rename fsyncs the renamed-over file handle,
-        // which is harmless.
-        self.shared.publish_durable(lsn);
+        // watermark and the durable fence over everything the old
+        // generation ever held: the checkpoint quiesces the pipeline
+        // (parked committers wake satisfied, a racing drain's stale publish
+        // is a monotonic no-op) and the committer thread sees its requests
+        // already covered. A drain that raced the rename fsyncs the
+        // renamed-over file handle, which is harmless.
+        self.shared.publish_durable(lsn, lsn)?;
         Ok(lsn)
     }
 }

@@ -77,12 +77,27 @@
 //! used as a cut (its index entries would dangle), so recovery stops at
 //! the last commit whose `worm_len` fits.
 //!
+//! ## The flushed-LSN rule reads the durable fence
+//!
+//! A dirty page may reach the page device only once the log can rebuild
+//! it. Each sync publishes, beside the durable-LSN watermark, the
+//! **durable fence** ([`Wal::durable_fence_lsn`]): the newest fence at or
+//! below the watermark, captured with the tail under the same lock. The
+//! engine syncs the WORM before every log fsync, so every recovery cuts at
+//! or after the durable fence, and a page whose newest record is at or
+//! below it is rebuilt — to that state or a newer one — by every
+//! recovery. [`WalPageTable::ensure_durable`] therefore lets such a page
+//! through with no fsync; only a page past it forces the log
+//! ([`Wal::sync`]). The durable LSN alone would not do:
+//! a drain may capture the tail mid-mutation, and recovery discards
+//! records no fence covers.
+//!
 //! ## Group commit: one coalesced write per mutation
 //!
 //! Appends land in an in-process append buffer; the buffer is flushed to
 //! the file with a single `write_all` when a fence record (`Commit` /
-//! `Checkpoint`) is appended, when the flushed-LSN barrier or an fsync
-//! needs the bytes in the file, or when it outgrows
+//! `Checkpoint`) is appended, when an fsync needs the bytes in the file,
+//! or when it outgrows
 //! `APPEND_BUFFER_FLUSH_BYTES`. One mutation — its page images, its
 //! deltas, and its commit fence — therefore issues **one** write syscall
 //! instead of one per record. Buffered bytes are always un-fenced (every
@@ -105,14 +120,16 @@
 //! request without the park — the only way a sync gets asked for — so a
 //! caller with waits on several logs asks all of them before parking on
 //! any and their syncs overlap. A dedicated group-commit thread drains
-//! the request queue: each drain captures the log tail, runs the pre-sync
-//! hook, issues **one** `fsync` covering every commit appended up to the
-//! capture, and broadcasts the new watermark to every parked committer.
+//! the request queue: each drain captures the log tail and its newest
+//! fence, runs the pre-sync hook, issues **one** `fsync` covering every
+//! commit appended up to the capture, and broadcasts the new watermark
+//! and durable fence to every parked committer.
 //! While the device works, the next mutations keep appending (the inner
 //! lock is not held across the sync), so under concurrent writers dozens
 //! of commits share one fsync. A sync failure is sticky: it is published
 //! to the watermark, every parked and future waiter errors, and the
-//! engine poisons the tree. The per-policy wait rule: `Always` waits for
+//! engine poisons the tree; no later sync, inline or drained, moves the
+//! watermark again. The per-policy wait rule: `Always` waits for
 //! its own fence LSN, `Os` is handed nothing to wait on.
 //!
 //! What a commit appended under `Always` and *never waited on* may
@@ -133,10 +150,11 @@
 //!   (torn-tail truncation, the checkpoint reset's write-new-then-rename),
 //!   local and shipped appends, the coalesced write at every fence.
 //! * `commit` — *when* bytes become durable: the sync request queue, the
-//!   durable-LSN watermark, the group-commit thread. `log` reaches the
+//!   durable-LSN watermark and durable fence, the group-commit thread. `log` reaches the
 //!   queue through one door, [`Wal::request_durable`].
 //! * `page_table` — [`WalPageTable`], the WAL-before-page barrier at the
-//!   one device write-back site of a tree page.
+//!   one device write-back site of a tree page: a read of the durable
+//!   fence, and a force only when it falls short.
 //!
 //! A change to what a record says touches `record`; a change to how
 //! commits share fsyncs touches `commit`; neither touches the other two.

@@ -1,8 +1,8 @@
 //! The dirty-page table: which pages the log covers, and the barrier a
-//! device write-back passes through.
+//! device write-back passes through — a comparison with the log's durable
+//! fence, and a force of the log only when that comparison fails.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -19,10 +19,16 @@ use crate::page::PageId;
 /// write-back site — shared by the decoded-node cache's overflow drain
 /// and the tree's flush — runs the full barrier
 /// ([`ensure_durable`](Self::ensure_durable)): a coverage `debug_assert`
-/// plus the flushed-LSN rule — the log is forced to stable storage
-/// through its newest record before the page bytes may land on the
-/// device, so a power failure can never leave the device holding state
-/// the surviving log cannot reproduce or supersede. The tree's metadata
+/// plus the flushed-LSN rule — the page's newest record must sit at or
+/// below the log's **durable fence** ([`Wal::durable_fence_lsn`]) before
+/// the page bytes may land on the device, so a power failure can never
+/// leave the device holding state the surviving log cannot reproduce or
+/// supersede. Every recovery cuts at or after that fence and replays the
+/// page through it, so a page it already covers is written back with no
+/// fsync at all; only a page past it forces the log, inline
+/// ([`Wal::sync`]). The durable LSN alone would not do: a drain may
+/// capture the tail in the middle of a mutation, and recovery discards
+/// records no fence covers. The tree's metadata
 /// page never passes through it: recovery rebuilds the metadata from
 /// fence records, never from the page.
 #[derive(Debug, Default)]
@@ -36,8 +42,6 @@ pub struct WalPageTable {
     /// for every delta. Cleared by [`begin_interval`](Self::begin_interval)
     /// when a checkpoint resets the log.
     imaged: Mutex<HashSet<u64>>,
-    /// The log to force before device write-backs (set once at attach).
-    wal: Mutex<Option<Arc<Wal>>>,
 }
 
 impl WalPageTable {
@@ -46,20 +50,16 @@ impl WalPageTable {
         Self::default()
     }
 
-    /// Wires in the log [`ensure_durable`](Self::ensure_durable) forces.
-    pub fn attach_wal(&self, wal: Arc<Wal>) {
-        *self.wal.lock() = Some(wal);
-    }
-
-    /// The write-back barrier: asserts WAL coverage of `page` and forces
-    /// the log to stable storage through its newest record. Called before
-    /// a dirty page image is written to the device.
-    pub fn ensure_durable(&self, page: PageId) -> TsbResult<()> {
+    /// The write-back barrier: asserts WAL coverage of `page`, then
+    /// returns at once if `wal`'s durable fence covers the page's newest
+    /// record, and otherwise forces `wal` through its tail — at a
+    /// write-back, the fence just appended. Called before a dirty page
+    /// image is written to the device.
+    pub fn ensure_durable(&self, page: PageId, wal: &Wal) -> TsbResult<()> {
         self.assert_covered(page);
-        let wal = self.wal.lock().clone();
-        match wal {
-            Some(wal) => wal.sync(),
-            None => Ok(()),
+        match self.lsn_of(page) {
+            Some(lsn) if lsn <= wal.durable_fence_lsn() => Ok(()),
+            _ => wal.sync(),
         }
     }
 

@@ -3,6 +3,7 @@
 //! so their names stay `wal::tests::*`.
 
 use std::fs::OpenOptions;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use tsb_common::{FsyncPolicy, Key, Timestamp, TxnId, Version};
@@ -307,6 +308,11 @@ fn reset_with_bounds_the_log_and_keeps_lsns_continuous() {
             })
             .unwrap();
         assert_eq!(fence_lsn, 41, "LSNs keep counting across generations");
+        assert_eq!(
+            wal.durable_fence_lsn(),
+            fence_lsn,
+            "the checkpoint is durable"
+        );
         assert!(wal.bytes() < grown / 10, "the log shrank to one record");
         // Appends continue on the new generation.
         assert_eq!(wal.append(&commit(99)).unwrap(), 42);
@@ -445,6 +451,7 @@ fn open_forces_what_it_scanned_before_calling_it_durable() {
         assert_eq!(scan.records.len(), 2);
         assert_eq!(stats.snapshot().wal_syncs, 1, "{policy:?}: one force");
         assert_eq!(wal.durable_lsn(), wal.last_lsn());
+        assert_eq!(wal.durable_fence_lsn(), 2, "{policy:?}: the commit");
         // The watermark now tells the truth, so the barrier has nothing
         // left to force.
         wal.sync().unwrap();
@@ -534,6 +541,95 @@ fn waiting_past_the_tail_is_an_error_not_a_hang() {
     wal.append(&commit(2)).unwrap();
     assert_eq!(wal.durable_lsn(), wal.last_lsn());
     assert_eq!(stats.snapshot().wal_syncs, syncs + 1);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A sync failure is sticky for an inline sync too. Once a drain has
+/// published one, `sync()` — a replica batch end's, a write-back
+/// barrier's — must not fsync "successfully" and move the watermark past the bytes
+/// that failed: a waiter that had not parked yet would then acknowledge a
+/// commit the failed fsync may have dropped.
+#[test]
+fn a_failed_sync_stays_failed_when_the_sync_runs_inline() {
+    let path = temp_wal_path("sticky-inline");
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let wal = Wal::create(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
+    // The pre-sync hook fails the first sync only; a retry would succeed.
+    let failed = AtomicBool::new(false);
+    wal.set_pre_sync_hook(Box::new(move || {
+        if failed.swap(true, Ordering::SeqCst) {
+            Ok(())
+        } else {
+            Err(std::io::Error::other("injected sync failure").into())
+        }
+    }));
+    wal.append(&page_image(1, 1)).unwrap();
+    let (lsn, _) = wal.append_commit(&commit(1)).unwrap();
+    assert!(wal.wait_durable(lsn).is_err(), "the drain's failure");
+    let syncs = stats.snapshot().wal_syncs;
+
+    assert!(wal.sync().is_err(), "an inline sync ran past the failure");
+    assert_eq!(wal.durable_lsn(), 0, "the watermark moved past the failure");
+    assert_eq!(
+        stats.snapshot().wal_syncs,
+        syncs,
+        "the failed log was synced"
+    );
+    assert!(
+        wal.wait_durable(lsn).is_err(),
+        "a commit the failed fsync may have dropped was acknowledged"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The write-back barrier lets a page through only under a durable
+/// *fence*. A drain can capture the tail in the middle of a mutation, and
+/// recovery discards page records no fence covers, so a durable LSN at or
+/// above the page's record proves nothing.
+#[test]
+fn the_write_back_barrier_reads_the_durable_fence_not_the_durable_lsn() {
+    let path = temp_wal_path("fence-barrier");
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let wal = Wal::create(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
+    let table = WalPageTable::new();
+    let page = PageId(5);
+    table.record(page, wal.append(&page_image(5, 1)).unwrap());
+    let fence = wal.append(&commit(1)).unwrap();
+    wal.sync().unwrap();
+    assert_eq!(wal.durable_fence_lsn(), fence);
+
+    // A mutation in flight: the page's delta is forced, its fence is not
+    // appended yet, and more of the mutation follows.
+    table.record(page, wal.append(&delta(5, 9, 2)).unwrap());
+    wal.sync().unwrap();
+    assert!(wal.durable_lsn() >= table.lsn_of(page).unwrap());
+    assert_eq!(
+        wal.durable_fence_lsn(),
+        fence,
+        "no fence followed the delta"
+    );
+    wal.append(&page_image(6, 2)).unwrap();
+    let syncs = stats.snapshot().wal_syncs;
+    table.ensure_durable(page, &wal).unwrap();
+    assert_eq!(
+        stats.snapshot().wal_syncs,
+        syncs + 1,
+        "the page went through ahead of its fence"
+    );
+
+    // The mutation's fence lands and is forced: now it covers the page.
+    let fence = wal.append(&commit(2)).unwrap();
+    wal.sync().unwrap();
+    assert_eq!(wal.durable_fence_lsn(), fence);
+    let syncs = stats.snapshot().wal_syncs;
+    table.ensure_durable(page, &wal).unwrap();
+    assert_eq!(
+        stats.snapshot().wal_syncs,
+        syncs,
+        "a covered page forced the log"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
