@@ -1,12 +1,12 @@
 //! E14: sharded write scaling — committed throughput, fsyncs/op, and
 //! writer-lock wait across shard counts.
 //!
-//! Sharding attacks the two serialization points E12c left standing: the
-//! single engine writer lock (every mutation serializes through it) and
-//! the single WAL (every commit fsync queues behind it). An `N`-shard
-//! [`tsb_core::ShardedTsb`] gives each shard its own lock, WAL, and
-//! group-commit thread under one global commit clock, so writers touching
-//! different shards append and fsync independently.
+//! Sharding attacks the serialization point E12c left standing: the
+//! single engine writer lock (every mutation serializes through it). An
+//! `N`-shard [`tsb_core::ShardedTsb`] gives each shard its own lock, node
+//! cache and devices under one global commit clock, so writers touching
+//! different shards mutate in parallel — and one shared WAL, so the
+//! commits of every shard share one group-commit thread and its fsyncs.
 //!
 //! The table runs the E12c closed loop across
 //! `{1, 2, 4} shards × {1, 4, 8} writers × {Always, Os}` and
@@ -17,18 +17,17 @@
 //! fsync floor.
 //!
 //! **E14b** prices the one write that crosses shards: a transaction over
-//! `P ∈ {2, 3, 4}` participants under `Always`. The two-phase fence forces
-//! `2P + 1` times — `P` prepares, the decision, `P` commits — but as three
-//! rounds whose forces overlap on the shards' own committer threads, so
-//! the row to read is µs per `commit_txn` in fsync floors: three rounds'
-//! worth, growing with `P` only by what parallel forces of different
-//! files cost the device, where one force after another is `2P + 1`.
+//! `P ∈ {2, 3, 4}` participants under `Always`. It commits as one fence
+//! naming every participant on the shared log, so a blocking `commit_txn`
+//! with nothing else pending forces the log exactly once, whatever `P`:
+//! the row to read is fsyncs per commit (1.00) and µs per commit in fsync
+//! floors, which should stay near one floor as `P` grows.
 //!
 //! On a single-core host the CPU, not the lock, is the ceiling: every
 //! writer and committer thread time-slices one core, so committed ops/s
 //! cannot scale with shard count. What sharding still must deliver here —
 //! and what the acceptance criteria check — is *decoupling*: fsyncs/op at
-//! 4 shards no worse than at 1 (independent WALs don't multiply syncs per
+//! 4 shards no worse than at 1 (the shared WAL never multiplies syncs per
 //! acknowledged commit), and writer-lock wait per op falling steeply as
 //! contended writers spread over `N` locks.
 
@@ -81,7 +80,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "E14: sharded write scaling — ops/s, fsyncs/op, and writer-lock wait vs shard count",
         format!(
             "closed-loop writers (E12c harness) over an N-shard engine, one WAL + \
-             group-commit thread per shard, one global commit clock; {ops} ops/writer, \
+             group-commit thread for every shard, one global commit clock; {ops} ops/writer, \
              value 48B; 'vs 1 shard' compares the same policy x writers cell; calibrated \
              fsync floor {:.0}us — '% ceiling' as in E12",
             floor.as_secs_f64() * 1e6
@@ -176,12 +175,12 @@ fn cross_shard_rounds(scale: Scale, floor: Duration) -> Table {
     const SHARDS: usize = 4;
     let commits = ops_per_thread(scale);
     let mut table = Table::new(
-        "E14b: cross-shard commit — the two-phase fence's rounds vs participant count",
+        "E14b: cross-shard commit — one fence on the shared log vs participant count",
         format!(
             "one writer, {SHARDS} shards, fsync Always, {commits} transactions per row, each \
              writing one 48B value on each of P shards; only `commit_txn` is timed; the \
-             fence forces 2P+1 times in three overlapped rounds (prepares | decision | \
-             commits); 'floors/commit' = us/commit over the calibrated fsync floor {:.0}us",
+             commit is one fence naming every participant, forced once whatever P; \
+             'floors/commit' = us/commit over the calibrated fsync floor {:.0}us",
             floor.as_secs_f64() * 1e6
         ),
         &[
@@ -262,12 +261,12 @@ mod tests {
             assert_eq!(group[0][1], "1");
             assert_eq!(group[0][4], "1.00x");
         }
-        // E14b: one row per participant count, each forcing exactly 2P+1
-        // times per commit (one writer, so nothing else shares a sync).
+        // E14b: one row per participant count, each forcing exactly once
+        // per commit (one writer, so nothing else shares a sync).
         assert_eq!(tables[1].rows.len(), 3);
         for (row, participants) in tables[1].rows.iter().zip([2u32, 3, 4]) {
             assert_eq!(row[0], participants.to_string());
-            assert_eq!(row[2], format!("{:.2}", f64::from(2 * participants + 1)));
+            assert_eq!(row[2], "1.00");
         }
     }
 }

@@ -90,6 +90,9 @@ pub enum TsbError {
     /// completed. The operation may or may not have taken effect on the
     /// server; idempotent operations are safe to retry.
     DeadlineExceeded(String),
+    /// A data directory was written in an on-disk layout this version no
+    /// longer opens. Nothing in it was changed; there is no migration.
+    OldLayout(String),
 }
 
 impl TsbError {
@@ -136,6 +139,7 @@ impl TsbError {
             TsbError::Internal(_) => 14,
             TsbError::ReadOnly => 15,
             TsbError::StaleEpoch { .. } => 16,
+            TsbError::OldLayout(_) => 17,
             // 20..=22 are protocol-layer frame errors minted by tsb-server;
             // overload shedding and deadline expiry sit above them because
             // they are connection-lifecycle conditions, not engine faults.
@@ -164,6 +168,7 @@ impl TsbError {
             14 => "internal",
             15 => "read-only",
             16 => "stale-epoch",
+            17 => "old-layout",
             20 => "protocol-malformed-frame",
             21 => "protocol-oversized-frame",
             22 => "protocol-unknown-verb",
@@ -221,6 +226,7 @@ impl fmt::Display for TsbError {
             ),
             TsbError::Overloaded(msg) => write!(f, "server overloaded: {msg}"),
             TsbError::DeadlineExceeded(msg) => write!(f, "deadline exceeded: {msg}"),
+            TsbError::OldLayout(msg) => write!(f, "old on-disk layout: {msg}"),
         }
     }
 }
@@ -298,6 +304,7 @@ mod tests {
             TsbError::StaleEpoch { theirs: 1, ours: 2 },
             TsbError::Overloaded("x".into()),
             TsbError::DeadlineExceeded("x".into()),
+            TsbError::OldLayout("x".into()),
         ];
         let mut seen = std::collections::BTreeSet::new();
         for e in &errs {

@@ -223,8 +223,8 @@ impl ConcurrentTsb {
 
     // ----- sharded-engine plumbing (crate-internal) ----------------------
 
-    /// The underlying tree, for the sharded engine's two-phase fence
-    /// protocol. Mutating tree calls require the writer lock
+    /// The underlying tree, for the sharded engine's cross-shard commit
+    /// and checkpoint. Mutating tree calls require the writer lock
     /// ([`Self::lock_writer`]).
     pub(crate) fn tree(&self) -> &TsbTree {
         &self.inner.tree
@@ -232,7 +232,8 @@ impl ConcurrentTsb {
 
     /// Acquires this shard's writer lock for an externally driven mutation
     /// (the sharded engine's cross-shard commit holds every participant's
-    /// lock for the span of the protocol).
+    /// lock from the first stamp to the fence; its checkpoint holds every
+    /// shard's).
     pub(crate) fn lock_writer(&self) -> parking_lot::MutexGuard<'_, ()> {
         self.lock_writer_timed()
     }

@@ -15,8 +15,9 @@
 //!   as a server/driver field.
 //! * **Durability positions are [`ShardLsn`]s** — `(shard, lsn)` pairs,
 //!   shard 0 on a one-shard engine — so the deferred-ack plumbing
-//!   (`insert_deferred` → `wait_durable`) is uniform without erasing
-//!   which log a position lives in.
+//!   (`insert_deferred` → `wait_durable`) is uniform. Every shard appends
+//!   to the engine's one log, so the shard only says which shard handed
+//!   the position out.
 //! * **Blocking writes are written once**: `insert`, `delete` and
 //!   `commit_txn` are provided methods — the deferred verb, then
 //!   `wait_durable` — so a replica's `ReadOnly` answer comes for free.
@@ -64,7 +65,7 @@ pub trait EngineHandle: Send + Sync {
     /// This engine's replication role.
     fn role(&self) -> EngineRole;
 
-    /// Number of independent logs (shards); 1 for unsharded engines.
+    /// Number of shards; 1 for unsharded engines.
     fn shard_count(&self) -> usize;
 
     // ----- writes ---------------------------------------------------------
@@ -78,7 +79,7 @@ pub trait EngineHandle: Send + Sync {
     /// Logically deletes `key` (non-deletion: history is preserved).
     fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)>;
 
-    /// Blocks until `pos` is durable on its shard's log; a shard index
+    /// Blocks until `pos` is durable on the engine's log; a shard index
     /// this engine does not have is a [`TsbError::config`] error.
     fn wait_durable(&self, pos: ShardLsn) -> TsbResult<()>;
 
@@ -146,10 +147,9 @@ pub trait EngineHandle: Send + Sync {
     fn last_durable_commit(&self) -> Option<Timestamp>;
 
     /// The newest durable position in this engine's log, on the LSN axis
-    /// replication ships. 0 when there is no single durable log to speak
-    /// of (in-memory engines, sharded engines with per-shard logs). On a
-    /// replica: the applied fence LSN — the prefix a promotion right now
-    /// would preserve.
+    /// replication ships — the one log every shard shares. 0 when there is
+    /// no durable log to speak of (in-memory engines). On a replica: the
+    /// applied fence LSN — the prefix a promotion right now would preserve.
     ///
     /// This is the number promotion tooling must compare a replica's
     /// `applied_lsn` against: the replica's own lag counters are relative

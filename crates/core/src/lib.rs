@@ -26,10 +26,10 @@
 //!   configuration or a directory is opened through it (see [`options`]).
 //! * [`EngineHandle`] — the one object-safe surface an engine serves
 //!   through, implemented by exactly two types: [`ShardedTsb`] (writable;
-//!   an N-way hash-partitioned engine with independent per-shard WALs,
-//!   group-commit pipelines, and checkpoint cadences under one global
-//!   commit clock, fence-pinned cross-shard snapshots and two-phase-fence
-//!   cross-shard transactions — one shard is the unsharded case; see
+//!   an N-way hash-partitioned engine whose shards share one WAL,
+//!   group-commit pipeline and checkpoint under one global commit clock,
+//!   with fence-pinned cross-shard snapshots and cross-shard transactions
+//!   committed as one fence — one shard is the unsharded case; see
 //!   [`sharded`]) and [`ReplicaEngine`] (read-only, fed by WAL shipping;
 //!   see [`replica`]).
 //! * [`ConcurrentTsb`] — what each shard is: a `Send + Sync`

@@ -128,10 +128,12 @@ impl TsbOptions {
     /// unless [`Self::shards`] said otherwise).
     ///
     /// On disk, one shard lives directly in the directory
-    /// (`current.pages` / `history.worm` / `redo.wal`) and N > 1 shards in
-    /// `shard-NNN/` subdirectories beside a `shards.manifest`; reopening
-    /// with a contradicting shard count is a hard error, because the hash
-    /// partition is only stable while N is.
+    /// (`current.pages` / `history.worm` / `redo.wal`); N > 1 shards keep
+    /// their stores in `shard-NNN/` subdirectories beside one `redo.wal`
+    /// and a `shards.manifest`. Reopening with a contradicting shard count
+    /// is a hard error, because the hash partition is only stable while N
+    /// is; a directory of the first sharded layout (a log per shard) is
+    /// [`TsbError::OldLayout`].
     pub fn open(self) -> TsbResult<ShardedTsb> {
         match &self.dir {
             Some(dir) => ShardedTsb::open_durable(dir, self.shards, self.cfg),
@@ -148,7 +150,10 @@ impl TsbOptions {
     /// Opens a bare single-threaded [`TsbTree`].
     ///
     /// Durable: the directory holds the magnetic store (`current.pages`),
-    /// the WORM store (`history.worm`), and the redo log (`redo.wal`).
+    /// the WORM store (`history.worm`), and the redo log (`redo.wal`) —
+    /// or it is the `shard-NNN/` directory of a sharded engine, whose
+    /// stores it holds and whose log it shares: that shard's tree is
+    /// opened, recovered with the engine it belongs to.
     ///
     /// * A fresh directory creates a new tree, fenced from its first
     ///   instant ([`TsbTree::create_durable`]).
@@ -165,10 +170,9 @@ impl TsbOptions {
     ///   cannot prove disposable.
     pub fn open_tree(self) -> TsbResult<TsbTree> {
         self.require_single("a bare tree")?;
-        let clock = Arc::new(LogicalClock::new());
         let mut tree = match &self.dir {
-            Some(dir) => TsbTree::open_durable_staged(dir, self.cfg, clock)?.resolve_locally(),
-            None => TsbTree::new_in_memory_with_clock(self.cfg, clock),
+            Some(dir) => ShardedTsb::open_tree(dir, self.cfg),
+            None => TsbTree::new_in_memory_with_clock(self.cfg, Arc::new(LogicalClock::new())),
         }?;
         // Every record an open path itself logs (recovery's repairs, a
         // fresh tree's root) is already a full image, so choosing the

@@ -85,8 +85,7 @@ use crate::concurrent::ConcurrentTsb;
 use crate::engine::{EngineHandle, EngineRole};
 use crate::sharded::ShardLsn;
 use crate::tree::recover::{
-    fence_past_device, fence_rule, fence_worm_len, refuse_two_phase, DurableFiles, FenceReading,
-    FenceState,
+    fence_past_device, fence_rule, fence_worm_len, DurableFiles, FenceReading, FenceState, Layout,
 };
 use crate::tree::replay::{apply_page_record, ReplayPage};
 use crate::tree::TsbTree;
@@ -453,7 +452,7 @@ impl ReplicaEngine {
         if marker.exists() {
             // A base install died part-way: none of the files are
             // trustworthy. Wipe and wait for a fresh base.
-            DurableFiles::wipe(&self.inner.dir)?;
+            DurableFiles::wipe(&Layout::flat(&self.inner.dir))?;
             std::fs::remove_file(&marker)?;
             return Ok(false);
         }
@@ -525,14 +524,16 @@ impl ReplicaEngine {
                 let f = std::fs::File::create(&marker)?;
                 f.sync_all()?;
             }
-            DurableFiles::wipe(&self.inner.dir)?;
-            let files = DurableFiles::create(&self.inner.dir, &self.inner.cfg)?;
+            let layout = Layout::flat(&self.inner.dir);
+            DurableFiles::wipe(&layout)?;
+            let files = DurableFiles::create(&layout, &self.inner.cfg)?;
+            let (magnetic, worm) = &files.stores[0];
             for (page, bytes) in &base.pages {
-                files.magnetic.restore(*page, bytes)?;
+                magnetic.restore(*page, bytes)?;
             }
-            files.magnetic.sync()?;
-            files.worm.restore_tail(0, &base.worm)?;
-            files.worm.sync()?;
+            magnetic.sync()?;
+            worm.restore_tail(0, &base.worm)?;
+            worm.sync()?;
             files.wal.append_shipped(&base.checkpoint)?;
             files.wal.sync()?;
             drop(files);
@@ -605,8 +606,16 @@ impl ReplicaEngine {
                 // Reconnect overlap: already in the local log.
                 continue;
             }
-            refuse_two_phase(&record)?;
-            match fence_rule(&record, Some(st.chain), worm_on_device)? {
+            if !record.is_tagged() {
+                // A shard switch or a fence naming shards: the log of a
+                // sharded primary, which a one-tree replica cannot apply.
+                return Err(TsbError::config(
+                    "the log holds the records of several shards; replicating a \
+                     sharded primary is not supported",
+                ));
+            }
+            let chain = st.chain;
+            match fence_rule(&record, 0, |_| Some(chain), &[worm_on_device])? {
                 FenceReading::NotAFence => {
                     wal.append_shipped(body)?;
                     // A page the staging area lacks starts from the fenced
@@ -623,19 +632,21 @@ impl ReplicaEngine {
                     return Err(fence_past_device("shipped", lsn, worm_len, worm_on_device));
                 }
                 FenceReading::Describes {
-                    state,
+                    states,
                     commit_ts: Some(_),
                 } => {
+                    let state = states[0].1;
                     wal.append_shipped(body)?;
                     st.chain = state;
                     st.fenced.extend(st.staged.drain());
                     st.pending = Some(FenceInstall { lsn, state });
                 }
-                // A checkpoint (two-phase fences were refused above).
+                // A checkpoint.
                 FenceReading::Describes {
-                    state,
+                    states,
                     commit_ts: None,
                 } => {
+                    let state = states[0].1;
                     // Phantom discard: un-fenced records describe state
                     // the primary's log reset threw away.
                     st.staged.clear();

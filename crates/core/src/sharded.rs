@@ -1,15 +1,17 @@
-//! N-way keyspace partitioning under one global commit clock.
+//! N-way keyspace partitioning under one global commit clock and one
+//! redo log.
 //!
-//! [`ShardedTsb`] splits the keyspace across `N` independent
-//! [`ConcurrentTsb`] shards by a stable hash of the key. Each shard owns a
-//! complete single-writer engine — its own WAL, group-commit pipeline,
-//! node cache, and checkpoint cadence — so `N` writers touching `N`
-//! different shards append, fsync, and install completely independently:
-//! the per-engine writer lock and commit fsync stop being a global
-//! serialization point. What stays global is *time*: every shard stamps
-//! its commits from one shared [`LogicalClock`], so commit timestamps form
-//! a single total order across the whole keyspace and a snapshot pinned at
-//! timestamp `T` means the same instant on every shard.
+//! [`ShardedTsb`] splits the keyspace across `N` [`ConcurrentTsb`] shards
+//! by a stable hash of the key. Each shard owns its writer lock, node
+//! cache, devices and tree, so `N` writers touching `N` different shards
+//! mutate in parallel: the per-engine writer lock stops being a global
+//! serialization point. What the shards share is *time* and the *log*.
+//! Every shard stamps its commits from one [`LogicalClock`], so commit
+//! timestamps form a single total order across the keyspace and a
+//! snapshot pinned at timestamp `T` means the same instant on every shard.
+//! And every shard appends to one redo log — one append buffer, one
+//! committer thread, one fsync — tagging its records with its shard, so a
+//! batch of commits over every shard is made durable by one sync.
 //!
 //! ## Routing
 //!
@@ -20,6 +22,15 @@
 //! `shards.manifest` file at create time, and reopening with a different
 //! `--shards` value is a hard error rather than a silent re-partition
 //! (which would strand every key on the wrong shard).
+//!
+//! ## Layout
+//!
+//! One shard without a manifest lives directly in its directory
+//! (`redo.wal`, `current.pages`, `history.worm`), byte-identical to a bare
+//! tree's. `N > 1` shards keep `redo.wal` and the manifest (layout v2) in
+//! the directory and each shard's two stores in `shard-NNN/`. A directory
+//! of the first sharded layout (manifest v1, a log per shard) is refused
+//! with [`TsbError::OldLayout`] before anything in it is touched.
 //!
 //! ## Snapshot consistency
 //!
@@ -33,54 +44,34 @@
 //! snapshot can never observe shard A after a commit and shard B before
 //! it.
 //!
-//! ## Cross-shard transactions: the two-phase fence
+//! ## Cross-shard transactions: one fence
 //!
 //! A transaction whose writes all land on one shard commits exactly like a
 //! plain single-engine transaction — one commit record, zero cross-shard
-//! coordination. A transaction straddling shards commits under a
-//! **two-phase fence** (presumed abort):
+//! coordination. A transaction straddling shards commits as one fence on
+//! the shared log (§4: every version a transaction writes carries the one
+//! commit time it gets at commit):
 //!
 //! ```text
 //!  lock writers of every participant (ascending shard order)
 //!  T = clock.tick()
-//!  round 1:  each participant logs Prepare{T, txn, coordinator,
-//!            participants}; all P are forced, side by side
-//!  round 2:  the coordinator (lowest participant index) logs
-//!            Decision{T, participants}; it is forced — a round of one
-//!  round 3:  each participant stamps its writes committed at T and logs
-//!            its local Commit{T}; all P are forced, side by side; then
-//!            every participant advances its fence to T
-//!  unlock
+//!  each participant stamps its writes committed at T (page records
+//!    under its own shard tag, no fence)
+//!  append ShardCommit{T, (shard, worm_len, meta) per participant}
+//!  advance every participant's install fence to T
+//!  unlock; hand back the fence's position to wait on, as a put does
 //! ```
 //!
-//! A round appends its records, asks every log involved for its tail, and
-//! only then parks on each: the `2P + 1` forces are the same as if issued
-//! one after another, but a round's forces run on the shards' own
-//! committer threads at once, so the protocol costs three rounds of
-//! device latency, not `2P + 1`. Overlapping *inside* a round is safe
-//! because the protocol's order constraints are all *between* rounds — no
-//! decision before every prepare is durable, no participant commit before
-//! the decision is durable — and no round starts until the one before it
-//! has parked on every force. Within a round the records are unordered by
-//! design: any subset of prepares may survive a crash (presumed abort
-//! covers them), and any subset of commits may (the durable decision
-//! rolls the rest forward).
-//!
-//! Because every participant's writer lock is held for the whole protocol,
-//! no checkpoint can reset a participant's WAL mid-protocol and no
-//! concurrent snapshot can pin between round 3's stamps (the pin would
-//! block on a participant's writer lock). Recovery resolves a surviving
-//! Prepare whose transaction is still unstamped against the
-//! *coordinator's* log: Decision present → roll forward (commit at `T`);
-//! absent → presumed abort. The decision record is forced *before* any
-//! participant commit is appended, so a participant's commit can never be
-//! durable while the decision that justifies it is not — a crash at any
-//! instant either aborts the transaction on every shard or commits it on
-//! every shard, never a mix.
-//! During a sharded reopen, shards are finished (checkpointed) in
-//! **descending** index order: a coordinator has the lowest index among
-//! its participants, so its decision record outlives every participant's
-//! unresolved prepare even if the reopen itself crashes part-way.
+//! Recovery cuts the log once, and a shard replays its records only up to
+//! its last fence before the cut. The `ShardCommit` is one record: it is
+//! before the cut for every participant or for none, so a crash at any
+//! instant commits the transaction on every shard or erases its
+//! uncommitted writes from every shard (recovery's implicit abort). The
+//! commit is acknowledged once its position is durable, so it joins the
+//! caller's group commit like any other write instead of forcing the log
+//! on the writer's path. Holding every participant's writer lock across
+//! the stamps and the append keeps a checkpoint (which takes every lock)
+//! and a pinned snapshot from landing between them.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -93,25 +84,30 @@ use tsb_common::{
     Key, KeyRange, LogicalClock, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId,
     Version,
 };
-use tsb_storage::{sync_parent_dir, CrashPoint, FaultInjector, IoSnapshot, Lsn};
+use tsb_storage::{sync_parent_dir, FaultInjector, IoSnapshot, Lsn};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::engine::{EngineHandle, EngineRole};
 use crate::replica::ReplicationSource;
-use crate::tree::recover::{DurableFiles, StagedRecovery};
+use crate::tree::durability::{checkpoint_log, commit_across};
+use crate::tree::recover::{DurableFiles, Layout};
 use crate::tree::TsbTree;
 
 /// Name of the shard-count manifest inside a sharded data directory.
 const MANIFEST_FILE: &str = "shards.manifest";
 /// First line of the manifest; bumping the layout bumps the version.
-const MANIFEST_MAGIC: &str = "tsb-sharded v1";
+const MANIFEST_MAGIC: &str = "tsb-sharded v2";
+/// The first sharded layout's manifest: a log per shard, refused.
+const MANIFEST_MAGIC_V1: &str = "tsb-sharded v1";
 /// Upper bound on the shard count — far above any sensible value, it only
 /// guards against a corrupt manifest or a typo'd `--shards`.
 const MAX_SHARDS: usize = 256;
 
-/// Identifies a deferred durability obligation on one shard: the shard
-/// index and the WAL LSN to pass to [`EngineHandle::wait_durable`] before
-/// acknowledging the write.
+/// Identifies a deferred durability obligation: the shard that handed it
+/// out and the position on the engine's log to pass to
+/// [`EngineHandle::wait_durable`] before acknowledging the write. Every
+/// shard shares the one log, so the shard only says where the position
+/// came from.
 pub type ShardLsn = (usize, Lsn);
 
 /// FNV-1a 64-bit over the key bytes: the routing hash. Stable by
@@ -140,16 +136,12 @@ struct ShardedInner {
     shards: Vec<ConcurrentTsb>,
     clock: Arc<LogicalClock>,
     txns: Mutex<GlobalTxnTable>,
-    /// Injector consulted at the `TwoPcAck` window (after the decision is
-    /// durable, before any participant has stamped its local commit).
-    /// The per-shard write sites consult the same injector through each
-    /// shard's devices; see [`ShardedTsb::set_fault_injector`].
-    fault: Mutex<Option<Arc<FaultInjector>>>,
 }
 
-/// An `N`-shard TSB-tree engine under one global commit clock. Cheaply
-/// cloneable handle; clones share the shards. See the [module docs](self)
-/// for the routing, snapshot, and two-phase-fence protocols.
+/// An `N`-shard TSB-tree engine under one global commit clock and one
+/// redo log. Cheaply cloneable handle; clones share the shards. See the
+/// [module docs](self) for the routing, snapshot, and cross-shard commit
+/// protocols.
 #[derive(Clone)]
 pub struct ShardedTsb {
     inner: Arc<ShardedInner>,
@@ -183,7 +175,6 @@ impl ShardedTsb {
                     next: 0,
                     active: HashMap::new(),
                 }),
-                fault: Mutex::new(None),
             }),
         }
     }
@@ -208,24 +199,22 @@ impl ShardedTsb {
     /// * `shards == 1` with no manifest uses the flat single-engine layout
     ///   (`current.pages` / `history.worm` / `redo.wal` directly in `dir`),
     ///   so a 1-shard engine is byte-identical on disk to a bare tree.
-    /// * `shards > 1` writes a `shards.manifest` and lays each shard out in
-    ///   its own `shard-NNN/` subdirectory with a completely independent
-    ///   WAL, committer thread, and checkpoint cadence.
+    /// * `shards > 1` writes a `shards.manifest` and lays each shard's
+    ///   stores out in its own `shard-NNN/` subdirectory, beside the one
+    ///   `redo.wal` every shard appends to.
     /// * Reopening with a shard count that contradicts the manifest (or a
     ///   flat directory with `shards > 1`) is a hard error: the hash
-    ///   partition is only stable while `N` is.
+    ///   partition is only stable while `N` is. A directory of the first
+    ///   sharded layout is [`TsbError::OldLayout`].
     ///
-    /// Every shard count runs the same staged recovery: reopen re-derives
-    /// the global clock as the maximum across every shard's recovered
-    /// clock (each staged recovery only ever *advances* the shared clock),
-    /// and resolves in-doubt two-phase prepares against the coordinator
-    /// shard's decision record before any shard is checkpointed — see the
-    /// [module docs](self).
+    /// Every shard count runs the same recovery over the one log: one cut,
+    /// each shard replayed to its own last fence before it, and the global
+    /// clock re-derived as the maximum across every shard's recovered
+    /// clock — see [`crate::tree::recover`].
     pub(crate) fn open_durable(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
         check_shard_count(shards)?;
         std::fs::create_dir_all(dir)?;
-        let manifest = dir.join(MANIFEST_FILE);
-        let persisted = match read_manifest(&manifest)? {
+        let layout = match read_manifest(dir)? {
             Some(n) if n != shards => {
                 return Err(TsbError::config(format!(
                     "directory {} was created with {n} shards; reopening with \
@@ -233,65 +222,48 @@ impl ShardedTsb {
                     dir.display()
                 )));
             }
-            Some(_) => true,
-            None => false,
-        };
-        if !persisted && shards != 1 {
-            if DurableFiles::has_log(dir) {
-                return Err(TsbError::config(format!(
-                    "directory {} holds a flat single-shard database; reopening \
-                     with {shards} shards would re-partition it",
-                    dir.display()
-                )));
-            }
-            write_manifest(&manifest, shards)?;
-        }
-        // One shard without a manifest lives directly in `dir`.
-        let flat = shards == 1 && !persisted;
-
-        let clock = Arc::new(LogicalClock::new());
-        let mut staged: Vec<StagedRecovery> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let shard_dir = if flat {
-                dir.to_path_buf()
-            } else {
-                dir.join(format!("shard-{i:03}"))
-            };
-            staged.push(TsbTree::open_durable_staged(
-                shard_dir,
-                cfg.clone(),
-                Arc::clone(&clock),
-            )?);
-        }
-        // Resolve every shard's in-doubt prepares against the coordinator
-        // shard's decision log *before* finishing (checkpointing) any
-        // shard: a finish resets that shard's WAL, erasing the records the
-        // other shards' resolutions depend on. Decision present → roll
-        // forward; absent → presumed abort, which `finish`'s purge carries
-        // out by erasing whatever was not rolled forward.
-        let mut decided: Vec<(usize, TxnId, Timestamp)> = Vec::new();
-        for (i, shard) in staged.iter().enumerate() {
-            for p in shard.in_doubt() {
-                let coordinator = staged.get(p.coordinator as usize);
-                if coordinator.is_some_and(|c| c.has_decision(p.ts)) {
-                    decided.push((i, p.txn, p.ts));
+            Some(_) => Layout::sharded(dir, shards),
+            None if shards == 1 => Layout::flat(dir),
+            None => {
+                if DurableFiles::has_log(dir) {
+                    return Err(TsbError::config(format!(
+                        "directory {} holds a flat single-shard database; reopening \
+                         with {shards} shards would re-partition it",
+                        dir.display()
+                    )));
                 }
+                write_manifest(&dir.join(MANIFEST_FILE), shards)?;
+                Layout::sharded(dir, shards)
             }
-        }
-        for (i, txn, ts) in decided {
-            staged[i].commit_in_doubt(txn, ts)?;
-        }
-        // Finish in descending shard order so every coordinator (lowest
-        // index among its participants) is checkpointed last: if the
-        // reopen crashes part-way, any participant still holding an
-        // unresolved prepare can still find the decision on its
-        // coordinator at the next reopen.
-        let mut engines = Vec::with_capacity(shards);
-        while let Some(shard) = staged.pop() {
-            engines.push(ConcurrentTsb::from_tree(shard.finish()?));
-        }
-        engines.reverse();
+        };
+        let clock = Arc::new(LogicalClock::new());
+        let trees = TsbTree::open_durable(&layout, &cfg, &clock)?;
+        let engines = trees.into_iter().map(ConcurrentTsb::from_tree).collect();
         Ok(Self::from_shards(engines, clock))
+    }
+
+    /// Opens the durable tree at `dir` on its own: a flat directory's one
+    /// tree, or — when `dir` is the `shard-NNN` directory of a sharded
+    /// engine — that shard's tree, recovered with its engine (the shards
+    /// share one log) and kept on its seat there, so what it logs stays
+    /// the shard's. Reached through [`crate::TsbOptions::open_tree`].
+    pub(crate) fn open_tree(dir: &Path, cfg: TsbConfig) -> TsbResult<TsbTree> {
+        let sharded = match (dir.parent(), Layout::shard_index(dir)) {
+            (Some(parent), Some(index)) => read_manifest(parent)?.map(|n| (parent, n, index)),
+            _ => None,
+        };
+        let (root, shards, index) = sharded.unwrap_or((dir, 1, 0));
+        let db = Self::open_durable(root, shards, cfg)?;
+        let unique = Arc::try_unwrap(db.inner).ok();
+        let shard = unique.and_then(|inner| inner.shards.into_iter().nth(index));
+        let tree = shard.and_then(|shard| shard.try_into_tree().ok());
+        tree.ok_or_else(|| {
+            TsbError::config(format!(
+                "{} is not a shard of the engine in {}",
+                dir.display(),
+                root.display()
+            ))
+        })
     }
 
     // ----- routing --------------------------------------------------------
@@ -341,59 +313,32 @@ impl ShardedTsb {
             .collect())
     }
 
-    /// The two-phase fence. `parts` is ascending by shard index; locks are
-    /// acquired in that order (a global order, so concurrent cross-shard
-    /// commits cannot deadlock), and the lowest participant index is the
-    /// coordinator.
-    fn commit_cross_shard(&self, parts: &[(usize, TxnId)]) -> TsbResult<Timestamp> {
+    /// The cross-shard commit (see the [module docs](self)). `parts` is
+    /// ascending by shard index; locks are acquired in that order (a
+    /// global order, so concurrent cross-shard commits and checkpoints
+    /// cannot deadlock). Any failure after the first stamp poisons every
+    /// participant: a stamped shard must never fence the stamps alone.
+    fn commit_cross_shard(
+        &self,
+        parts: &[(usize, TxnId)],
+    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
         let shards = &self.inner.shards;
         let _guards: Vec<_> = parts
             .iter()
             .map(|(i, _)| shards[*i].lock_writer())
             .collect();
         let ts = self.inner.clock.tick();
-        let participant_ids: Vec<u32> = parts.iter().map(|(i, _)| *i as u32).collect();
-        let coordinator = participant_ids[0];
-        let participants = || parts.iter().map(|(i, _)| &shards[*i]);
-        // Round 1: a prepare on every participant, forced side by side.
-        // After this round the transaction's writes are replayable
-        // everywhere, but commit is still revocable (presumed abort).
-        for (i, local) in parts {
-            shards[*i]
-                .tree()
-                .wal_prepare(ts, *local, coordinator, &participant_ids)?;
+        let trees: Vec<&TsbTree> = parts.iter().map(|(i, _)| shards[*i].tree()).collect();
+        let fenced = parts
+            .iter()
+            .zip(&trees)
+            .try_for_each(|((_, local), tree)| tree.stamp_txn(*local, ts, || Ok(())))
+            .and_then(|()| commit_across(&trees, ts));
+        let wait = fenced.inspect_err(|_| trees.iter().for_each(|t| t.poison()))?;
+        for (i, _) in parts {
+            shards[*i].advance_fence(ts);
         }
-        force_tails(participants())?;
-        // Round 2, a round of one: the decision, forced on the
-        // coordinator. This is the commit point — from here, recovery
-        // rolls forward.
-        let coordinator_shard = &shards[parts[0].0];
-        coordinator_shard
-            .tree()
-            .wal_decision(ts, &participant_ids)?;
-        force_tails([coordinator_shard])?;
-        // The in-doubt window: decision durable, no participant stamped.
-        let injector = self.inner.fault.lock().clone();
-        if let Some(inj) = &injector {
-            inj.check(CrashPoint::TwoPcAck)?;
-        }
-        // Round 3: stamp each participant and append its local commit,
-        // then force them side by side while still holding every lock.
-        // Forcing before release closes the window where a participant's
-        // checkpoint could erase its own prepare (and the coordinator's
-        // decision) while another participant's commit is still volatile.
-        for (i, local) in parts {
-            let tree = shards[*i].tree();
-            tree.commit_txn_at_shared(*local, ts)?;
-            // The fence's policy wait is irrelevant: the round's force
-            // settles durability for this commit under every policy.
-            let _ = tree.take_pending_durable_wait();
-        }
-        force_tails(participants())?;
-        for shard in participants() {
-            shard.advance_fence(ts);
-        }
-        Ok(ts)
+        Ok((ts, wait.map(|lsn| (parts[0].0, lsn))))
     }
 
     // ----- reads beyond the engine verbs ----------------------------------
@@ -467,21 +412,20 @@ impl ShardedTsb {
         self.inner.clock.now()
     }
 
-    /// Wires `injector` into every write site of every shard — all three
-    /// devices per shard plus the cross-shard `TwoPcAck` window — so one
-    /// armed trigger can crash the engine anywhere in the sharded write or
-    /// two-phase-fence path.
+    /// Wires `injector` into every write site of every shard — each
+    /// shard's two stores and the shared log — so one armed trigger can
+    /// crash the engine anywhere in the sharded write path, a cross-shard
+    /// commit included.
     pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
         for s in &self.inner.shards {
             s.tree().set_fault_injector(&injector);
         }
-        *self.inner.fault.lock() = Some(injector);
     }
 }
 
 /// The engine verbs, defined here and nowhere else: a key's verbs run on
 /// its home shard, range verbs merge across shards, and the durability
-/// positions handed out name the shard whose log holds the commit.
+/// positions handed out are positions on the one log.
 impl EngineHandle for ShardedTsb {
     fn role(&self) -> EngineRole {
         EngineRole::Primary
@@ -494,9 +438,9 @@ impl EngineHandle for ShardedTsb {
     // ----- single-key writes (zero cross-shard coordination) --------------
 
     /// Inserts a new version of `key` on its home shard, stamped from the
-    /// global clock. A pipelined caller batches writes, tracks the maximum
-    /// LSN *per shard*, and waits once per shard; the first of those
-    /// waits asks every shard's log, so the batch's forces overlap.
+    /// global clock. A pipelined caller batches writes and waits once at
+    /// the end; every shard appends to the one log, so the batch's first
+    /// wait asks for a sync that covers all of it.
     fn insert_deferred(
         &self,
         key: Key,
@@ -513,15 +457,15 @@ impl EngineHandle for ShardedTsb {
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
-    /// Parks until `shard`'s durable-LSN watermark covers `lsn`;
-    /// watermarks are per-shard and independent. Before parking it asks
-    /// *every* shard's log for its appended tail: the batch that ends
-    /// here placed commits on several logs and will wait on each in turn,
-    /// so the committer threads force them side by side instead of one
-    /// per wait. `ShardLsn` is a plain tuple a caller may carry over from
-    /// an engine with more shards (or another log), so both halves are
-    /// checked: a shard this engine lacks, or an LSN its log never handed
-    /// out, is a config error and leaves the engine usable.
+    /// Parks until the log's durable-LSN watermark covers `lsn`. Before
+    /// parking it asks the log for its whole appended tail, so the drain
+    /// it starts also covers what other writers appended meanwhile, before
+    /// they ask; every shard shares the log, so a batch's waits after the
+    /// first find it already covered. `ShardLsn` is a plain tuple a caller
+    /// may carry over from an engine with more shards (or another log), so
+    /// both halves are checked: a shard this engine lacks, or an LSN the
+    /// log never handed out, is a config error and leaves the engine
+    /// usable.
     fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
         let shards = &self.inner.shards;
         let db = shards.get(shard).ok_or_else(|| {
@@ -530,9 +474,7 @@ impl EngineHandle for ShardedTsb {
                 shards.len()
             ))
         })?;
-        for s in shards {
-            s.tree().request_durable_tail();
-        }
+        db.tree().request_durable_tail();
         db.wait_durable(lsn)
     }
 
@@ -578,9 +520,9 @@ impl EngineHandle for ShardedTsb {
 
     /// All of `txn`'s writes across all shards become visible atomically
     /// at the returned timestamp. Single-shard transactions commit with
-    /// zero coordination; cross-shard ones run the two-phase fence (see
-    /// the [module docs](self)), whose last round forces the commit on
-    /// every participant, so they return no position to wait on.
+    /// zero coordination; cross-shard ones as one fence naming every
+    /// participant (see the [module docs](self)). Either hands back the
+    /// fence's position to wait on, as a put does.
     fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
         let parts = self.take_participants(txn)?;
         match parts.as_slice() {
@@ -591,7 +533,7 @@ impl EngineHandle for ShardedTsb {
                 let (ts, lsn) = self.inner.shards[*shard].commit_txn_deferred(*local)?;
                 Ok((ts, lsn.map(|l| (*shard, l))))
             }
-            _ => self.commit_cross_shard(&parts).map(|ts| (ts, None)),
+            _ => self.commit_cross_shard(&parts),
         }
     }
 
@@ -602,9 +544,14 @@ impl EngineHandle for ShardedTsb {
         Ok(())
     }
 
-    /// Each shard fences its own redo log independently.
+    /// One checkpoint of the one log: every writer lock taken in
+    /// ascending order, every shard flushed to its devices, then the log
+    /// replaced by one fence holding every shard's state.
     fn checkpoint(&self) -> TsbResult<()> {
-        self.inner.shards.iter().try_for_each(|s| s.checkpoint())
+        let shards = &self.inner.shards;
+        let _guards: Vec<_> = shards.iter().map(|s| s.lock_writer()).collect();
+        let trees: Vec<&TsbTree> = shards.iter().map(|s| s.tree()).collect();
+        checkpoint_log(&trees)
     }
 
     // ----- reads ----------------------------------------------------------
@@ -638,22 +585,17 @@ impl EngineHandle for ShardedTsb {
         fences.min().unwrap_or(Timestamp::ZERO)
     }
 
-    /// The newest durable commit across all shards (`None` if no shard was
-    /// produced by recovery).
+    /// The newest durable commit on the log: the latest commit time among
+    /// the durable fences, each shard reading its own against the one
+    /// watermark (`None` for an in-memory engine not born from recovery).
     fn last_durable_commit(&self) -> Option<Timestamp> {
         let commits = self.inner.shards.iter().map(|s| s.last_durable_commit());
         commits.flatten().max()
     }
 
+    /// The log's durable watermark (every shard shares the log).
     fn durable_lsn(&self) -> Lsn {
-        // Each shard numbers its own log, so a cross-shard maximum would
-        // compare unrelated axes. Promotion tooling only ever reads this
-        // off a single-shard primary (the only configuration that can
-        // feed a replica — see `replication_source`); report 0 otherwise.
-        match self.inner.shards.as_slice() {
-            [only] => only.durable_lsn(),
-            _ => 0,
-        }
+        self.inner.shards[0].durable_lsn()
     }
 
     // ----- introspection --------------------------------------------------
@@ -677,8 +619,8 @@ impl EngineHandle for ShardedTsb {
     }
 
     fn replication_source(&self) -> TsbResult<ReplicationSource> {
-        // Replication streams one log; a multi-shard engine has N plus
-        // two-phase fences across them, which the replica apply protocol
+        // A replica applies one tree's records; a multi-shard engine's log
+        // interleaves N trees' records, which the replica apply protocol
         // deliberately rejects.
         match self.inner.shards.as_slice() {
             [only] => ReplicationSource::new(only),
@@ -687,24 +629,6 @@ impl EngineHandle for ShardedTsb {
             )),
         }
     }
-}
-
-/// One round of the two-phase fence: asks every given shard's log for
-/// its appended tail, then parks on each — the forces overlap across the
-/// shards' committer threads instead of queueing on this one. Returns
-/// once all of them are durable; the caller holds the shards' writer
-/// locks, so each tail is exactly the record the round appended.
-fn force_tails<'a>(shards: impl IntoIterator<Item = &'a ConcurrentTsb>) -> TsbResult<()> {
-    let asked: Vec<_> = shards
-        .into_iter()
-        .map(|s| (s, s.tree().request_durable_tail()))
-        .collect();
-    for (shard, tail) in asked {
-        if let Some(lsn) = tail {
-            shard.tree().wait_durable_lsn(lsn)?;
-        }
-    }
-    Ok(())
 }
 
 fn unknown_txn(txn: TxnId) -> TsbError {
@@ -729,15 +653,25 @@ fn check_shard_count(shards: usize) -> TsbResult<()> {
     Ok(())
 }
 
-/// Reads the shard count from a manifest, `None` if the file is absent.
-fn read_manifest(path: &Path) -> TsbResult<Option<usize>> {
-    let text = match std::fs::read_to_string(path) {
+/// Reads the shard count from `dir`'s manifest, `None` if it has none. A
+/// first-layout manifest is [`TsbError::OldLayout`]: that directory's
+/// shards each keep a log of their own, which this version does not read.
+fn read_manifest(dir: &Path) -> TsbResult<Option<usize>> {
+    let path = dir.join(MANIFEST_FILE);
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
     let mut lines = text.lines();
     let magic = lines.next().unwrap_or_default();
+    if magic == MANIFEST_MAGIC_V1 {
+        return Err(TsbError::OldLayout(format!(
+            "{} holds a sharded database with a redo log per shard; this version \
+             keeps one log for every shard and does not migrate it",
+            dir.display()
+        )));
+    }
     if magic != MANIFEST_MAGIC {
         return Err(TsbError::corruption(format!(
             "unrecognized shard manifest header {magic:?} in {}",
@@ -974,11 +908,11 @@ mod tests {
             .unwrap()
     }
 
-    /// The forces of one batch overlap instead of queueing: deferred
-    /// inserts ask for nothing, and the waits that end the batch cost one
-    /// fsync per touched log — not one per insert. Counts, not timings.
+    /// Every shard appends to one log, so the waits that end a batch over
+    /// all four shards cost one fsync — not one per shard, and not one per
+    /// insert: deferred inserts ask for nothing. Counts, not timings.
     #[test]
-    fn a_batch_costs_one_sync_per_touched_shard() {
+    fn a_batch_over_four_shards_costs_one_sync() {
         let dir = TempDir::new("batch");
         let db = durable_engine(&dir, 4);
         let before = db.io_snapshot().wal_syncs;
@@ -1000,41 +934,72 @@ mod tests {
         for (shard, lsn) in max_lsns.iter().enumerate() {
             db.wait_durable((shard, lsn.unwrap())).unwrap();
         }
-        assert_eq!(db.io_snapshot().wal_syncs, before + 4);
+        assert_eq!(db.io_snapshot().wal_syncs, before + 1);
     }
 
-    /// A cross-shard commit over P participants forces 2P+1 times — P
-    /// prepares, the decision, P commits — however its rounds overlap,
-    /// and is durable on every participant when it returns.
-    #[test]
-    fn a_cross_shard_commit_forces_two_p_plus_one_times() {
-        for p in [2usize, 3, 4] {
-            let dir = TempDir::new(&format!("rounds-{p}"));
-            let db = durable_engine(&dir, 4);
-            let txn = db.begin_txn().unwrap();
-            let mut touched = [false; 4];
-            for key in 0u64.. {
-                let shard = db.shard_of(&Key::from_u64(key));
-                if shard < p && !touched[shard] {
-                    touched[shard] = true;
-                    db.txn_insert(txn, key.into(), b"t".to_vec()).unwrap();
-                }
-                if touched[..p].iter().all(|t| *t) {
-                    break;
-                }
+    /// A key on each of `p` shards, written in one open transaction.
+    fn straddling_txn(db: &ShardedTsb, p: usize) -> TxnId {
+        let txn = db.begin_txn().unwrap();
+        let mut touched = vec![false; p];
+        for key in 0u64.. {
+            let shard = db.shard_of(&Key::from_u64(key));
+            if shard < p && !touched[shard] {
+                touched[shard] = true;
+                db.txn_insert(txn, key.into(), b"t".to_vec()).unwrap();
             }
+            if touched.iter().all(|t| *t) {
+                return txn;
+            }
+        }
+        unreachable!("every shard owns some key")
+    }
+
+    /// A cross-shard commit is one fence on the one log, whatever its
+    /// participant count P: under `Always` a blocking commit with nothing
+    /// else pending costs exactly one fsync, and returns durable on every
+    /// participant; under `Os` it costs none.
+    #[test]
+    fn a_cross_shard_commit_costs_at_most_one_sync_whatever_p() {
+        for p in [2usize, 3, 4] {
+            let dir = TempDir::new(&format!("one-fence-{p}"));
+            let db = durable_engine(&dir, 4);
+            let txn = straddling_txn(&db, p);
             let before = db.io_snapshot().wal_syncs;
             let ts = db.commit_txn(txn).unwrap();
-            assert_eq!(
-                db.io_snapshot().wal_syncs - before,
-                2 * p as u64 + 1,
-                "{p} participants"
-            );
+            assert_eq!(db.io_snapshot().wal_syncs - before, 1, "{p} participants");
             assert_eq!(db.last_durable_commit(), Some(ts), "{p} participants");
             for shard in &db.shards()[..p] {
                 assert_eq!(shard.last_durable_commit(), Some(ts), "{p} participants");
             }
         }
+        let dir = TempDir::new("one-fence-os");
+        let db = crate::TsbOptions::durable(&dir.0)
+            .fsync(tsb_common::FsyncPolicy::Os)
+            .shards(4)
+            .open()
+            .unwrap();
+        let txn = straddling_txn(&db, 4);
+        let before = db.io_snapshot().wal_syncs;
+        let (_, pos) = db.commit_txn_deferred(txn).unwrap();
+        assert_eq!(pos, None, "`Os` hands out nothing to wait on");
+        assert_eq!(db.io_snapshot().wal_syncs, before);
+    }
+
+    /// The engine's durable LSN is its one log's watermark at every shard
+    /// count: past 0 once a put is acknowledged, and past that put's
+    /// position once it was waited on.
+    #[test]
+    fn durable_lsn_is_the_shared_logs_watermark() {
+        let dir = TempDir::new("durable-lsn");
+        let db = durable_engine(&dir, 4);
+        for i in 0..8u64 {
+            db.insert(i.into(), b"v".to_vec()).unwrap();
+        }
+        assert!(db.durable_lsn() > 0, "an acknowledged put is durable");
+        let (_, pos) = db.insert_deferred(9u64.into(), b"w".to_vec()).unwrap();
+        let (_, lsn) = pos.unwrap();
+        db.wait_durable(pos.unwrap()).unwrap();
+        assert!(db.durable_lsn() >= lsn);
     }
 
     /// A position the log never handed out — an LSN past its newest
@@ -1074,7 +1039,7 @@ mod tests {
         std::fs::create_dir_all(&dir.0).unwrap();
         let path = dir.0.join(MANIFEST_FILE);
         write_manifest(&path, 4).unwrap();
-        assert_eq!(read_manifest(&path).unwrap(), Some(4));
+        assert_eq!(read_manifest(&dir.0).unwrap(), Some(4));
         assert!(!path.with_extension("tmp").exists());
 
         // A non-empty directory squatting on the manifest's name makes the

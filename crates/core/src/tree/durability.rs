@@ -1,8 +1,9 @@
 //! The durable half of a tree's write path: the [`Durability`] state a
-//! WAL-attached tree carries, the fences that end its mutations
-//! (`wal_commit`, `wal_prepare`, `wal_decision`, the checkpoint), the
-//! phantom-delta quarantine, and the acknowledgement side of pipelined
-//! commit. What the log *means* on reopen is [`super::recover`]'s.
+//! WAL-attached tree carries, its seat on a log it may share with the
+//! other shards of an engine, the fences that end its mutations
+//! (`wal_commit`, [`commit_across`], [`checkpoint_log`]), the phantom-delta
+//! quarantine, and the acknowledgement side of pipelined commit. What the
+//! log *means* on reopen is [`super::recover`]'s.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,11 +11,54 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use tsb_common::{Timestamp, TsbResult, TxnId};
-use tsb_storage::{Lsn, PageId, PageOp, Wal, WalPageTable, WalRecord, WormStore};
+use tsb_common::{Timestamp, TsbResult};
+use tsb_storage::{Lsn, PageId, PageOp, ShardFence, Wal, WalPageTable, WalRecord, WormStore};
 
 use super::TsbTree;
 use crate::node::NodeAddr;
+
+/// A tree's place on a redo log: the log, the shard its records are
+/// tagged with, whether other shards' trees append to the same log, and
+/// the WORM mark the log's pre-sync hook keeps for this shard. Made by
+/// [`seat_trees`], one per shard.
+pub(crate) struct LogSeat {
+    wal: Arc<Wal>,
+    shard: u32,
+    shares_log: bool,
+    worm_synced: Arc<AtomicU64>,
+}
+
+/// Seats one tree per WORM store on `wal`, shard `i` over `worms[i]`, and
+/// installs the log's one pre-sync hook: before every fsync of the log it
+/// settles every shard's WORM, so no fence in the about-to-be-durable
+/// prefix can reference history that might not survive — which is also
+/// what lets every recovery cut at or after each shard's durable fence.
+pub(crate) fn seat_trees(wal: Wal, worms: &[Arc<WormStore>]) -> Vec<LogSeat> {
+    let wal = Arc::new(wal);
+    let marks: Vec<Arc<AtomicU64>> = worms.iter().map(|_| Arc::default()).collect();
+    let settle: Vec<(Arc<WormStore>, Arc<AtomicU64>)> =
+        worms.iter().cloned().zip(marks.iter().cloned()).collect();
+    wal.set_pre_sync_hook(Box::new(move || {
+        for (worm, synced) in &settle {
+            let len = worm.device_bytes();
+            if len > synced.load(Ordering::Acquire) {
+                worm.sync()?;
+                synced.store(len, Ordering::Release);
+            }
+        }
+        Ok(())
+    }));
+    let shares_log = worms.len() > 1;
+    (0..)
+        .zip(marks)
+        .map(|(shard, worm_synced)| LogSeat {
+            wal: Arc::clone(&wal),
+            shard,
+            shares_log,
+            worm_synced,
+        })
+        .collect()
+}
 
 /// The durability state of a WAL-attached tree.
 ///
@@ -27,9 +71,15 @@ pub(crate) struct Durability {
     /// The redo log. Appends happen *before* the node cache may hold the
     /// corresponding node dirty (WAL-before-page).
     pub(super) wal: Arc<Wal>,
+    /// The shard this tree's records are tagged with on the log.
+    shard: u32,
+    /// Whether other shards' trees share the log. A checkpoint replaces
+    /// the whole log, so only [`checkpoint_log`] over every shard may run
+    /// one; this tree's own flush then stops at its devices.
+    shares_log: bool,
     /// Dirty-page table backing the WAL-before-page barrier: the one
     /// write-back site (`write_back_dirty`) runs the flushed-LSN rule
-    /// through it before any device page write — free when the log's
+    /// through it before any device page write — free when this shard's
     /// durable fence already covers the page's newest record, one force of
     /// the log otherwise.
     pub(super) pages: WalPageTable,
@@ -69,20 +119,25 @@ pub(crate) struct Durability {
     /// takes it while still holding its writer lock and parks *after*
     /// releasing it (early lock release).
     pending_wait: Mutex<Option<Lsn>>,
-    /// Fence-LSN → commit-timestamp bookkeeping against the WAL's durable
-    /// watermark: what [`TsbTree::last_durable_commit`] reports on live
-    /// durable trees.
+    /// This shard's fences against the WAL's durable watermark: what
+    /// [`TsbTree::last_durable_commit`] reports on live durable trees, and
+    /// the durable fence the write-back barrier reads.
     acks: Mutex<CommitAcks>,
 }
 
-/// Maps the WAL's durable-LSN watermark back to commit timestamps: which
-/// commits are on stable storage right now.
+/// Maps the WAL's durable-LSN watermark back to this shard's fences:
+/// which of its commits are on stable storage right now.
 #[derive(Default)]
 struct CommitAcks {
-    /// Appended commit fences not yet settled, oldest first.
+    /// Appended commit fences naming this shard not yet settled, oldest
+    /// first.
     pending: VecDeque<(Lsn, Timestamp)>,
     /// The newest commit timestamp whose fence the watermark covers.
     durable_ts: Option<Timestamp>,
+    /// The newest of this shard's fences the watermark covers: its
+    /// durable fence. Another shard's fence never counts — recovery
+    /// replays this shard only through fences that name it.
+    durable_fence: Lsn,
 }
 
 impl CommitAcks {
@@ -106,37 +161,22 @@ impl CommitAcks {
     /// Marks every fence at or below `durable_lsn` durable.
     fn settle(&mut self, durable_lsn: Lsn) {
         while matches!(self.pending.front(), Some((lsn, _)) if *lsn <= durable_lsn) {
-            let (_, ts) = self.pending.pop_front().expect("front was just checked");
+            let (lsn, ts) = self.pending.pop_front().expect("front was just checked");
             self.durable_ts = Some(self.durable_ts.map_or(ts, |prev| prev.max(ts)));
+            self.durable_fence = lsn;
         }
     }
 }
 
-impl TsbTree {
-    /// Builds the [`Durability`] state for a WAL-attached tree: the
-    /// dirty-page table the write-back barrier reads, and the WORM
-    /// settle-before-durability rule hooked into the log's fsync path (see
-    /// [`Durability::worm_synced`]) — which is also what lets every
-    /// recovery cut at or after the log's durable fence.
-    pub(super) fn attach_wal(wal: Wal, worm: &Arc<WormStore>) -> Durability {
-        let wal = Arc::new(wal);
-        let worm_synced = Arc::new(AtomicU64::new(0));
-        {
-            let worm = Arc::clone(worm);
-            let synced = Arc::clone(&worm_synced);
-            wal.set_pre_sync_hook(Box::new(move || {
-                let len = worm.device_bytes();
-                if len > synced.load(Ordering::Acquire) {
-                    worm.sync()?;
-                    synced.store(len, Ordering::Release);
-                }
-                Ok(())
-            }));
-        }
+impl Durability {
+    /// The state of a tree sitting on `seat`.
+    pub(super) fn new(seat: LogSeat) -> Durability {
         Durability {
-            wal,
+            wal: seat.wal,
+            shard: seat.shard,
+            shares_log: seat.shares_log,
             pages: WalPageTable::new(),
-            worm_synced,
+            worm_synced: seat.worm_synced,
             last_fence: Mutex::new(None),
             pending_delta_pages: Mutex::new(HashSet::new()),
             needs_reimage: Mutex::new(HashSet::new()),
@@ -145,6 +185,88 @@ impl TsbTree {
         }
     }
 
+    /// This shard's durable fence, settled against the log's watermark
+    /// now: what the write-back barrier compares a page's newest record
+    /// with.
+    pub(super) fn durable_fence(&self) -> Lsn {
+        let mut acks = self.acks.lock();
+        acks.settle(self.wal.durable_lsn());
+        acks.durable_fence
+    }
+}
+
+/// Checkpoints every tree on one log: flushes each to its devices, then
+/// replaces the log with one fence holding every tree's state — a
+/// `Checkpoint` for a log of one tree, a `ShardCheckpoint` for several —
+/// then starts each tree's fresh log interval. `trees` are every shard of
+/// the log, in shard order, and no mutation may run on any of them (the
+/// caller holds every writer lock). In-memory trees only flush.
+pub(crate) fn checkpoint_log(trees: &[&TsbTree]) -> TsbResult<()> {
+    for tree in trees {
+        tree.flush_devices()?;
+    }
+    let Some(d) = trees.first().and_then(|t| t.durability.as_ref()) else {
+        return Ok(());
+    };
+    let parts: Vec<ShardFence> = trees
+        .iter()
+        .filter_map(|tree| {
+            Some(ShardFence {
+                shard: tree.durability.as_ref()?.shard,
+                worm_len: tree.worm.device_bytes(),
+                meta: tree.encode_meta_bytes(),
+            })
+        })
+        .collect();
+    let record = match <[ShardFence; 1]>::try_from(parts) {
+        Ok([one]) => WalRecord::Checkpoint {
+            worm_len: one.worm_len,
+            meta: one.meta,
+        },
+        Err(parts) => WalRecord::ShardCheckpoint { parts },
+    };
+    // A completed checkpoint fences everything before it, so the log is
+    // atomically *replaced* by the new fence record (write-new-then-rename
+    // inside `reset_with`, fsynced) instead of growing without bound: the
+    // log stays one checkpoint interval long, and reopen cost is O(since
+    // last checkpoint).
+    if let Err(e) = d.wal.reset_with(&record) {
+        trees.iter().for_each(|t| t.poison());
+        return Err(e);
+    }
+    for tree in trees {
+        tree.begin_interval();
+    }
+    Ok(())
+}
+
+/// Fences one commit at `ts` over several trees sharing a log — the
+/// cross-shard commit: one `ShardCommit` naming each tree's state, so
+/// recovery replays the commit on every participant or on none. Each
+/// tree's writes are already stamped and logged under its own tag; the
+/// caller holds every participant's writer lock. Returns the position to
+/// wait on before acknowledging (the policy's, as for a single-tree
+/// commit); `None` for in-memory trees.
+pub(crate) fn commit_across(trees: &[&TsbTree], ts: Timestamp) -> TsbResult<Option<Lsn>> {
+    let Some(d) = trees.first().and_then(|t| t.durability.as_ref()) else {
+        return Ok(None);
+    };
+    // Every shard of one log is durable, as the first one is.
+    let parts = trees
+        .iter()
+        .filter_map(|tree| Some(tree.fence_part(tree.durability.as_ref()?, None)))
+        .collect::<TsbResult<Vec<_>>>()?;
+    let (lsn, boundary) = d.wal.append_commit(&WalRecord::ShardCommit {
+        ts: ts.value(),
+        parts,
+    })?;
+    for tree in trees {
+        tree.fence_appended(lsn, ts)?;
+    }
+    Ok(boundary)
+}
+
+impl TsbTree {
     /// The commit timestamp of the newest mutation known to be on stable
     /// storage — the durable prefix's upper bound. For a tree produced by
     /// recovery this starts at the recovery cut; on a live
@@ -179,9 +301,17 @@ impl TsbTree {
             .durability
             .as_ref()
             .expect("wal_append is only called on durable trees");
-        d.wal.append(record).inspect_err(|_| {
-            self.poisoned.store(true, Ordering::Release);
-        })
+        let (lsn, _) = d
+            .wal
+            .append_for(d.shard, record)
+            .inspect_err(|_| self.poison())?;
+        Ok(lsn)
+    }
+
+    /// Poisons the tree: every later read and write refuses. For a state
+    /// in memory that no fence can ever make durable as it stands.
+    pub(crate) fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
     }
 
     /// Appends the commit fence ending a mutation: a `Commit` record whose
@@ -199,42 +329,7 @@ impl TsbTree {
         let Some(d) = &self.durability else {
             return Ok(());
         };
-        self.wal_reimage_stale(d)?;
-        // This mutation reached its fence: its pending deltas (if any)
-        // composed with the split records that followed them.
-        d.pending_delta_pages.lock().clear();
-        let worm_len = self.worm.device_bytes();
-        // If this mutation migrated history, the WORM bytes must be stable
-        // before a commit record referencing them can be *durable* — under
-        // every fsync policy. For `Always` the reason is the
-        // acknowledgement contract: a power failure after the commit's
-        // fsync but before the OS flushed the WORM tail would force
-        // recovery to cut before this commit. For `Os` the reason is
-        // device consistency: the flushed-LSN barrier waits for a durable
-        // *WAL* fence (not the WORM) before page write-backs, so the page
-        // device could otherwise hold images from a commit whose WORM
-        // history was lost.
-        // The WAL's pre-sync hook (installed by `attach_wal`) settles the
-        // WORM immediately before *every* fsync of the log — the only
-        // moments a commit record can become durable — so an `Os` commit
-        // pays no eager WORM fsync here; `Always` pays it inside its own
-        // commit fsync.
-        // Elide the metadata payload when recovery can re-derive it from
-        // the previous fence: same root, same txn counter, and the logical
-        // clock sitting exactly one past the commit timestamp (true for
-        // every plain insert/delete/commit; an out-of-order `insert_at`
-        // leaves the clock ahead and falls back to full metadata).
-        let root = self.current_root();
-        let next_txn = self.txns.lock().next_id_value();
-        let meta = {
-            let mut last = d.last_fence.lock();
-            if self.clock.now() == ts.next() && *last == Some((root, next_txn)) {
-                Vec::new()
-            } else {
-                *last = Some((root, next_txn));
-                self.encode_meta_bytes()
-            }
-        };
+        let ShardFence { worm_len, meta, .. } = self.fence_part(d, Some(ts))?;
         let record = WalRecord::Commit {
             ts: ts.value(),
             worm_len,
@@ -243,17 +338,83 @@ impl TsbTree {
         // Pipelined commit: the fence is appended, nothing more — whoever
         // waits on it asks for its sync. The deferred wait lands in
         // `pending_wait` for the engine wrapper to consume once its locks
-        // are released; the fence/timestamp pair lands in `acks` so
-        // `last_durable_commit` can track the watermark.
-        let (lsn, boundary) = d.wal.append_commit(&record).inspect_err(|_| {
-            self.poisoned.store(true, Ordering::Release);
-        })?;
+        // are released.
+        let (lsn, boundary) = d
+            .wal
+            .append_for(d.shard, &record)
+            .inspect_err(|_| self.poison())?;
+        *d.pending_wait.lock() = boundary;
+        self.fence_appended(lsn, ts)
+    }
+
+    /// Readies this tree's part of a fence: supersedes quarantined
+    /// phantoms, closes the mutation's pending deltas, and returns the
+    /// shard, WORM length and metadata the fence carries. `elide_at` is the
+    /// commit timestamp of a single-tree `Commit`, whose metadata is
+    /// elided when recovery can re-derive it; a fence naming several
+    /// shards always carries it whole.
+    pub(super) fn fence_part(
+        &self,
+        d: &Durability,
+        elide_at: Option<Timestamp>,
+    ) -> TsbResult<ShardFence> {
+        self.wal_reimage_stale(d)?;
+        // This mutation reached its fence: its pending deltas (if any)
+        // composed with the split records that followed them.
+        d.pending_delta_pages.lock().clear();
+        // If this mutation migrated history, the WORM bytes must be stable
+        // before a fence referencing them can be *durable* — under every
+        // fsync policy. For `Always` the reason is the acknowledgement
+        // contract: a power failure after the commit's fsync but before
+        // the OS flushed the WORM tail would force recovery to cut before
+        // this commit. For `Os` the reason is device consistency: the
+        // flushed-LSN barrier waits for a durable *WAL* fence (not the
+        // WORM) before page write-backs, so the page device could
+        // otherwise hold images from a commit whose WORM history was lost.
+        // The log's pre-sync hook (installed by `seat_trees`) settles every
+        // shard's WORM immediately before *every* fsync of the log — the
+        // only moments a fence can become durable — so an `Os` commit pays
+        // no eager WORM fsync here; `Always` pays it inside its own commit
+        // fsync.
+        let worm_len = self.worm.device_bytes();
+        // Elide the metadata payload when recovery can re-derive it from
+        // the previous fence: same root, same txn counter, and the logical
+        // clock sitting exactly one past the commit timestamp (true for
+        // every plain insert/delete/commit; an out-of-order `insert_at`
+        // leaves the clock ahead and falls back to full metadata).
+        let root = self.current_root();
+        let next_txn = self.txns.lock().next_id_value();
+        let mut last = d.last_fence.lock();
+        let elide = elide_at.is_some_and(|ts| self.clock.now() == ts.next());
+        let meta = if elide && *last == Some((root, next_txn)) {
+            Vec::new()
+        } else {
+            *last = Some((root, next_txn));
+            self.encode_meta_bytes()
+        };
+        Ok(ShardFence {
+            shard: d.shard,
+            worm_len,
+            meta,
+        })
+    }
+
+    /// Books a fence naming this tree, appended at `lsn` for a commit at
+    /// `ts` — in `acks`, so `last_durable_commit` and the write-back
+    /// barrier can track the watermark — then drains the overflow
+    /// write-backs the mutation deferred. They wait for the fence: a page
+    /// image may only reach the device once a fence covers it, otherwise a
+    /// crash could leave the device holding state that recovery's replay
+    /// cut discards (see [`super::recover`], step 3).
+    pub(super) fn fence_appended(&self, lsn: Lsn, ts: Timestamp) -> TsbResult<()> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
         {
             let mut acks = d.acks.lock();
             acks.push(lsn, ts);
             acks.settle(d.wal.durable_lsn());
         }
-        *d.pending_wait.lock() = boundary;
         while let Some((page, node)) = self.cache.any_dirty_overflow_victim() {
             self.write_back_dirty(page, &node)?;
         }
@@ -291,31 +452,16 @@ impl TsbTree {
         Ok(())
     }
 
-    /// The log half of a checkpoint ([`Self::flush_shared`] calls it once
-    /// every dirty node is encoded, every dirty page written and both
-    /// devices synced): fences the redo log with a checkpoint record and
-    /// starts a fresh log generation. No-op on non-durable trees.
-    pub(super) fn wal_checkpoint(&self) -> TsbResult<()> {
+    /// Starts a fresh log interval after [`checkpoint_log`] replaced the
+    /// log with a checkpoint holding this tree's state.
+    fn begin_interval(&self) {
         let Some(d) = &self.durability else {
-            return Ok(());
+            return;
         };
-        let worm_len = self.worm.device_bytes();
-        let record = WalRecord::Checkpoint {
-            worm_len,
-            meta: self.encode_meta_bytes(),
-        };
-        // A completed checkpoint fences everything before it, so the
-        // log is atomically *replaced* by the new fence record
-        // (write-new-then-rename inside `reset_with`, fsynced) instead
-        // of growing without bound: the log stays one checkpoint
-        // interval long, and reopen cost is O(since last checkpoint).
-        d.wal.reset_with(&record).inspect_err(|_| {
-            self.poisoned.store(true, Ordering::Release);
-        })?;
-        // A fresh log generation holds no page bases: the first-touch
-        // set resets so every page logs a full image again before its
-        // next delta, and the write-back coverage map starts over (the
-        // flush drained every dirty page).
+        // A fresh log generation holds no page bases: the first-touch set
+        // resets so every page logs a full image again before its next
+        // delta, and the write-back coverage map starts over (the flush
+        // drained every dirty page).
         d.pages.begin_interval();
         // The log reset obsoleted any quarantined phantoms along with
         // everything else pre-fence.
@@ -324,81 +470,30 @@ impl TsbTree {
         // The checkpoint is a full-meta fence: later commits may elide
         // their metadata against it.
         *d.last_fence.lock() = Some((self.current_root(), self.txns.lock().next_id_value()));
-        d.worm_synced.store(worm_len, Ordering::Release);
+        d.worm_synced
+            .store(self.worm.device_bytes(), Ordering::Release);
         // The checkpoint quiesced the commit pipeline: every appended
         // fence is durable (the reset jumped the watermark over them)
         // and no deferred wait remains outstanding.
         d.acks.lock().settle(Lsn::MAX);
         *d.pending_wait.lock() = None;
-        Ok(())
     }
 
-    /// Appends a two-phase-commit **prepare** fence: the transaction's
-    /// writes are all in the log before it, and its metadata is always
-    /// written in full (a prepare is a cut candidate recovery must be able
-    /// to stand on). It becomes the participant's promise that it can
-    /// commit only once durable — the caller forces it
-    /// ([`Self::request_durable_tail`] + [`Self::wait_durable_lsn`]) before
-    /// the decision is logged. No-op on non-durable trees.
-    pub(crate) fn wal_prepare(
-        &self,
-        ts: Timestamp,
-        txn: TxnId,
-        coordinator: u32,
-        participants: &[u32],
-    ) -> TsbResult<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        self.wal_reimage_stale(d)?;
-        d.pending_delta_pages.lock().clear();
-        let worm_len = self.worm.device_bytes();
-        let root = self.current_root();
-        let next_txn = self.txns.lock().next_id_value();
-        // A prepare is a full-meta fence: later commits may elide their
-        // metadata against it, exactly as against a checkpoint.
-        *d.last_fence.lock() = Some((root, next_txn));
-        let record = WalRecord::Prepare {
-            ts: ts.value(),
-            worm_len,
-            meta: self.encode_meta_bytes(),
-            txn: txn.value(),
-            coordinator,
-            participants: participants.to_vec(),
-        };
-        self.wal_append(&record)?;
-        Ok(())
-    }
-
-    /// Appends the coordinator's two-phase-commit **decision**: logged
-    /// only once every participant's prepare is durable, it is the single
-    /// record that decides the transaction — recovery commits an in-doubt
-    /// prepare iff the coordinator's log holds its decision. The caller
-    /// forces it before any participant's commit is logged. No-op on
-    /// non-durable trees.
-    pub(crate) fn wal_decision(&self, ts: Timestamp, participants: &[u32]) -> TsbResult<()> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        let record = WalRecord::Decision {
-            ts: ts.value(),
-            participants: participants.to_vec(),
-        };
-        self.wal_append(&record)?;
-        Ok(())
+    /// Whether this tree's own flush stops at its devices: it shares its
+    /// log with other shards, and only [`checkpoint_log`] over all of
+    /// them may replace it.
+    pub(super) fn shares_log(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| d.shares_log)
     }
 
     /// Asks the log for everything appended so far, whatever the fsync
-    /// policy, without parking: the position to hand to
-    /// [`Self::wait_durable_lsn`], `None` on a non-durable tree. Asking
-    /// several trees before parking on any is what lets their logs' syncs
-    /// run side by side.
-    pub(crate) fn request_durable_tail(&self) -> Option<Lsn> {
-        let wal = &self.durability.as_ref()?.wal;
-        let tail = wal.last_lsn();
-        // The tail only grows, so it cannot have passed out of range.
-        wal.request_durable(tail).ok()?;
-        Some(tail)
+    /// policy, without parking: the drain it starts covers every writer's
+    /// appended commits, not only the caller's.
+    pub(crate) fn request_durable_tail(&self) {
+        if let Some(d) = &self.durability {
+            // The tail only grows, so it cannot have passed out of range.
+            let _ = d.wal.request_durable(d.wal.last_lsn());
+        }
     }
 
     /// Takes the durable-LSN wait deferred by the newest commit fence, if
@@ -420,9 +515,7 @@ impl TsbTree {
             return Ok(());
         };
         d.wal.request_durable(lsn)?;
-        d.wal.wait_durable(lsn).inspect_err(|_| {
-            self.poisoned.store(true, Ordering::Release);
-        })?;
+        d.wal.wait_durable(lsn).inspect_err(|_| self.poison())?;
         d.acks.lock().settle(d.wal.durable_lsn());
         Ok(())
     }

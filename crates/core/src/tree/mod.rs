@@ -10,8 +10,9 @@
 //!   split/migration machinery,
 //! * `node_io` — how a node travels between the caches and the devices,
 //!   and the metadata page,
-//! * `durability` — the write-ahead-log half of the write path: fences,
-//!   the phantom quarantine, commit acknowledgement,
+//! * `durability` — the write-ahead-log half of the write path: a tree's
+//!   seat on a log it may share with other shards, fences, the phantom
+//!   quarantine, commit acknowledgement,
 //! * `replay` — how a logged page record re-applies to a page: the page
 //!   rule,
 //! * `recover` — what the log means on reopen: the fence rule, the replay
@@ -21,7 +22,7 @@
 //! [`crate::secondary`], statistics in [`crate::stats`], and the structural
 //! verifier in [`crate::verify`].
 
-mod durability;
+pub(crate) mod durability;
 pub mod history;
 pub mod insert;
 mod node_io;
@@ -45,7 +46,7 @@ use tsb_storage::{
 use crate::cache::NodeCache;
 use crate::node::{DataNode, Node, NodeAddr};
 use crate::txn::TxnTable;
-use durability::Durability;
+use durability::{checkpoint_log, seat_trees, Durability, LogSeat};
 
 /// The Time-Split B-tree: a single integrated index over a multiversion
 /// database whose current part lives on an erasable store and whose
@@ -177,31 +178,22 @@ impl TsbTree {
         wal: Wal,
         cfg: TsbConfig,
     ) -> TsbResult<Self> {
-        Self::create_durable_with_clock(magnetic, worm, wal, cfg, Arc::new(LogicalClock::new()))
-    }
-
-    /// [`Self::create_durable`] stamping commits from a caller-supplied
-    /// (possibly shared) clock — how a sharded engine gives every shard the
-    /// same global commit order.
-    pub(crate) fn create_durable_with_clock(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        wal: Wal,
-        cfg: TsbConfig,
-        clock: Arc<LogicalClock>,
-    ) -> TsbResult<Self> {
-        let tree = Self::create_with(magnetic, worm, cfg, Some(wal), clock)?;
+        let seat = seat_trees(wal, &[Arc::clone(&worm)]).pop();
+        let tree = Self::create_with(magnetic, worm, cfg, seat, Arc::new(LogicalClock::new()))?;
         // Fence the initial root + metadata so recovery always has a
         // checkpoint to replay from.
         tree.flush_shared()?;
         Ok(tree)
     }
 
-    fn create_with(
+    /// A fresh tree over empty stores, sitting on `seat` when durable. The
+    /// caller fences it with a checkpoint — alone, or with the other
+    /// shards of its log ([`checkpoint_log`]).
+    pub(crate) fn create_with(
         magnetic: Arc<MagneticStore>,
         worm: Arc<WormStore>,
         cfg: TsbConfig,
-        wal: Option<Wal>,
+        seat: Option<LogSeat>,
         clock: Arc<LogicalClock>,
     ) -> TsbResult<Self> {
         cfg.validate()?;
@@ -215,7 +207,7 @@ impl TsbTree {
         magnetic.allocate()?;
         let root_page = magnetic.allocate()?;
         let root = NodeAddr::Current(root_page);
-        let tree = Self::assemble(magnetic, worm, cfg, clock, (root, 1), wal, None)?;
+        let tree = Self::assemble(magnetic, worm, cfg, clock, (root, 1), seat, None)?;
         let root_node = DataNode::initial_root();
         tree.write_current(root_page, Node::Data(root_node))?;
         tree.write_meta()?;
@@ -262,7 +254,7 @@ impl TsbTree {
 
     /// Builds the tree value over opened stores — every constructor and
     /// both recoveries end here. `(root, next_txn)` and the clock say where
-    /// the tree stands; `wal` makes it durable ([`Durability`]);
+    /// the tree stands; a log seat makes it durable ([`Durability`]);
     /// `recovered_to` is the replay cut of a tree born from recovery.
     fn assemble(
         magnetic: Arc<MagneticStore>,
@@ -270,11 +262,11 @@ impl TsbTree {
         cfg: TsbConfig,
         clock: Arc<LogicalClock>,
         (root, next_txn): (NodeAddr, u64),
-        wal: Option<Wal>,
+        seat: Option<LogSeat>,
         recovered_to: Option<Timestamp>,
     ) -> TsbResult<TsbTree> {
         let meta_page = Self::meta_page_of(&magnetic)?;
-        let durability = wal.map(|wal| Self::attach_wal(wal, &worm));
+        let durability = seat.map(Durability::new);
         Ok(TsbTree {
             stats: Arc::clone(magnetic.stats()),
             cache: NodeCache::sharded(cfg.node_cache_entries),
@@ -412,7 +404,7 @@ impl TsbTree {
     /// store, the WORM store, and (when durable) the WAL — so crash tests
     /// can kill a fully assembled engine at any instrumented write site.
     /// Sharded crash tests install one injector across every shard, making
-    /// "crash after k of n prepares" a single armed trigger.
+    /// a crash anywhere inside a cross-shard commit a single armed trigger.
     pub fn set_fault_injector(&self, injector: &Arc<FaultInjector>) {
         self.magnetic.set_fault_injector(Arc::clone(injector));
         self.worm.set_fault_injector(Arc::clone(injector));
@@ -510,9 +502,12 @@ impl TsbTree {
     }
 
     /// Flushes dirty nodes, the metadata page, and both devices. On a
-    /// durable tree this is a full **checkpoint**: once the devices are
-    /// synced, a checkpoint record fences the redo log, so the next
-    /// recovery replays nothing that precedes this call.
+    /// durable tree with a log of its own this is a full **checkpoint**:
+    /// once the devices are synced, a checkpoint record fences the redo
+    /// log, so the next recovery replays nothing that precedes this call.
+    /// A shard of a sharded engine shares its log with the other shards,
+    /// so its own flush stops at its devices; the engine's checkpoint
+    /// fences them all.
     pub fn flush(&mut self) -> TsbResult<()> {
         self.flush_shared()
     }
@@ -533,11 +528,20 @@ impl TsbTree {
     /// because every page image since that fence is in the log, replay
     /// overwrites whatever subset of the flush had landed.
     pub(crate) fn flush_shared(&self) -> TsbResult<()> {
+        if self.shares_log() {
+            self.flush_devices()
+        } else {
+            checkpoint_log(&[self])
+        }
+    }
+
+    /// The device half of a checkpoint: every dirty node written back, the
+    /// metadata page written, both devices synced.
+    fn flush_devices(&self) -> TsbResult<()> {
         self.write_meta()?;
         self.flush_node_cache()?;
         self.magnetic.sync()?;
-        self.worm.sync()?;
-        self.wal_checkpoint()
+        self.worm.sync()
     }
 }
 

@@ -214,10 +214,10 @@ impl TsbTree {
     /// write.
     pub(super) fn write_back_dirty(&self, page: PageId, node: &Node) -> TsbResult<()> {
         // WAL-before-page: the page's image was logged when the node was
-        // installed (`write_current`); a durable fence must cover it before
-        // the page may change on the device.
+        // installed (`write_current`); a durable fence of this shard must
+        // cover it before the page may change on the device.
         if let Some(d) = &self.durability {
-            d.pages.ensure_durable(page, &d.wal)?;
+            d.pages.ensure_durable(page, d.durable_fence(), &d.wal)?;
         }
         self.stats.record_node_encode();
         self.magnetic.write(page, &node.encode())?;

@@ -5,23 +5,28 @@
 //! one the system reveals. That determination is this module: two rules
 //! every reader of the log passes through, one cut finder over them, and
 //! the two recoveries (a primary's, a replica's) that differ only in what
-//! they do *after* the cut.
+//! they do *after* the cut. A log may be shared by the shards of one
+//! engine; the fence rule and the cut finder are the only readers that
+//! know it.
 //!
 //! ## The rules
 //!
-//! * The **fence rule** ([`fence_rule`]) reads one record against the
-//!   previous fence's state and the WORM bytes actually on the device, and
-//!   says whether it is a fence, whether its history is there, and which
-//!   `(root, clock-next, next-txn)` it describes. It is the only code that
-//!   decodes fence metadata, inherits elided metadata, or compares a
-//!   fence's `worm_len` with the device — the comparison the two-device
-//!   design rests on: *history before the fence that references it* (a
-//!   historical node is burned once, then only pointed at — §3.4). What a
-//!   fence past the device *means* is the caller's: primary recovery ends
-//!   its cut before it (nothing acknowledged it); a replica, whose apply
-//!   protocol syncs history before logging its fence, refuses it as
-//!   corruption — at restart and, before the fence reaches the local log,
-//!   at live apply.
+//! * The **fence rule** ([`fence_rule`]) reads one record against each
+//!   shard's previous fence state and the WORM bytes actually on each
+//!   shard's device, and says whether it is a fence, whether its history
+//!   is there, and which `(root, clock-next, next-txn)` it describes for
+//!   each shard it names — the shard the log's tag names for a one-shard
+//!   fence, every part's shard for a fence that spans shards. It is the
+//!   only code that decodes fence metadata, inherits elided metadata, or
+//!   compares a fence's `worm_len` with the device — the comparison the
+//!   two-device design rests on: *history before the fence that
+//!   references it* (a historical node is burned once, then only pointed
+//!   at — §3.4). A fence that spans shards is usable whole or not at all.
+//!   What a fence past the device *means* is the caller's: primary
+//!   recovery ends its cut before it (nothing acknowledged it); a replica,
+//!   whose apply protocol syncs history before logging its fence, refuses
+//!   it as corruption — at restart and, before the fence reaches the local
+//!   log, at live apply.
 //! * The **page rule** ([`apply_page_record`], in [`super::replay`]) folds
 //!   one page record into a map of [`ReplayPage`]s: an image replaces the page's state, a delta
 //!   applies to its newest state, and a page the map lacks takes its base
@@ -31,111 +36,154 @@
 //!
 //! ## The protocol ("repeating history", then discarding the un-fenced tail)
 //!
-//! 1. **Base.** Replay starts after the newest `Checkpoint` record — the
-//!    magnetic device is known to equal that state. A log with commits but
-//!    no checkpoint replays from the empty store the first session started
-//!    with.
-//! 2. **Cut** ([`find_cut`]). The replay target is the newest fence such
-//!    that every fence up to it has its WORM history on the device.
-//!    Records after the cut belong to a mutation that never finished
-//!    logging; its page records are discarded and any WORM sectors it
-//!    burned are dead space (write-once media cannot be un-burned — §1).
-//!    A `Prepare` is a cut candidate exactly like a commit — its page
-//!    records must replay so the in-doubt writes exist to be stamped or
-//!    erased — but never advances the recovered-to timestamp.
-//! 3. **Repeat history.** Every page record between base and cut folds
-//!    through the page rule, in LSN order over one map, and each page's
-//!    final state is installed ([`MagneticStore::restore`] force-allocates
-//!    pages the on-disk superblock predates). This overwrites any torn or
-//!    half-flushed device state — correctness does not depend on *which*
-//!    writes happened to reach the device before the crash, and deltas
-//!    never read the device.
-//! 4. **Metadata.** The root pointer, logical clock, and transaction
-//!    counter come from the cut, not from the (possibly stale) on-device
-//!    metadata page.
+//! 1. **Base.** Replay starts after the newest checkpoint record — every
+//!    shard's magnetic device is known to equal the state it names. A log
+//!    with commits but no checkpoint replays from the empty store the
+//!    first session started with.
+//! 2. **Cut** ([`find_cut`]). There is one cut for the whole log: the
+//!    newest fence such that every fence up to it has its history on its
+//!    own shard's WORM device. Each shard then stands at its own last
+//!    fence at or before the cut, and its records after that fence belong
+//!    to a mutation that never finished logging: its page records are
+//!    discarded and any WORM sectors it burned are dead space (write-once
+//!    media cannot be un-burned — §1). A cross-shard commit is one fence
+//!    record, so it is in every participant's replayed prefix or in none.
+//! 3. **Repeat history.** Every page record between base and its shard's
+//!    last fence folds through the page rule, in LSN order over one map
+//!    per shard, and each page's final state is installed
+//!    ([`MagneticStore::restore`] force-allocates pages the on-disk
+//!    superblock predates). This overwrites any torn or half-flushed
+//!    device state — correctness does not depend on *which* writes
+//!    happened to reach the device before the crash, and deltas never
+//!    read the device.
+//! 4. **Metadata.** Each shard's root pointer, logical clock, and
+//!    transaction counter come from its last fence, not from the
+//!    (possibly stale) on-device metadata page; the shared clock is
+//!    advanced past every shard's.
 //! 5. **Implicit abort.** Uncommitted versions that made it into replayed
 //!    pages are erased — in-flight writer transactions died with the
 //!    process, exactly the erasure §4 makes possible on the erasable
-//!    store. (In-doubt two-phase prepares are first resolved against the
-//!    coordinator's decision: [`StagedRecovery`].)
+//!    store. A cross-shard transaction's writes are uncommitted until the
+//!    one fence that stamps them all, so it too commits everywhere or is
+//!    erased everywhere.
 //! 6. **Reclaim.** The magnetic free list is rebuilt from reachability:
 //!    any allocated page the recovered root cannot reach is freed. The
 //!    log has no record kind for page frees, so replay can only ever
 //!    allocate.
-//! 7. **Verify, then fence.** The rebuilt tree must pass
-//!    [`TsbTree::verify`] before serving, and a fresh checkpoint fences
-//!    the next recovery.
+//! 7. **Verify, then fence.** Every rebuilt tree must pass
+//!    [`TsbTree::verify`] before serving, and one fresh checkpoint of
+//!    every shard fences the next recovery.
 //!
-//! Steps 1–4 are shared ([`TsbTree::recover_staged`],
-//! [`TsbTree::recover_replica`]); a replica then skips 5 and the
-//! checkpoint of 7 and keeps the un-fenced tail — see
-//! [`ReplicaRecovery`]. The recovered tree answers every query exactly as
-//! the oracle's replay of the committed prefix up to
-//! [`TsbTree::last_durable_commit`].
+//! Steps 1–4 are shared ([`TsbTree::open_durable`],
+//! [`TsbTree::recover_replica`]); a replica — always one shard — then
+//! skips 5 and the checkpoint of 7 and keeps the un-fenced tail — see
+//! [`ReplicaRecovery`]. The recovered trees answer every query exactly as
+//! the oracle's replay of the committed prefix up to the cut.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use tsb_common::{Key, LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult, TxnId, Version};
-use tsb_storage::{IoStats, Lsn, MagneticStore, PageId, Wal, WalRecord, WalScan, WormStore};
+use tsb_common::{LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult};
+use tsb_storage::{
+    IoStats, Lsn, MagneticStore, PageId, ShardFence, Wal, WalRecord, WalScan, WormStore,
+};
 
+use super::durability::{checkpoint_log, seat_trees};
 use super::replay::{apply_page_record, ReplayPage};
 use super::TsbTree;
 use crate::node::{DataNode, Node, NodeAddr};
 
-/// File names a durable tree uses inside its directory.
+/// File names a durable engine uses: one log for the engine, and two
+/// stores per shard.
 const MAGNETIC_FILE: &str = "current.pages";
 const WORM_FILE: &str = "history.worm";
 const WAL_FILE: &str = "redo.wal";
+/// A shard's directory is this prefix and its index in three digits.
+const SHARD_DIR_PREFIX: &str = "shard-";
 
-/// The three files of a durable tree, opened over one set of I/O counters.
+/// Where a durable engine's files live: the redo log in the engine's
+/// directory, and each shard's two stores in that directory itself (one
+/// shard, the flat layout) or in its `shard-NNN` subdirectory.
+pub(crate) struct Layout {
+    log: PathBuf,
+    shards: Vec<PathBuf>,
+}
+
+impl Layout {
+    /// One shard, every file directly in `dir`.
+    pub(crate) fn flat(dir: &Path) -> Layout {
+        Layout {
+            log: dir.join(WAL_FILE),
+            shards: vec![dir.to_path_buf()],
+        }
+    }
+
+    /// `shards` shards' stores in `dir/shard-NNN`, the log in `dir`.
+    pub(crate) fn sharded(dir: &Path, shards: usize) -> Layout {
+        Layout {
+            log: dir.join(WAL_FILE),
+            shards: (0..shards)
+                .map(|i| dir.join(format!("{SHARD_DIR_PREFIX}{i:03}")))
+                .collect(),
+        }
+    }
+
+    /// The shard a directory named `shard-NNN` holds the stores of.
+    pub(crate) fn shard_index(dir: &Path) -> Option<usize> {
+        let name = dir.file_name()?.to_str()?;
+        let digits = name.strip_prefix(SHARD_DIR_PREFIX)?;
+        (digits.len() == 3).then(|| digits.parse().ok()).flatten()
+    }
+}
+
+/// The files of a durable engine: its log and each shard's two stores,
+/// in shard order. Shard 0's stores and the log share one set of I/O
+/// counters; every other shard has its own.
 pub(crate) struct DurableFiles {
     pub(crate) wal: Wal,
-    pub(crate) magnetic: Arc<MagneticStore>,
-    pub(crate) worm: Arc<WormStore>,
+    pub(crate) stores: Vec<(Arc<MagneticStore>, Arc<WormStore>)>,
 }
 
 impl DurableFiles {
-    /// Opens `redo.wal` (scanned, a torn tail truncated), `current.pages`
-    /// and `history.worm` in `dir`, creating whichever is missing.
-    pub(crate) fn open(dir: &Path, cfg: &TsbConfig) -> TsbResult<(DurableFiles, WalScan)> {
+    /// Opens the log (scanned, a torn tail truncated) and every shard's
+    /// `current.pages` and `history.worm`, creating whichever is missing.
+    pub(crate) fn open(layout: &Layout, cfg: &TsbConfig) -> TsbResult<(DurableFiles, WalScan)> {
         let stats = Arc::new(IoStats::new());
-        let (wal, scan) = Wal::open(dir.join(WAL_FILE), cfg.fsync_policy, Arc::clone(&stats))?;
-        Ok((Self::beside(wal, dir, cfg, stats)?, scan))
+        let (wal, scan) = Wal::open(&layout.log, cfg.fsync_policy, Arc::clone(&stats))?;
+        Ok((Self::beside(wal, stats, layout, cfg)?, scan))
     }
 
-    /// [`Self::open`] with a fresh, empty log, for a directory the caller
+    /// [`Self::open`] with a fresh, empty log, for a layout the caller
     /// knows holds nothing durable.
-    pub(crate) fn create(dir: &Path, cfg: &TsbConfig) -> TsbResult<DurableFiles> {
+    pub(crate) fn create(layout: &Layout, cfg: &TsbConfig) -> TsbResult<DurableFiles> {
         let stats = Arc::new(IoStats::new());
-        let wal = Wal::create(dir.join(WAL_FILE), cfg.fsync_policy, Arc::clone(&stats))?;
-        Self::beside(wal, dir, cfg, stats)
+        let wal = Wal::create(&layout.log, cfg.fsync_policy, Arc::clone(&stats))?;
+        Self::beside(wal, stats, layout, cfg)
     }
 
     fn beside(
         wal: Wal,
-        dir: &Path,
-        cfg: &TsbConfig,
         stats: Arc<IoStats>,
+        layout: &Layout,
+        cfg: &TsbConfig,
     ) -> TsbResult<DurableFiles> {
-        let magnetic = Arc::new(MagneticStore::open_file(
-            dir.join(MAGNETIC_FILE),
-            cfg.page_size,
-            Arc::clone(&stats),
-        )?);
-        let worm = Arc::new(WormStore::open_file(
-            dir.join(WORM_FILE),
-            cfg.worm_sector_size,
-            stats,
-        )?);
-        Ok(DurableFiles {
-            wal,
-            magnetic,
-            worm,
-        })
+        let mut log_stats = Some(stats);
+        let mut stores = Vec::with_capacity(layout.shards.len());
+        for dir in &layout.shards {
+            std::fs::create_dir_all(dir)?;
+            let stats = log_stats.take().unwrap_or_default();
+            let magnetic = MagneticStore::open_file(
+                dir.join(MAGNETIC_FILE),
+                cfg.page_size,
+                Arc::clone(&stats),
+            )?;
+            let worm = WormStore::open_file(dir.join(WORM_FILE), cfg.worm_sector_size, stats)?;
+            stores.push((Arc::new(magnetic), Arc::new(worm)));
+        }
+        Ok(DurableFiles { wal, stores })
     }
 
     /// Whether `dir` holds a redo log at all.
@@ -143,12 +191,16 @@ impl DurableFiles {
         dir.join(WAL_FILE).exists()
     }
 
-    /// Removes the three files from `dir` (the stores first: a directory
-    /// that lost only its log reads as "store data without a log", which
-    /// no open path will recreate over).
-    pub(crate) fn wipe(dir: &Path) -> TsbResult<()> {
-        for name in [MAGNETIC_FILE, WORM_FILE, WAL_FILE] {
-            match std::fs::remove_file(dir.join(name)) {
+    /// Removes the layout's files (the stores first: a directory that lost
+    /// only its log reads as "store data without a log", which no open
+    /// path will recreate over).
+    pub(crate) fn wipe(layout: &Layout) -> TsbResult<()> {
+        let stores = layout
+            .shards
+            .iter()
+            .flat_map(|dir| [dir.join(MAGNETIC_FILE), dir.join(WORM_FILE)]);
+        for path in stores.chain([layout.log.clone()]) {
+            match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e.into()),
@@ -156,6 +208,11 @@ impl DurableFiles {
         }
         Ok(())
     }
+}
+
+/// Each shard's WORM store, for the log's pre-sync hook.
+fn worms(stores: &[(Arc<MagneticStore>, Arc<WormStore>)]) -> Vec<Arc<WormStore>> {
+    stores.iter().map(|(_, worm)| Arc::clone(worm)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -168,87 +225,112 @@ pub(crate) type FenceState = (NodeAddr, Timestamp, u64);
 /// What the [fence rule](fence_rule) says about one log record.
 #[derive(Debug, PartialEq)]
 pub(crate) enum FenceReading {
-    /// A page record, or a two-phase-commit decision: it describes no
-    /// tree state.
+    /// A page record or a shard switch: it describes no tree state.
     NotAFence,
-    /// A fence referencing `worm_len` bytes of history, more than the
-    /// device holds: the tree state it describes would dangle.
+    /// A fence one of whose shards' parts references `worm_len` bytes of
+    /// history, more than that shard's device holds: the tree state it
+    /// describes would dangle.
     PastDevice {
-        /// The WORM length the fence was logged against.
+        /// The WORM length that part was logged against.
         worm_len: u64,
     },
-    /// A usable fence: every page record its state needs precedes it, and
-    /// the history that state points at is on the device.
+    /// A usable fence: every page record its states need precedes it, and
+    /// the history those states point at is on the devices.
     Describes {
-        /// The state the fence describes.
-        state: FenceState,
-        /// The commit timestamp, if the fence is a `Commit` (a checkpoint
-        /// carries none; a prepare's transaction may yet abort).
+        /// The state of each shard the fence names, in the fence's order.
+        states: Vec<(usize, FenceState)>,
+        /// The commit timestamp, if the fence is a commit (a checkpoint
+        /// carries none).
         commit_ts: Option<Timestamp>,
     },
 }
 
-/// A fence's `(worm_len, meta, commit timestamp)`, or `None` for a record
-/// that describes no tree state.
-fn fence_fields(record: &WalRecord) -> Option<(u64, &[u8], Option<Timestamp>)> {
+/// One shard's part of a fence: the shard, the WORM length, the metadata.
+type FencePart<'a> = (usize, u64, &'a [u8]);
+
+/// A fence's commit timestamp and parts, or `None` for a record that
+/// describes no tree state. A one-shard fence describes `tag`, the shard
+/// the log's newest switch before it names.
+fn fence_fields(record: &WalRecord, tag: u32) -> Option<(Option<Timestamp>, Vec<FencePart<'_>>)> {
+    fn named(parts: &[ShardFence]) -> Vec<FencePart<'_>> {
+        parts
+            .iter()
+            .map(|p| (p.shard as usize, p.worm_len, p.meta.as_slice()))
+            .collect()
+    }
     match record {
-        WalRecord::Commit { ts, worm_len, meta } => Some((*worm_len, meta, Some(Timestamp(*ts)))),
-        WalRecord::Checkpoint { worm_len, meta } | WalRecord::Prepare { worm_len, meta, .. } => {
-            Some((*worm_len, meta, None))
+        WalRecord::Commit { ts, worm_len, meta } => Some((
+            Some(Timestamp(*ts)),
+            vec![(tag as usize, *worm_len, meta.as_slice())],
+        )),
+        WalRecord::Checkpoint { worm_len, meta } => {
+            Some((None, vec![(tag as usize, *worm_len, meta.as_slice())]))
         }
-        WalRecord::PageImage { .. } | WalRecord::PageDelta { .. } | WalRecord::Decision { .. } => {
-            None
-        }
+        WalRecord::ShardCommit { ts, parts } => Some((Some(Timestamp(*ts)), named(parts))),
+        WalRecord::ShardCheckpoint { parts } => Some((None, named(parts))),
+        WalRecord::PageImage { .. } | WalRecord::PageDelta { .. } | WalRecord::Shard { .. } => None,
     }
 }
 
-/// The WORM length `record` references if it is a fence the [fence
-/// rule](fence_rule) reads a tree state from, `None` otherwise. A log
-/// holding such a record is a log worth recovering; a batch holding one
-/// must ship with that much history.
+/// The most WORM history `record` references if it is a fence, `None`
+/// otherwise: what a batch holding it must ship with.
 pub(crate) fn fence_worm_len(record: &WalRecord) -> Option<u64> {
-    fence_fields(record).map(|(worm_len, _, _)| worm_len)
+    let (_, parts) = fence_fields(record, 0)?;
+    parts.iter().map(|(_, worm_len, _)| *worm_len).max()
 }
 
 /// Whether a scanned log holds any fence at all — without one nothing was
 /// ever durable through it, and there is nothing to recover.
 fn holds_a_fence(scan: &WalScan) -> bool {
-    scan.records
-        .iter()
-        .any(|(_, r)| fence_worm_len(r).is_some())
+    scan.records.iter().any(|(_, r)| r.is_fence())
 }
 
-/// The **fence rule**: reads `record` against the state of the fence
-/// before it (`prev`) and the WORM bytes actually on the device.
+/// The **fence rule**: reads `record`, logged under the shard tag `tag`,
+/// against the state of each shard's fence before it (`prev`) and the
+/// WORM bytes actually on each shard's device (`worm_on_device[shard]`).
 ///
-/// A commit whose state was fully predictable from the previous fence
-/// elides its metadata (see `wal_commit`): it inherits root and
+/// A commit whose state was fully predictable from the previous fence of
+/// its shard elides its metadata (see `wal_commit`): it inherits root and
 /// transaction counter from `prev` and derives its clock from its own
 /// timestamp. Only commits elide; any other fence with unreadable
-/// metadata is corruption.
+/// metadata is corruption, and so is a fence naming a shard the log's
+/// engine does not have.
 pub(crate) fn fence_rule(
     record: &WalRecord,
-    prev: Option<FenceState>,
-    worm_on_device: u64,
+    tag: u32,
+    prev: impl Fn(usize) -> Option<FenceState>,
+    worm_on_device: &[u64],
 ) -> TsbResult<FenceReading> {
-    let Some((worm_len, meta, commit_ts)) = fence_fields(record) else {
+    let Some((commit_ts, parts)) = fence_fields(record, tag) else {
         return Ok(FenceReading::NotAFence);
     };
-    if worm_len > worm_on_device {
-        return Ok(FenceReading::PastDevice { worm_len });
-    }
-    let state = match commit_ts {
-        Some(ts) if meta.is_empty() => {
-            let (root, _, next_txn) = prev.ok_or_else(|| {
-                TsbError::corruption(
-                    "WAL commit with elided metadata has no prior fence to inherit from",
-                )
-            })?;
-            (root, ts.next(), next_txn)
+    for &(shard, worm_len, _) in &parts {
+        let on_device = *worm_on_device.get(shard).ok_or_else(|| {
+            TsbError::corruption(format!(
+                "a WAL fence names shard {shard} of a {}-shard log",
+                worm_on_device.len()
+            ))
+        })?;
+        if worm_len > on_device {
+            return Ok(FenceReading::PastDevice { worm_len });
         }
-        _ => TsbTree::decode_meta(meta)?,
-    };
-    Ok(FenceReading::Describes { state, commit_ts })
+    }
+    let mut states = Vec::with_capacity(parts.len());
+    for (shard, _, meta) in parts {
+        let state = match commit_ts {
+            Some(ts) if meta.is_empty() => {
+                let (root, _, next_txn) = prev(shard).ok_or_else(|| {
+                    TsbError::corruption(
+                        "WAL commit with elided metadata has no prior fence to inherit from",
+                    )
+                })?;
+                (root, ts.next(), next_txn)
+            }
+            _ => TsbTree::decode_meta(meta)?,
+        };
+        states.push((shard, state));
+    }
+    Ok(FenceReading::Describes { states, commit_ts })
 }
 
 /// The error a reader raises for a fence it must not find
@@ -262,20 +344,16 @@ pub(crate) fn fence_past_device(origin: &str, lsn: Lsn, worm_len: u64, on_device
     ))
 }
 
-/// A replica's log is one shard's log; two-phase-commit records mean a
-/// sharded primary, which must be subscribed to per shard (unsupported in
-/// this version).
-pub(crate) fn refuse_two_phase(record: &WalRecord) -> TsbResult<()> {
-    if matches!(
-        record,
-        WalRecord::Prepare { .. } | WalRecord::Decision { .. }
-    ) {
-        return Err(TsbError::config(
-            "the log holds two-phase-commit records; replicating a sharded primary \
-             is not supported",
-        ));
-    }
-    Ok(())
+/// Each record of a scanned log with its index and the shard it belongs
+/// to: the one the newest [`WalRecord::Shard`] switch before it names,
+/// shard 0 before any.
+fn tagged(records: &[(Lsn, WalRecord)]) -> impl Iterator<Item = (usize, u32, &(Lsn, WalRecord))> {
+    records.iter().enumerate().scan(0, |tag, (idx, entry)| {
+        if let WalRecord::Shard { shard } = entry.1 {
+            *tag = shard;
+        }
+        Some((idx, *tag, entry))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -291,55 +369,86 @@ pub(crate) struct Cut {
     pub(crate) replay: Range<usize>,
     /// LSN of the cut fence.
     pub(crate) fence_lsn: Lsn,
-    /// Timestamp of the newest `Commit` at or before the cut, if any.
-    pub(crate) commit_ts: Option<Timestamp>,
-    /// The state the cut fence describes.
-    pub(crate) state: FenceState,
+    /// Where each shard stands at the cut, in shard order.
+    pub(crate) shards: Vec<ShardCut>,
     /// The fence that ended the search early, if one did: its LSN and the
     /// WORM length it references, more than the device holds.
     pub(crate) short_fence: Option<(Lsn, u64)>,
 }
 
-/// Finds the replay cut in a scanned log: the base is the newest
-/// checkpoint; the cut is the newest fence at or after it such that its
-/// history, and every earlier fence's, is on the device.
-pub(crate) fn find_cut(records: &[(Lsn, WalRecord)], worm_on_device: u64) -> TsbResult<Cut> {
-    let base = records
-        .iter()
-        .rposition(|(_, r)| matches!(r, WalRecord::Checkpoint { .. }));
-    let mut cut: Option<(usize, Lsn, FenceState)> = None;
-    let mut commit_ts = None;
+/// Where one shard stands at the cut.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ShardCut {
+    /// Index of the shard's last fence at or before the cut: the shard's
+    /// records after it are discarded.
+    pub(crate) last_fence: usize,
+    /// Timestamp of the shard's newest commit at or before the cut, if any.
+    pub(crate) commit_ts: Option<Timestamp>,
+    /// The state the shard's last fence describes.
+    pub(crate) state: FenceState,
+}
+
+/// Finds the replay cut in a scanned log of `worm_on_device.len()`
+/// shards: the base is the newest checkpoint; the cut is the newest fence
+/// at or after it such that its history, and every earlier fence's, is on
+/// its own shard's device; each shard stands at its own last fence at or
+/// before the cut.
+pub(crate) fn find_cut(records: &[(Lsn, WalRecord)], worm_on_device: &[u64]) -> TsbResult<Cut> {
+    let base = records.iter().rposition(|(_, r)| {
+        matches!(
+            r,
+            WalRecord::Checkpoint { .. } | WalRecord::ShardCheckpoint { .. }
+        )
+    });
+    let mut shards: Vec<Option<ShardCut>> = vec![None; worm_on_device.len()];
+    let mut cut: Option<(usize, Lsn)> = None;
     let mut short_fence = None;
-    for (idx, (lsn, record)) in records.iter().enumerate().skip(base.unwrap_or(0)) {
-        match fence_rule(record, cut.map(|(_, _, state)| state), worm_on_device)? {
+    for (idx, tag, (lsn, record)) in tagged(records).skip(base.unwrap_or(0)) {
+        let prev = |shard: usize| shards[shard].map(|s| s.state);
+        match fence_rule(record, tag, prev, worm_on_device)? {
             FenceReading::NotAFence => {}
             FenceReading::PastDevice { worm_len } => {
                 short_fence = Some((*lsn, worm_len));
                 break;
             }
-            FenceReading::Describes {
-                state,
-                commit_ts: ts,
-            } => {
-                cut = Some((idx, *lsn, state));
-                commit_ts = ts.or(commit_ts);
+            FenceReading::Describes { states, commit_ts } => {
+                for (shard, state) in states {
+                    let commit_ts = commit_ts.or(shards[shard].and_then(|s| s.commit_ts));
+                    shards[shard] = Some(ShardCut {
+                        last_fence: idx,
+                        commit_ts,
+                        state,
+                    });
+                }
+                cut = Some((idx, *lsn));
             }
         }
     }
-    let (cut_idx, fence_lsn, state) = cut.ok_or_else(|| match short_fence {
+    let (cut_idx, fence_lsn) = cut.ok_or_else(|| match short_fence {
         Some((lsn, worm_len)) => {
-            fence_past_device("the log's first", lsn, worm_len, worm_on_device)
+            let on_device = worm_on_device.iter().copied().min().unwrap_or(0);
+            fence_past_device("the log's first", lsn, worm_len, on_device)
         }
         None => TsbError::corruption(
             "write-ahead log has no usable fence (no checkpoint and no commit); \
              nothing was ever durable",
         ),
     })?;
+    let shards = shards
+        .into_iter()
+        .enumerate()
+        .map(|(shard, cut)| {
+            cut.ok_or_else(|| {
+                TsbError::corruption(format!(
+                    "shard {shard} has no usable fence at or before the log's cut"
+                ))
+            })
+        })
+        .collect::<TsbResult<_>>()?;
     Ok(Cut {
         replay: base.map_or(0, |i| i + 1)..cut_idx + 1,
         fence_lsn,
-        commit_ts,
-        state,
+        shards,
         short_fence,
     })
 }
@@ -348,115 +457,13 @@ pub(crate) fn find_cut(records: &[(Lsn, WalRecord)], worm_on_device: u64) -> Tsb
 // The two recoveries
 // ---------------------------------------------------------------------------
 
-/// A two-phase-commit prepare that survived recovery's replay with its
-/// transaction still unstamped: the writes exist in the tree as
-/// uncommitted versions, and only the coordinator shard's decision record
-/// says whether they commit at `ts` or roll back (presumed abort).
-#[derive(Clone, Debug)]
-pub(crate) struct InDoubtTxn {
-    /// The global commit timestamp reserved for the transaction.
-    pub(crate) ts: Timestamp,
-    /// The participant-local transaction id whose writes are prepared.
-    pub(crate) txn: TxnId,
-    /// Shard index of the coordinator (where the decision was logged).
-    pub(crate) coordinator: u32,
-}
-
-/// A recovered (or freshly created) durable tree whose in-doubt two-phase
-/// prepares have not yet been resolved, and whose final
-/// purge/reclaim/verify/checkpoint pass has not yet run.
-///
-/// Produced by [`TsbTree::open_durable_staged`] /
-/// [`TsbTree::recover_staged`]. The sharded engine opens every shard
-/// staged, resolves each shard's [`Self::in_doubt`] list against the
-/// *coordinator* shard's [`Self::has_decision`], and only then calls
-/// [`Self::finish`] on each — so a crash mid-2PC never commits a
-/// cross-shard transaction partially. Single-shard callers use
-/// [`Self::resolve_locally`].
-pub(crate) struct StagedRecovery {
-    tree: TsbTree,
-    /// Prepares awaiting a commit/abort decision, in log order.
-    in_doubt: Vec<InDoubtTxn>,
-    /// Commit timestamps of every intact decision record in this tree's
-    /// own log (it was a coordinator for those transactions).
-    decisions: HashSet<u64>,
-    /// Whether the deferred recovery tail (purge, reclaim, verify,
-    /// checkpoint) must run in [`Self::finish`]; `false` for trees that
-    /// were freshly created rather than recovered.
-    needs_finish: bool,
-}
-
-impl StagedRecovery {
-    /// Wraps a freshly created tree: nothing in doubt, nothing to finish.
-    fn fresh(tree: TsbTree) -> Self {
-        StagedRecovery {
-            tree,
-            in_doubt: Vec::new(),
-            decisions: HashSet::new(),
-            needs_finish: false,
-        }
-    }
-
-    /// The prepares that survived replay unresolved, in log order.
-    pub(crate) fn in_doubt(&self) -> &[InDoubtTxn] {
-        &self.in_doubt
-    }
-
-    /// Whether this tree's own log holds the coordinator decision for the
-    /// transaction committed at `ts`.
-    pub(crate) fn has_decision(&self, ts: Timestamp) -> bool {
-        self.decisions.contains(&ts.value())
-    }
-
-    /// Rolls an in-doubt prepare forward: stamps its surviving writes as
-    /// committed at `ts` and fences the stamping with a commit record.
-    pub(crate) fn commit_in_doubt(&mut self, txn: TxnId, ts: Timestamp) -> TsbResult<()> {
-        self.tree.resolve_in_doubt_commit(txn, ts)?;
-        self.tree.recovered_to = Some(self.tree.recovered_to.map_or(ts, |r| r.max(ts)));
-        Ok(())
-    }
-
-    /// Runs the deferred recovery tail — purge of uncommitted versions,
-    /// free-list reclamation, verification, and the fencing checkpoint —
-    /// and returns the serving-ready tree. Every in-doubt prepare that is
-    /// to commit must have been rolled forward first: the purge *is* the
-    /// abort of the rest (recovery's implicit abort erases all remaining
-    /// uncommitted versions).
-    pub(crate) fn finish(self) -> TsbResult<TsbTree> {
-        let tree = self.tree;
-        if self.needs_finish {
-            tree.purge_uncommitted()?;
-            tree.reclaim_unreachable_pages()?;
-            tree.verify()?;
-            tree.flush_shared()?;
-        }
-        Ok(tree)
-    }
-
-    /// Resolves in-doubt prepares against this tree's *own* decision
-    /// records and finishes: the single-shard path, where coordinator and
-    /// participant are the same log. (A participant shard's directory
-    /// opened standalone presumes abort for prepares whose decision lives
-    /// on another shard — open sharded directories through the sharded
-    /// engine.)
-    pub(crate) fn resolve_locally(mut self) -> TsbResult<TsbTree> {
-        let pending: Vec<InDoubtTxn> = self.in_doubt.drain(..).collect();
-        for p in pending {
-            if self.decisions.contains(&p.ts.value()) {
-                self.commit_in_doubt(p.txn, p.ts)?;
-            }
-        }
-        self.finish()
-    }
-}
-
 /// A replication replica's crash-consistent reopen, produced by
 /// [`TsbTree::open_durable_replica`].
 ///
 /// A replica keeps a byte-faithful local copy of the primary's log
 /// (shipped record bodies appended via [`Wal::append_shipped`], primary
 /// LSNs preserved), so its restart is ordinary redo recovery — with three
-/// deliberate departures from [`TsbTree::recover_staged`]'s tail:
+/// deliberate departures from [`TsbTree::open_durable`]'s tail:
 ///
 /// * **No purge.** Uncommitted versions surviving at the cut fence belong
 ///   to primary transactions that are still in flight *on the primary*;
@@ -486,26 +493,20 @@ pub(crate) struct ReplicaRecovery {
 }
 
 impl TsbTree {
-    /// Opens (or creates) the durable tree rooted at directory `dir` — the
-    /// contract is spelled out on [`crate::TsbOptions::open_tree`] — split
-    /// in two for the sharded engine: returns
-    /// a [`StagedRecovery`] whose in-doubt two-phase-commit prepares are
-    /// *not yet resolved* — the caller resolves each against the
-    /// coordinator shard's decision (commit or presumed abort) and then
-    /// calls [`StagedRecovery::finish`]. `clock` is advanced to (never
-    /// reset below) the recovered clock value, so sharing one clock across
-    /// shards re-derives the global clock as the max across all of them.
-    pub(crate) fn open_durable_staged(
-        dir: impl AsRef<Path>,
-        cfg: TsbConfig,
-        clock: Arc<LogicalClock>,
-    ) -> TsbResult<StagedRecovery> {
+    /// Opens (or creates) the durable engine laid out as `layout`: one
+    /// tree per shard, in shard order, every one on the layout's one log.
+    /// The contract is spelled out on [`crate::TsbOptions::open_tree`] and
+    /// [`crate::TsbOptions::open`]. `clock` is advanced to (never reset
+    /// below) every shard's recovered clock.
+    pub(crate) fn open_durable(
+        layout: &Layout,
+        cfg: &TsbConfig,
+        clock: &Arc<LogicalClock>,
+    ) -> TsbResult<Vec<TsbTree>> {
         cfg.validate()?;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let (files, scan) = DurableFiles::open(dir, &cfg)?;
+        let (files, scan) = DurableFiles::open(layout, cfg)?;
         if holds_a_fence(&scan) {
-            return Self::recover_staged(files, scan, cfg, clock);
+            return Self::recover(files, scan, cfg, clock);
         }
         // No fence: nothing was ever durably committed through this log.
         // Starting fresh is safe when the stores hold no data of their
@@ -514,98 +515,68 @@ impl TsbTree {
         // the first create's page images (every completed create or
         // mutation appends a fence, and a torn tail that ate *every* fence
         // must lie at or before the first one).
-        let stores_empty = files.magnetic.allocated_pages() == 0 && files.worm.device_bytes() == 0;
+        let stores_empty = files
+            .stores
+            .iter()
+            .all(|(magnetic, worm)| magnetic.allocated_pages() == 0 && worm.device_bytes() == 0);
         if !stores_empty && scan.records.is_empty() {
             // Real store data, empty log: a pre-WAL database or a lost
             // redo.wal. Refuse rather than guess.
             return Err(TsbError::corruption(format!(
-                "directory {} holds store data but its write-ahead log has no usable \
-                 fence; refusing to recreate (use TsbTree::open for a non-durable \
-                 reopen, or restore the missing redo.wal)",
-                dir.display()
+                "{} holds no usable fence but its stores hold data; refusing to \
+                 recreate (use TsbTree::open for a non-durable reopen, or restore \
+                 the missing redo.wal)",
+                layout.log.display()
             )));
         }
         drop(files);
-        DurableFiles::wipe(dir)?;
-        let DurableFiles {
-            wal,
-            magnetic,
-            worm,
-        } = DurableFiles::create(dir, &cfg)?;
-        Self::create_durable_with_clock(magnetic, worm, wal, cfg, clock).map(StagedRecovery::fresh)
+        DurableFiles::wipe(layout)?;
+        let DurableFiles { wal, stores } = DurableFiles::create(layout, cfg)?;
+        let seats = seat_trees(wal, &worms(&stores));
+        let trees = stores
+            .into_iter()
+            .zip(seats)
+            .map(|((magnetic, worm), seat)| {
+                Self::create_with(magnetic, worm, cfg.clone(), Some(seat), Arc::clone(clock))
+            })
+            .collect::<TsbResult<Vec<_>>>()?;
+        // Fence every initial root + metadata so recovery always has a
+        // checkpoint to replay from.
+        checkpoint_log(&trees.iter().collect::<Vec<_>>())?;
+        Ok(trees)
     }
 
-    /// Crash-consistent reopen of a primary (the module docs' protocol) up
-    /// to — but not including — the resolution of in-doubt
-    /// two-phase-commit prepares and the final
-    /// purge/reclaim/verify/checkpoint pass. The returned
-    /// [`StagedRecovery`] lists every prepare that survived the cut with
-    /// its transaction still unstamped; the caller decides each one
-    /// (against the coordinator shard's decision record) and then calls
-    /// [`StagedRecovery::finish`].
-    ///
-    /// A fence past the device simply ends the cut before it: its commit
-    /// was never acknowledged as durable (the log's pre-sync hook settles
-    /// the WORM before every fsync that could make a fence durable).
-    pub(crate) fn recover_staged(
+    /// Crash-consistent reopen of a primary (the module docs' protocol).
+    /// A fence past the device simply ends the cut before it: it was never
+    /// acknowledged as durable (the log's pre-sync hook settles every WORM
+    /// before each fsync that could make a fence durable).
+    fn recover(
         files: DurableFiles,
         scan: WalScan,
-        cfg: TsbConfig,
-        clock: Arc<LogicalClock>,
-    ) -> TsbResult<StagedRecovery> {
-        let cut = find_cut(&scan.records, files.worm.device_bytes())?;
-        // Any intact decision record is honorable: the coordinator logs it
-        // only after every participant's prepare is durable, so even a
-        // decision past this shard's own cut proves the commit outcome.
-        let decisions: HashSet<u64> = scan
-            .records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                WalRecord::Decision { ts, .. } => Some(*ts),
-                _ => None,
-            })
-            .collect();
-        let mut in_doubt: Vec<InDoubtTxn> = scan.records[cut.replay.clone()]
-            .iter()
-            .filter_map(|(_, r)| match r {
-                WalRecord::Prepare {
-                    ts,
-                    txn,
-                    coordinator,
-                    ..
-                } => Some(InDoubtTxn {
-                    ts: Timestamp(*ts),
-                    txn: TxnId(*txn),
-                    coordinator: *coordinator,
-                }),
-                _ => None,
-            })
-            .collect();
-        // Records past the cut belong to a mutation that never finished
+        cfg: &TsbConfig,
+        clock: &Arc<LogicalClock>,
+    ) -> TsbResult<Vec<TsbTree>> {
+        let on_device: Vec<u64> = files.stores.iter().map(|(_, w)| w.device_bytes()).collect();
+        let cut = find_cut(&scan.records, &on_device)?;
+        // Records past the cut belong to mutations that never finished
         // logging: discarded.
         let mut records = scan.records;
         records.truncate(cut.replay.end);
-        let tree = Self::rebuild_at_cut(files, records, &cut, cfg, clock)?;
-        // In-doubt = a surviving prepare whose transaction is still
-        // unstamped in the replayed tree. A prepare whose transaction was
-        // later committed (a commit record at or before the cut stamped
-        // it) or aborted leaves no uncommitted versions and needs no
-        // resolution.
-        let unstamped = tree.collect_uncommitted_txns()?;
-        in_doubt.retain(|p| unstamped.contains(&p.txn));
-        Ok(StagedRecovery {
-            tree,
-            in_doubt,
-            decisions,
-            needs_finish: true,
-        })
+        let trees = Self::rebuild_at_cut(files, records, &cut, cfg, clock)?;
+        for tree in &trees {
+            tree.purge_uncommitted()?;
+            tree.reclaim_unreachable_pages()?;
+            tree.verify()?;
+        }
+        checkpoint_log(&trees.iter().collect::<Vec<_>>())?;
+        Ok(trees)
     }
 
     /// Reopens a replication replica's local state at directory `dir`, or
     /// returns `None` when the directory holds nothing usable (fresh, or a
     /// base install that never finished — the caller wipes and re-fetches
     /// the base). See [`ReplicaRecovery`] for how this differs from the
-    /// primary's [`Self::open_durable_staged`].
+    /// primary's [`Self::open_durable`].
     pub(crate) fn open_durable_replica(
         dir: impl AsRef<Path>,
         cfg: TsbConfig,
@@ -616,7 +587,7 @@ impl TsbTree {
         if !DurableFiles::has_log(dir) {
             return Ok(None);
         }
-        let (files, scan) = DurableFiles::open(dir, &cfg)?;
+        let (files, scan) = DurableFiles::open(&Layout::flat(dir), &cfg)?;
         if !holds_a_fence(&scan) {
             // A shipped log always starts at a fence (the base image's
             // checkpoint); no fence means the install never completed.
@@ -625,8 +596,8 @@ impl TsbTree {
         Self::recover_replica(files, scan, cfg).map(Some)
     }
 
-    /// [`Self::recover_staged`]'s replica variant: replays the local copy
-    /// of the primary's log to the newest fence, but keeps uncommitted
+    /// The primary recovery's replica variant: replays the local copy of
+    /// the primary's log to the newest fence, but keeps uncommitted
     /// versions (their transactions are still live on the primary), never
     /// appends records of its own (no purge fences, no local checkpoint),
     /// and hands back the un-fenced tail for the apply overlay.
@@ -640,11 +611,8 @@ impl TsbTree {
         scan: WalScan,
         cfg: TsbConfig,
     ) -> TsbResult<ReplicaRecovery> {
-        scan.records
-            .iter()
-            .try_for_each(|(_, r)| refuse_two_phase(r))?;
-        let on_device = files.worm.device_bytes();
-        let cut = find_cut(&scan.records, on_device)?;
+        let on_device = files.stores[0].1.device_bytes();
+        let cut = find_cut(&scan.records, &[on_device])?;
         if let Some((lsn, worm_len)) = cut.short_fence {
             return Err(fence_past_device("replica log", lsn, worm_len, on_device));
         }
@@ -652,7 +620,8 @@ impl TsbTree {
         let clock = Arc::new(LogicalClock::new());
         let mut records = scan.records;
         let tail = records.split_off(cut.replay.end);
-        let tree = Self::rebuild_at_cut(files, records, &cut, cfg, clock)?;
+        let mut trees = Self::rebuild_at_cut(files, records, &cut, &cfg, &clock)?;
+        let tree = trees.pop().expect("a replica's log has one shard");
         // Reclaim pages unreachable at the cut (a free has no log record;
         // see `reclaim_unreachable_pages`) and verify — but no purge and
         // no fencing checkpoint: the replica's state must stay exactly the
@@ -664,142 +633,69 @@ impl TsbTree {
             applied_lsn: cut.fence_lsn,
             last_lsn,
             tail: tail.into_iter().map(|(_, record)| record).collect(),
-            cut_state: cut.state,
+            cut_state: cut.shards[0].state,
         })
     }
 
-    /// Steps 3 and 4 of the protocol, for both recoveries: repeats history
-    /// over the cut's replay range — deltas applied in place over one map,
-    /// each page installed once — then builds the tree at the cut's
-    /// metadata over the repaired device. `records` is the scanned log
-    /// with the un-fenced tail (everything past the cut) already taken
-    /// off by the caller, who alone knows what the tail is worth.
+    /// Steps 3 and 4 of the protocol, for both recoveries: repeats each
+    /// shard's history through its last fence — deltas applied in place
+    /// over one map per shard, each page installed once — then builds each
+    /// shard's tree at its fence's metadata over its repaired device, all
+    /// seated on the one log. `records` is the scanned log with the
+    /// un-fenced tail (everything past the cut) already taken off by the
+    /// caller, who alone knows what the tail is worth.
     fn rebuild_at_cut(
         files: DurableFiles,
         records: Vec<(Lsn, WalRecord)>,
         cut: &Cut,
-        cfg: TsbConfig,
-        clock: Arc<LogicalClock>,
-    ) -> TsbResult<TsbTree> {
-        let DurableFiles {
-            wal,
-            magnetic,
-            worm,
-        } = files;
-        let mut replayed: HashMap<PageId, ReplayPage> = HashMap::new();
-        for (_, record) in records.into_iter().skip(cut.replay.start) {
-            apply_page_record(&mut replayed, record, |_| Ok(None))?;
-        }
-        for (page, state) in replayed {
-            magnetic.restore(page, &state.into_bytes())?;
-        }
-        let (root, clock_next, next_txn) = cut.state;
-        clock.advance_to(clock_next);
-        let recovered_to = cut.commit_ts.unwrap_or_else(|| clock_next.prev());
-        let worm_on_device = worm.device_bytes();
-        let tree = Self::assemble(
-            magnetic,
-            worm,
-            cfg,
-            clock,
-            (root, next_txn),
-            Some(wal),
-            Some(recovered_to),
-        )?;
-        // The WORM bytes the cut references survived, so they are as
-        // stable as they will ever be.
-        if let Some(d) = &tree.durability {
-            d.worm_synced.store(worm_on_device, Ordering::Release);
-        }
-        tree.write_meta()?;
-        Ok(tree)
-    }
-
-    /// Walks the current database collecting the transaction ids of every
-    /// surviving uncommitted version (used by staged recovery to tell
-    /// in-doubt prepares from already-resolved ones).
-    fn collect_uncommitted_txns(&self) -> TsbResult<HashSet<TxnId>> {
-        fn walk(tree: &TsbTree, addr: NodeAddr, out: &mut HashSet<TxnId>) -> TsbResult<()> {
-            if addr.as_page().is_none() {
-                return Ok(());
-            }
-            let node = tree.read_node(addr)?;
-            match &*node {
-                Node::Data(data) => {
-                    for v in data.iter() {
-                        if let Some(txn) = v.state.txn_id() {
-                            out.insert(txn);
-                        }
-                    }
-                }
-                Node::Index(index) => {
-                    let children: Vec<NodeAddr> = index.iter().map(|e| e.child).collect();
-                    for child in children {
-                        walk(tree, child, out)?;
-                    }
-                }
-            }
-            Ok(())
-        }
-        let mut out = HashSet::new();
-        walk(self, self.current_root(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Stamps every surviving uncommitted version of `txn` as committed at
-    /// `ts` and fences the stamping with a commit record — recovery's
-    /// roll-forward of an in-doubt two-phase-commit prepare whose
-    /// coordinator decided commit. Mirrors the stamping loop of
-    /// `commit_txn_shared`, but driven by a tree walk (the transaction
-    /// table's write set died with the process).
-    pub(crate) fn resolve_in_doubt_commit(&self, txn: TxnId, ts: Timestamp) -> TsbResult<()> {
-        self.clock.advance_to(ts.next());
-        self.stamp_in_doubt_at(self.current_root(), txn, ts)?;
-        self.wal_commit(ts)?;
-        // Recovery has no ack pipeline; the deferred wait (if the policy
-        // produced one) is settled by the checkpoint in `finish`.
-        let _ = self.take_pending_durable_wait();
-        Ok(())
-    }
-
-    fn stamp_in_doubt_at(&self, addr: NodeAddr, txn: TxnId, ts: Timestamp) -> TsbResult<()> {
-        let Some(page) = addr.as_page() else {
-            return Ok(());
-        };
-        let node = self.read_node(addr)?;
-        match &*node {
-            Node::Data(data) => {
-                let keys: Vec<Key> = data
-                    .iter()
-                    .filter(|v| v.state.txn_id() == Some(txn))
-                    .map(|v| v.to_key())
-                    .collect();
-                if keys.is_empty() {
-                    return Ok(());
-                }
-                let mut leaf = DataNode::clone(data);
-                for key in keys {
-                    let pending = leaf.remove_uncommitted(&key, txn).ok_or_else(|| {
-                        TsbError::internal(format!(
-                            "in-doubt transaction {txn} lost its uncommitted version of key {key}"
-                        ))
-                    })?;
-                    leaf.insert(&Version {
-                        key: pending.key,
-                        state: tsb_common::TsState::Committed(ts),
-                        value: pending.value,
-                    })?;
-                }
-                self.write_current(page, Node::Data(leaf))
-            }
-            Node::Index(index) => {
-                let children: Vec<NodeAddr> = index.iter().map(|e| e.child).collect();
-                for child in children {
-                    self.stamp_in_doubt_at(child, txn, ts)?;
-                }
-                Ok(())
+        cfg: &TsbConfig,
+        clock: &Arc<LogicalClock>,
+    ) -> TsbResult<Vec<TsbTree>> {
+        let DurableFiles { wal, stores } = files;
+        let tags: Vec<u32> = tagged(&records).map(|(_, tag, _)| tag).collect();
+        let mut replayed: Vec<HashMap<PageId, ReplayPage>> = vec![HashMap::new(); stores.len()];
+        for ((idx, (_, record)), tag) in records.into_iter().enumerate().zip(tags) {
+            let shard = tag as usize;
+            let Some(pages) = replayed.get_mut(shard) else {
+                return Err(TsbError::corruption(format!(
+                    "WAL records of shard {shard} in a {}-shard log",
+                    cut.shards.len()
+                )));
+            };
+            if cut.replay.contains(&idx) && idx <= cut.shards[shard].last_fence {
+                apply_page_record(pages, record, |_| Ok(None))?;
             }
         }
+        let seats = seat_trees(wal, &worms(&stores));
+        let mut trees = Vec::with_capacity(stores.len());
+        for ((((magnetic, worm), seat), pages), at) in
+            stores.into_iter().zip(seats).zip(replayed).zip(&cut.shards)
+        {
+            for (page, state) in pages {
+                magnetic.restore(page, &state.into_bytes())?;
+            }
+            let (root, clock_next, next_txn) = at.state;
+            clock.advance_to(clock_next);
+            let recovered_to = at.commit_ts.unwrap_or_else(|| clock_next.prev());
+            let worm_on_device = worm.device_bytes();
+            let tree = Self::assemble(
+                magnetic,
+                worm,
+                cfg.clone(),
+                Arc::clone(clock),
+                (root, next_txn),
+                Some(seat),
+                Some(recovered_to),
+            )?;
+            // The WORM bytes the cut references survived, so they are as
+            // stable as they will ever be.
+            if let Some(d) = &tree.durability {
+                d.worm_synced.store(worm_on_device, Ordering::Release);
+            }
+            tree.write_meta()?;
+            trees.push(tree);
+        }
+        Ok(trees)
     }
 
     /// Walks the current database and erases every uncommitted version
@@ -923,15 +819,20 @@ mod tests {
         }
     }
 
-    fn prepare(ts: u64, worm_len: u64, s: FenceState) -> WalRecord {
-        WalRecord::Prepare {
-            ts,
-            worm_len,
-            meta: meta(s),
-            txn: 3,
-            coordinator: 0,
-            participants: vec![0, 1],
-        }
+    /// A part per `(worm_len, state)`, for shards 0, 1, ... in order.
+    fn parts(of: &[(u64, FenceState)]) -> Vec<ShardFence> {
+        (0..)
+            .zip(of)
+            .map(|(shard, &(worm_len, s))| ShardFence {
+                shard,
+                worm_len,
+                meta: meta(s),
+            })
+            .collect()
+    }
+
+    fn switch(shard: u32) -> WalRecord {
+        WalRecord::Shard { shard }
     }
 
     // Page records are filler here: neither rule under test reads them.
@@ -955,33 +856,62 @@ mod tests {
         (FIRST_LSN..).zip(records).collect()
     }
 
-    /// The fence rule and the cut finder over hand-built logs: each row is
-    /// a log, the WORM bytes on the device, and the cut it must yield
-    /// (`None`: corruption).
+    /// The cut a table row expects: replay range, the cut fence's index,
+    /// each shard's `(last fence index, commit ts, state)`, the short fence.
+    fn cut(
+        replay: Range<usize>,
+        at: usize,
+        shards: &[(usize, Option<u64>, FenceState)],
+        short: Option<(Lsn, u64)>,
+    ) -> Option<Cut> {
+        Some(Cut {
+            replay,
+            fence_lsn: FIRST_LSN + at as Lsn,
+            shards: shards
+                .iter()
+                .map(|&(last_fence, commit_ts, state)| ShardCut {
+                    last_fence,
+                    commit_ts: commit_ts.map(Timestamp),
+                    state,
+                })
+                .collect(),
+            short_fence: short,
+        })
+    }
+
+    /// A table row: its name, a log, the WORM bytes on each shard's
+    /// device, and the cut the log must yield (`None`: corruption).
+    type Row = (&'static str, Vec<WalRecord>, Vec<u64>, Option<Cut>);
+
+    fn check_table(table: Vec<Row>) {
+        for (name, records, on_device, expected) in table {
+            let found = find_cut(&log(records), &on_device);
+            match (&found, &expected) {
+                (Ok(cut), Some(want)) => assert_eq!(cut, want, "{name}"),
+                (Err(TsbError::Corruption(_)), None) => {}
+                _ => panic!("{name}: found {found:?}, expected {expected:?}"),
+            }
+        }
+    }
+
+    /// The fence rule and the cut finder over hand-built one-shard logs:
+    /// each row is a log, the WORM bytes on the device, and the cut it
+    /// must yield (`None`: corruption).
     #[test]
     fn the_cut_is_the_newest_fence_whose_history_is_on_the_device() {
         let (a, b, c) = (state(1, 5, 1), state(2, 6, 4), state(7, 12, 9));
-        let cut = |replay, at: usize, commit_ts: Option<u64>, state, short| {
-            Some(Cut {
-                replay,
-                fence_lsn: FIRST_LSN + at as Lsn,
-                commit_ts: commit_ts.map(Timestamp),
-                state,
-                short_fence: short,
-            })
-        };
-        let table: Vec<(&str, Vec<WalRecord>, u64, Option<Cut>)> = vec![
+        let table: Vec<Row> = vec![
             (
                 "a checkpoint alone is base and cut: nothing to replay",
                 vec![checkpoint(64, a)],
-                64,
-                cut(1..1, 0, None, a, None),
+                vec![64],
+                cut(1..1, 0, &[(0, None, a)], None),
             ),
             (
                 "the newest checkpoint is the base, whatever precedes it",
                 vec![commit(3, 0, c), checkpoint(0, a), image(2)],
-                0,
-                cut(2..2, 1, None, a, None),
+                vec![0],
+                cut(2..2, 1, &[(1, None, a)], None),
             ),
             (
                 "full metadata is decoded; elided metadata inherits root and \
@@ -993,19 +923,19 @@ mod tests {
                     delta(2),
                     elided_commit(6, 64),
                 ],
-                64,
-                cut(1..5, 4, Some(6), (b.0, Timestamp(7), b.2), None),
+                vec![64],
+                cut(1..5, 4, &[(4, Some(6), (b.0, Timestamp(7), b.2))], None),
             ),
             (
                 "no checkpoint: replay starts at the first record",
                 vec![image(2), commit(5, 0, b), elided_commit(6, 0)],
-                0,
-                cut(0..3, 2, Some(6), (b.0, Timestamp(7), b.2), None),
+                vec![0],
+                cut(0..3, 2, &[(2, Some(6), (b.0, Timestamp(7), b.2))], None),
             ),
             (
                 "an elided commit with no prior fence is corruption",
                 vec![image(2), elided_commit(5, 0)],
-                0,
+                vec![0],
                 None,
             ),
             (
@@ -1020,31 +950,14 @@ mod tests {
                     image(4),
                     elided_commit(7, 64),
                 ],
-                128,
-                cut(1..3, 2, Some(5), b, Some((FIRST_LSN + 4, 256))),
+                vec![128],
+                cut(1..3, 2, &[(2, Some(5), b)], Some((FIRST_LSN + 4, 256))),
             ),
             (
                 "a base checkpoint past the device leaves nothing to stand on",
                 vec![checkpoint(256, a), image(2), commit(5, 0, b)],
-                128,
+                vec![128],
                 None,
-            ),
-            (
-                "a prepare fences (its page records replay) without \
-                 advancing the commit timestamp; a decision is no fence",
-                vec![
-                    checkpoint(0, a),
-                    image(2),
-                    commit(5, 0, b),
-                    delta(2),
-                    prepare(9, 0, c),
-                    WalRecord::Decision {
-                        ts: 9,
-                        participants: vec![0, 1],
-                    },
-                ],
-                0,
-                cut(1..5, 4, Some(5), c, None),
             ),
             (
                 "records after the last fence are the tail, not replayed",
@@ -1055,49 +968,118 @@ mod tests {
                     image(3),
                     delta(3),
                 ],
-                0,
-                cut(1..3, 2, Some(5), b, None),
+                vec![0],
+                cut(1..3, 2, &[(2, Some(5), b)], None),
             ),
             (
                 "a log with no fence at all has no cut",
                 vec![image(2), delta(2)],
-                0,
+                vec![0],
                 None,
             ),
         ];
-        for (name, records, on_device, expected) in table {
-            let found = find_cut(&log(records), on_device);
-            match (&found, &expected) {
-                (Ok(cut), Some(want)) => assert_eq!(cut, want, "{name}"),
-                (Err(TsbError::Corruption(_)), None) => {}
-                _ => panic!("{name}: found {found:?}, expected {expected:?}"),
-            }
-        }
+        check_table(table);
+    }
+
+    /// One cut for a log two shards share: each shard stands at its own
+    /// last fence at or before it, and a fence naming several shards is
+    /// in every one's prefix or in none.
+    #[test]
+    fn one_cut_for_a_shared_log_and_each_shard_stops_at_its_own_last_fence() {
+        let (a, b, c, d) = (
+            state(1, 5, 1),
+            state(2, 6, 4),
+            state(7, 12, 9),
+            state(8, 13, 9),
+        );
+        let base = || WalRecord::ShardCheckpoint {
+            parts: parts(&[(0, a), (0, b)]),
+        };
+        let table: Vec<Row> = vec![
+            (
+                "each shard stops at its own last fence; the newest fence \
+                 is the cut, and a shard's later records are its tail",
+                vec![
+                    base(),
+                    image(2),
+                    commit(5, 0, c),
+                    switch(1),
+                    image(3),
+                    commit(6, 0, d),
+                    switch(0),
+                    delta(2),
+                ],
+                vec![0, 0],
+                cut(1..6, 5, &[(2, Some(5), c), (5, Some(6), d)], None),
+            ),
+            (
+                "a cross-shard commit is one fence of every participant",
+                vec![
+                    base(),
+                    image(2),
+                    switch(1),
+                    image(3),
+                    WalRecord::ShardCommit {
+                        ts: 7,
+                        parts: parts(&[(0, c), (64, d)]),
+                    },
+                ],
+                vec![0, 64],
+                cut(1..5, 4, &[(4, Some(7), c), (4, Some(7), d)], None),
+            ),
+            (
+                "one participant's history past its device ends the cut \
+                 before the whole cross-shard commit",
+                vec![
+                    base(),
+                    commit(5, 0, c),
+                    WalRecord::ShardCommit {
+                        ts: 7,
+                        parts: parts(&[(0, c), (256, d)]),
+                    },
+                ],
+                vec![0, 128],
+                cut(
+                    1..2,
+                    1,
+                    &[(1, Some(5), c), (0, None, b)],
+                    Some((FIRST_LSN + 2, 256)),
+                ),
+            ),
+            (
+                "a shard no fence names has nothing to stand on",
+                vec![checkpoint(0, a), commit(5, 0, b)],
+                vec![0, 0],
+                None,
+            ),
+            (
+                "a fence naming a shard the log lacks is corruption",
+                vec![base(), switch(2), commit(5, 0, c)],
+                vec![0, 0],
+                None,
+            ),
+        ];
+        check_table(table);
     }
 
     #[test]
     fn the_fence_rule_compares_history_with_the_device_before_reading_metadata() {
         let a = state(1, 5, 1);
-        for record in [
-            image(2),
-            delta(2),
-            WalRecord::Decision {
-                ts: 9,
-                participants: vec![0],
-            },
-        ] {
+        let none = |_| None;
+        for record in [image(2), delta(2), switch(1)] {
             assert_eq!(
-                fence_rule(&record, None, 0).unwrap(),
+                fence_rule(&record, 0, none, &[0]).unwrap(),
                 FenceReading::NotAFence,
                 "{record:?}"
             );
             assert_eq!(fence_worm_len(&record), None);
         }
-        // Exactly on the device is on the device.
+        // Exactly on the device is on the device; a one-shard fence
+        // describes the shard the tag names.
         assert_eq!(
-            fence_rule(&checkpoint(128, a), None, 128).unwrap(),
+            fence_rule(&checkpoint(128, a), 1, none, &[0, 128]).unwrap(),
             FenceReading::Describes {
-                state: a,
+                states: vec![(1, a)],
                 commit_ts: None
             }
         );
@@ -1109,10 +1091,13 @@ mod tests {
                 meta: vec![0xFF],
             },
             elided_commit(5, 129),
-            prepare(5, 129, a),
+            WalRecord::ShardCommit {
+                ts: 5,
+                parts: parts(&[(0, a), (129, a)]),
+            },
         ] {
             assert_eq!(
-                fence_rule(&short, None, 128).unwrap(),
+                fence_rule(&short, 0, none, &[128, 128]).unwrap(),
                 FenceReading::PastDevice { worm_len: 129 }
             );
             assert_eq!(fence_worm_len(&short), Some(129));
@@ -1123,7 +1108,7 @@ mod tests {
             worm_len: 0,
             meta: Vec::new(),
         };
-        assert!(fence_rule(&empty_checkpoint, Some(a), 0).is_err());
+        assert!(fence_rule(&empty_checkpoint, 0, |_| Some(a), &[0]).is_err());
     }
 
     /// What a fence past the device *means* is the caller's: the same

@@ -9,6 +9,7 @@ use tsb_common::{Key, Timestamp, TsbConfig};
 use tsb_storage::{IoStats, MagneticStore, PageId, PageOp, Wal, WalRecord, WormStore};
 
 use super::TsbTree;
+use crate::node::Node;
 
 struct TempDir(std::path::PathBuf);
 
@@ -439,6 +440,65 @@ fn a_write_back_under_a_durable_fence_forces_nothing() {
         run.magnetic_writes
     );
     tree.verify().unwrap();
+}
+
+/// On a log the shards share, a page may reach its device only under a
+/// durable fence of *its own* shard: recovery replays a shard only through
+/// that shard's fences, so another shard's durable fence past the page's
+/// record covers nothing. Counted: the barrier must force exactly when its
+/// shard's fence falls short.
+#[test]
+fn the_write_back_barrier_reads_the_shards_own_durable_fence() {
+    use crate::EngineHandle;
+
+    let dir = TempDir::new("shard-fence");
+    let cfg = TsbConfig::small_pages().with_fsync_policy(tsb_common::FsyncPolicy::Os);
+    let db = crate::TsbOptions::durable(&dir.0)
+        .config(cfg)
+        .shards(2)
+        .open()
+        .unwrap();
+    let (a, b) = (db.shards()[0].tree(), db.shards()[1].tree());
+    let wal = a.wal_handle().unwrap();
+    let rewrite_root = |tree: &TsbTree| {
+        let root = tree.root_addr();
+        let node = tree.read_node(root).unwrap();
+        let page = root.as_page().unwrap();
+        tree.write_current(page, Node::clone(&node)).unwrap();
+        (page, node)
+    };
+
+    // Shard A: a mutation in flight logs its root page, and no fence.
+    let (page, node) = rewrite_root(a);
+    // Shard B: a whole mutation, its fence forced; then B's next mutation
+    // begins, so a force of the log has something to do.
+    let key_b = (0u64..)
+        .find(|k| db.shard_of(&Key::from_u64(*k)) == 1)
+        .unwrap();
+    b.insert_shared(key_b, b"b".to_vec()).unwrap();
+    wal.sync().unwrap();
+    assert!(wal.durable_lsn() > a.durability.as_ref().unwrap().pages.lsn_of(page).unwrap());
+    rewrite_root(b);
+
+    let syncs = || db.io_snapshot().wal_syncs;
+    let before = syncs();
+    a.write_back_dirty(page, &node).unwrap();
+    assert_eq!(
+        syncs(),
+        before + 1,
+        "shard A's page went to its device under shard B's fence"
+    );
+
+    // A's own fence lands and is forced: now it covers the page.
+    a.wal_commit(a.now().prev()).unwrap();
+    wal.sync().unwrap();
+    let before = syncs();
+    a.write_back_dirty(page, &node).unwrap();
+    assert_eq!(
+        syncs(),
+        before,
+        "a page its shard's durable fence covers forced the log"
+    );
 }
 
 #[test]

@@ -220,15 +220,20 @@ impl TsbTree {
     /// loop, making the whole stamping pass atomic to concurrent readers.
     pub(crate) fn commit_txn_shared(&self, txn: TxnId) -> TsbResult<Timestamp> {
         let ts = self.clock.tick();
-        self.commit_txn_at_shared(txn, ts)?;
+        self.stamp_txn(txn, ts, || self.wal_commit(ts))?;
         Ok(ts)
     }
 
-    /// [`Self::commit_txn_shared`] at a caller-supplied commit timestamp
-    /// instead of ticking the clock — the participant half of a two-phase
-    /// cross-shard commit, where the coordinator reserved one global `ts`
-    /// for every shard's stamping pass.
-    pub(crate) fn commit_txn_at_shared(&self, txn: TxnId, ts: Timestamp) -> TsbResult<()> {
+    /// Stamps every write of `txn` committed at `ts`, then runs `fence`
+    /// inside the same structure window: this tree's own commit fence, or
+    /// nothing when a cross-shard commit fences every participant at once
+    /// after the last of them is stamped.
+    pub(crate) fn stamp_txn(
+        &self,
+        txn: TxnId,
+        ts: Timestamp,
+        fence: impl FnOnce() -> TsbResult<()>,
+    ) -> TsbResult<()> {
         let writes = self.txns.lock().finish(txn)?;
         if writes.len() > 1 {
             self.note_structural_write();
@@ -268,7 +273,7 @@ impl TsbTree {
         // The commit fence covers every stamped leaf: recovery replays the
         // whole commit or none of it, so a crashed multi-key commit can
         // never resurface half-stamped.
-        .and_then(|()| self.wal_commit(ts));
+        .and_then(|()| fence());
         self.settle_structure_after(result.is_err());
         result
     }

@@ -15,14 +15,13 @@
 //!   *deferred-durability* API ([`EngineHandle::insert_deferred`] &c.),
 //!   then waits **once per shard** on the highest LSN the batch produced
 //!   on that shard before flushing the batch's replies in a single
-//!   `write_all`. The writes only appended; the first of those waits asks
-//!   *every* shard's log for its tail, so the batch's fsyncs — one per
-//!   log it touched — run side by side on the shards' committer threads
-//!   and the later waits mostly find their answer ready. Each shard's
-//!   durable watermark is monotonic, so when a shard's max LSN is durable
-//!   every commit the batch placed there is — one round of overlapped
-//!   fsyncs (often shared with other connections' batches) acknowledges
-//!   the whole burst.
+//!   `write_all`. The writes only appended; every shard appends to the
+//!   engine's one log, so the first of those waits asks for one fsync
+//!   that covers the whole batch and the later waits find their answer
+//!   ready. The durable watermark is monotonic, so when the batch's max
+//!   LSN is durable every commit the batch placed is — one fsync (often
+//!   shared with other connections' batches) acknowledges the whole
+//!   burst, cross-shard transaction commits included.
 //! * **Acknowledgement means durable.** A `put`/`delete`/`txn_commit`
 //!   reply is written only after the commit's LSN is under the durable
 //!   watermark per the engine's [`FsyncPolicy`](tsb_common::FsyncPolicy).
@@ -34,9 +33,9 @@
 //!
 //! [`tsb_core::TsbOptions`] opens, [`EngineHandle`] serves, and two
 //! types implement it: a writable [`tsb_core::ShardedTsb`] (the keyspace
-//! may be partitioned across N shards, `tsb-server --shards N`, each with
-//! its own WAL and group-commit pipeline under one global commit clock;
-//! one shard is the unsharded case) or a read-only
+//! may be partitioned across N shards, `tsb-server --shards N`, sharing
+//! one WAL and group-commit pipeline under one global commit clock; one
+//! shard is the unsharded case) or a read-only
 //! [`tsb_core::ReplicaEngine`] fed by WAL shipping (`tsb-server
 //! --replica-of ADDR`, see [`replica`]). A promoted replica reopens its
 //! directory through the same door, so it holds the same type a born

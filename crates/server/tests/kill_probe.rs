@@ -192,8 +192,8 @@ fn kill_nine_mid_pipeline_keeps_every_acked_group_commit() {
 }
 
 /// One key per shard for a 4-shard server, so every probe transaction
-/// genuinely straddles all four shards and commits through the two-phase
-/// fence.
+/// genuinely straddles all four shards and commits as one fence naming
+/// all four.
 fn straddling_keys(round: u64) -> Vec<u64> {
     const SHARDS: usize = 4;
     let mut picked: Vec<Option<u64>> = vec![None; SHARDS];
@@ -268,7 +268,7 @@ fn kill_nine_sharded_server_loses_no_acks_and_no_partial_commits() {
             }
 
             // A cross-shard commit sent but never awaited: SIGKILL lands
-            // with the two-phase fence possibly mid-flight. Whatever
+            // with its fence possibly half-written or unforced. Whatever
             // happened, it must not be partial.
             let round = 10 + probe;
             let (txn, keys) = write_straddling_txn(&mut client, round);

@@ -47,18 +47,6 @@ pub enum CrashPoint {
     /// The checkpoint record itself — the crash lands after the full flush
     /// succeeded but before the checkpoint fence is in the log.
     WalCheckpoint,
-    /// A two-phase-commit prepare record reaching a participant shard's
-    /// WAL — the crash lands after k of n prepares, leaving the remaining
-    /// participants unprepared.
-    WalPrepare,
-    /// The coordinator's two-phase-commit decision record reaching its
-    /// WAL — the crash lands after every prepare is durable but before the
-    /// commit decision is logged.
-    WalDecision,
-    /// The window after the coordinator's decision is durable but before
-    /// any participant has stamped (acked) its local commit — recovery must
-    /// roll the prepared writes forward from the decision alone.
-    TwoPcAck,
 }
 
 /// Every crash point, in write-path order (the recovery-stress matrix).
@@ -70,9 +58,6 @@ pub const ALL_CRASH_POINTS: &[CrashPoint] = &[
     CrashPoint::WalSync,
     CrashPoint::WalSyncPublish,
     CrashPoint::WalCheckpoint,
-    CrashPoint::WalPrepare,
-    CrashPoint::WalDecision,
-    CrashPoint::TwoPcAck,
 ];
 
 impl CrashPoint {

@@ -54,5 +54,5 @@ pub use magnetic::MagneticStore;
 pub use page::{HistAddr, PageId};
 pub use replication::{TailPoll, WalTailer, DEFAULT_BATCH_BYTES};
 pub use stats::{IoSnapshot, IoStats};
-pub use wal::{sync_parent_dir, Lsn, PageOp, Wal, WalPageTable, WalRecord, WalScan};
+pub use wal::{sync_parent_dir, Lsn, PageOp, ShardFence, Wal, WalPageTable, WalRecord, WalScan};
 pub use worm::{SectorId, WormStore};

@@ -31,14 +31,12 @@ struct SyncQueue {
 }
 
 /// The durable-LSN watermark: every record at or below `lsn` is on stable
-/// storage, and `fence` is the newest fence record at or below it — the
-/// durable fence the write-back barrier reads. `failed` is the sticky sync
-/// error — once a drain fails, every parked and future waiter observes it,
-/// and neither watermark moves again.
+/// storage. `failed` is the sticky sync error — once a drain fails, every
+/// parked and future waiter observes it, and the watermark never moves
+/// again.
 #[derive(Default)]
 struct DurableMark {
     lsn: Lsn,
-    fence: Lsn,
     failed: Option<String>,
 }
 
@@ -70,15 +68,13 @@ pub(super) struct GroupCommit {
 }
 
 impl GroupCommit {
-    /// A pipeline whose watermark starts at `durable_lsn` and whose
-    /// durable fence starts at `fence` — the tail of what the opener has
-    /// already forced and the newest fence in it (see `Wal::open`), 0 for
-    /// a fresh log.
-    pub(super) fn starting_at(durable_lsn: Lsn, fence: Lsn) -> GroupCommit {
+    /// A pipeline whose watermark starts at `durable_lsn` — the tail of
+    /// what the opener has already forced (see `Wal::open`), 0 for a fresh
+    /// log.
+    pub(super) fn starting_at(durable_lsn: Lsn) -> GroupCommit {
         GroupCommit {
             durable: StdMutex::new(DurableMark {
                 lsn: durable_lsn,
-                fence,
                 failed: None,
             }),
             ..GroupCommit::default()
@@ -99,25 +95,17 @@ impl WalShared {
         lock_std(&self.group.durable).lsn
     }
 
-    /// The durable fence: the newest fence record at or below the
-    /// watermark (0 when none is durable yet).
-    pub(super) fn durable_fence(&self) -> Lsn {
-        lock_std(&self.group.durable).fence
-    }
-
-    /// Advances the watermark to `lsn` and the durable fence to `fence`,
-    /// the newest fence at or below `lsn` (each monotonic: a stale publish
-    /// from a drain that raced a checkpoint reset is a no-op), and wakes
-    /// every parked committer. Refused once a sync failure is published:
-    /// an fsync that succeeds after a failed one may be covering for bytes
-    /// the failure dropped.
-    pub(super) fn publish_durable(&self, lsn: Lsn, fence: Lsn) -> TsbResult<()> {
+    /// Advances the watermark to `lsn` (monotonic: a stale publish from a
+    /// drain that raced a checkpoint reset is a no-op) and wakes every
+    /// parked committer. Refused once a sync failure is published: an
+    /// fsync that succeeds after a failed one may be covering for bytes the
+    /// failure dropped.
+    pub(super) fn publish_durable(&self, lsn: Lsn) -> TsbResult<()> {
         let mut mark = lock_std(&self.group.durable);
         if let Some(err) = mark.failure() {
             return Err(err);
         }
         mark.lsn = mark.lsn.max(lsn);
-        mark.fence = mark.fence.max(fence);
         drop(mark);
         self.group.published.notify_all();
         Ok(())
@@ -179,8 +167,8 @@ impl WalShared {
     }
 
     /// Forces everything appended so far to stable storage and publishes
-    /// the watermark. The capture (flush + tail LSN + newest fence + file
-    /// handle) runs under the inner lock; the device sync runs *outside*
+    /// the watermark. The capture (flush + tail LSN + file handle) runs
+    /// under the inner lock; the device sync runs *outside*
     /// it, so the next mutation's appends proceed while the device works —
     /// the pipelining that lets concurrent commits share one fsync. Any error
     /// is published as the sticky failure before it returns; once one is
@@ -195,7 +183,7 @@ impl WalShared {
     }
 
     fn sync_to_tail_inner(&self, from_committer: bool) -> TsbResult<()> {
-        let (target, fence, file, hook, injector) = {
+        let (target, file, hook, injector) = {
             let mut inner = self.inner.lock();
             let target = inner.next_lsn - 1;
             {
@@ -215,14 +203,13 @@ impl WalShared {
             inner.flush_pending()?;
             (
                 target,
-                inner.last_fence,
                 inner.file.try_clone()?,
                 inner.pre_sync.clone(),
                 inner.injector.clone(),
             )
         };
-        // The target was captured *before* the hook runs: the WORM store
-        // is append-only, so syncing it to its current length covers the
+        // The target was captured *before* the hook runs: every WORM store
+        // is append-only, so syncing each to its current length covers the
         // history referenced by every commit at or below the capture. (A
         // commit appended after the capture may reach the device by this
         // fsync with WORM references the hook never covered — recovery's
@@ -245,7 +232,7 @@ impl WalShared {
         if from_committer {
             self.stats.record_group_commit_batch();
         }
-        self.publish_durable(target, fence)
+        self.publish_durable(target)
     }
 
     /// The group-commit thread body: park until a fence LSN beyond the

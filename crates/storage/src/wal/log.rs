@@ -41,9 +41,9 @@ pub fn sync_parent_dir(path: &Path) -> TsbResult<()> {
 pub(super) struct WalInner {
     pub(super) file: File,
     pub(super) next_lsn: Lsn,
-    /// The LSN of the newest fence record appended (0 if none): what a
-    /// drain captures with the tail and publishes as the durable fence.
-    pub(super) last_fence: Lsn,
+    /// The shard the log's newest [`WalRecord::Shard`] switch names: the
+    /// owner of a tagged record appended next without a switch.
+    shard: u32,
     /// Bytes of intact log (the append position), buffered bytes included.
     len: u64,
     /// Appended frames not yet written to the file: the group-commit
@@ -72,9 +72,6 @@ impl WalInner {
     fn push(&mut self, lsn: Lsn, body: &[u8], is_fence: bool, stats: &IoStats) -> TsbResult<()> {
         let frame_len = write_frame(&mut self.pending, body) as u64;
         self.next_lsn = lsn + 1;
-        if is_fence {
-            self.last_fence = lsn;
-        }
         self.len += frame_len;
         stats.record_wal_append();
         stats.record_wal_bytes(frame_len);
@@ -126,20 +123,26 @@ impl std::fmt::Debug for Wal {
 }
 
 impl WalShared {
-    /// Appends one record under the inner lock (see [`WalInner::push`]).
+    /// Appends one record of shard `shard` under the inner lock (see
+    /// [`WalInner::push`]), preceded by a [`WalRecord::Shard`] switch when
+    /// the record belongs to the tagged shard and that is not `shard`.
     /// Returns the record's LSN plus, for a commit the policy wants durable
     /// before it is acknowledged, the fence LSN the caller must wait on
     /// ([`Wal::wait_durable`]). Never syncs, never asks for a sync.
-    fn append_record(&self, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
+    fn append_record(&self, shard: u32, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
         let mut inner = self.inner.lock();
         let point = match record {
             WalRecord::Checkpoint { .. } => CrashPoint::WalCheckpoint,
-            WalRecord::Prepare { .. } => CrashPoint::WalPrepare,
-            WalRecord::Decision { .. } => CrashPoint::WalDecision,
             _ => CrashPoint::WalAppend,
         };
         if let Some(injector) = &inner.injector {
             injector.check(point)?;
+        }
+        if record.is_tagged() && inner.shard != shard {
+            let lsn = inner.next_lsn;
+            let switch = WalRecord::Shard { shard }.encode_body(lsn);
+            inner.push(lsn, &switch, false, &self.stats)?;
+            inner.shard = shard;
         }
         let lsn = inner.next_lsn;
         inner.push(
@@ -149,10 +152,12 @@ impl WalShared {
             &self.stats,
         )?;
         // Only a commit hands out a position to wait on, and only under
-        // `Always`: checkpoints sync on the caller's thread, the engine
-        // waits on its 2PC fences (Prepare/Decision) by their LSNs whatever
-        // the policy, page records never sync.
-        let is_commit = matches!(record, WalRecord::Commit { .. });
+        // `Always`: checkpoints sync on the caller's thread, page records
+        // never sync.
+        let is_commit = matches!(
+            record,
+            WalRecord::Commit { .. } | WalRecord::ShardCommit { .. }
+        );
         if is_commit {
             self.stats.record_wal_commit();
         }
@@ -195,15 +200,15 @@ impl Wal {
     }
 
     /// Wraps an opened file positioned at byte `len`, where `next_lsn`
-    /// will be appended, and spawns the group-commit thread. The watermark
-    /// starts at `next_lsn - 1` and the durable fence at `last_fence`: the
-    /// caller has forced whatever the file already holds (`create`:
-    /// nothing; `open`: the prefix it scanned).
+    /// will be appended on the tagged `shard`, and spawns the group-commit
+    /// thread. The watermark starts at `next_lsn - 1`: the caller has
+    /// forced whatever the file already holds (`create`: nothing; `open`:
+    /// the prefix it scanned).
     fn assemble(
         file: File,
         next_lsn: Lsn,
         len: u64,
-        last_fence: Lsn,
+        shard: u32,
         policy: FsyncPolicy,
         path: PathBuf,
         stats: Arc<IoStats>,
@@ -212,7 +217,7 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 file,
                 next_lsn,
-                last_fence,
+                shard,
                 len,
                 pending: Vec::new(),
                 pre_sync: None,
@@ -220,7 +225,7 @@ impl Wal {
             }),
             policy,
             stats,
-            group: GroupCommit::starting_at(next_lsn - 1, last_fence),
+            group: GroupCommit::starting_at(next_lsn - 1),
         });
         let committer = shared.spawn_committer();
         Wal {
@@ -234,8 +239,7 @@ impl Wal {
     /// truncating a torn tail. The returned [`WalScan`] is the replay input;
     /// the `Wal` is positioned to append after the intact prefix, which is
     /// forced to stable storage (one fsync, none for an empty log) before
-    /// [`Self::durable_lsn`] is seeded at its tail and
-    /// [`Self::durable_fence_lsn`] at its newest fence.
+    /// [`Self::durable_lsn`] is seeded at its tail.
     pub fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
@@ -262,11 +266,14 @@ impl Wal {
 
         let (records, pos, torn) = scan_buf(&buf);
         let next_lsn = records.last().map(|(lsn, _)| lsn + 1).unwrap_or(1);
-        let last_fence = records
+        let shard = records
             .iter()
             .rev()
-            .find(|(_, record)| record.is_fence())
-            .map_or(0, |(lsn, _)| *lsn);
+            .find_map(|(_, record)| match record {
+                WalRecord::Shard { shard } => Some(*shard),
+                _ => None,
+            })
+            .unwrap_or(0);
         if torn {
             file.set_len(pos as u64)?;
             file.sync_all()?;
@@ -282,7 +289,7 @@ impl Wal {
         }
         file.seek(SeekFrom::Start(pos as u64))?;
         Ok((
-            Self::assemble(file, next_lsn, pos as u64, last_fence, policy, path, stats),
+            Self::assemble(file, next_lsn, pos as u64, shard, policy, path, stats),
             WalScan {
                 records,
                 truncated_torn_tail: torn,
@@ -357,16 +364,6 @@ impl Wal {
         self.shared.durable_lsn()
     }
 
-    /// The durable fence: the newest fence record (`Commit`, `Checkpoint`,
-    /// `Prepare`, `Decision`) at or below [`Self::durable_lsn`], 0 when none
-    /// is durable yet. A recovery cuts at or after it — the engine's
-    /// pre-sync hook puts every durable fence's history on its device
-    /// first — so a page whose newest record is at or below it is rebuilt,
-    /// to that state or a newer one, by every recovery.
-    pub fn durable_fence_lsn(&self) -> Lsn {
-        self.shared.durable_fence()
-    }
-
     /// Bytes of intact log on disk.
     pub fn bytes(&self) -> u64 {
         self.shared.inner.lock().len
@@ -383,9 +380,9 @@ impl Wal {
         self.shared.inner.lock().pre_sync = Some(Arc::from(hook));
     }
 
-    /// Appends one record, returning its LSN. The frame lands in the
-    /// append buffer; fence records (`Commit` / `Checkpoint`) drain the
-    /// buffer to the file in one coalesced `write_all` — the whole
+    /// Appends one record of shard 0, returning its LSN. The frame lands
+    /// in the append buffer; fence records (`Commit` / `Checkpoint`) drain
+    /// the buffer to the file in one coalesced `write_all` — the whole
     /// mutation group in one syscall. Under `Always` a commit is
     /// additionally made durable before this returns
     /// ([`Self::wait_durable`]); checkpoints always sync, on this thread. Callers
@@ -401,11 +398,11 @@ impl Wal {
                 Ok(lsn)
             }
             WalRecord::Checkpoint { .. } => {
-                let (lsn, _) = self.shared.append_record(record)?;
+                let (lsn, _) = self.append_for(0, record)?;
                 self.shared.sync_to_tail(false)?;
                 Ok(lsn)
             }
-            _ => Ok(self.shared.append_record(record)?.0),
+            _ => Ok(self.append_for(0, record)?.0),
         }
     }
 
@@ -417,8 +414,22 @@ impl Wal {
     /// newest boundary, and every commit before it shares that sync).
     /// `None` means acknowledge immediately (`Os`).
     pub fn append_commit(&self, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
-        debug_assert!(matches!(record, WalRecord::Commit { .. }));
-        self.shared.append_record(record)
+        debug_assert!(matches!(
+            record,
+            WalRecord::Commit { .. } | WalRecord::ShardCommit { .. }
+        ));
+        self.append_for(0, record)
+    }
+
+    /// Appends one record on behalf of shard `shard` — the door of every
+    /// tree sharing the log — and nothing else, as [`Self::append_commit`]
+    /// does: `(lsn, boundary)`, where `boundary` is the position to wait on
+    /// for a commit the policy wants durable first. A record that belongs
+    /// to the tagged shard is preceded by a [`WalRecord::Shard`] switch
+    /// when the log's tag names another shard; one that names its shards
+    /// never is.
+    pub fn append_for(&self, shard: u32, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
+        self.shared.append_record(shard, record)
     }
 
     /// Asks the group-commit thread to make everything through `lsn`
@@ -495,8 +506,8 @@ impl Wal {
     ///
     /// Besides a replica's batch end, this is the force behind the
     /// **flushed-LSN rule** ([`super::WalPageTable::ensure_durable`]) — run
-    /// only for a page whose newest record [`Self::durable_fence_lsn`]
-    /// does not cover yet. A page may reach the page device only when
+    /// only for a page whose newest record its shard's durable fence does
+    /// not cover yet. A page may reach the page device only when
     /// every log record needed to reproduce (or supersede) its content is
     /// stable and fenced, whatever the commit fsync policy says.
     pub fn sync(&self) -> TsbResult<()> {
@@ -543,20 +554,20 @@ impl Wal {
         self.shared.stats.record_wal_sync();
         inner.file = file;
         inner.next_lsn = lsn + 1;
-        inner.last_fence = lsn;
+        inner.shard = 0;
         inner.len = frame.len() as u64;
         // Anything the old generation still buffered precedes the new
         // fence and is unreplayable by construction.
         inner.pending.clear();
         drop(inner);
         // The fence is the newest LSN and it is durable, so this jumps the
-        // watermark and the durable fence over everything the old
-        // generation ever held: the checkpoint quiesces the pipeline
+        // watermark over everything the old generation ever held: the
+        // checkpoint quiesces the pipeline
         // (parked committers wake satisfied, a racing drain's stale publish
         // is a monotonic no-op) and the committer thread sees its requests
         // already covered. A drain that raced the rename fsyncs the
         // renamed-over file handle, which is harmless.
-        self.shared.publish_durable(lsn, lsn)?;
+        self.shared.publish_durable(lsn)?;
         Ok(lsn)
     }
 }

@@ -22,15 +22,32 @@
 //! +----------+----------+===========================+
 //! body = lsn: u64 | kind: u8 | payload
 //!
-//! kind 1  PageImage   payload = page: u64 | bytes (u32-len-prefixed)
-//! kind 2  Commit      payload = ts: u64 | worm_len: u64 | meta (u32-len-prefixed)
-//! kind 3  Checkpoint  payload = worm_len: u64 | meta (u32-len-prefixed)
-//! kind 4  PageDelta   payload = page: u64 | op (see PageOp::encode)
-//! kind 5  Prepare     payload = ts: u64 | worm_len: u64 | meta (u32-len-prefixed)
-//!                               | txn: u64 | coordinator: u32
-//!                               | participants (u32 count, u32 each)
-//! kind 6  Decision    payload = ts: u64 | participants (u32 count, u32 each)
+//! kind 1  PageImage        payload = page: u64 | bytes (u32-len-prefixed)
+//! kind 2  Commit           payload = ts: u64 | worm_len: u64 | meta (u32-len-prefixed)
+//! kind 3  Checkpoint       payload = worm_len: u64 | meta (u32-len-prefixed)
+//! kind 4  PageDelta        payload = page: u64 | op (see PageOp::encode)
+//! kind 7  Shard            payload = shard: u32
+//! kind 8  ShardCommit      payload = ts: u64 | parts
+//! kind 9  ShardCheckpoint  payload = parts
+//!         parts = count: u32 | (shard: u32 | worm_len: u64 | meta (u32-len-prefixed))*
 //! ```
+//!
+//! Kinds 5 and 6 are retired and never reused: a log of the first sharded
+//! layout (a log per shard) may hold them, and this version refuses that
+//! layout before reading any of its logs.
+//!
+//! ## The shard tag
+//!
+//! Several trees — the shards of one engine — may share one log. Kinds 1
+//! to 4 carry no shard: each belongs to the shard the newest `Shard`
+//! record before it names, and to shard 0 when none precedes it. The log
+//! appends a `Shard` switch itself, only where the appending shard changes
+//! ([`Wal::append_for`]), and a checkpoint reset starts the new generation
+//! back on shard 0. So a log with one shard never holds a switch, and its
+//! bytes are exactly those of a log that knows nothing of shards. A fence
+//! that spans shards names them instead: a `ShardCommit` is one commit of
+//! several shards at one timestamp, a `ShardCheckpoint` the checkpoint of
+//! every shard, each with one `(shard, worm_len, meta)` part per shard.
 //!
 //! A `PageDelta` is meaningful only relative to the page state built up by
 //! the records before it: within one log generation, the engine guarantees
@@ -56,7 +73,8 @@
 //! ## LSNs and the fence
 //!
 //! Every record carries a monotonically increasing **log sequence number**.
-//! Two record kinds fence replay:
+//! Two record kinds fence replay (each in its one-shard and its
+//! several-shard form):
 //!
 //! * A **`Checkpoint`** record is appended (and always fsynced) only after
 //!   a full flush — every dirty node encoded, every dirty page written,
@@ -75,22 +93,28 @@
 //! A commit also records the WORM store's length at commit time: a commit
 //! whose referenced history extends past the surviving WORM file cannot be
 //! used as a cut (its index entries would dangle), so recovery stops at
-//! the last commit whose `worm_len` fits.
+//! the last commit whose `worm_len` fits. On a shared log there is one cut:
+//! the newest fence such that every fence up to it has its history on its
+//! own shard's WORM, and each shard replays its records up to its own last
+//! fence at or before it.
 //!
-//! ## The flushed-LSN rule reads the durable fence
+//! ## The flushed-LSN rule reads the shard's durable fence
 //!
 //! A dirty page may reach the page device only once the log can rebuild
-//! it. Each sync publishes, beside the durable-LSN watermark, the
-//! **durable fence** ([`Wal::durable_fence_lsn`]): the newest fence at or
-//! below the watermark, captured with the tail under the same lock. The
-//! engine syncs the WORM before every log fsync, so every recovery cuts at
-//! or after the durable fence, and a page whose newest record is at or
-//! below it is rebuilt — to that state or a newer one — by every
-//! recovery. [`WalPageTable::ensure_durable`] therefore lets such a page
-//! through with no fsync; only a page past it forces the log
-//! ([`Wal::sync`]). The durable LSN alone would not do:
-//! a drain may capture the tail mid-mutation, and recovery discards
-//! records no fence covers.
+//! it. The **durable fence** of a shard is the newest fence naming that
+//! shard at or below the durable-LSN watermark. The engine syncs every
+//! shard's WORM before each log fsync, so every recovery cuts at or after
+//! it, and a page of that shard whose newest record is at or below it is
+//! rebuilt — to that state or a newer one — by every recovery.
+//! [`WalPageTable::ensure_durable`] therefore lets such a page through with
+//! no fsync; only a page past it forces the log ([`Wal::sync`]). The
+//! durable LSN alone would not do: a drain may capture the tail
+//! mid-mutation, and recovery discards records no fence covers. Nor would
+//! the newest durable fence of the whole log: another shard's fence past
+//! the page does not cover it, and recovery discards a shard's records
+//! past that shard's own last fence. The log does not read fence payloads,
+//! so the engine tracks each shard's durable fence against
+//! [`Wal::durable_lsn`] and hands it to the barrier.
 //!
 //! ## Group commit: one coalesced write per mutation
 //!
@@ -120,10 +144,11 @@
 //! request without the park — the only way a sync gets asked for — so a
 //! caller with waits on several logs asks all of them before parking on
 //! any and their syncs overlap. A dedicated group-commit thread drains
-//! the request queue: each drain captures the log tail and its newest
-//! fence, runs the pre-sync hook, issues **one** `fsync` covering every
-//! commit appended up to the capture, and broadcasts the new watermark
-//! and durable fence to every parked committer.
+//! the request queue: each drain captures the log tail, runs the pre-sync
+//! hook, issues **one** `fsync` covering every commit appended up to the
+//! capture, and broadcasts the new watermark to every parked committer.
+//! One log has one committer thread and one fsync, whichever shards
+//! appended to it.
 //! While the device works, the next mutations keep appending (the inner
 //! lock is not held across the sync), so under concurrent writers dozens
 //! of commits share one fsync. A sync failure is sticky: it is published
@@ -148,13 +173,14 @@
 //!   records ([`WalScan`]).
 //! * `log` — the file and its append buffer: [`Wal`] create / open / reset
 //!   (torn-tail truncation, the checkpoint reset's write-new-then-rename),
-//!   local and shipped appends, the coalesced write at every fence.
+//!   local and shipped appends, the shard switch, the coalesced write at
+//!   every fence.
 //! * `commit` — *when* bytes become durable: the sync request queue, the
-//!   durable-LSN watermark and durable fence, the group-commit thread. `log` reaches the
+//!   durable-LSN watermark, the group-commit thread. `log` reaches the
 //!   queue through one door, [`Wal::request_durable`].
 //! * `page_table` — [`WalPageTable`], the WAL-before-page barrier at the
-//!   one device write-back site of a tree page: a read of the durable
-//!   fence, and a force only when it falls short.
+//!   one device write-back site of a tree page: a comparison with the
+//!   shard's durable fence, and a force only when it falls short.
 //!
 //! A change to what a record says touches `record`; a change to how
 //! commits share fsyncs touches `commit`; neither touches the other two.
@@ -167,7 +193,7 @@ mod record;
 pub use log::{sync_parent_dir, PreSyncHook, Wal};
 pub use page_table::WalPageTable;
 pub(crate) use record::frame_at;
-pub use record::{Lsn, PageOp, WalRecord, WalScan};
+pub use record::{Lsn, PageOp, ShardFence, WalRecord, WalScan};
 
 #[cfg(test)]
 mod tests;

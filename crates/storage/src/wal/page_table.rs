@@ -1,6 +1,7 @@
 //! The dirty-page table: which pages the log covers, and the barrier a
-//! device write-back passes through — a comparison with the log's durable
-//! fence, and a force of the log only when that comparison fails.
+//! device write-back passes through — a comparison with the durable fence
+//! of the page's own shard, and a force of the log only when that
+//! comparison fails.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,15 +21,18 @@ use crate::page::PageId;
 /// and the tree's flush — runs the full barrier
 /// ([`ensure_durable`](Self::ensure_durable)): a coverage `debug_assert`
 /// plus the flushed-LSN rule — the page's newest record must sit at or
-/// below the log's **durable fence** ([`Wal::durable_fence_lsn`]) before
-/// the page bytes may land on the device, so a power failure can never
-/// leave the device holding state the surviving log cannot reproduce or
-/// supersede. Every recovery cuts at or after that fence and replays the
-/// page through it, so a page it already covers is written back with no
-/// fsync at all; only a page past it forces the log, inline
-/// ([`Wal::sync`]). The durable LSN alone would not do: a drain may
-/// capture the tail in the middle of a mutation, and recovery discards
-/// records no fence covers. The tree's metadata
+/// below the **durable fence of its shard** (the newest fence naming that
+/// shard at or below the durable LSN) before the page bytes may land on
+/// the device, so a power failure can never leave the device holding state
+/// the surviving log cannot reproduce or supersede. Every recovery replays
+/// the shard through that fence or a later one, so a page it already
+/// covers is written back with no fsync at all; only a page past it forces
+/// the log, inline ([`Wal::sync`]). Neither the durable LSN nor another
+/// shard's fence would do: a drain may capture the tail in the middle of a
+/// mutation, and recovery discards the records of a shard that no fence
+/// of *that shard* covers. The table holds one shard's pages; the fence is
+/// the caller's to track, because only the caller reads what a fence
+/// names. The tree's metadata
 /// page never passes through it: recovery rebuilds the metadata from
 /// fence records, never from the page.
 #[derive(Debug, Default)]
@@ -51,14 +55,14 @@ impl WalPageTable {
     }
 
     /// The write-back barrier: asserts WAL coverage of `page`, then
-    /// returns at once if `wal`'s durable fence covers the page's newest
-    /// record, and otherwise forces `wal` through its tail — at a
-    /// write-back, the fence just appended. Called before a dirty page
-    /// image is written to the device.
-    pub fn ensure_durable(&self, page: PageId, wal: &Wal) -> TsbResult<()> {
+    /// returns at once if `durable_fence` — the newest durable fence of the
+    /// page's shard — covers the page's newest record, and otherwise forces
+    /// `wal` through its tail — at a write-back, the fence just appended.
+    /// Called before a dirty page image is written to the device.
+    pub fn ensure_durable(&self, page: PageId, durable_fence: Lsn, wal: &Wal) -> TsbResult<()> {
         self.assert_covered(page);
         match self.lsn_of(page) {
-            Some(lsn) if lsn <= wal.durable_fence_lsn() => Ok(()),
+            Some(lsn) if lsn <= durable_fence => Ok(()),
             _ => wal.sync(),
         }
     }

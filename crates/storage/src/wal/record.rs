@@ -210,48 +210,87 @@ pub enum WalRecord {
         /// The logical mutation.
         op: PageOp,
     },
-    /// A two-phase-commit **prepare** fence on one participant shard: every
-    /// page image/delta of the prepared (still-uncommitted) writes precedes
-    /// this record, and the record survives as a cut candidate so recovery
-    /// can see the in-doubt transaction and resolve it against the
-    /// coordinator's decision. Always carries full metadata (never elided)
-    /// and is force-synced by the engine before the protocol proceeds.
-    Prepare {
-        /// The global commit timestamp reserved for the transaction.
-        ts: u64,
-        /// WORM device length at prepare time (same cut rule as a commit).
-        worm_len: u64,
-        /// Opaque tree metadata, as in [`WalRecord::Commit`].
-        meta: Vec<u8>,
-        /// The participant-local transaction id whose writes are prepared.
-        txn: u64,
-        /// Shard index of the coordinator (where the decision is logged).
-        coordinator: u32,
-        /// Shard indices of every participant, coordinator included.
-        participants: Vec<u32>,
+    /// Every record after this one belongs to shard `shard`, up to the
+    /// next switch. Appended by the log itself, only where the appending
+    /// shard changes: a log starts (and every checkpoint reset restarts)
+    /// on shard 0, so a one-shard log never holds one.
+    Shard {
+        /// The shard the records that follow belong to.
+        shard: u32,
     },
-    /// The coordinator's two-phase-commit **decision**: the transaction at
-    /// `ts` is committed on every participant. Logged (and force-synced)
-    /// only after every participant's prepare is durable; recovery commits
-    /// an in-doubt prepare iff a decision with its `ts` survives on the
-    /// coordinator, and aborts it otherwise (presumed abort).
-    Decision {
-        /// The global commit timestamp of the decided transaction.
+    /// A commit at `ts` over several shards at once: one record, so it is
+    /// in every participant's replayed prefix or in none. Each participant
+    /// shard's page records precede it under that shard's tag.
+    ShardCommit {
+        /// The commit timestamp every participant's writes carry.
         ts: u64,
-        /// Shard indices of every participant, coordinator included.
-        participants: Vec<u32>,
+        /// Each participant's state, in shard order.
+        parts: Vec<ShardFence>,
+    },
+    /// A checkpoint of every shard sharing the log: each shard's magnetic
+    /// device equals the state its part describes.
+    ShardCheckpoint {
+        /// Each shard's state, in shard order.
+        parts: Vec<ShardFence>,
     },
 }
 
+/// One shard's part of a fence that names several shards: what a
+/// single-shard [`WalRecord::Commit`] / [`WalRecord::Checkpoint`] carries,
+/// plus the shard it describes.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ShardFence {
+    /// The shard this part describes.
+    pub shard: u32,
+    /// That shard's WORM device length at fence time.
+    pub worm_len: u64,
+    /// That shard's tree metadata, as in [`WalRecord::Commit`].
+    pub meta: Vec<u8>,
+}
+
+fn put_parts(w: &mut ByteWriter, parts: &[ShardFence]) {
+    w.put_u32(parts.len() as u32);
+    for part in parts {
+        w.put_u32(part.shard);
+        w.put_u64(part.worm_len);
+        w.put_bytes(&part.meta);
+    }
+}
+
+fn get_parts(r: &mut ByteReader<'_>) -> TsbResult<Vec<ShardFence>> {
+    let n = r.get_u32()? as usize;
+    let mut parts = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        parts.push(ShardFence {
+            shard: r.get_u32()?,
+            worm_len: r.get_u64()?,
+            meta: r.get_bytes()?,
+        });
+    }
+    Ok(parts)
+}
+
 impl WalRecord {
-    /// Whether this record ends a group of page records: a `Commit`,
-    /// `Checkpoint`, `Prepare` or `Decision`. Appending a fence drains the
+    /// Whether this record ends a group of page records: a commit or a
+    /// checkpoint, of one shard or of several. Appending a fence drains the
     /// append buffer to the file, so everything buffered is always
     /// un-fenced.
-    pub(crate) fn is_fence(&self) -> bool {
+    pub fn is_fence(&self) -> bool {
         !matches!(
             self,
-            WalRecord::PageImage { .. } | WalRecord::PageDelta { .. }
+            WalRecord::PageImage { .. } | WalRecord::PageDelta { .. } | WalRecord::Shard { .. }
+        )
+    }
+
+    /// Whether this record belongs to the shard the log's newest
+    /// [`WalRecord::Shard`] switch names — every kind but the switch itself
+    /// and the fences that name their shards.
+    pub fn is_tagged(&self) -> bool {
+        !matches!(
+            self,
+            WalRecord::Shard { .. }
+                | WalRecord::ShardCommit { .. }
+                | WalRecord::ShardCheckpoint { .. }
         )
     }
 
@@ -261,8 +300,9 @@ impl WalRecord {
             WalRecord::Commit { .. } => 2,
             WalRecord::Checkpoint { .. } => 3,
             WalRecord::PageDelta { .. } => 4,
-            WalRecord::Prepare { .. } => 5,
-            WalRecord::Decision { .. } => 6,
+            WalRecord::Shard { .. } => 7,
+            WalRecord::ShardCommit { .. } => 8,
+            WalRecord::ShardCheckpoint { .. } => 9,
         }
     }
 
@@ -293,31 +333,12 @@ impl WalRecord {
                 w.put_u64(page.0);
                 op.encode(&mut w);
             }
-            WalRecord::Prepare {
-                ts,
-                worm_len,
-                meta,
-                txn,
-                coordinator,
-                participants,
-            } => {
+            WalRecord::Shard { shard } => w.put_u32(*shard),
+            WalRecord::ShardCommit { ts, parts } => {
                 w.put_u64(*ts);
-                w.put_u64(*worm_len);
-                w.put_bytes(meta);
-                w.put_u64(*txn);
-                w.put_u32(*coordinator);
-                w.put_u32(participants.len() as u32);
-                for p in participants {
-                    w.put_u32(*p);
-                }
+                put_parts(&mut w, parts);
             }
-            WalRecord::Decision { ts, participants } => {
-                w.put_u64(*ts);
-                w.put_u32(participants.len() as u32);
-                for p in participants {
-                    w.put_u32(*p);
-                }
-            }
+            WalRecord::ShardCheckpoint { parts } => put_parts(&mut w, parts),
         }
         w.into_vec()
     }
@@ -346,35 +367,16 @@ impl WalRecord {
                 page: PageId(r.get_u64()?),
                 op: PageOp::decode(&mut r)?,
             },
-            5 => {
-                let ts = r.get_u64()?;
-                let worm_len = r.get_u64()?;
-                let meta = r.get_bytes()?;
-                let txn = r.get_u64()?;
-                let coordinator = r.get_u32()?;
-                let n = r.get_u32()? as usize;
-                let mut participants = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    participants.push(r.get_u32()?);
-                }
-                WalRecord::Prepare {
-                    ts,
-                    worm_len,
-                    meta,
-                    txn,
-                    coordinator,
-                    participants,
-                }
-            }
-            6 => {
-                let ts = r.get_u64()?;
-                let n = r.get_u32()? as usize;
-                let mut participants = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    participants.push(r.get_u32()?);
-                }
-                WalRecord::Decision { ts, participants }
-            }
+            7 => WalRecord::Shard {
+                shard: r.get_u32()?,
+            },
+            8 => WalRecord::ShardCommit {
+                ts: r.get_u64()?,
+                parts: get_parts(&mut r)?,
+            },
+            9 => WalRecord::ShardCheckpoint {
+                parts: get_parts(&mut r)?,
+            },
             t => return Err(TsbError::corruption(format!("invalid WAL record kind {t}"))),
         };
         Ok((lsn, record))

@@ -308,11 +308,7 @@ fn reset_with_bounds_the_log_and_keeps_lsns_continuous() {
             })
             .unwrap();
         assert_eq!(fence_lsn, 41, "LSNs keep counting across generations");
-        assert_eq!(
-            wal.durable_fence_lsn(),
-            fence_lsn,
-            "the checkpoint is durable"
-        );
+        assert_eq!(wal.durable_lsn(), fence_lsn, "the checkpoint is durable");
         assert!(wal.bytes() < grown / 10, "the log shrank to one record");
         // Appends continue on the new generation.
         assert_eq!(wal.append(&commit(99)).unwrap(), 42);
@@ -451,7 +447,6 @@ fn open_forces_what_it_scanned_before_calling_it_durable() {
         assert_eq!(scan.records.len(), 2);
         assert_eq!(stats.snapshot().wal_syncs, 1, "{policy:?}: one force");
         assert_eq!(wal.durable_lsn(), wal.last_lsn());
-        assert_eq!(wal.durable_fence_lsn(), 2, "{policy:?}: the commit");
         // The watermark now tells the truth, so the barrier has nothing
         // left to force.
         wal.sync().unwrap();
@@ -598,21 +593,15 @@ fn the_write_back_barrier_reads_the_durable_fence_not_the_durable_lsn() {
     table.record(page, wal.append(&page_image(5, 1)).unwrap());
     let fence = wal.append(&commit(1)).unwrap();
     wal.sync().unwrap();
-    assert_eq!(wal.durable_fence_lsn(), fence);
 
     // A mutation in flight: the page's delta is forced, its fence is not
     // appended yet, and more of the mutation follows.
     table.record(page, wal.append(&delta(5, 9, 2)).unwrap());
     wal.sync().unwrap();
     assert!(wal.durable_lsn() >= table.lsn_of(page).unwrap());
-    assert_eq!(
-        wal.durable_fence_lsn(),
-        fence,
-        "no fence followed the delta"
-    );
     wal.append(&page_image(6, 2)).unwrap();
     let syncs = stats.snapshot().wal_syncs;
-    table.ensure_durable(page, &wal).unwrap();
+    table.ensure_durable(page, fence, &wal).unwrap();
     assert_eq!(
         stats.snapshot().wal_syncs,
         syncs + 1,
@@ -622,13 +611,82 @@ fn the_write_back_barrier_reads_the_durable_fence_not_the_durable_lsn() {
     // The mutation's fence lands and is forced: now it covers the page.
     let fence = wal.append(&commit(2)).unwrap();
     wal.sync().unwrap();
-    assert_eq!(wal.durable_fence_lsn(), fence);
     let syncs = stats.snapshot().wal_syncs;
-    table.ensure_durable(page, &wal).unwrap();
+    table.ensure_durable(page, fence, &wal).unwrap();
     assert_eq!(
         stats.snapshot().wal_syncs,
         syncs,
         "a covered page forced the log"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The shard tag costs a one-shard log nothing: a switch is written only
+/// where the appending shard changes, a fence naming its shards never
+/// needs one, a checkpoint reset starts the next generation on shard 0,
+/// and a reopened log resumes on the shard its last switch names.
+#[test]
+fn the_shard_tag_is_written_only_where_the_appending_shard_changes() {
+    let path = temp_wal_path("shard-tag");
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let sharded_commit = WalRecord::ShardCommit {
+        ts: 9,
+        parts: (0..2)
+            .map(|shard| ShardFence {
+                shard,
+                worm_len: 64 * u64::from(shard),
+                meta: vec![shard as u8; 4],
+            })
+            .collect(),
+    };
+    {
+        let wal = Wal::create(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
+        wal.append_for(0, &page_image(1, 1)).unwrap();
+        wal.append_for(0, &commit(1)).unwrap();
+        wal.append_for(1, &page_image(2, 2)).unwrap();
+        wal.append_for(1, &delta(2, 3, 4)).unwrap();
+        wal.append_for(0, &sharded_commit).unwrap();
+        wal.append_for(1, &commit(10)).unwrap();
+    }
+    let kinds = |records: &[(Lsn, WalRecord)]| -> Vec<String> {
+        let name = |r: &WalRecord| {
+            format!("{r:?}")
+                .split([' ', '{'])
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        records.iter().map(|(_, r)| name(r)).collect()
+    };
+    let (wal, scan) = Wal::open(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
+    assert_eq!(
+        kinds(&scan.records),
+        [
+            "PageImage",
+            "Commit",
+            "Shard",
+            "PageImage",
+            "PageDelta",
+            "ShardCommit",
+            "Commit"
+        ]
+    );
+    assert_eq!(scan.records[2].1, WalRecord::Shard { shard: 1 });
+    assert_eq!(scan.records[5].1, sharded_commit, "the parts round-trip");
+    // Reopened, the log is still on shard 1.
+    let (lsn, _) = wal.append_for(1, &commit(11)).unwrap();
+    assert_eq!(lsn, wal.last_lsn(), "no switch before shard 1's commit");
+    wal.reset_with(&WalRecord::ShardCheckpoint { parts: Vec::new() })
+        .unwrap();
+    wal.append_for(0, &commit(12)).unwrap();
+    wal.append_for(1, &commit(13)).unwrap();
+    drop(wal);
+    let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
+    assert_eq!(
+        kinds(&scan.records),
+        ["ShardCheckpoint", "Commit", "Shard", "Commit"],
+        "a reset restarts on shard 0"
     );
     let _ = std::fs::remove_file(&path);
 }

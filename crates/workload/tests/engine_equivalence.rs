@@ -124,9 +124,9 @@ fn synced_replica_matches_the_primary_oracle_through_the_trait() {
     assert_engine_matches_oracle(&replica, &oracle, 7);
 }
 
-/// One log tailer per shard, each with the LSN its shard's log started the
-/// test at. Log shipping stops at the durable watermark, so what a tailer
-/// hands out *is* its shard's durable prefix.
+/// One log tailer per shard, each with the LSN the engine's log started
+/// the test at (every shard shares the log). Log shipping stops at the
+/// durable watermark, so what a tailer hands out *is* the durable prefix.
 struct DurablePrefix(Vec<(ReplicationSource, Lsn)>);
 
 impl DurablePrefix {
@@ -178,8 +178,8 @@ fn provided_blocking_verbs_return_durable_and_match_the_oracle() {
             assert!(acked_durable(&key, ts), "delete {i} acked early");
             oracle.apply_put(key, ts, None);
         }
-        // One key: a single-shard commit, the kind that hands the provided
-        // verb a position to park on (cross-shard commits force their own).
+        // One key: a single-shard commit, whose fence is a `Commit` record
+        // the durable prefix check can find by timestamp.
         let key = Key::from_u64(5);
         let txn = db.begin_txn().unwrap();
         db.txn_insert(txn, key.clone(), b"txn".to_vec()).unwrap();

@@ -1,28 +1,31 @@
-//! Sharded crash recovery: per-shard crash points and the two-phase fence
-//! windows.
+//! Sharded crash recovery over the one redo log every shard appends to:
+//! per-shard crash points, and every crash point inside cross-shard
+//! transactions.
 //!
-//! The single-engine recovery matrix (`recovery.rs`) proves one WAL replays
-//! to its durable prefix. This file proves the *sharded* claims on top:
+//! The single-engine recovery matrix (`recovery.rs`) proves one tree's log
+//! replays to its durable prefix. This file proves the *sharded* claims on
+//! top:
 //!
-//! * A crash at any per-shard device write loses no acknowledged single-key
-//!   write — each shard's WAL is an independent durability domain and a
-//!   power cut (the tripped injector kills every shard at once) leaves each
-//!   at some durable prefix covering everything acknowledged.
-//! * A crash anywhere inside the two-phase fence — after `k` of `n`
-//!   prepares, at the coordinator's decision append, in the window after
-//!   the decision is durable but before any participant stamped its local
-//!   commit, or between participant commits — never commits a cross-shard
-//!   transaction partially. Recovery resolves surviving prepares against
-//!   the coordinator's decision record: present on every shard or absent
-//!   from every shard, with one commit timestamp everywhere.
+//! * A crash at any device write loses no acknowledged single-key write —
+//!   a power cut (the tripped injector kills every shard at once) leaves
+//!   the shared log at some durable prefix covering everything
+//!   acknowledged.
+//! * A crash anywhere inside a cross-shard transaction — while its writes
+//!   are logged, while a checkpoint flushes them uncommitted, at its one
+//!   commit fence, at that fence's force — never commits it partially. The
+//!   fence is one record naming every participant, so recovery replays it
+//!   on every participant or on none, at one commit timestamp.
+//! * A directory of the first sharded layout (a log per shard) is refused
+//!   with a typed error, and nothing in it changes.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
+use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig, TsbError};
 use tsb_core::sharded::shard_of;
-use tsb_core::{CrashPoint, EngineHandle, FaultInjector};
-use tsb_storage::{IoStats, Wal, WalRecord};
+use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb};
+use tsb_storage::ALL_CRASH_POINTS;
 
 struct TempDir(PathBuf);
 
@@ -53,15 +56,14 @@ fn crash_cfg() -> TsbConfig {
 
 const SHARDS: usize = 4;
 
-/// Picks one key per shard (so every transaction genuinely straddles all
-/// `SHARDS` shards and must run the two-phase fence), derived from `round`
-/// so every round's key set is disjoint.
-fn straddling_keys(round: u64) -> Vec<u64> {
-    let mut picked: Vec<Option<u64>> = vec![None; SHARDS];
+/// One key on each of shards `0..p`, derived from `round` so every
+/// round's key set is disjoint.
+fn keys_on_shards(round: u64, p: usize) -> Vec<u64> {
+    let mut picked: Vec<Option<u64>> = vec![None; p];
     let mut candidate = round * 10_000;
     while picked.iter().any(Option::is_none) {
         let shard = shard_of(&Key::from_u64(candidate), SHARDS);
-        if picked[shard].is_none() {
+        if shard < p && picked[shard].is_none() {
             picked[shard] = Some(candidate);
         }
         candidate += 1;
@@ -69,71 +71,84 @@ fn straddling_keys(round: u64) -> Vec<u64> {
     picked.into_iter().map(Option::unwrap).collect()
 }
 
+/// One key per shard, so a transaction over them straddles all `SHARDS`.
+fn straddling_keys(round: u64) -> Vec<u64> {
+    keys_on_shards(round, SHARDS)
+}
+
 fn txn_value(round: u64, key: u64) -> Vec<u8> {
     format!("t{round}-k{key}").into_bytes()
 }
 
-/// What a fence-window scenario demands of the *first crashed* transaction
-/// after recovery.
+fn open(dir: &Path) -> ShardedTsb {
+    tsb_core::TsbOptions::durable(dir)
+        .config(crash_cfg())
+        .shards(SHARDS)
+        .open()
+        .unwrap()
+}
+
+/// What a scenario demands of the transaction the crash hit.
 #[derive(Clone, Copy, Debug)]
 enum Expect {
-    /// The crash landed before the decision was durable: presumed abort.
+    /// The crash landed before its fence reached the log: erased.
     Aborted,
-    /// The crash landed after the decision was durable: rolled forward.
+    /// The crash landed after its fence reached the log: committed.
     Committed,
-    /// The crash may land on either side (skip counts drift with page
-    /// images); only atomicity is demanded.
+    /// Either side; only atomicity is demanded.
     Either,
 }
 
-/// One two-phase-fence crash scenario: baseline writes, arm the injector,
-/// drive cross-shard transactions into the crash, reopen, and assert
-/// atomicity (twice — recovery must be a fixed point).
-fn run_two_pc_crash(tag: &str, point: CrashPoint, skip: u64, expect: Expect) {
-    let cfg = crash_cfg();
-    let dir = TempDir::new(tag);
-    let db = tsb_core::TsbOptions::durable(&dir.0)
-        .config(cfg.clone())
-        .shards(SHARDS)
-        .open()
-        .unwrap();
+/// Transactions a scenario runs into the crash. Every round rewrites the
+/// same keys, so their leaves fill with history and time splits migrate
+/// it to the WORM inside a transaction.
+const ROUNDS: u64 = 3;
 
-    // Baseline: acknowledged single-key writes on every shard, committed
-    // before the injector exists. They must survive any later crash.
+/// One crash scenario: acknowledged baseline writes, then the injector
+/// armed at the `skip + 1`-th `point`, then `ROUNDS` transactions over
+/// shards `0..p` — each writes its keys, the first also checkpoints while
+/// its writes are uncommitted, then commits. Reopens twice (recovery must
+/// be a fixed point) and asserts no acknowledged loss and every attempted
+/// transaction all-or-nothing at one timestamp. Returns whether the crash
+/// fired.
+fn run_crash(tag: &str, point: CrashPoint, skip: u64, p: usize, expect: Expect) -> bool {
+    let dir = TempDir::new(tag);
+    let db = open(&dir.0);
+    let keys = keys_on_shards(1, p);
+    // Baseline, acknowledged before the injector exists: history on every
+    // transaction key, and a key on every shard.
     for i in 0..16u64 {
         db.insert(Key::from_u64(900_000 + i), format!("base-{i}").into_bytes())
             .unwrap();
+    }
+    for version in 0..3u64 {
+        for k in &keys {
+            db.insert(Key::from_u64(*k), format!("pre-{version}").into_bytes())
+                .unwrap();
+        }
     }
 
     let injector = Arc::new(FaultInjector::new());
     db.set_fault_injector(Arc::clone(&injector));
     injector.crash_at(point, skip);
 
-    // Cross-shard transactions until the injected crash (or the budget —
-    // large skips may outlive the run, which is a clean shutdown).
-    let mut acked: Vec<(Vec<u64>, Timestamp, u64)> = Vec::new();
-    let mut attempted: Vec<(Vec<u64>, u64)> = Vec::new();
-    let mut first_crashed: Option<u64> = None;
-    for round in 0..24u64 {
-        let keys = straddling_keys(round);
-        let txn = db.begin_txn().unwrap();
-        attempted.push((keys.clone(), round));
-        let mut dead = false;
-        for k in &keys {
-            if db
-                .txn_insert(txn, Key::from_u64(*k), txn_value(round, *k))
-                .is_err()
-            {
-                dead = true;
-                break;
+    let mut acked: Vec<(u64, Timestamp)> = Vec::new();
+    let mut attempted = Vec::new();
+    let mut first_crashed = None;
+    for round in 0..ROUNDS {
+        attempted.push(round);
+        let ran = (|| {
+            let txn = db.begin_txn()?;
+            for k in &keys {
+                db.txn_insert(txn, Key::from_u64(*k), txn_value(round, *k))?;
             }
-        }
-        if dead {
-            first_crashed = Some(round);
-            break;
-        }
-        match db.commit_txn(txn) {
-            Ok(ts) => acked.push((keys, ts, round)),
+            if round == 0 {
+                db.checkpoint()?;
+            }
+            db.commit_txn(txn)
+        })();
+        match ran {
+            Ok(ts) => acked.push((round, ts)),
             Err(_) => {
                 first_crashed = Some(round);
                 break;
@@ -141,193 +156,88 @@ fn run_two_pc_crash(tag: &str, point: CrashPoint, skip: u64, expect: Expect) {
         }
     }
     let crashed = injector.tripped();
-    if !matches!(expect, Expect::Either) {
-        assert!(
-            crashed,
-            "{tag}: the workload never reached {point:?} (skip {skip}) — the scenario tested nothing"
-        );
-    }
     drop(db); // power cut: caches and transaction tables are gone
-    assert_no_commit_without_its_decision(&dir.0, tag);
 
     for generation in 0..2 {
-        let db = tsb_core::TsbOptions::durable(&dir.0)
-            .config(cfg.clone())
-            .shards(SHARDS)
-            .open()
-            .unwrap();
+        let db = open(&dir.0);
         db.verify().unwrap();
-
-        // Zero acknowledged loss: the baseline and every acked transaction.
+        let at = format!("{tag} (gen {generation})");
         for i in 0..16u64 {
             assert_eq!(
                 db.get_current(&Key::from_u64(900_000 + i)).unwrap(),
                 Some(format!("base-{i}").into_bytes()),
-                "{tag}: baseline key lost (gen {generation})"
+                "{at}: baseline key lost"
             );
         }
-        for (keys, ts, round) in &acked {
-            for k in keys {
-                let v = db
-                    .get_version_as_of(&Key::from_u64(*k), *ts)
-                    .unwrap()
-                    .unwrap_or_else(|| {
-                        panic!("{tag}: acked txn {round} lost key {k} (gen {generation})")
-                    });
-                assert_eq!(v.state.commit_time(), Some(*ts), "{tag}: txn {round}");
-                assert_eq!(v.value, Some(txn_value(*round, *k)), "{tag}: txn {round}");
-            }
-        }
-
-        // No partial commit: every attempted transaction is all-or-nothing,
-        // and when present, present at one timestamp on every shard.
-        for (keys, round) in &attempted {
-            let mut times = Vec::new();
-            for k in keys {
-                match db.get_current(&Key::from_u64(*k)).unwrap() {
-                    Some(v) => {
-                        assert_eq!(v, txn_value(*round, *k), "{tag}: foreign value on {k}");
-                        let ver = db
-                            .get_version_as_of(&Key::from_u64(*k), Timestamp::MAX)
-                            .unwrap()
-                            .expect("present key has a version");
-                        times.push(ver.state.commit_time().unwrap());
-                    }
-                    None => times.push(Timestamp::ZERO),
-                }
-            }
-            let committed = times.iter().filter(|t| **t > Timestamp::ZERO).count();
+        // Each attempted transaction's keys: the commit time of its value
+        // on each, or none.
+        let committed = |round: u64| -> Vec<Option<Timestamp>> {
+            keys.iter()
+                .map(|k| {
+                    let versions = db.versions(&Key::from_u64(*k)).unwrap();
+                    let value = Some(txn_value(round, *k));
+                    let ours = versions.into_iter().find(|v| v.value == value);
+                    ours.map(|v| v.state.commit_time().unwrap())
+                })
+                .collect()
+        };
+        for (round, ts) in &acked {
             assert!(
-                committed == 0 || committed == keys.len(),
-                "{tag}: txn {round} committed on {committed}/{} shards (gen {generation})",
-                keys.len()
+                committed(*round).iter().all(|t| *t == Some(*ts)),
+                "{at}: acknowledged txn {round} lost a key or its timestamp"
             );
-            if committed > 0 {
-                assert!(
-                    times.windows(2).all(|w| w[0] == w[1]),
-                    "{tag}: txn {round} committed at mixed timestamps {times:?}"
-                );
-            }
         }
-
-        // The directed expectation for the transaction the crash hit.
-        if generation == 0 && crashed {
-            if let Some(round) = first_crashed {
-                let keys = straddling_keys(round);
-                let survived = db.get_current(&Key::from_u64(keys[0])).unwrap().is_some();
-                match expect {
-                    Expect::Aborted => assert!(
-                        !survived,
-                        "{tag}: txn {round} committed though its decision never became durable"
-                    ),
-                    Expect::Committed => assert!(
-                        survived,
-                        "{tag}: txn {round} aborted though its decision was durable"
-                    ),
-                    Expect::Either => {}
-                }
-            }
-        }
-    }
-}
-
-/// The protocol's order, read off the logs the crash left behind: a
-/// participant's `Commit` of a prepared transaction may be in its log only
-/// if the coordinator's log holds the `Decision` — the commits are appended
-/// after the decision is durable, never beside it. (No checkpoint runs in
-/// these scenarios, so every record ever appended is still in its log.)
-fn assert_no_commit_without_its_decision(dir: &std::path::Path, tag: &str) {
-    let logs: Vec<Vec<WalRecord>> = (0..SHARDS)
-        .map(|i| {
-            // Scan a copy: opening a log truncates and forces it.
-            let copy = dir.join(format!("scan-{i}.wal"));
-            std::fs::copy(dir.join(format!("shard-{i:03}/redo.wal")), &copy).unwrap();
-            let (wal, scan) = Wal::open(&copy, FsyncPolicy::Os, Arc::new(IoStats::new())).unwrap();
-            drop(wal);
-            std::fs::remove_file(&copy).unwrap();
-            scan.records.into_iter().map(|(_, r)| r).collect()
-        })
-        .collect();
-    for (shard, log) in logs.iter().enumerate() {
-        for record in log {
-            let WalRecord::Prepare {
-                ts, coordinator, ..
-            } = record
-            else {
-                continue;
-            };
-            let committed = log
-                .iter()
-                .any(|r| matches!(r, WalRecord::Commit { ts: c, .. } if c == ts));
-            let decided = logs[*coordinator as usize]
-                .iter()
-                .any(|r| matches!(r, WalRecord::Decision { ts: d, .. } if d == ts));
+        for round in &attempted {
+            let times = committed(*round);
             assert!(
-                !committed || decided,
-                "{tag}: shard {shard} logged the commit of ts {ts} but coordinator \
-                 {coordinator} never logged its decision"
+                times.iter().all(|t| *t == times[0]),
+                "{at}: txn {round} is partial or at mixed timestamps: {times:?}"
+            );
+        }
+        if let (0, true, Some(round)) = (generation, crashed, first_crashed) {
+            let survived = committed(round)[0].is_some();
+            match expect {
+                Expect::Aborted => assert!(!survived, "{at}: txn {round} committed"),
+                Expect::Committed => assert!(survived, "{at}: txn {round} was lost"),
+                Expect::Either => {}
+            }
+        }
+    }
+    crashed
+}
+
+/// Every crash point, at every one of its occurrences inside cross-shard
+/// transactions over 2, 3 and 4 shards — its writes' appends and forces,
+/// a checkpoint flushing them uncommitted, WORM migrations, the one
+/// commit fence and its force: whatever the crash interrupts, recovery
+/// commits each transaction on every participant at one timestamp or on
+/// none.
+#[test]
+fn every_crash_point_inside_a_cross_shard_commit_is_all_or_nothing() {
+    for p in [2usize, 3, 4] {
+        for &point in ALL_CRASH_POINTS {
+            let mut reached = 0;
+            while run_crash(
+                &format!("matrix-{p}-{point:?}-{reached}"),
+                point,
+                reached,
+                p,
+                Expect::Either,
+            ) {
+                reached += 1;
+                assert!(reached < 500, "{point:?} at P = {p} never stops occurring");
+            }
+            assert!(
+                reached > 0,
+                "{point:?} never occurs in a {p}-shard transaction: the matrix tests nothing"
             );
         }
     }
 }
 
-/// Crash after `k` of `n` prepares: no decision can exist, so the
-/// transaction must vanish from every shard (presumed abort), including
-/// the shards whose prepare *did* reach their WALs.
-#[test]
-fn crash_after_k_of_n_prepares_aborts_everywhere() {
-    for skip in [0u64, 1, 2, 3] {
-        run_two_pc_crash(
-            &format!("prep-{skip}"),
-            CrashPoint::WalPrepare,
-            skip,
-            Expect::Aborted,
-        );
-    }
-    // Skips past the first transaction's prepares land inside later ones.
-    for skip in [5u64, 10] {
-        run_two_pc_crash(
-            &format!("prep-late-{skip}"),
-            CrashPoint::WalPrepare,
-            skip,
-            Expect::Aborted,
-        );
-    }
-}
-
-/// Crash at the coordinator's decision append: every prepare is durable
-/// but the commit decision is not — presumed abort on every shard.
-#[test]
-fn crash_at_the_decision_aborts_everywhere() {
-    for skip in [0u64, 1, 3] {
-        run_two_pc_crash(
-            &format!("dec-{skip}"),
-            CrashPoint::WalDecision,
-            skip,
-            Expect::Aborted,
-        );
-    }
-}
-
-/// Crash in the in-doubt window — decision durable, zero participants
-/// stamped: recovery must roll the prepared writes forward on every shard
-/// from the decision record alone.
-#[test]
-fn crash_after_the_decision_commits_everywhere() {
-    for skip in [0u64, 1, 3] {
-        run_two_pc_crash(
-            &format!("ack-{skip}"),
-            CrashPoint::TwoPcAck,
-            skip,
-            Expect::Committed,
-        );
-    }
-}
-
-/// Crashes landing at arbitrary WAL appends and syncs inside the fence —
-/// including between participant phase-2 commits ("before participant
-/// ack"). Whichever side of the decision the trip lands on, the outcome is
-/// atomic.
+/// Crashes landing at arbitrary WAL appends and syncs inside cross-shard
+/// transactions over every shard: whichever side of the fence the trip
+/// lands on, the outcome is atomic.
 #[test]
 fn arbitrary_wal_crashes_inside_the_fence_stay_atomic() {
     for (point, skips) in [
@@ -336,38 +246,103 @@ fn arbitrary_wal_crashes_inside_the_fence_stay_atomic() {
         (CrashPoint::WalSyncPublish, [0u64, 4].as_slice()),
     ] {
         for &skip in skips {
-            run_two_pc_crash(
+            run_crash(
                 &format!("fence-{point:?}-{skip}"),
                 point,
                 skip,
+                SHARDS,
                 Expect::Either,
             );
         }
     }
 }
 
-/// A cross-shard commit over all four shards forces 2P+1 = 9 times, in
-/// three rounds whose forces overlap: the prepares (in any order), the
-/// decision, the commits (in any order). Under `Always` the four
-/// `txn_insert`s before it force once each, so counting from the armed
-/// injector the first transaction's forces are: inserts 1–4, prepares
-/// 5–8, the decision 9, commits 10–13. Failing the k-th of them, for
-/// every k, must leave that transaction atomic — and on the side of the
-/// decision its round says: a failed insert or prepare force means no
-/// decision was ever appended; a failed commit force means the decision
-/// was already durable. (A failed *decision* force leaves the record
-/// appended but unforced, which the simulated power cut keeps.)
+/// A cross-shard commit over all four shards forces the log once. Under
+/// `Always` the four `txn_insert`s before it force once each, so counting
+/// from the armed injector the first transaction's forces are: inserts
+/// 1–4, then its commit fence 5 (the checkpoint inside it replaces the log
+/// without a group-commit force). Failing the k-th of them must leave the
+/// transaction atomic — and on the side of its fence that k says: a failed
+/// insert force means no fence was ever appended; a failed fence force
+/// leaves the fence appended but unforced, which the simulated power cut
+/// keeps; a failed force of the next transaction's first insert leaves
+/// that one aborted.
 #[test]
 fn failing_any_one_force_of_a_cross_shard_commit_stays_atomic() {
     const P: u64 = SHARDS as u64;
-    for k in 0..=3 * P {
+    for k in 0..=P + 1 {
         let expect = match k {
-            k if k < 2 * P => Expect::Aborted,
-            k if k == 2 * P => Expect::Either,
-            _ => Expect::Committed,
+            k if k == P => Expect::Committed,
+            _ => Expect::Aborted,
         };
-        run_two_pc_crash(&format!("force-{k}"), CrashPoint::WalSync, k, expect);
+        assert!(
+            run_crash(
+                &format!("force-{k}"),
+                CrashPoint::WalSync,
+                k,
+                SHARDS,
+                expect
+            ),
+            "force {k} never happened"
+        );
     }
+}
+
+/// Every file under `dir`, by path, with its bytes.
+fn snapshot(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(snapshot(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// A directory of the first sharded layout — a manifest v1 and a redo log
+/// in every `shard-NNN` — opens to the typed old-layout error, from its
+/// root at any shard count and from a shard directory alike, and every
+/// file in it is byte-for-byte what it was before the attempts (so
+/// sha256-equal too), with none added.
+#[test]
+fn a_first_layout_sharded_directory_is_refused_untouched() {
+    let dir = TempDir::new("old-layout");
+    for i in 0..SHARDS {
+        let shard_dir = dir.0.join(format!("shard-{i:03}"));
+        let tree = tsb_core::TsbOptions::durable(&shard_dir)
+            .config(crash_cfg())
+            .open_concurrent()
+            .unwrap();
+        for k in 0..8u64 {
+            tree.insert(k, format!("v{k}").into_bytes()).unwrap();
+        }
+    }
+    std::fs::write(
+        dir.0.join("shards.manifest"),
+        "tsb-sharded v1\nshards 4\nhash fnv1a64\n",
+    )
+    .unwrap();
+    let before = snapshot(&dir.0);
+    assert!(before.keys().any(|p| p.ends_with("shard-002/redo.wal")));
+
+    for shards in [SHARDS, 1] {
+        let opened = tsb_core::TsbOptions::durable(&dir.0)
+            .config(crash_cfg())
+            .shards(shards)
+            .open();
+        assert!(
+            matches!(opened, Err(TsbError::OldLayout(_))),
+            "{shards} shards: {opened:?}"
+        );
+    }
+    let as_tree = tsb_core::TsbOptions::durable(dir.0.join("shard-001"))
+        .config(crash_cfg())
+        .open_tree();
+    assert!(matches!(as_tree, Err(TsbError::OldLayout(_))));
+    assert_eq!(snapshot(&dir.0), before, "the refused directory changed");
 }
 
 /// Per-shard crash points under plain single-key traffic: the injected

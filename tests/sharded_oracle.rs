@@ -31,7 +31,8 @@ enum ShardOp {
     Delete { key: u8 },
     /// A multi-key transaction: all listed keys written atomically. With
     /// several shards the key set usually straddles them, exercising the
-    /// two-phase fence; occasionally it lands on one shard or is empty.
+    /// one fence naming several shards; occasionally it lands on one shard
+    /// or is empty.
     Txn { keys: Vec<u8>, commit: bool },
 }
 
