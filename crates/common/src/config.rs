@@ -144,9 +144,15 @@ pub struct TsbConfig {
     /// Size of a WORM sector in bytes (the smallest writable unit on the
     /// historical device). The paper cites ~1 KB sectors. Default 1024.
     pub worm_sector_size: usize,
-    /// Number of decoded nodes the node cache holds (current pages and
-    /// immutable historical nodes). Descents served from this cache perform
-    /// no decode at all. Default 512.
+    /// Number of clean decoded nodes the node cache holds (current pages
+    /// and immutable historical nodes), split evenly over its shards.
+    /// Descents served from this cache perform no decode at all. When a
+    /// shard is full it evicts its coldest clean leaf, and a clean index
+    /// node only when it holds no clean leaf, so index nodes — each on the
+    /// path to every node below it — outlive leaves. Dirty nodes are pinned
+    /// on top of this count until they are written back; the writer writes
+    /// the oldest back once a shard holds more dirty nodes than its share.
+    /// Default 512.
     pub node_cache_entries: usize,
     /// Maximum key length in bytes. Default 512.
     pub max_key_len: usize,

@@ -11,16 +11,46 @@
 //! its page image plus one `u32` offset per entry (see
 //! [`crate::node::data`]), so the three cache events cost
 //!
-//! * a **hit**: the hash lookup, the LRU touch and an `Arc` clone — the
+//! * a **hit**: the hash lookup, a recency touch and an `Arc` clone — the
 //!   shard latch is held for nothing else;
 //! * a **miss**: the device read (outside any latch), whose buffer becomes
 //!   the node, one walk of it to check lengths and tags and record the
 //!   offsets, and three allocations (the buffer, the offsets, the `Arc`)
 //!   whatever the entry count;
-//! * an **eviction**: two frees, made *after* the shard latch is released
-//!   ([`NodeCache::complete_fill`] collects its victims and drops them once
-//!   the guard is gone), so a second reader never waits on another thread's
-//!   frees.
+//! * an **eviction**: one pop off a recency list and two frees, made
+//!   *after* the shard latch is released ([`NodeCache::complete_fill`]
+//!   collects its victims and drops them once the guard is gone), so a
+//!   second reader never waits on another thread's frees.
+//!
+//! # Three recency lists per shard
+//!
+//! Every resident node sits in exactly one of three O(1) [`LruList`]s:
+//!
+//! * **clean leaves**,
+//! * **clean index nodes**,
+//! * **dirty nodes** (current nodes whose newest image exists only here),
+//!   ordered by last *write*.
+//!
+//! A hit on a clean node touches its kind's list; a hit on a dirty node
+//! touches nothing, so the dirty order stays "least recently written" for
+//! the write-back drain. [`NodeCache::insert_dirty`] takes the address out of
+//! both clean lists — also when the page was recycled as the other kind —
+//! and [`NodeCache::mark_clean`] puts it back, as most recently used, in the
+//! list of the kind it now is.
+//!
+//! **Leaf-first eviction.** The victim is the coldest clean leaf; a clean
+//! index node goes only when the shard holds no clean leaf. The paper prices
+//! a query as one root-to-leaf path of node accesses (§2.2, §2.5), so an
+//! index node lies on the path to every node below it: on an as-of workload
+//! a few hundred historical index nodes route tens of thousands of
+//! historical leaves, and under one shared recency order those index nodes
+//! lost to leaves that are visited once. A reserved index share measured
+//! worse than the pure rule (1.51 against 1.36 decodes per as-of probe,
+//! 1.73 under one list); where the whole index fits a shard many times
+//! over, the rule changes nothing.
+//!
+//! **Eviction never scans dirty entries.** They are not in either clean
+//! list, so each victim costs one pop whatever the size of the dirty set.
 //!
 //! Design points:
 //!
@@ -29,14 +59,14 @@
 //!   so cached copies are valid forever; current entries are replaced by
 //!   every [`insert_dirty`](NodeCache::insert_dirty) on their page.
 //! * **Write-back of nodes, not bytes.** A current-node write installs the
-//!   decoded node marked dirty; the encode is deferred until the tree
-//!   flushes. Repeated rewrites of a hot leaf (the common insert pattern)
-//!   therefore encode once, not once per insert. Dirty entries are
-//!   **pinned**: eviction skips them, because a dirty entry is the sole
-//!   copy of its node's newest state, and removing it before its encode
-//!   reaches the device would let a concurrent reader decode a stale page
-//!   image (the shard may temporarily exceed its capacity by the writer's
-//!   dirty working set between flushes).
+//!   decoded node marked dirty; the encode is deferred until the shard's
+//!   dirty set overflows or the tree flushes. Repeated rewrites of a hot
+//!   leaf (the common insert pattern) therefore encode once, not once per
+//!   insert. Dirty entries are **pinned**: no eviction sees them, because a
+//!   dirty entry is the sole copy of its node's newest state, and removing
+//!   it before its encode reaches the device would let a concurrent reader
+//!   decode a stale page image (the shard may temporarily exceed its
+//!   capacity by the writer's dirty working set between flushes).
 //! * **No I/O in this module.** The cache hands dirty nodes back through
 //!   [`dirty_entries`](NodeCache::dirty_entries) /
 //!   [`dirty_at`](NodeCache::dirty_at) to the caller
@@ -50,13 +80,13 @@
 //!   atomic [`tsb_storage::IoStats`] counters, so a single global mutex
 //!   would serialize every reader on every node access. The cache is
 //!   therefore split into [`SHARD_COUNT`] independent shards (hash of the
-//!   address picks the shard), each with its own mutex, map, and LRU list;
-//!   readers on disjoint paths proceed in parallel. A hit holds its shard
-//!   latch only for the hash lookup and LRU touch — never across I/O,
-//!   decode, or another node. Eviction is per-shard (each shard holds
-//!   `capacity / SHARD_COUNT` entries), which approximates global LRU the
-//!   same way any sharded cache does. [`NodeCache::new`] keeps a single
-//!   shard — exact LRU, used by tests that assert eviction order;
+//!   address picks the shard), each with its own mutex, map and recency
+//!   lists; readers on disjoint paths proceed in parallel. A hit holds its
+//!   shard latch only for the hash lookup and recency touch — never across
+//!   I/O, decode, or another node. Eviction is per-shard (each shard holds
+//!   `capacity / SHARD_COUNT` clean entries), which approximates a global
+//!   order the same way any sharded cache does. [`NodeCache::new`] keeps a
+//!   single shard — exact order, used by tests that assert eviction order;
 //!   [`NodeCache::sharded`] is what [`TsbTree`](crate::TsbTree) uses.
 
 use std::collections::hash_map::DefaultHasher;
@@ -72,7 +102,7 @@ use crate::node::{Node, NodeAddr};
 
 /// Shards used by [`NodeCache::sharded`]. Sixteen keeps the chance of two
 /// concurrent descents colliding on a shard low while the per-shard
-/// capacity stays large enough for exact-LRU behaviour not to matter.
+/// capacity stays large enough for exact recency order not to matter.
 pub(crate) const SHARD_COUNT: usize = 16;
 
 struct CacheEntry {
@@ -86,11 +116,15 @@ struct CacheEntry {
 
 struct Shard {
     entries: HashMap<NodeAddr, CacheEntry>,
-    lru: LruList<NodeAddr>,
-    /// Recency order over the *dirty* entries only. Dirty entries are
-    /// pinned (not evictable), so eviction bounds `entries.len() -
-    /// dirty_lru.len()` — the clean residency — by the shard capacity;
-    /// the writer drains this list's LRU end through
+    /// Recency order over the clean leaves: eviction's first choice.
+    leaves: LruList<NodeAddr>,
+    /// Recency order over the clean index nodes: evicted only when
+    /// `leaves` is empty.
+    index: LruList<NodeAddr>,
+    /// Write order over the *dirty* entries, which are in neither clean
+    /// list. Dirty entries are pinned (not evictable), so eviction bounds
+    /// the clean residency — `leaves.len() + index.len()` — by the shard
+    /// capacity; the writer drains this list's cold end through
     /// [`NodeCache::dirty_overflow_victim`] to bound the dirty residency
     /// too.
     dirty_lru: LruList<NodeAddr>,
@@ -104,6 +138,26 @@ struct Shard {
 }
 
 impl Shard {
+    /// The clean recency list `node`'s kind belongs to.
+    fn clean_list(&mut self, node: &Node) -> &mut LruList<NodeAddr> {
+        match node {
+            Node::Data(_) => &mut self.leaves,
+            Node::Index(_) => &mut self.index,
+        }
+    }
+
+    /// A hit: the resident node, with a clean one made its list's most
+    /// recently used. A dirty one touches nothing, so the dirty order stays
+    /// the order of writes.
+    fn hit(&mut self, addr: NodeAddr) -> Option<Arc<Node>> {
+        let entry = self.entries.get(&addr)?;
+        let node = Arc::clone(&entry.node);
+        if !entry.dirty {
+            self.clean_list(&node).touch(addr);
+        }
+        Some(node)
+    }
+
     /// The dirty-overflow drain step shared by
     /// [`NodeCache::dirty_overflow_victim`] and
     /// [`NodeCache::any_dirty_overflow_victim`]: while more than
@@ -111,14 +165,14 @@ impl Shard {
     /// for write-back. Peek, don't pop — the victim leaves the dirty set
     /// only in [`NodeCache::mark_clean`], after the caller's write-back
     /// succeeded, so an errored write-back leaves the accounting intact
-    /// and the same victim is offered again. A dirty-LRU address with no
+    /// and the same victim is offered again. A dirty-list address with no
     /// cache entry violates the shard invariant; the orphan is shed and
     /// the drain continues rather than letting it wedge overflow control.
     fn dirty_overflow_victim(&mut self, capacity: usize) -> Option<(PageId, Arc<Node>)> {
         while self.dirty_lru.len() > capacity {
             let victim = *self.dirty_lru.peek_lru()?;
             let Some(entry) = self.entries.get(&victim) else {
-                debug_assert!(false, "dirty-LRU victim {victim} has no cache entry");
+                debug_assert!(false, "dirty-list victim {victim} has no cache entry");
                 self.dirty_lru.remove(&victim);
                 continue;
             };
@@ -128,12 +182,39 @@ impl Shard {
         }
         None
     }
+
+    /// Evicts clean entries until the shard's clean residency fits
+    /// `capacity`: the coldest clean leaf, or — only when no clean leaf is
+    /// left — the coldest clean index node. One pop per victim; dirty
+    /// entries are in neither list, so no eviction ever looks at them (see
+    /// [`NodeCache::insert_dirty`] for why they are pinned).
+    ///
+    /// The victims are *returned*, not dropped: the caller lets them go
+    /// after releasing the shard latch, so the next reader of this shard
+    /// never waits on another thread's frees.
+    #[must_use = "drop the victims after releasing the shard latch"]
+    fn evict_clean_overflow(&mut self, capacity: usize) -> Vec<Arc<Node>> {
+        let mut evicted = Vec::new();
+        while self.leaves.len() + self.index.len() > capacity {
+            let Some(victim) = self.leaves.pop_lru().or_else(|| self.index.pop_lru()) else {
+                break;
+            };
+            let entry = self.entries.remove(&victim);
+            debug_assert!(
+                entry.as_ref().is_some_and(|e| !e.dirty),
+                "clean-list victim {victim} is not a clean cache entry"
+            );
+            evicted.extend(entry.map(|e| e.node));
+        }
+        evicted
+    }
 }
 
-/// A fixed-capacity LRU cache of decoded nodes spanning both devices,
-/// lock-sharded for concurrent readers.
+/// A fixed-capacity cache of decoded nodes spanning both devices,
+/// lock-sharded for concurrent readers, that evicts clean leaves before
+/// clean index nodes (see the module docs).
 pub(crate) struct NodeCache {
-    /// Maximum entries per shard.
+    /// Maximum clean entries per shard.
     shard_capacity: usize,
     shards: Vec<Mutex<Shard>>,
 }
@@ -149,16 +230,16 @@ impl std::fmt::Debug for NodeCache {
 }
 
 impl NodeCache {
-    /// Creates a single-shard cache holding at most `capacity` decoded
-    /// nodes, with exact global LRU eviction (tests that assert eviction
-    /// order use this; the tree itself uses [`Self::sharded`]).
+    /// Creates a single-shard cache holding at most `capacity` clean
+    /// decoded nodes, with an exact eviction order (tests that assert
+    /// eviction order use this; the tree itself uses [`Self::sharded`]).
     #[cfg(test)]
     pub(crate) fn new(capacity: usize) -> Self {
         Self::with_shards(capacity, 1)
     }
 
     /// Creates a cache of [`SHARD_COUNT`] shards holding at most `capacity`
-    /// decoded nodes in total.
+    /// clean decoded nodes in total.
     pub(crate) fn sharded(capacity: usize) -> Self {
         Self::with_shards(capacity, SHARD_COUNT)
     }
@@ -176,7 +257,8 @@ impl NodeCache {
                 .map(|_| {
                     Mutex::new(Shard {
                         entries: HashMap::new(),
-                        lru: LruList::new(),
+                        leaves: LruList::new(),
+                        index: LruList::new(),
                         dirty_lru: LruList::new(),
                         stamp: 0,
                     })
@@ -196,16 +278,13 @@ impl NodeCache {
         self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
-    /// Returns the cached node at `addr`, marking it most recently used.
-    /// (The tree's read path uses [`Self::begin_fill`] /
-    /// [`Self::complete_fill`] instead, which combine the lookup with a
-    /// stamp-validated fill window.)
+    /// Returns the cached node at `addr`, a hit like any other. (The
+    /// tree's read path uses [`Self::begin_fill`] / [`Self::complete_fill`]
+    /// instead, which combine the lookup with a stamp-validated fill
+    /// window.)
     #[cfg(test)]
     pub(crate) fn get(&self, addr: NodeAddr) -> Option<Arc<Node>> {
-        let mut shard = self.shard(&addr).lock();
-        let node = Arc::clone(&shard.entries.get(&addr)?.node);
-        shard.lru.touch(addr);
-        Some(node)
+        self.shard(&addr).lock().hit(addr)
     }
 
     /// Opens a fill window for `addr`: returns the resident node on a hit
@@ -213,14 +292,7 @@ impl NodeCache {
     /// caller to pass back through [`Self::complete_fill`] after decoding.
     pub(crate) fn begin_fill(&self, addr: NodeAddr) -> Result<Arc<Node>, u64> {
         let mut shard = self.shard(&addr).lock();
-        match shard.entries.get(&addr) {
-            Some(entry) => {
-                let node = Arc::clone(&entry.node);
-                shard.lru.touch(addr);
-                Ok(node)
-            }
-            None => Err(shard.stamp),
-        }
+        shard.hit(addr).ok_or(shard.stamp)
     }
 
     /// Completes a fill opened by [`Self::begin_fill`], returning the
@@ -238,9 +310,7 @@ impl NodeCache {
     /// becomes canonical).
     pub(crate) fn complete_fill(&self, addr: NodeAddr, node: Arc<Node>, stamp: u64) -> Arc<Node> {
         let mut shard = self.shard(&addr).lock();
-        if let Some(existing) = shard.entries.get(&addr) {
-            let existing = Arc::clone(&existing.node);
-            shard.lru.touch(addr);
+        if let Some(existing) = shard.hit(addr) {
             return existing;
         }
         if shard.stamp != stamp {
@@ -253,8 +323,8 @@ impl NodeCache {
                 dirty: false,
             },
         );
-        shard.lru.touch(addr);
-        let evicted = self.evict_clean_overflow(&mut shard);
+        shard.clean_list(&node).touch(addr);
+        let evicted = shard.evict_clean_overflow(self.shard_capacity);
         drop(shard);
         drop(evicted);
         node
@@ -272,19 +342,32 @@ impl NodeCache {
     }
 
     /// Installs the newest version of a current node, superseding the page
-    /// image until a flush or overflow write-back re-encodes it. The entry
-    /// is pinned resident (and dirty) until then. Writer-only: callers
-    /// serialize mutations.
+    /// image until a flush or overflow write-back re-encodes it. Writer-only:
+    /// callers serialize mutations.
+    ///
+    /// The entry is **pinned** resident (and dirty) until then: it leaves
+    /// both clean lists — whichever kind the page held before — so no
+    /// eviction sees it. A dirty entry is the *sole* copy of its node's
+    /// newest state; removing it before its encode reaches the device would
+    /// open a window in which a concurrent reader misses here and decodes a
+    /// stale (or still-empty) page image — a torn read on a content-only
+    /// path the structure epoch does not cover. Only the writer-serialized
+    /// write-back ([`Self::dirty_entries`] / [`Self::dirty_overflow_victim`]
+    /// then [`Self::mark_clean`]) unpins it, so the shard may exceed its
+    /// capacity by the writer's dirty working set, and every page write
+    /// stays off the read path. Taking an entry out of the clean lists never
+    /// raises the clean residency, so nothing is evicted here;
+    /// [`Self::mark_clean`] evicts when the entry rejoins them.
     pub(crate) fn insert_dirty(&self, page: PageId, node: Arc<Node>) {
         let addr = NodeAddr::Current(page);
         let mut shard = self.shard(&addr).lock();
         shard.stamp += 1;
         let replaced = shard.entries.insert(addr, CacheEntry { node, dirty: true });
+        shard.leaves.remove(&addr);
+        shard.index.remove(&addr);
         shard.dirty_lru.touch(addr);
-        shard.lru.touch(addr);
-        let evicted = self.evict_clean_overflow(&mut shard);
         drop(shard);
-        drop((replaced, evicted));
+        drop(replaced);
     }
 
     /// Writer-side dirty residency control. If `addr`'s shard holds more
@@ -318,51 +401,23 @@ impl NodeCache {
     }
 
     /// Marks `addr` clean after its newest encode reached the device (the
-    /// second half of [`Self::dirty_overflow_victim`]).
+    /// second half of [`Self::dirty_overflow_victim`]): it moves from the
+    /// dirty list to its kind's clean list, as most recently used. This is
+    /// where the clean residency grows without a fill, so the shard's
+    /// overflow is evicted here too.
     pub(crate) fn mark_clean(&self, addr: NodeAddr) {
         let mut shard = self.shard(&addr).lock();
+        if !shard.dirty_lru.remove(&addr) {
+            return;
+        }
         if let Some(entry) = shard.entries.get_mut(&addr) {
             entry.dirty = false;
+            let node = Arc::clone(&entry.node);
+            shard.clean_list(&node).touch(addr);
         }
-        shard.dirty_lru.remove(&addr);
-    }
-
-    /// Evicts clean entries until the shard's clean residency fits its
-    /// capacity. Dirty entries are skipped: a dirty entry is the *sole*
-    /// copy of its node's newest state, and removing it from the cache
-    /// before its encode reaches the device would open a window in
-    /// which a concurrent reader misses here and decodes a stale (or
-    /// still-empty) page image — a torn read on a content-only path the
-    /// structure epoch does not cover. Dirty entries stay pinned until an
-    /// explicit flush ([`Self::dirty_entries`] + [`Self::mark_clean`],
-    /// always writer-serialized) marks them clean; the shard may
-    /// temporarily exceed its capacity by the writer's dirty working set.
-    /// This also keeps every page write off the read path.
-    ///
-    /// The victims are *returned*, not dropped: the caller lets them go
-    /// after releasing the shard latch, so the next reader of this shard
-    /// never waits on another thread's frees.
-    #[must_use = "drop the victims after releasing the shard latch"]
-    fn evict_clean_overflow(&self, shard: &mut Shard) -> Vec<Arc<Node>> {
-        let mut evicted = Vec::new();
-        let mut pinned_dirty = Vec::new();
-        while shard.entries.len().saturating_sub(shard.dirty_lru.len()) > self.shard_capacity {
-            let Some(victim) = shard.lru.pop_lru() else {
-                break;
-            };
-            if shard.entries.get(&victim).is_some_and(|e| e.dirty) {
-                pinned_dirty.push(victim);
-            } else if let Some(entry) = shard.entries.remove(&victim) {
-                evicted.push(entry.node);
-            }
-        }
-        // Pinned dirty entries rejoin the recency order as most recently
-        // used: the next eviction scan finds clean victims first, so
-        // repeated inserts do not rescan the dirty set.
-        for addr in pinned_dirty {
-            shard.lru.touch(addr);
-        }
-        evicted
+        let evicted = shard.evict_clean_overflow(self.shard_capacity);
+        drop(shard);
+        drop(evicted);
     }
 
     /// Invalidates one address (page freed, node superseded out of band).
@@ -372,7 +427,8 @@ impl NodeCache {
         let mut shard = self.shard(&addr).lock();
         shard.stamp += 1;
         let removed = shard.entries.remove(&addr);
-        shard.lru.remove(&addr);
+        shard.leaves.remove(&addr);
+        shard.index.remove(&addr);
         shard.dirty_lru.remove(&addr);
         drop(shard);
         drop(removed);
@@ -389,7 +445,8 @@ impl NodeCache {
             );
             shard.stamp += 1;
             let dropped = std::mem::take(&mut shard.entries);
-            shard.lru.clear();
+            shard.leaves.clear();
+            shard.index.clear();
             shard.dirty_lru.clear();
             drop(shard);
             drop(dropped);
@@ -454,10 +511,40 @@ impl NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::DataNode;
+    use crate::node::{DataNode, IndexNode};
+    use tsb_common::{KeyRange, TimeRange};
 
     fn node() -> Arc<Node> {
         Arc::new(Node::Data(DataNode::initial_root()))
+    }
+
+    fn index_node() -> Arc<Node> {
+        Arc::new(Node::Index(IndexNode::new(
+            KeyRange::full(),
+            TimeRange::full(),
+        )))
+    }
+
+    /// The shard invariant the three lists keep: every entry is in exactly
+    /// one list — dirty ones in the dirty list, clean ones in their kind's.
+    fn assert_lists_partition_the_entries(cache: &NodeCache) {
+        for shard in &cache.shards {
+            let shard = shard.lock();
+            for (addr, entry) in &shard.entries {
+                let (own, other) = match *entry.node {
+                    Node::Data(_) => (&shard.leaves, &shard.index),
+                    Node::Index(_) => (&shard.index, &shard.leaves),
+                };
+                assert_eq!(shard.dirty_lru.contains(addr), entry.dirty, "{addr}");
+                assert_eq!(own.contains(addr), !entry.dirty, "{addr}");
+                assert!(!other.contains(addr), "{addr} is in the other kind's list");
+            }
+            assert_eq!(
+                shard.leaves.len() + shard.index.len() + shard.dirty_lru.len(),
+                shard.entries.len(),
+                "a list holds an address with no entry"
+            );
+        }
     }
 
     /// The flush protocol as the tree drives it: peek the dirty set, then
@@ -522,8 +609,8 @@ mod tests {
                 dirty: false,
             },
         );
-        shard.lru.touch(second);
-        let evicted = cache.evict_clean_overflow(&mut shard);
+        shard.leaves.touch(second);
+        let evicted = shard.evict_clean_overflow(cache.shard_capacity);
         assert_eq!(evicted.len(), 1);
         assert!(
             watch.upgrade().is_some(),
@@ -735,6 +822,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 1000, "dirty entries are pinned resident");
         assert_eq!(flush_all(&cache).len(), 1000, "and all flushable");
+        assert!(cache.len() <= 32, "written back, they are evictable");
         // Flushed clean, the overflow drains as new inserts evict.
         for page in 1000..2000u64 {
             cache.insert_clean(NodeAddr::Current(PageId(page)), node());
@@ -750,5 +838,116 @@ mod tests {
         cache.insert_clean(NodeAddr::Current(PageId(2)), node());
         assert!(cache.len() <= 2);
         assert!(cache.len() >= 1);
+    }
+
+    #[test]
+    fn clean_leaf_fills_never_evict_an_index_node_while_a_clean_leaf_remains() {
+        let cache = NodeCache::new(4);
+        let (a, b) = (
+            NodeAddr::Current(PageId(1)),
+            NodeAddr::Historical(tsb_storage::HistAddr::new(0, 64)),
+        );
+        cache.insert_clean(a, index_node());
+        cache.insert_clean(b, index_node());
+        // A long stream of once-visited leaves, far more than the shard
+        // holds, with the index nodes never touched again: under one
+        // recency order they would be the first to go.
+        for page in 100..1100u64 {
+            cache.insert_clean(NodeAddr::Current(PageId(page)), node());
+            let shard = cache.shards[0].lock();
+            assert!(
+                shard.entries.contains_key(&a) && shard.entries.contains_key(&b),
+                "leaf fill {page} evicted an index node"
+            );
+            assert_eq!(shard.index.len(), 2);
+            assert!(shard.leaves.len() <= 2);
+        }
+        assert_eq!(cache.len(), 4);
+        assert_lists_partition_the_entries(&cache);
+        // With no clean leaf left, an index fill evicts the coldest index
+        // node.
+        cache.discard(NodeAddr::Current(PageId(1098)));
+        cache.discard(NodeAddr::Current(PageId(1099)));
+        for off in 1..4u64 {
+            cache.insert_clean(
+                NodeAddr::Historical(tsb_storage::HistAddr::new(off * 64, 64)),
+                index_node(),
+            );
+        }
+        assert!(cache.get(a).is_none(), "the coldest index node goes");
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn a_clean_fill_evicts_one_clean_entry_whatever_the_dirty_set() {
+        // A 2-entry shard holding 1 000 pinned dirty entries: every clean
+        // fill past the second evicts exactly one clean entry, with one pop.
+        let cache = NodeCache::new(2);
+        for page in 0..1000u64 {
+            cache.insert_dirty(PageId(page), node());
+        }
+        assert_lists_partition_the_entries(&cache);
+        for page in 1000..1100u64 {
+            let addr = NodeAddr::Current(PageId(page));
+            let mut shard = cache.shards[0].lock();
+            shard.entries.insert(
+                addr,
+                CacheEntry {
+                    node: node(),
+                    dirty: false,
+                },
+            );
+            shard.leaves.touch(addr);
+            let evicted = shard.evict_clean_overflow(cache.shard_capacity);
+            assert_eq!(evicted.len(), usize::from(page >= 1002), "fill {page}");
+            assert_eq!(shard.dirty_lru.len(), 1000);
+            assert_eq!(shard.leaves.len(), (page - 999).min(2) as usize);
+            for dirty in 0..1000u64 {
+                let dirty = NodeAddr::Current(PageId(dirty));
+                assert!(
+                    !shard.leaves.contains(&dirty) && !shard.index.contains(&dirty),
+                    "a clean list holds dirty {dirty}"
+                );
+            }
+            drop(shard);
+            drop(evicted);
+        }
+        // A hit on a dirty entry leaves the write order alone.
+        assert!(cache.get(NodeAddr::Current(PageId(0))).is_some());
+        let (victim, _) = cache
+            .dirty_overflow_victim(NodeAddr::Current(PageId(0)))
+            .unwrap();
+        assert_eq!(victim, PageId(0), "a read re-ordered the dirty list");
+        assert_lists_partition_the_entries(&cache);
+    }
+
+    #[test]
+    fn a_page_recycled_from_index_to_leaf_leaves_no_stale_recency_entry() {
+        let cache = NodeCache::new(2);
+        let page = PageId(7);
+        let addr = NodeAddr::Current(page);
+        cache.insert_clean(addr, index_node());
+        // The page is freed and reallocated as a leaf: its new content
+        // arrives dirty, then is written back.
+        cache.insert_dirty(page, node());
+        assert_lists_partition_the_entries(&cache);
+        cache.mark_clean(addr);
+        assert_lists_partition_the_entries(&cache);
+        {
+            let shard = cache.shards[0].lock();
+            assert!(shard.leaves.contains(&addr));
+            assert!(shard.index.is_empty(), "the index list kept the page");
+        }
+        // And back: leaf to index.
+        cache.insert_dirty(page, index_node());
+        cache.mark_clean(addr);
+        assert_lists_partition_the_entries(&cache);
+        // Leaves stream through; the page, an index node now, stays.
+        for p in 100..110u64 {
+            cache.insert_clean(NodeAddr::Current(PageId(p)), node());
+            assert_lists_partition_the_entries(&cache);
+        }
+        assert!(matches!(*cache.get(addr).unwrap(), Node::Index(_)));
+        assert_eq!(cache.len(), 2);
     }
 }

@@ -51,7 +51,7 @@ use tsb_common::{
     VersionOrder,
 };
 
-use super::image::{le32, le64, EntryImage};
+use super::image::{le32, le64, past, EntryImage};
 
 /// Node type tag burned into the first byte of every encoded node.
 pub const DATA_NODE_TAG: u8 = 1;
@@ -155,10 +155,35 @@ impl<'a> Iterator for Versions<'a> {
     }
 }
 
-/// Walks one encoded entry, checking every length and tag the way
-/// [`ByteReader::get_version`] does, without copying anything out.
+/// Walks the encoded entry at `at`, checking every length and tag the way
+/// [`ByteReader::get_version`] does, without copying anything out, and
+/// returns where the next entry starts. Fixed-size fields are read in runs,
+/// one bounds check each: the key length; the key with the state tag,
+/// timestamp or transaction id, and value tag behind it; then, for a value,
+/// its length, and its bytes.
 #[inline]
-fn skip_entry(r: &mut ByteReader<'_>) -> TsbResult<()> {
+fn skip_entry(image: &[u8], at: usize) -> TsbResult<usize> {
+    let key_at = past(image, at, 4)?;
+    let tail = 1 + 8 + 1;
+    let value_at = past(image, key_at, le32(image, at).saturating_add(tail))?;
+    let state_tag = image[value_at - tail];
+    if state_tag > 1 {
+        return Err(invalid_tag("ts-state", state_tag));
+    }
+    match image[value_at - 1] {
+        0 => Ok(value_at),
+        1 => {
+            let bytes_at = past(image, value_at, 4)?;
+            past(image, bytes_at, le32(image, value_at))
+        }
+        t => Err(invalid_tag("version value", t)),
+    }
+}
+
+/// The entry walk [`skip_entry`] replaced, one [`ByteReader`] field at a
+/// time: the reference it is held to.
+#[cfg(test)]
+fn skip_entry_reference(r: &mut ByteReader<'_>) -> TsbResult<()> {
     let key_len = r.get_u32()? as usize;
     r.get_raw(key_len)?;
     match r.get_u8()? {
@@ -562,12 +587,36 @@ impl DataNode {
         let mut r = ByteReader::new(&image);
         let (count, key_range, time_range) =
             EntryImage::read_header(&mut r, DATA_NODE_TAG, "data")?;
-        let walked = EntryImage::walk(&mut r, count, MIN_ENTRY_BYTES, skip_entry)?;
+        let walked = EntryImage::walk(&image, r.position(), count, MIN_ENTRY_BYTES, |at| {
+            skip_entry(&image, at)
+        })?;
         Ok(DataNode {
             key_range,
             time_range,
             image: walked.into_image(image),
         })
+    }
+
+    /// [`Self::decode`] through the reference walk
+    /// ([`EntryImage::walk_reference`]).
+    #[cfg(test)]
+    pub(super) fn decode_reference(image: Vec<u8>) -> TsbResult<Self> {
+        let mut r = ByteReader::new(&image);
+        let (count, key_range, time_range) =
+            EntryImage::read_header(&mut r, DATA_NODE_TAG, "data")?;
+        let walked =
+            EntryImage::walk_reference(&mut r, count, MIN_ENTRY_BYTES, skip_entry_reference)?;
+        Ok(DataNode {
+            key_range,
+            time_range,
+            image: walked.into_image(image),
+        })
+    }
+
+    /// What the decoding walk recorded ([`EntryImage::shape`]).
+    #[cfg(test)]
+    pub(super) fn image_shape(&self) -> (usize, &[u32], usize) {
+        self.image.shape()
     }
 
     /// Checks the node's internal invariants:

@@ -33,6 +33,30 @@ pub(super) fn le64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(word)
 }
 
+/// The offset just past the `n` bytes at `at` (at most `image.len()`), or
+/// the truncation error when the image ends before them: one bounds check
+/// for a whole run of fixed-size fields, which is how the decoders' entry
+/// walks step forward.
+#[inline]
+pub(super) fn past(image: &[u8], at: usize, n: usize) -> TsbResult<usize> {
+    if n <= image.len() - at {
+        Ok(at + n)
+    } else {
+        Err(truncated(image, at, n))
+    }
+}
+
+/// Error construction stays out of line so [`past`] inlines to a compare
+/// and a branch.
+#[cold]
+#[inline(never)]
+fn truncated(image: &[u8], at: usize, n: usize) -> TsbError {
+    TsbError::corruption(format!(
+        "truncated node entry: need {n} bytes at offset {at}, only {} remaining",
+        image.len() - at
+    ))
+}
+
 /// A node's encoded entries, back to back, and the offset of each.
 #[derive(Clone, Default)]
 pub(super) struct EntryImage {
@@ -83,14 +107,52 @@ impl EntryImage {
         Ok((count, r.get_key_range()?, r.get_time_range()?))
     }
 
-    /// Walks the `count` entries of a node image whose header `r` has just
-    /// read, recording where each starts. `skip_entry` must check every
-    /// length and tag of one entry and leave `r` at the next.
+    /// Walks the `count` entries of `image` that start at `entries_start`,
+    /// just past the header, recording where each starts. `skip_entry`
+    /// takes an entry's offset, must check every length and tag of that
+    /// entry, and returns where the next one starts.
     ///
     /// `count` comes from an unchecksummed image, so it is held to what the
     /// remaining bytes could contain (`min_entry_bytes` each) *before*
     /// anything is allocated for it.
-    pub(super) fn walk<'a>(
+    pub(super) fn walk(
+        image: &[u8],
+        entries_start: usize,
+        count: usize,
+        min_entry_bytes: usize,
+        mut skip_entry: impl FnMut(usize) -> TsbResult<usize>,
+    ) -> TsbResult<Walked> {
+        if u32::try_from(image.len()).is_err() {
+            return Err(TsbError::corruption(format!(
+                "node image of {} bytes exceeds the offset range",
+                image.len()
+            )));
+        }
+        let remaining = image.len() - entries_start;
+        if count > remaining / min_entry_bytes {
+            return Err(TsbError::corruption(format!(
+                "node claims {count} entries in {remaining} bytes"
+            )));
+        }
+        let mut offsets = Vec::with_capacity(count);
+        let mut at = entries_start;
+        for _ in 0..count {
+            offsets.push(at as u32);
+            at = skip_entry(at)?;
+        }
+        Ok(Walked {
+            entries_start,
+            offsets,
+            end: at,
+        })
+    }
+
+    /// The walk [`Self::walk`] replaced, through a [`ByteReader`] one field
+    /// at a time: the reference the tight walks are held to. `skip_entry`
+    /// must check every length and tag of one entry and leave `r` at the
+    /// next.
+    #[cfg(test)]
+    pub(super) fn walk_reference<'a>(
         r: &mut ByteReader<'a>,
         count: usize,
         min_entry_bytes: usize,
@@ -134,6 +196,13 @@ impl EntryImage {
             entries_start: self.entries_start,
             offsets,
         }
+    }
+
+    /// Where the entries start, each entry's offset, and where the image
+    /// ends: what a walk recorded.
+    #[cfg(test)]
+    pub(super) fn shape(&self) -> (usize, &[u32], usize) {
+        (self.entries_start, &self.offsets, self.bytes.len())
     }
 
     /// Number of entries.

@@ -32,7 +32,7 @@ use tsb_common::{Key, KeyBound, KeyRange, TimeBound, TimeRange, Timestamp, TsbEr
 use tsb_storage::{HistAddr, PageId};
 
 use super::addr::NodeAddr;
-use super::image::{le32, le64, EntryImage};
+use super::image::{le32, le64, past, EntryImage, Walked};
 
 /// Node type tag burned into the first byte of every encoded node.
 pub const INDEX_NODE_TAG: u8 = 2;
@@ -230,12 +230,50 @@ fn parse_entry(entry: &[u8]) -> (IndexEntryRef<'_>, usize) {
     (entry, len)
 }
 
-/// Walks one encoded entry, checking every length and tag the way
-/// [`IndexEntry::decode`] does, without copying anything out. Returns the
-/// entry's region sort key `(key lo, time lo)` and whether its time range is
-/// open (a current-region entry) — what the layout check needs.
+/// What the layout check needs of one entry: its region sort key
+/// `(key lo, time lo)` and whether its time range is open (a current-region
+/// entry).
+type LayoutKey<'a> = ((&'a [u8], Timestamp), bool);
+
+/// Walks the encoded entry at `at`, checking every length and tag the way
+/// [`IndexEntry::decode`] does, without copying anything out. Returns where
+/// the next entry starts and the entry's [`LayoutKey`]. Fixed-size fields
+/// are read in runs, one bounds check each: the lower key's length; the
+/// key with the upper bound's tag; a finite upper key's length, then its
+/// bytes; the lower time with the time bound's tag; a finite upper time
+/// with the child's tag, or the child's tag alone; the child's address.
 #[inline]
-fn skip_entry<'a>(r: &mut ByteReader<'a>) -> TsbResult<((&'a [u8], Timestamp), bool)> {
+fn skip_entry(image: &[u8], at: usize) -> TsbResult<(usize, LayoutKey<'_>)> {
+    let lo_at = past(image, at, 4)?;
+    let hi_tag_at = past(image, lo_at, le32(image, at).saturating_add(1))? - 1;
+    let key_lo = &image[lo_at..hi_tag_at];
+    let time_at = match image[hi_tag_at] {
+        0 => {
+            let hi_at = past(image, hi_tag_at + 1, 4)?;
+            past(image, hi_at, le32(image, hi_tag_at + 1))?
+        }
+        1 => hi_tag_at + 1,
+        t => return Err(invalid_tag("key-bound", t)),
+    };
+    let bound_end = past(image, time_at, 8 + 1)?;
+    let time_lo = Timestamp(le64(image, time_at));
+    let (child_at, current) = match image[bound_end - 1] {
+        0 => (past(image, bound_end, 8 + 1)? - 1, false),
+        1 => (past(image, bound_end, 1)? - 1, true),
+        t => return Err(invalid_tag("time-bound", t)),
+    };
+    let end = match image[child_at] {
+        0 => past(image, child_at + 1, 8)?,
+        1 => past(image, child_at + 1, 8 + 4)?,
+        t => return Err(invalid_tag("node-addr", t)),
+    };
+    Ok((end, ((key_lo, time_lo), current)))
+}
+
+/// The entry walk [`skip_entry`] replaced, one [`ByteReader`] field at a
+/// time: the reference it is held to. Returns the entry's [`LayoutKey`].
+#[cfg(test)]
+fn skip_entry_reference<'a>(r: &mut ByteReader<'a>) -> TsbResult<LayoutKey<'a>> {
     let lo_len = r.get_u32()? as usize;
     let key_lo = r.get_raw(lo_len)?;
     match r.get_u8()? {
@@ -261,6 +299,34 @@ fn skip_entry<'a>(r: &mut ByteReader<'a>) -> TsbResult<((&'a [u8], Timestamp), b
         t => return Err(invalid_tag("node-addr", t)),
     };
     Ok(((key_lo, time_lo), current))
+}
+
+/// The region-layout check a decoding walk folds over its entries: the
+/// historical entries first, each region in sort order.
+#[derive(Default)]
+struct LayoutCheck<'a> {
+    historical: usize,
+    out_of_layout: bool,
+    previous: Option<LayoutKey<'a>>,
+}
+
+impl<'a> LayoutCheck<'a> {
+    fn note(&mut self, (sort_key, current): LayoutKey<'a>) {
+        if let Some((prev_key, prev_current)) = self.previous {
+            self.out_of_layout |= match (prev_current, current) {
+                (false, true) => false,
+                (true, false) => true,
+                _ => prev_key > sort_key,
+            };
+        }
+        self.previous = Some((sort_key, current));
+        self.historical += usize::from(!current);
+    }
+
+    /// The historical entry count, and whether the entries were in layout.
+    fn finish(self) -> (usize, bool) {
+        (self.historical, !self.out_of_layout)
+    }
 }
 
 /// Iterator over a run of encoded entries, front to back. Entries describe
@@ -676,22 +742,54 @@ impl IndexNode {
         let mut r = ByteReader::new(&image);
         let (count, key_range, time_range) =
             EntryImage::read_header(&mut r, INDEX_NODE_TAG, "index")?;
-        let mut historical = 0;
-        let mut in_layout = true;
-        let mut previous = None;
-        let walked = EntryImage::walk(&mut r, count, MIN_ENTRY_BYTES, |r| {
-            let (sort_key, current) = skip_entry(r)?;
-            if let Some((prev_key, prev_current)) = previous {
-                in_layout &= match (prev_current, current) {
-                    (false, true) => true,
-                    (true, false) => false,
-                    _ => prev_key <= sort_key,
-                };
-            }
-            previous = Some((sort_key, current));
-            historical += usize::from(!current);
+        let mut layout = LayoutCheck::default();
+        let walked = EntryImage::walk(&image, r.position(), count, MIN_ENTRY_BYTES, |at| {
+            let (next, key) = skip_entry(&image, at)?;
+            layout.note(key);
+            Ok(next)
+        })?;
+        let (historical, in_layout) = layout.finish();
+        Ok(Self::from_walk(
+            key_range, time_range, walked, image, historical, in_layout,
+        ))
+    }
+
+    /// [`Self::decode`] through the reference walk
+    /// ([`EntryImage::walk_reference`]).
+    #[cfg(test)]
+    pub(super) fn decode_reference(image: Vec<u8>) -> TsbResult<Self> {
+        let mut r = ByteReader::new(&image);
+        let (count, key_range, time_range) =
+            EntryImage::read_header(&mut r, INDEX_NODE_TAG, "index")?;
+        let mut layout = LayoutCheck::default();
+        let walked = EntryImage::walk_reference(&mut r, count, MIN_ENTRY_BYTES, |r| {
+            layout.note(skip_entry_reference(r)?);
             Ok(())
         })?;
+        let (historical, in_layout) = layout.finish();
+        Ok(Self::from_walk(
+            key_range, time_range, walked, image, historical, in_layout,
+        ))
+    }
+
+    /// What the decoding walk recorded ([`EntryImage::shape`]) and the
+    /// region boundary.
+    #[cfg(test)]
+    pub(super) fn image_shape(&self) -> ((usize, &[u32], usize), usize) {
+        (self.image.shape(), self.current_start)
+    }
+
+    /// The node a walk of `image` found: the image taken over as it lies
+    /// when its entries are in the region layout, re-partitioned through
+    /// [`Self::from_entries`] when they are not.
+    fn from_walk(
+        key_range: KeyRange,
+        time_range: TimeRange,
+        walked: Walked,
+        image: Vec<u8>,
+        historical: usize,
+        in_layout: bool,
+    ) -> Self {
         let node = IndexNode {
             key_range,
             time_range,
@@ -700,13 +798,9 @@ impl IndexNode {
             current_start: historical,
         };
         if in_layout {
-            Ok(node)
+            node
         } else {
-            Ok(IndexNode::from_entries(
-                node.key_range.clone(),
-                node.time_range,
-                node.to_entries(),
-            ))
+            IndexNode::from_entries(node.key_range.clone(), node.time_range, node.to_entries())
         }
     }
 

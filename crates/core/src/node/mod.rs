@@ -13,6 +13,8 @@ mod data_model;
 mod golden;
 mod image;
 pub mod index;
+#[cfg(test)]
+mod walk_equivalence;
 
 pub use addr::NodeAddr;
 pub use data::{DataComposition, DataNode, VersionRef, Versions, DATA_NODE_TAG};

@@ -112,8 +112,9 @@ impl TsbTree {
 
     /// Shared write-install path. The node goes into the decoded-node
     /// cache marked dirty; the encode into its page image is deferred
-    /// until the entry is evicted or the tree flushes, so a hot leaf
-    /// rewritten many times between flushes encodes once.
+    /// until its cache shard holds too many dirty nodes or the tree
+    /// flushes, so a hot leaf rewritten many times between flushes encodes
+    /// once.
     fn write_current_inner(&self, page: PageId, node: Node, ops: Vec<PageOp>) -> TsbResult<()> {
         let size = node.encoded_size();
         if size > self.page_capacity() {

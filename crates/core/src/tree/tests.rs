@@ -501,6 +501,95 @@ fn the_write_back_barrier_reads_the_shards_own_durable_fence() {
     );
 }
 
+/// The paper prices a query as one root-to-leaf path of node accesses, and
+/// an index node lies on the path to every node below it. With a cache
+/// about twice the tree's index nodes, but far short of index nodes plus
+/// leaves, a stream of as-of gets over distinct historical leaves must
+/// leave every index node resident: each get decodes its leaf and nothing
+/// else. Counted from IoSnapshot, so it cannot flake.
+#[test]
+fn an_as_of_descent_whose_index_fits_decodes_only_its_leaf() {
+    // 1 KiB pages: at 256 bytes an index node routes about four children,
+    // so leaves would barely outnumber index nodes.
+    let cfg = TsbConfig {
+        page_size: 1024,
+        ..TsbConfig::small_pages()
+    };
+    let (keys, rounds) = (256u64, 100u8);
+    let stats = Arc::new(IoStats::new());
+    let magnetic = Arc::new(MagneticStore::in_memory(cfg.page_size, Arc::clone(&stats)));
+    let worm = Arc::new(WormStore::in_memory(
+        cfg.worm_sector_size,
+        Arc::clone(&stats),
+    ));
+    {
+        let mut tree =
+            TsbTree::create(Arc::clone(&magnetic), Arc::clone(&worm), cfg.clone()).unwrap();
+        for round in 0..rounds {
+            for k in 0..keys {
+                tree.insert(k, vec![round; 8]).unwrap();
+            }
+        }
+        tree.flush().unwrap();
+    }
+    let reopen =
+        |cfg: TsbConfig| TsbTree::open(Arc::clone(&magnetic), Arc::clone(&worm), cfg).unwrap();
+
+    // Every index node the tree reaches, and a probe for every historical
+    // leaf: a version it holds, as of a time inside its rectangle — the
+    // descent for that point ends at this leaf and nowhere else.
+    let tree = reopen(cfg.clone());
+    let mut index_nodes = Vec::new();
+    let mut probes = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut frontier = vec![tree.root_addr()];
+    while let Some(addr) = frontier.pop() {
+        if !seen.insert(addr) {
+            continue;
+        }
+        match &*tree.read_node(addr).unwrap() {
+            Node::Index(index) => {
+                index_nodes.push(addr);
+                frontier.extend(index.iter().map(|e| e.child));
+            }
+            Node::Data(leaf) if addr.is_historical() => {
+                let version = leaf.get(0);
+                let ts = version.commit_time().unwrap().max(leaf.time_range.lo);
+                probes.push((version.to_key(), ts));
+            }
+            Node::Data(_) => {}
+        }
+    }
+    // A scattered order, so that no index node's leaves come together.
+    let probes: Vec<_> = (0..probes.len())
+        .map(|i| probes[i * 7919 % probes.len()].clone())
+        .collect();
+    let capacity = 2 * index_nodes.len();
+    assert!(
+        probes.len() > 4 * capacity,
+        "{} historical leaves do not overflow a {capacity}-entry cache by far",
+        probes.len()
+    );
+
+    let tree = reopen(cfg.with_node_cache_entries(capacity));
+    for &addr in &index_nodes {
+        tree.read_node(addr).unwrap();
+    }
+    for (i, (key, ts)) in probes.iter().enumerate() {
+        let before = tree.io_stats().snapshot();
+        assert!(tree.get_as_of(key, *ts).unwrap().is_some());
+        let delta = tree.io_stats().snapshot().delta_since(&before);
+        assert_eq!(
+            delta.node_decodes,
+            1,
+            "as-of get {i} of {} decoded an index node as well as its leaf \
+             ({} index nodes, cache {capacity})",
+            probes.len(),
+            index_nodes.len()
+        );
+    }
+}
+
 #[test]
 fn bypass_reads_and_cache_invalidation_agree_with_the_cache() {
     let cfg = TsbConfig::small_pages();

@@ -375,7 +375,12 @@ impl MagneticStore {
                         id.0
                     )));
                 }
-                Ok(buf[4..4 + len].to_vec())
+                // The read's buffer is what the caller keeps (a node takes
+                // it over as its body): shift the payload over the length
+                // header rather than copying it into a second buffer.
+                buf.copy_within(4..4 + len, 0);
+                buf.truncate(len);
+                Ok(buf)
             }
         }
     }

@@ -49,8 +49,11 @@ pub struct IoStats {
     pub node_cache_misses: AtomicU64,
     /// Full node decodes (page/WORM image -> in-memory node).
     pub node_decodes: AtomicU64,
-    /// Full node encodes (in-memory node -> page image), deferred to
-    /// node-cache eviction and flush.
+    /// Full node encodes (in-memory node -> device image): a historical
+    /// node's WORM append, and a dirty current node's write-back, deferred
+    /// until its cache shard holds too many dirty nodes or the tree
+    /// flushes. A node-cache eviction never encodes: only clean nodes are
+    /// evicted.
     pub node_encodes: AtomicU64,
     /// Records appended to the write-ahead log.
     pub wal_appends: AtomicU64,

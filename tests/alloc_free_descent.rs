@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tsb_common::{Key, Timestamp, TsbConfig};
+use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig};
 use tsb_core::TsbTree;
 
 /// Counts allocations while `COUNTING` is set; delegates to [`System`].
@@ -195,6 +195,57 @@ fn historical_leaf_miss_allocates_at_most_four_times() {
     assert!(
         miss - warm <= 4,
         "a {entries}-entry historical leaf miss allocated {} times beyond the warm lookup's {warm}",
+        miss - warm
+    );
+}
+
+/// A current leaf that misses the node cache costs what a historical one
+/// does: the page read's buffer becomes the node's body — the page's length
+/// header is shifted out in place, not copied into a second buffer — and
+/// the only other allocations are the offset table and the cache's `Arc`.
+#[test]
+fn current_leaf_miss_allocates_at_most_three_times() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("tsb-alloc-current-miss-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = TsbConfig::default()
+        .with_node_cache_entries(4096)
+        .with_fsync_policy(FsyncPolicy::Os);
+    let mut tree = tsb_core::TsbOptions::durable(&dir)
+        .config(cfg)
+        .open_tree()
+        .unwrap();
+    for k in 0..1000u64 {
+        tree.insert(k, Vec::new()).unwrap();
+    }
+    // Every page on the device, every cached node clean.
+    tree.checkpoint().unwrap();
+    let key = Key::from_u64(417);
+    let leaf = *tree
+        .lookup_path(&key, Timestamp::MAX)
+        .unwrap()
+        .last()
+        .unwrap();
+    assert!(leaf.is_current(), "the probe must land in a current leaf");
+
+    assert!(tree.get_current(&key).unwrap().is_some());
+    let (warm, _) = count_allocations(|| {
+        assert!(tree.get_current(&key).unwrap().is_some());
+    });
+
+    tree.invalidate_cached_node(leaf).unwrap();
+    let before = tree.io_stats().snapshot();
+    let (miss, _) = count_allocations(|| {
+        assert!(tree.get_current(&key).unwrap().is_some());
+    });
+    let delta = tree.io_stats().snapshot().delta_since(&before);
+    assert_eq!(delta.node_decodes, 1, "exactly the dropped leaf is decoded");
+    assert_eq!(delta.magnetic_reads, 1, "from one page read");
+    drop(tree);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        miss - warm <= 3,
+        "a current leaf miss allocated {} times beyond the warm lookup's {warm}",
         miss - warm
     );
 }
