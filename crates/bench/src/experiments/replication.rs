@@ -6,8 +6,8 @@
 //! disk, while the primary keeps taking writes. This experiment prices
 //! that claim on loopback. For each row a fresh durable primary is
 //! preloaded, wrapped in a [`TsbServer`], and joined by `R` replica
-//! servers (each a `ReplicaEngine` bootstrapped and streamed by a
-//! [`ReplicaRunner`]). A fixed per-endpoint budget of closed-loop reader
+//! servers (each a replica engine bootstrapped and streamed by the
+//! server's replication runner). A fixed per-endpoint budget of closed-loop reader
 //! connections then issues point gets round-robin over every serving
 //! endpoint while a background writer keeps committing on the primary —
 //! so the read fleet is measured *under* replication traffic, not on a
@@ -28,8 +28,7 @@ use std::time::{Duration, Instant};
 use tsb_client::TsbClient;
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, SplitTimeChoice};
 use tsb_core::{EngineHandle, TsbOptions};
-use tsb_server::replica::ReplicaRunner;
-use tsb_server::TsbServer;
+use tsb_server::{ServerOptions, TsbServer};
 
 use crate::measure::{experiment_config, Scale};
 use crate::report::Table;
@@ -146,7 +145,6 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
 
     let mut rdirs = Vec::new();
     let mut replica_servers = Vec::new();
-    let mut runners = Vec::new();
     let mut replica_addrs = Vec::new();
     for r in 0..replicas {
         let dir = TempDir::new(&format!("r{replicas}-{r}"));
@@ -154,10 +152,14 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
             .config(cfg.clone())
             .open_replica()
             .expect("replica engine");
-        let server = TsbServer::start_engine(Arc::new(engine.clone()), "127.0.0.1:0")
-            .expect("replica server");
+        let server = TsbServer::start_replica(
+            engine,
+            primary_addr.clone(),
+            "127.0.0.1:0",
+            ServerOptions::default(),
+        )
+        .expect("replica server");
         replica_addrs.push(server.local_addr().to_string());
-        runners.push(ReplicaRunner::start(engine, primary_addr.clone()));
         replica_servers.push(server);
         rdirs.push(dir);
     }
@@ -264,9 +266,6 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
     }
     let catchup_ms = catchup_start.elapsed().as_millis();
 
-    for runner in &mut runners {
-        runner.stop();
-    }
     for server in replica_servers {
         server.shutdown().expect("replica shutdown");
     }

@@ -140,12 +140,19 @@ impl ConcurrentTsb {
     /// operating system. The E12 experiment measures the resulting
     /// throughput/durability trade.
     pub fn from_tree(tree: TsbTree) -> Self {
-        let fence = tree.now().prev().value();
+        let fence = tree.now().prev();
+        Self::from_tree_at(tree, fence)
+    }
+
+    /// [`Self::from_tree`] with the install fence at `fence`: a replica's
+    /// shard is complete only through its own last fence, not through the
+    /// clock every shard shares.
+    pub(crate) fn from_tree_at(tree: TsbTree, fence: Timestamp) -> Self {
         ConcurrentTsb {
             inner: Arc::new(Shared {
                 tree,
                 writer: Mutex::new(()),
-                fence: AtomicU64::new(fence),
+                fence: AtomicU64::new(fence.value()),
             }),
         }
     }
@@ -239,7 +246,7 @@ impl ConcurrentTsb {
     }
 
     /// The newest durable position in this engine's log (0 when it has no
-    /// log): the limit replication ships up to.
+    /// log).
     pub(crate) fn durable_lsn(&self) -> Lsn {
         let wal = self.inner.tree.wal_handle();
         wal.map_or(0, |w| w.durable_lsn())

@@ -1,13 +1,13 @@
 //! [`EngineHandle`] — the one object-safe surface an engine serves
 //! through, and the *definition* of each engine verb.
 //!
-//! Exactly two types implement it: [`ShardedTsb`](crate::ShardedTsb), the
-//! writable engine (one shard is the unsharded case), and
-//! [`ReplicaEngine`](crate::ReplicaEngine), the read-only one fed by WAL
-//! shipping. Each verb's body lives in the trait impl next to its type
-//! (no inherent twin to forward to), so the server dispatch loop, the
-//! workload drivers, and the oracle-equivalence tests are written once
-//! against *an engine* and reach the real code in one hop.
+//! One type implements it: [`ShardedTsb`](crate::ShardedTsb), a primary
+//! (one shard is the unsharded case) or a replica fed by WAL shipping,
+//! whose role is [`EngineHandle::role`]. Each verb's body lives in the
+//! trait impl next to the type (no inherent twin to forward to), so the
+//! server dispatch loop, the workload drivers, and the oracle-equivalence
+//! tests are written once against *an engine* and reach the real code in
+//! one hop.
 //!
 //! Design notes:
 //! * **Object-safe by construction**: keys are concrete [`Key`] values
@@ -178,7 +178,7 @@ pub trait EngineHandle: Send + Sync {
     }
 
     /// A replication source for streaming this engine's log to replicas.
-    /// Errors unless this is a durable, single-log primary.
+    /// Errors unless this is a durable primary.
     fn replication_source(&self) -> TsbResult<ReplicationSource> {
         Err(TsbError::config(
             "this engine cannot serve a replication stream",

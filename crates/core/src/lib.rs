@@ -25,13 +25,13 @@
 //! * [`TsbOptions`] — the one door: every engine that comes from a
 //!   configuration or a directory is opened through it (see [`options`]).
 //! * [`EngineHandle`] — the one object-safe surface an engine serves
-//!   through, implemented by exactly two types: [`ShardedTsb`] (writable;
-//!   an N-way hash-partitioned engine whose shards share one WAL,
-//!   group-commit pipeline and checkpoint under one global commit clock,
-//!   with fence-pinned cross-shard snapshots and cross-shard transactions
-//!   committed as one fence — one shard is the unsharded case; see
-//!   [`sharded`]) and [`ReplicaEngine`] (read-only, fed by WAL shipping;
-//!   see [`replica`]).
+//!   through, implemented by one type: [`ShardedTsb`], an N-way
+//!   hash-partitioned engine whose shards share one WAL, group-commit
+//!   pipeline and checkpoint under one global commit clock, with
+//!   fence-pinned cross-shard snapshots and cross-shard transactions
+//!   committed as one fence — one shard is the unsharded case (see
+//!   [`sharded`]). A replica is a `ShardedTsb` whose one writer applies a
+//!   shipped log (see [`replica`]).
 //! * [`ConcurrentTsb`] — what each shard is: a `Send + Sync`
 //!   single-writer / many-reader engine with serialized writes, lock-free
 //!   concurrent reads against immutable historical nodes with
@@ -102,7 +102,7 @@ pub use node::{
     NodeAddr, VersionRef,
 };
 pub use options::TsbOptions;
-pub use replica::{ReplicaBase, ReplicaEngine, ReplicaStatus, ReplicationSource, ShippedBatch};
+pub use replica::{ReplicaBase, ReplicaStatus, ReplicationSource, ShardImage, ShippedBatch};
 pub use secondary::{composite_key, split_composite_key, SecondaryIndex};
 pub use sharded::{ShardLsn, ShardedSnapshot, ShardedTsb};
 pub use split::SplitPlan;

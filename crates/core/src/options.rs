@@ -18,12 +18,12 @@
 //!
 //! Terminal methods pick the engine flavour:
 //!
-//! * [`TsbOptions::open`] — a [`ShardedTsb`], *the* writable engine
-//!   behind [`crate::EngineHandle`] (one shard is the common case, costs
-//!   nothing extra, and can feed replicas).
-//! * [`TsbOptions::open_replica`] — a [`ReplicaEngine`], the read-only
-//!   [`crate::EngineHandle`], awaiting (or recovering) a shipped log at
-//!   the directory.
+//! * [`TsbOptions::open`] — a [`ShardedTsb`], *the* engine behind
+//!   [`crate::EngineHandle`] (one shard is the common case, costs nothing
+//!   extra, and can feed replicas at any shard count).
+//! * [`TsbOptions::open_replica`] — a [`ShardedTsb`] too, whose one
+//!   writer is the log applier: it awaits (or recovers) a shipped log at
+//!   the directory and refuses every write verb until promoted.
 //! * [`TsbOptions::open_concurrent`] — a bare [`ConcurrentTsb`] (what
 //!   each shard is) for white-box tests and measurement harnesses.
 //! * [`TsbOptions::open_tree`] — a bare single-threaded [`TsbTree`].
@@ -38,7 +38,6 @@ use std::sync::Arc;
 use tsb_common::{FsyncPolicy, LogicalClock, TsbConfig, TsbError, TsbResult};
 
 use crate::concurrent::ConcurrentTsb;
-use crate::replica::ReplicaEngine;
 use crate::sharded::ShardedTsb;
 use crate::tree::TsbTree;
 
@@ -87,12 +86,13 @@ impl TsbOptions {
         self
     }
 
-    /// Not a product option: makes the tree [`Self::open_tree`] /
-    /// [`Self::open_concurrent`] returns log a full page image for every
-    /// rewrite instead of first-touch images + deltas — the reference the
-    /// shipped log is tested against (`delta_replay_equals_image_replay`,
-    /// `replica_equals_primary_durable_prefix`). The other terminals
-    /// ignore it.
+    /// Not a product option: makes the trees [`Self::open`] /
+    /// [`Self::open_tree`] / [`Self::open_concurrent`] return log a full
+    /// page image for every rewrite instead of first-touch images + deltas
+    /// — the reference the shipped log is tested against
+    /// (`delta_replay_equals_image_replay`,
+    /// `replica_equals_primary_durable_prefix`). In memory, and for a
+    /// replica, it changes nothing.
     #[doc(hidden)]
     pub fn reference_image_log(mut self) -> TsbOptions {
         self.reference_image_log = true;
@@ -106,22 +106,11 @@ impl TsbOptions {
         self
     }
 
-    /// Sets the shard count for [`Self::open`] (default 1). The
-    /// single-log terminals refuse counts above 1.
+    /// Sets the shard count for [`Self::open`] and [`Self::open_replica`]
+    /// (default 1). The bare-tree terminals refuse counts above 1.
     pub fn shards(mut self, shards: usize) -> TsbOptions {
         self.shards = shards;
         self
-    }
-
-    fn require_single(&self, what: &str) -> TsbResult<()> {
-        if self.shards != 1 {
-            return Err(TsbError::config(format!(
-                "{what} is a single-shard engine but {} shards were requested \
-                 (use .open() for a sharded engine)",
-                self.shards
-            )));
-        }
-        Ok(())
     }
 
     /// Opens a [`ShardedTsb`] primary with these options (one shard
@@ -136,7 +125,9 @@ impl TsbOptions {
     /// [`TsbError::OldLayout`].
     pub fn open(self) -> TsbResult<ShardedTsb> {
         match &self.dir {
-            Some(dir) => ShardedTsb::open_durable(dir, self.shards, self.cfg),
+            Some(dir) => {
+                ShardedTsb::open_durable(dir, self.shards, self.cfg, self.reference_image_log)
+            }
             None => ShardedTsb::open_in_memory(self.shards, self.cfg),
         }
     }
@@ -169,7 +160,13 @@ impl TsbOptions {
     ///   error instead: recreating it would destroy data this method
     ///   cannot prove disposable.
     pub fn open_tree(self) -> TsbResult<TsbTree> {
-        self.require_single("a bare tree")?;
+        if self.shards != 1 {
+            return Err(TsbError::config(format!(
+                "a bare tree is one shard but {} shards were requested \
+                 (use .open() for a sharded engine)",
+                self.shards
+            )));
+        }
         let mut tree = match &self.dir {
             Some(dir) => ShardedTsb::open_tree(dir, self.cfg),
             None => TsbTree::new_in_memory_with_clock(self.cfg, Arc::new(LogicalClock::new())),
@@ -181,17 +178,19 @@ impl TsbOptions {
         Ok(tree)
     }
 
-    /// Opens a [`ReplicaEngine`] at the directory: recovers a local log
-    /// copy if one is usable, else starts empty awaiting a base image
-    /// from a primary. Durable only (a replica *is* its local log copy).
-    pub fn open_replica(self) -> TsbResult<ReplicaEngine> {
-        self.require_single("a replica")?;
+    /// Opens the replica at the directory, with its primary's shard count
+    /// (a base image of another count is refused): recovers a local log
+    /// copy if one is usable, else starts with no shard, answering reads
+    /// with a not-serving error until [`ShardedTsb::install_base`].
+    /// Durable only (a replica *is* its local log copy); laid out on disk
+    /// as a primary of the same shard count is.
+    pub fn open_replica(self) -> TsbResult<ShardedTsb> {
         let Some(dir) = self.dir else {
             return Err(TsbError::config(
                 "a replica needs a directory: use TsbOptions::durable(dir)",
             ));
         };
-        ReplicaEngine::open(dir, self.cfg)
+        ShardedTsb::open_replica(&dir, self.shards, self.cfg)
     }
 }
 

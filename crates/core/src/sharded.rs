@@ -72,6 +72,12 @@
 //! on the writer's path. Holding every participant's writer lock across
 //! the stamps and the append keeps a checkpoint (which takes every lock)
 //! and a pinned snapshot from landing between them.
+//!
+//! ## Replicas
+//!
+//! A replica is a `ShardedTsb` too, whose one writer is the log applier
+//! (see [`crate::replica`]): every write verb answers
+//! [`TsbError::ReadOnly`] until [`ShardedTsb::promote`] stops applying.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -88,7 +94,7 @@ use tsb_storage::{sync_parent_dir, FaultInjector, IoSnapshot, Lsn};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::engine::{EngineHandle, EngineRole};
-use crate::replica::ReplicationSource;
+use crate::replica::{not_serving, Replica, ReplicaStatus, ReplicationSource};
 use crate::tree::durability::{checkpoint_log, commit_across};
 use crate::tree::recover::{DurableFiles, Layout};
 use crate::tree::TsbTree;
@@ -133,9 +139,13 @@ struct GlobalTxnTable {
 }
 
 struct ShardedInner {
+    /// Empty only on a replica awaiting its first base image.
     shards: Vec<ConcurrentTsb>,
     clock: Arc<LogicalClock>,
     txns: Mutex<GlobalTxnTable>,
+    cfg: TsbConfig,
+    /// Present on an engine opened as a replica, applying or promoted.
+    replica: Option<Replica>,
 }
 
 /// An `N`-shard TSB-tree engine under one global commit clock and one
@@ -165,8 +175,14 @@ impl std::fmt::Debug for ShardedTsb {
 impl ShardedTsb {
     // ----- construction ---------------------------------------------------
 
-    fn from_shards(shards: Vec<ConcurrentTsb>, clock: Arc<LogicalClock>) -> Self {
-        debug_assert!(!shards.is_empty());
+    /// The engine over `shards` stamping from `clock`, a replica when
+    /// `replica` is given.
+    pub(crate) fn from_parts(
+        shards: Vec<ConcurrentTsb>,
+        clock: Arc<LogicalClock>,
+        cfg: TsbConfig,
+        replica: Option<Replica>,
+    ) -> Self {
         ShardedTsb {
             inner: Arc::new(ShardedInner {
                 shards,
@@ -175,6 +191,8 @@ impl ShardedTsb {
                     next: 0,
                     active: HashMap::new(),
                 }),
+                cfg,
+                replica,
             }),
         }
     }
@@ -190,7 +208,7 @@ impl ShardedTsb {
             let tree = TsbTree::new_in_memory_with_clock(cfg.clone(), Arc::clone(&clock))?;
             engines.push(ConcurrentTsb::from_tree(tree));
         }
-        Ok(Self::from_shards(engines, clock))
+        Ok(Self::from_parts(engines, clock, cfg, None))
     }
 
     /// Opens (or creates) a durable sharded engine rooted at `dir`.
@@ -211,35 +229,20 @@ impl ShardedTsb {
     /// each shard replayed to its own last fence before it, and the global
     /// clock re-derived as the maximum across every shard's recovered
     /// clock — see [`crate::tree::recover`].
-    pub(crate) fn open_durable(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
-        check_shard_count(shards)?;
-        std::fs::create_dir_all(dir)?;
-        let layout = match read_manifest(dir)? {
-            Some(n) if n != shards => {
-                return Err(TsbError::config(format!(
-                    "directory {} was created with {n} shards; reopening with \
-                     {shards} would re-partition every key onto the wrong shard",
-                    dir.display()
-                )));
-            }
-            Some(_) => Layout::sharded(dir, shards),
-            None if shards == 1 => Layout::flat(dir),
-            None => {
-                if DurableFiles::has_log(dir) {
-                    return Err(TsbError::config(format!(
-                        "directory {} holds a flat single-shard database; reopening \
-                         with {shards} shards would re-partition it",
-                        dir.display()
-                    )));
-                }
-                write_manifest(&dir.join(MANIFEST_FILE), shards)?;
-                Layout::sharded(dir, shards)
-            }
-        };
+    pub(crate) fn open_durable(
+        dir: &Path,
+        shards: usize,
+        cfg: TsbConfig,
+        images_only: bool,
+    ) -> TsbResult<Self> {
+        let layout = layout(dir, shards)?;
         let clock = Arc::new(LogicalClock::new());
         let trees = TsbTree::open_durable(&layout, &cfg, &clock)?;
-        let engines = trees.into_iter().map(ConcurrentTsb::from_tree).collect();
-        Ok(Self::from_shards(engines, clock))
+        let engines = trees.into_iter().map(|mut tree| {
+            tree.log_images_only = images_only;
+            ConcurrentTsb::from_tree(tree)
+        });
+        Ok(Self::from_parts(engines.collect(), clock, cfg, None))
     }
 
     /// Opens the durable tree at `dir` on its own: a flat directory's one
@@ -253,7 +256,7 @@ impl ShardedTsb {
             _ => None,
         };
         let (root, shards, index) = sharded.unwrap_or((dir, 1, 0));
-        let db = Self::open_durable(root, shards, cfg)?;
+        let db = Self::open_durable(root, shards, cfg, false)?;
         let unique = Arc::try_unwrap(db.inner).ok();
         let shard = unique.and_then(|inner| inner.shards.into_iter().nth(index));
         let tree = shard.and_then(|shard| shard.try_into_tree().ok());
@@ -283,8 +286,49 @@ impl ShardedTsb {
         &self.inner.shards
     }
 
-    fn shard_for(&self, key: &Key) -> &ConcurrentTsb {
-        &self.inner.shards[self.shard_of(key)]
+    /// The shard `key` routes to; none while a replica awaits its base.
+    fn shard_for(&self, key: &Key) -> TsbResult<&ConcurrentTsb> {
+        self.inner
+            .shards
+            .get(self.shard_of(key))
+            .ok_or_else(not_serving)
+    }
+
+    /// Every shard, for a read that spans them; none while a replica
+    /// awaits its base.
+    fn serving_shards(&self) -> TsbResult<&[ConcurrentTsb]> {
+        match self.inner.shards.as_slice() {
+            [] => Err(not_serving()),
+            shards => Ok(shards),
+        }
+    }
+
+    /// The replica half of an engine opened as a replica, until promoted.
+    pub(crate) fn replica(&self) -> Option<&Replica> {
+        self.inner.replica.as_ref().filter(|r| r.is_applying())
+    }
+
+    /// Whether this engine applies a shipped log: a replica not promoted.
+    pub(crate) fn is_replica(&self) -> bool {
+        self.replica().is_some()
+    }
+
+    /// Refuses a write verb on a replica: its one writer is the applier.
+    fn writable(&self) -> TsbResult<()> {
+        if self.is_replica() {
+            return Err(TsbError::ReadOnly);
+        }
+        Ok(())
+    }
+
+    /// Runs `f` over every shard's tree with every writer lock held, taken
+    /// in ascending order (as a cross-shard commit takes its
+    /// participants'): no mutation runs anywhere meanwhile.
+    pub(crate) fn with_every_writer<T>(&self, f: impl FnOnce(&[&TsbTree]) -> T) -> T {
+        let shards = &self.inner.shards;
+        let _guards: Vec<_> = shards.iter().map(|s| s.lock_writer()).collect();
+        let trees: Vec<&TsbTree> = shards.iter().map(|s| s.tree()).collect();
+        f(&trees)
     }
 
     // ----- transaction plumbing -------------------------------------------
@@ -345,12 +389,12 @@ impl ShardedTsb {
 
     /// The full version record governing `(key, ts)`.
     pub fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
-        self.shard_for(key).get_version_as_of(key, ts)
+        self.shard_for(key)?.get_version_as_of(key, ts)
     }
 
     /// Every committed version of `key`, oldest first.
     pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
-        self.shard_for(key).versions(key)
+        self.shard_for(key)?.versions(key)
     }
 
     /// A full-database snapshot as of `ts`, merged in key order.
@@ -361,7 +405,7 @@ impl ShardedTsb {
     /// Number of keys alive in `range` as of `ts`, summed across shards.
     pub fn count_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<usize> {
         let mut n = 0;
-        for s in &self.inner.shards {
+        for s in self.serving_shards()? {
             n += s.count_as_of(range, ts)?;
         }
         Ok(n)
@@ -375,7 +419,7 @@ impl ShardedTsb {
         f: impl Fn(&ConcurrentTsb) -> TsbResult<Vec<(Key, Vec<u8>)>>,
     ) -> TsbResult<Vec<(Key, Vec<u8>)>> {
         let mut out = Vec::new();
-        for s in &self.inner.shards {
+        for s in self.serving_shards()? {
             out.extend(f(s)?);
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -389,9 +433,16 @@ impl ShardedTsb {
     /// timestamp `T`, with every shard's install fence raised to at least
     /// `T` before the snapshot is handed out (see the [module docs](self)).
     /// Includes every write acknowledged before this call, on any shard.
+    /// A replica pins [`EngineHandle::last_installed`] instead: a shard of
+    /// a replica is complete only through the fences it has installed.
     pub fn begin_snapshot(&self) -> ShardedSnapshot {
-        let ts = self.inner.clock.now().prev();
-        self.pin_all(ts);
+        let ts = if self.is_replica() {
+            self.last_installed()
+        } else {
+            let ts = self.inner.clock.now().prev();
+            self.pin_all(ts);
+            ts
+        };
         ShardedSnapshot {
             db: self.clone(),
             ts,
@@ -415,7 +466,7 @@ impl ShardedTsb {
     /// Wires `injector` into every write site of every shard — each
     /// shard's two stores and the shared log — so one armed trigger can
     /// crash the engine anywhere in the sharded write path, a cross-shard
-    /// commit included.
+    /// commit (or a replica's apply) included.
     pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
         for s in &self.inner.shards {
             s.tree().set_fault_injector(&injector);
@@ -428,7 +479,11 @@ impl ShardedTsb {
 /// positions handed out are positions on the one log.
 impl EngineHandle for ShardedTsb {
     fn role(&self) -> EngineRole {
-        EngineRole::Primary
+        if self.is_replica() {
+            EngineRole::Replica
+        } else {
+            EngineRole::Primary
+        }
     }
 
     fn shard_count(&self) -> usize {
@@ -446,12 +501,14 @@ impl EngineHandle for ShardedTsb {
         key: Key,
         value: Vec<u8>,
     ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        self.writable()?;
         let shard = self.shard_of(&key);
         let (ts, lsn) = self.inner.shards[shard].insert_deferred(key, value)?;
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
     fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        self.writable()?;
         let shard = self.shard_of(&key);
         let (ts, lsn) = self.inner.shards[shard].delete_deferred(key)?;
         Ok((ts, lsn.map(|l| (shard, l))))
@@ -467,6 +524,7 @@ impl EngineHandle for ShardedTsb {
     /// log never handed out, is a config error and leaves the engine
     /// usable.
     fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
+        self.writable()?;
         let shards = &self.inner.shards;
         let db = shards.get(shard).ok_or_else(|| {
             TsbError::config(format!(
@@ -484,6 +542,7 @@ impl EngineHandle for ShardedTsb {
     /// id lives in the sharded engine's own namespace; shard-local
     /// transactions are begun lazily as writes route to shards.
     fn begin_txn(&self) -> TsbResult<TxnId> {
+        self.writable()?;
         let mut t = self.inner.txns.lock();
         t.next += 1;
         let id = TxnId::new(t.next);
@@ -493,12 +552,14 @@ impl EngineHandle for ShardedTsb {
     }
 
     fn txn_insert(&self, txn: TxnId, key: Key, value: Vec<u8>) -> TsbResult<()> {
+        self.writable()?;
         let shard = self.shard_of(&key);
         let local = self.local_txn(txn, shard)?;
         self.inner.shards[shard].txn_insert(local, key, value)
     }
 
     fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
+        self.writable()?;
         let shard = self.shard_of(&key);
         let local = self.local_txn(txn, shard)?;
         self.inner.shards[shard].txn_delete(local, key)
@@ -507,6 +568,7 @@ impl EngineHandle for ShardedTsb {
     /// The transaction's own pending write when it touched the key's
     /// shard, the committed current value otherwise.
     fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
+        self.writable()?;
         let shard = self.shard_of(key);
         let local = {
             let t = self.inner.txns.lock();
@@ -524,6 +586,7 @@ impl EngineHandle for ShardedTsb {
     /// participant (see the [module docs](self)). Either hands back the
     /// fence's position to wait on, as a put does.
     fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+        self.writable()?;
         let parts = self.take_participants(txn)?;
         match parts.as_slice() {
             // A transaction that never wrote: tick so the commit still has
@@ -538,6 +601,7 @@ impl EngineHandle for ShardedTsb {
     }
 
     fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
+        self.writable()?;
         for (shard, local) in self.take_participants(txn)? {
             self.inner.shards[shard].abort_txn(local)?;
         }
@@ -546,22 +610,23 @@ impl EngineHandle for ShardedTsb {
 
     /// One checkpoint of the one log: every writer lock taken in
     /// ascending order, every shard flushed to its devices, then the log
-    /// replaced by one fence holding every shard's state.
+    /// replaced by one fence holding every shard's state. A replica writes
+    /// no fences of its own.
     fn checkpoint(&self) -> TsbResult<()> {
-        let shards = &self.inner.shards;
-        let _guards: Vec<_> = shards.iter().map(|s| s.lock_writer()).collect();
-        let trees: Vec<&TsbTree> = shards.iter().map(|s| s.tree()).collect();
-        checkpoint_log(&trees)
+        self.writable()?;
+        self.with_every_writer(checkpoint_log)
     }
 
     // ----- reads ----------------------------------------------------------
 
     fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        self.shard_for(key).get_current(key)
+        self.shard_for(key)?.get_current(key)
     }
 
+    /// On a replica, answers for `ts` past [`EngineHandle::last_installed`]
+    /// may still change as shipped fences install.
     fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        self.shard_for(key).get_as_of(key, ts)
+        self.shard_for(key)?.get_as_of(key, ts)
     }
 
     fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
@@ -573,13 +638,14 @@ impl EngineHandle for ShardedTsb {
     }
 
     fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        self.shard_for(key).history_between(key, window)
+        self.shard_for(key)?.history_between(key, window)
     }
 
     /// The newest timestamp at which *every* shard is known fully
     /// installed (the minimum of the per-shard install fences). Reads
     /// pinned at or before it are stable on all shards without taking any
-    /// lock.
+    /// lock. On a replica: the applied prefix, [`Timestamp::ZERO`] while
+    /// awaiting a base.
     fn last_installed(&self) -> Timestamp {
         let fences = self.inner.shards.iter().map(|s| s.last_installed());
         fences.min().unwrap_or(Timestamp::ZERO)
@@ -588,46 +654,48 @@ impl EngineHandle for ShardedTsb {
     /// The newest durable commit on the log: the latest commit time among
     /// the durable fences, each shard reading its own against the one
     /// watermark (`None` for an in-memory engine not born from recovery).
+    /// A replica installs a shipped fence only once its local log holds
+    /// it durably, so there this is the newest installed commit.
     fn last_durable_commit(&self) -> Option<Timestamp> {
         let commits = self.inner.shards.iter().map(|s| s.last_durable_commit());
         commits.flatten().max()
     }
 
-    /// The log's durable watermark (every shard shares the log).
+    /// The log's durable watermark (every shard shares the log); on a
+    /// replica, the LSN of the newest installed fence.
     fn durable_lsn(&self) -> Lsn {
-        self.inner.shards[0].durable_lsn()
+        match self.replica() {
+            Some(replica) => replica.applied_lsn(),
+            None => self.inner.shards.first().map_or(0, |s| s.durable_lsn()),
+        }
     }
 
     // ----- introspection --------------------------------------------------
 
     fn verify(&self) -> TsbResult<()> {
-        self.inner.shards.iter().try_for_each(|s| s.verify())
+        self.serving_shards()?.iter().try_for_each(|s| s.verify())
     }
 
     /// Identical on every shard.
     fn config(&self) -> &TsbConfig {
-        self.inner.shards[0].config()
+        &self.inner.cfg
     }
 
     /// The sum of every shard's [`tsb_storage::IoStats`] snapshot.
     fn io_snapshot(&self) -> IoSnapshot {
-        let mut merged = self.inner.shards[0].io_stats().snapshot();
-        for s in &self.inner.shards[1..] {
-            merged = merged.merge(&s.io_stats().snapshot());
-        }
-        merged
+        let shards = self.inner.shards.iter();
+        shards.fold(IoSnapshot::default(), |sum, s| {
+            sum.merge(&s.io_stats().snapshot())
+        })
+    }
+
+    fn replica_status(&self) -> Option<ReplicaStatus> {
+        let serving = !self.inner.shards.is_empty();
+        self.replica().map(|replica| replica.status(serving))
     }
 
     fn replication_source(&self) -> TsbResult<ReplicationSource> {
-        // A replica applies one tree's records; a multi-shard engine's log
-        // interleaves N trees' records, which the replica apply protocol
-        // deliberately rejects.
-        match self.inner.shards.as_slice() {
-            [only] => ReplicationSource::new(only),
-            _ => Err(TsbError::config(
-                "replication requires a single-shard primary (run with --shards 1)",
-            )),
-        }
+        ReplicationSource::new(self)
     }
 }
 
@@ -651,6 +719,35 @@ fn check_shard_count(shards: usize) -> TsbResult<()> {
         )));
     }
     Ok(())
+}
+
+/// Where the files of a `shards`-shard engine in `dir` live — one shard
+/// flat in the directory, more beside a manifest — once the directory is
+/// known to hold that count (a fresh one is reserved for it). Primaries
+/// and replicas lay their files out alike.
+pub(crate) fn layout(dir: &Path, shards: usize) -> TsbResult<Layout> {
+    check_shard_count(shards)?;
+    std::fs::create_dir_all(dir)?;
+    match read_manifest(dir)? {
+        Some(n) if n != shards => Err(TsbError::config(format!(
+            "directory {} was created with {n} shards; reopening with \
+             {shards} would re-partition every key onto the wrong shard",
+            dir.display()
+        ))),
+        Some(_) => Ok(Layout::sharded(dir, shards)),
+        None if shards == 1 => Ok(Layout::flat(dir)),
+        None => {
+            if DurableFiles::has_log(dir) {
+                return Err(TsbError::config(format!(
+                    "directory {} holds a flat single-shard database; reopening \
+                     with {shards} shards would re-partition it",
+                    dir.display()
+                )));
+            }
+            write_manifest(&dir.join(MANIFEST_FILE), shards)?;
+            Ok(Layout::sharded(dir, shards))
+        }
+    }
 }
 
 /// Reads the shard count from `dir`'s manifest, `None` if it has none. A

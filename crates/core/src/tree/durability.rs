@@ -405,8 +405,9 @@ impl TsbTree {
     /// write-backs the mutation deferred. They wait for the fence: a page
     /// image may only reach the device once a fence covers it, otherwise a
     /// crash could leave the device holding state that recovery's replay
-    /// cut discards (see [`super::recover`], step 3).
-    pub(super) fn fence_appended(&self, lsn: Lsn, ts: Timestamp) -> TsbResult<()> {
+    /// cut discards (see [`super::recover`], step 3). A replica books each
+    /// shipped commit fence it installs here too.
+    pub(crate) fn fence_appended(&self, lsn: Lsn, ts: Timestamp) -> TsbResult<()> {
         let Some(d) = &self.durability else {
             return Ok(());
         };

@@ -287,102 +287,11 @@ impl TsbTree {
         })
     }
 
-    // ----- replication (replica side) -------------------------------------
-
-    /// Installs a shipped page image onto the replica's magnetic device and
-    /// invalidates its cached node. Order matters against concurrent
-    /// readers: device first, then the node cache — a racing fill that
-    /// decoded stale bytes began before the cache discard bumped the shard
-    /// stamp, so `complete_fill` refuses to install it. Caller must hold
-    /// the writer lock with the structure epoch marked in flight.
-    pub(crate) fn replica_install_page(&self, page: PageId, bytes: &[u8]) -> TsbResult<()> {
-        self.magnetic.restore(page, bytes)?;
-        self.cache.discard(NodeAddr::Current(page));
-        Ok(())
-    }
-
-    /// Installs a shipped fence's metadata: the root pointer, the commit
-    /// clock, and the transaction counter. The metadata page is left alone:
-    /// a replica restarts from its log, whose fences carry the same state.
-    /// Caller must hold the writer lock with the structure epoch marked in
-    /// flight.
-    pub(crate) fn replica_install_meta(&self, (root, clock_next, next_txn): recover::FenceState) {
-        *self.root.write() = root;
-        self.clock.advance_to(clock_next);
-        *self.txns.lock() = TxnTable::starting_at(next_txn);
-    }
-
-    /// The device image of a current page — the base a shipped delta
-    /// applies to when the apply overlay holds no newer state for the page
-    /// (the page's first-touch image predates the replica's local log
-    /// generation; the device equals the state at the last installed
-    /// fence).
-    pub(crate) fn replica_read_page(&self, page: PageId) -> TsbResult<replay::ReplayPage> {
-        self.magnetic.read(page).map(replay::ReplayPage::Raw)
-    }
-
-    /// Syncs the replica's device stores so a primary checkpoint record
-    /// can become a sound local recovery base: local restart replays from
-    /// the newest checkpoint assuming the device equals that state.
-    pub(crate) fn replica_sync_devices(&self) -> TsbResult<()> {
-        self.magnetic.sync()?;
-        self.worm.sync()?;
-        if let Some(d) = &self.durability {
-            d.worm_synced
-                .store(self.worm.device_bytes(), Ordering::Release);
-        }
-        Ok(())
-    }
-
-    /// The redo log handle, for the replica's local record appends and
-    /// syncs (`None` on non-durable trees).
+    /// The redo log handle, for replication: the source's tailer and a
+    /// replica's local record appends and syncs (`None` on non-durable
+    /// trees).
     pub(crate) fn wal_handle(&self) -> Option<Arc<Wal>> {
         self.durability.as_ref().map(|d| Arc::clone(&d.wal))
-    }
-
-    /// Captures a consistent **base image** for a new (or re-basing)
-    /// replica: checkpoints the tree — after [`Self::flush_shared`] the
-    /// log is exactly `[Checkpoint]` and the devices equal the
-    /// checkpointed state — then snapshots every magnetic page, the whole
-    /// WORM device, and the checkpoint record's exact logged body (the
-    /// replica seeds its local log with it, byte-identical, preserving the
-    /// primary's LSN chain). Caller must hold the writer lock.
-    pub(crate) fn capture_replication_base(&self) -> TsbResult<crate::replica::ReplicaBase> {
-        let wal = self.wal_handle().ok_or_else(|| {
-            TsbError::config("replication requires a durable (WAL-attached) primary")
-        })?;
-        self.flush_shared()?;
-        let checkpoint_lsn = wal.last_lsn();
-        if checkpoint_lsn == 0 {
-            return Err(TsbError::internal(
-                "checkpoint fence landed at lsn 0 (a fresh tree logs page images first)",
-            ));
-        }
-        let mut tailer = tsb_storage::WalTailer::new(wal.path());
-        let checkpoint = match tailer.poll(checkpoint_lsn - 1, checkpoint_lsn, usize::MAX)? {
-            tsb_storage::TailPoll::Batch(mut bodies) if bodies.len() == 1 => bodies.remove(0),
-            _ => {
-                return Err(TsbError::internal(
-                    "the just-written checkpoint fence is not the log's sole record",
-                ))
-            }
-        };
-        let mut pages = Vec::new();
-        let mut ids = self.magnetic.allocated_page_ids();
-        ids.sort_unstable();
-        for page in ids {
-            pages.push((page, self.magnetic.read(page)?));
-        }
-        let worm_len = self.worm.device_bytes();
-        let worm = self.worm.read_raw(0, worm_len as usize)?;
-        Ok(crate::replica::ReplicaBase {
-            checkpoint_lsn,
-            checkpoint,
-            pages,
-            worm,
-            page_size: self.cfg.page_size,
-            worm_sector_size: self.cfg.worm_sector_size,
-        })
     }
 
     /// The tree configuration.

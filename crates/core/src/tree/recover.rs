@@ -75,8 +75,8 @@
 //!    every shard fences the next recovery.
 //!
 //! Steps 1–4 are shared ([`TsbTree::open_durable`],
-//! [`TsbTree::recover_replica`]); a replica — always one shard — then
-//! skips 5 and the checkpoint of 7 and keeps the un-fenced tail — see
+//! [`TsbTree::open_durable_replica`]); a replica then skips 5 and the
+//! checkpoint of 7 and keeps each shard's un-fenced tail — see
 //! [`ReplicaRecovery`]. The recovered trees answer every query exactly as
 //! the oracle's replay of the committed prefix up to the cut.
 
@@ -272,11 +272,15 @@ fn fence_fields(record: &WalRecord, tag: u32) -> Option<(Option<Timestamp>, Vec<
     }
 }
 
-/// The most WORM history `record` references if it is a fence, `None`
-/// otherwise: what a batch holding it must ship with.
-pub(crate) fn fence_worm_len(record: &WalRecord) -> Option<u64> {
-    let (_, parts) = fence_fields(record, 0)?;
-    parts.iter().map(|(_, worm_len, _)| *worm_len).max()
+/// The WORM history each shard's part of `record` references, when it is
+/// a fence logged under the tag `tag` (empty otherwise): what a batch
+/// holding it must ship with.
+pub(crate) fn fence_worm_lens(record: &WalRecord, tag: u32) -> Vec<(usize, u64)> {
+    let parts = fence_fields(record, tag).map(|(_, parts)| parts);
+    let parts = parts.unwrap_or_default().into_iter();
+    parts
+        .map(|(shard, worm_len, _)| (shard, worm_len))
+        .collect()
 }
 
 /// Whether a scanned log holds any fence at all — without one nothing was
@@ -346,12 +350,10 @@ pub(crate) fn fence_past_device(origin: &str, lsn: Lsn, worm_len: u64, on_device
 
 /// Each record of a scanned log with its index and the shard it belongs
 /// to: the one the newest [`WalRecord::Shard`] switch before it names,
-/// shard 0 before any.
+/// shard 0 before any and from each checkpoint on.
 fn tagged(records: &[(Lsn, WalRecord)]) -> impl Iterator<Item = (usize, u32, &(Lsn, WalRecord))> {
     records.iter().enumerate().scan(0, |tag, (idx, entry)| {
-        if let WalRecord::Shard { shard } = entry.1 {
-            *tag = shard;
-        }
+        *tag = entry.1.tag_after(*tag);
         Some((idx, *tag, entry))
     })
 }
@@ -473,23 +475,25 @@ pub(crate) fn find_cut(records: &[(Lsn, WalRecord)], worm_on_device: &[u64]) -> 
 ///   its log is a pure copy, and a locally minted checkpoint would collide
 ///   with the primary's LSN namespace. The local log only ever grows (it
 ///   is re-based wholesale when the primary's generation outruns it).
-/// * **The un-fenced tail is kept.** Records past the cut are shipped
-///   state whose commit fence has not arrived yet; they re-seed the apply
-///   overlay instead of being discarded.
+/// * **The un-fenced tail is kept.** A shard's page records past its last
+///   fence are shipped state whose fence has not arrived yet; they re-seed
+///   the applier's staging area instead of being discarded.
 pub(crate) struct ReplicaRecovery {
-    /// The recovered tree, serving-ready at the cut fence.
-    pub(crate) tree: TsbTree,
+    /// The recovered trees, one per shard, serving-ready at the cut.
+    pub(crate) trees: Vec<TsbTree>,
+    /// The clock every tree stamps from, advanced past each shard's cut.
+    pub(crate) clock: Arc<LogicalClock>,
+    /// Where each shard stands at the cut, in shard order.
+    pub(crate) shards: Vec<ShardCut>,
     /// LSN of the cut fence record — the applied watermark at reopen.
     pub(crate) applied_lsn: Lsn,
     /// LSN of the newest record in the local log (≥ `applied_lsn`): the
     /// resume cursor for the subscription to the primary.
     pub(crate) last_lsn: Lsn,
-    /// Records after the cut fence, in LSN order — shipped but not yet
-    /// fenced; they re-seed the apply overlay's staging area.
-    pub(crate) tail: Vec<WalRecord>,
-    /// The cut fence's `(root, clock-next, next-txn)`, seeding the
-    /// metadata-elision chain for subsequently shipped commits.
-    pub(crate) cut_state: FenceState,
+    /// Each shard's page records past its last fence, in LSN order.
+    pub(crate) unfenced: Vec<(usize, WalRecord)>,
+    /// The shard the local log's tag names after its newest record.
+    pub(crate) tag: u32,
 }
 
 impl TsbTree {
@@ -572,78 +576,77 @@ impl TsbTree {
         Ok(trees)
     }
 
-    /// Reopens a replication replica's local state at directory `dir`, or
-    /// returns `None` when the directory holds nothing usable (fresh, or a
-    /// base install that never finished — the caller wipes and re-fetches
-    /// the base). See [`ReplicaRecovery`] for how this differs from the
+    /// Reopens a replication replica's local state laid out as `layout`,
+    /// or returns `None` when it holds nothing usable (fresh, or a base
+    /// install that never finished — the caller wipes and re-fetches the
+    /// base). See [`ReplicaRecovery`] for how this differs from the
     /// primary's [`Self::open_durable`].
-    pub(crate) fn open_durable_replica(
-        dir: impl AsRef<Path>,
-        cfg: TsbConfig,
-    ) -> TsbResult<Option<ReplicaRecovery>> {
-        cfg.validate()?;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        if !DurableFiles::has_log(dir) {
-            return Ok(None);
-        }
-        let (files, scan) = DurableFiles::open(&Layout::flat(dir), &cfg)?;
-        if !holds_a_fence(&scan) {
-            // A shipped log always starts at a fence (the base image's
-            // checkpoint); no fence means the install never completed.
-            return Ok(None);
-        }
-        Self::recover_replica(files, scan, cfg).map(Some)
-    }
-
-    /// The primary recovery's replica variant: replays the local copy of
-    /// the primary's log to the newest fence, but keeps uncommitted
-    /// versions (their transactions are still live on the primary), never
-    /// appends records of its own (no purge fences, no local checkpoint),
-    /// and hands back the un-fenced tail for the apply overlay.
     ///
     /// The batch-apply protocol makes the WORM durable *before* any record
     /// of the batch reaches the local log, so every logged fence must have
     /// its history on the device — one that does not is corruption, not a
     /// torn tail to skip.
-    pub(crate) fn recover_replica(
-        files: DurableFiles,
-        scan: WalScan,
-        cfg: TsbConfig,
-    ) -> TsbResult<ReplicaRecovery> {
-        let on_device = files.stores[0].1.device_bytes();
-        let cut = find_cut(&scan.records, &[on_device])?;
+    pub(crate) fn open_durable_replica(
+        layout: &Layout,
+        cfg: &TsbConfig,
+    ) -> TsbResult<Option<ReplicaRecovery>> {
+        cfg.validate()?;
+        if !layout.log.exists() {
+            return Ok(None);
+        }
+        let (files, scan) = DurableFiles::open(layout, cfg)?;
+        if !holds_a_fence(&scan) {
+            // A shipped log always starts at a fence (the base image's
+            // checkpoint); no fence means the install never completed.
+            return Ok(None);
+        }
+        let on_device: Vec<u64> = files.stores.iter().map(|(_, w)| w.device_bytes()).collect();
+        let cut = find_cut(&scan.records, &on_device)?;
         if let Some((lsn, worm_len)) = cut.short_fence {
+            let on_device = on_device.iter().copied().min().unwrap_or(0);
             return Err(fence_past_device("replica log", lsn, worm_len, on_device));
+        }
+        let mut tag = 0;
+        let mut unfenced = Vec::new();
+        for (idx, shard, (_, record)) in tagged(&scan.records) {
+            tag = shard;
+            let page = matches!(
+                record,
+                WalRecord::PageImage { .. } | WalRecord::PageDelta { .. }
+            );
+            let cut = cut.shards.get(shard as usize);
+            if page && cut.is_some_and(|cut| idx > cut.last_fence) {
+                unfenced.push((shard as usize, record.clone()));
+            }
         }
         let last_lsn = files.wal.last_lsn();
         let clock = Arc::new(LogicalClock::new());
-        let mut records = scan.records;
-        let tail = records.split_off(cut.replay.end);
-        let mut trees = Self::rebuild_at_cut(files, records, &cut, &cfg, &clock)?;
-        let tree = trees.pop().expect("a replica's log has one shard");
+        let trees = Self::rebuild_at_cut(files, scan.records, &cut, cfg, &clock)?;
         // Reclaim pages unreachable at the cut (a free has no log record;
         // see `reclaim_unreachable_pages`) and verify — but no purge and
         // no fencing checkpoint: the replica's state must stay exactly the
-        // primary's state at the cut fence, and its log is a pure copy.
-        tree.reclaim_unreachable_pages()?;
-        tree.verify()?;
-        Ok(ReplicaRecovery {
-            tree,
+        // primary's state at the cut, and its log is a pure copy.
+        for tree in &trees {
+            tree.reclaim_unreachable_pages()?;
+            tree.verify()?;
+        }
+        Ok(Some(ReplicaRecovery {
+            trees,
+            clock,
+            shards: cut.shards,
             applied_lsn: cut.fence_lsn,
             last_lsn,
-            tail: tail.into_iter().map(|(_, record)| record).collect(),
-            cut_state: cut.shards[0].state,
-        })
+            unfenced,
+            tag,
+        }))
     }
 
     /// Steps 3 and 4 of the protocol, for both recoveries: repeats each
     /// shard's history through its last fence — deltas applied in place
     /// over one map per shard, each page installed once — then builds each
     /// shard's tree at its fence's metadata over its repaired device, all
-    /// seated on the one log. `records` is the scanned log with the
-    /// un-fenced tail (everything past the cut) already taken off by the
-    /// caller, who alone knows what the tail is worth.
+    /// seated on the one log. Records past a shard's last fence are not
+    /// repeated: the caller alone knows what they are worth.
     fn rebuild_at_cut(
         files: DurableFiles,
         records: Vec<(Lsn, WalRecord)>,
@@ -699,9 +702,10 @@ impl TsbTree {
     }
 
     /// Walks the current database and erases every uncommitted version
-    /// (recovery's implicit abort of in-flight transactions; uncommitted
-    /// versions never migrate, so historical nodes need no visit).
-    fn purge_uncommitted(&self) -> TsbResult<()> {
+    /// (recovery's implicit abort of in-flight transactions, and a
+    /// promotion's; uncommitted versions never migrate, so historical
+    /// nodes need no visit).
+    pub(crate) fn purge_uncommitted(&self) -> TsbResult<()> {
         self.purge_uncommitted_at(self.current_root())
     }
 
@@ -1013,6 +1017,23 @@ mod tests {
                 cut(1..6, 5, &[(2, Some(5), c), (5, Some(6), d)], None),
             ),
             (
+                "a checkpoint restarts the tag on shard 0, as it does in a \
+                 replica's copy of a log that crossed a reset",
+                vec![
+                    base(),
+                    switch(1),
+                    image(3),
+                    commit(6, 0, d),
+                    WalRecord::ShardCheckpoint {
+                        parts: parts(&[(0, c), (0, d)]),
+                    },
+                    image(2),
+                    commit(7, 0, c),
+                ],
+                vec![0, 0],
+                cut(5..7, 6, &[(6, Some(7), c), (4, None, d)], None),
+            ),
+            (
                 "a cross-shard commit is one fence of every participant",
                 vec![
                     base(),
@@ -1072,7 +1093,7 @@ mod tests {
                 FenceReading::NotAFence,
                 "{record:?}"
             );
-            assert_eq!(fence_worm_len(&record), None);
+            assert_eq!(fence_worm_lens(&record, 0), vec![]);
         }
         // Exactly on the device is on the device; a one-shard fence
         // describes the shard the tag names.
@@ -1100,8 +1121,17 @@ mod tests {
                 fence_rule(&short, 0, none, &[128, 128]).unwrap(),
                 FenceReading::PastDevice { worm_len: 129 }
             );
-            assert_eq!(fence_worm_len(&short), Some(129));
+            let lens = fence_worm_lens(&short, 1);
+            assert_eq!(lens.iter().map(|&(_, len)| len).max(), Some(129));
         }
+        // A one-shard fence references the history of the shard its tag
+        // names; a fence naming shards, of each part's shard.
+        assert_eq!(fence_worm_lens(&elided_commit(5, 64), 2), vec![(2, 64)]);
+        let spanning = WalRecord::ShardCommit {
+            ts: 5,
+            parts: parts(&[(64, a), (128, a)]),
+        };
+        assert_eq!(fence_worm_lens(&spanning, 3), vec![(0, 64), (1, 128)]);
         // Only a commit elides: any other fence with empty metadata is
         // corruption, prior fence or not.
         let empty_checkpoint = WalRecord::Checkpoint {
@@ -1142,7 +1172,7 @@ mod tests {
             .set_len(0)
             .unwrap();
 
-        let as_replica = TsbTree::open_durable_replica(&dir, cfg.clone());
+        let as_replica = TsbTree::open_durable_replica(&Layout::flat(&dir), &cfg);
         assert!(
             matches!(&as_replica, Err(TsbError::Corruption(msg)) if msg.contains("replica log fence")),
             "a replica's log never holds a fence over history it lacks"

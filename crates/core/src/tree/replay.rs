@@ -19,9 +19,8 @@ use crate::node::{DataNode, IndexEntry, IndexNode, Node, NodeAddr};
 /// without a decode/encode round trip.
 ///
 /// Also the unit of a replication replica's *apply overlay*
-/// ([`crate::replica::ReplicaEngine`]): shipped page records accumulate
-/// here between commit fences and are installed onto the device only when
-/// their fence arrives.
+/// ([`crate::replica`]): shipped page records accumulate here between
+/// fences and are installed onto the device only when their fence arrives.
 #[derive(Clone)]
 pub(crate) enum ReplayPage {
     /// The image bytes as logged; no delta has touched them yet.

@@ -7,7 +7,8 @@
 //! its own disk; the primary dropped without a checkpoint and recovered —
 //! must leave a final synced replica that answers every current and as-of
 //! read exactly as the primary does — whether the primary's log carries
-//! deltas (as shipped) or a full image per rewrite (the reference). A caught-up
+//! deltas (as shipped) or a full image per rewrite (the reference), and
+//! whether one shard writes the log or four share it. A caught-up
 //! replica's next poll must also be a fixed point (an empty batch).
 
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use tsb_common::{FsyncPolicy, Key, KeyRange, Timestamp};
-use tsb_core::{EngineHandle, FaultInjector, ReplicaEngine, ReplicationSource, TsbOptions};
+use tsb_core::{EngineHandle, FaultInjector, ReplicationSource, ShardedTsb, TsbOptions};
 
 struct TempDir(std::path::PathBuf);
 
@@ -72,10 +73,11 @@ fn step() -> impl Strategy<Value = Step> {
 
 /// `images_only` selects the reference log (a full image per rewrite)
 /// through `TsbOptions`' hidden test switch.
-fn opts(dir: &std::path::Path, images_only: bool) -> TsbOptions {
+fn opts(dir: &std::path::Path, shards: usize, images_only: bool) -> TsbOptions {
     let opts = TsbOptions::durable(dir)
         .small_pages()
-        .fsync(FsyncPolicy::Always);
+        .fsync(FsyncPolicy::Always)
+        .shards(shards);
     if images_only {
         opts.reference_image_log()
     } else {
@@ -83,23 +85,33 @@ fn opts(dir: &std::path::Path, images_only: bool) -> TsbOptions {
     }
 }
 
-/// Ships one poll's worth; rebases first if the primary reset past the
-/// replica's cursor. Returns whether the replica is now caught up.
+/// Ships one poll's worth; rebases first if the replica has no base or
+/// the primary reset past its cursor, arming a rebased replica with
+/// `injector` as the one it replaces was. Returns whether the replica is
+/// now caught up.
 fn ship_once(
     source: &ReplicationSource,
-    replica: &ReplicaEngine,
+    replica: &mut ShardedTsb,
     max_bytes: usize,
+    injector: Option<&Arc<FaultInjector>>,
 ) -> tsb_common::TsbResult<bool> {
+    let rebase = |replica: &mut ShardedTsb| -> tsb_common::TsbResult<()> {
+        *replica = replica.install_base(&source.base()?)?;
+        if let Some(injector) = injector {
+            replica.set_fault_injector(Arc::clone(injector));
+        }
+        Ok(())
+    };
     if replica.needs_base() {
-        replica.install_base(&source.base()?)?;
+        rebase(replica)?;
     }
     let batch = source.poll(
         replica.resume_lsn().expect("serving replica has a cursor"),
-        replica.worm_have(),
+        &replica.worm_have(),
         max_bytes,
     )?;
     if batch.needs_rebase {
-        replica.install_base(&source.base()?)?;
+        rebase(replica)?;
         return Ok(false);
     }
     let caught_up = batch.records.is_empty();
@@ -107,16 +119,17 @@ fn ship_once(
     Ok(caught_up)
 }
 
-fn ship_all(source: &ReplicationSource, replica: &ReplicaEngine) {
-    while !ship_once(source, replica, 1 << 20).expect("ship") {}
+fn ship_all(source: &ReplicationSource, replica: &mut ShardedTsb) {
+    while !ship_once(source, replica, 1 << 20, None).expect("ship") {}
 }
 
-fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
+fn run_case(shards: usize, images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
     let pdir = TempDir::new("p");
     let rdir = TempDir::new("r");
-    let mut primary = opts(&pdir.0, images_only).open_concurrent().unwrap();
+    let opts = |dir: &TempDir| opts(&dir.0, shards, images_only);
+    let mut primary = opts(&pdir).open().unwrap();
     let mut source = Some(ReplicationSource::new(&primary).unwrap());
-    let mut replica = opts(&rdir.0, images_only).open_replica().unwrap();
+    let mut replica = opts(&rdir).open_replica().unwrap();
 
     // Every acknowledged (commit-stamped) write, for the as-of oracle.
     let mut stamps: Vec<(u64, Timestamp)> = Vec::new();
@@ -133,7 +146,7 @@ fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
                 stamps.push((*key, ts));
             }
             Step::Txn { writes } => {
-                let txn = primary.begin_txn();
+                let txn = primary.begin_txn().unwrap();
                 for key in writes {
                     primary
                         .txn_insert(txn, Key::from_u64(*key), format!("t{i}-{key}").into_bytes())
@@ -147,17 +160,17 @@ fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
             Step::Checkpoint => primary.checkpoint().unwrap(),
             Step::Ship { max_bytes } => {
                 let src = source.as_ref().unwrap();
-                ship_once(src, &replica, *max_bytes).expect("ship");
+                ship_once(src, &mut replica, *max_bytes, None).expect("ship");
             }
             Step::KillReplicaAfter { budget } => {
                 let injector = Arc::new(FaultInjector::new());
-                replica.set_fault_injector(&injector);
+                replica.set_fault_injector(Arc::clone(&injector));
                 injector.fail_after_writes(*budget);
                 // Ship until the injector trips (an error) or the stream
                 // drains without reaching the budget.
                 let src = source.as_ref().unwrap();
                 loop {
-                    match ship_once(src, &replica, 512) {
+                    match ship_once(src, &mut replica, 512, Some(&injector)) {
                         Ok(true) => break,
                         Ok(false) => continue,
                         Err(_) => break, // crash landed mid-apply
@@ -166,14 +179,14 @@ fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
                 // Crash-equivalent restart: reopen from whatever the disk
                 // holds, with a disarmed process.
                 drop(replica);
-                replica = opts(&rdir.0, images_only).open_replica().unwrap();
+                replica = opts(&rdir).open_replica().unwrap();
             }
             Step::KillPrimary => {
                 // No checkpoint, no graceful anything: drop every handle
                 // and recover from the directory.
                 drop(source.take());
                 drop(primary);
-                primary = opts(&pdir.0, images_only).open_concurrent().unwrap();
+                primary = opts(&pdir).open().unwrap();
                 source = Some(ReplicationSource::new(&primary).unwrap());
             }
         }
@@ -181,7 +194,7 @@ fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
 
     // Final convergence, then the oracle comparison.
     let src = source.as_ref().unwrap();
-    ship_all(src, &replica);
+    ship_all(src, &mut replica);
 
     let range = KeyRange::full();
     let p = primary.scan_current(&range).unwrap();
@@ -189,7 +202,8 @@ fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         p,
         r,
-        "replica current state diverged (images_only: {})",
+        "replica current state diverged ({} shards, images_only: {})",
+        shards,
         images_only
     );
 
@@ -198,15 +212,16 @@ fn run_case(images_only: bool, steps: &[Step]) -> Result<(), TestCaseError> {
         prop_assert_eq!(
             replica.get_as_of(&key, *ts).unwrap(),
             primary.get_as_of(&key, *ts).unwrap(),
-            "as-of read diverged at {:?} (images_only: {})",
+            "as-of read diverged at {:?} ({} shards, images_only: {})",
             ts,
+            shards,
             images_only
         );
     }
 
     // Re-subscribing at the caught-up cursor is a fixed point.
     let fixed = src
-        .poll(replica.resume_lsn().unwrap(), replica.worm_have(), 1 << 20)
+        .poll(replica.resume_lsn().unwrap(), &replica.worm_have(), 1 << 20)
         .unwrap();
     prop_assert!(!fixed.needs_rebase, "caught-up cursor asked to rebase");
     prop_assert!(
@@ -224,7 +239,9 @@ proptest! {
     fn replica_equals_primary_durable_prefix(
         steps in prop::collection::vec(step(), 1..36),
     ) {
-        run_case(false, &steps)?;
-        run_case(true, &steps)?;
+        for shards in [1, 4] {
+            run_case(shards, false, &steps)?;
+            run_case(shards, true, &steps)?;
+        }
     }
 }

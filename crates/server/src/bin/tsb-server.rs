@@ -17,11 +17,12 @@
 //! holds a shipped copy of the primary's log, a background thread keeps it
 //! converged (bootstrapping a base image if needed, reconnecting with
 //! backoff on failures), and the listener serves read verbs only — write
-//! verbs get the `read-only` error. Incompatible with `--shards`. A
-//! replica can be **promoted** in place with the `Promote` verb
-//! (`tsb-client`'s `promote()`): it stops replicating, recovers its local
-//! copy as a primary at a bumped, fsynced promotion epoch, and starts
-//! accepting writes — see `docs/operations.md` for the failover runbook.
+//! verbs get the `read-only` error. `--shards` names the primary's shard
+//! count (a base of another count is refused). A replica can be
+//! **promoted** in place with the `Promote` verb (`tsb-client`'s
+//! `promote()`): it stops replicating at a bumped, fsynced promotion
+//! epoch, fences its local copy as a primary, and starts accepting writes
+//! — see `docs/operations.md` for the failover runbook.
 //!
 //! `--max-conns N` sheds connections beyond N with a recoverable
 //! `Overloaded` (code 23) error frame instead of queueing them;
@@ -129,44 +130,30 @@ fn parse_args() -> Args {
 
 fn run(args: Args) -> tsb_common::TsbResult<()> {
     std::fs::create_dir_all(&args.data_dir)?;
-    let mut opts = TsbOptions::durable(&args.data_dir).fsync(args.fsync);
+    let mut opts = TsbOptions::durable(&args.data_dir)
+        .fsync(args.fsync)
+        .shards(args.shards);
     if args.small_pages {
         opts = opts.small_pages();
     }
     let server_opts = ServerOptions {
         max_conns: args.max_conns,
         idle_timeout: args.idle_timeout,
-        ..ServerOptions::default()
-    };
-
-    if let Some(source) = args.replica_of {
-        if args.shards != 1 {
-            eprintln!("tsb-server: --replica-of is incompatible with --shards");
-            std::process::exit(2);
-        }
-        let replica = opts.open_replica()?;
-        // The server owns the replication runner: the `Promote` verb stops
-        // it and swaps in a primary engine recovered from the same
-        // directory. `wait()`/drop stop it on the way out.
-        let server = TsbServer::start_replica(replica, source, args.addr.as_str(), server_opts)?;
-        println!("tsb-server listening on {}", server.local_addr());
-        std::io::stdout().flush()?;
-        server.wait()?;
-        // The parent may have closed our stdout by now; the farewell
-        // line is best-effort.
-        let _ = writeln!(std::io::stdout(), "tsb-server shut down cleanly");
-        return Ok(());
-    }
-
-    let server_opts = ServerOptions {
         epoch: tsb_core::epoch::read_epoch(&args.data_dir)?,
-        ..server_opts
     };
-    let db = opts.shards(args.shards).open()?;
-    let server = TsbServer::start_engine_with(Arc::new(db), args.addr.as_str(), server_opts)?;
+    let addr = args.addr.as_str();
+    let server = match args.replica_of {
+        // The server owns the replication runner: the `Promote` verb stops
+        // it and the engine stops applying. `wait()`/drop stop it on the
+        // way out.
+        Some(source) => TsbServer::start_replica(opts.open_replica()?, source, addr, server_opts)?,
+        None => TsbServer::start_engine_with(Arc::new(opts.open()?), addr, server_opts)?,
+    };
     println!("tsb-server listening on {}", server.local_addr());
     std::io::stdout().flush()?;
     server.wait()?;
+    // The parent may have closed our stdout by now; the farewell line is
+    // best-effort.
     let _ = writeln!(std::io::stdout(), "tsb-server shut down cleanly");
     Ok(())
 }

@@ -13,15 +13,13 @@
 //!   however many pipelined frames the client has in flight; the worker
 //!   executes all of them, issues the writes through the engine's
 //!   *deferred-durability* API ([`EngineHandle::insert_deferred`] &c.),
-//!   then waits **once per shard** on the highest LSN the batch produced
-//!   on that shard before flushing the batch's replies in a single
-//!   `write_all`. The writes only appended; every shard appends to the
-//!   engine's one log, so the first of those waits asks for one fsync
-//!   that covers the whole batch and the later waits find their answer
-//!   ready. The durable watermark is monotonic, so when the batch's max
-//!   LSN is durable every commit the batch placed is — one fsync (often
-//!   shared with other connections' batches) acknowledges the whole
-//!   burst, cross-shard transaction commits included.
+//!   then waits **once** on the highest LSN the batch produced before
+//!   flushing the batch's replies in a single `write_all`. The writes only
+//!   appended; every shard appends to the engine's one log, whose durable
+//!   watermark is monotonic, so when the batch's max LSN is durable every
+//!   commit the batch placed is — one fsync (often shared with other
+//!   connections' batches) acknowledges the whole burst, cross-shard
+//!   transaction commits included.
 //! * **Acknowledgement means durable.** A `put`/`delete`/`txn_commit`
 //!   reply is written only after the commit's LSN is under the durable
 //!   watermark per the engine's [`FsyncPolicy`](tsb_common::FsyncPolicy).
@@ -31,15 +29,14 @@
 //!   tests holds the server to that: after SIGKILL mid-load, every
 //!   acknowledged write must survive reopen.
 //!
-//! [`tsb_core::TsbOptions`] opens, [`EngineHandle`] serves, and two
-//! types implement it: a writable [`tsb_core::ShardedTsb`] (the keyspace
-//! may be partitioned across N shards, `tsb-server --shards N`, sharing
-//! one WAL and group-commit pipeline under one global commit clock; one
-//! shard is the unsharded case) or a read-only
-//! [`tsb_core::ReplicaEngine`] fed by WAL shipping (`tsb-server
-//! --replica-of ADDR`, see [`replica`]). A promoted replica reopens its
-//! directory through the same door, so it holds the same type a born
-//! primary does.
+//! [`tsb_core::TsbOptions`] opens, [`EngineHandle`] serves, and one type
+//! implements it: a [`tsb_core::ShardedTsb`], whose keyspace may be
+//! partitioned across N shards (`tsb-server --shards N`) sharing one WAL
+//! and group-commit pipeline under one global commit clock; one shard is
+//! the unsharded case. A replica is the same type fed by WAL shipping
+//! (`tsb-server --replica-of ADDR`, at the primary's shard count, see
+//! [`replica`]); promoting it stops the feed, and the engine serves on as
+//! a primary.
 //! Sharding and replication are entirely server-side — requests are
 //! routed (and range/history results merged) here, and the wire protocol
 //! is identical for every engine flavour; a replica simply answers write
@@ -71,7 +68,9 @@ use parking_lot::{Mutex, RwLock};
 
 use tsb_common::{TsbError, TsbResult, TxnId};
 use tsb_core::epoch::INITIAL_EPOCH;
-use tsb_core::{EngineHandle, EngineRole, Lsn, ReplicaBase, ReplicaEngine, ReplicationSource};
+use tsb_core::{
+    EngineHandle, EngineRole, ReplicaBase, ReplicationSource, ShardImage, ShardLsn, ShardedTsb,
+};
 
 use protocol::{FrameDecoder, FrameError, Reply, Request, MAX_FRAME_BODY};
 
@@ -130,24 +129,10 @@ pub struct TsbServer {
     acceptor: Option<JoinHandle<()>>,
 }
 
-/// What a replica server needs on hand to honour a `Promote` verb.
-struct PromoteCtx {
-    replica: ReplicaEngine,
-}
-
-/// Promotion state, under one mutex so concurrent `Promote`s serialize.
-#[derive(Default)]
-struct PromotionState {
-    /// The replication runner, owned by the server so promotion (and
-    /// shutdown) can stop it.
-    runner: Option<replica::ReplicaRunner>,
-    ctx: Option<PromoteCtx>,
-}
-
 struct ServerShared {
-    /// The served engine. A slot, not a plain field: `Promote` swaps a
-    /// replica for a freshly-recovered primary in place. Workers clone the
-    /// handle out once per batch.
+    /// The served engine. A slot, not a plain field: a replica's runner
+    /// swaps in the engine each base install or reopen hands back. Workers
+    /// clone the handle out once per batch.
     engine: RwLock<Arc<dyn EngineHandle>>,
     listener: TcpListener,
     addr: SocketAddr,
@@ -162,7 +147,10 @@ struct ServerShared {
     /// Bumped by `Promote`; refreshed by the replication runner when a
     /// bootstrap adopts the primary's epoch.
     epoch: Arc<AtomicU64>,
-    promotion: Mutex<PromotionState>,
+    /// A replica server's replication runner, owned here so promotion (and
+    /// shutdown) can stop it; under one mutex so concurrent `Promote`s
+    /// serialize.
+    runner: Mutex<Option<replica::ReplicaRunner>>,
 }
 
 impl ServerShared {
@@ -215,7 +203,7 @@ impl TsbServer {
             next_conn: AtomicU64::new(0),
             opts,
             epoch,
-            promotion: Mutex::new(PromotionState::default()),
+            runner: Mutex::new(None),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -230,36 +218,39 @@ impl TsbServer {
         })
     }
 
-    /// Starts a *promotable* replica server: serves `replica` read-only,
-    /// owns the [`replica::ReplicaRunner`] streaming from `source`, and
-    /// honours the `Promote` verb (stop the feed, recover the directory as
-    /// a primary at a bumped, fsynced epoch, start accepting writes). The
-    /// server's epoch tracks the replica's persisted epoch (adopted from
-    /// the primary at bootstrap).
+    /// Starts a replica server: serves `replica` (opened with
+    /// `TsbOptions::open_replica`) read-only, owns the
+    /// [`replica::ReplicaRunner`] streaming from `source` — serving each
+    /// engine it installs — and honours the `Promote` verb (stop the feed,
+    /// persist a bumped epoch, stop applying, accept writes). The server's
+    /// epoch tracks the replica's persisted epoch (adopted from the
+    /// primary at bootstrap).
     pub fn start_replica(
-        replica: ReplicaEngine,
+        replica: ShardedTsb,
         source: impl Into<String>,
         addr: impl ToSocketAddrs,
         opts: ServerOptions,
     ) -> TsbResult<TsbServer> {
+        let dir = replica.replica_dir().ok_or_else(|| {
+            TsbError::config("a replica server serves an engine opened as a replica")
+        })?;
         let opts = ServerOptions {
-            epoch: tsb_core::epoch::read_epoch(replica.dir())?,
+            epoch: tsb_core::epoch::read_epoch(dir)?,
             ..opts
         };
-        let server = Self::start_engine_with(
-            Arc::new(replica.clone()) as Arc<dyn EngineHandle>,
-            addr,
-            opts,
-        )?;
-        let runner = replica::ReplicaRunner::start_with_epoch(
-            replica.clone(),
+        let server = Self::start_engine_with(Arc::new(replica.clone()), addr, opts)?;
+        let slot = Arc::downgrade(&server.shared);
+        let runner = replica::ReplicaRunner::start(
+            replica,
             source,
             Arc::clone(&server.shared.epoch),
-        );
-        let mut promo = server.shared.promotion.lock();
-        promo.runner = Some(runner);
-        promo.ctx = Some(PromoteCtx { replica });
-        drop(promo);
+            move |db: &ShardedTsb| {
+                if let Some(shared) = slot.upgrade() {
+                    *shared.engine.write() = Arc::new(db.clone());
+                }
+            },
+        )?;
+        *server.shared.runner.lock() = Some(runner);
         Ok(server)
     }
 
@@ -309,11 +300,10 @@ impl TsbServer {
     }
 }
 
+/// Stops a replica server's runner (dropping it joins its thread).
 fn stop_runner(shared: &Arc<ServerShared>) {
-    let runner = shared.promotion.lock().runner.take();
-    if let Some(mut runner) = runner {
-        runner.stop();
-    }
+    let runner = shared.runner.lock().take();
+    drop(runner);
 }
 
 impl Drop for TsbServer {
@@ -393,42 +383,9 @@ fn shed_connection(mut stream: TcpStream, cap: usize) {
 enum Outcome {
     /// Sendable as soon as the batch flushes (reads, errors, txn plumbing).
     Ready(Reply),
-    /// A write ack that must not be sent unless the batch's per-shard max
-    /// LSNs (tracked by the caller) all become durable.
+    /// A write ack that must not be sent unless the batch's newest
+    /// durability position (tracked by the caller) becomes durable.
     AckAtDurable(Reply),
-}
-
-/// The batch's durability obligations: the highest deferred LSN per shard.
-/// One wait per touched shard acknowledges every commit the batch placed
-/// there (each shard's watermark is monotonic).
-struct BatchWaits {
-    max_lsns: Vec<Option<Lsn>>,
-}
-
-impl BatchWaits {
-    fn new(shards: usize) -> Self {
-        BatchWaits {
-            max_lsns: vec![None; shards],
-        }
-    }
-
-    fn note(&mut self, (shard, lsn): tsb_core::ShardLsn) {
-        let slot = &mut self.max_lsns[shard];
-        *slot = Some(slot.map_or(lsn, |m| m.max(lsn)));
-    }
-
-    /// Parks on every touched shard's watermark; the first failure wins
-    /// (sticky sync failures poison the shard, so precision is moot).
-    fn settle(&self, db: &dyn EngineHandle) -> Option<(u8, String)> {
-        for (shard, lsn) in self.max_lsns.iter().enumerate() {
-            if let Some(lsn) = lsn {
-                if let Err(e) = db.wait_durable((shard, *lsn)) {
-                    return Some((e.wire_code(), e.to_string()));
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Checkpoints on shutdown paths — unless the engine is a replica, which
@@ -553,8 +510,8 @@ fn process_batch(
     if batch.is_empty() {
         return Ok(false);
     }
-    // One engine snapshot per batch: a concurrent promotion swaps the
-    // slot, and mixing engines inside a batch would confuse the waits.
+    // One engine snapshot per batch: a replica's runner swaps the slot,
+    // and mixing engines inside a batch would confuse the wait.
     let db = shared.engine();
     let ConnState {
         open_txns,
@@ -562,7 +519,10 @@ fn process_batch(
         base,
     } = conn;
     let mut outcomes: Vec<(u64, Outcome)> = Vec::with_capacity(batch.len());
-    let mut waits = BatchWaits::new(db.shard_count());
+    // The batch's newest durability position: every shard appends to the
+    // engine's one log, whose durable watermark is monotonic, so one wait
+    // on it acknowledges every commit the batch placed.
+    let mut waits: Option<ShardLsn> = None;
     let mut stop_after = false;
 
     for (id, req) in batch {
@@ -664,7 +624,7 @@ fn process_batch(
                         ours,
                     })
                 } else {
-                    match subscribe(&db, source, *from_lsn, *worm_have, *max_bytes) {
+                    match subscribe(&db, source, *from_lsn, worm_have, *max_bytes) {
                         Ok(reply) => reply,
                         Err(e) => error_reply(&e),
                     }
@@ -672,11 +632,11 @@ fn process_batch(
             }),
             Request::FetchBase => Outcome::Ready(match fetch_base(&db, source) {
                 Ok(image) => {
+                    let shards = image.shards.iter();
                     let info = Reply::BaseInfo {
                         checkpoint_lsn: image.checkpoint_lsn,
                         checkpoint: image.checkpoint.clone(),
-                        page_count: image.pages.len() as u64,
-                        worm_len: image.worm.len() as u64,
+                        page_counts: shards.map(|s| s.pages.len() as u64).collect(),
                         page_size: image.page_size as u64,
                         worm_sector_size: image.worm_sector_size as u64,
                         epoch: shared.epoch.load(Ordering::SeqCst),
@@ -686,17 +646,21 @@ fn process_batch(
                 }
                 Err(e) => error_reply(&e),
             }),
-            Request::FetchBasePages { start, max_bytes } => Outcome::Ready(match base.as_deref() {
-                Some(image) => base_pages(image, *start, *max_bytes),
-                None => error_reply(&TsbError::config(
-                    "no base image captured on this connection: send fetch_base first",
-                )),
+            Request::FetchBasePages {
+                shard,
+                start,
+                max_bytes,
+            } => Outcome::Ready(match base_shard(base, *shard) {
+                Ok(image) => base_pages(image, *start, *max_bytes),
+                Err(e) => error_reply(&e),
             }),
-            Request::FetchBaseWorm { offset, max_bytes } => Outcome::Ready(match base.as_deref() {
-                Some(image) => base_worm(image, *offset, *max_bytes),
-                None => error_reply(&TsbError::config(
-                    "no base image captured on this connection: send fetch_base first",
-                )),
+            Request::FetchBaseWorm {
+                shard,
+                offset,
+                max_bytes,
+            } => Outcome::Ready(match base_shard(base, *shard) {
+                Ok(image) => base_worm(image, *offset, *max_bytes),
+                Err(e) => error_reply(&e),
             }),
             Request::ReplicaStatus => Outcome::Ready(match db.replica_status() {
                 Some(s) => Reply::ReplicaStatusInfo {
@@ -720,10 +684,9 @@ fn process_batch(
         outcomes.push((*id, outcome));
     }
 
-    // One durability wait per touched shard covers the whole burst: each
-    // shard's watermark is monotonic, so per-shard max-LSN durable ⇒ every
-    // commit the batch placed on that shard durable.
-    let durable_failed: Option<(u8, String)> = waits.settle(db.as_ref());
+    let durable_failed = waits
+        .and_then(|pos| db.wait_durable(pos).err())
+        .map(|e| (e.wire_code(), e.to_string()));
 
     let mut out = Vec::with_capacity(outcomes.len() * 32);
     for (id, outcome) in outcomes {
@@ -747,15 +710,14 @@ fn process_batch(
     Ok(stop_after)
 }
 
-fn ack_at(reply: Reply, lsn: Option<tsb_core::ShardLsn>, waits: &mut BatchWaits) -> Outcome {
-    match lsn {
-        Some(lsn) => {
-            waits.note(lsn);
+fn ack_at(reply: Reply, pos: Option<ShardLsn>, waits: &mut Option<ShardLsn>) -> Outcome {
+    match pos {
+        Some(pos) => {
+            *waits = Some(waits.map_or(pos, |w| std::cmp::max_by_key(w, pos, |p| p.1)));
             Outcome::AckAtDurable(reply)
         }
-        // No durability obligation (in-memory engine, a fully-forced
-        // cross-shard commit, or the policy's group is still open): the
-        // engine contract says ack now.
+        // No durability obligation (in-memory engine, or a policy that
+        // acknowledges without a sync): the engine contract says ack now.
         None => Outcome::Ready(reply),
     }
 }
@@ -772,45 +734,37 @@ fn error_reply(e: &TsbError) -> Reply {
 /// The sequence is crash-safe at every step:
 /// 1. **Stop the feed.** Joining the runner guarantees no apply is in
 ///    flight; everything shipped up to the last pulled batch is in the
-///    replica's local log, installed through its newest fence.
-/// 2. **Recover as primary.** The replica releases the directory and the
-///    ordinary primary recovery reopens it, cutting at the newest durable
-///    commit fence — the un-fenced shipped tail (records past the last
-///    fence, never acknowledged to any client) is discarded exactly as a
-///    crashed primary's own un-fenced tail would be.
-/// 3. **Fence, then serve.** The bumped epoch is fsynced *before* the new
-///    engine is swapped into the serving slot, so no write can be accepted
-///    at an epoch a crash could roll back. From here, a `Subscribe` from
-///    the demoted primary (still at the old epoch) is rejected.
+///    replica's local log, installed through its newest fences.
+/// 2. **Fence the epoch.** The bumped epoch is fsynced *before* the
+///    engine stops applying, so no write can be accepted at an epoch a
+///    crash could roll back. From here, a `Subscribe` from the demoted
+///    primary (still at the old epoch) is rejected.
+/// 3. **Stop applying.** [`ShardedTsb::promote`] drops the un-fenced
+///    shipped tail (never acknowledged to any client), erases what the
+///    old primary's open transactions wrote, and checkpoints — what the
+///    ordinary primary recovery of the directory would do — and the engine
+///    serves on as a primary.
 fn promote(shared: &Arc<ServerShared>) -> TsbResult<u64> {
-    let mut promo = shared.promotion.lock();
+    let mut runner = shared.runner.lock();
     if shared.engine().role() == EngineRole::Primary {
         return Ok(shared.epoch.load(Ordering::SeqCst));
     }
-    let ctx = promo.ctx.as_ref().ok_or_else(|| {
-        TsbError::config(
-            "this replica server was not started promotable (no local directory context)",
-        )
-    })?;
-    let replica = ctx.replica.clone();
-    if let Some(mut runner) = promo.runner.take() {
-        runner.stop();
-    }
-    replica.close();
-    let dir = replica.dir();
-    let new_epoch = tsb_core::epoch::read_epoch(dir)?.saturating_add(1);
-    let db = tsb_core::TsbOptions::durable(dir)
-        .config(replica.config().clone())
-        .open()?;
+    let replica = runner.take().and_then(|mut runner| runner.stop());
+    let replica = replica
+        .ok_or_else(|| TsbError::config("this replica server has no replication runner to stop"))?;
+    let dir = replica
+        .replica_dir()
+        .ok_or_else(|| TsbError::internal("the replication runner fed a primary"))?;
+    let new_epoch = shared.epoch.load(Ordering::SeqCst).saturating_add(1);
     tsb_core::epoch::persist_epoch(dir, new_epoch)?;
-    *shared.engine.write() = Arc::new(db);
+    replica.promote()?;
+    *shared.engine.write() = Arc::new(replica);
     shared.epoch.store(new_epoch, Ordering::SeqCst);
-    promo.ctx = None;
     Ok(new_epoch)
 }
 
 /// Lazily creates this connection's [`ReplicationSource`] (errors on
-/// engines that cannot serve one: in-memory, multi-shard, replicas).
+/// engines that cannot serve one: in-memory engines and replicas).
 fn conn_source<'a>(
     db: &Arc<dyn EngineHandle>,
     source: &'a mut Option<ReplicationSource>,
@@ -827,7 +781,7 @@ fn subscribe(
     db: &Arc<dyn EngineHandle>,
     source: &mut Option<ReplicationSource>,
     from_lsn: u64,
-    worm_have: u64,
+    worm_have: &[u64],
     max_bytes: u64,
 ) -> TsbResult<Reply> {
     let source = conn_source(db, source)?;
@@ -836,7 +790,6 @@ fn subscribe(
     Ok(Reply::Batch {
         needs_rebase: batch.needs_rebase,
         durable_lsn: batch.durable_lsn,
-        worm_start: batch.worm_start,
         worm: batch.worm,
         records: batch.records,
     })
@@ -852,8 +805,21 @@ fn fetch_base(
     Ok(Arc::new(source.base()?))
 }
 
+/// One shard of the base image this connection captured.
+fn base_shard(base: &Option<Arc<ReplicaBase>>, shard: u32) -> TsbResult<&ShardImage> {
+    let image = base.as_deref().ok_or_else(|| {
+        TsbError::config("no base image captured on this connection: send fetch_base first")
+    })?;
+    image.shards.get(shard as usize).ok_or_else(|| {
+        TsbError::config(format!(
+            "the base image has {} shards, not shard {shard}",
+            image.shards.len()
+        ))
+    })
+}
+
 /// Serves one `fetch_base_pages` chunk.
-fn base_pages(image: &ReplicaBase, start: u64, max_bytes: u64) -> Reply {
+fn base_pages(image: &ShardImage, start: u64, max_bytes: u64) -> Reply {
     let cap = (max_bytes as usize).clamp(1, BASE_CHUNK_MAX_BYTES);
     let start = (start as usize).min(image.pages.len());
     let mut pages = Vec::new();
@@ -870,7 +836,7 @@ fn base_pages(image: &ReplicaBase, start: u64, max_bytes: u64) -> Reply {
 }
 
 /// Serves one `fetch_base_worm` chunk.
-fn base_worm(image: &ReplicaBase, offset: u64, max_bytes: u64) -> Reply {
+fn base_worm(image: &ShardImage, offset: u64, max_bytes: u64) -> Reply {
     let cap = (max_bytes as usize).clamp(1, BASE_CHUNK_MAX_BYTES);
     let offset = (offset as usize).min(image.worm.len());
     let end = (offset + cap).min(image.worm.len());

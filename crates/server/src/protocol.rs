@@ -227,9 +227,10 @@ pub enum Request {
         /// The subscriber's resume cursor: ship records with LSN >
         /// `from_lsn`.
         from_lsn: u64,
-        /// The subscriber's WORM device length; the reply carries the
-        /// historical bytes past it that the batch's fences reference.
-        worm_have: u64,
+        /// Each shard's WORM device length at the subscriber, in shard
+        /// order; the reply carries the historical bytes past them that
+        /// the batch's fences reference.
+        worm_have: Vec<u64>,
         /// Soft cap on record bytes in the reply (the server clamps it so
         /// the reply fits a frame).
         max_bytes: u64,
@@ -245,17 +246,21 @@ pub enum Request {
     /// shape. The image is cached on this connection; fetch its contents
     /// with `FetchBasePages` / `FetchBaseWorm`.
     FetchBase,
-    /// Fetch a chunk of the captured base's pages, starting at index
-    /// `start`.
+    /// Fetch a chunk of one shard's pages in the captured base, starting
+    /// at index `start`.
     FetchBasePages {
-        /// Index of the first page to return (into the base's page list).
+        /// The shard whose pages to return.
+        shard: u32,
+        /// Index of the first page to return (into the shard's page list).
         start: u64,
         /// Soft cap on page bytes in the reply.
         max_bytes: u64,
     },
-    /// Fetch a chunk of the captured base's WORM image.
+    /// Fetch a chunk of one shard's WORM image in the captured base.
     FetchBaseWorm {
-        /// Byte offset into the base's WORM image.
+        /// The shard whose WORM image to return.
+        shard: u32,
+        /// Byte offset into the shard's WORM image.
         offset: u64,
         /// Soft cap on bytes in the reply.
         max_bytes: u64,
@@ -344,9 +349,9 @@ pub enum Reply {
         /// Clients comparing two claimed primaries must believe the one
         /// with the higher epoch.
         epoch: u64,
-        /// The newest durable position in this server's log (0 when it has
-        /// no single durable log: in-memory or sharded). On a replica: the
-        /// applied fence LSN. A no-loss promotion drill quiesces writers,
+        /// The newest durable position in this server's log, the one log
+        /// every shard shares (0 in memory). On a replica: the applied
+        /// fence LSN. A no-loss promotion drill quiesces writers,
         /// reads this off the *primary*, and waits until the replica's
         /// `applied_lsn` reaches it — the replica's own lag counters are
         /// relative to the watermark it last polled and can read zero
@@ -360,10 +365,9 @@ pub enum Reply {
         needs_rebase: bool,
         /// The primary's durable watermark at poll time.
         durable_lsn: u64,
-        /// Device offset at which `worm` starts.
-        worm_start: u64,
-        /// Historical bytes the batch's fences reference.
-        worm: Vec<u8>,
+        /// Per shard: the device offset its bytes start at, and the
+        /// historical bytes the batch's fences reference.
+        worm: Vec<(u64, Vec<u8>)>,
         /// Encoded record bodies, contiguous LSNs.
         records: Vec<Vec<u8>>,
     },
@@ -373,10 +377,10 @@ pub enum Reply {
         checkpoint_lsn: u64,
         /// The checkpoint record's encoded body.
         checkpoint: Vec<u8>,
-        /// Number of pages in the image (fetch via `FetchBasePages`).
-        page_count: u64,
-        /// Total WORM image length (fetch via `FetchBaseWorm`).
-        worm_len: u64,
+        /// Number of pages in each shard's image, in shard order (fetch
+        /// via `FetchBasePages`; each shard's WORM image via
+        /// `FetchBaseWorm`).
+        page_counts: Vec<u64>,
         /// The primary's page size.
         page_size: u64,
         /// The primary's WORM sector size.
@@ -530,18 +534,28 @@ fn request_body(id: u64, req: &Request) -> Vec<u8> {
         } => {
             w.put_u8(REQ_SUBSCRIBE);
             w.put_u64(*from_lsn);
-            w.put_u64(*worm_have);
+            put_u64s(&mut w, worm_have);
             w.put_u64(*max_bytes);
             w.put_u64(*epoch);
         }
         Request::FetchBase => w.put_u8(REQ_FETCH_BASE),
-        Request::FetchBasePages { start, max_bytes } => {
+        Request::FetchBasePages {
+            shard,
+            start,
+            max_bytes,
+        } => {
             w.put_u8(REQ_FETCH_BASE_PAGES);
+            w.put_u32(*shard);
             w.put_u64(*start);
             w.put_u64(*max_bytes);
         }
-        Request::FetchBaseWorm { offset, max_bytes } => {
+        Request::FetchBaseWorm {
+            shard,
+            offset,
+            max_bytes,
+        } => {
             w.put_u8(REQ_FETCH_BASE_WORM);
+            w.put_u32(*shard);
             w.put_u64(*offset);
             w.put_u64(*max_bytes);
         }
@@ -638,15 +652,17 @@ fn reply_body(id: u64, reply: &Reply) -> Vec<u8> {
         Reply::Batch {
             needs_rebase,
             durable_lsn,
-            worm_start,
             worm,
             records,
         } => {
             w.put_u8(REP_BATCH);
             w.put_u8(u8::from(*needs_rebase));
             w.put_u64(*durable_lsn);
-            w.put_u64(*worm_start);
-            w.put_bytes(worm);
+            w.put_u32(worm.len() as u32);
+            for (start, bytes) in worm {
+                w.put_u64(*start);
+                w.put_bytes(bytes);
+            }
             w.put_u32(records.len() as u32);
             for body in records {
                 w.put_bytes(body);
@@ -655,8 +671,7 @@ fn reply_body(id: u64, reply: &Reply) -> Vec<u8> {
         Reply::BaseInfo {
             checkpoint_lsn,
             checkpoint,
-            page_count,
-            worm_len,
+            page_counts,
             page_size,
             worm_sector_size,
             epoch,
@@ -664,8 +679,7 @@ fn reply_body(id: u64, reply: &Reply) -> Vec<u8> {
             w.put_u8(REP_BASE_INFO);
             w.put_u64(*checkpoint_lsn);
             w.put_bytes(checkpoint);
-            w.put_u64(*page_count);
-            w.put_u64(*worm_len);
+            put_u64s(&mut w, page_counts);
             w.put_u64(*page_size);
             w.put_u64(*worm_sector_size);
             w.put_u64(*epoch);
@@ -774,16 +788,18 @@ pub fn parse_request(body: &[u8]) -> Result<(u64, Request), FrameError> {
         REQ_ROLE => Request::Role,
         REQ_SUBSCRIBE => Request::Subscribe {
             from_lsn: r.get_u64().map_err(malformed)?,
-            worm_have: r.get_u64().map_err(malformed)?,
+            worm_have: get_u64s(&mut r)?,
             max_bytes: r.get_u64().map_err(malformed)?,
             epoch: r.get_u64().map_err(malformed)?,
         },
         REQ_FETCH_BASE => Request::FetchBase,
         REQ_FETCH_BASE_PAGES => Request::FetchBasePages {
+            shard: r.get_u32().map_err(malformed)?,
             start: r.get_u64().map_err(malformed)?,
             max_bytes: r.get_u64().map_err(malformed)?,
         },
         REQ_FETCH_BASE_WORM => Request::FetchBaseWorm {
+            shard: r.get_u32().map_err(malformed)?,
             offset: r.get_u64().map_err(malformed)?,
             max_bytes: r.get_u64().map_err(malformed)?,
         },
@@ -853,8 +869,12 @@ pub fn parse_reply(body: &[u8]) -> Result<(u64, Reply), FrameError> {
         REP_BATCH => {
             let needs_rebase = parse_bool(&mut r)?;
             let durable_lsn = r.get_u64().map_err(malformed)?;
-            let worm_start = r.get_u64().map_err(malformed)?;
-            let worm = r.get_bytes().map_err(malformed)?;
+            let count = r.get_u32().map_err(malformed)? as usize;
+            let mut worm = Vec::with_capacity(count.min(body.len() / 12 + 1));
+            for _ in 0..count {
+                let start = r.get_u64().map_err(malformed)?;
+                worm.push((start, r.get_bytes().map_err(malformed)?));
+            }
             let count = r.get_u32().map_err(malformed)? as usize;
             let mut records = Vec::with_capacity(count.min(body.len() / 8 + 1));
             for _ in 0..count {
@@ -863,7 +883,6 @@ pub fn parse_reply(body: &[u8]) -> Result<(u64, Reply), FrameError> {
             Reply::Batch {
                 needs_rebase,
                 durable_lsn,
-                worm_start,
                 worm,
                 records,
             }
@@ -871,8 +890,7 @@ pub fn parse_reply(body: &[u8]) -> Result<(u64, Reply), FrameError> {
         REP_BASE_INFO => Reply::BaseInfo {
             checkpoint_lsn: r.get_u64().map_err(malformed)?,
             checkpoint: r.get_bytes().map_err(malformed)?,
-            page_count: r.get_u64().map_err(malformed)?,
-            worm_len: r.get_u64().map_err(malformed)?,
+            page_counts: get_u64s(&mut r)?,
             page_size: r.get_u64().map_err(malformed)?,
             worm_sector_size: r.get_u64().map_err(malformed)?,
             epoch: r.get_u64().map_err(malformed)?,
@@ -913,6 +931,25 @@ pub fn parse_reply(body: &[u8]) -> Result<(u64, Reply), FrameError> {
 
 fn malformed(e: TsbError) -> FrameError {
     FrameError::Malformed(e.to_string())
+}
+
+/// A `u32` count, then that many `u64`s (one per shard).
+fn put_u64s(w: &mut ByteWriter, values: &[u64]) {
+    w.put_u32(values.len() as u32);
+    for value in values {
+        w.put_u64(*value);
+    }
+}
+
+/// The inverse of [`put_u64s`]. The count is hostile input: the
+/// pre-allocation is capped by what the rest of the body could hold.
+fn get_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>, FrameError> {
+    let count = r.get_u32().map_err(malformed)? as usize;
+    let mut values = Vec::with_capacity(count.min(r.remaining() / 8));
+    for _ in 0..count {
+        values.push(r.get_u64().map_err(malformed)?);
+    }
+    Ok(values)
 }
 
 fn parse_bool(r: &mut ByteReader<'_>) -> Result<bool, FrameError> {
@@ -1052,16 +1089,18 @@ mod tests {
             Request::Role,
             Request::Subscribe {
                 from_lsn: 42,
-                worm_have: 4096,
+                worm_have: vec![4096, 0, 512],
                 max_bytes: 1 << 20,
                 epoch: 3,
             },
             Request::FetchBase,
             Request::FetchBasePages {
+                shard: 2,
                 start: 10,
                 max_bytes: 1 << 20,
             },
             Request::FetchBaseWorm {
+                shard: 0,
                 offset: 8192,
                 max_bytes: 1 << 20,
             },
@@ -1104,22 +1143,19 @@ mod tests {
             Reply::Batch {
                 needs_rebase: false,
                 durable_lsn: 99,
-                worm_start: 512,
-                worm: vec![3; 32],
+                worm: vec![(512, vec![3; 32]), (0, vec![])],
                 records: vec![vec![1, 2, 3], vec![]],
             },
             Reply::Batch {
                 needs_rebase: true,
                 durable_lsn: 100,
-                worm_start: 0,
                 worm: vec![],
                 records: vec![],
             },
             Reply::BaseInfo {
                 checkpoint_lsn: 7,
                 checkpoint: vec![9; 40],
-                page_count: 12,
-                worm_len: 2048,
+                page_counts: vec![12, 3],
                 page_size: 4096,
                 worm_sector_size: 512,
                 epoch: 5,

@@ -1,12 +1,13 @@
 //! The replica-side replication runner.
 //!
-//! [`ReplicaRunner`] owns a background thread that keeps a local
-//! [`ReplicaEngine`] converged with a primary `tsb-server`:
+//! [`ReplicaRunner`] owns a background thread that keeps a replica — a
+//! [`ShardedTsb`] opened with `TsbOptions::open_replica` at its primary's
+//! shard count — converged with a primary `tsb-server`:
 //!
 //! 1. **Bootstrap.** If the replica has no usable local state
-//!    ([`ReplicaEngine::needs_base`]), fetch a consistent base image
-//!    (`fetch_base` + chunked `fetch_base_pages`/`fetch_base_worm`) and
-//!    install it.
+//!    ([`ShardedTsb::needs_base`]), fetch a consistent base image
+//!    (`fetch_base` + chunked `fetch_base_pages`/`fetch_base_worm`, shard
+//!    by shard) and install it.
 //! 2. **Stream.** Pull committed log records with `subscribe` from the
 //!    replica's resume cursor and apply each batch. An empty batch means
 //!    caught up — sleep briefly and poll again.
@@ -14,11 +15,17 @@
 //!    discarded the gap the replica still needed; wipe and re-bootstrap
 //!    from a fresh base.
 //! 4. **Recover.** Any failure — connection loss, a primary restart, an
-//!    apply error (crash-equivalent by contract) — drops the connection,
-//!    reopens the replica from its own disk, and reconnects with
-//!    exponential backoff. The resume cursor is the replica's local
-//!    applied prefix, so every retry is idempotent: the primary skips
-//!    nothing and the replica skips duplicates.
+//!    apply error — drops the connection and reconnects with exponential
+//!    backoff. A failed apply or install leaves the replica without an
+//!    applier (crash-equivalent by contract), so the next attempt first
+//!    reopens it from its own disk. The resume cursor is the replica's
+//!    local applied prefix, so every retry is idempotent: the primary
+//!    skips nothing and the replica skips duplicates.
+//!
+//! Installing a base and reopening each hand back a new engine; the runner
+//! gives every one to its `publish` callback (a server swaps it into its
+//! serving slot) and hands the newest back when stopped
+//! ([`ReplicaRunner::stop`]).
 //!
 //! The runner speaks the raw wire protocol over its own [`TcpStream`]
 //! rather than going through `tsb-client` (which depends on this crate —
@@ -26,6 +33,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -33,7 +41,7 @@ use std::time::Duration;
 
 use tsb_common::{TsbError, TsbResult};
 use tsb_core::epoch::{persist_epoch, read_epoch};
-use tsb_core::{PageId, ReplicaBase, ReplicaEngine, ShippedBatch};
+use tsb_core::{PageId, ReplicaBase, ShardImage, ShardedTsb, ShippedBatch};
 
 use crate::protocol::{self, FrameDecoder, Reply, Request, CODE_STALE_EPOCH};
 use crate::{BASE_CHUNK_MAX_BYTES, SUBSCRIBE_MAX_BYTES};
@@ -56,48 +64,69 @@ const READ_TIMEOUT: Duration = Duration::from_millis(250);
 /// one; reconnecting from the durable cursor is always safe.
 const CALL_STALL_LIMIT: Duration = Duration::from_secs(10);
 
-/// Background thread replicating a primary into a [`ReplicaEngine`].
+/// Background thread replicating a primary into a replica [`ShardedTsb`].
 ///
 /// Dropping the runner (or calling [`ReplicaRunner::stop`]) signals the
 /// thread and joins it; the replica keeps serving whatever it has applied.
 pub struct ReplicaRunner {
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    handle: Option<JoinHandle<ShardedTsb>>,
+}
+
+/// The engine the runner applies to — the newest — and whoever serves it.
+struct Feed {
+    replica: ShardedTsb,
+    publish: Box<dyn Fn(&ShardedTsb) + Send>,
+}
+
+impl Feed {
+    /// Serves and applies to `db` from now on.
+    fn replace(&mut self, db: ShardedTsb) {
+        (self.publish)(&db);
+        self.replica = db;
+    }
 }
 
 impl ReplicaRunner {
     /// Starts replicating from the primary at `source` into `replica`.
-    pub fn start(replica: ReplicaEngine, source: impl Into<String>) -> ReplicaRunner {
-        Self::start_with_epoch(replica, source, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// [`ReplicaRunner::start`], publishing the epoch adopted from the
-    /// primary (at bootstrap) into `epoch` — the serving server's `Role`
-    /// reply reads it from there.
-    pub fn start_with_epoch(
-        replica: ReplicaEngine,
+    /// Every engine the runner installs or reopens goes to `publish`, and
+    /// the epoch it adopts from the primary (at bootstrap) into `epoch` —
+    /// the serving server's `Role` reply reads it from there. Fails on an
+    /// engine not opened as a replica.
+    pub fn start(
+        replica: ShardedTsb,
         source: impl Into<String>,
         epoch: Arc<AtomicU64>,
-    ) -> ReplicaRunner {
+        publish: impl Fn(&ShardedTsb) + Send + 'static,
+    ) -> TsbResult<ReplicaRunner> {
+        let dir = replica.replica_dir().map(Path::to_path_buf);
+        let dir =
+            dir.ok_or_else(|| TsbError::config("a runner feeds an engine opened as a replica"))?;
         let stop = Arc::new(AtomicBool::new(false));
+        let mut feed = Feed {
+            replica,
+            publish: Box::new(publish),
+        };
         let thread_stop = Arc::clone(&stop);
         let source = source.into();
         let handle = std::thread::Builder::new()
             .name("tsb-replica".into())
-            .spawn(move || run(&replica, &source, &thread_stop, &epoch))
-            .expect("spawn replication thread");
-        ReplicaRunner {
+            .spawn(move || {
+                run(&mut feed, &dir, &source, &thread_stop, &epoch);
+                feed.replica
+            })?;
+        Ok(ReplicaRunner {
             stop,
             handle: Some(handle),
-        }
+        })
     }
 
-    /// Signals the thread to stop and waits for it to exit.
-    pub fn stop(&mut self) {
+    /// Signals the thread to stop, waits for it to exit, and returns the
+    /// engine it applied to last (the one to promote); `None` once
+    /// stopped.
+    pub fn stop(&mut self) -> Option<ShardedTsb> {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.handle.take().and_then(|handle| handle.join().ok())
     }
 }
 
@@ -107,19 +136,14 @@ impl Drop for ReplicaRunner {
     }
 }
 
-/// The thread body: sync until an error, then reopen + backoff + retry.
-fn run(replica: &ReplicaEngine, source: &str, stop: &Arc<AtomicBool>, epoch: &Arc<AtomicU64>) {
+/// The thread body: sync until an error, then backoff + retry.
+fn run(feed: &mut Feed, dir: &Path, source: &str, stop: &Arc<AtomicBool>, epoch: &AtomicU64) {
     let mut backoff = BACKOFF_MIN;
     while !stop.load(Ordering::Acquire) {
-        match sync_session(replica, source, stop, epoch) {
+        match sync_session(feed, dir, source, stop, epoch) {
             // A clean return only happens on a stop request.
             Ok(()) => return,
             Err(_) => {
-                // Apply errors are crash-equivalent: recover from the
-                // replica's own disk, then reconnect. Harmless after a
-                // plain connection drop (the local state is already
-                // consistent; reopen just re-reads the log tail).
-                let _ = replica.reopen();
                 interruptible_sleep(stop, backoff);
                 backoff = (backoff * 2).min(BACKOFF_MAX);
             }
@@ -127,28 +151,37 @@ fn run(replica: &ReplicaEngine, source: &str, stop: &Arc<AtomicBool>, epoch: &Ar
     }
 }
 
-/// One connection's worth of work: bootstrap if needed, then stream until
-/// the connection or an apply fails (returned as an error) or a stop is
+/// One connection's worth of work: recover the replica if a failed apply
+/// left it without an applier, bootstrap if needed, then stream until the
+/// connection or an apply fails (returned as an error) or a stop is
 /// requested (returned as `Ok`).
 fn sync_session(
-    replica: &ReplicaEngine,
+    feed: &mut Feed,
+    dir: &Path,
     source: &str,
     stop: &Arc<AtomicBool>,
-    epoch: &Arc<AtomicU64>,
+    epoch: &AtomicU64,
 ) -> TsbResult<()> {
+    if feed.replica.resume_lsn().is_none() && !feed.replica.needs_base() {
+        // A failed apply or install is crash-equivalent: recover from the
+        // replica's own disk before asking the primary for anything.
+        let reopened = feed.replica.reopen()?;
+        feed.replace(reopened);
+    }
     let mut conn = Conn::connect(source, Arc::clone(stop))?;
     // The epoch we present on every subscribe: the one persisted in our
     // directory (adopted from the primary at the last bootstrap), or 0 =
     // "unknown" for a fresh directory that has never seen a base.
-    let mut our_epoch = read_epoch(replica.dir())?;
+    let mut our_epoch = read_epoch(dir)?;
     epoch.store(our_epoch, Ordering::SeqCst);
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        if replica.needs_base() {
-            our_epoch = bootstrap(replica, &mut conn, epoch)?;
+        if feed.replica.needs_base() {
+            our_epoch = bootstrap(feed, dir, &mut conn, epoch)?;
         }
+        let replica = &feed.replica;
         let from_lsn = replica.resume_lsn().ok_or_else(|| {
             TsbError::internal("replica has a base installed but no resume cursor")
         })?;
@@ -162,13 +195,11 @@ fn sync_session(
             Reply::Batch {
                 needs_rebase,
                 durable_lsn,
-                worm_start,
                 worm,
                 records,
             } => ShippedBatch {
                 needs_rebase,
                 durable_lsn,
-                worm_start,
                 worm,
                 records,
             },
@@ -178,7 +209,7 @@ fn sync_session(
                 // diverged (we are a demoted primary, or we replicated
                 // one). The delta stream is useless — re-bootstrap from a
                 // fresh base and adopt the primary's epoch.
-                our_epoch = bootstrap(replica, &mut conn, epoch)?;
+                our_epoch = bootstrap(feed, dir, &mut conn, epoch)?;
                 continue;
             }
             other => return Err(unexpected("subscribe", &other)),
@@ -186,7 +217,7 @@ fn sync_session(
         if batch.needs_rebase {
             // The primary checkpointed past our cursor: our local copy can
             // no longer be extended. Re-bootstrap from a fresh image.
-            our_epoch = bootstrap(replica, &mut conn, epoch)?;
+            our_epoch = bootstrap(feed, dir, &mut conn, epoch)?;
             continue;
         }
         // Empty batches still go through apply: they refresh the
@@ -206,45 +237,56 @@ fn sync_session(
 /// re-bootstraps, and an early epoch bump would have been harmless but
 /// is avoided anyway (the epoch file must never get ahead of the data
 /// it describes).
-fn bootstrap(replica: &ReplicaEngine, conn: &mut Conn, epoch: &Arc<AtomicU64>) -> TsbResult<u64> {
+fn bootstrap(feed: &mut Feed, dir: &Path, conn: &mut Conn, epoch: &AtomicU64) -> TsbResult<u64> {
     let (base, primary_epoch) = fetch_base(conn)?;
-    replica.install_base(&base)?;
+    let installed = feed.replica.install_base(&base)?;
+    feed.replace(installed);
     if primary_epoch != 0 {
-        persist_epoch(replica.dir(), primary_epoch)?;
+        persist_epoch(dir, primary_epoch)?;
     }
-    let adopted = read_epoch(replica.dir())?;
+    let adopted = read_epoch(dir)?;
     epoch.store(adopted, Ordering::SeqCst);
     Ok(adopted)
 }
 
 /// Fetches a complete base image over the connection: the `fetch_base`
-/// snapshot descriptor, then every page chunk, then every WORM chunk.
+/// snapshot descriptor, then each shard's page chunks and WORM chunks.
 /// Also returns the primary's promotion epoch at capture time.
 fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
-    let (checkpoint_lsn, checkpoint, page_count, page_size, worm_sector_size, primary_epoch) =
-        match conn.call(&Request::FetchBase)? {
-            Reply::BaseInfo {
-                checkpoint_lsn,
-                checkpoint,
-                page_count,
-                worm_len: _,
-                page_size,
-                worm_sector_size,
-                epoch,
-            } => (
-                checkpoint_lsn,
-                checkpoint,
-                page_count,
-                page_size as usize,
-                worm_sector_size as usize,
-                epoch,
-            ),
-            other => return Err(unexpected("fetch_base", &other)),
-        };
+    let reply = conn.call(&Request::FetchBase)?;
+    let Reply::BaseInfo {
+        checkpoint_lsn,
+        checkpoint,
+        page_counts,
+        page_size,
+        worm_sector_size,
+        epoch,
+    } = reply
+    else {
+        return Err(unexpected("fetch_base", &reply));
+    };
+    let mut shards = Vec::with_capacity(page_counts.len());
+    for (shard, pages) in (0..).zip(page_counts) {
+        let pages = fetch_pages(conn, shard, pages)?;
+        let worm = fetch_worm(conn, shard)?;
+        shards.push(ShardImage { pages, worm });
+    }
+    let base = ReplicaBase {
+        checkpoint_lsn,
+        checkpoint,
+        shards,
+        page_size: page_size as usize,
+        worm_sector_size: worm_sector_size as usize,
+    };
+    Ok((base, epoch))
+}
 
+/// Fetches every page of `shard` in the captured base, chunk by chunk.
+fn fetch_pages(conn: &mut Conn, shard: u32, page_count: u64) -> TsbResult<Vec<(PageId, Vec<u8>)>> {
     let mut pages: Vec<(PageId, Vec<u8>)> = Vec::new();
     loop {
         let reply = conn.call(&Request::FetchBasePages {
+            shard,
             start: pages.len() as u64,
             max_bytes: BASE_CHUNK_MAX_BYTES as u64,
         })?;
@@ -265,14 +307,19 @@ fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
     }
     if pages.len() as u64 != page_count {
         return Err(TsbError::internal(format!(
-            "base image advertised {page_count} pages but shipped {}",
+            "base image advertised {page_count} pages for shard {shard} but shipped {}",
             pages.len()
         )));
     }
+    Ok(pages)
+}
 
+/// Fetches the WORM image of `shard` in the captured base, chunk by chunk.
+fn fetch_worm(conn: &mut Conn, shard: u32) -> TsbResult<Vec<u8>> {
     let mut worm = Vec::new();
     loop {
         let reply = conn.call(&Request::FetchBaseWorm {
+            shard,
             offset: worm.len() as u64,
             max_bytes: BASE_CHUNK_MAX_BYTES as u64,
         })?;
@@ -280,7 +327,7 @@ fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
             Reply::BaseWorm { bytes, done } => {
                 worm.extend_from_slice(&bytes);
                 if done {
-                    break;
+                    return Ok(worm);
                 }
                 if bytes.is_empty() {
                     return Err(TsbError::internal(
@@ -291,18 +338,6 @@ fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
             other => return Err(unexpected("fetch_base_worm", &other)),
         }
     }
-
-    Ok((
-        ReplicaBase {
-            checkpoint_lsn,
-            checkpoint,
-            pages,
-            worm,
-            page_size,
-            worm_sector_size,
-        },
-        primary_epoch,
-    ))
 }
 
 fn unexpected(verb: &str, reply: &Reply) -> TsbError {

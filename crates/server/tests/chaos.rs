@@ -181,20 +181,36 @@ fn chaos_matrix_client_link() {
 /// value-exact once chaos stops, and both processes stay alive.
 #[test]
 fn chaos_matrix_replication_link() {
+    replication_link(1);
+}
+
+/// The same over a four-shard primary's one log.
+#[test]
+fn chaos_matrix_replication_link_at_four_shards() {
+    replication_link(4);
+}
+
+fn replication_link(shards: usize) {
     const OPS: u64 = 150;
     const SPACE: u64 = 60;
+    let shards_arg = shards.to_string();
     for fault in Fault::ALL {
         for seed in seeds() {
             let primary_dir = TempDir::new("repl-primary");
             let replica_dir = TempDir::new("repl-replica");
-            let (_primary, primary_addr) = spawn(primary_dir.path(), &[]);
+            let (_primary, primary_addr) = spawn(primary_dir.path(), &["--shards", &shards_arg]);
             let mut proxy =
                 ChaosProxy::start(primary_addr, ChaosSpec { seed, fault }).expect("start proxy");
             let (_replica, replica_addr) = spawn(
                 replica_dir.path(),
-                &["--replica-of", &proxy.addr().to_string()],
+                &[
+                    "--replica-of",
+                    &proxy.addr().to_string(),
+                    "--shards",
+                    &shards_arg,
+                ],
             );
-            let label = format!("fault={} seed={seed}", fault.name());
+            let label = format!("shards={shards} fault={} seed={seed}", fault.name());
 
             // Write directly to the primary — the chaos is on the
             // replication link only.

@@ -24,6 +24,9 @@
 //!   node rebases: its divergent tail (writes it accepted after the
 //!   promotion, which no client of the new lineage ever saw) is
 //!   discarded, and it converges value-exact to the new primary.
+//!
+//! Both run at one shard and at four: a sharded primary's one log ships
+//! unchanged to a replica of the same shard count.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -158,21 +161,46 @@ fn retrying_promote(addr: std::net::SocketAddr) -> u64 {
     }
 }
 
+/// `spawn`'s extra arguments for a node of `shards` shards, a replica of
+/// `primary` when given.
+fn node_args(shards: usize, primary: Option<std::net::SocketAddr>) -> Vec<String> {
+    let mut args = vec!["--shards".to_string(), shards.to_string()];
+    if let Some(primary) = primary {
+        args.extend(["--replica-of".to_string(), primary.to_string()]);
+    }
+    args
+}
+
+fn spawn_node(
+    dir: &std::path::Path,
+    shards: usize,
+    primary: Option<std::net::SocketAddr>,
+) -> (Reaper, std::net::SocketAddr) {
+    let args = node_args(shards, primary);
+    spawn(dir, &args.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
 /// The promotion-under-load drill. Kill -9 the primary, promote the
 /// replica, and prove zero acknowledged writes were lost while writer
 /// threads fail over live through [`FailoverClient`].
 #[test]
 fn promotion_under_load_loses_no_acked_writes() {
+    promotion_under_load(1);
+}
+
+#[test]
+fn promotion_under_load_loses_no_acked_writes_at_four_shards() {
+    promotion_under_load(4);
+}
+
+fn promotion_under_load(shards: usize) {
     const WRITERS: usize = 3;
     const PHASE_OPS: u64 = 120;
 
     let primary_dir = TempDir::new("load-primary");
     let replica_dir = TempDir::new("load-replica");
-    let (primary_proc, primary_addr) = spawn(primary_dir.path(), &[]);
-    let (_replica_proc, replica_addr) = spawn(
-        replica_dir.path(),
-        &["--replica-of", &primary_addr.to_string()],
-    );
+    let (primary_proc, primary_addr) = spawn_node(primary_dir.path(), shards, None);
+    let (_replica_proc, replica_addr) = spawn_node(replica_dir.path(), shards, Some(primary_addr));
 
     let opts = ClientOptions {
         op_timeout: Some(Duration::from_secs(10)),
@@ -269,13 +297,19 @@ fn promotion_under_load_loses_no_acked_writes() {
 /// rebase, and epoch persistence across restart.
 #[test]
 fn promotion_fences_stale_epochs_and_discards_divergent_tail() {
+    promotion_fences(1);
+}
+
+#[test]
+fn promotion_fences_stale_epochs_and_discards_divergent_tail_at_four_shards() {
+    promotion_fences(4);
+}
+
+fn promotion_fences(shards: usize) {
     let primary_dir = TempDir::new("fence-primary");
     let replica_dir = TempDir::new("fence-replica");
-    let (primary_proc, primary_addr) = spawn(primary_dir.path(), &[]);
-    let (replica_proc, replica_addr) = spawn(
-        replica_dir.path(),
-        &["--replica-of", &primary_addr.to_string()],
-    );
+    let (primary_proc, primary_addr) = spawn_node(primary_dir.path(), shards, None);
+    let (replica_proc, replica_addr) = spawn_node(replica_dir.path(), shards, Some(primary_addr));
 
     let mut primary = TsbClient::connect(primary_addr).expect("connect primary");
     let mut expect = BTreeMap::new();
@@ -320,7 +354,7 @@ fn promotion_fences_stale_epochs_and_discards_divergent_tail() {
         let id = replica
             .send(&protocol::Request::Subscribe {
                 from_lsn: u64::MAX,
-                worm_have: u64::MAX,
+                worm_have: vec![u64::MAX; shards],
                 max_bytes: 4096,
                 epoch,
             })
@@ -351,10 +385,7 @@ fn promotion_fences_stale_epochs_and_discards_divergent_tail() {
     // Re-point the demoted primary at the promoted node. Its local state
     // carries epoch 1 → its subscribe is fenced off → it re-bootstraps,
     // discarding the divergent tail, and converges to the new lineage.
-    let (_demoted_proc, demoted_addr) = spawn(
-        primary_dir.path(),
-        &["--replica-of", &replica_addr.to_string()],
-    );
+    let (_demoted_proc, demoted_addr) = spawn_node(primary_dir.path(), shards, Some(replica_addr));
     // The demoted node first serves its own stale state, then the fenced
     // subscribe forces the rebase (briefly not serving while the base
     // installs) — so poll for value-exact convergence to the *new*
@@ -408,7 +439,7 @@ fn promotion_fences_stale_epochs_and_discards_divergent_tail() {
     // The promotion epoch survives a clean restart of the promoted node.
     replica.shutdown_server().expect("shutdown promoted");
     drop(replica_proc);
-    let (_promoted_proc, promoted_addr) = spawn(replica_dir.path(), &[]);
+    let (_promoted_proc, promoted_addr) = spawn_node(replica_dir.path(), shards, None);
     let mut promoted = TsbClient::connect(promoted_addr).expect("reconnect promoted");
     let role = promoted.role().expect("role after restart");
     assert!(role.primary);

@@ -46,11 +46,26 @@ pub enum TailPoll {
     /// Record bodies for LSNs `(cursor, limit]`, in order, possibly empty
     /// (caught up). Each body is the on-disk encoding from
     /// [`WalRecord::encode_body`]; the embedded LSNs are contiguous.
-    Batch(Vec<Vec<u8>>),
+    Batch {
+        /// The shard the log's tag names before the first record: the
+        /// owner of the batch's tagged records up to its first switch.
+        shard: u32,
+        /// The record bodies.
+        records: Vec<Vec<u8>>,
+    },
     /// The log no longer contains `cursor + 1`: a checkpoint reset
     /// discarded records the subscriber still needs. It must re-base on a
     /// checkpoint image before resuming.
     NeedsRebase,
+}
+
+impl TailPoll {
+    fn caught_up() -> TailPoll {
+        TailPoll::Batch {
+            shard: 0,
+            records: Vec::new(),
+        }
+    }
 }
 
 /// A cursor-based reader over a live redo log file (see the module docs).
@@ -58,9 +73,10 @@ pub enum TailPoll {
 pub struct WalTailer {
     path: PathBuf,
     /// Cached resume point: byte offset of the frame expected to carry
-    /// `lsn`. Validated on every poll (frame must parse and match);
-    /// invalidated by checkpoint resets, which trigger a full rescan.
-    cursor: Option<(u64, Lsn)>,
+    /// `lsn`, and the shard the log's tag names before it. Validated on
+    /// every poll (frame must parse and match); invalidated by checkpoint
+    /// resets, which trigger a full rescan.
+    cursor: Option<(u64, Lsn, u32)>,
 }
 
 impl WalTailer {
@@ -92,16 +108,14 @@ impl WalTailer {
         let next_lsn = after_lsn.saturating_add(1);
         // Fast path: resume from the cached offset when it still names the
         // frame for `after_lsn + 1`.
-        if let Some((offset, lsn)) = self.cursor {
+        if let Some((offset, lsn, shard)) = self.cursor.take() {
             if lsn == next_lsn {
-                if let Some(poll) = self.poll_from(offset, after_lsn, limit_lsn, max_bytes)? {
+                let poll = self.poll_from(offset, shard, after_lsn, limit_lsn, max_bytes)?;
+                if let Some(poll) = poll {
                     return Ok(poll);
                 }
                 // The frame at the cached offset no longer matches — the
                 // log was reset. Fall through to a full rescan.
-                self.cursor = None;
-            } else {
-                self.cursor = None;
             }
         }
 
@@ -109,25 +123,22 @@ impl WalTailer {
             Ok(buf) => buf,
             // Between a reset's rename and nothing else, the path always
             // exists; a missing file means the store is mid-teardown.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(TailPoll::Batch(Vec::new()))
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(TailPoll::caught_up()),
             Err(e) => return Err(e.into()),
         };
         // Locate the frame carrying `after_lsn + 1`, walking from the
-        // start of the (single-generation) file.
+        // start of the (single-generation) file and following its tag.
         let mut pos = 0usize;
+        let mut shard = 0;
         let mut first = true;
         loop {
             let Some((frame_len, body)) = frame_at(&buf, pos) else {
                 // The log ends before `after_lsn + 1`: caught up (or the
-                // tail is still being written). Remember where the next
-                // frame will land only if the sequence ran out exactly at
-                // the cursor; otherwise leave the cursor cold.
-                return Ok(TailPoll::Batch(Vec::new()));
+                // tail is still being written); the cursor stays cold.
+                return Ok(TailPoll::caught_up());
             };
-            let Ok((lsn, _)) = WalRecord::decode_body(body) else {
-                return Ok(TailPoll::Batch(Vec::new()));
+            let Ok((lsn, record)) = WalRecord::decode_body(body) else {
+                return Ok(TailPoll::caught_up());
             };
             if first && lsn > next_lsn {
                 // The generation starts past the subscriber's cursor: the
@@ -136,30 +147,33 @@ impl WalTailer {
             }
             first = false;
             if lsn == next_lsn {
-                return self
-                    .collect(&buf, pos, after_lsn, limit_lsn, max_bytes)
-                    .map(TailPoll::Batch);
+                return self.collect(&buf, pos, None, shard, after_lsn, limit_lsn, max_bytes);
             }
+            shard = record.tag_after(shard);
             pos += frame_len;
         }
     }
 
-    /// Attempts the fast path: read from `offset` and collect if the frame
-    /// there carries `after_lsn + 1`. Returns `None` when the cached
-    /// offset is stale (reset happened) and a rescan is needed; returns an
-    /// empty batch when the file simply has nothing past the offset yet.
+    /// Attempts the fast path: read from `offset`, where the log's tag
+    /// names `shard`, and collect if the frame there carries
+    /// `after_lsn + 1`. Returns `None` when the cached offset is stale
+    /// (reset happened) and a rescan is needed; returns an empty batch when
+    /// the file simply has nothing past the offset yet.
     fn poll_from(
         &mut self,
         offset: u64,
+        shard: u32,
         after_lsn: Lsn,
         limit_lsn: Lsn,
         max_bytes: usize,
     ) -> TsbResult<Option<TailPoll>> {
+        let keep_cursor = |tailer: &mut Self| {
+            tailer.cursor = Some((offset, after_lsn.saturating_add(1), shard));
+            Ok(Some(TailPoll::caught_up()))
+        };
         let mut file = match File::open(&self.path) {
             Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Some(TailPoll::Batch(Vec::new())))
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return keep_cursor(self),
             Err(e) => return Err(e.into()),
         };
         let file_len = file.metadata()?.len();
@@ -177,7 +191,7 @@ impl WalTailer {
             if limit_lsn > after_lsn {
                 return Ok(None);
             }
-            return Ok(Some(TailPoll::Batch(Vec::new())));
+            return keep_cursor(self);
         }
         file.seek(SeekFrom::Start(offset))?;
         let mut buf = Vec::with_capacity((file_len - offset) as usize);
@@ -190,55 +204,58 @@ impl WalTailer {
         };
         match WalRecord::decode_body(body) {
             Ok((lsn, _)) if lsn == after_lsn.saturating_add(1) => self
-                .collect(&buf, 0, after_lsn, limit_lsn, max_bytes)
-                .map(|batch| Some(TailPoll::Batch(batch))),
+                .collect(
+                    &buf,
+                    0,
+                    Some(offset),
+                    shard,
+                    after_lsn,
+                    limit_lsn,
+                    max_bytes,
+                )
+                .map(Some),
             _ => Ok(None),
         }
     }
 
-    /// Collects bodies starting at `pos` (which must frame `after_lsn + 1`)
-    /// while LSNs stay at or below `limit_lsn` and the batch stays under
-    /// `max_bytes`, updating the cursor cache to the resume point.
+    /// Collects bodies starting at `pos` in `buf` (which must frame
+    /// `after_lsn + 1`, under the tag `shard`) while LSNs stay at or below
+    /// `limit_lsn` and the batch stays under `max_bytes`, updating the
+    /// cursor cache to the resume point. `buf` starts at file offset
+    /// `base` on the fast path and is the whole file on the slow one.
+    #[allow(clippy::too_many_arguments)]
     fn collect(
         &mut self,
         buf: &[u8],
         mut pos: usize,
-        base_offset_hint: Lsn,
+        base: Option<u64>,
+        shard: u32,
+        after_lsn: Lsn,
         limit_lsn: Lsn,
         max_bytes: usize,
-    ) -> TsbResult<Vec<Vec<u8>>> {
-        let mut expected = base_offset_hint + 1;
-        let mut batch: Vec<Vec<u8>> = Vec::new();
+    ) -> TsbResult<TailPoll> {
+        let mut expected = after_lsn + 1;
+        let mut records: Vec<Vec<u8>> = Vec::new();
         let mut total = 0usize;
-        // `pos` is relative to `buf`; track the absolute resume offset via
-        // the delta consumed. The caller's `buf` may start mid-file (fast
-        // path), so remember only the relative advance and rebuild the
-        // absolute offset from the cached cursor when present.
-        let start_pos = pos;
+        let mut tag = shard;
         while total < max_bytes {
             let Some((frame_len, body)) = frame_at(buf, pos) else {
                 break;
             };
-            let Ok((lsn, _)) = WalRecord::decode_body(body) else {
+            let Ok((lsn, record)) = WalRecord::decode_body(body) else {
                 break;
             };
             if lsn != expected || lsn > limit_lsn {
                 break;
             }
-            batch.push(body.to_vec());
+            records.push(body.to_vec());
             total += body.len();
             expected = lsn + 1;
+            tag = record.tag_after(tag);
             pos += frame_len;
         }
-        let consumed = (pos - start_pos) as u64;
-        self.cursor = Some(match self.cursor {
-            // Fast path: previous cursor held the absolute offset of
-            // `start_pos`.
-            Some((abs, lsn)) if lsn == base_offset_hint + 1 => (abs + consumed, expected),
-            // Slow path: `buf` was the whole file, so `pos` is absolute.
-            _ => (pos as u64, expected),
-        });
-        Ok(batch)
+        self.cursor = Some((base.unwrap_or(0) + pos as u64, expected, tag));
+        Ok(TailPoll::Batch { shard, records })
     }
 }
 
@@ -297,14 +314,17 @@ mod tests {
         wal.append(&commit(5)).unwrap();
 
         let mut tailer = WalTailer::new(&path);
-        let TailPoll::Batch(batch) = tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: batch, .. } =
+            tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("fresh log never needs a rebase");
         };
         assert_eq!(lsns(&batch), vec![1, 2, 3, 4, 5, 6]);
 
         // Caught up: empty batch, twice in a row (cursor cache path).
         for _ in 0..2 {
-            let TailPoll::Batch(batch) = tailer.poll(6, wal.durable_lsn(), usize::MAX).unwrap()
+            let TailPoll::Batch { records: batch, .. } =
+                tailer.poll(6, wal.durable_lsn(), usize::MAX).unwrap()
             else {
                 panic!("caught-up tailer never needs a rebase");
             };
@@ -315,7 +335,9 @@ mod tests {
         wal.append(&image(9, 9)).unwrap();
         wal.append(&commit(7)).unwrap();
         wal.sync().unwrap();
-        let TailPoll::Batch(batch) = tailer.poll(6, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: batch, .. } =
+            tailer.poll(6, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("appended records never need a rebase");
         };
         assert_eq!(lsns(&batch), vec![7, 8]);
@@ -335,13 +357,17 @@ mod tests {
         assert_eq!(wal.durable_lsn(), 0);
 
         let mut tailer = WalTailer::new(&path);
-        let TailPoll::Batch(batch) = tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: batch, .. } =
+            tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("no rebase expected");
         };
         assert!(batch.is_empty(), "nothing durable yet");
 
         wal.sync().unwrap();
-        let TailPoll::Batch(batch) = tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: batch, .. } =
+            tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("no rebase expected");
         };
         assert_eq!(lsns(&batch), vec![1, 2]);
@@ -363,7 +389,9 @@ mod tests {
         let mut got = Vec::new();
         let mut cursor = 0;
         loop {
-            let TailPoll::Batch(batch) = tailer.poll(cursor, wal.durable_lsn(), 1).unwrap() else {
+            let TailPoll::Batch { records: batch, .. } =
+                tailer.poll(cursor, wal.durable_lsn(), 1).unwrap()
+            else {
                 panic!("no rebase expected");
             };
             if batch.is_empty() {
@@ -389,7 +417,9 @@ mod tests {
         // A caught-up tailer rides through the reset: the checkpoint is
         // simply the next record in its sequence.
         let mut caught_up = WalTailer::new(&path);
-        let TailPoll::Batch(b) = caught_up.poll(0, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: b, .. } =
+            caught_up.poll(0, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("no rebase expected");
         };
         assert_eq!(lsns(&b), vec![1, 2]);
@@ -400,7 +430,9 @@ mod tests {
         })
         .unwrap(); // LSN 3, alone in the new generation
 
-        let TailPoll::Batch(b) = caught_up.poll(2, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: b, .. } =
+            caught_up.poll(2, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("caught-up tailer must survive the reset");
         };
         assert_eq!(lsns(&b), vec![3]);
@@ -428,7 +460,9 @@ mod tests {
         .unwrap(); // LSN 1
 
         let mut tailer = WalTailer::new(&path);
-        let TailPoll::Batch(b) = tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: b, .. } =
+            tailer.poll(0, wal.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("no rebase expected");
         };
         assert_eq!(lsns(&b), vec![1]);
@@ -468,7 +502,9 @@ mod tests {
         src.append(&commit(9)).unwrap();
 
         let mut tailer = WalTailer::new(&primary);
-        let TailPoll::Batch(batch) = tailer.poll(0, src.durable_lsn(), usize::MAX).unwrap() else {
+        let TailPoll::Batch { records: batch, .. } =
+            tailer.poll(0, src.durable_lsn(), usize::MAX).unwrap()
+        else {
             panic!("no rebase expected");
         };
 
@@ -502,6 +538,34 @@ mod tests {
         // ...but after that the sequence must be contiguous.
         assert!(dst.append_shipped(&image(2, 2).encode_body(53)).is_err());
         assert!(dst.append_shipped(&image(2, 2).encode_body(51)).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch names the shard the log's tag holds before its first
+    /// record, whether the poll rescans the file or resumes at its cursor.
+    #[test]
+    fn a_batch_names_the_shard_its_first_records_belong_to() {
+        let dir = temp_dir("tag");
+        let path = dir.join("redo.wal");
+        let _ = std::fs::remove_file(&path);
+        let wal = Wal::create(&path, FsyncPolicy::Os, Arc::new(IoStats::new())).unwrap();
+        wal.append_for(2, &image(1, 1)).unwrap(); // switch at 1, image at 2
+        wal.append_for(2, &commit(1)).unwrap(); // 3
+        wal.append_for(1, &image(2, 2)).unwrap(); // switch at 4, image at 5
+        wal.sync().unwrap();
+        let poll = |tailer: &mut WalTailer, after| match tailer
+            .poll(after, wal.durable_lsn(), usize::MAX)
+            .unwrap()
+        {
+            TailPoll::Batch { shard, records } => (shard, lsns(&records)),
+            TailPoll::NeedsRebase => panic!("no rebase expected"),
+        };
+        assert_eq!(poll(&mut WalTailer::new(&path), 3), (2, vec![4, 5]));
+        let mut resumed = WalTailer::new(&path);
+        assert_eq!(poll(&mut resumed, 0), (0, vec![1, 2, 3, 4, 5]));
+        wal.append_for(1, &commit(2)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(poll(&mut resumed, 5), (1, vec![6]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -266,14 +266,7 @@ impl Wal {
 
         let (records, pos, torn) = scan_buf(&buf);
         let next_lsn = records.last().map(|(lsn, _)| lsn + 1).unwrap_or(1);
-        let shard = records
-            .iter()
-            .rev()
-            .find_map(|(_, record)| match record {
-                WalRecord::Shard { shard } => Some(*shard),
-                _ => None,
-            })
-            .unwrap_or(0);
+        let shard = records.iter().fold(0, |tag, (_, r)| r.tag_after(tag));
         if torn {
             file.set_len(pos as u64)?;
             file.sync_all()?;
@@ -495,6 +488,7 @@ impl Wal {
             }
         }
         inner.push(lsn, body, record.is_fence(), &self.shared.stats)?;
+        inner.shard = record.tag_after(inner.shard);
         Ok(true)
     }
 

@@ -294,6 +294,18 @@ impl WalRecord {
         )
     }
 
+    /// The shard the log's tag names after this record, `tag` before it: a
+    /// switch names its shard, and a checkpoint starts a generation on
+    /// shard 0 — also in a replica's local log, where checkpoints follow
+    /// older generations instead of replacing them.
+    pub fn tag_after(&self, tag: u32) -> u32 {
+        match self {
+            WalRecord::Shard { shard } => *shard,
+            WalRecord::Checkpoint { .. } | WalRecord::ShardCheckpoint { .. } => 0,
+            _ => tag,
+        }
+    }
+
     fn kind(&self) -> u8 {
         match self {
             WalRecord::PageImage { .. } => 1,

@@ -1,7 +1,7 @@
 //! Engine-generic oracle equivalence, expressed over
 //! [`EngineHandle`] so one replay/check pair covers every engine flavour —
-//! `ConcurrentTsb`, `ShardedTsb` at any shard count, and a synced
-//! `ReplicaEngine` all answer through the same trait.
+//! a `ShardedTsb` at any shard count, primary or synced replica, answers
+//! through the same trait.
 //!
 //! [`replay_engine`] drives a scripted [`Op`] stream through the trait's
 //! deferred-durability write verbs and records each acknowledged commit in

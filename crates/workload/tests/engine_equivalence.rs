@@ -7,7 +7,7 @@
 //! divergence a client could see.
 
 use tsb_common::{FsyncPolicy, Key, Timestamp, TsbError, TsbResult};
-use tsb_core::{EngineHandle, ReplicaEngine, ReplicationSource, ShardedTsb, TsbOptions};
+use tsb_core::{EngineHandle, ReplicationSource, ShardedTsb, TsbOptions};
 use tsb_storage::{Lsn, WalRecord};
 use tsb_workload::{
     assert_engine_matches_oracle, generate_ops, replay_engine, KeyDistribution, Oracle,
@@ -78,27 +78,29 @@ fn sharded_engine_matches_oracle_through_the_trait() {
     }
 }
 
-/// Ships `primary`'s whole log into a fresh replica at `dir`.
-fn synced_replica(primary: &dyn EngineHandle, dir: &TempDir) -> ReplicaEngine {
+/// Ships `primary`'s whole log into a fresh replica at `dir` with the
+/// primary's shard count.
+fn synced_replica(primary: &dyn EngineHandle, dir: &TempDir) -> ShardedTsb {
     let source = primary.replication_source().unwrap();
-    let replica = TsbOptions::durable(&dir.0)
+    let mut replica = TsbOptions::durable(&dir.0)
         .small_pages()
         .fsync(FsyncPolicy::Always)
+        .shards(primary.shard_count())
         .open_replica()
         .unwrap();
     loop {
         if replica.needs_base() {
-            replica.install_base(&source.base().unwrap()).unwrap();
+            replica = replica.install_base(&source.base().unwrap()).unwrap();
         }
         let batch = source
             .poll(
                 replica.resume_lsn().expect("serving replica has a cursor"),
-                replica.worm_have(),
+                &replica.worm_have(),
                 1 << 20,
             )
             .unwrap();
         if batch.needs_rebase {
-            replica.install_base(&source.base().unwrap()).unwrap();
+            replica = replica.install_base(&source.base().unwrap()).unwrap();
             continue;
         }
         let done = batch.records.is_empty();
@@ -111,38 +113,46 @@ fn synced_replica(primary: &dyn EngineHandle, dir: &TempDir) -> ReplicaEngine {
 
 #[test]
 fn synced_replica_matches_the_primary_oracle_through_the_trait() {
-    let pdir = TempDir::new("prim");
-    let rdir = TempDir::new("repl");
-    let primary = open_always(&pdir, 1);
+    for shards in [1usize, 4] {
+        let pdir = TempDir::new("prim");
+        let rdir = TempDir::new("repl");
+        let primary = open_always(&pdir, shards);
 
-    // Build the oracle by replaying on the primary, then ship the whole
-    // log and demand the replica answers for it — reads only, through the
-    // same trait surface.
-    let ops = generate_ops(&spec());
-    let oracle = replay_engine(&primary, &ops).unwrap();
-    let replica = synced_replica(&primary, &rdir);
-    assert_engine_matches_oracle(&replica, &oracle, 7);
+        // Build the oracle by replaying on the primary, then ship the
+        // whole log and demand the replica answers for it — reads only,
+        // through the same trait surface.
+        let ops = generate_ops(&spec());
+        let oracle = replay_engine(&primary, &ops).unwrap();
+        let replica = synced_replica(&primary, &rdir);
+        assert_engine_matches_oracle(&replica, &oracle, 7);
+    }
 }
 
-/// One log tailer per shard, each with the LSN the engine's log started
-/// the test at (every shard shares the log). Log shipping stops at the
-/// durable watermark, so what a tailer hands out *is* the durable prefix.
-struct DurablePrefix(Vec<(ReplicationSource, Lsn)>);
+/// A tailer of the engine's one log, with the LSN the log started the
+/// test at. Log shipping stops at the durable watermark, so what the
+/// tailer hands out *is* the durable prefix.
+struct DurablePrefix {
+    source: ReplicationSource,
+    start: Lsn,
+    shards: usize,
+}
 
 impl DurablePrefix {
     fn of(db: &ShardedTsb) -> DurablePrefix {
-        let tail = |shard| {
-            let source = ReplicationSource::new(shard).unwrap();
-            let start = source.durable_lsn();
-            (source, start)
-        };
-        DurablePrefix(db.shards().iter().map(tail).collect())
+        let source = ReplicationSource::new(db).unwrap();
+        let start = source.durable_lsn();
+        let shards = db.shard_count();
+        DurablePrefix {
+            source,
+            start,
+            shards,
+        }
     }
 
-    /// Whether the commit stamped `ts` is durable on `shard` right now.
-    fn holds(&self, shard: usize, ts: Timestamp) -> bool {
-        let (source, start) = &self.0[shard];
-        let batch = source.poll(*start, u64::MAX, 1 << 30).unwrap();
+    /// Whether the commit stamped `ts` is durable right now.
+    fn holds(&self, ts: Timestamp) -> bool {
+        let worm_have = vec![u64::MAX; self.shards];
+        let batch = self.source.poll(self.start, &worm_have, 1 << 30).unwrap();
         assert!(!batch.needs_rebase, "nothing checkpoints mid-test");
         batch.records.iter().any(|body| {
             matches!(
@@ -164,18 +174,17 @@ fn provided_blocking_verbs_return_durable_and_match_the_oracle() {
         let opened = open_always(&dir, shards);
         let db: &dyn EngineHandle = &opened;
         let durable = DurablePrefix::of(&opened);
-        let acked_durable = |key: &Key, ts| durable.holds(opened.shard_of(key), ts);
         let mut oracle = Oracle::new();
         for i in 0..24u64 {
             let (key, value) = (Key::from_u64(i % 8), format!("v{i}").into_bytes());
             let ts = db.insert(key.clone(), value.clone()).unwrap();
-            assert!(acked_durable(&key, ts), "insert {i} acked early");
+            assert!(durable.holds(ts), "insert {i} acked early");
             oracle.apply_put(key, ts, Some(value));
         }
         for i in 0..4u64 {
             let key = Key::from_u64(i);
             let ts = db.delete(key.clone()).unwrap();
-            assert!(acked_durable(&key, ts), "delete {i} acked early");
+            assert!(durable.holds(ts), "delete {i} acked early");
             oracle.apply_put(key, ts, None);
         }
         // One key: a single-shard commit, whose fence is a `Commit` record
@@ -184,20 +193,18 @@ fn provided_blocking_verbs_return_durable_and_match_the_oracle() {
         let txn = db.begin_txn().unwrap();
         db.txn_insert(txn, key.clone(), b"txn".to_vec()).unwrap();
         let ts = db.commit_txn(txn).unwrap();
-        assert!(acked_durable(&key, ts), "commit_txn acked early");
+        assert!(durable.holds(ts), "commit_txn acked early");
         oracle.apply_put(key.clone(), ts, Some(b"txn".to_vec()));
         assert_engine_matches_oracle(db, &oracle, 1);
 
-        if shards == 1 {
-            let rdir = TempDir::new("block-replica");
-            let replica = synced_replica(db, &rdir);
-            let replica: &dyn EngineHandle = &replica;
-            let refused = |r: TsbResult<Timestamp>| matches!(r, Err(TsbError::ReadOnly));
-            assert!(refused(replica.insert(key.clone(), b"no".to_vec())));
-            assert!(refused(replica.delete(key.clone())));
-            assert!(refused(replica.commit_txn(txn)));
-            assert_eq!(replica.get_current(&key).unwrap(), Some(b"txn".to_vec()));
-        }
+        let rdir = TempDir::new("block-replica");
+        let replica = synced_replica(db, &rdir);
+        let replica: &dyn EngineHandle = &replica;
+        let refused = |r: TsbResult<Timestamp>| matches!(r, Err(TsbError::ReadOnly));
+        assert!(refused(replica.insert(key.clone(), b"no".to_vec())));
+        assert!(refused(replica.delete(key.clone())));
+        assert!(refused(replica.commit_txn(txn)));
+        assert_eq!(replica.get_current(&key).unwrap(), Some(b"txn".to_vec()));
     }
 }
 
