@@ -167,6 +167,12 @@ impl ConcurrentTsb {
         }
     }
 
+    /// The tree of the last handle; `None` while clones or snapshots are
+    /// alive.
+    pub(crate) fn tree_mut(&mut self) -> Option<&mut TsbTree> {
+        Arc::get_mut(&mut self.inner).map(|shared| &mut shared.tree)
+    }
+
     // ----- the single-writer pipeline ------------------------------------
 
     /// Runs `f` while holding the writer lock and advances the fence to

@@ -106,8 +106,9 @@ impl TsbOptions {
         self
     }
 
-    /// Sets the shard count for [`Self::open`] and [`Self::open_replica`]
-    /// (default 1). The bare-tree terminals refuse counts above 1.
+    /// Sets the shard count for [`Self::open`] (default 1). The bare-tree
+    /// terminals refuse counts above 1; [`Self::open_replica`] refuses any
+    /// count, since a replica takes its primary's.
     pub fn shards(mut self, shards: usize) -> TsbOptions {
         self.shards = shards;
         self
@@ -124,12 +125,14 @@ impl TsbOptions {
     /// is; a directory of the first sharded layout (a log per shard) is
     /// [`TsbError::OldLayout`].
     pub fn open(self) -> TsbResult<ShardedTsb> {
-        match &self.dir {
-            Some(dir) => {
-                ShardedTsb::open_durable(dir, self.shards, self.cfg, self.reference_image_log)
-            }
-            None => ShardedTsb::open_in_memory(self.shards, self.cfg),
+        let Some(dir) = &self.dir else {
+            return ShardedTsb::open_in_memory(self.shards, self.cfg);
+        };
+        let mut db = ShardedTsb::open_durable(dir, self.shards, self.cfg)?;
+        if self.reference_image_log {
+            db.log_images_only();
         }
+        Ok(db)
     }
 
     /// Opens a bare [`ConcurrentTsb`]: [`Self::open_tree`] behind the
@@ -178,19 +181,24 @@ impl TsbOptions {
         Ok(tree)
     }
 
-    /// Opens the replica at the directory, with its primary's shard count
-    /// (a base image of another count is refused): recovers a local log
-    /// copy if one is usable, else starts with no shard, answering reads
-    /// with a not-serving error until [`ShardedTsb::install_base`].
-    /// Durable only (a replica *is* its local log copy); laid out on disk
-    /// as a primary of the same shard count is.
+    /// Opens the replica at the directory: recovers a local log copy if
+    /// one is usable, else starts with no shard, answering reads with a
+    /// not-serving error until [`ShardedTsb::install_base`]. Durable only
+    /// (a replica *is* its local log copy). Its shard count is its
+    /// primary's, read from the base image and, on reopen, from the
+    /// directory, which is laid out as a primary of that count is.
     pub fn open_replica(self) -> TsbResult<ShardedTsb> {
         let Some(dir) = self.dir else {
             return Err(TsbError::config(
                 "a replica needs a directory: use TsbOptions::durable(dir)",
             ));
         };
-        ShardedTsb::open_replica(&dir, self.shards, self.cfg)
+        if self.shards != 1 {
+            return Err(TsbError::config(
+                "a replica takes its shard count from its primary; do not set one",
+            ));
+        }
+        ShardedTsb::open_replica(&dir, self.cfg)
     }
 }
 
@@ -213,6 +221,9 @@ mod tests {
 
         assert!(TsbOptions::in_memory().shards(2).open_concurrent().is_err());
         assert!(TsbOptions::in_memory().open_replica().is_err());
+        // Refused before the directory is touched.
+        let replica = TsbOptions::durable("unused").shards(2).open_replica();
+        assert!(matches!(replica, Err(TsbError::Config(_))));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   prefix) for bootstrapping a new replica or re-basing one that a
 //!   checkpoint's log reset left behind.
 //! * The replica side — a [`ShardedTsb`] opened with
-//!   [`crate::TsbOptions::open_replica`] at its primary's shard count.
+//!   [`crate::TsbOptions::open_replica`], at the shard count of the base
+//!   image it installs.
 //!   [`ShardedTsb::apply_batch`] appends shipped record bodies to the local
 //!   log (primary LSNs preserved, so restart is ordinary redo recovery),
 //!   stages each shard's page state in an in-memory overlay, and **installs
@@ -92,7 +93,7 @@ use tsb_storage::{Lsn, PageId, TailPoll, WalRecord, WalTailer};
 use crate::concurrent::ConcurrentTsb;
 use crate::engine::EngineHandle;
 use crate::node::NodeAddr;
-use crate::sharded::{layout, ShardedTsb};
+use crate::sharded::{existing_layout, relayout, ShardedTsb};
 use crate::tree::durability::checkpoint_log;
 use crate::tree::recover::{
     fence_past_device, fence_rule, fence_worm_lens, DurableFiles, FenceReading, FenceState,
@@ -346,9 +347,6 @@ fn capture_base(trees: &[&TsbTree]) -> TsbResult<ReplicaBase> {
 /// applied, and the applier's state while it applies.
 pub(crate) struct Replica {
     dir: PathBuf,
-    /// The shard count the replica was opened with, which a base must
-    /// match (the engine has no shard while it awaits one).
-    shards: usize,
     /// Cleared by [`ShardedTsb::promote`]: the engine is a primary since.
     applying: AtomicBool,
     /// `None` while awaiting a base, and once promoted. One applier at a
@@ -451,19 +449,18 @@ impl Applier {
 
 /// The replica verbs of the engine (see the module docs).
 impl ShardedTsb {
-    /// Opens the replica at `dir` with `shards` shards: recovers each shard
-    /// from the local log copy if one is usable (crash-consistent, exactly
+    /// Opens the replica at `dir`, at the shard count its files are laid
+    /// out for: recovers each shard from the local log copy if one is usable (crash-consistent, exactly
     /// like primary recovery but fence-faithful — see
     /// `TsbTree::open_durable_replica`), or starts with no shard at all,
     /// answering every read with a not-serving error until
     /// [`Self::install_base`]. A half-installed base (marker file present)
     /// is wiped. Reached through [`crate::TsbOptions::open_replica`].
-    pub(crate) fn open_replica(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<ShardedTsb> {
+    pub(crate) fn open_replica(dir: &Path, cfg: TsbConfig) -> TsbResult<ShardedTsb> {
         cfg.validate()?;
-        let layout = layout(dir, shards)?;
+        let layout = existing_layout(dir)?;
         let replica = Replica {
             dir: dir.to_path_buf(),
-            shards,
             applying: AtomicBool::new(true),
             apply: Mutex::new(None),
             applied_lsn: AtomicU64::new(0),
@@ -486,6 +483,7 @@ impl ShardedTsb {
         };
         // A shard is complete through its own last fence, not through the
         // clock every shard shares.
+        let shards = rec.trees.len();
         let engines: Vec<ConcurrentTsb> = rec
             .trees
             .into_iter()
@@ -557,15 +555,16 @@ impl ShardedTsb {
     pub fn reopen(&self) -> TsbResult<ShardedTsb> {
         let replica = self.replica_half()?;
         *replica.apply.lock() = None;
-        Self::open_replica(&replica.dir, replica.shards, self.config().clone())
+        Self::open_replica(&replica.dir, self.config().clone())
     }
 
     /// Installs a base image and returns the replica recovered from it,
     /// to serve from then on; this one stops applying. Wipes the local
     /// state first (under a crash marker, so a death mid-install is
-    /// detected and re-wiped), then lays down each shard's pages and WORM
-    /// prefix and the checkpoint fence, and recovers from the result
-    /// exactly as a restart would.
+    /// detected and re-wiped), lays the directory out for the base's shard
+    /// count, then lays down each shard's pages and WORM prefix and the
+    /// checkpoint fence, and recovers from the result exactly as a restart
+    /// would.
     pub fn install_base(&self, base: &ReplicaBase) -> TsbResult<ShardedTsb> {
         let replica = self.replica_half()?;
         let cfg = self.config();
@@ -581,19 +580,12 @@ impl ShardedTsb {
                 base.worm_sector_size, cfg.worm_sector_size
             )));
         }
-        let shards = replica.shards;
-        if base.shards.len() != shards {
-            return Err(TsbError::config(format!(
-                "the primary has {} shards; this replica was opened with {shards}",
-                base.shards.len()
-            )));
-        }
         let mut apply = replica.apply.lock();
         *apply = None;
-        let layout = layout(&replica.dir, shards)?;
         let marker = replica.dir.join(INSTALLING_MARKER);
         std::fs::File::create(&marker)?.sync_all()?;
-        DurableFiles::wipe(&layout)?;
+        DurableFiles::wipe(&existing_layout(&replica.dir)?)?;
+        let layout = relayout(&replica.dir, base.shards.len())?;
         let files = DurableFiles::create(&layout, cfg)?;
         for ((magnetic, worm), image) in files.stores.iter().zip(&base.shards) {
             for (page, bytes) in &image.pages {
@@ -608,7 +600,7 @@ impl ShardedTsb {
         drop(files);
         std::fs::remove_file(&marker)?;
         drop(apply);
-        let db = Self::open_replica(&replica.dir, shards, cfg.clone())?;
+        let db = Self::open_replica(&replica.dir, cfg.clone())?;
         if db.needs_base() {
             return Err(TsbError::internal(
                 "freshly installed replica base did not recover to a serving state",
@@ -792,6 +784,10 @@ impl ShardedTsb {
     /// the versions of transactions still open on the old primary, and
     /// fences the result with one checkpoint of every shard. Idempotent; a
     /// no-op on an engine opened as a primary.
+    ///
+    /// Refused on an engine that stopped applying after a failed batch or
+    /// a failed promotion: its memory may hold a shard part-way installed,
+    /// so promote the engine [`Self::reopen`] returns instead.
     pub fn promote(&self) -> TsbResult<()> {
         let Some(replica) = self.replica() else {
             return Ok(());
@@ -805,6 +801,14 @@ impl ShardedTsb {
                 "a replica awaiting its first base image has nothing to promote",
             ));
         }
+        if apply.is_none() {
+            return Err(TsbError::config(
+                "a failed apply stopped this replica part-way: promote the engine reopen() returns",
+            ));
+        }
+        // A failure may leave some shards purged or fenced: this engine
+        // stops applying either way.
+        *apply = None;
         self.with_every_writer(|trees| {
             for tree in trees {
                 tree.purge_uncommitted()?;
@@ -812,7 +816,6 @@ impl ShardedTsb {
             }
             checkpoint_log(trees)
         })?;
-        *apply = None;
         replica.applying.store(false, Ordering::Release);
         Ok(())
     }

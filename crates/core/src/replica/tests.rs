@@ -31,6 +31,15 @@ fn opts(dir: &TempDir, shards: usize) -> crate::TsbOptions {
         .shards(shards)
 }
 
+/// A replica at `dir`, at whatever shard count its base brings.
+fn open_replica(dir: &TempDir) -> ShardedTsb {
+    crate::TsbOptions::durable(&dir.0)
+        .small_pages()
+        .fsync(FsyncPolicy::Always)
+        .open_replica()
+        .unwrap()
+}
+
 /// Ships until caught up, re-basing whenever asked; the replica to serve.
 fn sync_until_caught_up(source: &ReplicationSource, mut replica: ShardedTsb) -> ShardedTsb {
     loop {
@@ -73,7 +82,7 @@ fn base_then_stream_converges_and_serves_as_of_reads() {
             stamps.push((i % 8, ts, value));
         }
         let source = ReplicationSource::new(&primary).unwrap();
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
         assert!(replica.needs_base());
         assert_eq!(replica.role(), EngineRole::Replica);
         assert!(replica.get_current(&Key::from_u64(0)).is_err());
@@ -113,13 +122,13 @@ fn replica_restart_resumes_from_its_local_log() {
             let value = format!("a{i}").into_bytes();
             primary.insert(Key::from_u64(i), value).unwrap();
         }
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
         let replica = sync_until_caught_up(&source, replica);
         let resume = replica.resume_lsn().unwrap();
         drop(replica);
 
         // Restart: recovery from the local log copy, no new base needed.
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
         assert!(!replica.needs_base());
         assert_eq!(replica.resume_lsn(), Some(resume));
         assert_replica_matches(&primary, &replica);
@@ -143,7 +152,7 @@ fn primary_checkpoint_applies_in_place_when_caught_up_and_rebases_when_behind() 
         for i in 0..20u64 {
             primary.insert(Key::from_u64(i), b"one".to_vec()).unwrap();
         }
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
         let replica = sync_until_caught_up(&source, replica);
 
         // Caught up: the checkpoint record streams and applies in place.
@@ -183,7 +192,7 @@ fn a_fence_over_history_the_replica_lacks_is_refused_before_it_is_logged() {
     let source = ReplicationSource::new(&primary).unwrap();
     let probe = Key::from_u64(0);
     primary.insert(probe.clone(), b"base".to_vec()).unwrap();
-    let replica = sync_until_caught_up(&source, opts(&rdir, 1).open_replica().unwrap());
+    let replica = sync_until_caught_up(&source, open_replica(&rdir));
     let applied = replica.durable_lsn();
 
     // Updates until history migrates onto the primary's WORM, so the
@@ -221,7 +230,7 @@ fn a_fence_over_history_the_replica_lacks_is_refused_before_it_is_logged() {
     // the newest fence the batch held *before* it, whose history is on the
     // device).
     drop(replica);
-    let replica = opts(&rdir, 1).open_replica().unwrap();
+    let replica = open_replica(&rdir);
     assert!(!replica.needs_base());
     assert!(replica.durable_lsn() >= applied);
     replica.verify().unwrap();
@@ -246,33 +255,46 @@ fn half_installed_base_is_wiped_on_open() {
         let primary = opts(&pdir, shards).open().unwrap();
         primary.insert(Key::from_u64(1), b"x".to_vec()).unwrap();
         let source = ReplicationSource::new(&primary).unwrap();
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
         drop(sync_until_caught_up(&source, replica));
 
         // Simulate a death mid-install: the marker survives alongside
         // stale-looking files.
         std::fs::write(rdir.0.join(INSTALLING_MARKER), b"").unwrap();
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
         assert!(replica.needs_base(), "marker must force a re-base");
         let replica = sync_until_caught_up(&source, replica);
         assert_replica_matches(&primary, &replica);
     }
 }
 
+/// A replica takes its shard count from the base it installs, and keeps
+/// it across a reopen; a base of another count (a rebase onto another
+/// primary) lays the directory out afresh.
 #[test]
-fn a_base_of_another_shard_count_is_refused() {
-    let pdir = TempDir::new("src-g");
+fn a_replica_takes_the_shard_count_of_its_base() {
     let rdir = TempDir::new("dst-g");
-    let primary = opts(&pdir, 4).open().unwrap();
-    let source = ReplicationSource::new(&primary).unwrap();
-    let replica = opts(&rdir, 1).open_replica().unwrap();
-    let refused = replica.install_base(&source.base().unwrap());
-    assert!(
-        matches!(&refused, Err(TsbError::Config(msg)) if msg.contains("4 shards")),
-        "{:?}",
-        refused.map(|_| ())
-    );
-    assert!(source.poll(0, &[0], DEFAULT_BATCH_BYTES).is_err());
+    let mut replica = open_replica(&rdir);
+    for shards in [4, 1, 4] {
+        let pdir = TempDir::new("src-g");
+        let primary = opts(&pdir, shards).open().unwrap();
+        for i in 0..24u64 {
+            let value = format!("{shards}-{i}").into_bytes();
+            primary.insert(Key::from_u64(i), value).unwrap();
+        }
+        let source = ReplicationSource::new(&primary).unwrap();
+        replica = replica.install_base(&source.base().unwrap()).unwrap();
+        assert_eq!(replica.shard_count(), shards);
+        let replica_again = replica.reopen().unwrap();
+        assert_eq!(replica_again.shard_count(), shards);
+        replica = sync_until_caught_up(&source, replica_again);
+        assert_replica_matches(&primary, &replica);
+        // The subscriber reports one WORM length per shard of the primary.
+        let other = if shards == 1 { 4 } else { 1 };
+        assert!(source
+            .poll(0, &vec![0; other], DEFAULT_BATCH_BYTES)
+            .is_err());
+    }
 }
 
 #[test]
@@ -282,7 +304,7 @@ fn transactions_stream_with_their_uncommitted_windows() {
         let rdir = TempDir::new("dst-e");
         let primary = opts(&pdir, shards).open().unwrap();
         let source = ReplicationSource::new(&primary).unwrap();
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        let replica = open_replica(&rdir);
 
         // An open transaction's uncommitted versions ship inside the
         // stream (they are page content); the replica must serve reads
@@ -325,7 +347,7 @@ fn a_read_pinned_at_the_fence_sees_a_cross_shard_commit_whole_or_not_at_all() {
         primary.insert(key.clone(), b"round-0".to_vec()).unwrap();
     }
     let source = ReplicationSource::new(&primary).unwrap();
-    let replica = sync_until_caught_up(&source, opts(&rdir, 4).open_replica().unwrap());
+    let replica = sync_until_caught_up(&source, open_replica(&rdir));
     for round in 1..=12 {
         let txn = primary.begin_txn().unwrap();
         for key in &keys {
@@ -390,7 +412,7 @@ fn promotion_stops_applying_and_the_engine_serves_as_a_primary() {
         primary
             .insert(Key::from_u64(0), b"fenced".to_vec())
             .unwrap();
-        let replica = sync_until_caught_up(&source, opts(&rdir, shards).open_replica().unwrap());
+        let replica = sync_until_caught_up(&source, open_replica(&rdir));
         assert!(matches!(
             replica.insert(Key::from_u64(1), b"no".to_vec()),
             Err(TsbError::ReadOnly)
@@ -412,4 +434,63 @@ fn promotion_stops_applying_and_the_engine_serves_as_a_primary() {
         let reopened = opts(&rdir, shards).open().unwrap();
         assert_eq!(reopened.scan_current(&KeyRange::full()).unwrap(), rows);
     }
+}
+
+/// A batch whose install fails part-way — some shards installed, one
+/// torn — leaves an engine that refuses promotion. The engine its reopen
+/// returns promotes, with the cross-shard commit whole or absent, in
+/// memory and once the directory reopens as a primary.
+#[test]
+fn a_replica_whose_install_failed_is_promoted_only_after_a_reopen() {
+    use tsb_storage::{CrashPoint, FaultInjector};
+    // Every shard holds a key, so the install writes at least four pages:
+    // each skip fails it on a different page.
+    let mut torn = false;
+    for skip in 0..4 {
+        let pdir = TempDir::new("src-i");
+        let rdir = TempDir::new("dst-i");
+        let primary = opts(&pdir, 4).open().unwrap();
+        let keys: Vec<Key> = (0..16u64).map(Key::from_u64).collect();
+        for key in &keys {
+            primary.insert(key.clone(), b"before".to_vec()).unwrap();
+        }
+        let source = ReplicationSource::new(&primary).unwrap();
+        let replica = sync_until_caught_up(&source, open_replica(&rdir));
+        let txn = primary.begin_txn().unwrap();
+        for key in &keys {
+            primary
+                .txn_insert(txn, key.clone(), b"after".to_vec())
+                .unwrap();
+        }
+        primary.commit_txn(txn).unwrap();
+        let cursor = replica.resume_lsn().unwrap();
+        let batch = source
+            .poll(cursor, &replica.worm_have(), DEFAULT_BATCH_BYTES)
+            .unwrap();
+
+        let faults = Arc::new(FaultInjector::new());
+        faults.crash_at(CrashPoint::MagneticWrite, skip);
+        replica.set_fault_injector(Arc::clone(&faults));
+        assert!(replica.apply_batch(&batch).is_err());
+        assert!(faults.tripped(), "the install must fail (skip {skip})");
+        let whole = |db: &ShardedTsb| {
+            let rows = db.scan_current(&KeyRange::full()).unwrap();
+            rows.len() == keys.len() && rows.iter().all(|(_, v)| *v == rows[0].1)
+        };
+        torn |= !whole(&replica);
+        let refused = replica.promote();
+        assert!(
+            matches!(&refused, Err(TsbError::Config(msg)) if msg.contains("reopen")),
+            "a part-way engine must not be promoted, got {refused:?}"
+        );
+        assert_eq!(replica.role(), EngineRole::Replica);
+        let promoted = replica.reopen().unwrap();
+        promoted.promote().unwrap();
+        assert_eq!(promoted.role(), EngineRole::Primary);
+        assert!(whole(&promoted), "a torn commit promoted (skip {skip})");
+        drop((promoted, replica));
+        let reopened = opts(&rdir, 4).open().unwrap();
+        assert!(whole(&reopened), "a torn commit reopened (skip {skip})");
+    }
+    assert!(torn, "no install failed between two shards");
 }

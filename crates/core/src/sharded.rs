@@ -229,20 +229,24 @@ impl ShardedTsb {
     /// each shard replayed to its own last fence before it, and the global
     /// clock re-derived as the maximum across every shard's recovered
     /// clock — see [`crate::tree::recover`].
-    pub(crate) fn open_durable(
-        dir: &Path,
-        shards: usize,
-        cfg: TsbConfig,
-        images_only: bool,
-    ) -> TsbResult<Self> {
+    pub(crate) fn open_durable(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
         let layout = layout(dir, shards)?;
         let clock = Arc::new(LogicalClock::new());
         let trees = TsbTree::open_durable(&layout, &cfg, &clock)?;
-        let engines = trees.into_iter().map(|mut tree| {
-            tree.log_images_only = images_only;
-            ConcurrentTsb::from_tree(tree)
-        });
-        Ok(Self::from_parts(engines.collect(), clock, cfg, None))
+        let engines = trees.into_iter().map(ConcurrentTsb::from_tree).collect();
+        Ok(Self::from_parts(engines, clock, cfg, None))
+    }
+
+    /// Puts every shard of a freshly opened, unshared engine in the
+    /// reference log mode of [`crate::TsbOptions::reference_image_log`].
+    pub(crate) fn log_images_only(&mut self) {
+        let inner = Arc::get_mut(&mut self.inner).expect("a freshly opened engine is unshared");
+        for shard in &mut inner.shards {
+            let tree = shard
+                .tree_mut()
+                .expect("a freshly opened shard is unshared");
+            tree.log_images_only = true;
+        }
     }
 
     /// Opens the durable tree at `dir` on its own: a flat directory's one
@@ -256,7 +260,7 @@ impl ShardedTsb {
             _ => None,
         };
         let (root, shards, index) = sharded.unwrap_or((dir, 1, 0));
-        let db = Self::open_durable(root, shards, cfg, false)?;
+        let db = Self::open_durable(root, shards, cfg)?;
         let unique = Arc::try_unwrap(db.inner).ok();
         let shard = unique.and_then(|inner| inner.shards.into_iter().nth(index));
         let tree = shard.and_then(|shard| shard.try_into_tree().ok());
@@ -748,6 +752,23 @@ pub(crate) fn layout(dir: &Path, shards: usize) -> TsbResult<Layout> {
             Ok(Layout::sharded(dir, shards))
         }
     }
+}
+
+/// The layout `dir` already holds: the manifest's shard count, else one
+/// shard. A replica, whose count is its primary's, opens with it.
+pub(crate) fn existing_layout(dir: &Path) -> TsbResult<Layout> {
+    layout(dir, read_manifest(dir)?.unwrap_or(1))
+}
+
+/// Lays `dir` out for `shards` shards whatever count it held before: for
+/// a replica installing a base, once its files are wiped.
+pub(crate) fn relayout(dir: &Path, shards: usize) -> TsbResult<Layout> {
+    match std::fs::remove_file(dir.join(MANIFEST_FILE)) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
+    }
+    layout(dir, shards)
 }
 
 /// Reads the shard count from `dir`'s manifest, `None` if it has none. A

@@ -64,8 +64,9 @@ fn promotion_preserves_the_applied_prefix() {
         let primary = opts(&pdir, shards).open().unwrap();
         let source = ReplicationSource::new(&primary).unwrap();
         // Bootstrap from an empty primary (the server flow: the replica
-        // comes up before the first write), then stream everything.
-        let replica = opts(&rdir, shards).open_replica().unwrap();
+        // comes up before the first write), then stream everything. The
+        // replica takes its shard count from the base.
+        let replica = opts(&rdir, 1).open_replica().unwrap();
         let mut replica = replica.install_base(&source.base().unwrap()).unwrap();
 
         let mut expect = BTreeMap::new();

@@ -129,7 +129,13 @@ fn run_case(shards: usize, images_only: bool, steps: &[Step]) -> Result<(), Test
     let opts = |dir: &TempDir| opts(&dir.0, shards, images_only);
     let mut primary = opts(&pdir).open().unwrap();
     let mut source = Some(ReplicationSource::new(&primary).unwrap());
-    let mut replica = opts(&rdir).open_replica().unwrap();
+    // A replica takes its shard count from its base, and logs exactly
+    // what it is shipped.
+    let open_replica = || {
+        let opts = TsbOptions::durable(&rdir.0).small_pages();
+        opts.fsync(FsyncPolicy::Always).open_replica().unwrap()
+    };
+    let mut replica = open_replica();
 
     // Every acknowledged (commit-stamped) write, for the as-of oracle.
     let mut stamps: Vec<(u64, Timestamp)> = Vec::new();
@@ -179,7 +185,7 @@ fn run_case(shards: usize, images_only: bool, steps: &[Step]) -> Result<(), Test
                 // Crash-equivalent restart: reopen from whatever the disk
                 // holds, with a disarmed process.
                 drop(replica);
-                replica = opts(&rdir).open_replica().unwrap();
+                replica = open_replica();
             }
             Step::KillPrimary => {
                 // No checkpoint, no graceful anything: drop every handle

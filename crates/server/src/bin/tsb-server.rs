@@ -17,8 +17,8 @@
 //! holds a shipped copy of the primary's log, a background thread keeps it
 //! converged (bootstrapping a base image if needed, reconnecting with
 //! backoff on failures), and the listener serves read verbs only — write
-//! verbs get the `read-only` error. `--shards` names the primary's shard
-//! count (a base of another count is refused). A replica can be
+//! verbs get the `read-only` error. It takes its shard count from its
+//! primary, so `--shards` is refused beside it. A replica can be
 //! **promoted** in place with the `Promote` verb (`tsb-client`'s
 //! `promote()`): it stops replicating at a bumped, fsynced promotion
 //! epoch, fences its local copy as a primary, and starts accepting writes
@@ -46,7 +46,7 @@ struct Args {
     data_dir: std::path::PathBuf,
     addr: String,
     fsync: FsyncPolicy,
-    shards: usize,
+    shards: Option<usize>,
     small_pages: bool,
     replica_of: Option<String>,
     max_conns: Option<usize>,
@@ -67,7 +67,7 @@ fn parse_args() -> Args {
     let mut data_dir = None;
     let mut addr = "127.0.0.1:0".to_string();
     let mut fsync = FsyncPolicy::Always;
-    let mut shards = 1usize;
+    let mut shards = None;
     let mut small_pages = false;
     let mut replica_of = None;
     let mut max_conns = None;
@@ -90,7 +90,7 @@ fn parse_args() -> Args {
                 };
             }
             "--shards" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
+                Some(n) if n >= 1 => shards = Some(n),
                 _ => usage(),
             },
             "--small-pages" => small_pages = true,
@@ -113,6 +113,10 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
+    if shards.is_some() && replica_of.is_some() {
+        eprintln!("tsb-server: a replica takes its shard count from its primary; drop --shards");
+        std::process::exit(2);
+    }
     match data_dir {
         Some(data_dir) => Args {
             data_dir,
@@ -130,9 +134,10 @@ fn parse_args() -> Args {
 
 fn run(args: Args) -> tsb_common::TsbResult<()> {
     std::fs::create_dir_all(&args.data_dir)?;
-    let mut opts = TsbOptions::durable(&args.data_dir)
-        .fsync(args.fsync)
-        .shards(args.shards);
+    let mut opts = TsbOptions::durable(&args.data_dir).fsync(args.fsync);
+    if let Some(shards) = args.shards {
+        opts = opts.shards(shards);
+    }
     if args.small_pages {
         opts = opts.small_pages();
     }

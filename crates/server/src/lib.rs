@@ -34,9 +34,9 @@
 //! partitioned across N shards (`tsb-server --shards N`) sharing one WAL
 //! and group-commit pipeline under one global commit clock; one shard is
 //! the unsharded case. A replica is the same type fed by WAL shipping
-//! (`tsb-server --replica-of ADDR`, at the primary's shard count, see
-//! [`replica`]); promoting it stops the feed, and the engine serves on as
-//! a primary.
+//! (`tsb-server --replica-of ADDR`, which takes the primary's shard
+//! count; see [`replica`]); promoting it stops the feed, and the engine
+//! serves on as a primary.
 //! Sharding and replication are entirely server-side — requests are
 //! routed (and range/history results merged) here, and the wire protocol
 //! is identical for every engine flavour; a replica simply answers write
@@ -734,31 +734,69 @@ fn error_reply(e: &TsbError) -> Reply {
 /// The sequence is crash-safe at every step:
 /// 1. **Stop the feed.** Joining the runner guarantees no apply is in
 ///    flight; everything shipped up to the last pulled batch is in the
-///    replica's local log, installed through its newest fences.
-/// 2. **Fence the epoch.** The bumped epoch is fsynced *before* the
+///    replica's local log, installed through its newest fences. An engine
+///    a failed apply stopped part-way is first reopened from its
+///    directory, as the runner would have done next.
+/// 2. **Check.** A replica still awaiting its first base has nothing to
+///    promote: the runner resumes and the epoch stays.
+/// 3. **Fence the epoch.** The bumped epoch is fsynced *before* the
 ///    engine stops applying, so no write can be accepted at an epoch a
 ///    crash could roll back. From here, a `Subscribe` from the demoted
 ///    primary (still at the old epoch) is rejected.
-/// 3. **Stop applying.** [`ShardedTsb::promote`] drops the un-fenced
+/// 4. **Stop applying.** [`ShardedTsb::promote`] drops the un-fenced
 ///    shipped tail (never acknowledged to any client), erases what the
 ///    old primary's open transactions wrote, and checkpoints — what the
 ///    ordinary primary recovery of the directory would do — and the engine
 ///    serves on as a primary.
+///
+/// Any failure resumes the runner and the node stays a replica. Before
+/// step 3 nothing changed on disk and it keeps converging. Past it (a
+/// failed checkpoint), its epoch is ahead of its primary's: the primary
+/// refuses its subscribe as stale, the runner refuses a base of the older
+/// epoch, and the node serves what it holds until a retried `Promote`
+/// succeeds.
 fn promote(shared: &Arc<ServerShared>) -> TsbResult<u64> {
-    let mut runner = shared.runner.lock();
+    let mut slot = shared.runner.lock();
     if shared.engine().role() == EngineRole::Primary {
         return Ok(shared.epoch.load(Ordering::SeqCst));
     }
-    let replica = runner.take().and_then(|mut runner| runner.stop());
-    let replica = replica
-        .ok_or_else(|| TsbError::config("this replica server has no replication runner to stop"))?;
+    let runner = slot
+        .as_mut()
+        .ok_or_else(|| TsbError::config("this replica server has no replication runner"))?;
+    let mut replica = runner
+        .stop()
+        .ok_or_else(|| TsbError::internal("the replication runner died"))?;
+    match promote_stopped(shared, &mut replica) {
+        Ok(epoch) => {
+            *slot = None;
+            Ok(epoch)
+        }
+        Err(e) => {
+            runner.resume(replica)?;
+            Err(e)
+        }
+    }
+}
+
+/// Steps 1 (the reopen) to 4 of [`promote`], on the engine the stopped
+/// runner handed back.
+fn promote_stopped(shared: &ServerShared, replica: &mut ShardedTsb) -> TsbResult<u64> {
+    if replica.resume_lsn().is_none() && !replica.needs_base() {
+        *replica = replica.reopen()?;
+        *shared.engine.write() = Arc::new(replica.clone());
+    }
+    if replica.needs_base() {
+        return Err(TsbError::config(
+            "a replica awaiting its first base image has nothing to promote",
+        ));
+    }
     let dir = replica
         .replica_dir()
         .ok_or_else(|| TsbError::internal("the replication runner fed a primary"))?;
     let new_epoch = shared.epoch.load(Ordering::SeqCst).saturating_add(1);
     tsb_core::epoch::persist_epoch(dir, new_epoch)?;
     replica.promote()?;
-    *shared.engine.write() = Arc::new(replica);
+    *shared.engine.write() = Arc::new(replica.clone());
     shared.epoch.store(new_epoch, Ordering::SeqCst);
     Ok(new_epoch)
 }

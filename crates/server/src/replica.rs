@@ -1,8 +1,9 @@
 //! The replica-side replication runner.
 //!
 //! [`ReplicaRunner`] owns a background thread that keeps a replica — a
-//! [`ShardedTsb`] opened with `TsbOptions::open_replica` at its primary's
-//! shard count — converged with a primary `tsb-server`:
+//! [`ShardedTsb`] opened with `TsbOptions::open_replica`, at its primary's
+//! shard count once a base is installed — converged with a primary
+//! `tsb-server`:
 //!
 //! 1. **Bootstrap.** If the replica has no usable local state
 //!    ([`ShardedTsb::needs_base`]), fetch a consistent base image
@@ -24,8 +25,9 @@
 //!
 //! Installing a base and reopening each hand back a new engine; the runner
 //! gives every one to its `publish` callback (a server swaps it into its
-//! serving slot) and hands the newest back when stopped
-//! ([`ReplicaRunner::stop`]).
+//! serving slot), hands the newest back when stopped
+//! ([`ReplicaRunner::stop`]), and can resume feeding one
+//! ([`ReplicaRunner::resume`]).
 //!
 //! The runner speaks the raw wire protocol over its own [`TcpStream`]
 //! rather than going through `tsb-client` (which depends on this crate —
@@ -69,14 +71,20 @@ const CALL_STALL_LIMIT: Duration = Duration::from_secs(10);
 /// Dropping the runner (or calling [`ReplicaRunner::stop`]) signals the
 /// thread and joins it; the replica keeps serving whatever it has applied.
 pub struct ReplicaRunner {
+    source: String,
+    epoch: Arc<AtomicU64>,
+    publish: Publish,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<ShardedTsb>>,
 }
 
+/// Where every engine the runner installs or reopens goes.
+type Publish = Arc<dyn Fn(&ShardedTsb) + Send + Sync>;
+
 /// The engine the runner applies to — the newest — and whoever serves it.
 struct Feed {
     replica: ShardedTsb,
-    publish: Box<dyn Fn(&ShardedTsb) + Send>,
+    publish: Publish,
 }
 
 impl Feed {
@@ -97,28 +105,40 @@ impl ReplicaRunner {
         replica: ShardedTsb,
         source: impl Into<String>,
         epoch: Arc<AtomicU64>,
-        publish: impl Fn(&ShardedTsb) + Send + 'static,
+        publish: impl Fn(&ShardedTsb) + Send + Sync + 'static,
     ) -> TsbResult<ReplicaRunner> {
+        let mut runner = ReplicaRunner {
+            source: source.into(),
+            epoch,
+            publish: Arc::new(publish),
+            stop: Arc::new(AtomicBool::new(false)),
+            handle: None,
+        };
+        runner.resume(replica)?;
+        Ok(runner)
+    }
+
+    /// Starts the stopped runner again, feeding `replica` — e.g. the engine
+    /// [`Self::stop`] returned, when a promotion of it failed.
+    pub fn resume(&mut self, replica: ShardedTsb) -> TsbResult<()> {
         let dir = replica.replica_dir().map(Path::to_path_buf);
         let dir =
             dir.ok_or_else(|| TsbError::config("a runner feeds an engine opened as a replica"))?;
-        let stop = Arc::new(AtomicBool::new(false));
+        self.stop = Arc::new(AtomicBool::new(false));
         let mut feed = Feed {
             replica,
-            publish: Box::new(publish),
+            publish: Arc::clone(&self.publish),
         };
-        let thread_stop = Arc::clone(&stop);
-        let source = source.into();
+        let (stop, epoch) = (Arc::clone(&self.stop), Arc::clone(&self.epoch));
+        let source = self.source.clone();
         let handle = std::thread::Builder::new()
             .name("tsb-replica".into())
             .spawn(move || {
-                run(&mut feed, &dir, &source, &thread_stop, &epoch);
+                run(&mut feed, &dir, &source, &stop, &epoch);
                 feed.replica
             })?;
-        Ok(ReplicaRunner {
-            stop,
-            handle: Some(handle),
-        })
+        self.handle = Some(handle);
+        Ok(())
     }
 
     /// Signals the thread to stop, waits for it to exit, and returns the
@@ -239,6 +259,15 @@ fn sync_session(
 /// it describes).
 fn bootstrap(feed: &mut Feed, dir: &Path, conn: &mut Conn, epoch: &AtomicU64) -> TsbResult<u64> {
     let (base, primary_epoch) = fetch_base(conn)?;
+    // A node ahead of its primary's epoch (a promotion that failed past
+    // its epoch fence) keeps its directory rather than follow an older
+    // lineage: only a promotion moves it on.
+    let ours = read_epoch(dir)?;
+    if primary_epoch != 0 && primary_epoch < ours {
+        return Err(TsbError::config(format!(
+            "the primary is at epoch {primary_epoch}, behind this node's {ours}"
+        )));
+    }
     let installed = feed.replica.install_base(&base)?;
     feed.replace(installed);
     if primary_epoch != 0 {

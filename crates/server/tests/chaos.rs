@@ -203,12 +203,7 @@ fn replication_link(shards: usize) {
                 ChaosProxy::start(primary_addr, ChaosSpec { seed, fault }).expect("start proxy");
             let (_replica, replica_addr) = spawn(
                 replica_dir.path(),
-                &[
-                    "--replica-of",
-                    &proxy.addr().to_string(),
-                    "--shards",
-                    &shards_arg,
-                ],
+                &["--replica-of", &proxy.addr().to_string()],
             );
             let label = format!("shards={shards} fault={} seed={seed}", fault.name());
 

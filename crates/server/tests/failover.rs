@@ -161,14 +161,13 @@ fn retrying_promote(addr: std::net::SocketAddr) -> u64 {
     }
 }
 
-/// `spawn`'s extra arguments for a node of `shards` shards, a replica of
-/// `primary` when given.
+/// `spawn`'s extra arguments for a primary of `shards` shards, or for a
+/// replica of `primary` (which takes its primary's shard count).
 fn node_args(shards: usize, primary: Option<std::net::SocketAddr>) -> Vec<String> {
-    let mut args = vec!["--shards".to_string(), shards.to_string()];
-    if let Some(primary) = primary {
-        args.extend(["--replica-of".to_string(), primary.to_string()]);
+    match primary {
+        Some(primary) => vec!["--replica-of".to_string(), primary.to_string()],
+        None => vec!["--shards".to_string(), shards.to_string()],
     }
-    args
 }
 
 fn spawn_node(
@@ -444,4 +443,110 @@ fn promotion_fences(shards: usize) {
     let role = promoted.role().expect("role after restart");
     assert!(role.primary);
     assert_eq!(role.epoch, 2, "promotion epoch must be durable");
+}
+
+/// A `Promote` that finds nothing to promote — a replica still awaiting
+/// its first base — fails, leaves the epoch alone, and does not stop
+/// replication: once its primary comes up, the replica bootstraps and
+/// converges.
+#[test]
+fn promoting_a_replica_without_a_base_fails_and_replication_goes_on() {
+    use std::net::TcpListener;
+    use tsb_core::{epoch::read_epoch, TsbOptions};
+    use tsb_server::{ServerOptions, TsbServer};
+
+    let primary_dir = TempDir::new("nobase-p");
+    let replica_dir = TempDir::new("nobase-r");
+    // An address nothing listens on yet: the primary binds it later.
+    let primary_addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve an address");
+    let engine = TsbOptions::durable(replica_dir.path())
+        .small_pages()
+        .open_replica()
+        .expect("open replica");
+    let replica = TsbServer::start_replica(
+        engine,
+        primary_addr.to_string(),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .expect("start replica");
+    let mut client = TsbClient::connect(replica.local_addr()).expect("connect replica");
+    let epoch = client.role().expect("role").epoch;
+
+    let refused = client.promote().expect_err("nothing to promote");
+    assert!(
+        refused.to_string().contains("nothing to promote"),
+        "unexpected refusal: {refused}"
+    );
+    let role = client.role().expect("role after refusal");
+    assert!(!role.primary);
+    assert_eq!(role.epoch, epoch);
+    assert_eq!(read_epoch(replica_dir.path()).unwrap(), epoch);
+
+    let db = TsbOptions::durable(primary_dir.path())
+        .small_pages()
+        .open()
+        .expect("open primary");
+    let primary = TsbServer::start_engine(Arc::new(db), primary_addr).expect("start primary");
+    let mut writer = TsbClient::connect(primary.local_addr()).expect("connect primary");
+    for i in 0..32u64 {
+        writer
+            .put(Key::from_u64(i), format!("v{i}").into_bytes())
+            .expect("put");
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let converged = (0..32u64).all(|i| {
+            let got = client.get(Key::from_u64(i)).ok().flatten();
+            got == Some(format!("v{i}").into_bytes())
+        });
+        if converged {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the replica did not converge");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    // Now there is something to promote.
+    assert_eq!(client.promote().expect("promote"), epoch + 1);
+    drop((replica, primary));
+}
+
+/// A node whose epoch is ahead of its primary's — left so by a promotion
+/// that failed after it bumped the epoch — refuses the primary's base
+/// rather than trade its directory for the older lineage.
+#[test]
+fn a_replica_ahead_of_its_primarys_epoch_keeps_its_directory() {
+    use tsb_core::{epoch::persist_epoch, EngineHandle, TsbOptions};
+    use tsb_server::{ServerOptions, TsbServer};
+
+    let primary_dir = TempDir::new("ahead-p");
+    let replica_dir = TempDir::new("ahead-r");
+    let db = TsbOptions::durable(primary_dir.path())
+        .small_pages()
+        .open()
+        .expect("open primary");
+    db.insert(Key::from_u64(1), b"old lineage".to_vec())
+        .expect("insert");
+    let primary = TsbServer::start_engine(Arc::new(db), "127.0.0.1:0").expect("start primary");
+    persist_epoch(replica_dir.path(), 5).expect("persist epoch");
+    let engine = TsbOptions::durable(replica_dir.path())
+        .small_pages()
+        .open_replica()
+        .expect("open replica");
+    let replica = TsbServer::start_replica(
+        engine,
+        primary.local_addr().to_string(),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .expect("start replica");
+    // Ample time for an install, had the runner taken the base.
+    std::thread::sleep(Duration::from_secs(1));
+    let mut client = TsbClient::connect(replica.local_addr()).expect("connect replica");
+    let status = client.replica_status().expect("replica status");
+    assert!(!status.serving, "the older lineage's base was installed");
+    assert_eq!(client.role().expect("role").epoch, 5);
+    drop((replica, primary));
 }

@@ -78,14 +78,13 @@ fn sharded_engine_matches_oracle_through_the_trait() {
     }
 }
 
-/// Ships `primary`'s whole log into a fresh replica at `dir` with the
-/// primary's shard count.
+/// Ships `primary`'s whole log into a fresh replica at `dir`, which takes
+/// the primary's shard count from its base.
 fn synced_replica(primary: &dyn EngineHandle, dir: &TempDir) -> ShardedTsb {
     let source = primary.replication_source().unwrap();
     let mut replica = TsbOptions::durable(&dir.0)
         .small_pages()
         .fsync(FsyncPolicy::Always)
-        .shards(primary.shard_count())
         .open_replica()
         .unwrap();
     loop {
