@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use tsb_common::{
     FsyncPolicy, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig,
 };
-use tsb_core::{ConcurrentTsb, Node, NodeAddr, TsbTree};
+use tsb_core::{EngineHandle, Node, NodeAddr, ShardedTsb, TsbTree};
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
 use tsb_bench::measure::experiment_config;
@@ -230,15 +230,15 @@ fn bench_historical_readers(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("tsb-bench-historical-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = TsbConfig::default().with_node_cache_entries(64);
-    let db: ConcurrentTsb = tsb_core::TsbOptions::durable(&dir)
+    let db: ShardedTsb = tsb_core::TsbOptions::durable(&dir)
         .config(cfg)
         .fsync(FsyncPolicy::Os)
-        .open_concurrent()
+        .open()
         .unwrap();
     let mut last = Timestamp::ZERO;
     for gen in 0..GENERATIONS {
         for key in 0..KEYS {
-            last = db.insert(key, vec![gen as u8; 100]).unwrap();
+            last = db.insert(Key::from_u64(key), vec![gen as u8; 100]).unwrap();
         }
     }
     // Lookups land in the older half of history, which has all migrated.

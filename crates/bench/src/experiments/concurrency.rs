@@ -2,7 +2,8 @@
 //!
 //! The paper's §4.1 promise — read-only transactions run without locks,
 //! concurrently with the current-database writer — is the reason
-//! [`ConcurrentTsb`] exists. This experiment measures it: a preloaded tree
+//! every shard of a [`ShardedTsb`] runs one writer beside lock-free
+//! readers. This experiment measures it on one shard: a preloaded tree
 //! keeps absorbing a scripted update stream from one writer thread while
 //! 1, 2, 4, and 8 reader threads replay deterministic
 //! [`tsb_workload::ConcurrentSpec`] query plans pinned at the install
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use tsb_common::{TimeRange, Timestamp};
-use tsb_core::{ConcurrentTsb, TsbOptions};
+use tsb_core::{EngineHandle, ShardedTsb, TsbOptions};
 use tsb_workload::{pin_fraction, ConcurrentSpec, Op, ReaderQueryKind};
 
 use crate::measure::{experiment_config, Scale};
@@ -102,7 +103,7 @@ fn measure_one(
             tsb_common::SplitPolicyKind::TimePreferring,
             tsb_common::SplitTimeChoice::LastUpdate,
         ))
-        .open_concurrent()
+        .open()
         .expect("in-memory engine");
     for op in preload {
         apply(&db, op);
@@ -163,7 +164,7 @@ fn measure_one(
     }
 }
 
-fn apply(db: &ConcurrentTsb, op: &Op) {
+fn apply(db: &ShardedTsb, op: &Op) {
     match op {
         Op::Put { key, value } => {
             db.insert(key.clone(), value.clone()).expect("insert");
@@ -174,7 +175,7 @@ fn apply(db: &ConcurrentTsb, op: &Op) {
     }
 }
 
-fn run_query(db: &ConcurrentTsb, kind: &ReaderQueryKind, ts: Timestamp) {
+fn run_query(db: &ShardedTsb, kind: &ReaderQueryKind, ts: Timestamp) {
     match kind {
         ReaderQueryKind::PointAsOf(key) => {
             db.get_as_of(key, ts).expect("point as-of");

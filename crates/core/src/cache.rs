@@ -76,7 +76,7 @@
 //!   boundary clean: `tsb-storage` moves bytes, `tsb-core` decides what
 //!   they mean.
 //! * **Lock-sharded for concurrent readers.** A warm concurrent read
-//!   ([`crate::ConcurrentTsb`]) touches nothing but this cache and the
+//!   (a shard of a [`crate::ShardedTsb`]) touches nothing but this cache and the
 //!   atomic [`tsb_storage::IoStats`] counters, so a single global mutex
 //!   would serialize every reader on every node access. The cache is
 //!   therefore split into [`SHARD_COUNT`] independent shards (hash of the

@@ -24,19 +24,17 @@
 //!   carry no timestamp, are never migrated, and are erased on abort (§4).
 //! * [`TsbOptions`] — the one door: every engine that comes from a
 //!   configuration or a directory is opened through it (see [`options`]).
-//! * [`EngineHandle`] — the one object-safe surface an engine serves
-//!   through, implemented by one type: [`ShardedTsb`], an N-way
-//!   hash-partitioned engine whose shards share one WAL, group-commit
-//!   pipeline and checkpoint under one global commit clock, with
-//!   fence-pinned cross-shard snapshots and cross-shard transactions
-//!   committed as one fence — one shard is the unsharded case (see
-//!   [`sharded`]). A replica is a `ShardedTsb` whose one writer applies a
-//!   shipped log (see [`replica`]).
-//! * [`ConcurrentTsb`] — what each shard is: a `Send + Sync`
-//!   single-writer / many-reader engine with serialized writes, lock-free
-//!   concurrent reads against immutable historical nodes with
-//!   seqlock-validated descents, and owning [`ConcurrentSnapshot`] readers
-//!   pinned behind an install fence (see [`concurrent`]).
+//! * [`ShardedTsb`] — the one concurrent engine, and the one implementor
+//!   of [`EngineHandle`], the object-safe surface an engine serves
+//!   through. It hash-partitions the keyspace over N shards (one is the
+//!   unsharded case) that share one WAL, group-commit pipeline and
+//!   checkpoint under one global commit clock. Each shard serializes its
+//!   writes and serves lock-free concurrent reads against immutable
+//!   historical nodes with seqlock-validated descents, behind an install
+//!   fence; [`ShardedSnapshot`]s pin one fence across every shard, and a
+//!   cross-shard transaction commits as one fence (see [`sharded`]). A
+//!   replica is a `ShardedTsb` whose one writer applies a shipped log
+//!   (see [`replica`]).
 //! * [`SecondaryIndex`] — `<timestamp, secondary key, primary key>` indexes,
 //!   themselves TSB-trees (§3.6).
 //! * **Durability** — [`TsbOptions::durable`] / [`TsbTree::checkpoint`]:
@@ -46,7 +44,7 @@
 //!   mutation's page images are logged before they may dirty a page, a
 //!   commit fence ends each mutation, checkpoints fence replay, and
 //!   recovery replays the log, erases in-flight transactions, and
-//!   verifies before serving. [`ConcurrentTsb`] layers group commit
+//!   verifies before serving. [`ShardedTsb`] layers group commit
 //!   ([`tsb_common::FsyncPolicy`]) on top.
 //! * [`TreeStats`] / [`TsbTree::verify`] — the measurements the paper's
 //!   evaluation plan calls for (total space, current-database space,
@@ -81,7 +79,7 @@
 #![warn(missing_docs)]
 
 mod cache;
-pub mod concurrent;
+mod concurrent;
 pub mod engine;
 pub mod epoch;
 pub mod node;
@@ -95,7 +93,6 @@ pub mod tree;
 pub mod txn;
 pub mod verify;
 
-pub use concurrent::{ConcurrentSnapshot, ConcurrentTsb};
 pub use engine::{EngineHandle, EngineRole};
 pub use node::{
     DataComposition, DataNode, IndexComposition, IndexEntry, IndexEntryRef, IndexNode, Node,

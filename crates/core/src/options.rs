@@ -16,28 +16,28 @@
 //! # let _ = db; Ok::<(), tsb_core::TsbError>(())
 //! ```
 //!
-//! Terminal methods pick the engine flavour:
+//! Three terminal methods pick the engine:
 //!
-//! * [`TsbOptions::open`] — a [`ShardedTsb`], *the* engine behind
-//!   [`crate::EngineHandle`] (one shard is the common case, costs nothing
-//!   extra, and can feed replicas at any shard count).
+//! * [`TsbOptions::open`] — a [`ShardedTsb`], *the* concurrent engine:
+//!   one writer and lock-free readers per shard, every temporal query of
+//!   the paper, and the one implementor of [`crate::EngineHandle`]. One
+//!   shard is the common case, costs nothing extra, and can feed replicas;
+//!   more shards only add scale.
 //! * [`TsbOptions::open_replica`] — a [`ShardedTsb`] too, whose one
 //!   writer is the log applier: it awaits (or recovers) a shipped log at
 //!   the directory and refuses every write verb until promoted.
-//! * [`TsbOptions::open_concurrent`] — a bare [`ConcurrentTsb`] (what
-//!   each shard is) for white-box tests and measurement harnesses.
-//! * [`TsbOptions::open_tree`] — a bare single-threaded [`TsbTree`].
+//! * [`TsbOptions::open_tree`] — a bare single-threaded [`TsbTree`], the
+//!   paper's object on its own.
 //!
 //! Hand-built devices are the one thing that does not come through here:
 //! [`TsbTree::create`] / [`TsbTree::open`] / [`TsbTree::create_durable`]
-//! take stores, and [`ConcurrentTsb::from_tree`] wraps the result.
+//! take stores and give a bare tree.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use tsb_common::{FsyncPolicy, LogicalClock, TsbConfig, TsbError, TsbResult};
 
-use crate::concurrent::ConcurrentTsb;
 use crate::sharded::ShardedTsb;
 use crate::tree::TsbTree;
 
@@ -86,9 +86,8 @@ impl TsbOptions {
         self
     }
 
-    /// Not a product option: makes the trees [`Self::open`] /
-    /// [`Self::open_tree`] / [`Self::open_concurrent`] return log a full
-    /// page image for every rewrite instead of first-touch images + deltas
+    /// Not a product option: makes the trees [`Self::open`] and
+    /// [`Self::open_tree`] return log a full page image for every rewrite instead of first-touch images + deltas
     /// — the reference the shipped log is tested against
     /// (`delta_replay_equals_image_replay`,
     /// `replica_equals_primary_durable_prefix`). In memory, and for a
@@ -106,9 +105,10 @@ impl TsbOptions {
         self
     }
 
-    /// Sets the shard count for [`Self::open`] (default 1). The bare-tree
-    /// terminals refuse counts above 1; [`Self::open_replica`] refuses any
-    /// count, since a replica takes its primary's.
+    /// Sets the shard count for [`Self::open`] (default 1): a choice of
+    /// scale only, since every count answers the same queries.
+    /// [`Self::open_tree`] refuses counts above 1; [`Self::open_replica`]
+    /// refuses any count, since a replica takes its primary's.
     pub fn shards(mut self, shards: usize) -> TsbOptions {
         self.shards = shards;
         self
@@ -133,12 +133,6 @@ impl TsbOptions {
             db.log_images_only();
         }
         Ok(db)
-    }
-
-    /// Opens a bare [`ConcurrentTsb`]: [`Self::open_tree`] behind the
-    /// single-writer / many-reader handle.
-    pub fn open_concurrent(self) -> TsbResult<ConcurrentTsb> {
-        self.open_tree().map(ConcurrentTsb::from_tree)
     }
 
     /// Opens a bare single-threaded [`TsbTree`].
@@ -213,13 +207,14 @@ mod tests {
         let tree = TsbOptions::in_memory().small_pages().open_tree().unwrap();
         assert_eq!(tree.config().page_size, TsbConfig::small_pages().page_size);
 
-        let db = TsbOptions::in_memory().open_concurrent().unwrap();
+        let db = TsbOptions::in_memory().open().unwrap();
         db.insert(Key::from_u64(1), b"x".to_vec()).unwrap();
+        assert_eq!(db.shard_count(), 1);
 
         let sharded = TsbOptions::in_memory().shards(4).open().unwrap();
         assert_eq!(sharded.shard_count(), 4);
 
-        assert!(TsbOptions::in_memory().shards(2).open_concurrent().is_err());
+        assert!(TsbOptions::in_memory().shards(2).open_tree().is_err());
         assert!(TsbOptions::in_memory().open_replica().is_err());
         // Refused before the directory is touched.
         let replica = TsbOptions::durable("unused").shards(2).open_replica();

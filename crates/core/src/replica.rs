@@ -90,7 +90,7 @@ use parking_lot::Mutex;
 use tsb_common::{LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult};
 use tsb_storage::{Lsn, PageId, TailPoll, WalRecord, WalTailer};
 
-use crate::concurrent::ConcurrentTsb;
+use crate::concurrent::Shard;
 use crate::engine::EngineHandle;
 use crate::node::NodeAddr;
 use crate::sharded::{existing_layout, relayout, ShardedTsb};
@@ -419,12 +419,7 @@ impl Applier {
     /// area lacks starts from the fenced overlay, else from the device:
     /// its first touch predates this replica's log, and the device equals
     /// the shard's last installed fence. A shard switch stages nothing.
-    fn stage(
-        &mut self,
-        shards: &[ConcurrentTsb],
-        shard: usize,
-        record: WalRecord,
-    ) -> TsbResult<()> {
+    fn stage(&mut self, shards: &[Shard], shard: usize, record: WalRecord) -> TsbResult<()> {
         let (Some(staged), Some(fenced), Some(db)) = (
             self.staged.get_mut(shard),
             self.fenced.get(shard),
@@ -484,11 +479,11 @@ impl ShardedTsb {
         // A shard is complete through its own last fence, not through the
         // clock every shard shares.
         let shards = rec.trees.len();
-        let engines: Vec<ConcurrentTsb> = rec
+        let engines: Vec<Shard> = rec
             .trees
             .into_iter()
             .zip(&rec.shards)
-            .map(|(tree, cut)| ConcurrentTsb::from_tree_at(tree, cut.state.1.prev()))
+            .map(|(tree, cut)| Shard::from_tree_at(tree, cut.state.1.prev()))
             .collect();
         let mut applier = Applier {
             staged: vec![HashMap::new(); shards],
@@ -714,7 +709,7 @@ impl ShardedTsb {
                         // to exactly the checkpointed state, then the
                         // record.
                         self.install(replica, st)?;
-                        for tree in shards.iter().map(ConcurrentTsb::tree) {
+                        for tree in shards.iter().map(Shard::tree) {
                             tree.magnetic.sync()?;
                             tree.worm.sync()?;
                         }

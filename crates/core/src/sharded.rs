@@ -1,9 +1,10 @@
 //! N-way keyspace partitioning under one global commit clock and one
 //! redo log.
 //!
-//! [`ShardedTsb`] splits the keyspace across `N` [`ConcurrentTsb`] shards
-//! by a stable hash of the key. Each shard owns its writer lock, node
-//! cache, devices and tree, so `N` writers touching `N` different shards
+//! [`ShardedTsb`] splits the keyspace across `N` shards by a stable hash
+//! of the key. Each shard owns its writer lock, install fence, node cache,
+//! devices and tree — one writer and many lock-free readers per shard (the
+//! protocol is in `concurrent.rs`) — so `N` writers touching `N` different shards
 //! mutate in parallel: the per-engine writer lock stops being a global
 //! serialization point. What the shards share is *time* and the *log*.
 //! Every shard stamps its commits from one [`LogicalClock`], so commit
@@ -36,7 +37,7 @@
 //!
 //! [`ShardedTsb::begin_snapshot`] pins the newest ticked timestamp `T` and
 //! then raises every shard's install fence to at least `T`
-//! ([`ConcurrentTsb`]'s `pin_fence_at_least`). Raising the fence takes the
+//! (the shard's `pin_fence_at_least`). Raising the fence takes the
 //! shard's writer lock when the shard is behind — and because commit
 //! timestamps are ticked *under* that lock, holding it proves no mutation
 //! with a timestamp `≤ T` is still mid-install on that shard. After the
@@ -92,7 +93,7 @@ use tsb_common::{
 };
 use tsb_storage::{sync_parent_dir, FaultInjector, IoSnapshot, Lsn};
 
-use crate::concurrent::ConcurrentTsb;
+use crate::concurrent::Shard;
 use crate::engine::{EngineHandle, EngineRole};
 use crate::replica::{not_serving, Replica, ReplicaStatus, ReplicationSource};
 use crate::tree::durability::{checkpoint_log, commit_across};
@@ -140,7 +141,7 @@ struct GlobalTxnTable {
 
 struct ShardedInner {
     /// Empty only on a replica awaiting its first base image.
-    shards: Vec<ConcurrentTsb>,
+    shards: Vec<Shard>,
     clock: Arc<LogicalClock>,
     txns: Mutex<GlobalTxnTable>,
     cfg: TsbConfig,
@@ -178,7 +179,7 @@ impl ShardedTsb {
     /// The engine over `shards` stamping from `clock`, a replica when
     /// `replica` is given.
     pub(crate) fn from_parts(
-        shards: Vec<ConcurrentTsb>,
+        shards: Vec<Shard>,
         clock: Arc<LogicalClock>,
         cfg: TsbConfig,
         replica: Option<Replica>,
@@ -206,7 +207,7 @@ impl ShardedTsb {
         let mut engines = Vec::with_capacity(shards);
         for _ in 0..shards {
             let tree = TsbTree::new_in_memory_with_clock(cfg.clone(), Arc::clone(&clock))?;
-            engines.push(ConcurrentTsb::from_tree(tree));
+            engines.push(Shard::from_tree(tree));
         }
         Ok(Self::from_parts(engines, clock, cfg, None))
     }
@@ -233,7 +234,7 @@ impl ShardedTsb {
         let layout = layout(dir, shards)?;
         let clock = Arc::new(LogicalClock::new());
         let trees = TsbTree::open_durable(&layout, &cfg, &clock)?;
-        let engines = trees.into_iter().map(ConcurrentTsb::from_tree).collect();
+        let engines = trees.into_iter().map(Shard::from_tree).collect();
         Ok(Self::from_parts(engines, clock, cfg, None))
     }
 
@@ -242,10 +243,7 @@ impl ShardedTsb {
     pub(crate) fn log_images_only(&mut self) {
         let inner = Arc::get_mut(&mut self.inner).expect("a freshly opened engine is unshared");
         for shard in &mut inner.shards {
-            let tree = shard
-                .tree_mut()
-                .expect("a freshly opened shard is unshared");
-            tree.log_images_only = true;
+            shard.tree_mut().log_images_only = true;
         }
     }
 
@@ -263,8 +261,7 @@ impl ShardedTsb {
         let db = Self::open_durable(root, shards, cfg)?;
         let unique = Arc::try_unwrap(db.inner).ok();
         let shard = unique.and_then(|inner| inner.shards.into_iter().nth(index));
-        let tree = shard.and_then(|shard| shard.try_into_tree().ok());
-        tree.ok_or_else(|| {
+        shard.map(Shard::into_tree).ok_or_else(|| {
             TsbError::config(format!(
                 "{} is not a shard of the engine in {}",
                 dir.display(),
@@ -282,16 +279,13 @@ impl ShardedTsb {
         shard_of(key, self.inner.shards.len())
     }
 
-    /// The per-shard engines, in shard order. Reads through a shard handle
-    /// are safe (shards are complete engines); writes through one bypass
-    /// only the routing, not the clock — but belong in tests and
-    /// measurement harnesses, not application code.
-    pub fn shards(&self) -> &[ConcurrentTsb] {
+    /// The shards, in shard order.
+    pub(crate) fn shards(&self) -> &[Shard] {
         &self.inner.shards
     }
 
     /// The shard `key` routes to; none while a replica awaits its base.
-    fn shard_for(&self, key: &Key) -> TsbResult<&ConcurrentTsb> {
+    fn shard_for(&self, key: &Key) -> TsbResult<&Shard> {
         self.inner
             .shards
             .get(self.shard_of(key))
@@ -300,7 +294,7 @@ impl ShardedTsb {
 
     /// Every shard, for a read that spans them; none while a replica
     /// awaits its base.
-    fn serving_shards(&self) -> TsbResult<&[ConcurrentTsb]> {
+    fn serving_shards(&self) -> TsbResult<&[Shard]> {
         match self.inner.shards.as_slice() {
             [] => Err(not_serving()),
             shards => Ok(shards),
@@ -344,7 +338,11 @@ impl ShardedTsb {
         if let Some(local) = slots[shard] {
             return Ok(local);
         }
-        let local = self.inner.shards[shard].begin_txn();
+        let db = &self.inner.shards[shard];
+        let local = {
+            let _writer = db.lock_writer();
+            db.tree().begin_txn_shared()
+        };
         slots[shard] = Some(local);
         Ok(local)
     }
@@ -393,41 +391,83 @@ impl ShardedTsb {
 
     /// The full version record governing `(key, ts)`.
     pub fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
-        self.shard_for(key)?.get_version_as_of(key, ts)
+        self.shard_for(key)?.read(|t| t.get_version_as_of(key, ts))
     }
 
     /// Every committed version of `key`, oldest first.
     pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
-        self.shard_for(key)?.versions(key)
+        self.shard_for(key)?.read(|t| t.versions(key))
+    }
+
+    /// Number of committed versions stored for `key`.
+    pub fn version_count(&self, key: &Key) -> TsbResult<usize> {
+        self.shard_for(key)?.read(|t| t.version_count(key))
+    }
+
+    /// Every committed version in the `keys` × `window` rectangle, ordered
+    /// by key and then commit time.
+    pub fn scan_versions(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Version>> {
+        self.merge(|t| t.scan_versions(keys, window), Version::sort_cmp)
+    }
+
+    /// The distinct keys in `keys` that changed during `window`, in key
+    /// order.
+    pub fn changed_keys_between(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Key>> {
+        self.merge(|t| t.changed_keys_between(keys, window), Key::cmp)
     }
 
     /// A full-database snapshot as of `ts`, merged in key order.
     pub fn snapshot_at(&self, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.merge_rows(|s| s.snapshot_at(ts))
+        self.merge(|t| t.snapshot_at(ts), |a, b| a.0.cmp(&b.0))
     }
 
     /// Number of keys alive in `range` as of `ts`, summed across shards.
     pub fn count_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<usize> {
         let mut n = 0;
         for s in self.serving_shards()? {
-            n += s.count_as_of(range, ts)?;
+            n += s.read(|t| t.count_as_of(range, ts))?;
         }
         Ok(n)
     }
 
-    /// Runs a per-shard row query and merges the results in key order (the
-    /// hash partition makes per-shard key sets disjoint, so a sort of the
-    /// concatenation is a correct merge).
-    fn merge_rows(
+    /// Checks on every shard that each cached decoded node equals its
+    /// device image, with the shard's writer stalled.
+    pub fn verify_cache_coherence(&self) -> TsbResult<()> {
+        self.each_quiesced(TsbTree::verify_cache_coherence)
+    }
+
+    /// Runs `f` on every shard's tree in turn, each with its writer lock
+    /// held.
+    fn each_quiesced(&self, f: impl Fn(&TsbTree) -> TsbResult<()>) -> TsbResult<()> {
+        self.serving_shards()?.iter().try_for_each(|s| {
+            let _writer = s.lock_writer();
+            f(s.tree())
+        })
+    }
+
+    /// Runs a per-shard query and merges the results into the order one
+    /// shard returns them in, `cmp` (the hash partition makes per-shard
+    /// key sets disjoint, so a sort of the concatenation is a correct
+    /// merge).
+    fn merge<T>(
         &self,
-        f: impl Fn(&ConcurrentTsb) -> TsbResult<Vec<(Key, Vec<u8>)>>,
-    ) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+        f: impl Fn(&TsbTree) -> TsbResult<Vec<T>>,
+        cmp: impl FnMut(&T, &T) -> std::cmp::Ordering,
+    ) -> TsbResult<Vec<T>> {
         let mut out = Vec::new();
         for s in self.serving_shards()? {
-            out.extend(f(s)?);
+            out.extend(s.read(&f)?);
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by(cmp);
         Ok(out)
+    }
+
+    /// Runs a transaction write or abort on `shard`, then parks on the
+    /// durable wait it owes, outside the shard's writer lock.
+    fn txn_write(&self, shard: usize, f: impl FnOnce(&TsbTree) -> TsbResult<()>) -> TsbResult<()> {
+        let db = &self.inner.shards[shard];
+        let ((), wait) = db.write(f, |_| None)?;
+        wait.map_or(Ok(()), |lsn| db.tree().wait_durable_lsn(lsn))
     }
 
     // ----- snapshots and the fence ----------------------------------------
@@ -507,14 +547,16 @@ impl EngineHandle for ShardedTsb {
     ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
         self.writable()?;
         let shard = self.shard_of(&key);
-        let (ts, lsn) = self.inner.shards[shard].insert_deferred(key, value)?;
+        let insert = |t: &TsbTree| t.insert_shared(key, value);
+        let (ts, lsn) = self.inner.shards[shard].write(insert, |ts| Some(*ts))?;
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
     fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
         self.writable()?;
         let shard = self.shard_of(&key);
-        let (ts, lsn) = self.inner.shards[shard].delete_deferred(key)?;
+        let delete = |t: &TsbTree| t.delete_shared(key);
+        let (ts, lsn) = self.inner.shards[shard].write(delete, |ts| Some(*ts))?;
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
@@ -537,7 +579,7 @@ impl EngineHandle for ShardedTsb {
             ))
         })?;
         db.tree().request_durable_tail();
-        db.wait_durable(lsn)
+        db.tree().wait_durable_lsn(lsn)
     }
 
     // ----- transactions ---------------------------------------------------
@@ -559,14 +601,14 @@ impl EngineHandle for ShardedTsb {
         self.writable()?;
         let shard = self.shard_of(&key);
         let local = self.local_txn(txn, shard)?;
-        self.inner.shards[shard].txn_insert(local, key, value)
+        self.txn_write(shard, |t| t.txn_insert_shared(local, key, value))
     }
 
     fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
         self.writable()?;
         let shard = self.shard_of(&key);
         let local = self.local_txn(txn, shard)?;
-        self.inner.shards[shard].txn_delete(local, key)
+        self.txn_write(shard, |t| t.txn_delete_shared(local, key))
     }
 
     /// The transaction's own pending write when it touched the key's
@@ -578,9 +620,13 @@ impl EngineHandle for ShardedTsb {
             let t = self.inner.txns.lock();
             t.active.get(&txn).ok_or_else(|| unknown_txn(txn))?[shard]
         };
+        let db = &self.inner.shards[shard];
         match local {
-            Some(local) => self.inner.shards[shard].txn_get(local, key),
-            None => self.inner.shards[shard].get_current(key),
+            Some(local) => {
+                let _writer = db.lock_writer();
+                db.tree().txn_get(local, key)
+            }
+            None => db.read(|t| t.get_current(key)),
         }
     }
 
@@ -597,19 +643,26 @@ impl EngineHandle for ShardedTsb {
             // a unique place in the global order, with nothing to install.
             [] => Ok((self.inner.clock.tick(), None)),
             [(shard, local)] => {
-                let (ts, lsn) = self.inner.shards[*shard].commit_txn_deferred(*local)?;
+                let commit = |t: &TsbTree| t.commit_txn_shared(*local);
+                let (ts, lsn) = self.inner.shards[*shard].write(commit, |ts| Some(*ts))?;
                 Ok((ts, lsn.map(|l| (*shard, l))))
             }
             _ => self.commit_cross_shard(&parts),
         }
     }
 
+    /// Aborts on every participant, even past one whose abort fails: the
+    /// transaction has left the table, so a participant skipped here would
+    /// keep its local transaction, and its keys' write locks, until
+    /// restart. Returns the first failure.
     fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
         self.writable()?;
+        let mut first = Ok(());
         for (shard, local) in self.take_participants(txn)? {
-            self.inner.shards[shard].abort_txn(local)?;
+            let aborted = self.txn_write(shard, |t| t.abort_txn_shared(local));
+            first = first.and(aborted);
         }
-        Ok(())
+        first
     }
 
     /// One checkpoint of the one log: every writer lock taken in
@@ -624,25 +677,26 @@ impl EngineHandle for ShardedTsb {
     // ----- reads ----------------------------------------------------------
 
     fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        self.shard_for(key)?.get_current(key)
+        self.shard_for(key)?.read(|t| t.get_current(key))
     }
 
     /// On a replica, answers for `ts` past [`EngineHandle::last_installed`]
     /// may still change as shipped fences install.
     fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
-        self.shard_for(key)?.get_as_of(key, ts)
+        self.shard_for(key)?.read(|t| t.get_as_of(key, ts))
     }
 
     fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.merge_rows(|s| s.scan_as_of(range, ts))
+        self.merge(|t| t.scan_as_of(range, ts), |a, b| a.0.cmp(&b.0))
     }
 
     fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.merge_rows(|s| s.scan_current(range))
+        self.merge(|t| t.scan_current(range), |a, b| a.0.cmp(&b.0))
     }
 
     fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
-        self.shard_for(key)?.history_between(key, window)
+        self.shard_for(key)?
+            .read(|t| t.history_between(key, window))
     }
 
     /// The newest timestamp at which *every* shard is known fully
@@ -670,14 +724,21 @@ impl EngineHandle for ShardedTsb {
     fn durable_lsn(&self) -> Lsn {
         match self.replica() {
             Some(replica) => replica.applied_lsn(),
-            None => self.inner.shards.first().map_or(0, |s| s.durable_lsn()),
+            None => {
+                let wal = self
+                    .inner
+                    .shards
+                    .first()
+                    .and_then(|s| s.tree().wal_handle());
+                wal.map_or(0, |w| w.durable_lsn())
+            }
         }
     }
 
     // ----- introspection --------------------------------------------------
 
     fn verify(&self) -> TsbResult<()> {
-        self.serving_shards()?.iter().try_for_each(|s| s.verify())
+        self.each_quiesced(TsbTree::verify)
     }
 
     /// Identical on every shard.
@@ -689,7 +750,7 @@ impl EngineHandle for ShardedTsb {
     fn io_snapshot(&self) -> IoSnapshot {
         let shards = self.inner.shards.iter();
         shards.fold(IoSnapshot::default(), |sum, s| {
-            sum.merge(&s.io_stats().snapshot())
+            sum.merge(&s.tree().io_stats().snapshot())
         })
     }
 
@@ -1101,6 +1162,28 @@ mod tests {
         let (_, pos) = db.commit_txn_deferred(txn).unwrap();
         assert_eq!(pos, None, "`Os` hands out nothing to wait on");
         assert_eq!(db.io_snapshot().wal_syncs, before);
+    }
+
+    /// An abort that fails on one participant still aborts every other:
+    /// the transaction has already left the table, so a participant
+    /// skipped there would keep its keys locked until restart.
+    #[test]
+    fn a_failed_participant_abort_still_aborts_the_others() {
+        let db = engine(3);
+        let txn = straddling_txn(&db, 3);
+        db.shards()[0].tree().poison();
+        assert!(db.abort_txn(txn).is_err(), "shard 0's abort must fail");
+        for shard in &db.shards()[1..] {
+            assert_eq!(shard.tree().active_txn_count(), 0);
+        }
+        // A new transaction writes the same keys on the healthy shards.
+        let again = db.begin_txn().unwrap();
+        for shard in 1..3 {
+            let key = (0u64..).find(|k| db.shard_of(&Key::from_u64(*k)) == shard);
+            let key = Key::from_u64(key.unwrap());
+            db.txn_insert(again, key, b"again".to_vec()).unwrap();
+        }
+        db.commit_txn(again).unwrap();
     }
 
     /// The engine's durable LSN is its one log's watermark at every shard

@@ -48,7 +48,7 @@ impl TsbTree {
     }
 
     /// [`Self::insert`] against `&self`, for callers that serialize writers
-    /// externally ([`crate::ConcurrentTsb`]).
+    /// externally (each shard of a [`crate::ShardedTsb`]).
     pub(crate) fn insert_shared(
         &self,
         key: impl Into<Key>,

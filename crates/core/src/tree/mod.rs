@@ -58,9 +58,9 @@ use durability::{checkpoint_log, seat_trees, Durability, LogSeat};
 /// Internally every mutation is implemented against `&self` with the tree's
 /// mutable state behind locks and atomics, under the invariant that **at
 /// most one mutation runs at a time**. The single-threaded API enforces
-/// that invariant with `&mut self`; [`crate::ConcurrentTsb`] enforces it
-/// with a writer lock and may run any number of readers concurrently (see
-/// the module docs of [`crate::concurrent`]).
+/// that invariant with `&mut self`; each shard of a [`crate::ShardedTsb`]
+/// enforces it with a writer lock and may run any number of readers
+/// concurrently (see the module docs of [`crate::sharded`]).
 ///
 /// ```
 /// use tsb_core::TsbTree;
@@ -123,7 +123,7 @@ pub struct TsbTree {
     /// leaf rewrites never bump it: replacing a leaf is atomic through the
     /// decoded-node cache, and multiversion reads at a pinned past
     /// timestamp are unaffected by new versions. Readers that need a
-    /// consistent multi-node view (see [`crate::ConcurrentTsb`]) sample
+    /// consistent multi-node view (the shards of a [`crate::ShardedTsb`]) sample
     /// the epoch before and after and retry on change.
     pub(crate) structure_seq: AtomicU64,
 }
@@ -427,7 +427,7 @@ impl TsbTree {
     }
 
     /// [`Self::flush`] against `&self`, for callers that serialize writers
-    /// externally ([`crate::ConcurrentTsb`]).
+    /// externally (each shard of a [`crate::ShardedTsb`]).
     ///
     /// Checkpoint ordering is what makes the fence sound: the checkpoint
     /// record is appended (and fsynced) only *after* every dirty node is

@@ -115,7 +115,7 @@ impl TsbTree {
     }
 
     /// [`Self::begin_txn`] against `&self`, for callers that serialize
-    /// writers externally ([`crate::ConcurrentTsb`]).
+    /// writers externally (each shard of a [`crate::ShardedTsb`]).
     pub(crate) fn begin_txn_shared(&self) -> TxnId {
         self.txns.lock().begin()
     }
@@ -214,7 +214,7 @@ impl TsbTree {
     ///
     /// A commit stamps one leaf per written key. Even though the versions
     /// only become *visible* at the single commit timestamp, the unpinned
-    /// current-state readers of [`crate::ConcurrentTsb`] could otherwise
+    /// current-state readers of a [`crate::ShardedTsb`] shard could otherwise
     /// observe a prefix of the stamped leaves — a torn commit — so a
     /// multi-key commit holds the structure epoch odd for the span of the
     /// loop, making the whole stamping pass atomic to concurrent readers.

@@ -118,7 +118,7 @@ fn kill_nine_loses_no_acknowledged_write() {
     };
     let reopened = tsb_core::TsbOptions::durable(dir.path())
         .config(cfg)
-        .open_concurrent()
+        .open()
         .expect("reopen after SIGKILL");
     for (k, value) in &acked {
         assert_eq!(
@@ -180,7 +180,7 @@ fn kill_nine_mid_pipeline_keeps_every_acked_group_commit() {
     };
     let reopened = tsb_core::TsbOptions::durable(dir.path())
         .config(cfg)
-        .open_concurrent()
+        .open()
         .expect("reopen after SIGKILL");
     for (k, value) in &acked {
         assert_eq!(

@@ -14,9 +14,10 @@
 //! interleaved.
 //!
 //! The driver is engine-agnostic — this crate knows nothing about the
-//! TSB-tree. The integration tests run the plans against `ConcurrentTsb`
-//! and the [`Oracle`](crate::Oracle); the bench harness reuses the same
-//! plans for its readers-vs-writer scaling experiment.
+//! TSB-tree. The integration tests run the plans against the concurrent
+//! engine (`ShardedTsb`, at one shard and at four) and the
+//! [`Oracle`](crate::Oracle); the bench harness reuses the same plans for
+//! its readers-vs-writer scaling experiment.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

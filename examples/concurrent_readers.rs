@@ -3,49 +3,34 @@
 //! The paper's operating model (§1, §4.1): the historical database is
 //! immutable once written, so as-of queries and backups can be served to
 //! any number of readers while the current database keeps absorbing
-//! updates. This example runs [`ConcurrentTsb`] over *file-backed* stores:
-//! four reader threads continuously answer fence-pinned as-of lookups and
-//! snapshot dumps while one writer commits a burst of account updates;
-//! then the engine is flushed, dropped, and reopened to show that every
-//! version survived the deferred-encode write path.
+//! updates. This example opens a durable two-shard engine in a directory:
+//! four reader threads continuously answer snapshot-pinned as-of lookups
+//! and dumps while one writer commits a burst of account updates; then the
+//! engine is checkpointed, dropped, and reopened — recovery runs over the
+//! directory's redo log — to show that every version survived.
 //!
 //! Run with: `cargo run -p tsb-examples --example concurrent_readers`
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use tsb_core::{ConcurrentTsb, Key, KeyRange, TsbConfig, TsbTree};
-use tsb_storage::{IoStats, MagneticStore, WormStore};
+use tsb_core::{EngineHandle, FsyncPolicy, Key, KeyRange, TsbConfig, TsbOptions};
 
 const ACCOUNTS: u64 = 64;
 const UPDATES: u64 = 4_000;
+const SHARDS: usize = 2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("tsb-concurrent-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let mag_path = dir.join("current.db");
-    let worm_path = dir.join("history.worm");
-    let _ = std::fs::remove_file(&mag_path);
-    let _ = std::fs::remove_file(&worm_path);
-
-    let cfg = TsbConfig::small_pages();
-    let open_stores = |stats: Arc<IoStats>| -> Result<_, Box<dyn std::error::Error>> {
-        let magnetic = Arc::new(MagneticStore::open_file(
-            &mag_path,
-            cfg.page_size,
-            Arc::clone(&stats),
-        )?);
-        let worm = Arc::new(WormStore::open_file(
-            &worm_path,
-            cfg.worm_sector_size,
-            stats,
-        )?);
-        Ok((magnetic, worm))
-    };
+    let _ = std::fs::remove_dir_all(&dir);
+    // `Os` leaves syncing to the operating system, so the burst stays
+    // fast; the checkpoint below forces everything down before the reopen.
+    let options = TsbOptions::durable(&dir)
+        .config(TsbConfig::small_pages())
+        .fsync(FsyncPolicy::Os)
+        .shards(SHARDS);
 
     // ----- phase 1: concurrent traffic ------------------------------------
-    let (magnetic, worm) = open_stores(Arc::new(IoStats::new()))?;
-    let db = ConcurrentTsb::from_tree(TsbTree::create(magnetic, worm, cfg.clone())?);
+    let db = options.clone().open()?;
     for account in 0..ACCOUNTS {
         db.insert(Key::from_u64(account), b"balance=0".to_vec())?;
     }
@@ -110,13 +95,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.last_installed()
     );
 
-    // ----- phase 2: flush, drop, reopen -----------------------------------
-    db.flush()?;
-    let final_state = db.snapshot_at(db.last_installed())?;
+    // ----- phase 2: checkpoint, drop, reopen ------------------------------
+    db.checkpoint()?;
+    let final_state = db.begin_snapshot().dump()?;
     drop(db);
 
-    let (magnetic, worm) = open_stores(Arc::new(IoStats::new()))?;
-    let reopened = TsbTree::open(magnetic, worm, cfg)?;
+    let reopened = options.open()?;
     reopened.verify()?;
     let recovered = reopened.scan_current(&KeyRange::full())?;
     assert_eq!(recovered, final_state, "reopened state diverged");
@@ -129,12 +113,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .ok_or("account 0 lost its history across reopen")?;
     assert_eq!(first.value.as_deref(), Some(b"balance=0".as_ref()));
     println!(
-        "phase 2: reopened from {} — {} accounts recovered, history intact",
+        "phase 2: recovered {} over {} shards — {} accounts, history intact",
         dir.display(),
+        reopened.shard_count(),
         recovered.len()
     );
 
-    let _ = std::fs::remove_file(&mag_path);
-    let _ = std::fs::remove_file(&worm_path);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -1,4 +1,5 @@
-//! Multi-threaded oracle-equivalence stress suite for [`ConcurrentTsb`].
+//! Multi-threaded oracle-equivalence stress suite for the concurrent
+//! engine, [`ShardedTsb`], at one shard and at four.
 //!
 //! N reader threads replay deterministic query plans
 //! ([`tsb_workload::ConcurrentSpec`]) at timestamps pinned to the engine's
@@ -18,8 +19,9 @@
 //! appended later carry strictly larger timestamps and cannot change an
 //! answer pinned in the past.
 //!
-//! The default-sized tests run in every CI pass. The `#[ignore]`d variants
-//! are the high-iteration stress runs executed by the CI stress job
+//! The default-sized tests run in every CI pass, each at [`SHARD_COUNTS`].
+//! The `#[ignore]`d variants (one shard and four) are the high-iteration
+//! stress runs executed by the CI stress job
 //! (`cargo test --release -- --ignored`) across a fixed seed matrix via
 //! `TSB_STRESS_SEED`.
 
@@ -28,7 +30,7 @@ use std::sync::{Arc, RwLock};
 use std::thread;
 
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbConfig};
-use tsb_core::ConcurrentTsb;
+use tsb_core::{EngineHandle, ShardedTsb};
 use tsb_workload::concurrent::stress_spec;
 use tsb_workload::{pin_fraction, Op, Oracle, ReaderQueryKind};
 
@@ -41,26 +43,37 @@ fn stress_seed() -> u64 {
         .unwrap_or(0xD15C_0B01)
 }
 
-fn small_engine() -> ConcurrentTsb {
+/// The shard counts every default-sized test runs at.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+fn small_engine(shards: usize) -> ShardedTsb {
     tsb_core::TsbOptions::in_memory()
         .config(TsbConfig::small_pages())
-        .open_concurrent()
+        .shards(shards)
+        .open()
         .unwrap()
 }
 
 /// The harness shared between the writer and the readers.
 struct Shared {
-    db: ConcurrentTsb,
+    db: ShardedTsb,
     oracle: RwLock<Oracle>,
     /// Largest timestamp the oracle is guaranteed to contain.
     published: AtomicU64,
 }
 
-fn run_stress(ops: usize, keys: u64, readers: usize, queries_per_reader: usize, seed: u64) {
+fn run_stress(
+    shards: usize,
+    ops: usize,
+    keys: u64,
+    readers: usize,
+    queries_per_reader: usize,
+    seed: u64,
+) {
     let spec = stress_spec(ops, keys, seed);
     let writer_ops = spec.writer_ops();
     let shared = Arc::new(Shared {
-        db: small_engine(),
+        db: small_engine(shards),
         oracle: RwLock::new(Oracle::new()),
         published: AtomicU64::new(0),
     });
@@ -175,14 +188,18 @@ fn check_query(shared: &Shared, kind: &ReaderQueryKind, ts: Timestamp, reader: u
 /// a 2.5k-op writer forcing splits and WORM migration.
 #[test]
 fn concurrent_readers_match_the_oracle() {
-    run_stress(2_500, 48, 4, 300, stress_seed());
+    for shards in SHARD_COUNTS {
+        run_stress(shards, 2_500, 48, 4, 300, stress_seed());
+    }
 }
 
 /// A second deterministic seed, so one CI pass already covers two distinct
 /// interleavings of splits and reads.
 #[test]
 fn concurrent_readers_match_the_oracle_alt_seed() {
-    run_stress(2_000, 32, 3, 250, stress_seed() ^ 0xA5A5_A5A5);
+    for shards in SHARD_COUNTS {
+        run_stress(shards, 2_000, 32, 3, 250, stress_seed() ^ 0xA5A5_A5A5);
+    }
 }
 
 /// High-iteration variant for the CI stress job (`--ignored`, seed matrix
@@ -190,7 +207,15 @@ fn concurrent_readers_match_the_oracle_alt_seed() {
 #[test]
 #[ignore = "high-iteration stress run; executed by the CI stress job"]
 fn concurrent_readers_match_the_oracle_stress() {
-    run_stress(12_000, 128, 8, 2_000, stress_seed());
+    run_stress(1, 12_000, 128, 8, 2_000, stress_seed());
+}
+
+/// [`concurrent_readers_match_the_oracle_stress`] at four shards: readers
+/// pin across shards whose fences move independently.
+#[test]
+#[ignore = "high-iteration stress run; executed by the CI stress job"]
+fn concurrent_readers_match_the_oracle_stress_at_four_shards() {
+    run_stress(4, 12_000, 128, 8, 2_000, stress_seed());
 }
 
 /// Warm concurrent reads stay zero-decode: with the working set resident in
@@ -199,80 +224,86 @@ fn concurrent_readers_match_the_oracle_stress() {
 /// access — the PR 1 counter assertions, extended to the concurrent engine.
 #[test]
 fn warm_concurrent_reads_perform_zero_decodes() {
-    let cfg = TsbConfig::small_pages().with_node_cache_entries(4096);
-    let db = tsb_core::TsbOptions::in_memory()
-        .config(cfg)
-        .open_concurrent()
-        .unwrap();
-    for i in 0..300u64 {
-        db.insert(i % 30, format!("v{i}").into_bytes()).unwrap();
-    }
-    let fence = db.last_installed();
-    // Warm every current path and every historical path the readers use.
-    for key in 0..30u64 {
-        db.get_current(&Key::from_u64(key)).unwrap();
-        db.get_as_of(&Key::from_u64(key), fence).unwrap();
-    }
-    let before = db.io_stats().snapshot();
-    thread::scope(|s| {
-        for r in 0..4 {
-            let db = db.clone();
-            s.spawn(move || {
-                for i in 0..200u64 {
-                    let key = Key::from_u64((r * 7 + i) % 30);
-                    assert!(db.get_current(&key).unwrap().is_some());
-                    assert!(db.get_as_of(&key, fence).unwrap().is_some());
-                }
-            });
+    for shards in SHARD_COUNTS {
+        let cfg = TsbConfig::small_pages().with_node_cache_entries(4096);
+        let db = tsb_core::TsbOptions::in_memory()
+            .config(cfg)
+            .shards(shards)
+            .open()
+            .unwrap();
+        for i in 0..300u64 {
+            db.insert(Key::from_u64(i % 30), format!("v{i}").into_bytes())
+                .unwrap();
         }
-    });
-    let delta = db.io_stats().snapshot().delta_since(&before);
-    assert!(delta.node_cache_hits > 0, "warm reads must hit the cache");
-    assert_eq!(delta.node_cache_misses, 0, "every node was already cached");
-    assert_eq!(
-        delta.node_decodes, 0,
-        "warm concurrent reads decode nothing"
-    );
-    assert_eq!(delta.magnetic_reads, 0, "no device I/O on warm reads");
-    db.verify_cache_coherence().unwrap();
+        let fence = db.begin_snapshot().timestamp();
+        // Warm every current path and every historical path the readers use.
+        for key in 0..30u64 {
+            db.get_current(&Key::from_u64(key)).unwrap();
+            db.get_as_of(&Key::from_u64(key), fence).unwrap();
+        }
+        let before = db.io_snapshot();
+        thread::scope(|s| {
+            for r in 0..4 {
+                let db = db.clone();
+                s.spawn(move || {
+                    for i in 0..200u64 {
+                        let key = Key::from_u64((r * 7 + i) % 30);
+                        assert!(db.get_current(&key).unwrap().is_some());
+                        assert!(db.get_as_of(&key, fence).unwrap().is_some());
+                    }
+                });
+            }
+        });
+        let delta = db.io_snapshot().delta_since(&before);
+        assert!(delta.node_cache_hits > 0, "warm reads must hit the cache");
+        assert_eq!(delta.node_cache_misses, 0, "every node was already cached");
+        assert_eq!(
+            delta.node_decodes, 0,
+            "warm concurrent reads decode nothing"
+        );
+        assert_eq!(delta.magnetic_reads, 0, "no device I/O on warm reads");
+        db.verify_cache_coherence().unwrap();
+    }
 }
 
 /// Cache coherence after a full concurrent stress run: every cached node
 /// equals its device image once the writer stops.
 #[test]
 fn cache_stays_coherent_under_concurrent_stress() {
-    let spec = stress_spec(1_500, 40, stress_seed());
-    let db = small_engine();
-    thread::scope(|s| {
-        {
-            let db = db.clone();
-            let ops = spec.writer_ops();
-            s.spawn(move || {
-                for op in &ops {
-                    match op {
-                        Op::Put { key, value } => {
-                            db.insert(key.clone(), value.clone()).unwrap();
-                        }
-                        Op::Delete { key } => {
-                            db.delete(key.clone()).unwrap();
+    for shards in SHARD_COUNTS {
+        let spec = stress_spec(1_500, 40, stress_seed());
+        let db = small_engine(shards);
+        thread::scope(|s| {
+            {
+                let db = db.clone();
+                let ops = spec.writer_ops();
+                s.spawn(move || {
+                    for op in &ops {
+                        match op {
+                            Op::Put { key, value } => {
+                                db.insert(key.clone(), value.clone()).unwrap();
+                            }
+                            Op::Delete { key } => {
+                                db.delete(key.clone()).unwrap();
+                            }
                         }
                     }
-                }
-            });
-        }
-        for _ in 0..3 {
-            let db = db.clone();
-            s.spawn(move || {
-                for _ in 0..200 {
-                    let ts = db.last_installed();
-                    let _ = db.snapshot_at(ts).unwrap();
-                    let _ = db
-                        .scan_as_of(&KeyRange::full(), Timestamp(ts.value() / 2))
-                        .unwrap();
-                }
-            });
-        }
-    });
-    db.verify_cache_coherence().unwrap();
-    db.verify().unwrap();
+                });
+            }
+            for _ in 0..3 {
+                let db = db.clone();
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        let ts = db.last_installed();
+                        let _ = db.snapshot_at(ts).unwrap();
+                        let _ = db
+                            .scan_as_of(&KeyRange::full(), Timestamp(ts.value() / 2))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        db.verify_cache_coherence().unwrap();
+        db.verify().unwrap();
+    }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
-use tsb_core::{ConcurrentTsb, CrashPoint, FaultInjector, TsbTree, Wal};
+use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb, TsbTree, Wal};
 use tsb_storage::{IoStats, MagneticStore, WormStore};
 use tsb_workload::{crash_matrix, generate_ops, CrashSpec, CrashTrigger, Op, Oracle, WorkloadSpec};
 
@@ -490,15 +490,15 @@ fn concurrent_engine_recovers_after_concurrent_traffic() {
     {
         let db = tsb_core::TsbOptions::durable(&dir.0)
             .config(cfg.clone())
-            .open_concurrent()
+            .open()
             .unwrap();
-        assert!(db.is_durable());
         std::thread::scope(|s| {
             {
                 let db = db.clone();
                 s.spawn(move || {
                     for i in 0..400u64 {
-                        db.insert(i % 40, format!("w{i}").into_bytes()).unwrap();
+                        db.insert(Key::from_u64(i % 40), format!("w{i}").into_bytes())
+                            .unwrap();
                     }
                 });
             }
@@ -517,7 +517,7 @@ fn concurrent_engine_recovers_after_concurrent_traffic() {
     }
     let db = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
-        .open_concurrent()
+        .open()
         .unwrap();
     db.verify().unwrap();
     let cut = db.last_durable_commit().unwrap();
@@ -530,13 +530,16 @@ fn concurrent_engine_recovers_after_concurrent_traffic() {
     }
 }
 
-/// A durable concurrent engine whose every write site shares one injector.
-fn create_concurrent_durable_with_injector(
-    dir: &TempDir,
-    cfg: &TsbConfig,
-) -> (ConcurrentTsb, Arc<FaultInjector>) {
-    let (tree, injector) = create_durable_with_injector(dir, cfg);
-    (ConcurrentTsb::from_tree(tree), injector)
+/// A fresh durable engine opened through the door, one injector wired
+/// into every write site (both stores and the log) once the open is done.
+fn open_durable_with_injector(dir: &TempDir, cfg: &TsbConfig) -> (ShardedTsb, Arc<FaultInjector>) {
+    let db = tsb_core::TsbOptions::durable(&dir.0)
+        .config(cfg.clone())
+        .open()
+        .unwrap();
+    let injector = Arc::new(FaultInjector::new());
+    db.set_fault_injector(Arc::clone(&injector));
+    (db, injector)
 }
 
 /// Runs `threads` closed-loop writers against a fresh `Always`-policy engine
@@ -552,7 +555,7 @@ fn drive_committer_crash(
     point: CrashPoint,
     skip: u64,
 ) -> (Vec<(u64, Timestamp)>, bool) {
-    let (db, injector) = create_concurrent_durable_with_injector(dir, cfg);
+    let (db, injector) = open_durable_with_injector(dir, cfg);
     injector.crash_at(point, skip);
     let acked = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|s| {
@@ -562,7 +565,7 @@ fn drive_committer_crash(
             s.spawn(move || {
                 for i in 0..ops_per_thread {
                     let key = t * 1_000_000 + i;
-                    match db.insert(key, format!("v{key}").into_bytes()) {
+                    match db.insert(Key::from_u64(key), format!("v{key}").into_bytes()) {
                         Ok(ts) => acked.lock().unwrap().push((key, ts)),
                         Err(_) => break,
                     }
@@ -580,7 +583,7 @@ fn drive_committer_crash(
 fn assert_no_acknowledged_loss(dir: &TempDir, cfg: &TsbConfig, acked: &[(u64, Timestamp)]) {
     let recovered = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg.clone())
-        .open_concurrent()
+        .open()
         .unwrap();
     recovered.verify().unwrap();
     let cut = recovered.last_durable_commit().unwrap();
@@ -755,7 +758,7 @@ proptest! {
         }
         assert_no_acknowledged_loss(&dir, &cfg, &acked);
         let first_cut = {
-            let db = tsb_core::TsbOptions::durable(&dir.0).config(cfg.clone()).open_concurrent().unwrap();
+            let db = tsb_core::TsbOptions::durable(&dir.0).config(cfg.clone()).open().unwrap();
             db.last_durable_commit().unwrap()
         };
         if !crashed {
@@ -763,7 +766,7 @@ proptest! {
             prop_assert_eq!(first_cut, newest_ack);
         }
         // Recovery is exact: recovering the recovered state moves nothing.
-        let db = tsb_core::TsbOptions::durable(&dir.0).config(cfg).open_concurrent().unwrap();
+        let db = tsb_core::TsbOptions::durable(&dir.0).config(cfg).open().unwrap();
         prop_assert_eq!(db.last_durable_commit(), Some(first_cut));
     }
 }

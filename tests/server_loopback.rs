@@ -1,6 +1,6 @@
 //! Loopback equivalence tests for `tsb-server` / `tsb-client`.
 //!
-//! The server must be a transparent wire wrapper around [`ConcurrentTsb`]:
+//! The server must be a transparent wire wrapper around its engine:
 //! for the same deterministic schedule, every answer that comes back over
 //! a loopback socket must equal (a) the in-memory [`Oracle`] replayed at
 //! the server-assigned commit timestamps and (b) the in-process engine
@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use tsb_client::TsbClient;
 use tsb_common::{FsyncPolicy, Key, KeyBound, KeyRange, TimeRange, TsbConfig};
+use tsb_core::EngineHandle;
 use tsb_server::TsbServer;
 use tsb_workload::Oracle;
 
@@ -269,7 +270,7 @@ fn clean_shutdown_persists_every_acknowledged_write() {
     };
     let reopened = tsb_core::TsbOptions::durable(dir.path())
         .config(cfg)
-        .open_concurrent()
+        .open()
         .expect("reopen");
     for (k, value) in acked {
         assert_eq!(

@@ -314,10 +314,10 @@ fn a_first_layout_sharded_directory_is_refused_untouched() {
         let shard_dir = dir.0.join(format!("shard-{i:03}"));
         let tree = tsb_core::TsbOptions::durable(&shard_dir)
             .config(crash_cfg())
-            .open_concurrent()
+            .open()
             .unwrap();
         for k in 0..8u64 {
-            tree.insert(k, format!("v{k}").into_bytes()).unwrap();
+            tree.insert(k.into(), format!("v{k}").into_bytes()).unwrap();
         }
     }
     std::fs::write(

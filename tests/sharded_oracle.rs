@@ -241,7 +241,56 @@ proptest! {
             );
             prop_assert_eq!(sharded.count_as_of(&KeyRange::full(), ts).unwrap(), oracle.count_as_of(&KeyRange::full(), ts));
         }
+
+        // The temporal queries over key × time rectangles, merged across
+        // shards into one shard's order: the whole history, and a key range
+        // over the older half of time.
+        let half = Timestamp(sharded.now().value() / 2 + 1);
+        for (keys, window) in [
+            (KeyRange::full(), TimeRange::full()),
+            (range, TimeRange::bounded(Timestamp::ZERO, half)),
+        ] {
+            let versions = sharded.scan_versions(&keys, window).unwrap();
+            prop_assert_eq!(&versions, &single.scan_versions(&keys, window).unwrap());
+            let got: Vec<(Key, Timestamp, Option<Vec<u8>>)> = versions
+                .into_iter()
+                .map(|v| (v.key, v.state.commit_time().unwrap(), v.value))
+                .collect();
+            prop_assert_eq!(got, oracle_rectangle(&oracle, &keys, window));
+
+            let changed = sharded.changed_keys_between(&keys, window).unwrap();
+            prop_assert_eq!(&changed, &single.changed_keys_between(&keys, window).unwrap());
+            let mut want: Vec<Key> =
+                oracle_rectangle(&oracle, &keys, window).into_iter().map(|(k, _, _)| k).collect();
+            want.dedup();
+            prop_assert_eq!(changed, want);
+        }
+        for key in oracle.keys() {
+            let count = sharded.version_count(key).unwrap();
+            prop_assert_eq!(count, single.version_count(key).unwrap());
+            prop_assert_eq!(count, oracle.versions(key).len());
+        }
+        sharded.verify_cache_coherence().unwrap();
     }
+}
+
+/// Every version the oracle holds in the `keys` × `window` rectangle, by
+/// key and then commit time.
+fn oracle_rectangle(
+    oracle: &Oracle,
+    keys: &KeyRange,
+    window: TimeRange,
+) -> Vec<(Key, Timestamp, Option<Vec<u8>>)> {
+    let mut out = Vec::new();
+    for key in oracle.keys().filter(|k| keys.contains(k)) {
+        for (ts, value) in oracle.versions(key) {
+            if window.contains(ts) {
+                out.push((key.clone(), ts, value));
+            }
+        }
+    }
+    out.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    out
 }
 
 // ---------- directed edges ---------------------------------------------------
