@@ -249,16 +249,11 @@ pub struct LogicalClock {
 }
 
 impl LogicalClock {
-    /// Creates a clock whose first tick returns `start`.
-    pub fn starting_at(start: Timestamp) -> Self {
-        LogicalClock {
-            next: AtomicU64::new(start.0.max(1)),
-        }
-    }
-
     /// Creates a clock whose first tick returns `T=1`.
     pub fn new() -> Self {
-        Self::starting_at(Timestamp(1))
+        LogicalClock {
+            next: AtomicU64::new(1),
+        }
     }
 
     /// Returns the next timestamp and advances the clock.

@@ -142,24 +142,21 @@ impl Shard {
     }
 
     /// Runs the mutation `f` under the writer lock and advances the fence
-    /// to its commit timestamp once it has fully installed. Returns the
-    /// log position the caller must wait on (the tree's
-    /// `wait_durable_lsn`) before acknowledging the write, `None` when the
-    /// write owes no wait; the wait itself runs outside the lock, so the
-    /// next writer's mutation overlaps this one's device sync.
+    /// to its commit timestamp once it has fully installed. `f` returns,
+    /// beside its value, the log position the caller must wait on (the
+    /// tree's `wait_durable_lsn`) before acknowledging the write, `None`
+    /// when the write owes no wait; the wait itself runs outside the lock,
+    /// so the next writer's mutation overlaps this one's device sync.
     pub(crate) fn write<T>(
         &self,
-        f: impl FnOnce(&TsbTree) -> TsbResult<T>,
+        f: impl FnOnce(&TsbTree) -> TsbResult<(T, Option<Lsn>)>,
         commit_ts: impl FnOnce(&T) -> Option<Timestamp>,
     ) -> TsbResult<(T, Option<Lsn>)> {
         let _writer = self.lock_writer();
-        let out = f(&self.tree)?;
+        let (out, wait) = f(&self.tree)?;
         if let Some(ts) = commit_ts(&out) {
             self.advance_fence(ts);
         }
-        // The pending-wait slot is single-entry and the next writer
-        // overwrites it, so it must be claimed before the lock drops.
-        let wait = self.tree.take_pending_durable_wait();
         Ok((out, wait))
     }
 

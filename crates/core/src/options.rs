@@ -30,8 +30,10 @@
 //!   paper's object on its own.
 //!
 //! Hand-built devices are the one thing that does not come through here:
-//! [`TsbTree::create`] / [`TsbTree::open`] / [`TsbTree::create_durable`]
-//! take stores and give a bare tree.
+//! [`TsbTree::create`] / [`TsbTree::create_durable`] take empty stores and
+//! give a fresh bare tree. Every reopen is [`TsbOptions::open_tree`]'s or
+//! [`TsbOptions::open`]'s: a tree's state lives in its log's fences alone,
+//! so a tree reopens through recovery.
 
 use std::path::PathBuf;
 use std::sync::Arc;

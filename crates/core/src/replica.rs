@@ -737,8 +737,8 @@ impl ShardedTsb {
     /// its cached node discarded (a racing fill that decoded stale bytes
     /// began before the discard bumped the cache shard's stamp, so
     /// `complete_fill` refuses it), then the root, clock and transaction
-    /// counter (the metadata page is left alone: a replica restarts from
-    /// its log). Last, a commit fence is booked for `last_durable_commit`
+    /// counter (which the shipped fence alone carries: a replica restarts
+    /// from its log). Last, a commit fence is booked for `last_durable_commit`
     /// and the shard's install fence advances.
     fn install(&self, replica: &Replica, st: &mut Applier) -> TsbResult<()> {
         for (shard, db) in self.shards().iter().enumerate() {

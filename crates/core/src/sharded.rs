@@ -464,10 +464,14 @@ impl ShardedTsb {
 
     /// Runs a transaction write or abort on `shard`, then parks on the
     /// durable wait it owes, outside the shard's writer lock.
-    fn txn_write(&self, shard: usize, f: impl FnOnce(&TsbTree) -> TsbResult<()>) -> TsbResult<()> {
+    fn txn_write(
+        &self,
+        shard: usize,
+        f: impl FnOnce(&TsbTree) -> TsbResult<Option<Lsn>>,
+    ) -> TsbResult<()> {
         let db = &self.inner.shards[shard];
-        let ((), wait) = db.write(f, |_| None)?;
-        wait.map_or(Ok(()), |lsn| db.tree().wait_durable_lsn(lsn))
+        let ((), wait) = db.write(|t| Ok(((), f(t)?)), |_| None)?;
+        db.tree().wait_durable_lsn(wait)
     }
 
     // ----- snapshots and the fence ----------------------------------------
@@ -579,7 +583,7 @@ impl EngineHandle for ShardedTsb {
             ))
         })?;
         db.tree().request_durable_tail();
-        db.tree().wait_durable_lsn(lsn)
+        db.tree().wait_durable_lsn(Some(lsn))
     }
 
     // ----- transactions ---------------------------------------------------

@@ -1,9 +1,12 @@
 //! The durable half of a tree's write path: the [`Durability`] state a
 //! WAL-attached tree carries, its seat on a log it may share with the
 //! other shards of an engine, the fences that end its mutations
-//! (`wal_commit`, [`commit_across`], [`checkpoint_log`]), the phantom-delta
-//! quarantine, and the acknowledgement side of pipelined commit. What the
-//! log *means* on reopen is [`super::recover`]'s.
+//! (`wal_commit`, [`commit_across`], [`checkpoint_log`]) — the only place
+//! a tree's state (root, clock, txn counter) is written — the
+//! phantom-delta quarantine, and the acknowledgement side of pipelined
+//! commit: a commit fence returns the log position its caller waits on,
+//! and [`TsbTree::wait_durable_lsn`] parks on it. What the log *means* on
+//! reopen is [`super::recover`]'s.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,13 +115,6 @@ pub(crate) struct Durability {
     /// makes the phantoms replayable — otherwise recovery would apply a
     /// change the caller was told failed.
     needs_reimage: Mutex<HashSet<PageId>>,
-    /// The durable-LSN wait deferred by the newest commit fence: set by
-    /// [`TsbTree::wal_commit`] when the fsync policy wants the commit
-    /// acknowledged only once durable. Single-writer wrappers consume and
-    /// wait inline ([`TsbTree::settle_durability`]); the concurrent engine
-    /// takes it while still holding its writer lock and parks *after*
-    /// releasing it (early lock release).
-    pending_wait: Mutex<Option<Lsn>>,
     /// This shard's fences against the WAL's durable watermark: what
     /// [`TsbTree::last_durable_commit`] reports on live durable trees, and
     /// the durable fence the write-back barrier reads.
@@ -180,7 +176,6 @@ impl Durability {
             last_fence: Mutex::new(None),
             pending_delta_pages: Mutex::new(HashSet::new()),
             needs_reimage: Mutex::new(HashSet::new()),
-            pending_wait: Mutex::new(None),
             acks: Mutex::new(CommitAcks::default()),
         }
     }
@@ -256,10 +251,14 @@ pub(crate) fn commit_across(trees: &[&TsbTree], ts: Timestamp) -> TsbResult<Opti
         .iter()
         .filter_map(|tree| Some(tree.fence_part(tree.durability.as_ref()?, None)))
         .collect::<TsbResult<Vec<_>>>()?;
-    let (lsn, boundary) = d.wal.append_commit(&WalRecord::ShardCommit {
-        ts: ts.value(),
-        parts,
-    })?;
+    // A fence naming its shards takes no shard switch, whatever the tag.
+    let (lsn, boundary) = d.wal.append_for(
+        0,
+        &WalRecord::ShardCommit {
+            ts: ts.value(),
+            parts,
+        },
+    )?;
     for tree in trees {
         tree.fence_appended(lsn, ts)?;
     }
@@ -316,18 +315,19 @@ impl TsbTree {
 
     /// Appends the commit fence ending a mutation: a `Commit` record whose
     /// metadata describes the resulting tree state, promising that every
-    /// page image the mutation produced precedes it in the log. The WAL's
-    /// fsync policy (group commit) decides whether this forces stable
-    /// storage. No-op on non-durable trees.
+    /// page image the mutation produced precedes it in the log. Returns
+    /// the position the mutation's caller must wait on before
+    /// acknowledging it ([`Self::wait_durable_lsn`]) — the fsync policy's,
+    /// as for [`commit_across`] — and `None` on non-durable trees.
     ///
     /// Overflow write-back deferred by [`Self::write_current`] drains here,
     /// *after* the fence: a page image may only reach the device once a
     /// commit record covers it, otherwise a crash could leave the device
     /// holding state that recovery's replay cut discards (see
     /// [`super::recover`], step 3).
-    pub(crate) fn wal_commit(&self, ts: Timestamp) -> TsbResult<()> {
+    pub(crate) fn wal_commit(&self, ts: Timestamp) -> TsbResult<Option<Lsn>> {
         let Some(d) = &self.durability else {
-            return Ok(());
+            return Ok(None);
         };
         let ShardFence { worm_len, meta, .. } = self.fence_part(d, Some(ts))?;
         let record = WalRecord::Commit {
@@ -336,15 +336,13 @@ impl TsbTree {
             meta,
         };
         // Pipelined commit: the fence is appended, nothing more — whoever
-        // waits on it asks for its sync. The deferred wait lands in
-        // `pending_wait` for the engine wrapper to consume once its locks
-        // are released.
+        // waits on it asks for its sync, once its locks are released.
         let (lsn, boundary) = d
             .wal
             .append_for(d.shard, &record)
             .inspect_err(|_| self.poison())?;
-        *d.pending_wait.lock() = boundary;
-        self.fence_appended(lsn, ts)
+        self.fence_appended(lsn, ts)?;
+        Ok(boundary)
     }
 
     /// Readies this tree's part of a fence: supersedes quarantined
@@ -474,10 +472,8 @@ impl TsbTree {
         d.worm_synced
             .store(self.worm.device_bytes(), Ordering::Release);
         // The checkpoint quiesced the commit pipeline: every appended
-        // fence is durable (the reset jumped the watermark over them)
-        // and no deferred wait remains outstanding.
+        // fence is durable (the reset jumped the watermark over them).
         d.acks.lock().settle(Lsn::MAX);
-        *d.pending_wait.lock() = None;
     }
 
     /// Whether this tree's own flush stops at its devices: it shares its
@@ -497,43 +493,24 @@ impl TsbTree {
         }
     }
 
-    /// Takes the durable-LSN wait deferred by the newest commit fence, if
-    /// any. The concurrent engine calls this while still holding its
-    /// writer lock (the cell is a single slot the next writer overwrites),
-    /// then parks via [`Self::wait_durable_lsn`] after releasing it.
-    pub(crate) fn take_pending_durable_wait(&self) -> Option<Lsn> {
-        self.durability.as_ref()?.pending_wait.lock().take()
-    }
-
     /// Asks the log for `lsn`, then parks until its durable watermark
-    /// covers it — the acknowledgement half of a pipelined commit. A
-    /// failed wait **poisons the tree**: the fence was appended but can
-    /// never become durable, so the in-memory state is permanently ahead
-    /// of the log. A position the log never handed out is refused before
-    /// that: nothing was appended there, so nothing is wrong with the tree.
-    pub(crate) fn wait_durable_lsn(&self, lsn: Lsn) -> TsbResult<()> {
-        let Some(d) = &self.durability else {
+    /// covers it — the acknowledgement half of a pipelined commit, run on
+    /// the position a mutation returned (`None`: nothing owed). A `&mut`
+    /// verb waits at once, so `insert` returning under `Always` means the
+    /// commit is on stable storage; a shard waits after its writer lock
+    /// drops. A failed wait **poisons the tree**: the fence was appended
+    /// but can never become durable, so the in-memory state is permanently
+    /// ahead of the log. A position the log never handed out is refused
+    /// before that: nothing was appended there, so nothing is wrong with
+    /// the tree.
+    pub(crate) fn wait_durable_lsn(&self, lsn: Option<Lsn>) -> TsbResult<()> {
+        let (Some(d), Some(lsn)) = (&self.durability, lsn) else {
             return Ok(());
         };
         d.wal.request_durable(lsn)?;
         d.wal.wait_durable(lsn).inspect_err(|_| self.poison())?;
         d.acks.lock().settle(d.wal.durable_lsn());
         Ok(())
-    }
-
-    /// Completes a single-writer mutation: consumes the deferred
-    /// durability wait and, when the mutation succeeded, parks on it —
-    /// preserving the acknowledgement contract (`insert` returning under
-    /// `Always` means the commit is on stable storage). The concurrent
-    /// engine splits these two steps around its writer-lock release
-    /// instead.
-    pub(crate) fn settle_durability<T>(&self, result: TsbResult<T>) -> TsbResult<T> {
-        let wait = self.take_pending_durable_wait();
-        let value = result?;
-        if let Some(lsn) = wait {
-            self.wait_durable_lsn(lsn)?;
-        }
-        Ok(value)
     }
 
     /// Whether content-only rewrites on this tree should describe

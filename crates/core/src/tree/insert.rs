@@ -19,7 +19,7 @@
 
 use tsb_common::encode::size;
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbError, TsbResult, Version};
-use tsb_storage::{PageId, PageOp};
+use tsb_storage::{Lsn, PageId, PageOp};
 
 use crate::node::{DataNode, IndexEntry, IndexNode, Node, NodeAddr};
 use crate::split::{
@@ -43,20 +43,22 @@ impl TsbTree {
     /// returning that timestamp. If the key already exists this records an
     /// update (the old version remains readable as of its own time).
     pub fn insert(&mut self, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<Timestamp> {
-        let result = self.insert_shared(key, value);
-        self.settle_durability(result)
+        let (ts, wait) = self.insert_shared(key, value)?;
+        self.wait_durable_lsn(wait)?;
+        Ok(ts)
     }
 
     /// [`Self::insert`] against `&self`, for callers that serialize writers
-    /// externally (each shard of a [`crate::ShardedTsb`]).
+    /// externally (each shard of a [`crate::ShardedTsb`]); also returns
+    /// the position to wait on before acknowledging the write.
     pub(crate) fn insert_shared(
         &self,
         key: impl Into<Key>,
         value: Vec<u8>,
-    ) -> TsbResult<Timestamp> {
+    ) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let ts = self.clock.tick();
-        self.insert_version(Version::committed(key, ts, value))?;
-        Ok(ts)
+        let wait = self.insert_version(Version::committed(key, ts, value))?;
+        Ok((ts, wait))
     }
 
     /// Inserts a new version of `key` with an explicit commit timestamp.
@@ -71,52 +73,38 @@ impl TsbTree {
         value: Vec<u8>,
         ts: Timestamp,
     ) -> TsbResult<()> {
-        let result = self.insert_at_shared(key, value, ts);
-        self.settle_durability(result)
-    }
-
-    /// [`Self::insert_at`] against `&self` (externally serialized writers).
-    pub(crate) fn insert_at_shared(
-        &self,
-        key: impl Into<Key>,
-        value: Vec<u8>,
-        ts: Timestamp,
-    ) -> TsbResult<()> {
         if ts == Timestamp::ZERO {
             return Err(TsbError::config("timestamp 0 is reserved"));
         }
         self.clock.advance_to(ts.next());
-        self.insert_version(Version::committed(key, ts, value))
+        let wait = self.insert_version(Version::committed(key, ts, value))?;
+        self.wait_durable_lsn(wait)
     }
 
     /// Logically deletes `key` by inserting a tombstone version with the next
     /// commit timestamp. History remains readable; only reads at or after
     /// the returned timestamp observe the deletion.
     pub fn delete(&mut self, key: impl Into<Key>) -> TsbResult<Timestamp> {
-        let result = self.delete_shared(key);
-        self.settle_durability(result)
+        let (ts, wait) = self.delete_shared(key)?;
+        self.wait_durable_lsn(wait)?;
+        Ok(ts)
     }
 
     /// [`Self::delete`] against `&self` (externally serialized writers).
-    pub(crate) fn delete_shared(&self, key: impl Into<Key>) -> TsbResult<Timestamp> {
+    pub(crate) fn delete_shared(&self, key: impl Into<Key>) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let ts = self.clock.tick();
-        self.insert_version(Version::tombstone(key, ts))?;
-        Ok(ts)
+        let wait = self.insert_version(Version::tombstone(key, ts))?;
+        Ok((ts, wait))
     }
 
     /// Logically deletes `key` at an explicit timestamp (see [`Self::insert_at`]).
     pub fn delete_at(&mut self, key: impl Into<Key>, ts: Timestamp) -> TsbResult<()> {
-        let result = self.delete_at_shared(key, ts);
-        self.settle_durability(result)
-    }
-
-    /// [`Self::delete_at`] against `&self` (externally serialized writers).
-    pub(crate) fn delete_at_shared(&self, key: impl Into<Key>, ts: Timestamp) -> TsbResult<()> {
         if ts == Timestamp::ZERO {
             return Err(TsbError::config("timestamp 0 is reserved"));
         }
         self.clock.advance_to(ts.next());
-        self.insert_version(Version::tombstone(key, ts))
+        let wait = self.insert_version(Version::tombstone(key, ts))?;
+        self.wait_durable_lsn(wait)
     }
 
     /// Inserts a fully formed version (committed or uncommitted) into the
@@ -128,8 +116,8 @@ impl TsbTree {
     /// On a durable tree the mutation ends with a WAL commit fence
     /// ([`TsbTree::wal_commit`]): all of its page images precede the fence
     /// in the log, so recovery either replays the mutation completely or
-    /// discards it completely.
-    pub(crate) fn insert_version(&self, version: Version) -> TsbResult<()> {
+    /// discards it completely. Returns the fence's position to wait on.
+    pub(crate) fn insert_version(&self, version: Version) -> TsbResult<Option<Lsn>> {
         let fence_ts = version.state.commit_time();
         let result = self
             .insert_version_inner(version)

@@ -9,7 +9,7 @@
 //! * `insert` — insertion, update, logical deletion, and the
 //!   split/migration machinery,
 //! * `node_io` — how a node travels between the caches and the devices,
-//!   and the metadata page,
+//!   and the metadata encoding the log's fences carry,
 //! * `durability` — the write-ahead-log half of the write path: a tree's
 //!   seat on a log it may share with other shards, fences, the phantom
 //!   quarantine, commit acknowledgement,
@@ -60,7 +60,14 @@ use durability::{checkpoint_log, seat_trees, Durability, LogSeat};
 /// most one mutation runs at a time**. The single-threaded API enforces
 /// that invariant with `&mut self`; each shard of a [`crate::ShardedTsb`]
 /// enforces it with a writer lock and may run any number of readers
-/// concurrently (see the module docs of [`crate::sharded`]).
+/// concurrently (see the module docs of [`crate::sharded`]). A `&self`
+/// mutation returns, beside its result, the log position its commit must
+/// be durable through before it is acknowledged: a `&mut` verb waits on it
+/// at once, a shard only after its writer lock drops.
+///
+/// A tree's state — root, clock, transaction counter — is written to its
+/// redo log's fences and nowhere else, so a tree reopens only through
+/// recovery: [`crate::TsbOptions::open_tree`] on a durable directory.
 ///
 /// ```
 /// use tsb_core::TsbTree;
@@ -89,7 +96,6 @@ pub struct TsbTree {
     /// the top of each descent, the (single) writer replaces it when the
     /// root splits.
     pub(crate) root: RwLock<NodeAddr>,
-    pub(crate) meta_page: PageId,
     pub(crate) txns: Mutex<TxnTable>,
     /// Current data pages that blocked a local index time split (Figure 9)
     /// and should prefer a time split at their next opportunity (§3.5).
@@ -157,8 +163,9 @@ impl TsbTree {
         Self::create_with(magnetic, worm, cfg, None, clock)
     }
 
-    /// Creates a fresh tree over the provided stores. The magnetic store must
-    /// be empty (use [`Self::open`] to reopen an existing tree).
+    /// Creates a fresh tree over the provided stores. The magnetic store
+    /// must be empty. A tree reopens from its log's fences alone, so a
+    /// tree to reopen is a durable one ([`crate::TsbOptions::open_tree`]).
     pub fn create(
         magnetic: Arc<MagneticStore>,
         worm: Arc<WormStore>,
@@ -180,9 +187,9 @@ impl TsbTree {
     ) -> TsbResult<Self> {
         let seat = seat_trees(wal, &[Arc::clone(&worm)]).pop();
         let tree = Self::create_with(magnetic, worm, cfg, seat, Arc::new(LogicalClock::new()))?;
-        // Fence the initial root + metadata so recovery always has a
-        // checkpoint to replay from.
-        tree.flush_shared()?;
+        // Fence the initial root so recovery always has a checkpoint to
+        // replay from.
+        checkpoint_log(&[&tree])?;
         Ok(tree)
     }
 
@@ -199,49 +206,9 @@ impl TsbTree {
         cfg.validate()?;
         if magnetic.allocated_pages() != 0 {
             return Err(TsbError::config(
-                "TsbTree::create requires an empty magnetic store; use TsbTree::open to reopen",
+                "TsbTree::create requires an empty magnetic store",
             ));
         }
-        Self::check_page_size(&magnetic, &cfg)?;
-        // The metadata page must be the lowest page id (see `assemble`).
-        magnetic.allocate()?;
-        let root_page = magnetic.allocate()?;
-        let root = NodeAddr::Current(root_page);
-        let tree = Self::assemble(magnetic, worm, cfg, clock, (root, 1), seat, None)?;
-        let root_node = DataNode::initial_root();
-        tree.write_current(root_page, Node::Data(root_node))?;
-        tree.write_meta()?;
-        Ok(tree)
-    }
-
-    /// Reopens an existing tree, or creates a fresh one if the magnetic
-    /// store is empty. The metadata page is the lowest allocated page id.
-    pub fn open(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        cfg.validate()?;
-        if magnetic.allocated_pages() == 0 {
-            return Self::create(magnetic, worm, cfg);
-        }
-        Self::check_page_size(&magnetic, &cfg)?;
-        let meta_bytes = magnetic.read(Self::meta_page_of(&magnetic)?)?;
-        let (root, clock_next, next_txn) = Self::decode_meta(&meta_bytes)?;
-        let clock = Arc::new(LogicalClock::starting_at(clock_next));
-        Self::assemble(magnetic, worm, cfg, clock, (root, next_txn), None, None)
-    }
-
-    /// The metadata page: by construction the lowest allocated page id.
-    fn meta_page_of(magnetic: &MagneticStore) -> TsbResult<PageId> {
-        magnetic
-            .allocated_page_ids()
-            .into_iter()
-            .min()
-            .ok_or_else(|| TsbError::corruption("the magnetic store holds no pages"))
-    }
-
-    fn check_page_size(magnetic: &MagneticStore, cfg: &TsbConfig) -> TsbResult<()> {
         if magnetic.page_size() != cfg.page_size {
             return Err(TsbError::config(format!(
                 "magnetic store page size {} does not match config page size {}",
@@ -249,7 +216,12 @@ impl TsbTree {
                 cfg.page_size
             )));
         }
-        Ok(())
+        let root_page = magnetic.allocate()?;
+        let root = NodeAddr::Current(root_page);
+        let tree = Self::assemble(magnetic, worm, cfg, clock, (root, 1), seat, None);
+        let root_node = DataNode::initial_root();
+        tree.write_current(root_page, Node::Data(root_node))?;
+        Ok(tree)
     }
 
     /// Builds the tree value over opened stores — every constructor and
@@ -264,10 +236,9 @@ impl TsbTree {
         (root, next_txn): (NodeAddr, u64),
         seat: Option<LogSeat>,
         recovered_to: Option<Timestamp>,
-    ) -> TsbResult<TsbTree> {
-        let meta_page = Self::meta_page_of(&magnetic)?;
+    ) -> TsbTree {
         let durability = seat.map(Durability::new);
-        Ok(TsbTree {
+        TsbTree {
             stats: Arc::clone(magnetic.stats()),
             cache: NodeCache::sharded(cfg.node_cache_entries),
             cost: CostModel::new(cfg.cost),
@@ -276,7 +247,6 @@ impl TsbTree {
             worm,
             clock,
             root: RwLock::new(root),
-            meta_page,
             txns: Mutex::new(TxnTable::starting_at(next_txn)),
             marked_for_time_split: Mutex::new(HashSet::new()),
             poisoned: AtomicBool::new(false),
@@ -284,7 +254,7 @@ impl TsbTree {
             log_images_only: false,
             recovered_to,
             structure_seq: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The redo log handle, for replication: the source's tailer and a
@@ -410,24 +380,13 @@ impl TsbTree {
         self.cost.storage_cost(&self.space())
     }
 
-    /// Flushes dirty nodes, the metadata page, and both devices. On a
-    /// durable tree with a log of its own this is a full **checkpoint**:
-    /// once the devices are synced, a checkpoint record fences the redo
-    /// log, so the next recovery replays nothing that precedes this call.
-    /// A shard of a sharded engine shares its log with the other shards,
-    /// so its own flush stops at its devices; the engine's checkpoint
-    /// fences them all.
-    pub fn flush(&mut self) -> TsbResult<()> {
-        self.flush_shared()
-    }
-
-    /// Synonym for [`Self::flush`] under its durability name.
-    pub fn checkpoint(&mut self) -> TsbResult<()> {
-        self.flush_shared()
-    }
-
-    /// [`Self::flush`] against `&self`, for callers that serialize writers
-    /// externally (each shard of a [`crate::ShardedTsb`]).
+    /// Writes every dirty node back and syncs both devices. On a durable
+    /// tree with a log of its own this is a full **checkpoint**: once the
+    /// devices are synced, a checkpoint record holding the tree's state
+    /// fences the redo log, so the next recovery replays nothing that
+    /// precedes this call. A shard of a sharded engine shares its log with
+    /// the other shards, so its own checkpoint stops at its devices; the
+    /// engine's checkpoint fences them all.
     ///
     /// Checkpoint ordering is what makes the fence sound: the checkpoint
     /// record is appended (and fsynced) only *after* every dirty node is
@@ -435,8 +394,8 @@ impl TsbTree {
     /// anywhere inside this sequence leaves the log without the new
     /// checkpoint, so recovery replays from the previous fence — and
     /// because every page image since that fence is in the log, replay
-    /// overwrites whatever subset of the flush had landed.
-    pub(crate) fn flush_shared(&self) -> TsbResult<()> {
+    /// overwrites whatever subset of the write-back had landed.
+    pub fn checkpoint(&mut self) -> TsbResult<()> {
         if self.shares_log() {
             self.flush_devices()
         } else {
@@ -444,10 +403,9 @@ impl TsbTree {
         }
     }
 
-    /// The device half of a checkpoint: every dirty node written back, the
-    /// metadata page written, both devices synced.
+    /// The device half of a checkpoint: every dirty node written back,
+    /// both devices synced.
     fn flush_devices(&self) -> TsbResult<()> {
-        self.write_meta()?;
         self.flush_node_cache()?;
         self.magnetic.sync()?;
         self.worm.sync()

@@ -1,8 +1,8 @@
 //! Node I/O: how a node travels between the decoded-node cache and the
 //! two devices — reads and cache fills, the write-install path (log first,
 //! then the cache), dirty write-back, page allocation — and the metadata
-//! page. The node cache is the only cache: a miss reads the device, and a
-//! write-back writes it.
+//! encoding the log's fences carry. The node cache is the only cache: a
+//! miss reads the device, and a write-back writes it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -328,9 +328,9 @@ impl TsbTree {
 
     // ----- metadata -------------------------------------------------------
 
-    /// The metadata encoding shared by the on-device metadata page and the
-    /// WAL's commit / checkpoint records (recovery trusts the latter; the
-    /// page is a convenience for non-durable reopen).
+    /// The tree's state — root, clock, transaction counter — as the WAL's
+    /// commit and checkpoint records carry it: the one place it is
+    /// written, and what recovery reopens a tree from.
     pub(super) fn encode_meta_bytes(&self) -> Vec<u8> {
         Self::encode_meta(
             self.current_root(),
@@ -350,15 +350,6 @@ impl TsbTree {
         w.into_vec()
     }
 
-    /// Writes the metadata page to the device. Called where the whole tree
-    /// reaches the device — the flush, `create` and recovery's rebuild —
-    /// not on every root change: a non-durable tree reopens from the last
-    /// flush, and a durable one from its log's fences.
-    pub(crate) fn write_meta(&self) -> TsbResult<()> {
-        self.magnetic
-            .write(self.meta_page, &self.encode_meta_bytes())
-    }
-
     pub(super) fn decode_meta(bytes: &[u8]) -> TsbResult<(NodeAddr, Timestamp, u64)> {
         let mut r = ByteReader::new(bytes);
         if r.get_u64()? != META_MAGIC {
@@ -370,8 +361,8 @@ impl TsbTree {
         Ok((root, clock_next, next_txn))
     }
 
-    /// Updates the root pointer; the metadata page follows at the next
-    /// flush. A root replacement is a structural change, so the caller
+    /// Updates the root pointer; on a durable tree the mutation's commit
+    /// fence carries it to the log. A root replacement is a structural change, so the caller
     /// (the insert path) must have noted the structure epoch as in-flight.
     pub(crate) fn set_root(&self, root: NodeAddr) {
         *self.root.write() = root;

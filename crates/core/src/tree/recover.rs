@@ -57,9 +57,9 @@
 //!    happened to reach the device before the crash, and deltas never
 //!    read the device.
 //! 4. **Metadata.** Each shard's root pointer, logical clock, and
-//!    transaction counter come from its last fence, not from the
-//!    (possibly stale) on-device metadata page; the shared clock is
-//!    advanced past every shard's.
+//!    transaction counter come from its last fence — the log is the only
+//!    place a tree's state is written — and the shared clock is advanced
+//!    past every shard's.
 //! 5. **Implicit abort.** Uncommitted versions that made it into replayed
 //!    pages are erased — in-flight writer transactions died with the
 //!    process, exactly the erasure §4 makes possible on the erasable
@@ -528,8 +528,8 @@ impl TsbTree {
             // redo.wal. Refuse rather than guess.
             return Err(TsbError::corruption(format!(
                 "{} holds no usable fence but its stores hold data; refusing to \
-                 recreate (use TsbTree::open for a non-durable reopen, or restore \
-                 the missing redo.wal)",
+                 recreate (a tree reopens from its log alone: restore the missing \
+                 redo.wal)",
                 layout.log.display()
             )));
         }
@@ -689,13 +689,12 @@ impl TsbTree {
                 (root, next_txn),
                 Some(seat),
                 Some(recovered_to),
-            )?;
+            );
             // The WORM bytes the cut references survived, so they are as
             // stable as they will ever be.
             if let Some(d) = &tree.durability {
                 d.worm_synced.store(worm_on_device, Ordering::Release);
             }
-            tree.write_meta()?;
             trees.push(tree);
         }
         Ok(trees)
@@ -739,19 +738,20 @@ impl TsbTree {
     }
 
     /// Rebuilds the magnetic free list from reachability: frees every
-    /// allocated page that is neither the metadata page nor reachable from
-    /// the recovered root. The redo log has no record kind for page frees,
-    /// so replay can only ever *allocate* ([`MagneticStore::restore`] even
-    /// pulls replayed pages off the on-disk free list): a page freed since
-    /// the last checkpoint would come back allocated-but-unreachable after
-    /// recovery and stay leaked across every later session — which
+    /// allocated page the recovered root cannot reach — among them the
+    /// metadata page that directories written by earlier versions hold at
+    /// their lowest page id. The redo log has no record kind for page
+    /// frees, so replay can only ever *allocate*
+    /// ([`MagneticStore::restore`] even pulls replayed pages off the
+    /// on-disk free list): a page freed since the last checkpoint would
+    /// come back allocated-but-unreachable after recovery and stay leaked
+    /// across every later session — which
     /// [`Self::verify`] treats as a hard error, turning a space leak into
     /// an unrecoverable store. Deriving the free list from the recovered
     /// tree closes that gap for any free site, present or future, without
     /// a `PageFree` record.
     fn reclaim_unreachable_pages(&self) -> TsbResult<()> {
         let mut reachable: HashSet<PageId> = HashSet::new();
-        reachable.insert(self.meta_page);
         self.collect_current_pages(self.current_root(), &mut reachable)?;
         for page in self.magnetic.allocated_page_ids() {
             if !reachable.contains(&page) {
@@ -1157,7 +1157,7 @@ mod tests {
                 .open_tree()
                 .unwrap();
             for i in 0..200u64 {
-                let ts = tree.insert_shared(i % 4, vec![b'v'; 24]).unwrap();
+                let (ts, _) = tree.insert_shared(i % 4, vec![b'v'; 24]).unwrap();
                 if tree.worm.device_bytes() == 0 {
                     before_history = Some(ts);
                 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use tsb_common::{Key, Timestamp, TsbConfig};
+use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig};
 use tsb_storage::{IoStats, MagneticStore, PageId, PageOp, Wal, WalRecord, WormStore};
 
 use super::TsbTree;
@@ -45,7 +45,7 @@ fn durable_tree_recovers_unflushed_writes_from_the_wal() {
             .unwrap();
         assert!(tree.is_durable());
         for i in 0..120u64 {
-            let ts = tree
+            let (ts, _) = tree
                 .insert_shared(i % 12, format!("v{i}").into_bytes())
                 .unwrap();
             stamps.push((i % 12, ts, format!("v{i}").into_bytes()));
@@ -215,25 +215,25 @@ fn a_directory_with_nothing_durable_is_recreated() {
 
 #[test]
 fn create_open_round_trip() {
+    let dir = TempDir::new("round-trip");
     let cfg = TsbConfig::small_pages();
-    let stats = Arc::new(IoStats::new());
-    let magnetic = Arc::new(MagneticStore::in_memory(cfg.page_size, Arc::clone(&stats)));
-    let worm = Arc::new(WormStore::in_memory(
-        cfg.worm_sector_size,
-        Arc::clone(&stats),
-    ));
+    let open = || {
+        crate::TsbOptions::durable(&dir.0)
+            .config(cfg.clone())
+            .open_tree()
+            .unwrap()
+    };
 
     let root_before;
     {
-        let mut tree =
-            TsbTree::create(Arc::clone(&magnetic), Arc::clone(&worm), cfg.clone()).unwrap();
+        let mut tree = open();
         tree.insert(1u64, b"one".to_vec()).unwrap();
         tree.insert(2u64, b"two".to_vec()).unwrap();
         root_before = tree.root_addr();
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
     }
     {
-        let tree = TsbTree::open(Arc::clone(&magnetic), Arc::clone(&worm), cfg.clone()).unwrap();
+        let tree = open();
         assert_eq!(tree.root_addr(), root_before);
         assert_eq!(
             tree.get_current(&Key::from_u64(1)).unwrap().unwrap(),
@@ -247,6 +247,11 @@ fn create_open_round_trip() {
         assert!(tree.now() > Timestamp(2));
     }
     // create() refuses a non-empty store.
+    let stats = Arc::new(IoStats::new());
+    let pages = dir.0.join("current.pages");
+    let magnetic =
+        Arc::new(MagneticStore::open_file(pages, cfg.page_size, Arc::clone(&stats)).unwrap());
+    let worm = Arc::new(WormStore::in_memory(cfg.worm_sector_size, stats));
     assert!(TsbTree::create(magnetic, worm, cfg).is_err());
 }
 
@@ -307,7 +312,8 @@ fn warm_descents_perform_zero_decodes() {
 #[test]
 fn encode_is_deferred_until_flush() {
     // Large pages: no splits, so the root leaf absorbs every insert.
-    let mut tree = crate::TsbOptions::in_memory()
+    let dir = TempDir::new("deferred-encode");
+    let mut tree = crate::TsbOptions::durable(&dir.0)
         .config(TsbConfig::default())
         .open_tree()
         .unwrap();
@@ -320,7 +326,7 @@ fn encode_is_deferred_until_flush() {
         delta.node_encodes, 0,
         "20 rewrites of the hot leaf must not encode until flush"
     );
-    tree.flush().unwrap();
+    tree.checkpoint().unwrap();
     let delta = tree.io_stats().snapshot().delta_since(&before);
     assert_eq!(delta.node_encodes, 1, "flush encodes the leaf exactly once");
 }
@@ -408,6 +414,29 @@ fn a_read_never_writes_a_page_or_forces_the_log() {
         sweep.magnetic_reads, sweep.node_decodes,
         "a current-node miss is exactly one device read"
     );
+}
+
+/// A tree's state — root, clock, transaction counter — is written to the
+/// log's fences and nowhere else, so a checkpoint writes back dirty nodes
+/// and nothing more: a second checkpoint of a tree nothing dirtied writes
+/// no page and forces the log once, for its own record. Counted from
+/// IoSnapshot, so it cannot flake.
+#[test]
+fn a_checkpoint_of_a_clean_tree_writes_no_page() {
+    let dir = TempDir::new("clean-checkpoint");
+    let mut tree = crate::TsbOptions::durable(&dir.0)
+        .small_pages()
+        .open_tree()
+        .unwrap();
+    for i in 0..60u64 {
+        tree.insert(i, format!("x{i}").into_bytes()).unwrap();
+    }
+    tree.checkpoint().unwrap();
+    let before = tree.io_stats().snapshot();
+    tree.checkpoint().unwrap();
+    let second = tree.io_stats().snapshot().delta_since(&before);
+    assert_eq!(second.magnetic_writes, 0, "a clean checkpoint wrote a page");
+    assert_eq!(second.wal_syncs, 1, "a checkpoint forces the log once");
 }
 
 #[test]
@@ -516,24 +545,23 @@ fn an_as_of_descent_whose_index_fits_decodes_only_its_leaf() {
         ..TsbConfig::small_pages()
     };
     let (keys, rounds) = (256u64, 100u8);
-    let stats = Arc::new(IoStats::new());
-    let magnetic = Arc::new(MagneticStore::in_memory(cfg.page_size, Arc::clone(&stats)));
-    let worm = Arc::new(WormStore::in_memory(
-        cfg.worm_sector_size,
-        Arc::clone(&stats),
-    ));
+    let dir = TempDir::new("index-residency");
+    let reopen = |cfg: TsbConfig| {
+        crate::TsbOptions::durable(&dir.0)
+            .config(cfg)
+            .fsync(FsyncPolicy::Os)
+            .open_tree()
+            .unwrap()
+    };
     {
-        let mut tree =
-            TsbTree::create(Arc::clone(&magnetic), Arc::clone(&worm), cfg.clone()).unwrap();
+        let mut tree = reopen(cfg.clone());
         for round in 0..rounds {
             for k in 0..keys {
                 tree.insert(k, vec![round; 8]).unwrap();
             }
         }
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
     }
-    let reopen =
-        |cfg: TsbConfig| TsbTree::open(Arc::clone(&magnetic), Arc::clone(&worm), cfg).unwrap();
 
     // Every index node the tree reaches, and a probe for every historical
     // leaf: a version it holds, as of a time inside its rectangle — the
@@ -571,7 +599,10 @@ fn an_as_of_descent_whose_index_fits_decodes_only_its_leaf() {
         probes.len()
     );
 
+    drop(tree);
     let tree = reopen(cfg.with_node_cache_entries(capacity));
+    // Recovery's verify() warmed the cache: start as cold as a fresh tree.
+    tree.drop_caches().unwrap();
     for &addr in &index_nodes {
         tree.read_node(addr).unwrap();
     }
@@ -629,24 +660,24 @@ fn bypass_reads_and_cache_invalidation_agree_with_the_cache() {
 
 #[test]
 fn persistence_survives_deferred_encodes() {
+    let dir = TempDir::new("deferred-persist");
     let cfg = TsbConfig::small_pages();
-    let stats = Arc::new(IoStats::new());
-    let magnetic = Arc::new(MagneticStore::in_memory(cfg.page_size, Arc::clone(&stats)));
-    let worm = Arc::new(WormStore::in_memory(
-        cfg.worm_sector_size,
-        Arc::clone(&stats),
-    ));
+    let open = || {
+        crate::TsbOptions::durable(&dir.0)
+            .config(cfg.clone())
+            .open_tree()
+            .unwrap()
+    };
     {
-        let mut tree =
-            TsbTree::create(Arc::clone(&magnetic), Arc::clone(&worm), cfg.clone()).unwrap();
+        let mut tree = open();
         for i in 0..200u64 {
             tree.insert(i % 20, format!("gen-{i}").into_bytes())
                 .unwrap();
         }
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
     }
     // A reopened tree (fresh, empty caches) sees every write.
-    let tree = TsbTree::open(magnetic, worm, cfg).unwrap();
+    let tree = open();
     for key in 0..20u64 {
         let got = tree.get_current(&Key::from_u64(key)).unwrap().unwrap();
         assert_eq!(got, format!("gen-{}", 180 + key).into_bytes());

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use tsb_common::{Key, KeyRange, Timestamp, TsbError, TsbResult, TxnId, Version};
-use tsb_storage::PageOp;
+use tsb_storage::{Lsn, PageOp};
 
 use crate::node::Node;
 use crate::tree::TsbTree;
@@ -144,34 +144,39 @@ impl TsbTree {
     /// [`Self::commit_txn`]). Fails with [`TsbError::WriteConflict`] if
     /// another in-flight transaction already wrote this key.
     pub fn txn_insert(&mut self, txn: TxnId, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<()> {
-        let result = self.txn_insert_shared(txn, key, value);
-        self.settle_durability(result)
+        let wait = self.txn_insert_shared(txn, key, value)?;
+        self.wait_durable_lsn(wait)
     }
 
-    /// [`Self::txn_insert`] against `&self` (externally serialized writers).
+    /// [`Self::txn_insert`] against `&self` (externally serialized
+    /// writers); returns the position to wait on before acknowledging.
     pub(crate) fn txn_insert_shared(
         &self,
         txn: TxnId,
         key: impl Into<Key>,
         value: Vec<u8>,
-    ) -> TsbResult<()> {
+    ) -> TsbResult<Option<Lsn>> {
         let key = key.into();
         self.txn_write(txn, Version::uncommitted(key, txn, value))
     }
 
     /// Logically deletes `key` within transaction `txn`.
     pub fn txn_delete(&mut self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
-        let result = self.txn_delete_shared(txn, key);
-        self.settle_durability(result)
+        let wait = self.txn_delete_shared(txn, key)?;
+        self.wait_durable_lsn(wait)
     }
 
     /// [`Self::txn_delete`] against `&self` (externally serialized writers).
-    pub(crate) fn txn_delete_shared(&self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
+    pub(crate) fn txn_delete_shared(
+        &self,
+        txn: TxnId,
+        key: impl Into<Key>,
+    ) -> TsbResult<Option<Lsn>> {
         let key = key.into();
         self.txn_write(txn, Version::uncommitted_tombstone(key, txn))
     }
 
-    fn txn_write(&self, txn: TxnId, version: Version) -> TsbResult<()> {
+    fn txn_write(&self, txn: TxnId, version: Version) -> TsbResult<Option<Lsn>> {
         if !self.txns.lock().is_active(txn) {
             return Err(TsbError::TxnNotActive(txn));
         }
@@ -185,8 +190,9 @@ impl TsbTree {
             }
         }
         let key = version.key.clone();
-        self.insert_version(version)?;
-        self.txns.lock().record_write(txn, key)
+        let wait = self.insert_version(version)?;
+        self.txns.lock().record_write(txn, key)?;
+        Ok(wait)
     }
 
     /// Reads `key` from inside transaction `txn`: the transaction's own
@@ -206,8 +212,9 @@ impl TsbTree {
     /// single commit timestamp (the transaction's commit time), which is
     /// returned.
     pub fn commit_txn(&mut self, txn: TxnId) -> TsbResult<Timestamp> {
-        let result = self.commit_txn_shared(txn);
-        self.settle_durability(result)
+        let (ts, wait) = self.commit_txn_shared(txn)?;
+        self.wait_durable_lsn(wait)?;
+        Ok(ts)
     }
 
     /// [`Self::commit_txn`] against `&self` (externally serialized writers).
@@ -218,22 +225,22 @@ impl TsbTree {
     /// observe a prefix of the stamped leaves — a torn commit — so a
     /// multi-key commit holds the structure epoch odd for the span of the
     /// loop, making the whole stamping pass atomic to concurrent readers.
-    pub(crate) fn commit_txn_shared(&self, txn: TxnId) -> TsbResult<Timestamp> {
+    pub(crate) fn commit_txn_shared(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let ts = self.clock.tick();
-        self.stamp_txn(txn, ts, || self.wal_commit(ts))?;
-        Ok(ts)
+        let wait = self.stamp_txn(txn, ts, || self.wal_commit(ts))?;
+        Ok((ts, wait))
     }
 
     /// Stamps every write of `txn` committed at `ts`, then runs `fence`
     /// inside the same structure window: this tree's own commit fence, or
     /// nothing when a cross-shard commit fences every participant at once
-    /// after the last of them is stamped.
-    pub(crate) fn stamp_txn(
+    /// after the last of them is stamped. Returns what `fence` returns.
+    pub(crate) fn stamp_txn<W>(
         &self,
         txn: TxnId,
         ts: Timestamp,
-        fence: impl FnOnce() -> TsbResult<()>,
-    ) -> TsbResult<()> {
+        fence: impl FnOnce() -> TsbResult<W>,
+    ) -> TsbResult<W> {
         let writes = self.txns.lock().finish(txn)?;
         if writes.len() > 1 {
             self.note_structural_write();
@@ -282,8 +289,8 @@ impl TsbTree {
     /// from the current store. (This erasure is exactly what the write-once
     /// WOBT cannot do — §2.6, §5.)
     pub fn abort_txn(&mut self, txn: TxnId) -> TsbResult<()> {
-        let result = self.abort_txn_shared(txn);
-        self.settle_durability(result)
+        let wait = self.abort_txn_shared(txn)?;
+        self.wait_durable_lsn(wait)
     }
 
     /// [`Self::abort_txn`] against `&self` (externally serialized writers).
@@ -291,7 +298,7 @@ impl TsbTree {
     /// as [`Self::commit_txn_shared`]. (Uncommitted versions are invisible
     /// to reads anyway; the epoch guard protects diagnostic surfaces like
     /// `pending_version` from observing a half-erased transaction.)
-    pub(crate) fn abort_txn_shared(&self, txn: TxnId) -> TsbResult<()> {
+    pub(crate) fn abort_txn_shared(&self, txn: TxnId) -> TsbResult<Option<Lsn>> {
         let writes = self.txns.lock().finish(txn)?;
         if writes.len() > 1 {
             self.note_structural_write();

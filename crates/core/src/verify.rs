@@ -16,8 +16,8 @@
 //!   most one parent (historical nodes may have several parents — the DAG
 //!   the paper describes);
 //! * all leaves sit at the same depth;
-//! * no magnetic page is leaked: the allocated page set is exactly
-//!   `{meta page} ∪ reachable current pages`.
+//! * no magnetic page is leaked: the allocated page set is exactly the
+//!   reachable current pages.
 //!
 //! Integration and property tests call this after every mutation batch.
 
@@ -66,8 +66,7 @@ impl TsbTree {
         }
 
         // No leaked or dangling magnetic pages.
-        let mut expected: HashSet<PageId> = current_page_refs.keys().copied().collect();
-        expected.insert(self.meta_page);
+        let expected: HashSet<PageId> = current_page_refs.keys().copied().collect();
         let allocated: HashSet<PageId> = self.magnetic.allocated_page_ids().into_iter().collect();
         if expected != allocated {
             let leaked: Vec<_> = allocated.difference(&expected).collect();

@@ -26,7 +26,7 @@ use tsb_common::{TsbError, TsbResult};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CrashPoint {
     /// A page write reaching the magnetic store (a dirty node's write-back,
-    /// the metadata page, or a page restored by recovery).
+    /// or a page restored by recovery).
     MagneticWrite,
     /// The magnetic store's superblock sync during a checkpoint.
     MagneticSync,

@@ -380,11 +380,11 @@ impl Wal {
     /// additionally made durable before this returns
     /// ([`Self::wait_durable`]); checkpoints always sync, on this thread. Callers
     /// that can release locks between the append and the park use
-    /// [`Self::append_commit`] + [`Self::wait_durable`] instead.
+    /// [`Self::append_for`] + [`Self::wait_durable`] instead.
     pub fn append(&self, record: &WalRecord) -> TsbResult<Lsn> {
         match record {
             WalRecord::Commit { .. } => {
-                let (lsn, boundary) = self.append_commit(record)?;
+                let (lsn, boundary) = self.append_for(0, record)?;
                 if let Some(fence) = boundary {
                     self.wait_durable(fence)?;
                 }
@@ -399,25 +399,14 @@ impl Wal {
         }
     }
 
-    /// Appends a commit fence — and nothing else: no sync is performed or
-    /// asked for. Returns `(lsn, boundary)`: `boundary` is
-    /// `Some(fence_lsn)` exactly when the policy wants this commit durable
-    /// before it is acknowledged — the caller should release its locks,
-    /// then [`Self::wait_durable`] on it (a batch waits once, on its
-    /// newest boundary, and every commit before it shares that sync).
-    /// `None` means acknowledge immediately (`Os`).
-    pub fn append_commit(&self, record: &WalRecord) -> TsbResult<(Lsn, Option<Lsn>)> {
-        debug_assert!(matches!(
-            record,
-            WalRecord::Commit { .. } | WalRecord::ShardCommit { .. }
-        ));
-        self.append_for(0, record)
-    }
-
     /// Appends one record on behalf of shard `shard` — the door of every
-    /// tree sharing the log — and nothing else, as [`Self::append_commit`]
-    /// does: `(lsn, boundary)`, where `boundary` is the position to wait on
-    /// for a commit the policy wants durable first. A record that belongs
+    /// tree sharing the log — and nothing else: no sync is performed or
+    /// asked for. Returns `(lsn, boundary)`: for a commit fence `boundary`
+    /// is `Some(fence_lsn)` exactly when the policy wants the commit
+    /// durable before it is acknowledged — the caller should release its
+    /// locks, then [`Self::wait_durable`] on it (a batch waits once, on its
+    /// newest boundary, and every commit before it shares that sync);
+    /// `None` means acknowledge immediately (`Os`). A record that belongs
     /// to the tagged shard is preceded by a [`WalRecord::Shard`] switch
     /// when the log's tag names another shard; one that names its shards
     /// never is.

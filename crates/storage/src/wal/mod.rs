@@ -134,9 +134,11 @@
 //!
 //! The device sync itself is **pipelined**: no append ever issues an
 //! fsync inline, and no append asks for one. A commit under `Always` *is
-//! appended* ([`Wal::append_commit`]) and hands its caller the fence LSN;
-//! durability is asked for by whoever waits — on the caller's schedule,
-//! typically after the engine has released its writer lock —
+//! appended* ([`Wal::append_for`], the one append door) and hands its
+//! caller the fence LSN, which the tree passes up as the return value of
+//! the mutation it ends; durability is asked for by whoever waits — on
+//! the caller's schedule, typically after the engine has released its
+//! writer lock —
 //! [`Wal::wait_durable`] requests that LSN and parks on the **durable-LSN
 //! watermark**. So a batch of commits appended back to back and waited on
 //! once, at its newest fence, costs one fsync, not one started by its

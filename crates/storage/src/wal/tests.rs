@@ -476,7 +476,7 @@ fn appended_commits_share_the_sync_their_waiter_asks_for() {
     let wal = Wal::create(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
     let mut last = 0;
     for ts in 1..=64u64 {
-        let (lsn, boundary) = wal.append_commit(&commit(ts)).unwrap();
+        let (lsn, boundary) = wal.append_for(0, &commit(ts)).unwrap();
         assert_eq!(boundary, Some(lsn), "`Always` hands out a position");
         last = lsn;
     }
@@ -495,7 +495,7 @@ fn appended_commits_share_the_sync_their_waiter_asks_for() {
     let stats = Arc::new(IoStats::new());
     let wal = Wal::create(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
     for ts in 1..=64u64 {
-        let (_, boundary) = wal.append_commit(&commit(ts)).unwrap();
+        let (_, boundary) = wal.append_for(0, &commit(ts)).unwrap();
         assert_eq!(boundary, None);
     }
     assert_eq!(stats.snapshot().wal_syncs, 0);
@@ -560,7 +560,7 @@ fn a_failed_sync_stays_failed_when_the_sync_runs_inline() {
         }
     }));
     wal.append(&page_image(1, 1)).unwrap();
-    let (lsn, _) = wal.append_commit(&commit(1)).unwrap();
+    let (lsn, _) = wal.append_for(0, &commit(1)).unwrap();
     assert!(wal.wait_durable(lsn).is_err(), "the drain's failure");
     let syncs = stats.snapshot().wal_syncs;
 

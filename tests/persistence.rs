@@ -1,11 +1,11 @@
-//! Durability: the tree built over file-backed stores survives a close and
-//! reopen with its history, its clock, and the write-once property intact.
+//! Durability: a tree opened on a directory survives a close and reopen
+//! with its history, its clock, and the write-once property intact.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use tsb_common::{Key, SplitPolicyKind, TsbConfig};
-use tsb_core::TsbTree;
+use tsb_core::{TsbOptions, TsbTree};
 use tsb_storage::{IoStats, MagneticStore, SectorId, WormStore};
 use tsb_workload::{generate_ops, Oracle, WorkloadSpec};
 
@@ -32,6 +32,13 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+fn open_tree(dir: &TempDir, cfg: &TsbConfig) -> TsbTree {
+    TsbOptions::durable(&dir.0)
+        .config(cfg.clone())
+        .open_tree()
+        .unwrap()
 }
 
 fn open_stores(dir: &TempDir, cfg: &TsbConfig) -> (Arc<MagneticStore>, Arc<WormStore>) {
@@ -61,24 +68,21 @@ fn tree_survives_close_and_reopen_with_full_history() {
     let log;
     let clock_before;
     {
-        let (magnetic, worm) = open_stores(&dir, &cfg);
-        let mut tree = TsbTree::create(magnetic, worm, cfg.clone()).unwrap();
+        let mut tree = open_tree(&dir, &cfg);
         log = replay(&mut tree, &mut oracle, &ops);
         tree.verify().unwrap();
         clock_before = tree.now();
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
     }
     {
-        let (magnetic, worm) = open_stores(&dir, &cfg);
-        let tree = TsbTree::open(magnetic, worm, cfg.clone()).unwrap();
+        let tree = open_tree(&dir, &cfg);
         assert!(tree.now() >= clock_before, "clock must not run backwards");
         tree.verify().unwrap();
         assert_tree_matches_oracle(&tree, &oracle, &log);
     }
     // A third session keeps writing and the history stays consistent.
     {
-        let (magnetic, worm) = open_stores(&dir, &cfg);
-        let mut tree = TsbTree::open(magnetic, worm, cfg.clone()).unwrap();
+        let mut tree = open_tree(&dir, &cfg);
         let more = generate_ops(&spec.clone().with_seed(99).with_ops(200));
         let more_log = replay(&mut tree, &mut oracle, &more);
         tree.verify().unwrap();
@@ -87,7 +91,7 @@ fn tree_survives_close_and_reopen_with_full_history() {
         for (key, ts, value) in &log {
             assert_eq!(&tree.get_as_of(key, *ts).unwrap(), value);
         }
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
     }
 }
 
@@ -96,12 +100,11 @@ fn historical_store_stays_write_once_across_sessions() {
     let dir = TempDir::new("worm");
     let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::TimePreferring);
     {
-        let (magnetic, worm) = open_stores(&dir, &cfg);
-        let mut tree = TsbTree::create(magnetic, worm, cfg.clone()).unwrap();
+        let mut tree = open_tree(&dir, &cfg);
         for i in 0..300u64 {
             tree.insert(i % 10, format!("v{i}").into_bytes()).unwrap();
         }
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
         assert!(
             tree.space().worm_bytes > 0,
             "time splits must have migrated data"
@@ -126,10 +129,9 @@ fn reopening_with_a_different_page_size_is_rejected() {
     let dir = TempDir::new("pagesize");
     let cfg = TsbConfig::small_pages();
     {
-        let (magnetic, worm) = open_stores(&dir, &cfg);
-        let mut tree = TsbTree::create(magnetic, worm, cfg.clone()).unwrap();
+        let mut tree = open_tree(&dir, &cfg);
         tree.insert(Key::from_u64(1), b"x".to_vec()).unwrap();
-        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
     }
     {
         let stats = Arc::new(IoStats::new());
