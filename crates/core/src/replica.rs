@@ -50,13 +50,14 @@
 //! 3. **A fence folds the staging area of each shard it names into that
 //!    shard's fenced overlay.** Only fenced state may ever reach the
 //!    device: records after a shard's last fence may yet be discarded by
-//!    the primary (a failed mutation's phantom deltas superseded by a
-//!    checkpoint reset). Every fence first passes the fence rule
-//!    (`tree/recover.rs`, the one recovery uses): a batch is input from
-//!    outside the process, and a fence referencing more history than step
-//!    1 left on the device is refused as corruption *before* it reaches
-//!    the local log — the replica keeps serving its installed fences, and
-//!    a primary that ships the history on the next poll heals it.
+//!    the primary (a mutation a crash cut off, or one that failed part-way
+//!    and poisoned its tree, is never fenced). Every fence first passes
+//!    the fence rule (`tree/recover.rs`, the one recovery uses): a batch
+//!    is input from outside the process, and a fence referencing more
+//!    history than step 1 left on the device is refused as corruption
+//!    *before* it reaches the local log — the replica keeps serving its
+//!    installed fences, and a primary that ships the history on the next
+//!    poll heals it.
 //! 4. **At batch end: fsync the local log, then install.** Installing a
 //!    fence before the local log is durable through it could leave a
 //!    restart's device holding page content its log never mentions. Each
@@ -66,7 +67,7 @@
 //!    cross-shard commit is one fence, so a read pinned at the engine's
 //!    `last_installed` sees it on every participant or on none.
 //! 5. **A primary checkpoint record is applied inline**: staging is
-//!    discarded (phantom rule above), pending fences install, the devices
+//!    discarded (unfenced, step 3), pending fences install, the devices
 //!    are synced to exactly the checkpointed state, and only then is the
 //!    checkpoint appended (and synced) locally — making it a sound base
 //!    for the replica's own restart recovery, which replays from the
@@ -361,7 +362,8 @@ pub(crate) struct Replica {
 /// What the applier carries between batches, one entry per shard.
 struct Applier {
     /// Page states from records after the shard's newest seen fence. May
-    /// yet be discarded (phantoms); never reaches the device.
+    /// yet be discarded (step 3 of the module docs); never reaches the
+    /// device.
     staged: Vec<HashMap<PageId, ReplayPage>>,
     /// Page states as of the shard's newest seen fence, awaiting install.
     fenced: Vec<HashMap<PageId, ReplayPage>>,

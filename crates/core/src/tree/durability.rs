@@ -2,20 +2,22 @@
 //! WAL-attached tree carries, its seat on a log it may share with the
 //! other shards of an engine, the fences that end its mutations
 //! (`wal_commit`, [`commit_across`], [`checkpoint_log`]) — the only place
-//! a tree's state (root, clock, txn counter) is written — the
-//! phantom-delta quarantine, and the acknowledgement side of pipelined
-//! commit: a commit fence returns the log position its caller waits on,
-//! and [`TsbTree::wait_durable_lsn`] parks on it. What the log *means* on
-//! reopen is [`super::recover`]'s.
+//! a tree's state (root, clock, txn counter) is written — and the
+//! acknowledgement side of pipelined commit: a commit fence returns the
+//! log position its caller waits on, and [`TsbTree::wait_durable_lsn`]
+//! parks on it. A mutation logs nothing before its first structural write:
+//! each page's records go to the log with the write that installs the
+//! page, so a mutation that fails before that write leaves no record.
+//! What the log *means* on reopen is [`super::recover`]'s.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use tsb_common::{Timestamp, TsbResult};
-use tsb_storage::{Lsn, PageId, PageOp, ShardFence, Wal, WalPageTable, WalRecord, WormStore};
+use tsb_storage::{Lsn, ShardFence, Wal, WalPageTable, WalRecord, WormStore};
 
 use super::TsbTree;
 use crate::node::NodeAddr;
@@ -102,19 +104,6 @@ pub(crate) struct Durability {
     /// re-derives it), shaving a third off the steady-state commit record.
     /// `None` until the current log generation holds a full-meta fence.
     last_fence: Mutex<Option<(NodeAddr, u64)>>,
-    /// Pages that received mid-split *pending* deltas
-    /// ([`TsbTree::wal_append_ops`]) during the current mutation. Cleared
-    /// at the commit fence (success: the split's later records composed
-    /// with them); on failure they move to [`Self::needs_reimage`] — the
-    /// deltas are then *phantoms*, describing state the mutation rolled
-    /// back.
-    pending_delta_pages: Mutex<HashSet<PageId>>,
-    /// Pages whose newest logged records are phantom deltas from a failed
-    /// (but non-poisoning) mutation. The next commit fence must supersede
-    /// each with a full image of the page's true state *before* the fence
-    /// makes the phantoms replayable — otherwise recovery would apply a
-    /// change the caller was told failed.
-    needs_reimage: Mutex<HashSet<PageId>>,
     /// This shard's fences against the WAL's durable watermark: what
     /// [`TsbTree::last_durable_commit`] reports on live durable trees, and
     /// the durable fence the write-back barrier reads.
@@ -174,8 +163,6 @@ impl Durability {
             pages: WalPageTable::new(),
             worm_synced: seat.worm_synced,
             last_fence: Mutex::new(None),
-            pending_delta_pages: Mutex::new(HashSet::new()),
-            needs_reimage: Mutex::new(HashSet::new()),
             acks: Mutex::new(CommitAcks::default()),
         }
     }
@@ -250,7 +237,7 @@ pub(crate) fn commit_across(trees: &[&TsbTree], ts: Timestamp) -> TsbResult<Opti
     let parts = trees
         .iter()
         .filter_map(|tree| Some(tree.fence_part(tree.durability.as_ref()?, None)))
-        .collect::<TsbResult<Vec<_>>>()?;
+        .collect();
     // A fence naming its shards takes no shard switch, whatever the tag.
     let (lsn, boundary) = d.wal.append_for(
         0,
@@ -329,7 +316,7 @@ impl TsbTree {
         let Some(d) = &self.durability else {
             return Ok(None);
         };
-        let ShardFence { worm_len, meta, .. } = self.fence_part(d, Some(ts))?;
+        let ShardFence { worm_len, meta, .. } = self.fence_part(d, Some(ts));
         let record = WalRecord::Commit {
             ts: ts.value(),
             worm_len,
@@ -345,21 +332,11 @@ impl TsbTree {
         Ok(boundary)
     }
 
-    /// Readies this tree's part of a fence: supersedes quarantined
-    /// phantoms, closes the mutation's pending deltas, and returns the
-    /// shard, WORM length and metadata the fence carries. `elide_at` is the
-    /// commit timestamp of a single-tree `Commit`, whose metadata is
-    /// elided when recovery can re-derive it; a fence naming several
-    /// shards always carries it whole.
-    pub(super) fn fence_part(
-        &self,
-        d: &Durability,
-        elide_at: Option<Timestamp>,
-    ) -> TsbResult<ShardFence> {
-        self.wal_reimage_stale(d)?;
-        // This mutation reached its fence: its pending deltas (if any)
-        // composed with the split records that followed them.
-        d.pending_delta_pages.lock().clear();
+    /// This tree's part of a fence: the shard, WORM length and metadata
+    /// the fence carries. `elide_at` is the commit timestamp of a
+    /// single-tree `Commit`, whose metadata is elided when recovery can
+    /// re-derive it; a fence naming several shards always carries it whole.
+    pub(super) fn fence_part(&self, d: &Durability, elide_at: Option<Timestamp>) -> ShardFence {
         // If this mutation migrated history, the WORM bytes must be stable
         // before a fence referencing them can be *durable* — under every
         // fsync policy. For `Always` the reason is the acknowledgement
@@ -390,11 +367,11 @@ impl TsbTree {
             *last = Some((root, next_txn));
             self.encode_meta_bytes()
         };
-        Ok(ShardFence {
+        ShardFence {
             shard: d.shard,
             worm_len,
             meta,
-        })
+        }
     }
 
     /// Books a fence naming this tree, appended at `lsn` for a commit at
@@ -420,37 +397,6 @@ impl TsbTree {
         Ok(())
     }
 
-    /// Neutralizes phantoms quarantined by an earlier failed mutation
-    /// *before* a fence makes them replayable: each page gets a full
-    /// image of its true current state, which supersedes the phantom
-    /// deltas at replay (a later image always wins). Pages a successful
-    /// write already re-imaged (their first touch after the quarantine)
-    /// need nothing. The set is only emptied after every corrective
-    /// image landed, so an error here retries at the next fence.
-    fn wal_reimage_stale(&self, d: &Durability) -> TsbResult<()> {
-        let stale: Vec<PageId> = d.needs_reimage.lock().iter().copied().collect();
-        if !stale.is_empty() {
-            for &page in &stale {
-                if d.pages.is_imaged(page) {
-                    continue;
-                }
-                let node = self.read_node(NodeAddr::Current(page))?;
-                let record = WalRecord::PageImage {
-                    page,
-                    bytes: node.encode(),
-                };
-                let lsn = self.wal_append(&record)?;
-                d.pages.record(page, lsn);
-                d.pages.first_touch(page);
-            }
-            let mut set = d.needs_reimage.lock();
-            for page in &stale {
-                set.remove(page);
-            }
-        }
-        Ok(())
-    }
-
     /// Starts a fresh log interval after [`checkpoint_log`] replaced the
     /// log with a checkpoint holding this tree's state.
     fn begin_interval(&self) {
@@ -462,10 +408,6 @@ impl TsbTree {
         // delta, and the write-back coverage map starts over (the flush
         // drained every dirty page).
         d.pages.begin_interval();
-        // The log reset obsoleted any quarantined phantoms along with
-        // everything else pre-fence.
-        d.needs_reimage.lock().clear();
-        d.pending_delta_pages.lock().clear();
         // The checkpoint is a full-meta fence: later commits may elide
         // their metadata against it.
         *d.last_fence.lock() = Some((self.current_root(), self.txns.lock().next_id_value()));
@@ -514,69 +456,10 @@ impl TsbTree {
     }
 
     /// Whether content-only rewrites on this tree should describe
-    /// themselves as logical [`PageOp`] deltas for the redo log. Callers
+    /// themselves as logical [`tsb_storage::PageOp`] deltas for the redo log. Callers
     /// on the hot path use this to skip building the ops (and the version
     /// clone they cost) entirely when nothing would consume them.
     pub(crate) fn logs_deltas(&self) -> bool {
         self.durability.is_some() && !self.log_images_only
-    }
-
-    /// Whether a *pending* delta for `page` — one logged mid-split, before
-    /// the page's final node is installed — would have a base to apply to.
-    /// False when the page has no image in the current log generation: the
-    /// pending op is then skipped entirely, because the page's next full
-    /// write will first-touch an image that subsumes it.
-    pub(crate) fn pending_ops_allowed(&self, page: PageId) -> bool {
-        match &self.durability {
-            Some(d) => self.logs_deltas() && d.pages.is_imaged(page),
-            None => false,
-        }
-    }
-
-    /// Appends standalone delta records for `page` without installing a
-    /// node — the split path's way of logging an in-flight intermediate
-    /// state (the triggering insert, a survivor partition) that the next
-    /// delta of the same mutation builds on. Caller contract: the page's
-    /// logged state ⊕ `ops` equals the in-memory node the next logged
-    /// record assumes, and [`Self::pending_ops_allowed`] returned true.
-    pub(crate) fn wal_append_ops(&self, page: PageId, ops: Vec<PageOp>) -> TsbResult<()> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        // Tracked before the append: should the mutation die anywhere past
-        // this point without poisoning the tree, these records are
-        // phantoms and must be superseded before the next fence (see
-        // [`Self::quarantine_pending_deltas`]).
-        d.pending_delta_pages.lock().insert(page);
-        for op in ops {
-            let record = WalRecord::PageDelta { page, op };
-            let lsn = self.wal_append(&record)?;
-            d.pages.record(page, lsn);
-        }
-        Ok(())
-    }
-
-    /// Disowns the current mutation's pending deltas after it failed
-    /// without poisoning the tree — a split that errored in pure planning
-    /// or allocation *after* its triggering delta was already logged. The
-    /// in-memory tree rolled the mutation back (all work happened on
-    /// clones), but the log now ends in deltas describing state that never
-    /// happened; once any later commit fences them, recovery would replay
-    /// them. Each such page loses its delta base (next write logs a full
-    /// image) and is queued for a corrective image at the next fence, so
-    /// the phantoms are superseded before they can ever become replayable.
-    pub(crate) fn quarantine_pending_deltas(&self) {
-        let Some(d) = &self.durability else {
-            return;
-        };
-        let mut pending = d.pending_delta_pages.lock();
-        if pending.is_empty() {
-            return;
-        }
-        let mut stale = d.needs_reimage.lock();
-        for page in pending.drain() {
-            d.pages.unimage(page);
-            stale.insert(page);
-        }
     }
 }

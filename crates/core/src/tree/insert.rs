@@ -122,12 +122,6 @@ impl TsbTree {
         let result = self
             .insert_version_inner(version)
             .and_then(|()| self.wal_commit(fence_ts.unwrap_or_else(|| self.clock.now().prev())));
-        if result.is_err() {
-            // A recoverable failure (no structural write landed) may still
-            // have logged pending split deltas; disown them so the next
-            // fence supersedes them instead of making them replayable.
-            self.quarantine_pending_deltas();
-        }
         self.settle_structure_after(result.is_err());
         result
     }
@@ -166,6 +160,34 @@ impl TsbTree {
         Ok(())
     }
 
+    /// Rejects a write that leaves its key more data than any leaf holds.
+    /// A key's uncommitted version never migrates (§4) and its live
+    /// committed version survives every time split, so no split parts the
+    /// two: when they overflow a leaf on their own, even one with the
+    /// smallest header, the split would fail after migrating and poison the
+    /// tree. Checked on an overflowing `leaf` only, before anything is
+    /// logged or migrated.
+    fn check_pinned_fit(&self, leaf: &DataNode, key: &Key) -> TsbResult<()> {
+        let Some(pending) = leaf.find_uncommitted(key) else {
+            return Ok(());
+        };
+        let live = leaf
+            .versions_of(key)
+            .filter(|v| v.state.is_committed())
+            .last()
+            .filter(|v| !v.is_tombstone());
+        let pinned = live.into_iter().chain([pending]).map(|v| v.to_version());
+        let pinned = DataNode::from_entries(KeyRange::full(), leaf.time_range, pinned.collect());
+        let (entry_size, capacity) = (pinned.encoded_size(), self.split_threshold());
+        if entry_size > capacity {
+            return Err(TsbError::EntryTooLarge {
+                entry_size,
+                capacity,
+            });
+        }
+        Ok(())
+    }
+
     /// Recursive insertion. `addr` must reference a current node (new data
     /// is never routed to the write-once historical store).
     ///
@@ -182,6 +204,10 @@ impl TsbTree {
                 // Copy-on-write of the leaf is a copy of its image and its
                 // offset table, whatever the entry count.
                 let data = data.with_inserted(&version)?;
+                let fits = data.encoded_size() <= self.split_threshold();
+                if !fits {
+                    self.check_pinned_fit(&data, &version.key)?;
+                }
                 // The whole mutation is this one version landing in this
                 // one leaf — exactly what a logical redo delta can say in
                 // tens of bytes; the version moves into it.
@@ -190,17 +216,13 @@ impl TsbTree {
                 } else {
                     Vec::new()
                 };
-                if data.encoded_size() <= self.split_threshold() {
+                if fits {
                     self.write_current_delta(page, Node::Data(data), ops)?;
                     Ok(InsertOutcome::Fit)
                 } else {
-                    // The split's own deltas describe partitions of the
-                    // *post-insert* node, so the insert must be in the log
-                    // first (as a pending delta of the in-flight state).
-                    if self.pending_ops_allowed(page) {
-                        self.wal_append_ops(page, ops)?;
-                    }
-                    let entries = self.split_data_node(data, page, false)?;
+                    // The split extends the insert's delta chain with its
+                    // own ops; the page's one write logs the whole chain.
+                    let entries = self.split_data_node(data, page, false, ops)?;
                     Ok(InsertOutcome::Split(entries))
                 }
             }
@@ -237,10 +259,7 @@ impl TsbTree {
                             self.write_current_delta(page, Node::Index(index), ops)?;
                             Ok(InsertOutcome::Fit)
                         } else {
-                            if self.pending_ops_allowed(page) {
-                                self.wal_append_ops(page, ops)?;
-                            }
-                            let entries = self.split_index_node(index, page, false)?;
+                            let entries = self.split_index_node(index, page, false, ops)?;
                             Ok(InsertOutcome::Split(entries))
                         }
                     }
@@ -271,11 +290,16 @@ impl TsbTree {
     ///
     /// `forbid_time` breaks potential non-termination when a time split
     /// failed to shrink the node (every entry was duplicated forward).
-    pub(crate) fn split_data_node(
+    /// `ops` is `page`'s delta chain so far: the ops deriving `node` from
+    /// the page's logged state. Each split appends its own op, and the
+    /// write that installs the page logs the whole chain, so nothing is
+    /// logged before the split's first structural write.
+    fn split_data_node(
         &self,
         node: DataNode,
         page: PageId,
         forbid_time: bool,
+        ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         let now = self.clock.now();
         let mut plan = plan_data_split(&node, &self.cfg, now, self.page_capacity())?;
@@ -320,8 +344,10 @@ impl TsbTree {
         }
 
         match plan {
-            SplitPlan::Key { split_key } => self.execute_data_key_split(node, page, split_key),
-            SplitPlan::Time { split_time } => self.execute_data_time_split(node, page, split_time),
+            SplitPlan::Key { split_key } => self.execute_data_key_split(node, page, split_key, ops),
+            SplitPlan::Time { split_time } => {
+                self.execute_data_time_split(node, page, split_time, ops)
+            }
         }
     }
 
@@ -334,6 +360,7 @@ impl TsbTree {
         node: DataNode,
         page: PageId,
         split_key: Key,
+        mut ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         if !node.key_range.strictly_contains(&split_key) {
             return Err(TsbError::internal(format!(
@@ -352,25 +379,19 @@ impl TsbTree {
         self.note_structural_write();
 
         // The old page keeps the low half: derivable from its logged state,
-        // so a delta suffices. The new page has no logged base (fresh or
-        // recycled), so its op is moot — first touch logs the full image.
-        let mut out = Vec::new();
-        out.extend(self.place_data_node(
-            left,
-            page,
-            Some(PageOp::DataKeySplit {
-                split_key: split_key.clone(),
-                keep_low: true,
-            }),
-        )?);
-        out.extend(self.place_data_node(
-            right,
-            right_page,
-            Some(PageOp::DataKeySplit {
-                split_key,
-                keep_low: false,
-            }),
-        )?);
+        // so its chain grows by a delta. The new page has no logged base
+        // (fresh or recycled), so it starts a chain of its own that is moot
+        // — first touch logs the full image.
+        ops.push(PageOp::DataKeySplit {
+            split_key: split_key.clone(),
+            keep_low: true,
+        });
+        let right_ops = vec![PageOp::DataKeySplit {
+            split_key,
+            keep_low: false,
+        }];
+        let mut out = self.place_data_node(left, page, ops)?;
+        out.extend(self.place_data_node(right, right_page, right_ops)?);
         Ok(out)
     }
 
@@ -382,12 +403,13 @@ impl TsbTree {
         node: DataNode,
         page: PageId,
         split_time: Timestamp,
+        mut ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         let parts = partition_by_time(&node.to_versions(), split_time);
         if parts.historical.is_empty() {
             // Nothing to migrate; fall back to a key split to make progress.
             return match choose_split_key(&node) {
-                Some(k) => self.execute_data_key_split(node, page, k),
+                Some(k) => self.execute_data_key_split(node, page, k, ops),
                 None => Err(TsbError::internal(
                     "time split selected but nothing migrates and no key split is possible",
                 )),
@@ -411,12 +433,12 @@ impl TsbTree {
             parts.current,
         );
 
-        // The survivor is a pure partition of the (already logged) overflowing
-        // node: one tiny delta carries the whole rewrite.
-        let op = PageOp::DataTimeSplit { split_time };
+        // The survivor is a pure partition of the overflowing node: one tiny
+        // delta on the chain carries the whole rewrite.
+        ops.push(PageOp::DataTimeSplit { split_time });
         let mut out = vec![hist_entry];
         if current.encoded_size() <= self.split_threshold() {
-            self.write_current_delta(page, Node::Data(current), vec![op])?;
+            self.write_current_delta(page, Node::Data(current), ops)?;
             out.push(IndexEntry::new(
                 node.key_range,
                 TimeRange::new(split_time, node.time_range.hi),
@@ -425,26 +447,21 @@ impl TsbTree {
         } else {
             // Still too big (lots of live data): follow with a further split
             // of the surviving current node — the WOBT's "split by key value
-            // and current time" corresponds to this path. The follow-up
-            // split's deltas partition the *survivor*, so the time split
-            // goes into the log first as a pending delta.
-            if self.pending_ops_allowed(page) {
-                self.wal_append_ops(page, vec![op])?;
-            }
-            out.extend(self.split_data_node(current, page, !shrank)?);
+            // and current time" corresponds to this path.
+            out.extend(self.split_data_node(current, page, !shrank, ops)?);
         }
         Ok(out)
     }
 
     /// Writes a data node to `page`, splitting it further if it does not
-    /// fit. `op` is the logical delta describing how the node was derived
-    /// from the page's previous (logged) state, when it was; pages with no
-    /// logged base ignore it and log a full image on first touch.
+    /// fit. `ops` is the page's delta chain, as in [`Self::split_data_node`];
+    /// a page with no logged base ignores it and logs a full image on first
+    /// touch.
     fn place_data_node(
         &self,
         node: DataNode,
         page: PageId,
-        op: Option<PageOp>,
+        ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         if node.encoded_size() <= self.split_threshold() {
             let entry = IndexEntry::new(
@@ -452,27 +469,24 @@ impl TsbTree {
                 node.time_range,
                 NodeAddr::Current(page),
             );
-            self.write_current_delta(page, Node::Data(node), op.into_iter().collect())?;
+            self.write_current_delta(page, Node::Data(node), ops)?;
             Ok(vec![entry])
         } else {
-            if let Some(op) = op {
-                if self.pending_ops_allowed(page) {
-                    self.wal_append_ops(page, vec![op])?;
-                }
-            }
-            self.split_data_node(node, page, false)
+            self.split_data_node(node, page, false, ops)
         }
     }
 
     // ----- index node splits ---------------------------------------------
 
     /// Splits an overflowing index node, returning the replacement entries
-    /// for its parent.
-    pub(crate) fn split_index_node(
+    /// for its parent. `ops` is the page's delta chain, as in
+    /// [`Self::split_data_node`].
+    fn split_index_node(
         &self,
         node: IndexNode,
         page: PageId,
         forbid_time: bool,
+        ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         let comp = node.composition();
         let time_point = if forbid_time {
@@ -493,7 +507,7 @@ impl TsbTree {
 
         if use_time {
             let t = time_point.expect("checked above");
-            return self.execute_index_time_split(node, page, t);
+            return self.execute_index_time_split(node, page, t, ops);
         }
 
         match key_candidate {
@@ -501,10 +515,10 @@ impl TsbTree {
                 if time_point.is_none() && self.cfg.mark_recalcitrant_children {
                     self.mark_blocking_children(&node);
                 }
-                self.execute_index_key_split(node, page, split_key)
+                self.execute_index_key_split(node, page, split_key, ops)
             }
             None => match time_point {
-                Some(t) => self.execute_index_time_split(node, page, t),
+                Some(t) => self.execute_index_time_split(node, page, t, ops),
                 None => Err(TsbError::internal(
                     "index node can be neither key split nor time split",
                 )),
@@ -540,6 +554,7 @@ impl TsbTree {
         node: IndexNode,
         page: PageId,
         split_key: Key,
+        mut ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         if !node.key_range.strictly_contains(&split_key) {
             return Err(TsbError::internal(format!(
@@ -557,23 +572,16 @@ impl TsbTree {
         let right_page = self.allocate_page()?;
         self.note_structural_write();
 
-        let mut out = Vec::new();
-        out.extend(self.place_index_node(
-            left,
-            page,
-            Some(PageOp::IndexKeySplit {
-                split_key: split_key.clone(),
-                keep_low: true,
-            }),
-        )?);
-        out.extend(self.place_index_node(
-            right,
-            right_page,
-            Some(PageOp::IndexKeySplit {
-                split_key,
-                keep_low: false,
-            }),
-        )?);
+        ops.push(PageOp::IndexKeySplit {
+            split_key: split_key.clone(),
+            keep_low: true,
+        });
+        let right_ops = vec![PageOp::IndexKeySplit {
+            split_key,
+            keep_low: false,
+        }];
+        let mut out = self.place_index_node(left, page, ops)?;
+        out.extend(self.place_index_node(right, right_page, right_ops)?);
         Ok(out)
     }
 
@@ -585,6 +593,7 @@ impl TsbTree {
         node: IndexNode,
         page: PageId,
         t: Timestamp,
+        mut ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         let parts = partition_index_by_time(&node.to_entries(), t);
         if parts.historical.is_empty() {
@@ -615,31 +624,28 @@ impl TsbTree {
             parts.current,
         );
 
-        let op = PageOp::IndexTimeSplit { split_time: t };
+        ops.push(PageOp::IndexTimeSplit { split_time: t });
         let mut out = vec![hist_entry];
         if current.encoded_size() <= self.split_threshold() {
-            self.write_current_delta(page, Node::Index(current), vec![op])?;
+            self.write_current_delta(page, Node::Index(current), ops)?;
             out.push(IndexEntry::new(
                 node.key_range,
                 TimeRange::new(t, node.time_range.hi),
                 NodeAddr::Current(page),
             ));
         } else {
-            if self.pending_ops_allowed(page) {
-                self.wal_append_ops(page, vec![op])?;
-            }
-            out.extend(self.split_index_node(current, page, !shrank)?);
+            out.extend(self.split_index_node(current, page, !shrank, ops)?);
         }
         Ok(out)
     }
 
-    /// Writes an index node to `page`, splitting further if needed. `op`
+    /// Writes an index node to `page`, splitting further if needed. `ops`
     /// as in [`Self::place_data_node`].
     fn place_index_node(
         &self,
         node: IndexNode,
         page: PageId,
-        op: Option<PageOp>,
+        ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         if node.encoded_size() <= self.split_threshold() {
             let entry = IndexEntry::new(
@@ -647,15 +653,10 @@ impl TsbTree {
                 node.time_range,
                 NodeAddr::Current(page),
             );
-            self.write_current_delta(page, Node::Index(node), op.into_iter().collect())?;
+            self.write_current_delta(page, Node::Index(node), ops)?;
             Ok(vec![entry])
         } else {
-            if let Some(op) = op {
-                if self.pending_ops_allowed(page) {
-                    self.wal_append_ops(page, vec![op])?;
-                }
-            }
-            self.split_index_node(node, page, false)
+            self.split_index_node(node, page, false, ops)
         }
     }
 }

@@ -11,8 +11,8 @@
 //! * `node_io` — how a node travels between the caches and the devices,
 //!   and the metadata encoding the log's fences carry,
 //! * `durability` — the write-ahead-log half of the write path: a tree's
-//!   seat on a log it may share with other shards, fences, the phantom
-//!   quarantine, commit acknowledgement,
+//!   seat on a log it may share with other shards, fences, commit
+//!   acknowledgement,
 //! * `replay` — how a logged page record re-applies to a page: the page
 //!   rule,
 //! * `recover` — what the log means on reopen: the fence rule, the replay

@@ -85,22 +85,24 @@ impl TsbTree {
         self.decode_node_at(addr)
     }
 
-    /// Installs the newest version of a current node after a **structural**
-    /// rewrite (split piece, migration survivor, root growth, node
+    /// Installs a current node no delta chain describes (root growth, node
     /// initialization, wholesale repair): the redo log always receives the
-    /// full page image. Content-only rewrites should use
-    /// [`Self::write_current_delta`] instead.
+    /// full page image. Every other rewrite uses
+    /// [`Self::write_current_delta`].
     pub(crate) fn write_current(&self, page: PageId, node: Node) -> TsbResult<()> {
         self.write_current_inner(page, node, Vec::new())
     }
 
-    /// Installs the newest version of a current node after a
-    /// **content-only** rewrite fully described by `ops` (the logical redo
-    /// deltas that turn the node's previous state into `node`). The first
-    /// dirtying of the page per checkpoint interval still logs the full
-    /// image (the replay base); every later call logs only `ops` — tens of
-    /// bytes instead of a page. `ops` may be empty when nothing would
-    /// consume them (see [`Self::logs_deltas`]).
+    /// Installs the newest version of a current node whose change is fully
+    /// described by `ops`: the page's delta chain, the logical redo deltas
+    /// that turn the page's logged (and cached) state into `node` — one
+    /// content op, or a split's ops appended to the mutation's. This write
+    /// is the page's only log record of the mutation, so a mutation that
+    /// fails before it logs nothing for the page. The first dirtying of the
+    /// page per checkpoint interval still logs the full image (the replay
+    /// base); every later call logs only `ops` — tens of bytes instead of a
+    /// page. `ops` may be empty when nothing would consume them (see
+    /// [`Self::logs_deltas`]).
     pub(crate) fn write_current_delta(
         &self,
         page: PageId,
@@ -147,34 +149,20 @@ impl TsbTree {
                 d.pages.record(page, lsn);
             } else {
                 // Caller contract, cross-checked in debug builds: the ops
-                // must derive `node` from the page's logged state. Checked
-                // only for pure content ops — there the logged state *is*
-                // the cached prior node; a split survivor's ops instead
-                // build on pending deltas logged mid-mutation
-                // ([`Self::wal_append_ops`]), which the cache never held.
+                // must derive `node` from the page's logged state, which is
+                // the cached prior node — a page's chain reaches the log
+                // only here, so nothing logged lies between the two.
                 #[cfg(debug_assertions)]
-                {
-                    let content_only = ops.iter().all(|op| {
-                        matches!(
-                            op,
-                            PageOp::InsertVersion(_)
-                                | PageOp::RemoveUncommitted { .. }
-                                | PageOp::IndexReplaceChild { .. }
-                        )
-                    });
-                    if content_only {
-                        if let Ok(prior) = self.read_node(NodeAddr::Current(page)) {
-                            let mut derived = ReplayPage::Decoded(Node::clone(&prior));
-                            let applied = ops.iter().try_for_each(|op| derived.apply(op));
-                            if let (Ok(()), ReplayPage::Decoded(derived)) = (applied, derived) {
-                                debug_assert_eq!(
-                                    derived, node,
-                                    "WAL delta contract violated for page {page}: the \
-                                     logged ops do not derive the installed node from \
-                                     its prior state"
-                                );
-                            }
-                        }
+                if let Ok(prior) = self.read_node(NodeAddr::Current(page)) {
+                    let mut derived = ReplayPage::Decoded(Node::clone(&prior));
+                    let applied = ops.iter().try_for_each(|op| derived.apply(op));
+                    if let (Ok(()), ReplayPage::Decoded(derived)) = (applied, derived) {
+                        debug_assert_eq!(
+                            derived, node,
+                            "WAL delta contract violated for page {page}: the \
+                             logged ops do not derive the installed node from \
+                             its prior state"
+                        );
                     }
                 }
                 for op in ops {

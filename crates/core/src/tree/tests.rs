@@ -5,11 +5,12 @@
 
 use std::sync::Arc;
 
-use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig};
-use tsb_storage::{IoStats, MagneticStore, PageId, PageOp, Wal, WalRecord, WormStore};
+use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig, TsbError};
+use tsb_storage::{IoStats, MagneticStore, PageId, Wal, WalRecord, WormStore};
 
 use super::TsbTree;
 use crate::node::Node;
+use crate::EngineHandle;
 
 struct TempDir(std::path::PathBuf);
 
@@ -131,63 +132,79 @@ fn recovery_erases_in_flight_transactions() {
     tree.verify().unwrap();
 }
 
+/// 3 000 bytes: at the default page size a key's live value and its
+/// pending transaction write of this size never share a leaf.
+fn big(fill: u8) -> Vec<u8> {
+    vec![fill; 3_000]
+}
+
+/// Neither a key's pending write nor its live value ever leaves its leaf,
+/// so a write that leaves the two more than a leaf holds is refused before
+/// anything is logged or migrated — whichever of the two came first — and
+/// the tree keeps serving.
 #[test]
-fn phantom_deltas_from_a_failed_mutation_never_reach_recovery() {
-    // A split can log its triggering delta as a *pending* record and
-    // then fail in pure planning or allocation — before any structural
-    // write, so the tree is not poisoned and keeps serving. Those
-    // deltas describe state the mutation rolled back; the next
-    // successful fence must supersede them with a corrective full
-    // image, or recovery would replay a change the caller was told
-    // failed. This drives the quarantine machinery directly (the
-    // failure window itself needs ENOSPC-grade faults to reach).
-    let dir = TempDir::new("wal-phantom");
-    let cfg = TsbConfig::small_pages();
-    {
-        let tree = crate::TsbOptions::durable(&dir.0)
-            .config(cfg.clone())
-            .open_tree()
-            .unwrap();
-        tree.insert_shared(1u64, b"real".to_vec()).unwrap();
-        let page = tree.root_addr().as_page().expect("root is a leaf page");
-        assert!(tree.pending_ops_allowed(page), "leaf has a delta base");
-        // The failed mutation: a pending delta lands in the log…
-        tree.wal_append_ops(
-            page,
-            vec![PageOp::InsertVersion(tsb_common::Version::committed(
-                99u64,
-                Timestamp(77),
-                b"phantom".to_vec(),
-            ))],
-        )
-        .unwrap();
-        // …then the split dies without a structural write.
-        tree.quarantine_pending_deltas();
-        assert!(
-            !tree.pending_ops_allowed(page),
-            "a quarantined page loses its delta base"
-        );
-        // The next successful mutation fences; its corrective image
-        // must win over the phantom at replay.
-        tree.insert_shared(2u64, b"after".to_vec()).unwrap();
+fn a_write_no_leaf_can_hold_is_refused_before_anything_is_logged() {
+    for pending_first in [false, true] {
+        let dir = TempDir::new("pinned-tree");
+        {
+            let mut tree = crate::TsbOptions::durable(&dir.0).open_tree().unwrap();
+            tree.insert(1u64, b"neighbour".to_vec()).unwrap();
+            let txn = tree.begin_txn();
+            if pending_first {
+                tree.txn_insert(txn, 7u64, big(1)).unwrap();
+            } else {
+                tree.insert(7u64, big(1)).unwrap();
+            }
+            let before = tree.io_stats().snapshot();
+            let refused = if pending_first {
+                tree.insert(7u64, big(2)).map(drop)
+            } else {
+                tree.txn_insert(txn, 7u64, big(2))
+            };
+            assert!(
+                matches!(refused, Err(TsbError::EntryTooLarge { .. })),
+                "{refused:?}"
+            );
+            let spent = tree.io_stats().snapshot().delta_since(&before);
+            assert_eq!((spent.wal_appends, spent.worm_appends), (0, 0));
+            tree.insert(8u64, b"next".to_vec()).unwrap();
+        }
+        let tree = crate::TsbOptions::durable(&dir.0).open_tree().unwrap();
+        tree.verify().unwrap();
     }
-    let tree = crate::TsbOptions::durable(&dir.0)
-        .config(cfg)
-        .open_tree()
-        .unwrap();
-    tree.verify().unwrap();
-    assert!(
-        tree.get_current(&Key::from_u64(99)).unwrap().is_none(),
-        "the phantom version must not survive recovery"
-    );
-    assert_eq!(
-        tree.get_current(&Key::from_u64(1)).unwrap().unwrap(),
-        b"real".to_vec()
-    );
-    assert_eq!(
-        tree.get_current(&Key::from_u64(2)).unwrap().unwrap(),
-        b"after".to_vec()
-    );
+}
+
+#[test]
+fn a_write_no_leaf_can_hold_is_refused_before_anything_is_logged_through_a_sharded_engine() {
+    for pending_first in [false, true] {
+        let dir = TempDir::new("pinned-sharded");
+        let key = Key::from_u64(7);
+        {
+            let db = crate::TsbOptions::durable(&dir.0).shards(2).open().unwrap();
+            db.insert(Key::from_u64(1), b"neighbour".to_vec()).unwrap();
+            let txn = db.begin_txn().unwrap();
+            if pending_first {
+                db.txn_insert(txn, key.clone(), big(1)).unwrap();
+            } else {
+                db.insert(key.clone(), big(1)).unwrap();
+            }
+            let before = db.io_snapshot();
+            let refused = if pending_first {
+                db.insert(key.clone(), big(2)).map(drop)
+            } else {
+                db.txn_insert(txn, key.clone(), big(2))
+            };
+            assert!(
+                matches!(refused, Err(TsbError::EntryTooLarge { .. })),
+                "{refused:?}"
+            );
+            let spent = db.io_snapshot().delta_since(&before);
+            assert_eq!((spent.wal_appends, spent.worm_appends), (0, 0));
+            db.insert(key, b"next".to_vec()).unwrap();
+        }
+        let db = crate::TsbOptions::durable(&dir.0).shards(2).open().unwrap();
+        db.verify().unwrap();
+    }
 }
 
 #[test]

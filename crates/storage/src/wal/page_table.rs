@@ -15,8 +15,11 @@ use crate::page::PageId;
 /// The dirty-page table backing the **WAL-before-page** invariant.
 ///
 /// Before a dirty page may be written back to the magnetic store, the
-/// page's newest image must already be in the WAL. The tree records every
-/// `PageImage` append here ([`record`](Self::record)); its one device
+/// page's newest state must already be in the WAL. The tree logs a page
+/// only with the write that installs it — a full image on the page's
+/// first touch of the interval ([`first_touch`](Self::first_touch)), the
+/// delta chain deriving the new node otherwise — and records each append
+/// here ([`record`](Self::record)); its one device
 /// write-back site — shared by the decoded-node cache's overflow drain
 /// and the tree's flush — runs the full barrier
 /// ([`ensure_durable`](Self::ensure_durable)): a coverage `debug_assert`
@@ -32,18 +35,16 @@ use crate::page::PageId;
 /// mutation, and recovery discards the records of a shard that no fence
 /// of *that shard* covers. The table holds one shard's pages; the fence is
 /// the caller's to track, because only the caller reads what a fence
-/// names. The tree's metadata
-/// page never passes through it: recovery rebuilds the metadata from
-/// fence records, never from the page.
+/// names.
 #[derive(Debug, Default)]
 pub struct WalPageTable {
     /// page -> LSN of the page's newest logged record (image or delta).
     pages: Mutex<HashMap<u64, Lsn>>,
     /// Pages whose full image was logged in the current checkpoint
-    /// interval (log generation) — the **first-touch** set. A content-only
-    /// rewrite of a page in this set may log a delta; a page outside it
-    /// must log its full image first, so replay always has an in-log base
-    /// for every delta. Cleared by [`begin_interval`](Self::begin_interval)
+    /// interval (log generation) — the **first-touch** set. A write of a
+    /// page in this set may log its delta chain; a page outside it must
+    /// log its full image first, so replay always has an in-log base for
+    /// every delta. Cleared by [`begin_interval`](Self::begin_interval)
     /// when a checkpoint resets the log.
     imaged: Mutex<HashSet<u64>>,
 }
@@ -81,30 +82,12 @@ impl WalPageTable {
         self.imaged.lock().insert(page.0)
     }
 
-    /// Whether `page` already has an image (a delta base) in the current
-    /// checkpoint interval, without marking anything. Callers about to log
-    /// standalone deltas (mid-split pending ops) consult this: a page with
-    /// no base skips the delta entirely — its next full write will log an
-    /// image that subsumes it.
-    pub fn is_imaged(&self, page: PageId) -> bool {
-        self.imaged.lock().contains(&page.0)
-    }
-
     /// Drops everything known about `page`. Called when the page is
     /// (re)allocated: a recycled page's old image is not a base for its
     /// new life — content landing on it must log a fresh full image.
     pub fn forget(&self, page: PageId) {
         self.imaged.lock().remove(&page.0);
         self.pages.lock().remove(&page.0);
-    }
-
-    /// Revokes `page`'s delta base without touching its write-back
-    /// coverage: the page's next logged record must be a full image.
-    /// Called when a failed mutation left pending deltas in the log that
-    /// no longer describe the page's real state (see the tree's phantom
-    /// quarantine in `wal_commit`).
-    pub fn unimage(&self, page: PageId) {
-        self.imaged.lock().remove(&page.0);
     }
 
     /// Starts a fresh checkpoint interval after the log was reset: every

@@ -183,21 +183,25 @@ fn mutation_group_coalesces_into_one_file_write() {
 #[test]
 fn page_table_first_touch_and_interval_reset() {
     let table = WalPageTable::new();
-    assert!(!table.is_imaged(PageId(3)));
     assert!(table.first_touch(PageId(3)), "first touch logs the image");
     assert!(!table.first_touch(PageId(3)), "second touch logs deltas");
-    assert!(table.is_imaged(PageId(3)));
     table.record(PageId(3), 9);
     // A checkpoint resets the interval: bases and coverage are gone.
     table.begin_interval();
-    assert!(!table.is_imaged(PageId(3)));
     assert!(!table.is_covered(PageId(3)));
-    // Reallocation forgets a page's base entirely.
-    assert!(table.first_touch(PageId(3)));
+    assert!(
+        table.first_touch(PageId(3)),
+        "a new interval logs the image again"
+    );
     table.record(PageId(3), 12);
+    // Reallocation forgets a page's base and coverage entirely.
     table.forget(PageId(3));
-    assert!(!table.is_imaged(PageId(3)));
     assert!(!table.is_covered(PageId(3)));
+    assert!(
+        table.first_touch(PageId(3)),
+        "a recycled page logs its image"
+    );
+    assert!(!table.first_touch(PageId(3)));
 }
 
 #[test]

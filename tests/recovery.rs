@@ -734,6 +734,131 @@ fn steady_state_wal_bytes_per_op_stays_within_budget() {
     );
 }
 
+// ---------- the log's bytes are pinned ----------------------------------------
+
+/// One step of a log-pin workload.
+enum PinStep {
+    Put(u64, Vec<u8>),
+    Delete(u64),
+    /// A transaction's writes (`None` deletes the key), then commit (`true`)
+    /// or abort.
+    Txn(Vec<(u64, Option<Vec<u8>>)>, bool),
+    Checkpoint,
+}
+
+/// `ops` deterministic steps over 300 keys: puts of 8–47-byte values, a
+/// delete every 7th step, a three-write transaction every 10th (one in
+/// five of them aborted), and one checkpoint half-way.
+fn pin_steps(seed: u64, ops: usize) -> Vec<PinStep> {
+    let mut state = seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let value = |i: usize, r: u64| -> Vec<u8> {
+        let len = 8 + (r % 40) as usize;
+        (0..len).map(|j| (i + j) as u8).collect()
+    };
+    (0..ops)
+        .map(|i| {
+            if i == ops / 2 {
+                PinStep::Checkpoint
+            } else if i % 10 == 9 {
+                let writes = (0..3)
+                    .map(|w| {
+                        let r = next();
+                        let write = (w < 2 || i % 20 != 19).then(|| value(i, r >> 16));
+                        (r % 300, write)
+                    })
+                    .collect();
+                PinStep::Txn(writes, i % 50 != 49)
+            } else if i % 7 == 6 {
+                PinStep::Delete(next() % 300)
+            } else {
+                let r = next();
+                PinStep::Put(r % 300, value(i, r >> 16))
+            }
+        })
+        .collect()
+}
+
+fn drive_pin_steps(db: &ShardedTsb, steps: &[PinStep]) {
+    for step in steps {
+        match step {
+            PinStep::Put(k, v) => {
+                db.insert(Key::from_u64(*k), v.clone()).unwrap();
+            }
+            PinStep::Delete(k) => {
+                db.delete(Key::from_u64(*k)).unwrap();
+            }
+            PinStep::Txn(writes, commit) => {
+                let txn = db.begin_txn().unwrap();
+                for (k, v) in writes {
+                    match v {
+                        Some(v) => db.txn_insert(txn, Key::from_u64(*k), v.clone()),
+                        None => db.txn_delete(txn, Key::from_u64(*k)),
+                    }
+                    .unwrap();
+                }
+                if *commit {
+                    db.commit_txn(txn).unwrap();
+                } else {
+                    db.abort_txn(txn).unwrap();
+                }
+            }
+            PinStep::Checkpoint => db.checkpoint().unwrap(),
+        }
+    }
+}
+
+/// The redo log's bytes are pinned: five deterministic workloads — four
+/// split policies on one shard, the default policy on four — each leave a
+/// `redo.wal` whose CRC-32 and length must equal the constants below. A
+/// change to what the write path logs, or in what order, fails here even
+/// when every replay still agrees. A deliberate format change re-pins the
+/// constants (the failure prints the new ones).
+#[test]
+fn the_redo_log_bytes_match_their_pins() {
+    const PINS: [(&str, u32, u64); 5] = [
+        ("threshold", 0x58C9FCC9, 357_947),
+        ("key-only", 0x070E4567, 341_947),
+        ("time-preferring", 0x7EB9B75B, 367_021),
+        ("wobt-like", 0xC1AA5B6D, 369_388),
+        ("four-shards", 0x278B2788, 388_604),
+    ];
+    let small = || TsbConfig::small_pages().with_fsync_policy(FsyncPolicy::Os);
+    let one_shard = |policy| (small().with_split_policy(policy), 1);
+    let runs = [
+        one_shard(SplitPolicyKind::Threshold {
+            key_split_live_fraction: 0.6,
+        }),
+        one_shard(SplitPolicyKind::KeyOnly),
+        one_shard(SplitPolicyKind::TimePreferring),
+        one_shard(SplitPolicyKind::WobtLike),
+        (small(), 4),
+    ];
+    let mut got = Vec::new();
+    for (((name, ..), (cfg, shards)), seed) in PINS.iter().zip(runs).zip(1u64..) {
+        let dir = TempDir::new(&format!("log-pin-{name}"));
+        {
+            let db = tsb_core::TsbOptions::durable(&dir.0)
+                .config(cfg)
+                .shards(shards)
+                .open()
+                .unwrap();
+            drive_pin_steps(&db, &pin_steps(seed, 2_000));
+        }
+        let log = std::fs::read(dir.path("redo.wal")).unwrap();
+        got.push((*name, tsb_common::checksum::crc32(&log), log.len() as u64));
+    }
+    assert_eq!(
+        got, PINS,
+        "the redo log's bytes changed; a deliberate format change re-pins these"
+    );
+}
+
 // ---------- property: acknowledged commits survive committer crashes ---------
 
 proptest! {
