@@ -178,17 +178,13 @@ fn cross_shard_rounds(scale: Scale, floor: Duration) -> Table {
         "E14b: cross-shard commit — one fence on the shared log vs participant count",
         format!(
             "one writer, {SHARDS} shards, fsync Always, {commits} transactions per row, each \
-             writing one 48B value on each of P shards; only `commit_txn` is timed; the \
+             writing one 48B value on each of P shards; only `commit_txn` is timed, but \
+             fsyncs count the whole transaction: its writes wait for nothing, and the \
              commit is one fence naming every participant, forced once whatever P; \
              'floors/commit' = us/commit over the calibrated fsync floor {:.0}us",
             floor.as_secs_f64() * 1e6
         ),
-        &[
-            "participants",
-            "us/commit",
-            "fsyncs/commit",
-            "floors/commit",
-        ],
+        &["participants", "us/commit", "fsyncs/txn", "floors/commit"],
     );
     for participants in [2usize, 3, 4] {
         let dir = TempDir::new(&format!("rounds-{participants}p"));
@@ -212,12 +208,12 @@ fn cross_shard_rounds(scale: Scale, floor: Duration) -> Table {
         let mut in_commit = Duration::ZERO;
         let mut fsyncs = 0;
         for _ in 0..commits {
+            let before = db.io_snapshot().wal_syncs;
             let txn = db.begin_txn().expect("begin");
             for key in &keys {
                 db.txn_insert(txn, key.clone(), vec![7u8; 48])
                     .expect("txn insert");
             }
-            let before = db.io_snapshot().wal_syncs;
             let start = Instant::now();
             db.commit_txn(txn).expect("cross-shard commit");
             in_commit += start.elapsed();
@@ -262,7 +258,8 @@ mod tests {
             assert_eq!(group[0][4], "1.00x");
         }
         // E14b: one row per participant count, each forcing exactly once
-        // per commit (one writer, so nothing else shares a sync).
+        // per transaction, writes included (one writer, so nothing else
+        // shares a sync).
         assert_eq!(tables[1].rows.len(), 3);
         for (row, participants) in tables[1].rows.iter().zip([2u32, 3, 4]) {
             assert_eq!(row[0], participants.to_string());

@@ -528,7 +528,10 @@ impl TsbClient {
         }
     }
 
-    /// Buffers a write inside `txn` (`None` = delete).
+    /// Buffers a write inside `txn` (`None` = delete). The reply means
+    /// applied, not durable: [`Self::txn_commit`]'s ack is the
+    /// transaction's one durability point, and a crash before it erases
+    /// the write.
     pub fn txn_write(
         &mut self,
         txn: TxnId,
@@ -551,7 +554,9 @@ impl TsbClient {
         committed(self.wait_for_by(id, deadline)?)
     }
 
-    /// Aborts `txn`.
+    /// Aborts `txn`. Like [`Self::txn_write`], the reply means applied,
+    /// not durable: an abort a crash loses is redone by recovery, which
+    /// erases every write no durable commit covers.
     pub fn txn_abort(&mut self, txn: TxnId) -> TsbResult<()> {
         let deadline = self.op_deadline();
         let id = self.send(&Request::TxnAbort { txn })?;

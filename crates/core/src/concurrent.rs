@@ -141,23 +141,20 @@ impl Shard {
         guard
     }
 
-    /// Runs the mutation `f` under the writer lock and advances the fence
-    /// to its commit timestamp once it has fully installed. `f` returns,
-    /// beside its value, the log position the caller must wait on (the
+    /// Runs the commit `f` under the writer lock and advances the fence to
+    /// its commit timestamp once it has fully installed. `f` returns,
+    /// beside that timestamp, the log position the caller must wait on (the
     /// tree's `wait_durable_lsn`) before acknowledging the write, `None`
     /// when the write owes no wait; the wait itself runs outside the lock,
     /// so the next writer's mutation overlaps this one's device sync.
-    pub(crate) fn write<T>(
+    pub(crate) fn write(
         &self,
-        f: impl FnOnce(&TsbTree) -> TsbResult<(T, Option<Lsn>)>,
-        commit_ts: impl FnOnce(&T) -> Option<Timestamp>,
-    ) -> TsbResult<(T, Option<Lsn>)> {
+        f: impl FnOnce(&TsbTree) -> TsbResult<(Timestamp, Option<Lsn>)>,
+    ) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let _writer = self.lock_writer();
-        let (out, wait) = f(&self.tree)?;
-        if let Some(ts) = commit_ts(&out) {
-            self.advance_fence(ts);
-        }
-        Ok((out, wait))
+        let (ts, wait) = f(&self.tree)?;
+        self.advance_fence(ts);
+        Ok((ts, wait))
     }
 
     /// Runs the read-only tree operation `op` with seqlock validation: it
@@ -409,7 +406,7 @@ mod tests {
         let tree = TsbTree::new_in_memory_with_clock(TsbConfig::small_pages(), clock).unwrap();
         let shard = Shard::from_tree(tree);
         let (ts, _) = shard
-            .write(|t| t.insert_shared(key(1), b"v".to_vec()), |ts| Some(*ts))
+            .write(|t| t.insert_shared(key(1), b"v".to_vec()))
             .unwrap();
         assert_eq!(shard.last_installed(), ts);
         let tree = shard.into_tree();

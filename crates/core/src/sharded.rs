@@ -74,6 +74,12 @@
 //! the stamps and the append keeps a checkpoint (which takes every lock)
 //! and a pinned snapshot from landing between them.
 //!
+//! The commit's wait is the transaction's only one: a `txn_insert`,
+//! `txn_delete` or `abort_txn` returns once applied under its shard's
+//! writer lock. Its version carries no timestamp and the commit's fence
+//! follows it on the one log, so until that fence is durable a crash
+//! erases it, even if another force carried it to disk.
+//!
 //! ## Replicas
 //!
 //! A replica is a `ShardedTsb` too, whose one writer is the log applier
@@ -462,18 +468,6 @@ impl ShardedTsb {
         Ok(out)
     }
 
-    /// Runs a transaction write or abort on `shard`, then parks on the
-    /// durable wait it owes, outside the shard's writer lock.
-    fn txn_write(
-        &self,
-        shard: usize,
-        f: impl FnOnce(&TsbTree) -> TsbResult<Option<Lsn>>,
-    ) -> TsbResult<()> {
-        let db = &self.inner.shards[shard];
-        let ((), wait) = db.write(|t| Ok(((), f(t)?)), |_| None)?;
-        db.tree().wait_durable_lsn(wait)
-    }
-
     // ----- snapshots and the fence ----------------------------------------
 
     /// Begins a read-only transaction pinned at one global fence
@@ -552,7 +546,7 @@ impl EngineHandle for ShardedTsb {
         self.writable()?;
         let shard = self.shard_of(&key);
         let insert = |t: &TsbTree| t.insert_shared(key, value);
-        let (ts, lsn) = self.inner.shards[shard].write(insert, |ts| Some(*ts))?;
+        let (ts, lsn) = self.inner.shards[shard].write(insert)?;
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
@@ -560,7 +554,7 @@ impl EngineHandle for ShardedTsb {
         self.writable()?;
         let shard = self.shard_of(&key);
         let delete = |t: &TsbTree| t.delete_shared(key);
-        let (ts, lsn) = self.inner.shards[shard].write(delete, |ts| Some(*ts))?;
+        let (ts, lsn) = self.inner.shards[shard].write(delete)?;
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
@@ -605,14 +599,18 @@ impl EngineHandle for ShardedTsb {
         self.writable()?;
         let shard = self.shard_of(&key);
         let local = self.local_txn(txn, shard)?;
-        self.txn_write(shard, |t| t.txn_insert_shared(local, key, value))
+        let db = &self.inner.shards[shard];
+        let _writer = db.lock_writer();
+        db.tree().txn_insert_shared(local, key, value)
     }
 
     fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
         self.writable()?;
         let shard = self.shard_of(&key);
         let local = self.local_txn(txn, shard)?;
-        self.txn_write(shard, |t| t.txn_delete_shared(local, key))
+        let db = &self.inner.shards[shard];
+        let _writer = db.lock_writer();
+        db.tree().txn_delete_shared(local, key)
     }
 
     /// The transaction's own pending write when it touched the key's
@@ -648,7 +646,7 @@ impl EngineHandle for ShardedTsb {
             [] => Ok((self.inner.clock.tick(), None)),
             [(shard, local)] => {
                 let commit = |t: &TsbTree| t.commit_txn_shared(*local);
-                let (ts, lsn) = self.inner.shards[*shard].write(commit, |ts| Some(*ts))?;
+                let (ts, lsn) = self.inner.shards[*shard].write(commit)?;
                 Ok((ts, lsn.map(|l| (*shard, l))))
             }
             _ => self.commit_cross_shard(&parts),
@@ -658,13 +656,15 @@ impl EngineHandle for ShardedTsb {
     /// Aborts on every participant, even past one whose abort fails: the
     /// transaction has left the table, so a participant skipped here would
     /// keep its local transaction, and its keys' write locks, until
-    /// restart. Returns the first failure.
+    /// restart. Returns the first failure, and waits for no sync: a lost
+    /// abort is redone by recovery's implicit abort.
     fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
         self.writable()?;
         let mut first = Ok(());
         for (shard, local) in self.take_participants(txn)? {
-            let aborted = self.txn_write(shard, |t| t.abort_txn_shared(local));
-            first = first.and(aborted);
+            let db = &self.inner.shards[shard];
+            let _writer = db.lock_writer();
+            first = first.and(db.tree().abort_txn_shared(local));
         }
         first
     }
@@ -1138,16 +1138,17 @@ mod tests {
     }
 
     /// A cross-shard commit is one fence on the one log, whatever its
-    /// participant count P: under `Always` a blocking commit with nothing
-    /// else pending costs exactly one fsync, and returns durable on every
-    /// participant; under `Os` it costs none.
+    /// participant count P, and its writes wait for nothing: under
+    /// `Always` the whole transaction — P writes and a blocking commit,
+    /// with nothing else pending — costs exactly one fsync, and returns
+    /// durable on every participant; under `Os` it costs none.
     #[test]
     fn a_cross_shard_commit_costs_at_most_one_sync_whatever_p() {
         for p in [2usize, 3, 4] {
             let dir = TempDir::new(&format!("one-fence-{p}"));
             let db = durable_engine(&dir, 4);
-            let txn = straddling_txn(&db, p);
             let before = db.io_snapshot().wal_syncs;
+            let txn = straddling_txn(&db, p);
             let ts = db.commit_txn(txn).unwrap();
             assert_eq!(db.io_snapshot().wal_syncs - before, 1, "{p} participants");
             assert_eq!(db.last_durable_commit(), Some(ts), "{p} participants");
@@ -1161,11 +1162,60 @@ mod tests {
             .shards(4)
             .open()
             .unwrap();
-        let txn = straddling_txn(&db, 4);
         let before = db.io_snapshot().wal_syncs;
+        let txn = straddling_txn(&db, 4);
         let (_, pos) = db.commit_txn_deferred(txn).unwrap();
         assert_eq!(pos, None, "`Os` hands out nothing to wait on");
         assert_eq!(db.io_snapshot().wal_syncs, before);
+    }
+
+    /// A transaction write returns before the log is forced, but the next
+    /// acknowledged put's force carries its page records to disk anyway.
+    /// Recovery's implicit abort erases it, at 1 and 4 shards: through two
+    /// reopens every key reads its pre-transaction value with no pending
+    /// version, and a new transaction writes the same keys and commits.
+    #[test]
+    fn recovery_erases_an_uncommitted_write_a_later_force_carried_to_disk() {
+        for n in [1usize, 4] {
+            let dir = TempDir::new(&format!("txn-erased-{n}"));
+            let keys: Vec<Key> = (0..16u64).map(Key::from_u64).collect();
+            let db = durable_engine(&dir, n);
+            for k in &keys {
+                db.insert(k.clone(), b"before".to_vec()).unwrap();
+            }
+            let txn = db.begin_txn().unwrap();
+            for k in &keys {
+                db.txn_insert(txn, k.clone(), b"pending".to_vec()).unwrap();
+            }
+            for shard in 0..n {
+                assert!(keys.iter().any(|k| db.shard_of(k) == shard));
+                let put = (100u64..)
+                    .map(Key::from_u64)
+                    .find(|k| db.shard_of(k) == shard);
+                db.insert(put.unwrap(), b"put".to_vec()).unwrap();
+            }
+            drop(db); // crash with the transaction open
+
+            for generation in 0..2 {
+                let db = durable_engine(&dir, n);
+                db.verify().unwrap();
+                for k in &keys {
+                    let at = format!("{n} shards, gen {generation}, key {k}");
+                    assert_eq!(db.get_current(k).unwrap(), Some(b"before".to_vec()), "{at}");
+                    let pending = db.shards()[db.shard_of(k)].read(|t| t.pending_version(k));
+                    assert_eq!(pending.unwrap(), None, "{at}");
+                }
+            }
+            let db = durable_engine(&dir, n);
+            let again = db.begin_txn().unwrap();
+            for k in &keys {
+                db.txn_insert(again, k.clone(), b"after".to_vec()).unwrap();
+            }
+            db.commit_txn(again).unwrap();
+            for k in &keys {
+                assert_eq!(db.get_current(k).unwrap(), Some(b"after".to_vec()));
+            }
+        }
     }
 
     /// An abort that fails on one participant still aborts every other:

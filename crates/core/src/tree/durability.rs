@@ -438,13 +438,14 @@ impl TsbTree {
     /// Asks the log for `lsn`, then parks until its durable watermark
     /// covers it — the acknowledgement half of a pipelined commit, run on
     /// the position a mutation returned (`None`: nothing owed). A `&mut`
-    /// verb waits at once, so `insert` returning under `Always` means the
-    /// commit is on stable storage; a shard waits after its writer lock
-    /// drops. A failed wait **poisons the tree**: the fence was appended
-    /// but can never become durable, so the in-memory state is permanently
-    /// ahead of the log. A position the log never handed out is refused
-    /// before that: nothing was appended there, so nothing is wrong with
-    /// the tree.
+    /// commit verb waits at once, so `insert` or `commit_txn` returning
+    /// under `Always` means the commit is on stable storage; a shard waits
+    /// after its writer lock drops. A transaction's writes and its abort
+    /// owe no wait: the commit's fence follows them on the one log. A
+    /// failed wait **poisons the tree**: the fence was appended but can
+    /// never become durable, so the in-memory state is permanently ahead
+    /// of the log. A position the log never handed out is refused before
+    /// that: nothing was appended there, so nothing is wrong with the tree.
     pub(crate) fn wait_durable_lsn(&self, lsn: Option<Lsn>) -> TsbResult<()> {
         let (Some(d), Some(lsn)) = (&self.durability, lsn) else {
             return Ok(());

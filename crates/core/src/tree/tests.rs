@@ -456,6 +456,31 @@ fn a_checkpoint_of_a_clean_tree_writes_no_page() {
     assert_eq!(second.wal_syncs, 1, "a checkpoint forces the log once");
 }
 
+/// A transaction's writes wait for nothing: the commit's fence follows
+/// them on the one log, so under `Always` four `txn_insert`s and their
+/// `commit_txn` cost one fsync, and the commit returns durable.
+#[test]
+fn a_transaction_on_one_tree_costs_one_sync() {
+    let dir = TempDir::new("txn-one-sync");
+    let mut tree = crate::TsbOptions::durable(&dir.0)
+        .fsync(FsyncPolicy::Always)
+        .open_tree()
+        .unwrap();
+    let before = tree.io_stats().snapshot().wal_syncs;
+    let txn = tree.begin_txn();
+    for k in 0..4u64 {
+        tree.txn_insert(txn, k, b"t".to_vec()).unwrap();
+    }
+    assert_eq!(
+        tree.io_stats().snapshot().wal_syncs,
+        before,
+        "a write synced"
+    );
+    let ts = tree.commit_txn(txn).unwrap();
+    assert_eq!(tree.io_stats().snapshot().wal_syncs - before, 1);
+    assert_eq!(tree.last_durable_commit(), Some(ts));
+}
+
 #[test]
 fn a_write_back_under_a_durable_fence_forces_nothing() {
     // A durable tree many times its node cache, under `Os`: no commit

@@ -143,40 +143,38 @@ impl TsbTree {
     /// Writes `key = value` within transaction `txn` (uncommitted until
     /// [`Self::commit_txn`]). Fails with [`TsbError::WriteConflict`] if
     /// another in-flight transaction already wrote this key.
+    ///
+    /// Returns once the write is applied, without waiting for the log: the
+    /// version carries no timestamp, so until [`Self::commit_txn`]'s fence
+    /// (which follows it on the one log) is durable, recovery erases it.
     pub fn txn_insert(&mut self, txn: TxnId, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<()> {
-        let wait = self.txn_insert_shared(txn, key, value)?;
-        self.wait_durable_lsn(wait)
+        self.txn_insert_shared(txn, key, value)
     }
 
-    /// [`Self::txn_insert`] against `&self` (externally serialized
-    /// writers); returns the position to wait on before acknowledging.
+    /// [`Self::txn_insert`] against `&self` (externally serialized writers).
     pub(crate) fn txn_insert_shared(
         &self,
         txn: TxnId,
         key: impl Into<Key>,
         value: Vec<u8>,
-    ) -> TsbResult<Option<Lsn>> {
+    ) -> TsbResult<()> {
         let key = key.into();
         self.txn_write(txn, Version::uncommitted(key, txn, value))
     }
 
-    /// Logically deletes `key` within transaction `txn`.
+    /// Logically deletes `key` within transaction `txn`; like
+    /// [`Self::txn_insert`], it waits for nothing.
     pub fn txn_delete(&mut self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
-        let wait = self.txn_delete_shared(txn, key)?;
-        self.wait_durable_lsn(wait)
+        self.txn_delete_shared(txn, key)
     }
 
     /// [`Self::txn_delete`] against `&self` (externally serialized writers).
-    pub(crate) fn txn_delete_shared(
-        &self,
-        txn: TxnId,
-        key: impl Into<Key>,
-    ) -> TsbResult<Option<Lsn>> {
+    pub(crate) fn txn_delete_shared(&self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
         let key = key.into();
         self.txn_write(txn, Version::uncommitted_tombstone(key, txn))
     }
 
-    fn txn_write(&self, txn: TxnId, version: Version) -> TsbResult<Option<Lsn>> {
+    fn txn_write(&self, txn: TxnId, version: Version) -> TsbResult<()> {
         if !self.txns.lock().is_active(txn) {
             return Err(TsbError::TxnNotActive(txn));
         }
@@ -190,9 +188,8 @@ impl TsbTree {
             }
         }
         let key = version.key.clone();
-        let wait = self.insert_version(version)?;
-        self.txns.lock().record_write(txn, key)?;
-        Ok(wait)
+        self.insert_version(version)?;
+        self.txns.lock().record_write(txn, key)
     }
 
     /// Reads `key` from inside transaction `txn`: the transaction's own
@@ -287,10 +284,10 @@ impl TsbTree {
 
     /// Aborts transaction `txn`: every uncommitted version it wrote is erased
     /// from the current store. (This erasure is exactly what the write-once
-    /// WOBT cannot do — §2.6, §5.)
+    /// WOBT cannot do — §2.6, §5.) Like a write, it waits for nothing:
+    /// an abort the log loses is redone by recovery's implicit abort.
     pub fn abort_txn(&mut self, txn: TxnId) -> TsbResult<()> {
-        let wait = self.abort_txn_shared(txn)?;
-        self.wait_durable_lsn(wait)
+        self.abort_txn_shared(txn)
     }
 
     /// [`Self::abort_txn`] against `&self` (externally serialized writers).
@@ -298,7 +295,7 @@ impl TsbTree {
     /// as [`Self::commit_txn_shared`]. (Uncommitted versions are invisible
     /// to reads anyway; the epoch guard protects diagnostic surfaces like
     /// `pending_version` from observing a half-erased transaction.)
-    pub(crate) fn abort_txn_shared(&self, txn: TxnId) -> TsbResult<Option<Lsn>> {
+    pub(crate) fn abort_txn_shared(&self, txn: TxnId) -> TsbResult<()> {
         let writes = self.txns.lock().finish(txn)?;
         if writes.len() > 1 {
             self.note_structural_write();
@@ -321,7 +318,7 @@ impl TsbTree {
             }
             Ok(())
         })()
-        .and_then(|()| self.wal_commit(self.clock.now().prev()));
+        .and_then(|()| self.wal_commit(self.clock.now().prev()).map(drop));
         self.settle_structure_after(result.is_err());
         result
     }

@@ -567,8 +567,9 @@ fn process_batch(
                 Err(e) => error_reply(&e),
             }),
             Request::TxnWrite { txn, key, value } => {
-                // Buffered txn writes carry no commit record, so the
-                // blocking call never parks on the watermark.
+                // A txn write never parks on the watermark: the version
+                // carries no timestamp, and the commit's fence follows it
+                // on the one log, so the commit's ack covers it.
                 let result = match value {
                     Some(v) => db.txn_insert(*txn, key.clone(), v.clone()),
                     None => db.txn_delete(*txn, key.clone()),

@@ -257,23 +257,22 @@ fn arbitrary_wal_crashes_inside_the_fence_stay_atomic() {
     }
 }
 
-/// A cross-shard commit over all four shards forces the log once. Under
-/// `Always` the four `txn_insert`s before it force once each, so counting
-/// from the armed injector the first transaction's forces are: inserts
-/// 1–4, then its commit fence 5 (the checkpoint inside it replaces the log
-/// without a group-commit force). Failing the k-th of them must leave the
-/// transaction atomic — and on the side of its fence that k says: a failed
-/// insert force means no fence was ever appended; a failed fence force
-/// leaves the fence appended but unforced, which the simulated power cut
-/// keeps; a failed force of the next transaction's first insert leaves
-/// that one aborted.
+/// A cross-shard commit over all four shards forces the log once, and its
+/// `txn_insert`s force nothing: they return once applied, and the commit's
+/// fence follows them on the one log. Counting from the armed injector,
+/// the forces are: 0, the first transaction's checkpoint, whose write-back
+/// barrier forces the log before the uncommitted leaves reach the device;
+/// then one per commit fence, 1 to `ROUNDS`. Failing the k-th must leave
+/// the transaction atomic, and on the side of its fence that k says: a
+/// failed checkpoint force means no fence was ever appended; a failed
+/// fence force leaves the fence appended but unforced, which the simulated
+/// power cut keeps.
 #[test]
 fn failing_any_one_force_of_a_cross_shard_commit_stays_atomic() {
-    const P: u64 = SHARDS as u64;
-    for k in 0..=P + 1 {
+    for k in 0..=ROUNDS {
         let expect = match k {
-            k if k == P => Expect::Committed,
-            _ => Expect::Aborted,
+            0 => Expect::Aborted,
+            _ => Expect::Committed,
         };
         assert!(
             run_crash(
@@ -286,6 +285,16 @@ fn failing_any_one_force_of_a_cross_shard_commit_stays_atomic() {
             "force {k} never happened"
         );
     }
+    assert!(
+        !run_crash(
+            "force-past",
+            CrashPoint::WalSync,
+            ROUNDS + 1,
+            SHARDS,
+            Expect::Either
+        ),
+        "a force beyond the checkpoint and the commit fences"
+    );
 }
 
 /// Every file under `dir`, by path, with its bytes.
