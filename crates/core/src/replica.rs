@@ -26,7 +26,7 @@
 //!   image it installs.
 //!   [`ShardedTsb::apply_batch`] appends shipped record bodies to the local
 //!   log (primary LSNs preserved, so restart is ordinary redo recovery),
-//!   stages each shard's page state in an in-memory overlay, and **installs
+//!   folds them through the one applier recovery uses, and **installs
 //!   only at fences**, after the local log is fsynced through them. Each
 //!   shard's install fence advances as its fences install, so scans and
 //!   as-of reads obey the primary's fence-pinned read rule at the
@@ -41,23 +41,23 @@
 //! 1. **WORM first.** Each shard's historical bytes are appended and
 //!    synced before any log record that references them — the same
 //!    history-before-fence rule the primary's WAL pre-sync hook enforces.
-//! 2. **Records append to the local log and stage in an overlay.** A
-//!    record belongs to the shard the log's tag names. Page images replace
-//!    the shard's staged entry; deltas apply to it (falling back to the
-//!    fenced overlay, then the device image, for pages whose first-touch
-//!    image predates this replica's log — the device equals the state at
-//!    the shard's last installed fence, so it is a valid delta base).
-//! 3. **A fence folds the staging area of each shard it names into that
-//!    shard's fenced overlay.** Only fenced state may ever reach the
-//!    device: records after a shard's last fence may yet be discarded by
-//!    the primary (a mutation a crash cut off, or one that failed part-way
-//!    and poisoned its tree, is never fenced). Every fence first passes
-//!    the fence rule (`tree/recover.rs`, the one recovery uses): a batch
-//!    is input from outside the process, and a fence referencing more
-//!    history than step 1 left on the device is refused as corruption
-//!    *before* it reaches the local log — the replica keeps serving its
-//!    installed fences, and a primary that ships the history on the next
-//!    poll heals it.
+//! 2. **Records stage, then append to the local log.** A page record
+//!    joins the stage of the shard the log's tag names: its records since
+//!    its last fence (after a restart, the stage recovery kept).
+//! 3. **A fence folds the stage of each shard it names into that shard's
+//!    fenced page states.** A page no fenced state holds starts from the
+//!    device, which equals the state at the shard's last installed fence
+//!    (its first-touch image may predate an install or this replica's
+//!    log). Only fenced state may ever reach the device: records
+//!    after a shard's last fence may yet be discarded by the primary (a
+//!    mutation a crash cut off, or one that failed part-way and poisoned
+//!    its tree, is never fenced). Every fence first passes the fence rule
+//!    (`tree/recover.rs`, the one recovery uses): a batch is input from
+//!    outside the process, and a fence referencing more history than step
+//!    1 left on the device is refused as corruption, naming the short
+//!    shard, *before* it reaches the local log — the replica keeps serving
+//!    its installed fences, and a primary that ships the history on the
+//!    next poll heals it.
 //! 4. **At batch end: fsync the local log, then install.** Installing a
 //!    fence before the local log is durable through it could leave a
 //!    restart's device holding page content its log never mentions. Each
@@ -66,8 +66,8 @@
 //!    multi-page state; the shard's install fence advances last. A
 //!    cross-shard commit is one fence, so a read pinned at the engine's
 //!    `last_installed` sees it on every participant or on none.
-//! 5. **A primary checkpoint record is applied inline**: staging is
-//!    discarded (unfenced, step 3), pending fences install, the devices
+//! 5. **A primary checkpoint record is applied inline**: every shard's
+//!    stage is discarded (unfenced, step 3), pending fences install, the devices
 //!    are synced to exactly the checkpointed state, and only then is the
 //!    checkpoint appended (and synced) locally — making it a sound base
 //!    for the replica's own restart recovery, which replays from the
@@ -80,7 +80,6 @@
 //! [`ShippedBatch::needs_rebase`] tells it to re-bootstrap from a fresh
 //! base image.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,7 +87,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use tsb_common::{LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult};
+use tsb_common::{LogicalClock, TsbConfig, TsbError, TsbResult};
 use tsb_storage::{Lsn, PageId, TailPoll, WalRecord, WalTailer};
 
 use crate::concurrent::Shard;
@@ -96,10 +95,8 @@ use crate::engine::EngineHandle;
 use crate::node::NodeAddr;
 use crate::sharded::{existing_layout, relayout, ShardedTsb};
 use crate::tree::durability::checkpoint_log;
-use crate::tree::recover::{
-    fence_past_device, fence_rule, fence_worm_lens, DurableFiles, FenceReading, FenceState,
-};
-use crate::tree::replay::{apply_page_record, ReplayPage};
+use crate::tree::recover::{fence_past_device, fence_worm_lens, DurableFiles, FenceReading};
+use crate::tree::replay::{Applier, ReplayPage};
 use crate::tree::TsbTree;
 use crate::txn::TxnTable;
 
@@ -303,20 +300,9 @@ impl ReplicationSource {
 /// [`ReplicationSource::base`] over the trees of one log, in shard order.
 fn capture_base(trees: &[&TsbTree]) -> TsbResult<ReplicaBase> {
     let first = trees.first().ok_or_else(not_serving)?;
-    let wal = first
-        .wal_handle()
+    let checkpoint = checkpoint_log(trees)?
         .ok_or_else(|| TsbError::config("replication requires a durable (WAL-attached) primary"))?;
-    checkpoint_log(trees)?;
-    let checkpoint_lsn = wal.last_lsn();
-    let mut tailer = WalTailer::new(wal.path());
-    let checkpoint = match tailer.poll(checkpoint_lsn - 1, checkpoint_lsn, usize::MAX)? {
-        TailPoll::Batch { mut records, .. } if records.len() == 1 => records.remove(0),
-        _ => {
-            return Err(TsbError::internal(
-                "the just-written checkpoint fence is not the log's sole record",
-            ))
-        }
-    };
+    let (checkpoint_lsn, _) = WalRecord::decode_body(&checkpoint)?;
     let shards = trees
         .iter()
         .map(|tree| {
@@ -350,34 +336,14 @@ pub(crate) struct Replica {
     dir: PathBuf,
     /// Cleared by [`ShardedTsb::promote`]: the engine is a primary since.
     applying: AtomicBool,
-    /// `None` while awaiting a base, and once promoted. One applier at a
-    /// time; readers never touch it.
+    /// `None` while awaiting a base, and once promoted: the applier
+    /// recovery replayed the local log with, applying the stream since.
+    /// One applier at a time; readers never touch it.
     apply: Mutex<Option<Applier>>,
     applied_lsn: AtomicU64,
     source_durable: AtomicU64,
     /// When the replica last made progress (applied or caught-up batch).
     last_progress: Mutex<Instant>,
-}
-
-/// What the applier carries between batches, one entry per shard.
-struct Applier {
-    /// Page states from records after the shard's newest seen fence. May
-    /// yet be discarded (step 3 of the module docs); never reaches the
-    /// device.
-    staged: Vec<HashMap<PageId, ReplayPage>>,
-    /// Page states as of the shard's newest seen fence, awaiting install.
-    fenced: Vec<HashMap<PageId, ReplayPage>>,
-    /// The state of the shard's newest seen fence — what a shipped commit
-    /// with elided metadata inherits from.
-    chain: Vec<FenceState>,
-    /// The shard's newest seen, not yet installed fence: its LSN, state
-    /// and commit time (none for a checkpoint). Installs fold, so only
-    /// the newest matters.
-    pending: Vec<Option<(Lsn, FenceState, Option<Timestamp>)>>,
-    /// The shard the local log's tag names after its newest record.
-    tag: u32,
-    /// LSN of the newest record in the local log: the resume cursor.
-    last_lsn: Lsn,
 }
 
 impl Replica {
@@ -395,7 +361,7 @@ impl Replica {
     pub(crate) fn status(&self, serving: bool) -> ReplicaStatus {
         let applied_lsn = self.applied_lsn();
         let apply = self.apply.lock();
-        let received_lsn = apply.as_ref().map_or(applied_lsn, |st| st.last_lsn);
+        let received_lsn = apply.as_ref().map_or(applied_lsn, Applier::last_lsn);
         drop(apply);
         let source_durable_lsn = self.source_durable.load(Ordering::Acquire);
         let lag_records = source_durable_lsn.saturating_sub(applied_lsn);
@@ -413,34 +379,6 @@ impl Replica {
             ship_lag_records: source_durable_lsn.saturating_sub(received_lsn),
             lag_ms,
         }
-    }
-}
-
-impl Applier {
-    /// Folds a page record of `shard` into its staging area. A page the
-    /// area lacks starts from the fenced overlay, else from the device:
-    /// its first touch predates this replica's log, and the device equals
-    /// the shard's last installed fence. A shard switch stages nothing.
-    fn stage(&mut self, shards: &[Shard], shard: usize, record: WalRecord) -> TsbResult<()> {
-        let (Some(staged), Some(fenced), Some(db)) = (
-            self.staged.get_mut(shard),
-            self.fenced.get(shard),
-            shards.get(shard),
-        ) else {
-            return Err(TsbError::corruption(format!(
-                "shipped records of shard {shard} in a {}-shard log",
-                shards.len()
-            )));
-        };
-        apply_page_record(staged, record, |page| match fenced.get(&page) {
-            Some(state) => Ok(Some(state.clone())),
-            None => db
-                .tree()
-                .magnetic
-                .read(page)
-                .map(|b| Some(ReplayPage::Raw(b))),
-        })?;
-        Ok(())
     }
 }
 
@@ -480,31 +418,14 @@ impl ShardedTsb {
         };
         // A shard is complete through its own last fence, not through the
         // clock every shard shares.
-        let shards = rec.trees.len();
         let engines: Vec<Shard> = rec
             .trees
             .into_iter()
-            .zip(&rec.shards)
-            .map(|(tree, cut)| Shard::from_tree_at(tree, cut.state.1.prev()))
+            .map(|(tree, fence)| Shard::from_tree_at(tree, fence.state.1.prev()))
             .collect();
-        let mut applier = Applier {
-            staged: vec![HashMap::new(); shards],
-            fenced: vec![HashMap::new(); shards],
-            chain: rec.shards.iter().map(|cut| cut.state).collect(),
-            pending: vec![None; shards],
-            tag: rec.tag,
-            last_lsn: rec.last_lsn,
-        };
-        // Re-seed the staging area with each shard's un-fenced tail:
-        // shipped records whose fence has not arrived yet. Their fence (or
-        // a checkpoint discarding them) comes through the stream.
-        for (shard, record) in rec.unfenced {
-            applier.stage(&engines, shard, record)?;
-        }
-        replica
-            .applied_lsn
-            .store(rec.applied_lsn, Ordering::Release);
-        *replica.apply.lock() = Some(applier);
+        let applied = rec.applier.cut().unwrap_or(0);
+        replica.applied_lsn.store(applied, Ordering::Release);
+        *replica.apply.lock() = Some(rec.applier);
         Ok(Self::from_parts(engines, rec.clock, cfg, Some(replica)))
     }
 
@@ -530,7 +451,7 @@ impl ShardedTsb {
     /// pass as `after_lsn` to [`ReplicationSource::poll`] (directly or
     /// over the wire). `None` when a base is needed first.
     pub fn resume_lsn(&self) -> Option<Lsn> {
-        self.replica()?.apply.lock().as_ref().map(|st| st.last_lsn)
+        self.replica()?.apply.lock().as_ref().map(Applier::last_lsn)
     }
 
     /// Each shard's local WORM device length, to report as `worm_have`
@@ -665,65 +586,56 @@ impl ShardedTsb {
             }
         }
 
-        // 2. Records in order: append locally, stage, fold at fences. A
-        //    fence passes the fence rule *before* it reaches the local
-        //    log: a batch is input from outside the process, and a fence
-        //    over history this device does not hold must never be logged,
-        //    let alone installed.
+        // 2. Records in order through the applier, each appended locally
+        //    once it is taken. A fence passes the fence rule *before* it
+        //    reaches the local log: a batch is input from outside the
+        //    process, and a fence over history this device does not hold
+        //    must never be logged, let alone installed.
         let worm_on_device: Vec<u64> = shards
             .iter()
             .map(|s| s.tree().worm.device_bytes())
             .collect();
+        // A page no fenced state holds starts from the device, which holds
+        // the shard's last installed fence.
+        let device = |shard: usize, page: PageId| {
+            let tree = shards[shard].tree();
+            tree.magnetic.read(page).map(|b| Some(ReplayPage::Raw(b)))
+        };
         for body in &batch.records {
             let (lsn, record) = WalRecord::decode_body(body)?;
-            if lsn <= st.last_lsn {
+            if lsn <= st.last_lsn() {
                 // Reconnect overlap: already in the local log.
                 continue;
             }
-            let tag = record.tag_after(st.tag);
-            let chain = &st.chain;
-            match fence_rule(&record, tag, |s| chain.get(s).copied(), &worm_on_device)? {
-                FenceReading::NotAFence => {
+            match st.feed(lsn, record, &worm_on_device, device)? {
+                FenceReading::PastDevice { shard, worm_len } => {
+                    let on_device = worm_on_device[shard];
+                    return Err(fence_past_device(
+                        "shipped", lsn, shard, worm_len, on_device,
+                    ));
+                }
+                FenceReading::Describes {
+                    commit_ts: None, ..
+                } => {
+                    // The stage the checkpoint discarded described state
+                    // the primary's log reset threw away. Every earlier
+                    // record is made durable locally, then a sound local
+                    // recovery base: the devices synced to exactly the
+                    // checkpointed state, then the record.
+                    wal.sync()?;
+                    self.install(replica, st)?;
+                    for tree in shards.iter().map(Shard::tree) {
+                        tree.magnetic.sync()?;
+                        tree.worm.sync()?;
+                    }
                     wal.append_shipped(body)?;
-                    st.stage(shards, tag as usize, record)?;
+                    wal.sync()?;
                 }
-                FenceReading::PastDevice { worm_len } => {
-                    let on_device = worm_on_device.iter().copied().min().unwrap_or(0);
-                    return Err(fence_past_device("shipped", lsn, worm_len, on_device));
-                }
-                FenceReading::Describes { states, commit_ts } => {
-                    let checkpoint = commit_ts.is_none();
-                    if checkpoint {
-                        // Phantom discard: un-fenced records describe
-                        // state the primary's log reset threw away; and
-                        // every earlier record is made durable locally.
-                        st.staged.iter_mut().for_each(HashMap::clear);
-                        wal.sync()?;
-                    }
-                    for (shard, state) in states {
-                        st.chain[shard] = state;
-                        let staged = std::mem::take(&mut st.staged[shard]);
-                        st.fenced[shard].extend(staged);
-                        st.pending[shard] = Some((lsn, state, commit_ts));
-                    }
-                    if checkpoint {
-                        // A sound local recovery base: the devices synced
-                        // to exactly the checkpointed state, then the
-                        // record.
-                        self.install(replica, st)?;
-                        for tree in shards.iter().map(Shard::tree) {
-                            tree.magnetic.sync()?;
-                            tree.worm.sync()?;
-                        }
-                        wal.append_shipped(body)?;
-                        wal.sync()?;
-                    } else {
-                        wal.append_shipped(body)?;
-                    }
+                // A page record, a shard switch or a commit.
+                _ => {
+                    wal.append_shipped(body)?;
                 }
             }
-            st.tag = tag;
-            st.last_lsn = lsn;
         }
 
         // 3. Local durability, then the batch's fences install.
@@ -744,21 +656,19 @@ impl ShardedTsb {
     /// and the shard's install fence advances.
     fn install(&self, replica: &Replica, st: &mut Applier) -> TsbResult<()> {
         for (shard, db) in self.shards().iter().enumerate() {
-            let Some((lsn, (root, clock_next, next_txn), commit_ts)) = st.pending[shard].take()
-            else {
+            let Some((fence, pages)) = st.take_pending(shard) else {
                 continue;
             };
+            let (root, clock_next, next_txn) = fence.state;
             let tree = db.tree();
             let _writer = db.lock_writer();
             tree.check_not_poisoned()?;
             tree.note_structural_write();
-            let installed: TsbResult<()> = std::mem::take(&mut st.fenced[shard])
-                .into_iter()
-                .try_for_each(|(page, state)| {
-                    tree.magnetic.restore(page, &state.into_bytes())?;
-                    tree.cache.discard(NodeAddr::Current(page));
-                    Ok(())
-                });
+            let installed: TsbResult<()> = pages.into_iter().try_for_each(|(page, state)| {
+                tree.magnetic.restore(page, &state.into_bytes())?;
+                tree.cache.discard(NodeAddr::Current(page));
+                Ok(())
+            });
             if installed.is_ok() {
                 *tree.root.write() = root;
                 tree.clock.advance_to(clock_next);
@@ -766,11 +676,11 @@ impl ShardedTsb {
             }
             tree.settle_structure();
             installed?;
-            if let Some(ts) = commit_ts {
-                tree.fence_appended(lsn, ts)?;
+            if let Some(ts) = fence.commit_ts {
+                tree.fence_appended(fence.lsn, ts)?;
             }
             db.advance_fence(clock_next.prev());
-            replica.applied_lsn.fetch_max(lsn, Ordering::AcqRel);
+            replica.applied_lsn.fetch_max(fence.lsn, Ordering::AcqRel);
         }
         Ok(())
     }

@@ -675,7 +675,7 @@ impl EngineHandle for ShardedTsb {
     /// no fences of its own.
     fn checkpoint(&self) -> TsbResult<()> {
         self.writable()?;
-        self.with_every_writer(checkpoint_log)
+        self.with_every_writer(checkpoint_log).map(drop)
     }
 
     // ----- reads ----------------------------------------------------------

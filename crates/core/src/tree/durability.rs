@@ -182,13 +182,14 @@ impl Durability {
 /// `Checkpoint` for a log of one tree, a `ShardCheckpoint` for several —
 /// then starts each tree's fresh log interval. `trees` are every shard of
 /// the log, in shard order, and no mutation may run on any of them (the
-/// caller holds every writer lock). In-memory trees only flush.
-pub(crate) fn checkpoint_log(trees: &[&TsbTree]) -> TsbResult<()> {
+/// caller holds every writer lock). Returns the fence's body as logged;
+/// in-memory trees only flush, and return `None`.
+pub(crate) fn checkpoint_log(trees: &[&TsbTree]) -> TsbResult<Option<Vec<u8>>> {
     for tree in trees {
         tree.flush_devices()?;
     }
     let Some(d) = trees.first().and_then(|t| t.durability.as_ref()) else {
-        return Ok(());
+        return Ok(None);
     };
     let parts: Vec<ShardFence> = trees
         .iter()
@@ -212,14 +213,13 @@ pub(crate) fn checkpoint_log(trees: &[&TsbTree]) -> TsbResult<()> {
     // inside `reset_with`, fsynced) instead of growing without bound: the
     // log stays one checkpoint interval long, and reopen cost is O(since
     // last checkpoint).
-    if let Err(e) = d.wal.reset_with(&record) {
+    let lsn = d.wal.reset_with(&record).inspect_err(|_| {
         trees.iter().for_each(|t| t.poison());
-        return Err(e);
-    }
+    })?;
     for tree in trees {
         tree.begin_interval();
     }
-    Ok(())
+    Ok(Some(record.encode_body(lsn)))
 }
 
 /// Fences one commit at `ts` over several trees sharing a log — the

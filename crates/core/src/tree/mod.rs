@@ -399,7 +399,7 @@ impl TsbTree {
         if self.shares_log() {
             self.flush_devices()
         } else {
-            checkpoint_log(&[self])
+            checkpoint_log(&[self]).map(drop)
         }
     }
 

@@ -2,12 +2,11 @@
 //!
 //! A crash leaves several admissible durable prefixes — every fence whose
 //! records and history reached the devices — and recovery determines which
-//! one the system reveals. That determination is this module: two rules
-//! every reader of the log passes through, one cut finder over them, and
-//! the two recoveries (a primary's, a replica's) that differ only in what
-//! they do *after* the cut. A log may be shared by the shards of one
-//! engine; the fence rule and the cut finder are the only readers that
-//! know it.
+//! one the system reveals. One [`Applier`] makes that determination, for
+//! a primary's recovery, a replica's restart ([`replay`] for both) and a
+//! replica's live apply alike, by folding the log through two rules. A
+//! log may be shared by the shards of one engine; the fence rule and the
+//! applier are the only readers that know it.
 //!
 //! ## The rules
 //!
@@ -23,34 +22,35 @@
 //!   references it* (a historical node is burned once, then only pointed
 //!   at — §3.4). A fence that spans shards is usable whole or not at all.
 //!   What a fence past the device *means* is the caller's: primary
-//!   recovery ends its cut before it (nothing acknowledged it); a replica,
-//!   whose apply protocol syncs history before logging its fence, refuses
-//!   it as corruption — at restart and, before the fence reaches the local
-//!   log, at live apply.
+//!   recovery ends its replay before it (nothing acknowledged it); a
+//!   replica, whose apply protocol syncs history before logging its fence,
+//!   refuses it as corruption, naming the short shard — at restart and,
+//!   before the fence reaches the local log, at live apply.
 //! * The **page rule** ([`apply_page_record`], in [`super::replay`]) folds
-//!   one page record into a map of [`ReplayPage`]s: an image replaces the page's state, a delta
-//!   applies to its newest state, and a page the map lacks takes its base
-//!   from the caller — recovery supplies none (the first-touch rule makes
-//!   a miss corruption), a replica's re-seed and live apply supply the
-//!   fenced overlay and the device.
+//!   one page record into a map of [`ReplayPage`]s: an image replaces the
+//!   page's state, a delta applies to its newest state, and a page the map
+//!   lacks takes its base from the caller — recovery supplies none (the
+//!   first-touch rule makes a miss corruption), live apply the device.
 //!
 //! ## The protocol ("repeating history", then discarding the un-fenced tail)
 //!
-//! 1. **Base.** Replay starts after the newest checkpoint record — every
-//!    shard's magnetic device is known to equal the state it names. A log
-//!    with commits but no checkpoint replays from the empty store the
+//! 1. **Base.** Replay starts at the newest checkpoint record
+//!    ([`WalScan::since_newest_checkpoint`], read a chunk at a time):
+//!    every shard's magnetic device is known to equal the state it names.
+//!    A log with commits but no checkpoint replays from the empty store the
 //!    first session started with.
-//! 2. **Cut** ([`find_cut`]). There is one cut for the whole log: the
-//!    newest fence such that every fence up to it has its history on its
-//!    own shard's WORM device. Each shard then stands at its own last
-//!    fence at or before the cut, and its records after that fence belong
-//!    to a mutation that never finished logging: its page records are
-//!    discarded and any WORM sectors it burned are dead space (write-once
-//!    media cannot be un-burned — §1). A cross-shard commit is one fence
-//!    record, so it is in every participant's replayed prefix or in none.
-//! 3. **Repeat history.** Every page record between base and its shard's
-//!    last fence folds through the page rule, in LSN order over one map
-//!    per shard, and each page's final state is installed
+//! 2. **Fold, fence by fence** ([`Applier::feed`]). Each shard stages its
+//!    page records since its last fence; a fence folds the stage of each
+//!    shard it names into that shard's fenced page states. The first fence
+//!    past its device ends the replay: the cut, one for the whole log, is
+//!    the newest fence such that every fence up to it has its history on
+//!    its own shard's WORM device. Each shard stands at its own last fence
+//!    at or before the cut; its stage belongs to a mutation that never
+//!    finished logging and is discarded, and any WORM sectors it burned
+//!    are dead space (write-once media cannot be un-burned — §1). A
+//!    cross-shard commit is one fence record, so it is in every
+//!    participant's replayed prefix or in none.
+//! 3. **Repeat history.** Each shard's fenced page states are installed
 //!    ([`MagneticStore::restore`] force-allocates pages the on-disk
 //!    superblock predates). This overwrites any torn or half-flushed
 //!    device state — correctness does not depend on *which* writes
@@ -75,13 +75,14 @@
 //!    every shard fences the next recovery.
 //!
 //! Steps 1–4 are shared ([`TsbTree::open_durable`],
-//! [`TsbTree::open_durable_replica`]); a replica then skips 5 and the
-//! checkpoint of 7 and keeps each shard's un-fenced tail — see
-//! [`ReplicaRecovery`]. The recovered trees answer every query exactly as
-//! the oracle's replay of the committed prefix up to the cut.
+//! [`TsbTree::open_durable_replica`]); a replica refuses a fence past its
+//! device in step 2, keeps each shard's stage, and skips 5 and the
+//! checkpoint of 7 — the applier it recovered with goes on applying the
+//! stream (see [`ReplicaRecovery`]). The recovered trees answer every
+//! query exactly as the oracle's replay of the committed prefix up to the
+//! cut.
 
-use std::collections::{HashMap, HashSet};
-use std::ops::Range;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -92,7 +93,9 @@ use tsb_storage::{
 };
 
 use super::durability::{checkpoint_log, seat_trees};
+#[cfg(doc)]
 use super::replay::{apply_page_record, ReplayPage};
+use super::replay::{Applier, Fence, FencedPages};
 use super::TsbTree;
 use crate::node::{DataNode, Node, NodeAddr};
 
@@ -231,6 +234,8 @@ pub(crate) enum FenceReading {
     /// history, more than that shard's device holds: the tree state it
     /// describes would dangle.
     PastDevice {
+        /// The shard whose device is short.
+        shard: usize,
         /// The WORM length that part was logged against.
         worm_len: u64,
     },
@@ -283,12 +288,6 @@ pub(crate) fn fence_worm_lens(record: &WalRecord, tag: u32) -> Vec<(usize, u64)>
         .collect()
 }
 
-/// Whether a scanned log holds any fence at all — without one nothing was
-/// ever durable through it, and there is nothing to recover.
-fn holds_a_fence(scan: &WalScan) -> bool {
-    scan.records.iter().any(|(_, r)| r.is_fence())
-}
-
 /// The **fence rule**: reads `record`, logged under the shard tag `tag`,
 /// against the state of each shard's fence before it (`prev`) and the
 /// WORM bytes actually on each shard's device (`worm_on_device[shard]`).
@@ -316,7 +315,7 @@ pub(crate) fn fence_rule(
             ))
         })?;
         if worm_len > on_device {
-            return Ok(FenceReading::PastDevice { worm_len });
+            return Ok(FenceReading::PastDevice { shard, worm_len });
         }
     }
     let mut states = Vec::with_capacity(parts.len());
@@ -337,127 +336,79 @@ pub(crate) fn fence_rule(
     Ok(FenceReading::Describes { states, commit_ts })
 }
 
-/// The error a reader raises for a fence it must not find
-/// [`FenceReading::PastDevice`]: a replica syncs shipped history before the
-/// fence referencing it reaches its log.
-pub(crate) fn fence_past_device(origin: &str, lsn: Lsn, worm_len: u64, on_device: u64) -> TsbError {
+/// The error a reader raises for a fence it must not take
+/// ([`FenceReading::PastDevice`]): its part of `shard` references
+/// `worm_len` WORM bytes, and that shard's device holds `on_device`.
+pub(crate) fn fence_past_device(
+    origin: &str,
+    lsn: Lsn,
+    shard: usize,
+    worm_len: u64,
+    on_device: u64,
+) -> TsbError {
     TsbError::corruption(format!(
-        "{origin} fence at lsn {lsn} references {worm_len} WORM bytes but the device \
-         holds {on_device}; history must be on the device before the fence that \
-         references it"
+        "{origin} fence at lsn {lsn} references {worm_len} WORM bytes of shard {shard}, \
+         whose device holds {on_device}; history must be on the device before the \
+         fence that references it"
     ))
-}
-
-/// Each record of a scanned log with its index and the shard it belongs
-/// to: the one the newest [`WalRecord::Shard`] switch before it names,
-/// shard 0 before any and from each checkpoint on.
-fn tagged(records: &[(Lsn, WalRecord)]) -> impl Iterator<Item = (usize, u32, &(Lsn, WalRecord))> {
-    records.iter().enumerate().scan(0, |tag, (idx, entry)| {
-        *tag = entry.1.tag_after(*tag);
-        Some((idx, *tag, entry))
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The cut finder
-// ---------------------------------------------------------------------------
-
-/// Where recovery stands: the result of [`find_cut`].
-#[derive(Debug, PartialEq)]
-pub(crate) struct Cut {
-    /// Indices of the records to repeat: from just past the base
-    /// checkpoint through the cut fence (empty when the cut *is* the
-    /// base). Everything from `replay.end` on is the un-fenced tail.
-    pub(crate) replay: Range<usize>,
-    /// LSN of the cut fence.
-    pub(crate) fence_lsn: Lsn,
-    /// Where each shard stands at the cut, in shard order.
-    pub(crate) shards: Vec<ShardCut>,
-    /// The fence that ended the search early, if one did: its LSN and the
-    /// WORM length it references, more than the device holds.
-    pub(crate) short_fence: Option<(Lsn, u64)>,
-}
-
-/// Where one shard stands at the cut.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct ShardCut {
-    /// Index of the shard's last fence at or before the cut: the shard's
-    /// records after it are discarded.
-    pub(crate) last_fence: usize,
-    /// Timestamp of the shard's newest commit at or before the cut, if any.
-    pub(crate) commit_ts: Option<Timestamp>,
-    /// The state the shard's last fence describes.
-    pub(crate) state: FenceState,
-}
-
-/// Finds the replay cut in a scanned log of `worm_on_device.len()`
-/// shards: the base is the newest checkpoint; the cut is the newest fence
-/// at or after it such that its history, and every earlier fence's, is on
-/// its own shard's device; each shard stands at its own last fence at or
-/// before the cut.
-pub(crate) fn find_cut(records: &[(Lsn, WalRecord)], worm_on_device: &[u64]) -> TsbResult<Cut> {
-    let base = records.iter().rposition(|(_, r)| {
-        matches!(
-            r,
-            WalRecord::Checkpoint { .. } | WalRecord::ShardCheckpoint { .. }
-        )
-    });
-    let mut shards: Vec<Option<ShardCut>> = vec![None; worm_on_device.len()];
-    let mut cut: Option<(usize, Lsn)> = None;
-    let mut short_fence = None;
-    for (idx, tag, (lsn, record)) in tagged(records).skip(base.unwrap_or(0)) {
-        let prev = |shard: usize| shards[shard].map(|s| s.state);
-        match fence_rule(record, tag, prev, worm_on_device)? {
-            FenceReading::NotAFence => {}
-            FenceReading::PastDevice { worm_len } => {
-                short_fence = Some((*lsn, worm_len));
-                break;
-            }
-            FenceReading::Describes { states, commit_ts } => {
-                for (shard, state) in states {
-                    let commit_ts = commit_ts.or(shards[shard].and_then(|s| s.commit_ts));
-                    shards[shard] = Some(ShardCut {
-                        last_fence: idx,
-                        commit_ts,
-                        state,
-                    });
-                }
-                cut = Some((idx, *lsn));
-            }
-        }
-    }
-    let (cut_idx, fence_lsn) = cut.ok_or_else(|| match short_fence {
-        Some((lsn, worm_len)) => {
-            let on_device = worm_on_device.iter().copied().min().unwrap_or(0);
-            fence_past_device("the log's first", lsn, worm_len, on_device)
-        }
-        None => TsbError::corruption(
-            "write-ahead log has no usable fence (no checkpoint and no commit); \
-             nothing was ever durable",
-        ),
-    })?;
-    let shards = shards
-        .into_iter()
-        .enumerate()
-        .map(|(shard, cut)| {
-            cut.ok_or_else(|| {
-                TsbError::corruption(format!(
-                    "shard {shard} has no usable fence at or before the log's cut"
-                ))
-            })
-        })
-        .collect::<TsbResult<_>>()?;
-    Ok(Cut {
-        replay: base.map_or(0, |i| i + 1)..cut_idx + 1,
-        fence_lsn,
-        shards,
-        short_fence,
-    })
 }
 
 // ---------------------------------------------------------------------------
 // The two recoveries
 // ---------------------------------------------------------------------------
+
+/// Which recovery [`replay`] runs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Recovery {
+    /// A primary's: a fence past its device ends the replay (nothing
+    /// acknowledged it), and the unfenced stage dies with the applier.
+    Primary,
+    /// A replica's restart: a fence past its device is corruption, and
+    /// the unfenced stage is kept for the stream to fence.
+    Replica,
+}
+
+/// Steps 1 and 2 of the protocol: feeds `records` — a log of
+/// `worm_on_device.len()` shards, from its newest checkpoint — into one
+/// [`Applier`], as `recovery` says, then takes each shard's last fence and
+/// fenced page states from it, in shard order: every shard must stand at
+/// a fence.
+pub(crate) fn replay(
+    records: impl Iterator<Item = TsbResult<(Lsn, WalRecord)>>,
+    worm_on_device: &[u64],
+    recovery: Recovery,
+) -> TsbResult<(Applier, Vec<(Fence, FencedPages)>)> {
+    let mut applier = Applier::new(worm_on_device.len());
+    for entry in records {
+        let (lsn, record) = entry?;
+        let reading = applier.feed(lsn, record, worm_on_device, |_, _| Ok(None))?;
+        let FenceReading::PastDevice { shard, worm_len } = reading else {
+            continue;
+        };
+        let origin = match (recovery, applier.cut()) {
+            (Recovery::Primary, Some(_)) => break,
+            (Recovery::Primary, None) => "the log's first",
+            (Recovery::Replica, _) => "replica log",
+        };
+        let on_device = worm_on_device[shard];
+        return Err(fence_past_device(origin, lsn, shard, worm_len, on_device));
+    }
+    if applier.cut().is_none() {
+        return Err(TsbError::corruption(
+            "write-ahead log has no usable fence (no checkpoint and no commit); \
+             nothing was ever durable",
+        ));
+    }
+    let fenced = (0..worm_on_device.len()).map(|shard| {
+        applier.take_pending(shard).ok_or_else(|| {
+            TsbError::corruption(format!(
+                "shard {shard} has no usable fence at or before the log's cut"
+            ))
+        })
+    });
+    let fenced = fenced.collect::<TsbResult<_>>()?;
+    Ok((applier, fenced))
+}
 
 /// A replication replica's crash-consistent reopen, produced by
 /// [`TsbTree::open_durable_replica`].
@@ -476,24 +427,18 @@ pub(crate) fn find_cut(records: &[(Lsn, WalRecord)], worm_on_device: &[u64]) -> 
 ///   with the primary's LSN namespace. The local log only ever grows (it
 ///   is re-based wholesale when the primary's generation outruns it).
 /// * **The un-fenced tail is kept.** A shard's page records past its last
-///   fence are shipped state whose fence has not arrived yet; they re-seed
-///   the applier's staging area instead of being discarded.
+///   fence are shipped state whose fence has not arrived yet: they stay
+///   the stage of the applier that replayed them, which goes on applying
+///   the stream.
 pub(crate) struct ReplicaRecovery {
-    /// The recovered trees, one per shard, serving-ready at the cut.
-    pub(crate) trees: Vec<TsbTree>,
+    /// The recovered trees, one per shard, serving-ready at the cut, each
+    /// with its last fence.
+    pub(crate) trees: Vec<(TsbTree, Fence)>,
     /// The clock every tree stamps from, advanced past each shard's cut.
     pub(crate) clock: Arc<LogicalClock>,
-    /// Where each shard stands at the cut, in shard order.
-    pub(crate) shards: Vec<ShardCut>,
-    /// LSN of the cut fence record — the applied watermark at reopen.
-    pub(crate) applied_lsn: Lsn,
-    /// LSN of the newest record in the local log (≥ `applied_lsn`): the
-    /// resume cursor for the subscription to the primary.
-    pub(crate) last_lsn: Lsn,
-    /// Each shard's page records past its last fence, in LSN order.
-    pub(crate) unfenced: Vec<(usize, WalRecord)>,
-    /// The shard the local log's tag names after its newest record.
-    pub(crate) tag: u32,
+    /// The applier that replayed the local log: the cut (the applied
+    /// watermark), the resume cursor, and each shard's fence and stage.
+    pub(crate) applier: Applier,
 }
 
 impl TsbTree {
@@ -509,8 +454,20 @@ impl TsbTree {
     ) -> TsbResult<Vec<TsbTree>> {
         cfg.validate()?;
         let (files, scan) = DurableFiles::open(layout, cfg)?;
-        if holds_a_fence(&scan) {
-            return Self::recover(files, scan, cfg, clock);
+        if scan.holds_a_fence() {
+            // Crash-consistent reopen (the module docs' protocol). A fence
+            // past the device ends the replay before it: it was never
+            // acknowledged as durable (the log's pre-sync hook settles
+            // every WORM before each fsync that could make a fence durable).
+            let (shards, _) = Self::rebuild(files, scan, Recovery::Primary, cfg, clock)?;
+            let trees: Vec<TsbTree> = shards.into_iter().map(|(tree, _)| tree).collect();
+            for tree in &trees {
+                tree.purge_uncommitted()?;
+                tree.reclaim_unreachable_pages()?;
+                tree.verify()?;
+            }
+            checkpoint_log(&trees.iter().collect::<Vec<_>>())?;
+            return Ok(trees);
         }
         // No fence: nothing was ever durably committed through this log.
         // Starting fresh is safe when the stores hold no data of their
@@ -523,7 +480,7 @@ impl TsbTree {
             .stores
             .iter()
             .all(|(magnetic, worm)| magnetic.allocated_pages() == 0 && worm.device_bytes() == 0);
-        if !stores_empty && scan.records.is_empty() {
+        if !stores_empty && files.wal.last_lsn() == 0 {
             // Real store data, empty log: a pre-WAL database or a lost
             // redo.wal. Refuse rather than guess.
             return Err(TsbError::corruption(format!(
@@ -550,32 +507,6 @@ impl TsbTree {
         Ok(trees)
     }
 
-    /// Crash-consistent reopen of a primary (the module docs' protocol).
-    /// A fence past the device simply ends the cut before it: it was never
-    /// acknowledged as durable (the log's pre-sync hook settles every WORM
-    /// before each fsync that could make a fence durable).
-    fn recover(
-        files: DurableFiles,
-        scan: WalScan,
-        cfg: &TsbConfig,
-        clock: &Arc<LogicalClock>,
-    ) -> TsbResult<Vec<TsbTree>> {
-        let on_device: Vec<u64> = files.stores.iter().map(|(_, w)| w.device_bytes()).collect();
-        let cut = find_cut(&scan.records, &on_device)?;
-        // Records past the cut belong to mutations that never finished
-        // logging: discarded.
-        let mut records = scan.records;
-        records.truncate(cut.replay.end);
-        let trees = Self::rebuild_at_cut(files, records, &cut, cfg, clock)?;
-        for tree in &trees {
-            tree.purge_uncommitted()?;
-            tree.reclaim_unreachable_pages()?;
-            tree.verify()?;
-        }
-        checkpoint_log(&trees.iter().collect::<Vec<_>>())?;
-        Ok(trees)
-    }
-
     /// Reopens a replication replica's local state laid out as `layout`,
     /// or returns `None` when it holds nothing usable (fresh, or a base
     /// install that never finished — the caller wipes and re-fetches the
@@ -595,91 +526,55 @@ impl TsbTree {
             return Ok(None);
         }
         let (files, scan) = DurableFiles::open(layout, cfg)?;
-        if !holds_a_fence(&scan) {
+        if !scan.holds_a_fence() {
             // A shipped log always starts at a fence (the base image's
             // checkpoint); no fence means the install never completed.
             return Ok(None);
         }
-        let on_device: Vec<u64> = files.stores.iter().map(|(_, w)| w.device_bytes()).collect();
-        let cut = find_cut(&scan.records, &on_device)?;
-        if let Some((lsn, worm_len)) = cut.short_fence {
-            let on_device = on_device.iter().copied().min().unwrap_or(0);
-            return Err(fence_past_device("replica log", lsn, worm_len, on_device));
-        }
-        let mut tag = 0;
-        let mut unfenced = Vec::new();
-        for (idx, shard, (_, record)) in tagged(&scan.records) {
-            tag = shard;
-            let page = matches!(
-                record,
-                WalRecord::PageImage { .. } | WalRecord::PageDelta { .. }
-            );
-            let cut = cut.shards.get(shard as usize);
-            if page && cut.is_some_and(|cut| idx > cut.last_fence) {
-                unfenced.push((shard as usize, record.clone()));
-            }
-        }
-        let last_lsn = files.wal.last_lsn();
         let clock = Arc::new(LogicalClock::new());
-        let trees = Self::rebuild_at_cut(files, scan.records, &cut, cfg, &clock)?;
+        let (trees, applier) = Self::rebuild(files, scan, Recovery::Replica, cfg, &clock)?;
         // Reclaim pages unreachable at the cut (a free has no log record;
         // see `reclaim_unreachable_pages`) and verify — but no purge and
         // no fencing checkpoint: the replica's state must stay exactly the
         // primary's state at the cut, and its log is a pure copy.
-        for tree in &trees {
+        for (tree, _) in &trees {
             tree.reclaim_unreachable_pages()?;
             tree.verify()?;
         }
         Ok(Some(ReplicaRecovery {
             trees,
             clock,
-            shards: cut.shards,
-            applied_lsn: cut.fence_lsn,
-            last_lsn,
-            unfenced,
-            tag,
+            applier,
         }))
     }
 
-    /// Steps 3 and 4 of the protocol, for both recoveries: repeats each
-    /// shard's history through its last fence — deltas applied in place
-    /// over one map per shard, each page installed once — then builds each
-    /// shard's tree at its fence's metadata over its repaired device, all
-    /// seated on the one log. Records past a shard's last fence are not
-    /// repeated: the caller alone knows what they are worth.
-    fn rebuild_at_cut(
+    /// Steps 1–4 of the protocol, for both recoveries: replays the log
+    /// `scan` read as `recovery` says, installs each shard's fenced page
+    /// states, each page once, then builds each shard's tree at its last
+    /// fence's metadata over its repaired device, all seated on the one
+    /// log. Returns each tree with its last fence, and the applier that
+    /// replayed them.
+    fn rebuild(
         files: DurableFiles,
-        records: Vec<(Lsn, WalRecord)>,
-        cut: &Cut,
+        scan: WalScan,
+        recovery: Recovery,
         cfg: &TsbConfig,
         clock: &Arc<LogicalClock>,
-    ) -> TsbResult<Vec<TsbTree>> {
+    ) -> TsbResult<(Vec<(TsbTree, Fence)>, Applier)> {
+        let on_device: Vec<u64> = files.stores.iter().map(|(_, w)| w.device_bytes()).collect();
+        let (applier, fenced) = replay(scan.since_newest_checkpoint(), &on_device, recovery)?;
+        drop(scan);
         let DurableFiles { wal, stores } = files;
-        let tags: Vec<u32> = tagged(&records).map(|(_, tag, _)| tag).collect();
-        let mut replayed: Vec<HashMap<PageId, ReplayPage>> = vec![HashMap::new(); stores.len()];
-        for ((idx, (_, record)), tag) in records.into_iter().enumerate().zip(tags) {
-            let shard = tag as usize;
-            let Some(pages) = replayed.get_mut(shard) else {
-                return Err(TsbError::corruption(format!(
-                    "WAL records of shard {shard} in a {}-shard log",
-                    cut.shards.len()
-                )));
-            };
-            if cut.replay.contains(&idx) && idx <= cut.shards[shard].last_fence {
-                apply_page_record(pages, record, |_| Ok(None))?;
-            }
-        }
         let seats = seat_trees(wal, &worms(&stores));
         let mut trees = Vec::with_capacity(stores.len());
-        for ((((magnetic, worm), seat), pages), at) in
-            stores.into_iter().zip(seats).zip(replayed).zip(&cut.shards)
+        for (((magnetic, worm), seat), (fence, pages)) in stores.into_iter().zip(seats).zip(fenced)
         {
             for (page, state) in pages {
                 magnetic.restore(page, &state.into_bytes())?;
             }
-            let (root, clock_next, next_txn) = at.state;
+            let (root, clock_next, next_txn) = fence.state;
             clock.advance_to(clock_next);
-            let recovered_to = at.commit_ts.unwrap_or_else(|| clock_next.prev());
+            let recovered_to = fence.commit_ts.unwrap_or_else(|| clock_next.prev());
             let worm_on_device = worm.device_bytes();
             let tree = Self::assemble(
                 magnetic,
@@ -695,9 +590,9 @@ impl TsbTree {
             if let Some(d) = &tree.durability {
                 d.worm_synced.store(worm_on_device, Ordering::Release);
             }
-            trees.push(tree);
+            trees.push((tree, fence));
         }
-        Ok(trees)
+        Ok((trees, applier))
     }
 
     /// Walks the current database and erases every uncommitted version
@@ -784,6 +679,8 @@ impl TsbTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
+    use tsb_common::{FsyncPolicy, Version};
     use tsb_storage::PageOp;
 
     const FIRST_LSN: Lsn = 10;
@@ -839,68 +736,150 @@ mod tests {
         WalRecord::Shard { shard }
     }
 
-    // Page records are filler here: neither rule under test reads them.
+    // Page records are filler to the rules under test, but the applier
+    // folds the fenced ones: an empty leaf's image, and a delta over it.
     fn image(page: u64) -> WalRecord {
         WalRecord::PageImage {
             page: PageId(page),
-            bytes: Vec::new(),
+            bytes: Node::Data(DataNode::initial_root()).encode(),
         }
     }
 
     fn delta(page: u64) -> WalRecord {
         WalRecord::PageDelta {
             page: PageId(page),
-            op: PageOp::DataTimeSplit {
-                split_time: Timestamp(4),
-            },
+            op: PageOp::InsertVersion(Version::committed(7u64, Timestamp(4), b"v".to_vec())),
         }
     }
 
-    fn log(records: Vec<WalRecord>) -> Vec<(Lsn, WalRecord)> {
-        (FIRST_LSN..).zip(records).collect()
+    /// The cut a table row expects of a primary's replay: the records it
+    /// repeats and the cut fence, by index; each shard's `(last fence
+    /// index, commit ts, state)`; and the fence past its device that ended
+    /// the replay, as `(lsn, shard, worm_len)`.
+    #[derive(Debug)]
+    struct Expect {
+        replay: Range<usize>,
+        at: usize,
+        shards: Vec<(usize, Option<u64>, FenceState)>,
+        short_fence: Option<(Lsn, usize, u64)>,
     }
 
-    /// The cut a table row expects: replay range, the cut fence's index,
-    /// each shard's `(last fence index, commit ts, state)`, the short fence.
     fn cut(
         replay: Range<usize>,
         at: usize,
         shards: &[(usize, Option<u64>, FenceState)],
-        short: Option<(Lsn, u64)>,
-    ) -> Option<Cut> {
-        Some(Cut {
+        short: Option<(Lsn, usize, u64)>,
+    ) -> Option<Expect> {
+        Some(Expect {
             replay,
-            fence_lsn: FIRST_LSN + at as Lsn,
-            shards: shards
-                .iter()
-                .map(|&(last_fence, commit_ts, state)| ShardCut {
-                    last_fence,
-                    commit_ts: commit_ts.map(Timestamp),
-                    state,
-                })
-                .collect(),
+            at,
+            shards: shards.to_vec(),
             short_fence: short,
         })
     }
 
-    /// A table row: its name, a log, the WORM bytes on each shard's
-    /// device, and the cut the log must yield (`None`: corruption).
-    type Row = (&'static str, Vec<WalRecord>, Vec<u64>, Option<Cut>);
+    /// Where an applier stands: the cut fence's LSN, and each shard's
+    /// fence `(lsn, commit ts, state)` with the pages its fenced states
+    /// hold.
+    type Outcome = (Lsn, Vec<(Lsn, Option<Timestamp>, FenceState, Vec<PageId>)>);
 
-    fn check_table(table: Vec<Row>) {
-        for (name, records, on_device, expected) in table {
-            let found = find_cut(&log(records), &on_device);
-            match (&found, &expected) {
-                (Ok(cut), Some(want)) => assert_eq!(cut, want, "{name}"),
-                (Err(TsbError::Corruption(_)), None) => {}
-                _ => panic!("{name}: found {found:?}, expected {expected:?}"),
+    fn outcome((applier, fenced): (Applier, Vec<(Fence, FencedPages)>)) -> Outcome {
+        let cut = applier.cut().expect("a replay that succeeds has a cut");
+        let shards = fenced.into_iter().map(|(fence, pages)| {
+            let mut pages: Vec<PageId> = pages.into_keys().collect();
+            pages.sort();
+            (fence.lsn, fence.commit_ts, fence.state, pages)
+        });
+        (cut, shards.collect())
+    }
+
+    impl Expect {
+        /// The outcome this cut means for `records`: a shard's pages are
+        /// those its page records in the replay range name, up to its
+        /// last fence.
+        fn outcome(&self, records: &[WalRecord]) -> Outcome {
+            let mut pages = vec![Vec::new(); self.shards.len()];
+            let mut tag = 0;
+            for (idx, record) in records.iter().enumerate() {
+                tag = record.tag_after(tag);
+                let shard = tag as usize;
+                if let WalRecord::PageImage { page, .. } | WalRecord::PageDelta { page, .. } =
+                    record
+                {
+                    let folded = self.replay.contains(&idx) && idx <= self.shards[shard].0;
+                    if folded && !pages[shard].contains(page) {
+                        pages[shard].push(*page);
+                    }
+                }
             }
+            let shards = self
+                .shards
+                .iter()
+                .zip(pages)
+                .map(|(&(last, ts, state), mut pages)| {
+                    pages.sort();
+                    (FIRST_LSN + last as Lsn, ts.map(Timestamp), state, pages)
+                });
+            (FIRST_LSN + self.at as Lsn, shards.collect())
         }
     }
 
-    /// The fence rule and the cut finder over hand-built one-shard logs:
-    /// each row is a log, the WORM bytes on the device, and the cut it
-    /// must yield (`None`: corruption).
+    /// A table row: its name, a log, the WORM bytes on each shard's
+    /// device, and the cut the log must yield (`None`: corruption).
+    type Row = (&'static str, Vec<WalRecord>, Vec<u64>, Option<Expect>);
+
+    /// Writes `records` as the log at `path` (LSNs from [`FIRST_LSN`]),
+    /// opens it, and replays it as `recovery` does.
+    fn replay_log(
+        path: &Path,
+        records: &[WalRecord],
+        on_device: &[u64],
+        recovery: Recovery,
+    ) -> TsbResult<(Applier, Vec<(Fence, FencedPages)>)> {
+        let stats = || Arc::new(IoStats::new());
+        let wal = Wal::create(path, FsyncPolicy::Os, stats())?;
+        for (lsn, record) in (FIRST_LSN..).zip(records) {
+            wal.append_shipped(&record.encode_body(lsn))?;
+        }
+        drop(wal);
+        let (_wal, scan) = Wal::open(path, FsyncPolicy::Os, stats())?;
+        replay(scan.since_newest_checkpoint(), on_device, recovery)
+    }
+
+    /// Replays each row's log as a primary, which must reach the row's
+    /// cut; a row whose replay a fence past its device ended must also be
+    /// refused as a replica's, the error naming the fence, its short
+    /// shard and that shard's device length.
+    fn check_table(tag: &str, table: Vec<Row>) {
+        let dir = std::env::temp_dir().join(format!("tsb-cut-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(WAL_FILE);
+        for (name, records, on_device, expected) in table {
+            let found = replay_log(&path, &records, &on_device, Recovery::Primary).map(outcome);
+            match (&found, &expected) {
+                (Ok(found), Some(want)) => assert_eq!(found, &want.outcome(&records), "{name}"),
+                (Err(TsbError::Corruption(_)), None) => {}
+                _ => panic!("{name}: found {found:?}, expected {expected:?}"),
+            }
+            if let Some((lsn, shard, worm_len)) = expected.and_then(|e| e.short_fence) {
+                let refused = replay_log(&path, &records, &on_device, Recovery::Replica).err();
+                let want = format!(
+                    "replica log fence at lsn {lsn} references {worm_len} WORM bytes of \
+                     shard {shard}, whose device holds {}",
+                    on_device[shard]
+                );
+                assert!(
+                    matches!(&refused, Some(TsbError::Corruption(msg)) if msg.contains(&want)),
+                    "{name}: {refused:?}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fence rule and the applier over hand-built one-shard logs: each
+    /// row is a log, the WORM bytes on the device, and the cut it must
+    /// yield (`None`: corruption).
     #[test]
     fn the_cut_is_the_newest_fence_whose_history_is_on_the_device() {
         let (a, b, c) = (state(1, 5, 1), state(2, 6, 4), state(7, 12, 9));
@@ -955,7 +934,7 @@ mod tests {
                     elided_commit(7, 64),
                 ],
                 vec![128],
-                cut(1..3, 2, &[(2, Some(5), b)], Some((FIRST_LSN + 4, 256))),
+                cut(1..3, 2, &[(2, Some(5), b)], Some((FIRST_LSN + 4, 0, 256))),
             ),
             (
                 "a base checkpoint past the device leaves nothing to stand on",
@@ -982,7 +961,7 @@ mod tests {
                 None,
             ),
         ];
-        check_table(table);
+        check_table("one-shard", table);
     }
 
     /// One cut for a log two shards share: each shard stands at its own
@@ -1064,7 +1043,26 @@ mod tests {
                     1..2,
                     1,
                     &[(1, Some(5), c), (0, None, b)],
-                    Some((FIRST_LSN + 2, 256)),
+                    Some((FIRST_LSN + 2, 1, 256)),
+                ),
+            ),
+            (
+                "the short part is the one past its own shard's device, on \
+                 the shard with more history too",
+                vec![
+                    base(),
+                    commit(5, 0, c),
+                    WalRecord::ShardCommit {
+                        ts: 7,
+                        parts: parts(&[(64, c), (1024, d)]),
+                    },
+                ],
+                vec![128, 512],
+                cut(
+                    1..2,
+                    1,
+                    &[(1, Some(5), c), (0, None, b)],
+                    Some((FIRST_LSN + 2, 1, 1024)),
                 ),
             ),
             (
@@ -1080,7 +1078,7 @@ mod tests {
                 None,
             ),
         ];
-        check_table(table);
+        check_table("two-shard", table);
     }
 
     #[test]
@@ -1106,20 +1104,29 @@ mod tests {
         );
         // One byte past it is not — and the metadata is never consulted
         // (unreadable here), so the caller decides what a short fence means.
-        for short in [
-            WalRecord::Checkpoint {
-                worm_len: 129,
-                meta: vec![0xFF],
-            },
-            elided_commit(5, 129),
-            WalRecord::ShardCommit {
-                ts: 5,
-                parts: parts(&[(0, a), (129, a)]),
-            },
+        for (short, shard) in [
+            (
+                WalRecord::Checkpoint {
+                    worm_len: 129,
+                    meta: vec![0xFF],
+                },
+                0,
+            ),
+            (elided_commit(5, 129), 0),
+            (
+                WalRecord::ShardCommit {
+                    ts: 5,
+                    parts: parts(&[(0, a), (129, a)]),
+                },
+                1,
+            ),
         ] {
             assert_eq!(
                 fence_rule(&short, 0, none, &[128, 128]).unwrap(),
-                FenceReading::PastDevice { worm_len: 129 }
+                FenceReading::PastDevice {
+                    shard,
+                    worm_len: 129
+                }
             );
             let lens = fence_worm_lens(&short, 1);
             assert_eq!(lens.iter().map(|&(_, len)| len).max(), Some(129));

@@ -29,12 +29,11 @@
 //!   state (see `tsb-core`'s replica engine) and resume from its LSN.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use tsb_common::TsbResult;
 
-use crate::wal::{frame_at, Lsn, WalRecord};
+use crate::wal::{FrameReader, Lsn, WalRecord};
 
 /// Soft cap on the total body bytes one [`WalTailer::poll`] returns. The
 /// final record of a batch may push past it; a batch never splits a record.
@@ -92,6 +91,8 @@ impl WalTailer {
     /// Returns the record bodies after `after_lsn`, up to and including
     /// `limit_lsn` (the caller passes the log's durable watermark), capped
     /// near `max_bytes`. An empty batch means the subscriber is caught up.
+    /// The file is read a chunk at a time, so a poll that resumes at its
+    /// cursor reads about `max_bytes` plus a chunk, however long the log.
     ///
     /// The read races benignly with the appender: a trailing frame still
     /// being written fails its length or CRC check and is simply not part
@@ -106,129 +107,67 @@ impl WalTailer {
         // corrupt `after_lsn` of `u64::MAX` must poll as "caught up", not
         // overflow (a wire-facing path must not panic on absurd input).
         let next_lsn = after_lsn.saturating_add(1);
-        // Fast path: resume from the cached offset when it still names the
-        // frame for `after_lsn + 1`.
-        if let Some((offset, lsn, shard)) = self.cursor.take() {
-            if lsn == next_lsn {
-                let poll = self.poll_from(offset, shard, after_lsn, limit_lsn, max_bytes)?;
-                if let Some(poll) = poll {
-                    return Ok(poll);
-                }
-                // The frame at the cached offset no longer matches — the
-                // log was reset. Fall through to a full rescan.
-            }
-        }
-
-        let buf = match std::fs::read(&self.path) {
-            Ok(buf) => buf,
+        let cursor = self.cursor.take().filter(|&(_, lsn, _)| lsn == next_lsn);
+        let file = match File::open(&self.path) {
+            Ok(file) => file,
             // Between a reset's rename and nothing else, the path always
             // exists; a missing file means the store is mid-teardown.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(TailPoll::caught_up()),
             Err(e) => return Err(e.into()),
         };
+        let file_len = file.metadata()?.len();
+        // Fast path: resume from the cached offset when it still names the
+        // frame for `after_lsn + 1`.
+        if let Some((offset, _, shard)) = cursor {
+            // Nothing appended since the last poll — unless the caller says
+            // records exist past the cursor: then an equal-length
+            // *replacement* generation took the file's place, and only the
+            // rescan below can tell.
+            if offset == file_len && limit_lsn <= after_lsn {
+                self.cursor = cursor;
+                return Ok(TailPoll::caught_up());
+            }
+            let mut frames = FrameReader::new(&file, offset, file_len);
+            let first = frames.next_frame()?.map(WalRecord::decode_body);
+            if matches!(first, Some(Ok((lsn, _))) if lsn == next_lsn) {
+                frames.rewind(offset);
+                return self.collect(frames, shard, after_lsn, limit_lsn, max_bytes);
+            }
+            // The file shrank, or the frame at the cached offset no longer
+            // matches: the log was reset. Rescan.
+        }
+
         // Locate the frame carrying `after_lsn + 1`, walking from the
         // start of the (single-generation) file and following its tag.
-        let mut pos = 0usize;
+        let mut frames = FrameReader::new(&file, 0, file_len);
         let mut shard = 0;
-        let mut first = true;
         loop {
-            let Some((frame_len, body)) = frame_at(&buf, pos) else {
-                // The log ends before `after_lsn + 1`: caught up (or the
-                // tail is still being written); the cursor stays cold.
+            let at = frames.offset();
+            // The log ends before `after_lsn + 1`: caught up (or the tail
+            // is still being written); the cursor stays cold.
+            let Some(Ok((lsn, record))) = frames.next_frame()?.map(WalRecord::decode_body) else {
                 return Ok(TailPoll::caught_up());
             };
-            let Ok((lsn, record)) = WalRecord::decode_body(body) else {
-                return Ok(TailPoll::caught_up());
-            };
-            if first && lsn > next_lsn {
+            if lsn > next_lsn {
                 // The generation starts past the subscriber's cursor: the
                 // records it needs were discarded by a checkpoint reset.
                 return Ok(TailPoll::NeedsRebase);
             }
-            first = false;
             if lsn == next_lsn {
-                return self.collect(&buf, pos, None, shard, after_lsn, limit_lsn, max_bytes);
+                frames.rewind(at);
+                return self.collect(frames, shard, after_lsn, limit_lsn, max_bytes);
             }
             shard = record.tag_after(shard);
-            pos += frame_len;
         }
     }
 
-    /// Attempts the fast path: read from `offset`, where the log's tag
-    /// names `shard`, and collect if the frame there carries
-    /// `after_lsn + 1`. Returns `None` when the cached offset is stale
-    /// (reset happened) and a rescan is needed; returns an empty batch when
-    /// the file simply has nothing past the offset yet.
-    fn poll_from(
-        &mut self,
-        offset: u64,
-        shard: u32,
-        after_lsn: Lsn,
-        limit_lsn: Lsn,
-        max_bytes: usize,
-    ) -> TsbResult<Option<TailPoll>> {
-        let keep_cursor = |tailer: &mut Self| {
-            tailer.cursor = Some((offset, after_lsn.saturating_add(1), shard));
-            Ok(Some(TailPoll::caught_up()))
-        };
-        let mut file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return keep_cursor(self),
-            Err(e) => return Err(e.into()),
-        };
-        let file_len = file.metadata()?.len();
-        if file_len < offset {
-            // The file shrank: it was replaced by a reset.
-            return Ok(None);
-        }
-        if file_len == offset {
-            // Nothing appended since the last poll — but an equal-length
-            // *replacement* generation is indistinguishable here. The
-            // durable watermark disambiguates: if the caller says records
-            // exist past the cursor yet the file did not grow past it, the
-            // file must have been replaced — force the slow path. When the
-            // watermark equals the cursor this really is a caught-up poll.
-            if limit_lsn > after_lsn {
-                return Ok(None);
-            }
-            return keep_cursor(self);
-        }
-        file.seek(SeekFrom::Start(offset))?;
-        let mut buf = Vec::with_capacity((file_len - offset) as usize);
-        file.read_to_end(&mut buf)?;
-        let Some((_, body)) = frame_at(&buf, 0) else {
-            // Not a complete frame yet; could be a mid-append race or a
-            // replaced file. If the file holds bytes past the offset that
-            // do not parse, force the slow path to disambiguate.
-            return Ok(None);
-        };
-        match WalRecord::decode_body(body) {
-            Ok((lsn, _)) if lsn == after_lsn.saturating_add(1) => self
-                .collect(
-                    &buf,
-                    0,
-                    Some(offset),
-                    shard,
-                    after_lsn,
-                    limit_lsn,
-                    max_bytes,
-                )
-                .map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    /// Collects bodies starting at `pos` in `buf` (which must frame
+    /// Collects bodies from `frames` (whose first frame carries
     /// `after_lsn + 1`, under the tag `shard`) while LSNs stay at or below
     /// `limit_lsn` and the batch stays under `max_bytes`, updating the
-    /// cursor cache to the resume point. `buf` starts at file offset
-    /// `base` on the fast path and is the whole file on the slow one.
-    #[allow(clippy::too_many_arguments)]
+    /// cursor cache to the resume point.
     fn collect(
         &mut self,
-        buf: &[u8],
-        mut pos: usize,
-        base: Option<u64>,
+        mut frames: FrameReader<'_>,
         shard: u32,
         after_lsn: Lsn,
         limit_lsn: Lsn,
@@ -238,8 +177,9 @@ impl WalTailer {
         let mut records: Vec<Vec<u8>> = Vec::new();
         let mut total = 0usize;
         let mut tag = shard;
+        let mut resume = frames.offset();
         while total < max_bytes {
-            let Some((frame_len, body)) = frame_at(buf, pos) else {
+            let Some(body) = frames.next_frame()? else {
                 break;
             };
             let Ok((lsn, record)) = WalRecord::decode_body(body) else {
@@ -252,9 +192,9 @@ impl WalTailer {
             total += body.len();
             expected = lsn + 1;
             tag = record.tag_after(tag);
-            pos += frame_len;
+            resume = frames.offset();
         }
-        self.cursor = Some((base.unwrap_or(0) + pos as u64, expected, tag));
+        self.cursor = Some((resume, expected, tag));
         Ok(TailPoll::Batch { shard, records })
     }
 }
@@ -268,7 +208,7 @@ mod tests {
     use super::*;
     use crate::page::PageId;
     use crate::stats::IoStats;
-    use crate::wal::Wal;
+    use crate::wal::{Wal, CHUNK_BYTES};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -521,9 +461,10 @@ mod tests {
             assert_eq!(dst.last_lsn(), 2);
         }
         let (_, scan) = Wal::open(&replica, FsyncPolicy::Always, stats).unwrap();
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.records[0].1, image(4, 4));
-        assert_eq!(scan.records[1].1, commit(9));
+        let records: Vec<_> = scan.records().map(Result::unwrap).collect();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].1, image(4, 4));
+        assert_eq!(records[1].1, commit(9));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -538,6 +479,80 @@ mod tests {
         // ...but after that the sequence must be contiguous.
         assert!(dst.append_shipped(&image(2, 2).encode_body(53)).is_err());
         assert!(dst.append_shipped(&image(2, 2).encode_body(51)).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A poll reads the log a chunk at a time, not whole: over a log many
+    /// times `max_bytes`, holding a frame larger than a chunk, its batches
+    /// are record for record what cutting a whole-file read at
+    /// `max_bytes` gives, each naming the shard its first records belong
+    /// to.
+    #[test]
+    fn polls_over_a_long_log_batch_exactly_as_a_whole_file_read() {
+        let dir = temp_dir("long");
+        let path = dir.join("redo.wal");
+        let _ = std::fs::remove_file(&path);
+        let max_bytes = 16 << 10;
+        let wal = Wal::create(&path, FsyncPolicy::Os, Arc::new(IoStats::new())).unwrap();
+        for i in 0..300u64 {
+            let len = if i == 150 {
+                3 * CHUNK_BYTES
+            } else {
+                (i as usize * 37) % 3000 + 1
+            };
+            let record = WalRecord::PageImage {
+                page: PageId(i),
+                bytes: vec![i as u8; len],
+            };
+            wal.append_for((i % 3) as u32, &record).unwrap();
+            if i % 5 == 4 {
+                wal.append_for((i % 3) as u32, &commit(i)).unwrap();
+            }
+        }
+        wal.sync().unwrap();
+        assert!(wal.bytes() >= 16 * max_bytes as u64);
+
+        // The whole file, framed from the start, cut greedily at
+        // `max_bytes`; each batch with the tag before its first record.
+        let whole = std::fs::read(&path).unwrap();
+        let (mut expected, mut batch, mut total, mut pos, mut tag) = (vec![], vec![], 0, 0, 0);
+        let mut batch_tag = 0;
+        while pos < whole.len() {
+            let len = u32::from_le_bytes(whole[pos..pos + 4].try_into().unwrap()) as usize;
+            let body = whole[pos + 8..pos + 8 + len].to_vec();
+            pos += 8 + len;
+            if batch.is_empty() {
+                batch_tag = tag;
+            }
+            tag = WalRecord::decode_body(&body).unwrap().1.tag_after(tag);
+            total += body.len();
+            batch.push(body);
+            if total >= max_bytes {
+                expected.push((batch_tag, std::mem::take(&mut batch)));
+                total = 0;
+            }
+        }
+        expected.push((batch_tag, batch));
+
+        let mut tailer = WalTailer::new(&path);
+        let (mut got, mut cursor) = (Vec::new(), 0);
+        loop {
+            let TailPoll::Batch { shard, records } =
+                tailer.poll(cursor, wal.durable_lsn(), max_bytes).unwrap()
+            else {
+                panic!("no rebase expected");
+            };
+            let Some(last) = records.last() else {
+                break;
+            };
+            cursor = WalRecord::decode_body(last).unwrap().0;
+            got.push((shard, records));
+        }
+        assert_eq!(got.len(), expected.len());
+        assert!(
+            got == expected,
+            "the batches differ from the whole-file read"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,7 @@
 //! [`super::commit`]'s concern.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use tsb_common::{FsyncPolicy, TsbError, TsbResult};
 
 use super::commit::GroupCommit;
-use super::record::{scan_buf, write_frame};
+use super::record::write_frame;
 use super::{Lsn, WalRecord, WalScan};
 use crate::fault::{CrashPoint, FaultInjector};
 use crate::stats::IoStats;
@@ -235,11 +235,12 @@ impl Wal {
         }
     }
 
-    /// Opens (or creates) the log at `path`, scanning every record and
-    /// truncating a torn tail. The returned [`WalScan`] is the replay input;
-    /// the `Wal` is positioned to append after the intact prefix, which is
-    /// forced to stable storage (one fsync, none for an empty log) before
-    /// [`Self::durable_lsn`] is seeded at its tail.
+    /// Opens (or creates) the log at `path`: one integrity pass over the
+    /// file, a chunk at a time, truncates a torn tail. The returned
+    /// [`WalScan`] reads the intact records back for replay; the `Wal` is
+    /// positioned to append after them, and they are forced to stable
+    /// storage (one fsync, none for an empty log) before
+    /// [`Self::durable_lsn`] is seeded at their tail.
     pub fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
@@ -260,17 +261,11 @@ impl Wal {
             file.sync_all()?;
             sync_parent_dir(&path)?;
         }
-        let mut buf = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut buf)?;
-
-        let (records, pos, torn) = scan_buf(&buf);
-        let next_lsn = records.last().map(|(lsn, _)| lsn + 1).unwrap_or(1);
-        let shard = records.iter().fold(0, |tag, (_, r)| r.tag_after(tag));
-        if torn {
-            file.set_len(pos as u64)?;
+        let scan = WalScan::check(file.try_clone()?)?;
+        if scan.truncated_torn_tail {
+            file.set_len(scan.end)?;
             file.sync_all()?;
-        } else if pos > 0 {
+        } else if scan.end > 0 {
             // Bytes a scan can read are not thereby durable: the process
             // that wrote them may have been killed (or, under `Os`, simply
             // exited) before any fsync covered them. The caller installs
@@ -280,14 +275,10 @@ impl Wal {
             file.sync_data()?;
             stats.record_wal_sync();
         }
-        file.seek(SeekFrom::Start(pos as u64))?;
-        Ok((
-            Self::assemble(file, next_lsn, pos as u64, shard, policy, path, stats),
-            WalScan {
-                records,
-                truncated_torn_tail: torn,
-            },
-        ))
+        file.seek(SeekFrom::Start(scan.end))?;
+        let next_lsn = scan.last_lsn.map_or(1, |lsn| lsn + 1);
+        let wal = Self::assemble(file, next_lsn, scan.end, scan.tag, policy, path, stats);
+        Ok((wal, scan))
     }
 
     /// Settles a checkpoint reset the previous process died inside of.
@@ -312,15 +303,12 @@ impl Wal {
     ///   stands.
     fn resolve_pending_reset(path: &Path) -> TsbResult<()> {
         let tmp = path.with_extension("wal.tmp");
-        let buf = match std::fs::read(&tmp) {
-            Ok(buf) => buf,
+        let scan = match File::open(&tmp) {
+            Ok(file) => WalScan::check(file)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        let (records, pos, _) = scan_buf(&buf);
-        let intact = pos == buf.len() && !records.is_empty();
-        let fenced = records.iter().any(|(_, r)| r.is_fence());
-        if intact && fenced {
+        if !scan.truncated_torn_tail && scan.holds_a_fence() {
             std::fs::rename(&tmp, path)?;
         } else {
             std::fs::remove_file(&tmp)?;

@@ -58,12 +58,15 @@
 //! version), so re-applying a replayed prefix over device state that
 //! already contains it is idempotent.
 //!
-//! `crc` is CRC-32 (IEEE polynomial) over the body. On reopen the file is
-//! scanned from the start; the first record whose length prefix runs past
-//! the end of the file or whose CRC does not match marks a **torn tail**
-//! (the machine died mid-append): the file is truncated there and replay
-//! uses only the intact prefix. Nothing after a tear can be trusted — a
-//! later record being intact does not mean the skipped one was benign.
+//! `crc` is CRC-32 (IEEE polynomial) over the body. On reopen one pass
+//! reads the file from the start, a chunk at a time; the first record that
+//! is incomplete, fails its CRC, does not decode or breaks the LSN sequence
+//! marks a **torn tail** (the machine died mid-append): the file is
+//! truncated there. Nothing after a tear can be trusted — a later record
+//! being intact does not mean the skipped one was benign. The pass notes
+//! where the newest checkpoint starts, and replay re-reads the intact
+//! records from there, again a chunk at a time ([`WalScan`]): no reader
+//! holds the whole log, or all of its records.
 //! Bytes a scan can read are not thereby on stable storage (the writer may
 //! have been killed before any fsync covered them), so [`Wal::open`]
 //! forces a non-empty intact prefix once, under every policy, before it
@@ -169,10 +172,12 @@
 //!
 //! ## Which file owns what
 //!
-//! * `record` — the bytes: [`PageOp`] / [`WalRecord`] bodies and
-//!   `WalRecord::is_fence`, the one writer and the one reader of the
-//!   `len | crc | body` frame, and the scan that turns a file back into
-//!   records ([`WalScan`]).
+//! * `record` — the bytes: [`PageOp`] / [`WalRecord`] bodies,
+//!   `WalRecord::is_fence`, and the one writer of the `len | crc | body`
+//!   frame.
+//! * `scan` — the one reader of the frame, a chunk at a time: the
+//!   integrity pass on open, the records replay reads back ([`WalScan`]),
+//!   and the replication tailer's reads.
 //! * `log` — the file and its append buffer: [`Wal`] create / open / reset
 //!   (torn-tail truncation, the checkpoint reset's write-new-then-rename),
 //!   local and shipped appends, the shard switch, the coalesced write at
@@ -191,11 +196,15 @@ mod commit;
 mod log;
 mod page_table;
 mod record;
+mod scan;
 
 pub use log::{sync_parent_dir, PreSyncHook, Wal};
 pub use page_table::WalPageTable;
-pub(crate) use record::frame_at;
-pub use record::{Lsn, PageOp, ShardFence, WalRecord, WalScan};
+pub use record::{Lsn, PageOp, ShardFence, WalRecord};
+pub(crate) use scan::FrameReader;
+pub use scan::WalScan;
+#[cfg(test)]
+pub(crate) use scan::CHUNK_BYTES;
 
 #[cfg(test)]
 mod tests;

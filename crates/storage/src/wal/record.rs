@@ -1,5 +1,5 @@
-//! The log's bytes: the record kinds and their bodies, the `len|crc|body`
-//! frame around each body, and the scan that reads a file of frames back.
+//! The log's bytes: the record kinds and their bodies, and the `len|crc|body`
+//! frame around each body.
 //! The format itself is specified in the [module docs](super).
 
 use tsb_common::checksum::crc32;
@@ -14,7 +14,7 @@ pub type Lsn = u64;
 
 /// Upper bound on a single record body. Anything larger in a length prefix
 /// is treated as a torn tail rather than an allocation request.
-const MAX_RECORD_BODY: u32 = 64 << 20;
+pub(super) const MAX_RECORD_BODY: u32 = 64 << 20;
 
 /// A compact logical redo operation against one data (leaf) node — the
 /// payload of a [`WalRecord::PageDelta`].
@@ -396,10 +396,10 @@ impl WalRecord {
 }
 
 /// Bytes a frame adds around its body: `len: u32 | crc: u32`.
-const FRAME_HEADER_BYTES: usize = 8;
+pub(super) const FRAME_HEADER_BYTES: usize = 8;
 
 /// Appends the frame `len | crc | body` to `out` and returns the frame's
-/// length — the one writer of the frame format [`frame_at`] reads.
+/// length — the one writer of the frame format `FrameReader` reads.
 pub(super) fn write_frame(out: &mut Vec<u8>, body: &[u8]) -> usize {
     let frame_len = FRAME_HEADER_BYTES + body.len();
     out.reserve(frame_len);
@@ -407,63 +407,4 @@ pub(super) fn write_frame(out: &mut Vec<u8>, body: &[u8]) -> usize {
     out.extend_from_slice(&crc32(body).to_le_bytes());
     out.extend_from_slice(body);
     frame_len
-}
-
-/// Frames the record starting at `pos`: returns `(total frame length,
-/// body slice)` if the frame is complete and its CRC matches.
-pub(crate) fn frame_at(buf: &[u8], pos: usize) -> Option<(usize, &[u8])> {
-    let header = buf.get(pos..pos + FRAME_HEADER_BYTES)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len == 0 || len > MAX_RECORD_BODY {
-        return None;
-    }
-    let start = pos + FRAME_HEADER_BYTES;
-    let body = buf.get(start..start + len as usize)?;
-    if crc32(body) != crc {
-        return None;
-    }
-    Some((FRAME_HEADER_BYTES + len as usize, body))
-}
-
-/// What [`Wal::open`](super::Wal::open) found on disk: the intact records
-/// (torn tail already truncated) and whether a tear was repaired.
-#[derive(Debug)]
-pub struct WalScan {
-    /// Every intact record, in LSN order.
-    pub records: Vec<(Lsn, WalRecord)>,
-    /// Whether a torn tail (partial or corrupt trailing record) was cut off.
-    pub truncated_torn_tail: bool,
-}
-
-/// Scans `buf` from the start: returns the intact records in LSN order,
-/// the byte position of the first bad frame (== `buf.len()` when the
-/// whole buffer is intact), and whether a torn tail was found. The
-/// first record may carry any LSN (checkpoint truncation keeps the
-/// sequence running across log generations); after that a
-/// discontinuity means the file was spliced or a tear was overwritten
-/// — nothing from there on is trustworthy.
-pub(super) fn scan_buf(buf: &[u8]) -> (Vec<(Lsn, WalRecord)>, usize, bool) {
-    let mut records: Vec<(Lsn, WalRecord)> = Vec::new();
-    let mut pos = 0usize;
-    let mut next_lsn: Lsn = 1;
-    let mut torn = false;
-    while pos < buf.len() {
-        let Some((record_len, body)) = frame_at(buf, pos) else {
-            torn = true;
-            break;
-        };
-        let Ok((lsn, record)) = WalRecord::decode_body(body) else {
-            torn = true;
-            break;
-        };
-        if !records.is_empty() && lsn != next_lsn {
-            torn = true;
-            break;
-        }
-        next_lsn = lsn + 1;
-        records.push((lsn, record));
-        pos += record_len;
-    }
-    (records, pos, torn)
 }

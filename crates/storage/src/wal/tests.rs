@@ -23,6 +23,11 @@ fn temp_wal_path(tag: &str) -> std::path::PathBuf {
     dir.join("test.wal")
 }
 
+/// Every record a scan reads back.
+fn all(scan: &WalScan) -> Vec<(Lsn, WalRecord)> {
+    scan.records().map(Result::unwrap).collect()
+}
+
 fn page_image(page: u64, fill: u8) -> WalRecord {
     WalRecord::PageImage {
         page: PageId(page),
@@ -61,8 +66,8 @@ fn records_round_trip_through_the_file() {
     }
     let (wal, scan) = Wal::open(&path, FsyncPolicy::Always, stats).unwrap();
     assert!(!scan.truncated_torn_tail);
-    assert_eq!(scan.records.len(), written.len());
-    for (i, (lsn, rec)) in scan.records.iter().enumerate() {
+    assert_eq!(all(&scan).len(), written.len());
+    for (i, (lsn, rec)) in all(&scan).iter().enumerate() {
         assert_eq!(*lsn, (i + 1) as Lsn);
         assert_eq!(rec, &written[i]);
     }
@@ -144,10 +149,10 @@ fn torn_tail_mid_delta_run_keeps_the_image_and_drops_trailing_deltas() {
 
     let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
     assert!(scan.truncated_torn_tail);
-    assert_eq!(scan.records.len(), 4, "image, commit, two intact deltas");
-    assert!(matches!(scan.records[0].1, WalRecord::PageImage { .. }));
-    assert!(matches!(scan.records[2].1, WalRecord::PageDelta { .. }));
-    assert!(matches!(scan.records[3].1, WalRecord::PageDelta { .. }));
+    assert_eq!(all(&scan).len(), 4, "image, commit, two intact deltas");
+    assert!(matches!(all(&scan)[0].1, WalRecord::PageImage { .. }));
+    assert!(matches!(all(&scan)[2].1, WalRecord::PageDelta { .. }));
+    assert!(matches!(all(&scan)[3].1, WalRecord::PageDelta { .. }));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -223,14 +228,14 @@ fn torn_tail_is_truncated_to_the_intact_prefix() {
 
     let (wal, scan) = Wal::open(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
     assert!(scan.truncated_torn_tail);
-    assert_eq!(scan.records.len(), 2, "intact prefix only");
-    assert!(matches!(scan.records[1].1, WalRecord::Commit { ts: 1, .. }));
+    assert_eq!(all(&scan).len(), 2, "intact prefix only");
+    assert!(matches!(all(&scan)[1].1, WalRecord::Commit { ts: 1, .. }));
     // The torn bytes are gone from the file; appends restart cleanly.
     wal.append(&page_image(3, 3)).unwrap();
     drop(wal);
     let (_, rescan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
     assert!(!rescan.truncated_torn_tail);
-    assert_eq!(rescan.records.len(), 3);
+    assert_eq!(all(&rescan).len(), 3);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -254,7 +259,7 @@ fn corrupt_crc_mid_log_discards_everything_after() {
     let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
     assert!(scan.truncated_torn_tail);
     assert_eq!(
-        scan.records.len(),
+        all(&scan).len(),
         1,
         "records after a corrupt one are untrustworthy"
     );
@@ -319,13 +324,13 @@ fn reset_with_bounds_the_log_and_keeps_lsns_continuous() {
     }
     let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
     assert!(!scan.truncated_torn_tail);
-    assert_eq!(scan.records.len(), 2);
-    assert_eq!(scan.records[0].0, 41, "first record keeps its high LSN");
+    assert_eq!(all(&scan).len(), 2);
+    assert_eq!(all(&scan)[0].0, 41, "first record keeps its high LSN");
     assert!(matches!(
-        scan.records[0].1,
+        all(&scan)[0].1,
         WalRecord::Checkpoint { worm_len: 7, .. }
     ));
-    assert_eq!(scan.records[1].0, 42);
+    assert_eq!(all(&scan)[1].0, 42);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -352,12 +357,9 @@ fn leftover_intact_fenced_reset_tmp_is_rolled_forward() {
     }
     let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
     assert!(!tmp.exists(), "the rename was completed");
-    assert_eq!(scan.records.len(), 1);
+    assert_eq!(all(&scan).len(), 1);
     assert!(
-        matches!(
-            scan.records[0].1,
-            WalRecord::Checkpoint { worm_len: 11, .. }
-        ),
+        matches!(all(&scan)[0].1, WalRecord::Checkpoint { worm_len: 11, .. }),
         "the fenced replacement generation won, not the fence-less old one"
     );
     let _ = std::fs::remove_file(&path);
@@ -386,8 +388,8 @@ fn create_discards_a_stale_reset_tmp_from_a_dead_generation() {
         wal.append(&commit(1)).unwrap();
     }
     let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
-    assert_eq!(scan.records.len(), 1);
-    assert!(matches!(scan.records[0].1, WalRecord::Commit { ts: 1, .. }));
+    assert_eq!(all(&scan).len(), 1);
+    assert!(matches!(all(&scan)[0].1, WalRecord::Commit { ts: 1, .. }));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -407,8 +409,8 @@ fn leftover_unusable_reset_tmp_is_rolled_back() {
         let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
         assert!(!tmp.exists(), "the unfinished temp write was discarded");
         assert!(!scan.truncated_torn_tail);
-        assert_eq!(scan.records.len(), 2, "the main log stands untouched");
-        assert!(matches!(scan.records[1].1, WalRecord::Commit { ts: 5, .. }));
+        assert_eq!(all(&scan).len(), 2, "the main log stands untouched");
+        assert!(matches!(all(&scan)[1].1, WalRecord::Commit { ts: 5, .. }));
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -448,7 +450,7 @@ fn open_forces_what_it_scanned_before_calling_it_durable() {
     for policy in [FsyncPolicy::Always, FsyncPolicy::Os] {
         let stats = Arc::new(IoStats::new());
         let (wal, scan) = Wal::open(&path, policy, Arc::clone(&stats)).unwrap();
-        assert_eq!(scan.records.len(), 2);
+        assert_eq!(all(&scan).len(), 2);
         assert_eq!(stats.snapshot().wal_syncs, 1, "{policy:?}: one force");
         assert_eq!(wal.durable_lsn(), wal.last_lsn());
         // The watermark now tells the truth, so the barrier has nothing
@@ -461,7 +463,7 @@ fn open_forces_what_it_scanned_before_calling_it_durable() {
     let _ = std::fs::remove_file(&fresh);
     let stats = Arc::new(IoStats::new());
     let (wal, scan) = Wal::open(&fresh, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
-    assert!(scan.records.is_empty());
+    assert!(all(&scan).is_empty());
     assert_eq!(stats.snapshot().wal_syncs, 0);
     assert_eq!(wal.durable_lsn(), 0);
     drop(wal);
@@ -665,7 +667,7 @@ fn the_shard_tag_is_written_only_where_the_appending_shard_changes() {
     };
     let (wal, scan) = Wal::open(&path, FsyncPolicy::Os, Arc::clone(&stats)).unwrap();
     assert_eq!(
-        kinds(&scan.records),
+        kinds(&all(&scan)),
         [
             "PageImage",
             "Commit",
@@ -676,8 +678,8 @@ fn the_shard_tag_is_written_only_where_the_appending_shard_changes() {
             "Commit"
         ]
     );
-    assert_eq!(scan.records[2].1, WalRecord::Shard { shard: 1 });
-    assert_eq!(scan.records[5].1, sharded_commit, "the parts round-trip");
+    assert_eq!(all(&scan)[2].1, WalRecord::Shard { shard: 1 });
+    assert_eq!(all(&scan)[5].1, sharded_commit, "the parts round-trip");
     // Reopened, the log is still on shard 1.
     let (lsn, _) = wal.append_for(1, &commit(11)).unwrap();
     assert_eq!(lsn, wal.last_lsn(), "no switch before shard 1's commit");
@@ -688,7 +690,7 @@ fn the_shard_tag_is_written_only_where_the_appending_shard_changes() {
     drop(wal);
     let (_, scan) = Wal::open(&path, FsyncPolicy::Os, stats).unwrap();
     assert_eq!(
-        kinds(&scan.records),
+        kinds(&all(&scan)),
         ["ShardCheckpoint", "Commit", "Shard", "Commit"],
         "a reset restarts on shard 0"
     );
@@ -755,8 +757,8 @@ fn golden_log_from_the_parent_commit_replays_and_rewrites_identically() {
     let stats = Arc::new(IoStats::new());
     let (wal, scan) = Wal::open(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
     assert!(!scan.truncated_torn_tail);
-    assert_eq!(scan.records.len(), written.len());
-    for (i, (lsn, rec)) in scan.records.iter().enumerate() {
+    assert_eq!(all(&scan).len(), written.len());
+    for (i, (lsn, rec)) in all(&scan).iter().enumerate() {
         assert_eq!(*lsn, (i + 1) as Lsn);
         assert_eq!(rec, &written[i]);
     }
