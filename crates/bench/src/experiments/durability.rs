@@ -18,7 +18,8 @@
 //! bound restart time.
 //!
 //! The third table (E12c) prices the **pipelined group commit**: closed-loop
-//! writer threads share the group-commit thread's fsyncs, so `Always`-policy
+//! writer threads share fsyncs — the writers that park while one is on the
+//! device share the next, led by one of them — so `Always`-policy
 //! committed throughput scales with thread count while fsyncs/op falls.
 //! Because every fsync-bound number is hostage to the filesystem under
 //! `/tmp`, the harness first calibrates the device's raw fsync latency
@@ -214,9 +215,9 @@ fn group_commit_table(scale: Scale, floor: Duration) -> Table {
         "E12c: pipelined group commit — committed throughput vs closed-loop writer threads",
         format!(
             "each thread commits its next durable insert only after the previous was \
-             acknowledged; the fsync runs on the group-commit thread, so concurrent \
-             commits share drains; {ops_per_thread} ops/thread, value 48B, calibrated \
-             fsync floor {:.0}us",
+             acknowledged; the fsync runs on a waiting writer's thread, and the commits \
+             appended while one is on the device share the next; {ops_per_thread} \
+             ops/thread, value 48B, calibrated fsync floor {:.0}us",
             floor.as_secs_f64() * 1e6
         ),
         &[

@@ -6,7 +6,8 @@
 //! `N`-shard [`tsb_core::ShardedTsb`] gives each shard its own lock, node
 //! cache and devices under one global commit clock, so writers touching
 //! different shards mutate in parallel — and one shared WAL, so the
-//! commits of every shard share one group-commit thread and its fsyncs.
+//! commits of every shard share its fsyncs, one on the device at a time,
+//! each led by a waiting writer.
 //!
 //! The table runs the E12c closed loop across
 //! `{1, 2, 4} shards × {1, 4, 8} writers × {Always, Os}` and
@@ -24,12 +25,12 @@
 //! floors, which should stay near one floor as `P` grows.
 //!
 //! On a single-core host the CPU, not the lock, is the ceiling: every
-//! writer and committer thread time-slices one core, so committed ops/s
-//! cannot scale with shard count. What sharding still must deliver here —
-//! and what the acceptance criteria check — is *decoupling*: fsyncs/op at
-//! 4 shards no worse than at 1 (the shared WAL never multiplies syncs per
-//! acknowledged commit), and writer-lock wait per op falling steeply as
-//! contended writers spread over `N` locks.
+//! writer thread (each leading syncs in turn) time-slices one core, so
+//! committed ops/s cannot scale with shard count. What sharding still must
+//! deliver here — and what the acceptance criteria check — is
+//! *decoupling*: fsyncs/op at 4 shards no worse than at 1 (the shared WAL
+//! never multiplies syncs per acknowledged commit), and writer-lock wait
+//! per op falling steeply as contended writers spread over `N` locks.
 
 use std::path::PathBuf;
 
@@ -79,10 +80,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut table = Table::new(
         "E14: sharded write scaling — ops/s, fsyncs/op, and writer-lock wait vs shard count",
         format!(
-            "closed-loop writers (E12c harness) over an N-shard engine, one WAL + \
-             group-commit thread for every shard, one global commit clock; {ops} ops/writer, \
-             value 48B; 'vs 1 shard' compares the same policy x writers cell; calibrated \
-             fsync floor {:.0}us — '% ceiling' as in E12",
+            "closed-loop writers (E12c harness) over an N-shard engine, one WAL for \
+             every shard (its fsync led by a waiting writer), one global commit clock; \
+             {ops} ops/writer, value 48B; 'vs 1 shard' compares the same policy x \
+             writers cell; calibrated fsync floor {:.0}us — '% ceiling' as in E12",
             floor.as_secs_f64() * 1e6
         ),
         &[

@@ -11,8 +11,9 @@
 //! timestamps form a single total order across the keyspace and a
 //! snapshot pinned at timestamp `T` means the same instant on every shard.
 //! And every shard appends to one redo log — one append buffer, one
-//! committer thread, one fsync — tagging its records with its shard, so a
-//! batch of commits over every shard is made durable by one sync.
+//! fsync, run by whichever waiter finds none on the device — tagging its
+//! records with its shard, so a batch of commits over every shard is made
+//! durable by one sync.
 //!
 //! ## Routing
 //!
@@ -558,15 +559,14 @@ impl EngineHandle for ShardedTsb {
         Ok((ts, lsn.map(|l| (shard, l))))
     }
 
-    /// Parks until the log's durable-LSN watermark covers `lsn`. Before
-    /// parking it asks the log for its whole appended tail, so the drain
-    /// it starts also covers what other writers appended meanwhile, before
-    /// they ask; every shard shares the log, so a batch's waits after the
-    /// first find it already covered. `ShardLsn` is a plain tuple a caller
-    /// may carry over from an engine with more shards (or another log), so
-    /// both halves are checked: a shard this engine lacks, or an LSN the
-    /// log never handed out, is a config error and leaves the engine
-    /// usable.
+    /// Returns once the log's durable-LSN watermark covers `lsn`. A sync
+    /// covers the whole appended tail, so the one this wait leads or joins
+    /// also covers what other writers appended before its capture; every
+    /// shard shares the log, so a batch's waits after the first find it
+    /// already covered. `ShardLsn` is a plain tuple a caller may carry
+    /// over from an engine with more shards (or another log), so both
+    /// halves are checked: a shard this engine lacks, or an LSN the log
+    /// never handed out, is a config error and leaves the engine usable.
     fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
         self.writable()?;
         let shards = &self.inner.shards;
@@ -576,7 +576,6 @@ impl EngineHandle for ShardedTsb {
                 shards.len()
             ))
         })?;
-        db.tree().request_durable_tail();
         db.tree().wait_durable_lsn(Some(lsn))
     }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use tsb_common::{Timestamp, TsbResult};
+use tsb_common::{Timestamp, TsbError, TsbResult};
 use tsb_storage::{Lsn, ShardFence, Wal, WalPageTable, WalRecord, WormStore};
 
 use super::TsbTree;
@@ -425,33 +425,29 @@ impl TsbTree {
         self.durability.as_ref().is_some_and(|d| d.shares_log)
     }
 
-    /// Asks the log for everything appended so far, whatever the fsync
-    /// policy, without parking: the drain it starts covers every writer's
-    /// appended commits, not only the caller's.
-    pub(crate) fn request_durable_tail(&self) {
-        if let Some(d) = &self.durability {
-            // The tail only grows, so it cannot have passed out of range.
-            let _ = d.wal.request_durable(d.wal.last_lsn());
-        }
-    }
-
-    /// Asks the log for `lsn`, then parks until its durable watermark
-    /// covers it — the acknowledgement half of a pipelined commit, run on
-    /// the position a mutation returned (`None`: nothing owed). A `&mut`
-    /// commit verb waits at once, so `insert` or `commit_txn` returning
-    /// under `Always` means the commit is on stable storage; a shard waits
+    /// Returns once the log's durable watermark covers `lsn`, leading the
+    /// sync on this thread or parking on the one on the device (see
+    /// [`Wal::wait_durable`]) — the acknowledgement half of a pipelined
+    /// commit, run on the position a mutation returned (`None`: nothing
+    /// owed). A `&mut` commit verb waits at once, so `insert` or
+    /// `commit_txn` returning under `Always` means the commit is on stable
+    /// storage; a shard waits
     /// after its writer lock drops. A transaction's writes and its abort
     /// owe no wait: the commit's fence follows them on the one log. A
     /// failed wait **poisons the tree**: the fence was appended but can
     /// never become durable, so the in-memory state is permanently ahead
-    /// of the log. A position the log never handed out is refused before
-    /// that: nothing was appended there, so nothing is wrong with the tree.
+    /// of the log. A position the log never handed out is refused as a
+    /// `Config` error that poisons nothing: nothing was appended there, so
+    /// nothing is wrong with the tree.
     pub(crate) fn wait_durable_lsn(&self, lsn: Option<Lsn>) -> TsbResult<()> {
         let (Some(d), Some(lsn)) = (&self.durability, lsn) else {
             return Ok(());
         };
-        d.wal.request_durable(lsn)?;
-        d.wal.wait_durable(lsn).inspect_err(|_| self.poison())?;
+        d.wal.wait_durable(lsn).inspect_err(|e| {
+            if !matches!(e, TsbError::Config(_)) {
+                self.poison();
+            }
+        })?;
         d.acks.lock().settle(d.wal.durable_lsn());
         Ok(())
     }

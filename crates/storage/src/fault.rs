@@ -36,13 +36,14 @@ pub enum CrashPoint {
     /// A record append reaching the write-ahead log (page image or commit
     /// fence).
     WalAppend,
-    /// The WAL's fsync (a group-commit drain, mid-capture: the crash lands
-    /// on the group-commit thread before the device sync is issued).
+    /// The WAL's fsync, mid-capture: the crash lands on the thread leading
+    /// the sync — a waiter, a write-back barrier or a checkpoint — before
+    /// the device sync is issued.
     WalSync,
     /// The window between the WAL fsync completing and the durable-LSN
-    /// watermark being published: the crash kills the group-commit thread
+    /// watermark being published: the crash stops the leading thread
     /// holding commits that are durable on the device but were never
-    /// acknowledged to any waiter.
+    /// acknowledged to any waiter, its followers' included.
     WalSyncPublish,
     /// The checkpoint record itself — the crash lands after the full flush
     /// succeeded but before the checkpoint fence is in the log.
@@ -145,9 +146,10 @@ impl FaultInjector {
         if self.tripped.load(Ordering::SeqCst) {
             return Err(Self::injected_error());
         }
-        // The countdowns are single atomic steps: forces of different
-        // logs overlap (one committer thread per log), and two checks
-        // sharing one decrement would trip a sync later than it was armed.
+        // The countdowns are single atomic steps: every thread that
+        // appends, writes a page back or leads a sync checks here, and two
+        // checks sharing one decrement would trip a site later than it was
+        // armed.
         let count_down = |counter: &AtomicU64| {
             counter
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))

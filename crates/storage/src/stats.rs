@@ -65,12 +65,11 @@ pub struct IoStats {
     /// Commit fences appended to the WAL (one per committed mutation group);
     /// with `wal_syncs` this yields the commits-per-fsync sharing ratio.
     pub wal_commits: AtomicU64,
-    /// Drains performed by the group-commit thread (each drain issues at
-    /// most one fsync covering every commit queued behind it).
-    pub group_commit_batches: AtomicU64,
-    /// Times a committer parked waiting for the durable-LSN watermark.
+    /// Calls of `Wal::wait_durable` that did not return at once — whether
+    /// the caller led the sync that covered its position or parked on
+    /// another's. `Wal::sync` books none.
     pub group_commit_waits: AtomicU64,
-    /// Total nanoseconds committers spent parked on the watermark.
+    /// Total nanoseconds those waits took, each timed from call to return.
     pub group_commit_wait_nanos: AtomicU64,
     /// Times a writer found the shard writer lock contended (had to block).
     pub writer_lock_waits: AtomicU64,
@@ -175,12 +174,8 @@ impl IoStats {
         Self::bump(&self.wal_commits, 1);
     }
 
-    /// Records one drain of the group-commit queue.
-    pub fn record_group_commit_batch(&self) {
-        Self::bump(&self.group_commit_batches, 1);
-    }
-
-    /// Records one parked wait on the durable watermark and its duration.
+    /// Records one wait on the durable watermark that did not return at
+    /// once, and its duration.
     pub fn record_group_commit_wait(&self, nanos: u64) {
         Self::bump(&self.group_commit_waits, 1);
         Self::bump(&self.group_commit_wait_nanos, nanos);
@@ -212,7 +207,6 @@ impl IoStats {
             wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
             wal_bytes_appended: self.wal_bytes_appended.load(Ordering::Relaxed),
             wal_commits: self.wal_commits.load(Ordering::Relaxed),
-            group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
             group_commit_waits: self.group_commit_waits.load(Ordering::Relaxed),
             group_commit_wait_nanos: self.group_commit_wait_nanos.load(Ordering::Relaxed),
             writer_lock_waits: self.writer_lock_waits.load(Ordering::Relaxed),
@@ -240,7 +234,6 @@ impl IoStats {
             &self.wal_syncs,
             &self.wal_bytes_appended,
             &self.wal_commits,
-            &self.group_commit_batches,
             &self.group_commit_waits,
             &self.group_commit_wait_nanos,
             &self.writer_lock_waits,
@@ -288,8 +281,6 @@ pub struct IoSnapshot {
     pub wal_bytes_appended: u64,
     /// See [`IoStats::wal_commits`].
     pub wal_commits: u64,
-    /// See [`IoStats::group_commit_batches`].
-    pub group_commit_batches: u64,
     /// See [`IoStats::group_commit_waits`].
     pub group_commit_waits: u64,
     /// See [`IoStats::group_commit_wait_nanos`].
@@ -332,9 +323,6 @@ impl IoSnapshot {
                 .wal_bytes_appended
                 .saturating_sub(earlier.wal_bytes_appended),
             wal_commits: self.wal_commits.saturating_sub(earlier.wal_commits),
-            group_commit_batches: self
-                .group_commit_batches
-                .saturating_sub(earlier.group_commit_batches),
             group_commit_waits: self
                 .group_commit_waits
                 .saturating_sub(earlier.group_commit_waits),
@@ -372,7 +360,6 @@ impl IoSnapshot {
             wal_syncs: self.wal_syncs + other.wal_syncs,
             wal_bytes_appended: self.wal_bytes_appended + other.wal_bytes_appended,
             wal_commits: self.wal_commits + other.wal_commits,
-            group_commit_batches: self.group_commit_batches + other.group_commit_batches,
             group_commit_waits: self.group_commit_waits + other.group_commit_waits,
             group_commit_wait_nanos: self.group_commit_wait_nanos + other.group_commit_wait_nanos,
             writer_lock_waits: self.writer_lock_waits + other.writer_lock_waits,
@@ -417,7 +404,7 @@ impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "magnetic r/w/alloc/free {}/{}/{}/{}  worm append/sector/read {}/{}/{}  node accesses cur/hist {}/{}  node cache hit/miss {}/{}  decode/encode {}/{}  wal append/sync/bytes {}/{}/{}  commit fence/batch/wait/waitns {}/{}/{}/{}  wlock wait/waitns {}/{}",
+            "magnetic r/w/alloc/free {}/{}/{}/{}  worm append/sector/read {}/{}/{}  node accesses cur/hist {}/{}  node cache hit/miss {}/{}  decode/encode {}/{}  wal append/sync/bytes {}/{}/{}  commit fence/wait/waitns {}/{}/{}  wlock wait/waitns {}/{}",
             self.magnetic_reads,
             self.magnetic_writes,
             self.magnetic_allocs,
@@ -435,7 +422,6 @@ impl fmt::Display for IoSnapshot {
             self.wal_syncs,
             self.wal_bytes_appended,
             self.wal_commits,
-            self.group_commit_batches,
             self.group_commit_waits,
             self.group_commit_wait_nanos,
             self.writer_lock_waits,

@@ -7,7 +7,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -92,8 +92,8 @@ impl WalInner {
     }
 }
 
-/// The state shared between [`Wal`] handles, their callers, and the
-/// group-commit thread.
+/// The state shared between a [`Wal`] and every thread that appends to
+/// or syncs it.
 pub(super) struct WalShared {
     pub(super) inner: Mutex<WalInner>,
     policy: FsyncPolicy,
@@ -102,12 +102,10 @@ pub(super) struct WalShared {
 }
 
 /// The write-ahead log: an append-only, checksummed redo log over one
-/// file, synced by a dedicated group-commit thread (see the module docs).
+/// file, synced by whoever waits on it (see the module docs).
 pub struct Wal {
     shared: Arc<WalShared>,
     path: PathBuf,
-    /// The group-commit thread, joined on drop.
-    committer: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -200,10 +198,9 @@ impl Wal {
     }
 
     /// Wraps an opened file positioned at byte `len`, where `next_lsn`
-    /// will be appended on the tagged `shard`, and spawns the group-commit
-    /// thread. The watermark starts at `next_lsn - 1`: the caller has
-    /// forced whatever the file already holds (`create`: nothing; `open`:
-    /// the prefix it scanned).
+    /// will be appended on the tagged `shard`. The watermark starts at
+    /// `next_lsn - 1`: the caller has forced whatever the file already
+    /// holds (`create`: nothing; `open`: the prefix it scanned).
     fn assemble(
         file: File,
         next_lsn: Lsn,
@@ -227,12 +224,7 @@ impl Wal {
             stats,
             group: GroupCommit::starting_at(next_lsn - 1),
         });
-        let committer = shared.spawn_committer();
-        Wal {
-            shared,
-            path,
-            committer: Some(committer),
-        }
+        Wal { shared, path }
     }
 
     /// Opens (or creates) the log at `path`: one integrity pass over the
@@ -380,7 +372,7 @@ impl Wal {
             }
             WalRecord::Checkpoint { .. } => {
                 let (lsn, _) = self.append_for(0, record)?;
-                self.shared.sync_to_tail(false)?;
+                self.sync()?;
                 Ok(lsn)
             }
             _ => Ok(self.append_for(0, record)?.0),
@@ -402,30 +394,32 @@ impl Wal {
         self.shared.append_record(shard, record)
     }
 
-    /// Asks the group-commit thread to make everything through `lsn`
-    /// durable, without parking — the one way a sync gets asked for. A
-    /// caller with waits on several logs asks all of them first, so their
-    /// syncs overlap, then parks on each ([`Self::wait_durable`]).
+    /// Returns once the durable watermark covers `lsn`: at once when it
+    /// already does; else by parking on the sync on the device, or by
+    /// running the next sync on this thread when none is (see "Group
+    /// commit" in the [module docs](super)). Errors if a sync failure was
+    /// published (the failure is sticky). A wait that does not return at
+    /// once lands in the group-commit wait counters, timed from call to
+    /// return.
     ///
     /// An `lsn` past the newest appended record was never handed out by
-    /// this log; waiting on it could never end, so it is a typed error.
-    pub fn request_durable(&self, lsn: Lsn) -> TsbResult<()> {
+    /// this log; no sync could reach it, so it is a typed error.
+    pub fn wait_durable(&self, lsn: Lsn) -> TsbResult<()> {
+        let start = Instant::now();
         let tail = self.last_lsn();
         if lsn > tail {
             return Err(TsbError::config(format!(
                 "durability position {lsn} is past the newest appended record ({tail})"
             )));
         }
-        self.shared.request_sync(lsn);
-        Ok(())
-    }
-
-    /// Asks for `lsn` ([`Self::request_durable`]), then parks until the
-    /// durable watermark reaches it; errors if a sync failure was
-    /// published (the failure is sticky).
-    pub fn wait_durable(&self, lsn: Lsn) -> TsbResult<()> {
-        self.request_durable(lsn)?;
-        self.shared.wait_durable(lsn)
+        if self.durable_lsn() >= lsn {
+            return Ok(());
+        }
+        let result = self.shared.sync_through(lsn);
+        self.shared
+            .stats
+            .record_group_commit_wait(start.elapsed().as_nanos() as u64);
+        result
     }
 
     /// Appends a record body *shipped from a replication primary*, keeping
@@ -470,10 +464,10 @@ impl Wal {
     }
 
     /// Forces everything appended so far to stable storage before
-    /// returning; no-op (no fsync) when the tail is already durable. Runs
-    /// on the calling thread, possibly alongside a committer drain — both
-    /// publish the watermark. Once a sync failure was published it returns
-    /// that failure and syncs nothing.
+    /// returning; no-op (no fsync) when the tail is already durable.
+    /// Goes through the same gate as [`Self::wait_durable`], targeting
+    /// [`Self::last_lsn`], but books no group-commit wait. Once a sync
+    /// failure was published it returns that failure and syncs nothing.
     ///
     /// Besides a replica's batch end, this is the force behind the
     /// **flushed-LSN rule** ([`super::WalPageTable::ensure_durable`]) — run
@@ -482,7 +476,7 @@ impl Wal {
     /// every log record needed to reproduce (or supersede) its content is
     /// stable and fenced, whatever the commit fsync policy says.
     pub fn sync(&self) -> TsbResult<()> {
-        self.shared.sync_to_tail(false)
+        self.shared.sync_through(self.last_lsn())
     }
 
     /// Atomically replaces the whole log with a single `record` (a
@@ -533,28 +527,21 @@ impl Wal {
         drop(inner);
         // The fence is the newest LSN and it is durable, so this jumps the
         // watermark over everything the old generation ever held: the
-        // checkpoint quiesces the pipeline
-        // (parked committers wake satisfied, a racing drain's stale publish
-        // is a monotonic no-op) and the committer thread sees its requests
-        // already covered. A drain that raced the rename fsyncs the
-        // renamed-over file handle, which is harmless.
+        // checkpoint quiesces the pipeline (parked waiters wake satisfied,
+        // a racing sync's stale publish is a monotonic no-op). A sync that
+        // raced the rename fsyncs the renamed-over file handle, which is
+        // harmless.
         self.shared.publish_durable(lsn)?;
         Ok(lsn)
     }
 }
 
 impl Drop for Wal {
-    /// Shuts down and joins the group-commit thread (an in-flight drain
-    /// completes first), then best-effort drains the append buffer: a
-    /// *clean* shutdown keeps every appended record reachable on reopen,
-    /// exactly as when appends wrote through. (A killed process loses only
-    /// un-fenced buffered records, which recovery's replay cut would
-    /// discard regardless.)
+    /// Best-effort drains the append buffer: a *clean* shutdown keeps
+    /// every appended record reachable on reopen, exactly as when appends
+    /// wrote through. (A killed process loses only un-fenced buffered
+    /// records, which recovery's replay cut would discard regardless.)
     fn drop(&mut self) {
-        self.shared.group.shut_down();
-        if let Some(committer) = self.committer.take() {
-            let _ = committer.join();
-        }
         let _ = self.shared.inner.lock().flush_pending();
     }
 }

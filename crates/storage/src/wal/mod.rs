@@ -111,7 +111,7 @@
 //! rebuilt — to that state or a newer one — by every recovery.
 //! [`WalPageTable::ensure_durable`] therefore lets such a page through with
 //! no fsync; only a page past it forces the log ([`Wal::sync`]). The
-//! durable LSN alone would not do: a drain may capture the tail
+//! durable LSN alone would not do: a sync may capture the tail
 //! mid-mutation, and recovery discards records no fence covers. Nor would
 //! the newest durable fence of the whole log: another shard's fence past
 //! the page does not cover it, and recovery discards a shard's records
@@ -133,42 +133,45 @@
 //! [`tsb_common::FsyncPolicy`] chooses whether commit records
 //! additionally force the file to stable storage; checkpoints always do.
 //!
-//! ## Pipelined commit: the fsync runs off the append path
+//! ## Group commit: whoever waits runs the sync
 //!
-//! The device sync itself is **pipelined**: no append ever issues an
-//! fsync inline, and no append asks for one. A commit under `Always` *is
-//! appended* ([`Wal::append_for`], the one append door) and hands its
-//! caller the fence LSN, which the tree passes up as the return value of
-//! the mutation it ends; durability is asked for by whoever waits — on
-//! the caller's schedule, typically after the engine has released its
-//! writer lock —
-//! [`Wal::wait_durable`] requests that LSN and parks on the **durable-LSN
-//! watermark**. So a batch of commits appended back to back and waited on
-//! once, at its newest fence, costs one fsync, not one started by its
-//! first append that the rest then miss. [`Wal::request_durable`] is the
-//! request without the park — the only way a sync gets asked for — so a
-//! caller with waits on several logs asks all of them before parking on
-//! any and their syncs overlap. A dedicated group-commit thread drains
-//! the request queue: each drain captures the log tail, runs the pre-sync
-//! hook, issues **one** `fsync` covering every commit appended up to the
-//! capture, and broadcasts the new watermark to every parked committer.
-//! One log has one committer thread and one fsync, whichever shards
-//! appended to it.
-//! While the device works, the next mutations keep appending (the inner
-//! lock is not held across the sync), so under concurrent writers dozens
-//! of commits share one fsync. A sync failure is sticky: it is published
-//! to the watermark, every parked and future waiter errors, and the
-//! engine poisons the tree; no later sync, inline or drained, moves the
-//! watermark again. The per-policy wait rule: `Always` waits for
-//! its own fence LSN, `Os` is handed nothing to wait on.
+//! No append ever issues an fsync, and no append asks for one. A commit
+//! under `Always` *is appended* ([`Wal::append_for`], the one append
+//! door) and hands its caller the fence LSN, which the tree passes up as
+//! the return value of the mutation it ends; durability is owed to
+//! whoever waits — on the caller's schedule, typically after the engine
+//! has released its writer lock. So a batch of commits appended back to
+//! back and waited on once, at its newest fence, costs one fsync, not one
+//! started by its first append that the rest then miss.
+//!
+//! Every sync goes through one gate on the **durable-LSN watermark**:
+//! [`Wal::wait_durable`] with the caller's LSN, and [`Wal::sync`] (the
+//! write-back barrier, a replica's batch end, a checkpoint) with the
+//! log's tail. A caller the watermark covers returns; once a sync failure
+//! is published it gets that failure; while a sync is on the device it
+//! parks until that sync ends; otherwise it **leads** the next sync, on
+//! its own thread: it captures the log tail, runs the pre-sync hook,
+//! issues **one** `fsync` covering every record appended up to the
+//! capture, and broadcasts the new watermark to every parked follower. A
+//! leader's end — returned, failed or panicked — always reopens the gate,
+//! so no follower parks on a sync that will never publish. One log has
+//! one sync on the device at a time, whichever shards appended to it, and
+//! no thread of its own. While the device works, the next mutations keep
+//! appending (the inner lock is not held across the sync), so under
+//! concurrent writers the commits appended during one sync share the
+//! next. A sync failure is sticky: it is published to the watermark,
+//! every parked and future waiter errors, and the engine poisons the
+//! tree; no later sync moves the watermark again. The per-policy wait
+//! rule: `Always` waits for its own fence LSN, `Os` is handed nothing to
+//! wait on.
 //!
 //! What a commit appended under `Always` and *never waited on* may
 //! expect is therefore: nothing, until some later waiter, a write-back
 //! barrier or a checkpoint forces the log past it. It was not
 //! acknowledged as durable to anyone, and the watermark (and the engine's
 //! `last_durable_commit()`) lags it until then. A position past the
-//! newest appended record was never handed out; requesting or waiting on
-//! one is a typed error, not a wait that cannot end.
+//! newest appended record was never handed out; waiting on one is a
+//! typed error, not a wait that cannot end.
 //!
 //! ## Which file owns what
 //!
@@ -182,9 +185,10 @@
 //!   (torn-tail truncation, the checkpoint reset's write-new-then-rename),
 //!   local and shipped appends, the shard switch, the coalesced write at
 //!   every fence.
-//! * `commit` — *when* bytes become durable: the sync request queue, the
-//!   durable-LSN watermark, the group-commit thread. `log` reaches the
-//!   queue through one door, [`Wal::request_durable`].
+//! * `commit` — *when* bytes become durable: the durable-LSN watermark
+//!   and the one gate every sync goes through, led by a waiting caller.
+//!   `log` reaches it through two doors, [`Wal::wait_durable`] and
+//!   [`Wal::sync`].
 //! * `page_table` — [`WalPageTable`], the WAL-before-page barrier at the
 //!   one device write-back site of a tree page: a comparison with the
 //!   shard's durable fence, and a force only when it falls short.

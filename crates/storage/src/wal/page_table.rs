@@ -31,7 +31,7 @@ use crate::page::PageId;
 /// the shard through that fence or a later one, so a page it already
 /// covers is written back with no fsync at all; only a page past it forces
 /// the log, inline ([`Wal::sync`]). Neither the durable LSN nor another
-/// shard's fence would do: a drain may capture the tail in the middle of a
+/// shard's fence would do: a sync may capture the tail in the middle of a
 /// mutation, and recovery discards the records of a shard that no fence
 /// of *that shard* covers. The table holds one shard's pages; the fence is
 /// the caller's to track, because only the caller reads what a fence

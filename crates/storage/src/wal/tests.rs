@@ -4,7 +4,9 @@
 
 use std::fs::OpenOptions;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, Barrier, Condvar, Mutex as StdMutex};
+use std::time::Duration;
 
 use tsb_common::{FsyncPolicy, Key, Timestamp, TxnId, Version};
 
@@ -534,7 +536,6 @@ fn waiting_past_the_tail_is_an_error_not_a_hang() {
         matches!(result, Err(tsb_common::TsbError::Config(_))),
         "expected a config error, got {result:?}"
     );
-    assert!(wal.request_durable(bogus).is_err());
 
     // No target beyond the tail was recorded: the next commit is one
     // append, one wait, one fsync.
@@ -582,6 +583,159 @@ fn a_failed_sync_stays_failed_when_the_sync_runs_inline() {
         "a commit the failed fsync may have dropped was acknowledged"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// returned within two seconds: a waiter wedged on a sync that never
+/// publishes shows up as a failure, not as a hung suite.
+fn within_two_seconds(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(2)) {
+        Ok(()) => runner.join().unwrap(),
+        // The body panicked: report its panic, not a timeout.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("a waiter was still parked after 2 s"),
+    }
+}
+
+/// Holds the first sync of a log inside its pre-sync hook — after the
+/// sync captured the tail, before it reaches the device — until released.
+#[derive(Default)]
+struct HookHold {
+    /// 0: no sync held yet; 1: a sync is held; 2: released.
+    state: StdMutex<u8>,
+    changed: Condvar,
+}
+
+impl HookHold {
+    /// Called from the hook: holds the first sync until [`Self::release`];
+    /// later syncs pass. Returns whether this call was the held one.
+    fn hold_first(&self) -> bool {
+        let mut state = self.state.lock().unwrap();
+        if *state != 0 {
+            return false;
+        }
+        *state = 1;
+        self.changed.notify_all();
+        while *state == 1 {
+            state = self.changed.wait(state).unwrap();
+        }
+        true
+    }
+
+    fn wait_until_held(&self) {
+        let mut state = self.state.lock().unwrap();
+        while *state == 0 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        *self.state.lock().unwrap() = 2;
+        self.changed.notify_all();
+    }
+}
+
+/// A log whose pre-sync hook goes through `hold`, then panics if `panic`
+/// is set and the call was the held one.
+fn held_log(tag: &str, hold: &Arc<HookHold>, panic: bool) -> (Arc<Wal>, Arc<IoStats>) {
+    let path = temp_wal_path(tag);
+    let _ = std::fs::remove_file(&path);
+    let stats = Arc::new(IoStats::new());
+    let wal = Wal::create(&path, FsyncPolicy::Always, Arc::clone(&stats)).unwrap();
+    let hold = Arc::clone(hold);
+    wal.set_pre_sync_hook(Box::new(move || {
+        if hold.hold_first() && panic {
+            panic!("injected panic in the pre-sync hook");
+        }
+        Ok(())
+    }));
+    (Arc::new(wal), stats)
+}
+
+/// While a sync is on the device, every other waiter parks on it and the
+/// next sync is led by one of them: commits appended past the held sync's
+/// capture cost exactly one more fsync between them, not one each.
+#[test]
+fn followers_share_one_sync() {
+    within_two_seconds(|| {
+        let hold = Arc::new(HookHold::default());
+        let (wal, stats) = held_log("followers", &hold, false);
+        let (first, _) = wal.append_for(0, &commit(1)).unwrap();
+        let leader = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.wait_durable(first))
+        };
+        hold.wait_until_held();
+
+        let appended = Arc::new(Barrier::new(5));
+        let followers: Vec<_> = (2..=5u64)
+            .map(|ts| {
+                let wal = Arc::clone(&wal);
+                let appended = Arc::clone(&appended);
+                std::thread::spawn(move || {
+                    let (lsn, _) = wal.append_for(0, &commit(ts)).unwrap();
+                    appended.wait();
+                    wal.wait_durable(lsn)
+                })
+            })
+            .collect();
+        appended.wait();
+        // Time for the followers to reach the gate while the sync is held.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            stats.snapshot().wal_syncs,
+            0,
+            "a follower synced beside the held sync"
+        );
+
+        hold.release();
+        leader.join().unwrap().unwrap();
+        for follower in followers {
+            follower.join().unwrap().unwrap();
+        }
+        assert_eq!(stats.snapshot().wal_syncs, 2, "the held sync and one more");
+        assert_eq!(wal.durable_lsn(), wal.last_lsn());
+        let _ = std::fs::remove_file(wal.path());
+    });
+}
+
+/// A leader that panics mid-sync still opens the gate: its parked follower
+/// wakes, finds no sync on the device, and leads the next one.
+#[test]
+fn a_panicking_sync_leader_does_not_wedge_its_follower() {
+    within_two_seconds(|| {
+        let hold = Arc::new(HookHold::default());
+        let (wal, stats) = held_log("panicking-leader", &hold, true);
+        let (lsn, _) = wal.append_for(0, &commit(1)).unwrap();
+        let leader = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.wait_durable(lsn))
+        };
+        hold.wait_until_held();
+        let follower = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.wait_durable(lsn))
+        };
+        // Time for the follower to park on the held sync.
+        std::thread::sleep(Duration::from_millis(50));
+
+        hold.release();
+        assert!(leader.join().is_err(), "the leader's hook did not panic");
+        follower
+            .join()
+            .unwrap()
+            .expect("the follower leads the next sync");
+        assert_eq!(stats.snapshot().wal_syncs, 1);
+        assert_eq!(wal.durable_lsn(), wal.last_lsn());
+        let _ = std::fs::remove_file(wal.path());
+    });
 }
 
 /// The write-back barrier lets a page through only under a durable

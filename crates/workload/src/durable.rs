@@ -1,9 +1,9 @@
 //! Closed-loop multi-threaded durable write driver.
 //!
 //! The pipelined group commit only pays off when *several* client threads
-//! have commits in flight at once: each drain of the group-commit thread
-//! then acknowledges every commit appended while the previous fsync was on
-//! the device, so fsyncs/op falls as thread count rises. This module is the
+//! have commits in flight at once: the waiters that park while one fsync
+//! is on the device share the next, led by whichever of them finds the
+//! gate open, so fsyncs/op falls as thread count rises. This module is the
 //! measurement harness for that effect — a **closed loop** of `N` writer
 //! threads, each issuing its next durable insert only after the previous
 //! one was acknowledged (i.e. after the engine's per-policy durability wait
@@ -81,8 +81,9 @@ impl DurableDriveReport {
         self.io.wal_syncs as f64 / (self.committed_ops as f64).max(1.0)
     }
 
-    /// Mean time a committer spent parked on the durable-LSN watermark,
-    /// per acknowledged commit (zero under `Os`, which never parks).
+    /// Mean time a committer spent waiting on the durable-LSN watermark —
+    /// leading the sync that covered it or parked on another's — per
+    /// acknowledged commit (zero under `Os`, which never waits).
     pub fn parked_wait_per_op(&self) -> Duration {
         let nanos = self.io.group_commit_wait_nanos / self.committed_ops.max(1);
         Duration::from_nanos(nanos)

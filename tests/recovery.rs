@@ -611,11 +611,12 @@ fn assert_no_acknowledged_loss(dir: &TempDir, cfg: &TsbConfig, acked: &[(u64, Ti
     }
 }
 
-/// The group-commit thread dies mid-drain (`WalSync`: before the device
-/// sync is issued) or in the window between the fsync completing and the
-/// durable-LSN watermark being published (`WalSyncPublish`). Either way,
-/// no commit the engine *acknowledged* may be lost — the pipelined path
-/// must never acknowledge ahead of the device.
+/// A committing thread leading a sync (a "drain" below) dies mid-capture
+/// (`WalSync`: before the device sync is issued) or in the window between
+/// the fsync completing and the durable-LSN watermark being published
+/// (`WalSyncPublish`), with the other writers parked on it as followers.
+/// Either way, no commit the engine *acknowledged* may be lost — the
+/// pipelined path must never acknowledge ahead of the device.
 #[test]
 fn committer_thread_crash_never_loses_acknowledged_commits() {
     let cfg = crash_cfg().with_fsync_policy(FsyncPolicy::Always);
@@ -865,9 +866,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The `Always` contract, pipelined: an insert that returned `Ok` was
-    /// durable *before* it was acknowledged, so killing the group-commit
-    /// thread at an arbitrary drain — mid-capture or in the fsync→publish
-    /// window — loses nothing acknowledged; and recovery lands exactly on
+    /// durable *before* it was acknowledged, so crashing whichever
+    /// committer leads an arbitrary sync — mid-capture or in the
+    /// fsync→publish window — loses nothing acknowledged; and recovery lands exactly on
     /// the durable watermark (re-recovering is a fixed point; a clean
     /// shutdown recovers to precisely the last acknowledged commit).
     #[test]
