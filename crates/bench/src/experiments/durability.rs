@@ -27,36 +27,14 @@
 //! policy's theoretical fsync ceiling — a noisy-FS run then shows up as a
 //! low floor, not as a mysterious regression.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice, TsbConfig};
 use tsb_core::{TsbOptions, TsbTree};
 use tsb_workload::{drive_engine, generate_ops, DurableDriveSpec, Op, WorkloadSpec};
 
-use crate::measure::{experiment_config, Scale};
+use crate::measure::{experiment_config, Scale, TempDir};
 use crate::report::Table;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "tsb-e12-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn e12_config(policy: Option<FsyncPolicy>) -> TsbConfig {
     let mut cfg = experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
@@ -97,7 +75,7 @@ fn replay(tree: &mut TsbTree, ops: &[Op]) {
 /// tables is derived from this floor, so noisy-FS runs stay interpretable.
 pub fn fsync_floor(rounds: usize) -> Duration {
     use std::io::Write;
-    let dir = TempDir::new("fsync-floor");
+    let dir = TempDir::new("e12-fsync-floor");
     let path = dir.0.join("probe");
     let mut file = std::fs::File::create(&path).expect("probe file");
     let mut samples = Vec::with_capacity(rounds);
@@ -166,7 +144,7 @@ fn fsync_policy_table(scale: Scale, floor: Duration) -> Table {
     ];
     let mut baseline: Option<f64> = None;
     for (label, policy) in rows {
-        let dir = TempDir::new(&format!("tput-{}", label.replace([' ', '(', ')'], "")));
+        let dir = TempDir::new(&format!("e12-tput-{}", label.replace([' ', '(', ')'], "")));
         let cfg = e12_config(*policy);
         let mut tree = if policy.is_some() {
             TsbOptions::durable(&dir.0)
@@ -234,7 +212,7 @@ fn group_commit_table(scale: Scale, floor: Duration) -> Table {
         &[("Always", FsyncPolicy::Always), ("Os", FsyncPolicy::Os)];
     for (label, policy) in policies {
         for threads in [1usize, 2, 4, 8] {
-            let dir = TempDir::new(&format!("gc-{label}-{threads}"));
+            let dir = TempDir::new(&format!("e12-gc-{label}-{threads}"));
             let cfg = e12_config(Some(*policy));
             let db = TsbOptions::durable(&dir.0)
                 .config(cfg)
@@ -300,7 +278,7 @@ fn recovery_table(scale: Scale) -> Table {
         ],
     );
     for depth in depths {
-        let dir = TempDir::new(&format!("rec-{depth}"));
+        let dir = TempDir::new(&format!("e12-rec-{depth}"));
         let cfg = e12_config(Some(FsyncPolicy::Os));
         let spec = e12_workload(scale).with_ops(*depth);
         let ops = generate_ops(&spec);

@@ -20,7 +20,6 @@
 //! durable LSN, and milliseconds since the replica last applied), and how
 //! long the replicas needed to drain to lag zero after the writer stopped.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,7 +29,7 @@ use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, SplitTimeChoice};
 use tsb_core::{EngineHandle, TsbOptions};
 use tsb_server::{ServerOptions, TsbServer};
 
-use crate::measure::{experiment_config, Scale};
+use crate::measure::{experiment_config, Scale, TempDir};
 use crate::report::Table;
 
 /// Closed-loop reader connections per serving endpoint: a fixed per-node
@@ -49,27 +48,6 @@ const READ_THINK_TIME: Duration = Duration::from_micros(150);
 /// replicas streaming for the whole window without the writer starving
 /// the read fleet of CPU.
 const WRITE_PACING: Duration = Duration::from_micros(500);
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "tsb-e15-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn reads_per_conn(scale: Scale) -> usize {
     match scale {
@@ -121,7 +99,7 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
     let num_keys = scale.keys();
     let reads = reads_per_conn(scale);
 
-    let pdir = TempDir::new(&format!("p{replicas}"));
+    let pdir = TempDir::new(&format!("e15-p{replicas}"));
     let mut cfg = experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
     // Always: every acknowledged commit is durable immediately, so the
     // shipping watermark (which stops at the durable LSN) never strands a
@@ -147,7 +125,7 @@ fn run_row(scale: Scale, replicas: usize) -> RowResult {
     let mut replica_servers = Vec::new();
     let mut replica_addrs = Vec::new();
     for r in 0..replicas {
-        let dir = TempDir::new(&format!("r{replicas}-{r}"));
+        let dir = TempDir::new(&format!("e15-r{replicas}-{r}"));
         let engine = TsbOptions::durable(&dir.0)
             .config(cfg.clone())
             .open_replica()

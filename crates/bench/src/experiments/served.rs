@@ -17,7 +17,6 @@
 //! path is `Always` at 8 pipelined connections reaching at least twice
 //! the blocking baseline with under one fsync per op.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice};
@@ -26,29 +25,8 @@ use tsb_server::TsbServer;
 use tsb_workload::{drive_socket, SocketDriveSpec};
 
 use super::durability::{fsync_floor, pct_of_fsync_ceiling};
-use crate::measure::{experiment_config, Scale};
+use crate::measure::{experiment_config, Scale, TempDir};
 use crate::report::Table;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "tsb-e13-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn ops_per_conn(scale: Scale) -> usize {
     match scale {
@@ -90,7 +68,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut baseline: Option<f64> = None;
         for conns in [1usize, 2, 4, 8] {
             let depth = if conns == 1 { 1 } else { 4 };
-            let dir = TempDir::new(&format!("{}-{conns}", label.to_lowercase()));
+            let dir = TempDir::new(&format!("e13-{}-{conns}", label.to_lowercase()));
             // Same engine shape as E12c (1 KiB pages, 512-entry node
             // cache): `small_pages`' 128-entry cache overflows constantly
             // and the flushed-LSN barrier forces the WAL for every

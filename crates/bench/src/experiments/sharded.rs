@@ -32,8 +32,6 @@
 //! never multiplies syncs per acknowledged commit), and writer-lock wait
 //! per op falling steeply as contended writers spread over `N` locks.
 
-use std::path::PathBuf;
-
 use std::time::{Duration, Instant};
 
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, SplitTimeChoice};
@@ -41,29 +39,8 @@ use tsb_core::{EngineHandle, TsbOptions};
 use tsb_workload::{drive_engine, DurableDriveSpec};
 
 use super::durability::{fsync_floor, pct_of_fsync_ceiling};
-use crate::measure::{experiment_config, Scale};
+use crate::measure::{experiment_config, Scale, TempDir};
 use crate::report::Table;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "tsb-e14-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn ops_per_thread(scale: Scale) -> usize {
     match scale {
@@ -105,7 +82,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         for writers in [1usize, 4, 8] {
             let mut baseline: Option<f64> = None;
             for shards in [1usize, 2, 4] {
-                let dir = TempDir::new(&format!("{}-{writers}w-{shards}s", label.to_lowercase()));
+                let dir = TempDir::new(&format!(
+                    "e14-{}-{writers}w-{shards}s",
+                    label.to_lowercase()
+                ));
                 // Same engine shape as E12c/E13 (1 KiB pages, 512-entry
                 // node cache per shard) so rows are comparable across
                 // tables.
@@ -188,7 +168,7 @@ fn cross_shard_rounds(scale: Scale, floor: Duration) -> Table {
         &["participants", "us/commit", "fsyncs/txn", "floors/commit"],
     );
     for participants in [2usize, 3, 4] {
-        let dir = TempDir::new(&format!("rounds-{participants}p"));
+        let dir = TempDir::new(&format!("e14-rounds-{participants}p"));
         let mut cfg =
             experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
         cfg.fsync_policy = FsyncPolicy::Always;

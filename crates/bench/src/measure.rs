@@ -1,6 +1,8 @@
 //! Shared measurement plumbing: build a structure, replay a workload, and
 //! collect exactly the quantities the paper's evaluation names.
 
+use std::path::PathBuf;
+
 use tsb_common::{
     CostParams, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, Timestamp, TsbConfig,
 };
@@ -46,6 +48,31 @@ impl Scale {
             Scale::Small => 500,
             Scale::Full => 4_000,
         }
+    }
+}
+
+/// A scratch directory under the system temp dir, unique to this process
+/// and thread, removed on drop. The durable experiments (E12–E15) open
+/// their engines here.
+pub(crate) struct TempDir(pub(crate) PathBuf);
+
+impl TempDir {
+    /// A fresh, empty directory named after `tag`.
+    pub(crate) fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "tsb-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 

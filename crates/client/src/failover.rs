@@ -93,8 +93,10 @@ impl FailoverClient {
         self.with_retry(true, move |c| c.delete(key.clone()))
     }
 
-    /// Point read from any live endpoint (replicas serve this too;
-    /// bounded staleness applies — see [`crate::ReadPreference`]).
+    /// Point read from any live endpoint. A replica serves it too: its
+    /// reads are pinned at its applied durable prefix, so they may trail
+    /// the primary (bounded staleness) but never see a torn or
+    /// uncommitted state.
     pub fn get(&mut self, key: impl Into<Key>) -> TsbResult<Option<Vec<u8>>> {
         let key = key.into();
         self.with_retry(false, move |c| c.get(key.clone()))

@@ -17,8 +17,8 @@
 //!   over-the-wire face of the engine's pipelined group commit.
 //!
 //! Replies that arrive while waiting for a specific id are parked and
-//! handed out later; nothing is dropped. The wire format is re-exported
-//! as [`protocol`].
+//! handed out later; nothing is dropped. The wire format itself, which
+//! `tsb-server` speaks too, is [`protocol`].
 //!
 //! ## Timeouts, deadlines, and failover
 //!
@@ -44,9 +44,8 @@ use std::time::Duration;
 
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbError, TsbResult, TxnId, Version};
 
-pub use tsb_server::protocol;
-
 mod failover;
+pub mod protocol;
 mod retry;
 
 pub use failover::FailoverClient;
@@ -91,19 +90,6 @@ impl Default for ClientOptions {
             retry: RetryPolicy::default(),
         }
     }
-}
-
-/// Where a client's read verbs are served.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReadPreference {
-    /// Every verb goes to the connected server (the default).
-    Primary,
-    /// Point reads, range scans, and history queries go to a read replica
-    /// at this address; writes, transactions, and everything else stay on
-    /// the primary connection. Replica reads are fence-pinned at the
-    /// replica's applied durable prefix, so they may trail the primary
-    /// (bounded staleness) but never observe a torn or uncommitted state.
-    Replica(String),
 }
 
 /// A server's answer to the `role` verb.
@@ -182,9 +168,6 @@ pub struct TsbClient {
     /// The read timeout currently programmed on the socket, to avoid a
     /// setsockopt per read on the (common) deadline-free path.
     socket_read_timeout: Option<Duration>,
-    /// Second connection serving reads under
-    /// [`ReadPreference::Replica`]; `None` routes everything here.
-    replica: Option<Box<TsbClient>>,
 }
 
 impl TsbClient {
@@ -229,28 +212,12 @@ impl TsbClient {
             send_buf: Vec::new(),
             socket_read_timeout: opts.read_timeout,
             opts: opts.clone(),
-            replica: None,
         })
     }
 
     /// The remote address this client is connected to.
     pub fn peer_addr(&self) -> TsbResult<SocketAddr> {
         Ok(self.stream.peer_addr()?)
-    }
-
-    /// Chooses where read verbs ([`Self::get`], [`Self::get_as_of`],
-    /// [`Self::range`], [`Self::history`]) are served. Selecting
-    /// [`ReadPreference::Replica`] opens (or replaces) a second connection
-    /// to the replica; [`ReadPreference::Primary`] closes it.
-    pub fn set_read_preference(&mut self, pref: ReadPreference) -> TsbResult<()> {
-        match pref {
-            ReadPreference::Primary => self.replica = None,
-            ReadPreference::Replica(addr) => {
-                let opts = self.opts.clone();
-                self.replica = Some(Box::new(TsbClient::connect_with(addr.as_str(), &opts)?));
-            }
-        }
-        Ok(())
     }
 
     // ----- pipelining primitives -----------------------------------------
@@ -456,25 +423,19 @@ impl TsbClient {
         committed(self.wait_for_by(id, deadline)?)
     }
 
-    /// Current-state point read (served per the read preference).
+    /// Current-state point read.
     pub fn get(&mut self, key: impl Into<Key>) -> TsbResult<Option<Vec<u8>>> {
-        if let Some(replica) = self.replica.as_mut() {
-            return replica.get(key);
-        }
         let deadline = self.op_deadline();
         let id = self.send(&Request::Get { key: key.into() })?;
         value(self.wait_for_by(id, deadline)?)
     }
 
-    /// As-of point read (served per the read preference).
+    /// As-of point read.
     pub fn get_as_of(
         &mut self,
         key: impl Into<Key>,
         as_of: Timestamp,
     ) -> TsbResult<Option<Vec<u8>>> {
-        if let Some(replica) = self.replica.as_mut() {
-            return replica.get_as_of(key, as_of);
-        }
         let deadline = self.op_deadline();
         let id = self.send(&Request::GetAsOf {
             key: key.into(),
@@ -483,16 +444,12 @@ impl TsbClient {
         value(self.wait_for_by(id, deadline)?)
     }
 
-    /// Range scan; `as_of: None` reads the current database (served per
-    /// the read preference).
+    /// Range scan; `as_of: None` reads the current database.
     pub fn range(
         &mut self,
         range: KeyRange,
         as_of: Option<Timestamp>,
     ) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        if let Some(replica) = self.replica.as_mut() {
-            return replica.range(range, as_of);
-        }
         let deadline = self.op_deadline();
         let id = self.send(&Request::Range { range, as_of })?;
         match self.wait_for_by(id, deadline)? {
@@ -501,12 +458,8 @@ impl TsbClient {
         }
     }
 
-    /// Version history of `key` within `window` (served per the read
-    /// preference).
+    /// Version history of `key` within `window`.
     pub fn history(&mut self, key: impl Into<Key>, window: TimeRange) -> TsbResult<Vec<Version>> {
-        if let Some(replica) = self.replica.as_mut() {
-            return replica.history(key, window);
-        }
         let deadline = self.op_deadline();
         let id = self.send(&Request::History {
             key: key.into(),

@@ -1,8 +1,9 @@
 //! The wire protocol: length-prefixed binary frames over TCP.
 //!
 //! This module is the authoritative implementation of the format specified
-//! in `docs/protocol.md`. Both sides of the wire use it: the server decodes
-//! [`Request`]s and encodes [`Reply`]s, `tsb-client` does the reverse.
+//! in `docs/protocol.md`. Both sides of the wire use it: `tsb-server`
+//! decodes [`Request`]s and encodes [`Reply`]s, [`crate::TsbClient`] does
+//! the reverse.
 //!
 //! # Frame layout
 //!
@@ -575,7 +576,7 @@ pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
 /// `max_body` ([`MAX_FRAME_BODY`] in production; a parameter so a test
 /// needs no 16 MiB scan) is answered with a [`CODE_OVERSIZED`] error on the
 /// same id instead of a frame no decoder would accept.
-pub(crate) fn encode_reply_within(id: u64, reply: &Reply, max_body: usize) -> Vec<u8> {
+pub fn encode_reply_within(id: u64, reply: &Reply, max_body: usize) -> Vec<u8> {
     let body = reply_body(id, reply);
     if body.len() <= max_body {
         return frame(body);

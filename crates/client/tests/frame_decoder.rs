@@ -13,11 +13,11 @@
 
 use proptest::prelude::*;
 
-use tsb_common::{Key, KeyBound, KeyRange, TimeRange, Timestamp, TxnId};
-use tsb_server::protocol::{
+use tsb_client::protocol::{
     encode_request, parse_request, FrameDecoder, FrameError, Request, MAX_FRAME_BODY,
     MIN_FRAME_BODY,
 };
+use tsb_common::{Key, KeyBound, KeyRange, TimeRange, Timestamp, TxnId};
 
 fn key() -> impl Strategy<Value = Key> {
     any::<u64>().prop_map(Key::from_u64)

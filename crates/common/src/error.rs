@@ -66,9 +66,6 @@ pub enum TsbError {
     InvariantViolation(String),
     /// Invalid configuration.
     Config(String),
-    /// Operation attempted on a historical (write-once) node that requires an
-    /// erasable node.
-    HistoricalNodeImmutable,
     /// An internal assumption failed; indicates a bug in this library.
     Internal(String),
     /// A mutation was attempted against a read-only engine (a replication
@@ -135,7 +132,7 @@ impl TsbError {
             TsbError::TxnNotActive(_) => 10,
             TsbError::InvariantViolation(_) => 11,
             TsbError::Config(_) => 12,
-            TsbError::HistoricalNodeImmutable => 13,
+            // 13 is retired and never reused.
             TsbError::Internal(_) => 14,
             TsbError::ReadOnly => 15,
             TsbError::StaleEpoch { .. } => 16,
@@ -164,7 +161,6 @@ impl TsbError {
             10 => "txn-not-active",
             11 => "invariant-violation",
             12 => "config",
-            13 => "historical-node-immutable",
             14 => "internal",
             15 => "read-only",
             16 => "stale-epoch",
@@ -209,9 +205,6 @@ impl fmt::Display for TsbError {
             TsbError::TxnNotActive(id) => write!(f, "transaction {id} is not active"),
             TsbError::InvariantViolation(msg) => write!(f, "invariant violation: {msg}"),
             TsbError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            TsbError::HistoricalNodeImmutable => {
-                write!(f, "historical nodes are write-once and cannot be modified")
-            }
             TsbError::Internal(msg) => write!(f, "internal error (library bug): {msg}"),
             TsbError::ReadOnly => {
                 write!(
@@ -298,7 +291,6 @@ mod tests {
             TsbError::TxnNotActive(TxnId(1)),
             TsbError::invariant("x"),
             TsbError::config("x"),
-            TsbError::HistoricalNodeImmutable,
             TsbError::internal("x"),
             TsbError::ReadOnly,
             TsbError::StaleEpoch { theirs: 1, ours: 2 },
@@ -314,6 +306,7 @@ mod tests {
             assert_ne!(TsbError::wire_code_name(code), "unknown");
         }
         assert!(!seen.contains(&8), "code 8 is retired, never reused");
+        assert!(!seen.contains(&13), "code 13 is retired, never reused");
         assert_eq!(TsbError::wire_code_name(0), "ok");
         assert_eq!(TsbError::wire_code_name(255), "unknown");
     }

@@ -355,8 +355,9 @@ impl TsbTree {
         // Elide the metadata payload when recovery can re-derive it from
         // the previous fence: same root, same txn counter, and the logical
         // clock sitting exactly one past the commit timestamp (true for
-        // every plain insert/delete/commit; an out-of-order `insert_at`
-        // leaves the clock ahead and falls back to full metadata).
+        // every insert, delete and commit, `insert_at` included, since it
+        // refuses a timestamp older than the newest issued; a clock ahead
+        // of it falls back to full metadata).
         let root = self.current_root();
         let next_txn = self.txns.lock().next_id_value();
         let mut last = d.last_fence.lock();

@@ -63,9 +63,13 @@ impl TsbTree {
 
     /// Inserts a new version of `key` with an explicit commit timestamp.
     ///
-    /// The timestamp must not be older than any timestamp already issued;
-    /// the internal clock is advanced past `ts`. Used by secondary indexes
-    /// (which inherit the primary record's timestamp, §3.6) and by loaders
+    /// The timestamp must not be older than any timestamp already issued,
+    /// and `key` must not already hold a version at exactly `ts` — either
+    /// would change an answer a reader may already have seen, so both are
+    /// refused with [`TsbError::Config`] before anything is written. The
+    /// newest issued timestamp may be reused for another key. The internal
+    /// clock is advanced past `ts`. Used by secondary indexes (which
+    /// inherit the primary record's timestamp, §3.6) and by loaders
     /// replaying a history.
     pub fn insert_at(
         &mut self,
@@ -73,12 +77,7 @@ impl TsbTree {
         value: Vec<u8>,
         ts: Timestamp,
     ) -> TsbResult<()> {
-        if ts == Timestamp::ZERO {
-            return Err(TsbError::config("timestamp 0 is reserved"));
-        }
-        self.clock.advance_to(ts.next());
-        let wait = self.insert_version(Version::committed(key, ts, value))?;
-        self.wait_durable_lsn(wait)
+        self.insert_version_at(Version::committed(key, ts, value), ts)
     }
 
     /// Logically deletes `key` by inserting a tombstone version with the next
@@ -99,11 +98,35 @@ impl TsbTree {
 
     /// Logically deletes `key` at an explicit timestamp (see [`Self::insert_at`]).
     pub fn delete_at(&mut self, key: impl Into<Key>, ts: Timestamp) -> TsbResult<()> {
+        self.insert_version_at(Version::tombstone(key, ts), ts)
+    }
+
+    /// Inserts `version`, committed at `ts`, after refusing a timestamp
+    /// that would rewrite history: 0, one older than the newest issued,
+    /// or one at which the version's key already holds a committed
+    /// version.
+    fn insert_version_at(&mut self, version: Version, ts: Timestamp) -> TsbResult<()> {
         if ts == Timestamp::ZERO {
             return Err(TsbError::config("timestamp 0 is reserved"));
         }
+        let newest = self.clock.now().prev();
+        if ts < newest {
+            return Err(TsbError::config(format!(
+                "timestamp {ts} is older than the newest issued, {newest}"
+            )));
+        }
+        let taken = ts == newest
+            && self
+                .get_version_as_of(&version.key, ts)?
+                .is_some_and(|v| v.state.commit_time() == Some(ts));
+        if taken {
+            return Err(TsbError::config(format!(
+                "key {} already holds a version at {ts}",
+                version.key
+            )));
+        }
         self.clock.advance_to(ts.next());
-        let wait = self.insert_version(Version::tombstone(key, ts))?;
+        let wait = self.insert_version(version)?;
         self.wait_durable_lsn(wait)
     }
 

@@ -274,11 +274,6 @@ impl TsbTree {
         &self.stats
     }
 
-    /// The device cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Wires `injector` into every device this tree writes — the magnetic
     /// store, the WORM store, and (when durable) the WAL — so crash tests
     /// can kill a fully assembled engine at any instrumented write site.

@@ -118,40 +118,6 @@ impl TsbTree {
     pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
         self.history_between(key, TimeRange::full())
     }
-
-    /// The number of distinct keys ever written (alive or deleted), obtained
-    /// by walking every leaf. Intended for statistics and tests, not hot
-    /// paths.
-    pub fn distinct_key_count(&self) -> TsbResult<usize> {
-        let mut keys: HashSet<Key> = HashSet::new();
-        let mut visited: HashSet<NodeAddr> = HashSet::new();
-        self.collect_all_keys(self.current_root(), &mut visited, &mut keys)?;
-        Ok(keys.len())
-    }
-
-    fn collect_all_keys(
-        &self,
-        addr: NodeAddr,
-        visited: &mut HashSet<NodeAddr>,
-        keys: &mut HashSet<Key>,
-    ) -> TsbResult<()> {
-        if !visited.insert(addr) {
-            return Ok(());
-        }
-        match &*self.read_node(addr)? {
-            Node::Data(data) => {
-                for k in data.distinct_keys() {
-                    keys.insert(k);
-                }
-            }
-            Node::Index(index) => {
-                for entry in index.iter() {
-                    self.collect_all_keys(entry.child, visited, keys)?;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +216,6 @@ mod tests {
         let history = tree.versions(&Key::from_u64(3)).unwrap();
         assert_eq!(history.len(), 2);
         assert!(history.last().unwrap().is_tombstone());
-        assert_eq!(tree.distinct_key_count().unwrap(), 10);
     }
 
     #[test]

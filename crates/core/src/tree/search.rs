@@ -113,38 +113,6 @@ impl TsbTree {
         Ok(leaf.find_uncommitted(key).map(|v| v.to_version()))
     }
 
-    /// Routes like [`Self::get_as_of`] but counts the nodes visited, for the
-    /// access-cost experiments.
-    pub fn get_as_of_counting(
-        &self,
-        key: &Key,
-        ts: Timestamp,
-    ) -> TsbResult<(Option<Vec<u8>>, usize)> {
-        let mut addr = self.current_root();
-        let mut visited = 0usize;
-        loop {
-            visited += 1;
-            match &*self.read_node(addr)? {
-                Node::Data(data) => {
-                    let value = data
-                        .find_as_of(key, ts)
-                        .and_then(|v| v.value)
-                        .map(<[u8]>::to_vec);
-                    return Ok((value, visited));
-                }
-                Node::Index(index) => {
-                    let entry = index.find_child(key, ts).ok_or_else(|| {
-                        TsbError::corruption(format!(
-                            "index node {} x {} has no child containing (key {key}, time {ts})",
-                            index.key_range, index.time_range
-                        ))
-                    })?;
-                    addr = entry.child;
-                }
-            }
-        }
-    }
-
     /// Returns the path of node addresses visited by a lookup of
     /// `(key, ts)`, root first. Diagnostic helper used by tests, the
     /// verifier, and the experiments.
@@ -254,14 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn lookup_path_and_counting_agree() {
+    fn lookup_path_runs_root_to_leaf() {
         let (tree, log) = tree_with_history();
         let (key, ts, _) = &log[log.len() / 2];
         let path = tree.lookup_path(&Key::from_u64(*key), *ts).unwrap();
-        let (_, visited) = tree.get_as_of_counting(&Key::from_u64(*key), *ts).unwrap();
-        assert_eq!(path.len(), visited);
         assert!(
-            visited >= 2,
+            path.len() >= 2,
             "the tree should have grown at least one level"
         );
         // The last element of the path is a data node.

@@ -726,3 +726,51 @@ fn persistence_survives_deferred_encodes() {
     }
     tree.verify().unwrap();
 }
+
+#[test]
+fn an_explicit_timestamp_that_would_rewrite_history_is_refused() {
+    let dir = TempDir::new("explicit-ts");
+    let mut tree = crate::TsbOptions::durable(&dir.0)
+        .config(TsbConfig::small_pages())
+        .open_tree()
+        .unwrap();
+    let t1 = tree.insert(1u64, b"a1".to_vec()).unwrap();
+    let t2 = tree.insert(1u64, b"a2".to_vec()).unwrap();
+    let t3 = tree.insert(3u64, b"c3".to_vec()).unwrap();
+    let answers = |tree: &TsbTree| {
+        [(1u64, t1), (1, t2), (2, t2), (3, t3)]
+            .map(|(key, ts)| tree.get_as_of(&Key::from_u64(key), ts).unwrap())
+    };
+    let seen = answers(&tree);
+
+    let before = tree.io_stats().snapshot();
+    // Older than the newest issued timestamp, on a new key and on an old one.
+    for refused in [
+        tree.insert_at(2u64, b"b".to_vec(), t1),
+        tree.insert_at(1u64, b"x".to_vec(), t1),
+        tree.delete_at(1u64, t2),
+    ] {
+        assert!(matches!(refused, Err(TsbError::Config(_))), "{refused:?}");
+    }
+    // The newest issued timestamp, on the key that already holds it.
+    for refused in [
+        tree.insert_at(3u64, b"y".to_vec(), t3),
+        tree.delete_at(3u64, t3),
+    ] {
+        assert!(matches!(refused, Err(TsbError::Config(_))), "{refused:?}");
+    }
+    let delta = tree.io_stats().snapshot().delta_since(&before);
+    assert_eq!(delta.wal_bytes_appended, 0, "a refusal logs nothing");
+    assert_eq!(answers(&tree), seen);
+
+    // The tree is not poisoned, and the newest timestamp stays free for
+    // another key.
+    let t4 = tree.insert(4u64, b"d".to_vec()).unwrap();
+    tree.insert_at(5u64, b"e".to_vec(), t4).unwrap();
+    assert_eq!(
+        tree.get_as_of(&Key::from_u64(5), t4).unwrap(),
+        Some(b"e".to_vec())
+    );
+    assert_eq!(answers(&tree), seen);
+    tree.verify().unwrap();
+}

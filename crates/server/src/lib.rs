@@ -48,12 +48,11 @@
 //! `fetch_base` + chunked `fetch_base_pages`/`fetch_base_worm` bootstrap
 //! a new replica. See `docs/replication.md`.
 //!
-//! Wire format and verb set live in [`protocol`]; the spec is
-//! `docs/protocol.md`.
+//! Wire format and verb set live in [`tsb_client::protocol`], which this
+//! crate and every client share; the spec is `docs/protocol.md`.
 
 #![warn(missing_docs)]
 
-pub mod protocol;
 pub mod replica;
 
 use std::collections::HashMap;
@@ -72,7 +71,7 @@ use tsb_core::{
     EngineHandle, EngineRole, ReplicaBase, ReplicationSource, ShardImage, ShardLsn, ShardedTsb,
 };
 
-use protocol::{FrameDecoder, FrameError, Reply, Request, MAX_FRAME_BODY};
+use tsb_client::protocol::{self, FrameDecoder, FrameError, Reply, Request, MAX_FRAME_BODY};
 
 /// Soft cap on record bytes per `subscribe` reply, comfortably inside
 /// [`MAX_FRAME_BODY`] with room for the batch's WORM bytes.

@@ -16,8 +16,11 @@
 //!    discarded the gap the replica still needed; wipe and re-bootstrap
 //!    from a fresh base.
 //! 4. **Recover.** Any failure — connection loss, a primary restart, an
-//!    apply error — drops the connection and reconnects with exponential
-//!    backoff. A failed apply or install leaves the replica without an
+//!    apply error — drops the connection and reconnects after a
+//!    [`RetryPolicy`] backoff. The connection is an ordinary
+//!    [`TsbClient`], whose connect and every wait are bounded, so
+//!    [`ReplicaRunner::stop`] never waits on an unreachable primary. A
+//!    failed apply or install leaves the replica without an
 //!    applier (crash-equivalent by contract), so the next attempt first
 //!    reopens it from its own disk. The resume cursor is the replica's
 //!    local applied prefix, so every retry is idempotent: the primary
@@ -28,42 +31,36 @@
 //! serving slot), hands the newest back when stopped
 //! ([`ReplicaRunner::stop`]), and can resume feeding one
 //! ([`ReplicaRunner::resume`]).
-//!
-//! The runner speaks the raw wire protocol over its own [`TcpStream`]
-//! rather than going through `tsb-client` (which depends on this crate —
-//! using it here would be a dependency cycle).
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use tsb_client::protocol::{Reply, Request, CODE_STALE_EPOCH};
+use tsb_client::{remote_error, ClientOptions, Deadline, RetryPolicy, TsbClient};
 use tsb_common::{TsbError, TsbResult};
 use tsb_core::epoch::{persist_epoch, read_epoch};
 use tsb_core::{PageId, ReplicaBase, ShardImage, ShardedTsb, ShippedBatch};
 
-use crate::protocol::{self, FrameDecoder, Reply, Request, CODE_STALE_EPOCH};
 use crate::{BASE_CHUNK_MAX_BYTES, SUBSCRIBE_MAX_BYTES};
 
-/// First reconnect delay after a failure.
-const BACKOFF_MIN: Duration = Duration::from_millis(10);
-/// Backoff ceiling (doubles per consecutive failure up to here).
-const BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Sleep between polls while caught up with the primary.
 const IDLE_POLL: Duration = Duration::from_millis(2);
-/// Socket read timeout so the thread notices a stop request promptly.
-const READ_TIMEOUT: Duration = Duration::from_millis(250);
-/// How long a pending reply may go without a single byte of progress
-/// before the connection is declared broken. Guards against a link
-/// that is alive at the TCP level but silently stalled — e.g. a
-/// desynchronized byte stream whose next "frame header" declared a
-/// length that never arrives (the checksum can only reject a frame
-/// once it completes). The primary answers every request immediately
-/// (subscribe is not a long-poll), so a quiet link mid-call is a dead
-/// one; reconnecting from the durable cursor is always safe.
+/// The longest a connect to the primary may take, so an unreachable one
+/// holds [`ReplicaRunner::stop`] up no longer than this.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// How long a wait for a reply runs before it looks at the stop flag.
+const CALL_SLICE: Duration = Duration::from_millis(250);
+/// How long a reply may take before the connection is declared broken.
+/// Guards against a link that is alive at the TCP level but silently
+/// stalled — e.g. a desynchronized byte stream whose next "frame header"
+/// declared a length that never arrives (the checksum can only reject a
+/// frame once it completes). The primary answers every request at once
+/// (subscribe is not a long-poll; the largest reply is a 4 MiB base
+/// chunk), so a call this late is on a dead link; reconnecting from the
+/// durable cursor is always safe.
 const CALL_STALL_LIMIT: Duration = Duration::from_secs(10);
 
 /// Background thread replicating a primary into a replica [`ShardedTsb`].
@@ -157,15 +154,17 @@ impl Drop for ReplicaRunner {
 }
 
 /// The thread body: sync until an error, then backoff + retry.
-fn run(feed: &mut Feed, dir: &Path, source: &str, stop: &Arc<AtomicBool>, epoch: &AtomicU64) {
-    let mut backoff = BACKOFF_MIN;
+fn run(feed: &mut Feed, dir: &Path, source: &str, stop: &AtomicBool, epoch: &AtomicU64) {
+    let retry = RetryPolicy::default();
+    let salt = u64::from(std::process::id());
+    let mut failures = 0;
     while !stop.load(Ordering::Acquire) {
         match sync_session(feed, dir, source, stop, epoch) {
             // A clean return only happens on a stop request.
             Ok(()) => return,
             Err(_) => {
-                interruptible_sleep(stop, backoff);
-                backoff = (backoff * 2).min(BACKOFF_MAX);
+                interruptible_sleep(stop, retry.backoff_for(failures, salt));
+                failures = failures.saturating_add(1);
             }
         }
     }
@@ -179,7 +178,7 @@ fn sync_session(
     feed: &mut Feed,
     dir: &Path,
     source: &str,
-    stop: &Arc<AtomicBool>,
+    stop: &AtomicBool,
     epoch: &AtomicU64,
 ) -> TsbResult<()> {
     if feed.replica.resume_lsn().is_none() && !feed.replica.needs_base() {
@@ -188,7 +187,14 @@ fn sync_session(
         let reopened = feed.replica.reopen()?;
         feed.replace(reopened);
     }
-    let mut conn = Conn::connect(source, Arc::clone(stop))?;
+    let opts = ClientOptions {
+        connect_timeout: CONNECT_TIMEOUT,
+        ..ClientOptions::default()
+    };
+    let mut primary = Primary {
+        client: TsbClient::connect_with(source, &opts)?,
+        stop,
+    };
     // The epoch we present on every subscribe: the one persisted in our
     // directory (adopted from the primary at the last bootstrap), or 0 =
     // "unknown" for a fresh directory that has never seen a base.
@@ -199,13 +205,13 @@ fn sync_session(
             return Ok(());
         }
         if feed.replica.needs_base() {
-            our_epoch = bootstrap(feed, dir, &mut conn, epoch)?;
+            our_epoch = bootstrap(feed, dir, &mut primary, epoch)?;
         }
         let replica = &feed.replica;
         let from_lsn = replica.resume_lsn().ok_or_else(|| {
             TsbError::internal("replica has a base installed but no resume cursor")
         })?;
-        let reply = conn.call(&Request::Subscribe {
+        let reply = primary.call(&Request::Subscribe {
             from_lsn,
             worm_have: replica.worm_have(),
             max_bytes: SUBSCRIBE_MAX_BYTES as u64,
@@ -229,15 +235,15 @@ fn sync_session(
                 // diverged (we are a demoted primary, or we replicated
                 // one). The delta stream is useless — re-bootstrap from a
                 // fresh base and adopt the primary's epoch.
-                our_epoch = bootstrap(feed, dir, &mut conn, epoch)?;
+                our_epoch = bootstrap(feed, dir, &mut primary, epoch)?;
                 continue;
             }
-            other => return Err(unexpected("subscribe", &other)),
+            other => return Err(unexpected("subscribe", other)),
         };
         if batch.needs_rebase {
             // The primary checkpointed past our cursor: our local copy can
             // no longer be extended. Re-bootstrap from a fresh image.
-            our_epoch = bootstrap(feed, dir, &mut conn, epoch)?;
+            our_epoch = bootstrap(feed, dir, &mut primary, epoch)?;
             continue;
         }
         // Empty batches still go through apply: they refresh the
@@ -257,8 +263,13 @@ fn sync_session(
 /// re-bootstraps, and an early epoch bump would have been harmless but
 /// is avoided anyway (the epoch file must never get ahead of the data
 /// it describes).
-fn bootstrap(feed: &mut Feed, dir: &Path, conn: &mut Conn, epoch: &AtomicU64) -> TsbResult<u64> {
-    let (base, primary_epoch) = fetch_base(conn)?;
+fn bootstrap(
+    feed: &mut Feed,
+    dir: &Path,
+    primary: &mut Primary<'_>,
+    epoch: &AtomicU64,
+) -> TsbResult<u64> {
+    let (base, primary_epoch) = fetch_base(primary)?;
     // A node ahead of its primary's epoch (a promotion that failed past
     // its epoch fence) keeps its directory rather than follow an older
     // lineage: only a promotion moves it on.
@@ -281,8 +292,8 @@ fn bootstrap(feed: &mut Feed, dir: &Path, conn: &mut Conn, epoch: &AtomicU64) ->
 /// Fetches a complete base image over the connection: the `fetch_base`
 /// snapshot descriptor, then each shard's page chunks and WORM chunks.
 /// Also returns the primary's promotion epoch at capture time.
-fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
-    let reply = conn.call(&Request::FetchBase)?;
+fn fetch_base(primary: &mut Primary<'_>) -> TsbResult<(ReplicaBase, u64)> {
+    let reply = primary.call(&Request::FetchBase)?;
     let Reply::BaseInfo {
         checkpoint_lsn,
         checkpoint,
@@ -292,12 +303,12 @@ fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
         epoch,
     } = reply
     else {
-        return Err(unexpected("fetch_base", &reply));
+        return Err(unexpected("fetch_base", reply));
     };
     let mut shards = Vec::with_capacity(page_counts.len());
     for (shard, pages) in (0..).zip(page_counts) {
-        let pages = fetch_pages(conn, shard, pages)?;
-        let worm = fetch_worm(conn, shard)?;
+        let pages = fetch_pages(primary, shard, pages)?;
+        let worm = fetch_worm(primary, shard)?;
         shards.push(ShardImage { pages, worm });
     }
     let base = ReplicaBase {
@@ -311,10 +322,14 @@ fn fetch_base(conn: &mut Conn) -> TsbResult<(ReplicaBase, u64)> {
 }
 
 /// Fetches every page of `shard` in the captured base, chunk by chunk.
-fn fetch_pages(conn: &mut Conn, shard: u32, page_count: u64) -> TsbResult<Vec<(PageId, Vec<u8>)>> {
+fn fetch_pages(
+    primary: &mut Primary<'_>,
+    shard: u32,
+    page_count: u64,
+) -> TsbResult<Vec<(PageId, Vec<u8>)>> {
     let mut pages: Vec<(PageId, Vec<u8>)> = Vec::new();
     loop {
-        let reply = conn.call(&Request::FetchBasePages {
+        let reply = primary.call(&Request::FetchBasePages {
             shard,
             start: pages.len() as u64,
             max_bytes: BASE_CHUNK_MAX_BYTES as u64,
@@ -331,7 +346,7 @@ fn fetch_pages(conn: &mut Conn, shard: u32, page_count: u64) -> TsbResult<Vec<(P
                     break;
                 }
             }
-            other => return Err(unexpected("fetch_base_pages", &other)),
+            other => return Err(unexpected("fetch_base_pages", other)),
         }
     }
     if pages.len() as u64 != page_count {
@@ -344,10 +359,10 @@ fn fetch_pages(conn: &mut Conn, shard: u32, page_count: u64) -> TsbResult<Vec<(P
 }
 
 /// Fetches the WORM image of `shard` in the captured base, chunk by chunk.
-fn fetch_worm(conn: &mut Conn, shard: u32) -> TsbResult<Vec<u8>> {
+fn fetch_worm(primary: &mut Primary<'_>, shard: u32) -> TsbResult<Vec<u8>> {
     let mut worm = Vec::new();
     loop {
-        let reply = conn.call(&Request::FetchBaseWorm {
+        let reply = primary.call(&Request::FetchBaseWorm {
             shard,
             offset: worm.len() as u64,
             max_bytes: BASE_CHUNK_MAX_BYTES as u64,
@@ -364,22 +379,21 @@ fn fetch_worm(conn: &mut Conn, shard: u32) -> TsbResult<Vec<u8>> {
                     ));
                 }
             }
-            other => return Err(unexpected("fetch_base_worm", &other)),
+            other => return Err(unexpected("fetch_base_worm", other)),
         }
     }
 }
 
-fn unexpected(verb: &str, reply: &Reply) -> TsbError {
+/// The error for a reply that is not the one `verb` asked for.
+fn unexpected(verb: &str, reply: Reply) -> TsbError {
     match reply {
-        Reply::Error { code, message } => {
-            TsbError::internal(format!("primary rejected {verb} (code {code}): {message}"))
-        }
+        Reply::Error { code, message } => remote_error(code, &message),
         other => TsbError::internal(format!("unexpected reply to {verb}: {other:?}")),
     }
 }
 
 /// Sleeps up to `total`, waking early if a stop is requested.
-fn interruptible_sleep(stop: &Arc<AtomicBool>, total: Duration) {
+fn interruptible_sleep(stop: &AtomicBool, total: Duration) {
     let step = Duration::from_millis(20).min(total);
     let mut left = total;
     while !left.is_zero() && !stop.load(Ordering::Acquire) {
@@ -389,70 +403,36 @@ fn interruptible_sleep(stop: &Arc<AtomicBool>, total: Duration) {
     }
 }
 
-/// A minimal blocking request/reply connection speaking the wire protocol.
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    read_buf: Vec<u8>,
-    next_id: u64,
-    stop: Arc<AtomicBool>,
+/// A session's connection to its primary, and the flag that cuts its
+/// waits short.
+struct Primary<'a> {
+    client: TsbClient,
+    stop: &'a AtomicBool,
 }
 
-impl Conn {
-    fn connect(addr: &str, stop: Arc<AtomicBool>) -> TsbResult<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(READ_TIMEOUT))?;
-        Ok(Conn {
-            stream,
-            decoder: FrameDecoder::new(),
-            read_buf: vec![0u8; 64 * 1024],
-            next_id: 1,
-            stop,
-        })
-    }
-
-    /// Sends one request and blocks for its reply (this connection is
-    /// strictly stop-and-wait, so ids always match in order).
+impl Primary<'_> {
+    /// Sends one request and waits for its reply in [`CALL_SLICE`]s,
+    /// failing once a stop is requested or the reply is
+    /// [`CALL_STALL_LIMIT`] late.
     fn call(&mut self, req: &Request) -> TsbResult<Reply> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.stream.write_all(&protocol::encode_request(id, req))?;
-        let mut stalled = Duration::ZERO;
+        let id = self.client.send(req)?;
+        let limit = Deadline::after(CALL_STALL_LIMIT);
         loop {
-            if let Some(body) = self.decoder.next_frame()? {
-                let (got, reply) = protocol::parse_reply(&body)?;
-                if got != id {
-                    return Err(TsbError::internal(format!(
-                        "primary answered request {got} while {id} was pending"
-                    )));
+            match self
+                .client
+                .wait_for_deadline(id, Deadline::after(CALL_SLICE))
+            {
+                Err(TsbError::DeadlineExceeded(_)) if self.stop.load(Ordering::Acquire) => {
+                    return Err(TsbError::internal("replication stopped"))
                 }
-                return Ok(reply);
-            }
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => {
+                Err(TsbError::DeadlineExceeded(_)) if limit.expired() => {
                     return Err(TsbError::Io(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "primary closed the connection",
+                        std::io::ErrorKind::TimedOut,
+                        format!("primary sent no reply within {CALL_STALL_LIMIT:?}"),
                     )))
                 }
-                Ok(n) => {
-                    stalled = Duration::ZERO;
-                    self.decoder.feed(&self.read_buf[..n]);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if self.stop.load(Ordering::Acquire) {
-                        return Err(TsbError::internal("replication stopped"));
-                    }
-                    stalled += READ_TIMEOUT;
-                    if stalled >= CALL_STALL_LIMIT {
-                        return Err(TsbError::Io(std::io::Error::new(
-                            ErrorKind::TimedOut,
-                            "primary stalled mid-reply (no bytes for 10s)",
-                        )));
-                    }
-                }
-                Err(e) => return Err(TsbError::Io(e)),
+                Err(TsbError::DeadlineExceeded(_)) => {}
+                reply => return reply,
             }
         }
     }

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use tsb_client::{ReadPreference, TsbClient};
+use tsb_client::TsbClient;
 use tsb_common::Key;
 
 struct TempDir(PathBuf);
@@ -200,21 +200,6 @@ fn replica_bootstraps_streams_and_rejects_writes() {
         err.to_string().contains("read-only"),
         "unexpected rejection: {err}"
     );
-
-    // The read preference routes reads to the replica transparently:
-    // writes keep flowing to the primary connection.
-    primary
-        .set_read_preference(ReadPreference::Replica(replica_addr.to_string()))
-        .expect("set read preference");
-    write_batch(&mut primary, &mut expect, "routed", 16, 16);
-    let _ = wait_converged(replica_addr, &expect);
-    for (key, value) in &expect {
-        assert_eq!(
-            primary.get(Key::from_u64(*key)).expect("routed get"),
-            Some(value.clone()),
-            "routed read diverged on key {key}"
-        );
-    }
 }
 
 #[test]
