@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbError, TsbResult};
 
-use crate::{connection_broken, ClientOptions, ServerRole, TsbClient};
+use crate::{connection_broken, ClientOptions, TsbClient};
 
 /// A client that holds a **list of candidate endpoints** (primary plus
 /// replicas) instead of one connection, and retries per
@@ -129,11 +129,6 @@ impl FailoverClient {
     ) -> TsbResult<Vec<tsb_common::Version>> {
         let key = key.into();
         self.with_retry(false, move |c| c.history(key.clone(), window))
-    }
-
-    /// The current primary's role (discovering it if necessary).
-    pub fn primary_role(&mut self) -> TsbResult<ServerRole> {
-        self.with_retry(true, |c| c.role())
     }
 
     // ----- machinery ------------------------------------------------------

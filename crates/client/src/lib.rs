@@ -17,8 +17,9 @@
 //!   over-the-wire face of the engine's pipelined group commit.
 //!
 //! Replies that arrive while waiting for a specific id are parked and
-//! handed out later; nothing is dropped. The wire format itself, which
-//! `tsb-server` speaks too, is [`protocol`].
+//! handed out later; the only reply ever dropped is the late one of a
+//! closed-loop verb that gave up at its deadline. The wire format itself,
+//! which `tsb-server` speaks too, is [`protocol`].
 //!
 //! ## Timeouts, deadlines, and failover
 //!
@@ -37,7 +38,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -73,7 +74,7 @@ pub struct ClientOptions {
     /// reply). `None` (the default) bounds operations only by the socket
     /// timeouts above. When it expires the verb fails with
     /// [`TsbError::DeadlineExceeded`]; the reply, if it later arrives, is
-    /// parked like any other.
+    /// dropped.
     pub op_timeout: Option<Duration>,
     /// Retry schedule used by [`FailoverClient`] (plain [`TsbClient`]s
     /// never retry on their own).
@@ -141,15 +142,6 @@ pub struct ReplicaStatusReport {
     pub lag_ms: u64,
 }
 
-impl ReplicaStatusReport {
-    /// Records received but not yet applied locally (`received_lsn -
-    /// applied_lsn`). High values mean the replica is apply-bound rather
-    /// than network-bound.
-    pub fn apply_lag_records(&self) -> u64 {
-        self.received_lsn.saturating_sub(self.applied_lsn)
-    }
-}
-
 /// One connection to a `tsb-server`.
 ///
 /// Not `Sync` by design: a pipelined protocol needs one reader of the
@@ -160,6 +152,9 @@ pub struct TsbClient {
     decoder: FrameDecoder,
     /// Replies that arrived while waiting for a different id.
     parked: BTreeMap<u64, Reply>,
+    /// Requests a closed-loop verb gave up on at its deadline: their
+    /// replies are dropped on arrival instead of parked.
+    abandoned: BTreeSet<u64>,
     next_id: u64,
     read_buf: Vec<u8>,
     /// Encoded requests queued by [`Self::send`], not yet on the wire.
@@ -207,6 +202,7 @@ impl TsbClient {
             stream,
             decoder: FrameDecoder::new(),
             parked: BTreeMap::new(),
+            abandoned: BTreeSet::new(),
             next_id: 1,
             read_buf: vec![0u8; 64 * 1024],
             send_buf: Vec::new(),
@@ -316,9 +312,18 @@ impl TsbClient {
         self.parked.len()
     }
 
-    /// The per-operation deadline implied by the options, started now.
-    fn op_deadline(&self) -> Option<Deadline> {
-        self.opts.op_timeout.map(Deadline::after)
+    /// One closed-loop round trip: sends `req` and waits for its reply
+    /// under [`ClientOptions::op_timeout`]. A request the deadline gives up
+    /// on is abandoned: its late reply is dropped, not parked for a caller
+    /// that will never ask for it.
+    fn call(&mut self, req: &Request) -> TsbResult<Reply> {
+        let deadline = self.opts.op_timeout.map(Deadline::after);
+        let id = self.send(req)?;
+        let reply = self.wait_for_by(id, deadline);
+        if let Err(TsbError::DeadlineExceeded(_)) = reply {
+            self.abandoned.insert(id);
+        }
+        reply
     }
 
     fn read_one(&mut self, deadline: Option<Deadline>) -> TsbResult<(u64, Reply)> {
@@ -326,6 +331,9 @@ impl TsbClient {
             match self.decoder.next_frame()? {
                 Some(body) => {
                     let (id, reply) = protocol::parse_reply(&body)?;
+                    if self.abandoned.remove(&id) {
+                        continue;
+                    }
                     // Id 0 is reserved for connection-level conditions the
                     // server raises unprompted — e.g. `overloaded` when an
                     // accept is shed past `--max-conns`. Surface it as this
@@ -408,26 +416,20 @@ impl TsbClient {
 
     /// Durable insert; returns the commit timestamp once acknowledged.
     pub fn put(&mut self, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<Timestamp> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Put {
+        committed(self.call(&Request::Put {
             key: key.into(),
             value,
-        })?;
-        committed(self.wait_for_by(id, deadline)?)
+        })?)
     }
 
     /// Durable delete; returns the tombstone's commit timestamp.
     pub fn delete(&mut self, key: impl Into<Key>) -> TsbResult<Timestamp> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Delete { key: key.into() })?;
-        committed(self.wait_for_by(id, deadline)?)
+        committed(self.call(&Request::Delete { key: key.into() })?)
     }
 
     /// Current-state point read.
     pub fn get(&mut self, key: impl Into<Key>) -> TsbResult<Option<Vec<u8>>> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Get { key: key.into() })?;
-        value(self.wait_for_by(id, deadline)?)
+        value(self.call(&Request::Get { key: key.into() })?)
     }
 
     /// As-of point read.
@@ -436,12 +438,10 @@ impl TsbClient {
         key: impl Into<Key>,
         as_of: Timestamp,
     ) -> TsbResult<Option<Vec<u8>>> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::GetAsOf {
+        value(self.call(&Request::GetAsOf {
             key: key.into(),
             as_of,
-        })?;
-        value(self.wait_for_by(id, deadline)?)
+        })?)
     }
 
     /// Range scan; `as_of: None` reads the current database.
@@ -450,9 +450,7 @@ impl TsbClient {
         range: KeyRange,
         as_of: Option<Timestamp>,
     ) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Range { range, as_of })?;
-        match self.wait_for_by(id, deadline)? {
+        match self.call(&Request::Range { range, as_of })? {
             Reply::Rows { rows } => Ok(rows),
             other => unexpected("Rows", other),
         }
@@ -460,12 +458,10 @@ impl TsbClient {
 
     /// Version history of `key` within `window`.
     pub fn history(&mut self, key: impl Into<Key>, window: TimeRange) -> TsbResult<Vec<Version>> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::History {
+        match self.call(&Request::History {
             key: key.into(),
             window,
-        })?;
-        match self.wait_for_by(id, deadline)? {
+        })? {
             Reply::Versions { versions } => Ok(versions),
             other => unexpected("Versions", other),
         }
@@ -473,9 +469,7 @@ impl TsbClient {
 
     /// Begins a multi-key transaction on this connection.
     pub fn txn_begin(&mut self) -> TsbResult<TxnId> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::TxnBegin)?;
-        match self.wait_for_by(id, deadline)? {
+        match self.call(&Request::TxnBegin)? {
             Reply::Txn { txn } => Ok(txn),
             other => unexpected("Txn", other),
         }
@@ -491,37 +485,29 @@ impl TsbClient {
         key: impl Into<Key>,
         value: Option<Vec<u8>>,
     ) -> TsbResult<()> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::TxnWrite {
+        unit(self.call(&Request::TxnWrite {
             txn,
             key: key.into(),
             value,
-        })?;
-        unit(self.wait_for_by(id, deadline)?)
+        })?)
     }
 
     /// Commits `txn`; returns its commit timestamp once durable.
     pub fn txn_commit(&mut self, txn: TxnId) -> TsbResult<Timestamp> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::TxnCommit { txn })?;
-        committed(self.wait_for_by(id, deadline)?)
+        committed(self.call(&Request::TxnCommit { txn })?)
     }
 
     /// Aborts `txn`. Like [`Self::txn_write`], the reply means applied,
     /// not durable: an abort a crash loses is redone by recovery, which
     /// erases every write no durable commit covers.
     pub fn txn_abort(&mut self, txn: TxnId) -> TsbResult<()> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::TxnAbort { txn })?;
-        unit(self.wait_for_by(id, deadline)?)
+        unit(self.call(&Request::TxnAbort { txn })?)
     }
 
     /// Asks the connected server whether it is a primary or a replica,
     /// and at which promotion epoch.
     pub fn role(&mut self) -> TsbResult<ServerRole> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Role)?;
-        match self.wait_for_by(id, deadline)? {
+        match self.call(&Request::Role)? {
             Reply::RoleInfo {
                 primary,
                 shards,
@@ -540,9 +526,7 @@ impl TsbClient {
     /// Replication progress of the connected replica (errors on a
     /// primary).
     pub fn replica_status(&mut self) -> TsbResult<ReplicaStatusReport> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::ReplicaStatus)?;
-        match self.wait_for_by(id, deadline)? {
+        match self.call(&Request::ReplicaStatus)? {
             Reply::ReplicaStatusInfo {
                 serving,
                 applied_lsn,
@@ -573,9 +557,7 @@ impl TsbClient {
     /// its current epoch. The old primary, if it ever comes back, is
     /// fenced off — its stale epoch is rejected on `subscribe`.
     pub fn promote(&mut self) -> TsbResult<u64> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Promote)?;
-        match self.wait_for_by(id, deadline)? {
+        match self.call(&Request::Promote)? {
             Reply::Promoted { epoch } => Ok(epoch),
             other => unexpected("Promoted", other),
         }
@@ -583,9 +565,7 @@ impl TsbClient {
 
     /// Liveness probe; returns the server's install fence.
     pub fn ping(&mut self) -> TsbResult<Timestamp> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Ping)?;
-        match self.wait_for_by(id, deadline)? {
+        match self.call(&Request::Ping)? {
             Reply::Pong { last_installed } => Ok(last_installed),
             other => unexpected("Pong", other),
         }
@@ -594,9 +574,7 @@ impl TsbClient {
     /// Asks the server to shut down cleanly (acknowledged before it
     /// stops).
     pub fn shutdown_server(&mut self) -> TsbResult<()> {
-        let deadline = self.op_deadline();
-        let id = self.send(&Request::Shutdown)?;
-        unit(self.wait_for_by(id, deadline)?)
+        unit(self.call(&Request::Shutdown)?)
     }
 }
 
@@ -727,5 +705,50 @@ mod tests {
         peer.read_exact(&mut wire).expect("the frame arrives");
         assert_eq!(wire, expected);
         assert_eq!(client.send(&Request::Ping).expect("ping"), id + 1);
+    }
+
+    /// A closed-loop verb that gives up at its deadline drops the late
+    /// reply instead of parking it: against a peer that answers every
+    /// request 200 ms late, ten `get`s under a 50 ms `op_timeout` and one
+    /// `get` with no deadline (which reads the ten late replies on its way
+    /// to its own) leave nothing parked.
+    #[test]
+    fn a_closed_loop_verb_drops_the_late_reply_it_gave_up_on() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut decoder = FrameDecoder::new();
+            let mut buf = vec![0u8; 4096];
+            for _ in 0..11 {
+                let body = loop {
+                    if let Some(body) = decoder.next_frame().expect("frame") {
+                        break body;
+                    }
+                    let n = conn.read(&mut buf).expect("read");
+                    assert!(n > 0, "the client hung up");
+                    decoder.feed(&buf[..n]);
+                };
+                let (id, _) = protocol::parse_request(&body).expect("request");
+                std::thread::sleep(Duration::from_millis(200));
+                let reply = protocol::encode_reply(id, &Reply::Value { value: None });
+                conn.write_all(&reply).expect("reply");
+            }
+        });
+        let opts = ClientOptions {
+            op_timeout: Some(Duration::from_millis(50)),
+            ..ClientOptions::default()
+        };
+        let mut client = TsbClient::connect_with(addr, &opts).expect("connect");
+        for i in 0..10u64 {
+            match client.get(Key::from_u64(i)) {
+                Err(TsbError::DeadlineExceeded(_)) => {}
+                other => panic!("get {i}: expected a deadline error, got {other:?}"),
+            }
+        }
+        client.opts.op_timeout = None;
+        assert_eq!(client.get(Key::from_u64(10)).expect("late get"), None);
+        assert_eq!(client.parked(), 0, "late replies were parked");
+        peer.join().expect("peer");
     }
 }

@@ -13,11 +13,10 @@
 //! * **Object-safe by construction**: keys are concrete [`Key`] values
 //!   (callers convert once at the edge), so `Arc<dyn EngineHandle>` works
 //!   as a server/driver field.
-//! * **Durability positions are [`ShardLsn`]s** — `(shard, lsn)` pairs,
-//!   shard 0 on a one-shard engine — so the deferred-ack plumbing
-//!   (`insert_deferred` → `wait_durable`) is uniform. Every shard appends
-//!   to the engine's one log, so the shard only says which shard handed
-//!   the position out.
+//! * **A durability position is an [`Lsn`] on the engine's one log**:
+//!   every shard appends to it, so the deferred-ack plumbing
+//!   (`insert_deferred` → `wait_durable`) needs no shard, and a caller
+//!   holding several positions waits once, on the newest.
 //! * **Blocking writes are written once**: `insert`, `delete` and
 //!   `commit_txn` are provided methods — the deferred verb, then
 //!   `wait_durable` — so a replica's `ReadOnly` answer comes for free.
@@ -26,17 +25,19 @@
 //!   of them with [`TsbError::ReadOnly`] — the single error code the
 //!   wire protocol surfaces so clients know to redirect to the primary.
 //! * **Replication is part of the surface**: [`EngineHandle::role`],
-//!   [`EngineHandle::replica_status`] and
+//!   [`EngineHandle::epoch`], [`EngineHandle::replica_status`] and
 //!   [`EngineHandle::replication_source`] let the server expose
-//!   role/status verbs and serve `subscribe` without downcasting.
+//!   role/status verbs and serve `subscribe` without downcasting. The
+//!   promotion epoch is the engine's: read from its directory on open,
+//!   adopted from a base it installs, bumped by its promotion.
 
 use tsb_common::{
     Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId, Version,
 };
 use tsb_storage::{IoSnapshot, Lsn};
 
+use crate::epoch::INITIAL_EPOCH;
 use crate::replica::{ReplicaStatus, ReplicationSource};
-use crate::sharded::ShardLsn;
 
 /// What an engine is in a replication topology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,20 +69,25 @@ pub trait EngineHandle: Send + Sync {
     /// Number of shards; 1 for unsharded engines.
     fn shard_count(&self) -> usize;
 
+    /// The promotion epoch this engine serves at (see [`crate::epoch`]):
+    /// echoed in the wire `Role` reply and checked against `Subscribe`.
+    fn epoch(&self) -> u64 {
+        INITIAL_EPOCH
+    }
+
     // ----- writes ---------------------------------------------------------
 
     /// Inserts (or updates) `key`, returning the commit timestamp and the
     /// log position to pass to [`Self::wait_durable`] for a durable ack
     /// (`None` when the engine is not durable).
-    fn insert_deferred(&self, key: Key, value: Vec<u8>)
-        -> TsbResult<(Timestamp, Option<ShardLsn>)>;
+    fn insert_deferred(&self, key: Key, value: Vec<u8>) -> TsbResult<(Timestamp, Option<Lsn>)>;
 
     /// Logically deletes `key` (non-deletion: history is preserved).
-    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)>;
+    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<Lsn>)>;
 
-    /// Blocks until `pos` is durable on the engine's log; a shard index
-    /// this engine does not have is a [`TsbError::config`] error.
-    fn wait_durable(&self, pos: ShardLsn) -> TsbResult<()>;
+    /// Blocks until `lsn` is durable on the engine's log; a position past
+    /// the log's tail is a [`TsbError::config`] error.
+    fn wait_durable(&self, lsn: Lsn) -> TsbResult<()>;
 
     /// [`Self::insert_deferred`], returning only once durable (per the
     /// engine's fsync policy).
@@ -107,7 +113,7 @@ pub trait EngineHandle: Send + Sync {
     fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>>;
 
     /// Commits `txn`, stamping every write with one commit timestamp.
-    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)>;
+    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<Lsn>)>;
 
     /// [`Self::commit_txn_deferred`], returning only once durable.
     fn commit_txn(&self, txn: TxnId) -> TsbResult<Timestamp> {
@@ -190,7 +196,7 @@ pub trait EngineHandle: Send + Sync {
 /// (if it has one), then yields the commit timestamp.
 fn acked<E: EngineHandle + ?Sized>(
     db: &E,
-    (ts, pos): (Timestamp, Option<ShardLsn>),
+    (ts, pos): (Timestamp, Option<Lsn>),
 ) -> TsbResult<Timestamp> {
     if let Some(pos) = pos {
         db.wait_durable(pos)?;

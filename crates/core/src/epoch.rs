@@ -12,6 +12,11 @@
 //! (`--replica-of` the new primary), which installs a fresh base and
 //! adopts the new epoch.
 //!
+//! The engine owns the epoch: a [`crate::ShardedTsb`] reads it here when
+//! it opens and serves it as [`crate::EngineHandle::epoch`];
+//! `install_base` and `promote` write it here before the engine's copy
+//! moves. Nothing else holds one.
+//!
 //! Durability follows the WAL's rename discipline: the value is written to
 //! a temp file, fsynced, renamed over [`EPOCH_FILE`], and the parent
 //! directory is fsynced so a crash cannot resurrect the old epoch.

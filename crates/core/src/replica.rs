@@ -34,6 +34,10 @@
 //!   [`ShardedTsb::reopen`] hand back the engine to serve from then on;
 //!   [`ShardedTsb::promote`] stops applying.
 //!
+//! The promotion epoch (see [`crate::epoch`]) travels with the base: a
+//! replica adopts its base's epoch on install and refuses a base of an
+//! older one, and its promotion bumps it before it accepts a write.
+//!
 //! ## The apply protocol (and why each step is ordered)
 //!
 //! For each shipped batch:
@@ -92,6 +96,7 @@ use tsb_storage::{Lsn, PageId, TailPoll, WalRecord, WalTailer};
 
 use crate::concurrent::Shard;
 use crate::engine::EngineHandle;
+use crate::epoch::{persist_epoch, read_epoch};
 use crate::node::NodeAddr;
 use crate::sharded::{existing_layout, relayout, ShardedTsb};
 use crate::tree::durability::checkpoint_log;
@@ -123,6 +128,9 @@ pub struct ReplicaBase {
     pub page_size: usize,
     /// The primary's WORM sector size; likewise checked.
     pub worm_sector_size: usize,
+    /// The primary's promotion epoch at capture. The replica adopts it on
+    /// install and refuses a base of an older epoch than its own.
+    pub epoch: u64,
 }
 
 /// One shard's devices in a [`ReplicaBase`].
@@ -207,8 +215,7 @@ impl ReplicationSource {
                 "cascading replication is not supported: subscribe to the primary",
             ));
         }
-        let wal = db.shards().first().and_then(|s| s.tree().wal_handle());
-        let wal = wal.ok_or_else(|| {
+        let wal = db.wal().ok_or_else(|| {
             TsbError::config("replication requires a durable (WAL-attached) primary")
         })?;
         Ok(ReplicationSource {
@@ -293,12 +300,14 @@ impl ReplicationSource {
     /// shard's pages and WORM plus the checkpoint body. Expensive and
     /// briefly write-blocking; used only to bootstrap or re-base a replica.
     pub fn base(&self) -> TsbResult<ReplicaBase> {
-        self.db.with_every_writer(capture_base)
+        let epoch = self.db.epoch();
+        self.db.with_every_writer(|t| capture_base(t, epoch))
     }
 }
 
-/// [`ReplicationSource::base`] over the trees of one log, in shard order.
-fn capture_base(trees: &[&TsbTree]) -> TsbResult<ReplicaBase> {
+/// [`ReplicationSource::base`] over the trees of one log, in shard order,
+/// of an engine at `epoch`.
+fn capture_base(trees: &[&TsbTree], epoch: u64) -> TsbResult<ReplicaBase> {
     let first = trees.first().ok_or_else(not_serving)?;
     let checkpoint = checkpoint_log(trees)?
         .ok_or_else(|| TsbError::config("replication requires a durable (WAL-attached) primary"))?;
@@ -323,6 +332,7 @@ fn capture_base(trees: &[&TsbTree]) -> TsbResult<ReplicaBase> {
         shards,
         page_size: cfg.page_size,
         worm_sector_size: cfg.worm_sector_size,
+        epoch,
     })
 }
 
@@ -390,9 +400,11 @@ impl ShardedTsb {
     /// `TsbTree::open_durable_replica`), or starts with no shard at all,
     /// answering every read with a not-serving error until
     /// [`Self::install_base`]. A half-installed base (marker file present)
-    /// is wiped. Reached through [`crate::TsbOptions::open_replica`].
+    /// is wiped. The engine serves at the directory's promotion epoch.
+    /// Reached through [`crate::TsbOptions::open_replica`].
     pub(crate) fn open_replica(dir: &Path, cfg: TsbConfig) -> TsbResult<ShardedTsb> {
         cfg.validate()?;
+        let epoch = read_epoch(dir)?;
         let layout = existing_layout(dir)?;
         let replica = Replica {
             dir: dir.to_path_buf(),
@@ -412,21 +424,21 @@ impl ShardedTsb {
         } else {
             TsbTree::open_durable_replica(&layout, &cfg)?
         };
-        let Some(rec) = recovered else {
-            let clock = Arc::new(LogicalClock::new());
-            return Ok(Self::from_parts(Vec::new(), clock, cfg, Some(replica)));
+        let (engines, clock) = match recovered {
+            None => (Vec::new(), Arc::new(LogicalClock::new())),
+            Some(rec) => {
+                // A shard is complete through its own last fence, not
+                // through the clock every shard shares.
+                let trees = rec.trees.into_iter();
+                let engines =
+                    trees.map(|(tree, fence)| Shard::from_tree_at(tree, fence.state.1.prev()));
+                let applied = rec.applier.cut().unwrap_or(0);
+                replica.applied_lsn.store(applied, Ordering::Release);
+                *replica.apply.lock() = Some(rec.applier);
+                (engines.collect(), rec.clock)
+            }
         };
-        // A shard is complete through its own last fence, not through the
-        // clock every shard shares.
-        let engines: Vec<Shard> = rec
-            .trees
-            .into_iter()
-            .map(|(tree, fence)| Shard::from_tree_at(tree, fence.state.1.prev()))
-            .collect();
-        let applied = rec.applier.cut().unwrap_or(0);
-        replica.applied_lsn.store(applied, Ordering::Release);
-        *replica.apply.lock() = Some(rec.applier);
-        Ok(Self::from_parts(engines, rec.clock, cfg, Some(replica)))
+        Ok(Self::from_parts(engines, clock, cfg, Some(replica), epoch))
     }
 
     /// The replica half, or the error a verb only replicas have answers.
@@ -483,8 +495,19 @@ impl ShardedTsb {
     /// count, then lays down each shard's pages and WORM prefix and the
     /// checkpoint fence, and recovers from the result exactly as a restart
     /// would.
+    /// It adopts the base's promotion epoch once the install is complete,
+    /// and refuses a base of an older epoch than its own before touching
+    /// anything: a node ahead of its primary (a promotion that failed past
+    /// its epoch bump) keeps its directory rather than follow that lineage.
     pub fn install_base(&self, base: &ReplicaBase) -> TsbResult<ShardedTsb> {
         let replica = self.replica_half()?;
+        let ours = self.epoch();
+        if base.epoch < ours {
+            return Err(TsbError::config(format!(
+                "the base is at promotion epoch {}, behind this node's {ours}",
+                base.epoch
+            )));
+        }
         let cfg = self.config();
         if base.page_size != cfg.page_size {
             return Err(TsbError::config(format!(
@@ -517,6 +540,7 @@ impl ShardedTsb {
         files.wal.sync()?;
         drop(files);
         std::fs::remove_file(&marker)?;
+        persist_epoch(&replica.dir, base.epoch)?;
         drop(apply);
         let db = Self::open_replica(&replica.dir, cfg.clone())?;
         if db.needs_base() {
@@ -561,7 +585,7 @@ impl ShardedTsb {
             .source_durable
             .fetch_max(batch.durable_lsn, Ordering::AcqRel);
         let shards = self.shards();
-        let wal = shards.first().and_then(|s| s.tree().wal_handle());
+        let wal = self.wal();
         let wal = wal.ok_or_else(|| TsbError::internal("replica tree has no local log"))?;
 
         // 1. History first (see module docs).
@@ -686,22 +710,24 @@ impl ShardedTsb {
     }
 
     /// Stops applying: the replica becomes a primary over its own
-    /// directory, at the prefix it has installed. As the primary recovery
-    /// of this directory would, it drops the un-fenced shipped tail, erases
-    /// the versions of transactions still open on the old primary, and
-    /// fences the result with one checkpoint of every shard. Idempotent; a
-    /// no-op on an engine opened as a primary.
+    /// directory, at the prefix it has installed, and returns its bumped
+    /// promotion epoch, fsynced first (and the engine's from then on, even
+    /// if the rest fails). As the primary recovery of this directory would,
+    /// it drops the un-fenced shipped tail, erases the versions of
+    /// transactions still open on the old primary, and fences the result
+    /// with one checkpoint of every shard. Idempotent; on a primary it
+    /// returns the epoch.
     ///
     /// Refused on an engine that stopped applying after a failed batch or
     /// a failed promotion: its memory may hold a shard part-way installed,
     /// so promote the engine [`Self::reopen`] returns instead.
-    pub fn promote(&self) -> TsbResult<()> {
+    pub fn promote(&self) -> TsbResult<u64> {
         let Some(replica) = self.replica() else {
-            return Ok(());
+            return Ok(self.epoch());
         };
         let mut apply = replica.apply.lock();
         if !replica.is_applying() {
-            return Ok(());
+            return Ok(self.epoch());
         }
         if self.shards().is_empty() {
             return Err(TsbError::config(
@@ -713,6 +739,9 @@ impl ShardedTsb {
                 "a failed apply stopped this replica part-way: promote the engine reopen() returns",
             ));
         }
+        let epoch = self.epoch().saturating_add(1);
+        persist_epoch(&replica.dir, epoch)?;
+        self.set_epoch(epoch);
         // A failure may leave some shards purged or fenced: this engine
         // stops applying either way.
         *apply = None;
@@ -724,7 +753,7 @@ impl ShardedTsb {
             checkpoint_log(trees)
         })?;
         replica.applying.store(false, Ordering::Release);
-        Ok(())
+        Ok(epoch)
     }
 }
 

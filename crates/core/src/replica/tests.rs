@@ -494,3 +494,92 @@ fn a_replica_whose_install_failed_is_promoted_only_after_a_reopen() {
     }
     assert!(torn, "no install failed between two shards");
 }
+
+/// Every file under `dir` with its bytes, by path.
+fn files_under(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// A base of an older promotion epoch than the replica's own is refused
+/// before anything is touched: every file of the directory, its epoch
+/// file included, stays as it was, and the engine serves on. A base of a
+/// newer epoch is adopted, in memory and on disk.
+#[test]
+fn a_base_of_an_older_epoch_is_refused_and_leaves_the_directory_alone() {
+    use crate::epoch::INITIAL_EPOCH;
+    let pdir = TempDir::new("src-e");
+    let rdir = TempDir::new("dst-e");
+    let primary = opts(&pdir, 1).open().unwrap();
+    let key = Key::from_u64(7);
+    primary.insert(key.clone(), b"kept".to_vec()).unwrap();
+    let source = ReplicationSource::new(&primary).unwrap();
+    let replica = sync_until_caught_up(&source, open_replica(&rdir));
+    assert_eq!(replica.epoch(), INITIAL_EPOCH);
+    drop(replica);
+    persist_epoch(&rdir.0, 4).unwrap();
+    let replica = open_replica(&rdir);
+    assert_eq!(replica.epoch(), 4, "the engine reads its directory's epoch");
+
+    let before = files_under(&rdir.0);
+    let base = source.base().unwrap();
+    assert_eq!(base.epoch, INITIAL_EPOCH);
+    let refused = replica.install_base(&base);
+    assert!(
+        matches!(&refused, Err(TsbError::Config(msg)) if msg.contains("epoch")),
+        "an older base must be refused, got {:?}",
+        refused.err()
+    );
+    assert_eq!(
+        files_under(&rdir.0),
+        before,
+        "the refusal touched the directory"
+    );
+    assert_eq!(read_epoch(&rdir.0).unwrap(), 4);
+    assert_eq!(replica.epoch(), 4);
+    assert_eq!(replica.get_current(&key).unwrap(), Some(b"kept".to_vec()));
+
+    let newer = ReplicaBase { epoch: 6, ..base };
+    let installed = replica.install_base(&newer).unwrap();
+    assert_eq!(installed.epoch(), 6);
+    assert_eq!(read_epoch(&rdir.0).unwrap(), 6);
+}
+
+/// A promotion that fails after its epoch bump leaves an engine whose
+/// epoch is the one its directory holds, which a reopen reads back; the
+/// reopened engine promotes one epoch further.
+#[test]
+fn after_a_failed_promotion_the_engines_epoch_is_its_epoch_file() {
+    use crate::epoch::INITIAL_EPOCH;
+    use tsb_storage::{CrashPoint, FaultInjector};
+    let pdir = TempDir::new("src-f");
+    let rdir = TempDir::new("dst-f");
+    let primary = opts(&pdir, 4).open().unwrap();
+    for i in 0..16u64 {
+        primary.insert(Key::from_u64(i), b"v".to_vec()).unwrap();
+    }
+    let source = ReplicationSource::new(&primary).unwrap();
+    let replica = sync_until_caught_up(&source, open_replica(&rdir));
+
+    let faults = Arc::new(FaultInjector::new());
+    faults.crash_at(CrashPoint::WalCheckpoint, 0);
+    replica.set_fault_injector(Arc::clone(&faults));
+    assert!(replica.promote().is_err(), "the checkpoint must fail");
+    assert!(faults.tripped());
+    assert_eq!(replica.role(), EngineRole::Replica);
+    assert_eq!(replica.epoch(), read_epoch(&rdir.0).unwrap());
+    assert_eq!(replica.epoch(), INITIAL_EPOCH + 1);
+
+    let reopened = replica.reopen().unwrap();
+    assert_eq!(reopened.epoch(), INITIAL_EPOCH + 1);
+    assert_eq!(reopened.promote().unwrap(), INITIAL_EPOCH + 2);
+    assert_eq!(read_epoch(&rdir.0).unwrap(), INITIAL_EPOCH + 2);
+}

@@ -90,6 +90,7 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -98,10 +99,11 @@ use tsb_common::{
     Key, KeyRange, LogicalClock, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, TxnId,
     Version,
 };
-use tsb_storage::{sync_parent_dir, FaultInjector, IoSnapshot, Lsn};
+use tsb_storage::{sync_parent_dir, FaultInjector, IoSnapshot, Lsn, Wal};
 
 use crate::concurrent::Shard;
 use crate::engine::{EngineHandle, EngineRole};
+use crate::epoch::{read_epoch, INITIAL_EPOCH};
 use crate::replica::{not_serving, Replica, ReplicaStatus, ReplicationSource};
 use crate::tree::durability::{checkpoint_log, commit_across};
 use crate::tree::recover::{DurableFiles, Layout};
@@ -117,12 +119,10 @@ const MANIFEST_MAGIC_V1: &str = "tsb-sharded v1";
 /// guards against a corrupt manifest or a typo'd `--shards`.
 const MAX_SHARDS: usize = 256;
 
-/// Identifies a deferred durability obligation: the shard that handed it
-/// out and the position on the engine's log to pass to
-/// [`EngineHandle::wait_durable`] before acknowledging the write. Every
-/// shard shares the one log, so the shard only says where the position
-/// came from.
-pub type ShardLsn = (usize, Lsn);
+/// A deferred durability obligation: the [`Lsn`] on the engine's one log
+/// to pass to [`EngineHandle::wait_durable`] before acknowledging the
+/// write. A name kept for the callers that import it.
+pub type ShardLsn = Lsn;
 
 /// FNV-1a 64-bit over the key bytes: the routing hash. Stable by
 /// construction — it depends on nothing but the bytes.
@@ -152,6 +152,12 @@ struct ShardedInner {
     clock: Arc<LogicalClock>,
     txns: Mutex<GlobalTxnTable>,
     cfg: TsbConfig,
+    /// The one log every shard appends to; `None` in memory, and on a
+    /// replica awaiting its first base image.
+    wal: Option<Arc<Wal>>,
+    /// The promotion epoch (see [`crate::epoch`]): the directory's when
+    /// opened, bumped in place by a promotion.
+    epoch: AtomicU64,
     /// Present on an engine opened as a replica, applying or promoted.
     replica: Option<Replica>,
 }
@@ -183,14 +189,16 @@ impl std::fmt::Debug for ShardedTsb {
 impl ShardedTsb {
     // ----- construction ---------------------------------------------------
 
-    /// The engine over `shards` stamping from `clock`, a replica when
-    /// `replica` is given.
+    /// The engine over `shards` stamping from `clock` at promotion
+    /// `epoch`, a replica when `replica` is given.
     pub(crate) fn from_parts(
         shards: Vec<Shard>,
         clock: Arc<LogicalClock>,
         cfg: TsbConfig,
         replica: Option<Replica>,
+        epoch: u64,
     ) -> Self {
+        let wal = shards.first().and_then(|s| s.tree().wal_handle());
         ShardedTsb {
             inner: Arc::new(ShardedInner {
                 shards,
@@ -200,6 +208,8 @@ impl ShardedTsb {
                     active: HashMap::new(),
                 }),
                 cfg,
+                wal,
+                epoch: AtomicU64::new(epoch),
                 replica,
             }),
         }
@@ -216,7 +226,7 @@ impl ShardedTsb {
             let tree = TsbTree::new_in_memory_with_clock(cfg.clone(), Arc::clone(&clock))?;
             engines.push(Shard::from_tree(tree));
         }
-        Ok(Self::from_parts(engines, clock, cfg, None))
+        Ok(Self::from_parts(engines, clock, cfg, None, INITIAL_EPOCH))
     }
 
     /// Opens (or creates) a durable sharded engine rooted at `dir`.
@@ -236,13 +246,15 @@ impl ShardedTsb {
     /// Every shard count runs the same recovery over the one log: one cut,
     /// each shard replayed to its own last fence before it, and the global
     /// clock re-derived as the maximum across every shard's recovered
-    /// clock — see [`crate::tree::recover`].
+    /// clock — see [`crate::tree::recover`]. The engine serves at the
+    /// directory's promotion epoch.
     pub(crate) fn open_durable(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
+        let epoch = read_epoch(dir)?;
         let layout = layout(dir, shards)?;
         let clock = Arc::new(LogicalClock::new());
         let trees = TsbTree::open_durable(&layout, &cfg, &clock)?;
         let engines = trees.into_iter().map(Shard::from_tree).collect();
-        Ok(Self::from_parts(engines, clock, cfg, None))
+        Ok(Self::from_parts(engines, clock, cfg, None, epoch))
     }
 
     /// Puts every shard of a freshly opened, unshared engine in the
@@ -289,6 +301,17 @@ impl ShardedTsb {
     /// The shards, in shard order.
     pub(crate) fn shards(&self) -> &[Shard] {
         &self.inner.shards
+    }
+
+    /// The one log every shard appends to (`None` in memory, and while a
+    /// replica awaits its base).
+    pub(crate) fn wal(&self) -> Option<&Arc<Wal>> {
+        self.inner.wal.as_ref()
+    }
+
+    /// Sets the promotion epoch in memory, once the directory holds it.
+    pub(crate) fn set_epoch(&self, epoch: u64) {
+        self.inner.epoch.store(epoch, Ordering::SeqCst);
     }
 
     /// The shard `key` routes to; none while a replica awaits its base.
@@ -371,10 +394,7 @@ impl ShardedTsb {
     /// global order, so concurrent cross-shard commits and checkpoints
     /// cannot deadlock). Any failure after the first stamp poisons every
     /// participant: a stamped shard must never fence the stamps alone.
-    fn commit_cross_shard(
-        &self,
-        parts: &[(usize, TxnId)],
-    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+    fn commit_cross_shard(&self, parts: &[(usize, TxnId)]) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let shards = &self.inner.shards;
         let _guards: Vec<_> = parts
             .iter()
@@ -391,7 +411,7 @@ impl ShardedTsb {
         for (i, _) in parts {
             shards[*i].advance_fence(ts);
         }
-        Ok((ts, wait.map(|lsn| (parts[0].0, lsn))))
+        Ok((ts, wait))
     }
 
     // ----- reads beyond the engine verbs ----------------------------------
@@ -533,50 +553,48 @@ impl EngineHandle for ShardedTsb {
         self.inner.shards.len()
     }
 
+    fn epoch(&self) -> u64 {
+        self.inner.epoch.load(Ordering::SeqCst)
+    }
+
     // ----- single-key writes (zero cross-shard coordination) --------------
 
     /// Inserts a new version of `key` on its home shard, stamped from the
     /// global clock. A pipelined caller batches writes and waits once at
     /// the end; every shard appends to the one log, so the batch's first
     /// wait asks for a sync that covers all of it.
-    fn insert_deferred(
-        &self,
-        key: Key,
-        value: Vec<u8>,
-    ) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+    fn insert_deferred(&self, key: Key, value: Vec<u8>) -> TsbResult<(Timestamp, Option<Lsn>)> {
         self.writable()?;
-        let shard = self.shard_of(&key);
-        let insert = |t: &TsbTree| t.insert_shared(key, value);
-        let (ts, lsn) = self.inner.shards[shard].write(insert)?;
-        Ok((ts, lsn.map(|l| (shard, l))))
+        let shard = self.shard_for(&key)?;
+        shard.write(|t| t.insert_shared(key, value))
     }
 
-    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+    fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<Lsn>)> {
         self.writable()?;
-        let shard = self.shard_of(&key);
-        let delete = |t: &TsbTree| t.delete_shared(key);
-        let (ts, lsn) = self.inner.shards[shard].write(delete)?;
-        Ok((ts, lsn.map(|l| (shard, l))))
+        let shard = self.shard_for(&key)?;
+        shard.write(|t| t.delete_shared(key))
     }
 
-    /// Returns once the log's durable-LSN watermark covers `lsn`. A sync
-    /// covers the whole appended tail, so the one this wait leads or joins
-    /// also covers what other writers appended before its capture; every
-    /// shard shares the log, so a batch's waits after the first find it
-    /// already covered. `ShardLsn` is a plain tuple a caller may carry
-    /// over from an engine with more shards (or another log), so both
-    /// halves are checked: a shard this engine lacks, or an LSN the log
-    /// never handed out, is a config error and leaves the engine usable.
-    fn wait_durable(&self, (shard, lsn): ShardLsn) -> TsbResult<()> {
+    /// Returns once the one log's durable-LSN watermark covers `lsn`,
+    /// leading the sync on this thread or parking on the one on the device
+    /// (see [`Wal::wait_durable`]). A sync covers the whole appended tail,
+    /// so a batch's waits after the first find it already covered. A
+    /// failed wait poisons every shard with a fence appended past the
+    /// watermark: those fences can never become durable, so the shard's
+    /// memory is ahead of its log for good; a shard with none serves on.
+    /// An LSN the log never handed out is a config error that poisons
+    /// nothing.
+    fn wait_durable(&self, lsn: Lsn) -> TsbResult<()> {
         self.writable()?;
-        let shards = &self.inner.shards;
-        let db = shards.get(shard).ok_or_else(|| {
-            TsbError::config(format!(
-                "durability position names shard {shard}, but this engine has {}",
-                shards.len()
-            ))
-        })?;
-        db.tree().wait_durable_lsn(Some(lsn))
+        let Some(wal) = self.wal() else {
+            return Ok(());
+        };
+        wal.wait_durable(lsn).inspect_err(|e| {
+            if !matches!(e, TsbError::Config(_)) {
+                let trees = self.inner.shards.iter().map(Shard::tree);
+                trees.for_each(TsbTree::poison_if_unsettled);
+            }
+        })
     }
 
     // ----- transactions ---------------------------------------------------
@@ -636,7 +654,7 @@ impl EngineHandle for ShardedTsb {
     /// zero coordination; cross-shard ones as one fence naming every
     /// participant (see the [module docs](self)). Either hands back the
     /// fence's position to wait on, as a put does.
-    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<ShardLsn>)> {
+    fn commit_txn_deferred(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<Lsn>)> {
         self.writable()?;
         let parts = self.take_participants(txn)?;
         match parts.as_slice() {
@@ -645,8 +663,7 @@ impl EngineHandle for ShardedTsb {
             [] => Ok((self.inner.clock.tick(), None)),
             [(shard, local)] => {
                 let commit = |t: &TsbTree| t.commit_txn_shared(*local);
-                let (ts, lsn) = self.inner.shards[*shard].write(commit)?;
-                Ok((ts, lsn.map(|l| (*shard, l))))
+                self.inner.shards[*shard].write(commit)
             }
             _ => self.commit_cross_shard(&parts),
         }
@@ -727,14 +744,7 @@ impl EngineHandle for ShardedTsb {
     fn durable_lsn(&self) -> Lsn {
         match self.replica() {
             Some(replica) => replica.applied_lsn(),
-            None => {
-                let wal = self
-                    .inner
-                    .shards
-                    .first()
-                    .and_then(|s| s.tree().wal_handle());
-                wal.map_or(0, |w| w.durable_lsn())
-            }
+            None => self.wal().map_or(0, |w| w.durable_lsn()),
         }
     }
 
@@ -1100,9 +1110,10 @@ mod tests {
         let before = db.io_snapshot().wal_syncs;
         let mut max_lsns = [None; 4];
         for i in 0..32u64 {
-            let (_, pos) = db.insert_deferred(i.into(), b"v".to_vec()).unwrap();
-            let (shard, lsn) = pos.expect("`Always` hands out a position");
-            max_lsns[shard] = max_lsns[shard].max(Some(lsn));
+            let shard = db.shard_of(&Key::from_u64(i));
+            let (_, lsn) = db.insert_deferred(i.into(), b"v".to_vec()).unwrap();
+            assert!(lsn.is_some(), "`Always` hands out a position");
+            max_lsns[shard] = max_lsns[shard].max(lsn);
         }
         assert!(
             max_lsns.iter().all(Option::is_some),
@@ -1113,8 +1124,8 @@ mod tests {
             before,
             "an insert nobody waited on yet asked for a sync"
         );
-        for (shard, lsn) in max_lsns.iter().enumerate() {
-            db.wait_durable((shard, lsn.unwrap())).unwrap();
+        for lsn in max_lsns {
+            db.wait_durable(lsn.unwrap()).unwrap();
         }
         assert_eq!(db.io_snapshot().wal_syncs, before + 1);
     }
@@ -1250,9 +1261,9 @@ mod tests {
             db.insert(i.into(), b"v".to_vec()).unwrap();
         }
         assert!(db.durable_lsn() > 0, "an acknowledged put is durable");
-        let (_, pos) = db.insert_deferred(9u64.into(), b"w".to_vec()).unwrap();
-        let (_, lsn) = pos.unwrap();
-        db.wait_durable(pos.unwrap()).unwrap();
+        let (_, lsn) = db.insert_deferred(9u64.into(), b"w".to_vec()).unwrap();
+        let lsn = lsn.unwrap();
+        db.wait_durable(lsn).unwrap();
         assert!(db.durable_lsn() >= lsn);
     }
 
@@ -1263,14 +1274,14 @@ mod tests {
     fn waiting_past_the_tail_is_a_config_error_and_poisons_nothing() {
         let dir = TempDir::new("past-tail");
         let db = durable_engine(&dir, 2);
-        let (_, pos) = db.insert_deferred(1u64.into(), b"v".to_vec()).unwrap();
-        let (shard, lsn) = pos.unwrap();
-        db.wait_durable((shard, lsn)).unwrap();
+        let (_, lsn) = db.insert_deferred(1u64.into(), b"v".to_vec()).unwrap();
+        let lsn = lsn.unwrap();
+        db.wait_durable(lsn).unwrap();
 
         let (tx, rx) = std::sync::mpsc::channel();
         let waiter = db.clone();
         std::thread::spawn(move || {
-            let _ = tx.send(waiter.wait_durable((shard, lsn + 1)));
+            let _ = tx.send(waiter.wait_durable(lsn + 1));
         });
         let result = rx
             .recv_timeout(std::time::Duration::from_secs(2))
@@ -1283,6 +1294,42 @@ mod tests {
         let (_, pos) = db.insert_deferred(1u64.into(), b"w".to_vec()).unwrap();
         db.wait_durable(pos.unwrap()).unwrap();
         assert_eq!(db.get_current(&Key::from_u64(1)).unwrap().unwrap(), b"w");
+    }
+
+    /// A failed wait poisons every shard whose fence the log's durable
+    /// watermark does not cover, whichever position was waited on, and only
+    /// those: with writes deferred on shards A and B of a 3-shard `Always`
+    /// engine, the failed wait on A's position leaves B refusing reads too,
+    /// while the idle shard C serves on.
+    #[test]
+    fn a_failed_wait_poisons_every_shard_with_a_fence_past_the_watermark() {
+        use tsb_storage::CrashPoint;
+        let dir = TempDir::new("poison");
+        let db = durable_engine(&dir, 3);
+        let key_on = |shard| {
+            let key = (0u64..).find(|k| db.shard_of(&Key::from_u64(*k)) == shard);
+            Key::from_u64(key.unwrap())
+        };
+        let (a, b, c) = (key_on(0), key_on(1), key_on(2));
+        db.insert(c.clone(), b"c".to_vec()).unwrap();
+
+        let faults = Arc::new(FaultInjector::new());
+        db.set_fault_injector(Arc::clone(&faults));
+        faults.crash_at(CrashPoint::WalSync, 0);
+        let (_, lsn) = db.insert_deferred(a.clone(), b"a".to_vec()).unwrap();
+        db.insert_deferred(b.clone(), b"b".to_vec()).unwrap();
+        assert!(db.wait_durable(lsn.unwrap()).is_err(), "the sync must fail");
+        assert!(faults.tripped());
+
+        assert!(
+            db.get_current(&a).is_err(),
+            "shard A serves past a lost fence"
+        );
+        assert!(
+            db.get_current(&b).is_err(),
+            "shard B serves past a lost fence"
+        );
+        assert_eq!(db.get_current(&c).unwrap(), Some(b"c".to_vec()));
     }
 
     /// A manifest that cannot be put in place is the caller's error, and

@@ -300,6 +300,20 @@ impl TsbTree {
         self.poisoned.store(true, Ordering::Release);
     }
 
+    /// Poisons the tree if a fence naming it was appended past the log's
+    /// durable watermark: after a failed wait, such a fence never becomes
+    /// durable. A tree with every fence covered is left serving.
+    pub(crate) fn poison_if_unsettled(&self) {
+        let Some(d) = &self.durability else {
+            return;
+        };
+        let mut acks = d.acks.lock();
+        acks.settle(d.wal.durable_lsn());
+        if !acks.pending.is_empty() {
+            self.poison();
+        }
+    }
+
     /// Appends the commit fence ending a mutation: a `Commit` record whose
     /// metadata describes the resulting tree state, promising that every
     /// page image the mutation produced precedes it in the log. Returns

@@ -39,9 +39,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use tsb_common::{LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult};
-use tsb_storage::{
-    CostModel, FaultInjector, IoStats, MagneticStore, PageId, SpaceSnapshot, Wal, WormStore,
-};
+use tsb_storage::{FaultInjector, IoStats, MagneticStore, PageId, SpaceSnapshot, Wal, WormStore};
 
 use crate::cache::NodeCache;
 use crate::node::{DataNode, Node, NodeAddr};
@@ -87,7 +85,6 @@ pub struct TsbTree {
     pub(crate) cache: NodeCache,
     pub(crate) worm: Arc<WormStore>,
     pub(crate) stats: Arc<IoStats>,
-    pub(crate) cost: CostModel,
     /// The commit clock. Normally private to this tree; a sharded engine
     /// shares one clock across every shard (`Arc`) so commit timestamps
     /// form a single global order.
@@ -241,7 +238,6 @@ impl TsbTree {
         TsbTree {
             stats: Arc::clone(magnetic.stats()),
             cache: NodeCache::sharded(cfg.node_cache_entries),
-            cost: CostModel::new(cfg.cost),
             cfg,
             magnetic,
             worm,
@@ -372,7 +368,8 @@ impl TsbTree {
 
     /// The storage cost `CS = SpaceM·CM + SpaceO·CO` of the current state.
     pub fn storage_cost(&self) -> f64 {
-        self.cost.storage_cost(&self.space())
+        let space = self.space();
+        (self.cfg.cost).storage_cost(space.magnetic_bytes, space.worm_bytes)
     }
 
     /// Writes every dirty node back and syncs both devices. On a durable

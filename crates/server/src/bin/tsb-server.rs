@@ -144,7 +144,6 @@ fn run(args: Args) -> tsb_common::TsbResult<()> {
     let server_opts = ServerOptions {
         max_conns: args.max_conns,
         idle_timeout: args.idle_timeout,
-        epoch: tsb_core::epoch::read_epoch(&args.data_dir)?,
     };
     let addr = args.addr.as_str();
     let server = match args.replica_of {

@@ -66,9 +66,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use tsb_common::{TsbError, TsbResult, TxnId};
-use tsb_core::epoch::INITIAL_EPOCH;
 use tsb_core::{
-    EngineHandle, EngineRole, ReplicaBase, ReplicationSource, ShardImage, ShardLsn, ShardedTsb,
+    EngineHandle, EngineRole, Lsn, ReplicaBase, ReplicationSource, ShardImage, ShardedTsb,
 };
 
 use tsb_client::protocol::{self, FrameDecoder, FrameError, Reply, Request, MAX_FRAME_BODY};
@@ -86,9 +85,10 @@ const BASE_CHUNK_MAX_BYTES: usize = 4 << 20;
 const CONN_POLL: Duration = Duration::from_millis(250);
 
 /// Tunable connection-handling behaviour, separate from the engine's own
-/// configuration. The defaults preserve the pre-options behaviour:
-/// unbounded connections, no idle reaping.
-#[derive(Clone, Debug)]
+/// configuration (the promotion epoch included: that is the engine's). The
+/// defaults preserve the pre-options behaviour: unbounded connections, no
+/// idle reaping.
+#[derive(Clone, Debug, Default)]
 pub struct ServerOptions {
     /// Accept at most this many live connections; further accepts are
     /// *shed* — answered with one `Overloaded` (code 23) error frame on
@@ -99,20 +99,6 @@ pub struct ServerOptions {
     /// Protects the worker pool (and `--max-conns` slots) from silent
     /// dead peers. `None` = never reap.
     pub idle_timeout: Option<Duration>,
-    /// The promotion epoch this server serves at (echoed in `Role`, checked
-    /// against `Subscribe`). Pass `tsb_core::epoch::read_epoch(dir)` for a
-    /// durable primary; the default is [`INITIAL_EPOCH`].
-    pub epoch: u64,
-}
-
-impl Default for ServerOptions {
-    fn default() -> Self {
-        ServerOptions {
-            max_conns: None,
-            idle_timeout: None,
-            epoch: INITIAL_EPOCH,
-        }
-    }
 }
 
 /// A running TSB server: an acceptor thread plus one worker thread per
@@ -142,10 +128,6 @@ struct ServerShared {
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn: AtomicU64,
     opts: ServerOptions,
-    /// The promotion epoch currently served (see [`ServerOptions::epoch`]).
-    /// Bumped by `Promote`; refreshed by the replication runner when a
-    /// bootstrap adopts the primary's epoch.
-    epoch: Arc<AtomicU64>,
     /// A replica server's replication runner, owned here so promotion (and
     /// shutdown) can stop it; under one mutex so concurrent `Promote`s
     /// serialize.
@@ -192,7 +174,6 @@ impl TsbServer {
     ) -> TsbResult<TsbServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let epoch = Arc::new(AtomicU64::new(opts.epoch));
         let shared = Arc::new(ServerShared {
             engine: RwLock::new(db),
             listener,
@@ -201,7 +182,6 @@ impl TsbServer {
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             opts,
-            epoch,
             runner: Mutex::new(None),
         });
         let acceptor = {
@@ -220,35 +200,22 @@ impl TsbServer {
     /// Starts a replica server: serves `replica` (opened with
     /// `TsbOptions::open_replica`) read-only, owns the
     /// [`replica::ReplicaRunner`] streaming from `source` — serving each
-    /// engine it installs — and honours the `Promote` verb (stop the feed,
-    /// persist a bumped epoch, stop applying, accept writes). The server's
-    /// epoch tracks the replica's persisted epoch (adopted from the
-    /// primary at bootstrap).
+    /// engine it installs, at the epoch that engine adopted from its base —
+    /// and honours the `Promote` verb (stop the feed, stop applying at a
+    /// bumped epoch, accept writes).
     pub fn start_replica(
         replica: ShardedTsb,
         source: impl Into<String>,
         addr: impl ToSocketAddrs,
         opts: ServerOptions,
     ) -> TsbResult<TsbServer> {
-        let dir = replica.replica_dir().ok_or_else(|| {
-            TsbError::config("a replica server serves an engine opened as a replica")
-        })?;
-        let opts = ServerOptions {
-            epoch: tsb_core::epoch::read_epoch(dir)?,
-            ..opts
-        };
         let server = Self::start_engine_with(Arc::new(replica.clone()), addr, opts)?;
         let slot = Arc::downgrade(&server.shared);
-        let runner = replica::ReplicaRunner::start(
-            replica,
-            source,
-            Arc::clone(&server.shared.epoch),
-            move |db: &ShardedTsb| {
-                if let Some(shared) = slot.upgrade() {
-                    *shared.engine.write() = Arc::new(db.clone());
-                }
-            },
-        )?;
+        let runner = replica::ReplicaRunner::start(replica, source, move |db: &ShardedTsb| {
+            if let Some(shared) = slot.upgrade() {
+                *shared.engine.write() = Arc::new(db.clone());
+            }
+        })?;
         *server.shared.runner.lock() = Some(runner);
         Ok(server)
     }
@@ -262,17 +229,6 @@ impl TsbServer {
     /// A snapshot: after a promotion the slot holds a different engine.
     pub fn db(&self) -> Arc<dyn EngineHandle> {
         self.shared.engine()
-    }
-
-    /// The promotion epoch this server currently serves at.
-    pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Whether a stop has been requested (locally or via the `Shutdown`
-    /// verb).
-    pub fn stop_requested(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
     }
 
     /// Blocks until the server stops — i.e. until some client sends the
@@ -521,7 +477,7 @@ fn process_batch(
     // The batch's newest durability position: every shard appends to the
     // engine's one log, whose durable watermark is monotonic, so one wait
     // on it acknowledges every commit the batch placed.
-    let mut waits: Option<ShardLsn> = None;
+    let mut waits: Option<Lsn> = None;
     let mut stop_after = false;
 
     for (id, req) in batch {
@@ -603,7 +559,7 @@ fn process_batch(
             Request::Role => Outcome::Ready(Reply::RoleInfo {
                 primary: db.role() == EngineRole::Primary,
                 shards: db.shard_count() as u32,
-                epoch: shared.epoch.load(Ordering::SeqCst),
+                epoch: db.epoch(),
                 durable_lsn: db.durable_lsn(),
             }),
             Request::Subscribe {
@@ -612,7 +568,7 @@ fn process_batch(
                 max_bytes,
                 epoch,
             } => Outcome::Ready({
-                let ours = shared.epoch.load(Ordering::SeqCst);
+                let ours = db.epoch();
                 if *epoch != 0 && *epoch != ours {
                     // A subscriber on a different epoch has (or is) a
                     // diverged history: a demoted primary presenting the
@@ -639,7 +595,7 @@ fn process_batch(
                         page_counts: shards.map(|s| s.pages.len() as u64).collect(),
                         page_size: image.page_size as u64,
                         worm_sector_size: image.worm_sector_size as u64,
-                        epoch: shared.epoch.load(Ordering::SeqCst),
+                        epoch: image.epoch,
                     };
                     *base = Some(image);
                     info
@@ -685,7 +641,7 @@ fn process_batch(
     }
 
     let durable_failed = waits
-        .and_then(|pos| db.wait_durable(pos).err())
+        .and_then(|lsn| db.wait_durable(lsn).err())
         .map(|e| (e.wire_code(), e.to_string()));
 
     let mut out = Vec::with_capacity(outcomes.len() * 32);
@@ -710,10 +666,10 @@ fn process_batch(
     Ok(stop_after)
 }
 
-fn ack_at(reply: Reply, pos: Option<ShardLsn>, waits: &mut Option<ShardLsn>) -> Outcome {
-    match pos {
-        Some(pos) => {
-            *waits = Some(waits.map_or(pos, |w| std::cmp::max_by_key(w, pos, |p| p.1)));
+fn ack_at(reply: Reply, lsn: Option<Lsn>, waits: &mut Option<Lsn>) -> Outcome {
+    match lsn {
+        Some(_) => {
+            *waits = (*waits).max(lsn);
             Outcome::AckAtDurable(reply)
         }
         // No durability obligation (in-memory engine, or a policy that
@@ -737,28 +693,27 @@ fn error_reply(e: &TsbError) -> Reply {
 ///    replica's local log, installed through its newest fences. An engine
 ///    a failed apply stopped part-way is first reopened from its
 ///    directory, as the runner would have done next.
-/// 2. **Check.** A replica still awaiting its first base has nothing to
-///    promote: the runner resumes and the epoch stays.
-/// 3. **Fence the epoch.** The bumped epoch is fsynced *before* the
-///    engine stops applying, so no write can be accepted at an epoch a
-///    crash could roll back. From here, a `Subscribe` from the demoted
-///    primary (still at the old epoch) is rejected.
-/// 4. **Stop applying.** [`ShardedTsb::promote`] drops the un-fenced
-///    shipped tail (never acknowledged to any client), erases what the
-///    old primary's open transactions wrote, and checkpoints — what the
-///    ordinary primary recovery of the directory would do — and the engine
-///    serves on as a primary.
+/// 2. **Promote the engine.** [`ShardedTsb::promote`] refuses a replica
+///    still awaiting its first base (nothing to promote: the epoch stays).
+///    Otherwise it fsyncs the bumped epoch *before* it stops applying, so
+///    no write can be accepted at an epoch a crash could roll back — from
+///    here a `Subscribe` from the demoted primary (still at the old epoch)
+///    is rejected — then drops the un-fenced shipped tail (never
+///    acknowledged to any client), erases what the old primary's open
+///    transactions wrote, and checkpoints, as the ordinary primary
+///    recovery of the directory would. The engine serves on as a primary.
 ///
 /// Any failure resumes the runner and the node stays a replica. Before
-/// step 3 nothing changed on disk and it keeps converging. Past it (a
-/// failed checkpoint), its epoch is ahead of its primary's: the primary
+/// the epoch bump nothing changed on disk and it keeps converging. Past it
+/// (a failed checkpoint), its epoch is ahead of its primary's: the primary
 /// refuses its subscribe as stale, the runner refuses a base of the older
 /// epoch, and the node serves what it holds until a retried `Promote`
 /// succeeds.
 fn promote(shared: &Arc<ServerShared>) -> TsbResult<u64> {
     let mut slot = shared.runner.lock();
-    if shared.engine().role() == EngineRole::Primary {
-        return Ok(shared.epoch.load(Ordering::SeqCst));
+    let db = shared.engine();
+    if db.role() == EngineRole::Primary {
+        return Ok(db.epoch());
     }
     let runner = slot
         .as_mut()
@@ -778,27 +733,16 @@ fn promote(shared: &Arc<ServerShared>) -> TsbResult<u64> {
     }
 }
 
-/// Steps 1 (the reopen) to 4 of [`promote`], on the engine the stopped
+/// Steps 1 (the reopen) and 2 of [`promote`], on the engine the stopped
 /// runner handed back.
 fn promote_stopped(shared: &ServerShared, replica: &mut ShardedTsb) -> TsbResult<u64> {
     if replica.resume_lsn().is_none() && !replica.needs_base() {
         *replica = replica.reopen()?;
         *shared.engine.write() = Arc::new(replica.clone());
     }
-    if replica.needs_base() {
-        return Err(TsbError::config(
-            "a replica awaiting its first base image has nothing to promote",
-        ));
-    }
-    let dir = replica
-        .replica_dir()
-        .ok_or_else(|| TsbError::internal("the replication runner fed a primary"))?;
-    let new_epoch = shared.epoch.load(Ordering::SeqCst).saturating_add(1);
-    tsb_core::epoch::persist_epoch(dir, new_epoch)?;
-    replica.promote()?;
+    let epoch = replica.promote()?;
     *shared.engine.write() = Arc::new(replica.clone());
-    shared.epoch.store(new_epoch, Ordering::SeqCst);
-    Ok(new_epoch)
+    Ok(epoch)
 }
 
 /// Lazily creates this connection's [`ReplicationSource`] (errors on

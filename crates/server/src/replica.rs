@@ -17,8 +17,9 @@
 //!    from a fresh base.
 //! 4. **Recover.** Any failure — connection loss, a primary restart, an
 //!    apply error — drops the connection and reconnects after a
-//!    [`RetryPolicy`] backoff. The connection is an ordinary
-//!    [`TsbClient`], whose connect and every wait are bounded, so
+//!    [`RetryPolicy`] backoff, which grows with each failure in a row and
+//!    starts over once a session applies a batch. The connection is an
+//!    ordinary [`TsbClient`], whose connect and every wait are bounded, so
 //!    [`ReplicaRunner::stop`] never waits on an unreachable primary. A
 //!    failed apply or install leaves the replica without an
 //!    applier (crash-equivalent by contract), so the next attempt first
@@ -30,10 +31,11 @@
 //! gives every one to its `publish` callback (a server swaps it into its
 //! serving slot), hands the newest back when stopped
 //! ([`ReplicaRunner::stop`]), and can resume feeding one
-//! ([`ReplicaRunner::resume`]).
+//! ([`ReplicaRunner::resume`]). The promotion epoch is the engine's: the
+//! runner presents [`EngineHandle::epoch`] on every subscribe, and an
+//! install adopts the base's (or refuses a base of an older epoch).
 
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -41,8 +43,7 @@ use std::time::Duration;
 use tsb_client::protocol::{Reply, Request, CODE_STALE_EPOCH};
 use tsb_client::{remote_error, ClientOptions, Deadline, RetryPolicy, TsbClient};
 use tsb_common::{TsbError, TsbResult};
-use tsb_core::epoch::{persist_epoch, read_epoch};
-use tsb_core::{PageId, ReplicaBase, ShardImage, ShardedTsb, ShippedBatch};
+use tsb_core::{EngineHandle, PageId, ReplicaBase, ShardImage, ShardedTsb, ShippedBatch};
 
 use crate::{BASE_CHUNK_MAX_BYTES, SUBSCRIBE_MAX_BYTES};
 
@@ -69,7 +70,6 @@ const CALL_STALL_LIMIT: Duration = Duration::from_secs(10);
 /// thread and joins it; the replica keeps serving whatever it has applied.
 pub struct ReplicaRunner {
     source: String,
-    epoch: Arc<AtomicU64>,
     publish: Publish,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<ShardedTsb>>,
@@ -94,19 +94,15 @@ impl Feed {
 
 impl ReplicaRunner {
     /// Starts replicating from the primary at `source` into `replica`.
-    /// Every engine the runner installs or reopens goes to `publish`, and
-    /// the epoch it adopts from the primary (at bootstrap) into `epoch` —
-    /// the serving server's `Role` reply reads it from there. Fails on an
-    /// engine not opened as a replica.
+    /// Every engine the runner installs or reopens goes to `publish`.
+    /// Fails on an engine not opened as a replica.
     pub fn start(
         replica: ShardedTsb,
         source: impl Into<String>,
-        epoch: Arc<AtomicU64>,
         publish: impl Fn(&ShardedTsb) + Send + Sync + 'static,
     ) -> TsbResult<ReplicaRunner> {
         let mut runner = ReplicaRunner {
             source: source.into(),
-            epoch,
             publish: Arc::new(publish),
             stop: Arc::new(AtomicBool::new(false)),
             handle: None,
@@ -118,20 +114,22 @@ impl ReplicaRunner {
     /// Starts the stopped runner again, feeding `replica` — e.g. the engine
     /// [`Self::stop`] returned, when a promotion of it failed.
     pub fn resume(&mut self, replica: ShardedTsb) -> TsbResult<()> {
-        let dir = replica.replica_dir().map(Path::to_path_buf);
-        let dir =
-            dir.ok_or_else(|| TsbError::config("a runner feeds an engine opened as a replica"))?;
+        if replica.replica_dir().is_none() {
+            return Err(TsbError::config(
+                "a runner feeds an engine opened as a replica",
+            ));
+        }
         self.stop = Arc::new(AtomicBool::new(false));
         let mut feed = Feed {
             replica,
             publish: Arc::clone(&self.publish),
         };
-        let (stop, epoch) = (Arc::clone(&self.stop), Arc::clone(&self.epoch));
+        let stop = Arc::clone(&self.stop);
         let source = self.source.clone();
         let handle = std::thread::Builder::new()
             .name("tsb-replica".into())
             .spawn(move || {
-                run(&mut feed, &dir, &source, &stop, &epoch);
+                run(&mut feed, &source, &stop);
                 feed.replica
             })?;
         self.handle = Some(handle);
@@ -153,33 +151,33 @@ impl Drop for ReplicaRunner {
     }
 }
 
-/// The thread body: sync until an error, then backoff + retry.
-fn run(feed: &mut Feed, dir: &Path, source: &str, stop: &AtomicBool, epoch: &AtomicU64) {
+/// The thread body: sync until an error, then backoff + retry. The backoff
+/// counts the failures since a session last applied a batch, so a primary
+/// restart after hours of healthy streaming waits the shortest backoff,
+/// not the ceiling.
+fn run(feed: &mut Feed, source: &str, stop: &AtomicBool) {
     let retry = RetryPolicy::default();
     let salt = u64::from(std::process::id());
     let mut failures = 0;
     while !stop.load(Ordering::Acquire) {
-        match sync_session(feed, dir, source, stop, epoch) {
-            // A clean return only happens on a stop request.
-            Ok(()) => return,
-            Err(_) => {
-                interruptible_sleep(stop, retry.backoff_for(failures, salt));
-                failures = failures.saturating_add(1);
-            }
+        // A clean return only happens on a stop request.
+        if sync_session(feed, source, stop, &mut failures).is_ok() {
+            return;
         }
+        interruptible_sleep(stop, retry.backoff_for(failures, salt));
+        failures = failures.saturating_add(1);
     }
 }
 
 /// One connection's worth of work: recover the replica if a failed apply
 /// left it without an applier, bootstrap if needed, then stream until the
 /// connection or an apply fails (returned as an error) or a stop is
-/// requested (returned as `Ok`).
+/// requested (returned as `Ok`). Each applied batch zeroes `failures`.
 fn sync_session(
     feed: &mut Feed,
-    dir: &Path,
     source: &str,
     stop: &AtomicBool,
-    epoch: &AtomicU64,
+    failures: &mut u32,
 ) -> TsbResult<()> {
     if feed.replica.resume_lsn().is_none() && !feed.replica.needs_base() {
         // A failed apply or install is crash-equivalent: recover from the
@@ -195,17 +193,12 @@ fn sync_session(
         client: TsbClient::connect_with(source, &opts)?,
         stop,
     };
-    // The epoch we present on every subscribe: the one persisted in our
-    // directory (adopted from the primary at the last bootstrap), or 0 =
-    // "unknown" for a fresh directory that has never seen a base.
-    let mut our_epoch = read_epoch(dir)?;
-    epoch.store(our_epoch, Ordering::SeqCst);
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
         if feed.replica.needs_base() {
-            our_epoch = bootstrap(feed, dir, &mut primary, epoch)?;
+            bootstrap(feed, &mut primary)?;
         }
         let replica = &feed.replica;
         let from_lsn = replica.resume_lsn().ok_or_else(|| {
@@ -215,7 +208,7 @@ fn sync_session(
             from_lsn,
             worm_have: replica.worm_have(),
             max_bytes: SUBSCRIBE_MAX_BYTES as u64,
-            epoch: our_epoch,
+            epoch: replica.epoch(),
         })?;
         let batch = match reply {
             Reply::Batch {
@@ -235,7 +228,7 @@ fn sync_session(
                 // diverged (we are a demoted primary, or we replicated
                 // one). The delta stream is useless — re-bootstrap from a
                 // fresh base and adopt the primary's epoch.
-                our_epoch = bootstrap(feed, dir, &mut primary, epoch)?;
+                bootstrap(feed, &mut primary)?;
                 continue;
             }
             other => return Err(unexpected("subscribe", other)),
@@ -243,56 +236,34 @@ fn sync_session(
         if batch.needs_rebase {
             // The primary checkpointed past our cursor: our local copy can
             // no longer be extended. Re-bootstrap from a fresh image.
-            our_epoch = bootstrap(feed, dir, &mut primary, epoch)?;
+            bootstrap(feed, &mut primary)?;
             continue;
         }
         // Empty batches still go through apply: they refresh the
         // source-durable watermark the lag accounting reports.
         let caught_up = batch.records.is_empty();
         replica.apply_batch(&batch)?;
+        *failures = 0;
         if caught_up {
             interruptible_sleep(stop, IDLE_POLL);
         }
     }
 }
 
-/// Fetches a fresh base image, installs it, and durably adopts the
-/// primary's epoch. Returns the adopted epoch (also published to the
-/// shared slot). The epoch is persisted only *after* the install
-/// succeeds: a crash mid-install leaves the marker file, the wipe path
-/// re-bootstraps, and an early epoch bump would have been harmless but
-/// is avoided anyway (the epoch file must never get ahead of the data
-/// it describes).
-fn bootstrap(
-    feed: &mut Feed,
-    dir: &Path,
-    primary: &mut Primary<'_>,
-    epoch: &AtomicU64,
-) -> TsbResult<u64> {
-    let (base, primary_epoch) = fetch_base(primary)?;
-    // A node ahead of its primary's epoch (a promotion that failed past
-    // its epoch fence) keeps its directory rather than follow an older
-    // lineage: only a promotion moves it on.
-    let ours = read_epoch(dir)?;
-    if primary_epoch != 0 && primary_epoch < ours {
-        return Err(TsbError::config(format!(
-            "the primary is at epoch {primary_epoch}, behind this node's {ours}"
-        )));
-    }
+/// Fetches a fresh base image and installs it, adopting the primary's
+/// epoch: [`ShardedTsb::install_base`] refuses a base of an older epoch
+/// than this node's (a promotion that failed past its epoch bump), so
+/// only a promotion moves such a node on.
+fn bootstrap(feed: &mut Feed, primary: &mut Primary<'_>) -> TsbResult<()> {
+    let base = fetch_base(primary)?;
     let installed = feed.replica.install_base(&base)?;
     feed.replace(installed);
-    if primary_epoch != 0 {
-        persist_epoch(dir, primary_epoch)?;
-    }
-    let adopted = read_epoch(dir)?;
-    epoch.store(adopted, Ordering::SeqCst);
-    Ok(adopted)
+    Ok(())
 }
 
 /// Fetches a complete base image over the connection: the `fetch_base`
 /// snapshot descriptor, then each shard's page chunks and WORM chunks.
-/// Also returns the primary's promotion epoch at capture time.
-fn fetch_base(primary: &mut Primary<'_>) -> TsbResult<(ReplicaBase, u64)> {
+fn fetch_base(primary: &mut Primary<'_>) -> TsbResult<ReplicaBase> {
     let reply = primary.call(&Request::FetchBase)?;
     let Reply::BaseInfo {
         checkpoint_lsn,
@@ -311,14 +282,14 @@ fn fetch_base(primary: &mut Primary<'_>) -> TsbResult<(ReplicaBase, u64)> {
         let worm = fetch_worm(primary, shard)?;
         shards.push(ShardImage { pages, worm });
     }
-    let base = ReplicaBase {
+    Ok(ReplicaBase {
         checkpoint_lsn,
         checkpoint,
         shards,
         page_size: page_size as usize,
         worm_sector_size: worm_sector_size as usize,
-    };
-    Ok((base, epoch))
+        epoch,
+    })
 }
 
 /// Fetches every page of `shard` in the captured base, chunk by chunk.

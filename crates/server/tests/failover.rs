@@ -550,3 +550,39 @@ fn a_replica_ahead_of_its_primarys_epoch_keeps_its_directory() {
     assert_eq!(client.role().expect("role").epoch, 5);
     drop((replica, primary));
 }
+
+/// The epoch a server answers with is its engine's: a primary whose
+/// directory was promoted to epoch 3 answers `Role` (and accepts a
+/// `Subscribe`) at 3 when an embedder serves it with `start_engine`,
+/// which takes no epoch, so its replicas are not refused as stale.
+#[test]
+fn a_served_directory_answers_role_at_its_own_epoch() {
+    use tsb_core::{epoch::persist_epoch, EngineHandle, TsbOptions};
+    use tsb_server::TsbServer;
+
+    let dir = TempDir::new("epoch3");
+    persist_epoch(dir.path(), 3).expect("persist epoch");
+    let db = TsbOptions::durable(dir.path())
+        .small_pages()
+        .open()
+        .expect("open primary");
+    assert_eq!(db.epoch(), 3);
+    let server = TsbServer::start_engine(Arc::new(db), "127.0.0.1:0").expect("start primary");
+    let mut client = TsbClient::connect(server.local_addr()).expect("connect");
+    let role = client.role().expect("role");
+    assert!(role.primary);
+    assert_eq!(role.epoch, 3, "Role must read the engine's epoch");
+    let id = client
+        .send(&protocol::Request::Subscribe {
+            from_lsn: 0,
+            worm_have: vec![0],
+            max_bytes: 1 << 16,
+            epoch: 3,
+        })
+        .expect("send subscribe");
+    match client.wait_for(id).expect("subscribe reply") {
+        protocol::Reply::Batch { .. } => {}
+        other => panic!("a subscriber at the primary's epoch was refused: {other:?}"),
+    }
+    drop(server);
+}

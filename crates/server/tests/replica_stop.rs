@@ -6,8 +6,6 @@
 use std::io::Read;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tsb_core::TsbOptions;
@@ -33,7 +31,6 @@ fn stop_returns_the_engine_while_the_primary_never_answers() {
     let mut runner = ReplicaRunner::start(
         replica,
         listener.local_addr().expect("addr").to_string(),
-        Arc::new(AtomicU64::new(0)),
         |_| {},
     )
     .expect("start runner");

@@ -1,17 +1,11 @@
-//! The storage-cost and access-time model (§3.2, §1).
+//! Space consumption on the two devices (§3.2).
 //!
 //! The paper parameterizes the splitting policy with an "adjustable cost
 //! function", giving `CS = SpaceM · CM + SpaceO · CO` as the canonical
-//! example, and motivates the two-device design with the relative access
-//! times of magnetic and optical drives (optical seeks ≈ 3× slower; ~20 s to
-//! robot-mount an off-line platter). [`CostModel`] packages both so the split
-//! policy and the experiment harness share one set of parameters.
+//! example. [`SpaceSnapshot`] holds the two spaces; the prices are
+//! [`tsb_common::CostParams`], whose `storage_cost` is the formula.
 
 use std::fmt;
-
-use tsb_common::CostParams;
-
-use crate::stats::IoSnapshot;
 
 /// A snapshot of space consumption on the two devices.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -67,140 +61,28 @@ impl fmt::Display for SpaceSnapshot {
     }
 }
 
-/// Estimated access cost of a batch of operations, in milliseconds.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct AccessCost {
-    /// Milliseconds spent on magnetic-device accesses.
-    pub magnetic_ms: f64,
-    /// Milliseconds spent on WORM-device accesses.
-    pub worm_ms: f64,
-}
-
-impl AccessCost {
-    /// Total milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.magnetic_ms + self.worm_ms
-    }
-}
-
-/// The storage cost function and device access-time model.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    params: CostParams,
-}
-
-impl CostModel {
-    /// Creates a model from the shared [`CostParams`].
-    pub fn new(params: CostParams) -> Self {
-        CostModel { params }
-    }
-
-    /// The underlying parameters.
-    pub fn params(&self) -> &CostParams {
-        &self.params
-    }
-
-    /// The paper's total storage cost `CS = SpaceM · CM + SpaceO · CO`.
-    pub fn storage_cost(&self, space: &SpaceSnapshot) -> f64 {
-        self.params
-            .storage_cost(space.magnetic_bytes, space.worm_bytes)
-    }
-
-    /// Storage cost of hypothetical byte counts (used by the cost-based split
-    /// policy to compare candidate splits before performing them).
-    pub fn storage_cost_of(&self, magnetic_bytes: u64, worm_bytes: u64) -> f64 {
-        self.params.storage_cost(magnetic_bytes, worm_bytes)
-    }
-
-    /// Estimated access time for the *logical node accesses* in an I/O
-    /// snapshot: each current-node access costs one magnetic access, each
-    /// historical-node access costs one WORM access (plus the optional
-    /// platter-mount charge, amortized per access when enabled).
-    pub fn access_cost(&self, io: &IoSnapshot) -> AccessCost {
-        AccessCost {
-            magnetic_ms: io.node_accesses_current as f64 * self.params.magnetic_access_ms,
-            worm_ms: io.node_accesses_historical as f64
-                * (self.params.worm_access_ms + self.params.worm_mount_ms),
-        }
-    }
-
-    /// Estimated *device* time for physical I/O counts (reads/writes that
-    /// actually reached a device, after caching).
-    pub fn device_cost(&self, io: &IoSnapshot) -> AccessCost {
-        let magnetic_ops = io.magnetic_reads + io.magnetic_writes;
-        let worm_ops = io.worm_reads + io.worm_appends + io.worm_sector_writes;
-        AccessCost {
-            magnetic_ms: magnetic_ops as f64 * self.params.magnetic_access_ms,
-            worm_ms: worm_ops as f64 * (self.params.worm_access_ms + self.params.worm_mount_ms),
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::new(CostParams::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn storage_cost_follows_the_paper_formula() {
-        let m = CostModel::new(CostParams {
+        let params = tsb_common::CostParams {
             magnetic_cost_per_byte: 10.0,
             worm_cost_per_byte: 1.0,
-            ..CostParams::default()
-        });
+            ..tsb_common::CostParams::default()
+        };
         let space = SpaceSnapshot {
             magnetic_bytes: 1000,
             worm_bytes: 5000,
             magnetic_payload_bytes: 800,
             worm_payload_bytes: 4900,
         };
-        assert_eq!(m.storage_cost(&space), 1000.0 * 10.0 + 5000.0 * 1.0);
-        assert_eq!(m.storage_cost_of(0, 100), 100.0);
+        let cost = params.storage_cost(space.magnetic_bytes, space.worm_bytes);
+        assert_eq!(cost, 1000.0 * 10.0 + 5000.0 * 1.0);
         assert_eq!(space.total_bytes(), 6000);
         assert!((space.worm_utilization().unwrap() - 0.98).abs() < 1e-9);
         assert!((space.magnetic_utilization().unwrap() - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn access_cost_weights_devices_differently() {
-        let m = CostModel::new(CostParams {
-            magnetic_access_ms: 10.0,
-            worm_access_ms: 30.0,
-            worm_mount_ms: 0.0,
-            ..CostParams::default()
-        });
-        let io = IoSnapshot {
-            node_accesses_current: 4,
-            node_accesses_historical: 2,
-            ..IoSnapshot::default()
-        };
-        let c = m.access_cost(&io);
-        assert_eq!(c.magnetic_ms, 40.0);
-        assert_eq!(c.worm_ms, 60.0);
-        assert_eq!(c.total_ms(), 100.0);
-    }
-
-    #[test]
-    fn device_cost_counts_physical_io() {
-        let m = CostModel::default();
-        let io = IoSnapshot {
-            magnetic_reads: 3,
-            magnetic_writes: 1,
-            worm_reads: 2,
-            worm_appends: 1,
-            ..IoSnapshot::default()
-        };
-        let c = m.device_cost(&io);
-        assert!(c.magnetic_ms > 0.0);
-        assert!(
-            c.worm_ms > c.magnetic_ms,
-            "optical ops cost more per access"
-        );
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * [`IoStats`] — cross-cutting I/O counters (device reads, writes and
 //!   appends, node-cache hits/misses, log traffic) used by the access-cost
 //!   experiments.
-//! * [`CostModel`] — the paper's storage cost function
-//!   `CS = SpaceM · CM + SpaceO · CO` (§3.2) plus a simple device access-time
-//!   model (optical seeks ≈ 3× magnetic, optional robot mount time).
+//! * [`SpaceSnapshot`] — the space each device holds, which the paper's
+//!   storage cost function `CS = SpaceM · CM + SpaceO · CO` (§3.2,
+//!   [`tsb_common::CostParams::storage_cost`]) prices.
 //! * [`Wal`] — a checksummed, length-prefixed physical redo log for the
 //!   magnetic store, with torn-tail repair, checkpoint fencing, and a
 //!   configurable commit fsync policy (see [`wal`]). The WORM store needs
@@ -47,7 +47,7 @@ pub mod stats;
 pub mod wal;
 pub mod worm;
 
-pub use cost::{AccessCost, CostModel, SpaceSnapshot};
+pub use cost::SpaceSnapshot;
 pub use fault::{CrashPoint, FaultInjector, ALL_CRASH_POINTS};
 pub use lru::LruList;
 pub use magnetic::MagneticStore;

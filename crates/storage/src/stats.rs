@@ -12,9 +12,9 @@
 //! (asserted by `counters_are_exact_under_contention`). `Relaxed` ordering
 //! suffices because the counters carry no synchronization duty: snapshots
 //! are "consistent enough" for reporting, and exactness of the *totals* is
-//! all the tests rely on. [`IoStats::reset`] and [`IoStats::snapshot`] are
-//! safe anytime but only meaningful at quiescent points (no in-flight
-//! operations), since they read/write each counter independently.
+//! all the tests rely on. [`IoStats::snapshot`] is safe anytime but only
+//! exact at quiescent points (no in-flight operations), since it reads
+//! each counter independently.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,35 +211,6 @@ impl IoStats {
             group_commit_wait_nanos: self.group_commit_wait_nanos.load(Ordering::Relaxed),
             writer_lock_waits: self.writer_lock_waits.load(Ordering::Relaxed),
             writer_lock_wait_nanos: self.writer_lock_wait_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for c in [
-            &self.magnetic_reads,
-            &self.magnetic_writes,
-            &self.magnetic_allocs,
-            &self.magnetic_frees,
-            &self.worm_appends,
-            &self.worm_sector_writes,
-            &self.worm_reads,
-            &self.node_accesses_current,
-            &self.node_accesses_historical,
-            &self.node_cache_hits,
-            &self.node_cache_misses,
-            &self.node_decodes,
-            &self.node_encodes,
-            &self.wal_appends,
-            &self.wal_syncs,
-            &self.wal_bytes_appended,
-            &self.wal_commits,
-            &self.group_commit_waits,
-            &self.group_commit_wait_nanos,
-            &self.writer_lock_waits,
-            &self.writer_lock_wait_nanos,
-        ] {
-            c.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -450,9 +421,6 @@ mod tests {
         assert_eq!(snap.worm_appends, 1);
         assert_eq!(snap.total_node_accesses(), 2);
         assert_eq!(snap.cache_hit_rate(), None, "there is no page cache");
-
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     /// Zero-fsync windows (the `Os` policy never syncs between checkpoints)

@@ -146,11 +146,6 @@ impl Wobt {
         self.clock.now()
     }
 
-    /// The current root extent.
-    pub fn root_extent(&self) -> ExtentId {
-        self.root
-    }
-
     /// The list of successive roots, oldest first (§2.4: "a list of
     /// successive addresses for the root nodes must also be kept").
     pub fn root_history(&self) -> &[ExtentId] {

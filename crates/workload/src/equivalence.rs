@@ -11,42 +11,37 @@
 //! meaning of "no version is ever lost and every snapshot is consistent",
 //! checked through the exact API servers and drivers use.
 
-use std::collections::HashMap;
-
 use tsb_common::{KeyRange, TimeRange, Timestamp, TsbResult};
-use tsb_core::{EngineHandle, ShardLsn};
+use tsb_core::EngineHandle;
 
 use crate::generator::Op;
 use crate::oracle::Oracle;
 
-/// Replays `ops` through `db`'s deferred write verbs, waiting once per
-/// shard at the end for the durable watermark to cover everything, and
-/// returns the oracle of acknowledged commits.
+/// Replays `ops` through `db`'s deferred write verbs, waiting once at the
+/// end for the durable watermark to cover everything, and returns the
+/// oracle of acknowledged commits.
 pub fn replay_engine(db: &dyn EngineHandle, ops: &[Op]) -> TsbResult<Oracle> {
     let mut oracle = Oracle::new();
-    // Newest durability position seen per shard; one wait each at the end
-    // acknowledges the whole stream (commit order is per-shard monotone).
-    let mut tails: HashMap<usize, ShardLsn> = HashMap::new();
+    // The newest durability position on the engine's one log: one wait on
+    // it at the end acknowledges the whole stream.
+    let mut tail = None;
     for op in ops {
-        let (ts, pos) = match op {
+        let pos = match op {
             Op::Put { key, value } => {
                 let (ts, pos) = db.insert_deferred(key.clone(), value.clone())?;
                 oracle.apply_put(key.clone(), ts, Some(value.clone()));
-                (ts, pos)
+                pos
             }
             Op::Delete { key } => {
                 let (ts, pos) = db.delete_deferred(key.clone())?;
                 oracle.apply_put(key.clone(), ts, None);
-                (ts, pos)
+                pos
             }
         };
-        let _ = ts;
-        if let Some(pos) = pos {
-            tails.insert(pos.0, pos);
-        }
+        tail = tail.max(pos);
     }
-    for pos in tails.into_values() {
-        db.wait_durable(pos)?;
+    if let Some(lsn) = tail {
+        db.wait_durable(lsn)?;
     }
     Ok(oracle)
 }

@@ -206,28 +206,3 @@ fn provided_blocking_verbs_return_durable_and_match_the_oracle() {
         assert_eq!(replica.get_current(&key).unwrap(), Some(b"txn".to_vec()));
     }
 }
-
-/// `ShardLsn` is a public `(usize, Lsn)` tuple: a position carried over
-/// from an engine with more shards must be refused, not indexed.
-#[test]
-fn wait_durable_rejects_a_position_on_a_shard_the_engine_lacks() {
-    for shards in [1usize, 4] {
-        let dir = TempDir::new("oob");
-        let opened = open_always(&dir, shards);
-        let db: &dyn EngineHandle = &opened;
-        let (_, pos) = db.insert_deferred(Key::from_u64(1), b"x".to_vec()).unwrap();
-        let (shard, lsn) = pos.expect("Always hands out a position");
-        assert!(shard < shards);
-        db.wait_durable((shard, lsn)).unwrap();
-        for bogus in [shards, shards + 3, usize::MAX] {
-            match db.wait_durable((bogus, lsn)) {
-                Err(TsbError::Config(msg)) => {
-                    assert!(msg.contains("shard"), "unhelpful message: {msg}")
-                }
-                other => {
-                    panic!("shard {bogus} of {shards}: expected a config error, got {other:?}")
-                }
-            }
-        }
-    }
-}
