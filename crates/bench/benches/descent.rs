@@ -12,6 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tsb_bench::experiments::descent_fanout::{synthetic_node, STRIDE};
 use tsb_common::{Key, Timestamp};
+use tsb_core::EngineHandle;
 
 fn bench_descent_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("B3_descent_fanout");
@@ -57,13 +58,14 @@ fn bench_descent_fanout(c: &mut Criterion) {
 fn bench_warm_tree_descent(c: &mut Criterion) {
     let keys = 2_000u64;
     let cfg = tsb_common::TsbConfig::small_pages().with_node_cache_entries(16_384);
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(cfg)
-        .open_tree()
+        .open()
         .unwrap();
     for round in 0..3 {
         for k in 0..keys {
-            tree.insert(k, format!("v{round}").into_bytes()).unwrap();
+            tree.insert(Key::from_u64(k), format!("v{round}").into_bytes())
+                .unwrap();
         }
     }
     for k in 0..keys {

@@ -4,23 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tsb_common::{SplitPolicyKind, SplitTimeChoice};
-use tsb_core::TsbTree;
-use tsb_workload::{generate_ops, Op, WorkloadSpec};
+use tsb_workload::{generate_ops, WorkloadSpec};
 
-use tsb_bench::measure::experiment_config;
-
-fn apply(tree: &mut TsbTree, ops: &[Op]) {
-    for op in ops {
-        match op {
-            Op::Put { key, value } => {
-                tree.insert(key.clone(), value.clone()).expect("insert");
-            }
-            Op::Delete { key } => {
-                tree.delete(key.clone()).expect("delete");
-            }
-        }
-    }
-}
+use tsb_bench::measure::{experiment_config, load_engine};
 
 fn bench_inserts(c: &mut Criterion) {
     let ops_count = 4_000usize;
@@ -59,14 +45,7 @@ fn bench_inserts(c: &mut Criterion) {
         group.throughput(Throughput::Elements(ops.len() as u64));
         for (policy_name, policy) in &policies {
             group.bench_with_input(BenchmarkId::new(*wl_name, policy_name), ops, |b, ops| {
-                b.iter(|| {
-                    let mut tree = tsb_core::TsbOptions::in_memory()
-                        .config(experiment_config(*policy, SplitTimeChoice::LastUpdate))
-                        .open_tree()
-                        .unwrap();
-                    apply(&mut tree, ops);
-                    tree
-                })
+                b.iter(|| load_engine(experiment_config(*policy, SplitTimeChoice::LastUpdate), ops))
             });
         }
     }

@@ -4,10 +4,11 @@
 //! commit stamping is relative to auto-commit writes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tsb_common::{SplitPolicyKind, SplitTimeChoice};
+use tsb_common::{Key, SplitPolicyKind, SplitTimeChoice};
+use tsb_core::EngineHandle;
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
-use tsb_bench::measure::experiment_config;
+use tsb_bench::measure::{experiment_config, load_engine};
 
 fn update_heavy_ops(n: usize) -> Vec<Op> {
     generate_ops(
@@ -64,23 +65,7 @@ fn bench_split_policies(c: &mut Criterion) {
     ];
     for (name, policy, choice) in variants {
         group.bench_with_input(BenchmarkId::from_parameter(&name), &ops, |b, ops| {
-            b.iter(|| {
-                let mut tree = tsb_core::TsbOptions::in_memory()
-                    .config(experiment_config(policy, choice))
-                    .open_tree()
-                    .unwrap();
-                for op in ops {
-                    match op {
-                        Op::Put { key, value } => {
-                            tree.insert(key.clone(), value.clone()).unwrap();
-                        }
-                        Op::Delete { key } => {
-                            tree.delete(key.clone()).unwrap();
-                        }
-                    }
-                }
-                tree
-            })
+            b.iter(|| load_engine(experiment_config(policy, choice), ops))
         });
     }
     group.finish();
@@ -94,33 +79,28 @@ fn bench_transactions(c: &mut Criterion) {
 
     group.bench_function("autocommit_writes", |b| {
         b.iter(|| {
-            let mut tree = tsb_core::TsbOptions::in_memory()
-                .config(experiment_config(
-                    SplitPolicyKind::default(),
-                    SplitTimeChoice::LastUpdate,
-                ))
-                .open_tree()
-                .unwrap();
+            let tree = load_engine(
+                experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate),
+                &[],
+            );
             for i in 0..batch {
-                tree.insert(i % 200, vec![b'x'; 100]).unwrap();
+                tree.insert(Key::from_u64(i % 200), vec![b'x'; 100])
+                    .unwrap();
             }
             tree
         })
     });
     group.bench_function("txn_writes_commit_every_10", |b| {
         b.iter(|| {
-            let mut tree = tsb_core::TsbOptions::in_memory()
-                .config(experiment_config(
-                    SplitPolicyKind::default(),
-                    SplitTimeChoice::LastUpdate,
-                ))
-                .open_tree()
-                .unwrap();
+            let tree = load_engine(
+                experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate),
+                &[],
+            );
             let mut i = 0u64;
             while i < batch {
-                let txn = tree.begin_txn();
+                let txn = tree.begin_txn().unwrap();
                 for j in 0..10 {
-                    tree.txn_insert(txn, (i + j) % 200, vec![b'x'; 100])
+                    tree.txn_insert(txn, Key::from_u64((i + j) % 200), vec![b'x'; 100])
                         .unwrap();
                 }
                 tree.commit_txn(txn).unwrap();

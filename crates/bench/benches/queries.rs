@@ -2,44 +2,77 @@
 //! as-of lookups, snapshot range scans, and version-history scans (the
 //! paper's §2.5/§3.7 query classes) — plus historical as-of lookups that
 //! miss every cache and read a file-backed WORM store, from one thread and
-//! from two.
+//! from two. The node-level groups write through a durable engine and read
+//! its directory back as a bare tree.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tsb_common::{
     FsyncPolicy, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig,
 };
-use tsb_core::{EngineHandle, Node, NodeAddr, ShardedTsb, TsbTree};
+use tsb_core::{EngineHandle, Node, NodeAddr, ShardedTsb, TsbOptions, TsbTree};
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
 use tsb_bench::measure::experiment_config;
 
-fn build_db(ops_count: usize, keys: u64) -> (TsbTree, Vec<Timestamp>) {
-    let cfg = experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate);
-    build_db_with(cfg, ops_count, keys)
+fn default_cfg() -> TsbConfig {
+    experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate)
 }
 
-fn build_db_with(cfg: TsbConfig, ops_count: usize, keys: u64) -> (TsbTree, Vec<Timestamp>) {
+/// Writes an update-heavy history through `opts`' engine, returning it and
+/// every commit's timestamp.
+fn build_db(opts: TsbOptions, ops_count: usize, keys: u64) -> (ShardedTsb, Vec<Timestamp>) {
     let spec = WorkloadSpec::default()
         .with_ops(ops_count)
         .with_keys(keys)
         .with_update_ratio(4.0)
         .with_value_size(100);
-    let mut tree = tsb_core::TsbOptions::in_memory()
-        .config(cfg)
-        .open_tree()
-        .unwrap();
+    let db = opts.open().unwrap();
     let mut stamps = Vec::new();
     for op in generate_ops(&spec) {
         match op {
-            Op::Put { key, value } => stamps.push(tree.insert(key, value).unwrap()),
-            Op::Delete { key } => stamps.push(tree.delete(key).unwrap()),
+            Op::Put { key, value } => stamps.push(db.insert(key, value).unwrap()),
+            Op::Delete { key } => stamps.push(db.delete(key).unwrap()),
         }
     }
-    (tree, stamps)
+    (db, stamps)
+}
+
+/// A scratch directory for the on-disk builds, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("tsb-bench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// [`build_db`] through a durable engine at `dir`, checkpointed and
+/// read back as a bare tree (cold cache, every page on the device).
+fn build_tree_on_disk(
+    dir: &TempDir,
+    cfg: TsbConfig,
+    ops_count: usize,
+    keys: u64,
+) -> (TsbTree, Vec<Timestamp>) {
+    let opts = TsbOptions::durable(&dir.0)
+        .config(cfg)
+        .fsync(FsyncPolicy::Os);
+    let (db, stamps) = build_db(opts.clone(), ops_count, keys);
+    db.checkpoint().unwrap();
+    drop(db);
+    (opts.open_tree().unwrap(), stamps)
 }
 
 fn bench_queries(c: &mut Criterion) {
-    let (tree, stamps) = build_db(8_000, 800);
+    let (tree, stamps) = build_db(TsbOptions::in_memory().config(default_cfg()), 8_000, 800);
     let mid_ts = stamps[stamps.len() / 2];
     let mut group = c.benchmark_group("B2_query_latency");
     group.sample_size(30);
@@ -105,10 +138,11 @@ fn bench_queries(c: &mut Criterion) {
 }
 
 /// Descent cost with and without the decoded-node cache: the warm path is a
-/// hash lookup per node, the cold path pays one device read and one decode
-/// per level of the root-to-leaf walk.
+/// hash lookup per node, the cold path pays one device read (from the OS
+/// page cache) and one decode per level of the root-to-leaf walk.
 fn bench_descent_cache(c: &mut Criterion) {
-    let (tree, _) = build_db(8_000, 800);
+    let dir = TempDir::new("descent-cache");
+    let (tree, _) = build_tree_on_disk(&dir, default_cfg(), 8_000, 800);
     let mut group = c.benchmark_group("B2_descent_node_cache");
     group.sample_size(30);
 
@@ -140,16 +174,15 @@ fn bench_descent_cache(c: &mut Criterion) {
 
     // The headline number for the cache: hit rate and decodes over a warm
     // query sweep.
-    let stats = tree.io_stats();
     tree.drop_caches().unwrap();
     for k in 0..800 {
         tree.get_current(&Key::from_u64(k)).unwrap();
     }
-    let before = stats.snapshot();
+    let before = tree.io_stats().snapshot();
     for k in 0..800 {
         tree.get_current(&Key::from_u64(k)).unwrap();
     }
-    let delta = stats.snapshot().delta_since(&before);
+    let delta = tree.io_stats().snapshot().delta_since(&before);
     println!(
         "warm sweep over 800 keys: node-cache hit rate {:.3}, {} decodes, {} node accesses",
         delta.node_cache_hit_rate().unwrap_or(0.0),
@@ -161,13 +194,15 @@ fn bench_descent_cache(c: &mut Criterion) {
 /// What a historical node costs when it misses the decoded-node cache, the
 /// device aside: decode the image, answer one point lookup, drop the node.
 /// `read_node_bypass` stands in for the miss — it neither consults nor fills
-/// the node cache, and the in-memory WORM makes the read a `memcpy` — over a
-/// ring of distinct nodes, so no image stays hot in L1. Engine-default 4 KiB
-/// pages: about 30 versions to a leaf, 50 children to an index node.
+/// the node cache, and the WORM file sits in the OS page cache, so the read
+/// is one `pread` — over a ring of distinct nodes, so no image stays hot in
+/// L1. Engine-default 4 KiB pages: about 30 versions to a leaf, 50 children
+/// to an index node.
 fn bench_historical_miss(c: &mut Criterion) {
     const RING: usize = 512;
     const KEYS: u64 = 2_000;
-    let (tree, stamps) = build_db_with(TsbConfig::default(), 200_000, KEYS);
+    let dir = TempDir::new("historical-miss");
+    let (tree, stamps) = build_tree_on_disk(&dir, TsbConfig::default(), 200_000, KEYS);
     let mut leaves: Vec<(NodeAddr, Key, Timestamp)> = Vec::new();
     let mut indexes = leaves.clone();
     // Probe the older half of history, which has all migrated.
@@ -227,10 +262,9 @@ fn bench_historical_readers(c: &mut Criterion) {
     const GENERATIONS: u64 = 40;
     const LOOKUPS: u64 = 2_000;
 
-    let dir = std::env::temp_dir().join(format!("tsb-bench-historical-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("historical");
     let cfg = TsbConfig::default().with_node_cache_entries(64);
-    let db: ShardedTsb = tsb_core::TsbOptions::durable(&dir)
+    let db: ShardedTsb = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
         .fsync(FsyncPolicy::Os)
         .open()
@@ -272,8 +306,6 @@ fn bench_historical_readers(c: &mut Criterion) {
         "cores available: {}",
         std::thread::available_parallelism().map_or(0, usize::from)
     );
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(

@@ -11,30 +11,11 @@
 //!   split-on-overflow; the ablation quantifies the effect of earlier
 //!   splits.
 
-use tsb_common::{SplitPolicyKind, SplitTimeChoice, TsbConfig};
-use tsb_core::{TsbOptions, TsbTree};
-use tsb_workload::{generate_ops, Op};
+use tsb_common::{SplitPolicyKind, SplitTimeChoice};
+use tsb_workload::generate_ops;
 
-use crate::measure::{default_workload, experiment_config, Scale};
+use crate::measure::{default_workload, experiment_config, load_engine, Scale};
 use crate::report::{kib, ratio, Table};
-
-fn run_with(cfg: TsbConfig, ops: &[Op]) -> TsbTree {
-    let mut tree = TsbOptions::in_memory()
-        .config(cfg)
-        .open_tree()
-        .expect("valid config");
-    for op in ops {
-        match op {
-            Op::Put { key, value } => {
-                tree.insert(key.clone(), value.clone()).expect("insert");
-            }
-            Op::Delete { key } => {
-                tree.delete(key.clone()).expect("delete");
-            }
-        }
-    }
-    tree
-}
 
 /// Runs both ablations.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -65,7 +46,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             SplitTimeChoice::LastUpdate,
         );
         cfg.mark_recalcitrant_children = enabled;
-        let tree = run_with(cfg, &ops);
+        let tree = load_engine(cfg, &ops);
         let stats = tree.tree_stats().expect("stats");
         marking.push_row(vec![
             label.to_string(),
@@ -96,7 +77,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             SplitTimeChoice::LastUpdate,
         );
         cfg.split_fill_threshold = threshold;
-        let tree = run_with(cfg, &ops);
+        let tree = load_engine(cfg, &ops);
         let stats = tree.tree_stats().expect("stats");
         fill.push_row(vec![
             format!("{threshold:.2}"),
@@ -113,6 +94,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsb_core::EngineHandle;
 
     #[test]
     fn ablation_runs_and_lower_fill_threshold_uses_more_current_nodes() {
@@ -125,8 +107,8 @@ mod tests {
         tight.split_fill_threshold = 1.0;
         let mut eager = experiment_config(policy, SplitTimeChoice::LastUpdate);
         eager.split_fill_threshold = 0.7;
-        let tight_tree = run_with(tight, &ops);
-        let eager_tree = run_with(eager, &ops);
+        let tight_tree = load_engine(tight, &ops);
+        let eager_tree = load_engine(eager, &ops);
         tight_tree.verify().unwrap();
         eager_tree.verify().unwrap();
         let tight_nodes = tight_tree.tree_stats().unwrap().current_data_nodes;

@@ -9,10 +9,9 @@
 //! policy is better at each price point.
 
 use tsb_common::{CostParams, SplitPolicyKind, SplitTimeChoice, TsbConfig};
-use tsb_core::TsbOptions;
 use tsb_workload::{generate_ops, Op};
 
-use crate::measure::{default_workload, Scale};
+use crate::measure::{default_workload, load_engine, Scale};
 use crate::report::Table;
 
 /// The magnetic-per-byte : optical-per-byte price ratios swept.
@@ -26,21 +25,7 @@ fn run_with_cost(policy: SplitPolicyKind, cost: CostParams, ops: &[Op]) -> (u64,
         .with_split_time_choice(SplitTimeChoice::LastUpdate)
         .with_cost(cost);
     cfg.max_key_len = 64;
-    let mut tree = TsbOptions::in_memory()
-        .config(cfg)
-        .open_tree()
-        .expect("valid config");
-    for op in ops {
-        match op {
-            Op::Put { key, value } => {
-                tree.insert(key.clone(), value.clone()).expect("insert");
-            }
-            Op::Delete { key } => {
-                tree.delete(key.clone()).expect("delete");
-            }
-        }
-    }
-    let space = tree.space();
+    let space = load_engine(cfg, ops).tree_stats().expect("stats").space;
     (space.magnetic_bytes, space.worm_bytes)
 }
 

@@ -2,15 +2,14 @@
 //!
 //! The paper's two-device design leaves the current (magnetic) database
 //! volatile; PR 4's write-ahead log closes that gap. This experiment prices
-//! it. The first table replays one insert/update stream into file-backed
-//! trees that differ only in logging: no WAL at all (the pre-durability
-//! engine), then a WAL under each [`FsyncPolicy`] — `Os` (appends only)
-//! and `Always` (fsync per commit). Reported: sustained write throughput,
+//! it. The first table replays one insert/update stream into durable
+//! engines that differ only in their [`FsyncPolicy`] — `Os` (appends
+//! only) and `Always` (fsync per commit). Reported: sustained write throughput,
 //! WAL traffic, and fsyncs, plus the per-op normalizations (`wal B/op`,
 //! `syncs/op`) the slim-log work is judged by — the classic
 //! durability/throughput trade, measurable per policy.
 //!
-//! The second table measures crash-consistent reopen: a tree is built and
+//! The second table measures crash-consistent reopen: an engine is built and
 //! dropped *without* a checkpoint (everything since create lives only in
 //! the log), then `TsbOptions::durable(dir)` must replay, purge, verify, and
 //! re-fence. Recovery time is reported against the number of ops since the
@@ -30,18 +29,15 @@
 use std::time::{Duration, Instant};
 
 use tsb_common::{FsyncPolicy, SplitPolicyKind, SplitTimeChoice, TsbConfig};
-use tsb_core::{TsbOptions, TsbTree};
-use tsb_workload::{drive_engine, generate_ops, DurableDriveSpec, Op, WorkloadSpec};
+use tsb_core::{EngineHandle, TsbOptions};
+use tsb_workload::{drive_engine, generate_ops, DurableDriveSpec, WorkloadSpec};
 
-use crate::measure::{experiment_config, Scale, TempDir};
+use crate::measure::{experiment_config, replay, Scale, TempDir};
 use crate::report::Table;
 
-fn e12_config(policy: Option<FsyncPolicy>) -> TsbConfig {
-    let mut cfg = experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate);
-    if let Some(policy) = policy {
-        cfg.fsync_policy = policy;
-    }
-    cfg
+fn e12_config(policy: FsyncPolicy) -> TsbConfig {
+    experiment_config(SplitPolicyKind::TimePreferring, SplitTimeChoice::LastUpdate)
+        .with_fsync_policy(policy)
 }
 
 fn e12_workload(scale: Scale) -> WorkloadSpec {
@@ -54,19 +50,6 @@ fn e12_workload(scale: Scale) -> WorkloadSpec {
         .with_keys(scale.keys())
         .with_update_ratio(4.0)
         .with_value_size(48)
-}
-
-fn replay(tree: &mut TsbTree, ops: &[Op]) {
-    for op in ops {
-        match op {
-            Op::Put { key, value } => {
-                tree.insert(key.clone(), value.clone()).expect("insert");
-            }
-            Op::Delete { key } => {
-                tree.delete(key.clone()).expect("delete");
-            }
-        }
-    }
 }
 
 /// Calibrates the raw fsync latency of the filesystem backing the bench
@@ -117,17 +100,15 @@ fn fsync_policy_table(scale: Scale, floor: Duration) -> Table {
     let mut table = Table::new(
         "E12a: write throughput by durability level (file-backed stores)",
         format!(
-            "{} ops, 4 updates per insert; 'none' is the pre-WAL engine (crash loses \
-             everything unflushed), each WAL row survives any crash up to its fsync horizon; \
-             calibrated fsync floor {:.0}us — '% ceiling' is throughput over the pure-fsync \
-             bound ops/(fsyncs x floor)",
+            "{} ops, 4 updates per insert; each row survives any crash up to its fsync \
+             horizon; calibrated fsync floor {:.0}us — '% ceiling' is throughput over the \
+             pure-fsync bound ops/(fsyncs x floor)",
             ops.len(),
             floor.as_secs_f64() * 1e6
         ),
         &[
             "durability",
             "inserts/s",
-            "vs none",
             "wal appends",
             "wal fsyncs",
             "wal KiB",
@@ -137,41 +118,25 @@ fn fsync_policy_table(scale: Scale, floor: Duration) -> Table {
         ],
     );
 
-    let rows: &[(&str, Option<FsyncPolicy>)] = &[
-        ("none (no WAL)", None),
-        ("wal + Os", Some(FsyncPolicy::Os)),
-        ("wal + Always", Some(FsyncPolicy::Always)),
+    let rows: &[(&str, FsyncPolicy)] = &[
+        ("wal + Os", FsyncPolicy::Os),
+        ("wal + Always", FsyncPolicy::Always),
     ];
-    let mut baseline: Option<f64> = None;
     for (label, policy) in rows {
-        let dir = TempDir::new(&format!("e12-tput-{}", label.replace([' ', '(', ')'], "")));
-        let cfg = e12_config(*policy);
-        let mut tree = if policy.is_some() {
-            TsbOptions::durable(&dir.0)
-                .config(cfg)
-                .open_tree()
-                .expect("durable tree")
-        } else {
-            open_plain_file_tree(&dir, cfg)
-        };
-        let before = tree.io_stats().snapshot();
+        let dir = TempDir::new(&format!("e12-tput-{}", label.replace([' ', '+'], "")));
+        let db = TsbOptions::durable(&dir.0)
+            .config(e12_config(*policy))
+            .open()
+            .expect("durable engine");
+        let before = db.io_snapshot();
         let start = Instant::now();
-        replay(&mut tree, &ops);
+        replay(&db, &ops);
         let elapsed = start.elapsed().as_secs_f64();
-        let delta = tree.io_stats().snapshot().delta_since(&before);
+        let delta = db.io_snapshot().delta_since(&before);
         let throughput = ops.len() as f64 / elapsed.max(1e-9);
-        let relative = match baseline {
-            None => {
-                baseline = Some(throughput);
-                1.0
-            }
-            Some(base) if base > 0.0 => throughput / base,
-            _ => 0.0,
-        };
         table.push_row(vec![
             label.to_string(),
             format!("{throughput:.0}"),
-            format!("{relative:.2}x"),
             delta.wal_appends.to_string(),
             delta.wal_syncs.to_string(),
             wal_kib(&dir),
@@ -213,7 +178,7 @@ fn group_commit_table(scale: Scale, floor: Duration) -> Table {
     for (label, policy) in policies {
         for threads in [1usize, 2, 4, 8] {
             let dir = TempDir::new(&format!("e12-gc-{label}-{threads}"));
-            let cfg = e12_config(Some(*policy));
+            let cfg = e12_config(*policy);
             let db = TsbOptions::durable(&dir.0)
                 .config(cfg)
                 .open()
@@ -267,7 +232,7 @@ fn recovery_table(scale: Scale) -> Table {
     };
     let mut table = Table::new(
         "E12b: crash-consistent reopen time vs ops since the last checkpoint",
-        "tree built then dropped with no checkpoint; open_durable replays the WAL, \
+        "engine built then dropped with no checkpoint; the reopen replays the WAL, \
          erases in-flight txns, verifies, and re-fences"
             .to_string(),
         &[
@@ -279,23 +244,17 @@ fn recovery_table(scale: Scale) -> Table {
     );
     for depth in depths {
         let dir = TempDir::new(&format!("e12-rec-{depth}"));
-        let cfg = e12_config(Some(FsyncPolicy::Os));
+        let opts = TsbOptions::durable(&dir.0).config(e12_config(FsyncPolicy::Os));
         let spec = e12_workload(scale).with_ops(*depth);
         let ops = generate_ops(&spec);
         {
-            let mut tree = TsbOptions::durable(&dir.0)
-                .config(cfg.clone())
-                .open_tree()
-                .expect("durable tree");
-            replay(&mut tree, &ops);
+            let db = opts.clone().open().expect("durable engine");
+            replay(&db, &ops);
             // Dropped hot: every post-create write exists only in the WAL.
         }
         let wal_kib = wal_kib(&dir);
         let start = Instant::now();
-        let tree = TsbOptions::durable(&dir.0)
-            .config(cfg)
-            .open_tree()
-            .expect("recovery");
+        let tree = opts.open().expect("recovery");
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let keys = tree
             .scan_current(&tsb_common::KeyRange::full())
@@ -309,26 +268,6 @@ fn recovery_table(scale: Scale) -> Table {
         ]);
     }
     table
-}
-
-/// A file-backed tree with no WAL: the pre-durability baseline.
-fn open_plain_file_tree(dir: &TempDir, cfg: TsbConfig) -> TsbTree {
-    use std::sync::Arc;
-    use tsb_storage::{IoStats, MagneticStore, WormStore};
-    let stats = Arc::new(IoStats::new());
-    let magnetic = Arc::new(
-        MagneticStore::open_file(
-            dir.0.join("current.pages"),
-            cfg.page_size,
-            Arc::clone(&stats),
-        )
-        .expect("magnetic store"),
-    );
-    let worm = Arc::new(
-        WormStore::open_file(dir.0.join("history.worm"), cfg.worm_sector_size, stats)
-            .expect("worm store"),
-    );
-    TsbTree::create(magnetic, worm, cfg).expect("tree")
 }
 
 fn wal_kib(dir: &TempDir) -> String {
@@ -346,19 +285,17 @@ mod tests {
     fn e12_produces_all_three_tables() {
         let tables = run(Scale::Tiny);
         assert_eq!(tables.len(), 3);
-        // Throughput table: one row per durability level, baseline first.
-        assert_eq!(tables[0].rows.len(), 3);
-        assert_eq!(tables[0].rows[0][2], "1.00x");
-        let baseline_appends: u64 = tables[0].rows[0][3].parse().unwrap();
-        assert_eq!(baseline_appends, 0, "no WAL, no appends");
-        for row in &tables[0].rows[1..] {
-            let appends: u64 = row[3].parse().unwrap();
+        // Throughput table: one row per fsync policy.
+        assert_eq!(tables[0].rows.len(), 2);
+        for row in &tables[0].rows {
+            let appends: u64 = row[2].parse().unwrap();
             assert!(appends > 0, "durable rows log every mutation");
         }
         // Always fsyncs at least as often as Os.
-        let syncs: Vec<u64> = tables[0].rows[1..]
+        let syncs: Vec<u64> = tables[0]
+            .rows
             .iter()
-            .map(|r| r[4].parse().unwrap())
+            .map(|r| r[3].parse().unwrap())
             .collect();
         assert!(syncs[0] <= syncs[1]);
         // Recovery table: rows report a positive key count.

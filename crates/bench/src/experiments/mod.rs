@@ -1,4 +1,4 @@
-//! The experiments (E1–E8). Each module builds its workloads, replays them
+//! The experiments (E1–E15). Each module builds its workloads, replays them
 //! into the structures under test, and returns printable [`Table`]s. The
 //! mapping from experiment id to paper artifact is in the crate docs; the
 //! measured results are recorded per PR in `CHANGES.md` (through PR 8 also in

@@ -6,8 +6,9 @@
 //! database, and amount of redundancy, under different splitting policies
 //! and with different rates of update versus insertion* — and the rest of
 //! the paper motivates query-cost and WORM-utilization comparisons against
-//! the Write-Once B-tree. Each experiment here (E1–E8) regenerates one of
-//! those tables:
+//! the Write-Once B-tree. E1–E8 regenerate those tables, E9–E15 price
+//! the engine built around them; each writes through a one-shard (or, for
+//! E14, sharded) `ShardedTsb`:
 //!
 //! * **E1** total space by splitting policy,
 //! * **E2** current-database (magnetic) space by policy,
@@ -20,11 +21,17 @@
 //! * **E7** WORM sector utilization: TSB consolidation vs. the WOBT's
 //!   one-entry-per-sector writes,
 //! * **E8** head-to-head: TSB-tree vs. WOBT vs. a single-store versioned
-//!   B+-tree baseline.
+//!   B+-tree baseline,
+//! * **E9** ablations (recalcitrant-child marking, split fill threshold),
+//! * **E10** reader throughput under one writer, **E11** index routing
+//!   cost by fanout,
+//! * **E12** the price of durability (fsync policy, recovery time, group
+//!   commit), **E13** served throughput, **E14** sharded write scaling,
+//!   **E15** replica read scale-out and lag.
 //!
 //! Run everything with `cargo run -p tsb-bench --bin experiments --release`,
 //! or a single experiment with e.g. `... -- e3`. Criterion micro-benchmarks
-//! (B1–B4) live under `benches/`.
+//! (B1–B5) live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

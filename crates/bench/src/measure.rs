@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use tsb_common::{
     CostParams, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, Timestamp, TsbConfig,
 };
-use tsb_core::{TreeStats, TsbOptions, TsbTree};
+use tsb_core::{EngineHandle, ShardedTsb, TreeStats, TsbOptions};
 use tsb_wobt::{Wobt, WobtConfig, WobtStats};
 use tsb_workload::{generate_queries, Op, Oracle, Query, QueryMix, WorkloadSpec};
 
@@ -145,30 +145,41 @@ impl Measurement {
     }
 }
 
-/// Replays `ops` into a fresh TSB-tree with the given policy and returns the
-/// tree plus its measurement.
+/// Applies `ops` to `db` in order, each acknowledged before the next.
+pub fn replay(db: &ShardedTsb, ops: &[Op]) {
+    for op in ops {
+        match op {
+            Op::Put { key, value } => {
+                db.insert(key.clone(), value.clone()).expect("insert");
+            }
+            Op::Delete { key } => {
+                db.delete(key.clone()).expect("delete");
+            }
+        }
+    }
+}
+
+/// Replays `ops` into a fresh one-shard in-memory engine under `cfg`.
+pub fn load_engine(cfg: TsbConfig, ops: &[Op]) -> ShardedTsb {
+    let db = TsbOptions::in_memory()
+        .config(cfg)
+        .open()
+        .expect("experiment config is valid");
+    replay(&db, ops);
+    db
+}
+
+/// Replays `ops` into a fresh TSB-tree engine with the given policy and
+/// returns the engine plus its measurement.
 pub fn measure_tsb(
     label: &str,
     policy: SplitPolicyKind,
     choice: SplitTimeChoice,
     ops: &[Op],
-) -> (TsbTree, Measurement) {
-    let mut tree = TsbOptions::in_memory()
-        .config(experiment_config(policy, choice))
-        .open_tree()
-        .expect("experiment config is valid");
-    for op in ops {
-        match op {
-            Op::Put { key, value } => {
-                tree.insert(key.clone(), value.clone()).expect("insert");
-            }
-            Op::Delete { key } => {
-                tree.delete(key.clone()).expect("delete");
-            }
-        }
-    }
+) -> (ShardedTsb, Measurement) {
+    let tree = load_engine(experiment_config(policy, choice), ops);
     let stats = tree.tree_stats().expect("stats");
-    let space = tree.space();
+    let space = stats.space;
     let m = Measurement {
         label: label.to_string(),
         magnetic_bytes: space.magnetic_bytes,
@@ -244,18 +255,18 @@ pub struct QueryCost {
     pub io_delta: tsb_storage::IoSnapshot,
 }
 
-/// Runs a query batch against a TSB-tree and reports mean node accesses.
-pub fn tsb_query_cost(tree: &TsbTree, queries: &[Query], params: &CostParams) -> QueryCost {
-    let stats = tree.io_stats();
+/// Runs a query batch against a TSB-tree engine and reports mean node
+/// accesses.
+pub fn tsb_query_cost(tree: &ShardedTsb, queries: &[Query], params: &CostParams) -> QueryCost {
     // Settle deferred build-phase encodes first: a query-time cache miss
     // can evict a dirty node left over from building the database, and
     // that encode + page write belongs to the build, not the queries.
-    tree.flush_node_cache().expect("node-cache flush");
-    let before = stats.snapshot();
+    tree.checkpoint().expect("node-cache flush");
+    let before = tree.io_snapshot();
     for q in queries {
         run_tsb_query(tree, q);
     }
-    let delta = stats.snapshot().delta_since(&before);
+    let delta = tree.io_snapshot().delta_since(&before);
     let n = queries.len().max(1) as f64;
     let mean_current = delta.node_accesses_current as f64 / n;
     let mean_hist = delta.node_accesses_historical as f64 / n;
@@ -269,7 +280,7 @@ pub fn tsb_query_cost(tree: &TsbTree, queries: &[Query], params: &CostParams) ->
     }
 }
 
-fn run_tsb_query(tree: &TsbTree, q: &Query) {
+fn run_tsb_query(tree: &ShardedTsb, q: &Query) {
     match q {
         Query::CurrentGet { key } => {
             let _ = tree.get_current(key);
@@ -369,7 +380,7 @@ pub fn query_batches(ops: &[Op], count: usize) -> Vec<(&'static str, Vec<Query>)
 /// Ensures query correctness while measuring: spot checks a handful of
 /// queries against the oracle (cheap insurance that the measured structure
 /// is not silently wrong).
-pub fn spot_check_against_oracle(tree: &TsbTree, ops: &[Op]) {
+pub fn spot_check_against_oracle(tree: &ShardedTsb, ops: &[Op]) {
     let oracle = oracle_for(ops);
     let keys: Vec<Key> = oracle.keys().cloned().collect();
     for key in keys.iter().step_by((keys.len() / 20).max(1)) {

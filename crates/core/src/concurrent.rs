@@ -39,9 +39,9 @@
 //!   completely finished. A snapshot pins readers at or below every
 //!   shard's fence, so it never observes a half-applied write.
 //!
-//! All tree logic stays in [`TsbTree`], whose single-threaded API
-//! (`&mut self` mutations) enforces the same single-writer invariant
-//! through the borrow checker instead of a lock.
+//! All tree logic stays in [`TsbTree`], whose verbs all take `&self` and
+//! rely on this writer lock for the single-writer invariant: the shard is
+//! the only place that invariant is kept.
 //!
 //! ```
 //! use tsb_core::{EngineHandle, Key, TsbConfig};
@@ -405,9 +405,7 @@ mod tests {
         let clock = std::sync::Arc::new(tsb_common::LogicalClock::new());
         let tree = TsbTree::new_in_memory_with_clock(TsbConfig::small_pages(), clock).unwrap();
         let shard = Shard::from_tree(tree);
-        let (ts, _) = shard
-            .write(|t| t.insert_shared(key(1), b"v".to_vec()))
-            .unwrap();
+        let (ts, _) = shard.write(|t| t.insert(key(1), b"v".to_vec())).unwrap();
         assert_eq!(shard.last_installed(), ts);
         let tree = shard.into_tree();
         assert_eq!(tree.get_current(&key(1)).unwrap().unwrap(), b"v".to_vec());

@@ -14,65 +14,67 @@
 //!
 //! ## What the crate provides
 //!
-//! * [`TsbTree`] — the index itself: point lookups (current and as-of-time),
-//!   range scans and snapshots at any past time, per-record version
-//!   histories, inserts/updates/logical deletes, and incremental migration
-//!   driven by configurable split policies ([`tsb_common::SplitPolicyKind`],
-//!   [`tsb_common::SplitTimeChoice`]).
-//! * [`SnapshotReader`] — lock-free read-only transactions pinned to a start
-//!   timestamp (§4.1), plus writer transactions whose uncommitted versions
-//!   carry no timestamp, are never migrated, and are erased on abort (§4).
+//! * [`ShardedTsb`] — the engine, and the one implementor of
+//!   [`EngineHandle`], the object-safe surface an engine serves through.
+//!   It answers point lookups (current and as-of-time), range scans and
+//!   snapshots at any past time, and per-record version histories, and
+//!   every write goes through it: inserts/updates/logical deletes, with
+//!   incremental migration driven by configurable split policies
+//!   ([`tsb_common::SplitPolicyKind`], [`tsb_common::SplitTimeChoice`]).
+//!   It hash-partitions the keyspace over
+//!   N shards (one is the unsharded case) that share one WAL, group-commit
+//!   pipeline and checkpoint under one global commit clock. Each shard
+//!   serializes its writes and serves lock-free concurrent reads against
+//!   immutable historical nodes with seqlock-validated descents, behind an
+//!   install fence; [`ShardedSnapshot`]s are lock-free read-only
+//!   transactions pinned at one fence across every shard (§4.1), and
+//!   writer transactions' uncommitted versions carry no timestamp, are
+//!   never migrated, and are erased on abort (§4); a cross-shard
+//!   transaction commits as one fence (see [`sharded`]). A replica is a
+//!   `ShardedTsb` whose one writer applies a shipped log (see [`replica`]).
 //! * [`TsbOptions`] — the one door: every engine that comes from a
 //!   configuration or a directory is opened through it (see [`options`]).
-//! * [`ShardedTsb`] — the one concurrent engine, and the one implementor
-//!   of [`EngineHandle`], the object-safe surface an engine serves
-//!   through. It hash-partitions the keyspace over N shards (one is the
-//!   unsharded case) that share one WAL, group-commit pipeline and
-//!   checkpoint under one global commit clock. Each shard serializes its
-//!   writes and serves lock-free concurrent reads against immutable
-//!   historical nodes with seqlock-validated descents, behind an install
-//!   fence; [`ShardedSnapshot`]s pin one fence across every shard, and a
-//!   cross-shard transaction commits as one fence (see [`sharded`]). A
-//!   replica is a `ShardedTsb` whose one writer applies a shipped log
-//!   (see [`replica`]).
+//! * [`TsbTree`] — one shard's index, read back from a directory a
+//!   `ShardedTsb` wrote ([`TsbOptions::open_tree`]) for what only a tree
+//!   shows: node paths, cache and device internals.
 //! * [`SecondaryIndex`] — `<timestamp, secondary key, primary key>` indexes,
 //!   themselves TSB-trees (§3.6).
-//! * **Durability** — [`TsbOptions::durable`] / [`TsbTree::checkpoint`]:
-//!   a write-ahead redo log
+//! * **Durability** — [`TsbOptions::durable`] /
+//!   [`EngineHandle::checkpoint`]: a write-ahead redo log
 //!   ([`tsb_storage::Wal`]) makes the erasable current database
 //!   crash-consistent (the WORM side is durable by hardware). Every
 //!   mutation's page images are logged before they may dirty a page, a
 //!   commit fence ends each mutation, checkpoints fence replay, and
 //!   recovery replays the log, erases in-flight transactions, and
-//!   verifies before serving. [`ShardedTsb`] layers group commit
-//!   ([`tsb_common::FsyncPolicy`]) on top.
-//! * [`TreeStats`] / [`TsbTree::verify`] — the measurements the paper's
-//!   evaluation plan calls for (total space, current-database space,
-//!   redundancy) and a full structural invariant checker.
+//!   verifies before serving. Group commit ([`tsb_common::FsyncPolicy`])
+//!   sits on top.
+//! * [`TreeStats`] / [`EngineHandle::verify`] — the measurements the
+//!   paper's evaluation plan calls for (total space, current-database
+//!   space, redundancy; [`ShardedTsb::tree_stats`]) and a full structural
+//!   invariant checker.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use tsb_common::{Key, KeyRange, TsbConfig};
-//! use tsb_core::TsbTree;
+//! use tsb_common::{Key, TsbConfig};
+//! use tsb_core::EngineHandle;
 //!
-//! let mut tree = tsb_core::TsbOptions::in_memory().config(TsbConfig::default()).open_tree().unwrap();
+//! let db = tsb_core::TsbOptions::in_memory().config(TsbConfig::default()).open().unwrap();
 //!
 //! // A tiny account history (Figure 1's stepwise-constant data).
-//! let t_open = tree.insert("acct-42", b"balance=100".to_vec()).unwrap();
-//! let t_deposit = tree.insert("acct-42", b"balance=250".to_vec()).unwrap();
+//! let t_open = db.insert(Key::from("acct-42"), b"balance=100".to_vec()).unwrap();
+//! let t_deposit = db.insert(Key::from("acct-42"), b"balance=250".to_vec()).unwrap();
 //!
 //! // Current state.
-//! assert_eq!(tree.get_current(&Key::from("acct-42")).unwrap().unwrap(), b"balance=250".to_vec());
+//! assert_eq!(db.get_current(&Key::from("acct-42")).unwrap().unwrap(), b"balance=250".to_vec());
 //! // The balance as of any moment between the two transactions is the
 //! // earlier one.
-//! assert_eq!(tree.get_as_of(&Key::from("acct-42"), t_open).unwrap().unwrap(), b"balance=100".to_vec());
+//! assert_eq!(db.get_as_of(&Key::from("acct-42"), t_open).unwrap().unwrap(), b"balance=100".to_vec());
 //! // Full history of the record.
-//! assert_eq!(tree.versions(&Key::from("acct-42")).unwrap().len(), 2);
+//! assert_eq!(db.versions(&Key::from("acct-42")).unwrap().len(), 2);
 //! // Snapshot of the whole database at a past time, without locks.
-//! let snapshot = tree.snapshot_at(t_deposit).unwrap();
+//! let snapshot = db.snapshot_at(t_deposit).unwrap();
 //! assert_eq!(snapshot.len(), 1);
-//! let _ = (t_open, KeyRange::full());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,7 +92,7 @@ pub mod sharded;
 pub mod split;
 pub mod stats;
 pub mod tree;
-pub mod txn;
+mod txn;
 pub mod verify;
 
 pub use engine::{EngineHandle, EngineRole};
@@ -105,7 +107,6 @@ pub use sharded::{ShardLsn, ShardedSnapshot, ShardedTsb};
 pub use split::SplitPlan;
 pub use stats::TreeStats;
 pub use tree::TsbTree;
-pub use txn::SnapshotReader;
 
 // Re-export the shared vocabulary so that downstream users only need this
 // crate for typical use.
@@ -113,6 +114,6 @@ pub use tsb_common::{
     CostParams, FsyncPolicy, Key, KeyBound, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeBound,
     TimeRange, Timestamp, TsState, TsbConfig, TsbError, TsbResult, TxnId, Version,
 };
-// Durability vocabulary: the log handed to `create_durable` and the fault
-// plumbing the recovery test matrix drives.
-pub use tsb_storage::{CrashPoint, FaultInjector, Lsn, PageId, Wal};
+// Durability vocabulary: log positions and the fault plumbing the
+// recovery test matrix drives.
+pub use tsb_storage::{CrashPoint, FaultInjector, Lsn, PageId};

@@ -16,7 +16,8 @@
 //! # let _ = db; Ok::<(), tsb_core::TsbError>(())
 //! ```
 //!
-//! Three terminal methods pick the engine:
+//! Three terminal methods: two open the engine, the third reads back what
+//! it wrote.
 //!
 //! * [`TsbOptions::open`] — a [`ShardedTsb`], *the* concurrent engine:
 //!   one writer and lock-free readers per shard, every temporal query of
@@ -26,14 +27,15 @@
 //! * [`TsbOptions::open_replica`] — a [`ShardedTsb`] too, whose one
 //!   writer is the log applier: it awaits (or recovers) a shipped log at
 //!   the directory and refuses every write verb until promoted.
-//! * [`TsbOptions::open_tree`] — a bare single-threaded [`TsbTree`], the
-//!   paper's object on its own.
+//! * [`TsbOptions::open_tree`] — a bare [`TsbTree`], one shard's index
+//!   read back from a directory an engine wrote, for what only a tree
+//!   shows (node paths, cache and device internals). Nothing outside this
+//!   crate writes through it.
 //!
-//! Hand-built devices are the one thing that does not come through here:
-//! [`TsbTree::create`] / [`TsbTree::create_durable`] take empty stores and
-//! give a fresh bare tree. Every reopen is [`TsbOptions::open_tree`]'s or
-//! [`TsbOptions::open`]'s: a tree's state lives in its log's fences alone,
-//! so a tree reopens through recovery.
+//! Every write goes through an engine, and every reopen is recovery: a
+//! tree's state lives in its log's fences alone, so [`TsbOptions::open`]
+//! and [`TsbOptions::open_tree`] on a durable directory both replay its
+//! log.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -137,7 +139,8 @@ impl TsbOptions {
         Ok(db)
     }
 
-    /// Opens a bare single-threaded [`TsbTree`].
+    /// Opens a bare [`TsbTree`]: in memory an empty one, durable the tree
+    /// a [`ShardedTsb`] left at the directory.
     ///
     /// Durable: the directory holds the magnetic store (`current.pages`),
     /// the WORM store (`history.worm`), and the redo log (`redo.wal`) —
@@ -146,7 +149,7 @@ impl TsbOptions {
     /// opened, recovered with the engine it belongs to.
     ///
     /// * A fresh directory creates a new tree, fenced from its first
-    ///   instant ([`TsbTree::create_durable`]).
+    ///   instant.
     /// * A directory with durable state runs crash-consistent recovery
     ///   (`tree/recover.rs`) — the same code path whether the last
     ///   session shut down cleanly (the log's tail is a checkpoint; replay

@@ -488,6 +488,22 @@ impl ShardedTsb {
         Self::open_replica(&replica.dir, self.config().clone())
     }
 
+    /// Refuses a base at promotion epoch `epoch` when it is older than
+    /// this node's: a node ahead of its primary (a promotion that failed
+    /// past its epoch bump) keeps its directory rather than follow that
+    /// lineage. The rule [`Self::install_base`] applies, for a fetcher to
+    /// ask as soon as the primary names its base's epoch, before any page
+    /// moves.
+    pub fn admit_base_epoch(&self, epoch: u64) -> TsbResult<()> {
+        let ours = self.epoch();
+        if epoch < ours {
+            return Err(TsbError::config(format!(
+                "the base is at promotion epoch {epoch}, behind this node's {ours}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Installs a base image and returns the replica recovered from it,
     /// to serve from then on; this one stops applying. Wipes the local
     /// state first (under a crash marker, so a death mid-install is
@@ -497,17 +513,10 @@ impl ShardedTsb {
     /// would.
     /// It adopts the base's promotion epoch once the install is complete,
     /// and refuses a base of an older epoch than its own before touching
-    /// anything: a node ahead of its primary (a promotion that failed past
-    /// its epoch bump) keeps its directory rather than follow that lineage.
+    /// anything ([`Self::admit_base_epoch`]).
     pub fn install_base(&self, base: &ReplicaBase) -> TsbResult<ShardedTsb> {
         let replica = self.replica_half()?;
-        let ours = self.epoch();
-        if base.epoch < ours {
-            return Err(TsbError::config(format!(
-                "the base is at promotion epoch {}, behind this node's {ours}",
-                base.epoch
-            )));
-        }
+        self.admit_base_epoch(base.epoch)?;
         let cfg = self.config();
         if base.page_size != cfg.page_size {
             return Err(TsbError::config(format!(

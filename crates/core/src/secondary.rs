@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use tsb_common::{Key, KeyBound, KeyRange, Timestamp, TsbConfig, TsbError, TsbResult};
-use tsb_storage::{IoStats, MagneticStore, WormStore};
+use tsb_storage::IoStats;
 
 use crate::tree::TsbTree;
 
@@ -117,25 +117,10 @@ impl SecondaryIndex {
         })
     }
 
-    /// Creates a secondary index over the provided stores.
-    pub fn create(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        Ok(SecondaryIndex {
-            tree: TsbTree::create(magnetic, worm, cfg)?,
-        })
-    }
-
-    /// The underlying TSB-tree (for statistics, verification, flushing).
-    pub fn tree(&self) -> &TsbTree {
-        &self.tree
-    }
-
-    /// Mutable access to the underlying tree.
-    pub fn tree_mut(&mut self) -> &mut TsbTree {
-        &mut self.tree
+    /// Checks every structural invariant of the index's tree
+    /// ([`TsbTree::verify`]).
+    pub fn verify(&self) -> TsbResult<()> {
+        self.tree.verify()
     }
 
     /// The shared I/O statistics of the index's stores.
@@ -296,7 +281,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(idx.count_as_of(&boston, Timestamp(45)).unwrap(), 1);
-        idx.tree().verify().unwrap();
+        idx.verify().unwrap();
     }
 
     #[test]
@@ -331,6 +316,6 @@ mod tests {
         assert_eq!(total, 200, "every employee is in exactly one department");
         // dept-0 now holds its original 40 plus 80 transferred employees.
         assert_eq!(idx.count_as_of(&dept_names[0], Timestamp(ts)).unwrap(), 120);
-        idx.tree().verify().unwrap();
+        idx.verify().unwrap();
     }
 }

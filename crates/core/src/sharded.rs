@@ -105,6 +105,7 @@ use crate::concurrent::Shard;
 use crate::engine::{EngineHandle, EngineRole};
 use crate::epoch::{read_epoch, INITIAL_EPOCH};
 use crate::replica::{not_serving, Replica, ReplicaStatus, ReplicationSource};
+use crate::stats::TreeStats;
 use crate::tree::durability::{checkpoint_log, commit_across};
 use crate::tree::recover::{DurableFiles, Layout};
 use crate::tree::TsbTree;
@@ -371,7 +372,7 @@ impl ShardedTsb {
         let db = &self.inner.shards[shard];
         let local = {
             let _writer = db.lock_writer();
-            db.tree().begin_txn_shared()
+            db.tree().begin_txn()
         };
         slots[shard] = Some(local);
         Ok(local)
@@ -463,9 +464,25 @@ impl ShardedTsb {
         self.each_quiesced(TsbTree::verify_cache_coherence)
     }
 
+    /// The census of the whole engine ([`TsbTree::tree_stats`] of each
+    /// shard, taken with its writer stalled): node and version counts,
+    /// space and storage cost summed over shards, the depth the deepest
+    /// shard's. At one shard it is that shard's tree's census.
+    pub fn tree_stats(&self) -> TsbResult<TreeStats> {
+        let mut shards = Vec::new();
+        self.each_quiesced(|t| {
+            shards.push(t.tree_stats()?);
+            Ok(())
+        })?;
+        shards
+            .into_iter()
+            .reduce(TreeStats::plus)
+            .ok_or_else(not_serving)
+    }
+
     /// Runs `f` on every shard's tree in turn, each with its writer lock
     /// held.
-    fn each_quiesced(&self, f: impl Fn(&TsbTree) -> TsbResult<()>) -> TsbResult<()> {
+    fn each_quiesced(&self, mut f: impl FnMut(&TsbTree) -> TsbResult<()>) -> TsbResult<()> {
         self.serving_shards()?.iter().try_for_each(|s| {
             let _writer = s.lock_writer();
             f(s.tree())
@@ -566,13 +583,13 @@ impl EngineHandle for ShardedTsb {
     fn insert_deferred(&self, key: Key, value: Vec<u8>) -> TsbResult<(Timestamp, Option<Lsn>)> {
         self.writable()?;
         let shard = self.shard_for(&key)?;
-        shard.write(|t| t.insert_shared(key, value))
+        shard.write(|t| t.insert(key, value))
     }
 
     fn delete_deferred(&self, key: Key) -> TsbResult<(Timestamp, Option<Lsn>)> {
         self.writable()?;
         let shard = self.shard_for(&key)?;
-        shard.write(|t| t.delete_shared(key))
+        shard.write(|t| t.delete(key))
     }
 
     /// Returns once the one log's durable-LSN watermark covers `lsn`,
@@ -618,7 +635,7 @@ impl EngineHandle for ShardedTsb {
         let local = self.local_txn(txn, shard)?;
         let db = &self.inner.shards[shard];
         let _writer = db.lock_writer();
-        db.tree().txn_insert_shared(local, key, value)
+        db.tree().txn_insert(local, key, value)
     }
 
     fn txn_delete(&self, txn: TxnId, key: Key) -> TsbResult<()> {
@@ -627,7 +644,7 @@ impl EngineHandle for ShardedTsb {
         let local = self.local_txn(txn, shard)?;
         let db = &self.inner.shards[shard];
         let _writer = db.lock_writer();
-        db.tree().txn_delete_shared(local, key)
+        db.tree().txn_delete(local, key)
     }
 
     /// The transaction's own pending write when it touched the key's
@@ -662,7 +679,7 @@ impl EngineHandle for ShardedTsb {
             // a unique place in the global order, with nothing to install.
             [] => Ok((self.inner.clock.tick(), None)),
             [(shard, local)] => {
-                let commit = |t: &TsbTree| t.commit_txn_shared(*local);
+                let commit = |t: &TsbTree| t.commit_txn(*local);
                 self.inner.shards[*shard].write(commit)
             }
             _ => self.commit_cross_shard(&parts),
@@ -680,7 +697,7 @@ impl EngineHandle for ShardedTsb {
         for (shard, local) in self.take_participants(txn)? {
             let db = &self.inner.shards[shard];
             let _writer = db.lock_writer();
-            first = first.and(db.tree().abort_txn_shared(local));
+            first = first.and(db.tree().abort_txn(local));
         }
         first
     }
@@ -1098,6 +1115,64 @@ mod tests {
             .shards(shards)
             .open()
             .unwrap()
+    }
+
+    /// Small pages under a time-preferring policy, so a few hundred updates
+    /// migrate history to every shard's WORM.
+    fn migrating_cfg() -> TsbConfig {
+        TsbConfig::small_pages().with_split_policy(tsb_common::SplitPolicyKind::TimePreferring)
+    }
+
+    fn write_history(db: &ShardedTsb) {
+        for i in 0..600u64 {
+            db.insert(Key::from_u64(i % 40), vec![i as u8; 24]).unwrap();
+        }
+    }
+
+    /// The engine's census at one shard is its tree's, field for field.
+    #[test]
+    fn a_one_shard_census_is_its_trees() {
+        let db = crate::TsbOptions::in_memory()
+            .config(migrating_cfg())
+            .open()
+            .unwrap();
+        write_history(&db);
+        let census = db.tree_stats().unwrap();
+        assert!(census.historical_data_nodes > 0, "history migrated");
+        assert_eq!(census, db.shards()[0].tree().tree_stats().unwrap());
+    }
+
+    /// The census of a reopened four-shard engine equals what the benchmark
+    /// harness sums by reading each `shard-NNN` directory back as a tree.
+    /// (Both are reopened: a reopened WORM counts its whole file as payload.)
+    #[test]
+    fn a_four_shard_census_sums_what_each_shard_directory_reads_back() {
+        let dir = TempDir::new("census");
+        let cfg = migrating_cfg().with_fsync_policy(tsb_common::FsyncPolicy::Os);
+        let opts = crate::TsbOptions::durable(&dir.0)
+            .config(cfg.clone())
+            .shards(4);
+        write_history(&opts.clone().open().unwrap());
+        let census = opts.open().unwrap().tree_stats().unwrap();
+
+        let (mut distinct, mut redundant, mut worm_payload, mut worm_bytes) = (0, 0, 0, 0);
+        for shard in 0..4 {
+            let shard_dir = dir.0.join(format!("shard-{shard:03}"));
+            let tree = crate::TsbOptions::durable(shard_dir)
+                .config(cfg.clone())
+                .open_tree()
+                .unwrap();
+            let s = tree.tree_stats().unwrap();
+            assert!(s.space.worm_bytes > 0, "shard {shard} migrated history");
+            distinct += s.distinct_versions;
+            redundant += s.redundant_copies;
+            worm_payload += s.space.worm_payload_bytes;
+            worm_bytes += s.space.worm_bytes;
+        }
+        assert_eq!(census.distinct_versions, distinct);
+        assert_eq!(census.redundant_copies, redundant);
+        assert_eq!(census.space.worm_payload_bytes, worm_payload);
+        assert_eq!(census.space.worm_bytes, worm_bytes);
     }
 
     /// Every shard appends to one log, so the waits that end a batch over

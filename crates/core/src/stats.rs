@@ -60,6 +60,32 @@ impl TreeStats {
             + self.historical_data_nodes
             + self.historical_index_nodes
     }
+
+    /// The census of two trees over disjoint keys as one: counts, space
+    /// and cost added, the depth the deeper tree's.
+    pub(crate) fn plus(self, other: TreeStats) -> TreeStats {
+        let space = SpaceSnapshot {
+            magnetic_bytes: self.space.magnetic_bytes + other.space.magnetic_bytes,
+            worm_bytes: self.space.worm_bytes + other.space.worm_bytes,
+            magnetic_payload_bytes: self.space.magnetic_payload_bytes
+                + other.space.magnetic_payload_bytes,
+            worm_payload_bytes: self.space.worm_payload_bytes + other.space.worm_payload_bytes,
+        };
+        TreeStats {
+            current_data_nodes: self.current_data_nodes + other.current_data_nodes,
+            current_index_nodes: self.current_index_nodes + other.current_index_nodes,
+            historical_data_nodes: self.historical_data_nodes + other.historical_data_nodes,
+            historical_index_nodes: self.historical_index_nodes + other.historical_index_nodes,
+            version_copies: self.version_copies + other.version_copies,
+            distinct_versions: self.distinct_versions + other.distinct_versions,
+            redundant_copies: self.redundant_copies + other.redundant_copies,
+            uncommitted_versions: self.uncommitted_versions + other.uncommitted_versions,
+            live_versions: self.live_versions + other.live_versions,
+            space,
+            storage_cost: self.storage_cost + other.storage_cost,
+            depth: self.depth.max(other.depth),
+        }
+    }
 }
 
 impl fmt::Display for TreeStats {
@@ -193,7 +219,7 @@ mod tests {
 
     fn workload(policy: SplitPolicyKind, ops: u64, keys: u64) -> TsbTree {
         let cfg = TsbConfig::small_pages().with_split_policy(policy);
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();

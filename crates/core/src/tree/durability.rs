@@ -23,13 +23,11 @@ use super::TsbTree;
 use crate::node::NodeAddr;
 
 /// A tree's place on a redo log: the log, the shard its records are
-/// tagged with, whether other shards' trees append to the same log, and
-/// the WORM mark the log's pre-sync hook keeps for this shard. Made by
-/// [`seat_trees`], one per shard.
+/// tagged with, and the WORM mark the log's pre-sync hook keeps for this
+/// shard. Made by [`seat_trees`], one per shard.
 pub(crate) struct LogSeat {
     wal: Arc<Wal>,
     shard: u32,
-    shares_log: bool,
     worm_synced: Arc<AtomicU64>,
 }
 
@@ -53,13 +51,11 @@ pub(crate) fn seat_trees(wal: Wal, worms: &[Arc<WormStore>]) -> Vec<LogSeat> {
         }
         Ok(())
     }));
-    let shares_log = worms.len() > 1;
     (0..)
         .zip(marks)
         .map(|(shard, worm_synced)| LogSeat {
             wal: Arc::clone(&wal),
             shard,
-            shares_log,
             worm_synced,
         })
         .collect()
@@ -67,9 +63,8 @@ pub(crate) fn seat_trees(wal: Wal, worms: &[Arc<WormStore>]) -> Vec<LogSeat> {
 
 /// The durability state of a WAL-attached tree.
 ///
-/// Present on trees opened through [`TsbTree::create_durable`] or a
-/// durable [`crate::TsbOptions`]; absent (and zero-cost) on plain
-/// in-memory or file-backed trees. See the [`tsb_storage::wal`] module
+/// Present on trees opened through a durable [`crate::TsbOptions`];
+/// absent (and zero-cost) on in-memory trees. See the [`tsb_storage::wal`] module
 /// docs for the log format and [`super::recover`] for the fence /
 /// commit-cut protocol this drives.
 pub(crate) struct Durability {
@@ -78,10 +73,6 @@ pub(crate) struct Durability {
     pub(super) wal: Arc<Wal>,
     /// The shard this tree's records are tagged with on the log.
     shard: u32,
-    /// Whether other shards' trees share the log. A checkpoint replaces
-    /// the whole log, so only [`checkpoint_log`] over every shard may run
-    /// one; this tree's own flush then stops at its devices.
-    shares_log: bool,
     /// Dirty-page table backing the WAL-before-page barrier: the one
     /// write-back site (`write_back_dirty`) runs the flushed-LSN rule
     /// through it before any device page write — free when this shard's
@@ -159,7 +150,6 @@ impl Durability {
         Durability {
             wal: seat.wal,
             shard: seat.shard,
-            shares_log: seat.shares_log,
             pages: WalPageTable::new(),
             worm_synced: seat.worm_synced,
             last_fence: Mutex::new(None),
@@ -431,13 +421,6 @@ impl TsbTree {
         // The checkpoint quiesced the commit pipeline: every appended
         // fence is durable (the reset jumped the watermark over them).
         d.acks.lock().settle(Lsn::MAX);
-    }
-
-    /// Whether this tree's own flush stops at its devices: it shares its
-    /// log with other shards, and only [`checkpoint_log`] over all of
-    /// them may replace it.
-    pub(super) fn shares_log(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| d.shares_log)
     }
 
     /// Returns once the log's durable watermark covers `lsn`, leading the

@@ -173,7 +173,7 @@ mod tests {
             SplitPolicyKind::default(),
         ] {
             let cfg = TsbConfig::small_pages().with_split_policy(policy);
-            let mut tree = crate::TsbOptions::in_memory()
+            let tree = crate::TsbOptions::in_memory()
                 .config(cfg)
                 .open_tree()
                 .unwrap();
@@ -254,7 +254,7 @@ mod tests {
     /// cannot flake.
     #[test]
     fn history_window_reads_stay_proportional() {
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(TsbConfig::small_pages())
             .open_tree()
             .unwrap();
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn changed_keys_between_supports_incremental_backup() {
         let cfg = TsbConfig::small_pages();
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();

@@ -40,18 +40,12 @@ pub(crate) enum InsertOutcome {
 
 impl TsbTree {
     /// Inserts a new version of `key` with the next commit timestamp,
-    /// returning that timestamp. If the key already exists this records an
-    /// update (the old version remains readable as of its own time).
-    pub fn insert(&mut self, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<Timestamp> {
-        let (ts, wait) = self.insert_shared(key, value)?;
-        self.wait_durable_lsn(wait)?;
-        Ok(ts)
-    }
-
-    /// [`Self::insert`] against `&self`, for callers that serialize writers
-    /// externally (each shard of a [`crate::ShardedTsb`]); also returns
-    /// the position to wait on before acknowledging the write.
-    pub(crate) fn insert_shared(
+    /// returning that timestamp and the position to wait on before
+    /// acknowledging the write. If the key already exists this records an
+    /// update (the old version remains readable as of its own time). The
+    /// caller serializes writers (each shard of a [`crate::ShardedTsb`]
+    /// under its writer lock).
+    pub(crate) fn insert(
         &self,
         key: impl Into<Key>,
         value: Vec<u8>,
@@ -61,17 +55,17 @@ impl TsbTree {
         Ok((ts, wait))
     }
 
-    /// Inserts a new version of `key` with an explicit commit timestamp.
+    /// Inserts a new version of `key` with an explicit commit timestamp,
+    /// once durable.
     ///
     /// The timestamp must not be older than any timestamp already issued,
     /// and `key` must not already hold a version at exactly `ts` — either
     /// would change an answer a reader may already have seen, so both are
     /// refused with [`TsbError::Config`] before anything is written. The
     /// newest issued timestamp may be reused for another key. The internal
-    /// clock is advanced past `ts`. Used by secondary indexes (which
-    /// inherit the primary record's timestamp, §3.6) and by loaders
-    /// replaying a history.
-    pub fn insert_at(
+    /// clock is advanced past `ts`. Used by secondary indexes, which
+    /// inherit the primary record's timestamp (§3.6).
+    pub(crate) fn insert_at(
         &mut self,
         key: impl Into<Key>,
         value: Vec<u8>,
@@ -80,24 +74,18 @@ impl TsbTree {
         self.insert_version_at(Version::committed(key, ts, value), ts)
     }
 
-    /// Logically deletes `key` by inserting a tombstone version with the next
-    /// commit timestamp. History remains readable; only reads at or after
-    /// the returned timestamp observe the deletion.
-    pub fn delete(&mut self, key: impl Into<Key>) -> TsbResult<Timestamp> {
-        let (ts, wait) = self.delete_shared(key)?;
-        self.wait_durable_lsn(wait)?;
-        Ok(ts)
-    }
-
-    /// [`Self::delete`] against `&self` (externally serialized writers).
-    pub(crate) fn delete_shared(&self, key: impl Into<Key>) -> TsbResult<(Timestamp, Option<Lsn>)> {
+    /// Logically deletes `key` by inserting a tombstone version with the
+    /// next commit timestamp (see [`Self::insert`]). History remains
+    /// readable; only reads at or after the returned timestamp observe the
+    /// deletion.
+    pub(crate) fn delete(&self, key: impl Into<Key>) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let ts = self.clock.tick();
         let wait = self.insert_version(Version::tombstone(key, ts))?;
         Ok((ts, wait))
     }
 
     /// Logically deletes `key` at an explicit timestamp (see [`Self::insert_at`]).
-    pub fn delete_at(&mut self, key: impl Into<Key>, ts: Timestamp) -> TsbResult<()> {
+    pub(crate) fn delete_at(&mut self, key: impl Into<Key>, ts: Timestamp) -> TsbResult<()> {
         self.insert_version_at(Version::tombstone(key, ts), ts)
     }
 
@@ -699,7 +687,7 @@ mod tests {
 
     #[test]
     fn insert_and_read_back_many_keys_across_splits() {
-        let mut tree = small_tree(SplitPolicyKind::default());
+        let tree = small_tree(SplitPolicyKind::default());
         for i in 0..200u64 {
             tree.insert(i, format!("value-{i}").into_bytes()).unwrap();
         }
@@ -716,10 +704,13 @@ mod tests {
 
     #[test]
     fn updates_preserve_history_across_time_splits() {
-        let mut tree = small_tree(SplitPolicyKind::TimePreferring);
+        let tree = small_tree(SplitPolicyKind::TimePreferring);
         let mut stamps = Vec::new();
         for round in 0..30u64 {
-            let ts = tree.insert(7u64, format!("v{round}").into_bytes()).unwrap();
+            let ts = tree
+                .insert(7u64, format!("v{round}").into_bytes())
+                .unwrap()
+                .0;
             stamps.push((ts, round));
         }
         // Every historical version is still reachable as of its own time.
@@ -735,9 +726,9 @@ mod tests {
 
     #[test]
     fn deletes_are_visible_only_from_their_timestamp() {
-        let mut tree = small_tree(SplitPolicyKind::default());
-        let t1 = tree.insert(5u64, b"alive".to_vec()).unwrap();
-        let t2 = tree.delete(5u64).unwrap();
+        let tree = small_tree(SplitPolicyKind::default());
+        let t1 = tree.insert(5u64, b"alive".to_vec()).unwrap().0;
+        let t2 = tree.delete(5u64).unwrap().0;
         assert!(tree.get_current(&Key::from_u64(5)).unwrap().is_none());
         assert_eq!(
             tree.get_as_of(&Key::from_u64(5), t1).unwrap().unwrap(),
@@ -766,7 +757,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_rejected_up_front() {
-        let mut tree = small_tree(SplitPolicyKind::default());
+        let tree = small_tree(SplitPolicyKind::default());
         let huge = vec![0u8; 10_000];
         assert!(matches!(
             tree.insert(1u64, huge),
@@ -791,7 +782,7 @@ mod tests {
                 key_split_live_fraction: 0.6,
             },
         ] {
-            let mut tree = small_tree(policy);
+            let tree = small_tree(policy);
             for i in 0..150u64 {
                 let key = i % 25; // 6 versions per key on average
                 tree.insert(key, format!("{policy:?}-{i}").into_bytes())
@@ -812,7 +803,7 @@ mod tests {
         let cfg = TsbConfig::small_pages()
             .with_split_policy(SplitPolicyKind::TimePreferring)
             .with_split_time_choice(SplitTimeChoice::LastUpdate);
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();

@@ -18,7 +18,7 @@
 //! * `recover` — what the log means on reopen: the fence rule, the replay
 //!   cut, and the two recoveries built on them.
 //!
-//! Transactions live in [`crate::txn`], secondary indexes in
+//! Transactions live in `txn.rs`, secondary indexes in
 //! [`crate::secondary`], statistics in [`crate::stats`], and the structural
 //! verifier in [`crate::verify`].
 
@@ -44,40 +44,47 @@ use tsb_storage::{FaultInjector, IoStats, MagneticStore, PageId, SpaceSnapshot, 
 use crate::cache::NodeCache;
 use crate::node::{DataNode, Node, NodeAddr};
 use crate::txn::TxnTable;
-use durability::{checkpoint_log, seat_trees, Durability, LogSeat};
+use durability::{Durability, LogSeat};
 
 /// The Time-Split B-tree: a single integrated index over a multiversion
 /// database whose current part lives on an erasable store and whose
 /// historical part lives on a write-once store.
 ///
-/// Reads (`get_*`, `scan_*`, snapshots, statistics, verification) take
-/// `&self`; mutations (inserts, deletes, transactions) take `&mut self`.
+/// Every operation takes `&self`: the tree's mutable state sits behind
+/// locks and atomics, under the invariant that **at most one mutation runs
+/// at a time**. Each shard of a [`crate::ShardedTsb`] enforces that
+/// invariant with a writer lock and may run any number of readers
+/// concurrently (see the module docs of [`crate::sharded`]). A mutation
+/// returns, beside its result, the log position its commit must be durable
+/// through before it is acknowledged; the shard waits on it only after its
+/// writer lock drops.
 ///
-/// Internally every mutation is implemented against `&self` with the tree's
-/// mutable state behind locks and atomics, under the invariant that **at
-/// most one mutation runs at a time**. The single-threaded API enforces
-/// that invariant with `&mut self`; each shard of a [`crate::ShardedTsb`]
-/// enforces it with a writer lock and may run any number of readers
-/// concurrently (see the module docs of [`crate::sharded`]). A `&self`
-/// mutation returns, beside its result, the log position its commit must
-/// be durable through before it is acknowledged: a `&mut` verb waits on it
-/// at once, a shard only after its writer lock drops.
-///
-/// A tree's state — root, clock, transaction counter — is written to its
-/// redo log's fences and nowhere else, so a tree reopens only through
-/// recovery: [`crate::TsbOptions::open_tree`] on a durable directory.
+/// Outside this crate a tree is read, not written: every write goes
+/// through a [`crate::ShardedTsb`], and [`crate::TsbOptions::open_tree`]
+/// reads back a directory one wrote — its one tree, or one `shard-NNN`
+/// directory's — for what only a tree shows (node paths, cache and device
+/// internals). A tree's state — root, clock, transaction counter — is
+/// written to its redo log's fences and nowhere else, so it reopens only
+/// through recovery.
 ///
 /// ```
-/// use tsb_core::TsbTree;
-/// use tsb_common::{Key, TsbConfig};
+/// use tsb_core::{EngineHandle, Key, TsbOptions};
 ///
-/// let mut tree = tsb_core::TsbOptions::in_memory().config(TsbConfig::default()).open_tree().unwrap();
-/// let t1 = tree.insert("acct-1", b"balance=100".to_vec()).unwrap();
-/// let t2 = tree.insert("acct-1", b"balance=250".to_vec()).unwrap();
-/// assert_eq!(tree.get_current(&Key::from("acct-1")).unwrap().unwrap(), b"balance=250".to_vec());
+/// let dir = std::env::temp_dir().join(format!("tsb-doc-tree-{}", std::process::id()));
+/// let db = TsbOptions::durable(&dir).open()?;
+/// let t1 = db.insert(Key::from("acct-1"), b"balance=100".to_vec())?;
+/// db.insert(Key::from("acct-1"), b"balance=250".to_vec())?;
+/// drop(db);
+///
+/// // The engine's one shard, read back as a bare tree.
+/// let tree = TsbOptions::durable(&dir).open_tree()?;
 /// // The old version is still reachable as of its own time (rollback database).
-/// assert_eq!(tree.get_as_of(&Key::from("acct-1"), t1).unwrap().unwrap(), b"balance=100".to_vec());
-/// assert!(t1 < t2);
+/// assert_eq!(tree.get_as_of(&Key::from("acct-1"), t1)?, Some(b"balance=100".to_vec()));
+/// assert_eq!(tree.versions(&Key::from("acct-1"))?.len(), 2);
+/// assert_eq!(tree.lookup_path(&Key::from("acct-1"), t1)?.len(), tree.current_depth()?);
+/// # drop(tree);
+/// # std::fs::remove_dir_all(&dir).ok();
+/// # Ok::<(), tsb_core::TsbError>(())
 /// ```
 pub struct TsbTree {
     pub(crate) cfg: TsbConfig,
@@ -143,8 +150,7 @@ impl std::fmt::Debug for TsbTree {
 
 impl TsbTree {
     /// A fresh tree over in-memory stores sized by `cfg`, stamping commits
-    /// from a caller-supplied (possibly shared) clock — the in-memory
-    /// counterpart of [`Self::create_durable_with_clock`]. Reached through
+    /// from a caller-supplied (possibly shared) clock. Reached through
     /// [`crate::TsbOptions`].
     pub(crate) fn new_in_memory_with_clock(
         cfg: TsbConfig,
@@ -160,39 +166,9 @@ impl TsbTree {
         Self::create_with(magnetic, worm, cfg, None, clock)
     }
 
-    /// Creates a fresh tree over the provided stores. The magnetic store
-    /// must be empty. A tree reopens from its log's fences alone, so a
-    /// tree to reopen is a durable one ([`crate::TsbOptions::open_tree`]).
-    pub fn create(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        Self::create_with(magnetic, worm, cfg, None, Arc::new(LogicalClock::new()))
-    }
-
-    /// Creates a fresh **durable** tree: every mutation is redo-logged to
-    /// `wal` before it may dirty a page, and the initial state is fenced
-    /// with a checkpoint, so the tree is crash-consistent from its first
-    /// instant. [`crate::TsbOptions::open_tree`] is the directory-based
-    /// door, and the one that reopens after a crash.
-    pub fn create_durable(
-        magnetic: Arc<MagneticStore>,
-        worm: Arc<WormStore>,
-        wal: Wal,
-        cfg: TsbConfig,
-    ) -> TsbResult<Self> {
-        let seat = seat_trees(wal, &[Arc::clone(&worm)]).pop();
-        let tree = Self::create_with(magnetic, worm, cfg, seat, Arc::new(LogicalClock::new()))?;
-        // Fence the initial root so recovery always has a checkpoint to
-        // replay from.
-        checkpoint_log(&[&tree])?;
-        Ok(tree)
-    }
-
     /// A fresh tree over empty stores, sitting on `seat` when durable. The
     /// caller fences it with a checkpoint — alone, or with the other
-    /// shards of its log ([`checkpoint_log`]).
+    /// shards of its log ([`durability::checkpoint_log`]).
     pub(crate) fn create_with(
         magnetic: Arc<MagneticStore>,
         worm: Arc<WormStore>,
@@ -203,7 +179,7 @@ impl TsbTree {
         cfg.validate()?;
         if magnetic.allocated_pages() != 0 {
             return Err(TsbError::config(
-                "TsbTree::create requires an empty magnetic store",
+                "a new tree requires an empty magnetic store",
             ));
         }
         if magnetic.page_size() != cfg.page_size {
@@ -372,32 +348,9 @@ impl TsbTree {
         (self.cfg.cost).storage_cost(space.magnetic_bytes, space.worm_bytes)
     }
 
-    /// Writes every dirty node back and syncs both devices. On a durable
-    /// tree with a log of its own this is a full **checkpoint**: once the
-    /// devices are synced, a checkpoint record holding the tree's state
-    /// fences the redo log, so the next recovery replays nothing that
-    /// precedes this call. A shard of a sharded engine shares its log with
-    /// the other shards, so its own checkpoint stops at its devices; the
-    /// engine's checkpoint fences them all.
-    ///
-    /// Checkpoint ordering is what makes the fence sound: the checkpoint
-    /// record is appended (and fsynced) only *after* every dirty node is
-    /// encoded and written, and both devices synced. A crash
-    /// anywhere inside this sequence leaves the log without the new
-    /// checkpoint, so recovery replays from the previous fence — and
-    /// because every page image since that fence is in the log, replay
-    /// overwrites whatever subset of the write-back had landed.
-    pub fn checkpoint(&mut self) -> TsbResult<()> {
-        if self.shares_log() {
-            self.flush_devices()
-        } else {
-            checkpoint_log(&[self]).map(drop)
-        }
-    }
-
-    /// The device half of a checkpoint: every dirty node written back,
-    /// both devices synced.
-    fn flush_devices(&self) -> TsbResult<()> {
+    /// The device half of a checkpoint ([`checkpoint_log`]): every dirty
+    /// node written back, both devices synced.
+    pub(crate) fn flush_devices(&self) -> TsbResult<()> {
         self.flush_node_cache()?;
         self.magnetic.sync()?;
         self.worm.sync()

@@ -1164,7 +1164,7 @@ mod tests {
                 .open_tree()
                 .unwrap();
             for i in 0..200u64 {
-                let (ts, _) = tree.insert_shared(i % 4, vec![b'v'; 24]).unwrap();
+                let (ts, _) = tree.insert(i % 4, vec![b'v'; 24]).unwrap();
                 if tree.worm.device_bytes() == 0 {
                     before_history = Some(ts);
                 }

@@ -127,7 +127,7 @@ mod tests {
 
     fn build_tree(policy: SplitPolicyKind) -> (TsbTree, Vec<(u64, Timestamp, String)>) {
         let cfg = TsbConfig::small_pages().with_split_policy(policy);
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();
@@ -135,7 +135,7 @@ mod tests {
         for i in 0..240u64 {
             let key = i % 24;
             let value = format!("k{key}-gen{}", i / 24);
-            let ts = tree.insert(key, value.clone().into_bytes()).unwrap();
+            let ts = tree.insert(key, value.clone().into_bytes()).unwrap().0;
             log.push((key, ts, value));
         }
         (tree, log)
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn deleted_keys_vanish_from_snapshots_but_keep_history() {
         let cfg = TsbConfig::small_pages();
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();

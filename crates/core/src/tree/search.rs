@@ -144,7 +144,7 @@ mod tests {
 
     fn tree_with_history() -> (TsbTree, Vec<(u64, Timestamp, String)>) {
         let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::default());
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();
@@ -152,7 +152,7 @@ mod tests {
         for i in 0..300u64 {
             let key = i % 30;
             let value = format!("k{key}-gen{}", i / 30);
-            let ts = tree.insert(key, value.clone().into_bytes()).unwrap();
+            let ts = tree.insert(key, value.clone().into_bytes()).unwrap().0;
             log.push((key, ts, value));
         }
         (tree, log)
@@ -200,16 +200,16 @@ mod tests {
     #[test]
     fn as_of_between_versions_returns_the_earlier_one() {
         let cfg = TsbConfig::small_pages();
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();
-        let t1 = tree.insert(1u64, b"v1".to_vec()).unwrap();
+        let t1 = tree.insert(1u64, b"v1".to_vec()).unwrap().0;
         // Unrelated activity advances the clock.
         for i in 100..120u64 {
             tree.insert(i, b"filler".to_vec()).unwrap();
         }
-        let t2 = tree.insert(1u64, b"v2".to_vec()).unwrap();
+        let t2 = tree.insert(1u64, b"v2".to_vec()).unwrap().0;
         let mid = Timestamp((t1.value() + t2.value()) / 2);
         assert_eq!(
             tree.get_as_of(&Key::from_u64(1), mid).unwrap().unwrap(),
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn pending_version_reports_uncommitted_writes() {
         let cfg = TsbConfig::small_pages();
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();

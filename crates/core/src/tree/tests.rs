@@ -5,9 +5,15 @@
 
 use std::sync::Arc;
 
-use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig, TsbError};
+use proptest::prelude::*;
+
+use tsb_common::{
+    FsyncPolicy, Key, LogicalClock, SplitPolicyKind, SplitTimeChoice, Timestamp, TsbConfig,
+    TsbError,
+};
 use tsb_storage::{IoStats, MagneticStore, PageId, Wal, WalRecord, WormStore};
 
+use super::durability::checkpoint_log;
 use super::TsbTree;
 use crate::node::Node;
 use crate::EngineHandle;
@@ -33,6 +39,15 @@ impl Drop for TempDir {
     }
 }
 
+/// A fresh tree over `magnetic` and `worm`, on its own clock and no log.
+fn create(
+    magnetic: Arc<MagneticStore>,
+    worm: Arc<WormStore>,
+    cfg: TsbConfig,
+) -> tsb_common::TsbResult<TsbTree> {
+    TsbTree::create_with(magnetic, worm, cfg, None, Arc::new(LogicalClock::new()))
+}
+
 #[test]
 fn durable_tree_recovers_unflushed_writes_from_the_wal() {
     let dir = TempDir::new("wal-recover");
@@ -46,9 +61,7 @@ fn durable_tree_recovers_unflushed_writes_from_the_wal() {
             .unwrap();
         assert!(tree.is_durable());
         for i in 0..120u64 {
-            let (ts, _) = tree
-                .insert_shared(i % 12, format!("v{i}").into_bytes())
-                .unwrap();
+            let (ts, _) = tree.insert(i % 12, format!("v{i}").into_bytes()).unwrap();
             stamps.push((i % 12, ts, format!("v{i}").into_bytes()));
         }
         // No flush, no checkpoint: everything durable lives in the WAL.
@@ -77,14 +90,14 @@ fn durable_tree_survives_clean_checkpoint_and_reopen() {
     let dir = TempDir::new("wal-clean");
     let cfg = TsbConfig::small_pages();
     {
-        let mut tree = crate::TsbOptions::durable(&dir.0)
+        let tree = crate::TsbOptions::durable(&dir.0)
             .config(cfg.clone())
             .open_tree()
             .unwrap();
         for i in 0..60u64 {
             tree.insert(i, format!("x{i}").into_bytes()).unwrap();
         }
-        tree.checkpoint().unwrap();
+        checkpoint_log(&[&tree]).unwrap();
     }
     let tree = crate::TsbOptions::durable(&dir.0)
         .config(cfg)
@@ -104,7 +117,7 @@ fn recovery_erases_in_flight_transactions() {
     let dir = TempDir::new("wal-txn");
     let cfg = TsbConfig::small_pages();
     {
-        let mut tree = crate::TsbOptions::durable(&dir.0)
+        let tree = crate::TsbOptions::durable(&dir.0)
             .config(cfg.clone())
             .open_tree()
             .unwrap();
@@ -147,7 +160,7 @@ fn a_write_no_leaf_can_hold_is_refused_before_anything_is_logged() {
     for pending_first in [false, true] {
         let dir = TempDir::new("pinned-tree");
         {
-            let mut tree = crate::TsbOptions::durable(&dir.0).open_tree().unwrap();
+            let tree = crate::TsbOptions::durable(&dir.0).open_tree().unwrap();
             tree.insert(1u64, b"neighbour".to_vec()).unwrap();
             let txn = tree.begin_txn();
             if pending_first {
@@ -243,11 +256,11 @@ fn create_open_round_trip() {
 
     let root_before;
     {
-        let mut tree = open();
+        let tree = open();
         tree.insert(1u64, b"one".to_vec()).unwrap();
         tree.insert(2u64, b"two".to_vec()).unwrap();
         root_before = tree.root_addr();
-        tree.checkpoint().unwrap();
+        checkpoint_log(&[&tree]).unwrap();
     }
     {
         let tree = open();
@@ -263,13 +276,13 @@ fn create_open_round_trip() {
         // The clock resumes past previously issued timestamps.
         assert!(tree.now() > Timestamp(2));
     }
-    // create() refuses a non-empty store.
+    // Creating a tree refuses a non-empty store.
     let stats = Arc::new(IoStats::new());
     let pages = dir.0.join("current.pages");
     let magnetic =
         Arc::new(MagneticStore::open_file(pages, cfg.page_size, Arc::clone(&stats)).unwrap());
     let worm = Arc::new(WormStore::in_memory(cfg.worm_sector_size, stats));
-    assert!(TsbTree::create(magnetic, worm, cfg).is_err());
+    assert!(create(magnetic, worm, cfg).is_err());
 }
 
 #[test]
@@ -281,12 +294,12 @@ fn create_rejects_mismatched_page_size() {
         cfg.worm_sector_size,
         Arc::clone(&stats),
     ));
-    assert!(TsbTree::create(magnetic, worm, cfg).is_err());
+    assert!(create(magnetic, worm, cfg).is_err());
 }
 
 #[test]
 fn space_and_cost_reflect_the_stores() {
-    let mut tree = crate::TsbOptions::in_memory()
+    let tree = crate::TsbOptions::in_memory()
         .config(TsbConfig::small_pages())
         .open_tree()
         .unwrap();
@@ -301,7 +314,7 @@ fn space_and_cost_reflect_the_stores() {
 #[test]
 fn warm_descents_perform_zero_decodes() {
     let cfg = TsbConfig::small_pages().with_node_cache_entries(4096);
-    let mut tree = crate::TsbOptions::in_memory()
+    let tree = crate::TsbOptions::in_memory()
         .config(cfg)
         .open_tree()
         .unwrap();
@@ -330,7 +343,7 @@ fn warm_descents_perform_zero_decodes() {
 fn encode_is_deferred_until_flush() {
     // Large pages: no splits, so the root leaf absorbs every insert.
     let dir = TempDir::new("deferred-encode");
-    let mut tree = crate::TsbOptions::durable(&dir.0)
+    let tree = crate::TsbOptions::durable(&dir.0)
         .config(TsbConfig::default())
         .open_tree()
         .unwrap();
@@ -343,14 +356,14 @@ fn encode_is_deferred_until_flush() {
         delta.node_encodes, 0,
         "20 rewrites of the hot leaf must not encode until flush"
     );
-    tree.checkpoint().unwrap();
+    checkpoint_log(&[&tree]).unwrap();
     let delta = tree.io_stats().snapshot().delta_since(&before);
     assert_eq!(delta.node_encodes, 1, "flush encodes the leaf exactly once");
 }
 
 #[test]
 fn a_poisoned_tree_refuses_reads_and_writes() {
-    let mut tree = crate::TsbOptions::in_memory()
+    let tree = crate::TsbOptions::in_memory()
         .config(TsbConfig::small_pages())
         .open_tree()
         .unwrap();
@@ -379,7 +392,7 @@ fn dirty_residency_is_bounded_without_explicit_flush() {
     let cfg = TsbConfig::small_pages()
         .with_node_cache_entries(64)
         .with_split_policy(tsb_common::SplitPolicyKind::KeyOnly);
-    let mut tree = crate::TsbOptions::in_memory()
+    let tree = crate::TsbOptions::in_memory()
         .config(cfg)
         .open_tree()
         .unwrap();
@@ -412,7 +425,7 @@ fn a_read_never_writes_a_page_or_forces_the_log() {
         .with_node_cache_entries(16)
         .with_split_policy(tsb_common::SplitPolicyKind::KeyOnly)
         .with_fsync_policy(tsb_common::FsyncPolicy::Os);
-    let mut tree = crate::TsbOptions::durable(&dir.0)
+    let tree = crate::TsbOptions::durable(&dir.0)
         .config(cfg)
         .open_tree()
         .unwrap();
@@ -441,16 +454,16 @@ fn a_read_never_writes_a_page_or_forces_the_log() {
 #[test]
 fn a_checkpoint_of_a_clean_tree_writes_no_page() {
     let dir = TempDir::new("clean-checkpoint");
-    let mut tree = crate::TsbOptions::durable(&dir.0)
+    let tree = crate::TsbOptions::durable(&dir.0)
         .small_pages()
         .open_tree()
         .unwrap();
     for i in 0..60u64 {
         tree.insert(i, format!("x{i}").into_bytes()).unwrap();
     }
-    tree.checkpoint().unwrap();
+    checkpoint_log(&[&tree]).unwrap();
     let before = tree.io_stats().snapshot();
-    tree.checkpoint().unwrap();
+    checkpoint_log(&[&tree]).unwrap();
     let second = tree.io_stats().snapshot().delta_since(&before);
     assert_eq!(second.magnetic_writes, 0, "a clean checkpoint wrote a page");
     assert_eq!(second.wal_syncs, 1, "a checkpoint forces the log once");
@@ -458,11 +471,12 @@ fn a_checkpoint_of_a_clean_tree_writes_no_page() {
 
 /// A transaction's writes wait for nothing: the commit's fence follows
 /// them on the one log, so under `Always` four `txn_insert`s and their
-/// `commit_txn` cost one fsync, and the commit returns durable.
+/// `commit_txn` cost one fsync, and the wait on the commit's position
+/// returns it durable.
 #[test]
 fn a_transaction_on_one_tree_costs_one_sync() {
     let dir = TempDir::new("txn-one-sync");
-    let mut tree = crate::TsbOptions::durable(&dir.0)
+    let tree = crate::TsbOptions::durable(&dir.0)
         .fsync(FsyncPolicy::Always)
         .open_tree()
         .unwrap();
@@ -476,7 +490,8 @@ fn a_transaction_on_one_tree_costs_one_sync() {
         before,
         "a write synced"
     );
-    let ts = tree.commit_txn(txn).unwrap();
+    let (ts, wait) = tree.commit_txn(txn).unwrap();
+    tree.wait_durable_lsn(wait).unwrap();
     assert_eq!(tree.io_stats().snapshot().wal_syncs - before, 1);
     assert_eq!(tree.last_durable_commit(), Some(ts));
 }
@@ -493,7 +508,7 @@ fn a_write_back_under_a_durable_fence_forces_nothing() {
         .with_node_cache_entries(32)
         .with_split_policy(tsb_common::SplitPolicyKind::KeyOnly)
         .with_fsync_policy(tsb_common::FsyncPolicy::Os);
-    let mut tree = crate::TsbOptions::durable(&dir.0)
+    let tree = crate::TsbOptions::durable(&dir.0)
         .config(cfg)
         .open_tree()
         .unwrap();
@@ -546,7 +561,7 @@ fn the_write_back_barrier_reads_the_shards_own_durable_fence() {
     let key_b = (0u64..)
         .find(|k| db.shard_of(&Key::from_u64(*k)) == 1)
         .unwrap();
-    b.insert_shared(key_b, b"b".to_vec()).unwrap();
+    b.insert(key_b, b"b".to_vec()).unwrap();
     wal.sync().unwrap();
     assert!(wal.durable_lsn() > a.durability.as_ref().unwrap().pages.lsn_of(page).unwrap());
     rewrite_root(b);
@@ -596,13 +611,13 @@ fn an_as_of_descent_whose_index_fits_decodes_only_its_leaf() {
             .unwrap()
     };
     {
-        let mut tree = reopen(cfg.clone());
+        let tree = reopen(cfg.clone());
         for round in 0..rounds {
             for k in 0..keys {
                 tree.insert(k, vec![round; 8]).unwrap();
             }
         }
-        tree.checkpoint().unwrap();
+        checkpoint_log(&[&tree]).unwrap();
     }
 
     // Every index node the tree reaches, and a probe for every historical
@@ -666,7 +681,7 @@ fn an_as_of_descent_whose_index_fits_decodes_only_its_leaf() {
 #[test]
 fn bypass_reads_and_cache_invalidation_agree_with_the_cache() {
     let cfg = TsbConfig::small_pages();
-    let mut tree = crate::TsbOptions::in_memory()
+    let tree = crate::TsbOptions::in_memory()
         .config(cfg)
         .open_tree()
         .unwrap();
@@ -711,12 +726,12 @@ fn persistence_survives_deferred_encodes() {
             .unwrap()
     };
     {
-        let mut tree = open();
+        let tree = open();
         for i in 0..200u64 {
             tree.insert(i % 20, format!("gen-{i}").into_bytes())
                 .unwrap();
         }
-        tree.checkpoint().unwrap();
+        checkpoint_log(&[&tree]).unwrap();
     }
     // A reopened tree (fresh, empty caches) sees every write.
     let tree = open();
@@ -734,9 +749,9 @@ fn an_explicit_timestamp_that_would_rewrite_history_is_refused() {
         .config(TsbConfig::small_pages())
         .open_tree()
         .unwrap();
-    let t1 = tree.insert(1u64, b"a1".to_vec()).unwrap();
-    let t2 = tree.insert(1u64, b"a2".to_vec()).unwrap();
-    let t3 = tree.insert(3u64, b"c3".to_vec()).unwrap();
+    let t1 = tree.insert(1u64, b"a1".to_vec()).unwrap().0;
+    let t2 = tree.insert(1u64, b"a2".to_vec()).unwrap().0;
+    let t3 = tree.insert(3u64, b"c3".to_vec()).unwrap().0;
     let answers = |tree: &TsbTree| {
         [(1u64, t1), (1, t2), (2, t2), (3, t3)]
             .map(|(key, ts)| tree.get_as_of(&Key::from_u64(key), ts).unwrap())
@@ -765,7 +780,7 @@ fn an_explicit_timestamp_that_would_rewrite_history_is_refused() {
 
     // The tree is not poisoned, and the newest timestamp stays free for
     // another key.
-    let t4 = tree.insert(4u64, b"d".to_vec()).unwrap();
+    let t4 = tree.insert(4u64, b"d".to_vec()).unwrap().0;
     tree.insert_at(5u64, b"e".to_vec(), t4).unwrap();
     assert_eq!(
         tree.get_as_of(&Key::from_u64(5), t4).unwrap(),
@@ -773,4 +788,97 @@ fn an_explicit_timestamp_that_would_rewrite_history_is_refused() {
     );
     assert_eq!(answers(&tree), seen);
     tree.verify().unwrap();
+}
+
+// ---------- the node cache under arbitrary writes ----------------------------
+
+#[derive(Clone, Debug)]
+enum PropOp {
+    Put { key: u8, len: u8 },
+    Delete { key: u8 },
+}
+
+fn op_strategy() -> impl Strategy<Value = PropOp> {
+    prop_oneof![
+        4 => (any::<u8>(), any::<u8>()).prop_map(|(key, len)| PropOp::Put { key: key % 32, len }),
+        1 => any::<u8>().prop_map(|key| PropOp::Delete { key: key % 32 }),
+    ]
+}
+
+fn policy_strategy() -> impl Strategy<Value = (SplitPolicyKind, SplitTimeChoice)> {
+    let policy = prop_oneof![
+        Just(SplitPolicyKind::WobtLike),
+        Just(SplitPolicyKind::TimePreferring),
+        Just(SplitPolicyKind::KeyPreferring),
+        Just(SplitPolicyKind::KeyOnly),
+        Just(SplitPolicyKind::CostBased),
+        (0.1f64..0.95).prop_map(|f| SplitPolicyKind::Threshold {
+            key_split_live_fraction: f,
+        }),
+    ];
+    let choice = prop_oneof![
+        Just(SplitTimeChoice::CurrentTime),
+        Just(SplitTimeChoice::LastUpdate),
+        Just(SplitTimeChoice::MedianVersion),
+    ];
+    (policy, choice)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The decoded-node cache is coherent: after arbitrary operation
+    /// sequences (with splits and interleaved invalidations), every cached
+    /// node equals what decoding its device image produces, cache-bypassing
+    /// reads return the same answers as cached reads, and re-running the
+    /// same warm queries performs zero decodes.
+    #[test]
+    fn node_cache_is_coherent_under_arbitrary_ops(
+        ops in prop::collection::vec(op_strategy(), 1..200),
+        (policy, choice) in policy_strategy(),
+        invalidate_every in 5usize..40,
+    ) {
+        let cfg = TsbConfig::small_pages()
+            .with_split_policy(policy)
+            .with_split_time_choice(choice)
+            .with_node_cache_entries(4096);
+        let tree = crate::TsbOptions::in_memory().config(cfg).open_tree().unwrap();
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                PropOp::Put { key, len } => {
+                    let value = vec![*key; (*len % 24) as usize];
+                    tree.insert(Key::from_u64(*key as u64), value).unwrap();
+                }
+                PropOp::Delete { key } => {
+                    tree.delete(Key::from_u64(*key as u64)).unwrap();
+                }
+            }
+            // Sprinkle invalidations through the stream: they must never
+            // change any answer, only force re-decodes.
+            if i % invalidate_every == invalidate_every - 1 {
+                tree.invalidate_cached_node(tree.root_addr()).unwrap();
+            }
+        }
+        // Every reachable cached node equals its decoded device image.
+        tree.verify_cache_coherence().unwrap();
+
+        // Answers through the warm cache...
+        let cached_answers: Vec<_> = (0..32u64)
+            .map(|key| tree.get_current(&Key::from_u64(key)).unwrap())
+            .collect();
+        // ...survive a full cold start (bypass: everything re-decoded).
+        tree.drop_caches().unwrap();
+        for (key, expected) in (0..32u64).zip(&cached_answers) {
+            prop_assert_eq!(&tree.get_current(&Key::from_u64(key)).unwrap(), expected);
+        }
+        // And the now-warm paths decode nothing on a repeat pass.
+        let before = tree.io_stats().snapshot();
+        for key in 0..32u64 {
+            tree.get_current(&Key::from_u64(key)).unwrap();
+        }
+        let delta = tree.io_stats().snapshot().delta_since(&before);
+        prop_assert_eq!(delta.node_decodes, 0);
+        prop_assert_eq!(delta.node_cache_misses, 0);
+        prop_assert!(delta.node_cache_hits > 0);
+    }
 }

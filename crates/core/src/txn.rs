@@ -15,11 +15,13 @@
 //!   begin and read as of that timestamp. They never block and never see
 //!   uncommitted data: a committed version with a later timestamp is simply
 //!   ignored by the as-of search, and uncommitted versions are invisible to
-//!   it. This is what lets backups and unloads run without locks.
+//!   it. This is what lets backups and unloads run without locks. The
+//!   engine's [`crate::ShardedSnapshot`] is that transaction; on a tree it
+//!   is a plain as-of read.
 
 use std::collections::HashMap;
 
-use tsb_common::{Key, KeyRange, Timestamp, TsbError, TsbResult, TxnId, Version};
+use tsb_common::{Key, Timestamp, TsbError, TsbResult, TxnId, Version};
 use tsb_storage::{Lsn, PageOp};
 
 use crate::node::Node;
@@ -69,75 +71,14 @@ impl TxnTable {
     fn is_active(&self, txn: TxnId) -> bool {
         self.active.contains_key(&txn)
     }
-
-    /// Number of in-flight transactions.
-    pub(crate) fn active_count(&self) -> usize {
-        self.active.len()
-    }
-}
-
-/// A lock-free read-only view of the database as of a fixed timestamp
-/// (§4.1). Obtained from [`TsbTree::begin_snapshot`]; borrows the tree
-/// immutably, so it cannot observe later writes even by accident.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotReader<'a> {
-    tree: &'a TsbTree,
-    ts: Timestamp,
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// The snapshot's read timestamp.
-    pub fn timestamp(&self) -> Timestamp {
-        self.ts
-    }
-
-    /// Reads a key as of the snapshot time.
-    pub fn get(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
-        self.tree.get_as_of(key, self.ts)
-    }
-
-    /// Scans a key range as of the snapshot time.
-    pub fn scan(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.tree.scan_as_of(range, self.ts)
-    }
-
-    /// Dumps the entire database as of the snapshot time (the lock-free
-    /// backup/unload use case the paper highlights).
-    pub fn dump(&self) -> TsbResult<Vec<(Key, Vec<u8>)>> {
-        self.tree.snapshot_at(self.ts)
-    }
 }
 
 impl TsbTree {
-    /// Begins a writer transaction.
-    pub fn begin_txn(&mut self) -> TxnId {
-        self.begin_txn_shared()
-    }
-
-    /// [`Self::begin_txn`] against `&self`, for callers that serialize
-    /// writers externally (each shard of a [`crate::ShardedTsb`]).
-    pub(crate) fn begin_txn_shared(&self) -> TxnId {
+    /// Begins a writer transaction. Like every verb that mutates, it
+    /// relies on its caller to serialize writers (each shard of a
+    /// [`crate::ShardedTsb`] under its writer lock).
+    pub(crate) fn begin_txn(&self) -> TxnId {
         self.txns.lock().begin()
-    }
-
-    /// Number of in-flight writer transactions.
-    pub fn active_txn_count(&self) -> usize {
-        self.txns.lock().active_count()
-    }
-
-    /// Begins a lock-free read-only transaction pinned to the current time
-    /// (§4.1). All of its reads observe the database as of this moment,
-    /// regardless of concurrent committing writers.
-    pub fn begin_snapshot(&self) -> SnapshotReader<'_> {
-        SnapshotReader {
-            tree: self,
-            ts: self.clock.now().prev(),
-        }
-    }
-
-    /// A read-only view pinned to an explicit past timestamp.
-    pub fn snapshot_as_of(&self, ts: Timestamp) -> SnapshotReader<'_> {
-        SnapshotReader { tree: self, ts }
     }
 
     /// Writes `key = value` within transaction `txn` (uncommitted until
@@ -147,12 +88,7 @@ impl TsbTree {
     /// Returns once the write is applied, without waiting for the log: the
     /// version carries no timestamp, so until [`Self::commit_txn`]'s fence
     /// (which follows it on the one log) is durable, recovery erases it.
-    pub fn txn_insert(&mut self, txn: TxnId, key: impl Into<Key>, value: Vec<u8>) -> TsbResult<()> {
-        self.txn_insert_shared(txn, key, value)
-    }
-
-    /// [`Self::txn_insert`] against `&self` (externally serialized writers).
-    pub(crate) fn txn_insert_shared(
+    pub(crate) fn txn_insert(
         &self,
         txn: TxnId,
         key: impl Into<Key>,
@@ -164,12 +100,7 @@ impl TsbTree {
 
     /// Logically deletes `key` within transaction `txn`; like
     /// [`Self::txn_insert`], it waits for nothing.
-    pub fn txn_delete(&mut self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
-        self.txn_delete_shared(txn, key)
-    }
-
-    /// [`Self::txn_delete`] against `&self` (externally serialized writers).
-    pub(crate) fn txn_delete_shared(&self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
+    pub(crate) fn txn_delete(&self, txn: TxnId, key: impl Into<Key>) -> TsbResult<()> {
         let key = key.into();
         self.txn_write(txn, Version::uncommitted_tombstone(key, txn))
     }
@@ -194,7 +125,7 @@ impl TsbTree {
 
     /// Reads `key` from inside transaction `txn`: the transaction's own
     /// uncommitted write if it has one, otherwise the newest committed value.
-    pub fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
+    pub(crate) fn txn_get(&self, txn: TxnId, key: &Key) -> TsbResult<Option<Vec<u8>>> {
         if let Some(pending) = self.pending_version(key)? {
             if pending.state.txn_id() == Some(txn) {
                 // The transaction's own write: a pending tombstone reads as
@@ -207,14 +138,7 @@ impl TsbTree {
 
     /// Commits transaction `txn`: every version it wrote is stamped with a
     /// single commit timestamp (the transaction's commit time), which is
-    /// returned.
-    pub fn commit_txn(&mut self, txn: TxnId) -> TsbResult<Timestamp> {
-        let (ts, wait) = self.commit_txn_shared(txn)?;
-        self.wait_durable_lsn(wait)?;
-        Ok(ts)
-    }
-
-    /// [`Self::commit_txn`] against `&self` (externally serialized writers).
+    /// returned with the position to wait on before acknowledging it.
     ///
     /// A commit stamps one leaf per written key. Even though the versions
     /// only become *visible* at the single commit timestamp, the unpinned
@@ -222,7 +146,7 @@ impl TsbTree {
     /// observe a prefix of the stamped leaves — a torn commit — so a
     /// multi-key commit holds the structure epoch odd for the span of the
     /// loop, making the whole stamping pass atomic to concurrent readers.
-    pub(crate) fn commit_txn_shared(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<Lsn>)> {
+    pub(crate) fn commit_txn(&self, txn: TxnId) -> TsbResult<(Timestamp, Option<Lsn>)> {
         let ts = self.clock.tick();
         let wait = self.stamp_txn(txn, ts, || self.wal_commit(ts))?;
         Ok((ts, wait))
@@ -286,16 +210,11 @@ impl TsbTree {
     /// from the current store. (This erasure is exactly what the write-once
     /// WOBT cannot do — §2.6, §5.) Like a write, it waits for nothing:
     /// an abort the log loses is redone by recovery's implicit abort.
-    pub fn abort_txn(&mut self, txn: TxnId) -> TsbResult<()> {
-        self.abort_txn_shared(txn)
-    }
-
-    /// [`Self::abort_txn`] against `&self` (externally serialized writers).
     /// Multi-key erasure is made atomic to concurrent readers the same way
-    /// as [`Self::commit_txn_shared`]. (Uncommitted versions are invisible
-    /// to reads anyway; the epoch guard protects diagnostic surfaces like
+    /// as [`Self::commit_txn`]. (Uncommitted versions are invisible to
+    /// reads anyway; the epoch guard protects diagnostic surfaces like
     /// `pending_version` from observing a half-erased transaction.)
-    pub(crate) fn abort_txn_shared(&self, txn: TxnId) -> TsbResult<()> {
+    pub(crate) fn abort_txn(&self, txn: TxnId) -> TsbResult<()> {
         let writes = self.txns.lock().finish(txn)?;
         if writes.len() > 1 {
             self.note_structural_write();
@@ -325,9 +244,17 @@ impl TsbTree {
 }
 
 #[cfg(test)]
+impl TsbTree {
+    /// Number of in-flight writer transactions.
+    pub(crate) fn active_txn_count(&self) -> usize {
+        self.txns.lock().active.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use tsb_common::{SplitPolicyKind, TsbConfig};
+    use tsb_common::{KeyRange, SplitPolicyKind, TsbConfig};
 
     fn tree() -> TsbTree {
         crate::TsbOptions::in_memory()
@@ -338,14 +265,14 @@ mod tests {
 
     #[test]
     fn commit_makes_writes_visible_with_one_timestamp() {
-        let mut t = tree();
+        let t = tree();
         let txn = t.begin_txn();
         t.txn_insert(txn, 1u64, b"a".to_vec()).unwrap();
         t.txn_insert(txn, 2u64, b"b".to_vec()).unwrap();
         // Invisible before commit.
         assert!(t.get_current(&Key::from_u64(1)).unwrap().is_none());
         assert!(t.get_current(&Key::from_u64(2)).unwrap().is_none());
-        let ts = t.commit_txn(txn).unwrap();
+        let ts = t.commit_txn(txn).unwrap().0;
         assert_eq!(t.get_current(&Key::from_u64(1)).unwrap().unwrap(), b"a");
         assert_eq!(t.get_current(&Key::from_u64(2)).unwrap().unwrap(), b"b");
         // Both versions carry the same commit timestamp.
@@ -368,7 +295,7 @@ mod tests {
 
     #[test]
     fn abort_erases_uncommitted_data() {
-        let mut t = tree();
+        let t = tree();
         t.insert(1u64, b"old".to_vec()).unwrap();
         let txn = t.begin_txn();
         t.txn_insert(txn, 1u64, b"new".to_vec()).unwrap();
@@ -387,7 +314,7 @@ mod tests {
 
     #[test]
     fn write_write_conflicts_are_detected() {
-        let mut t = tree();
+        let t = tree();
         let a = t.begin_txn();
         let b = t.begin_txn();
         t.txn_insert(a, 7u64, b"from-a".to_vec()).unwrap();
@@ -395,7 +322,7 @@ mod tests {
         assert!(matches!(err, TsbError::WriteConflict { holder, .. } if holder == a));
         // A transaction may overwrite its own pending write.
         t.txn_insert(a, 7u64, b"from-a-v2".to_vec()).unwrap();
-        let ts = t.commit_txn(a).unwrap();
+        let ts = t.commit_txn(a).unwrap().0;
         assert_eq!(
             t.get_as_of(&Key::from_u64(7), ts).unwrap().unwrap(),
             b"from-a-v2".to_vec()
@@ -411,7 +338,7 @@ mod tests {
 
     #[test]
     fn txn_reads_see_own_writes_but_not_others() {
-        let mut t = tree();
+        let t = tree();
         t.insert(1u64, b"committed".to_vec()).unwrap();
         let a = t.begin_txn();
         let b = t.begin_txn();
@@ -430,7 +357,7 @@ mod tests {
 
     #[test]
     fn txn_delete_commits_a_tombstone() {
-        let mut t = tree();
+        let t = tree();
         t.insert(4u64, b"exists".to_vec()).unwrap();
         let txn = t.begin_txn();
         t.txn_delete(txn, 4u64).unwrap();
@@ -439,45 +366,40 @@ mod tests {
             b"exists".to_vec(),
             "delete not visible before commit"
         );
-        let ts = t.commit_txn(txn).unwrap();
+        let ts = t.commit_txn(txn).unwrap().0;
         assert!(t.get_current(&Key::from_u64(4)).unwrap().is_none());
         assert!(t.get_as_of(&Key::from_u64(4), ts.prev()).unwrap().is_some());
     }
 
     #[test]
     fn snapshot_readers_are_stable_under_concurrent_commits() {
-        let mut t = tree();
+        let t = tree();
         for i in 0..20u64 {
             t.insert(i, b"v1".to_vec()).unwrap();
         }
-        let snap_ts;
-        {
-            let snap = t.begin_snapshot();
-            snap_ts = snap.timestamp();
-            assert_eq!(snap.dump().unwrap().len(), 20);
-        }
-        // Later writes do not affect a snapshot pinned to the earlier time.
+        let snap_ts = t.now().prev();
+        assert_eq!(t.snapshot_at(snap_ts).unwrap().len(), 20);
+        // Later writes do not affect reads pinned to the earlier time.
         for i in 0..20u64 {
             t.insert(i, b"v2".to_vec()).unwrap();
         }
         t.insert(100u64, b"new key".to_vec()).unwrap();
-        let snap = t.snapshot_as_of(snap_ts);
-        let rows = snap.dump().unwrap();
+        let rows = t.snapshot_at(snap_ts).unwrap();
         assert_eq!(rows.len(), 20);
         assert!(rows.iter().all(|(_, v)| v == b"v1"));
         assert_eq!(
-            snap.get(&Key::from_u64(3)).unwrap().unwrap(),
+            t.get_as_of(&Key::from_u64(3), snap_ts).unwrap().unwrap(),
             b"v1".to_vec()
         );
-        assert!(snap.get(&Key::from_u64(100)).unwrap().is_none());
+        assert!(t.get_as_of(&Key::from_u64(100), snap_ts).unwrap().is_none());
         let range = KeyRange::bounded(Key::from_u64(0), Key::from_u64(5));
-        assert_eq!(snap.scan(&range).unwrap().len(), 5);
+        assert_eq!(t.scan_as_of(&range, snap_ts).unwrap().len(), 5);
     }
 
     #[test]
     fn uncommitted_data_survives_splits_and_never_migrates() {
         let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::TimePreferring);
-        let mut t = crate::TsbOptions::in_memory()
+        let t = crate::TsbOptions::in_memory()
             .config(cfg)
             .open_tree()
             .unwrap();
@@ -493,7 +415,7 @@ mod tests {
         // erasable.
         let pending = t.pending_version(&Key::from_u64(500)).unwrap().unwrap();
         assert!(pending.state.is_uncommitted());
-        let ts = t.commit_txn(txn).unwrap();
+        let ts = t.commit_txn(txn).unwrap().0;
         assert_eq!(
             t.get_as_of(&Key::from_u64(500), ts).unwrap().unwrap(),
             b"pending-through-splits".to_vec()

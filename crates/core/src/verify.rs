@@ -184,7 +184,7 @@ mod tests {
                 let cfg = TsbConfig::small_pages()
                     .with_split_policy(policy)
                     .with_split_time_choice(choice);
-                let mut tree = crate::TsbOptions::in_memory()
+                let tree = crate::TsbOptions::in_memory()
                     .config(cfg)
                     .open_tree()
                     .unwrap();
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn verification_passes_with_transactions_in_flight() {
-        let mut tree = crate::TsbOptions::in_memory()
+        let tree = crate::TsbOptions::in_memory()
             .config(TsbConfig::small_pages())
             .open_tree()
             .unwrap();

@@ -255,15 +255,17 @@ fn sync_session(
 /// than this node's (a promotion that failed past its epoch bump), so
 /// only a promotion moves such a node on.
 fn bootstrap(feed: &mut Feed, primary: &mut Primary<'_>) -> TsbResult<()> {
-    let base = fetch_base(primary)?;
+    let base = fetch_base(primary, &feed.replica)?;
     let installed = feed.replica.install_base(&base)?;
     feed.replace(installed);
     Ok(())
 }
 
 /// Fetches a complete base image over the connection: the `fetch_base`
-/// snapshot descriptor, then each shard's page chunks and WORM chunks.
-fn fetch_base(primary: &mut Primary<'_>) -> TsbResult<ReplicaBase> {
+/// snapshot descriptor, then each shard's page chunks and WORM chunks. A
+/// base `replica` would refuse for its epoch is refused at the descriptor,
+/// before any page moves.
+fn fetch_base(primary: &mut Primary<'_>, replica: &ShardedTsb) -> TsbResult<ReplicaBase> {
     let reply = primary.call(&Request::FetchBase)?;
     let Reply::BaseInfo {
         checkpoint_lsn,
@@ -276,6 +278,7 @@ fn fetch_base(primary: &mut Primary<'_>) -> TsbResult<ReplicaBase> {
     else {
         return Err(unexpected("fetch_base", reply));
     };
+    replica.admit_base_epoch(epoch)?;
     let mut shards = Vec::with_capacity(page_counts.len());
     for (shard, pages) in (0..).zip(page_counts) {
         let pages = fetch_pages(primary, shard, pages)?;

@@ -515,21 +515,47 @@ fn promoting_a_replica_without_a_base_fails_and_replication_goes_on() {
 
 /// A node whose epoch is ahead of its primary's — left so by a promotion
 /// that failed after it bumped the epoch — refuses the primary's base
-/// rather than trade its directory for the older lineage.
+/// rather than trade its directory for the older lineage, and refuses it at
+/// the base's descriptor: through a faithful proxy, a second of retries
+/// moves a small fraction of the base, not the base.
 #[test]
 fn a_replica_ahead_of_its_primarys_epoch_keeps_its_directory() {
     use tsb_core::{epoch::persist_epoch, EngineHandle, TsbOptions};
     use tsb_server::{ServerOptions, TsbServer};
+    use tsb_workload::{ChaosProxy, ChaosSpec, Fault};
 
     let primary_dir = TempDir::new("ahead-p");
     let replica_dir = TempDir::new("ahead-r");
     let db = TsbOptions::durable(primary_dir.path())
         .small_pages()
+        .fsync(tsb_common::FsyncPolicy::Os)
         .open()
         .expect("open primary");
     db.insert(Key::from_u64(1), b"old lineage".to_vec())
         .expect("insert");
+    // Enough pages and history that fetching the base would show.
+    for round in 0..24u64 {
+        for key in 0..400u64 {
+            db.insert(Key::from_u64(key), vec![round as u8; 24])
+                .expect("insert");
+        }
+    }
+    let space = db.tree_stats().expect("stats").space;
+    let base_bytes = space.magnetic_bytes + space.worm_bytes;
+    assert!(space.worm_bytes > 0, "the base carries history");
+    assert!(
+        base_bytes >= 256 << 10,
+        "a {base_bytes}-byte base is too small"
+    );
     let primary = TsbServer::start_engine(Arc::new(db), "127.0.0.1:0").expect("start primary");
+    let proxy = ChaosProxy::start(
+        primary.local_addr(),
+        ChaosSpec {
+            seed: 1,
+            fault: Fault::None,
+        },
+    )
+    .expect("start proxy");
     persist_epoch(replica_dir.path(), 5).expect("persist epoch");
     let engine = TsbOptions::durable(replica_dir.path())
         .small_pages()
@@ -537,18 +563,23 @@ fn a_replica_ahead_of_its_primarys_epoch_keeps_its_directory() {
         .expect("open replica");
     let replica = TsbServer::start_replica(
         engine,
-        primary.local_addr().to_string(),
+        proxy.addr().to_string(),
         "127.0.0.1:0",
         ServerOptions::default(),
     )
     .expect("start replica");
     // Ample time for an install, had the runner taken the base.
     std::thread::sleep(Duration::from_secs(1));
+    let forwarded = proxy.stats().forwarded_bytes.load(Ordering::Relaxed);
+    assert!(
+        forwarded < base_bytes / 8,
+        "{forwarded} bytes crossed the proxy for a refused {base_bytes}-byte base"
+    );
     let mut client = TsbClient::connect(replica.local_addr()).expect("connect replica");
     let status = client.replica_status().expect("replica status");
     assert!(!status.serving, "the older lineage's base was installed");
     assert_eq!(client.role().expect("role").epoch, 5);
-    drop((replica, primary));
+    drop((replica, proxy, primary));
 }
 
 /// The epoch a server answers with is its engine's: a primary whose

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run -p tsb-examples --example audit_trail`
 
-use tsb_core::{Key, KeyRange, SplitPolicyKind, TimeRange, TsbConfig, TsbOptions};
+use tsb_core::{EngineHandle, Key, KeyRange, SplitPolicyKind, TimeRange, TsbConfig, TsbOptions};
 use tsb_workload::{generate_ops, scenarios, Op};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_split_policy(SplitPolicyKind::Threshold {
                 key_split_live_fraction: 0.6,
             });
-    let mut ledger = TsbOptions::in_memory().config(cfg).open_tree()?;
+    let ledger = TsbOptions::in_memory().config(cfg).open()?;
 
     // Replay a year of activity over 150 accounts, remembering the timestamp
     // at the end of each "quarter".

@@ -4,14 +4,14 @@
 //! the balance of account X on date T?", and regulators take end-of-quarter
 //! snapshots.
 //!
-//! The example replays the `bank_ledger` workload into a TSB-tree whose
+//! The example replays the `bank_ledger` workload into a TSB-tree engine whose
 //! time-preferring policy migrates superseded balances to the (cheap,
 //! write-once) historical store, then answers the audit queries and reports
 //! where the bytes ended up.
 //!
 //! Run with: `cargo run -p tsb-examples --example bank_ledger`
 
-use tsb_core::{Key, SplitPolicyKind, Timestamp, TsbConfig, TsbOptions};
+use tsb_core::{EngineHandle, Key, SplitPolicyKind, Timestamp, TsbConfig, TsbOptions};
 use tsb_workload::{generate_ops, scenarios, Op, Oracle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_split_policy(SplitPolicyKind::Threshold {
                 key_split_live_fraction: 0.6,
             });
-    let mut ledger = TsbOptions::in_memory().config(cfg).open_tree()?;
+    let ledger = TsbOptions::in_memory().config(cfg).open()?;
     let mut oracle = Oracle::new();
 
     println!("replaying {transactions} transactions against {accounts} accounts...");

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run -p tsb-examples --example personnel_history`
 
-use tsb_core::{Key, SecondaryIndex, Timestamp, TsbConfig, TsbOptions};
+use tsb_core::{EngineHandle, Key, SecondaryIndex, Timestamp, TsbConfig, TsbOptions};
 
 const DEPARTMENTS: &[&str] = &["engineering", "sales", "support"];
 
@@ -18,9 +18,9 @@ fn record(name: &str, dept: &str, salary: u32) -> Vec<u8> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut people = TsbOptions::in_memory()
+    let people = TsbOptions::in_memory()
         .config(TsbConfig::default())
-        .open_tree()?;
+        .open()?;
     let mut by_dept = SecondaryIndex::new_in_memory(TsbConfig::default())?;
 
     // --- hire 90 employees across three departments -----------------------------
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(emp0_history.len(), 2);
 
     people.verify()?;
-    by_dept.tree().verify()?;
+    by_dept.verify()?;
     println!("\nprimary and secondary structures verified");
     Ok(())
 }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p tsb-examples --example policy_tuning`
 
-use tsb_core::{SplitPolicyKind, SplitTimeChoice, TsbConfig, TsbOptions};
+use tsb_core::{EngineHandle, SplitPolicyKind, SplitTimeChoice, TsbConfig, TsbOptions};
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
 fn run(
@@ -21,7 +21,7 @@ fn run(
         .with_split_policy(policy)
         .with_split_time_choice(choice);
     cfg.max_key_len = 64;
-    let mut tree = TsbOptions::in_memory().config(cfg).open_tree()?;
+    let tree = TsbOptions::in_memory().config(cfg).open()?;
     for op in ops {
         match op {
             Op::Put { key, value } => {

@@ -10,12 +10,12 @@
 //!
 //! Run with: `cargo run -p tsb-examples --example snapshot_backup`
 
-use tsb_core::{Key, TsbConfig, TsbOptions};
+use tsb_core::{EngineHandle, Key, TsbConfig, TsbOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut store = TsbOptions::in_memory()
+    let store = TsbOptions::in_memory()
         .config(TsbConfig::default())
-        .open_tree()?;
+        .open()?;
 
     // Seed the database.
     for i in 0..500u64 {
@@ -27,12 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A writer transaction is in flight when the backup starts; its data must
     // not appear in the backup even after it commits later.
-    let in_flight = store.begin_txn();
+    let in_flight = store.begin_txn()?;
     store.txn_insert(in_flight, Key::from_u64(999), b"not yet committed".to_vec())?;
 
     // Start the backup: it is pinned to the current time and takes no locks.
-    let backup_ts = store.begin_snapshot().timestamp();
-    println!("backup started at T={backup_ts}");
+    let snapshot = store.begin_snapshot();
+    println!("backup started at T={}", snapshot.timestamp());
 
     // Meanwhile, normal traffic continues: revisions, new documents, deletes,
     // and the in-flight transaction commits.
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("concurrent activity finished (late commit at T={late_commit})");
 
     // Run the backup against the pinned timestamp.
-    let backup = store.snapshot_as_of(backup_ts).dump()?;
+    let backup = snapshot.dump()?;
     println!("backup contains {} documents", backup.len());
 
     // The backup is exactly the pre-activity state.
@@ -82,10 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("live database contains {} documents", live.len());
     assert_eq!(live.len(), 600); // 500 - 1 deleted + 100 new + key 999
 
-    // Restoring from the backup is just replaying it into a fresh tree.
-    let mut restored = TsbOptions::in_memory()
+    // Restoring from the backup is just replaying it into a fresh engine.
+    let restored = TsbOptions::in_memory()
         .config(TsbConfig::default())
-        .open_tree()?;
+        .open()?;
     for (key, value) in &backup {
         restored.insert(key.clone(), value.clone())?;
     }
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         backup.len()
     );
     println!(
-        "restore into a fresh tree verified ({} documents)",
+        "restore into a fresh engine verified ({} documents)",
         backup.len()
     );
 

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig};
-use tsb_core::TsbTree;
+use tsb_core::{EngineHandle, ShardedTsb, TsbOptions, TsbTree};
 
 /// Counts allocations while `COUNTING` is set; delegates to [`System`].
 struct CountingAlloc;
@@ -70,31 +70,58 @@ fn count_allocations(f: impl FnOnce()) -> (u64, u64) {
     )
 }
 
-/// Builds a multi-level tree of 8-byte keys whose values are empty, so the
-/// `Option<Vec<u8>>` a lookup returns never needs a backing allocation.
-fn build_tree(keys: u64) -> TsbTree {
+/// Builds a one-shard engine over a multi-level tree of 8-byte keys whose
+/// values are empty, so the `Option<Vec<u8>>` a lookup returns never needs
+/// a backing allocation. Its reads are the ones the server makes.
+fn build_engine(keys: u64) -> ShardedTsb {
     let cfg = TsbConfig::small_pages().with_node_cache_entries(4096);
-    let mut tree = tsb_core::TsbOptions::in_memory()
-        .config(cfg)
-        .open_tree()
-        .unwrap();
+    let db = TsbOptions::in_memory().config(cfg).open().unwrap();
     for _round in 0..4 {
         for k in 0..keys {
-            tree.insert(k, Vec::new()).unwrap();
+            db.insert(Key::from_u64(k), Vec::new()).unwrap();
         }
     }
-    tree
+    db
+}
+
+/// A scratch directory for a durable engine, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("tsb-alloc-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes through a durable one-shard engine at `dir`, checkpoints it (every
+/// page on the device) and reads the directory back as a bare tree, whose
+/// cache starts cold: the harness's way to a tree's internals.
+fn write_then_read_back(dir: &TempDir, cfg: TsbConfig, write: impl FnOnce(&ShardedTsb)) -> TsbTree {
+    let opts = TsbOptions::durable(&dir.0).config(cfg.with_fsync_policy(FsyncPolicy::Os));
+    let db = opts.clone().open().unwrap();
+    write(&db);
+    db.checkpoint().unwrap();
+    drop(db);
+    opts.open_tree().unwrap()
 }
 
 #[test]
 fn warm_small_key_get_current_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let keys = 200u64;
-    let tree = build_tree(keys);
+    let tree = build_engine(keys);
     // The tree must actually have grown an index level for the claim to
     // mean anything.
-    let path = tree.lookup_path(&Key::from_u64(0), Timestamp::MAX).unwrap();
-    assert!(path.len() >= 2, "tree did not grow an index level");
+    let depth = tree.tree_stats().unwrap().depth;
+    assert!(depth >= 2, "tree did not grow an index level");
 
     // Probe keys are built outside the measured section (Key::from_u64 is
     // allocation-free anyway, but the claim under test is the descent).
@@ -106,13 +133,13 @@ fn warm_small_key_get_current_allocates_nothing() {
         assert!(tree.get_current(key).unwrap().is_some());
     }
 
-    let before = tree.io_stats().snapshot();
+    let before = tree.io_snapshot();
     let (allocs, bytes) = count_allocations(|| {
         for key in &probes {
             assert!(tree.get_current(key).unwrap().is_some());
         }
     });
-    let delta = tree.io_stats().snapshot().delta_since(&before);
+    let delta = tree.io_snapshot().delta_since(&before);
 
     // The sweep really was warm (pure cache hits, no decodes) …
     assert_eq!(delta.node_cache_misses, 0, "sweep was not warm");
@@ -128,7 +155,7 @@ fn warm_small_key_get_current_allocates_nothing() {
 #[test]
 fn warm_missing_key_lookup_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let tree = build_tree(150);
+    let tree = build_engine(150);
     let absent = Key::from_u64(5_000_000);
     // Warm the path the absent key routes through.
     assert!(tree.get_current(&absent).unwrap().is_none());
@@ -154,16 +181,15 @@ fn historical_leaf_miss_allocates_at_most_four_times() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Engine-default 4 KiB pages: about 30 versions to a leaf.
     let cfg = TsbConfig::default().with_node_cache_entries(4096);
-    let mut tree = tsb_core::TsbOptions::in_memory()
-        .config(cfg)
-        .open_tree()
-        .unwrap();
+    let dir = TempDir::new("historical-miss");
     let mut stamps = Vec::new();
-    for generation in 0..80u8 {
-        for k in 0..50u64 {
-            stamps.push(tree.insert(k, vec![generation; 100]).unwrap());
+    let tree = write_then_read_back(&dir, cfg, |db| {
+        for generation in 0..80u8 {
+            for k in 0..50u64 {
+                stamps.push(db.insert(Key::from_u64(k), vec![generation; 100]).unwrap());
+            }
         }
-    }
+    });
     let key = Key::from_u64(17);
     let ts = stamps[stamps.len() / 4];
     let leaf = *tree.lookup_path(&key, ts).unwrap().last().unwrap();
@@ -206,20 +232,14 @@ fn historical_leaf_miss_allocates_at_most_four_times() {
 #[test]
 fn current_leaf_miss_allocates_at_most_three_times() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = std::env::temp_dir().join(format!("tsb-alloc-current-miss-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = TsbConfig::default()
-        .with_node_cache_entries(4096)
-        .with_fsync_policy(FsyncPolicy::Os);
-    let mut tree = tsb_core::TsbOptions::durable(&dir)
-        .config(cfg)
-        .open_tree()
-        .unwrap();
-    for k in 0..1000u64 {
-        tree.insert(k, Vec::new()).unwrap();
-    }
-    // Every page on the device, every cached node clean.
-    tree.checkpoint().unwrap();
+    let cfg = TsbConfig::default().with_node_cache_entries(4096);
+    let dir = TempDir::new("current-miss");
+    // Every page on the device.
+    let tree = write_then_read_back(&dir, cfg, |db| {
+        for k in 0..1000u64 {
+            db.insert(Key::from_u64(k), Vec::new()).unwrap();
+        }
+    });
     let key = Key::from_u64(417);
     let leaf = *tree
         .lookup_path(&key, Timestamp::MAX)
@@ -241,8 +261,6 @@ fn current_leaf_miss_allocates_at_most_three_times() {
     let delta = tree.io_stats().snapshot().delta_since(&before);
     assert_eq!(delta.node_decodes, 1, "exactly the dropped leaf is decoded");
     assert_eq!(delta.magnetic_reads, 1, "from one page read");
-    drop(tree);
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(
         miss - warm <= 3,
         "a current leaf miss allocated {} times beyond the warm lookup's {warm}",

@@ -10,7 +10,7 @@ use tsb_core::split::{
     choose_index_split_key, local_time_split_point, partition_by_key, partition_by_time,
     partition_index_by_key,
 };
-use tsb_core::{IndexEntry, IndexNode, NodeAddr};
+use tsb_core::{EngineHandle, IndexEntry, IndexNode, NodeAddr};
 use tsb_storage::{HistAddr, PageId};
 use tsb_wobt::{Wobt, WobtConfig};
 
@@ -22,23 +22,31 @@ fn v(key: u64, ts: u64, name: &str) -> Version {
 /// given time T, we look at the last entry made before T."
 #[test]
 fn figure1_stepwise_constant_account_balance() {
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(TsbConfig::default())
-        .open_tree()
+        .open()
         .unwrap();
-    tree.insert_at("account", b"100".to_vec(), Timestamp(10))
-        .unwrap();
-    tree.insert_at("account", b"250".to_vec(), Timestamp(20))
-        .unwrap();
-    tree.insert_at("account", b"80".to_vec(), Timestamp(30))
-        .unwrap();
-
     let key = Key::from("account");
-    assert_eq!(tree.get_as_of(&key, Timestamp(9)).unwrap(), None);
-    for t in 10..20 {
+    // Nine other accounts' entries precede each of this account's.
+    let entry = |value: &[u8]| {
+        for other in 0..9u64 {
+            tree.insert(Key::from_u64(other), b"0".to_vec()).unwrap();
+        }
+        tree.insert(key.clone(), value.to_vec()).unwrap()
+    };
+    let t100 = entry(b"100");
+    let t250 = entry(b"250");
+    let t80 = entry(b"80");
+    assert_eq!(
+        (t100, t250, t80),
+        (Timestamp(10), Timestamp(20), Timestamp(30))
+    );
+
+    assert_eq!(tree.get_as_of(&key, t100.prev()).unwrap(), None);
+    for t in t100.value()..t250.value() {
         assert_eq!(tree.get_as_of(&key, Timestamp(t)).unwrap().unwrap(), b"100");
     }
-    for t in 20..30 {
+    for t in t250.value()..t80.value() {
         assert_eq!(tree.get_as_of(&key, Timestamp(t)).unwrap().unwrap(), b"250");
     }
     assert_eq!(tree.get_as_of(&key, Timestamp(99)).unwrap().unwrap(), b"80");
@@ -106,15 +114,16 @@ fn figure5_pure_key_split_for_insert_only_nodes() {
     // End-to-end: an insert-only workload under the threshold policy never
     // touches the WORM store.
     let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::default());
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(cfg)
-        .open_tree()
+        .open()
         .unwrap();
     for i in 0..200u64 {
-        tree.insert(i, format!("ins-{i}").into_bytes()).unwrap();
+        tree.insert(Key::from_u64(i), format!("ins-{i}").into_bytes())
+            .unwrap();
     }
     assert_eq!(
-        tree.space().worm_bytes,
+        tree.tree_stats().unwrap().space.worm_bytes,
         0,
         "insert-only data never migrates"
     );
@@ -269,13 +278,13 @@ fn figures8_and_9_local_index_time_split_condition() {
 /// high (§1, §2.6, §3.4).
 #[test]
 fn consolidation_beats_one_entry_per_sector() {
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(
             TsbConfig::small_pages()
                 .with_split_policy(SplitPolicyKind::TimePreferring)
                 .with_split_time_choice(SplitTimeChoice::CurrentTime),
         )
-        .open_tree()
+        .open()
         .unwrap();
     let mut wobt = Wobt::new_in_memory(WobtConfig {
         sector_size: 64,
@@ -286,10 +295,15 @@ fn consolidation_beats_one_entry_per_sector() {
     for i in 0..400u64 {
         let key = i % 20;
         let value = format!("v{i}").into_bytes();
-        tree.insert(key, value.clone()).unwrap();
+        tree.insert(Key::from_u64(key), value.clone()).unwrap();
         wobt.insert(key, value).unwrap();
     }
-    let tsb_util = tree.space().worm_utilization().unwrap_or(1.0);
+    let tsb_util = tree
+        .tree_stats()
+        .unwrap()
+        .space
+        .worm_utilization()
+        .unwrap_or(1.0);
     let wobt_util = wobt.stats().unwrap().utilization();
     assert!(
         tsb_util > wobt_util,

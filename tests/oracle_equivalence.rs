@@ -3,6 +3,7 @@
 //! like the in-memory oracle, for a variety of workload shapes.
 
 use tsb_common::{SplitPolicyKind, SplitTimeChoice, TsbConfig};
+use tsb_core::EngineHandle;
 use tsb_integration::{
     assert_tree_matches_oracle, assert_wobt_matches_oracle, replay, replay_into_wobt,
 };
@@ -17,12 +18,12 @@ fn small_cfg(policy: SplitPolicyKind, choice: SplitTimeChoice) -> TsbConfig {
 
 fn check_policy(policy: SplitPolicyKind, choice: SplitTimeChoice, spec: &WorkloadSpec) {
     let ops = generate_ops(spec);
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(small_cfg(policy, choice))
-        .open_tree()
+        .open()
         .unwrap();
     let mut oracle = Oracle::new();
-    let log = replay(&mut tree, &mut oracle, &ops);
+    let log = replay(&tree, &mut oracle, &ops);
     tree.verify()
         .unwrap_or_else(|e| panic!("{policy:?}/{choice:?}: {e}"));
     assert_tree_matches_oracle(&tree, &oracle, &log);
@@ -135,12 +136,12 @@ fn named_scenarios_match_the_oracle() {
             .with_split_time_choice(SplitTimeChoice::LastUpdate);
         cfg.max_key_len = 64;
         let ops = generate_ops(&spec);
-        let mut tree = tsb_core::TsbOptions::in_memory()
+        let tree = tsb_core::TsbOptions::in_memory()
             .config(cfg)
-            .open_tree()
+            .open()
             .unwrap();
         let mut oracle = Oracle::new();
-        let log = replay(&mut tree, &mut oracle, &ops);
+        let log = replay(&tree, &mut oracle, &ops);
         tree.verify().unwrap();
         assert_tree_matches_oracle(&tree, &oracle, &log);
     }
@@ -155,15 +156,15 @@ fn wobt_baseline_matches_the_oracle_on_the_same_history() {
         .with_value_size(20);
     let ops = generate_ops(&spec);
 
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(small_cfg(
             SplitPolicyKind::default(),
             SplitTimeChoice::LastUpdate,
         ))
-        .open_tree()
+        .open()
         .unwrap();
     let mut oracle = Oracle::new();
-    let log = replay(&mut tree, &mut oracle, &ops);
+    let log = replay(&tree, &mut oracle, &ops);
 
     let mut wobt = Wobt::new_in_memory(WobtConfig::small()).unwrap();
     replay_into_wobt(&mut wobt, &log);
@@ -193,12 +194,12 @@ fn larger_pages_and_default_config_also_match() {
         .with_update_ratio(4.0)
         .with_value_size(100);
     let ops = generate_ops(&spec);
-    let mut tree = tsb_core::TsbOptions::in_memory()
+    let tree = tsb_core::TsbOptions::in_memory()
         .config(TsbConfig::default())
-        .open_tree()
+        .open()
         .unwrap();
     let mut oracle = Oracle::new();
-    let log = replay(&mut tree, &mut oracle, &ops);
+    let log = replay(&tree, &mut oracle, &ops);
     tree.verify().unwrap();
     assert_tree_matches_oracle(&tree, &oracle, &log);
     let stats = tree.tree_stats().unwrap();

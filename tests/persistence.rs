@@ -1,11 +1,11 @@
-//! Durability: a tree opened on a directory survives a close and reopen
+//! Durability: an engine opened on a directory survives a close and reopen
 //! with its history, its clock, and the write-once property intact.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use tsb_common::{Key, SplitPolicyKind, TsbConfig};
-use tsb_core::{TsbOptions, TsbTree};
+use tsb_core::{EngineHandle, ShardedTsb, TsbOptions};
 use tsb_storage::{IoStats, MagneticStore, SectorId, WormStore};
 use tsb_workload::{generate_ops, Oracle, WorkloadSpec};
 
@@ -34,10 +34,10 @@ impl Drop for TempDir {
     }
 }
 
-fn open_tree(dir: &TempDir, cfg: &TsbConfig) -> TsbTree {
+fn open_engine(dir: &TempDir, cfg: &TsbConfig) -> ShardedTsb {
     TsbOptions::durable(&dir.0)
         .config(cfg.clone())
-        .open_tree()
+        .open()
         .unwrap()
 }
 
@@ -68,23 +68,23 @@ fn tree_survives_close_and_reopen_with_full_history() {
     let log;
     let clock_before;
     {
-        let mut tree = open_tree(&dir, &cfg);
-        log = replay(&mut tree, &mut oracle, &ops);
+        let tree = open_engine(&dir, &cfg);
+        log = replay(&tree, &mut oracle, &ops);
         tree.verify().unwrap();
         clock_before = tree.now();
         tree.checkpoint().unwrap();
     }
     {
-        let tree = open_tree(&dir, &cfg);
+        let tree = open_engine(&dir, &cfg);
         assert!(tree.now() >= clock_before, "clock must not run backwards");
         tree.verify().unwrap();
         assert_tree_matches_oracle(&tree, &oracle, &log);
     }
     // A third session keeps writing and the history stays consistent.
     {
-        let mut tree = open_tree(&dir, &cfg);
+        let tree = open_engine(&dir, &cfg);
         let more = generate_ops(&spec.clone().with_seed(99).with_ops(200));
-        let more_log = replay(&mut tree, &mut oracle, &more);
+        let more_log = replay(&tree, &mut oracle, &more);
         tree.verify().unwrap();
         assert_tree_matches_oracle(&tree, &oracle, &more_log);
         // The versions written in the first session are still there too.
@@ -100,13 +100,14 @@ fn historical_store_stays_write_once_across_sessions() {
     let dir = TempDir::new("worm");
     let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::TimePreferring);
     {
-        let mut tree = open_tree(&dir, &cfg);
+        let tree = open_engine(&dir, &cfg);
         for i in 0..300u64 {
-            tree.insert(i % 10, format!("v{i}").into_bytes()).unwrap();
+            tree.insert(Key::from_u64(i % 10), format!("v{i}").into_bytes())
+                .unwrap();
         }
         tree.checkpoint().unwrap();
         assert!(
-            tree.space().worm_bytes > 0,
+            tree.tree_stats().unwrap().space.worm_bytes > 0,
             "time splits must have migrated data"
         );
     }
@@ -129,7 +130,7 @@ fn reopening_with_a_different_page_size_is_rejected() {
     let dir = TempDir::new("pagesize");
     let cfg = TsbConfig::small_pages();
     {
-        let mut tree = open_tree(&dir, &cfg);
+        let tree = open_engine(&dir, &cfg);
         tree.insert(Key::from_u64(1), b"x".to_vec()).unwrap();
         tree.checkpoint().unwrap();
     }

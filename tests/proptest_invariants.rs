@@ -4,9 +4,10 @@
 //!   policy configurations, the TSB-tree answers every point/as-of/current
 //!   query exactly like the reference multiversion map, and the structural
 //!   verifier passes after every batch.
-//! * **Rectangle queries**: for arbitrary write streams (plain, explicit
-//!   timestamps, transactions) and arbitrary key × time rectangles, the
-//!   pruned temporal queries return exactly the oracle's filtered history.
+//! * **Rectangle queries**: for arbitrary write streams (plain, after a
+//!   gap in the key space's timestamps, transactions) and arbitrary
+//!   key × time rectangles, the pruned temporal queries return exactly the
+//!   oracle's filtered history.
 //! * **Time-split rule**: for arbitrary version multisets and split times,
 //!   the partition loses nothing, puts strictly-older versions in the
 //!   historical half, and always carries the version valid at the split time
@@ -23,7 +24,7 @@ use tsb_common::{
     Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig, Version,
 };
 use tsb_core::split::{partition_by_key, partition_by_time};
-use tsb_core::{composite_key, split_composite_key};
+use tsb_core::{composite_key, split_composite_key, EngineHandle};
 use tsb_workload::Oracle;
 
 // ---------- generators -------------------------------------------------------
@@ -60,8 +61,8 @@ fn policy_strategy() -> impl Strategy<Value = (SplitPolicyKind, SplitTimeChoice)
     (policy, choice)
 }
 
-/// A write stream for the rectangle-query property: plain writes, writes at
-/// an explicit (never older than issued) timestamp, and transactions.
+/// A write stream for the rectangle-query property: plain writes, writes
+/// that follow a gap in the queried keys' timestamps, and transactions.
 #[derive(Clone, Debug)]
 enum HistoryOp {
     Put {
@@ -71,7 +72,7 @@ enum HistoryOp {
     Delete {
         key: u8,
     },
-    PutAt {
+    PutAfter {
         key: u8,
         len: u8,
         skip: u8,
@@ -88,7 +89,7 @@ fn history_op_strategy() -> impl Strategy<Value = HistoryOp> {
         5 => (key(), any::<u8>()).prop_map(|(key, len)| HistoryOp::Put { key, len }),
         1 => key().prop_map(|key| HistoryOp::Delete { key }),
         2 => (key(), any::<u8>(), 0u8..4)
-            .prop_map(|(key, len, skip)| HistoryOp::PutAt { key, len, skip }),
+            .prop_map(|(key, len, skip)| HistoryOp::PutAfter { key, len, skip }),
         1 => (
             prop::collection::vec((key(), prop::option::of(any::<u8>())), 1..5),
             any::<bool>(),
@@ -107,6 +108,10 @@ fn window_strategy() -> impl Strategy<Value = (u64, Option<u64>)> {
         6 => (0u64..1100, 0u64..1100).prop_map(|(lo, hi)| (lo, Some(hi))),
     ]
 }
+
+/// The key a [`HistoryOp::PutAfter`] gap is written to: outside the 32-key
+/// space and the `0..34` probes and bounded ranges.
+const GAP_KEY: u64 = 99;
 
 /// A key range over the 32-key space: full, or bounded with the bounds in
 /// either order.
@@ -152,7 +157,7 @@ proptest! {
         let cfg = TsbConfig::small_pages()
             .with_split_policy(policy)
             .with_split_time_choice(choice);
-        let mut tree = tsb_core::TsbOptions::in_memory().config(cfg).open_tree().unwrap();
+        let tree = tsb_core::TsbOptions::in_memory().config(cfg).open().unwrap();
         let mut oracle = Oracle::new();
         let mut log = Vec::new();
         for op in &ops {
@@ -210,31 +215,39 @@ proptest! {
         let cfg = TsbConfig::small_pages()
             .with_split_policy(policy)
             .with_split_time_choice(choice);
-        let mut tree = tsb_core::TsbOptions::in_memory().config(cfg).open_tree().unwrap();
+        let tree = tsb_core::TsbOptions::in_memory().config(cfg).open().unwrap();
         let mut oracle = Oracle::new();
         let value = |key: u8, len: u8| vec![key; (len % 24) as usize];
         for op in &ops {
             match op {
                 HistoryOp::Put { key, len } => {
-                    let ts = tree.insert(*key as u64, value(*key, *len)).unwrap();
+                    let ts = tree.insert(Key::from_u64(*key as u64), value(*key, *len)).unwrap();
                     oracle.put(*key as u64, ts, value(*key, *len));
                 }
                 HistoryOp::Delete { key } => {
-                    let ts = tree.delete(*key as u64).unwrap();
+                    let ts = tree.delete(Key::from_u64(*key as u64)).unwrap();
                     oracle.delete(*key as u64, ts);
                 }
-                HistoryOp::PutAt { key, len, skip } => {
-                    let ts = Timestamp(tree.now().value() + *skip as u64);
-                    tree.insert_at(*key as u64, value(*key, *len), ts).unwrap();
+                HistoryOp::PutAfter { key, len, skip } => {
+                    // The gap: `skip` writes to a key no probe or bounded
+                    // range names.
+                    for _ in 0..*skip {
+                        let ts = tree.insert(Key::from_u64(GAP_KEY), b"gap".to_vec()).unwrap();
+                        oracle.put(GAP_KEY, ts, b"gap".to_vec());
+                    }
+                    let ts = tree.insert(Key::from_u64(*key as u64), value(*key, *len)).unwrap();
                     oracle.put(*key as u64, ts, value(*key, *len));
                 }
                 HistoryOp::Txn { writes, commit } => {
-                    let txn = tree.begin_txn();
+                    let txn = tree.begin_txn().unwrap();
                     let mut last: std::collections::BTreeMap<u8, Option<u8>> = Default::default();
                     for (key, len) in writes {
                         match len {
-                            Some(len) => tree.txn_insert(txn, *key as u64, value(*key, *len)).unwrap(),
-                            None => tree.txn_delete(txn, *key as u64).unwrap(),
+                            Some(len) => {
+                                let key_bytes = Key::from_u64(*key as u64);
+                                tree.txn_insert(txn, key_bytes, value(*key, *len)).unwrap()
+                            }
+                            None => tree.txn_delete(txn, Key::from_u64(*key as u64)).unwrap(),
                         }
                         last.insert(*key, *len);
                     }
@@ -251,8 +264,8 @@ proptest! {
             }
         }
         // An uncommitted write is in no history.
-        let pending = tree.begin_txn();
-        tree.txn_insert(pending, 3u64, b"pending".to_vec()).unwrap();
+        let pending = tree.begin_txn().unwrap();
+        tree.txn_insert(pending, Key::from_u64(3), b"pending".to_vec()).unwrap();
         tree.verify().unwrap();
 
         let expected_in = |keys: &KeyRange, window: &TimeRange| -> Vec<Version> {
@@ -358,61 +371,6 @@ proptest! {
         prop_assert_eq!(left.len() + right.len(), entries.len());
         prop_assert!(left.iter().all(|e| e.key < split));
         prop_assert!(right.iter().all(|e| e.key >= split));
-    }
-
-    /// The decoded-node cache is coherent: after arbitrary operation
-    /// sequences (with splits and interleaved invalidations), every cached
-    /// node equals what decoding its device image produces, cache-bypassing
-    /// reads return the same answers as cached reads, and re-running the
-    /// same warm queries performs zero decodes.
-    #[test]
-    fn node_cache_is_coherent_under_arbitrary_ops(
-        ops in prop::collection::vec(op_strategy(), 1..200),
-        (policy, choice) in policy_strategy(),
-        invalidate_every in 5usize..40,
-    ) {
-        let cfg = TsbConfig::small_pages()
-            .with_split_policy(policy)
-            .with_split_time_choice(choice)
-            .with_node_cache_entries(4096);
-        let mut tree = tsb_core::TsbOptions::in_memory().config(cfg).open_tree().unwrap();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                PropOp::Put { key, len } => {
-                    let value = vec![*key; (*len % 24) as usize];
-                    tree.insert(Key::from_u64(*key as u64), value).unwrap();
-                }
-                PropOp::Delete { key } => {
-                    tree.delete(Key::from_u64(*key as u64)).unwrap();
-                }
-            }
-            // Sprinkle invalidations through the stream: they must never
-            // change any answer, only force re-decodes.
-            if i % invalidate_every == invalidate_every - 1 {
-                tree.invalidate_cached_node(tree.root_addr()).unwrap();
-            }
-        }
-        // Every reachable cached node equals its decoded device image.
-        tree.verify_cache_coherence().unwrap();
-
-        // Answers through the warm cache...
-        let cached_answers: Vec<_> = (0..32u64)
-            .map(|key| tree.get_current(&Key::from_u64(key)).unwrap())
-            .collect();
-        // ...survive a full cold start (bypass: everything re-decoded).
-        tree.drop_caches().unwrap();
-        for (key, expected) in (0..32u64).zip(&cached_answers) {
-            prop_assert_eq!(&tree.get_current(&Key::from_u64(key)).unwrap(), expected);
-        }
-        // And the now-warm paths decode nothing on a repeat pass.
-        let before = tree.io_stats().snapshot();
-        for key in 0..32u64 {
-            tree.get_current(&Key::from_u64(key)).unwrap();
-        }
-        let delta = tree.io_stats().snapshot().delta_since(&before);
-        prop_assert_eq!(delta.node_decodes, 0);
-        prop_assert_eq!(delta.node_cache_misses, 0);
-        prop_assert!(delta.node_cache_hits > 0);
     }
 
     /// The composite (secondary, primary) encoding is loss-free and

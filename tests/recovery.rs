@@ -19,8 +19,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
-use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb, TsbTree, Wal};
-use tsb_storage::{IoStats, MagneticStore, WormStore};
+use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb, TsbTree};
+use tsb_storage::{IoStats, MagneticStore};
 use tsb_workload::{crash_matrix, generate_ops, CrashSpec, CrashTrigger, Op, Oracle, WorkloadSpec};
 
 /// Ops between the driver's periodic checkpoints, so the crash matrix also
@@ -56,59 +56,35 @@ fn crash_cfg() -> TsbConfig {
     TsbConfig::small_pages().with_split_policy(SplitPolicyKind::TimePreferring)
 }
 
-/// Opens the three durable files with a shared fault injector wired into
-/// every write site, creating a durable tree. The injector is armed only
-/// *after* create, so the crash lands inside the workload, deterministically.
-fn create_durable_with_injector(dir: &TempDir, cfg: &TsbConfig) -> (TsbTree, Arc<FaultInjector>) {
-    let stats = Arc::new(IoStats::new());
-    let magnetic = Arc::new(
-        MagneticStore::open_file(dir.path("current.pages"), cfg.page_size, Arc::clone(&stats))
-            .unwrap(),
-    );
-    let worm = Arc::new(
-        WormStore::open_file(
-            dir.path("history.worm"),
-            cfg.worm_sector_size,
-            Arc::clone(&stats),
-        )
-        .unwrap(),
-    );
-    let wal = Wal::create(dir.path("redo.wal"), cfg.fsync_policy, stats).unwrap();
-    let injector = Arc::new(FaultInjector::new());
-    magnetic.set_fault_injector(Arc::clone(&injector));
-    worm.set_fault_injector(Arc::clone(&injector));
-    wal.set_fault_injector(Arc::clone(&injector));
-    let tree = TsbTree::create_durable(magnetic, worm, wal, cfg.clone()).unwrap();
-    (tree, injector)
-}
-
 /// The commit log a crash scenario attempted: `(key, ts, value-or-tombstone)`
-/// with timestamps assigned by the driver, so even ops that died mid-write
-/// have a known timestamp.
+/// with the timestamp the engine stamped each op with — `now()` just before
+/// it, which the op returns when it succeeds — so even ops that died
+/// mid-write have a known timestamp.
 type AttemptLog = Vec<(Key, Timestamp, Option<Vec<u8>>)>;
 
-/// Replays `ops` with explicit timestamps `1..`, checkpointing every
+/// Replays `ops` (stamped `1..` by the engine), checkpointing every
 /// [`CHECKPOINT_EVERY`] ops, until the injected crash kills the engine (or
 /// the stream ends). Returns every *attempted* op.
-fn replay_until_crash(tree: &mut TsbTree, ops: &[Op]) -> AttemptLog {
+fn replay_until_crash(db: &ShardedTsb, ops: &[Op]) -> AttemptLog {
     let mut log = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        if i > 0 && i % CHECKPOINT_EVERY == 0 && tree.checkpoint().is_err() {
+        if i > 0 && i % CHECKPOINT_EVERY == 0 && db.checkpoint().is_err() {
             break;
         }
-        let ts = Timestamp(i as u64 + 1);
+        let ts = db.now();
         let result = match op {
             Op::Put { key, value } => {
                 log.push((key.clone(), ts, Some(value.clone())));
-                tree.insert_at(key.clone(), value.clone(), ts)
+                db.insert(key.clone(), value.clone())
             }
             Op::Delete { key } => {
                 log.push((key.clone(), ts, None));
-                tree.delete_at(key.clone(), ts)
+                db.delete(key.clone())
             }
         };
-        if result.is_err() {
-            break;
+        match result {
+            Ok(stamped) => assert_eq!(stamped, ts, "op {i}"),
+            Err(_) => break,
         }
     }
     log
@@ -173,11 +149,11 @@ fn assert_recovered_matches_durable_prefix(tree: &TsbTree, log: &AttemptLog, cra
 fn run_crash_scenario(tag: &str, spec: &CrashSpec, cfg: &TsbConfig) -> Timestamp {
     let dir = TempDir::new(tag);
     let ops = generate_ops(&spec.workload);
-    let (mut tree, injector) = create_durable_with_injector(&dir, cfg);
+    let (db, injector) = open_durable_with_injector(&dir, cfg);
     spec.trigger.arm(&injector);
-    let log = replay_until_crash(&mut tree, &ops);
+    let log = replay_until_crash(&db, &ops);
     let crashed = injector.tripped();
-    drop(tree); // the crashed process's memory is gone
+    drop(db); // the crashed process's memory is gone
 
     let recovered = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg.clone())
@@ -231,23 +207,23 @@ fn recovered_tree_keeps_serving_and_recovers_again() {
     let dir = TempDir::new("reuse");
     let spec = CrashSpec::new(7, CrashTrigger::AfterWrites(300));
     let ops = generate_ops(&spec.workload);
-    let (mut tree, injector) = create_durable_with_injector(&dir, &cfg);
+    let (db, injector) = open_durable_with_injector(&dir, &cfg);
     spec.trigger.arm(&injector);
-    let log = replay_until_crash(&mut tree, &ops);
-    drop(tree);
+    let log = replay_until_crash(&db, &ops);
+    drop(db);
 
     // First recovery, then a second generation of writes on the recovered
-    // tree (no injector this time), then a second recovery.
-    let mut recovered = tsb_core::TsbOptions::durable(&dir.0)
+    // engine (no injector this time), then a second recovery.
+    let recovered = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg.clone())
-        .open_tree()
+        .open()
         .unwrap();
     let cut = recovered.last_durable_commit().unwrap();
     let mut oracle = durable_oracle(&log, cut);
     for i in 0..150u64 {
         let key = i % 20;
         let ts = recovered
-            .insert(key, format!("gen2-{i}").into_bytes())
+            .insert(Key::from_u64(key), format!("gen2-{i}").into_bytes())
             .unwrap();
         oracle.put(key, ts, format!("gen2-{i}").into_bytes());
     }
@@ -282,35 +258,25 @@ fn recovery_reclaims_unreachable_magnetic_pages() {
     // the reclaim this store would be unrecoverable).
     let cfg = crash_cfg();
     let dir = TempDir::new("reclaim");
-    let stats = Arc::new(IoStats::new());
-    let magnetic = Arc::new(
-        MagneticStore::open_file(dir.path("current.pages"), cfg.page_size, Arc::clone(&stats))
-            .unwrap(),
-    );
-    let worm = Arc::new(
-        WormStore::open_file(
-            dir.path("history.worm"),
-            cfg.worm_sector_size,
-            Arc::clone(&stats),
-        )
-        .unwrap(),
-    );
-    let wal = Wal::create(dir.path("redo.wal"), cfg.fsync_policy, stats).unwrap();
-    let mut tree = TsbTree::create_durable(Arc::clone(&magnetic), worm, wal, cfg.clone()).unwrap();
+    let (db, _injector) = open_durable_with_injector(&dir, &cfg);
     for i in 0..200u64 {
-        tree.insert(i % 25, format!("value-{i}").into_bytes())
+        db.insert(Key::from_u64(i % 25), format!("value-{i}").into_bytes())
             .unwrap();
     }
-    tree.checkpoint().unwrap();
+    db.checkpoint().unwrap();
+    drop(db); // crash: no flush, no checkpoint
 
     // Inflict the wound a free-less log leaves behind: a page that is
     // allocated in the durable superblock but reachable from nothing.
+    let stats = Arc::new(IoStats::new());
+    let magnetic =
+        MagneticStore::open_file(dir.path("current.pages"), cfg.page_size, stats).unwrap();
     let orphan = magnetic.allocate().unwrap();
     magnetic
         .write(orphan, b"allocated but unreachable")
         .unwrap();
     magnetic.sync().unwrap();
-    drop(tree); // crash: no flush, no checkpoint
+    drop(magnetic);
 
     // The same workload, checkpointed by a build whose checkpoints also
     // wrote the tree's state to a metadata page, the lowest magnetic page
@@ -325,7 +291,7 @@ fn recovery_reclaims_unreachable_magnetic_pages() {
     for dir in [&dir, &old] {
         let recovered = tsb_core::TsbOptions::durable(&dir.0)
             .config(cfg.clone())
-            .open_tree()
+            .open()
             .unwrap();
         // verify() distinguishes leaked from reclaimed: it hard-errors if
         // any allocated page is unreachable from the root.
@@ -355,9 +321,9 @@ fn torn_wal_tail_truncates_to_a_clean_prefix() {
                 .with_value_size(24)
                 .with_seed(3),
         );
-        let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
-        let log = replay_until_crash(&mut tree, &ops);
-        drop(tree);
+        let (db, _injector) = open_durable_with_injector(&dir, &cfg);
+        let log = replay_until_crash(&db, &ops);
+        drop(db);
 
         let wal_path = dir.path("redo.wal");
         let len = std::fs::metadata(&wal_path).unwrap().len();
@@ -398,9 +364,9 @@ fn wal_before_page_holds_under_heavy_cache_pressure() {
         let mut cfg = crash_cfg().with_fsync_policy(policy);
         cfg.node_cache_entries = 8;
         let dir = TempDir::new(&format!("pressure-{policy:?}"));
-        let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
-        let log = replay_until_crash(&mut tree, &ops);
-        let run = tree.io_stats().snapshot();
+        let (db, _injector) = open_durable_with_injector(&dir, &cfg);
+        let log = replay_until_crash(&db, &ops);
+        let run = db.io_snapshot();
         assert!(
             run.node_encodes > 0,
             "{policy:?}: the tiny cache must have forced overflow write-backs"
@@ -411,7 +377,7 @@ fn wal_before_page_holds_under_heavy_cache_pressure() {
             run.wal_syncs,
             run.magnetic_writes
         );
-        drop(tree);
+        drop(db);
         let recovered = tsb_core::TsbOptions::durable(&dir.0)
             .config(cfg)
             .open_tree()
@@ -424,14 +390,14 @@ fn wal_before_page_holds_under_heavy_cache_pressure() {
 fn uncommitted_transactions_die_with_the_crash() {
     let cfg = crash_cfg();
     let dir = TempDir::new("txn");
-    let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
-    let t1 = tree.insert(1u64, b"durable".to_vec()).unwrap();
-    let txn = tree.begin_txn();
-    tree.txn_insert(txn, 1u64, b"pending-update".to_vec())
+    let (db, _injector) = open_durable_with_injector(&dir, &cfg);
+    let t1 = db.insert(Key::from_u64(1), b"durable".to_vec()).unwrap();
+    let txn = db.begin_txn().unwrap();
+    db.txn_insert(txn, Key::from_u64(1), b"pending-update".to_vec())
         .unwrap();
-    tree.txn_insert(txn, 50u64, b"pending-insert".to_vec())
+    db.txn_insert(txn, Key::from_u64(50), b"pending-insert".to_vec())
         .unwrap();
-    drop(tree); // crash with the transaction open
+    drop(db); // crash with the transaction open
 
     let tree = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
@@ -452,13 +418,13 @@ fn uncommitted_transactions_die_with_the_crash() {
 fn committed_transactions_survive_whole_or_not_at_all() {
     let cfg = crash_cfg();
     let dir = TempDir::new("txn-commit");
-    let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
-    let txn = tree.begin_txn();
+    let (db, _injector) = open_durable_with_injector(&dir, &cfg);
+    let txn = db.begin_txn().unwrap();
     for k in 0..6u64 {
-        tree.txn_insert(txn, k, vec![b'a'; 8]).unwrap();
+        db.txn_insert(txn, Key::from_u64(k), vec![b'a'; 8]).unwrap();
     }
-    let ts = tree.commit_txn(txn).unwrap();
-    drop(tree);
+    let ts = db.commit_txn(txn).unwrap();
+    drop(db);
 
     let tree = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
@@ -479,12 +445,12 @@ fn fsync_policies_trade_syncs_for_throughput_observably() {
     for policy in [FsyncPolicy::Always, FsyncPolicy::Os] {
         let dir = TempDir::new(&format!("fsync-{policy:?}"));
         let cfg = crash_cfg().with_fsync_policy(policy);
-        let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
-        let before = tree.io_stats().snapshot();
+        let (db, _injector) = open_durable_with_injector(&dir, &cfg);
+        let before = db.io_snapshot();
         for i in 0..64u64 {
-            tree.insert(i % 8, vec![b'v'; 16]).unwrap();
+            db.insert(Key::from_u64(i % 8), vec![b'v'; 16]).unwrap();
         }
-        let delta = tree.io_stats().snapshot().delta_since(&before);
+        let delta = db.io_snapshot().delta_since(&before);
         syncs.push(delta.wal_syncs);
         // Whatever the policy, the records themselves are always appended.
         assert!(delta.wal_appends >= 64, "{policy:?}");
@@ -650,23 +616,22 @@ fn torn_tail_mid_delta_run_recovers_the_logged_prefix() {
     let cfg = crash_cfg();
     for cut_bytes in [2u64, 9, 33, 70, 141] {
         let dir = TempDir::new(&format!("torn-delta-{cut_bytes}"));
-        let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
+        let (db, _injector) = open_durable_with_injector(&dir, &cfg);
         let mut log: AttemptLog = Vec::new();
         let mut wrote_deltas = false;
         for i in 0..160u64 {
-            let key = i % 4; // few keys: updates, not splits, dominate
-            let ts = Timestamp(i + 1);
+            let key = Key::from_u64(i % 4); // few keys: updates, not splits, dominate
             let value = format!("d{i}").into_bytes();
-            let before = tree.io_stats().snapshot();
-            log.push((Key::from_u64(key), ts, Some(value.clone())));
-            tree.insert_at(key, value, ts).unwrap();
-            let delta = tree.io_stats().snapshot().delta_since(&before);
+            let before = db.io_snapshot();
+            let ts = db.insert(key.clone(), value.clone()).unwrap();
+            log.push((key, ts, Some(value)));
+            let delta = db.io_snapshot().delta_since(&before);
             // One commit + at least one page record; when only deltas were
             // appended, the op logged no page image.
             wrote_deltas |= delta.wal_bytes_appended < 200;
         }
         assert!(wrote_deltas, "the workload must exercise the delta path");
-        drop(tree);
+        drop(db);
 
         let wal_path = dir.path("redo.wal");
         let len = std::fs::metadata(&wal_path).unwrap().len();
@@ -702,7 +667,7 @@ fn steady_state_wal_bytes_per_op_stays_within_budget() {
         .with_fsync_policy(FsyncPolicy::Os);
     cfg.max_key_len = 64;
     let dir = TempDir::new("wal-budget");
-    let (mut tree, _injector) = create_durable_with_injector(&dir, &cfg);
+    let (db, _injector) = open_durable_with_injector(&dir, &cfg);
     let spec = WorkloadSpec::default()
         .with_ops(2_000)
         .with_keys(200)
@@ -711,22 +676,22 @@ fn steady_state_wal_bytes_per_op_stays_within_budget() {
         .with_seed(5);
     let ops = generate_ops(&spec);
     let (warmup, steady) = ops.split_at(ops.len() / 4);
-    fn replay(tree: &mut TsbTree, ops: &[Op]) {
+    fn replay(db: &ShardedTsb, ops: &[Op]) {
         for op in ops {
             match op {
                 Op::Put { key, value } => {
-                    tree.insert(key.clone(), value.clone()).unwrap();
+                    db.insert(key.clone(), value.clone()).unwrap();
                 }
                 Op::Delete { key } => {
-                    tree.delete(key.clone()).unwrap();
+                    db.delete(key.clone()).unwrap();
                 }
             }
         }
     }
-    replay(&mut tree, warmup);
-    let before = tree.io_stats().snapshot();
-    replay(&mut tree, steady);
-    let delta = tree.io_stats().snapshot().delta_since(&before);
+    replay(&db, warmup);
+    let before = db.io_snapshot();
+    replay(&db, steady);
+    let delta = db.io_snapshot().delta_since(&before);
     let bytes_per_op = delta.wal_bytes_appended as f64 / steady.len() as f64;
     assert!(
         bytes_per_op <= budget,
@@ -943,7 +908,7 @@ proptest! {
     ) {
         let cfg = crash_cfg();
         let dir = TempDir::new("prop");
-        let (mut tree, injector) = create_durable_with_injector(&dir, &cfg);
+        let (db, injector) = open_durable_with_injector(&dir, &cfg);
         // Arm the write budget after the optional mid-stream checkpoint so
         // the checkpoint itself succeeds and moves the replay base.
         let arm_at = checkpoint_at.map(|c| c + 1).unwrap_or(0);
@@ -952,28 +917,31 @@ proptest! {
             injector.fail_after_writes(budget);
         }
         for (i, op) in ops.iter().enumerate() {
-            if Some(i) == checkpoint_at && tree.checkpoint().is_err() {
+            if Some(i) == checkpoint_at && db.checkpoint().is_err() {
                 break;
             }
             if i == arm_at && arm_at > 0 {
                 injector.fail_after_writes(budget);
             }
-            let ts = Timestamp(i as u64 + 1);
+            let ts = db.now();
             let result = match op {
                 PropOp::Put { key, len } => {
                     let value = vec![*key; *len as usize + 1];
                     log.push((Key::from_u64(*key as u64), ts, Some(value.clone())));
-                    tree.insert_at(*key as u64, value, ts)
+                    db.insert(Key::from_u64(*key as u64), value)
                 }
                 PropOp::Delete { key } => {
                     log.push((Key::from_u64(*key as u64), ts, None));
-                    tree.delete_at(*key as u64, ts)
+                    db.delete(Key::from_u64(*key as u64))
                 }
             };
-            if result.is_err() { break; }
+            match result {
+                Ok(stamped) => prop_assert_eq!(stamped, ts),
+                Err(_) => break,
+            }
         }
         let crashed = injector.tripped();
-        drop(tree);
+        drop(db);
         let recovered = tsb_core::TsbOptions::durable(&dir.0).config(cfg).open_tree().unwrap();
         assert_recovered_matches_durable_prefix(&recovered, &log, crashed);
     }
@@ -1006,22 +974,22 @@ proptest! {
                 let opts = tsb_core::TsbOptions::durable(&dir.0).config(crash_cfg());
                 if images_only { opts.reference_image_log() } else { opts }
             };
-            let mut tree = opts().open_tree().unwrap();
+            let db = opts().open().unwrap();
             attempted = 0;
             for (i, op) in ops.iter().take(crash_depth).enumerate() {
                 if Some(i) == checkpoint_at {
-                    tree.checkpoint().unwrap();
+                    db.checkpoint().unwrap();
                 }
-                let ts = Timestamp(i as u64 + 1);
-                match op {
+                let ts = match op {
                     PropOp::Put { key, len } => {
-                        tree.insert_at(*key as u64, vec![*key; *len as usize + 1], ts).unwrap()
+                        db.insert(Key::from_u64(*key as u64), vec![*key; *len as usize + 1])
                     }
-                    PropOp::Delete { key } => tree.delete_at(*key as u64, ts).unwrap(),
-                }
+                    PropOp::Delete { key } => db.delete(Key::from_u64(*key as u64)),
+                };
+                prop_assert_eq!(ts.unwrap(), Timestamp(i as u64 + 1));
                 attempted = i + 1;
             }
-            drop(tree); // crash: caches gone, only the WAL speaks
+            drop(db); // crash: caches gone, only the WAL speaks
             recovered.push(opts().open_tree().unwrap());
             dirs.push(dir);
         }

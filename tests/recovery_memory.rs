@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tsb_common::{FsyncPolicy, Key};
-use tsb_core::TsbOptions;
+use tsb_core::{EngineHandle, TsbOptions};
 
 /// Tracks live heap bytes and their peak; delegates to [`System`].
 struct TrackingAlloc;
@@ -78,16 +78,16 @@ fn value(key: u64, round: u64) -> Vec<u8> {
 fn reopening_a_long_log_holds_a_heap_bounded_by_the_data_not_the_log() {
     let dir = std::env::temp_dir().join(format!("tsb-recovery-memory-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let open = || TsbOptions::durable(&dir).fsync(FsyncPolicy::Os).open_tree();
+    let open = || TsbOptions::durable(&dir).fsync(FsyncPolicy::Os).open();
     let log = dir.join("redo.wal");
     let log_len = || std::fs::metadata(&log).unwrap().len();
 
     let mut rounds = 0;
     {
-        let mut tree = open().unwrap();
+        let tree = open().unwrap();
         while log_len() < LOG_BYTES {
             for key in 0..KEYS {
-                tree.insert(key, value(key, rounds)).unwrap();
+                tree.insert(Key::from_u64(key), value(key, rounds)).unwrap();
             }
             rounds += 1;
         }

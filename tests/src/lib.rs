@@ -1,13 +1,14 @@
 //! Shared helpers for the cross-crate integration and property tests.
 //!
 //! The central helper is [`replay`]: it applies the same operation stream to
-//! a TSB-tree, the WOBT baseline, and the in-memory [`Oracle`], so tests can
-//! demand that every structure answers every temporal query identically.
+//! a TSB-tree engine, the WOBT baseline, and the in-memory [`Oracle`], so
+//! tests can demand that every structure answers every temporal query
+//! identically.
 
 #![forbid(unsafe_code)]
 
 use tsb_common::Timestamp;
-use tsb_core::TsbTree;
+use tsb_core::{EngineHandle, ShardedTsb};
 use tsb_wobt::Wobt;
 use tsb_workload::{Op, Oracle};
 
@@ -15,18 +16,18 @@ use tsb_workload::{Op, Oracle};
 /// value-or-tombstone)` in commit order.
 pub type CommitLog = Vec<(tsb_common::Key, Timestamp, Option<Vec<u8>>)>;
 
-/// Replays `ops` into the tree and the oracle, returning the commit log.
-pub fn replay(tree: &mut TsbTree, oracle: &mut Oracle, ops: &[Op]) -> CommitLog {
+/// Replays `ops` into the engine and the oracle, returning the commit log.
+pub fn replay(db: &ShardedTsb, oracle: &mut Oracle, ops: &[Op]) -> CommitLog {
     let mut log = Vec::with_capacity(ops.len());
     for op in ops {
         match op {
             Op::Put { key, value } => {
-                let ts = tree.insert(key.clone(), value.clone()).expect("insert");
+                let ts = db.insert(key.clone(), value.clone()).expect("insert");
                 oracle.put(key.clone(), ts, value.clone());
                 log.push((key.clone(), ts, Some(value.clone())));
             }
             Op::Delete { key } => {
-                let ts = tree.delete(key.clone()).expect("delete");
+                let ts = db.delete(key.clone()).expect("delete");
                 oracle.delete(key.clone(), ts);
                 log.push((key.clone(), ts, None));
             }
@@ -53,9 +54,9 @@ pub fn replay_into_wobt(wobt: &mut Wobt, log: &CommitLog) {
     }
 }
 
-/// Asserts that the tree and the oracle agree on every query class at a
+/// Asserts that the engine and the oracle agree on every query class at a
 /// sample of timestamps drawn from the commit log.
-pub fn assert_tree_matches_oracle(tree: &TsbTree, oracle: &Oracle, log: &CommitLog) {
+pub fn assert_tree_matches_oracle(tree: &ShardedTsb, oracle: &Oracle, log: &CommitLog) {
     use tsb_common::KeyRange;
 
     // Every recorded version is readable as of its own commit time.

@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use tsb_common::{Key, KeyRange, SplitPolicyKind, TimeRange, Timestamp, TsbConfig};
-use tsb_core::SecondaryIndex;
+use tsb_core::{EngineHandle, SecondaryIndex};
 use tsb_workload::{generate_ops, Op, Oracle, WorkloadSpec};
 
 fn cfg(policy: SplitPolicyKind) -> TsbConfig {
@@ -50,9 +50,9 @@ fn rectangle_queries_match_the_oracle_under_every_policy() {
             key_split_live_fraction: 0.6,
         },
     ] {
-        let mut tree = tsb_core::TsbOptions::in_memory()
+        let tree = tsb_core::TsbOptions::in_memory()
             .config(cfg(policy))
-            .open_tree()
+            .open()
             .unwrap();
         let mut oracle = Oracle::new();
         for op in &ops {
@@ -135,9 +135,9 @@ fn secondary_index_stays_consistent_with_its_primary_under_churn() {
     // primary change is mirrored into the secondary index with the same
     // timestamp, as §3.6 prescribes. At any past time, grouping the primary
     // snapshot by department must equal the secondary index's answer.
-    let mut people = tsb_core::TsbOptions::in_memory()
+    let people = tsb_core::TsbOptions::in_memory()
         .config(cfg(SplitPolicyKind::default()))
-        .open_tree()
+        .open()
         .unwrap();
     let mut by_dept = SecondaryIndex::new_in_memory(cfg(SplitPolicyKind::TimePreferring)).unwrap();
     let depts = ["eng", "sales", "ops", "hr"];
@@ -179,7 +179,7 @@ fn secondary_index_stays_consistent_with_its_primary_under_churn() {
         checkpoints.push(people.now().prev());
     }
     people.verify().unwrap();
-    by_dept.tree().verify().unwrap();
+    by_dept.verify().unwrap();
 
     // At every checkpoint, the secondary index agrees with a group-by over
     // the primary snapshot.

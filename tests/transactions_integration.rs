@@ -2,27 +2,27 @@
 //! concurrent read-only snapshots, against the oracle.
 
 use tsb_common::{Key, KeyRange, SplitPolicyKind, Timestamp, TsbConfig};
-use tsb_core::TsbTree;
+use tsb_core::{EngineHandle, ShardedTsb};
 use tsb_workload::Oracle;
 
-fn tree(policy: SplitPolicyKind) -> TsbTree {
+fn tree(policy: SplitPolicyKind) -> ShardedTsb {
     tsb_core::TsbOptions::in_memory()
         .config(TsbConfig::small_pages().with_split_policy(policy))
-        .open_tree()
+        .open()
         .unwrap()
 }
 
 #[test]
 fn interleaved_transactions_with_aborts_match_the_oracle() {
-    let mut t = tree(SplitPolicyKind::TimePreferring);
+    let t = tree(SplitPolicyKind::TimePreferring);
     let mut oracle = Oracle::new();
 
     // Deterministic interleaving: every 3rd transaction aborts.
     for round in 0..100u64 {
-        let txn = t.begin_txn();
+        let txn = t.begin_txn().unwrap();
         let keys: Vec<u64> = (0..4).map(|i| (round * 3 + i) % 25).collect();
         for &k in &keys {
-            t.txn_insert(txn, k, format!("r{round}-k{k}").into_bytes())
+            t.txn_insert(txn, Key::from_u64(k), format!("r{round}-k{k}").into_bytes())
                 .unwrap();
         }
         if round % 3 == 2 {
@@ -59,20 +59,22 @@ fn interleaved_transactions_with_aborts_match_the_oracle() {
     for ts in oracle.all_timestamps().iter().step_by(7) {
         assert_eq!(t.snapshot_at(*ts).unwrap(), oracle.snapshot_at(*ts));
     }
-    assert_eq!(t.active_txn_count(), 0);
+    // Every transaction finished: no uncommitted version is left behind.
+    assert_eq!(t.tree_stats().unwrap().uncommitted_versions, 0);
 }
 
 #[test]
 fn atomicity_all_of_a_transactions_writes_share_one_timestamp() {
-    let mut t = tree(SplitPolicyKind::default());
+    let t = tree(SplitPolicyKind::default());
     // Fill the tree so commits land in different leaves.
     for i in 0..200u64 {
-        t.insert(i, b"seed".to_vec()).unwrap();
+        t.insert(Key::from_u64(i), b"seed".to_vec()).unwrap();
     }
-    let txn = t.begin_txn();
+    let txn = t.begin_txn().unwrap();
     let touched: Vec<u64> = vec![3, 77, 150, 199];
     for &k in &touched {
-        t.txn_insert(txn, k, b"multi-leaf commit".to_vec()).unwrap();
+        t.txn_insert(txn, Key::from_u64(k), b"multi-leaf commit".to_vec())
+            .unwrap();
     }
     let commit_ts = t.commit_txn(txn).unwrap();
     for &k in &touched {
@@ -95,35 +97,40 @@ fn atomicity_all_of_a_transactions_writes_share_one_timestamp() {
 
 #[test]
 fn snapshot_backup_is_unaffected_by_later_commits_and_in_flight_writers() {
-    let mut t = tree(SplitPolicyKind::TimePreferring);
+    let t = tree(SplitPolicyKind::TimePreferring);
     for i in 0..100u64 {
-        t.insert(i, b"v1".to_vec()).unwrap();
+        t.insert(Key::from_u64(i), b"v1".to_vec()).unwrap();
     }
     // An in-flight writer exists when the backup begins.
-    let writer = t.begin_txn();
-    t.txn_insert(writer, 500u64, b"uncommitted at backup time".to_vec())
-        .unwrap();
+    let writer = t.begin_txn().unwrap();
+    t.txn_insert(
+        writer,
+        Key::from_u64(500),
+        b"uncommitted at backup time".to_vec(),
+    )
+    .unwrap();
 
-    let backup_ts = t.begin_snapshot().timestamp();
+    let snapshot = t.begin_snapshot();
+    let backup_ts = snapshot.timestamp();
 
     // Lots of later activity, including the in-flight writer committing and
     // enough churn to force splits and migration.
     for round in 0..5u64 {
         for i in 0..100u64 {
-            t.insert(i, format!("v2-round{round}").into_bytes())
+            t.insert(Key::from_u64(i), format!("v2-round{round}").into_bytes())
                 .unwrap();
         }
     }
     t.commit_txn(writer).unwrap();
 
-    let backup = t.snapshot_as_of(backup_ts).dump().unwrap();
+    let backup = snapshot.dump().unwrap();
     assert_eq!(backup.len(), 100);
     assert!(backup.iter().all(|(_, v)| v == b"v1"));
     assert!(!backup.iter().any(|(k, _)| k.as_u64() == Some(500)));
 
     // The backup scan interface agrees with point reads at the same time.
     let range = KeyRange::bounded(Key::from_u64(10), Key::from_u64(20));
-    let scanned = t.snapshot_as_of(backup_ts).scan(&range).unwrap();
+    let scanned = snapshot.scan(&range).unwrap();
     assert_eq!(scanned.len(), 10);
     for (k, val) in scanned {
         assert_eq!(t.get_as_of(&k, backup_ts).unwrap().unwrap(), val);
@@ -133,14 +140,14 @@ fn snapshot_backup_is_unaffected_by_later_commits_and_in_flight_writers() {
 
 #[test]
 fn write_conflicts_resolve_after_commit_or_abort() {
-    let mut t = tree(SplitPolicyKind::default());
-    let a = t.begin_txn();
-    let b = t.begin_txn();
-    t.txn_insert(a, 1u64, b"a".to_vec()).unwrap();
-    assert!(t.txn_insert(b, 1u64, b"b".to_vec()).is_err());
+    let t = tree(SplitPolicyKind::default());
+    let a = t.begin_txn().unwrap();
+    let b = t.begin_txn().unwrap();
+    t.txn_insert(a, Key::from_u64(1), b"a".to_vec()).unwrap();
+    assert!(t.txn_insert(b, Key::from_u64(1), b"b".to_vec()).is_err());
     t.abort_txn(a).unwrap();
     // After the abort, b can write and commit the key.
-    t.txn_insert(b, 1u64, b"b".to_vec()).unwrap();
+    t.txn_insert(b, Key::from_u64(1), b"b".to_vec()).unwrap();
     t.commit_txn(b).unwrap();
     assert_eq!(
         t.get_current(&Key::from_u64(1)).unwrap().unwrap(),
@@ -149,8 +156,8 @@ fn write_conflicts_resolve_after_commit_or_abort() {
 
     // Single-shot writes (auto-commit) conflict with in-flight transactions
     // only through the uncommitted-version check; they are independent here.
-    let c = t.begin_txn();
-    t.txn_delete(c, 1u64).unwrap();
+    let c = t.begin_txn().unwrap();
+    t.txn_delete(c, Key::from_u64(1)).unwrap();
     t.commit_txn(c).unwrap();
     assert!(t.get_current(&Key::from_u64(1)).unwrap().is_none());
     t.verify().unwrap();
