@@ -79,7 +79,7 @@ fn bench_transactions(c: &mut Criterion) {
 
     group.bench_function("autocommit_writes", |b| {
         b.iter(|| {
-            let tree = load_engine(
+            let (tree, _) = load_engine(
                 experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate),
                 &[],
             );
@@ -92,7 +92,7 @@ fn bench_transactions(c: &mut Criterion) {
     });
     group.bench_function("txn_writes_commit_every_10", |b| {
         b.iter(|| {
-            let tree = load_engine(
+            let (tree, _) = load_engine(
                 experiment_config(SplitPolicyKind::default(), SplitTimeChoice::LastUpdate),
                 &[],
             );

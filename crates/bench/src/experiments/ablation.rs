@@ -46,7 +46,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             SplitTimeChoice::LastUpdate,
         );
         cfg.mark_recalcitrant_children = enabled;
-        let tree = load_engine(cfg, &ops);
+        let (tree, _) = load_engine(cfg, &ops);
         let stats = tree.tree_stats().expect("stats");
         marking.push_row(vec![
             label.to_string(),
@@ -77,7 +77,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             SplitTimeChoice::LastUpdate,
         );
         cfg.split_fill_threshold = threshold;
-        let tree = load_engine(cfg, &ops);
+        let (tree, _) = load_engine(cfg, &ops);
         let stats = tree.tree_stats().expect("stats");
         fill.push_row(vec![
             format!("{threshold:.2}"),
@@ -107,8 +107,8 @@ mod tests {
         tight.split_fill_threshold = 1.0;
         let mut eager = experiment_config(policy, SplitTimeChoice::LastUpdate);
         eager.split_fill_threshold = 0.7;
-        let tight_tree = load_engine(tight, &ops);
-        let eager_tree = load_engine(eager, &ops);
+        let (tight_tree, _) = load_engine(tight, &ops);
+        let (eager_tree, _) = load_engine(eager, &ops);
         tight_tree.verify().unwrap();
         eager_tree.verify().unwrap();
         let tight_nodes = tight_tree.tree_stats().unwrap().current_data_nodes;

@@ -25,7 +25,7 @@ fn run_with_cost(policy: SplitPolicyKind, cost: CostParams, ops: &[Op]) -> (u64,
         .with_split_time_choice(SplitTimeChoice::LastUpdate)
         .with_cost(cost);
     cfg.max_key_len = 64;
-    let space = load_engine(cfg, ops).tree_stats().expect("stats").space;
+    let space = load_engine(cfg, ops).0.tree_stats().expect("stats").space;
     (space.magnetic_bytes, space.worm_bytes)
 }
 

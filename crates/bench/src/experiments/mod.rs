@@ -1,8 +1,8 @@
-//! The experiments (E1–E15). Each module builds its workloads, replays them
-//! into the structures under test, and returns printable [`Table`]s. The
-//! mapping from experiment id to paper artifact is in the crate docs; the
-//! measured results are recorded per PR in `CHANGES.md` (through PR 8 also in
-//! `docs/history/BENCH_PR*.json`).
+//! The experiments (E1–E12, E15). Each module builds its workloads,
+//! replays them into the structures under test, and returns printable
+//! [`Table`]s. The mapping from experiment id to paper artifact is in the
+//! crate docs; the measured results are recorded per PR in `CHANGES.md`
+//! (through PR 8 also in `docs/history/BENCH_PR*.json`).
 
 pub mod ablation;
 pub mod baseline;
@@ -14,8 +14,6 @@ pub mod policy_space;
 pub mod query_cost;
 pub mod ratio_sweep;
 pub mod replication;
-pub mod served;
-pub mod sharded;
 pub mod worm_utilization;
 
 use crate::measure::Scale;
@@ -23,7 +21,7 @@ use crate::report::Table;
 
 /// Every experiment id the harness knows about.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e15",
 ];
 
 type Runner = fn(Scale) -> Vec<Table>;
@@ -46,8 +44,6 @@ fn resolve(id: &str) -> Option<(Runner, Option<usize>)> {
         "e10" | "concurrency" => (concurrency::run, None),
         "e11" | "descent-fanout" => (descent_fanout::run, None),
         "e12" | "durability" => (durability::run, None),
-        "e13" | "served" => (served::run, None),
-        "e14" | "sharded" => (sharded::run, None),
         "e15" | "replication" => (replication::run, None),
         _ => return None,
     })
@@ -79,8 +75,6 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
     out.extend(concurrency::run(scale));
     out.extend(descent_fanout::run(scale));
     out.extend(durability::run(scale));
-    out.extend(served::run(scale));
-    out.extend(sharded::run(scale));
     out.extend(replication::run(scale));
     out.extend(worm_utilization::run(scale));
     out.extend(baseline::run(scale));
@@ -103,6 +97,7 @@ mod tests {
             }
         }
         assert!(run_experiment("nope", Scale::Tiny).is_none());
+        assert!(!is_experiment("e13") && !is_experiment("e14"));
         assert!(ALL_EXPERIMENTS.iter().all(|id| is_experiment(id)));
         assert!(!is_experiment("nope") && !is_experiment("all"));
     }

@@ -58,7 +58,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
     let mut measurements: Vec<Measurement> = Vec::new();
     for (label, policy, choice) in policy_matrix() {
-        let (_tree, m) = measure_tsb(label, policy, choice, &ops);
+        let (_, _, m) = measure_tsb(label, policy, choice, &ops);
         measurements.push(m);
     }
     let (_wobt, wobt_m) = measure_wobt("WOBT (all data on WORM)", &ops);
@@ -149,7 +149,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             SplitTimeChoice::MedianVersion,
         ),
     ] {
-        let (_t, m) = measure_tsb(label, SplitPolicyKind::TimePreferring, choice, &ops);
+        let (_, _, m) = measure_tsb(label, SplitPolicyKind::TimePreferring, choice, &ops);
         e3.push_row(vec![
             m.label.clone(),
             (m.redundant_copies + m.distinct_versions).to_string(),
@@ -173,13 +173,13 @@ mod tests {
         // Re-run the underlying measurements to assert on the numbers rather
         // than parsing table strings.
         let ops = generate_ops(&default_workload(Scale::Tiny));
-        let (_t, time_pref) = measure_tsb(
+        let (_, _, time_pref) = measure_tsb(
             "time",
             SplitPolicyKind::TimePreferring,
             SplitTimeChoice::LastUpdate,
             &ops,
         );
-        let (_t, key_pref) = measure_tsb(
+        let (_, _, key_pref) = measure_tsb(
             "key",
             SplitPolicyKind::KeyPreferring,
             SplitTimeChoice::LastUpdate,

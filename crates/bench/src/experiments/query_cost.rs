@@ -31,7 +31,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         params.worm_access_ms
     );
 
-    let (tsb, _) = measure_tsb(
+    let (tsb, oracle, _) = measure_tsb(
         "tsb (threshold 2/3)",
         SplitPolicyKind::Threshold {
             key_split_live_fraction: 2.0 / 3.0,
@@ -39,7 +39,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SplitTimeChoice::LastUpdate,
         &ops,
     );
-    let (naive, _) = measure_tsb(
+    let (naive, _, _) = measure_tsb(
         "key-only baseline",
         SplitPolicyKind::KeyOnly,
         SplitTimeChoice::LastUpdate,
@@ -62,7 +62,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         note,
         &headers,
     );
-    for (class, queries) in query_batches(&ops, scale.queries()) {
+    for (class, queries) in query_batches(&oracle, scale.queries()) {
         let tsb_cost = tsb_query_cost(&tsb, &queries, &params);
         let naive_cost = tsb_query_cost(&naive, &queries, &params);
         let wobt_cost = wobt_query_cost(&wobt, &queries, &params);
@@ -94,7 +94,7 @@ mod tests {
         let spec = default_workload(Scale::Tiny);
         let ops = generate_ops(&spec);
         let params = CostParams::default();
-        let (tsb, _) = measure_tsb(
+        let (tsb, oracle, _) = measure_tsb(
             "tsb",
             SplitPolicyKind::Threshold {
                 key_split_live_fraction: 2.0 / 3.0,
@@ -103,7 +103,7 @@ mod tests {
             &ops,
         );
         let (wobt, _) = measure_wobt("wobt", &ops);
-        let batches = query_batches(&ops, Scale::Tiny.queries());
+        let batches = query_batches(&oracle, Scale::Tiny.queries());
         let (_, current_queries) = &batches[0];
         let tsb_cost = tsb_query_cost(&tsb, current_queries, &params);
         let wobt_cost = wobt_query_cost(&wobt, current_queries, &params);

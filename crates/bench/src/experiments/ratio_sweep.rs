@@ -52,7 +52,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         spec.value_size = (100, 100);
         let ops = generate_ops(&spec);
         for (label, policy) in &policies {
-            let (_t, m) = measure_tsb(label, *policy, SplitTimeChoice::LastUpdate, &ops);
+            let (_, _, m) = measure_tsb(label, *policy, SplitTimeChoice::LastUpdate, &ops);
             table.push_row(vec![
                 format!("{r}:1"),
                 label.to_string(),
@@ -88,8 +88,8 @@ mod tests {
         let policy = SplitPolicyKind::Threshold {
             key_split_live_fraction: 2.0 / 3.0,
         };
-        let (_a, m_ins) = measure_tsb("ins", policy, SplitTimeChoice::LastUpdate, &insert_only);
-        let (_b, m_upd) = measure_tsb("upd", policy, SplitTimeChoice::LastUpdate, &update_heavy);
+        let (_, _, m_ins) = measure_tsb("ins", policy, SplitTimeChoice::LastUpdate, &insert_only);
+        let (_, _, m_upd) = measure_tsb("upd", policy, SplitTimeChoice::LastUpdate, &update_heavy);
 
         // Insert-only: nothing migrates, nothing is redundant.
         assert_eq!(m_ins.worm_bytes, 0);

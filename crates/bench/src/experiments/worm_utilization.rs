@@ -32,7 +32,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         spec.value_size = (value_size, value_size);
         let ops = generate_ops(&spec);
 
-        let (_t, tsb) = measure_tsb(
+        let (_, _, tsb) = measure_tsb(
             "tsb",
             SplitPolicyKind::TimePreferring,
             SplitTimeChoice::LastUpdate,
@@ -71,7 +71,7 @@ mod tests {
         let mut spec = default_workload(Scale::Tiny);
         spec.value_size = (32, 32);
         let ops = generate_ops(&spec);
-        let (_t, tsb) = measure_tsb(
+        let (_, _, tsb) = measure_tsb(
             "tsb",
             SplitPolicyKind::TimePreferring,
             SplitTimeChoice::LastUpdate,

@@ -3,12 +3,10 @@
 
 use std::path::PathBuf;
 
-use tsb_common::{
-    CostParams, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, Timestamp, TsbConfig,
-};
+use tsb_common::{CostParams, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TsbConfig};
 use tsb_core::{EngineHandle, ShardedTsb, TreeStats, TsbOptions};
 use tsb_wobt::{Wobt, WobtConfig, WobtStats};
-use tsb_workload::{generate_queries, Op, Oracle, Query, QueryMix, WorkloadSpec};
+use tsb_workload::{generate_queries, replay_engine, Op, Oracle, Query, QueryMix, WorkloadSpec};
 
 /// Experiment scale: `Small` for CI / smoke runs, `Full` for reported
 /// numbers.
@@ -52,7 +50,7 @@ impl Scale {
 }
 
 /// A scratch directory under the system temp dir, unique to this process
-/// and thread, removed on drop. The durable experiments (E12–E15) open
+/// and thread, removed on drop. The durable experiments (E12, E15) open
 /// their engines here.
 pub(crate) struct TempDir(pub(crate) PathBuf);
 
@@ -145,39 +143,27 @@ impl Measurement {
     }
 }
 
-/// Applies `ops` to `db` in order, each acknowledged before the next.
-pub fn replay(db: &ShardedTsb, ops: &[Op]) {
-    for op in ops {
-        match op {
-            Op::Put { key, value } => {
-                db.insert(key.clone(), value.clone()).expect("insert");
-            }
-            Op::Delete { key } => {
-                db.delete(key.clone()).expect("delete");
-            }
-        }
-    }
-}
-
-/// Replays `ops` into a fresh one-shard in-memory engine under `cfg`.
-pub fn load_engine(cfg: TsbConfig, ops: &[Op]) -> ShardedTsb {
+/// Replays `ops` into a fresh one-shard in-memory engine under `cfg`,
+/// returning it with the oracle of the commits it acknowledged (at the
+/// timestamps the engine assigned).
+pub fn load_engine(cfg: TsbConfig, ops: &[Op]) -> (ShardedTsb, Oracle) {
     let db = TsbOptions::in_memory()
         .config(cfg)
         .open()
         .expect("experiment config is valid");
-    replay(&db, ops);
-    db
+    let oracle = replay_engine(&db, ops).expect("replay");
+    (db, oracle)
 }
 
 /// Replays `ops` into a fresh TSB-tree engine with the given policy and
-/// returns the engine plus its measurement.
+/// returns the engine, its oracle and its measurement.
 pub fn measure_tsb(
     label: &str,
     policy: SplitPolicyKind,
     choice: SplitTimeChoice,
     ops: &[Op],
-) -> (ShardedTsb, Measurement) {
-    let tree = load_engine(experiment_config(policy, choice), ops);
+) -> (ShardedTsb, Oracle, Measurement) {
+    let (tree, oracle) = load_engine(experiment_config(policy, choice), ops);
     let stats = tree.tree_stats().expect("stats");
     let space = stats.space;
     let m = Measurement {
@@ -191,7 +177,7 @@ pub fn measure_tsb(
         tree_stats: Some(stats),
         wobt_stats: None,
     };
-    (tree, m)
+    (tree, oracle, m)
 }
 
 /// Replays `ops` into a fresh WOBT and returns it plus its measurement. The
@@ -221,21 +207,6 @@ pub fn measure_wobt(label: &str, ops: &[Op]) -> (Wobt, Measurement) {
         wobt_stats: Some(stats),
     };
     (wobt, m)
-}
-
-/// Builds the oracle for a replayed TSB-tree workload so queries can be
-/// sampled from its history. The tree assigns timestamps 1, 2, 3, … in
-/// operation order, which this mirrors.
-pub fn oracle_for(ops: &[Op]) -> Oracle {
-    let mut oracle = Oracle::new();
-    for (i, op) in ops.iter().enumerate() {
-        let ts = Timestamp(i as u64 + 1);
-        match op {
-            Op::Put { key, value } => oracle.put(key.clone(), ts, value.clone()),
-            Op::Delete { key } => oracle.delete(key.clone(), ts),
-        }
-    }
-    oracle
 }
 
 /// Average logical node accesses per query, split by device, for a TSB-tree.
@@ -330,9 +301,8 @@ pub fn wobt_query_cost(wobt: &Wobt, queries: &[Query], params: &CostParams) -> Q
     }
 }
 
-/// Samples per-shape query batches from a workload's history.
-pub fn query_batches(ops: &[Op], count: usize) -> Vec<(&'static str, Vec<Query>)> {
-    let oracle = oracle_for(ops);
+/// Samples per-shape query batches from the history `oracle` recorded.
+pub fn query_batches(oracle: &Oracle, count: usize) -> Vec<(&'static str, Vec<Query>)> {
     let shapes: [(&'static str, QueryMix); 4] = [
         (
             "current lookup",
@@ -373,15 +343,14 @@ pub fn query_batches(ops: &[Op], count: usize) -> Vec<(&'static str, Vec<Query>)
     ];
     shapes
         .iter()
-        .map(|(name, mix)| (*name, generate_queries(&oracle, mix, count, 0xC0FFEE)))
+        .map(|(name, mix)| (*name, generate_queries(oracle, mix, count, 0xC0FFEE)))
         .collect()
 }
 
 /// Ensures query correctness while measuring: spot checks a handful of
 /// queries against the oracle (cheap insurance that the measured structure
 /// is not silently wrong).
-pub fn spot_check_against_oracle(tree: &ShardedTsb, ops: &[Op]) {
-    let oracle = oracle_for(ops);
+pub fn spot_check_against_oracle(tree: &ShardedTsb, oracle: &Oracle) {
     let keys: Vec<Key> = oracle.keys().cloned().collect();
     for key in keys.iter().step_by((keys.len() / 20).max(1)) {
         assert_eq!(
@@ -413,7 +382,7 @@ mod tests {
             .with_update_ratio(3.0)
             .with_value_size(40);
         let ops = generate_ops(&spec);
-        let (tree, m_tsb) = measure_tsb(
+        let (tree, oracle, m_tsb) = measure_tsb(
             "threshold",
             SplitPolicyKind::default(),
             SplitTimeChoice::LastUpdate,
@@ -421,7 +390,7 @@ mod tests {
         );
         assert_eq!(m_tsb.distinct_versions, 400);
         assert!(m_tsb.total_bytes() > 0);
-        spot_check_against_oracle(&tree, &ops);
+        spot_check_against_oracle(&tree, &oracle);
 
         let (_, m_wobt) = measure_wobt("wobt", &ops);
         assert_eq!(m_wobt.distinct_versions, 400);
@@ -430,30 +399,11 @@ mod tests {
 
         // Query cost measurement runs and produces sane numbers.
         let params = CostParams::default();
-        for (name, batch) in query_batches(&ops, 50) {
+        for (name, batch) in query_batches(&oracle, 50) {
             let cost = tsb_query_cost(&tree, &batch, &params);
             assert_eq!(cost.queries, 50, "{name}");
             assert!(cost.mean_current_accesses + cost.mean_historical_accesses >= 1.0);
             assert!(cost.mean_ms > 0.0);
-        }
-    }
-
-    #[test]
-    fn oracle_for_mirrors_tree_timestamps() {
-        let spec = WorkloadSpec::default()
-            .with_ops(100)
-            .with_keys(20)
-            .with_value_size(16);
-        let ops = generate_ops(&spec);
-        let (tree, _) = measure_tsb(
-            "check",
-            SplitPolicyKind::default(),
-            SplitTimeChoice::LastUpdate,
-            &ops,
-        );
-        let oracle = oracle_for(&ops);
-        for key in oracle.keys() {
-            assert_eq!(tree.get_current(key).unwrap(), oracle.get_current(key));
         }
     }
 }

@@ -1142,18 +1142,23 @@ mod tests {
         assert_eq!(census, db.shards()[0].tree().tree_stats().unwrap());
     }
 
-    /// The census of a reopened four-shard engine equals what the benchmark
-    /// harness sums by reading each `shard-NNN` directory back as a tree.
-    /// (Both are reopened: a reopened WORM counts its whole file as payload.)
+    /// The census of a live four-shard engine equals what the benchmark
+    /// harness sums by reading each `shard-NNN` directory back as a tree,
+    /// WORM payload included: the census counts historical nodes' lengths,
+    /// so a reopened WORM's sector padding never reads as payload.
     #[test]
     fn a_four_shard_census_sums_what_each_shard_directory_reads_back() {
         let dir = TempDir::new("census");
         let cfg = migrating_cfg().with_fsync_policy(tsb_common::FsyncPolicy::Os);
-        let opts = crate::TsbOptions::durable(&dir.0)
-            .config(cfg.clone())
-            .shards(4);
-        write_history(&opts.clone().open().unwrap());
-        let census = opts.open().unwrap().tree_stats().unwrap();
+        let census = {
+            let db = crate::TsbOptions::durable(&dir.0)
+                .config(cfg.clone())
+                .shards(4)
+                .open()
+                .unwrap();
+            write_history(&db);
+            db.tree_stats().unwrap()
+        };
 
         let (mut distinct, mut redundant, mut worm_payload, mut worm_bytes) = (0, 0, 0, 0);
         for shard in 0..4 {
@@ -1173,6 +1178,7 @@ mod tests {
         assert_eq!(census.redundant_copies, redundant);
         assert_eq!(census.space.worm_payload_bytes, worm_payload);
         assert_eq!(census.space.worm_bytes, worm_bytes);
+        assert!(worm_payload < worm_bytes, "sector padding is not payload");
     }
 
     /// Every shard appends to one log, so the waits that end a batch over

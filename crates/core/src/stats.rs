@@ -124,6 +124,11 @@ impl TsbTree {
     /// Walks the whole structure (current and historical parts, deduplicating
     /// DAG-shared historical nodes) and returns a census. Intended for
     /// experiments and tests, not hot paths.
+    ///
+    /// `space.worm_payload_bytes` is the sum of the lengths of the
+    /// historical nodes the walk visits, not the WORM store's counter: a
+    /// reopened store cannot tell payload from sector padding, but every
+    /// historical address records its node's exact length.
     pub fn tree_stats(&self) -> TsbResult<TreeStats> {
         let mut visited: HashSet<NodeAddr> = HashSet::new();
         let mut stats = TreeStats {
@@ -136,7 +141,10 @@ impl TsbTree {
             redundant_copies: 0,
             uncommitted_versions: 0,
             live_versions: 0,
-            space: self.space(),
+            space: SpaceSnapshot {
+                worm_payload_bytes: 0,
+                ..self.space()
+            },
             storage_cost: self.storage_cost(),
             depth: 0,
         };
@@ -157,6 +165,9 @@ impl TsbTree {
     ) -> TsbResult<()> {
         if !visited.insert(addr) {
             return Ok(());
+        }
+        if let Some(hist) = addr.as_hist() {
+            stats.space.worm_payload_bytes += u64::from(hist.len);
         }
         match &*self.read_node(addr)? {
             Node::Data(data) => {

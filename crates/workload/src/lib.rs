@@ -23,15 +23,11 @@
 //!   writer stream plus per-reader query plans whose read times are pinned
 //!   as fractions of the installed history, so multi-threaded runs stay
 //!   oracle-checkable (see [`concurrent`]),
-//! * [`DurableDriveSpec`] / [`drive_engine`] — a closed-loop
-//!   multi-threaded durable write driver: N writer threads each commit
-//!   their next op only after the previous was acknowledged, measuring how
-//!   many commits share each fsync under the engine's group-commit
-//!   pipeline (see [`durable`]),
-//! * [`SocketDriveSpec`] / [`drive_socket`] — the same measurement over
-//!   the wire: closed-loop and open-loop (bounded-pipeline) connection
+//! * [`SocketDriveSpec`] / [`drive_socket`] — a load driver over the
+//!   wire: closed-loop and open-loop (bounded-pipeline) connection
 //!   threads driving a `tsb-server` through `tsb-client`, reporting
-//!   committed throughput and p50/p99 ack latency (see [`socket`]),
+//!   committed throughput and p50/p99 ack latency (see [`socket`]; the
+//!   `tsb-load` binary is its command line),
 //! * [`CrashSpec`] / [`crash_matrix`] — crash scenarios for the durability
 //!   subsystem: a deterministic op stream plus an injected device death
 //!   (write budget or named crash point), driven against a WAL-attached
@@ -44,7 +40,6 @@ pub mod chaos;
 pub mod concurrent;
 pub mod crash;
 pub mod distributions;
-pub mod durable;
 pub mod equivalence;
 pub mod generator;
 pub mod oracle;
@@ -56,7 +51,6 @@ pub use chaos::{ChaosProxy, ChaosSpec, ChaosStats, Fault};
 pub use concurrent::{pin_fraction, ConcurrentSpec, ReaderQuery, ReaderQueryKind};
 pub use crash::{crash_matrix, CrashSpec, CrashTrigger};
 pub use distributions::KeyDistribution;
-pub use durable::{drive_engine, DurableDriveReport, DurableDriveSpec};
 pub use equivalence::{assert_engine_matches_oracle, replay_engine};
 pub use generator::{generate_ops, Op, WorkloadSpec};
 pub use oracle::Oracle;

@@ -1,13 +1,12 @@
 //! Socket load harness: closed-loop and open-loop drivers for `tsb-server`.
 //!
-//! [`drive_engine`](crate::drive_engine) measures the group-commit
-//! pipeline with in-process threads; this module measures it **over the
-//! wire**. Each connection runs on its own thread through a [`TsbClient`]:
+//! This module loads a server **over the wire**, the way the `tsb-load`
+//! operator tool does. Each connection runs on its own thread through a
+//! [`TsbClient`]:
 //!
 //! * **Closed loop** (`pipeline_depth == 1`): a connection issues its next
 //!   durable put only after the previous ack arrived — the honest model
-//!   for commit *latency*, and the single-blocking-connection baseline of
-//!   the E13 experiment.
+//!   for commit *latency*.
 //! * **Open loop** (`pipeline_depth > 1`): a connection keeps up to
 //!   `pipeline_depth` requests in flight, sending eagerly and reaping acks
 //!   as they arrive. The server drains each burst, executes the writes
@@ -18,7 +17,7 @@
 //!
 //! Per-request latency is measured send-to-ack and reported as p50/p99
 //! across all connections; everything random is derived from the spec's
-//! seed exactly as in the in-process driver, so two runs against equal
+//! seed (connection `i` draws from `seed + i`), so two runs against equal
 //! servers commit identical key/value streams.
 
 use std::net::SocketAddr;

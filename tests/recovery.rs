@@ -652,7 +652,7 @@ fn torn_tail_mid_delta_run_recovers_the_logged_prefix() {
 
 /// Steady-state WAL traffic guard (also run by the CI recovery-stress job):
 /// after warmup, the hybrid log must stay under a checked-in byte budget
-/// per mutation. `TSB_WAL_BYTES_PER_OP_BUDGET` overrides the budget for
+/// per mutation, and under `Os` no write waits on the durable watermark. `TSB_WAL_BYTES_PER_OP_BUDGET` overrides the budget for
 /// noisy containers or deliberate format experiments.
 #[test]
 fn steady_state_wal_bytes_per_op_stays_within_budget() {
@@ -692,6 +692,10 @@ fn steady_state_wal_bytes_per_op_stays_within_budget() {
     let before = db.io_snapshot();
     replay(&db, steady);
     let delta = db.io_snapshot().delta_since(&before);
+    assert_eq!(
+        delta.group_commit_waits, 0,
+        "`Os` acknowledges without waiting on the durable watermark"
+    );
     let bytes_per_op = delta.wal_bytes_appended as f64 / steady.len() as f64;
     assert!(
         bytes_per_op <= budget,

@@ -244,6 +244,39 @@ fn pipelined_replies_can_be_reaped_out_of_order() {
     server.shutdown().expect("shutdown");
 }
 
+/// The server executes a drained burst through the deferred-durability
+/// API and waits once for the whole batch: 32 pipelined puts flushed
+/// together cost at most two fsyncs (the burst may arrive in two reads),
+/// not one per write. Counts, not timings.
+#[test]
+fn a_pipelined_batch_of_puts_costs_one_sync() {
+    use tsb_client::protocol::{Reply, Request};
+
+    let dir = TempDir::new("batch-sync");
+    let server = served_engine(dir.path(), FsyncPolicy::Always);
+    let before = server.db().io_snapshot().wal_syncs;
+    let mut client = TsbClient::connect(server.local_addr()).expect("connect");
+    for i in 0u64..32 {
+        client
+            .send(&Request::Put {
+                key: Key::from_u64(i),
+                value: format!("v{i}").into_bytes(),
+            })
+            .expect("send");
+    }
+    client.flush().expect("flush");
+    for _ in 0..32 {
+        match client.recv_any().expect("recv") {
+            (_, Reply::Committed { .. }) => {}
+            (id, other) => panic!("expected Committed for id {id}, got {other:?}"),
+        }
+    }
+    let syncs = server.db().io_snapshot().wal_syncs - before;
+    assert!(syncs <= 2, "32 pipelined puts cost {syncs} fsyncs");
+
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn clean_shutdown_persists_every_acknowledged_write() {
     let dir = TempDir::new("smoke");
