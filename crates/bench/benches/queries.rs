@@ -2,14 +2,15 @@
 //! as-of lookups, snapshot range scans, and version-history scans (the
 //! paper's §2.5/§3.7 query classes) — plus historical as-of lookups that
 //! miss every cache and read a file-backed WORM store, from one thread and
-//! from two. The node-level groups write through a durable engine and read
-//! its directory back as a bare tree.
+//! from two. The cache-miss groups write through a durable engine and
+//! reopen its directory with a small node cache that recovery leaves full,
+//! as a serving engine's is.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tsb_common::{
     FsyncPolicy, Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig,
 };
-use tsb_core::{EngineHandle, Node, NodeAddr, ShardedTsb, TsbOptions, TsbTree};
+use tsb_core::{EngineHandle, ShardedTsb, TsbOptions};
 use tsb_workload::{generate_ops, Op, WorkloadSpec};
 
 use tsb_bench::measure::experiment_config;
@@ -54,21 +55,34 @@ impl Drop for TempDir {
     }
 }
 
-/// [`build_db`] through a durable engine at `dir`, checkpointed and
-/// read back as a bare tree (cold cache, every page on the device).
-fn build_tree_on_disk(
+/// Node-cache entries of the engines the cache-miss groups reopen: far
+/// fewer than the trees have leaves.
+const SMALL_CACHE: usize = 16;
+
+/// [`build_db`] through a durable engine at `dir`, checkpointed (every page
+/// on the device), returning the options that reopen it and every commit's
+/// timestamp.
+fn build_on_disk(
     dir: &TempDir,
     cfg: TsbConfig,
     ops_count: usize,
     keys: u64,
-) -> (TsbTree, Vec<Timestamp>) {
+) -> (TsbOptions, Vec<Timestamp>) {
     let opts = TsbOptions::durable(&dir.0)
         .config(cfg)
         .fsync(FsyncPolicy::Os);
     let (db, stamps) = build_db(opts.clone(), ops_count, keys);
     db.checkpoint().unwrap();
-    drop(db);
-    (opts.open_tree().unwrap(), stamps)
+    (opts, stamps)
+}
+
+/// Reopens `opts`' directory with a node cache of `entries` nodes.
+fn reopen(opts: &TsbOptions, cfg: TsbConfig, entries: usize) -> ShardedTsb {
+    opts.clone()
+        .config(cfg.with_node_cache_entries(entries))
+        .fsync(FsyncPolicy::Os)
+        .open()
+        .unwrap()
 }
 
 fn bench_queries(c: &mut Criterion) {
@@ -137,120 +151,102 @@ fn bench_queries(c: &mut Criterion) {
     group.finish();
 }
 
-/// Descent cost with and without the decoded-node cache: the warm path is a
-/// hash lookup per node, the cold path pays one device read (from the OS
-/// page cache) and one decode per level of the root-to-leaf walk.
+/// Descent cost with the current tree in the decoded-node cache and with a
+/// small, full one: the warm path is a hash lookup per node; through the
+/// small cache a lookup pays a device read (from the OS page cache) and a
+/// decode for its leaf, and for each index node on its path that lost its
+/// cache shard to another index node (leaves are evicted first). The bench
+/// prints the decodes per lookup.
 fn bench_descent_cache(c: &mut Criterion) {
     let dir = TempDir::new("descent-cache");
-    let (tree, _) = build_tree_on_disk(&dir, default_cfg(), 8_000, 800);
+    let (opts, _) = build_on_disk(&dir, default_cfg(), 8_000, 800);
     let mut group = c.benchmark_group("B2_descent_node_cache");
     group.sample_size(30);
 
+    let db = reopen(&opts, default_cfg(), default_cfg().node_cache_entries);
+    // Pre-warm every current path once.
+    for k in 0..800 {
+        db.get_current(&Key::from_u64(k)).unwrap();
+    }
     group.bench_function("warm_cache_descent", |b| {
         let mut i = 0u64;
-        // Pre-warm every current path once.
-        for k in 0..800 {
-            tree.get_current(&Key::from_u64(k)).unwrap();
-        }
         b.iter(|| {
             i = (i + 7) % 800;
-            tree.get_current(&Key::from_u64(i)).unwrap()
+            db.get_current(&Key::from_u64(i)).unwrap()
         })
     });
-    group.bench_function("fully_cold_descent", |b| {
-        let mut i = 0u64;
-        // Node cache empty: a device read plus a decode per level. Teardown
-        // is untimed.
-        b.iter_batched(
-            || tree.drop_caches().unwrap(),
-            |()| {
-                i = (i + 7) % 800;
-                tree.get_current(&Key::from_u64(i)).unwrap()
-            },
-            BatchSize::PerIteration,
-        )
-    });
-    group.finish();
-
     // The headline number for the cache: hit rate and decodes over a warm
     // query sweep.
-    tree.drop_caches().unwrap();
+    let before = db.io_snapshot();
     for k in 0..800 {
-        tree.get_current(&Key::from_u64(k)).unwrap();
+        db.get_current(&Key::from_u64(k)).unwrap();
     }
-    let before = tree.io_stats().snapshot();
-    for k in 0..800 {
-        tree.get_current(&Key::from_u64(k)).unwrap();
-    }
-    let delta = tree.io_stats().snapshot().delta_since(&before);
+    let delta = db.io_snapshot().delta_since(&before);
     println!(
         "warm sweep over 800 keys: node-cache hit rate {:.3}, {} decodes, {} node accesses",
         delta.node_cache_hit_rate().unwrap_or(0.0),
         delta.node_decodes,
         delta.total_node_accesses(),
     );
+    drop(db);
+
+    let db = reopen(&opts, default_cfg(), SMALL_CACHE);
+    let before = db.io_snapshot();
+    let mut lookups = 0u64;
+    group.bench_function(format!("cache_{SMALL_CACHE}_descent"), |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7) % 800;
+            lookups += 1;
+            db.get_current(&Key::from_u64(i)).unwrap()
+        })
+    });
+    group.finish();
+    let delta = db.io_snapshot().delta_since(&before);
+    println!(
+        "    ({SMALL_CACHE}-node cache: {:.2} decodes per lookup)",
+        delta.node_decodes as f64 / lookups.max(1) as f64
+    );
 }
 
-/// What a historical node costs when it misses the decoded-node cache, the
-/// device aside: decode the image, answer one point lookup, drop the node.
-/// `read_node_bypass` stands in for the miss — it neither consults nor fills
-/// the node cache, and the WORM file sits in the OS page cache, so the read
-/// is one `pread` — over a ring of distinct nodes, so no image stays hot in
-/// L1. Engine-default 4 KiB pages: about 30 versions to a leaf, 50 children
-/// to an index node.
+/// What a historical as-of lookup costs when its leaf misses the node
+/// cache: a small, full cache (leaves evicted first; the decodes per lookup
+/// are printed), the WORM file in the OS page cache so a read is one
+/// `pread`, and a ring
+/// of probes into the older half of history, which has all migrated, so
+/// each lookup lands on a leaf another probe evicted. Engine-default 4 KiB
+/// pages: about 30 versions to a leaf, 50 children to an index node.
 fn bench_historical_miss(c: &mut Criterion) {
     const RING: usize = 512;
     const KEYS: u64 = 2_000;
     let dir = TempDir::new("historical-miss");
-    let (tree, stamps) = build_tree_on_disk(&dir, TsbConfig::default(), 200_000, KEYS);
-    let mut leaves: Vec<(NodeAddr, Key, Timestamp)> = Vec::new();
-    let mut indexes = leaves.clone();
-    // Probe the older half of history, which has all migrated.
-    for i in 0..20_000usize {
-        let key = Key::from_u64((i as u64 * 7) % KEYS);
-        let ts = stamps[(i * 7919) % (stamps.len() / 2)];
-        let path = tree.lookup_path(&key, ts).unwrap();
-        for (depth, addr) in path.iter().enumerate() {
-            let ring = if depth + 1 == path.len() {
-                &mut leaves
-            } else {
-                &mut indexes
-            };
-            if addr.is_historical() && ring.len() < RING && ring.iter().all(|(a, ..)| a != addr) {
-                ring.push((*addr, key.clone(), ts));
-            }
-        }
-    }
+    let (opts, stamps) = build_on_disk(&dir, TsbConfig::default(), 200_000, KEYS);
+    let db = reopen(&opts, TsbConfig::default(), SMALL_CACHE);
+    let ring: Vec<(Key, Timestamp)> = (0..RING)
+        .map(|i| {
+            let key = Key::from_u64((i as u64 * 7) % KEYS);
+            (key, stamps[(i * 7919) % (stamps.len() / 2)])
+        })
+        .collect();
     let mut group = c.benchmark_group("B2_historical_miss");
     group.sample_size(30);
-    for (kind, ring) in [("leaf", &leaves), ("index", &indexes)] {
-        if ring.is_empty() {
-            println!("B2_historical_miss/{kind}: no historical {kind} node in this build");
-            continue;
-        }
-        let mut entries = 0usize;
+    let before = db.io_snapshot();
+    let mut lookups = 0u64;
+    group.bench_function(format!("as_of_get_{RING}_probes"), |b| {
         let mut i = 0usize;
-        group.bench_function(format!("{kind}_{}_nodes", ring.len()), |b| {
-            b.iter(|| {
-                i = (i + 1) % ring.len();
-                let (addr, key, ts) = &ring[i];
-                match tree.read_node_bypass(*addr).unwrap() {
-                    Node::Data(leaf) => {
-                        entries = leaf.len();
-                        leaf.find_as_of(key, *ts).map(|v| v.value.map(<[u8]>::len))
-                    }
-                    Node::Index(index) => {
-                        entries = index.len();
-                        index
-                            .find_child(key, *ts)
-                            .map(|e| Some(e.child.is_current() as usize))
-                    }
-                }
-            })
-        });
-        println!("    (last {kind} node decoded held {entries} entries)");
-    }
+        b.iter(|| {
+            i = (i + 1) % RING;
+            lookups += 1;
+            let (key, ts) = &ring[i];
+            db.get_as_of(key, *ts).unwrap()
+        })
+    });
     group.finish();
+    let delta = db.io_snapshot().delta_since(&before);
+    println!(
+        "    ({SMALL_CACHE}-node cache: {:.2} decodes per lookup)",
+        delta.node_decodes as f64 / lookups.max(1) as f64
+    );
 }
 
 /// Historical as-of lookups against a file-backed WORM store with a node

@@ -1,4 +1,4 @@
-//! The experiments (E1–E12, E15). Each module builds its workloads,
+//! The experiments (E1–E10, E12, E15). Each module builds its workloads,
 //! replays them into the structures under test, and returns printable
 //! [`Table`]s. The mapping from experiment id to paper artifact is in the
 //! crate docs; the measured results are recorded per PR in `CHANGES.md`
@@ -8,7 +8,6 @@ pub mod ablation;
 pub mod baseline;
 pub mod concurrency;
 pub mod cost_function;
-pub mod descent_fanout;
 pub mod durability;
 pub mod policy_space;
 pub mod query_cost;
@@ -21,7 +20,7 @@ use crate::report::Table;
 
 /// Every experiment id the harness knows about.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e15",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "e15",
 ];
 
 type Runner = fn(Scale) -> Vec<Table>;
@@ -42,7 +41,6 @@ fn resolve(id: &str) -> Option<(Runner, Option<usize>)> {
         "e8" => (baseline::run, None),
         "e9" => (ablation::run, None),
         "e10" | "concurrency" => (concurrency::run, None),
-        "e11" | "descent-fanout" => (descent_fanout::run, None),
         "e12" | "durability" => (durability::run, None),
         "e15" | "replication" => (replication::run, None),
         _ => return None,
@@ -73,7 +71,6 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
     out.extend(cost_function::run(scale));
     out.extend(query_cost::run(scale));
     out.extend(concurrency::run(scale));
-    out.extend(descent_fanout::run(scale));
     out.extend(durability::run(scale));
     out.extend(replication::run(scale));
     out.extend(worm_utilization::run(scale));

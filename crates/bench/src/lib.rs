@@ -6,8 +6,8 @@
 //! database, and amount of redundancy, under different splitting policies
 //! and with different rates of update versus insertion* — and the rest of
 //! the paper motivates query-cost and WORM-utilization comparisons against
-//! the Write-Once B-tree. E1–E8 regenerate those tables, E9–E12 and E15
-//! price the engine built around them; each writes through a one-shard
+//! the Write-Once B-tree. E1–E8 regenerate those tables, E9, E10, E12 and
+//! E15 price the engine built around them; each writes through a one-shard
 //! `ShardedTsb`:
 //!
 //! * **E1** total space by splitting policy,
@@ -23,14 +23,14 @@
 //! * **E8** head-to-head: TSB-tree vs. WOBT vs. a single-store versioned
 //!   B+-tree baseline,
 //! * **E9** ablations (recalcitrant-child marking, split fill threshold),
-//! * **E10** reader throughput under one writer, **E11** index routing
-//!   cost by fanout,
+//! * **E10** reader throughput under one writer,
 //! * **E12** crash-consistent reopen time by ops since the last
 //!   checkpoint, **E15** replica read scale-out and lag.
 //!
 //! What fsync policy, group commit, served pipelining and sharding cost
 //! per write is measured by the repo benchmark (`BENCHMARK.json`) and
-//! pinned by counted tests, not by tables here.
+//! pinned by counted tests, not by tables here. What index routing costs
+//! inside a node is timed end to end by the `B3_warm_tree_descent` bench.
 //!
 //! Run everything with `cargo run -p tsb-bench --bin experiments --release`,
 //! or a single experiment with e.g. `... -- e3`. Criterion micro-benchmarks

@@ -85,25 +85,6 @@ pub fn ratio(r: f64) -> String {
     format!("{r:.3}")
 }
 
-/// Formats one baseline-vs-optimised timing pair of the E11 descent-routing
-/// table: the two mean latencies and the speedup factor.
-pub fn descent_cells(linear_ns: f64, binary_ns: f64) -> Vec<String> {
-    vec![
-        format!("{linear_ns:.1}"),
-        format!("{binary_ns:.1}"),
-        speedup(linear_ns, binary_ns),
-    ]
-}
-
-/// Formats a speedup factor (`baseline / optimised`) as `N.NNx`.
-pub fn speedup(baseline: f64, optimised: f64) -> String {
-    if optimised <= 0.0 {
-        "-".into()
-    } else {
-        format!("{:.2}x", baseline / optimised)
-    }
-}
-
 /// Column headers matching [`node_cache_cells`].
 pub const NODE_CACHE_HEADERS: [&str; 3] = ["nc hit rate", "nc hits/misses", "decodes"];
 
@@ -124,13 +105,6 @@ pub fn node_cache_cells(delta: &IoSnapshot) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn speedup_renders_dash_for_zero_or_negative_denominator() {
-        assert_eq!(speedup(100.0, 0.0), "-");
-        assert_eq!(speedup(100.0, -1.0), "-");
-        assert_eq!(speedup(100.0, 50.0), "2.00x");
-    }
 
     #[test]
     fn table_renders_aligned_columns() {

@@ -19,7 +19,7 @@
 //!   whatever the entry count;
 //! * an **eviction**: one pop off a recency list and two frees, made
 //!   *after* the shard latch is released ([`NodeCache::complete_fill`]
-//!   collects its victims and drops them once the guard is gone), so a
+//!   holds its one victim and drops it once the guard is gone), so a
 //!   second reader never waits on another thread's frees.
 //!
 //! # Three recency lists per shard
@@ -69,7 +69,7 @@
 //!   capacity by the writer's dirty working set between flushes).
 //! * **No I/O in this module.** The cache hands dirty nodes back through
 //!   [`dirty_entries`](NodeCache::dirty_entries) /
-//!   [`dirty_at`](NodeCache::dirty_at) to the caller
+//!   [`dirty_overflow_victim`](NodeCache::dirty_overflow_victim) to the caller
 //!   ([`TsbTree`](crate::TsbTree)), which owns the devices, performs the
 //!   encode + page write, and confirms per entry with
 //!   [`mark_clean`](NodeCache::mark_clean). This keeps the storage
@@ -183,30 +183,33 @@ impl Shard {
         None
     }
 
-    /// Evicts clean entries until the shard's clean residency fits
+    /// Evicts a clean entry if the shard's clean residency is over
     /// `capacity`: the coldest clean leaf, or — only when no clean leaf is
-    /// left — the coldest clean index node. One pop per victim; dirty
-    /// entries are in neither list, so no eviction ever looks at them (see
-    /// [`NodeCache::insert_dirty`] for why they are pinned).
+    /// left — the coldest clean index node. A fill or a `mark_clean` adds
+    /// one clean entry, so one victim is all either can need. One pop;
+    /// dirty entries are in neither list, so no eviction ever looks at them
+    /// (see [`NodeCache::insert_dirty`] for why they are pinned).
     ///
-    /// The victims are *returned*, not dropped: the caller lets them go
-    /// after releasing the shard latch, so the next reader of this shard
-    /// never waits on another thread's frees.
-    #[must_use = "drop the victims after releasing the shard latch"]
-    fn evict_clean_overflow(&mut self, capacity: usize) -> Vec<Arc<Node>> {
-        let mut evicted = Vec::new();
-        while self.leaves.len() + self.index.len() > capacity {
-            let Some(victim) = self.leaves.pop_lru().or_else(|| self.index.pop_lru()) else {
-                break;
-            };
-            let entry = self.entries.remove(&victim);
-            debug_assert!(
-                entry.as_ref().is_some_and(|e| !e.dirty),
-                "clean-list victim {victim} is not a clean cache entry"
-            );
-            evicted.extend(entry.map(|e| e.node));
+    /// The victim is *returned*, not dropped — and not collected into a
+    /// heap container, so a miss on a full shard allocates nothing here:
+    /// the caller lets it go after releasing the shard latch, so the next
+    /// reader of this shard never waits on another thread's frees.
+    #[must_use = "drop the victim after releasing the shard latch"]
+    fn evict_clean_overflow(&mut self, capacity: usize) -> Option<Arc<Node>> {
+        if self.leaves.len() + self.index.len() <= capacity {
+            return None;
         }
-        evicted
+        let victim = self.leaves.pop_lru().or_else(|| self.index.pop_lru())?;
+        let entry = self.entries.remove(&victim);
+        debug_assert!(
+            entry.as_ref().is_some_and(|e| !e.dirty),
+            "clean-list victim {victim} is not a clean cache entry"
+        );
+        debug_assert!(
+            self.leaves.len() + self.index.len() <= capacity,
+            "the clean residency overflowed by more than one entry"
+        );
+        entry.map(|e| e.node)
     }
 }
 
@@ -435,7 +438,8 @@ impl NodeCache {
     }
 
     /// Drops every cached node. The caller must have flushed dirty entries
-    /// first (see [`TsbTree::drop_caches`](crate::TsbTree::drop_caches)).
+    /// first.
+    #[cfg(test)]
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -460,6 +464,7 @@ impl NodeCache {
     /// pinned (dirty, unevictable) until its image is on the device and a
     /// concurrent reader can never evict-then-refill it from a stale page
     /// image.
+    #[cfg(test)]
     pub(crate) fn dirty_at(&self, addr: NodeAddr) -> Option<(PageId, Arc<Node>)> {
         let shard = self.shard(&addr).lock();
         let entry = shard.entries.get(&addr)?;
@@ -611,7 +616,7 @@ mod tests {
         );
         shard.leaves.touch(second);
         let evicted = shard.evict_clean_overflow(cache.shard_capacity);
-        assert_eq!(evicted.len(), 1);
+        assert!(evicted.is_some());
         assert!(
             watch.upgrade().is_some(),
             "the victim must still be alive while the latch is held"
@@ -899,7 +904,7 @@ mod tests {
             );
             shard.leaves.touch(addr);
             let evicted = shard.evict_clean_overflow(cache.shard_capacity);
-            assert_eq!(evicted.len(), usize::from(page >= 1002), "fill {page}");
+            assert_eq!(evicted.is_some(), page >= 1002, "fill {page}");
             assert_eq!(shard.dirty_lru.len(), 1000);
             assert_eq!(shard.leaves.len(), (page - 999).min(2) as usize);
             for dirty in 0..1000u64 {

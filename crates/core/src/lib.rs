@@ -35,8 +35,10 @@
 //! * [`TsbOptions`] — the one door: every engine that comes from a
 //!   configuration or a directory is opened through it (see [`options`]).
 //! * [`TsbTree`] — one shard's index, read back from a directory a
-//!   `ShardedTsb` wrote ([`TsbOptions::open_tree`]) for what only a tree
-//!   shows: node paths, cache and device internals.
+//!   `ShardedTsb` wrote ([`TsbOptions::open_tree`]); all it answers
+//!   outside this crate is its census, [`TsbTree::tree_stats`]. Nodes,
+//!   splits, the tree's own verbs and the verifier are the engine's
+//!   internals: the crate exports an engine, not a tree kit.
 //! * [`SecondaryIndex`] — `<timestamp, secondary key, primary key>` indexes,
 //!   themselves TSB-trees (§3.6).
 //! * **Durability** — [`TsbOptions::durable`] /
@@ -84,27 +86,22 @@ mod cache;
 mod concurrent;
 pub mod engine;
 pub mod epoch;
-pub mod node;
+mod node;
 pub mod options;
 pub mod replica;
 pub mod secondary;
 pub mod sharded;
-pub mod split;
-pub mod stats;
-pub mod tree;
+mod split;
+mod stats;
+mod tree;
 mod txn;
-pub mod verify;
+mod verify;
 
 pub use engine::{EngineHandle, EngineRole};
-pub use node::{
-    DataComposition, DataNode, IndexComposition, IndexEntry, IndexEntryRef, IndexNode, Node,
-    NodeAddr, VersionRef,
-};
 pub use options::TsbOptions;
 pub use replica::{ReplicaBase, ReplicaStatus, ReplicationSource, ShardImage, ShippedBatch};
-pub use secondary::{composite_key, split_composite_key, SecondaryIndex};
+pub use secondary::SecondaryIndex;
 pub use sharded::{ShardLsn, ShardedSnapshot, ShardedTsb};
-pub use split::SplitPlan;
 pub use stats::TreeStats;
 pub use tree::TsbTree;
 

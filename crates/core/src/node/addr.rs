@@ -15,7 +15,7 @@ use tsb_storage::{HistAddr, PageId};
 
 /// The location of a TSB-tree node.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum NodeAddr {
+pub(crate) enum NodeAddr {
     /// A current node: a page on the erasable magnetic store.
     Current(PageId),
     /// A historical node: an immutable record on the WORM store.
@@ -24,17 +24,17 @@ pub enum NodeAddr {
 
 impl NodeAddr {
     /// Whether this address points at the current (erasable) store.
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         matches!(self, NodeAddr::Current(_))
     }
 
     /// Whether this address points at the historical (write-once) store.
-    pub fn is_historical(&self) -> bool {
+    pub(crate) fn is_historical(&self) -> bool {
         matches!(self, NodeAddr::Historical(_))
     }
 
     /// The page id, if current.
-    pub fn as_page(&self) -> Option<PageId> {
+    pub(crate) fn as_page(&self) -> Option<PageId> {
         match self {
             NodeAddr::Current(p) => Some(*p),
             NodeAddr::Historical(_) => None,
@@ -42,7 +42,7 @@ impl NodeAddr {
     }
 
     /// The historical address, if historical.
-    pub fn as_hist(&self) -> Option<HistAddr> {
+    pub(crate) fn as_hist(&self) -> Option<HistAddr> {
         match self {
             NodeAddr::Current(_) => None,
             NodeAddr::Historical(h) => Some(*h),
@@ -50,7 +50,7 @@ impl NodeAddr {
     }
 
     /// Encodes the address (tag byte + payload).
-    pub fn encode(&self, w: &mut ByteWriter) {
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
         match self {
             NodeAddr::Current(p) => {
                 w.put_u8(0);
@@ -65,7 +65,7 @@ impl NodeAddr {
 
     /// Decodes an address.
     #[inline]
-    pub fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
         match r.get_u8()? {
             0 => Ok(NodeAddr::Current(PageId(r.get_u64()?))),
             1 => Ok(NodeAddr::Historical(HistAddr::decode(r)?)),
@@ -74,16 +74,11 @@ impl NodeAddr {
     }
 
     /// Encoded size of this address in bytes.
-    pub const fn encoded_size(&self) -> usize {
+    pub(crate) const fn encoded_size(&self) -> usize {
         match self {
             NodeAddr::Current(_) => 1 + 8,
             NodeAddr::Historical(_) => 1 + HistAddr::encoded_size(),
         }
-    }
-
-    /// Maximum encoded size of an address in bytes.
-    pub const fn max_encoded_size() -> usize {
-        1 + HistAddr::encoded_size()
     }
 }
 
@@ -111,7 +106,7 @@ mod tests {
             let mut w = ByteWriter::new();
             addr.encode(&mut w);
             assert_eq!(w.len(), addr.encoded_size());
-            assert!(w.len() <= NodeAddr::max_encoded_size());
+            assert!(w.len() <= 1 + HistAddr::encoded_size());
             let mut r = ByteReader::new(w.as_slice());
             assert_eq!(NodeAddr::decode(&mut r).unwrap(), addr);
         }

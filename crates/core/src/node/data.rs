@@ -54,7 +54,7 @@ use tsb_common::{
 use super::image::{le32, le64, past, EntryImage};
 
 /// Node type tag burned into the first byte of every encoded node.
-pub const DATA_NODE_TAG: u8 = 1;
+pub(crate) const DATA_NODE_TAG: u8 = 1;
 
 /// Encoded bytes of an entry with an empty key and no value: key length,
 /// state tag, timestamp or transaction id, value tag. No entry is smaller,
@@ -64,7 +64,7 @@ const MIN_ENTRY_BYTES: usize = 4 + 1 + 8 + 1;
 /// A record version borrowed from a leaf's image: [`Version`] with the key
 /// and value as slices of the node's bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct VersionRef<'a> {
+pub(crate) struct VersionRef<'a> {
     /// The record key's bytes.
     pub key: &'a [u8],
     /// Commit timestamp or writer transaction id.
@@ -75,27 +75,27 @@ pub struct VersionRef<'a> {
 
 impl VersionRef<'_> {
     /// Whether the version is a tombstone.
-    pub fn is_tombstone(&self) -> bool {
+    pub(crate) fn is_tombstone(&self) -> bool {
         self.value.is_none()
     }
 
     /// The commit timestamp, if committed.
-    pub fn commit_time(&self) -> Option<Timestamp> {
+    pub(crate) fn commit_time(&self) -> Option<Timestamp> {
         self.state.commit_time()
     }
 
     /// The key as an owned [`Key`] (inline, allocation-free, for short keys).
-    pub fn to_key(&self) -> Key {
+    pub(crate) fn to_key(self) -> Key {
         Key::from_bytes(self.key)
     }
 
     /// Bytes this version occupies in an encoded node.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         MIN_ENTRY_BYTES + self.key.len() + self.value.map_or(0, |v| size::bytes(v.len()))
     }
 
     /// Copies the version out of the image.
-    pub fn to_version(&self) -> Version {
+    pub(crate) fn to_version(self) -> Version {
         Version {
             key: self.to_key(),
             state: self.state,
@@ -137,7 +137,7 @@ fn parse_entry(entry: &[u8]) -> (VersionRef<'_>, usize) {
 
 /// Iterator over a run of encoded entries, front to back. Entries describe
 /// their own length, so the walk never consults the offset table.
-pub struct Versions<'a> {
+pub(crate) struct Versions<'a> {
     run: &'a [u8],
 }
 
@@ -205,7 +205,7 @@ fn skip_entry_reference(r: &mut ByteReader<'_>) -> TsbResult<()> {
 /// Summary of what a full data node contains, used by the split policy
 /// (§3.2: "the kind of split used depends on what is in the node").
 #[derive(Clone, Debug, PartialEq)]
-pub struct DataComposition {
+pub(crate) struct DataComposition {
     /// Total number of entries.
     pub total_entries: usize,
     /// Number of distinct keys.
@@ -237,7 +237,7 @@ pub struct DataComposition {
 impl DataComposition {
     /// Fraction of committed entries that are live, in `[0, 1]`.
     /// Returns 1.0 for an empty node.
-    pub fn live_fraction(&self) -> f64 {
+    pub(crate) fn live_fraction(&self) -> f64 {
         let committed = self.live_entries + self.historical_entries;
         if committed == 0 {
             1.0
@@ -250,7 +250,7 @@ impl DataComposition {
 /// A leaf node holding record versions (see the module docs for the
 /// in-memory layout).
 #[derive(Clone)]
-pub struct DataNode {
+pub(crate) struct DataNode {
     /// The key range this node is responsible for.
     pub key_range: KeyRange,
     /// The time range this node is responsible for (`hi = +∞` ⇔ current).
@@ -281,7 +281,7 @@ impl fmt::Debug for DataNode {
 
 impl DataNode {
     /// Creates an empty data node covering `key_range` × `time_range`.
-    pub fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
+    pub(crate) fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
         DataNode {
             key_range,
             time_range,
@@ -290,13 +290,13 @@ impl DataNode {
     }
 
     /// Creates the initial root data node covering the whole plane.
-    pub fn initial_root() -> Self {
+    pub(crate) fn initial_root() -> Self {
         DataNode::new(KeyRange::full(), TimeRange::full())
     }
 
     /// Creates a node from entries (used by splits). The entries are sorted
     /// defensively.
-    pub fn from_entries(
+    pub(crate) fn from_entries(
         key_range: KeyRange,
         time_range: TimeRange,
         mut entries: Vec<Version>,
@@ -310,27 +310,22 @@ impl DataNode {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.image.len()
     }
 
-    /// Whether the node holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether the node is a current node (open-ended time range).
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         self.time_range.is_current()
     }
 
     /// Entry `i`, in `(key, version order)` order. Panics past the end.
-    pub fn get(&self, i: usize) -> VersionRef<'_> {
+    pub(crate) fn get(&self, i: usize) -> VersionRef<'_> {
         parse_entry(self.image.entry(i)).0
     }
 
     /// The entries, sorted by `(key, version order)`.
-    pub fn iter(&self) -> Versions<'_> {
+    pub(crate) fn iter(&self) -> Versions<'_> {
         self.run(0, self.len())
     }
 
@@ -343,7 +338,7 @@ impl DataNode {
 
     /// Every entry copied out as an owned [`Version`] — for the cold callers
     /// (splits, WAL replay) that rearrange a whole node.
-    pub fn to_versions(&self) -> Vec<Version> {
+    pub(crate) fn to_versions(&self) -> Vec<Version> {
         self.iter().map(|v| v.to_version()).collect()
     }
 
@@ -395,7 +390,7 @@ impl DataNode {
     ///
     /// Returns an error if the key lies outside the node's key range (that
     /// would indicate a routing bug in the caller).
-    pub fn insert(&mut self, version: &Version) -> TsbResult<()> {
+    pub(crate) fn insert(&mut self, version: &Version) -> TsbResult<()> {
         if !self.key_range.contains(&version.key) {
             return Err(TsbError::internal(format!(
                 "key {} routed to node with key range {}",
@@ -414,7 +409,7 @@ impl DataNode {
     /// Copy-on-write [`Self::insert`]: a copy of this node with `version`
     /// inserted, allocated once at its final size. This is the put path —
     /// the cached leaf stays shared with concurrent readers.
-    pub fn with_inserted(&self, version: &Version) -> TsbResult<Self> {
+    pub(crate) fn with_inserted(&self, version: &Version) -> TsbResult<Self> {
         let mut copy = DataNode {
             key_range: self.key_range.clone(),
             time_range: self.time_range,
@@ -425,7 +420,7 @@ impl DataNode {
     }
 
     /// Removes the uncommitted version of `key` written by `txn`, if any.
-    pub fn remove_uncommitted(&mut self, key: &Key, txn: TxnId) -> Option<Version> {
+    pub(crate) fn remove_uncommitted(&mut self, key: &Key, txn: TxnId) -> Option<Version> {
         let probe = (key.as_bytes(), VersionOrder::Uncommitted(txn));
         let pos = self.lower_bound(probe.0, probe.1);
         if pos == self.len() || self.sort_key_at(self.image.offsets()[pos]) != probe {
@@ -438,7 +433,7 @@ impl DataNode {
 
     /// The uncommitted version of `key`, if any (written by any transaction —
     /// there is at most one, because writers conflict on uncommitted keys).
-    pub fn find_uncommitted(&self, key: &Key) -> Option<VersionRef<'_>> {
+    pub(crate) fn find_uncommitted(&self, key: &Key) -> Option<VersionRef<'_>> {
         // Uncommitted versions sort after every committed one of their key.
         let pos = self.lower_bound(key.as_bytes(), VersionOrder::Uncommitted(TxnId(0)));
         (pos < self.len())
@@ -447,7 +442,7 @@ impl DataNode {
     }
 
     /// All versions of `key` in this node, in version order.
-    pub fn versions_of(&self, key: &Key) -> Versions<'_> {
+    pub(crate) fn versions_of(&self, key: &Key) -> Versions<'_> {
         let start = self.key_lower_bound(key.as_bytes());
         let end = self
             .image
@@ -458,7 +453,7 @@ impl DataNode {
 
     /// All versions of the keys in `keys`, in `(key, version order)` order:
     /// two binary searches, then a walk of exactly the matching run.
-    pub fn versions_in(&self, keys: &KeyRange) -> Versions<'_> {
+    pub(crate) fn versions_in(&self, keys: &KeyRange) -> Versions<'_> {
         let end = match &keys.hi {
             KeyBound::Finite(hi) => self.key_lower_bound(hi.as_bytes()),
             KeyBound::PlusInfinity => self.len(),
@@ -469,7 +464,7 @@ impl DataNode {
 
     /// The version of `key` governing time `ts`: the committed version with
     /// the largest commit time ≤ `ts`. Uncommitted versions are invisible.
-    pub fn find_as_of(&self, key: &Key, ts: Timestamp) -> Option<VersionRef<'_>> {
+    pub(crate) fn find_as_of(&self, key: &Key, ts: Timestamp) -> Option<VersionRef<'_>> {
         // Within a key, committed versions sort by commit time and before
         // every uncommitted one, so the governing version is the last entry
         // at or below `(key, Committed(ts))` — if that entry is of this key.
@@ -483,12 +478,13 @@ impl DataNode {
     }
 
     /// The newest committed version of `key` (which may be a tombstone).
-    pub fn find_latest_committed(&self, key: &Key) -> Option<VersionRef<'_>> {
+    pub(crate) fn find_latest_committed(&self, key: &Key) -> Option<VersionRef<'_>> {
         self.find_as_of(key, Timestamp::MAX)
     }
 
     /// The distinct keys present, in order.
-    pub fn distinct_keys(&self) -> Vec<Key> {
+    #[cfg(test)]
+    pub(crate) fn distinct_keys(&self) -> Vec<Key> {
         let mut keys = Vec::new();
         let mut i = 0;
         while i < self.len() {
@@ -499,7 +495,7 @@ impl DataNode {
     }
 
     /// Summarizes the node contents for the split policy.
-    pub fn composition(&self) -> DataComposition {
+    pub(crate) fn composition(&self) -> DataComposition {
         let mut distinct_keys = 0usize;
         let mut live = 0usize;
         let mut historical = 0usize;
@@ -567,12 +563,12 @@ impl DataNode {
     }
 
     /// Encoded size of the node in bytes — no entry is looked at.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         self.image.encoded_size(&self.key_range, &self.time_range)
     }
 
     /// Encodes the node: the header, then the entries copied as they are.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         self.image
             .encode(DATA_NODE_TAG, &self.key_range, &self.time_range)
     }
@@ -583,7 +579,7 @@ impl DataNode {
     /// Every entry is walked once to check its lengths and tags and to
     /// record where it starts; nothing is copied out. Bytes after the last
     /// entry are dropped.
-    pub fn decode(image: Vec<u8>) -> TsbResult<Self> {
+    pub(crate) fn decode(image: Vec<u8>) -> TsbResult<Self> {
         let mut r = ByteReader::new(&image);
         let (count, key_range, time_range) =
             EntryImage::read_header(&mut r, DATA_NODE_TAG, "data")?;
@@ -628,7 +624,7 @@ impl DataNode {
     ///   lower bound, and it is that key's earliest version in the node (the
     ///   rule-3 duplicate of the version valid at the split time),
     /// * historical (closed time range) nodes contain no uncommitted entries.
-    pub fn validate(&self) -> TsbResult<()> {
+    pub(crate) fn validate(&self) -> TsbResult<()> {
         for (i, pair) in self.image.offsets().windows(2).enumerate() {
             if self.sort_key_at(pair[0]) >= self.sort_key_at(pair[1]) {
                 return Err(TsbError::invariant(format!(
@@ -802,7 +798,7 @@ mod tests {
         assert_eq!(c.total_entries, 0);
         assert_eq!(c.live_fraction(), 1.0);
         assert_eq!(c.median_commit_time, None);
-        assert!(n.is_empty());
+        assert_eq!(n.len(), 0);
     }
 
     #[test]

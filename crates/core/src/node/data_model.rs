@@ -24,7 +24,7 @@ pub(crate) struct ModelNode {
 
 impl ModelNode {
     /// Creates an empty data node covering `key_range` × `time_range`.
-    pub fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
+    pub(crate) fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
         ModelNode {
             key_range,
             time_range,
@@ -34,7 +34,7 @@ impl ModelNode {
 
     /// A node holding `entries` in the order given — what the old decoder
     /// built from an image, which it never re-sorted.
-    pub fn in_image_order(
+    pub(crate) fn in_image_order(
         key_range: KeyRange,
         time_range: TimeRange,
         entries: Vec<Version>,
@@ -47,17 +47,17 @@ impl ModelNode {
     }
 
     /// The entries, sorted by `(key, version order)`.
-    pub fn entries(&self) -> &[Version] {
+    pub(crate) fn entries(&self) -> &[Version] {
         &self.entries
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the node is a current node (open-ended time range).
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         self.time_range.is_current()
     }
 
@@ -74,7 +74,7 @@ impl ModelNode {
     ///
     /// Returns an error if the key lies outside the node's key range (that
     /// would indicate a routing bug in the caller).
-    pub fn insert(&mut self, version: Version) -> TsbResult<()> {
+    pub(crate) fn insert(&mut self, version: Version) -> TsbResult<()> {
         if !self.key_range.contains(&version.key) {
             return Err(TsbError::internal(format!(
                 "key {} routed to node with key range {}",
@@ -89,7 +89,7 @@ impl ModelNode {
     }
 
     /// Removes the uncommitted version of `key` written by `txn`, if any.
-    pub fn remove_uncommitted(&mut self, key: &Key, txn: TxnId) -> Option<Version> {
+    pub(crate) fn remove_uncommitted(&mut self, key: &Key, txn: TxnId) -> Option<Version> {
         match self.position_of(key, VersionOrder::Uncommitted(txn)) {
             Ok(pos) => Some(self.entries.remove(pos)),
             Err(_) => None,
@@ -98,7 +98,7 @@ impl ModelNode {
 
     /// The uncommitted version of `key`, if any (written by any transaction —
     /// there is at most one, because writers conflict on uncommitted keys).
-    pub fn find_uncommitted(&self, key: &Key) -> Option<&Version> {
+    pub(crate) fn find_uncommitted(&self, key: &Key) -> Option<&Version> {
         self.versions_of(key).find(|e| e.state.is_uncommitted())
     }
 
@@ -106,7 +106,7 @@ impl ModelNode {
     /// contiguous group is located by two binary searches up front, so the
     /// returned iterator borrows only the node — the probe key is neither
     /// cloned nor captured.
-    pub fn versions_of(&self, key: &Key) -> impl Iterator<Item = &Version> + '_ {
+    pub(crate) fn versions_of(&self, key: &Key) -> impl Iterator<Item = &Version> + '_ {
         let start = self.entries.partition_point(|e| e.key < *key);
         let end = self.entries.partition_point(|e| e.key <= *key);
         self.entries[start..end].iter()
@@ -114,21 +114,21 @@ impl ModelNode {
 
     /// The version of `key` governing time `ts`: the committed version with
     /// the largest commit time ≤ `ts`. Uncommitted versions are invisible.
-    pub fn find_as_of(&self, key: &Key, ts: Timestamp) -> Option<&Version> {
+    pub(crate) fn find_as_of(&self, key: &Key, ts: Timestamp) -> Option<&Version> {
         self.versions_of(key)
             .filter(|v| v.commit_time().map(|t| t <= ts).unwrap_or(false))
             .last()
     }
 
     /// The newest committed version of `key` (which may be a tombstone).
-    pub fn find_latest_committed(&self, key: &Key) -> Option<&Version> {
+    pub(crate) fn find_latest_committed(&self, key: &Key) -> Option<&Version> {
         self.versions_of(key)
             .filter(|v| v.state.is_committed())
             .last()
     }
 
     /// The distinct keys present, in order.
-    pub fn distinct_keys(&self) -> Vec<Key> {
+    pub(crate) fn distinct_keys(&self) -> Vec<Key> {
         let mut keys: Vec<Key> = Vec::new();
         for e in &self.entries {
             if keys.last() != Some(&e.key) {
@@ -139,7 +139,7 @@ impl ModelNode {
     }
 
     /// Summarizes the node contents for the split policy.
-    pub fn composition(&self) -> DataComposition {
+    pub(crate) fn composition(&self) -> DataComposition {
         let mut distinct_keys = 0usize;
         let mut live = 0usize;
         let mut historical = 0usize;
@@ -212,7 +212,7 @@ impl ModelNode {
     }
 
     /// Encoded size of the node in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         // tag + entry count + key range + time range + entries
         1 + 4
             + size::key_range(&self.key_range)
@@ -221,7 +221,7 @@ impl ModelNode {
     }
 
     /// Encodes the node.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(self.encoded_size());
         w.put_u8(DATA_NODE_TAG);
         w.put_u32(self.entries.len() as u32);
@@ -243,7 +243,7 @@ impl ModelNode {
     ///   lower bound, and it is that key's earliest version in the node (the
     ///   rule-3 duplicate of the version valid at the split time),
     /// * historical (closed time range) nodes contain no uncommitted entries.
-    pub fn validate(&self) -> TsbResult<()> {
+    pub(crate) fn validate(&self) -> TsbResult<()> {
         for w in self.entries.windows(2) {
             if w[0].sort_key() >= w[1].sort_key() {
                 return Err(TsbError::invariant(format!(

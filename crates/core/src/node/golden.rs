@@ -161,7 +161,8 @@ fn golden_index_decodes_answers_and_reencodes_to_itself() {
     );
     assert_eq!(
         index
-            .find_child_entry(&NodeAddr::Historical(HistAddr::new(2048, 123)))
+            .iter()
+            .find(|e| e.child == NodeAddr::Historical(HistAddr::new(2048, 123)))
             .unwrap()
             .key_range(),
         KeyRange::new(Key::from_u64(700), KeyBound::PlusInfinity)

@@ -35,7 +35,7 @@ use super::addr::NodeAddr;
 use super::image::{le32, le64, past, EntryImage, Walked};
 
 /// Node type tag burned into the first byte of every encoded node.
-pub const INDEX_NODE_TAG: u8 = 2;
+pub(crate) const INDEX_NODE_TAG: u8 = 2;
 
 /// Encoded bytes of the smallest entry — empty lower key, `+∞` upper key
 /// bound, open time range, current child — which bounds the entry count an
@@ -44,7 +44,7 @@ const MIN_ENTRY_BYTES: usize = (4 + 1) + (8 + 1) + (1 + 8);
 
 /// One child reference: the child's key × time rectangle plus its address.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct IndexEntry {
+pub(crate) struct IndexEntry {
     /// Key range spanned by the child.
     pub key_range: KeyRange,
     /// Time range spanned by the child (`hi = +∞` ⇔ the child is current).
@@ -55,7 +55,7 @@ pub struct IndexEntry {
 
 impl IndexEntry {
     /// Creates an entry.
-    pub fn new(key_range: KeyRange, time_range: TimeRange, child: NodeAddr) -> Self {
+    pub(crate) fn new(key_range: KeyRange, time_range: TimeRange, child: NodeAddr) -> Self {
         IndexEntry {
             key_range,
             time_range,
@@ -63,30 +63,25 @@ impl IndexEntry {
         }
     }
 
-    /// Whether the entry's rectangle contains the point `(key, ts)`.
-    pub fn contains(&self, key: &Key, ts: Timestamp) -> bool {
-        self.key_range.contains(key) && self.time_range.contains(ts)
-    }
-
     /// Whether the entry's rectangle overlaps `key_range × time_range`.
-    pub fn overlaps(&self, key_range: &KeyRange, time_range: &TimeRange) -> bool {
+    pub(crate) fn overlaps(&self, key_range: &KeyRange, time_range: &TimeRange) -> bool {
         self.key_range.overlaps(key_range) && self.time_range.overlaps(time_range)
     }
 
     /// Whether the entry references a current (erasable) child.
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         self.child.is_current()
     }
 
     /// Encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         size::key_range(&self.key_range)
             + size::time_range(&self.time_range)
             + self.child.encoded_size()
     }
 
     /// Encodes the entry.
-    pub fn encode(&self, w: &mut ByteWriter) {
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_key_range(&self.key_range);
         w.put_time_range(&self.time_range);
         self.child.encode(w);
@@ -94,7 +89,7 @@ impl IndexEntry {
 
     /// Decodes an entry.
     #[inline]
-    pub fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
+    pub(crate) fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
         let key_range = r.get_key_range()?;
         let time_range = r.get_time_range()?;
         let child = NodeAddr::decode(r)?;
@@ -109,7 +104,7 @@ impl IndexEntry {
 /// A child reference borrowed from an index node's image: [`IndexEntry`]
 /// with the key range's bounds as slices of the node's bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct IndexEntryRef<'a> {
+pub(crate) struct IndexEntryRef<'a> {
     /// The key range's inclusive lower bound.
     pub key_lo: &'a [u8],
     /// The key range's exclusive upper bound; `None` is `+∞`.
@@ -129,14 +124,14 @@ fn below(key: &[u8], hi: Option<&[u8]>) -> bool {
 impl IndexEntryRef<'_> {
     /// Whether the entry's rectangle contains the point `(key, ts)`.
     #[inline]
-    pub fn contains(&self, key: &Key, ts: Timestamp) -> bool {
+    pub(crate) fn contains(&self, key: &Key, ts: Timestamp) -> bool {
         let key = key.as_bytes();
         key >= self.key_lo && below(key, self.key_hi) && self.time_range.contains(ts)
     }
 
     /// Whether the entry's key range shares a key with `keys`
     /// ([`KeyRange::overlaps`], on the borrowed bounds).
-    pub fn key_overlaps(&self, keys: &KeyRange) -> bool {
+    pub(crate) fn key_overlaps(&self, keys: &KeyRange) -> bool {
         let keys_hi = keys.hi.as_finite().map(Key::as_bytes);
         below(self.key_lo, keys_hi)
             && below(keys.lo.as_bytes(), self.key_hi)
@@ -145,17 +140,17 @@ impl IndexEntryRef<'_> {
     }
 
     /// Whether the entry's rectangle overlaps `keys × window`.
-    pub fn overlaps(&self, keys: &KeyRange, window: &TimeRange) -> bool {
+    pub(crate) fn overlaps(&self, keys: &KeyRange, window: &TimeRange) -> bool {
         self.key_overlaps(keys) && self.time_range.overlaps(window)
     }
 
     /// Whether the entry references a current (erasable) child.
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         self.child.is_current()
     }
 
     /// The key range as an owned [`KeyRange`].
-    pub fn key_range(&self) -> KeyRange {
+    pub(crate) fn key_range(&self) -> KeyRange {
         KeyRange::new(
             Key::from_bytes(self.key_lo),
             self.key_hi.map_or(KeyBound::PlusInfinity, |hi| {
@@ -165,7 +160,7 @@ impl IndexEntryRef<'_> {
     }
 
     /// Copies the entry out of the image.
-    pub fn to_entry(&self) -> IndexEntry {
+    pub(crate) fn to_entry(self) -> IndexEntry {
         IndexEntry::new(self.key_range(), self.time_range, self.child)
     }
 }
@@ -331,7 +326,7 @@ impl<'a> LayoutCheck<'a> {
 
 /// Iterator over a run of encoded entries, front to back. Entries describe
 /// their own length, so the walk never consults the offset table.
-pub struct Entries<'a> {
+pub(crate) struct Entries<'a> {
     run: &'a [u8],
 }
 
@@ -377,7 +372,7 @@ impl<'a> Iterator for Entries<'a> {
 /// the geometric invariants, and `find_child` cross-checks the partitioned
 /// answer against the linear reference scan under `debug_assertions`.
 #[derive(Clone)]
-pub struct IndexNode {
+pub(crate) struct IndexNode {
     /// Key range this node is responsible for.
     pub key_range: KeyRange,
     /// Time range this node is responsible for.
@@ -390,7 +385,7 @@ pub struct IndexNode {
 
 /// Summary of an index node's contents used when deciding how to split it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IndexComposition {
+pub(crate) struct IndexComposition {
     /// Total entries.
     pub total_entries: usize,
     /// Entries referencing current children.
@@ -437,7 +432,8 @@ impl fmt::Debug for IndexNode {
 
 impl IndexNode {
     /// Creates an empty index node covering `key_range` × `time_range`.
-    pub fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(key_range: KeyRange, time_range: TimeRange) -> Self {
         IndexNode {
             key_range,
             time_range,
@@ -448,7 +444,7 @@ impl IndexNode {
 
     /// Creates an index node from entries (re-partitioned and re-sorted
     /// defensively into the historical-then-current region layout).
-    pub fn from_entries(
+    pub(crate) fn from_entries(
         key_range: KeyRange,
         time_range: TimeRange,
         entries: Vec<IndexEntry>,
@@ -491,48 +487,44 @@ impl IndexNode {
 
     /// The entries: the historical region (sorted by `(key lo, time lo)`)
     /// followed by the current region (sorted by `key lo`).
-    pub fn iter(&self) -> Entries<'_> {
+    pub(crate) fn iter(&self) -> Entries<'_> {
         self.run(0, self.len())
     }
 
     /// Every entry copied out as an owned [`IndexEntry`] — for the cold
     /// callers (splits, WAL replay, validation) that rearrange a whole node.
-    pub fn to_entries(&self) -> Vec<IndexEntry> {
+    pub(crate) fn to_entries(&self) -> Vec<IndexEntry> {
         self.iter().map(|e| e.to_entry()).collect()
     }
 
     /// The historical-region entries (closed time ranges), sorted by
     /// `(key_range.lo, time_range.lo)`.
-    pub fn historical_region(&self) -> Entries<'_> {
+    pub(crate) fn historical_region(&self) -> Entries<'_> {
         self.run(0, self.current_start)
     }
 
     /// The current-region entries (open time ranges), sorted by
     /// `key_range.lo`; their key ranges are pairwise disjoint in any valid
     /// node.
-    pub fn current_region(&self) -> Entries<'_> {
+    #[cfg(test)]
+    pub(crate) fn current_region(&self) -> Entries<'_> {
         self.run(self.current_start, self.len())
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.image.len()
     }
 
-    /// Whether there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether this node is current (open-ended time range).
-    pub fn is_current(&self) -> bool {
+    pub(crate) fn is_current(&self) -> bool {
         self.time_range.is_current()
     }
 
     /// Adds an entry, keeping the region partition and per-region sort
     /// order (incremental maintenance — no rebuild, no key clones): the
     /// encoded entry is spliced into the image at its place.
-    pub fn insert(&mut self, entry: IndexEntry) {
+    pub(crate) fn insert(&mut self, entry: IndexEntry) {
         let current = entry.time_range.is_current();
         let (region_lo, region_hi) = if current {
             (self.current_start, self.len())
@@ -551,7 +543,7 @@ impl IndexNode {
 
     /// Removes the entry referencing `child` (there is at most one within a
     /// single index node), returning it.
-    pub fn remove_child(&mut self, child: &NodeAddr) -> Option<IndexEntry> {
+    pub(crate) fn remove_child(&mut self, child: &NodeAddr) -> Option<IndexEntry> {
         let pos = self.iter().position(|e| e.child == *child)?;
         let removed = parse_entry(self.image.entry(pos)).0.to_entry();
         self.image.remove(pos);
@@ -561,15 +553,10 @@ impl IndexNode {
         Some(removed)
     }
 
-    /// The entry referencing `child`, if present.
-    pub fn find_child_entry(&self, child: &NodeAddr) -> Option<IndexEntryRef<'_>> {
-        self.iter().find(|e| e.child == *child)
-    }
-
     /// Replaces the entry referencing `old_child` with `replacements`
     /// (2 for a plain split, 3 for a time-then-key split). Returns an error
     /// if the old child is not present.
-    pub fn replace_child(
+    pub(crate) fn replace_child(
         &mut self,
         old_child: &NodeAddr,
         replacements: Vec<IndexEntry>,
@@ -594,10 +581,12 @@ impl IndexNode {
     /// Routing is O(log fanout) over the region layout (see the type-level
     /// docs): the current region is binary-searched by `key`, and — for
     /// past timestamps — the historical region is entered at the
-    /// `(key, ts)` partition point. Under `debug_assertions` the result is
-    /// cross-checked against [`Self::find_child_linear`].
-    pub fn find_child(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
+    /// `(key, ts)` partition point. The routing proptest holds it equal to
+    /// the linear reference scan, `find_child_linear`, and in this crate's
+    /// unit tests every descent cross-checks it under `debug_assertions`.
+    pub(crate) fn find_child(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
         let found = self.find_child_partitioned(key, ts);
+        #[cfg(test)]
         debug_assert_eq!(
             found.map(|e| e.child),
             self.find_child_linear(key, ts).map(|e| e.child),
@@ -641,9 +630,9 @@ impl IndexNode {
     }
 
     /// Reference implementation of [`Self::find_child`]: a linear scan over
-    /// every entry. Kept for the property tests and benchmarks that check
-    /// and measure the partitioned routing against it.
-    pub fn find_child_linear(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
+    /// every entry, which the routing proptest checks it against.
+    #[cfg(test)]
+    pub(crate) fn find_child_linear(&self, key: &Key, ts: Timestamp) -> Option<IndexEntryRef<'_>> {
         self.iter().find(|e| e.contains(key, ts))
     }
 
@@ -660,7 +649,7 @@ impl IndexNode {
     /// `ts == MAX` they skip the historical region entirely, so a
     /// current-time scan's per-node cost no longer grows with migrated
     /// history.
-    pub fn current_children_overlapping(&self, range: &KeyRange) -> Entries<'_> {
+    pub(crate) fn current_children_overlapping(&self, range: &KeyRange) -> Entries<'_> {
         let current = &self.image.offsets()[self.current_start..];
         let range_hi = range.hi.as_finite().map(Key::as_bytes);
         let end = current.partition_point(|&o| below(self.key_lo_at(o), range_hi));
@@ -681,7 +670,7 @@ impl IndexNode {
     /// `(key lo, time lo)`, ends at the first entry whose key range starts
     /// at or past `keys.hi`. No lower cut exists there: an old entry may
     /// span the whole key space.
-    pub fn children_overlapping<'a>(
+    pub(crate) fn children_overlapping<'a>(
         &'a self,
         keys: &'a KeyRange,
         window: &'a TimeRange,
@@ -695,7 +684,7 @@ impl IndexNode {
     }
 
     /// Summarizes the node for split decisions.
-    pub fn composition(&self) -> IndexComposition {
+    pub(crate) fn composition(&self) -> IndexComposition {
         let current = self.iter().filter(|e| e.is_current()).count();
         let min_current_start = self
             .iter()
@@ -719,12 +708,12 @@ impl IndexNode {
     }
 
     /// Encoded size in bytes — no entry is looked at.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         self.image.encoded_size(&self.key_range, &self.time_range)
     }
 
     /// Encodes the node: the header, then the entries copied as they are.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         self.image
             .encode(INDEX_NODE_TAG, &self.key_range, &self.time_range)
     }
@@ -738,7 +727,7 @@ impl IndexNode {
     /// layout, and the same pass checks it. Only an image that breaks the
     /// layout is re-partitioned through [`Self::from_entries`]. Bytes after
     /// the last entry are dropped.
-    pub fn decode(image: Vec<u8>) -> TsbResult<Self> {
+    pub(crate) fn decode(image: Vec<u8>) -> TsbResult<Self> {
         let mut r = ByteReader::new(&image);
         let (count, key_range, time_range) =
             EntryImage::read_header(&mut r, INDEX_NODE_TAG, "index")?;
@@ -816,7 +805,7 @@ impl IndexNode {
     ///   (checked at the corner points of the rectangle subdivision induced
     ///   by the entries — sufficient because all rectangles are axis-aligned
     ///   half-open boxes).
-    pub fn validate(&self) -> TsbResult<()> {
+    pub(crate) fn validate(&self) -> TsbResult<()> {
         let entries = self.to_entries();
         if self.current_start > entries.len() {
             return Err(TsbError::invariant(format!(
@@ -925,6 +914,7 @@ impl IndexNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tsb_storage::{HistAddr, PageId};
 
     fn kr(lo: u64, hi: Option<u64>) -> KeyRange {
@@ -1131,7 +1121,7 @@ mod tests {
         let n = IndexNode::new(KeyRange::full(), TimeRange::full());
         n.validate().unwrap();
         assert!(n.find_child(&Key::from_u64(1), Timestamp(1)).is_none());
-        assert!(n.is_empty());
+        assert_eq!(n.len(), 0);
     }
 
     /// The entry vector the image replaced, maintained the way
@@ -1233,16 +1223,195 @@ mod tests {
                 proptest::prop_assert_eq!(node.encode(), rebuilt.encode());
                 proptest::prop_assert_eq!(node.encoded_size(), node.encode().len());
                 proptest::prop_assert_eq!(
-                    node.find_child_entry(&child).map(|e| e.to_entry()),
+                    node.iter().find(|e| e.child == child).map(|e| e.to_entry()),
                     model.entries.iter().find(|e| e.child == child).cloned()
                 );
                 for (probe, e) in node.iter().zip(&model.entries) {
                     for k in 0..12u8 {
                         proptest::prop_assert_eq!(
                             probe.contains(&key(k), Timestamp(u64::from(t))),
-                            e.contains(&key(k), Timestamp(u64::from(t)))
+                            e.key_range.contains(&key(k))
+                                && e.time_range.contains(Timestamp(u64::from(t)))
                         );
                     }
+                }
+            }
+        }
+    }
+
+    // ---------- partitioned index routing ---------------------------------------
+    //
+    // `IndexNode::find_child` routes descents through a two-region layout
+    // (historical entries binary-searched by `(key, ts)`, current entries by
+    // key). The property: on *arbitrary valid* index nodes — generated as
+    // arbitrary rectangle tilings of the key x time plane, optionally put
+    // through a real index keyspace split so historical entries straddle the
+    // node's key range — the partitioned routing agrees with the linear
+    // reference scan at every probe point, including entry boundary corners,
+    // past timestamps, and `Timestamp::MAX`.
+
+    /// Builds a valid index node by recursively splitting the full rectangle.
+    /// Each instruction `(which, at, dim)` picks a rectangle and bisects it at a
+    /// key or time point strictly inside it (no-op when the point falls on or
+    /// outside the boundary).
+    fn tiling_node(splits: &[(u16, u16, u8)]) -> IndexNode {
+        use tsb_common::TimeBound;
+        let mut rects: Vec<(KeyRange, TimeRange)> = vec![(KeyRange::full(), TimeRange::full())];
+        for (which, at, dim) in splits {
+            let idx = *which as usize % rects.len();
+            let (kr, tr) = rects[idx].clone();
+            if dim % 2 == 0 {
+                let split = Key::from_u64(u64::from(at % 1000) + 1);
+                if let Some((left, right)) = kr.split_at(&split) {
+                    rects[idx] = (left, tr);
+                    rects.push((right, tr));
+                }
+            } else {
+                let t = Timestamp(u64::from(at % 1000) + 1);
+                let strictly_inside = tr.lo < t
+                    && match tr.hi {
+                        TimeBound::Finite(h) => t < h,
+                        TimeBound::Infinity => true,
+                    };
+                if strictly_inside {
+                    rects[idx] = (kr.clone(), TimeRange::new(tr.lo, TimeBound::Finite(t)));
+                    rects.push((kr, TimeRange::new(t, tr.hi)));
+                }
+            }
+        }
+        let entries: Vec<IndexEntry> = rects
+            .into_iter()
+            .enumerate()
+            .map(|(i, (kr, tr))| {
+                let addr = if tr.is_current() {
+                    NodeAddr::Current(PageId(i as u64 + 1))
+                } else {
+                    NodeAddr::Historical(HistAddr::new(i as u64 * 128, 64))
+                };
+                IndexEntry::new(kr, tr, addr)
+            })
+            .collect();
+        IndexNode::from_entries(KeyRange::full(), TimeRange::full(), entries)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn partitioned_find_child_agrees_with_linear_scan(
+            splits in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 0..48),
+            keyspace_split in (any::<u8>(), any::<u8>()),
+            probes in prop::collection::vec((any::<u16>(), any::<u16>()), 0..64),
+        ) {
+            use tsb_common::KeyBound;
+            use crate::split::partition_index_by_key;
+
+            let mut node = tiling_node(&splits);
+            node.validate().unwrap();
+
+            // With 3-in-4 probability, apply a genuine index keyspace split
+            // (paper rule set, straddling historical entries copied to both
+            // halves) and keep one half, so the node carries historical
+            // entries sticking out of its own key range.
+            let (pick, side) = keyspace_split;
+            if pick % 4 != 0 {
+                // Split values must be current-entry lower bounds: in a real
+                // tree every entry's lower bound is a current keyspace
+                // boundary, so a split never straddles a current child.
+                let candidates: Vec<Key> = node
+                    .current_region()
+                    .map(|e| Key::from_bytes(e.key_lo))
+                    .filter(|k| !k.is_min())
+                    .collect();
+                if !candidates.is_empty() {
+                    let split = candidates[pick as usize % candidates.len()].clone();
+                    let parts = partition_index_by_key(&node.to_entries(), &split);
+                    let (range, entries) = if side % 2 == 0 {
+                        (
+                            KeyRange::new(Key::MIN, KeyBound::Finite(split)),
+                            parts.left,
+                        )
+                    } else {
+                        (
+                            KeyRange::new(split, KeyBound::PlusInfinity),
+                            parts.right,
+                        )
+                    };
+                    node = IndexNode::from_entries(range, TimeRange::full(), entries);
+                    node.validate().unwrap();
+                }
+            }
+
+            let compare = |key: &Key, ts: Timestamp| {
+                let partitioned = node.find_child(key, ts).map(|e| e.child);
+                let linear = node.find_child_linear(key, ts).map(|e| e.child);
+                prop_assert_eq!(
+                    partitioned, linear,
+                    "divergence at (key {}, ts {})", key, ts
+                );
+                Ok(())
+            };
+
+            // Every entry's corner points, probed at the entry's own start
+            // time, just before its end, and at the end of time.
+            let corner_entries: Vec<(Key, Timestamp, Option<Timestamp>)> = node
+                .iter()
+                .map(|e| {
+                    (
+                        Key::from_bytes(e.key_lo),
+                        e.time_range.lo,
+                        e.time_range.hi.as_finite(),
+                    )
+                })
+                .collect();
+            for (lo, t_lo, t_hi) in &corner_entries {
+                compare(lo, *t_lo)?;
+                compare(lo, Timestamp::MAX)?;
+                if let Some(h) = t_hi {
+                    compare(lo, *h)?;
+                    if h.value() > 0 {
+                        compare(lo, h.prev())?;
+                    }
+                }
+            }
+            // Random probes, with a bias toward MAX (the hot descent).
+            for (a, b) in &probes {
+                let key = Key::from_u64(u64::from(a % 1200));
+                let ts = if b % 8 == 0 {
+                    Timestamp::MAX
+                } else {
+                    Timestamp(u64::from(b % 1100))
+                };
+                compare(&key, ts)?;
+            }
+            // Rectangle routing: the pruned overlap query returns exactly what
+            // a filter over every entry returns, in the same (storage) order.
+            for pair in probes.chunks_exact(2) {
+                let ((a, b), (c, d)) = (pair[0], pair[1]);
+                let lo = Key::from_u64(u64::from(a % 1200));
+                let from = Timestamp(u64::from(b % 1100));
+                let rectangles = [
+                    (
+                        KeyRange::bounded(lo.clone(), Key::from_u64(u64::from(c % 1200))),
+                        TimeRange::bounded(from, Timestamp(u64::from(d % 1100))),
+                    ),
+                    (KeyRange::point(&lo), TimeRange::from(from)),
+                    (KeyRange::new(lo, KeyBound::PlusInfinity), TimeRange::full()),
+                ];
+                for (keys, window) in &rectangles {
+                    let pruned: Vec<_> = node
+                        .children_overlapping(keys, window)
+                        .map(|e| e.child)
+                        .collect();
+                    // The filter runs on owned entries: it also holds the
+                    // borrowed-bounds overlap test to `KeyRange::overlaps`.
+                    let linear: Vec<_> = node
+                        .to_entries()
+                        .iter()
+                        .filter(|e| e.overlaps(keys, window))
+                        .map(|e| e.child)
+                        .collect();
+                    prop_assert_eq!(pruned, linear, "rectangle {} x {}", keys, window);
                 }
             }
         }

@@ -5,26 +5,26 @@
 //! magnetic store; a node with a closed time range is *historical*,
 //! immutable, and lives on the WORM store.
 
-pub mod addr;
-pub mod data;
+mod addr;
+mod data;
 #[cfg(test)]
 mod data_model;
 #[cfg(test)]
 mod golden;
 mod image;
-pub mod index;
+mod index;
 #[cfg(test)]
 mod walk_equivalence;
 
-pub use addr::NodeAddr;
-pub use data::{DataComposition, DataNode, VersionRef, Versions, DATA_NODE_TAG};
-pub use index::{Entries, IndexComposition, IndexEntry, IndexEntryRef, IndexNode, INDEX_NODE_TAG};
+pub(crate) use addr::NodeAddr;
+pub(crate) use data::{DataComposition, DataNode, VersionRef, DATA_NODE_TAG};
+pub(crate) use index::{IndexEntry, IndexNode, INDEX_NODE_TAG};
 
 use tsb_common::{TsbError, TsbResult};
 
 /// A decoded node of either kind.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Node {
+pub(crate) enum Node {
     /// A leaf node holding record versions.
     Data(DataNode),
     /// An internal node holding child rectangles.
@@ -34,7 +34,7 @@ pub enum Node {
 impl Node {
     /// Decodes a node, dispatching on the type tag in the first byte. The
     /// node keeps `image` — the buffer a device read returned — as its body.
-    pub fn decode(image: Vec<u8>) -> TsbResult<Self> {
+    pub(crate) fn decode(image: Vec<u8>) -> TsbResult<Self> {
         match image.first() {
             Some(&DATA_NODE_TAG) => Ok(Node::Data(DataNode::decode(image)?)),
             Some(&INDEX_NODE_TAG) => Ok(Node::Index(IndexNode::decode(image)?)),
@@ -44,7 +44,7 @@ impl Node {
     }
 
     /// Encodes the node.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         match self {
             Node::Data(n) => n.encode(),
             Node::Index(n) => n.encode(),
@@ -52,31 +52,15 @@ impl Node {
     }
 
     /// Encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         match self {
             Node::Data(n) => n.encoded_size(),
             Node::Index(n) => n.encoded_size(),
         }
     }
 
-    /// The data node, if this is a leaf.
-    pub fn as_data(&self) -> Option<&DataNode> {
-        match self {
-            Node::Data(n) => Some(n),
-            Node::Index(_) => None,
-        }
-    }
-
-    /// The index node, if this is an internal node.
-    pub fn as_index(&self) -> Option<&IndexNode> {
-        match self {
-            Node::Data(_) => None,
-            Node::Index(n) => Some(n),
-        }
-    }
-
     /// Runs the node-local invariant checks.
-    pub fn validate(&self) -> TsbResult<()> {
+    pub(crate) fn validate(&self) -> TsbResult<()> {
         match self {
             Node::Data(n) => n.validate(),
             Node::Index(n) => n.validate(),
@@ -102,8 +86,7 @@ mod tests {
         assert_eq!(Node::decode(i.encode()).unwrap(), i);
         assert_eq!(d.encoded_size(), data.encoded_size());
         assert_eq!(i.encoded_size(), index.encoded_size());
-        assert!(d.as_data().is_some() && d.as_index().is_none());
-        assert!(i.as_index().is_some() && i.as_data().is_none());
+        assert!(matches!(d, Node::Data(_)) && matches!(i, Node::Index(_)));
         d.validate().unwrap();
         i.validate().unwrap();
 

@@ -28,9 +28,8 @@
 //!   writer is the log applier: it awaits (or recovers) a shipped log at
 //!   the directory and refuses every write verb until promoted.
 //! * [`TsbOptions::open_tree`] — a bare [`TsbTree`], one shard's index
-//!   read back from a directory an engine wrote, for what only a tree
-//!   shows (node paths, cache and device internals). Nothing outside this
-//!   crate writes through it.
+//!   read back from a directory an engine wrote. Outside this crate it
+//!   answers one question, its census ([`TsbTree::tree_stats`]).
 //!
 //! Every write goes through an engine, and every reopen is recovery: a
 //! tree's state lives in its log's fences alone, so [`TsbOptions::open`]
@@ -140,7 +139,9 @@ impl TsbOptions {
     }
 
     /// Opens a bare [`TsbTree`]: in memory an empty one, durable the tree
-    /// a [`ShardedTsb`] left at the directory.
+    /// a [`ShardedTsb`] left at the directory. Outside this crate all it
+    /// answers is [`TsbTree::tree_stats`], the census
+    /// [`ShardedTsb::tree_stats`] gives of a live engine.
     ///
     /// Durable: the directory holds the magnetic store (`current.pages`),
     /// the WORM store (`history.worm`), and the redo log (`redo.wal`) —

@@ -65,7 +65,7 @@ fn unescape_component(bytes: &[u8]) -> TsbResult<(Vec<u8>, &[u8])> {
 }
 
 /// Builds the composite key `(secondary, primary)`.
-pub fn composite_key(secondary: &Key, primary: &Key) -> Key {
+pub(crate) fn composite_key(secondary: &Key, primary: &Key) -> Key {
     let mut out = Vec::with_capacity(secondary.len() + primary.len() + 4);
     escape_component(&mut out, secondary.as_bytes());
     escape_component(&mut out, primary.as_bytes());
@@ -73,7 +73,7 @@ pub fn composite_key(secondary: &Key, primary: &Key) -> Key {
 }
 
 /// Splits a composite key back into `(secondary, primary)`.
-pub fn split_composite_key(key: &Key) -> TsbResult<(Key, Key)> {
+pub(crate) fn split_composite_key(key: &Key) -> TsbResult<(Key, Key)> {
     let (secondary, rest) = unescape_component(key.as_bytes())?;
     let (primary, rest) = unescape_component(rest)?;
     if !rest.is_empty() {
@@ -117,8 +117,8 @@ impl SecondaryIndex {
         })
     }
 
-    /// Checks every structural invariant of the index's tree
-    /// ([`TsbTree::verify`]).
+    /// Checks every structural invariant of the index's tree (the checks
+    /// [`crate::EngineHandle::verify`] runs on each shard).
     pub fn verify(&self) -> TsbResult<()> {
         self.tree.verify()
     }
@@ -191,6 +191,7 @@ impl SecondaryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn composite_keys_round_trip_and_preserve_order() {
@@ -317,5 +318,36 @@ mod tests {
         // dept-0 now holds its original 40 plus 80 transferred employees.
         assert_eq!(idx.count_as_of(&dept_names[0], Timestamp(ts)).unwrap(), 120);
         idx.verify().unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The composite (secondary, primary) encoding is loss-free and
+        /// order-preserving — the property the secondary index relies on for its
+        /// prefix scans.
+        #[test]
+        fn composite_key_encoding_round_trips_and_preserves_order(
+            pairs in prop::collection::vec(
+                (prop::collection::vec(any::<u8>(), 0..12), prop::collection::vec(any::<u8>(), 0..12)),
+                1..30
+            ),
+        ) {
+            let mut tuples: Vec<(Key, Key)> = pairs
+                .into_iter()
+                .map(|(s, p)| (Key::from_bytes(s), Key::from_bytes(p)))
+                .collect();
+            for (s, p) in &tuples {
+                let c = composite_key(s, p);
+                let (s2, p2) = split_composite_key(&c).unwrap();
+                prop_assert_eq!(&s2, s);
+                prop_assert_eq!(&p2, p);
+            }
+            // Order preservation: sorting by tuple equals sorting by encoding.
+            let mut by_encoding: Vec<(Key, Key)> = tuples.clone();
+            by_encoding.sort_by_key(|(s, p)| composite_key(s, p));
+            tuples.sort();
+            prop_assert_eq!(by_encoding, tuples);
+        }
     }
 }

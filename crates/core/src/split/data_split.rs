@@ -23,7 +23,10 @@ use tsb_common::{Key, Timestamp, Version};
 use crate::node::DataNode;
 
 /// The two halves of a key split: `(stay, move_right)`.
-pub fn partition_by_key(entries: &[Version], split_key: &Key) -> (Vec<Version>, Vec<Version>) {
+pub(crate) fn partition_by_key(
+    entries: &[Version],
+    split_key: &Key,
+) -> (Vec<Version>, Vec<Version>) {
     let mut left = Vec::new();
     let mut right = Vec::new();
     for e in entries {
@@ -38,7 +41,7 @@ pub fn partition_by_key(entries: &[Version], split_key: &Key) -> (Vec<Version>, 
 
 /// The result of applying the time-split rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimeSplitParts {
+pub(crate) struct TimeSplitParts {
     /// Entries migrated to the historical node (commit time `< T`).
     pub historical: Vec<Version>,
     /// Entries kept in the current node (commit time `>= T`, the rule-3
@@ -56,7 +59,7 @@ pub struct TimeSplitParts {
 /// current node, which answers all queries at or after `T` identically
 /// (documented extension; the tombstone itself is preserved in the
 /// historical node).
-pub fn partition_by_time(entries: &[Version], split_time: Timestamp) -> TimeSplitParts {
+pub(crate) fn partition_by_time(entries: &[Version], split_time: Timestamp) -> TimeSplitParts {
     let mut historical = Vec::new();
     let mut current = Vec::new();
     let mut duplicated = 0usize;
@@ -109,7 +112,7 @@ pub fn partition_by_time(entries: &[Version], split_time: Timestamp) -> TimeSpli
 /// group boundary is at or past half of the node's entry bytes. Returns
 /// `None` when the node holds fewer than two distinct keys (a key split
 /// would be useless — §3.2's boundary condition).
-pub fn choose_split_key(node: &DataNode) -> Option<Key> {
+pub(crate) fn choose_split_key(node: &DataNode) -> Option<Key> {
     let total_bytes: usize = node.iter().map(|e| e.encoded_size()).sum();
     let mut cumulative = 0usize;
     let mut previous: Option<&[u8]> = None;

@@ -26,7 +26,7 @@ use crate::node::{IndexEntry, IndexNode};
 
 /// Outcome of partitioning an index node's entries at a key value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexKeySplitParts {
+pub(crate) struct IndexKeySplitParts {
     /// Entries for the left node (key ranges at or below the split value,
     /// plus duplicated straddlers).
     pub left: Vec<IndexEntry>,
@@ -38,7 +38,10 @@ pub struct IndexKeySplitParts {
 }
 
 /// Applies the Index Node Keyspace Split Rule at `split_key`.
-pub fn partition_index_by_key(entries: &[IndexEntry], split_key: &Key) -> IndexKeySplitParts {
+pub(crate) fn partition_index_by_key(
+    entries: &[IndexEntry],
+    split_key: &Key,
+) -> IndexKeySplitParts {
     let mut left = Vec::new();
     let mut right = Vec::new();
     let mut duplicated = 0usize;
@@ -66,7 +69,7 @@ pub fn partition_index_by_key(entries: &[IndexEntry], split_key: &Key) -> IndexK
 /// distinct entry lower bounds that lie strictly above the node's own lower
 /// bound (rule 1: "the split value may be any key value actually used in an
 /// index entry in the node"). Returns `None` when no such value exists.
-pub fn choose_index_split_key(node: &IndexNode) -> Option<Key> {
+pub(crate) fn choose_index_split_key(node: &IndexNode) -> Option<Key> {
     let mut candidates: Vec<&[u8]> = node
         .iter()
         .map(|e| e.key_lo)
@@ -88,7 +91,7 @@ pub fn choose_index_split_key(node: &IndexNode) -> Option<Key> {
 /// would migrate). Returns `None` when the node cannot be locally time split
 /// — the Figure 9 situation, where an old current child still holds data
 /// from before every candidate time.
-pub fn local_time_split_point(node: &IndexNode) -> Option<Timestamp> {
+pub(crate) fn local_time_split_point(node: &IndexNode) -> Option<Timestamp> {
     let t = node
         .iter()
         .filter(|e| e.is_current())
@@ -111,7 +114,7 @@ pub fn local_time_split_point(node: &IndexNode) -> Option<Timestamp> {
 
 /// Outcome of partitioning an index node's entries at a time value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexTimeSplitParts {
+pub(crate) struct IndexTimeSplitParts {
     /// Entries for the historical index node (time ranges intersecting
     /// `[node start, T)`).
     pub historical: Vec<IndexEntry>,
@@ -128,7 +131,7 @@ pub struct IndexTimeSplitParts {
 /// The caller must have obtained `T` from [`local_time_split_point`], which
 /// guarantees that every entry intersecting `[.., T)` references a
 /// historical child.
-pub fn partition_index_by_time(
+pub(crate) fn partition_index_by_time(
     entries: &[IndexEntry],
     split_time: Timestamp,
 ) -> IndexTimeSplitParts {

@@ -12,15 +12,17 @@
 //! The functions in these modules are pure (they operate on entry slices and
 //! return partitions); the tree's insert path performs the device I/O.
 
-pub mod data_split;
-pub mod index_split;
-pub mod policy;
-pub mod time_choice;
+mod data_split;
+mod index_split;
+mod policy;
+mod time_choice;
 
-pub use data_split::{choose_split_key, partition_by_key, partition_by_time, TimeSplitParts};
-pub use index_split::{
-    choose_index_split_key, local_time_split_point, partition_index_by_key,
-    partition_index_by_time, IndexKeySplitParts, IndexTimeSplitParts,
+pub(crate) use data_split::{choose_split_key, partition_by_key, partition_by_time};
+pub(crate) use index_split::{
+    choose_index_split_key, local_time_split_point, partition_index_by_key, partition_index_by_time,
 };
-pub use policy::{plan_data_split, SplitPlan};
-pub use time_choice::choose_split_time;
+pub(crate) use policy::{plan_data_split, SplitPlan};
+pub(crate) use time_choice::choose_split_time;
+
+#[cfg(test)]
+mod tests;

@@ -26,7 +26,7 @@ use super::time_choice::choose_split_time;
 
 /// The plan for splitting a full data node.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SplitPlan {
+pub(crate) enum SplitPlan {
     /// Split the key space at `split_key`; both halves stay current.
     Key {
         /// Keys `>= split_key` move to the new right node.
@@ -49,7 +49,7 @@ pub enum SplitPlan {
 /// of split is possible, which means a single version is too large for a
 /// page — callers reject such versions at the API boundary, so reaching the
 /// error indicates a bug.
-pub fn plan_data_split(
+pub(crate) fn plan_data_split(
     node: &DataNode,
     cfg: &TsbConfig,
     now: Timestamp,

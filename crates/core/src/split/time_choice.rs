@@ -23,7 +23,7 @@ use crate::node::DataComposition;
 ///   not in the future;
 /// * at least one committed entry has commit time `< T` — otherwise the
 ///   historical node would be empty and the split useless.
-pub fn choose_split_time(
+pub(crate) fn choose_split_time(
     choice: SplitTimeChoice,
     comp: &DataComposition,
     node_lo: Timestamp,

@@ -130,6 +130,12 @@ impl TsbTree {
     /// reopened store cannot tell payload from sector padding, but every
     /// historical address records its node's exact length.
     pub fn tree_stats(&self) -> TsbResult<TreeStats> {
+        let space = SpaceSnapshot {
+            magnetic_bytes: self.magnetic.device_bytes(),
+            worm_bytes: self.worm.device_bytes(),
+            magnetic_payload_bytes: self.magnetic.payload_bytes(),
+            worm_payload_bytes: 0,
+        };
         let mut visited: HashSet<NodeAddr> = HashSet::new();
         let mut stats = TreeStats {
             current_data_nodes: 0,
@@ -141,11 +147,11 @@ impl TsbTree {
             redundant_copies: 0,
             uncommitted_versions: 0,
             live_versions: 0,
-            space: SpaceSnapshot {
-                worm_payload_bytes: 0,
-                ..self.space()
-            },
-            storage_cost: self.storage_cost(),
+            storage_cost: self
+                .cfg
+                .cost
+                .storage_cost(space.magnetic_bytes, space.worm_bytes),
+            space,
             depth: 0,
         };
         let mut distinct: HashSet<(Vec<u8>, Timestamp)> = HashSet::new();
@@ -202,7 +208,7 @@ impl TsbTree {
     }
 
     /// Depth of the current search path (1 for a tree whose root is a leaf).
-    pub fn current_depth(&self) -> TsbResult<usize> {
+    fn current_depth(&self) -> TsbResult<usize> {
         let mut addr = self.current_root();
         let mut depth = 1;
         loop {

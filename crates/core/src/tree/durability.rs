@@ -249,7 +249,7 @@ impl TsbTree {
     /// durable tree it then advances with the WAL's durable-LSN watermark
     /// as commit fences are fsynced (pipelined group commit). `None` for
     /// non-durable trees that were also not born from recovery.
-    pub fn last_durable_commit(&self) -> Option<Timestamp> {
+    pub(crate) fn last_durable_commit(&self) -> Option<Timestamp> {
         let settled = self.durability.as_ref().and_then(|d| {
             let mut acks = d.acks.lock();
             acks.settle(d.wal.durable_lsn());
@@ -259,11 +259,6 @@ impl TsbTree {
             (Some(cut), Some(live)) => Some(cut.max(live)),
             (cut, live) => cut.or(live),
         }
-    }
-
-    /// Whether this tree redo-logs its mutations to a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
     }
 
     // ----- write-ahead logging --------------------------------------------

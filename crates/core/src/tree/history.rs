@@ -40,14 +40,18 @@ use super::TsbTree;
 impl TsbTree {
     /// Every committed version of `key` whose commit time lies in `window`,
     /// oldest first. Tombstones are included (they are part of the history).
-    pub fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
+    pub(crate) fn history_between(&self, key: &Key, window: TimeRange) -> TsbResult<Vec<Version>> {
         self.scan_versions(&KeyRange::point(key), window)
     }
 
     /// Every committed version of every key in `keys` whose commit time lies
     /// in `window`, ordered by key and then commit time. Redundant copies
     /// created by time splits are reported once.
-    pub fn scan_versions(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Version>> {
+    pub(crate) fn scan_versions(
+        &self,
+        keys: &KeyRange,
+        window: TimeRange,
+    ) -> TsbResult<Vec<Version>> {
         let mut out = self.collect_rectangle(keys, &window, |v| v.to_version())?;
         out.sort_by(Version::sort_cmp);
         out.dedup_by(|a, b| a.sort_key() == b.sort_key());
@@ -56,7 +60,11 @@ impl TsbTree {
 
     /// The distinct keys in `keys` that had at least one committed change
     /// (insert, update, or delete) during `window`, in key order.
-    pub fn changed_keys_between(&self, keys: &KeyRange, window: TimeRange) -> TsbResult<Vec<Key>> {
+    pub(crate) fn changed_keys_between(
+        &self,
+        keys: &KeyRange,
+        window: TimeRange,
+    ) -> TsbResult<Vec<Key>> {
         let mut changed = self.collect_rectangle(keys, &window, |v| v.to_key())?;
         changed.sort();
         changed.dedup();
@@ -64,7 +72,7 @@ impl TsbTree {
     }
 
     /// Number of committed versions stored for `key` (0 if never written).
-    pub fn version_count(&self, key: &Key) -> TsbResult<usize> {
+    pub(crate) fn version_count(&self, key: &Key) -> TsbResult<usize> {
         let everything = TimeRange::full();
         let mut times =
             self.collect_rectangle(&KeyRange::point(key), &everything, |v| v.commit_time())?;

@@ -23,13 +23,13 @@
 //! verifier in [`crate::verify`].
 
 pub(crate) mod durability;
-pub mod history;
-pub mod insert;
+mod history;
+mod insert;
 mod node_io;
 pub(crate) mod recover;
 pub(crate) mod replay;
-pub mod scan;
-pub mod search;
+mod scan;
+mod search;
 
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -39,7 +39,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use tsb_common::{LogicalClock, Timestamp, TsbConfig, TsbError, TsbResult};
-use tsb_storage::{FaultInjector, IoStats, MagneticStore, PageId, SpaceSnapshot, Wal, WormStore};
+use tsb_storage::{FaultInjector, IoStats, MagneticStore, PageId, Wal, WormStore};
 
 use crate::cache::NodeCache;
 use crate::node::{DataNode, Node, NodeAddr};
@@ -59,30 +59,29 @@ use durability::{Durability, LogSeat};
 /// through before it is acknowledged; the shard waits on it only after its
 /// writer lock drops.
 ///
-/// Outside this crate a tree is read, not written: every write goes
-/// through a [`crate::ShardedTsb`], and [`crate::TsbOptions::open_tree`]
-/// reads back a directory one wrote — its one tree, or one `shard-NNN`
-/// directory's — for what only a tree shows (node paths, cache and device
-/// internals). A tree's state — root, clock, transaction counter — is
-/// written to its redo log's fences and nowhere else, so it reopens only
-/// through recovery.
+/// Outside this crate a tree answers one question, its census
+/// ([`TsbTree::tree_stats`]): every read and write goes through a
+/// [`crate::ShardedTsb`], and [`crate::TsbOptions::open_tree`] reads back a
+/// directory one wrote — its one tree, or one `shard-NNN` directory's.
+/// [`crate::ShardedTsb::tree_stats`] is the same census of a live engine.
+/// A tree's state — root, clock, transaction counter — is written to its
+/// redo log's fences and nowhere else, so it reopens only through
+/// recovery.
 ///
 /// ```
 /// use tsb_core::{EngineHandle, Key, TsbOptions};
 ///
 /// let dir = std::env::temp_dir().join(format!("tsb-doc-tree-{}", std::process::id()));
 /// let db = TsbOptions::durable(&dir).open()?;
-/// let t1 = db.insert(Key::from("acct-1"), b"balance=100".to_vec())?;
+/// db.insert(Key::from("acct-1"), b"balance=100".to_vec())?;
 /// db.insert(Key::from("acct-1"), b"balance=250".to_vec())?;
 /// drop(db);
 ///
-/// // The engine's one shard, read back as a bare tree.
-/// let tree = TsbOptions::durable(&dir).open_tree()?;
-/// // The old version is still reachable as of its own time (rollback database).
-/// assert_eq!(tree.get_as_of(&Key::from("acct-1"), t1)?, Some(b"balance=100".to_vec()));
-/// assert_eq!(tree.versions(&Key::from("acct-1"))?.len(), 2);
-/// assert_eq!(tree.lookup_path(&Key::from("acct-1"), t1)?.len(), tree.current_depth()?);
-/// # drop(tree);
+/// // The engine's one shard, read back as a bare tree: both versions are
+/// // stored (rollback database), one of them live.
+/// let stats = TsbOptions::durable(&dir).open_tree()?.tree_stats()?;
+/// assert_eq!(stats.distinct_versions, 2);
+/// assert_eq!(stats.live_versions, 1);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), tsb_core::TsbError>(())
 /// ```
@@ -237,12 +236,12 @@ impl TsbTree {
     }
 
     /// The tree configuration.
-    pub fn config(&self) -> &TsbConfig {
+    pub(crate) fn config(&self) -> &TsbConfig {
         &self.cfg
     }
 
     /// The shared I/O statistics counters.
-    pub fn io_stats(&self) -> &Arc<IoStats> {
+    pub(crate) fn io_stats(&self) -> &Arc<IoStats> {
         &self.stats
     }
 
@@ -251,7 +250,7 @@ impl TsbTree {
     /// can kill a fully assembled engine at any instrumented write site.
     /// Sharded crash tests install one injector across every shard, making
     /// a crash anywhere inside a cross-shard commit a single armed trigger.
-    pub fn set_fault_injector(&self, injector: &Arc<FaultInjector>) {
+    pub(crate) fn set_fault_injector(&self, injector: &Arc<FaultInjector>) {
         self.magnetic.set_fault_injector(Arc::clone(injector));
         self.worm.set_fault_injector(Arc::clone(injector));
         if let Some(d) = &self.durability {
@@ -260,13 +259,8 @@ impl TsbTree {
     }
 
     /// The current logical time (the timestamp the next commit would get).
-    pub fn now(&self) -> Timestamp {
+    pub(crate) fn now(&self) -> Timestamp {
         self.clock.now()
-    }
-
-    /// The root node address.
-    pub fn root_addr(&self) -> NodeAddr {
-        self.current_root()
     }
 
     /// Copies the root pointer out of its latch (a short shared latch, held
@@ -329,23 +323,6 @@ impl TsbTree {
             ));
         }
         Ok(())
-    }
-
-    /// Space currently occupied on the two devices (the paper's `SpaceM` and
-    /// `SpaceO`).
-    pub fn space(&self) -> SpaceSnapshot {
-        SpaceSnapshot {
-            magnetic_bytes: self.magnetic.device_bytes(),
-            worm_bytes: self.worm.device_bytes(),
-            magnetic_payload_bytes: self.magnetic.payload_bytes(),
-            worm_payload_bytes: self.worm.payload_bytes(),
-        }
-    }
-
-    /// The storage cost `CS = SpaceM·CM + SpaceO·CO` of the current state.
-    pub fn storage_cost(&self) -> f64 {
-        let space = self.space();
-        (self.cfg.cost).storage_cost(space.magnetic_bytes, space.worm_bytes)
     }
 
     /// The device half of a checkpoint ([`checkpoint_log`]): every dirty

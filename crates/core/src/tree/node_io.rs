@@ -61,7 +61,7 @@ impl TsbTree {
     /// Decodes the node at `addr` from its device image (magnetic store for
     /// current pages, WORM store for historical nodes), bypassing the
     /// decoded-node cache.
-    fn decode_node_at(&self, addr: NodeAddr) -> TsbResult<Node> {
+    pub(super) fn decode_node_at(&self, addr: NodeAddr) -> TsbResult<Node> {
         Node::decode(self.read_image(addr)?)
     }
 
@@ -74,15 +74,6 @@ impl TsbTree {
             NodeAddr::Current(page) => self.magnetic.read(page),
             NodeAddr::Historical(hist) => self.worm.read(hist),
         }
-    }
-
-    /// Reads and decodes the node at `addr` directly from the devices. Any
-    /// pending dirty state *for that address* is flushed first so its
-    /// device image is the newest one (other deferred encodes stay
-    /// deferred). Diagnostic surface used to check cache coherence.
-    pub fn read_node_bypass(&self, addr: NodeAddr) -> TsbResult<Node> {
-        self.flush_dirty_node_at(addr)?;
-        self.decode_node_at(addr)
     }
 
     /// Installs a current node no delta chain describes (root growth, node
@@ -215,23 +206,12 @@ impl TsbTree {
     }
 
     /// Writes every dirty cached node back to its page (ascending `PageId`
-    /// order). The entries stay cached, now clean. Public so measurement
-    /// harnesses can draw a line between build-phase and query-phase
-    /// encode/write traffic without a checkpoint.
-    pub fn flush_node_cache(&self) -> TsbResult<()> {
+    /// order). The entries stay cached, now clean.
+    pub(crate) fn flush_node_cache(&self) -> TsbResult<()> {
         for (page, node) in self.cache.dirty_entries() {
             self.write_back_dirty(page, &node)?;
         }
         Ok(())
-    }
-
-    /// Writes one address's dirty cached node back to its page, if it has
-    /// one; every other deferred encode stays deferred.
-    fn flush_dirty_node_at(&self, addr: NodeAddr) -> TsbResult<()> {
-        match self.cache.dirty_at(addr) {
-            Some((page, node)) => self.write_back_dirty(page, &node),
-            None => Ok(()),
-        }
     }
 
     /// Consolidates a node and appends it to the historical store,
@@ -247,31 +227,12 @@ impl TsbTree {
         Ok(addr)
     }
 
-    /// Drops every cached node, writing dirty ones back to the device
-    /// first. Each later node access pays one device read and one decode
-    /// until the cache is warm again — the fully-cold baseline.
-    pub fn drop_caches(&self) -> TsbResult<()> {
-        self.flush_node_cache()?;
-        self.cache.clear();
-        Ok(())
-    }
-
-    /// Invalidates the decoded-node cache entry for `addr`, if any. That
-    /// entry's dirty state is flushed first, so no write is lost — and
-    /// *only* that entry's, so invalidating one node does not act as a
-    /// full flush; the next read re-decodes the device image.
-    pub fn invalidate_cached_node(&self, addr: NodeAddr) -> TsbResult<()> {
-        self.flush_dirty_node_at(addr)?;
-        self.cache.discard(addr);
-        Ok(())
-    }
-
     /// Walks every node reachable from the root and checks that the cached
     /// copy equals what decoding the device image produces (pending dirty
     /// nodes are flushed first), and that the decoded node re-encodes to
     /// exactly that image — a node in memory *is* its device bytes. Returns
     /// the first divergence found.
-    pub fn verify_cache_coherence(&self) -> TsbResult<()> {
+    pub(crate) fn verify_cache_coherence(&self) -> TsbResult<()> {
         self.flush_node_cache()?;
         let mut visited: HashSet<NodeAddr> = HashSet::new();
         self.check_coherence(self.current_root(), &mut visited)

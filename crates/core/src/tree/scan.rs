@@ -16,7 +16,11 @@ impl TsbTree {
     /// order. Tombstoned keys are omitted. This answers the paper's
     /// "snapshot of the database at any given past time" restricted to a key
     /// range.
-    pub fn scan_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+    pub(crate) fn scan_as_of(
+        &self,
+        range: &KeyRange,
+        ts: Timestamp,
+    ) -> TsbResult<Vec<(Key, Vec<u8>)>> {
         let mut out: BTreeMap<Key, Vec<u8>> = BTreeMap::new();
         let mut visited: HashSet<NodeAddr> = HashSet::new();
         self.scan_node(self.current_root(), range, ts, &mut visited, &mut out)?;
@@ -95,27 +99,27 @@ impl TsbTree {
 
     /// A full-database snapshot as of `ts`: every key alive at that time with
     /// its governing value, in key order.
-    pub fn snapshot_at(&self, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+    pub(crate) fn snapshot_at(&self, ts: Timestamp) -> TsbResult<Vec<(Key, Vec<u8>)>> {
         self.scan_as_of(&KeyRange::full(), ts)
     }
 
     /// Every key currently alive with its newest committed value, in key
     /// order.
-    pub fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
+    pub(crate) fn scan_current(&self, range: &KeyRange) -> TsbResult<Vec<(Key, Vec<u8>)>> {
         // "Now" routes to the current nodes; any timestamp at or past the
         // newest commit works, and MAX is simplest.
         self.scan_as_of(range, Timestamp::MAX)
     }
 
     /// Number of keys alive in `range` as of `ts`.
-    pub fn count_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<usize> {
+    pub(crate) fn count_as_of(&self, range: &KeyRange, ts: Timestamp) -> TsbResult<usize> {
         Ok(self.scan_as_of(range, ts)?.len())
     }
 
     /// Every committed version of `key`, oldest first, tombstones included —
     /// the paper's "find all past versions of a given record". Redundant
     /// copies created by time splits are reported once.
-    pub fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
+    pub(crate) fn versions(&self, key: &Key) -> TsbResult<Vec<Version>> {
         self.history_between(key, TimeRange::full())
     }
 }

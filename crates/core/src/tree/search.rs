@@ -10,7 +10,7 @@
 use tsb_common::{Key, Timestamp, TsbError, TsbResult, Version};
 use tsb_storage::PageId;
 
-use crate::node::{Node, NodeAddr};
+use crate::node::Node;
 
 use super::{DataRef, TsbTree};
 
@@ -73,7 +73,7 @@ impl TsbTree {
 
     /// Returns the newest committed value of `key`, or `None` if the key has
     /// never been written or its newest version is a tombstone.
-    pub fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
+    pub(crate) fn get_current(&self, key: &Key) -> TsbResult<Option<Vec<u8>>> {
         let leaf = self.descend(key, Timestamp::MAX)?;
         Ok(leaf
             .find_latest_committed(key)
@@ -85,7 +85,7 @@ impl TsbTree {
     /// last transaction that committed at or before `ts` (stepwise-constant
     /// semantics, Figure 1). `None` if the key did not exist at `ts` or was
     /// deleted by then.
-    pub fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
+    pub(crate) fn get_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Vec<u8>>> {
         let leaf = self.descend(key, ts)?;
         Ok(leaf
             .find_as_of(key, ts)
@@ -95,52 +95,48 @@ impl TsbTree {
 
     /// Returns the full version record governing `(key, ts)`, tombstones
     /// included. `None` if the key did not exist at `ts`.
-    pub fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
+    pub(crate) fn get_version_as_of(&self, key: &Key, ts: Timestamp) -> TsbResult<Option<Version>> {
         let leaf = self.descend(key, ts)?;
         Ok(leaf.find_as_of(key, ts).map(|v| v.to_version()))
     }
 
-    /// Whether the key currently exists (has a committed, non-tombstone
-    /// newest version).
-    pub fn contains_key(&self, key: &Key) -> TsbResult<bool> {
-        Ok(self.get_current(key)?.is_some())
-    }
-
     /// The uncommitted version of `key` written by an in-flight transaction,
-    /// if any. Exposed for diagnostics and conflict inspection.
-    pub fn pending_version(&self, key: &Key) -> TsbResult<Option<Version>> {
+    /// if any: what a transactional write conflicts with.
+    pub(crate) fn pending_version(&self, key: &Key) -> TsbResult<Option<Version>> {
         let leaf = self.descend(key, Timestamp::MAX)?;
         Ok(leaf.find_uncommitted(key).map(|v| v.to_version()))
-    }
-
-    /// Returns the path of node addresses visited by a lookup of
-    /// `(key, ts)`, root first. Diagnostic helper used by tests, the
-    /// verifier, and the experiments.
-    pub fn lookup_path(&self, key: &Key, ts: Timestamp) -> TsbResult<Vec<NodeAddr>> {
-        let mut addr = self.current_root();
-        let mut path = vec![addr];
-        loop {
-            match &*self.read_node(addr)? {
-                Node::Data(_) => return Ok(path),
-                Node::Index(index) => {
-                    let entry = index.find_child(key, ts).ok_or_else(|| {
-                        TsbError::corruption(format!(
-                            "index node {} x {} has no child containing (key {key}, time {ts})",
-                            index.key_range, index.time_range
-                        ))
-                    })?;
-                    addr = entry.child;
-                    path.push(addr);
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeAddr;
     use tsb_common::{SplitPolicyKind, TsbConfig};
+
+    impl TsbTree {
+        /// Returns the path of node addresses visited by a lookup of
+        /// `(key, ts)`, root first.
+        fn lookup_path(&self, key: &Key, ts: Timestamp) -> TsbResult<Vec<NodeAddr>> {
+            let mut addr = self.current_root();
+            let mut path = vec![addr];
+            loop {
+                match &*self.read_node(addr)? {
+                    Node::Data(_) => return Ok(path),
+                    Node::Index(index) => {
+                        let entry = index.find_child(key, ts).ok_or_else(|| {
+                            TsbError::corruption(format!(
+                                "index node {} x {} has no child containing (key {key}, time {ts})",
+                                index.key_range, index.time_range
+                            ))
+                        })?;
+                        addr = entry.child;
+                        path.push(addr);
+                    }
+                }
+            }
+        }
+    }
 
     fn tree_with_history() -> (TsbTree, Vec<(u64, Timestamp, String)>) {
         let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::default());
@@ -174,8 +170,7 @@ mod tests {
             );
         }
         assert!(tree.get_current(&Key::from_u64(999)).unwrap().is_none());
-        assert!(tree.contains_key(&Key::from_u64(3)).unwrap());
-        assert!(!tree.contains_key(&Key::from_u64(999)).unwrap());
+        assert!(tree.get_current(&Key::from_u64(3)).unwrap().is_some());
     }
 
     #[test]

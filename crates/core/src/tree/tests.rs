@@ -15,8 +15,42 @@ use tsb_storage::{IoStats, MagneticStore, PageId, Wal, WalRecord, WormStore};
 
 use super::durability::checkpoint_log;
 use super::TsbTree;
-use crate::node::Node;
+use crate::node::{Node, NodeAddr};
 use crate::EngineHandle;
+
+/// Cache probes only these tests make: each writes back the dirty state it
+/// would otherwise lose, then reads, drops or invalidates past the cache.
+impl TsbTree {
+    /// Writes one address's dirty cached node back to its page, if it has
+    /// one; every other deferred encode stays deferred.
+    fn flush_dirty_node_at(&self, addr: NodeAddr) -> tsb_common::TsbResult<()> {
+        match self.cache.dirty_at(addr) {
+            Some((page, node)) => self.write_back_dirty(page, &node),
+            None => Ok(()),
+        }
+    }
+
+    /// Decodes the node at `addr` from its device image, bypassing (and
+    /// not filling) the node cache.
+    fn read_node_bypass(&self, addr: NodeAddr) -> tsb_common::TsbResult<Node> {
+        self.flush_dirty_node_at(addr)?;
+        self.decode_node_at(addr)
+    }
+
+    /// Drops every cached node, dirty ones written back first.
+    fn drop_caches(&self) -> tsb_common::TsbResult<()> {
+        self.flush_node_cache()?;
+        self.cache.clear();
+        Ok(())
+    }
+
+    /// Drops `addr`'s cached node, its dirty state written back first.
+    fn invalidate_cached_node(&self, addr: NodeAddr) -> tsb_common::TsbResult<()> {
+        self.flush_dirty_node_at(addr)?;
+        self.cache.discard(addr);
+        Ok(())
+    }
+}
 
 struct TempDir(std::path::PathBuf);
 
@@ -59,7 +93,7 @@ fn durable_tree_recovers_unflushed_writes_from_the_wal() {
             .config(cfg.clone())
             .open_tree()
             .unwrap();
-        assert!(tree.is_durable());
+        assert!(tree.durability.is_some());
         for i in 0..120u64 {
             let (ts, _) = tree.insert(i % 12, format!("v{i}").into_bytes()).unwrap();
             stamps.push((i % 12, ts, format!("v{i}").into_bytes()));
@@ -259,12 +293,12 @@ fn create_open_round_trip() {
         let tree = open();
         tree.insert(1u64, b"one".to_vec()).unwrap();
         tree.insert(2u64, b"two".to_vec()).unwrap();
-        root_before = tree.root_addr();
+        root_before = tree.current_root();
         checkpoint_log(&[&tree]).unwrap();
     }
     {
         let tree = open();
-        assert_eq!(tree.root_addr(), root_before);
+        assert_eq!(tree.current_root(), root_before);
         assert_eq!(
             tree.get_current(&Key::from_u64(1)).unwrap().unwrap(),
             b"one".to_vec()
@@ -306,9 +340,9 @@ fn space_and_cost_reflect_the_stores() {
     for i in 0..50u64 {
         tree.insert(i, vec![b'v'; 20]).unwrap();
     }
-    let space = tree.space();
-    assert!(space.magnetic_bytes > 0);
-    assert!(tree.storage_cost() > 0.0);
+    let stats = tree.tree_stats().unwrap();
+    assert!(stats.space.magnetic_bytes > 0);
+    assert!(stats.storage_cost > 0.0);
 }
 
 #[test]
@@ -547,7 +581,7 @@ fn the_write_back_barrier_reads_the_shards_own_durable_fence() {
     let (a, b) = (db.shards()[0].tree(), db.shards()[1].tree());
     let wal = a.wal_handle().unwrap();
     let rewrite_root = |tree: &TsbTree| {
-        let root = tree.root_addr();
+        let root = tree.current_root();
         let node = tree.read_node(root).unwrap();
         let page = root.as_page().unwrap();
         tree.write_current(page, Node::clone(&node)).unwrap();
@@ -627,7 +661,7 @@ fn an_as_of_descent_whose_index_fits_decodes_only_its_leaf() {
     let mut index_nodes = Vec::new();
     let mut probes = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    let mut frontier = vec![tree.root_addr()];
+    let mut frontier = vec![tree.current_root()];
     while let Some(addr) = frontier.pop() {
         if !seen.insert(addr) {
             continue;
@@ -692,14 +726,14 @@ fn bypass_reads_and_cache_invalidation_agree_with_the_cache() {
     tree.verify_cache_coherence().unwrap();
 
     // A bypass read of the root decodes the same node the cache holds.
-    let via_cache = tree.read_node(tree.root_addr()).unwrap();
-    let via_device = tree.read_node_bypass(tree.root_addr()).unwrap();
+    let via_cache = tree.read_node(tree.current_root()).unwrap();
+    let via_device = tree.read_node_bypass(tree.current_root()).unwrap();
     assert_eq!(*via_cache, via_device);
 
     // Invalidation forces a re-decode, which still agrees.
-    tree.invalidate_cached_node(tree.root_addr()).unwrap();
+    tree.invalidate_cached_node(tree.current_root()).unwrap();
     let before = tree.io_stats().snapshot();
-    let reread = tree.read_node(tree.root_addr()).unwrap();
+    let reread = tree.read_node(tree.current_root()).unwrap();
     let delta = tree.io_stats().snapshot().delta_since(&before);
     assert_eq!(delta.node_cache_misses, 1);
     assert_eq!(*reread, via_device);
@@ -856,7 +890,7 @@ proptest! {
             // Sprinkle invalidations through the stream: they must never
             // change any answer, only force re-decodes.
             if i % invalidate_every == invalidate_every - 1 {
-                tree.invalidate_cached_node(tree.root_addr()).unwrap();
+                tree.invalidate_cached_node(tree.current_root()).unwrap();
             }
         }
         // Every reachable cached node equals its decoded device image.

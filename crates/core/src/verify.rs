@@ -32,7 +32,7 @@ use crate::tree::TsbTree;
 impl TsbTree {
     /// Verifies the structural invariants of the whole tree. Returns the
     /// first violation found.
-    pub fn verify(&self) -> TsbResult<()> {
+    pub(crate) fn verify(&self) -> TsbResult<()> {
         let mut current_page_refs: HashMap<PageId, usize> = HashMap::new();
         let mut visited: HashSet<NodeAddr> = HashSet::new();
         let mut leaf_depths: HashSet<usize> = HashSet::new();

@@ -60,7 +60,9 @@ pub struct IoStats {
     /// Fsyncs issued by the write-ahead log (commit-policy and checkpoint).
     pub wal_syncs: AtomicU64,
     /// Bytes appended to the write-ahead log (frame bytes, including the
-    /// length/CRC header), the E12a `wal B/op` numerator.
+    /// length/CRC header): the numerator of the repo benchmark's
+    /// `storage.wal.bytes_per_op` and of the
+    /// `steady_state_wal_bytes_per_op_stays_within_budget` recovery test.
     pub wal_bytes_appended: AtomicU64,
     /// Commit fences appended to the WAL (one per committed mutation group);
     /// with `wal_syncs` this yields the commits-per-fsync sharing ratio.
@@ -73,8 +75,9 @@ pub struct IoStats {
     pub group_commit_wait_nanos: AtomicU64,
     /// Times a writer found the shard writer lock contended (had to block).
     pub writer_lock_waits: AtomicU64,
-    /// Total nanoseconds writers spent blocked acquiring the writer lock —
-    /// with `wal_commits` this yields the E14 writer-lock wait per op.
+    /// Total nanoseconds writers spent blocked acquiring the writer lock:
+    /// per op, the repo benchmark's
+    /// `core.concurrent.writer_lock_wait_us_per_op`.
     pub writer_lock_wait_nanos: AtomicU64,
 }
 

@@ -114,6 +114,10 @@ impl WormStore {
     /// The written-sector map is reconstructed conservatively on reopen: all
     /// sectors present in the file are considered written (the device never
     /// shrinks), which preserves the write-once guarantee across restarts.
+    /// A reopened store cannot tell payload from sector padding, so its
+    /// [`Self::payload_bytes`] (and [`Self::utilization`]) counts the
+    /// padding too. Only the in-memory WOBT baseline reads that counter: a
+    /// TSB-tree's census sums the lengths its historical addresses record.
     pub fn open_file(
         path: impl AsRef<Path>,
         sector_size: usize,

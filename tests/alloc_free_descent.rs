@@ -16,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tsb_common::{FsyncPolicy, Key, Timestamp, TsbConfig};
-use tsb_core::{EngineHandle, ShardedTsb, TsbOptions, TsbTree};
+use tsb_common::{FsyncPolicy, Key, TsbConfig};
+use tsb_core::{EngineHandle, ShardedTsb, TsbOptions};
 
 /// Counts allocations while `COUNTING` is set; delegates to [`System`].
 struct CountingAlloc;
@@ -101,16 +101,24 @@ impl Drop for TempDir {
     }
 }
 
+/// The node cache of the serving engines the miss tests reopen: far
+/// fewer entries than the tree has leaves, so it is full from recovery's
+/// verify on, as a serving engine's is.
+const SMALL_CACHE: usize = 16;
+
 /// Writes through a durable one-shard engine at `dir`, checkpoints it (every
-/// page on the device) and reads the directory back as a bare tree, whose
-/// cache starts cold: the harness's way to a tree's internals.
-fn write_then_read_back(dir: &TempDir, cfg: TsbConfig, write: impl FnOnce(&ShardedTsb)) -> TsbTree {
-    let opts = TsbOptions::durable(&dir.0).config(cfg.with_fsync_policy(FsyncPolicy::Os));
+/// page on the device) and reopens the directory as an engine whose node
+/// cache holds [`SMALL_CACHE`] nodes.
+fn write_then_reopen(dir: &TempDir, write: impl FnOnce(&ShardedTsb)) -> ShardedTsb {
+    let opts = TsbOptions::durable(&dir.0).fsync(FsyncPolicy::Os);
     let db = opts.clone().open().unwrap();
     write(&db);
     db.checkpoint().unwrap();
     drop(db);
-    opts.open_tree().unwrap()
+    opts.config(TsbConfig::default().with_node_cache_entries(SMALL_CACHE))
+        .fsync(FsyncPolicy::Os)
+        .open()
+        .unwrap()
 }
 
 #[test]
@@ -175,52 +183,53 @@ fn warm_missing_key_lookup_allocates_nothing() {
 /// came off the device: the read's buffer becomes the node's body, and the
 /// only other allocations are the offset table and the `Arc` the cache
 /// holds. With a `Vec<u8>` per value the same miss allocated once per entry
-/// (33 times for a 31-entry leaf).
+/// (33 times for a 31-entry leaf). Measured in the serving state: the
+/// engine's cache is full, so the fill also evicts a node.
 #[test]
 fn historical_leaf_miss_allocates_at_most_four_times() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Engine-default 4 KiB pages: about 30 versions to a leaf.
-    let cfg = TsbConfig::default().with_node_cache_entries(4096);
     let dir = TempDir::new("historical-miss");
     let mut stamps = Vec::new();
-    let tree = write_then_read_back(&dir, cfg, |db| {
+    let db = write_then_reopen(&dir, |db| {
         for generation in 0..80u8 {
             for k in 0..50u64 {
                 stamps.push(db.insert(Key::from_u64(k), vec![generation; 100]).unwrap());
             }
         }
     });
+    let census = db.tree_stats().unwrap();
+    assert!(
+        census.historical_data_nodes > 2 * SMALL_CACHE,
+        "{} historical leaves do not overflow a {SMALL_CACHE}-node cache",
+        census.historical_data_nodes
+    );
     let key = Key::from_u64(17);
     let ts = stamps[stamps.len() / 4];
-    let leaf = *tree.lookup_path(&key, ts).unwrap().last().unwrap();
-    assert!(
-        leaf.is_historical(),
-        "the probe must land in migrated history"
-    );
-    let entries = tree
-        .read_node_bypass(leaf)
-        .unwrap()
-        .as_data()
-        .expect("a lookup path ends at a leaf")
-        .len();
-    assert!(entries >= 20, "leaf holds only {entries} entries");
 
     // Warm: the only allocation is the value handed to the caller.
-    assert!(tree.get_as_of(&key, ts).unwrap().is_some());
+    assert!(db.get_as_of(&key, ts).unwrap().is_some());
     let (warm, _) = count_allocations(|| {
-        assert!(tree.get_as_of(&key, ts).unwrap().is_some());
+        assert!(db.get_as_of(&key, ts).unwrap().is_some());
     });
 
-    tree.invalidate_cached_node(leaf).unwrap();
-    let before = tree.io_stats().snapshot();
+    // Reading every other key's history, version by version, evicts the
+    // probed leaf.
+    for (i, at) in stamps.iter().enumerate() {
+        let k = i as u64 % 50;
+        if k != 17 {
+            db.get_as_of(&Key::from_u64(k), *at).unwrap();
+        }
+    }
+    let before = db.io_snapshot();
     let (miss, _) = count_allocations(|| {
-        assert!(tree.get_as_of(&key, ts).unwrap().is_some());
+        assert!(db.get_as_of(&key, ts).unwrap().is_some());
     });
-    let delta = tree.io_stats().snapshot().delta_since(&before);
-    assert_eq!(delta.node_decodes, 1, "exactly the dropped leaf is decoded");
+    let delta = db.io_snapshot().delta_since(&before);
+    assert_eq!(delta.node_decodes, 1, "exactly the evicted leaf is decoded");
     assert!(
         miss - warm <= 4,
-        "a {entries}-entry historical leaf miss allocated {} times beyond the warm lookup's {warm}",
+        "a historical leaf miss allocated {} times beyond the warm lookup's {warm}",
         miss - warm
     );
 }
@@ -229,37 +238,39 @@ fn historical_leaf_miss_allocates_at_most_four_times() {
 /// does: the page read's buffer becomes the node's body — the page's length
 /// header is shifted out in place, not copied into a second buffer — and
 /// the only other allocations are the offset table and the cache's `Arc`.
+/// The node the fill evicts is handed back without a container of its own.
 #[test]
 fn current_leaf_miss_allocates_at_most_three_times() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = TsbConfig::default().with_node_cache_entries(4096);
     let dir = TempDir::new("current-miss");
-    // Every page on the device.
-    let tree = write_then_read_back(&dir, cfg, |db| {
-        for k in 0..1000u64 {
+    let db = write_then_reopen(&dir, |db| {
+        for k in 0..5000u64 {
             db.insert(Key::from_u64(k), Vec::new()).unwrap();
         }
     });
+    let census = db.tree_stats().unwrap();
+    assert!(
+        census.current_data_nodes > 2 * SMALL_CACHE,
+        "{} current leaves do not overflow a {SMALL_CACHE}-node cache",
+        census.current_data_nodes
+    );
     let key = Key::from_u64(417);
-    let leaf = *tree
-        .lookup_path(&key, Timestamp::MAX)
-        .unwrap()
-        .last()
-        .unwrap();
-    assert!(leaf.is_current(), "the probe must land in a current leaf");
 
-    assert!(tree.get_current(&key).unwrap().is_some());
+    assert!(db.get_current(&key).unwrap().is_some());
     let (warm, _) = count_allocations(|| {
-        assert!(tree.get_current(&key).unwrap().is_some());
+        assert!(db.get_current(&key).unwrap().is_some());
     });
 
-    tree.invalidate_cached_node(leaf).unwrap();
-    let before = tree.io_stats().snapshot();
+    // Every other key's read evicts the probed leaf.
+    for k in (0..5000u64).filter(|k| *k != 417) {
+        db.get_current(&Key::from_u64(k)).unwrap();
+    }
+    let before = db.io_snapshot();
     let (miss, _) = count_allocations(|| {
-        assert!(tree.get_current(&key).unwrap().is_some());
+        assert!(db.get_current(&key).unwrap().is_some());
     });
-    let delta = tree.io_stats().snapshot().delta_since(&before);
-    assert_eq!(delta.node_decodes, 1, "exactly the dropped leaf is decoded");
+    let delta = db.io_snapshot().delta_since(&before);
+    assert_eq!(delta.node_decodes, 1, "exactly the evicted leaf is decoded");
     assert_eq!(delta.magnetic_reads, 1, "from one page read");
     assert!(
         miss - warm <= 3,

@@ -1,22 +1,12 @@
 //! Executable reproductions of the paper's structural figures (F1–F9 in
 //! DESIGN.md). The paper has no measured tables; its figures illustrate how
 //! the structures behave on tiny scripted histories, and these tests pin
-//! that behaviour.
+//! that behaviour through the engine and the WOBT baseline. Figures 5–9,
+//! which split single nodes by hand, are `tsb-core`'s `split::tests`.
 
-use tsb_common::{
-    Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig, Version,
-};
-use tsb_core::split::{
-    choose_index_split_key, local_time_split_point, partition_by_key, partition_by_time,
-    partition_index_by_key,
-};
-use tsb_core::{EngineHandle, IndexEntry, IndexNode, NodeAddr};
-use tsb_storage::{HistAddr, PageId};
+use tsb_common::{Key, SplitPolicyKind, SplitTimeChoice, Timestamp, TsbConfig};
+use tsb_core::EngineHandle;
 use tsb_wobt::{Wobt, WobtConfig};
-
-fn v(key: u64, ts: u64, name: &str) -> Version {
-    Version::committed(key, Timestamp(ts), name.as_bytes().to_vec())
-}
 
 /// Figure 1: stepwise-constant data. "To find the balance of an account at a
 /// given time T, we look at the last entry made before T."
@@ -92,184 +82,6 @@ fn figures3_and_4_wobt_splits_duplicate_current_data() {
             .unwrap(),
         b"round-0".to_vec()
     );
-}
-
-/// Figure 5: a TSB-tree data node holding only insertions is split purely by
-/// key; nothing migrates and the new index entries carry the old entry's
-/// timestamp (here: both halves keep the node's original time range).
-#[test]
-fn figure5_pure_key_split_for_insert_only_nodes() {
-    let entries: Vec<Version> = vec![
-        v(60, 1, "Joe"),
-        v(70, 3, "Pete"),
-        v(80, 1, "Mary"),
-        v(90, 6, "Alice"),
-    ];
-    let (left, right) = partition_by_key(&entries, &Key::from_u64(80));
-    assert_eq!(left.len(), 2);
-    assert_eq!(right.len(), 2);
-    // No entry was duplicated and nothing was designated historical.
-    assert_eq!(left.len() + right.len(), entries.len());
-
-    // End-to-end: an insert-only workload under the threshold policy never
-    // touches the WORM store.
-    let cfg = TsbConfig::small_pages().with_split_policy(SplitPolicyKind::default());
-    let tree = tsb_core::TsbOptions::in_memory()
-        .config(cfg)
-        .open()
-        .unwrap();
-    for i in 0..200u64 {
-        tree.insert(Key::from_u64(i), format!("ins-{i}").into_bytes())
-            .unwrap();
-    }
-    assert_eq!(
-        tree.tree_stats().unwrap().space.worm_bytes,
-        0,
-        "insert-only data never migrates"
-    );
-    tree.verify().unwrap();
-}
-
-/// Figure 6: the same node time-split at T=4 versus T=5. At T=4 there is no
-/// redundancy; at T=5 the version valid at the split time ("Mary", T=4) is
-/// copied into both the historical and the current node.
-#[test]
-fn figure6_split_time_choice_controls_redundancy() {
-    let entries = vec![
-        v(60, 1, "Joe"),
-        v(60, 2, "Pete"),
-        v(60, 4, "Mary"),
-        v(90, 6, "Alice"),
-    ];
-
-    let at_4 = partition_by_time(&entries, Timestamp(4));
-    assert_eq!(at_4.duplicated, 0, "T=4: no redundancy (Figure 6 top)");
-    assert_eq!(at_4.historical.len(), 2);
-    assert_eq!(at_4.current.len(), 2);
-
-    let at_5 = partition_by_time(&entries, Timestamp(5));
-    assert_eq!(
-        at_5.duplicated, 1,
-        "T=5: Mary is in both nodes (Figure 6 bottom)"
-    );
-    assert!(at_5
-        .historical
-        .iter()
-        .any(|e| e.value == Some(b"Mary".to_vec())));
-    assert!(at_5
-        .current
-        .iter()
-        .any(|e| e.value == Some(b"Mary".to_vec())));
-}
-
-/// Figure 7: an index keyspace split must duplicate the (historical) entry
-/// whose key range strictly contains the split value; entries on one side go
-/// to one node only.
-#[test]
-fn figure7_index_keyspace_split_duplicates_straddling_historical_entries() {
-    let full = KeyRange::full();
-    let hist_wide = IndexEntry::new(
-        KeyRange::new(Key::from_u64(50), tsb_common::KeyBound::PlusInfinity),
-        TimeRange::bounded(Timestamp(0), Timestamp(7)),
-        NodeAddr::Historical(HistAddr::new(0, 64)),
-    );
-    let node = IndexNode::from_entries(
-        full,
-        TimeRange::full(),
-        vec![
-            IndexEntry::new(
-                KeyRange::new(Key::MIN, tsb_common::KeyBound::Finite(Key::from_u64(50))),
-                TimeRange::bounded(Timestamp(0), Timestamp(8)),
-                NodeAddr::Historical(HistAddr::new(64, 64)),
-            ),
-            hist_wide.clone(),
-            IndexEntry::new(
-                KeyRange::new(Key::MIN, tsb_common::KeyBound::Finite(Key::from_u64(50))),
-                TimeRange::from(Timestamp(8)),
-                NodeAddr::Current(PageId(1)),
-            ),
-            IndexEntry::new(
-                KeyRange::bounded(Key::from_u64(50), Key::from_u64(100)),
-                TimeRange::from(Timestamp(7)),
-                NodeAddr::Current(PageId(2)),
-            ),
-            IndexEntry::new(
-                KeyRange::new(Key::from_u64(100), tsb_common::KeyBound::PlusInfinity),
-                TimeRange::from(Timestamp(7)),
-                NodeAddr::Current(PageId(3)),
-            ),
-        ],
-    );
-    node.validate().unwrap();
-    let split_key = choose_index_split_key(&node).unwrap();
-    assert_eq!(split_key, Key::from_u64(100));
-    let parts = partition_index_by_key(&node.to_entries(), &split_key);
-    assert_eq!(parts.duplicated, 1);
-    let dup: Vec<_> = parts
-        .left
-        .iter()
-        .filter(|e| parts.right.contains(e))
-        .collect();
-    assert_eq!(
-        dup,
-        vec![&hist_wide],
-        "only the straddling historical entry is duplicated"
-    );
-}
-
-/// Figures 8 and 9: an index node can be time split *locally* only when
-/// there is a time before which every reference is historical; an old
-/// current child blocks it.
-#[test]
-fn figures8_and_9_local_index_time_split_condition() {
-    let hist = |off: u64, lo: u64, hi: u64| {
-        IndexEntry::new(
-            KeyRange::full(),
-            TimeRange::bounded(Timestamp(lo), Timestamp(hi)),
-            NodeAddr::Historical(HistAddr::new(off, 64)),
-        )
-    };
-    // Figure 8: both current children start at T=4; everything before 4 is
-    // historical, so a local time split at 4 is possible.
-    let splittable = IndexNode::from_entries(
-        KeyRange::full(),
-        TimeRange::full(),
-        vec![
-            hist(0, 0, 4),
-            IndexEntry::new(
-                KeyRange::new(Key::MIN, tsb_common::KeyBound::Finite(Key::from_u64(50))),
-                TimeRange::from(Timestamp(4)),
-                NodeAddr::Current(PageId(1)),
-            ),
-            IndexEntry::new(
-                KeyRange::new(Key::from_u64(50), tsb_common::KeyBound::PlusInfinity),
-                TimeRange::from(Timestamp(4)),
-                NodeAddr::Current(PageId(2)),
-            ),
-        ],
-    );
-    assert_eq!(local_time_split_point(&splittable), Some(Timestamp(4)));
-
-    // Figure 9: one current child has never been time split (it still starts
-    // at T=0), so no local time split exists.
-    let blocked = IndexNode::from_entries(
-        KeyRange::full(),
-        TimeRange::full(),
-        vec![
-            hist(0, 0, 4),
-            IndexEntry::new(
-                KeyRange::new(Key::MIN, tsb_common::KeyBound::Finite(Key::from_u64(50))),
-                TimeRange::from(Timestamp(4)),
-                NodeAddr::Current(PageId(1)),
-            ),
-            IndexEntry::new(
-                KeyRange::new(Key::from_u64(50), tsb_common::KeyBound::PlusInfinity),
-                TimeRange::from(Timestamp(0)),
-                NodeAddr::Current(PageId(2)),
-            ),
-        ],
-    );
-    assert_eq!(local_time_split_point(&blocked), None);
 }
 
 /// End-to-end check of the WOBT-vs-TSB contrast the figures build up to:

@@ -8,23 +8,17 @@
 //!   gap in the key space's timestamps, transactions) and arbitrary
 //!   key × time rectangles, the pruned temporal queries return exactly the
 //!   oracle's filtered history.
-//! * **Time-split rule**: for arbitrary version multisets and split times,
-//!   the partition loses nothing, puts strictly-older versions in the
-//!   historical half, and always carries the version valid at the split time
-//!   into the current half.
-//! * **Index keyspace split rule**: partitions preserve every entry,
-//!   duplicate only straddling entries, and route every key to exactly one
-//!   side.
-//! * **Composite-key encoding** (secondary indexes): order-preserving and
-//!   loss-free.
+//!
+//! The properties of single nodes and keys — the split rules, index
+//! routing, the composite-key encoding — are `tsb-core`'s unit tests
+//! (`split::tests`, `node::index::tests`, `secondary::tests`).
 
 use proptest::prelude::*;
 
 use tsb_common::{
     Key, KeyRange, SplitPolicyKind, SplitTimeChoice, TimeRange, Timestamp, TsbConfig, Version,
 };
-use tsb_core::split::{partition_by_key, partition_by_time};
-use tsb_core::{composite_key, split_composite_key, EngineHandle};
+use tsb_core::EngineHandle;
 use tsb_workload::Oracle;
 
 // ---------- generators -------------------------------------------------------
@@ -121,25 +115,6 @@ fn key_range_strategy() -> impl Strategy<Value = KeyRange> {
         5 => (0u64..34, 0u64..34)
             .prop_map(|(lo, hi)| KeyRange::bounded(Key::from_u64(lo), Key::from_u64(hi))),
     ]
-}
-
-fn version_strategy() -> impl Strategy<Value = Version> {
-    (
-        0u64..16,
-        1u64..64,
-        prop::option::of(prop::collection::vec(any::<u8>(), 0..12)),
-    )
-        .prop_map(|(key, ts, value)| Version {
-            key: Key::from_u64(key),
-            state: tsb_common::TsState::Committed(Timestamp(ts)),
-            value,
-        })
-}
-
-fn sorted_versions(mut v: Vec<Version>) -> Vec<Version> {
-    v.sort_by(Version::sort_cmp);
-    v.dedup_by(|a, b| a.sort_key() == b.sort_key());
-    v
 }
 
 // ---------- properties -------------------------------------------------------
@@ -310,271 +285,6 @@ proptest! {
             let all = expected_in(&KeyRange::point(&key), &TimeRange::full());
             prop_assert_eq!(tree.version_count(&key).unwrap(), all.len());
             prop_assert_eq!(tree.versions(&key).unwrap(), all);
-        }
-    }
-
-    /// The TIME-SPLIT RULE: nothing is lost, the historical half holds
-    /// exactly the strictly-older versions, and for every key alive at the
-    /// split time the governing version is present in the current half.
-    #[test]
-    fn time_split_rule_properties(
-        versions in prop::collection::vec(version_strategy(), 1..40),
-        split in 1u64..80,
-    ) {
-        let entries = sorted_versions(versions);
-        let split_time = Timestamp(split);
-        let parts = partition_by_time(&entries, split_time);
-
-        // Nothing lost.
-        for e in &entries {
-            prop_assert!(parts.historical.contains(e) || parts.current.contains(e));
-        }
-        // Historical = strictly older.
-        for e in &parts.historical {
-            prop_assert!(e.commit_time().unwrap() < split_time);
-        }
-        // The version valid at the split time is in the current half (unless
-        // it is a tombstone, which may be elided).
-        let mut keys: Vec<Key> = entries.iter().map(|e| e.key.clone()).collect();
-        keys.dedup();
-        for key in keys {
-            let governing = entries
-                .iter()
-                .rfind(|e| e.key == key && e.commit_time().unwrap() <= split_time);
-            if let Some(g) = governing {
-                if !g.is_tombstone() {
-                    prop_assert!(
-                        parts.current.contains(g),
-                        "version valid at the split time must be in the current node"
-                    );
-                }
-            }
-        }
-        // Redundancy accounting is exact.
-        let both = parts
-            .historical
-            .iter()
-            .filter(|e| parts.current.contains(e))
-            .count();
-        prop_assert_eq!(both, parts.duplicated);
-    }
-
-    /// Key splits partition by key with no loss and no duplication.
-    #[test]
-    fn key_split_partitions_cleanly(
-        versions in prop::collection::vec(version_strategy(), 1..40),
-        split_key in 0u64..16,
-    ) {
-        let entries = sorted_versions(versions);
-        let split = Key::from_u64(split_key);
-        let (left, right) = partition_by_key(&entries, &split);
-        prop_assert_eq!(left.len() + right.len(), entries.len());
-        prop_assert!(left.iter().all(|e| e.key < split));
-        prop_assert!(right.iter().all(|e| e.key >= split));
-    }
-
-    /// The composite (secondary, primary) encoding is loss-free and
-    /// order-preserving — the property the secondary index relies on for its
-    /// prefix scans.
-    #[test]
-    fn composite_key_encoding_round_trips_and_preserves_order(
-        pairs in prop::collection::vec(
-            (prop::collection::vec(any::<u8>(), 0..12), prop::collection::vec(any::<u8>(), 0..12)),
-            1..30
-        ),
-    ) {
-        let mut tuples: Vec<(Key, Key)> = pairs
-            .into_iter()
-            .map(|(s, p)| (Key::from_bytes(s), Key::from_bytes(p)))
-            .collect();
-        for (s, p) in &tuples {
-            let c = composite_key(s, p);
-            let (s2, p2) = split_composite_key(&c).unwrap();
-            prop_assert_eq!(&s2, s);
-            prop_assert_eq!(&p2, p);
-        }
-        // Order preservation: sorting by tuple equals sorting by encoding.
-        let mut by_encoding: Vec<(Key, Key)> = tuples.clone();
-        by_encoding.sort_by_key(|(s, p)| composite_key(s, p));
-        tuples.sort();
-        prop_assert_eq!(by_encoding, tuples);
-    }
-}
-
-// ---------- partitioned index routing ---------------------------------------
-//
-// `IndexNode::find_child` routes descents through a two-region layout
-// (historical entries binary-searched by `(key, ts)`, current entries by
-// key). The property: on *arbitrary valid* index nodes — generated as
-// arbitrary rectangle tilings of the key x time plane, optionally put
-// through a real index keyspace split so historical entries straddle the
-// node's key range — the partitioned routing agrees with the linear
-// reference scan at every probe point, including entry boundary corners,
-// past timestamps, and `Timestamp::MAX`.
-
-/// Builds a valid index node by recursively splitting the full rectangle.
-/// Each instruction `(which, at, dim)` picks a rectangle and bisects it at a
-/// key or time point strictly inside it (no-op when the point falls on or
-/// outside the boundary).
-fn tiling_node(splits: &[(u16, u16, u8)]) -> tsb_core::IndexNode {
-    use tsb_common::{KeyRange, TimeBound, TimeRange};
-    let mut rects: Vec<(KeyRange, TimeRange)> = vec![(KeyRange::full(), TimeRange::full())];
-    for (which, at, dim) in splits {
-        let idx = *which as usize % rects.len();
-        let (kr, tr) = rects[idx].clone();
-        if dim % 2 == 0 {
-            let split = Key::from_u64(u64::from(at % 1000) + 1);
-            if let Some((left, right)) = kr.split_at(&split) {
-                rects[idx] = (left, tr);
-                rects.push((right, tr));
-            }
-        } else {
-            let t = Timestamp(u64::from(at % 1000) + 1);
-            let strictly_inside = tr.lo < t
-                && match tr.hi {
-                    TimeBound::Finite(h) => t < h,
-                    TimeBound::Infinity => true,
-                };
-            if strictly_inside {
-                rects[idx] = (kr.clone(), TimeRange::new(tr.lo, TimeBound::Finite(t)));
-                rects.push((kr, TimeRange::new(t, tr.hi)));
-            }
-        }
-    }
-    let entries: Vec<tsb_core::IndexEntry> = rects
-        .into_iter()
-        .enumerate()
-        .map(|(i, (kr, tr))| {
-            let addr = if tr.is_current() {
-                tsb_core::NodeAddr::Current(tsb_storage::PageId(i as u64 + 1))
-            } else {
-                tsb_core::NodeAddr::Historical(tsb_storage::HistAddr::new(i as u64 * 128, 64))
-            };
-            tsb_core::IndexEntry::new(kr, tr, addr)
-        })
-        .collect();
-    tsb_core::IndexNode::from_entries(KeyRange::full(), TimeRange::full(), entries)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn partitioned_find_child_agrees_with_linear_scan(
-        splits in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 0..48),
-        keyspace_split in (any::<u8>(), any::<u8>()),
-        probes in prop::collection::vec((any::<u16>(), any::<u16>()), 0..64),
-    ) {
-        use tsb_common::{KeyBound, KeyRange, TimeRange};
-        use tsb_core::split::partition_index_by_key;
-
-        let mut node = tiling_node(&splits);
-        node.validate().unwrap();
-
-        // With 3-in-4 probability, apply a genuine index keyspace split
-        // (paper rule set, straddling historical entries copied to both
-        // halves) and keep one half, so the node carries historical
-        // entries sticking out of its own key range.
-        let (pick, side) = keyspace_split;
-        if pick % 4 != 0 {
-            // Split values must be current-entry lower bounds: in a real
-            // tree every entry's lower bound is a current keyspace
-            // boundary, so a split never straddles a current child.
-            let candidates: Vec<Key> = node
-                .current_region()
-                .map(|e| Key::from_bytes(e.key_lo))
-                .filter(|k| !k.is_min())
-                .collect();
-            if !candidates.is_empty() {
-                let split = candidates[pick as usize % candidates.len()].clone();
-                let parts = partition_index_by_key(&node.to_entries(), &split);
-                let (range, entries) = if side % 2 == 0 {
-                    (
-                        KeyRange::new(Key::MIN, KeyBound::Finite(split)),
-                        parts.left,
-                    )
-                } else {
-                    (
-                        KeyRange::new(split, KeyBound::PlusInfinity),
-                        parts.right,
-                    )
-                };
-                node = tsb_core::IndexNode::from_entries(range, TimeRange::full(), entries);
-                node.validate().unwrap();
-            }
-        }
-
-        let compare = |key: &Key, ts: Timestamp| {
-            let partitioned = node.find_child(key, ts).map(|e| e.child);
-            let linear = node.find_child_linear(key, ts).map(|e| e.child);
-            prop_assert_eq!(
-                partitioned, linear,
-                "divergence at (key {}, ts {})", key, ts
-            );
-            Ok(())
-        };
-
-        // Every entry's corner points, probed at the entry's own start
-        // time, just before its end, and at the end of time.
-        let corner_entries: Vec<(Key, Timestamp, Option<Timestamp>)> = node
-            .iter()
-            .map(|e| {
-                (
-                    Key::from_bytes(e.key_lo),
-                    e.time_range.lo,
-                    e.time_range.hi.as_finite(),
-                )
-            })
-            .collect();
-        for (lo, t_lo, t_hi) in &corner_entries {
-            compare(lo, *t_lo)?;
-            compare(lo, Timestamp::MAX)?;
-            if let Some(h) = t_hi {
-                compare(lo, *h)?;
-                if h.value() > 0 {
-                    compare(lo, h.prev())?;
-                }
-            }
-        }
-        // Random probes, with a bias toward MAX (the hot descent).
-        for (a, b) in &probes {
-            let key = Key::from_u64(u64::from(a % 1200));
-            let ts = if b % 8 == 0 {
-                Timestamp::MAX
-            } else {
-                Timestamp(u64::from(b % 1100))
-            };
-            compare(&key, ts)?;
-        }
-        // Rectangle routing: the pruned overlap query returns exactly what
-        // a filter over every entry returns, in the same (storage) order.
-        for pair in probes.chunks_exact(2) {
-            let ((a, b), (c, d)) = (pair[0], pair[1]);
-            let lo = Key::from_u64(u64::from(a % 1200));
-            let from = Timestamp(u64::from(b % 1100));
-            let rectangles = [
-                (
-                    KeyRange::bounded(lo.clone(), Key::from_u64(u64::from(c % 1200))),
-                    TimeRange::bounded(from, Timestamp(u64::from(d % 1100))),
-                ),
-                (KeyRange::point(&lo), TimeRange::from(from)),
-                (KeyRange::new(lo, KeyBound::PlusInfinity), TimeRange::full()),
-            ];
-            for (keys, window) in &rectangles {
-                let pruned: Vec<_> = node
-                    .children_overlapping(keys, window)
-                    .map(|e| e.child)
-                    .collect();
-                // The filter runs on owned entries: it also holds the
-                // borrowed-bounds overlap test to `KeyRange::overlaps`.
-                let linear: Vec<_> = node
-                    .to_entries()
-                    .iter()
-                    .filter(|e| e.overlaps(keys, window))
-                    .map(|e| e.child)
-                    .collect();
-                prop_assert_eq!(pruned, linear, "rectangle {} x {}", keys, window);
-            }
         }
     }
 }

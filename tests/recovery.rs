@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
-use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb, TsbTree};
+use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb};
 use tsb_storage::{IoStats, MagneticStore};
 use tsb_workload::{crash_matrix, generate_ops, CrashSpec, CrashTrigger, Op, Oracle, WorkloadSpec};
 
@@ -105,7 +105,7 @@ fn durable_oracle(log: &AttemptLog, cut: Timestamp) -> Oracle {
 /// The core assertion: the recovered tree answers exactly like the oracle
 /// replay of the durable prefix — at every attempted timestamp, at the cut,
 /// and at the end of time (nothing past the cut survived).
-fn assert_recovered_matches_durable_prefix(tree: &TsbTree, log: &AttemptLog, crashed: bool) {
+fn assert_recovered_matches_durable_prefix(tree: &ShardedTsb, log: &AttemptLog, crashed: bool) {
     tree.verify().unwrap();
     let cut = tree
         .last_durable_commit()
@@ -157,7 +157,7 @@ fn run_crash_scenario(tag: &str, spec: &CrashSpec, cfg: &TsbConfig) -> Timestamp
 
     let recovered = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg.clone())
-        .open_tree()
+        .open()
         .unwrap();
     assert_recovered_matches_durable_prefix(&recovered, &log, crashed);
     recovered.last_durable_commit().unwrap()
@@ -232,7 +232,7 @@ fn recovered_tree_keeps_serving_and_recovers_again() {
 
     let tree = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
-        .open_tree()
+        .open()
         .unwrap();
     tree.verify().unwrap();
     for key in oracle.keys() {
@@ -336,7 +336,7 @@ fn torn_wal_tail_truncates_to_a_clean_prefix() {
 
         let recovered = tsb_core::TsbOptions::durable(&dir.0)
             .config(cfg.clone())
-            .open_tree()
+            .open()
             .unwrap();
         // The tear may have eaten the last commit(s): the recovered cut can
         // be below the last attempted ts, but consistency must hold.
@@ -380,7 +380,7 @@ fn wal_before_page_holds_under_heavy_cache_pressure() {
         drop(db);
         let recovered = tsb_core::TsbOptions::durable(&dir.0)
             .config(cfg)
-            .open_tree()
+            .open()
             .unwrap();
         assert_recovered_matches_durable_prefix(&recovered, &log, false);
     }
@@ -401,7 +401,7 @@ fn uncommitted_transactions_die_with_the_crash() {
 
     let tree = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
-        .open_tree()
+        .open()
         .unwrap();
     tree.verify().unwrap();
     assert_eq!(
@@ -409,8 +409,7 @@ fn uncommitted_transactions_die_with_the_crash() {
         b"durable".to_vec()
     );
     assert!(tree.get_current(&Key::from_u64(50)).unwrap().is_none());
-    assert!(tree.pending_version(&Key::from_u64(1)).unwrap().is_none());
-    assert!(tree.pending_version(&Key::from_u64(50)).unwrap().is_none());
+    assert_eq!(tree.tree_stats().unwrap().uncommitted_versions, 0);
     assert!(tree.last_durable_commit().unwrap() >= t1);
 }
 
@@ -428,7 +427,7 @@ fn committed_transactions_survive_whole_or_not_at_all() {
 
     let tree = tsb_core::TsbOptions::durable(&dir.0)
         .config(cfg)
-        .open_tree()
+        .open()
         .unwrap();
     for k in 0..6u64 {
         let v = tree
@@ -644,7 +643,7 @@ fn torn_tail_mid_delta_run_recovers_the_logged_prefix() {
 
         let recovered = tsb_core::TsbOptions::durable(&dir.0)
             .config(cfg.clone())
-            .open_tree()
+            .open()
             .unwrap();
         assert_recovered_matches_durable_prefix(&recovered, &log, true);
     }
@@ -946,7 +945,7 @@ proptest! {
         }
         let crashed = injector.tripped();
         drop(db);
-        let recovered = tsb_core::TsbOptions::durable(&dir.0).config(cfg).open_tree().unwrap();
+        let recovered = tsb_core::TsbOptions::durable(&dir.0).config(cfg).open().unwrap();
         assert_recovered_matches_durable_prefix(&recovered, &log, crashed);
     }
 }
@@ -969,7 +968,7 @@ proptest! {
         crash_depth in 1usize..200,
         checkpoint_at in prop::option::of(0usize..150),
     ) {
-        let mut recovered: Vec<TsbTree> = Vec::new();
+        let mut recovered: Vec<ShardedTsb> = Vec::new();
         let mut dirs = Vec::new(); // keep tempdirs alive until compared
         let mut attempted = 0usize;
         for images_only in [false, true] {
@@ -994,7 +993,7 @@ proptest! {
                 attempted = i + 1;
             }
             drop(db); // crash: caches gone, only the WAL speaks
-            recovered.push(opts().open_tree().unwrap());
+            recovered.push(opts().open().unwrap());
             dirs.push(dir);
         }
         let (hybrid, images) = (&recovered[0], &recovered[1]);
