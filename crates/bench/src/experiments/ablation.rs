@@ -1,4 +1,4 @@
-//! E9 (ablation): the two secondary design knobs DESIGN.md calls out.
+//! E9 (ablation): two secondary design knobs, each run on and off.
 //!
 //! * **Recalcitrant-child marking** (§3.5's closing optimization): when a
 //!   local index time split is blocked by a current child that still holds

@@ -489,7 +489,7 @@ fn request_body(id: u64, req: &Request) -> Vec<u8> {
         }
         Request::Range { range, as_of } => {
             w.put_u8(REQ_RANGE);
-            w.put_key_range(range);
+            w.put_interval(range);
             match as_of {
                 Some(ts) => {
                     w.put_u8(1);
@@ -501,7 +501,7 @@ fn request_body(id: u64, req: &Request) -> Vec<u8> {
         Request::History { key, window } => {
             w.put_u8(REQ_HISTORY);
             w.put_key(key);
-            w.put_time_range(window);
+            w.put_interval(window);
         }
         Request::TxnBegin => w.put_u8(REQ_TXN_BEGIN),
         Request::TxnWrite { txn, key, value } => {
@@ -755,7 +755,7 @@ pub fn parse_request(body: &[u8]) -> Result<(u64, Request), FrameError> {
             as_of: r.get_timestamp().map_err(malformed)?,
         },
         REQ_RANGE => {
-            let range = r.get_key_range().map_err(malformed)?;
+            let range = r.get_interval().map_err(malformed)?;
             let as_of = match r.get_u8().map_err(malformed)? {
                 0 => None,
                 1 => Some(r.get_timestamp().map_err(malformed)?),
@@ -765,7 +765,7 @@ pub fn parse_request(body: &[u8]) -> Result<(u64, Request), FrameError> {
         }
         REQ_HISTORY => Request::History {
             key: r.get_key().map_err(malformed)?,
-            window: r.get_time_range().map_err(malformed)?,
+            window: r.get_interval().map_err(malformed)?,
         },
         REQ_TXN_BEGIN => Request::TxnBegin,
         REQ_TXN_WRITE => {

@@ -11,9 +11,56 @@
 //! input, never panicking.
 
 use crate::error::{TsbError, TsbResult};
-use crate::key::{Key, KeyBound, KeyRange};
+use crate::interval::{Interval, UpperBound};
+use crate::key::{Key, KeyRange};
 use crate::record::{TsState, TxnId, Version};
 use crate::time::{TimeBound, TimeRange, Timestamp};
+
+/// A point on one axis of a node's rectangle — a [`Key`] or a
+/// [`Timestamp`] — as the codec writes it, so one interval codec serves
+/// both axes.
+pub trait Point: Ord + Clone + Sized {
+    /// Writes the point.
+    fn put(&self, w: &mut ByteWriter);
+    /// Reads a point.
+    fn get(r: &mut ByteReader<'_>) -> TsbResult<Self>;
+    /// Encoded size in bytes.
+    fn encoded_size(&self) -> usize;
+}
+
+impl Point for Key {
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_key(self);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> TsbResult<Self> {
+        r.get_key()
+    }
+
+    #[inline]
+    fn encoded_size(&self) -> usize {
+        size::key(self)
+    }
+}
+
+impl Point for Timestamp {
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_timestamp(*self);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> TsbResult<Self> {
+        r.get_timestamp()
+    }
+
+    #[inline]
+    fn encoded_size(&self) -> usize {
+        8
+    }
+}
 
 /// Appends primitive values to a growable byte buffer.
 #[derive(Debug, Default)]
@@ -95,43 +142,22 @@ impl ByteWriter {
         self.put_bytes(key.as_bytes());
     }
 
-    /// Writes a key bound (tag + optional key).
-    pub fn put_key_bound(&mut self, bound: &KeyBound) {
-        match bound {
-            KeyBound::Finite(k) => {
-                self.put_u8(0);
-                self.put_key(k);
-            }
-            KeyBound::PlusInfinity => self.put_u8(1),
-        }
-    }
-
-    /// Writes a key range.
-    pub fn put_key_range(&mut self, range: &KeyRange) {
-        self.put_key(&range.lo);
-        self.put_key_bound(&range.hi);
-    }
-
     /// Writes a timestamp.
     pub fn put_timestamp(&mut self, t: Timestamp) {
         self.put_u64(t.0);
     }
 
-    /// Writes a time bound (tag + optional timestamp).
-    pub fn put_time_bound(&mut self, bound: &TimeBound) {
-        match bound {
-            TimeBound::Finite(t) => {
+    /// Writes an interval of either axis: its lower point, then its upper
+    /// bound as a tag (0 finite, 1 `+∞`) followed by a finite bound's point.
+    pub fn put_interval<T: Point>(&mut self, range: &Interval<T>) {
+        range.lo.put(self);
+        match &range.hi {
+            UpperBound::Finite(hi) => {
                 self.put_u8(0);
-                self.put_timestamp(*t);
+                hi.put(self);
             }
-            TimeBound::Infinity => self.put_u8(1),
+            UpperBound::PlusInfinity => self.put_u8(1),
         }
-    }
-
-    /// Writes a time range.
-    pub fn put_time_range(&mut self, range: &TimeRange) {
-        self.put_timestamp(range.lo);
-        self.put_time_bound(&range.hi);
     }
 
     /// Writes a timestamp state (committed/uncommitted tag + payload).
@@ -177,35 +203,14 @@ pub mod size {
         bytes(k.len())
     }
 
-    /// Encoded size of a key bound.
-    pub fn key_bound(b: &KeyBound) -> usize {
-        match b {
-            KeyBound::Finite(k) => 1 + key(k),
-            KeyBound::PlusInfinity => 1,
-        }
-    }
-
-    /// Encoded size of a key range.
-    pub fn key_range(r: &KeyRange) -> usize {
-        key(&r.lo) + key_bound(&r.hi)
+    /// Encoded size of an interval of either axis.
+    pub fn interval<T: Point>(r: &Interval<T>) -> usize {
+        r.lo.encoded_size() + 1 + r.hi.as_finite().map_or(0, Point::encoded_size)
     }
 
     /// Encoded size of a timestamp state.
     pub fn ts_state() -> usize {
         1 + 8
-    }
-
-    /// Encoded size of a time bound.
-    pub fn time_bound(b: &TimeBound) -> usize {
-        match b {
-            TimeBound::Finite(_) => 1 + 8,
-            TimeBound::Infinity => 1,
-        }
-    }
-
-    /// Encoded size of a time range.
-    pub fn time_range(r: &TimeRange) -> usize {
-        8 + time_bound(&r.hi)
     }
 
     /// Encoded size of a version entry.
@@ -333,46 +338,44 @@ impl<'a> ByteReader<'a> {
         Ok(Key::from_bytes(self.take(len)?))
     }
 
-    /// Reads a key bound.
-    #[inline]
-    pub fn get_key_bound(&mut self) -> TsbResult<KeyBound> {
-        match self.get_u8()? {
-            0 => Ok(KeyBound::Finite(self.get_key()?)),
-            1 => Ok(KeyBound::PlusInfinity),
-            t => Err(invalid_tag("key-bound", t)),
-        }
-    }
-
-    /// Reads a key range.
-    #[inline]
-    pub fn get_key_range(&mut self) -> TsbResult<KeyRange> {
-        let lo = self.get_key()?;
-        let hi = self.get_key_bound()?;
-        Ok(KeyRange { lo, hi })
-    }
-
     /// Reads a timestamp.
     #[inline]
     pub fn get_timestamp(&mut self) -> TsbResult<Timestamp> {
         Ok(Timestamp(self.get_u64()?))
     }
 
-    /// Reads a time bound.
+    /// Reads an interval of either axis (the layout of
+    /// [`ByteWriter::put_interval`]).
     #[inline]
-    pub fn get_time_bound(&mut self) -> TsbResult<TimeBound> {
+    pub fn get_interval<T: Point>(&mut self) -> TsbResult<Interval<T>> {
+        let lo = T::get(self)?;
+        Ok(Interval::new(lo, self.get_bound()?))
+    }
+
+    /// Reads an interval's upper bound.
+    #[inline]
+    pub fn get_bound<T: Point>(&mut self) -> TsbResult<UpperBound<T>> {
         match self.get_u8()? {
-            0 => Ok(TimeBound::Finite(self.get_timestamp()?)),
-            1 => Ok(TimeBound::Infinity),
-            t => Err(invalid_tag("time-bound", t)),
+            0 => Ok(UpperBound::Finite(T::get(self)?)),
+            1 => Ok(UpperBound::PlusInfinity),
+            t => Err(invalid_tag("upper-bound", t)),
         }
     }
 
-    /// Reads a time range.
-    #[inline]
+    /// [`Self::get_interval`] over keys: the per-axis spelling the
+    /// golden node-image tests read a header with.
+    pub fn get_key_range(&mut self) -> TsbResult<KeyRange> {
+        self.get_interval()
+    }
+
+    /// [`Self::get_interval`] over timestamps.
     pub fn get_time_range(&mut self) -> TsbResult<TimeRange> {
-        let lo = self.get_timestamp()?;
-        let hi = self.get_time_bound()?;
-        Ok(TimeRange { lo, hi })
+        self.get_interval()
+    }
+
+    /// [`Self::get_bound`] over timestamps.
+    pub fn get_time_bound(&mut self) -> TsbResult<TimeBound> {
+        self.get_bound()
     }
 
     /// Reads a timestamp state.
@@ -438,7 +441,7 @@ mod tests {
     #[test]
     fn invalid_tags_are_corruption() {
         let mut r = ByteReader::new(&[9]);
-        assert!(matches!(r.get_key_bound(), Err(TsbError::Corruption(_))));
+        assert!(matches!(r.get_bound::<Key>(), Err(TsbError::Corruption(_))));
         let mut r = ByteReader::new(&[9]);
         assert!(matches!(r.get_time_bound(), Err(TsbError::Corruption(_))));
         let mut r = ByteReader::new(&[9]);
@@ -448,7 +451,7 @@ mod tests {
     #[test]
     fn domain_types_round_trip() {
         let range = KeyRange::bounded(Key::from_u64(10), Key::from_u64(99));
-        let open = KeyRange::new(Key::from("m"), KeyBound::PlusInfinity);
+        let open = KeyRange::new(Key::from("m"), UpperBound::PlusInfinity);
         let trange = TimeRange::bounded(Timestamp(3), Timestamp(17));
         let topen = TimeRange::from(Timestamp(5));
         let v1 = Version::committed(50u64, Timestamp(3), b"Joe".to_vec());
@@ -456,10 +459,10 @@ mod tests {
         let v3 = Version::uncommitted(70u64, TxnId(12), b"Sue".to_vec());
 
         let mut w = ByteWriter::new();
-        w.put_key_range(&range);
-        w.put_key_range(&open);
-        w.put_time_range(&trange);
-        w.put_time_range(&topen);
+        w.put_interval(&range);
+        w.put_interval(&open);
+        w.put_interval(&trange);
+        w.put_interval(&topen);
         w.put_version(&v1);
         w.put_version(&v2);
         w.put_version(&v3);
@@ -490,12 +493,12 @@ mod tests {
 
         let r = KeyRange::full();
         let mut w = ByteWriter::new();
-        w.put_key_range(&r);
-        assert_eq!(w.len(), size::key_range(&r));
+        w.put_interval(&r);
+        assert_eq!(w.len(), size::interval(&r));
 
         let tr = TimeRange::from(Timestamp(9));
         let mut w = ByteWriter::new();
-        w.put_time_range(&tr);
-        assert_eq!(w.len(), size::time_range(&tr));
+        w.put_interval(&tr);
+        assert_eq!(w.len(), size::interval(&tr));
     }
 }

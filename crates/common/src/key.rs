@@ -1,4 +1,4 @@
-//! Keys, key bounds, and key ranges.
+//! Keys, and the key axis of a node's rectangle.
 //!
 //! The paper's examples use small integer keys ("50 Joe", "90 Alice"), but the
 //! TSB-tree itself only needs a totally ordered key space with a minimum
@@ -7,13 +7,16 @@
 //! production storage engine would expose.
 //!
 //! A [`KeyRange`] is the key-space interval spanned by a TSB-tree node — what
-//! the paper calls a *key range* in §3.5. Ranges are half-open
-//! `[lo, hi)`, with `hi` possibly `+∞` ([`KeyBound::PlusInfinity`]). The
-//! left-most node's `lo` is [`Key::MIN`] (the empty byte string), playing the
-//! role of the paper's "lowest possible key value (minus infinity)".
+//! the paper calls a *key range* in §3.5. It is the one interval type,
+//! [`Interval`], over keys: half-open `[lo, hi)`, with `hi` possibly `+∞`
+//! ([`UpperBound::PlusInfinity`]). The left-most node's `lo` is [`Key::MIN`]
+//! (the empty byte string), playing the role of the paper's "lowest possible
+//! key value (minus infinity)".
 
 use std::borrow::Borrow;
 use std::fmt;
+
+use crate::interval::{Interval, UpperBound};
 
 /// Keys of at most this many bytes are stored inline in the [`Key`] value
 /// itself, with no heap allocation — enough for every fixed-width integer
@@ -273,211 +276,19 @@ impl AsRef<[u8]> for Key {
     }
 }
 
-/// An upper bound on a key range: either a finite key (exclusive) or `+∞`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum KeyBound {
-    /// A finite, exclusive upper bound.
-    Finite(Key),
-    /// No upper bound; the range extends to the end of the key space.
-    PlusInfinity,
-}
-
-impl KeyBound {
-    /// Returns true if `key < self` (i.e. the key lies below this bound).
-    pub fn is_above(&self, key: &Key) -> bool {
-        match self {
-            KeyBound::Finite(b) => key < b,
-            KeyBound::PlusInfinity => true,
-        }
-    }
-
-    /// Returns the finite bound, if any.
-    pub fn as_finite(&self) -> Option<&Key> {
-        match self {
-            KeyBound::Finite(k) => Some(k),
-            KeyBound::PlusInfinity => None,
-        }
-    }
-
-    /// Whether this bound is `+∞`.
-    pub fn is_infinite(&self) -> bool {
-        matches!(self, KeyBound::PlusInfinity)
-    }
-
-    /// Compares two bounds; `+∞` is greater than every finite bound.
-    pub fn min_of(a: &KeyBound, b: &KeyBound) -> KeyBound {
-        if Self::le(a, b) {
-            a.clone()
-        } else {
-            b.clone()
-        }
-    }
-
-    /// `a <= b` where `+∞` is the greatest element.
-    pub fn le(a: &KeyBound, b: &KeyBound) -> bool {
-        match (a, b) {
-            (KeyBound::PlusInfinity, KeyBound::PlusInfinity) => true,
-            (KeyBound::PlusInfinity, KeyBound::Finite(_)) => false,
-            (KeyBound::Finite(_), KeyBound::PlusInfinity) => true,
-            (KeyBound::Finite(x), KeyBound::Finite(y)) => x <= y,
-        }
-    }
-}
-
-impl fmt::Display for KeyBound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KeyBound::Finite(k) => write!(f, "{k}"),
-            KeyBound::PlusInfinity => write!(f, "+inf"),
-        }
-    }
-}
-
-impl PartialOrd for KeyBound {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for KeyBound {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        match (self, other) {
-            (KeyBound::PlusInfinity, KeyBound::PlusInfinity) => Ordering::Equal,
-            (KeyBound::PlusInfinity, KeyBound::Finite(_)) => Ordering::Greater,
-            (KeyBound::Finite(_), KeyBound::PlusInfinity) => Ordering::Less,
-            (KeyBound::Finite(a), KeyBound::Finite(b)) => a.cmp(b),
-        }
-    }
-}
+/// An upper bound on a key range: a finite, exclusive key or `+∞`.
+pub type KeyBound = UpperBound<Key>;
 
 /// A half-open key-space interval `[lo, hi)` — the paper's *key range*
 /// (§3.5): the set of keys a TSB-tree node is responsible for.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct KeyRange {
-    /// Inclusive lower bound.
-    pub lo: Key,
-    /// Exclusive upper bound (possibly `+∞`).
-    pub hi: KeyBound,
-}
+pub type KeyRange = Interval<Key>;
 
 impl KeyRange {
-    /// The full key space `[-∞, +∞)`.
-    pub fn full() -> Self {
-        KeyRange {
-            lo: Key::MIN,
-            hi: KeyBound::PlusInfinity,
-        }
-    }
-
-    /// Creates a range `[lo, hi)`.
-    pub fn new(lo: Key, hi: KeyBound) -> Self {
-        KeyRange { lo, hi }
-    }
-
-    /// Creates a bounded range `[lo, hi)` from two finite keys.
-    pub fn bounded(lo: impl Into<Key>, hi: impl Into<Key>) -> Self {
-        KeyRange {
-            lo: lo.into(),
-            hi: KeyBound::Finite(hi.into()),
-        }
-    }
-
     /// The range containing exactly `key`: `[key, key ++ 0x00)`. In
     /// lexicographic byte order nothing sorts between a key and itself
     /// extended by a zero byte.
     pub fn point(key: &Key) -> Self {
-        KeyRange {
-            lo: key.clone(),
-            hi: KeyBound::Finite(Key::from_vec([key.as_bytes(), &[0]].concat())),
-        }
-    }
-
-    /// Whether the range contains `key`.
-    pub fn contains(&self, key: &Key) -> bool {
-        *key >= self.lo && self.hi.is_above(key)
-    }
-
-    /// Whether the range is empty (`lo >= hi`).
-    pub fn is_empty(&self) -> bool {
-        match &self.hi {
-            KeyBound::Finite(h) => self.lo >= *h,
-            KeyBound::PlusInfinity => false,
-        }
-    }
-
-    /// Whether `split` lies strictly inside the range (`lo < split < hi`).
-    ///
-    /// This is the condition in the paper's Index Node Keyspace Split Rule
-    /// item 4: entries whose key range *strictly includes* the split value
-    /// are copied to both new index nodes.
-    pub fn strictly_contains(&self, split: &Key) -> bool {
-        self.lo < *split
-            && match &self.hi {
-                KeyBound::Finite(h) => split < h,
-                KeyBound::PlusInfinity => true,
-            }
-    }
-
-    /// Whether this range lies entirely at or below `split`
-    /// (rule 2: `hi <= split` goes to the new left node).
-    pub fn entirely_below(&self, split: &Key) -> bool {
-        match &self.hi {
-            KeyBound::Finite(h) => h <= split,
-            KeyBound::PlusInfinity => false,
-        }
-    }
-
-    /// Whether this range lies entirely at or above `split`
-    /// (rule 3: `lo >= split` goes to the new right node).
-    pub fn entirely_at_or_above(&self, split: &Key) -> bool {
-        self.lo >= *split
-    }
-
-    /// Whether the two ranges overlap (share at least one key).
-    pub fn overlaps(&self, other: &KeyRange) -> bool {
-        // [a, b) and [c, d) overlap iff a < d and c < b.
-        let a_below_d = other.hi.is_above(&self.lo);
-        let c_below_b = self.hi.is_above(&other.lo);
-        a_below_d && c_below_b && !self.is_empty() && !other.is_empty()
-    }
-
-    /// Whether `other` is entirely contained in `self`.
-    pub fn contains_range(&self, other: &KeyRange) -> bool {
-        if other.is_empty() {
-            return true;
-        }
-        self.lo <= other.lo && KeyBound::le(&other.hi, &self.hi)
-    }
-
-    /// Splits the range at `split`, producing `[lo, split)` and `[split, hi)`.
-    ///
-    /// Returns `None` if `split` does not lie strictly inside the range (a
-    /// split there would create an empty half).
-    pub fn split_at(&self, split: &Key) -> Option<(KeyRange, KeyRange)> {
-        if !self.strictly_contains(split) {
-            return None;
-        }
-        let left = KeyRange::new(self.lo.clone(), KeyBound::Finite(split.clone()));
-        let right = KeyRange::new(split.clone(), self.hi.clone());
-        Some((left, right))
-    }
-
-    /// The intersection of two ranges (possibly empty).
-    pub fn intersection(&self, other: &KeyRange) -> KeyRange {
-        let lo = if self.lo >= other.lo {
-            self.lo.clone()
-        } else {
-            other.lo.clone()
-        };
-        let hi = KeyBound::min_of(&self.hi, &other.hi);
-        KeyRange { lo, hi }
-    }
-}
-
-impl fmt::Display for KeyRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {})", self.lo, self.hi)
+        KeyRange::bounded(key.clone(), Key::from_vec([key.as_bytes(), &[0]].concat()))
     }
 }
 
@@ -565,8 +376,7 @@ mod tests {
         let inf = KeyBound::PlusInfinity;
         assert!(f1 < f2);
         assert!(f2 < inf);
-        assert!(KeyBound::le(&f1, &f1));
-        assert_eq!(KeyBound::min_of(&f2, &inf), f2);
+        assert_eq!(f2.clone().min(inf.clone()), f2);
         assert!(inf.is_infinite());
         assert!(!f1.is_infinite());
     }
@@ -574,11 +384,11 @@ mod tests {
     #[test]
     fn range_contains() {
         let r = KeyRange::bounded(Key::from_u64(10), Key::from_u64(20));
-        assert!(r.contains(&Key::from_u64(10)));
-        assert!(r.contains(&Key::from_u64(19)));
-        assert!(!r.contains(&Key::from_u64(20)));
-        assert!(!r.contains(&Key::from_u64(9)));
-        assert!(KeyRange::full().contains(&Key::from_u64(9)));
+        assert!(r.contains(Key::from_u64(10)));
+        assert!(r.contains(Key::from_u64(19)));
+        assert!(!r.contains(Key::from_u64(20)));
+        assert!(!r.contains(Key::from_u64(9)));
+        assert!(KeyRange::full().contains(Key::from_u64(9)));
         assert!(KeyRange::full().contains(&Key::MIN));
     }
 
@@ -594,32 +404,32 @@ mod tests {
             assert!(r.contains(&key));
             let mut longer = key.as_bytes().to_vec();
             longer.push(0);
-            assert!(!r.contains(&Key::from_vec(longer)), "successor excluded");
+            assert!(!r.contains(Key::from_vec(longer)), "successor excluded");
         }
-        assert!(!KeyRange::point(&Key::from_u64(7)).contains(&Key::from_u64(6)));
-        assert!(!KeyRange::point(&Key::from_u64(7)).contains(&Key::from_u64(8)));
+        assert!(!KeyRange::point(&Key::from_u64(7)).contains(Key::from_u64(6)));
+        assert!(!KeyRange::point(&Key::from_u64(7)).contains(Key::from_u64(8)));
     }
 
     #[test]
     fn range_strictly_contains() {
         let r = KeyRange::bounded(Key::from_u64(10), Key::from_u64(20));
-        assert!(!r.strictly_contains(&Key::from_u64(10)));
-        assert!(r.strictly_contains(&Key::from_u64(15)));
-        assert!(!r.strictly_contains(&Key::from_u64(20)));
+        assert!(!r.strictly_contains(Key::from_u64(10)));
+        assert!(r.strictly_contains(Key::from_u64(15)));
+        assert!(!r.strictly_contains(Key::from_u64(20)));
         let open = KeyRange::new(Key::from_u64(10), KeyBound::PlusInfinity);
-        assert!(open.strictly_contains(&Key::from_u64(u64::MAX)));
+        assert!(open.strictly_contains(Key::from_u64(u64::MAX)));
     }
 
     #[test]
     fn range_split() {
         let r = KeyRange::full();
-        let (l, rr) = r.split_at(&Key::from_u64(50)).unwrap();
-        assert!(l.contains(&Key::from_u64(49)));
-        assert!(!l.contains(&Key::from_u64(50)));
-        assert!(rr.contains(&Key::from_u64(50)));
+        let (l, rr) = r.split_at(Key::from_u64(50)).unwrap();
+        assert!(l.contains(Key::from_u64(49)));
+        assert!(!l.contains(Key::from_u64(50)));
+        assert!(rr.contains(Key::from_u64(50)));
         assert!(rr.hi.is_infinite());
         // Splitting at the lower bound is rejected.
-        assert!(rr.split_at(&Key::from_u64(50)).is_none());
+        assert!(rr.split_at(Key::from_u64(50)).is_none());
     }
 
     #[test]
@@ -641,19 +451,19 @@ mod tests {
     fn empty_range() {
         let e = KeyRange::bounded(Key::from_u64(10), Key::from_u64(10));
         assert!(e.is_empty());
-        assert!(!e.contains(&Key::from_u64(10)));
+        assert!(!e.contains(Key::from_u64(10)));
         assert!(!e.overlaps(&KeyRange::full()));
     }
 
     #[test]
     fn entirely_below_and_above() {
         let r = KeyRange::bounded(Key::from_u64(10), Key::from_u64(20));
-        assert!(r.entirely_below(&Key::from_u64(20)));
-        assert!(r.entirely_below(&Key::from_u64(25)));
-        assert!(!r.entirely_below(&Key::from_u64(15)));
-        assert!(r.entirely_at_or_above(&Key::from_u64(10)));
-        assert!(!r.entirely_at_or_above(&Key::from_u64(11)));
+        assert!(r.entirely_below(Key::from_u64(20)));
+        assert!(r.entirely_below(Key::from_u64(25)));
+        assert!(!r.entirely_below(Key::from_u64(15)));
+        assert!(r.entirely_at_or_above(Key::from_u64(10)));
+        assert!(!r.entirely_at_or_above(Key::from_u64(11)));
         let open = KeyRange::new(Key::from_u64(10), KeyBound::PlusInfinity);
-        assert!(!open.entirely_below(&Key::from_u64(u64::MAX)));
+        assert!(!open.entirely_below(Key::from_u64(u64::MAX)));
     }
 }

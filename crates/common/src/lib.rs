@@ -6,11 +6,14 @@
 //!
 //! This crate deliberately has no dependencies. It defines:
 //!
-//! * [`Key`], [`KeyBound`], and [`KeyRange`] — the key dimension of the
-//!   key × time rectangles every TSB-tree node spans,
-//! * [`Timestamp`], [`TimeBound`], [`TimeRange`], and [`LogicalClock`] — the
-//!   time dimension (the paper assumes a *rollback* database stamped with
-//!   transaction commit times),
+//! * [`Interval`] and [`UpperBound`] — the one half-open interval type, used
+//!   for both axes of the key × time rectangle every TSB-tree node spans,
+//! * [`Key`], with [`KeyBound`] and [`KeyRange`] naming the interval over
+//!   keys — the key dimension,
+//! * [`Timestamp`] and [`LogicalClock`], with [`TimeBound`] and
+//!   [`TimeRange`] naming the interval over timestamps — the time dimension
+//!   (the paper assumes a *rollback* database stamped with transaction
+//!   commit times),
 //! * [`Version`], [`TsState`], and [`TxnId`] — a single record version as
 //!   stored in data nodes (committed versions carry a commit timestamp;
 //!   uncommitted versions carry only the transaction id, which is what lets
@@ -27,12 +30,14 @@ pub mod checksum;
 pub mod config;
 pub mod encode;
 pub mod error;
+pub mod interval;
 pub mod key;
 pub mod record;
 pub mod time;
 
 pub use config::{CostParams, FsyncPolicy, SplitPolicyKind, SplitTimeChoice, TsbConfig};
 pub use error::{TsbError, TsbResult};
+pub use interval::{Interval, UpperBound};
 pub use key::{Key, KeyBound, KeyRange, KEY_INLINE_CAP};
 pub use record::{TsState, TxnId, Version, VersionOrder};
 pub use time::{LogicalClock, TimeBound, TimeRange, Timestamp};

@@ -107,7 +107,8 @@ impl From<TsState> for VersionOrder {
 /// at `state`'s time. The paper's database is non-deleting, but a usable
 /// library needs logical deletion of *current* data; the tombstone itself is
 /// retained in history, so the non-deletion property (no information is ever
-/// lost) is preserved. This is documented as an extension in DESIGN.md.
+/// lost) is preserved. Logical deletion is this reproduction's extension to
+/// the paper.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Version {
     /// The record key.

@@ -1,4 +1,4 @@
-//! Timestamps, time bounds, time ranges, and the logical clock.
+//! Timestamps, the time axis of a node's rectangle, and the logical clock.
 //!
 //! The paper assumes a *rollback database* (\[SnAh\], \[McKe\]): every committed
 //! version is stamped with the **commit time** of the transaction that wrote
@@ -8,11 +8,13 @@
 //! use an abstract `u64` logical timestamp issued by [`LogicalClock`].
 //!
 //! A [`TimeRange`] is the half-open time interval `[lo, hi)` spanned by a
-//! TSB-tree node or index entry; current nodes have `hi = +∞`
-//! ([`TimeBound::Infinity`]).
+//! TSB-tree node or index entry: the one interval type, [`Interval`], over
+//! timestamps. Current nodes have `hi = +∞` ([`UpperBound::PlusInfinity`]).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::interval::{Interval, UpperBound};
 
 /// A logical timestamp (transaction commit time).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -63,177 +65,26 @@ impl From<u64> for Timestamp {
     }
 }
 
-/// An upper bound on a time range: either a finite timestamp (exclusive) or
-/// `+∞` (the node is *current*: it still receives updates).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TimeBound {
-    /// Finite, exclusive upper bound.
-    Finite(Timestamp),
-    /// The range is open-ended: it covers all times from `lo` onwards.
-    Infinity,
-}
-
-impl TimeBound {
-    /// Returns true if `t < self`.
-    pub fn is_above(&self, t: Timestamp) -> bool {
-        match self {
-            TimeBound::Finite(b) => t < *b,
-            TimeBound::Infinity => true,
-        }
-    }
-
-    /// The finite bound, if any.
-    pub fn as_finite(&self) -> Option<Timestamp> {
-        match self {
-            TimeBound::Finite(t) => Some(*t),
-            TimeBound::Infinity => None,
-        }
-    }
-
-    /// Whether the bound is `+∞`.
-    pub fn is_infinite(&self) -> bool {
-        matches!(self, TimeBound::Infinity)
-    }
-
-    /// `a <= b` where `+∞` is the greatest element.
-    pub fn le(a: &TimeBound, b: &TimeBound) -> bool {
-        match (a, b) {
-            (TimeBound::Infinity, TimeBound::Infinity) => true,
-            (TimeBound::Infinity, TimeBound::Finite(_)) => false,
-            (TimeBound::Finite(_), TimeBound::Infinity) => true,
-            (TimeBound::Finite(x), TimeBound::Finite(y)) => x <= y,
-        }
-    }
-}
-
-impl PartialOrd for TimeBound {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimeBound {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        match (self, other) {
-            (TimeBound::Infinity, TimeBound::Infinity) => Ordering::Equal,
-            (TimeBound::Infinity, TimeBound::Finite(_)) => Ordering::Greater,
-            (TimeBound::Finite(_), TimeBound::Infinity) => Ordering::Less,
-            (TimeBound::Finite(a), TimeBound::Finite(b)) => a.cmp(b),
-        }
-    }
-}
-
-impl fmt::Display for TimeBound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TimeBound::Finite(t) => write!(f, "{t}"),
-            TimeBound::Infinity => write!(f, "+inf"),
-        }
-    }
-}
+/// An upper bound on a time range: a finite, exclusive timestamp or `+∞`
+/// (the node is *current*: it still receives updates).
+pub type TimeBound = UpperBound<Timestamp>;
 
 /// A half-open time interval `[lo, hi)`.
 ///
 /// Current (magnetic-disk) nodes span `[lo, +∞)`; historical nodes produced
 /// by a time split at `T` span `[lo, T)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimeRange {
-    /// Inclusive lower bound.
-    pub lo: Timestamp,
-    /// Exclusive upper bound (possibly `+∞`).
-    pub hi: TimeBound,
-}
+pub type TimeRange = Interval<Timestamp>;
 
 impl TimeRange {
-    /// The full time axis `[0, +∞)`.
-    pub fn full() -> Self {
-        TimeRange {
-            lo: Timestamp::ZERO,
-            hi: TimeBound::Infinity,
-        }
-    }
-
-    /// Creates `[lo, hi)`.
-    pub fn new(lo: Timestamp, hi: TimeBound) -> Self {
-        TimeRange { lo, hi }
-    }
-
     /// Creates the open-ended range `[lo, +∞)` of a current node.
     pub fn from(lo: Timestamp) -> Self {
-        TimeRange {
-            lo,
-            hi: TimeBound::Infinity,
-        }
-    }
-
-    /// Creates a bounded range `[lo, hi)`.
-    pub fn bounded(lo: Timestamp, hi: Timestamp) -> Self {
-        TimeRange {
-            lo,
-            hi: TimeBound::Finite(hi),
-        }
-    }
-
-    /// Whether the range contains time `t`.
-    pub fn contains(&self, t: Timestamp) -> bool {
-        t >= self.lo && self.hi.is_above(t)
-    }
-
-    /// Whether the range is empty.
-    pub fn is_empty(&self) -> bool {
-        match self.hi {
-            TimeBound::Finite(h) => self.lo >= h,
-            TimeBound::Infinity => false,
-        }
+        TimeRange::new(lo, TimeBound::PlusInfinity)
     }
 
     /// Whether the range is open-ended (`hi = +∞`), i.e. refers to a current
     /// node.
     pub fn is_current(&self) -> bool {
         self.hi.is_infinite()
-    }
-
-    /// Whether two ranges overlap.
-    pub fn overlaps(&self, other: &TimeRange) -> bool {
-        let a_below_d = other.hi.is_above(self.lo);
-        let c_below_b = self.hi.is_above(other.lo);
-        a_below_d && c_below_b && !self.is_empty() && !other.is_empty()
-    }
-
-    /// Whether `other` is entirely contained in `self`.
-    pub fn contains_range(&self, other: &TimeRange) -> bool {
-        if other.is_empty() {
-            return true;
-        }
-        self.lo <= other.lo && TimeBound::le(&other.hi, &self.hi)
-    }
-
-    /// Splits the range at `t`, producing `[lo, t)` and `[t, hi)`.
-    ///
-    /// Returns `None` if `t` does not lie strictly inside the range.
-    pub fn split_at(&self, t: Timestamp) -> Option<(TimeRange, TimeRange)> {
-        if t <= self.lo || !self.hi.is_above(t) {
-            return None;
-        }
-        Some((TimeRange::bounded(self.lo, t), TimeRange::new(t, self.hi)))
-    }
-
-    /// The intersection of two ranges (possibly empty).
-    pub fn intersection(&self, other: &TimeRange) -> TimeRange {
-        let lo = self.lo.max(other.lo);
-        let hi = if TimeBound::le(&self.hi, &other.hi) {
-            self.hi
-        } else {
-            other.hi
-        };
-        TimeRange { lo, hi }
-    }
-}
-
-impl fmt::Display for TimeRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {})", self.lo, self.hi)
     }
 }
 
@@ -311,12 +162,11 @@ mod tests {
     fn time_bound_ordering() {
         let a = TimeBound::Finite(Timestamp(3));
         let b = TimeBound::Finite(Timestamp(9));
-        let inf = TimeBound::Infinity;
+        let inf = TimeBound::PlusInfinity;
         assert!(a < b && b < inf);
-        assert!(TimeBound::le(&a, &a));
-        assert!(!TimeBound::le(&inf, &b));
+        assert!(inf > b);
         assert_eq!(inf.as_finite(), None);
-        assert_eq!(a.as_finite(), Some(Timestamp(3)));
+        assert_eq!(a.as_finite(), Some(&Timestamp(3)));
     }
 
     #[test]

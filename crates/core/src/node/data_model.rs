@@ -215,8 +215,8 @@ impl ModelNode {
     pub(crate) fn encoded_size(&self) -> usize {
         // tag + entry count + key range + time range + entries
         1 + 4
-            + size::key_range(&self.key_range)
-            + size::time_range(&self.time_range)
+            + size::interval(&self.key_range)
+            + size::interval(&self.time_range)
             + self.entries.iter().map(size::version).sum::<usize>()
     }
 
@@ -225,8 +225,8 @@ impl ModelNode {
         let mut w = ByteWriter::with_capacity(self.encoded_size());
         w.put_u8(DATA_NODE_TAG);
         w.put_u32(self.entries.len() as u32);
-        w.put_key_range(&self.key_range);
-        w.put_time_range(&self.time_range);
+        w.put_interval(&self.key_range);
+        w.put_interval(&self.time_range);
         for e in &self.entries {
             w.put_version(e);
         }

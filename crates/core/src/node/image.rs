@@ -104,7 +104,7 @@ impl EntryImage {
             )));
         }
         let count = r.get_u32()? as usize;
-        Ok((count, r.get_key_range()?, r.get_time_range()?))
+        Ok((count, r.get_interval()?, r.get_interval()?))
     }
 
     /// Walks the `count` entries of `image` that start at `entries_start`,
@@ -275,7 +275,7 @@ impl EntryImage {
     /// Encoded size of a node with this body — no entry is looked at.
     pub(super) fn encoded_size(&self, key_range: &KeyRange, time_range: &TimeRange) -> usize {
         // tag + entry count + key range + time range + entries
-        1 + 4 + size::key_range(key_range) + size::time_range(time_range) + self.entries().len()
+        1 + 4 + size::interval(key_range) + size::interval(time_range) + self.entries().len()
     }
 
     /// Encodes a node: the header, then the entries copied as they are.
@@ -283,8 +283,8 @@ impl EntryImage {
         let mut w = ByteWriter::with_capacity(self.encoded_size(key_range, time_range));
         w.put_u8(tag);
         w.put_u32(self.len() as u32);
-        w.put_key_range(key_range);
-        w.put_time_range(time_range);
+        w.put_interval(key_range);
+        w.put_interval(time_range);
         w.put_raw(self.entries());
         w.into_vec()
     }

@@ -4,9 +4,10 @@
 //! interval as well as a time interval" (§3.5). The paper stores entries as
 //! `(key, timestamp, pointer)` triples and derives the spanned rectangle
 //! implicitly from neighbouring entries; we store the rectangle explicitly
-//! (see DESIGN.md), which makes the split rules and the search invariant —
-//! *for any point of the node's rectangle exactly one child entry contains
-//! it* — direct to implement and to verify.
+//! (each entry also carries its upper bounds), which makes the split rules
+//! and the search invariant — *for any point of the node's rectangle
+//! exactly one child entry contains it* — direct to implement and to
+//! verify.
 //!
 //! Index entries referencing **historical** children may stick out of the
 //! node's own key range: the Index Node Keyspace Split Rule (item 4) copies
@@ -75,23 +76,23 @@ impl IndexEntry {
 
     /// Encoded size in bytes.
     pub(crate) fn encoded_size(&self) -> usize {
-        size::key_range(&self.key_range)
-            + size::time_range(&self.time_range)
+        size::interval(&self.key_range)
+            + size::interval(&self.time_range)
             + self.child.encoded_size()
     }
 
     /// Encodes the entry.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.put_key_range(&self.key_range);
-        w.put_time_range(&self.time_range);
+        w.put_interval(&self.key_range);
+        w.put_interval(&self.time_range);
         self.child.encode(w);
     }
 
     /// Decodes an entry.
     #[inline]
     pub(crate) fn decode(r: &mut ByteReader<'_>) -> TsbResult<Self> {
-        let key_range = r.get_key_range()?;
-        let time_range = r.get_time_range()?;
+        let key_range = r.get_interval()?;
+        let time_range = r.get_interval()?;
         let child = NodeAddr::decode(r)?;
         Ok(IndexEntry {
             key_range,
@@ -201,7 +202,7 @@ fn parse_entry(entry: &[u8]) -> (IndexEntryRef<'_>, usize) {
             TimeBound::Finite(Timestamp(le64(entry, time_at + 9))),
             time_at + 17,
         ),
-        _ => (TimeBound::Infinity, time_at + 9),
+        _ => (TimeBound::PlusInfinity, time_at + 9),
     };
     let (child, len) = match entry[child_at] {
         0 => (
@@ -889,7 +890,7 @@ impl IndexNode {
             }
             if let Some(hi) = e.time_range.hi.as_finite() {
                 if self.time_range.contains(hi) {
-                    time_points.push(hi);
+                    time_points.push(*hi);
                 }
             }
         }
@@ -912,7 +913,7 @@ impl IndexNode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use proptest::prelude::*;
     use tsb_storage::{HistAddr, PageId};
@@ -1230,7 +1231,7 @@ mod tests {
                     for k in 0..12u8 {
                         proptest::prop_assert_eq!(
                             probe.contains(&key(k), Timestamp(u64::from(t))),
-                            e.key_range.contains(&key(k))
+                            e.key_range.contains(key(k))
                                 && e.time_range.contains(Timestamp(u64::from(t)))
                         );
                     }
@@ -1254,7 +1255,7 @@ mod tests {
     /// Each instruction `(which, at, dim)` picks a rectangle and bisects it at a
     /// key or time point strictly inside it (no-op when the point falls on or
     /// outside the boundary).
-    fn tiling_node(splits: &[(u16, u16, u8)]) -> IndexNode {
+    pub(crate) fn tiling_node(splits: &[(u16, u16, u8)]) -> IndexNode {
         use tsb_common::TimeBound;
         let mut rects: Vec<(KeyRange, TimeRange)> = vec![(KeyRange::full(), TimeRange::full())];
         for (which, at, dim) in splits {
@@ -1271,7 +1272,7 @@ mod tests {
                 let strictly_inside = tr.lo < t
                     && match tr.hi {
                         TimeBound::Finite(h) => t < h,
-                        TimeBound::Infinity => true,
+                        TimeBound::PlusInfinity => true,
                     };
                 if strictly_inside {
                     rects[idx] = (kr.clone(), TimeRange::new(tr.lo, TimeBound::Finite(t)));
@@ -1304,7 +1305,7 @@ mod tests {
             probes in prop::collection::vec((any::<u16>(), any::<u16>()), 0..64),
         ) {
             use tsb_common::KeyBound;
-            use crate::split::partition_index_by_key;
+            use crate::node::Node;
 
             let mut node = tiling_node(&splits);
             node.validate().unwrap();
@@ -1325,19 +1326,11 @@ mod tests {
                     .collect();
                 if !candidates.is_empty() {
                     let split = candidates[pick as usize % candidates.len()].clone();
-                    let parts = partition_index_by_key(&node.to_entries(), &split);
-                    let (range, entries) = if side % 2 == 0 {
-                        (
-                            KeyRange::new(Key::MIN, KeyBound::Finite(split)),
-                            parts.left,
-                        )
-                    } else {
-                        (
-                            KeyRange::new(split, KeyBound::PlusInfinity),
-                            parts.right,
-                        )
+                    let (low, high) = Node::Index(node).key_split(&split).unwrap();
+                    let Node::Index(half) = (if side % 2 == 0 { low } else { high }) else {
+                        unreachable!("an index node splits into index nodes");
                     };
-                    node = IndexNode::from_entries(range, TimeRange::full(), entries);
+                    node = half;
                     node.validate().unwrap();
                 }
             }
@@ -1360,7 +1353,7 @@ mod tests {
                     (
                         Key::from_bytes(e.key_lo),
                         e.time_range.lo,
-                        e.time_range.hi.as_finite(),
+                        e.time_range.hi.as_finite().copied(),
                     )
                 })
                 .collect();

@@ -18,9 +18,11 @@ mod walk_equivalence;
 
 pub(crate) use addr::NodeAddr;
 pub(crate) use data::{DataComposition, DataNode, VersionRef, DATA_NODE_TAG};
+#[cfg(test)]
+pub(crate) use index::tests::tiling_node;
 pub(crate) use index::{IndexEntry, IndexNode, INDEX_NODE_TAG};
 
-use tsb_common::{TsbError, TsbResult};
+use tsb_common::{KeyRange, TimeRange, TsbError, TsbResult};
 
 /// A decoded node of either kind.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -56,6 +58,30 @@ impl Node {
         match self {
             Node::Data(n) => n.encoded_size(),
             Node::Index(n) => n.encoded_size(),
+        }
+    }
+
+    /// The key range the node spans.
+    pub(crate) fn key_range(&self) -> &KeyRange {
+        match self {
+            Node::Data(n) => &n.key_range,
+            Node::Index(n) => &n.key_range,
+        }
+    }
+
+    /// The time range the node spans.
+    pub(crate) fn time_range(&self) -> TimeRange {
+        match self {
+            Node::Data(n) => n.time_range,
+            Node::Index(n) => n.time_range,
+        }
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Node::Data(n) => n.len(),
+            Node::Index(n) => n.len(),
         }
     }
 

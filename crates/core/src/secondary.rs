@@ -226,14 +226,14 @@ mod tests {
     #[test]
     fn prefix_range_covers_exactly_one_secondary_value() {
         let range = secondary_prefix_range(&Key::from("boston"));
-        assert!(range.contains(&composite_key(&Key::from("boston"), &Key::from_u64(1))));
-        assert!(range.contains(&composite_key(
+        assert!(range.contains(composite_key(&Key::from("boston"), &Key::from_u64(1))));
+        assert!(range.contains(composite_key(
             &Key::from("boston"),
             &Key::from_u64(u64::MAX)
         )));
-        assert!(!range.contains(&composite_key(&Key::from("bostona"), &Key::from_u64(1))));
-        assert!(!range.contains(&composite_key(&Key::from("bosto"), &Key::from_u64(1))));
-        assert!(!range.contains(&composite_key(&Key::from("nashua"), &Key::from_u64(1))));
+        assert!(!range.contains(composite_key(&Key::from("bostona"), &Key::from_u64(1))));
+        assert!(!range.contains(composite_key(&Key::from("bosto"), &Key::from_u64(1))));
+        assert!(!range.contains(composite_key(&Key::from("nashua"), &Key::from_u64(1))));
     }
 
     #[test]

@@ -20,46 +20,35 @@
 
 use tsb_common::{Key, Timestamp, Version};
 
+use super::Halves;
 use crate::node::DataNode;
 
-/// The two halves of a key split: `(stay, move_right)`.
-pub(crate) fn partition_by_key(
-    entries: &[Version],
-    split_key: &Key,
-) -> (Vec<Version>, Vec<Version>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
+/// The two halves of a key split: keys below `split_key` stay low, the rest
+/// move high; nothing is duplicated.
+pub(crate) fn partition_by_key(entries: &[Version], split_key: &Key) -> Halves<Version> {
+    let mut halves = Halves::default();
     for e in entries {
         if e.key < *split_key {
-            left.push(e.clone());
+            halves.low.push(e.clone());
         } else {
-            right.push(e.clone());
+            halves.high.push(e.clone());
         }
     }
-    (left, right)
+    halves
 }
 
-/// The result of applying the time-split rule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct TimeSplitParts {
-    /// Entries migrated to the historical node (commit time `< T`).
-    pub historical: Vec<Version>,
-    /// Entries kept in the current node (commit time `>= T`, the rule-3
-    /// duplicates valid at `T`, and all uncommitted entries).
-    pub current: Vec<Version>,
-    /// Number of committed versions present in *both* halves — the
-    /// redundancy introduced by this split.
-    pub duplicated: usize,
-}
-
-/// Applies the paper's TIME-SPLIT RULE at `split_time`.
+/// Applies the paper's TIME-SPLIT RULE at `split_time`. The low half is
+/// the historical node (commit time `< T`); the high half is the current
+/// node (commit time `>= T`, the rule-3 duplicates valid at `T`, and all
+/// uncommitted entries); `duplicated` counts the committed versions in
+/// both — the redundancy this split introduces.
 ///
 /// Tombstone versions are *not* duplicated into the current node: a key
 /// whose governing version at `T` is a tombstone is simply absent from the
 /// current node, which answers all queries at or after `T` identically
 /// (documented extension; the tombstone itself is preserved in the
 /// historical node).
-pub(crate) fn partition_by_time(entries: &[Version], split_time: Timestamp) -> TimeSplitParts {
+pub(crate) fn partition_by_time(entries: &[Version], split_time: Timestamp) -> Halves<Version> {
     let mut historical = Vec::new();
     let mut current = Vec::new();
     let mut duplicated = 0usize;
@@ -101,9 +90,9 @@ pub(crate) fn partition_by_time(entries: &[Version], split_time: Timestamp) -> T
 
     historical.sort_by(Version::sort_cmp);
     current.sort_by(Version::sort_cmp);
-    TimeSplitParts {
-        historical,
-        current,
+    Halves {
+        low: historical,
+        high: current,
         duplicated,
     }
 }
@@ -154,7 +143,11 @@ mod tests {
     #[test]
     fn key_split_partitions_by_key_only() {
         let entries = sorted(vec![v(50, 1), v(60, 2), v(60, 4), v(70, 3), v(90, 6)]);
-        let (left, right) = partition_by_key(&entries, &Key::from_u64(70));
+        let Halves {
+            low: left,
+            high: right,
+            ..
+        } = partition_by_key(&entries, &Key::from_u64(70));
         assert!(left.iter().all(|e| e.key < Key::from_u64(70)));
         assert!(right.iter().all(|e| e.key >= Key::from_u64(70)));
         assert_eq!(left.len(), 3);
@@ -169,8 +162,8 @@ mod tests {
         // current by rule 2 — no duplication.
         let entries = sorted(vec![v(60, 1), v(60, 2), v(60, 4), v(90, 6)]);
         let parts = partition_by_time(&entries, Timestamp(4));
-        assert_eq!(parts.historical.len(), 2);
-        assert_eq!(parts.current.len(), 2);
+        assert_eq!(parts.low.len(), 2);
+        assert_eq!(parts.high.len(), 2);
         assert_eq!(parts.duplicated, 0);
     }
 
@@ -181,16 +174,16 @@ mod tests {
         // node as well.
         let entries = sorted(vec![v(60, 1), v(60, 2), v(60, 4), v(90, 6)]);
         let parts = partition_by_time(&entries, Timestamp(5));
-        assert_eq!(parts.historical.len(), 3);
-        assert_eq!(parts.current.len(), 2); // Mary duplicate + Alice
+        assert_eq!(parts.low.len(), 3);
+        assert_eq!(parts.high.len(), 2); // Mary duplicate + Alice
         assert_eq!(parts.duplicated, 1);
         // The duplicate really is the T=4 version of key 60.
         assert!(parts
-            .current
+            .high
             .iter()
             .any(|e| e.key == Key::from_u64(60) && e.commit_time() == Some(Timestamp(4))));
         assert!(parts
-            .historical
+            .low
             .iter()
             .any(|e| e.key == Key::from_u64(60) && e.commit_time() == Some(Timestamp(4))));
     }
@@ -201,8 +194,8 @@ mod tests {
         // into the current node so snapshots at/after T see them.
         let entries = sorted((1..=5).map(|k| v(k, k)).collect());
         let parts = partition_by_time(&entries, Timestamp(10));
-        assert_eq!(parts.historical.len(), 5);
-        assert_eq!(parts.current.len(), 5);
+        assert_eq!(parts.low.len(), 5);
+        assert_eq!(parts.high.len(), 5);
         assert_eq!(parts.duplicated, 5);
     }
 
@@ -211,8 +204,8 @@ mod tests {
         let mut entries = sorted(vec![v(1, 1), v(1, 3)]);
         entries.push(Version::uncommitted(1u64, TxnId(7), b"pending".to_vec()));
         let parts = partition_by_time(&entries, Timestamp(5));
-        assert!(parts.historical.iter().all(|e| e.state.is_committed()));
-        assert!(parts.current.iter().any(|e| e.state.is_uncommitted()));
+        assert!(parts.low.iter().all(|e| e.state.is_committed()));
+        assert!(parts.high.iter().any(|e| e.state.is_uncommitted()));
     }
 
     #[test]
@@ -224,13 +217,13 @@ mod tests {
         ]);
         let parts = partition_by_time(&entries, Timestamp(5));
         // Key 1's governing version at T=5 is a tombstone: not carried forward.
-        assert!(parts.current.iter().all(|e| e.key != Key::from_u64(1)));
+        assert!(parts.high.iter().all(|e| e.key != Key::from_u64(1)));
         // Key 2's version is duplicated (it is live at T).
-        assert!(parts.current.iter().any(|e| e.key == Key::from_u64(2)));
+        assert!(parts.high.iter().any(|e| e.key == Key::from_u64(2)));
         // Both of key 1's versions are preserved in history.
         assert_eq!(
             parts
-                .historical
+                .low
                 .iter()
                 .filter(|e| e.key == Key::from_u64(1))
                 .count(),
@@ -267,13 +260,13 @@ mod tests {
         let parts = partition_by_time(&entries, Timestamp(5));
         // Every original entry appears in at least one half.
         for e in &entries {
-            let in_hist = parts.historical.contains(e);
-            let in_cur = parts.current.contains(e);
+            let in_hist = parts.low.contains(e);
+            let in_cur = parts.high.contains(e);
             assert!(in_hist || in_cur, "entry {e} lost by the split");
         }
         // Historical strictly below T, current at/above T except rule-3 copies.
         assert!(parts
-            .historical
+            .low
             .iter()
             .all(|e| e.commit_time().unwrap() < Timestamp(5)));
     }

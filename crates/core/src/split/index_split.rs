@@ -1,68 +1,56 @@
 //! Index-node split mechanics (§3.5).
 //!
 //! Index entries reference nodes that span a key range *and* a time range,
-//! so splitting an index node needs rules analogous to the data-node rules:
+//! so splitting an index node needs rules "analogous to the data-node
+//! rules" — and on both axes they are one three-way rule,
+//! [`partition_index`]: an entry whose interval on the split's axis lies
+//! entirely below the split value goes to the low node, one entirely at or
+//! above it to the high node, and one that strictly contains it is **copied
+//! to both**. Only the choice of the value differs per axis:
 //!
 //! * **Keyspace split** (always possible): the paper's Index Node Keyspace
 //!   Split Rule. The split value must be a key actually used as an entry's
-//!   lower bound; entries whose key range lies entirely below the value go
-//!   left, entirely at/above go right, and entries whose key range
-//!   *strictly contains* the value — which are guaranteed to reference
-//!   historical nodes — are **copied to both** (Figure 7). This is what
-//!   makes the TSB-tree a DAG.
-//! * **Local time split** (when possible): find a time `T` before which
-//!   *every* reference is to a historical node; entries lying entirely
-//!   before `T` migrate to a historical index node, entries spanning `T` are
-//!   copied to both, and no entry referencing a current child may end up in
-//!   the historical index node (current children can still split, which
-//!   would require updating the — write-once — historical index node,
-//!   Figure 9). When no such `T` exists the node must be keyspace split
-//!   instead (and the blocking child can be marked for a time split at its
-//!   next opportunity).
+//!   lower bound ([`choose_index_split_key`]), so only entries referencing
+//!   historical nodes can straddle it (Figure 7). The copies are what make
+//!   the TSB-tree a DAG.
+//! * **Local time split** (when possible): a time `T` before which *every*
+//!   reference is to a historical node ([`local_time_split_point`]). The
+//!   low half migrates to a historical index node, and no entry
+//!   referencing a current child may end up there (current children can
+//!   still split, which would require updating the — write-once —
+//!   historical index node, Figure 9). When no such `T` exists the node
+//!   must be keyspace split instead (and the blocking child can be marked
+//!   for a time split at its next opportunity).
 
-use tsb_common::{Key, Timestamp};
+use tsb_common::{Interval, Key, Timestamp};
 
+use super::Halves;
 use crate::node::{IndexEntry, IndexNode};
 
-/// Outcome of partitioning an index node's entries at a key value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct IndexKeySplitParts {
-    /// Entries for the left node (key ranges at or below the split value,
-    /// plus duplicated straddlers).
-    pub left: Vec<IndexEntry>,
-    /// Entries for the right node.
-    pub right: Vec<IndexEntry>,
-    /// Number of entries copied into both halves (all of them reference
-    /// historical nodes).
-    pub duplicated: usize,
-}
-
-/// Applies the Index Node Keyspace Split Rule at `split_key`.
-pub(crate) fn partition_index_by_key(
+/// The three-way rule at `at`, on the axis `axis` picks out of each entry's
+/// rectangle: entirely below `at` goes low, entirely at or above it goes
+/// high, and an entry that strictly contains it goes to both (the caller's
+/// choice of `at` guarantees such an entry references a historical child).
+pub(crate) fn partition_index<T: Ord + Clone>(
     entries: &[IndexEntry],
-    split_key: &Key,
-) -> IndexKeySplitParts {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let mut duplicated = 0usize;
+    axis: impl Fn(&IndexEntry) -> &Interval<T>,
+    at: &T,
+) -> Halves<IndexEntry> {
+    let mut halves = Halves::default();
     for e in entries {
-        if e.key_range.entirely_below(split_key) {
-            left.push(e.clone());
-        } else if e.key_range.entirely_at_or_above(split_key) {
-            right.push(e.clone());
+        let interval = axis(e);
+        if interval.entirely_below(at) {
+            halves.low.push(e.clone());
+        } else if interval.entirely_at_or_above(at) {
+            halves.high.push(e.clone());
         } else {
-            // Rule 4: the key range strictly contains the split value.
-            debug_assert!(e.key_range.strictly_contains(split_key));
-            left.push(e.clone());
-            right.push(e.clone());
-            duplicated += 1;
+            debug_assert!(interval.strictly_contains(at));
+            halves.low.push(e.clone());
+            halves.high.push(e.clone());
+            halves.duplicated += 1;
         }
     }
-    IndexKeySplitParts {
-        left,
-        right,
-        duplicated,
-    }
+    halves
 }
 
 /// Chooses the key value for an index keyspace split: the median among the
@@ -97,70 +85,8 @@ pub(crate) fn local_time_split_point(node: &IndexNode) -> Option<Timestamp> {
         .filter(|e| e.is_current())
         .map(|e| e.time_range.lo)
         .min()?;
-    if t <= node.time_range.lo {
-        return None;
-    }
-    // At least one entry must lie entirely before T for the split to migrate
-    // anything.
-    let migrates = node
-        .iter()
-        .any(|e| matches!(e.time_range.hi, tsb_common::TimeBound::Finite(h) if h <= t));
-    if migrates {
-        Some(t)
-    } else {
-        None
-    }
-}
-
-/// Outcome of partitioning an index node's entries at a time value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct IndexTimeSplitParts {
-    /// Entries for the historical index node (time ranges intersecting
-    /// `[node start, T)`).
-    pub historical: Vec<IndexEntry>,
-    /// Entries kept in the current index node (time ranges intersecting
-    /// `[T, +∞)`).
-    pub current: Vec<IndexEntry>,
-    /// Entries present in both halves (they span `T`; all reference
-    /// historical children).
-    pub duplicated: usize,
-}
-
-/// Partitions index entries at time `T` for a local time split.
-///
-/// The caller must have obtained `T` from [`local_time_split_point`], which
-/// guarantees that every entry intersecting `[.., T)` references a
-/// historical child.
-pub(crate) fn partition_index_by_time(
-    entries: &[IndexEntry],
-    split_time: Timestamp,
-) -> IndexTimeSplitParts {
-    let mut historical = Vec::new();
-    let mut current = Vec::new();
-    let mut duplicated = 0usize;
-    for e in entries {
-        let starts_before = e.time_range.lo < split_time;
-        // The entry's half-open time range contains some time >= split_time
-        // exactly when its upper bound is above split_time.
-        let extends_at_or_past = match e.time_range.hi {
-            tsb_common::TimeBound::Infinity => true,
-            tsb_common::TimeBound::Finite(h) => h > split_time,
-        };
-        if starts_before {
-            historical.push(e.clone());
-        }
-        if extends_at_or_past {
-            current.push(e.clone());
-        }
-        if starts_before && extends_at_or_past {
-            duplicated += 1;
-        }
-    }
-    IndexTimeSplitParts {
-        historical,
-        current,
-        duplicated,
-    }
+    let migrates = || node.iter().any(|e| e.time_range.entirely_below(t));
+    (t > node.time_range.lo && migrates()).then_some(t)
 }
 
 #[cfg(test)]
@@ -169,6 +95,14 @@ mod tests {
     use crate::node::NodeAddr;
     use tsb_common::{KeyBound, KeyRange, TimeRange};
     use tsb_storage::{HistAddr, PageId};
+
+    fn by_key(entries: &[IndexEntry], split_key: &Key) -> Halves<IndexEntry> {
+        partition_index(entries, |e| &e.key_range, split_key)
+    }
+
+    fn by_time(entries: &[IndexEntry], split_time: Timestamp) -> Halves<IndexEntry> {
+        partition_index(entries, |e| &e.time_range, &split_time)
+    }
 
     fn kr(lo: Option<u64>, hi: Option<u64>) -> KeyRange {
         let lo = lo.map(Key::from_u64).unwrap_or(Key::MIN);
@@ -215,19 +149,19 @@ mod tests {
     fn keyspace_split_duplicates_only_straddling_historical_entries() {
         let node = figure7_node();
         node.validate().unwrap();
-        let parts = partition_index_by_key(&node.to_entries(), &Key::from_u64(100));
+        let parts = by_key(&node.to_entries(), &Key::from_u64(100));
         assert_eq!(parts.duplicated, 1);
         // The duplicated entry is the historical [50, +inf) one.
         let dup: Vec<_> = parts
-            .left
+            .low
             .iter()
-            .filter(|e| parts.right.contains(e))
+            .filter(|e| parts.high.contains(e))
             .collect();
         assert_eq!(dup.len(), 1);
         assert!(dup[0].child.is_historical());
         // Left gets everything ending at or below 100, right the rest.
-        assert_eq!(parts.left.len(), 4);
-        assert_eq!(parts.right.len(), 2);
+        assert_eq!(parts.low.len(), 4);
+        assert_eq!(parts.high.len(), 2);
     }
 
     #[test]
@@ -295,22 +229,18 @@ mod tests {
         // min current start = 7
         let t = local_time_split_point(&node).unwrap();
         assert_eq!(t, Timestamp(7));
-        let parts = partition_index_by_time(&node.to_entries(), t);
-        assert!(parts.historical.iter().all(|e| e.child.is_historical()));
+        let parts = by_time(&node.to_entries(), t);
+        assert!(parts.low.iter().all(|e| e.child.is_historical()));
         // Every current reference stays in the current node.
         assert_eq!(
-            parts
-                .current
-                .iter()
-                .filter(|e| e.child.is_current())
-                .count(),
+            parts.high.iter().filter(|e| e.child.is_current()).count(),
             3
         );
         // The historical entry [0, 8) spans T=7 and is duplicated.
         assert_eq!(parts.duplicated, 1);
         // Nothing is lost.
         for e in node.to_entries() {
-            assert!(parts.historical.contains(&e) || parts.current.contains(&e));
+            assert!(parts.low.contains(&e) || parts.high.contains(&e));
         }
     }
 
@@ -320,10 +250,9 @@ mod tests {
         let e_end_at_t = hist(0, kr(None, None), 0, 5);
         // An entry starting exactly at T belongs only to the current half.
         let e_start_at_t = cur(1, kr(None, None), 5);
-        let parts =
-            partition_index_by_time(&[e_end_at_t.clone(), e_start_at_t.clone()], Timestamp(5));
-        assert_eq!(parts.historical, vec![e_end_at_t]);
-        assert_eq!(parts.current, vec![e_start_at_t]);
+        let parts = by_time(&[e_end_at_t.clone(), e_start_at_t.clone()], Timestamp(5));
+        assert_eq!(parts.low, vec![e_end_at_t]);
+        assert_eq!(parts.high, vec![e_start_at_t]);
         assert_eq!(parts.duplicated, 0);
     }
 }

@@ -1,21 +1,22 @@
 //! The paper's split figures (5–9) and the split rules' properties, on
 //! the pure partitioning functions: the data node split by key (Figure 5)
 //! and by time (Figure 6, the TIME-SPLIT RULE), the index keyspace split
-//! that duplicates straddling historical entries (Figure 7), and the local
-//! index time split condition (Figures 8 and 9).
+//! that duplicates straddling historical entries (Figure 7), the local
+//! index time split condition (Figures 8 and 9), and the one three-way
+//! rule both index splits follow.
 
 use proptest::prelude::*;
 
 use tsb_common::{
-    Key, KeyBound, KeyRange, SplitPolicyKind, TimeRange, Timestamp, TsbConfig, Version,
+    Interval, Key, KeyBound, KeyRange, SplitPolicyKind, TimeRange, Timestamp, TsbConfig, Version,
 };
 use tsb_storage::{HistAddr, PageId};
 
 use super::{
     choose_index_split_key, local_time_split_point, partition_by_key, partition_by_time,
-    partition_index_by_key,
+    partition_index, Halves,
 };
-use crate::node::{IndexEntry, IndexNode, NodeAddr};
+use crate::node::{tiling_node, IndexEntry, IndexNode, Node, NodeAddr};
 use crate::EngineHandle;
 
 fn v(key: u64, ts: u64, name: &str) -> Version {
@@ -33,7 +34,11 @@ fn figure5_pure_key_split_for_insert_only_nodes() {
         v(80, 1, "Mary"),
         v(90, 6, "Alice"),
     ];
-    let (left, right) = partition_by_key(&entries, &Key::from_u64(80));
+    let Halves {
+        low: left,
+        high: right,
+        ..
+    } = partition_by_key(&entries, &Key::from_u64(80));
     assert_eq!(left.len(), 2);
     assert_eq!(right.len(), 2);
     // No entry was duplicated and nothing was designated historical.
@@ -69,22 +74,16 @@ fn figure6_split_time_choice_controls_redundancy() {
 
     let at_4 = partition_by_time(&entries, Timestamp(4));
     assert_eq!(at_4.duplicated, 0, "T=4: no redundancy (Figure 6 top)");
-    assert_eq!(at_4.historical.len(), 2);
-    assert_eq!(at_4.current.len(), 2);
+    assert_eq!(at_4.low.len(), 2);
+    assert_eq!(at_4.high.len(), 2);
 
     let at_5 = partition_by_time(&entries, Timestamp(5));
     assert_eq!(
         at_5.duplicated, 1,
         "T=5: Mary is in both nodes (Figure 6 bottom)"
     );
-    assert!(at_5
-        .historical
-        .iter()
-        .any(|e| e.value == Some(b"Mary".to_vec())));
-    assert!(at_5
-        .current
-        .iter()
-        .any(|e| e.value == Some(b"Mary".to_vec())));
+    assert!(at_5.low.iter().any(|e| e.value == Some(b"Mary".to_vec())));
+    assert!(at_5.high.iter().any(|e| e.value == Some(b"Mary".to_vec())));
 }
 
 /// Figure 7: an index keyspace split must duplicate the (historical) entry
@@ -128,12 +127,12 @@ fn figure7_index_keyspace_split_duplicates_straddling_historical_entries() {
     node.validate().unwrap();
     let split_key = choose_index_split_key(&node).unwrap();
     assert_eq!(split_key, Key::from_u64(100));
-    let parts = partition_index_by_key(&node.to_entries(), &split_key);
+    let parts = partition_index(&node.to_entries(), |e| &e.key_range, &split_key);
     assert_eq!(parts.duplicated, 1);
     let dup: Vec<_> = parts
-        .left
+        .low
         .iter()
-        .filter(|e| parts.right.contains(e))
+        .filter(|e| parts.high.contains(e))
         .collect();
     assert_eq!(
         dup,
@@ -233,10 +232,10 @@ proptest! {
 
         // Nothing lost.
         for e in &entries {
-            prop_assert!(parts.historical.contains(e) || parts.current.contains(e));
+            prop_assert!(parts.low.contains(e) || parts.high.contains(e));
         }
         // Historical = strictly older.
-        for e in &parts.historical {
+        for e in &parts.low {
             prop_assert!(e.commit_time().unwrap() < split_time);
         }
         // The version valid at the split time is in the current half (unless
@@ -250,7 +249,7 @@ proptest! {
             if let Some(g) = governing {
                 if !g.is_tombstone() {
                     prop_assert!(
-                        parts.current.contains(g),
+                        parts.high.contains(g),
                         "version valid at the split time must be in the current node"
                     );
                 }
@@ -258,9 +257,9 @@ proptest! {
         }
         // Redundancy accounting is exact.
         let both = parts
-            .historical
+            .low
             .iter()
-            .filter(|e| parts.current.contains(e))
+            .filter(|e| parts.high.contains(e))
             .count();
         prop_assert_eq!(both, parts.duplicated);
     }
@@ -273,9 +272,81 @@ proptest! {
     ) {
         let entries = sorted_versions(versions);
         let split = Key::from_u64(split_key);
-        let (left, right) = partition_by_key(&entries, &split);
+        let Halves { low: left, high: right, .. } = partition_by_key(&entries, &split);
         prop_assert_eq!(left.len() + right.len(), entries.len());
         prop_assert!(left.iter().all(|e| e.key < split));
         prop_assert!(right.iter().all(|e| e.key >= split));
+    }
+}
+
+/// Holds one index split to the three-way rule, stated independently of
+/// its code: an entry goes low exactly when its interval on the split's
+/// axis starts below `at`, high exactly when it reaches past `at`, and
+/// `duplicated` counts the entries that went to both. `halves` are the
+/// nodes the split built; each holds exactly its side's entries, and every
+/// one of them overlaps that half's rectangle.
+fn check_index_split<T: Ord + Clone>(
+    node: &IndexNode,
+    axis: impl Fn(&IndexEntry) -> &Interval<T>,
+    at: &T,
+    halves: (Node, Node),
+) -> Result<(IndexNode, IndexNode), TestCaseError> {
+    let entries = node.to_entries();
+    let parts = partition_index(&entries, &axis, at);
+    let mut both = 0;
+    for e in &entries {
+        let (in_low, in_high) = (parts.low.contains(e), parts.high.contains(e));
+        prop_assert_eq!(in_low, axis(e).lo < *at, "low side of {:?}", e);
+        prop_assert_eq!(in_high, axis(e).hi.is_above(at), "high side of {:?}", e);
+        both += usize::from(in_low && in_high);
+    }
+    prop_assert_eq!(parts.duplicated, both);
+    let (Node::Index(low), Node::Index(high)) = halves else {
+        panic!("an index node split into a leaf");
+    };
+    for (half, side) in [(&low, &parts.low), (&high, &parts.high)] {
+        prop_assert_eq!(&half.to_entries(), side);
+        for e in half.to_entries() {
+            prop_assert!(e.overlaps(&half.key_range, &half.time_range), "{:?}", e);
+        }
+    }
+    Ok((low, high))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Index partitions on random well-formed index nodes (rectangle
+    /// tilings, and the halves of their keyspace splits, whose historical
+    /// entries stick out of the node's key range): a keyspace split at
+    /// `choose_index_split_key` and a local time split at
+    /// `local_time_split_point` both follow the three-way rule, and the
+    /// time split leaves no current child in its historical half.
+    #[test]
+    fn index_partitions_follow_the_three_way_rule(
+        splits in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 0..48),
+    ) {
+        let mut nodes = vec![tiling_node(&splits)];
+        let mut key_splits = 0;
+        while let Some(node) = nodes.pop() {
+            node.validate().unwrap();
+            let whole = Node::Index(node.clone());
+            if let Some(t) = local_time_split_point(&node) {
+                let halves = whole.time_split(t);
+                let (past, _) = check_index_split(&node, |e| &e.time_range, &t, halves)?;
+                prop_assert!(past.iter().all(|e| !e.is_current()));
+            }
+            if let Some(k) = choose_index_split_key(&node) {
+                let halves = whole.key_split(&k).unwrap();
+                let (low, high) = check_index_split(&node, |e| &e.key_range, &k, halves)?;
+                // Split the halves once more where the split was one a tree
+                // makes: there only a historical child straddles the key.
+                let straddles = |e: &IndexEntry| e.key_range.strictly_contains(&k);
+                key_splits += 1;
+                if key_splits == 1 && !node.to_entries().iter().any(|e| e.is_current() && straddles(e)) {
+                    nodes.extend([low, high]);
+                }
+            }
+        }
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! An update in the multiversion database is the insertion of a new version
 //! with the same key (§2.1); logical deletion is the insertion of a
-//! tombstone version (extension — see DESIGN.md). New versions always land
-//! in the *current* node responsible for their key. When a current node
-//! overflows its page it is split according to the configured policy:
+//! tombstone version (an extension: the paper's database is non-deleting,
+//! and the tombstone stays in history like any version). New versions
+//! always land in the *current* node responsible for their key. When a
+//! current node overflows its page it is split according to the configured
+//! policy:
 //!
 //! * a **key split** partitions the node in place (the erasable store allows
 //!   "normal" B+-tree splitting — §3, §5);
@@ -23,8 +25,7 @@ use tsb_storage::{Lsn, PageId, PageOp};
 
 use crate::node::{DataNode, IndexEntry, IndexNode, Node, NodeAddr};
 use crate::split::{
-    choose_index_split_key, choose_split_key, local_time_split_point, partition_by_key,
-    partition_by_time, partition_index_by_key, partition_index_by_time, plan_data_split, SplitPlan,
+    choose_index_split_key, choose_split_key, local_time_split_point, plan_data_split, SplitPlan,
 };
 
 use super::TsbTree;
@@ -233,7 +234,7 @@ impl TsbTree {
                 } else {
                     // The split extends the insert's delta chain with its
                     // own ops; the page's one write logs the whole chain.
-                    let entries = self.split_data_node(data, page, false, ops)?;
+                    let entries = self.split_node(Node::Data(data), page, false, ops)?;
                     Ok(InsertOutcome::Split(entries))
                 }
             }
@@ -270,7 +271,7 @@ impl TsbTree {
                             self.write_current_delta(page, Node::Index(index), ops)?;
                             Ok(InsertOutcome::Fit)
                         } else {
-                            let entries = self.split_index_node(index, page, false, ops)?;
+                            let entries = self.split_node(Node::Index(index), page, false, ops)?;
                             Ok(InsertOutcome::Split(entries))
                         }
                     }
@@ -285,7 +286,7 @@ impl TsbTree {
         // The epoch goes odd at the first structural *write* — after every
         // fallible pure step (planning, allocation) — so an error that
         // wrote nothing stays a recoverable per-operation error instead of
-        // poisoning the tree. Same pattern in every execute_* split path.
+        // poisoning the tree. Same pattern in both split executors.
         self.note_structural_write();
         let root = IndexNode::from_entries(KeyRange::full(), TimeRange::full(), entries);
         self.write_current(page, Node::Index(root))?;
@@ -293,9 +294,13 @@ impl TsbTree {
         Ok(())
     }
 
-    // ----- data node splits ----------------------------------------------
+    // ----- splits ---------------------------------------------------------
+    //
+    // One key-split executor, one time-split executor and one placement
+    // function serve both node kinds; only the *choice* of split is per
+    // kind.
 
-    /// Splits an overflowing data node held in memory, writing the resulting
+    /// Splits an overflowing node held in memory, writing the resulting
     /// nodes to their devices and returning the index entries the parent
     /// should adopt in place of its entry for `page`.
     ///
@@ -305,15 +310,34 @@ impl TsbTree {
     /// the page's logged state. Each split appends its own op, and the
     /// write that installs the page logs the whole chain, so nothing is
     /// logged before the split's first structural write.
-    fn split_data_node(
+    fn split_node(
         &self,
-        node: DataNode,
+        node: Node,
         page: PageId,
         forbid_time: bool,
         ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
+        let plan = match &node {
+            Node::Data(data) => self.plan_leaf_split(data, page, forbid_time)?,
+            Node::Index(index) => self.plan_index_split(index, forbid_time)?,
+        };
+        match plan {
+            SplitPlan::Key { split_key } => self.key_split(node, page, split_key, ops),
+            SplitPlan::Time { split_time } => self.time_split(node, page, split_time, ops),
+        }
+    }
+
+    /// Chooses how to split an overflowing leaf: the configured policy
+    /// ([`plan_data_split`]), a marked child's preference for a time split,
+    /// and `forbid_time`.
+    fn plan_leaf_split(
+        &self,
+        node: &DataNode,
+        page: PageId,
+        forbid_time: bool,
+    ) -> TsbResult<SplitPlan> {
         let now = self.clock.now();
-        let mut plan = plan_data_split(&node, &self.cfg, now, self.page_capacity())?;
+        let mut plan = plan_data_split(node, &self.cfg, now, self.page_capacity())?;
 
         // A child that blocked a local index time split is marked to prefer a
         // time split at its next opportunity (§3.5's optimization). Policies
@@ -348,192 +372,41 @@ impl TsbTree {
         }
         if forbid_time {
             if let SplitPlan::Time { .. } = plan {
-                if let Some(split_key) = choose_split_key(&node) {
+                if let Some(split_key) = choose_split_key(node) {
                     plan = SplitPlan::Key { split_key };
                 }
             }
         }
-
-        match plan {
-            SplitPlan::Key { split_key } => self.execute_data_key_split(node, page, split_key, ops),
-            SplitPlan::Time { split_time } => {
-                self.execute_data_time_split(node, page, split_time, ops)
-            }
-        }
+        Ok(plan)
     }
 
-    /// Pure key split: the old page keeps the low half, a new page gets the
-    /// high half. The replacement index entries inherit the node's time
-    /// range (Figure 5: "the timestamp in the new index entry is the same as
-    /// the timestamp of the previous index entry").
-    fn execute_data_key_split(
-        &self,
-        node: DataNode,
-        page: PageId,
-        split_key: Key,
-        mut ops: Vec<PageOp>,
-    ) -> TsbResult<Vec<IndexEntry>> {
-        if !node.key_range.strictly_contains(&split_key) {
-            return Err(TsbError::internal(format!(
-                "split key {split_key} outside node key range {}",
-                node.key_range
-            )));
-        }
-        let (left_entries, right_entries) = partition_by_key(&node.to_versions(), &split_key);
-        let (left_range, right_range) = node
-            .key_range
-            .split_at(&split_key)
-            .ok_or_else(|| TsbError::internal("key range refused to split"))?;
-        let left = DataNode::from_entries(left_range, node.time_range, left_entries);
-        let right = DataNode::from_entries(right_range, node.time_range, right_entries);
-        let right_page = self.allocate_page()?;
-        self.note_structural_write();
-
-        // The old page keeps the low half: derivable from its logged state,
-        // so its chain grows by a delta. The new page has no logged base
-        // (fresh or recycled), so it starts a chain of its own that is moot
-        // — first touch logs the full image.
-        ops.push(PageOp::DataKeySplit {
-            split_key: split_key.clone(),
-            keep_low: true,
-        });
-        let right_ops = vec![PageOp::DataKeySplit {
-            split_key,
-            keep_low: false,
-        }];
-        let mut out = self.place_data_node(left, page, ops)?;
-        out.extend(self.place_data_node(right, right_page, right_ops)?);
-        Ok(out)
-    }
-
-    /// Time split at `split_time`: the older versions are consolidated into a
-    /// historical node appended to the WORM store; the newer versions (and
-    /// the rule-3 duplicates) stay in the same magnetic page.
-    fn execute_data_time_split(
-        &self,
-        node: DataNode,
-        page: PageId,
-        split_time: Timestamp,
-        mut ops: Vec<PageOp>,
-    ) -> TsbResult<Vec<IndexEntry>> {
-        let parts = partition_by_time(&node.to_versions(), split_time);
-        if parts.historical.is_empty() {
-            // Nothing to migrate; fall back to a key split to make progress.
-            return match choose_split_key(&node) {
-                Some(k) => self.execute_data_key_split(node, page, k, ops),
-                None => Err(TsbError::internal(
-                    "time split selected but nothing migrates and no key split is possible",
-                )),
-            };
-        }
-        let shrank = parts.current.len() < node.len();
-
-        let hist_tr = TimeRange::bounded(node.time_range.lo, split_time);
-        let hist_node = DataNode::from_entries(node.key_range.clone(), hist_tr, parts.historical);
-        self.note_structural_write();
-        let hist_addr = self.append_historical(Node::Data(hist_node))?;
-        let hist_entry = IndexEntry::new(
-            node.key_range.clone(),
-            hist_tr,
-            NodeAddr::Historical(hist_addr),
-        );
-
-        let current = DataNode::from_entries(
-            node.key_range.clone(),
-            TimeRange::new(split_time, node.time_range.hi),
-            parts.current,
-        );
-
-        // The survivor is a pure partition of the overflowing node: one tiny
-        // delta on the chain carries the whole rewrite.
-        ops.push(PageOp::DataTimeSplit { split_time });
-        let mut out = vec![hist_entry];
-        if current.encoded_size() <= self.split_threshold() {
-            self.write_current_delta(page, Node::Data(current), ops)?;
-            out.push(IndexEntry::new(
-                node.key_range,
-                TimeRange::new(split_time, node.time_range.hi),
-                NodeAddr::Current(page),
-            ));
-        } else {
-            // Still too big (lots of live data): follow with a further split
-            // of the surviving current node — the WOBT's "split by key value
-            // and current time" corresponds to this path.
-            out.extend(self.split_data_node(current, page, !shrank, ops)?);
-        }
-        Ok(out)
-    }
-
-    /// Writes a data node to `page`, splitting it further if it does not
-    /// fit. `ops` is the page's delta chain, as in [`Self::split_data_node`];
-    /// a page with no logged base ignores it and logs a full image on first
-    /// touch.
-    fn place_data_node(
-        &self,
-        node: DataNode,
-        page: PageId,
-        ops: Vec<PageOp>,
-    ) -> TsbResult<Vec<IndexEntry>> {
-        if node.encoded_size() <= self.split_threshold() {
-            let entry = IndexEntry::new(
-                node.key_range.clone(),
-                node.time_range,
-                NodeAddr::Current(page),
-            );
-            self.write_current_delta(page, Node::Data(node), ops)?;
-            Ok(vec![entry])
-        } else {
-            self.split_data_node(node, page, false, ops)
-        }
-    }
-
-    // ----- index node splits ---------------------------------------------
-
-    /// Splits an overflowing index node, returning the replacement entries
-    /// for its parent. `ops` is the page's delta chain, as in
-    /// [`Self::split_data_node`].
-    fn split_index_node(
-        &self,
-        node: IndexNode,
-        page: PageId,
-        forbid_time: bool,
-        ops: Vec<PageOp>,
-    ) -> TsbResult<Vec<IndexEntry>> {
-        let comp = node.composition();
+    /// Chooses how to split an overflowing index node: a local time split
+    /// when most references are already historical (mirroring the leaf
+    /// heuristic) or when no key split is possible, else a keyspace split.
+    fn plan_index_split(&self, node: &IndexNode, forbid_time: bool) -> TsbResult<SplitPlan> {
         let time_point = if forbid_time {
             None
         } else {
-            local_time_split_point(&node)
+            local_time_split_point(node)
         };
-        let key_candidate = choose_index_split_key(&node);
-
-        // Prefer a local time split when most references are already
-        // historical (mirroring the data-node heuristic), or when a key
-        // split is impossible.
-        let use_time = match (time_point, &key_candidate) {
-            (Some(_), None) => true,
-            (Some(_), Some(_)) => comp.historical_entries * 2 >= comp.total_entries,
-            (None, _) => false,
+        let mostly_historical = || {
+            let comp = node.composition();
+            comp.historical_entries * 2 >= comp.total_entries
         };
-
-        if use_time {
-            let t = time_point.expect("checked above");
-            return self.execute_index_time_split(node, page, t, ops);
-        }
-
-        match key_candidate {
-            Some(split_key) => {
-                if time_point.is_none() && self.cfg.mark_recalcitrant_children {
-                    self.mark_blocking_children(&node);
-                }
-                self.execute_index_key_split(node, page, split_key, ops)
+        match (time_point, choose_index_split_key(node)) {
+            (Some(split_time), None) => Ok(SplitPlan::Time { split_time }),
+            (Some(split_time), Some(_)) if mostly_historical() => {
+                Ok(SplitPlan::Time { split_time })
             }
-            None => match time_point {
-                Some(t) => self.execute_index_time_split(node, page, t, ops),
-                None => Err(TsbError::internal(
-                    "index node can be neither key split nor time split",
-                )),
-            },
+            (time_point, Some(split_key)) => {
+                if time_point.is_none() && self.cfg.mark_recalcitrant_children {
+                    self.mark_blocking_children(node);
+                }
+                Ok(SplitPlan::Key { split_key })
+            }
+            (None, None) => Err(TsbError::internal(
+                "index node can be neither key split nor time split",
+            )),
         }
     }
 
@@ -557,117 +430,120 @@ impl TsbTree {
         }
     }
 
-    /// Index keyspace split (§3.5 rule set): straddling historical entries
-    /// are copied to both halves; the replacement entries inherit the node's
-    /// time range.
-    fn execute_index_key_split(
+    /// Key split ([`Node::key_split`]): the old page keeps the low half, a
+    /// new page gets the high half. The replacement index entries inherit
+    /// the node's time range (Figure 5: "the timestamp in the new index
+    /// entry is the same as the timestamp of the previous index entry").
+    fn key_split(
         &self,
-        node: IndexNode,
+        node: Node,
         page: PageId,
         split_key: Key,
         mut ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
-        if !node.key_range.strictly_contains(&split_key) {
-            return Err(TsbError::internal(format!(
-                "index split key {split_key} outside node key range {}",
-                node.key_range
-            )));
-        }
-        let parts = partition_index_by_key(&node.to_entries(), &split_key);
-        let (left_range, right_range) = node
-            .key_range
-            .split_at(&split_key)
-            .ok_or_else(|| TsbError::internal("index key range refused to split"))?;
-        let left = IndexNode::from_entries(left_range, node.time_range, parts.left);
-        let right = IndexNode::from_entries(right_range, node.time_range, parts.right);
-        let right_page = self.allocate_page()?;
+        let (low, high) = node.key_split(&split_key).ok_or_else(|| {
+            TsbError::internal(format!(
+                "split key {split_key} outside node key range {}",
+                node.key_range()
+            ))
+        })?;
+        let high_page = self.allocate_page()?;
         self.note_structural_write();
 
-        ops.push(PageOp::IndexKeySplit {
-            split_key: split_key.clone(),
-            keep_low: true,
-        });
-        let right_ops = vec![PageOp::IndexKeySplit {
-            split_key,
-            keep_low: false,
-        }];
-        let mut out = self.place_index_node(left, page, ops)?;
-        out.extend(self.place_index_node(right, right_page, right_ops)?);
+        // The old page keeps the low half: derivable from its logged state,
+        // so its chain grows by a delta. The new page has no logged base
+        // (fresh or recycled), so it starts a chain of its own that is moot
+        // — first touch logs the full image.
+        let op = |keep_low| match node {
+            Node::Data(_) => PageOp::DataKeySplit {
+                split_key: split_key.clone(),
+                keep_low,
+            },
+            Node::Index(_) => PageOp::IndexKeySplit {
+                split_key: split_key.clone(),
+                keep_low,
+            },
+        };
+        ops.push(op(true));
+        let high_ops = vec![op(false)];
+        let mut out = self.place_node(low, page, false, ops)?;
+        out.extend(self.place_node(high, high_page, false, high_ops)?);
         Ok(out)
     }
 
-    /// Local index time split (§3.5): entries lying entirely before `t`
-    /// migrate into a historical index node; no current reference may end up
-    /// there (guaranteed by the choice of `t`).
-    fn execute_index_time_split(
+    /// Time split at `split_time` ([`Node::time_split`]): the older half is
+    /// consolidated into a historical node appended to the WORM store; the
+    /// newer half (with a leaf's rule-3 duplicates) stays in the same
+    /// magnetic page. A leaf whose split would migrate nothing falls back to
+    /// a key split; an index node's historical half may hold no current
+    /// reference (the choice of `split_time` guarantees it).
+    fn time_split(
         &self,
-        node: IndexNode,
+        node: Node,
         page: PageId,
-        t: Timestamp,
+        split_time: Timestamp,
         mut ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
-        let parts = partition_index_by_time(&node.to_entries(), t);
-        if parts.historical.is_empty() {
-            return Err(TsbError::internal(
-                "index time split selected but nothing migrates",
-            ));
+        let (past, current) = node.time_split(split_time);
+        if past.len() == 0 {
+            let Node::Data(data) = &node else {
+                return Err(TsbError::internal(
+                    "index time split selected but nothing migrates",
+                ));
+            };
+            // Nothing to migrate; fall back to a key split to make progress.
+            let split_key = choose_split_key(data).ok_or_else(|| {
+                TsbError::internal(
+                    "time split selected but nothing migrates and no key split is possible",
+                )
+            })?;
+            return self.key_split(node, page, split_key, ops);
         }
-        if parts.historical.iter().any(|e| e.child.is_current()) {
-            return Err(TsbError::internal(
-                "index time split would place a current reference on the write-once store",
-            ));
+        if let Node::Index(past) = &past {
+            if past.iter().any(|e| e.is_current()) {
+                return Err(TsbError::internal(
+                    "index time split would place a current reference on the write-once store",
+                ));
+            }
         }
-        let shrank = parts.current.len() < node.len();
+        let shrank = current.len() < node.len();
 
-        let hist_tr = TimeRange::bounded(node.time_range.lo, t);
-        let hist = IndexNode::from_entries(node.key_range.clone(), hist_tr, parts.historical);
         self.note_structural_write();
-        let hist_addr = self.append_historical(Node::Index(hist))?;
-        let hist_entry = IndexEntry::new(
-            node.key_range.clone(),
-            hist_tr,
-            NodeAddr::Historical(hist_addr),
-        );
-
-        let current = IndexNode::from_entries(
-            node.key_range.clone(),
-            TimeRange::new(t, node.time_range.hi),
-            parts.current,
-        );
-
-        ops.push(PageOp::IndexTimeSplit { split_time: t });
+        let (keys, times) = (past.key_range().clone(), past.time_range());
+        let hist_addr = self.append_historical(past)?;
+        let hist_entry = IndexEntry::new(keys, times, NodeAddr::Historical(hist_addr));
+        // The survivor is a pure partition of the overflowing node: one tiny
+        // delta on the chain carries the whole rewrite.
+        ops.push(match node {
+            Node::Data(_) => PageOp::DataTimeSplit { split_time },
+            Node::Index(_) => PageOp::IndexTimeSplit { split_time },
+        });
+        // A survivor still too big (lots of live data) is split further —
+        // the WOBT's "split by key value and current time" corresponds to
+        // this path.
         let mut out = vec![hist_entry];
-        if current.encoded_size() <= self.split_threshold() {
-            self.write_current_delta(page, Node::Index(current), ops)?;
-            out.push(IndexEntry::new(
-                node.key_range,
-                TimeRange::new(t, node.time_range.hi),
-                NodeAddr::Current(page),
-            ));
-        } else {
-            out.extend(self.split_index_node(current, page, !shrank, ops)?);
-        }
+        out.extend(self.place_node(current, page, !shrank, ops)?);
         Ok(out)
     }
 
-    /// Writes an index node to `page`, splitting further if needed. `ops`
-    /// as in [`Self::place_data_node`].
-    fn place_index_node(
+    /// Writes a node to `page`, splitting it further (see
+    /// [`Self::split_node`] for `forbid_time` and `ops`) if it does not fit.
+    /// A page with no logged base ignores `ops` and logs a full image on
+    /// first touch.
+    fn place_node(
         &self,
-        node: IndexNode,
+        node: Node,
         page: PageId,
+        forbid_time: bool,
         ops: Vec<PageOp>,
     ) -> TsbResult<Vec<IndexEntry>> {
         if node.encoded_size() <= self.split_threshold() {
-            let entry = IndexEntry::new(
-                node.key_range.clone(),
-                node.time_range,
-                NodeAddr::Current(page),
-            );
-            self.write_current_delta(page, Node::Index(node), ops)?;
+            let child = NodeAddr::Current(page);
+            let entry = IndexEntry::new(node.key_range().clone(), node.time_range(), child);
+            self.write_current_delta(page, node, ops)?;
             Ok(vec![entry])
         } else {
-            self.split_index_node(node, page, false, ops)
+            self.split_node(node, page, forbid_time, ops)
         }
     }
 }

@@ -30,10 +30,12 @@ pub(crate) enum ReplayPage {
 impl ReplayPage {
     /// Re-applies one logged delta, decoding the base image on first use.
     ///
-    /// Content ops replay as slot assignments; structural ops re-run the
-    /// same pure partition functions the forward split path ran, against
-    /// the identical node state the log has rebuilt, so they land on the
-    /// identical outcome.
+    /// Content ops replay as slot assignments. A structural op does not
+    /// re-derive its split: it calls the forward one — [`Node::key_split`]
+    /// or [`Node::time_split`], the functions the insert path's executors
+    /// call — on the identical node state the log has rebuilt, and keeps
+    /// the half the page kept, so a logged split and its replay cannot
+    /// drift apart.
     pub(crate) fn apply(&mut self, op: &PageOp) -> TsbResult<()> {
         if let ReplayPage::Raw(bytes) = self {
             *self = ReplayPage::Decoded(Node::decode(std::mem::take(bytes))?);
@@ -53,70 +55,44 @@ impl ReplayPage {
                 Node::Data(_) => Err(TsbError::corruption("WAL index delta targets a data node")),
             }
         }
+        fn split_op(op: &PageOp, node: &mut Node) -> TsbResult<()> {
+            match op {
+                PageOp::DataKeySplit { .. } | PageOp::DataTimeSplit { .. } => {
+                    data_op(node).map(drop)
+                }
+                _ => index_op(node).map(drop),
+            }
+        }
         match op {
             PageOp::InsertVersion(version) => data_op(node)?.insert(version),
             PageOp::RemoveUncommitted { key, txn } => {
                 data_op(node)?.remove_uncommitted(key, *txn);
                 Ok(())
             }
-            PageOp::DataTimeSplit { split_time } => {
-                let data = data_op(node)?;
-                let parts = crate::split::partition_by_time(&data.to_versions(), *split_time);
-                *data = DataNode::from_entries(
-                    data.key_range.clone(),
-                    tsb_common::TimeRange::new(*split_time, data.time_range.hi),
-                    parts.current,
-                );
+            PageOp::IndexReplaceChild { payload } => {
+                let index = index_op(node)?;
+                let (old_child, replacements) = decode_replace_child(payload)?;
+                index.replace_child(&old_child, replacements)
+            }
+            PageOp::DataTimeSplit { split_time } | PageOp::IndexTimeSplit { split_time } => {
+                split_op(op, node)?;
+                *node = node.time_split(*split_time).1;
                 Ok(())
             }
             PageOp::DataKeySplit {
                 split_key,
                 keep_low,
-            } => {
-                let data = data_op(node)?;
-                let (left, right) = crate::split::partition_by_key(&data.to_versions(), split_key);
-                let (left_range, right_range) =
-                    data.key_range.split_at(split_key).ok_or_else(|| {
-                        TsbError::corruption("WAL key-split delta outside the node key range")
-                    })?;
-                *data = if *keep_low {
-                    DataNode::from_entries(left_range, data.time_range, left)
-                } else {
-                    DataNode::from_entries(right_range, data.time_range, right)
-                };
-                Ok(())
             }
-            PageOp::IndexTimeSplit { split_time } => {
-                let index = index_op(node)?;
-                let parts = crate::split::partition_index_by_time(&index.to_entries(), *split_time);
-                *index = IndexNode::from_entries(
-                    index.key_range.clone(),
-                    tsb_common::TimeRange::new(*split_time, index.time_range.hi),
-                    parts.current,
-                );
-                Ok(())
-            }
-            PageOp::IndexKeySplit {
+            | PageOp::IndexKeySplit {
                 split_key,
                 keep_low,
             } => {
-                let index = index_op(node)?;
-                let parts = crate::split::partition_index_by_key(&index.to_entries(), split_key);
-                let (left_range, right_range) =
-                    index.key_range.split_at(split_key).ok_or_else(|| {
-                        TsbError::corruption("WAL index key-split delta outside the node key range")
-                    })?;
-                *index = if *keep_low {
-                    IndexNode::from_entries(left_range, index.time_range, parts.left)
-                } else {
-                    IndexNode::from_entries(right_range, index.time_range, parts.right)
-                };
+                split_op(op, node)?;
+                let (low, high) = node.key_split(split_key).ok_or_else(|| {
+                    TsbError::corruption("WAL key-split delta outside the node key range")
+                })?;
+                *node = if *keep_low { low } else { high };
                 Ok(())
-            }
-            PageOp::IndexReplaceChild { payload } => {
-                let index = index_op(node)?;
-                let (old_child, replacements) = decode_replace_child(payload)?;
-                index.replace_child(&old_child, replacements)
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Executable reproductions of the paper's structural figures (F1–F9 in
-//! DESIGN.md). The paper has no measured tables; its figures illustrate how
+//! Executable reproductions of the paper's structural figures (Figures 1–9).
+//! The paper has no measured tables; its figures illustrate how
 //! the structures behave on tiny scripted histories, and these tests pin
 //! that behaviour through the engine and the WOBT baseline. Figures 5–9,
 //! which split single nodes by hand, are `tsb-core`'s `split::tests`.

@@ -246,7 +246,7 @@ proptest! {
         let expected_in = |keys: &KeyRange, window: &TimeRange| -> Vec<Version> {
             oracle
                 .keys()
-                .filter(|key| keys.contains(key))
+                .filter(|key| keys.contains(*key))
                 .flat_map(|key| {
                     oracle
                         .versions(key)

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use tsb_common::{FsyncPolicy, Key, SplitPolicyKind, Timestamp, TsbConfig};
 use tsb_core::{CrashPoint, EngineHandle, FaultInjector, ShardedTsb};
-use tsb_storage::{IoStats, MagneticStore};
+use tsb_storage::{IoStats, MagneticStore, PageOp, WalRecord};
 use tsb_workload::{crash_matrix, generate_ops, CrashSpec, CrashTrigger, Op, Oracle, WorkloadSpec};
 
 /// Ops between the driver's periodic checkpoints, so the crash matrix also
@@ -782,12 +782,37 @@ fn drive_pin_steps(db: &ShardedTsb, steps: &[PinStep]) {
     }
 }
 
+/// How many `DataKeySplit`, `DataTimeSplit`, `IndexKeySplit` and
+/// `IndexTimeSplit` deltas, in that order, the frames of a `redo.wal`
+/// (`len: u32 | crc: u32 | body`) hold.
+fn split_deltas(log: &[u8]) -> [usize; 4] {
+    let mut counts = [0; 4];
+    let mut at = 0;
+    while at < log.len() {
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        let (_, record) = WalRecord::decode_body(&log[at + 8..at + 8 + len]).unwrap();
+        if let WalRecord::PageDelta { op, .. } = record {
+            match op {
+                PageOp::DataKeySplit { .. } => counts[0] += 1,
+                PageOp::DataTimeSplit { .. } => counts[1] += 1,
+                PageOp::IndexKeySplit { .. } => counts[2] += 1,
+                PageOp::IndexTimeSplit { .. } => counts[3] += 1,
+                _ => {}
+            }
+        }
+        at += 8 + len;
+    }
+    counts
+}
+
 /// The redo log's bytes are pinned: five deterministic workloads — four
 /// split policies on one shard, the default policy on four — each leave a
 /// `redo.wal` whose CRC-32 and length must equal the constants below. A
 /// change to what the write path logs, or in what order, fails here even
 /// when every replay still agrees. A deliberate format change re-pins the
-/// constants (the failure prints the new ones).
+/// constants (the failure prints the new ones). Together the five logs
+/// hold a delta of every structural kind, so the pin guards each split
+/// path and its replay.
 #[test]
 fn the_redo_log_bytes_match_their_pins() {
     const PINS: [(&str, u32, u64); 5] = [
@@ -808,7 +833,7 @@ fn the_redo_log_bytes_match_their_pins() {
         one_shard(SplitPolicyKind::WobtLike),
         (small(), 4),
     ];
-    let mut got = Vec::new();
+    let (mut got, mut splits) = (Vec::new(), Vec::new());
     for (((name, ..), (cfg, shards)), seed) in PINS.iter().zip(runs).zip(1u64..) {
         let dir = TempDir::new(&format!("log-pin-{name}"));
         {
@@ -821,10 +846,17 @@ fn the_redo_log_bytes_match_their_pins() {
         }
         let log = std::fs::read(dir.path("redo.wal")).unwrap();
         got.push((*name, tsb_common::checksum::crc32(&log), log.len() as u64));
+        splits.push((*name, split_deltas(&log)));
     }
     assert_eq!(
         got, PINS,
         "the redo log's bytes changed; a deliberate format change re-pins these"
+    );
+    let every_kind = (0..4).all(|kind| splits.iter().any(|(_, counts)| counts[kind] > 0));
+    assert!(
+        every_kind,
+        "some split kind never reaches the pinned logs \
+         ([data key, data time, index key, index time] per run): {splits:?}"
     );
 }
 

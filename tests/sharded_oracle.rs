@@ -282,7 +282,7 @@ fn oracle_rectangle(
     window: TimeRange,
 ) -> Vec<(Key, Timestamp, Option<Vec<u8>>)> {
     let mut out = Vec::new();
-    for key in oracle.keys().filter(|k| keys.contains(k)) {
+    for key in oracle.keys().filter(|k| keys.contains(*k)) {
         for (ts, value) in oracle.versions(key) {
             if window.contains(ts) {
                 out.push((key.clone(), ts, value));
